@@ -55,6 +55,10 @@ GATED_METRICS = frozenset({
     "fault_recovery.retried_throughput_ratio",
     "multi_tenant.aggregate_ratio",
     "stage_graph.overhead_ratio",
+    # Pinned in baseline.json at its floor (1.0, "a cache never serves
+    # slower than no cache"), not at one host's measured value; the
+    # bench test asserts the floor itself.
+    "flowcache_spill.cached_vs_bare_ratio",
 })
 
 #: Metric families that must be non-decreasing along an ordered axis of

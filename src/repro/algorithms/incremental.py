@@ -210,29 +210,30 @@ class IncrementalClassifier:
 
     def _scrub(self, rule_ids: list[int]) -> UpdateStats:
         """One pass deleting the (already tombstoned) ``rule_ids`` from
-        every leaf and pushed list — a k-removal batch costs one node
-        scan, not k."""
+        every leaf and pushed list — a k-removal batch costs one tree
+        scan, not k, and the scan is one ``isin`` over all the stored
+        lists laid end to end, not one per node."""
         stats = UpdateStats()
         ids = np.asarray(rule_ids, dtype=np.int64)
-
-        def keep_mask(stored: np.ndarray) -> np.ndarray:
-            if ids.size == 1:
-                return stored != ids[0]
-            return ~np.isin(stored, ids)
-
-        for nid, node in enumerate(self.tree.nodes):
-            if node.is_leaf and node.rule_ids.size:
-                mask = keep_mask(node.rule_ids)
-                if not mask.all():
-                    node.rule_ids = node.rule_ids[mask]
-                    stats.leaves_touched += 1
-                    stats.touched.add(nid)
-                    self.ops.add("mem_write", 1)
-            elif node.pushed.size:
-                pushed = node.pushed[keep_mask(node.pushed)]
-                if pushed.size != node.pushed.size:
-                    node.pushed = pushed
-                    stats.touched.add(nid)
+        nodes = self.tree.nodes
+        # The list a removal edits: a non-empty leaf's rules, else the
+        # node's pushed rules.
+        in_leaf = [node.is_leaf and node.rule_ids.size > 0 for node in nodes]
+        stored = [
+            node.rule_ids if leaf else node.pushed
+            for node, leaf in zip(nodes, in_leaf)
+        ]
+        owner = np.repeat(np.arange(len(nodes)), [a.size for a in stored])
+        doomed = np.isin(np.concatenate(stored), ids)
+        for nid in np.unique(owner[doomed]).tolist():
+            kept = stored[nid][~np.isin(stored[nid], ids)]
+            if in_leaf[nid]:
+                nodes[nid].rule_ids = kept
+                stats.leaves_touched += 1
+                self.ops.add("mem_write", 1)
+            else:
+                nodes[nid].pushed = kept
+            stats.touched.add(nid)
         self.tree.mark_dirty(stats.touched)
         return stats
 

@@ -278,9 +278,9 @@ def _print_update_report(clf, res) -> None:
 def _profile_hot_path(clf, trace, chunk_size: int) -> dict | None:
     """One extra single-process pass with per-stage wall-clock timing.
 
-    Stage seconds (cache probe, miss-set kernel traversal, result
-    scatter, cache fill) accumulate inside the classifier's ``profile``
-    hook across chunks; everything the stages do not account for —
+    Stage seconds (cache probe, miss dedupe, miss-set kernel traversal,
+    result scatter, cache fill) accumulate inside the classifier's
+    ``profile`` hook across chunks; everything the stages do not account for —
     chunk slicing, Python dispatch, stats assembly — is reported as
     ``dispatch_s``.  Runs single-process on purpose: forked workers
     would accumulate the stage times in their own address spaces.
@@ -324,7 +324,10 @@ def _print_profile(stages: dict, artifact) -> None:
     total = stages.get("total_s") or 0.0
     print(f"hot-path profile ({'fused' if stages.get('fused') else 'unfused'}"
           f" lookup, single process):")
-    for key in ("dispatch_s", "probe_s", "traverse_s", "scatter_s", "fill_s"):
+    for key in (
+        "dispatch_s", "probe_s", "dedup_s", "traverse_s", "scatter_s",
+        "fill_s",
+    ):
         if key not in stages:
             continue
         seconds = stages[key]

@@ -10,7 +10,12 @@ reproduces the layer in the simulator:
   ``entries // ways`` sets; each set holds ``ways`` (header, result)
   entries with LRU-ish replacement driven by a monotonic use stamp.
   All probe/fill work is NumPy over the whole batch — no per-packet
-  Python.
+  Python.  Headers are compared as *packed flow keys*
+  (:func:`pack_flow_keys`): the ``uint32`` columns packed pairwise into
+  ``ceil(ndim / 2)`` ``uint64`` words, column 0 most significant, so
+  word-lexicographic order is row-lexicographic order for any schema.
+  One :class:`FlowKeys` (words + set index) is computed per batch and
+  shared by the probe, the miss dedupe and the fill.
 * :class:`CachedClassifier` — wraps any
   :class:`~repro.engine.protocol.Classifier` behind the same protocol,
   so the cached form composes with the registry, the sharded
@@ -20,7 +25,9 @@ reproduces the layer in the simulator:
   the backend itself produced, keyed by the *full* header.
 
 Batch semantics: within one batch the cache is probed once against its
-state at batch start; the missing headers are deduplicated, classified
+state at batch start; the missing headers are deduplicated
+(:func:`dedupe_flow_keys` — in ``np.unique(axis=0)`` order, which is
+what fixes the fill order, the victims and every counter), classified
 by the backend once per distinct header, and filled back.  Duplicate
 misses inside a batch therefore coalesce into one backend lookup — the
 vectorised equivalent of the sequential "first packet misses and fills,
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +72,59 @@ HIT_OCCUPANCY_CYCLES = 1
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+
+# Explicitly little-endian, so viewing two 32-bit halves as one 64-bit
+# word means the same number on any host.
+_KEY_HALF = np.dtype("<u4")
+_KEY_WORD = np.dtype("<u8")
+
+
+def pack_flow_keys(headers: np.ndarray) -> np.ndarray:
+    """Pack ``(n, ndim)`` ``uint32`` headers into ``(ceil(ndim / 2), n)``
+    ``uint64`` key words.
+
+    Columns pair up high-half first (column 0 is the top of word 0; an
+    odd last column is the top of the last word over a zero low half),
+    so comparing the words in order compares the rows in order.
+    """
+    n, ndim = headers.shape
+    halves = np.zeros(((ndim + 1) // 2, n, 2), _KEY_HALF)
+    for d in range(ndim):
+        halves[d // 2, :, 1 - d % 2] = headers[:, d]
+    return halves.view(_KEY_WORD)[..., 0]
+
+
+def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct columns of a packed key matrix, in row-lexicographic order.
+
+    Returns ``(first, inverse)``: ``first[j]`` is the position of the
+    first occurrence of the ``j``-th smallest distinct key and
+    ``inverse[i]`` the rank of key ``i`` — for ``words =
+    pack_flow_keys(m)`` exactly the ``return_index`` / ``return_inverse``
+    arrays of ``np.unique(m, axis=0)``, so ``m[first]`` is its sorted
+    unique-row matrix.  One stable ``lexsort`` over the words replaces
+    the void-dtype row sort ``np.unique(axis=0)`` does.
+    """
+    n = words.shape[1]
+    order = np.lexsort(words[::-1])  # lexsort's last key is the primary
+    ranked = words[:, order]
+    boundary = np.ones(n, bool)
+    boundary[1:] = ranked[0, 1:] != ranked[0, :-1]
+    for word in ranked[1:]:  # a few whole-row ORs beat an axis-0 reduce
+        boundary[1:] |= word[1:] != word[:-1]
+    inverse = np.empty(n, np.intp)
+    inverse[order] = np.cumsum(boundary) - 1
+    return order[boundary], inverse
+
+
+class FlowKeys(NamedTuple):
+    """What one batch's headers look like to a :class:`FlowCache`."""
+
+    words: np.ndarray  #: ``(n_words, n)`` uint64, from :func:`pack_flow_keys`
+    sets: np.ndarray  #: ``(n,)`` int64 set index
+
+    def take(self, rows: np.ndarray) -> "FlowKeys":
+        return FlowKeys(self.words[:, rows], self.sets[rows])
 
 
 @dataclass
@@ -139,7 +200,12 @@ class FlowCache:
         #: rule update invalidates the whole cache in O(1) — one counter
         #: bump (:meth:`advance_epoch`) instead of an O(entries) flush.
         self.epoch = np.int64(0)
-        self._keys: np.ndarray | None = None  # (sets, ways, ndim) uint32
+        #: Header width the tables were allocated for (0 = not yet).
+        self._ndim = 0
+        #: The one key table, words-major: ``_keyw[k, way]`` is a dense
+        #: per-set column of key word ``k``, so a probe is one 1-D gather
+        #: + compare per (way, word) — no per-packet set-wide gather.
+        self._keyw: np.ndarray | None = None  # (words, ways, sets) uint64
         self._valid: np.ndarray | None = None  # (sets, ways) bool
         self._result: np.ndarray | None = None  # (sets, ways) int64
         self._stamp: np.ndarray | None = None  # (sets, ways) int64 last use
@@ -152,20 +218,32 @@ class FlowCache:
         return self.entries > 0
 
     def _ensure_tables(self, ndim: int) -> None:
-        if self._keys is None or self._keys.shape[2] != ndim:
-            self._keys = np.zeros((self.n_sets, self.ways, ndim), np.uint32)
+        """Allocate on first use (or on a header-width change): the key
+        words of a ``ndim``-column header plus the per-slot metadata."""
+        if self._ndim != ndim:
+            self._ndim = ndim
+            self._keyw = np.zeros(
+                ((ndim + 1) // 2, self.ways, self.n_sets), _KEY_WORD
+            )
             self._valid = np.zeros((self.n_sets, self.ways), bool)
             self._result = np.full((self.n_sets, self.ways), -1, np.int64)
             self._stamp = np.zeros((self.n_sets, self.ways), np.int64)
             self._epoch = np.full((self.n_sets, self.ways), -1, np.int64)
             self._filled = np.zeros((self.n_sets, self.ways), np.int64)
 
-    def _live(self, sets: np.ndarray) -> np.ndarray:
+    def _live(self, idx, way: int | None = None) -> np.ndarray:
         """Valid entries whose fill epoch is still current (and, with
-        aging on, whose fill is younger than ``max_age`` lookups)."""
-        live = self._valid[sets] & (self._epoch[sets] == self.epoch)
+        aging on, whose fill is younger than ``max_age`` lookups), over
+        ``table[idx]`` of the ``(sets, ways)`` tables — or, given
+        ``way``, over the sets ``idx`` of that one way (a column view
+        then a 1-D gather, a few times cheaper than the mixed index
+        ``table[idx, way]``)."""
+        valid, epoch, filled = self._valid, self._epoch, self._filled
+        if way is not None:
+            valid, epoch, filled = valid[:, way], epoch[:, way], filled[:, way]
+        live = valid[idx] & (epoch[idx] == self.epoch)
         if self.max_age:
-            live &= (self._tick - self._filled[sets]) <= np.int64(self.max_age)
+            live &= (self._tick - filled[idx]) <= np.int64(self.max_age)
         return live
 
     def _set_index(self, headers: np.ndarray) -> np.ndarray:
@@ -175,6 +253,12 @@ class FlowCache:
             h = (h ^ headers[:, d].astype(np.uint64)) * _FNV_PRIME
         h ^= h >> np.uint64(33)  # fold the high bits into the modulo
         return (h % np.uint64(self.n_sets)).astype(np.int64)
+
+    def _flow_keys(self, headers: np.ndarray) -> FlowKeys:
+        """Pack and hash a batch once (enabled cache only); allocates
+        the tables on first use, when the header width is known."""
+        self._ensure_tables(headers.shape[1])
+        return FlowKeys(pack_flow_keys(headers), self._set_index(headers))
 
     # ------------------------------------------------------------------
     def probe(self, headers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,16 +273,26 @@ class FlowCache:
         if not self.enabled or not headers.shape[0]:
             n = headers.shape[0]
             return np.zeros(n, bool), np.full(n, -1, np.int64)
-        self._ensure_tables(headers.shape[1])
-        s = self._set_index(headers)
-        cand = self._keys[s]  # (n, ways, ndim) gather
-        eq = (cand == headers[:, None, :]).all(axis=2) & self._live(s)
-        hit = eq.any(axis=1)
-        way = np.argmax(eq, axis=1)
-        result = np.where(hit, self._result[s, way], np.int64(-1))
+        return self._probe(self._flow_keys(headers))
+
+    def _probe(self, keys: FlowKeys) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`probe` over the batch's :meth:`_flow_keys`."""
+        words, s = keys
+        n = s.shape[0]
+        hit = np.zeros(n, bool)
+        way = np.zeros(n, np.intp)  # ways passed before the first match
+        for w in range(self.ways):
+            eq = self._live(s, way=w)
+            for column, word in zip(self._keyw[:, w], words):
+                eq &= column[s] == word
+            hit |= eq
+            way += ~hit
         pos = np.nonzero(hit)[0]
-        self._stamp[s[pos], way[pos]] = self._tick + pos
-        self._tick += np.int64(headers.shape[0])
+        slot = s[pos], way[pos]
+        result = np.full(n, -1, np.int64)
+        result[pos] = self._result[slot]
+        self._stamp[slot] = self._tick + pos
+        self._tick += np.int64(n)
         return hit, result
 
     def fill(self, headers: np.ndarray, results: np.ndarray) -> None:
@@ -209,11 +303,15 @@ class FlowCache:
         has ways, the later ones wrap onto the same victim slots —
         last writer wins, exactly what a small cache under thrash does.
         """
-        n = headers.shape[0]
-        if not self.enabled or not n:
+        if not self.enabled or not headers.shape[0]:
             return
-        self._ensure_tables(headers.shape[1])
-        s = self._set_index(headers)
+        self._fill(self._flow_keys(headers), results)
+
+    def _fill(self, keys: FlowKeys, results: np.ndarray) -> None:
+        """:meth:`fill` over (a :meth:`FlowKeys.take` of) the batch's
+        :meth:`_flow_keys`."""
+        words, s = keys
+        n = s.shape[0]
         touched, inv = np.unique(s, return_inverse=True)
         inv = inv.reshape(-1)
         # Ways of each touched set ordered oldest-first; invalid ways and
@@ -232,7 +330,7 @@ class FlowCache:
         # once) is a reclamation.  Wrap inserts (rank >= ways) land on a
         # slot a batch-mate just claimed, so whatever the pre-batch
         # state said, they displace a fresh live fill: an eviction.
-        pre_live = self._live(s)[np.arange(n), way]
+        pre_live = self._live((s, way))
         pre_valid = self._valid[s, way]
         first_claim = rank < self.ways
         self.stats.evictions += int(
@@ -241,7 +339,7 @@ class FlowCache:
         self.stats.reclamations += int(
             (first_claim & pre_valid & ~pre_live).sum()
         )
-        self._keys[s, way] = headers
+        self._keyw[:, way, s] = words
         self._valid[s, way] = True
         self._result[s, way] = results
         self._stamp[s, way] = self._tick  # fresher than this batch's hits
@@ -263,14 +361,14 @@ class FlowCache:
         if not self.enabled or not n:
             return
         tail = min(n, 4 * self.entries)
-        uniq, idx = np.unique(
-            headers[n - tail:], axis=0, return_index=True
-        )
+        keys = self._flow_keys(headers[n - tail:])
+        first, _ = dedupe_flow_keys(keys.words)
         evictions, reclamations = (
             self.stats.evictions, self.stats.reclamations
         )
-        self.fill(
-            uniq, np.asarray(results[n - tail:], dtype=np.int64)[idx]
+        self._fill(
+            keys.take(first),
+            np.asarray(results[n - tail:], dtype=np.int64)[first],
         )
         self.stats.evictions, self.stats.reclamations = (
             evictions, reclamations
@@ -302,16 +400,15 @@ class FlowCache:
         """Fraction of cache slots holding a live, unexpired entry."""
         if self._valid is None or not self.entries:
             return 0.0
-        live = self._valid & (self._epoch == self.epoch)
-        if self.max_age:
-            live &= (self._tick - self._filled) <= np.int64(self.max_age)
-        return float(live.mean())
+        return float(self._live(...).mean())
 
     def memory_bytes(self, ndim: int = 5) -> int:
         """Modelled footprint: key + result + stamp + epoch + valid
-        (+ the fill-time stamp when aging is enabled)."""
-        if self._keys is not None:
-            ndim = self._keys.shape[2]
+        (+ the fill-time stamp when aging is enabled).  The key is the
+        *modelled* ``4 * ndim``-byte header a hardware table would
+        store, independent of how this host lays its key words out."""
+        if self._ndim:
+            ndim = self._ndim
         age_stamp = 8 if self.max_age else 0
         return self.entries * (4 * ndim + 8 + 8 + 8 + 1 + age_stamp)
 
@@ -346,8 +443,8 @@ class CachedClassifier(ClassifierBase):
         #: path; both produce bit-identical matches and cache state.
         self.fused = fused
         #: Per-stage wall-clock accumulator for ``bench --profile``:
-        #: assign a dict and the hot path adds ``probe_s`` /
-        #: ``traverse_s`` / ``scatter_s`` / ``fill_s`` into it.  ``None``
+        #: assign a dict and the hot path adds ``probe_s`` / ``dedup_s``
+        #: / ``traverse_s`` / ``scatter_s`` / ``fill_s`` into it.  ``None``
         #: (the default) keeps the hot path timer-free.
         self.profile: dict | None = None
         #: Whether the wrapped backend models per-packet occupancy;
@@ -414,72 +511,51 @@ class CachedClassifier(ClassifierBase):
             )
         prof = self.profile
         t0 = time.perf_counter() if prof is not None else 0.0
+
+        def lap(stage: str) -> None:
+            """Charge the time since the previous lap to ``stage``."""
+            nonlocal t0
+            if prof is not None:
+                t1 = time.perf_counter()
+                prof[stage] = prof.get(stage, 0.0) + (t1 - t0)
+                t0 = t1
+
         evictions_before = cache.stats.evictions
-        hit, match = cache.probe(headers)
+        keys = cache._flow_keys(headers)
+        hit, match = cache._probe(keys)
         miss_rows = np.nonzero(~hit)[0]
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof["probe_s"] = prof.get("probe_s", 0.0) + (t1 - t0)
-            t0 = t1
+        lap("probe_s")
         occupancy = None
+        n_backend = 0
         if miss_rows.size:
-            # Deduplicate the misses (identical eviction/fill order in
-            # the fused and unfused paths — ``np.unique`` fixes it).
-            uniq, inverse = np.unique(
-                headers[miss_rows], axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            n_backend = uniq.shape[0]
+            # Deduplicate the misses in ``np.unique(axis=0)`` order —
+            # identical eviction/fill order in the fused and unfused
+            # paths, whatever order the misses arrived in.
+            first, inverse = dedupe_flow_keys(keys.words[:, miss_rows])
+            rows = miss_rows[first]
+            uniq = headers[rows]
+            n_backend = rows.size
+            lap("dedup_s")
             if fused_fn is not None:
                 # Fused hot path: one lean match-only walk over the
                 # deduplicated misses, no trace wrapper, no stats
                 # arrays.  Tree backends never model occupancy.
-                inner_match = np.asarray(fused_fn(uniq), dtype=np.int64)
-                self._models_occupancy = False
-                if prof is not None:
-                    t1 = time.perf_counter()
-                    prof["traverse_s"] = (
-                        prof.get("traverse_s", 0.0) + (t1 - t0)
-                    )
-                    t0 = t1
-                match[miss_rows] = inner_match[inverse]
-                if prof is not None:
-                    t1 = time.perf_counter()
-                    prof["scatter_s"] = (
-                        prof.get("scatter_s", 0.0) + (t1 - t0)
-                    )
-                    t0 = t1
-                cache.fill(uniq, inner_match)
-                if prof is not None:
-                    t1 = time.perf_counter()
-                    prof["fill_s"] = prof.get("fill_s", 0.0) + (t1 - t0)
+                inner_match, inner_occupancy = fused_fn(uniq), None
             else:
                 inner = batch_stats_of(self.classifier, uniq)
-                self._models_occupancy = inner.occupancy is not None
-                if prof is not None:
-                    t1 = time.perf_counter()
-                    prof["traverse_s"] = (
-                        prof.get("traverse_s", 0.0) + (t1 - t0)
-                    )
-                    t0 = t1
-                match[miss_rows] = inner.match[inverse]
-                if inner.occupancy is not None:
-                    occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
-                    occupancy[miss_rows] = inner.occupancy[inverse]
-                if prof is not None:
-                    t1 = time.perf_counter()
-                    prof["scatter_s"] = (
-                        prof.get("scatter_s", 0.0) + (t1 - t0)
-                    )
-                    t0 = t1
-                cache.fill(uniq, np.asarray(inner.match, dtype=np.int64))
-                if prof is not None:
-                    t1 = time.perf_counter()
-                    prof["fill_s"] = prof.get("fill_s", 0.0) + (t1 - t0)
-        else:
-            n_backend = 0
-            if self._models_occupancy:
+                inner_match, inner_occupancy = inner.match, inner.occupancy
+            inner_match = np.asarray(inner_match, dtype=np.int64)
+            self._models_occupancy = inner_occupancy is not None
+            lap("traverse_s")
+            match[miss_rows] = inner_match[inverse]
+            if inner_occupancy is not None:
                 occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
+                occupancy[miss_rows] = inner_occupancy[inverse]
+            lap("scatter_s")
+            cache._fill(keys.take(rows), inner_match)
+            lap("fill_s")
+        elif self._models_occupancy:
+            occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
         hits = n - n_backend
         cache.stats.lookups += n
         cache.stats.hits += hits

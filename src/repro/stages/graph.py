@@ -200,6 +200,10 @@ class StageGraph:
                 1 << 18, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64
             )
             self._tcam_tvals = np.zeros(1 << 18, dtype=np.int64)
+        #: The classify stage's energy model and the ruleset version it
+        #: was derived for (see :meth:`_classify_energy_model`).
+        self._energy_model: CacheEnergyModel | None = None
+        self._energy_model_for: tuple[int, int] | None = None
 
     @property
     def classifier(self):
@@ -309,7 +313,7 @@ class StageGraph:
                 )
                 upd_i += 1
             for rep, stage in zip(reports, self.spec.stages):
-                n_in = int(alive.sum())
+                n_in = int(np.count_nonzero(alive))
                 rep.packets_in += n_in
                 if stage.kind == "parse":
                     rep.packets_in += quarantined
@@ -377,7 +381,7 @@ class StageGraph:
                         attempt += 1
                     finally:
                         rep.busy_s += time.perf_counter() - t0
-                rep.packets_out += int(alive.sum())
+                rep.packets_out += int(np.count_nonzero(alive))
             matches.append(seg_match)
             offset += n
             seg_index += 1
@@ -413,7 +417,7 @@ class StageGraph:
         """Execute one stage body over the segment; returns the
         classify stage's :class:`PipelineResult`, else ``None``."""
         headers = trace.headers
-        n_in = int(alive.sum())
+        n_in = int(np.count_nonzero(alive))
         all_alive = n_in == trace.n_packets
         scratch = scratch if scratch is not None else {}
 
@@ -446,8 +450,9 @@ class StageGraph:
             # Projection copy models the extraction datapath: one
             # modelled access per extracted field per live packet.
             if n_in:
+                rows = headers if all_alive else headers[alive]
                 _ = np.ascontiguousarray(
-                    headers[alive][:, np.asarray(fields_, dtype=np.intp)]
+                    rows[:, np.asarray(fields_, dtype=np.intp)]
                 )
             rep.extra["fields"] = list(fields_)
             rep.energy_j += n_in * len(fields_) * SRAM_ACCESS_ENERGY_J
@@ -519,7 +524,7 @@ class StageGraph:
             return result
         elif stage.kind == "rewrite":
             matched = seg_match if all_alive else seg_match[alive]
-            touched = int((matched >= 0).sum())
+            touched = int(np.count_nonzero(matched >= 0))
             nbytes = stage.params.get("bytes", 14)
             rep.extra["bytes"] = nbytes
             rep.extra["packets_rewritten"] = rep.extra.get(
@@ -599,6 +604,18 @@ class StageGraph:
         return out
 
     # ------------------------------------------------------------------
+    def _classify_energy_model(self) -> CacheEnergyModel:
+        """The classify stage's energy model.  Its worst-case access
+        count is a walk over the whole tree, so it is derived once per
+        ruleset version (``update_epoch``, the same version stamp the
+        pipeline re-forks on) instead of once per run."""
+        clf = self.engine.classifier
+        version = (id(clf), int(getattr(clf, "update_epoch", 0)))
+        if self._energy_model_for != version:
+            self._energy_model = CacheEnergyModel.for_classifier(clf)
+            self._energy_model_for = version
+        return self._energy_model
+
     def _finalise(
         self,
         reports: list[StageReport],
@@ -623,14 +640,14 @@ class StageGraph:
         )
         report.match = full
         report.n_packets = n_packets
-        report.matched = int((full >= 0).sum())
+        report.matched = int(np.count_nonzero(full >= 0))
         report.n_segments = n_segments
         if not results:
             report.backend = self.config.backend
         # Classify-stage energy needs the run's measured hit rate, so it
         # lands after the merge; the flow_cache stage's telemetry is the
         # merged cache counters.
-        model = CacheEnergyModel.for_classifier(self.engine.classifier)
+        model = self._classify_energy_model()
         hit_rate = report.cache_hit_rate
         for rep in reports:
             if rep.kind == "classify":

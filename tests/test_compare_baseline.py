@@ -9,6 +9,7 @@ axis inverting beyond the noise tolerance.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -84,6 +85,17 @@ class TestGatedMetrics:
 
     def test_stage_graph_overhead_is_gated(self):
         assert "stage_graph.overhead_ratio" in compare_baseline.GATED_METRICS
+
+    def test_flowcache_spill_is_gated_at_its_floor(self):
+        # The committed baseline holds the floor ("a cache never serves
+        # slower than no cache"), not one host's measured ratio.
+        key = "flowcache_spill.cached_vs_bare_ratio"
+        assert key in compare_baseline.GATED_METRICS
+        baseline = json.loads(
+            (Path(compare_baseline.__file__).parent / "baseline.json")
+            .read_text()
+        )
+        assert baseline["flowcache_spill"] == {"cached_vs_bare_ratio": 1.0}
 
     def test_gated_regression_fails(self):
         baseline = {"fused_lookup": {"speedup": 2.0}}

@@ -12,8 +12,12 @@ incremental rule update.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import FIVE_TUPLE, PacketTrace, Rule, generate_zipf_trace
 from repro.core.errors import ConfigError
@@ -25,6 +29,7 @@ from repro.engine import (
     build_backend,
     build_cached_backend,
 )
+from repro.engine.flowcache import dedupe_flow_keys, pack_flow_keys
 from repro.energy import CacheEnergyModel
 
 ALL_BACKENDS = available_backends()
@@ -70,6 +75,51 @@ class CountingClassifier:
 
     def memory_accesses_per_lookup(self) -> int:
         return 8
+
+
+#: Header values that collide a lot and sit on the word boundaries.
+_EDGE_VALUES = st.sampled_from([0, 1, 2, 2**16, 2**32 - 2, 2**32 - 1])
+
+
+@st.composite
+def _header_matrices(draw):
+    ndim = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 24))
+    rows = draw(st.lists(
+        st.lists(_EDGE_VALUES | st.integers(0, 2**32 - 1),
+                 min_size=ndim, max_size=ndim),
+        min_size=n, max_size=n,
+    ))
+    if rows and draw(st.booleans()):
+        rows = [rows[0]] * n  # all-duplicate
+    return np.asarray(rows, dtype=np.uint32).reshape(n, ndim)
+
+
+class TestPackedKeyDedupe:
+    """``dedupe_flow_keys(pack_flow_keys(m))`` is ``np.unique(m, axis=0)``
+    — same row order, same first-occurrence index, same inverse — which
+    is what keeps fill order, victims and counters where they were."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_header_matrices())
+    def test_matches_np_unique_rows(self, m):
+        first, inverse = dedupe_flow_keys(pack_flow_keys(m))
+        uniq, index, inv = np.unique(
+            m, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(m[first], uniq)
+        assert np.array_equal(first, index)
+        assert np.array_equal(inverse, inv.reshape(-1))
+
+    def test_word_order_is_row_order(self):
+        # Column 0 is the most significant half of word 0; an odd last
+        # column is the *high* half of the last word.
+        m = _headers([[1, 0, 0], [0, 2**32 - 1, 2**32 - 1], [0, 0, 1]])
+        words = pack_flow_keys(m)
+        assert words.shape == (2, 3) and words.dtype == np.uint64
+        assert words[:, 0].tolist() == [1 << 32, 0]
+        assert words[:, 1].tolist() == [2**32 - 1, (2**32 - 1) << 32]
+        assert dedupe_flow_keys(words)[0].tolist() == [2, 1, 0]
 
 
 class TestFlowCacheUnit:
@@ -260,6 +310,55 @@ class TestFlowCacheAging:
         ).run(zipf_trace)
         assert np.array_equal(fresh.match, want)
         assert aged <= fresh.cache_hit_rate
+
+
+class TestPinnedCounters:
+    """Counters and replacement state recorded from the commit *before*
+    the packed-key table: any change to probe, dedupe or fill that moves
+    a hit, a victim or a stamp shows up here as a changed number."""
+
+    #: ways -> (hits, misses, evictions, reclamations, crc32 of the
+    #: final ``_stamp`` table, crc32 of the per-set victim order).
+    PINNED = {
+        1: (3962, 2038, 1628, 282, 1289753943, 4021661486),
+        4: (4005, 1995, 1619, 248, 2121017361, 2737356902),
+    }
+
+    @pytest.mark.parametrize("ways", [1, 4])
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_zipf_trace_with_ttl_and_epoch_bump(self, acl_small, ways, fused):
+        trace = generate_zipf_trace(
+            acl_small, 6000, n_flows=1024, skew=1.0, seed=412
+        )
+        bare = build_backend("hypercuts", acl_small)
+        clf = CachedClassifier(
+            bare, entries=128, ways=ways, max_age=900, fused=fused
+        )
+        got = []
+        for i, lo in enumerate(range(0, trace.n_packets, 500)):
+            if i == 6:
+                clf.invalidate_cache()  # epoch bump mid-way
+            got.append(clf.batch_stats(trace.headers[lo:lo + 500]).match)
+        assert np.array_equal(np.concatenate(got), bare.classify_trace(trace))
+        cache, stats = clf.cache, clf.cache.stats
+        live = cache._live(...)
+        victims = np.argsort(
+            np.where(live, cache._stamp, -1), axis=1, kind="stable"
+        ).astype(np.int64)
+        assert (
+            stats.hits, stats.misses, stats.evictions, stats.reclamations,
+            zlib.crc32(cache._stamp.tobytes()), zlib.crc32(victims.tobytes()),
+        ) == self.PINNED[ways]
+
+    def test_warm_keeps_first_occurrence_results(self):
+        # warm() fills each distinct flow with the result of its *first*
+        # occurrence in the tail window (np.unique's return_index).
+        cache = FlowCache(16, ways=4)
+        hdr = _headers([[7, 0, 0, 0, 0], [3, 0, 0, 0, 0], [7, 0, 0, 0, 0]])
+        cache.warm(hdr, np.array([70, 30, 71], dtype=np.int64))
+        hit, result = cache.probe(hdr[:2])
+        assert hit.all() and result.tolist() == [70, 30]
+        assert cache.stats.evictions == cache.stats.reclamations == 0
 
 
 class TestCachedClassifierEdgeCases:

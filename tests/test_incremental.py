@@ -7,9 +7,11 @@ import pytest
 
 from repro import generate_ruleset, generate_trace
 from repro.algorithms import LinearSearchClassifier
-from repro.algorithms.incremental import IncrementalClassifier
+from repro.algorithms.incremental import IncrementalClassifier, UpdateStats
+from repro.algorithms.opcount import OpCounter
 from repro.core.errors import BuildError
 from repro.core.rules import Rule
+from repro.core.updates import insert_op, remove_op
 from repro.hw import build_memory_image, Accelerator
 
 
@@ -163,3 +165,84 @@ class TestHyperCutsMode:
         rs = generate_ruleset("acl1", 50, seed=106)
         with pytest.raises(BuildError):
             IncrementalClassifier(rs, algorithm="nope")
+
+
+class PerNodeScrub(IncrementalClassifier):
+    """The scrub as it was before it scanned the tree once: a Python
+    loop over every node, one mask per stored list.  Kept as the oracle
+    for :class:`TestScrubDifferential`."""
+
+    def _scrub(self, rule_ids):
+        stats = UpdateStats()
+        ids = np.asarray(rule_ids, dtype=np.int64)
+
+        def keep_mask(stored):
+            if ids.size == 1:
+                return stored != ids[0]
+            return ~np.isin(stored, ids)
+
+        for nid, node in enumerate(self.tree.nodes):
+            if node.is_leaf and node.rule_ids.size:
+                mask = keep_mask(node.rule_ids)
+                if not mask.all():
+                    node.rule_ids = node.rule_ids[mask]
+                    stats.leaves_touched += 1
+                    stats.touched.add(nid)
+                    self.ops.add("mem_write", 1)
+            elif node.pushed.size:
+                pushed = node.pushed[keep_mask(node.pushed)]
+                if pushed.size != node.pushed.size:
+                    node.pushed = pushed
+                    stats.touched.add(nid)
+        self.tree.mark_dirty(stats.touched)
+        return stats
+
+
+class TestScrubDifferential:
+    """The one-scan scrub edits exactly what the per-node loop edited."""
+
+    @pytest.mark.parametrize(
+        "algorithm, hw_mode, family",
+        [("hicuts", True, "acl1"), ("hypercuts", False, "fw1"),
+         ("hypercuts", True, "ipc1")],
+    )
+    def test_random_batches_match_the_per_node_loop(
+        self, algorithm, hw_mode, family
+    ):
+        rs = generate_ruleset(family, 300, seed=107)
+        kwargs = dict(algorithm=algorithm, binth=16, spfac=4, hw_mode=hw_mode)
+        new = IncrementalClassifier(rs, ops=OpCounter(), **kwargs)
+        old = PerNodeScrub(rs, ops=OpCounter(), **kwargs)
+        fresh = iter(generate_ruleset(family, 40, seed=108).rules)
+        rng = np.random.default_rng(109)
+        pushed_edits = 0
+        for _ in range(25):
+            batch = []
+            for _ in range(int(rng.integers(1, 9))):
+                if rng.random() < 0.3:
+                    batch.append(insert_op(next(fresh)))
+                else:  # live, dead and repeated ids alike
+                    batch.append(remove_op(rng.integers(0, len(new._ruleset))))
+            got, want = new.apply_updates(batch), old.apply_updates(batch)
+            assert got == want
+            assert new.last_touched == old.last_touched
+            assert new.ops.as_dict() == old.ops.as_dict()
+            assert len(new.tree.nodes) == len(old.tree.nodes)
+            for a, b in zip(new.tree.nodes, old.tree.nodes):
+                assert np.array_equal(a.rule_ids, b.rule_ids)
+                assert np.array_equal(a.pushed, b.pushed)
+            pushed_edits += sum(
+                not new.tree.nodes[nid].is_leaf for nid in new.last_touched
+            )
+        if not hw_mode:
+            assert pushed_edits  # the pushed-list branch really ran
+
+    def test_stats_of_one_scrub_match(self):
+        rs = generate_ruleset("acl1", 300, seed=110)
+        new = IncrementalClassifier(rs, binth=16, ops=OpCounter())
+        old = PerNodeScrub(rs, binth=16, ops=OpCounter())
+        for ids in ([4], [7, 90, 151], list(range(200, 230))):
+            got, want = new._scrub(ids), old._scrub(ids)
+            assert got.touched == want.touched and got.touched
+            assert got.leaves_touched == want.leaves_touched
+            assert new.ops["mem_write"] == old.ops["mem_write"]

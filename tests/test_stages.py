@@ -275,6 +275,37 @@ class TestStageSemantics:
         assert tcam.extra["n_slots"] > 0
         assert 0 < tcam.extra["unique_flows"] <= zipf_small.n_packets
 
+    def test_classify_energy_follows_ruleset_version(
+        self, acl_small, zipf_small
+    ):
+        """The classify stage's energy model is derived once per ruleset
+        version, not per run: an update-free run reuses it, a run that
+        carried updates re-derives it from the updated tree."""
+        from repro.energy import CacheEnergyModel
+
+        overlay = {"backend": "hypercuts", "updatable": True}
+        spec = default_graph(overlay, cache_entries=1024)
+        schedule = churn_schedule(
+            acl_small, 40, zipf_small.n_packets, seed=5
+        )
+
+        def classify_energy(report):
+            stage = next(s for s in report.stages if s.kind == "classify")
+            return stage.energy_j / stage.packets_in
+
+        with StageGraph(spec, acl_small) as graph:
+            graph.run(zipf_small)
+            model = graph._classify_energy_model()
+            graph.run(zipf_small)
+            assert graph._classify_energy_model() is model
+            report = graph.run(zipf_small, updates=schedule)
+            fresh = CacheEnergyModel.for_classifier(graph.classifier)
+            assert graph._classify_energy_model() is not model
+            assert graph._classify_energy_model() == fresh
+            assert classify_energy(report) == fresh.energy_per_packet_j(
+                report.cache_hit_rate
+            )
+
     @pytest.mark.parametrize("policy", ["hash", "match"])
     def test_queue_occupancy_sums_to_survivors(
         self, acl_small, zipf_small, policy
