@@ -51,11 +51,11 @@ class ServingFaultError(ReproError):
     recover from.
 
     Carries the failure coordinates the fault-tolerance contract
-    promises: ``shard`` (worker label — a pid in the fork tiers, a
-    thread index in the thread tier), ``chunk`` (the chunk ordinal
-    being served when the fault hit), ``epoch`` (the ruleset version in
-    effect, when known), ``tier`` (the worker tier that failed) and
-    ``cause`` (the underlying exception or fault kind).
+    promises: ``shard`` (the 0-based id of the shard that owns the
+    chunk, on the fork and thread tiers alike), ``chunk`` (the chunk
+    ordinal being served when the fault hit), ``epoch`` (the ruleset
+    version in effect, when known), ``tier`` (the worker tier that
+    failed) and ``cause`` (the underlying exception or fault kind).
 
     Instances must survive a trip through ``multiprocessing`` pickling,
     hence the ``__reduce__`` that rebuilds from the message plus the

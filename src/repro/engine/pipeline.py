@@ -14,65 +14,52 @@ out over N worker shards, and aggregates per-chunk statistics into one
 * wall-clock throughput of the *simulation itself* is reported so the
   benchmark suite can track the serving path.
 
-**Shard modes.**  ``shard_mode`` selects the worker tier:
+**One plan, one owner per shard.**  :meth:`ClassificationPipeline.plan`
+decides a run's tier and worker count (a :class:`ShardPlan`); chunk
+``i`` belongs to shard ``i % workers`` in every tier, and each shard has
+one long-lived owner that serves its chunks in order — so per-chunk
+cache counters, ``ChunkStats.shard`` and the modelled cycles/energy are
+a function of the plan, never of scheduling.  The tiers differ only in
+who the owner is and how bytes reach it:
 
-* ``"processes"`` (the default for direct construction) — ``fork``-based
-  multiprocessing whenever ``shards > 1`` and the platform offers it.
-  The built classifier is inherited copy-on-write, so nothing large is
-  pickled.
-* ``"auto"`` (the :class:`~repro.serve.EngineConfig` default) — fork
-  only when it can actually win: the worker count after clamping to CPU
-  and chunk counts must be >= 2, otherwise the single-process path
-  serves the trace with identical results.  On a 1-CPU host this is
-  what keeps the shards axis from *inverting* — a 1-worker fork pool
-  pays fork + IPC for zero parallelism.
-* ``"threads"`` — a thread pool running the NumPy kernels (which release
-  the GIL in their hot loops) in-process: no fork, no IPC, per-shard
-  flow-cache clones that stay warm across runs.  Chunks are assigned
-  round-robin to shard-affine workers, so each shard sees its chunks in
-  order exactly like a process shard would.
-
-Two fork pool modes exist (``shard_mode in ("auto", "processes")``):
-
-* *transient* (default) — a fresh pool per ``run()``; the classifier and
-  the trace are inherited copy-on-write, chunk results come back pickled
-  through the pool;
-* *persistent* (``persistent=True``) — one pool is forked on first use
-  and reused across ``run()`` calls, amortising fork + warm-up cost over
-  a serving session.  The trace travels through a **pipeline-lifetime
-  shared-memory arena**: input/match/occupancy segments are created once
-  (with growth slack) and reused across runs, the trace is written once
-  into the input segment, and each task ships only a ``(names, bounds,
-  pending)`` descriptor.  Workers cache their segment attachments by
-  name — an attach happens only when the arena grows — and scatter
-  their match/occupancy slices straight into the shared output buffers,
-  so steady-state per-chunk traffic is one tiny descriptor and one tiny
-  scalar tuple.  Results are bit-identical to the other modes at every
-  shard count.
+* ``inline`` — the calling thread; one chunk, ``shards=1``, no ``fork``
+  on the platform, or ``shard_mode="auto"`` on a host where clamping to
+  the CPU count (:func:`host_cpus`) leaves fewer than two workers.
+* ``threads`` (``shard_mode="threads"``) — a shard-affine thread over a
+  private flow-cache clone that stays warm across runs; shared memory,
+  no transport.
+* ``processes`` — one forked worker per shard for the duration of one
+  ``run()``; classifier and trace are inherited copy-on-write, results
+  come back through the shard's pipe.  ``shard_mode="processes"`` (the
+  direct-construction default) always forks when it can, ``"auto"``
+  (the :class:`~repro.serve.EngineConfig` default) only with >= 2
+  workers.
+* ``persistent`` (``persistent=True``) — the same workers, forked once
+  and kept across ``run()`` calls.  The trace is written once per run
+  into a pipeline-lifetime shared-memory arena (grown only when a trace
+  outsizes it) sealed with a generation + checksum fence every task
+  verifies; workers cache their attachments and scatter results
+  straight into the shared output segments, so a shard's message is a
+  small descriptor and its replies are scalars.
 
 **Dispatch auto-tuning.**  ``min_chunk_packets`` coalesces chunks until
 each dispatch carries at least that many packets (the engine default
 targets >= 64k packets/dispatch), amortising per-chunk Python and IPC
 cost; it applies only to runs *without* updates, because the chunk grid
 is the epoch grid.  Independently, a final chunk smaller than a quarter
-of the chunk size is merged into its predecessor — a tiny tail pays
-full dispatch cost otherwise.
+of the chunk size is merged into its predecessor.
 
-**Fault tolerance.**  Construct with a
-:class:`~repro.engine.supervision.SupervisionPolicy` (the engine builds
-one from ``EngineConfig.fault_policy``/``max_retries``/
-``chunk_timeout_s``) and every dispatch is supervised: per-chunk
-deadlines, worker exit-code watch, bounded retry with seeded backoff,
-and — under ``fault_policy="degrade"`` — the worker-tier ladder
-``persistent -> processes -> threads -> inline``.  A fork-tier retry
-tears the pool down and re-forks from the parent, whose classifier is
-only caught up *after* a successful dispatch, so every replayed chunk
-re-applies its exact update prefix and the run stays bit-identical to
-a fault-free one.  The persistent arena carries a generation fence +
-checksum control word each task descriptor repeats, so a replayed
-attach can never silently read a torn or stale segment.  Injected
-faults (:mod:`repro.engine.faults`) ride the same machinery via
-``run(trace, faults=plan)``; everything observed lands in
+**Fault tolerance.**  Every dispatch is supervised under the
+pipeline's :class:`~repro.engine.supervision.SupervisionPolicy`
+(``fail``, no deadline, unless one is given): per-chunk deadlines,
+worker-death watch, bounded retry with seeded backoff, and — under
+``fault_policy="degrade"`` — the tier ladder ``persistent -> processes
+-> threads -> inline``.  A fork-tier retry tears the workers down and
+re-forks from the parent, whose classifier is only caught up *after* a
+successful dispatch, so every replayed chunk re-applies its exact
+update prefix and the run stays bit-identical to a fault-free one.
+Injected faults (:mod:`repro.engine.faults`) ride the same machinery
+via ``run(trace, faults=plan)``; everything observed lands in
 ``PipelineResult.fault``.
 
 **Live rule updates.**  ``run(trace, updates=[...])`` interleaves a
@@ -80,15 +67,13 @@ faults (:mod:`repro.engine.faults`) ride the same machinery via
 each batch takes effect at the first chunk boundary at or after its
 ``at_packet`` offset, so every packet is classified against exactly one
 ruleset version (its chunk's epoch — recorded on
-:class:`ChunkStats.epoch`).  In the forked modes every worker applies
-the same batches in the same deterministic order before touching a
-chunk from a later epoch (each task carries the update prefix it
-requires; a per-process watermark makes re-application a no-op), and
-the parent catches its own copy up after the run; the thread tier
-applies each batch exactly once at its chunk boundary (a barrier drains
-in-flight chunks first).  All modes produce identical matches — the
-differential update-conformance suite replays them against a per-epoch
-linear-search oracle.
+:class:`ChunkStats.epoch`).  In the fork tiers each task carries the
+update prefix its chunk requires (a per-process watermark makes
+re-application a no-op) and the parent catches its own copy up after
+the run; the thread and inline tiers apply each batch once at its chunk
+boundary (the thread tier drains in-flight chunks first).  All tiers
+produce identical matches — the differential update-conformance suite
+replays them against a per-epoch linear-search oracle.
 """
 
 from __future__ import annotations
@@ -96,11 +81,12 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.errors import ArenaCorruptionError, ConfigError
+from ..core.errors import ArenaCorruptionError, ChunkTimeoutError, ConfigError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, ScheduledUpdate
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
@@ -109,10 +95,9 @@ from .supervision import (
     DEGRADATION_LADDER,
     RECOVERABLE,
     FaultReport,
+    ShardWorkers,
     SupervisionPolicy,
     Supervisor,
-    supervised_map,
-    teardown_pool,
 )
 
 #: Default packets per chunk: large enough to amortise NumPy dispatch,
@@ -122,6 +107,9 @@ DEFAULT_CHUNK_SIZE = 4096
 #: The worker tiers ``shard_mode`` accepts.
 SHARD_MODES = ("auto", "processes", "threads")
 
+#: The tiers whose shard owners are forked processes.
+FORK_TIERS = ("persistent", "processes")
+
 #: The engine-level dispatch target: coalesce chunks until each dispatch
 #: carries at least this many packets (runs without updates only).
 DEFAULT_MIN_CHUNK_PACKETS = 65536
@@ -130,20 +118,20 @@ DEFAULT_MIN_CHUNK_PACKETS = 65536
 #: merged into its predecessor instead of paying full dispatch cost.
 TAIL_MERGE_DIVISOR = 4
 
-#: Persistent-pool update-log watermark: once this many batches have
-#: accumulated for one pool's lifetime, the pool is re-forked (from the
-#: caught-up parent) instead of shipping an ever-growing prefix with
-#: every chunk task.
+#: Persistent-worker update-log watermark: once this many batches have
+#: accumulated for one set of workers' lifetime, they are re-forked
+#: (from the caught-up parent) instead of shipping an ever-growing
+#: prefix with every chunk task.
 POOL_LOG_MAX_BATCHES = 64
 
 #: Module global holding (classifier, headers) across a ``fork`` so
-#: worker shards inherit them copy-on-write instead of via pickling.
-#: ``headers`` is ``None`` for persistent pools (the trace then arrives
-#: through the shared-memory arena).
+#: shard workers inherit them copy-on-write instead of via pickling.
+#: ``headers`` is ``None`` for persistent workers (the trace then
+#: arrives through the shared-memory arena).
 _SHARD_STATE: tuple[Classifier, np.ndarray | None] | None = None
 
 #: Per-process watermark of the last applied update-batch sequence
-#: number.  Set in the parent immediately before forking a pool so the
+#: number.  Set in the parent immediately before forking so the
 #: children inherit it, then advanced worker-locally as shipped batches
 #: are applied — a batch is applied at most once per process, and always
 #: in sequence order.
@@ -159,15 +147,38 @@ _ARENA_ATTACH: dict = {"names": None, "segs": ()}
 PendingUpdate = tuple[int, tuple[RuleUpdate, ...]]
 
 #: One processed chunk: (match, occupancy | None,
-#: (hits, misses, evictions) | None, shard label).  The cache triple is
+#: (hits, misses, evictions) | None, shard).  The cache triple is
 #: present only when the classifier is a flow-cached front-end (see
-#: :mod:`repro.engine.flowcache`).  The shard label identifies which
-#: worker served the chunk (a pid in the fork tiers, a thread index in
-#: the thread tier, 0 single-process); the aggregator densifies labels
-#: into 0-based shard ids.
+#: :mod:`repro.engine.flowcache`); ``shard`` is the plan's 0-based id
+#: of the shard that owns the chunk.
 ChunkOutput = tuple[
     np.ndarray, np.ndarray | None, tuple[int, int, int] | None, int
 ]
+
+
+def host_cpus() -> int:
+    """CPUs this host offers — the one seam every tier decision reads
+    the count through (tests monkeypatch it to run both ``auto``
+    branches on any machine)."""
+    return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class ShardPlan:
+    """Who serves a run: the worker tier and how many shard owners it
+    engages.  Chunk ``i`` belongs to shard ``i % workers`` on every
+    tier."""
+
+    tier: str
+    workers: int
+
+    @property
+    def forks(self) -> bool:
+        """Whether the shard owners are forked processes."""
+        return self.tier in FORK_TIERS
+
+    def shard_of(self, chunk: int) -> int:
+        return chunk % self.workers
 
 
 @dataclass(frozen=True)
@@ -180,12 +191,35 @@ class _ScheduledEntry:
     batch: tuple[RuleUpdate, ...]
 
 
+@dataclass
+class _Run:
+    """The working state of one ``run()``, shared by whichever tiers
+    end up serving it."""
+
+    headers: np.ndarray
+    bounds: list[tuple[int, int]]
+    entries: list[_ScheduledEntry]
+    faults: FaultPlan | None
+    report: FaultReport = field(default_factory=FaultReport)
+    update_results: list = field(default_factory=list)
+    #: Parent-side apply seconds per batch, in schedule order.
+    update_latencies: list[float] = field(default_factory=list)
+
+    def chunk_faults(self, chunk: int, attempt: int, shard=None):
+        """Injected worker-fault specs for one chunk on one dispatch
+        attempt (resolved in the parent, shipped inside the task, so
+        workers need no shared plan state)."""
+        if self.faults is None:
+            return ()
+        return self.faults.worker_faults(chunk, attempt, shard=shard)
+
+
 def _apply_pending(
     classifier: Classifier, pending: tuple[PendingUpdate, ...]
 ) -> None:
     """Catch this process's classifier copy up to the newest shipped
-    batch.  Sequence numbers are globally ordered and tasks reach each
-    worker in increasing chunk order, so the watermark guarantees every
+    batch.  Sequence numbers are globally ordered and a shard's tasks
+    arrive in increasing chunk order, so the watermark guarantees every
     process applies every batch exactly once, in order."""
     global _WORKER_SEQ
     for seq, batch in pending:
@@ -194,16 +228,41 @@ def _apply_pending(
             _WORKER_SEQ = seq
 
 
-def _run_chunk(task) -> ChunkOutput:
-    index, bounds, pending, specs = task
+def _shard_main(conn, shard: int) -> None:
+    """Body of one forked shard owner: serve task lists until the
+    parent closes the pipe.
+
+    A message is ``(arena, tasks)``: ``arena`` is ``None`` on the
+    transient tier (the trace was inherited copy-on-write, results are
+    sent back whole) or the arena descriptor on the persistent tier;
+    each task is ``(chunk, bounds, update prefix, fault specs)``.  One
+    reply per task goes back in task order; an exception is sent as the
+    reply and raised by the parent.
+    """
     assert _SHARD_STATE is not None
     classifier, headers = _SHARD_STATE
-    if specs:
-        fire_worker_specs(specs, in_process=False, chunk=index)
-    if pending:
-        _apply_pending(classifier, pending)
-    match, occ, cache = _run_chunk_local(classifier, headers, bounds)
-    return match, occ, cache, os.getpid()
+    while True:
+        try:
+            arena, tasks = conn.recv()
+        except EOFError:
+            return
+        for index, bounds, pending, specs in tasks:
+            try:
+                if specs:
+                    fire_worker_specs(
+                        specs, in_process=False, chunk=index, shard=shard
+                    )
+                if pending:
+                    _apply_pending(classifier, pending)
+                if arena is None:
+                    reply = _run_chunk_local(classifier, headers, bounds)
+                else:
+                    reply = _run_chunk_arena(
+                        classifier, arena, index, bounds, shard
+                    )
+            except Exception as exc:  # noqa: BLE001 - relayed to the parent
+                reply = exc
+            conn.send(reply)
 
 
 def _attach_arena(names: tuple[str, ...]):
@@ -212,7 +271,7 @@ def _attach_arena(names: tuple[str, ...]):
 
     Attaching re-registers the name with the resource tracker, but the
     workers are forked *after* the parent has started the tracker (see
-    ``ClassificationPipeline._ensure_pool``), so parent and workers
+    ``ClassificationPipeline._fork_workers``), so parent and workers
     share one tracker process and the duplicate registration is a set
     no-op — the parent's unlink (on arena growth or ``close()``) remains
     the single owner of the segment lifecycle.
@@ -231,57 +290,44 @@ def _attach_arena(names: tuple[str, ...]):
     return _ARENA_ATTACH["segs"]
 
 
-def _run_chunk_shm(task) -> tuple[bool, tuple[int, int, int] | None, int]:
-    """Persistent-pool worker: classify one chunk, write results into the
-    shared arena, return only whether occupancy was modelled plus the
-    chunk's flow-cache triple and this worker's shard label (the parent
-    aggregates everything else from the shared arrays).
+def _run_chunk_arena(
+    classifier: Classifier, arena, index: int, bounds, shard: int
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """Persistent-tier chunk: classify out of the shared arena, write
+    results back into it, return only whether occupancy was modelled
+    plus the chunk's flow-cache triple.
 
-    The task is a tiny descriptor — segment names, the trace shape, the
-    chunk bounds, the update prefix, the arena's expected control word
-    and any injected fault specs.  In steady state (arena unchanged
-    since the last run) the worker's cached attachment is reused, so no
-    ``shm_open``/``mmap`` happens at all; the headers and output views
-    are zero-copy windows into the shared segments.
-
-    Before reading the trace the worker verifies the arena's control
-    segment — a (generation, checksum) pair the parent wrote *after*
-    the trace — against the values repeated in this task.  A mismatch
-    means the attach would read a torn or stale arena (e.g. a replayed
-    chunk racing an arena growth), and raises
+    ``arena`` is ``(segment names, trace shape, dtype, fence)``.  In
+    steady state the cached attachment is reused, so no ``shm_open``/
+    ``mmap`` happens; the headers and output views are zero-copy
+    windows into the shared segments.  Before reading, the worker
+    verifies the control segment — the (generation, checksum) pair the
+    parent wrote *after* the trace — against ``fence``.  A mismatch
+    means the attach would read a torn or stale arena, and raises
     :class:`~repro.core.errors.ArenaCorruptionError` instead of
     silently serving garbage.
     """
-    names, shape, dtype, index, bounds, pending, ctl_expected, specs = task
-    assert _SHARD_STATE is not None
-    classifier = _SHARD_STATE[0]
-    if specs:
-        fire_worker_specs(specs, in_process=False, chunk=index)
-    if pending:
-        _apply_pending(classifier, pending)
+    names, shape, dtype, fence = arena
     segs = _attach_arena(names)
     ctl = np.ndarray((2,), np.uint64, buffer=segs[3].buf)
     seen = (int(ctl[0]), int(ctl[1]))
-    if seen != tuple(ctl_expected):
+    if seen != tuple(fence):
         raise ArenaCorruptionError(
             f"arena fence mismatch serving chunk {index}: "
             f"generation/checksum {seen[0]}/{seen[1]:#x} != expected "
-            f"{ctl_expected[0]}/{ctl_expected[1]:#x}",
+            f"{fence[0]}/{fence[1]:#x}",
             chunk=index,
-            shard=os.getpid(),
+            shard=shard,
             cause="arena",
         )
     n = shape[0]
     start, end = bounds
     headers = np.ndarray(shape, dtype=dtype, buffer=segs[0].buf)
     match, occ, cache = _run_chunk_local(classifier, headers, bounds)
-    has_occ = occ is not None
     np.ndarray((n,), np.int64, buffer=segs[1].buf)[start:end] = match
-    if has_occ:
+    if occ is not None:
         np.ndarray((n,), np.int64, buffer=segs[2].buf)[start:end] = occ
-    # Views die with this frame; the cached segments stay mapped.
-    del headers, match, occ
-    return has_occ, cache, os.getpid()
+    return occ is not None, cache
 
 
 def aggregate_shard_cache_stats(chunks) -> list[dict]:
@@ -317,9 +363,9 @@ class ChunkStats:
     backends.  ``epoch`` is the ruleset version every packet of this
     chunk was classified against (``None`` when the backend is not
     updatable); ``updates_applied`` counts the update *operations* that
-    took effect immediately before this chunk.  ``shard`` is the
-    0-based id of the worker that served the chunk (0 single-process;
-    ids are densified in first-served order across the run).
+    took effect immediately before this chunk.  ``shard`` is the plan's
+    0-based id of the shard that owns the chunk (``index % n_shards``
+    of the tier that served the run; 0 inline).
     """
 
     index: int
@@ -343,10 +389,10 @@ class ChunkStats:
 class PipelineResult:
     """Trace-order matches plus aggregated serving statistics.
 
-    ``n_shards`` is the number of workers that *actually ran*: 1
-    whenever the single-process fallback served the trace (no ``fork``
-    on the platform, a single chunk, ``shards=1``, or ``shard_mode=
-    "auto"`` declining a fork that could not win), else the worker count
+    ``n_shards`` is the number of shard owners that *actually ran*: 1
+    whenever the inline tier served the trace (no ``fork`` on the
+    platform, a single chunk, ``shards=1``, or ``shard_mode="auto"``
+    declining a fork that could not win), else the plan's worker count
     after clamping to chunk and CPU counts.
     """
 
@@ -359,7 +405,7 @@ class PipelineResult:
     occupancy: np.ndarray | None = field(default=None, repr=False)
     #: Flow-cache totals over all chunks (``None`` on bare backends).
     #: Counts come back from whichever process served each chunk, so
-    #: they are correct in forked/persistent modes too.
+    #: they are correct in the fork tiers too.
     cache_hits: int | None = None
     cache_misses: int | None = None
     cache_evictions: int | None = None
@@ -376,9 +422,9 @@ class PipelineResult:
     #: kernel patch + cache epoch bump).  Empty when no updates ran.
     update_latencies_s: tuple[float, ...] = ()
     #: Supervisor observations for the run (retries, replays,
-    #: degradations, crash counts, recovery latencies).  ``None`` on an
-    #: unsupervised run; zero-counted on a supervised fault-free one.
-    fault: FaultReport | None = field(default=None, repr=False)
+    #: degradations, crash counts, recovery latencies); all-zero on a
+    #: fault-free run.
+    fault: FaultReport = field(default_factory=FaultReport, repr=False)
 
     @property
     def n_packets(self) -> int:
@@ -447,30 +493,35 @@ class ClassificationPipeline:
     """Stream traces through a classifier in chunks across N shards.
 
     ``shard_mode`` picks the worker tier (see the module docstring):
-    ``"processes"`` forces fork-based sharding whenever ``shards > 1``
-    (the historical behaviour, and the right mode for conformance tests
-    that must exercise the fork transport), ``"auto"`` forks only when
-    the clamped worker count can win, ``"threads"`` runs shard-affine
-    workers in a thread pool with per-shard flow-cache clones.
+    ``"processes"`` forks shard workers whenever ``shards > 1`` (the
+    right mode for conformance tests that must exercise the fork
+    transport), ``"auto"`` forks only when the clamped worker count can
+    win, ``"threads"`` runs shard-affine threads with per-shard
+    flow-cache clones.
 
-    With ``persistent=True`` the forked worker pool survives across
+    With ``persistent=True`` the forked shard workers survive across
     ``run()`` calls (create once, serve many traces) and traces/results
     travel through a pipeline-lifetime shared-memory arena instead of
-    pickles.  Use :meth:`close` — or the pipeline as a context manager —
-    to tear the pool (and arena) down deterministically.
+    pipes.  Use :meth:`close` — or the pipeline as a context manager —
+    to tear the workers (and arena) down deterministically.
+
+    ``policy`` is the fault-handling policy every dispatch is
+    supervised under; ``None`` means ``SupervisionPolicy()`` — a fault
+    raises a typed :class:`~repro.core.errors.ServingFaultError`, never
+    a hang, never a retry.
 
     Rule updates belong *inside* ``run(trace, updates=...)``: the update
-    stream is applied with deterministic epoch semantics in every pool
-    mode, including persistent pools (each task ships the update prefix
+    stream is applied with deterministic epoch semantics on every tier,
+    including persistent workers (each task ships the update prefix
     its chunk requires, and the long-lived workers catch up exactly
     once per batch).  The one remaining caveat is **out-of-band**
-    mutation: the persistent workers hold the copy-on-write snapshot of
-    the classifier taken when the pool forked, so mutating the
-    classifier directly (e.g. ``IncrementalClassifier.insert`` between
-    runs) does not reach them — call :meth:`close` after such a
-    mutation and the next ``run()`` forks a fresh pool.  (Transient
-    mode re-forks per run and needs no such step; the thread tier
-    shares the live classifier and tracks its ``update_epoch``.)
+    mutation: persistent workers hold the copy-on-write snapshot of
+    the classifier taken when they forked, so mutating the classifier
+    directly (e.g. ``IncrementalClassifier.insert`` between runs) does
+    not reach them — call :meth:`close` after such a mutation and the
+    next ``run()`` forks fresh workers.  (The transient tier re-forks
+    per run and needs no such step; the thread tier shares the live
+    classifier and tracks its ``update_epoch``.)
     """
 
     def __init__(
@@ -503,17 +554,13 @@ class ClassificationPipeline:
         self.persistent = persistent
         self.shard_mode = shard_mode
         self.min_chunk_packets = min_chunk_packets
-        #: Fault-handling policy; ``None`` keeps the historical
-        #: unsupervised dispatch (a fault propagates raw).  Passing a
-        #: :class:`~repro.engine.supervision.SupervisionPolicy` — or a
-        #: ``faults=`` plan to :meth:`run` — routes every dispatch
-        #: through the supervisor.
-        self.policy = policy
-        self._supervisor = Supervisor(policy) if policy is not None else None
-        self._pool = None
-        self._pool_size = 0
+        self.policy = policy or SupervisionPolicy()
+        self._supervisor = Supervisor(self.policy)
+        #: The persistent tier's forked shard owners (``None`` until
+        #: first use and after :meth:`close`).
+        self._workers: ShardWorkers | None = None
         #: Pipeline-lifetime shared-memory arena for the persistent
-        #: pool: ``{"names": (in, out, occ, ctl), "segs": [...]}``,
+        #: tier: ``{"names": (in, out, occ, ctl), "segs": [...]}``,
         #: grown (re-created larger) only when a trace outsizes it.  The
         #: ctl segment holds the (generation, checksum) fence pair.
         self._arena: dict | None = None
@@ -530,27 +577,94 @@ class ClassificationPipeline:
         #: parent process's applied-batch watermark.
         self._update_seq = 0
         self._applied_seq = 0
-        #: Batches applied while the current persistent pool has been
-        #: alive.  Shipped (cheaply — workers skip applied seqs) with
-        #: every later task so a worker that never saw an earlier run's
-        #: chunks still applies its updates before any newer ones.
+        #: Batches applied while the current persistent workers have
+        #: been alive.  Shipped (cheaply — workers skip applied seqs)
+        #: with every later task so a worker that never saw an earlier
+        #: run's chunks still applies its updates before any newer ones.
         self._pool_log: list[PendingUpdate] = []
 
-    # -- persistent-pool lifecycle --------------------------------------
-    def close(self) -> None:
-        """Tear down the persistent worker pool and its shared-memory
-        arena (no-op otherwise).
+    # -- the plan -------------------------------------------------------
+    @staticmethod
+    def _fork_available() -> bool:
+        try:
+            import multiprocessing
 
-        Teardown is bounded: after ``terminate()`` every worker is
-        joined against a shared deadline and SIGKILLed if it overstays
-        (a hung or crash-looping worker cannot wedge ``close()``), and
-        the arena segments are unlinked unconditionally afterwards so
-        an abnormal exit leaks no shared memory.
+            return "fork" in multiprocessing.get_all_start_methods()
+        except ImportError:  # pragma: no cover - multiprocessing is stdlib
+            return False
+
+    def plan(
+        self, n_chunks: int | None = None, tier: str | None = None
+    ) -> ShardPlan:
+        """The tier and worker count for a run of ``n_chunks`` chunks
+        (``None``: any run with at least as many chunks as shards — the
+        question callers ask before a trace exists, e.g. "would this
+        pipeline fork?").
+
+        ``"processes"`` forks whenever the run has more than one chunk
+        and shard; ``"auto"`` declines when clamping to CPUs and chunks
+        leaves fewer than two workers, because a 1-worker fork pays
+        fork + IPC for zero parallelism.  ``tier`` overrides the choice
+        (a degradation-ladder rung) and only sizes it.
         """
-        if self._pool is not None:
-            teardown_pool(self._pool, deadline_s=5.0)
-            self._pool = None
-            self._pool_size = 0
+        chunks = self.shards if n_chunks is None else n_chunks
+        wanted = max(1, min(self.shards, chunks))
+        forked = min(wanted, host_cpus())
+        if tier is None:
+            tier = "inline"
+            if wanted > 1 and self.shard_mode == "threads":
+                tier = "threads"
+            elif (
+                wanted > 1
+                and self._fork_available()
+                and (self.shard_mode == "processes" or forked >= 2)
+            ):
+                tier = "persistent" if self.persistent else "processes"
+        workers = {"inline": 1, "threads": wanted}.get(tier, forked)
+        return ShardPlan(tier, workers)
+
+    # -- forked shard workers -------------------------------------------
+    @property
+    def workers_alive(self) -> bool:
+        """Whether forked shard workers are currently being held (the
+        persistent tier after its first run, or inside
+        :meth:`held_workers`)."""
+        return self._workers is not None
+
+    @contextmanager
+    def held_workers(self, ndim: int):
+        """Fork the shard workers *now* and hold them until the block
+        exits, serving every run inside it on them.
+
+        For callers about to start threads: forking a multi-threaded
+        process risks inheriting held locks, so a streamed session
+        forks once up front instead of once per segment.  A pipeline
+        whose plan does not fork holds nothing; a ``persistent`` one
+        keeps its workers afterwards (they are its own).
+        """
+        if not self.plan().forks:
+            yield
+            return
+        was_persistent, self.persistent = self.persistent, True
+        try:
+            self._ensure_workers(ndim)
+            yield
+        finally:
+            self.persistent = was_persistent
+            if not was_persistent:
+                self.close()
+
+    def close(self) -> None:
+        """Tear down the persistent shard workers and their
+        shared-memory arena (no-op otherwise).
+
+        Teardown is bounded (see :meth:`ShardWorkers.close`), and the
+        arena segments are unlinked unconditionally afterwards so an
+        abnormal exit leaks no shared memory.
+        """
+        if self._workers is not None:
+            self._workers.close(deadline_s=5.0)
+            self._workers = None
         self._release_arena()
         self._pool_log.clear()
 
@@ -568,13 +682,23 @@ class ClassificationPipeline:
             # shared_memory internals under us; nothing left to reap.
             pass
 
-    def _ensure_pool(self, ndim: int):
-        """Fork the persistent pool on first use; reuse it afterwards."""
-        if self._pool is None:
-            import multiprocessing
+    def _ensure_workers(self, ndim: int) -> ShardWorkers:
+        """The persistent tier's workers, forked on first use — one per
+        shard any run could engage, not just this one's."""
+        if self._workers is None:
+            self._workers = self._fork_workers(
+                self.plan().workers, ndim, None
+            )
+        return self._workers
 
-            global _SHARD_STATE, _WORKER_SEQ
-            ctx = multiprocessing.get_context("fork")
+    def _fork_workers(
+        self, count: int, ndim: int, headers: np.ndarray | None
+    ) -> ShardWorkers:
+        """Fork ``count`` shard owners from the current classifier
+        state; ``headers`` rides along copy-on-write on the transient
+        tier and is ``None`` on the persistent one."""
+        global _SHARD_STATE, _WORKER_SEQ
+        if headers is None:
             try:
                 # Start the resource tracker *before* forking: the
                 # workers then share the parent's tracker process, which
@@ -585,24 +709,23 @@ class ClassificationPipeline:
                 resource_tracker.ensure_running()
             except (OSError, RuntimeError):  # pragma: no cover - tracker spawn
                 pass
-            # Build every lazy batch structure before forking so workers
-            # inherit them copy-on-write.
-            warm_batch_state(self.classifier, ndim)
-            self._pool_size = min(self.shards, os.cpu_count() or 1)
-            _SHARD_STATE = (self.classifier, None)
-            # Children inherit the parent's applied-update watermark:
-            # every batch the forked snapshot already contains is
-            # filtered out of the shipped prefixes.
-            _WORKER_SEQ = self._applied_seq
-            try:
-                self._pool = ctx.Pool(processes=self._pool_size)
-            finally:
-                # Workers hold their copy-on-write snapshot; the parent
-                # global is only needed across the fork itself.
-                _SHARD_STATE = None
-        return self._pool
+        # Build every lazy batch structure (e.g. the tuple-space probe
+        # tables) before forking so workers inherit them copy-on-write
+        # instead of each rebuilding them.
+        warm_batch_state(self.classifier, ndim)
+        _SHARD_STATE = (self.classifier, headers)
+        # Children inherit the parent's applied-update watermark: every
+        # batch the forked snapshot already contains is filtered out of
+        # the shipped prefixes.
+        _WORKER_SEQ = self._applied_seq
+        try:
+            return ShardWorkers(count, _shard_main)
+        finally:
+            # Workers hold their copy-on-write snapshot; the parent
+            # global is only needed across the fork itself.
+            _SHARD_STATE = None
 
-    # -- shared-memory arena (persistent pool transport) ----------------
+    # -- shared-memory arena (persistent-tier transport) ----------------
     def _release_arena(self) -> None:
         if self._arena is not None:
             for shm in self._arena["segs"]:
@@ -643,18 +766,29 @@ class ClassificationPipeline:
             self._arena = a
         return a
 
-    def _seal_arena(self, arena: dict, headers: np.ndarray) -> tuple[int, int]:
-        """Write the arena control word *after* the trace: a fresh
-        generation number plus a content checksum.  Returns the pair for
-        task descriptors — workers verify it before reading."""
+    def _load_arena(self, run: _Run, attempt: int) -> tuple:
+        """Write the run's trace into the arena, then seal it: a fresh
+        generation number plus a content checksum go into the control
+        word *after* the trace.  Returns the descriptor ``(names,
+        shape, dtype, fence)`` the workers attach by and verify."""
+        headers = run.headers
+        arena = self._ensure_arena(headers)
+        segs = arena["segs"]
+        np.ndarray(headers.shape, headers.dtype, buffer=segs[0].buf)[:] = (
+            headers
+        )
         self._arena_generation += 1
-        checksum = int(headers.sum(dtype=np.uint64))
-        ctl = np.ndarray((2,), np.uint64, buffer=arena["segs"][3].buf)
-        ctl[0] = self._arena_generation
-        ctl[1] = checksum
-        return (self._arena_generation, checksum)
+        fence = (self._arena_generation, int(headers.sum(dtype=np.uint64)))
+        ctl = np.ndarray((2,), np.uint64, buffer=segs[3].buf)
+        ctl[0], ctl[1] = fence
+        if run.faults is not None and run.faults.arena_faults(attempt):
+            # Injected corruption: flip checksum bits *after* sealing —
+            # to the workers' fence check this is exactly what a torn
+            # or stale arena write looks like.
+            ctl[1] ^= np.uint64(0xDEAD)
+        return arena["names"], headers.shape, str(headers.dtype), fence
 
-    # ------------------------------------------------------------------
+    # -- the chunk grid -------------------------------------------------
     def _chunk_bounds(
         self, n: int, chunk_size: int | None = None
     ) -> list[tuple[int, int]]:
@@ -674,17 +808,6 @@ class ClassificationPipeline:
             bounds[-1] = (bounds[-1][0], end)
         return bounds
 
-    def _planned_workers(self) -> int:
-        """How many workers a multi-chunk, update-free run could engage
-        under the configured shard mode on this host."""
-        if self.shards <= 1:
-            return 1
-        if self.shard_mode == "threads":
-            return self.shards
-        if not self._fork_available():
-            return 1
-        return min(self.shards, os.cpu_count() or 1)
-
     def _effective_chunk_size(
         self, has_updates: bool, n: int | None = None
     ) -> int:
@@ -693,59 +816,23 @@ class ClassificationPipeline:
         grid to the configured ``chunk_size``.
 
         Coalescing is worker-aware: merging a run into fewer chunks
-        than the shards it could engage starves the pool — at 4 shards
-        the ``min_chunk_packets`` floor used to fold a whole trace into
-        one or two dispatches, serving it on 1-2 workers while the rest
-        idled (the shards_4 < shards_2 throughput inversion).  When the
-        planned worker count exceeds one, cap the coalesced size at
-        ``ceil(n / workers)`` so every engaged worker gets a chunk,
-        never dropping below the configured ``chunk_size``.
+        than the shards it could engage starves the workers — at 4
+        shards the ``min_chunk_packets`` floor used to fold a whole
+        trace into one or two dispatches, serving it on 1-2 workers
+        while the rest idled (the shards_4 < shards_2 throughput
+        inversion).  When the plan engages more than one worker, cap
+        the coalesced size at ``ceil(n / workers)`` so every one of
+        them gets a chunk, never dropping below the configured
+        ``chunk_size``.
         """
         if has_updates or not self.min_chunk_packets:
             return self.chunk_size
         size = max(self.chunk_size, self.min_chunk_packets)
-        workers = self._planned_workers()
+        workers = self.plan().workers
         if n and workers > 1:
             per_worker = -(-n // workers)
             size = max(self.chunk_size, min(size, per_worker))
         return size
-
-    @staticmethod
-    def _fork_available() -> bool:
-        try:
-            import multiprocessing
-
-            return "fork" in multiprocessing.get_all_start_methods()
-        except ImportError:  # pragma: no cover - multiprocessing is stdlib
-            return False
-
-    def _fork_engages(self, n_chunks: int | None = None) -> bool:
-        """Whether the fork tier should serve a multi-chunk run.
-
-        ``"processes"`` always forks (the historical contract — the
-        conformance suites rely on it to exercise the transport);
-        ``"auto"`` declines when clamping to CPUs (and chunks) leaves
-        fewer than two workers, because a 1-worker pool pays fork + IPC
-        for zero parallelism.
-        """
-        if self.shard_mode == "processes":
-            return True
-        workers = min(self.shards, os.cpu_count() or 1)
-        if n_chunks is not None:
-            workers = min(workers, n_chunks)
-        return workers >= 2
-
-    def fork_planned(self) -> bool:
-        """Whether a multi-chunk ``run()`` would fork worker processes
-        (the question :class:`~repro.serve.Engine` asks before starting
-        serving threads — forking a multi-threaded process risks
-        inheriting held locks)."""
-        return (
-            self.shards > 1
-            and self.shard_mode != "threads"
-            and self._fork_available()
-            and self._fork_engages()
-        )
 
     # -- update-stream plumbing -----------------------------------------
     def _normalise_updates(
@@ -787,134 +874,62 @@ class ClassificationPipeline:
             ))
         return entries
 
-    def _apply_entry(
-        self,
-        entry: _ScheduledEntry,
-        ordinal: int,
-        latencies: list[float],
-        plan: FaultPlan | None = None,
-        report: FaultReport | None = None,
-    ):
-        """Apply one update batch to this process's classifier,
-        watermarked (a batch an earlier tier or chunk loop already
-        applied is skipped — returns ``None``) and supervised: an
-        injected update fault fires *before* the apply, so a bounded
-        retry re-applies a clean batch.  Per-batch apply seconds are
-        appended to ``latencies``."""
+    def _apply_entry(self, run: _Run, ordinal: int) -> bool:
+        """Apply update batch ``ordinal`` of the run to this process's
+        classifier, watermarked (a batch an earlier tier or chunk loop
+        already applied is skipped — returns ``False``) and supervised:
+        an injected update fault fires *before* the apply, so a bounded
+        retry re-applies a clean batch."""
+        entry = run.entries[ordinal]
         if entry.seq <= self._applied_seq:
-            return None
+            return False
         sup = self._supervisor
         attempt = 0
         while True:
             try:
-                if plan is not None:
-                    specs = plan.update_faults(ordinal, attempt)
+                if run.faults is not None:
+                    specs = run.faults.update_faults(ordinal, attempt)
                     if specs:
                         fire_update_specs(specs, ordinal)
                 t0 = time.perf_counter()
                 result = self.classifier.apply_updates(entry.batch)
-                latencies.append(time.perf_counter() - t0)
+                run.update_latencies.append(time.perf_counter() - t0)
+                run.update_results.append(result)
                 self._applied_seq = entry.seq
-                return result
+                return True
             except RECOVERABLE as exc:
-                retriable = (
-                    sup is not None
-                    and sup.policy.fault_policy != "fail"
-                    and attempt < sup.policy.max_retries
-                )
-                if not retriable:
-                    raise (sup or Supervisor()).wrap_failure(
+                if not sup.may_retry(attempt):
+                    raise sup.wrap_failure(
                         exc, tier="update", chunk=ordinal
                     ) from exc
-                if report is not None:
-                    report.update_retries += 1
+                run.report.update_retries += 1
                 time.sleep(sup.backoff_s(attempt))
                 attempt += 1
 
-    def _parent_apply(
-        self,
-        entries: list[_ScheduledEntry],
-        latencies: list[float],
-        plan: FaultPlan | None = None,
-        report: FaultReport | None = None,
-    ) -> list:
-        """Apply ``entries`` to this process's classifier (watermarked,
-        so batches a fallback chunk loop already applied are skipped).
-        Per-batch apply seconds are appended to ``latencies``."""
-        results = []
-        for ordinal, entry in enumerate(entries):
-            result = self._apply_entry(entry, ordinal, latencies, plan, report)
-            if result is not None:
-                results.append(result)
-        return results
-
-    def _chunk_prefixes(
-        self, bounds: list[tuple[int, int]], entries: list[_ScheduledEntry]
-    ) -> list[tuple[PendingUpdate, ...]]:
+    def _chunk_prefixes(self, run: _Run) -> list[tuple[PendingUpdate, ...]]:
         """Per-chunk update prefix a worker must have applied: the
-        current pool's historical batches plus this run's batches up to
-        the chunk's epoch."""
+        current workers' historical batches plus this run's batches up
+        to the chunk's epoch."""
         acc: list[PendingUpdate] = list(self._pool_log)
         prefixes = []
         idx = 0
-        for i in range(len(bounds)):
-            while idx < len(entries) and entries[idx].effect_chunk <= i:
-                acc.append((entries[idx].seq, entries[idx].batch))
+        for i in range(len(run.bounds)):
+            while (
+                idx < len(run.entries)
+                and run.entries[idx].effect_chunk <= i
+            ):
+                acc.append((run.entries[idx].seq, run.entries[idx].batch))
                 idx += 1
             prefixes.append(tuple(acc))
         return prefixes
 
-    # -- tier selection & supervised dispatch ---------------------------
-    def _select_tier(self, n_chunks: int) -> str:
-        """The worker tier this run starts on (mirrors the historical
-        dispatch branch exactly — supervision changes *recovery*, never
-        the fault-free tier choice)."""
-        multi = self.shards > 1 and n_chunks > 1
-        if multi:
-            if self.shard_mode == "threads":
-                return "threads"
-            if self._fork_available() and self._fork_engages(n_chunks):
-                return "persistent" if self.persistent else "processes"
-        return "inline"
-
-    def _tier_available(self, tier: str) -> bool:
-        if tier in ("persistent", "processes"):
-            return self._fork_available()
-        return True
-
-    def _timeout_s(self) -> float:
-        if self._supervisor is None:
-            return 0.0
-        return self._supervisor.policy.chunk_timeout_s
-
-    def _supervised(self, plan: FaultPlan | None) -> bool:
-        """Whether dispatches route through the supervisor: either a
-        policy was configured or this run injects faults (a plan
-        without a policy gets fail-fast supervision — typed errors,
-        no silent hangs, no retries)."""
-        return self._supervisor is not None or plan is not None
-
-    @staticmethod
-    def _chunk_specs(plan: FaultPlan | None, n_chunks: int, attempt: int):
-        """Per-chunk injected-fault specs for one dispatch attempt,
-        resolved in the parent and shipped inside the task descriptors
-        so workers need no shared plan state."""
-        if plan is None:
-            return [()] * n_chunks
-        return [plan.worker_faults(i, attempt) for i in range(n_chunks)]
-
-    def _run_supervised(
-        self,
-        tier: str,
-        headers: np.ndarray,
-        bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry],
-        update_results: list,
-        update_latencies: list[float],
-        plan: FaultPlan | None,
-    ) -> tuple[list[ChunkOutput], int, FaultReport, str]:
-        """Dispatch with recovery: bounded same-tier retries, then —
-        under ``fault_policy="degrade"`` — the tier ladder.
+    # -- supervised dispatch --------------------------------------------
+    def _dispatch(
+        self, plan: ShardPlan, run: _Run
+    ) -> tuple[list[ChunkOutput], ShardPlan]:
+        """Serve the run on ``plan`` with recovery: bounded same-tier
+        retries, then — under ``fault_policy="degrade"`` — the tier
+        ladder.  Returns the outputs and the plan that produced them.
 
         Whole-dispatch replay is safe exactly because the parent's
         classifier is caught up only *after* a successful fork-tier
@@ -927,107 +942,62 @@ class ClassificationPipeline:
         chunks against a later epoch, and the supervisor chooses a
         typed error over silently breaking bit-identity.
         """
-        sup = self._supervisor or Supervisor()
-        policy = sup.policy
-        report = FaultReport()
-        ladder = [tier]
-        if policy.fault_policy == "degrade":
-            start = DEGRADATION_LADDER.index(tier)
-            ladder = [
-                t for t in DEGRADATION_LADDER[start:]
-                if self._tier_available(t)
-            ]
+        sup, report = self._supervisor, run.report
+        tiers = (plan.tier,)
+        if self.policy.fault_policy == "degrade":
+            tiers = DEGRADATION_LADDER[DEGRADATION_LADDER.index(plan.tier):]
         seq_before = self._applied_seq
         last_exc: BaseException | None = None
         detected = 0.0
-        for rung, t in enumerate(ladder):
+        for rung, tier in enumerate(tiers):
             if rung:
                 report.degradations.append(
-                    f"{ladder[rung - 1]}->{t}:{type(last_exc).__name__}"
+                    f"{plan.tier}->{tier}:{type(last_exc).__name__}"
                 )
-                report.replays += len(bounds)
+                report.replays += len(run.bounds)
                 report.recovery_s.append(time.perf_counter() - detected)
+                plan = self.plan(len(run.bounds), tier=tier)
             attempt = 0
             while True:
                 try:
-                    outputs, workers = self._run_tier(
-                        t, headers, bounds, entries,
-                        update_results, update_latencies,
-                        plan=plan, attempt=attempt, report=report,
-                    )
-                    return outputs, workers, report, t
+                    return self._run_tier(plan, run, attempt), plan
                 except RECOVERABLE as exc:
                     detected = time.perf_counter()
                     last_exc = exc
                     report.record_failure(exc)
-                    if t == "persistent":
-                        # The failed dispatch poisons the long-lived
-                        # pool (and possibly the arena); reap both so
-                        # the next attempt re-forks from the parent
-                        # snapshot and reseals a fresh arena.
-                        self.close()
-                    if policy.fault_policy == "fail":
-                        raise sup.wrap_failure(exc, tier=t) from exc
-                    if self._applied_seq != seq_before:
-                        raise sup.wrap_failure(exc, tier=t) from exc
-                    if attempt < policy.max_retries:
-                        report.retries += 1
-                        report.replays += len(bounds)
-                        time.sleep(sup.backoff_s(attempt))
-                        report.recovery_s.append(
-                            time.perf_counter() - detected
-                        )
-                        attempt += 1
-                        continue
-                    break  # retries exhausted on this tier
-        raise sup.wrap_failure(last_exc, tier=ladder[-1]) from last_exc
+                    if (
+                        self.policy.fault_policy == "fail"
+                        or self._applied_seq != seq_before
+                    ):
+                        raise sup.wrap_failure(exc, tier=tier) from exc
+                    if attempt >= self.policy.max_retries:
+                        break  # retries exhausted on this tier
+                    report.retries += 1
+                    report.replays += len(run.bounds)
+                    time.sleep(sup.backoff_s(attempt))
+                    report.recovery_s.append(time.perf_counter() - detected)
+                    attempt += 1
+        raise sup.wrap_failure(last_exc, tier=tiers[-1]) from last_exc
 
     def _run_tier(
-        self,
-        tier: str,
-        headers: np.ndarray,
-        bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry],
-        update_results: list,
-        update_latencies: list[float],
-        *,
-        plan: FaultPlan | None,
-        attempt: int,
-        report: FaultReport | None,
-    ) -> tuple[list[ChunkOutput], int]:
-        """One full dispatch attempt on one worker tier, including the
-        tier's update-application contract."""
-        if tier == "threads":
-            outputs, workers = self._run_threads(
-                headers, bounds, entries, update_results, update_latencies,
-                plan=plan, attempt=attempt, report=report,
-            )
-            # Batches scheduled past the last chunk apply after the trace.
-            update_results.extend(
-                self._parent_apply(entries, update_latencies, plan, report)
-            )
-        elif tier in ("persistent", "processes"):
-            if tier == "persistent":
-                outputs, workers = self._run_persistent(
-                    headers, bounds, entries, plan=plan, attempt=attempt
-                )
-            else:
-                outputs, workers = self._run_forked(
-                    headers, bounds, entries, plan=plan, attempt=attempt
-                )
-            # The parent's copy catches up after the run (its state then
-            # matches the workers', and later forks inherit it).  On a
-            # failed dispatch this is never reached — which is what
-            # makes whole-dispatch replay epoch-safe.
-            update_results.extend(
-                self._parent_apply(entries, update_latencies, plan, report)
-            )
+        self, plan: ShardPlan, run: _Run, attempt: int
+    ) -> list[ChunkOutput]:
+        """One full dispatch attempt on one tier, including the tier's
+        update-application contract."""
+        if plan.tier == "threads":
+            outputs = self._run_threads(plan, run, attempt)
+        elif plan.forks:
+            outputs = self._run_forked(plan, run, attempt)
         else:
-            outputs, workers = self._run_inline(
-                headers, bounds, entries, update_results, update_latencies,
-                plan=plan, attempt=attempt, report=report,
-            )
-        return outputs, workers
+            outputs = self._run_inline(run, attempt)
+        # The parent's copy catches up after the dispatch: every batch
+        # on the fork tiers (its state then matches the workers', and
+        # later forks inherit it; a failed dispatch never gets here —
+        # which is what makes whole-dispatch replay epoch-safe), and the
+        # batches scheduled past the last chunk on the other two.
+        for ordinal in range(len(run.entries)):
+            self._apply_entry(run, ordinal)
+        return outputs
 
     # ------------------------------------------------------------------
     def run(
@@ -1046,13 +1016,15 @@ class ClassificationPipeline:
         """
         from .updates import is_updatable
 
-        plan = FaultPlan.coerce(faults)
         headers = trace.headers
         n = headers.shape[0]
         bounds = self._chunk_bounds(
             n, self._effective_chunk_size(bool(updates), n)
         )
-        entries = self._normalise_updates(updates, bounds)
+        run = _Run(
+            headers, bounds, self._normalise_updates(updates, bounds),
+            FaultPlan.coerce(faults),
+        )
         # Epochs are reported only for genuinely updatable backends —
         # a cache wrapper around a non-updatable classifier merely
         # *delegates* and must keep reporting None.
@@ -1060,46 +1032,23 @@ class ClassificationPipeline:
             int(getattr(self.classifier, "update_epoch", 0))
             if is_updatable(self.classifier) else None
         )
-        update_results: list = []
-        update_latencies: list[float] = []
-        tier = self._select_tier(len(bounds))
-        fault_report: FaultReport | None = None
         started = time.perf_counter()
-        if self._supervised(plan):
-            outputs, workers, fault_report, served_tier = (
-                self._run_supervised(
-                    tier, headers, bounds, entries,
-                    update_results, update_latencies, plan,
-                )
-            )
-        else:
-            served_tier = tier
-            outputs, workers = self._run_tier(
-                tier, headers, bounds, entries,
-                update_results, update_latencies,
-                plan=None, attempt=0, report=None,
-            )
-        if entries and self._pool is not None:
+        outputs, served = self._dispatch(self.plan(len(bounds)), run)
+        if run.entries and self._workers is not None:
             # Keep the long-lived workers replayable: later runs ship
             # these batches too (applied-at-most-once via the watermark).
-            self._pool_log.extend((e.seq, e.batch) for e in entries)
+            self._pool_log.extend((e.seq, e.batch) for e in run.entries)
             if len(self._pool_log) > POOL_LOG_MAX_BATCHES:
                 # Bound the per-task prefix (and parent memory): the
                 # parent is fully caught up after every run, so tearing
-                # the pool down here is safe — the next run re-forks
+                # the workers down here is safe — the next run re-forks
                 # from the current state with an empty log.
                 self.close()
         elapsed = time.perf_counter() - started
-        result = self._aggregate(
-            outputs, bounds, n, elapsed, workers,
-            entries=entries, base_epoch=base_epoch,
-            update_results=update_results,
-            update_latencies=update_latencies,
-            fault=fault_report,
-        )
+        result = self._aggregate(run, outputs, served, elapsed, base_epoch)
         if (
-            served_tier == "processes"
-            and not entries
+            served.tier == "processes"
+            and not run.entries
             and result.cache_hits is not None
             and hasattr(self.classifier, "warm_from_run")
         ):
@@ -1112,107 +1061,66 @@ class ClassificationPipeline:
             self.classifier.warm_from_run(headers, result.match)
         return result
 
+    # -- fork tiers -----------------------------------------------------
     def _run_forked(
-        self,
-        headers: np.ndarray,
-        bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry] | None = None,
-        *,
-        plan: FaultPlan | None = None,
-        attempt: int = 0,
-    ) -> tuple[list[ChunkOutput], int]:
-        import multiprocessing
+        self, plan: ShardPlan, run: _Run, attempt: int
+    ) -> list[ChunkOutput]:
+        """One dispatch over forked shard owners.
 
-        global _SHARD_STATE, _WORKER_SEQ
-        ctx = multiprocessing.get_context("fork")
-        workers = min(self.shards, len(bounds), os.cpu_count() or 1)
-        # Warm any lazily-built batch structures (e.g. the tuple-space
-        # probe tables) in the parent so the forked children inherit
-        # them copy-on-write instead of each rebuilding them.
-        warm_batch_state(self.classifier, headers.shape[1])
-        prefixes = self._chunk_prefixes(bounds, entries or [])
-        specs = self._chunk_specs(plan, len(bounds), attempt)
-        tasks = list(zip(range(len(bounds)), bounds, prefixes, specs))
-        _SHARD_STATE = (self.classifier, headers)
-        _WORKER_SEQ = self._applied_seq
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                if self._supervised(plan):
-                    return supervised_map(
-                        pool, _run_chunk, tasks,
-                        timeout_s=self._timeout_s(),
-                    ), workers
-                return pool.map(_run_chunk, tasks), workers
-        finally:
-            _SHARD_STATE = None
-
-    def _run_persistent(
-        self,
-        headers: np.ndarray,
-        bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry] | None = None,
-        *,
-        plan: FaultPlan | None = None,
-        attempt: int = 0,
-    ) -> tuple[list[ChunkOutput], int]:
-        """One run over the long-lived pool with arena transport.
-
-        The trace is copied once into the pipeline-lifetime input
-        segment; workers scatter their match/occupancy slices into the
-        shared output segments and return scalars only.  Segments are
-        *not* created or unlinked per run — the arena persists (and
-        workers keep their attachments) until a larger trace forces a
-        growth or the pipeline closes.
+        Transient tier: fresh workers inherit the classifier and the
+        trace copy-on-write and send whole chunk results back.
+        Persistent tier: the long-lived workers read the trace out of
+        the arena and scatter match/occupancy slices into its shared
+        output segments, replying with scalars only.  Any failure reaps
+        the workers (replies of the failed dispatch may still be in
+        flight) and, with them, the arena.
         """
-        pool = self._ensure_pool(headers.shape[1])
-        arena = self._ensure_arena(headers)
-        prefixes = self._chunk_prefixes(bounds, entries or [])
-        specs = self._chunk_specs(plan, len(bounds), attempt)
+        headers, bounds = run.headers, run.bounds
+        persistent = plan.tier == "persistent"
+        prefixes = self._chunk_prefixes(run)
+        shard_tasks: list[list] = [[] for _ in range(plan.workers)]
+        for i, b in enumerate(bounds):
+            shard_tasks[plan.shard_of(i)].append(
+                (i, b, prefixes[i], run.chunk_faults(i, attempt))
+            )
+        ndim = headers.shape[1]
+        workers = None
+        try:
+            workers = (
+                self._ensure_workers(ndim) if persistent
+                else self._fork_workers(plan.workers, ndim, headers)
+            )
+            arena = self._load_arena(run, attempt) if persistent else None
+            replies = workers.dispatch(
+                arena, shard_tasks, timeout_s=self.policy.chunk_timeout_s
+            )
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            if not persistent and workers is not None:
+                workers.close()
+        if not persistent:
+            return [
+                reply + (plan.shard_of(i),) for i, reply in enumerate(replies)
+            ]
         n = headers.shape[0]
-        names = arena["names"]
-        shm_in, shm_out, shm_occ, shm_ctl = arena["segs"]
-        np.ndarray(headers.shape, headers.dtype, buffer=shm_in.buf)[:] = (
-            headers
-        )
-        ctl_expected = self._seal_arena(arena, headers)
-        if plan is not None and plan.arena_faults(attempt):
-            # Injected corruption: flip checksum bits *after* sealing —
-            # to the workers' fence check this is exactly what a torn
-            # or stale arena write looks like.
-            ctl = np.ndarray((2,), np.uint64, buffer=shm_ctl.buf)
-            ctl[1] = ctl[1] ^ np.uint64(0xDEAD)
-        tasks = [
-            (
-                names, headers.shape, str(headers.dtype),
-                i, b, pending, ctl_expected, sp,
-            )
-            for i, (b, pending, sp) in enumerate(
-                zip(bounds, prefixes, specs)
-            )
-        ]
-        if self._supervised(plan):
-            results = supervised_map(
-                pool, _run_chunk_shm, tasks, timeout_s=self._timeout_s()
-            )
-        else:
-            results = pool.map(_run_chunk_shm, tasks)
-        match = np.ndarray((n,), np.int64, buffer=shm_out.buf).copy()
-        has_occ = all(r[0] for r in results)
+        segs = self._arena["segs"]
+        match = np.ndarray((n,), np.int64, buffer=segs[1].buf).copy()
         occupancy = (
-            np.ndarray((n,), np.int64, buffer=shm_occ.buf).copy()
-            if has_occ
+            np.ndarray((n,), np.int64, buffer=segs[2].buf).copy()
+            if all(has_occ for has_occ, _ in replies)
             else None
         )
-        outputs = [
+        return [
             (
                 match[s:e],
                 None if occupancy is None else occupancy[s:e],
                 cache,
-                pid,
+                plan.shard_of(i),
             )
-            for (s, e), (_, cache, pid) in zip(bounds, results)
+            for i, ((s, e), (_, cache)) in enumerate(zip(bounds, replies))
         ]
-        return outputs, min(self._pool_size, len(bounds))
 
     # -- thread tier ----------------------------------------------------
     def _ensure_thread_clones(self, workers: int) -> list:
@@ -1241,25 +1149,16 @@ class ClassificationPipeline:
         return self._thread_clones[:workers]
 
     def _run_threads(
-        self,
-        headers: np.ndarray,
-        bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry],
-        update_results: list,
-        update_latencies: list[float],
-        *,
-        plan: FaultPlan | None = None,
-        attempt: int = 0,
-        report: FaultReport | None = None,
-    ) -> tuple[list[ChunkOutput], int]:
-        """One run over a shard-affine thread pool.
+        self, plan: ShardPlan, run: _Run, attempt: int
+    ) -> list[ChunkOutput]:
+        """One run over shard-affine threads.
 
-        Chunks are assigned round-robin to shards; each shard serves its
-        chunks *in order* on one future, so a shard's private cache sees
-        the same chunk sequence a process shard would.  Updates are
-        epoch barriers: all chunks of one epoch drain before the batch
-        applies on the (serving) thread, then every shard cache is
-        epoch-invalidated — identical matches to the other modes.
+        Each shard serves its chunks *in order* on one future, so a
+        shard's private cache sees the same chunk sequence a process
+        shard would.  Updates are epoch barriers: all chunks of one
+        epoch drain before the batch applies on the (serving) thread,
+        then every shard cache is epoch-invalidated — identical matches
+        to the other tiers.
 
         Supervision is per shard group: a failed or deadline-overrun
         future's chunks are re-served inline on the parent classifier —
@@ -1272,36 +1171,38 @@ class ClassificationPipeline:
         from concurrent.futures import ThreadPoolExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
 
-        from ..core.errors import ChunkTimeoutError
-
-        sup = self._supervisor
-        timeout = self._timeout_s()
-        workers = min(self.shards, len(bounds))
+        headers, bounds, entries = run.headers, run.bounds, run.entries
+        timeout = self.policy.chunk_timeout_s
+        workers = plan.workers
         clones = self._ensure_thread_clones(workers)
         cached = clones[0] is not self.classifier
         outputs: list[ChunkOutput | None] = [None] * len(bounds)
 
-        def _shard_serve(clone, chunk_ids, shard):
+        def _shard_serve(shard, chunk_ids):
             out = []
             for i in chunk_ids:
-                if plan is not None:
-                    specs = plan.worker_faults(i, attempt, shard=shard)
-                    if specs:
-                        fire_worker_specs(
-                            specs, in_process=True, chunk=i, shard=shard,
-                            timeout_s=timeout,
-                        )
-                out.append(
-                    (i, _run_chunk_local(clone, headers, bounds[i]) + (shard,))
-                )
+                specs = run.chunk_faults(i, attempt, shard=shard)
+                if specs:
+                    fire_worker_specs(
+                        specs, in_process=True, chunk=i, shard=shard,
+                        timeout_s=timeout,
+                    )
+                out.append((
+                    i,
+                    _run_chunk_local(clones[shard], headers, bounds[i])
+                    + (shard,),
+                ))
             return out
+
+        def _executor():
+            return ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-shard"
+            )
 
         n_chunks = len(bounds)
         idx = 0
         start = 0
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
+        pool = _executor()
         abandoned = False
         try:
             while start < n_chunks:
@@ -1309,18 +1210,12 @@ class ClassificationPipeline:
                     idx < len(entries)
                     and entries[idx].effect_chunk <= start
                 ):
-                    entry = entries[idx]
-                    result = self._apply_entry(
-                        entry, idx, update_latencies, plan, report
-                    )
-                    if result is not None:
-                        update_results.append(result)
-                        if cached:
-                            for clone in clones:
-                                clone.cache.advance_epoch()
-                            self._thread_epoch = int(
-                                getattr(self.classifier, "update_epoch", 0)
-                            )
+                    if self._apply_entry(run, idx) and cached:
+                        for clone in clones:
+                            clone.cache.advance_epoch()
+                        self._thread_epoch = int(
+                            getattr(self.classifier, "update_epoch", 0)
+                        )
                     idx += 1
                 stop = n_chunks
                 if idx < len(entries) and entries[idx].effect_chunk < stop:
@@ -1328,12 +1223,12 @@ class ClassificationPipeline:
                 # Flush lazily-patched kernel state on the serving thread
                 # before shards walk the structures concurrently.
                 warm_batch_state(self.classifier, headers.shape[1])
-                group = list(range(start, stop))
-                futures = [
-                    (s, group[s::workers],
-                     pool.submit(_shard_serve, clones[s], group[s::workers], s))
-                    for s in range(workers)
-                ]
+                futures = []
+                for s in range(workers):
+                    # This epoch group's share of shard s (chunk i
+                    # belongs to shard i % workers, whatever the group).
+                    ids = range(start + (s - start) % workers, stop, workers)
+                    futures.append((s, ids, pool.submit(_shard_serve, s, ids)))
                 for s, ids, fut in futures:
                     deadline = timeout * max(1, len(ids)) if timeout else None
                     try:
@@ -1345,68 +1240,48 @@ class ClassificationPipeline:
                             shard=s, cause="timeout",
                         )
                         served = self._thread_fallback(
-                            exc, s, ids, headers, bounds, plan, attempt,
-                            report, sup,
+                            exc, s, ids, run, attempt
                         )
                         # The hung worker thread is a write-off: swap in
                         # a fresh executor for the remaining groups and
                         # abandon the old one without joining it.
-                        stale = pool
-                        pool = ThreadPoolExecutor(
-                            max_workers=workers,
-                            thread_name_prefix="repro-shard",
-                        )
-                        stale.shutdown(wait=False)
+                        pool.shutdown(wait=False)
+                        pool = _executor()
                         abandoned = True
                     except RECOVERABLE as exc:
                         served = self._thread_fallback(
-                            exc, s, ids, headers, bounds, plan, attempt,
-                            report, sup,
+                            exc, s, ids, run, attempt
                         )
                     for i, out in served:
                         outputs[i] = out
                 start = stop
         finally:
             pool.shutdown(wait=not abandoned)
-        return outputs, workers
+        return outputs
 
-    def _thread_fallback(
-        self, exc, shard, chunk_ids, headers, bounds, plan, attempt,
-        report, sup,
-    ):
+    def _thread_fallback(self, exc, shard, chunk_ids, run: _Run, attempt):
         """Re-serve one failed thread shard's chunk group inline on the
         parent classifier.  The group sits strictly between two update
         barriers, so replaying it chunk-by-chunk stays in its epoch."""
-        if report is not None:
-            report.record_failure(exc, shard=shard)
-        if sup is None or sup.policy.fault_policy == "fail":
-            raise (sup or Supervisor()).wrap_failure(
+        run.report.record_failure(exc, shard=shard)
+        if self.policy.fault_policy == "fail":
+            raise self._supervisor.wrap_failure(
                 exc, tier="threads", shard=shard
             ) from exc
-        if report is not None:
-            report.retries += 1
-            report.replays += len(chunk_ids)
+        run.report.retries += 1
+        run.report.replays += len(chunk_ids)
         return [
             (
                 i,
-                self._serve_chunk_inline(
-                    headers, bounds[i], i, plan, attempt + 1, report,
-                    shard=shard,
-                ) + (shard,),
+                self._serve_chunk_inline(run, i, attempt + 1, shard=shard)
+                + (shard,),
             )
             for i in chunk_ids
         ]
 
     # -- inline tier ----------------------------------------------------
     def _serve_chunk_inline(
-        self,
-        headers: np.ndarray,
-        b: tuple[int, int],
-        index: int,
-        plan: FaultPlan | None = None,
-        attempt: int = 0,
-        report: FaultReport | None = None,
-        shard: int | None = None,
+        self, run: _Run, index: int, attempt: int, shard: int | None = None
     ):
         """Serve one chunk on the parent classifier with per-chunk
         bounded retry (the inline tier, and the thread tier's fallback
@@ -1415,89 +1290,52 @@ class ClassificationPipeline:
         tries = 0
         while True:
             try:
-                if plan is not None:
-                    specs = plan.worker_faults(
-                        index, attempt + tries, shard=shard
+                specs = run.chunk_faults(index, attempt + tries, shard=shard)
+                if specs:
+                    fire_worker_specs(
+                        specs, in_process=True, chunk=index, shard=shard,
+                        timeout_s=self.policy.chunk_timeout_s,
                     )
-                    if specs:
-                        fire_worker_specs(
-                            specs, in_process=True, chunk=index, shard=shard,
-                            timeout_s=self._timeout_s(),
-                        )
-                return _run_chunk_local(self.classifier, headers, b)
-            except RECOVERABLE as exc:
-                if report is not None:
-                    report.record_failure(exc, shard=shard)
-                retriable = (
-                    sup is not None
-                    and sup.policy.fault_policy != "fail"
-                    and tries < sup.policy.max_retries
+                return _run_chunk_local(
+                    self.classifier, run.headers, run.bounds[index]
                 )
-                if not retriable:
-                    raise (sup or Supervisor()).wrap_failure(
+            except RECOVERABLE as exc:
+                run.report.record_failure(exc, shard=shard)
+                if not sup.may_retry(tries):
+                    raise sup.wrap_failure(
                         exc, tier="inline", chunk=index, shard=shard
                     ) from exc
-                if report is not None:
-                    report.retries += 1
-                    report.replays += 1
+                run.report.retries += 1
+                run.report.replays += 1
                 time.sleep(sup.backoff_s(tries))
                 tries += 1
 
-    def _run_inline(
-        self,
-        headers: np.ndarray,
-        bounds: list[tuple[int, int]],
-        entries: list[_ScheduledEntry],
-        update_results: list,
-        update_latencies: list[float],
-        *,
-        plan: FaultPlan | None = None,
-        attempt: int = 0,
-        report: FaultReport | None = None,
-    ) -> tuple[list[ChunkOutput], int]:
+    def _run_inline(self, run: _Run, attempt: int) -> list[ChunkOutput]:
         """Single-process serving loop — the ladder floor.  Updates are
-        interleaved at their chunk boundaries; under supervision each
-        *chunk* (not the dispatch) is retried, because batches already
-        applied mid-loop make whole-dispatch replay epoch-unsafe."""
+        interleaved at their chunk boundaries; each *chunk* (not the
+        dispatch) is retried, because batches already applied mid-loop
+        make whole-dispatch replay epoch-unsafe."""
         outputs: list[ChunkOutput] = []
         idx = 0
-        for i, b in enumerate(bounds):
-            while idx < len(entries) and entries[idx].effect_chunk <= i:
-                result = self._apply_entry(
-                    entries[idx], idx, update_latencies, plan, report
-                )
-                if result is not None:
-                    update_results.append(result)
+        for i in range(len(run.bounds)):
+            while (
+                idx < len(run.entries)
+                and run.entries[idx].effect_chunk <= i
+            ):
+                self._apply_entry(run, idx)
                 idx += 1
-            outputs.append(
-                self._serve_chunk_inline(
-                    headers, b, i, plan, attempt, report
-                ) + (0,)
-            )
-        # Batches scheduled past the last chunk apply after the trace.
-        while idx < len(entries):
-            result = self._apply_entry(
-                entries[idx], idx, update_latencies, plan, report
-            )
-            if result is not None:
-                update_results.append(result)
-            idx += 1
-        return outputs, 1
+            outputs.append(self._serve_chunk_inline(run, i, attempt) + (0,))
+        return outputs
 
     def _aggregate(
         self,
+        run: _Run,
         outputs: list[ChunkOutput],
-        bounds: list[tuple[int, int]],
-        n: int,
+        served: ShardPlan,
         elapsed: float,
-        workers: int,
-        entries: list[_ScheduledEntry] | None = None,
-        base_epoch: int | None = None,
-        update_results: list | None = None,
-        update_latencies: list[float] | None = None,
-        fault: FaultReport | None = None,
+        base_epoch: int | None,
     ) -> PipelineResult:
-        entries = entries or []
+        entries = run.entries
         # Epoch of chunk i = version at run start + batches in effect by
         # chunk i; deterministic whichever process applied them.
         effects = [e.effect_chunk for e in entries]
@@ -1506,14 +1344,9 @@ class ClassificationPipeline:
             ops_at[e.effect_chunk] = ops_at.get(e.effect_chunk, 0) + len(
                 e.batch
             )
-        # Densify worker labels (pids / thread indices) into 0-based
-        # shard ids, in first-served chunk order.
-        shard_of: dict[int, int] = {}
-        for out in outputs:
-            shard_of.setdefault(out[3], len(shard_of))
         chunks: list[ChunkStats] = []
-        for i, ((start, end), (match, occ, cache, label)) in enumerate(
-            zip(bounds, outputs)
+        for i, ((start, end), (match, occ, cache, shard)) in enumerate(
+            zip(run.bounds, outputs)
         ):
             epoch = (
                 None if base_epoch is None
@@ -1531,7 +1364,7 @@ class ClassificationPipeline:
                     cache_evictions=None if cache is None else cache[2],
                     epoch=epoch,
                     updates_applied=ops_at.get(i, 0),
-                    shard=shard_of[label],
+                    shard=shard,
                 )
             )
         if outputs:
@@ -1545,13 +1378,10 @@ class ClassificationPipeline:
             occupancy = None
         caches = [c for _, _, c, _ in outputs]
         has_cache = bool(caches) and all(c is not None for c in caches)
-        skipped = sum(
-            getattr(r, "skipped", 0) for r in (update_results or [])
-        )
         return PipelineResult(
             match=match,
             chunks=chunks,
-            n_shards=workers,
+            n_shards=served.workers,
             chunk_size=self.chunk_size,
             elapsed_s=elapsed,
             backend=getattr(self.classifier, "backend_name",
@@ -1562,12 +1392,14 @@ class ClassificationPipeline:
             cache_evictions=sum(c[2] for c in caches) if has_cache else None,
             update_batches=len(entries),
             update_ops=sum(len(e.batch) for e in entries),
-            update_skipped=skipped,
-            update_latencies_s=tuple(update_latencies or ()),
+            update_skipped=sum(
+                getattr(r, "skipped", 0) for r in run.update_results
+            ),
+            update_latencies_s=tuple(run.update_latencies),
             final_epoch=(
                 None if base_epoch is None else base_epoch + len(entries)
             ),
-            fault=fault,
+            fault=run.report,
         )
 
 

@@ -1,21 +1,22 @@
 """Worker supervision: deadlines, crash detection, retry, degradation.
 
-The serving pipeline's fault-tolerance brain.  A
-:class:`SupervisionPolicy` (built from
+The serving pipeline's fault-tolerance brain.  Every
+:class:`~repro.engine.pipeline.ClassificationPipeline` dispatch runs
+under a :class:`SupervisionPolicy` (built from
 :class:`~repro.serve.EngineConfig`'s ``fault_policy`` /
-``max_retries`` / ``chunk_timeout_s`` fields) is handed to
-:class:`~repro.engine.pipeline.ClassificationPipeline`, which routes
-every dispatch through a :class:`Supervisor`:
+``max_retries`` / ``chunk_timeout_s`` fields; ``fail`` with no deadline
+when none is given):
 
-* :func:`supervised_map` replaces the blind ``pool.map`` with an
-  in-order ``imap`` consumption loop that enforces a **per-chunk
-  deadline** and watches the pool's worker processes for **non-zero
-  exits** — a crashed worker surfaces as a typed
-  :class:`~repro.core.errors.WorkerCrashError` within one poll
-  interval instead of hanging ``map`` forever;
+* :class:`ShardWorkers` is the fork tiers' executor: one long-lived
+  worker process per shard, each on its own pipe.  The parent waits on
+  the shard pipes *and* the process sentinels, so a dead worker
+  surfaces as a typed :class:`~repro.core.errors.WorkerCrashError`
+  naming its shard the moment it exits, and a shard that makes no
+  progress for ``chunk_timeout_s`` as a
+  :class:`~repro.core.errors.ChunkTimeoutError`;
 * retries use **exponential backoff with seeded jitter**
   (:meth:`Supervisor.backoff_s`) and every fork-tier retry tears the
-  pool down and re-forks from the parent — the parent applies update
+  workers down and re-forks from the parent — the parent applies update
   batches only *after* a successful dispatch, so a replayed chunk
   re-applies its exact :class:`~repro.core.updates.ScheduledUpdate`
   prefix in the fresh workers and the run stays bit-identical;
@@ -23,15 +24,15 @@ every dispatch through a :class:`Supervisor`:
   ``degrade``, the pipeline walks the **degradation ladder**
   ``persistent -> processes -> threads -> inline`` (starting at the
   configured tier) and records every step taken;
-* :func:`teardown_pool` bounds pool teardown: ``terminate()`` then a
-  per-worker ``join`` deadline, then ``kill()`` for stragglers — a
-  hung worker cannot wedge ``close()``, and the shared-memory arena is
+* :meth:`ShardWorkers.close` bounds teardown: SIGTERM, a ``join``
+  against one shared deadline, then SIGKILL for stragglers — a hung
+  worker cannot wedge ``close()``, and the shared-memory arena is
   reaped by the pipeline right after.
 
 Everything observed lands in a :class:`FaultReport` carried on
 :class:`~repro.engine.pipeline.PipelineResult` (and merged into
 :class:`~repro.serve.EngineReport`): retries, chunk replays,
-degradations, crash counts per worker, quarantined packets and
+degradations, crash counts per shard, quarantined packets and
 recovery latencies.
 """
 
@@ -74,20 +75,13 @@ RECOVERABLE = (
     IngestError,
 )
 
-#: Poll interval of the dispatch monitor loop (seconds).
-_POLL_S = 0.02
-
-#: Grace period after observing a worker death, in case its last result
-#: was already in flight.
-_CRASH_GRACE_S = 0.1
-
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """Validated fault-handling policy for one pipeline.
 
     ``chunk_timeout_s = 0`` disables the deadline (crash detection via
-    exit-code watch stays on).  Backoff for retry ``k`` is
+    the process sentinels stays on).  Backoff for retry ``k`` is
     ``backoff_base_s * 2**k`` plus seeded jitter, capped at
     ``backoff_max_s``.
     """
@@ -139,7 +133,7 @@ class FaultReport:
     ingest_retries: int = 0
     #: Malformed trace lines dead-lettered by ingestion quarantine.
     quarantined: int = 0
-    #: Crash count per worker label (pid in fork tiers).
+    #: Crash count per 0-based shard id.
     shard_crashes: dict = field(default_factory=dict)
     #: Seconds from each fault's detection to the replacement dispatch
     #: starting (teardown + backoff), one entry per retry/degradation.
@@ -247,15 +241,25 @@ class Supervisor:
         jitter = 1.0 + 0.25 * self._rng.random()
         return min(self.policy.backoff_max_s, base * jitter)
 
+    def may_retry(self, attempt: int) -> bool:
+        """Whether the policy allows one more try after ``attempt``
+        failed ones."""
+        return (
+            self.policy.fault_policy != "fail"
+            and attempt < self.policy.max_retries
+        )
+
     def wrap_failure(
         self, exc: BaseException, *, tier: str, chunk=None, shard=None
     ) -> ServingFaultError:
         """Lift any recoverable failure into the typed serving error the
         ``fail`` policy (and exhausted retries) raise."""
-        shard = getattr(exc, "shard", None) or shard
-        chunk = getattr(exc, "chunk", None) if getattr(
-            exc, "chunk", None
-        ) is not None else chunk
+        # ``is not None``, not truthiness: shard 0 and chunk 0 are real
+        # coordinates.
+        if getattr(exc, "shard", None) is not None:
+            shard = exc.shard
+        if getattr(exc, "chunk", None) is not None:
+            chunk = exc.chunk
         return ServingFaultError(
             f"serving fault on tier {tier!r} "
             f"(shard={shard}, chunk={chunk}): {exc}",
@@ -266,94 +270,135 @@ class Supervisor:
         )
 
 
-def supervised_map(pool, fn, tasks, *, timeout_s: float = 0.0):
-    """In-order ``imap`` over ``tasks`` with a per-chunk deadline and a
-    worker exit-code watch.
+def _shard_entry(target, conn, shard: int, inherited) -> None:
+    """First code a forked shard worker runs: drop the parent-side pipe
+    ends the fork copied (so a vanished parent reads as EOF on this
+    worker's pipe instead of leaving an orphan), then serve."""
+    for other in inherited:
+        other.close()
+    target(conn, shard)
 
-    Returns the ordered result list, or raises:
 
-    * the worker's own exception (e.g. an injected fault or an arena
-      fence trip), as pickled back by the pool;
-    * :class:`WorkerCrashError` when a pool worker exits non-zero while
-      a chunk is outstanding (``multiprocessing.Pool`` loses the task
-      forever in that case — without this watch the dispatch would hang
-      indefinitely);
-    * :class:`ChunkTimeoutError` when one chunk exceeds ``timeout_s``.
+class ShardWorkers:
+    """One forked worker process per shard, each on its own pipe.
 
-    Transport-layer breakage from a dying pool (pipe EOF, respawned
-    workers missing their fork snapshot) is folded into
-    :class:`WorkerCrashError` too: after a worker death the pool is a
-    write-off either way, and the supervisor's answer — tear down and
-    re-fork — is the same.
+    Shard ``s`` is owned by ``procs[s]`` for the life of this object:
+    a dispatch sends that worker the ordered list of its chunks' tasks
+    in one message and reads one reply per task back, so which process
+    serves which chunk — and therefore every per-shard cache counter —
+    is fixed by the plan, never by scheduling.  ``target(conn, shard)``
+    is the worker body; it inherits the parent's memory copy-on-write.
     """
-    import multiprocessing
 
-    procs = list(getattr(pool, "_pool", ()))
-    it = pool.imap(fn, tasks)
-    out = []
-    for i in range(len(tasks)):
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s > 0 else None
+    def __init__(self, count: int, target) -> None:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.procs: list = []
+        self.conns: list = []
+        for shard in range(count):
+            ours, theirs = ctx.Pipe()
+            proc = ctx.Process(
+                target=_shard_entry,
+                args=(target, theirs, shard, (*self.conns, ours)),
+                name=f"repro-shard-{shard}",
+                daemon=True,
+            )
+            proc.start()
+            # Only the worker may hold its end, or its death would not
+            # read as EOF on ours.
+            theirs.close()
+            self.procs.append(proc)
+            self.conns.append(ours)
+
+    def _crashed(self, shard: int, chunk: int) -> WorkerCrashError:
+        proc = self.procs[shard]
+        proc.join(1.0)
+        return WorkerCrashError(
+            f"shard {shard} worker (pid {proc.pid}) exited with code "
+            f"{proc.exitcode} while chunk {chunk} was outstanding",
+            shard=shard,
+            chunk=chunk,
+            cause=f"exit:{proc.exitcode}",
         )
-        while True:
-            try:
-                out.append(it.next(_POLL_S))
-                break
-            except multiprocessing.TimeoutError:
-                dead = [
-                    p for p in procs if p.exitcode not in (None, 0)
-                ]
-                if dead:
-                    try:  # the result may have been in flight already
-                        out.append(it.next(_CRASH_GRACE_S))
-                        break
-                    except multiprocessing.TimeoutError:
-                        pass
-                    raise WorkerCrashError(
-                        f"worker pid {dead[0].pid} exited with code "
-                        f"{dead[0].exitcode} while chunk {i} was "
-                        f"outstanding",
-                        shard=dead[0].pid,
-                        chunk=i,
-                        cause=f"exit:{dead[0].exitcode}",
-                    ) from None
-                if deadline is not None and time.monotonic() > deadline:
+
+    def dispatch(self, common, shard_tasks, *, timeout_s: float = 0.0) -> list:
+        """Send shard ``s`` the message ``(common, shard_tasks[s])`` and
+        collect one reply per task; returns the replies in chunk order
+        (every task starts with its chunk index, and the indices of all
+        shards together are ``0..n-1``).
+
+        Raises the worker's own exception when a reply is one (an
+        injected fault, an arena fence trip), :class:`WorkerCrashError`
+        when a worker dies or its pipe breaks with chunks outstanding,
+        and :class:`ChunkTimeoutError` when a shard owes a chunk and
+        has answered nothing for ``timeout_s``.  After any of them the
+        workers may still hold or send stale replies: the caller must
+        :meth:`close` them, never dispatch again.
+        """
+        from multiprocessing.connection import wait
+
+        #: shard -> chunk indices not yet answered, next one last.
+        owed: dict[int, list[int]] = {}
+        for shard, tasks in enumerate(shard_tasks):
+            if tasks:
+                owed[shard] = [task[0] for task in reversed(tasks)]
+                try:
+                    self.conns[shard].send((common, tasks))
+                except OSError:
+                    raise self._crashed(shard, owed[shard][-1]) from None
+        replies: list = [None] * sum(len(tasks) for tasks in shard_tasks)
+        progress = dict.fromkeys(owed, time.monotonic())
+        while owed:
+            budget = None
+            if timeout_s > 0:
+                oldest = min(progress[shard] for shard in owed)
+                budget = max(0.0, oldest + timeout_s - time.monotonic())
+            ready = wait(
+                [self.conns[shard] for shard in owed]
+                + [self.procs[shard].sentinel for shard in owed],
+                budget,
+            )
+            for shard in list(owed):
+                conn, chunk = self.conns[shard], owed[shard][-1]
+                if conn in ready or self.procs[shard].sentinel in ready:
+                    # A dead worker's replies already in the pipe are
+                    # read first; only an empty pipe is a crash.
+                    try:
+                        if not conn.poll():
+                            raise EOFError
+                        reply = conn.recv()
+                    except (EOFError, OSError):
+                        raise self._crashed(shard, chunk) from None
+                    if isinstance(reply, BaseException):
+                        raise reply
+                    replies[chunk] = reply
+                    progress[shard] = time.monotonic()
+                    owed[shard].pop()
+                    if not owed[shard]:
+                        del owed[shard]
+                elif 0 < timeout_s < time.monotonic() - progress[shard]:
                     raise ChunkTimeoutError(
-                        f"chunk {i} exceeded the {timeout_s:.2f}s "
-                        f"dispatch deadline",
-                        chunk=i,
+                        f"shard {shard} exceeded the {timeout_s:.2f}s "
+                        f"deadline on chunk {chunk}",
+                        shard=shard,
+                        chunk=chunk,
                         cause="timeout",
-                    ) from None
-            except RECOVERABLE:
-                raise
-            except (AssertionError, OSError, EOFError, BrokenPipeError) as exc:
-                raise WorkerCrashError(
-                    f"worker pool broke while chunk {i} was outstanding: "
-                    f"{exc!r}",
-                    chunk=i,
-                    cause=exc,
-                ) from exc
-    return out
+                    )
+        return replies
 
-
-def teardown_pool(pool, *, deadline_s: float = 5.0) -> None:
-    """Terminate ``pool`` and reap its workers within a bounded
-    deadline: ``terminate()`` (SIGTERM), per-worker ``join`` slices of
-    the remaining budget, then ``kill()`` (SIGKILL) for anything still
-    alive — a worker stuck in an uninterruptible state cannot wedge
-    ``close()``, and no orphan processes are left behind."""
-    procs = list(getattr(pool, "_pool", ()))
-    pool.terminate()
-    stop_at = time.monotonic() + deadline_s
-    for proc in procs:
-        budget = stop_at - time.monotonic()
-        try:
-            if budget > 0:
-                proc.join(budget)
+    def close(self, *, deadline_s: float = 5.0) -> None:
+        """Reap every worker within a bounded deadline: SIGTERM, a
+        ``join`` against the shared budget, then SIGKILL for anything
+        still alive — a worker stuck in an uninterruptible state cannot
+        wedge ``close()``, and no orphan processes are left behind."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.terminate()
+        stop_at = time.monotonic() + deadline_s
+        for proc in self.procs:
+            proc.join(max(0.0, stop_at - time.monotonic()))
             if proc.is_alive():  # pragma: no cover - SIGTERM-immune worker
                 proc.kill()
                 proc.join(1.0)
-        except (OSError, ValueError, AssertionError):
-            # Already reaped by the pool's own maintenance thread.
-            continue
-    pool.join()

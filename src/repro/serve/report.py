@@ -91,7 +91,7 @@ class EngineReport:
     # -- fault tolerance -------------------------------------------------
     #: Supervisor observations (retries, replays, degradations,
     #: quarantined packets, crash counts, recovery latencies).  ``None``
-    #: on unsupervised runs; zero-counted on supervised fault-free ones.
+    #: only on a report merged from no runs; all-zero when fault-free.
     fault: FaultReport | None = None
 
     # -- energy/device model --------------------------------------------

@@ -237,8 +237,8 @@ class Engine:
 
     @property
     def pool_engaged(self) -> bool:
-        """Whether a persistent worker pool is currently alive."""
-        return self._pipeline._pool is not None
+        """Whether forked shard workers are currently being held."""
+        return self._pipeline.workers_alive
 
     def close(self) -> None:
         """Tear down the worker pool; the session stays reusable (the
@@ -387,29 +387,27 @@ class Engine:
         """Generator body of :meth:`stream` (threads start lazily on the
         first ``next()``; early ``close()`` of the iterator tears the
         session's threads down without leaking)."""
-        policy = self._pipeline.policy or SupervisionPolicy()
+        # Fork the shard workers before any thread exists: forking a
+        # multi-threaded process risks inheriting held locks.  A
+        # transient (non-persistent) config is served on stream-lifetime
+        # workers for the same reason — one pre-threads fork instead of
+        # one fork per segment — released when the stream ends.
+        with self._pipeline.held_workers(self.ruleset.schema.ndim):
+            yield from self._serve_stream(
+                segments, entries, prefetch, ring_slots, plan
+            )
+
+    def _serve_stream(
+        self,
+        segments: Iterable,
+        entries: list[ScheduledUpdate],
+        prefetch: int,
+        ring_slots: int,
+        plan: FaultPlan | None,
+    ) -> Iterator[ChunkResult]:
         supervisor = self._pipeline._supervisor
         stream_fault = FaultReport()
         quarantined_before = self.quarantine.count if self.quarantine else 0
-        sharded = self._pipeline.fork_planned()
-        borrowed_pool = False
-        if sharded:
-            # Fork the worker pool before any thread exists: forking a
-            # multi-threaded process risks inheriting held locks.  A
-            # transient (non-persistent) config is served through a
-            # stream-lifetime persistent pool for the same reason — one
-            # pre-threads fork instead of one fork per segment — and
-            # restored afterwards.
-            if not self._pipeline.persistent:
-                self._pipeline.persistent = True
-                borrowed_pool = True
-            try:
-                self._pipeline._ensure_pool(self.ruleset.schema.ndim)
-            except BaseException:
-                if borrowed_pool:
-                    self._pipeline.close()
-                    self._pipeline.persistent = False
-                raise
         ingest_q: queue.Queue = queue.Queue(maxsize=prefetch)
         ring: queue.Queue = queue.Queue(maxsize=ring_slots)
         stop = threading.Event()
@@ -465,16 +463,10 @@ class Engine:
                             _put(ingest_q, _DONE)
                             return
                         except IngestError:
-                            if (
-                                policy.fault_policy == "fail"
-                                or attempt >= policy.max_retries
-                            ):
+                            if not supervisor.may_retry(attempt):
                                 raise
                             stream_fault.ingest_retries += 1
-                            time.sleep(
-                                supervisor.backoff_s(attempt)
-                                if supervisor is not None else 0.05
-                            )
+                            time.sleep(supervisor.backoff_s(attempt))
                             attempt += 1
                     if not _put(ingest_q, segment):
                         return
@@ -619,6 +611,3 @@ class Engine:
             self.last_stream_fault = (
                 stream_fault if stream_fault.any() else None
             )
-            if borrowed_pool:
-                self._pipeline.close()
-                self._pipeline.persistent = False

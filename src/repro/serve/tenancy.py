@@ -207,7 +207,7 @@ class _PoolLease:
         return self._holder[0] if self._holder is not None else None
 
     def admit(self, name: str, pipeline: ClassificationPipeline) -> None:
-        if not (pipeline.persistent and pipeline.fork_planned()):
+        if not (pipeline.persistent and pipeline.plan().forks):
             return
         if self._holder is not None and self._holder[0] != name:
             self._holder[1].close()

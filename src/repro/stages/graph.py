@@ -262,8 +262,8 @@ class StageGraph:
         engine_plan = plan.engine_plan() if plan is not None else None
         entries = self.engine._normalise_stream_updates(updates)
         policy = self.engine.pipeline.policy
-        max_retries = policy.max_retries if policy is not None else 0
-        fail_fast = policy is None or policy.fault_policy == "fail"
+        max_retries = policy.max_retries
+        fail_fast = policy.fault_policy == "fail"
 
         reports = [
             StageReport(name=s.name, kind=s.kind) for s in self.spec.stages

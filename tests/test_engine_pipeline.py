@@ -146,13 +146,13 @@ class TestPersistentPool:
         )
         try:
             pipeline.run(acl_small_trace)
-            pool = pipeline._pool
+            pool = pipeline._workers
             if pool is not None:  # fork platforms only
                 pipeline.run(acl_small_trace)
-                assert pipeline._pool is pool
+                assert pipeline._workers is pool
         finally:
             pipeline.close()
-        assert pipeline._pool is None
+        assert pipeline._workers is None
         # Running again after close() forks a fresh pool on demand.
         res = pipeline.run(acl_small_trace)
         assert res.n_packets == acl_small_trace.n_packets
@@ -299,28 +299,29 @@ class TestShardModes:
         assert per_shard is not None and len(per_shard) == 2
         assert all(d["hits"] > 0 for d in per_shard)
 
+    @pytest.mark.parametrize("cpus", [1, 4])
     def test_auto_mode_never_loses_to_single_process(
-        self, acc_small, acl_small_trace
+        self, cpus, acc_small, acl_small_trace, monkeypatch
     ):
         # "auto" on a host where min(shards, cpus) < 2 must serve the
         # trace single-process (n_shards == 1) rather than paying fork +
         # IPC for a 1-worker pool; with enough CPUs it forks like
-        # "processes".  Either way the matches are identical.
-        import os
+        # "processes".  Either way the matches are identical.  The CPU
+        # count is patched at the plan's one seam, so both branches run
+        # on any machine.
+        from repro.engine import pipeline as pipeline_module
 
+        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: cpus)
         pipeline = ClassificationPipeline(
             acc_small, chunk_size=256, shards=4, shard_mode="auto"
         )
         res = pipeline.run(acl_small_trace)
-        can_win = (
-            min(4, os.cpu_count() or 1) >= 2
-            and pipeline._fork_available()
-        )
-        assert res.n_shards == (min(4, os.cpu_count() or 1) if can_win else 1)
+        can_win = min(4, cpus) >= 2 and pipeline._fork_available()
+        assert res.n_shards == (min(4, cpus) if can_win else 1)
         assert np.array_equal(
             res.match, acc_small.classify_trace(acl_small_trace)
         )
-        assert pipeline.fork_planned() == can_win
+        assert pipeline.plan().forks == can_win
 
     def test_processes_mode_forces_fork(self, acc_small, acl_small_trace):
         # The historical contract: shards > 1 forks whenever the
@@ -330,4 +331,4 @@ class TestShardModes:
         )
         if not pipeline._fork_available():  # pragma: no cover
             pytest.skip("fork multiprocessing unavailable")
-        assert pipeline.fork_planned()
+        assert pipeline.plan().forks

@@ -12,7 +12,13 @@ may leak: no orphaned worker processes, no shared-memory segments.
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -114,7 +120,7 @@ class TestForkTierFaults:
                 )
         exc = excinfo.value
         assert exc.tier == "processes"
-        assert exc.shard is not None  # the dead worker's pid
+        assert exc.shard is not None  # the dead worker's shard id
         assert isinstance(exc.cause, WorkerCrashError)
 
     def test_retries_exhausted_raises(self, acl_small, acl_small_trace):
@@ -138,6 +144,69 @@ class TestForkTierFaults:
                 pipe.run(
                     acl_small_trace, faults=[FaultSpec(kind="crash", chunk=0)]
                 )
+
+    def test_dead_worker_without_policy_or_plan_raises(self):
+        """A directly constructed pipeline (no policy, no fault plan)
+        whose worker really dies mid-run raises the typed error within
+        seconds.  ``multiprocessing.Pool.map`` lost the dead worker's
+        task and never returned, so the run lives in a session of its
+        own under a hard timeout: a hang is a failure, not a hung
+        suite."""
+        script = textwrap.dedent("""
+            import json, os, time
+            from repro import generate_ruleset, generate_trace
+            from repro.core.errors import ServingFaultError
+            from repro.engine import ClassificationPipeline, build_backend
+
+            class DiesOnSecondChunk:
+                def __init__(self, inner):
+                    self.inner, self.parent, self.served = inner, os.getpid(), 0
+                def classify_batch(self, headers):
+                    if len(headers) and os.getpid() != self.parent:
+                        self.served += 1
+                        if self.served == 2:
+                            os._exit(70)
+                    return self.inner.classify_batch(headers)
+                def __getattr__(self, name):
+                    return getattr(self.inner, name)
+
+            rs = generate_ruleset("acl1", 150, seed=101)
+            trace = generate_trace(rs, 2000, seed=201)
+            pipe = ClassificationPipeline(
+                DiesOnSecondChunk(build_backend("linear", rs)),
+                chunk_size=256, shards=2, shard_mode="processes",
+            )
+            started = time.monotonic()
+            try:
+                pipe.run(trace)
+            except ServingFaultError as exc:
+                print(json.dumps({
+                    "cause": type(exc.cause).__name__, "tier": exc.tier,
+                    "shard": exc.shard, "chunk": exc.chunk,
+                    "exit": exc.cause.cause, "workers": pipe.plan().workers,
+                    "seconds": time.monotonic() - started,
+                }))
+        """)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the run never returned after its worker died")
+        assert proc.returncode == 0 and out.strip(), out
+        seen = json.loads(out)
+        assert (seen["cause"], seen["tier"], seen["exit"]) == (
+            "WorkerCrashError", "processes", "exit:70"
+        )
+        # Shard s owns chunks s, s + workers, ...: its second one.
+        assert seen["chunk"] == seen["shard"] + seen["workers"]
+        assert seen["seconds"] < 10.0
 
     def test_fault_free_supervised_run_is_clean(
         self, acl_small, acl_small_trace, acl_small_oracle
@@ -224,7 +293,7 @@ class TestArenaFence:
             assert res.fault.arena_faults == 1
             assert res.fault.retries == 1
             # The poisoned pool was torn down and a fresh one re-forked.
-            assert pipe._pool is not None
+            assert pipe._workers is not None
 
     def test_corruption_fail_policy(self, acl_small, acl_small_trace):
         with make_pipeline(
@@ -241,8 +310,8 @@ class TestArenaFence:
         )
         try:
             pipe.run(acl_small_trace, faults=[FaultSpec(kind="crash", chunk=0)])
-            assert pipe._pool is not None and pipe._arena is not None
-            procs = list(pipe._pool._pool)
+            assert pipe._workers is not None and pipe._arena is not None
+            procs = list(pipe._workers.procs)
             names = tuple(pipe._arena["names"])
         finally:
             pipe.close()

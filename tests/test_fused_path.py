@@ -8,7 +8,11 @@ misses only, scatter back, and a same-pass cache fill.  The contract is
 **bit-identity**: at every shard count, shard mode, trace shape, and
 update schedule, the fused path must produce exactly the matches *and*
 exactly the cache counters of the unfused path on the same chunk grid
-(fill order included — eviction state must not drift).
+(fill order included — eviction state must not drift).  That holds on
+the fork tiers as on the thread tier because chunk ``i`` is always
+served by shard ``i % workers`` (``tests/test_shard_determinism.py``
+pins the map itself): each shard's private cache sees the same chunk
+sequence in both runs.
 
 This suite pins that contract on a grid of backend x shards x shard
 mode x trace locality, with and without live updates mid-stream, plus

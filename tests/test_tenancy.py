@@ -13,6 +13,7 @@ import asyncio
 import json
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,8 +210,8 @@ class _FakePipeline:
         self._plans_fork = plans_fork
         self.closed = 0
 
-    def fork_planned(self):
-        return self._plans_fork
+    def plan(self):
+        return SimpleNamespace(forks=self._plans_fork)
 
     def close(self):
         self.closed += 1
