@@ -173,6 +173,48 @@ def test_flat_kernel_speedup_gate(acl10k_hw_tree, acl10k_trace):
     assert speedup >= 5, f"flat kernel only {speedup:.1f}x the reference"
 
 
+def test_flat_kernel_scaling_gate():
+    """Acceptance gate: a packet costs the kernel no more in a large
+    dispatch than in a small one — pps of one 65,536-packet
+    ``batch_lookup`` is >= 0.8x the pps at 4,096 packets.  Same tree,
+    same run, the two sizes interleaved, so the ratio carries no host
+    speed.  The workload is the ledger's ``kernel_miss``: its ruleset
+    and tree, one new flow per packet (~16 rule pairs expanded per
+    packet).  The engine coalesces dispatches to 65,536 packets for
+    IPC's sake; an untiled kernel's pair temporaries then outgrow the
+    cache and the ratio falls to 0.6-0.8."""
+    rules = generate_ruleset("acl1", 2500, seed=11)
+    flat = build_backend(
+        "hypercuts", rules, binth=30, spfac=4, hw_mode=True
+    ).tree.flat
+    large = generate_zipf_trace(
+        rules, 65_536, n_flows=65_536, skew=0.0, seed=8
+    )
+    small = large.subset(4_096)
+    t_small = t_large = float("inf")
+    for _ in range(5):
+        t_small = min(
+            t_small, _best_of(lambda: flat.batch_lookup(small), repeats=4)
+        )
+        t_large = min(
+            t_large, _best_of(lambda: flat.batch_lookup(large), repeats=1)
+        )
+    pps_small = small.n_packets / t_small
+    pps_large = large.n_packets / t_large
+    ratio = pps_large / pps_small
+    _PERF["flat_kernel_scaling"] = {
+        "rules": 2500,
+        "small_packets": small.n_packets,
+        "large_packets": large.n_packets,
+        "small_pps": round(pps_small),
+        "large_pps": round(pps_large),
+        "large_over_small": round(ratio, 3),
+    }
+    assert ratio >= 0.8, (
+        f"kernel at 65,536 packets runs at {ratio:.2f}x its 4,096-packet pps"
+    )
+
+
 @pytest.mark.parametrize("algorithm", ["hicuts", "hypercuts"])
 def test_flat_batch_lookup(benchmark, algorithm, acl10k, acl10k_trace):
     """Flat-kernel throughput per tree algorithm (10k rules, hw mode)."""

@@ -22,10 +22,21 @@ structure-of-arrays buffers:
 level per iteration with gather/scatter indexing: there is no
 ``np.unique`` grouping, no Python loop over nodes, and no per-packet
 work — the only Python-level loops are over the (at most ``ndim``) axis
-slots and over tree depth.  Leaf and pushed-rule linear searches are
-resolved with a segmented first-match kernel (exact-size ``np.repeat``
-expansion + ``np.minimum.reduceat``), so the work performed equals the
-comparisons the reference traversal counts.
+slots, over tree depth and over tiles.  Leaf and pushed-rule linear
+searches are resolved by one segmented first-match kernel
+(:meth:`FlatTree._first_match`): an exact-size ``np.repeat`` expansion of
+the (packet, rule) pairs, the two leading dimensions tested over all
+pairs and the rest over the survivors, the first hit per packet read off
+the survivors' order.
+
+**Tiles.**  The input is walked ``_TILE_PACKETS`` packets at a time, each
+tile writing its slice of outputs allocated once.  The engine coalesces
+dispatches to 65,536 packets to amortise IPC; a walk of that many
+expands ~1M pairs into a dozen 4-8 MB temporaries, and every pass over
+them goes to memory.  A tile's temporaries stay in L2, so a packet costs
+the same in a large dispatch as in a small one, and dispatch size (IPC)
+and kernel working set (cache) are separate numbers.  Callers see no
+difference; an input of at most one tile is one walk, as before.
 
 The kernel reproduces :meth:`DecisionTree.batch_lookup_reference`
 bit-for-bit on every :class:`~repro.algorithms.base.BatchLookup` field
@@ -62,9 +73,9 @@ from ..core.packet import PacketTrace
 
 from .base import EMPTY_CHILD, LEAF, BatchLookup
 
-#: Sentinel larger than any within-leaf index, used by the segmented
-#: first-match reduction.
-_NO_HIT = np.int64(1) << 62
+#: Packets walked at a time: a tile's (packet, rule) pair temporaries stay
+#: in a core's L2, whatever size the engine coalesced the dispatch to.
+_TILE_PACKETS = 8192
 
 #: Padding upper bound for unused axis slots in software mode — larger
 #: than any 32-bit field value, so padded slots never flag "outside".
@@ -174,10 +185,12 @@ class FlatTree:
         # holds ``hi - lo`` so the interval test is a single unsigned
         # compare: ``(v - lo) <= span`` (uint32 wraparound makes ``v < lo``
         # read as a huge value).  Identical outcome to ``lo <= v <= hi``.
-        self.leaf_lo = arrays.lo[:, self.leaf_rules]
-        self.leaf_span = arrays.hi[:, self.leaf_rules] - self.leaf_lo
-        self.push_lo = arrays.lo[:, self.push_rules]
-        self.push_span = arrays.hi[:, self.push_rules] - self.push_lo
+        # ``np.take`` returns C order (``lo[:, ids]`` comes back F-ordered):
+        # the kernel gathers from one dimension's row at a time.
+        self.leaf_lo = np.take(arrays.lo, self.leaf_rules, axis=1)
+        self.leaf_span = np.take(arrays.span, self.leaf_rules, axis=1)
+        self.push_lo = np.take(arrays.lo, self.push_rules, axis=1)
+        self.push_span = np.take(arrays.span, self.push_rules, axis=1)
         self.has_pushed = bool(self.push_rules.size)
 
     def _finalize_pow2(self) -> None:
@@ -431,9 +444,7 @@ class FlatTree:
                 old_data[b : b + row.size] = row
                 if bounds is not None:
                     lo_tab[:, b : b + row.size] = arrays.lo[:, row]
-                    span_tab[:, b : b + row.size] = (
-                        arrays.hi[:, row] - arrays.lo[:, row]
-                    )
+                    span_tab[:, b : b + row.size] = arrays.span[:, row]
             if old_base.size < lens.size:
                 # Appended nodes that do not participate here still need
                 # base slots (canonically zero).
@@ -472,9 +483,11 @@ class FlatTree:
             if part[nid] and row.size:
                 segs.append(row)
                 if bounds is not None:
-                    row_lo = arrays.lo[:, row]
-                    lo_segs.append(row_lo)
-                    span_segs.append(arrays.hi[:, row] - row_lo)
+                    # C-ordered like the old table's segments, so the
+                    # stitched table is too (``concatenate`` follows
+                    # its inputs' layout).
+                    lo_segs.append(np.take(arrays.lo, row, axis=1))
+                    span_segs.append(np.take(arrays.span, row, axis=1))
             cursor = start + ln
         segs.append(old_data[cursor:])
         data = np.concatenate(segs)
@@ -502,16 +515,35 @@ class FlatTree:
     # ------------------------------------------------------------------
     def batch_lookup(self, trace: PacketTrace) -> BatchLookup:
         """Classify a whole trace; see module docstring for the scheme."""
-        headers32 = trace.headers  # uint32, used by the match kernels
+        headers32 = trace.headers  # uint32, used by the match kernel
+        n = headers32.shape[0]
+        out = BatchLookup(
+            match=np.full(n, -1, dtype=np.int64),
+            internal_nodes=np.zeros(n, dtype=np.int32),
+            leaf_id=np.full(n, -1, dtype=np.int32),
+            leaf_size=np.zeros(n, dtype=np.int32),
+            match_pos=np.full(n, -1, dtype=np.int32),
+            rules_compared=np.zeros(n, dtype=np.int32),
+        )
+        for lo in range(0, n, _TILE_PACKETS):
+            tile = slice(lo, lo + _TILE_PACKETS)
+            self._lookup_tile(
+                headers32[tile], out.match[tile], out.internal_nodes[tile],
+                out.leaf_id[tile], out.leaf_size[tile], out.match_pos[tile],
+                out.rules_compared[tile],
+            )
+        return out
+
+    def _lookup_tile(
+        self, headers32: np.ndarray, match: np.ndarray,
+        internal_nodes: np.ndarray, leaf_id: np.ndarray,
+        leaf_size: np.ndarray, match_pos: np.ndarray,
+        rules_compared: np.ndarray,
+    ) -> None:
+        """Walk one tile of packets root to leaf, writing its slice of
+        every output (views into the caller's preallocated arrays)."""
         headers = headers32.astype(np.int64)  # traversal arithmetic
         n = headers.shape[0]
-        match = np.full(n, -1, dtype=np.int64)
-        internal_nodes = np.zeros(n, dtype=np.int32)
-        match_pos = np.full(n, -1, dtype=np.int32)
-        leaf_id = np.full(n, -1, dtype=np.int32)
-        leaf_size = np.zeros(n, dtype=np.int32)
-        rules_compared = np.zeros(n, dtype=np.int32)
-
         cur = np.zeros(n, dtype=np.int32)
         active = np.arange(n, dtype=np.int64)
         guard = 0
@@ -522,11 +554,19 @@ class FlatTree:
             nodes = cur[active].astype(np.int64)
             at_leaf = self.kind[nodes] == LEAF
             if at_leaf.any():
-                self._resolve_leaves(
-                    active[at_leaf], nodes[at_leaf], headers32, match,
-                    match_pos, leaf_id, leaf_size, rules_compared,
-                )
-                cur[active[at_leaf]] = -2
+                sel = active[at_leaf]
+                nids = nodes[at_leaf]
+                lens = self.leaf_len[nids]
+                leaf_id[sel] = nids
+                leaf_size[sel] = lens
+                nz = lens > 0
+                if nz.any():
+                    self._match_lists(
+                        sel[nz], self.leaf_base[nids[nz]], lens[nz],
+                        self.leaf_rules, self.leaf_lo, self.leaf_span,
+                        headers32, match, rules_compared, match_pos,
+                    )
+                cur[sel] = -2
             internal = ~at_leaf
             if internal.any():
                 sel = active[internal]
@@ -546,33 +586,33 @@ class FlatTree:
                     leaf_size[sel[dead]] = 0
                 cur[sel] = np.where(dead, np.int32(-2), child)
             active = active[cur[active] >= 0]
-        return BatchLookup(
-            match=match,
-            internal_nodes=internal_nodes,
-            leaf_id=leaf_id,
-            leaf_size=leaf_size,
-            match_pos=match_pos,
-            rules_compared=rules_compared,
-        )
 
     # ------------------------------------------------------------------
     def batch_match(self, headers32: np.ndarray) -> np.ndarray:
         """Match-only traversal: the fused-lookup hot path.
 
-        Same level-synchronous walk as :meth:`batch_lookup` but without
-        the statistics bookkeeping (``internal_nodes``, ``leaf_id``,
-        ``leaf_size``, ``match_pos``, ``rules_compared``) and without a
-        :class:`~repro.core.packet.PacketTrace` wrapper — it takes the
-        raw ``(n, ndim)`` uint32 header array a cache miss-set already
-        is.  Matches are bit-identical to ``batch_lookup(...).match``
-        (the fused-path conformance suite asserts it); use
-        :meth:`batch_lookup` when the occupancy/energy statistics are
-        needed.
+        The walk of :meth:`batch_lookup`, tile by tile through the same
+        first-match kernel, scattering nothing but ``match``: the five
+        statistics arrays are neither allocated nor written (measured
+        5-13% of a walk).  Takes the raw ``(n, ndim)`` uint32 header
+        array a cache miss-set already is, not a
+        :class:`~repro.core.packet.PacketTrace`.  Matches are
+        bit-identical to ``batch_lookup(...).match`` (the fused-path
+        conformance suite asserts it); use :meth:`batch_lookup` when the
+        occupancy/energy statistics are needed.
         """
         headers32 = np.ascontiguousarray(headers32, dtype=np.uint32)
+        n = headers32.shape[0]
+        match = np.full(n, -1, dtype=np.int64)
+        for lo in range(0, n, _TILE_PACKETS):
+            tile = slice(lo, lo + _TILE_PACKETS)
+            self._match_tile(headers32[tile], match[tile])
+        return match
+
+    def _match_tile(self, headers32: np.ndarray, match: np.ndarray) -> None:
+        """:meth:`_lookup_tile` without the statistics."""
         headers = headers32.astype(np.int64)  # traversal arithmetic
         n = headers.shape[0]
-        match = np.full(n, -1, dtype=np.int64)
         cur = np.zeros(n, dtype=np.int32)
         active = np.arange(n, dtype=np.int64)
         guard = 0
@@ -610,7 +650,6 @@ class FlatTree:
                 child, dead = self._advance(sel, nids, headers)
                 cur[sel] = np.where(dead, np.int32(-2), child)
             active = active[cur[active] >= 0]
-        return match
 
     # ------------------------------------------------------------------
     def _advance(
@@ -645,22 +684,59 @@ class FlatTree:
         return child, (child == EMPTY_CHILD) | outside
 
     # ------------------------------------------------------------------
-    def _resolve_leaves(
-        self, sel: np.ndarray, nids: np.ndarray, headers32: np.ndarray,
-        match: np.ndarray, match_pos: np.ndarray, leaf_id: np.ndarray,
-        leaf_size: np.ndarray, rules_compared: np.ndarray,
+    @staticmethod
+    def _first_match(
+        sel: np.ndarray, base: np.ndarray, lens: np.ndarray,
+        lo_tab: np.ndarray, span_tab: np.ndarray, headers32: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Segmented first-match over per-packet rule lists (CSR).
+
+        Packet ``sel[i]`` searches slots ``base[i]`` to ``base[i] +
+        lens[i]`` of ``lo_tab`` / ``span_tab`` (a list may be empty,
+        ``lens`` may not).  Returns ``(hit, first)``: the indices ``i``
+        whose list holds a matching rule, ascending, and the within-list
+        index of the first one.
+
+        Expands exactly ``lens.sum()`` (packet, rule) pairs.  The first
+        two dimensions (the highly selective IP prefixes on 5-tuple
+        rulesets) are tested over all pairs; only the survivors are
+        tested on the rest.  Pairs are laid out list after list, so the
+        final survivors are sorted by packet and by slot within a
+        packet: the first hit of a packet is the survivor whose
+        predecessor belongs to another packet.
+        """
+        starts = np.zeros(lens.size, dtype=np.int64)
+        np.cumsum(lens[:-1], out=starts[1:])
+        total = int(starts[-1] + lens[-1])
+        pos = np.arange(total, dtype=np.int64) + np.repeat(base - starts, lens)
+        ndim = headers32.shape[1]
+        lead = min(2, ndim)
+        ok = np.ones(total, dtype=bool)
+        for d in range(lead):
+            v = np.repeat(headers32[sel, d], lens)
+            ok &= (v - lo_tab[d][pos]) <= span_tab[d][pos]
+        alive = np.nonzero(ok)[0]
+        pk = np.searchsorted(starts, alive, side="right") - 1
+        for d in range(lead, ndim):
+            pa = pos[alive]
+            keep = (headers32[sel[pk], d] - lo_tab[d][pa]) <= span_tab[d][pa]
+            alive = alive[keep]
+            pk = pk[keep]
+        is_first = np.ones(pk.size, dtype=bool)
+        is_first[1:] = pk[1:] != pk[:-1]
+        hit = pk[is_first]
+        return hit, alive[is_first] - starts[hit]
+
+    @staticmethod
+    def _keep_best(
+        match: np.ndarray, pkts: np.ndarray, cand: np.ndarray
     ) -> None:
-        lens = self.leaf_len[nids]
-        leaf_id[sel] = nids
-        leaf_size[sel] = lens
-        nz = lens > 0
-        if not nz.any():
-            return
-        self._match_lists(
-            sel[nz], self.leaf_base[nids[nz]], lens[nz], self.leaf_rules,
-            self.leaf_lo, self.leaf_span, headers32, match, rules_compared,
-            match_pos,
-        )
+        """Priority resolution against the running best (pushed rules
+        seen higher up the path): the reference's compare-and-keep-
+        smaller update."""
+        cur_best = match[pkts]
+        better = (cur_best < 0) | (cand < cur_best)
+        match[pkts[better]] = cand[better]
 
     def _match_lists(
         self, sel: np.ndarray, base: np.ndarray, lens: np.ndarray,
@@ -668,103 +744,26 @@ class FlatTree:
         headers32: np.ndarray, match: np.ndarray,
         rules_compared: np.ndarray, match_pos: np.ndarray | None = None,
     ) -> None:
-        """Segmented first-match over per-packet rule lists (CSR).
-
-        Expands exactly ``lens.sum()`` (packet, rule) pairs — the same
-        comparison count the reference charges.  The first two dimensions
-        (the highly selective IP prefixes on 5-tuple rulesets) are tested
-        over all pairs; the surviving pair set is then compacted and the
-        remaining dimensions only touch the survivors, which cuts the
-        gather volume by the survivors' fraction.  The first hit per
-        packet falls out of one ``np.minimum.reduceat`` over the segment
-        layout.  Priority resolution against the running best (pushed
-        rules seen higher up the path) matches the reference's
-        compare-and-keep-smaller update.
-        """
-        starts = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        total = int(starts[-1] + lens[-1])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-        pos = np.repeat(base, lens) + within
-        ndim = self.schema.ndim
-        lead = min(2, ndim)
-        ok = np.ones(total, dtype=bool)
-        for d in range(lead):
-            v = np.repeat(headers32[sel, d], lens)
-            ok &= (v - lo_tab[d, pos]) <= span_tab[d, pos]
-        if lead < ndim:
-            alive = np.nonzero(ok)[0]
-            pair_pkt = np.repeat(
-                np.arange(sel.size, dtype=np.int64), lens
-            )[alive]
-            for d in range(lead, ndim):
-                va = headers32[sel, d][pair_pkt]
-                pa = pos[alive]
-                keep = (va - lo_tab[d, pa]) <= span_tab[d, pa]
-                alive = alive[keep]
-                pair_pkt = pair_pkt[keep]
-            score = np.full(total, _NO_HIT, dtype=np.int64)
-            score[alive] = within[alive]
-        else:
-            score = np.where(ok, within, _NO_HIT)
-        first = np.minimum.reduceat(score, starts)
-        hit_m = first < _NO_HIT
-        first32 = np.where(hit_m, first, -1).astype(np.int32)
-        if match_pos is not None:
-            match_pos[sel] = first32
-        rules_compared[sel] += np.where(hit_m, first + 1, lens).astype(
-            np.int32
+        """First match per list, charged the comparisons the reference
+        counts: up to and including the hit, or the whole list."""
+        hit, first = self._first_match(
+            sel, base, lens, lo_tab, span_tab, headers32
         )
-        hit = sel[hit_m]
-        cand = rules_flat[base[hit_m] + first[hit_m]]
-        cur_best = match[hit]
-        better = (cur_best < 0) | (cand < cur_best)
-        match[hit[better]] = cand[better]
+        compared = lens.astype(np.int32)
+        compared[hit] = first + 1
+        rules_compared[sel] += compared
+        pkts = sel[hit]
+        if match_pos is not None:
+            match_pos[pkts] = first  # a miss keeps the initial -1
+        self._keep_best(match, pkts, rules_flat[base[hit] + first])
 
     def _match_only(
         self, sel: np.ndarray, base: np.ndarray, lens: np.ndarray,
         rules_flat: np.ndarray, lo_tab: np.ndarray, span_tab: np.ndarray,
         headers32: np.ndarray, match: np.ndarray,
     ) -> None:
-        """:meth:`_match_lists` without the statistics side channels.
-
-        Identical pair expansion, lead-dimension prefilter, survivor
-        compaction and first-match reduction — but no ``rules_compared``
-        accumulation or ``match_pos`` scatter, so the fused hot path
-        skips two full-width gathers and scatters per level.  The match
-        outcome (including the priority compare-and-keep against pushed
-        rules seen higher up the path) is bit-identical.
-        """
-        starts = np.zeros(lens.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        total = int(starts[-1] + lens[-1])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-        pos = np.repeat(base, lens) + within
-        ndim = self.schema.ndim
-        lead = min(2, ndim)
-        ok = np.ones(total, dtype=bool)
-        for d in range(lead):
-            v = np.repeat(headers32[sel, d], lens)
-            ok &= (v - lo_tab[d, pos]) <= span_tab[d, pos]
-        if lead < ndim:
-            alive = np.nonzero(ok)[0]
-            pair_pkt = np.repeat(
-                np.arange(sel.size, dtype=np.int64), lens
-            )[alive]
-            for d in range(lead, ndim):
-                va = headers32[sel, d][pair_pkt]
-                pa = pos[alive]
-                keep = (va - lo_tab[d, pa]) <= span_tab[d, pa]
-                alive = alive[keep]
-                pair_pkt = pair_pkt[keep]
-            score = np.full(total, _NO_HIT, dtype=np.int64)
-            score[alive] = within[alive]
-        else:
-            score = np.where(ok, within, _NO_HIT)
-        first = np.minimum.reduceat(score, starts)
-        hit_m = first < _NO_HIT
-        hit = sel[hit_m]
-        cand = rules_flat[base[hit_m] + first[hit_m]]
-        cur_best = match[hit]
-        better = (cur_best < 0) | (cand < cur_best)
-        match[hit[better]] = cand[better]
+        """:meth:`_match_lists` without the statistics side channels."""
+        hit, first = self._first_match(
+            sel, base, lens, lo_tab, span_tab, headers32
+        )
+        self._keep_best(match, sel[hit], rules_flat[base[hit] + first])

@@ -4,7 +4,8 @@ The incremental updater reports touched node ids; :meth:`FlatTree.patch`
 splices exactly those rows.  The contract under test is the strongest
 one available: after every patch, every compiled buffer is **bit
 identical** to a fresh ``FlatTree`` compile of the mutated tree — same
-dtypes, same shapes, same contents, same mask/shift fast-path flag.
+dtypes, same shapes, same contents, same (C-contiguous) memory layout,
+same mask/shift fast-path flag.
 A second group pins the serving-path fix: ``DecisionTree.batch_lookup``
 after an update takes the patch path (the patch counter moves, the
 recompile counter does not), so a silent fallback to full recompilation
@@ -38,6 +39,10 @@ def assert_bit_identical(tree, tag="") -> None:
         assert a.dtype == b.dtype, (tag, name, a.dtype, b.dtype)
         assert a.shape == b.shape, (tag, name, a.shape, b.shape)
         assert np.array_equal(a, b), (tag, name)
+        # Same memory layout too: the kernel gathers from per-dimension
+        # rows of the bound tables, which must stay unit-stride.
+        assert a.flags["C_CONTIGUOUS"], (tag, name)
+        assert a.strides == b.strides, (tag, name, a.strides, b.strides)
 
 
 @pytest.mark.parametrize("algorithm,family,hw_mode,binth", [

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro import generate_zipf_trace
+from repro.algorithms import flat_tree
 from repro.core.errors import ConfigError
 from repro.core.updates import ScheduledUpdate, insert_op, remove_op
 from repro.engine import (
@@ -220,6 +221,32 @@ class TestBatchMatchKernel:
         full = tree.flat.batch_lookup(acl_small_trace)
         lean = tree.flat.batch_match(acl_small_trace.headers)
         assert np.array_equal(full.match, lean)
+
+    def test_tiled_miss_walk_is_invisible(
+        self, monkeypatch, acl_small, acl_small_trace
+    ):
+        """With the kernel tile shrunk to 64 packets a cold 2000-packet
+        batch makes a miss walk of many tiles: same matches from
+        ``batch_match`` and the same matches and cache counters from
+        the fused serving path above it."""
+
+        def serve():
+            cached = _make_cached("tree", acl_small, fused=True)
+            flat = cached.classifier.tree.flat
+            lean = flat.batch_match(acl_small_trace.headers)
+            assert np.array_equal(
+                lean, flat.batch_lookup(acl_small_trace).match
+            )
+            served = cached.classify_trace(acl_small_trace)
+            stats = cached.cache.stats
+            return lean, served, (stats.hits, stats.misses, stats.evictions)
+
+        one_tile = serve()
+        monkeypatch.setattr(flat_tree, "_TILE_PACKETS", 64)
+        tiled = serve()
+        assert np.array_equal(tiled[0], one_tile[0])
+        assert np.array_equal(tiled[1], one_tile[1])
+        assert tiled[2] == one_tile[2]
 
     def test_empty_input(self, acl_small):
         tree = build_backend(
