@@ -61,6 +61,8 @@ class UpdateStats:
     subtrees_rebuilt: int = 0
     new_leaves: int = 0
     touched: set[int] = field(default_factory=set)
+    #: The stable id an insert gave its rule (-1 for a removal).
+    rule_id: int = -1
 
 
 class IncrementalClassifier:
@@ -91,6 +93,12 @@ class IncrementalClassifier:
         self._live = np.ones(len(self._ruleset), dtype=bool)
         self.tree = self._build(self._ruleset)
         self._refcounts = self._count_refs()
+        #: rule id -> ids of the nodes storing it (in a leaf's list or
+        #: an internal node's pushed list), so a removal edits its
+        #: holders instead of scanning the tree.  Kept exact by every
+        #: edit of a stored list: leaf append, fresh leaf, CoW clone,
+        #: subtree splice, removal.
+        self._holders = self._index_holders()
         #: Ruleset version: bumped once per applied update batch.
         self.update_epoch = 0
         #: Node ids the most recent :meth:`apply_updates` batch touched
@@ -127,16 +135,32 @@ class IncrementalClassifier:
             return HiCutsBuilder(ruleset, cfg, ops).build()
         return HyperCutsBuilder(ruleset, cfg, ops).build()
 
-    def _count_refs(self) -> dict[int, int]:
-        refs: dict[int, int] = {0: 1}
-        for node in self.tree.nodes:
-            if node.children is None:
-                continue
-            for c in node.children:
-                ci = int(c)
-                if ci != EMPTY_CHILD:
-                    refs[ci] = refs.get(ci, 0) + 1
+    def _count_refs(self, node_ids=None, refs=None) -> dict[int, int]:
+        """Add the child pointers of nodes ``node_ids`` (default: the
+        whole tree, into a fresh table) to the reference counts."""
+        if refs is None:
+            refs = {0: 1}
+        if node_ids is None:
+            node_ids = range(len(self.tree.nodes))
+        for nid in node_ids:
+            children = self.tree.nodes[nid].children
+            if children is not None:
+                for c in children[children != EMPTY_CHILD].tolist():
+                    refs[c] = refs.get(c, 0) + 1
         return refs
+
+    def _index_holders(self, node_ids=None, index=None) -> dict[int, set[int]]:
+        """Enter nodes ``node_ids`` (default: the whole tree, into a
+        fresh index) under every rule they store."""
+        if index is None:
+            index = {}
+        if node_ids is None:
+            node_ids = range(len(self.tree.nodes))
+        for nid in node_ids:
+            node = self.tree.nodes[nid]
+            for rid in (node.rule_ids if node.is_leaf else node.pushed).tolist():
+                index.setdefault(rid, set()).add(nid)
+        return index
 
     # ------------------------------------------------------------------
     # Queries
@@ -190,7 +214,7 @@ class IncrementalClassifier:
         self._live = np.append(self._live, True)
         rid = len(self._ruleset) - 1
 
-        stats = UpdateStats()
+        stats = UpdateStats(rule_id=rid)
         root = self.tree.nodes[0]
         self._insert_into(
             0, rid, parent=None, slot=None,
@@ -201,86 +225,62 @@ class IncrementalClassifier:
         self.tree.mark_dirty(stats.touched)
         return stats
 
+    def _is_live(self, rule_id: int) -> bool:
+        return 0 <= rule_id < len(self._ruleset) and bool(self._live[rule_id])
+
     def remove(self, rule_id: int) -> UpdateStats:
-        """Remove a rule by stable id (tombstoned until :meth:`rebuild`)."""
-        if not 0 <= rule_id < len(self._ruleset) or not self._live[rule_id]:
+        """Remove a rule by stable id (tombstoned until :meth:`rebuild`).
+
+        The rule is deleted from the leaves and pushed lists holding it
+        — the holder index names those nodes, so a removal costs its
+        holders, not a tree scan."""
+        if not self._is_live(rule_id):
             raise BuildError(f"rule {rule_id} is not live")
         self._live[rule_id] = False
-        return self._scrub([rule_id])
-
-    def _scrub(self, rule_ids: list[int]) -> UpdateStats:
-        """One pass deleting the (already tombstoned) ``rule_ids`` from
-        every leaf and pushed list — a k-removal batch costs one tree
-        scan, not k, and the scan is one ``isin`` over all the stored
-        lists laid end to end, not one per node."""
         stats = UpdateStats()
-        ids = np.asarray(rule_ids, dtype=np.int64)
-        nodes = self.tree.nodes
-        # The list a removal edits: a non-empty leaf's rules, else the
-        # node's pushed rules.
-        in_leaf = [node.is_leaf and node.rule_ids.size > 0 for node in nodes]
-        stored = [
-            node.rule_ids if leaf else node.pushed
-            for node, leaf in zip(nodes, in_leaf)
-        ]
-        owner = np.repeat(np.arange(len(nodes)), [a.size for a in stored])
-        doomed = np.isin(np.concatenate(stored), ids)
-        for nid in np.unique(owner[doomed]).tolist():
-            kept = stored[nid][~np.isin(stored[nid], ids)]
-            if in_leaf[nid]:
-                nodes[nid].rule_ids = kept
+        # A tombstoned id never comes back, so its index entry goes too.
+        stats.touched = self._holders.pop(rule_id, set())
+        for nid in stats.touched:
+            node = self.tree.nodes[nid]
+            if node.is_leaf:
+                node.rule_ids = node.rule_ids[node.rule_ids != rule_id]
                 stats.leaves_touched += 1
                 self.ops.add("mem_write", 1)
             else:
-                nodes[nid].pushed = kept
-            stats.touched.add(nid)
+                node.pushed = node.pushed[node.pushed != rule_id]
         self.tree.mark_dirty(stats.touched)
         return stats
 
     def apply_updates(self, batch) -> UpdateResult:
-        """Apply one control-plane batch of :class:`RuleUpdate` ops.
+        """Apply one control-plane batch of :class:`RuleUpdate` ops, in
+        order.
 
         Inserts take the next stable id; removals of ids that are not
         live are *skipped* (counted, not raised) — under churn an update
         stream may legitimately race its own earlier removals, and the
-        serving path must not die for it.  Consecutive removals coalesce
-        into one tree scrub (inserts flush the pending run first, so
-        interleaving semantics are exactly sequential).  Every batch —
-        including an empty one — advances :attr:`update_epoch` by one,
-        so epochs number ruleset versions deterministically.
+        serving path must not die for it.  Every batch — including an
+        empty one — advances :attr:`update_epoch` by one, so epochs
+        number ruleset versions deterministically.
         """
         inserted = removed = skipped = 0
         ids: list[int] = []
-        pending: list[int] = []
         touched: set[int] = set()
-
-        def flush() -> None:
-            if pending:
-                touched.update(self._scrub(pending).touched)
-                pending.clear()
-
         for op in batch:
             if not isinstance(op, RuleUpdate):
                 raise BuildError(f"not a RuleUpdate: {op!r}")
             if op.op == OP_INSERT:
-                flush()
-                touched.update(self.insert(op.rule).touched)
-                ids.append(len(self._ruleset) - 1)
+                stats = self.insert(op.rule)
+                ids.append(stats.rule_id)
                 inserted += 1
             elif op.op == OP_REMOVE:
-                rid = op.rule_id
-                if 0 <= rid < len(self._ruleset) and self._live[rid]:
-                    # Tombstone now so a duplicate removal later in this
-                    # run is counted as skipped, exactly as sequential
-                    # application would.
-                    self._live[rid] = False
-                    pending.append(rid)
-                    removed += 1
-                else:
+                if not self._is_live(op.rule_id):
                     skipped += 1
+                    continue
+                stats = self.remove(op.rule_id)
+                removed += 1
             else:  # pragma: no cover - RuleUpdate validates op
                 raise BuildError(f"unknown update op {op.op!r}")
-        flush()
+            touched.update(stats.touched)
         self.update_epoch += 1
         # Node ids whose kernel rows this batch changed — what an
         # incremental hardware re-sync (repro.hw.resync) needs to know.
@@ -296,6 +296,7 @@ class IncrementalClassifier:
         self._live = np.ones(len(self._ruleset), dtype=bool)
         self.tree = self._build(self._ruleset)
         self._refcounts = self._count_refs()
+        self._holders = self._index_holders()
 
     # ------------------------------------------------------------------
     def _clone_if_shared(
@@ -327,11 +328,8 @@ class IncrementalClassifier:
         parent_node.children[slot] = new_id
         self._refcounts[nid] -= 1
         self._refcounts[new_id] = 1
-        if clone.children is not None:
-            for c in clone.children:
-                ci = int(c)
-                if ci != EMPTY_CHILD:
-                    self._refcounts[ci] = self._refcounts.get(ci, 0) + 1
+        self._count_refs((new_id,), self._refcounts)
+        self._index_holders((new_id,), self._holders)
         return new_id, True
 
     def _insert_into(
@@ -372,6 +370,7 @@ class IncrementalClassifier:
             # concern, never a correctness one, and eliminating against a
             # possibly-hulled leaf region is not worth the subtlety here.
             node.rule_ids = np.append(node.rule_ids, rid)
+            self._holders.setdefault(rid, set()).add(nid)
             stats.leaves_touched += 1
             stats.touched.add(nid)
             if node.rule_ids.size > self.binth:
@@ -424,6 +423,7 @@ class IncrementalClassifier:
             )
             node.children[flat] = new_id
             self._refcounts[new_id] = 1
+            self._holders.setdefault(rid, set()).add(new_id)
             stats.new_leaves += 1
             stats.touched.add(new_id)
             stats.touched.add(nid)  # children row gained the new leaf
@@ -501,9 +501,13 @@ class IncrementalClassifier:
                 self.tree.nodes[nid] = built
             else:
                 self.tree.nodes.append(built)
-        # Refresh refcounts for the spliced region.
-        self._refcounts = self._count_refs()
+        # The spliced nodes point only at each other (the leaf they
+        # replace had no children), and its rules now live in them.
+        spliced = [nid, *range(offset, offset + len(builder.nodes) - 1)]
+        self._count_refs(spliced, self._refcounts)
+        for rid in sub_rules.tolist():
+            self._holders[rid].discard(nid)
+        self._index_holders(spliced, self._holders)
         stats.subtrees_rebuilt += 1
-        stats.touched.add(nid)
-        stats.touched.update(range(offset, offset + len(builder.nodes) - 1))
+        stats.touched.update(spliced)
         self.ops.add("alloc", len(builder.nodes))

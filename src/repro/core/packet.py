@@ -114,5 +114,10 @@ class PacketTrace:
                 parts = line.split()
                 if len(parts) < schema.ndim:
                     raise PacketFormatError(f"{path}:{ln}: too few fields")
-                rows.append(tuple(int(p) for p in parts[: schema.ndim]))
+                row = tuple(int(p) for p in parts[: schema.ndim])
+                if not all(0 <= v <= 0xFFFFFFFF for v in row):
+                    raise PacketFormatError(
+                        f"{path}:{ln}: header field outside the 32-bit range"
+                    )
+                rows.append(row)
         return PacketTrace.from_packets(rows, schema)

@@ -22,7 +22,9 @@ of the library already uses:
 
 ``break_even_updates`` answers the deployment question directly: how
 many incremental updates can the control plane apply before it has
-spent a from-scratch rebuild's energy.
+spent a from-scratch rebuild's energy.  ``retire_energy_j`` prices what
+an update costs the *data* plane's flow cache, so the walks it saves by
+not flushing are reported net.
 """
 
 from __future__ import annotations
@@ -70,6 +72,19 @@ class UpdateCostModel:
     def resync_energy_j(self, words_written: int) -> float:
         """Joules to rewrite ``words_written`` device memory words."""
         return words_written * self.sync_energy_per_word_j
+
+    # -- data-plane cost of an update -----------------------------------
+    def retire_energy_j(self, entries: int) -> float:
+        """Joules of one batch's flow-cache retirement scan: each of
+        the cache's ``entries`` slots is read once to test its header
+        and cached match against the batch
+        (:meth:`repro.engine.flowcache.FlowCache.retire`).  Dropping
+        the whole cache instead scans nothing but sends every surviving
+        flow's next packet down the backend walk; the saving of
+        retirement is those avoided walks
+        (:class:`~repro.energy.flowcache.CacheEnergyModel`) net of this.
+        """
+        return entries * SRAM_ACCESS_ENERGY_J
 
     # -- the comparison the paper's Section 4 implies ------------------
     def update_energy_j(self, update_ops, words_written: int = 0) -> float:

@@ -41,15 +41,20 @@ warm across ``run()`` calls.  Per-chunk hit/miss counts travel back
 through :class:`~repro.engine.protocol.BatchStats` and are aggregated
 by the pipeline.
 
-Rule updates invalidate: :meth:`CachedClassifier.insert` / ``remove`` /
-``rebuild`` delegate to the wrapped classifier (the incremental
-backend) and then flush the cache, so the serving process never returns
-stale results after the ruleset changes.  The persistent-pool caveat on
+Rule updates retire, they do not flush: :meth:`CachedClassifier.insert`
+/ ``remove`` / ``apply_updates`` delegate to the wrapped classifier and
+then :meth:`FlowCache.retire` kills exactly the entries the batch could
+have changed — those whose cached match was removed, and those whose
+header an inserted rule of higher priority covers — so every other flow
+keeps hitting across the update and the serving process still never
+returns a stale result.  Only events that say nothing about *what*
+changed (``rebuild``, ``invalidate_cache``) drop the whole cache, in
+O(1), through the epoch tag.  The persistent-pool caveat on
 :class:`~repro.engine.pipeline.ClassificationPipeline` applies to the
 cache exactly as it does to the classifier itself: a long-lived pool's
 workers hold the copy-on-write snapshot taken at fork time, so call
 ``pipeline.close()`` after any mutation — the next ``run()`` re-forks
-from the updated (and freshly invalidated) state.
+from the updated (and freshly retired) state.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ import numpy as np
 
 from ..core.errors import ConfigError
 from ..core.ruleset import RuleSet
+from ..core.updates import OP_INSERT, OP_REMOVE, insert_op, remove_op
 from .protocol import BatchStats, Classifier, ClassifierBase, batch_stats_of
 from .registry import build_backend
 
@@ -136,10 +142,17 @@ class FlowCacheStats:
     backend lookups issued.  ``hits + misses == lookups``.
 
     ``evictions`` counts live entries overwritten by a fill;
-    ``reclamations`` counts dead slots (TTL-expired, epoch-stale, or
-    both at once) re-used by a fill.  A slot that is expired *and*
-    stale is dead exactly once, so every fill bumps exactly one of the
-    two counters per overwritten valid slot.
+    ``reclamations`` counts dead slots (TTL-expired, epoch-stale or
+    retired, or several at once) re-used by a fill.  A slot that is
+    dead for two reasons is dead exactly once, so every fill bumps
+    exactly one of the two counters per overwritten valid slot.
+
+    ``invalidations`` counts invalidation *events*: one per applied
+    update batch (:meth:`FlowCache.retire`) and one per whole-cache
+    flush (:meth:`FlowCache.advance_epoch`, :meth:`FlowCache.invalidate`).
+    ``retired`` counts the live entries :meth:`FlowCache.retire` killed.
+    Both are deterministic: they depend only on the cache contents and
+    the batch, never on timing or on which process applied it.
     """
 
     lookups: int = 0
@@ -148,6 +161,7 @@ class FlowCacheStats:
     evictions: int = 0
     reclamations: int = 0
     invalidations: int = 0
+    retired: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -195,10 +209,11 @@ class FlowCache:
         self.n_sets = self.entries // self.ways if entries else 0
         self.stats = FlowCacheStats()
         self._tick = np.int64(1)
-        #: Current ruleset epoch.  Entries are tagged with the epoch they
-        #: were filled under and only served while it is current, so a
-        #: rule update invalidates the whole cache in O(1) — one counter
-        #: bump (:meth:`advance_epoch`) instead of an O(entries) flush.
+        #: Current cache epoch.  Entries are tagged with the epoch they
+        #: were filled under and only served while it is current, so the
+        #: whole cache drops in O(1) — one counter bump
+        #: (:meth:`advance_epoch`) instead of an O(entries) flush — and
+        #: :meth:`retire` kills single entries by tagging them ``-1``.
         self.epoch = np.int64(0)
         #: Header width the tables were allocated for (0 = not yet).
         self._ndim = 0
@@ -326,7 +341,7 @@ class FlowCache:
         rank[by_set] = np.arange(n) - np.repeat(starts, counts)
         way = order[inv, rank % self.ways]
         # Overwriting a live entry is an eviction; re-using a dead slot
-        # (TTL-expired, epoch-stale, or both — dead is dead, counted
+        # (TTL-expired, epoch-stale, retired — dead is dead, counted
         # once) is a reclamation.  Wrap inserts (rank >= ways) land on a
         # slot a batch-mate just claimed, so whatever the pre-batch
         # state said, they displace a fresh live fill: an eviction.
@@ -387,13 +402,76 @@ class FlowCache:
         self.stats.invalidations += 1
 
     def advance_epoch(self) -> None:
-        """O(1) whole-cache invalidation (the rule-update hook).
+        """O(1) whole-cache invalidation, for a ruleset change nobody
+        described (``rebuild``, an out-of-band mutation); an update
+        batch goes through :meth:`retire` instead.
 
         Entries filled under earlier epochs stop matching immediately;
         their slots are reclaimed lazily as new fills land.
         """
         self.epoch += np.int64(1)
         self.stats.invalidations += 1
+
+    def retire(self, batch, inserted_ids) -> None:
+        """Kill the entries one applied update batch could have changed
+        (counted in ``stats.retired``).
+
+        ``batch`` is the :class:`~repro.core.updates.RuleUpdate` ops the
+        backend just applied and ``inserted_ids`` the stable ids its
+        inserts took, in batch order.  An entry caching first match
+        ``c`` is retired when ``c`` is a removed id, or when an inserted
+        rule with an id below ``c`` (any id when ``c == -1``) covers the
+        entry's header.  That is a superset of the entries whose answer
+        changed: the new first match of a header is the lowest live id
+        covering it among the old and the inserted rules, so it differs
+        from ``c`` only if ``c`` died or a lower inserted id covers the
+        header.  Over-retiring only costs a backend walk, which is also
+        why ops need no ordering: an insert removed again later in the
+        same batch, a duplicate removal and a removal of a dead id all
+        just widen the superset.
+
+        A retired slot is tagged epoch ``-1``, which no cache epoch ever
+        equals: the read path needs no new check, and the slot is a
+        preferred victim whose refill counts as a reclamation.
+        """
+        self.stats.invalidations += 1
+        if self._valid is None:
+            return
+        live = self._live(...)
+        removed = [op.rule_id for op in batch if op.op == OP_REMOVE]
+        doomed = live & np.isin(self._result, removed)
+        bounds = np.array(
+            [op.rule.ranges for op in batch if op.op == OP_INSERT], np.int64
+        )  # (inserts, ndim, lo/hi)
+        if bounds.size:
+            ids = np.asarray(inserted_ids, dtype=np.int64)
+            # Only an entry below some inserted rule's priority can be
+            # pre-empted; inserts append, so in practice the no-matches.
+            s, way = np.nonzero(
+                live & ((self._result < 0) | (self._result > ids.min()))
+            )
+            cached = self._result[s, way][:, None]
+            header = self._headers(s, way)[:, None, :]
+            covered = (
+                (header >= bounds[..., 0]) & (header <= bounds[..., 1])
+            ).all(axis=2)
+            hit = (covered & ((cached < 0) | (cached > ids))).any(axis=1)
+            doomed[s[hit], way[hit]] = True
+        self._epoch[doomed] = -1
+        self.stats.retired += int(doomed.sum())
+
+    def _headers(self, s: np.ndarray, way: np.ndarray) -> np.ndarray:
+        """The ``(n, ndim)`` headers stored in slots ``(s, way)``,
+        unpacked from the key words (:func:`pack_flow_keys` reversed)."""
+        words = self._keyw[:, way, s]
+        low = np.uint64(0xFFFFFFFF)
+        return np.stack(
+            [
+                words[d // 2] & low if d % 2 else words[d // 2] >> np.uint64(32)
+                for d in range(self._ndim)
+            ],
+            axis=1,
+        ).astype(np.int64)
 
     # ------------------------------------------------------------------
     def occupancy_fraction(self) -> float:
@@ -600,12 +678,11 @@ class CachedClassifier(ClassifierBase):
         return getattr(self.classifier, "update_epoch", 0)
 
     def apply_updates(self, batch):
-        """Delegate the batch, then epoch-invalidate the cache in O(1).
-
-        Entries filled under earlier epochs stop matching the moment the
-        cache's epoch advances — no O(entries) flush on the serving
-        path; stale slots are reclaimed lazily by later fills.
+        """Delegate the batch, then retire the cache entries it could
+        have changed (:meth:`FlowCache.retire`); every other entry keeps
+        serving hits across the update.
         """
+        batch = tuple(batch)
         inner = getattr(self.classifier, "apply_updates", None)
         if not callable(inner):
             raise ConfigError(
@@ -615,27 +692,31 @@ class CachedClassifier(ClassifierBase):
                 "(see repro.engine.updates.build_updatable_backend)"
             )
         out = inner(batch)
-        self.cache.advance_epoch()
+        self.cache.retire(batch, out.inserted_ids)
         return out
 
     def invalidate_cache(self) -> None:
-        """Invalidate after an out-of-band ruleset mutation (O(1))."""
+        """Drop the whole cache after an out-of-band ruleset mutation
+        (O(1): nothing says which entries it touched)."""
         self.cache.advance_epoch()
 
     def insert(self, rule):
-        """Delegate to the wrapped classifier, then epoch-invalidate."""
+        """Delegate to the wrapped classifier, then retire the entries
+        the new rule pre-empts."""
         out = self.classifier.insert(rule)
-        self.cache.advance_epoch()
+        self.cache.retire((insert_op(rule),), (out.rule_id,))
         return out
 
     def remove(self, rule_id: int):
-        """Delegate to the wrapped classifier, then epoch-invalidate."""
+        """Delegate to the wrapped classifier, then retire the entries
+        that cached ``rule_id``."""
         out = self.classifier.remove(rule_id)
-        self.cache.advance_epoch()
+        self.cache.retire((remove_op(rule_id),), ())
         return out
 
     def rebuild(self) -> None:
-        """Delegate to the wrapped classifier, then epoch-invalidate."""
+        """Delegate to the wrapped classifier, then drop the whole cache
+        (a rebuild compacts tombstones, so every cached id is void)."""
         self.classifier.rebuild()
         self.cache.advance_epoch()
 

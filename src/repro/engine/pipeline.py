@@ -419,7 +419,7 @@ class PipelineResult:
     final_epoch: int | None = None
     #: Parent-side wall-clock seconds each update batch took to apply,
     #: in schedule order (the control-plane apply cost: tree surgery +
-    #: kernel patch + cache epoch bump).  Empty when no updates ran.
+    #: kernel patch + cache retirement).  Empty when no updates ran.
     update_latencies_s: tuple[float, ...] = ()
     #: Supervisor observations for the run (retries, replays,
     #: degradations, crash counts, recovery latencies); all-zero on a
@@ -874,15 +874,16 @@ class ClassificationPipeline:
             ))
         return entries
 
-    def _apply_entry(self, run: _Run, ordinal: int) -> bool:
+    def _apply_entry(self, run: _Run, ordinal: int):
         """Apply update batch ``ordinal`` of the run to this process's
-        classifier, watermarked (a batch an earlier tier or chunk loop
-        already applied is skipped — returns ``False``) and supervised:
-        an injected update fault fires *before* the apply, so a bounded
-        retry re-applies a clean batch."""
+        classifier and return its ``UpdateResult``; watermarked (a batch
+        an earlier tier or chunk loop already applied is skipped —
+        returns ``None``) and supervised: an injected update fault fires
+        *before* the apply, so a bounded retry re-applies a clean
+        batch."""
         entry = run.entries[ordinal]
         if entry.seq <= self._applied_seq:
-            return False
+            return None
         sup = self._supervisor
         attempt = 0
         while True:
@@ -896,7 +897,7 @@ class ClassificationPipeline:
                 run.update_latencies.append(time.perf_counter() - t0)
                 run.update_results.append(result)
                 self._applied_seq = entry.seq
-                return True
+                return result
             except RECOVERABLE as exc:
                 if not sup.may_retry(attempt):
                     raise sup.wrap_failure(
@@ -1157,8 +1158,8 @@ class ClassificationPipeline:
         shard's private cache sees the same chunk sequence a process
         shard would.  Updates are epoch barriers: all chunks of one
         epoch drain before the batch applies on the (serving) thread,
-        then every shard cache is epoch-invalidated — identical matches
-        to the other tiers.
+        then every shard cache retires the entries the batch could have
+        changed — identical matches to the other tiers.
 
         Supervision is per shard group: a failed or deadline-overrun
         future's chunks are re-served inline on the parent classifier —
@@ -1210,9 +1211,15 @@ class ClassificationPipeline:
                     idx < len(entries)
                     and entries[idx].effect_chunk <= start
                 ):
-                    if self._apply_entry(run, idx) and cached:
-                        for clone in clones:
-                            clone.cache.advance_epoch()
+                    result = self._apply_entry(run, idx)
+                    if result is not None and cached:
+                        # The parent's cache retired inside the apply;
+                        # the shard clones hold private caches — all of
+                        # them, also the ones a short run leaves idle.
+                        for clone in self._thread_clones:
+                            clone.cache.retire(
+                                entries[idx].batch, result.inserted_ids
+                            )
                         self._thread_epoch = int(
                             getattr(self.classifier, "update_epoch", 0)
                         )

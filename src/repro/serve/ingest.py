@@ -206,10 +206,14 @@ def iter_trace_file(
                     ) from None
                 salvage = True
             else:
-                if block.size and (block < 0).any():
+                # Read as unsigned, a negative field sits above 2^32
+                # too: one compare finds both kinds of overflow before
+                # ``astype(uint32)`` below would wrap them silently.
+                if (block.view(np.uint64) > 0xFFFFFFFF).any():
                     if on_malformed == "raise":
                         raise PacketFormatError(
-                            f"{path}: negative header field in trace segment"
+                            f"{path}: header field outside the 32-bit "
+                            "range in trace segment"
                         )
                     salvage = True
             if salvage:

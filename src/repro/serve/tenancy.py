@@ -20,8 +20,8 @@ Design points, each pinned by ``tests/test_tenancy.py``:
 **Isolation by construction.**  Every tenant owns a full
 :class:`~repro.serve.Engine` — its own classifier, its own
 :class:`~repro.engine.flowcache.FlowCache`, its own update epoch.  A
-tenant's epoch bump (rule update) can therefore never invalidate
-another tenant's cache entries, and per-tenant results are bit-identical
+tenant's rule update can therefore never retire another tenant's
+cache entries, and per-tenant results are bit-identical
 to running that tenant alone: the scheduler only decides *when* a
 segment runs, never *how*.
 

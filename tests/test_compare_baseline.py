@@ -93,6 +93,8 @@ class TestGatedMetrics:
         ("flowcache_spill.cached_vs_bare_ratio", 1.0),
         ("flat_kernel_gate.speedup", 5.0),
         ("flat_kernel_scaling.large_over_small", 0.8),
+        ("update_patch.speedup", 3.0),
+        ("update_cache_retention.retention", 0.9),
     ])
     def test_floor_gates_are_pinned_at_their_floors(self, key, floor):
         # The committed baseline holds what the bench test itself

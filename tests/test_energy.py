@@ -192,3 +192,24 @@ class TestMetrics:
         assert fmt_int(226e6) == "226,000,000"
         assert gain(100, 4) == 25
         assert gain(1, 0) == float("inf")
+
+
+class TestUpdateCostModel:
+    def test_retirement_scan_costs_less_than_the_walks_it_avoids(self):
+        """The ledger's `rule_churn` geometry: an 8,192-entry cache, and
+        per 8-op batch ~1,470 backend walks that a whole-cache flush
+        would have caused and retirement does not."""
+        from repro import generate_ruleset
+        from repro.energy import CacheEnergyModel, UpdateCostModel
+        from repro.engine import build_backend
+
+        tree = build_backend(
+            "hypercuts", generate_ruleset("acl1", 2500, seed=11)
+        )
+        cache = CacheEnergyModel.for_classifier(tree)
+        walk_j = (
+            cache.miss_accesses - cache.hit_accesses
+        ) * cache.energy_per_access_j
+        scan_j = UpdateCostModel().retire_energy_j(8192)
+        assert scan_j == pytest.approx(8192 * cache.energy_per_access_j)
+        assert scan_j < 1470 * walk_j

@@ -584,6 +584,32 @@ class TestQuarantine:
         assert report.n_packets == len(self.GOOD_ROWS)
         assert report.fault.quarantined == len(self.BAD)
 
+    # A field one past 32 bits in an otherwise clean segment: the
+    # vectorised parse succeeds, so only the range check can catch it
+    # (it used to be served as 0, wrapped by ``astype(uint32)``).
+    WRAPPING_TRACE = "1 2 3 4 5\n4294967296 2 3 4 5\n4294967295 2 3 4 5\n"
+
+    def test_raise_mode_rejects_a_field_beyond_32_bits(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text(self.WRAPPING_TRACE)
+        with pytest.raises(PacketFormatError, match="32-bit range"):
+            list(iter_trace_file(str(path)))
+
+    def test_quarantine_mode_dead_letters_a_field_beyond_32_bits(
+        self, tmp_path
+    ):
+        path = tmp_path / "trace.txt"
+        path.write_text(self.WRAPPING_TRACE)
+        log = QuarantineLog()
+        segments = list(iter_trace_file(
+            str(path), on_malformed="quarantine", quarantine=log,
+        ))
+        headers = np.concatenate([s.headers for s in segments])
+        assert headers.tolist() == [[1, 2, 3, 4, 5], [4294967295, 2, 3, 4, 5]]
+        assert [(e[0], e[2]) for e in log.entries] == [
+            (2, "header field out of 32-bit range")
+        ]
+
     def test_invalid_policy_rejected(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("1 2 3 4 5\n")

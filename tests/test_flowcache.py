@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import FIVE_TUPLE, PacketTrace, Rule, generate_zipf_trace
 from repro.core.errors import ConfigError
+from repro.core.updates import insert_op, remove_op
 from repro.engine import (
     CachedClassifier,
     ClassificationPipeline,
@@ -198,6 +199,125 @@ class TestFlowCacheUnit:
         cache.invalidate()
         assert not cache.probe(hdr)[0].any()
         assert cache.stats.invalidations == 1
+
+
+class TestFlowCacheRetire:
+    """`FlowCache.retire`: an update batch kills only the entries whose
+    answer it could have changed; everything else keeps hitting."""
+
+    FLOWS = _headers([[10, 0, 0, 0, 0], [20, 0, 0, 0, 0], [30, 0, 0, 0, 0]])
+
+    @staticmethod
+    def _rule(lo: int, hi: int) -> Rule:
+        """Covers headers whose first field is in ``[lo, hi]``."""
+        return Rule(ranges=((lo, hi),) + tuple(
+            (0, FIVE_TUPLE.max_value(d)) for d in range(1, FIVE_TUPLE.ndim)
+        ))
+
+    def _cache(self, results, **kwargs) -> FlowCache:
+        cache = FlowCache(16, ways=4, **kwargs)
+        cache.fill(self.FLOWS, np.asarray(results, dtype=np.int64))
+        return cache
+
+    def _hits(self, cache: FlowCache) -> list[bool]:
+        return cache.probe(self.FLOWS)[0].tolist()
+
+    def test_removed_match_is_retired(self):
+        cache = self._cache([5, 6, -1])
+        # 6 is cached, 99 is cached nowhere, and a duplicate is harmless.
+        cache.retire((remove_op(6), remove_op(99), remove_op(6)), ())
+        assert self._hits(cache) == [True, False, True]
+        assert cache.stats.retired == 1
+        assert cache.stats.invalidations == 1
+
+    def test_insert_covering_a_cached_no_match_retires_it(self):
+        cache = self._cache([5, -1, -1])
+        # Covers flows 10 and 20; flow 10 already matches something
+        # (5 < 40, higher priority), flow 30 is not covered.
+        cache.retire((insert_op(self._rule(0, 25)),), (40,))
+        assert self._hits(cache) == [True, False, True]
+        assert cache.stats.retired == 1
+
+    def test_insert_of_higher_priority_retires_covered_lower_matches(self):
+        cache = self._cache([5, 50, 60])
+        # Id 40 beats cached 50 and 60, not 5; it covers flows 10-20.
+        cache.retire((insert_op(self._rule(0, 25)),), (40,))
+        assert self._hits(cache) == [True, False, True]
+        assert cache.stats.retired == 1
+
+    def test_insert_covering_no_cached_flow_retires_nothing(self):
+        cache = self._cache([5, -1, 60])
+        cache.retire((insert_op(self._rule(100, 200)),), (7,))
+        assert self._hits(cache) == [True, True, True]
+        assert cache.stats.retired == 0
+        assert cache.stats.invalidations == 1  # the batch still counts
+
+    def test_each_insert_is_judged_by_its_own_id(self):
+        cache = self._cache([5, 45, -1])
+        # Id 40 covers only flow 10 (cached 5: safe); id 50 covers only
+        # flow 20 (cached 45: safe).  Swapped ids would retire flow 20.
+        batch = (insert_op(self._rule(10, 10)), insert_op(self._rule(20, 20)))
+        cache.retire(batch, (40, 50))
+        assert cache.stats.retired == 0
+        cache.retire(batch, (50, 40))
+        assert self._hits(cache) == [True, False, True]
+
+    def test_every_header_column_is_compared(self):
+        # The stored header is unpacked from the key words: a rule that
+        # misses in any one column (high half, low half, the odd last
+        # word) must not retire the flow.
+        cache = FlowCache(16, ways=4)
+        flow = _headers([[1, 2, 3, 4, 5]])
+        cache.fill(flow, np.array([-1]))
+        for d in range(FIVE_TUPLE.ndim):
+            ranges = [(int(v), int(v)) for v in flow[0]]
+            ranges[d] = (int(flow[0, d]) + 1, int(flow[0, d]) + 1)
+            cache.retire((insert_op(Rule(ranges=tuple(ranges))),), (9,))
+        assert cache.stats.retired == 0
+        exact = Rule(ranges=tuple((int(v), int(v)) for v in flow[0]))
+        cache.retire((insert_op(exact),), (9,))
+        assert cache.stats.retired == 1
+
+    def test_retire_on_an_untouched_cache_only_counts_the_batch(self):
+        cache = FlowCache(16, ways=4)  # tables not allocated yet
+        cache.retire((remove_op(1),), ())
+        assert (cache.stats.invalidations, cache.stats.retired) == (1, 0)
+
+    def test_retired_slot_refill_is_a_reclamation_not_an_eviction(self):
+        cache = FlowCache(2, ways=2)  # one set of two ways, both full
+        a, b, c = (_headers([[v, 0, 0, 0, 0]]) for v in (1, 2, 3))
+        cache.fill(a, np.array([10]))
+        cache.fill(b, np.array([11]))
+        cache.retire((remove_op(10),), ())
+        cache.fill(c, np.array([12]))  # takes a's retired slot, not b's
+        assert cache.stats.evictions == 0
+        assert cache.stats.reclamations == 1
+        assert cache.probe(b)[0].all() and cache.probe(c)[0].all()
+        assert not cache.probe(a)[0].any()
+
+    def test_expired_entry_is_not_counted_and_dies_once(self):
+        # ``retired`` counts *live* entries killed; an entry the TTL
+        # already killed is not one, and its slot is still reclaimed
+        # exactly once.
+        cache = FlowCache(2, ways=2, max_age=3)
+        a = _headers([[1, 0, 0, 0, 0]])
+        cache.fill(a, np.array([10]))
+        for _ in range(4):
+            cache.probe(_headers([[9, 9, 9, 9, 9]]))  # a TTL-expires
+        cache.retire((remove_op(10),), ())
+        assert cache.stats.retired == 0
+        cache.fill(_headers([[2, 0, 0, 0, 0]]), np.array([11]))
+        cache.fill(_headers([[3, 0, 0, 0, 0]]), np.array([12]))
+        assert cache.stats.evictions == 0
+        assert cache.stats.reclamations == 1
+
+    def test_retired_entry_stays_dead_across_a_whole_flush(self):
+        cache = self._cache([5, 6, 7])
+        cache.retire((remove_op(6),), ())
+        cache.advance_epoch()
+        assert self._hits(cache) == [False, False, False]
+        cache.fill(self.FLOWS[1:2], np.array([8]))
+        assert self._hits(cache) == [False, True, False]
 
 
 class TestFlowCacheAging:

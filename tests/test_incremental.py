@@ -167,30 +167,30 @@ class TestHyperCutsMode:
             IncrementalClassifier(rs, algorithm="nope")
 
 
-class PerNodeScrub(IncrementalClassifier):
-    """The scrub as it was before it scanned the tree once: a Python
-    loop over every node, one mask per stored list.  Kept as the oracle
-    for :class:`TestScrubDifferential`."""
+class TreeScanRemove(IncrementalClassifier):
+    """Removal as it was before the holder index: a Python loop over
+    every node of the tree, one mask per stored list.  Kept as the
+    oracle for :class:`TestRemoveDifferential` — it needs no index, so
+    it also shows the index names exactly the nodes a scan finds.  (The
+    scan used to serve a run of removals at once; the nodes a batch
+    touches are the same either way, a removal never moves another
+    rule.)"""
 
-    def _scrub(self, rule_ids):
+    def remove(self, rule_id):
+        if not self._is_live(rule_id):
+            raise BuildError(f"rule {rule_id} is not live")
+        self._live[rule_id] = False
         stats = UpdateStats()
-        ids = np.asarray(rule_ids, dtype=np.int64)
-
-        def keep_mask(stored):
-            if ids.size == 1:
-                return stored != ids[0]
-            return ~np.isin(stored, ids)
-
         for nid, node in enumerate(self.tree.nodes):
             if node.is_leaf and node.rule_ids.size:
-                mask = keep_mask(node.rule_ids)
+                mask = node.rule_ids != rule_id
                 if not mask.all():
                     node.rule_ids = node.rule_ids[mask]
                     stats.leaves_touched += 1
                     stats.touched.add(nid)
                     self.ops.add("mem_write", 1)
             elif node.pushed.size:
-                pushed = node.pushed[keep_mask(node.pushed)]
+                pushed = node.pushed[node.pushed != rule_id]
                 if pushed.size != node.pushed.size:
                     node.pushed = pushed
                     stats.touched.add(nid)
@@ -198,21 +198,30 @@ class PerNodeScrub(IncrementalClassifier):
         return stats
 
 
-class TestScrubDifferential:
-    """The one-scan scrub edits exactly what the per-node loop edited."""
+def scan_holders(inc) -> dict[int, set[int]]:
+    """The rule -> holder-nodes index, from scratch."""
+    index: dict[int, set[int]] = {}
+    for nid, node in enumerate(inc.tree.nodes):
+        for rid in np.concatenate((node.rule_ids, node.pushed)).tolist():
+            index.setdefault(rid, set()).add(nid)
+    return index
+
+
+class TestRemoveDifferential:
+    """The indexed removal edits exactly what the tree scan edited."""
 
     @pytest.mark.parametrize(
         "algorithm, hw_mode, family",
         [("hicuts", True, "acl1"), ("hypercuts", False, "fw1"),
          ("hypercuts", True, "ipc1")],
     )
-    def test_random_batches_match_the_per_node_loop(
+    def test_random_batches_match_the_tree_scan(
         self, algorithm, hw_mode, family
     ):
         rs = generate_ruleset(family, 300, seed=107)
         kwargs = dict(algorithm=algorithm, binth=16, spfac=4, hw_mode=hw_mode)
         new = IncrementalClassifier(rs, ops=OpCounter(), **kwargs)
-        old = PerNodeScrub(rs, ops=OpCounter(), **kwargs)
+        old = TreeScanRemove(rs, ops=OpCounter(), **kwargs)
         fresh = iter(generate_ruleset(family, 40, seed=108).rules)
         rng = np.random.default_rng(109)
         pushed_edits = 0
@@ -231,18 +240,50 @@ class TestScrubDifferential:
             for a, b in zip(new.tree.nodes, old.tree.nodes):
                 assert np.array_equal(a.rule_ids, b.rule_ids)
                 assert np.array_equal(a.pushed, b.pushed)
+            assert new._holders == scan_holders(new)
             pushed_edits += sum(
                 not new.tree.nodes[nid].is_leaf for nid in new.last_touched
             )
         if not hw_mode:
             assert pushed_edits  # the pushed-list branch really ran
 
-    def test_stats_of_one_scrub_match(self):
+    def test_stats_of_one_removal_match(self):
         rs = generate_ruleset("acl1", 300, seed=110)
         new = IncrementalClassifier(rs, binth=16, ops=OpCounter())
-        old = PerNodeScrub(rs, binth=16, ops=OpCounter())
-        for ids in ([4], [7, 90, 151], list(range(200, 230))):
-            got, want = new._scrub(ids), old._scrub(ids)
+        old = TreeScanRemove(rs, binth=16, ops=OpCounter())
+        for rid in (4, 7, 90, 151, 229):
+            got, want = new.remove(rid), old.remove(rid)
             assert got.touched == want.touched and got.touched
             assert got.leaves_touched == want.leaves_touched
             assert new.ops["mem_write"] == old.ops["mem_write"]
+
+    def test_index_survives_splices_clones_and_rebuild(self):
+        """Every edit of a stored list keeps the index exact: leaf
+        appends, fresh leaves, copy-on-write clones, subtree splices,
+        removals — and `rebuild()` starts it over."""
+        rs = generate_ruleset("acl1", 120, seed=111)
+        inc = IncrementalClassifier(rs, algorithm="hicuts", binth=8, spfac=4)
+        assert inc._holders == scan_holders(inc)
+        narrow = Rule.from_5tuple(
+            (0x0A0A0A0A, 32), (0x14141414, 32), (80, 80), (443, 443), (6, 1)
+        )
+        wide = list(generate_ruleset("acl1", 20, seed=112).rules)
+        rng = np.random.default_rng(113)
+        rebuilt = cloned = fresh_leaves = 0
+        for step in range(40):
+            if step % 4 == 3:
+                live = np.nonzero(inc._live)[0]
+                inc.remove(int(live[rng.integers(live.size)]))
+            else:
+                stats = inc.insert(narrow if step % 2 else wide[step // 2])
+                rebuilt += stats.subtrees_rebuilt
+                cloned += stats.nodes_cloned
+                fresh_leaves += stats.new_leaves
+            assert inc._holders == scan_holders(inc)
+            # ...and the reference counts, which a splice now extends
+            # by the spliced nodes only, still equal a full recount.
+            assert inc._refcounts == inc._count_refs()
+        assert rebuilt and cloned and fresh_leaves
+        inc.rebuild()
+        assert inc._holders == scan_holders(inc)
+        assert set(inc._holders) == set(range(inc.n_live_rules))

@@ -80,3 +80,11 @@ class TestPacketTrace:
         path.write_text("1 2 3\n")
         with pytest.raises(PacketFormatError):
             PacketTrace.load(str(path))
+
+    @pytest.mark.parametrize("field", ["4294967296", "-1"])
+    def test_load_rejects_a_field_outside_32_bits(self, tmp_path, field):
+        """Used to escape as a bare OverflowError out of NumPy."""
+        path = tmp_path / "trace.txt"
+        path.write_text(f"1 2 3 4 5\n{field} 2 3 4 5\n")
+        with pytest.raises(PacketFormatError, match=r"trace\.txt:2: .*32-bit"):
+            PacketTrace.load(str(path))

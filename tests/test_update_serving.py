@@ -28,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import generate_ruleset, generate_trace
+from repro import PacketTrace, generate_ruleset, generate_trace
 from repro.algorithms import LinearSearchClassifier
 from repro.algorithms.incremental import IncrementalClassifier
 from repro.classbench import generate_update_stream
@@ -276,6 +276,130 @@ def test_persistent_pool_serves_updates_across_runs(serve_rs, serve_trace):
     )
 
 
+# ---------------------------------------------------------------------------
+# Updates retire cache entries; they do not flush the cache
+# ---------------------------------------------------------------------------
+RETIRE_CHUNK = 128
+
+
+def _catch_all(rs) -> Rule:
+    return Rule(ranges=tuple(
+        (0, rs.schema.max_value(d)) for d in range(rs.schema.ndim)
+    ))
+
+
+def _retire_case(seed: int):
+    """A flow-recurrent trace (a third of the flows match nothing) and
+    a random schedule drawn from every shape `FlowCache.retire` has to
+    get right."""
+    rng = np.random.default_rng(seed)
+    rs = generate_ruleset("acl1", 60, seed=81)
+    flows = generate_trace(
+        rs, 300, seed=seed, background_fraction=0.3
+    ).headers
+    trace = PacketTrace(flows[rng.integers(0, len(flows), 4096)], rs.schema)
+    derived = list(generate_ruleset("acl1", 12, seed=82).rules)
+    catch_all = _catch_all(rs)
+    unseen = np.setdiff1d(np.arange(256), flows[:, 4])[0]  # protocol no flow has
+    nowhere = Rule(ranges=catch_all.ranges[:4] + ((unseen, unseen),))
+    born = len(rs)  # ids handed out so far, as the classifiers count them
+
+    def insert(rule):
+        nonlocal born
+        born += 1
+        return insert_op(rule)
+
+    wild = None  # id of the catch-all kind 1 inserted last
+    schedule = []
+    for at in np.sort(rng.choice(np.arange(1, 4096), size=16, replace=False)):
+        ops = []
+        for kind in rng.integers(0, 7, size=rng.integers(0, 6)):
+            if kind == 0:
+                ops.append(insert(derived[rng.integers(len(derived))]))
+            elif kind == 1:  # covers every cached no-match; one at a
+                # time (a pile of them would overflow every leaf)
+                if wild is not None:
+                    ops.append(remove_op(wild))
+                ops.append(insert(catch_all))
+                wild = born - 1
+            elif kind == 2:  # covers no cached flow
+                ops.append(insert(nowhere))
+            elif kind == 3:  # born and gone inside one batch
+                ops += [insert(catch_all), remove_op(born - 1)]
+            elif kind == 4:  # live, dead or not yet born
+                ops.append(remove_op(int(rng.integers(born + 3))))
+            elif kind == 5:  # the second removal is skipped
+                ops += [remove_op(int(rng.integers(len(rs))))] * 2
+            else:  # an earlier insert (maybe the catch-all) goes again
+                ops.append(remove_op(int(rng.integers(len(rs), born + 1))))
+        schedule.append(ScheduledUpdate(int(at), tuple(ops)))
+    return rs, trace, schedule
+
+
+def _retire_backend(kind: str, rs):
+    if kind == "rebuild":
+        return build_updatable_backend("linear", rs)
+    return build_updatable_backend(
+        "incremental", rs, algorithm="hicuts", binth=16, spfac=4
+    )
+
+
+@pytest.mark.parametrize("seed", [91, 92, 93])
+@pytest.mark.parametrize("kind,shards,shard_mode", [
+    ("incremental", 1, "auto"),      # inline
+    ("incremental", 2, "threads"),   # the shard clones retire too
+    ("rebuild", 1, "auto"),          # RebuildUpdatable behind a cache
+])
+def test_cached_serving_retires_instead_of_flushing(
+    seed, kind, shards, shard_mode
+):
+    """After every batch of a random schedule, cached == bare == the
+    from-scratch oracle — while most of the cache survives each batch."""
+    rs, trace, schedule = _retire_case(seed)
+    want = replay_oracle(rs, trace, schedule, RETIRE_CHUNK)
+    bare = ClassificationPipeline(
+        _retire_backend(kind, rs), chunk_size=RETIRE_CHUNK
+    ).run(trace, updates=schedule)
+    assert np.array_equal(bare.match, want)
+
+    cached = CachedClassifier(_retire_backend(kind, rs), entries=1024, ways=4)
+    with ClassificationPipeline(
+        cached, chunk_size=RETIRE_CHUNK, shards=shards, shard_mode=shard_mode
+    ) as pipeline:
+        res = pipeline.run(trace, updates=schedule)
+        caches = [c.cache for c in pipeline._thread_clones] or [cached.cache]
+    assert res.n_shards == shards
+    assert np.array_equal(res.match, want)
+    assert cached.update_epoch == len(schedule)
+    n_flows = len(np.unique(trace.headers, axis=0))
+    for cache in caches:
+        stats = cache.stats
+        assert stats.invalidations == len(schedule)  # one event per batch
+        # Every backend walk is accounted for — a flow's first sight, a
+        # retired entry or an evicted one; a whole-cache flush would add
+        # one walk per surviving flow per batch.
+        assert stats.retired > 0
+        assert stats.misses <= n_flows + stats.retired + stats.evictions
+
+
+def test_idle_thread_clones_retire_too():
+    """A run too short to use every shard clone still has to retire the
+    idle clones' entries: they serve again in the next long run."""
+    rs, trace, _ = _retire_case(94)
+    cached = CachedClassifier(_retire_backend("incremental", rs), entries=1024)
+    short = trace.subset(2 * RETIRE_CHUNK)
+    with ClassificationPipeline(
+        cached, chunk_size=RETIRE_CHUNK, shards=4, shard_mode="threads"
+    ) as pipeline:
+        before = pipeline.run(trace).match  # warms all four clones
+        assert (before < 0).any()
+        update = ScheduledUpdate(RETIRE_CHUNK, (insert_op(_catch_all(rs)),))
+        pipeline.run(short, updates=[update])  # 2 chunks: clones 2, 3 idle
+        after = pipeline.run(trace).match
+    assert (after[before < 0] == len(rs)).all()
+    assert np.array_equal(after[before >= 0], before[before >= 0])
+
+
 def test_update_stream_generator_is_seeded_and_well_formed(serve_rs):
     a = generate_update_stream(serve_rs, 40, 10_000, seed=5)
     b = generate_update_stream(serve_rs, 40, 10_000, seed=5)
@@ -398,9 +522,9 @@ def test_pinned_remove_absent_and_empty_batches(fuzz_trace):
 
 def test_pinned_insert_then_remove_same_id_in_one_batch(fuzz_pool,
                                                         fuzz_trace):
-    """Removal coalescing must preserve sequential interleaving: a rule
-    inserted earlier in the same batch is removable later in it, and a
-    remove-before-insert of a future id is skipped."""
+    """Ops apply in batch order: a rule inserted earlier in the same
+    batch is removable later in it, and a remove-before-insert of a
+    future id is skipped."""
     inc = _fuzz_base()
     future_id = len(inc._ruleset)  # not live yet at the remove below
     res = inc.apply_updates((
