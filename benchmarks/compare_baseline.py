@@ -26,6 +26,15 @@ it catches the inverted-scaling shape no per-metric baseline ratio can
 see, because every point can individually beat its baseline while the
 axis still slopes downward.
 
+**Host fingerprint.**  ``BENCH_engine.json`` carries the ledger's
+``fingerprint`` block (CPU count and model, Python, NumPy, platform).
+Wall-clock metrics (``*pps*``, ``*_s``, ``*_ms``, ``*_ms_per_run``) are
+only diffed when both files carry the *same* host fields
+(:data:`HOST_FIELDS`); otherwise their rows read ``refused`` — a pps
+measured on another machine, or on one nobody recorded, is not a
+baseline.  Same-run ratios, counts and modelled numbers are diffed on
+any host, and every gate still applies.
+
 Usage::
 
     python benchmarks/compare_baseline.py BENCH_engine.json \
@@ -58,12 +67,20 @@ GATED_METRICS = frozenset({
     "stream_overlap.end_to_end_speedup",
     "fault_recovery.retried_throughput_ratio",
     "multi_tenant.aggregate_ratio",
-    "stage_graph.overhead_ratio",
+    # The graph's own added cost against the same run's uncached engine
+    # (pinned at its floor, 3.0).  ``stage_graph.overhead_ratio`` is
+    # reported but not gated: with the cached classify as denominator it
+    # fell whenever that got faster.
+    "stage_graph.uncached_over_added",
     # Pinned in baseline.json at its floor (1.0, "a cache never serves
     # slower than no cache"), not at one host's measured value; the
     # bench test asserts the floor itself.
     "flowcache_spill.cached_vs_bare_ratio",
 })
+
+#: Fingerprint fields that make two hosts' wall-clock numbers
+#: incomparable (the ledger's ``compare.py`` refuses on the same ones).
+HOST_FIELDS = ("nproc", "cpu", "python", "numpy", "platform")
 
 #: Metric families that must be non-decreasing along an ordered axis of
 #: the CURRENT results: (family key, ordered point keys, tolerance
@@ -82,19 +99,31 @@ MONOTONE_AXES = (
 def _flatten(prefix: str, obj, out: dict) -> None:
     if isinstance(obj, dict):
         for key, value in sorted(obj.items()):
+            if not prefix and key == "fingerprint":
+                continue  # the host, not a metric
             _flatten(f"{prefix}.{key}" if prefix else key, value, out)
     elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
         out[prefix] = float(obj)
 
 
+def _host_of(results: dict) -> tuple | None:
+    """The host fields of a results file; ``None`` when it has none."""
+    fingerprint = results.get("fingerprint")
+    if not isinstance(fingerprint, dict):
+        return None
+    return tuple(fingerprint.get(field) for field in HOST_FIELDS)
+
+
+def _is_wall_clock(key: str) -> bool:
+    # ``flat_pps.hicuts``: the unit can sit in the family name.
+    leaf = key.rsplit(".", 1)[-1]
+    return "pps" in key or leaf.endswith(("_s", "_ms", "_ms_per_run"))
+
+
 def _lower_is_better(key: str) -> bool:
     leaf = key.rsplit(".", 1)[-1]
-    return (
-        leaf.endswith("_s")
-        or leaf.endswith("_ms")
-        or leaf.endswith("_ms_per_run")
-        or leaf.endswith("_j")
-        or leaf.endswith("_accesses_per_lookup")
+    return leaf.endswith(
+        ("_s", "_ms", "_ms_per_run", "_j", "_accesses_per_lookup")
     )
 
 
@@ -160,10 +189,16 @@ def compare(
         "| metric | baseline | current | ratio (>1 = better) | |",
         "| --- | ---: | ---: | ---: | --- |",
     ]
-    flagged = 0
+    flagged = refused = 0
     failures: list[str] = []
+    host = _host_of(current)
+    same_host = host is not None and host == _host_of(baseline)
     for key in shared:
         b, c = base[key], cur[key]
+        if not same_host and key not in GATED_METRICS and _is_wall_clock(key):
+            refused += 1
+            lines.append(f"| `{key}` | {b:g} | {c:g} | — | refused |")
+            continue
         if b == 0 or c == 0:
             ratio = float("nan")
         elif _lower_is_better(key):
@@ -203,6 +238,13 @@ def compare(
         f"{len(shared)} shared metrics, {flagged} below the "
         f"{threshold:.0%} warn threshold (informational only).",
     ]
+    if refused:
+        lines += [
+            "",
+            f"{refused} wall-clock metrics refused: the two files do not "
+            f"carry the same host fingerprint "
+            f"({', '.join(HOST_FIELDS)}).",
+        ]
     if failures:
         lines += [
             "",

@@ -19,7 +19,8 @@ semantics (non-zero on any gated regression):
   ``cache_entries``, the cached cells' ``hit_rate`` must be
   non-decreasing as the cache grows (up to ``--monotone-tolerance``).
   A bigger cache serving a colder hit rate is the inverted-scaling
-  shape no per-cell baseline ratio can see.
+  shape no per-cell baseline ratio can see.  A run with *no* such
+  group (one non-zero cache size) checks nothing, and fails for it.
 
 Usage::
 
@@ -27,8 +28,9 @@ Usage::
         benchmarks/sweeps_baseline.json [--allow-missing]
 
 ``--allow-missing`` downgrades baseline cells absent from the current
-run to warnings — for local ``--filter``\\ ed sweeps; CI runs without
-it, so the quick grid must stay a superset of the baseline.
+run (and an empty monotone axis) to warnings — for local
+``--filter``\\ ed sweeps; CI runs without it, so the quick grid must
+stay a superset of the baseline.
 """
 
 from __future__ import annotations
@@ -77,10 +79,12 @@ def _cache_group_key(cell_id: str) -> str | None:
 
 
 def check_monotone_cache_axis(
-    current: dict, tolerance: float
+    current: dict, tolerance: float, require_groups: bool = False
 ) -> tuple[list[str], list[str]]:
     """``hit_rate`` must be non-decreasing along the cache_entries axis
-    inside every otherwise-identical cell group."""
+    inside every otherwise-identical cell group; with ``require_groups``
+    a grid without a single such group is itself a failure (a gate
+    that checked nothing did not hold)."""
     groups: dict[str, list[tuple[int, float]]] = {}
     for cell_id, metrics in _cells(current).items():
         hit = metrics.get("hit_rate")
@@ -117,6 +121,12 @@ def check_monotone_cache_axis(
         f"along cache_entries"
         + (f", {len(failures)} inverted" if failures else ", all held"),
     ]
+    if not checked and require_groups:
+        failures.append("monotone:no-cell-groups")
+        lines.append(
+            "- :x: no group of cells differs only in a non-zero "
+            "`cache_entries`: the axis was not checked at all"
+        )
     return header + lines, failures
 
 
@@ -127,6 +137,7 @@ def compare(
     fail_threshold: float,
     monotone_tolerance: float = 0.9,
     allow_missing: bool = False,
+    require_groups: bool = False,
 ) -> tuple[str, list[str]]:
     """Markdown report plus the list of failed gated cell metrics."""
     cur_cells, base_cells = _cells(current), _cells(baseline)
@@ -198,7 +209,7 @@ def compare(
             + (" ..." if len(new) > 8 else ""),
         ]
     mono_lines, mono_failures = check_monotone_cache_axis(
-        current, monotone_tolerance
+        current, monotone_tolerance, require_groups
     )
     lines += mono_lines
     failures.extend(mono_failures)
@@ -233,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
                              "monotone check")
     parser.add_argument("--allow-missing", action="store_true",
                         help="warn (instead of fail) on baseline cells "
-                             "absent from the current run — for local "
+                             "absent from the current run and on an "
+                             "empty monotone axis — for local "
                              "--filter'ed sweeps")
     args = parser.parse_args(argv)
     try:
@@ -252,6 +264,7 @@ def main(argv: list[str] | None = None) -> int:
             args.fail_threshold,
             monotone_tolerance=args.monotone_tolerance,
             allow_missing=args.allow_missing,
+            require_groups=not args.allow_missing,
         )
     except ValueError as exc:
         print(f"sweep comparison failed: {exc}", file=sys.stderr)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib.util
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -58,12 +60,33 @@ _PERF: dict = {}
 _ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
+def _host_fingerprint() -> dict:
+    """The ledger's host fingerprint (``benchmarks/ledger/run.py``'s
+    ``fingerprint``: CPU count and model, Python, NumPy, platform,
+    commit), so both perf artifacts name the host the same way."""
+    ledger = Path(__file__).resolve().parent / "ledger"
+    sys.path.insert(0, str(ledger))  # run.py imports its siblings by name
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "ledger_run", ledger / "run.py"
+        )
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(ledger))
+    return run.fingerprint()
+
+
 @pytest.fixture(scope="module", autouse=True)
 def bench_artifact():
-    """Write every recorded measurement to the perf artifact."""
+    """Write every recorded measurement, stamped with the host it was
+    taken on, to the perf artifact."""
     yield
     if _PERF:
-        _ARTIFACT.write_text(json.dumps(_PERF, indent=2, sort_keys=True) + "\n")
+        stamped = {**_PERF, "fingerprint": _host_fingerprint()}
+        _ARTIFACT.write_text(
+            json.dumps(stamped, indent=2, sort_keys=True) + "\n"
+        )
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -765,41 +788,61 @@ def test_oracle_batch_match_speedup(acl1k, acl1k_trace):
 # Stage-graph RX pipeline vs bare classify
 # ---------------------------------------------------------------------------
 def test_stage_graph_overhead_gate(acl1k, acl1k_zipf_trace):
-    """Acceptance gate: the full eight-stage line-card RX graph (parse
-    -> drop -> extract -> tcam_prefilter -> flow_cache -> classify ->
-    rewrite -> queue_select) serves the Zipf workload at >= 0.5x the
-    throughput of a bare flow-cached ``Engine.classify`` on the same
-    classifier configuration, with bit-identical verdicts.  Lands as
-    ``stage_graph`` in ``BENCH_engine.json``; ``overhead_ratio`` is
-    gated by ``compare_baseline.py``."""
+    """Acceptance gate: what the full eight-stage line-card RX graph
+    (parse -> drop -> extract -> tcam_prefilter -> flow_cache ->
+    classify -> rewrite -> queue_select) *adds* to a bare flow-cached
+    ``Engine.classify`` on the same classifier configuration —
+    ``graph_s - bare_s`` — is at most a third of what the same engine
+    takes with no flow cache on the same trace, with bit-identical
+    verdicts.  The denominator is one the graph does not contain: the
+    old ``bare_s / graph_s`` (``overhead_ratio``, still reported) fell
+    every time the cached classify got faster.  Lands as ``stage_graph``
+    in ``BENCH_engine.json``; ``uncached_over_added`` is gated by
+    ``compare_baseline.py``."""
     from repro.stages import StageGraph, default_graph
 
     trace = acl1k_zipf_trace
     overlay = {"backend": "hypercuts", "chunk_size": 4096}
-    config = EngineConfig.from_dict({
-        **EngineConfig().to_dict(), **overlay,
-        "cache_entries": 4096, "cache_ways": 4,
-    })
+    cached = {**EngineConfig().to_dict(), **overlay, "cache_ways": 4}
     spec = default_graph(overlay, cache_entries=4096)
-    with Engine.open(config, acl1k) as engine:
-        want = engine.classify(trace)
-        t_bare = _best_of(lambda: engine.classify(trace))
-    with StageGraph(spec, acl1k) as graph:
-        got = graph.run(trace)
-        assert np.array_equal(got.match, want.match)
-        t_graph = _best_of(lambda: graph.run(trace))
-    ratio = t_bare / t_graph
+
+    def open_engine(cache_entries: int) -> Engine:
+        config = {**cached, "cache_entries": cache_entries}
+        return Engine.open(EngineConfig.from_dict(config), acl1k)
+
+    with open_engine(4096) as bare, open_engine(0) as uncached, \
+            StageGraph(spec, acl1k) as graph:
+        want = bare.classify(trace)
+        assert np.array_equal(uncached.classify(trace).match, want.match)
+        assert np.array_equal(graph.run(trace).match, want.match)
+        # Interleaved rounds, best of each: a host slow-down that spans
+        # one ~2 ms measurement spans its two neighbours too.
+        runs = {
+            "bare": lambda: bare.classify(trace),
+            "uncached": lambda: uncached.classify(trace),
+            "graph": lambda: graph.run(trace),
+        }
+        times = dict.fromkeys(runs, float("inf"))
+        for _ in range(7):
+            for name, fn in runs.items():
+                times[name] = min(times[name], _best_of(fn, 1))
+    added = max(times["graph"] - times["bare"], 1e-9)
+    headroom = times["uncached"] / added
     _PERF["stage_graph"] = {
         "stages": len(spec.stages),
         "rules": len(acl1k),
         "packets": trace.n_packets,
-        "bare_s": round(t_bare, 4),
-        "graph_s": round(t_graph, 4),
-        "overhead_ratio": round(ratio, 2),
-        "graph_pps": round(trace.n_packets / t_graph),
+        "bare_s": round(times["bare"], 4),
+        "uncached_s": round(times["uncached"], 4),
+        "graph_s": round(times["graph"], 4),
+        "added_ns_per_packet": round(added / trace.n_packets * 1e9, 1),
+        "uncached_over_added": round(headroom, 2),
+        "overhead_ratio": round(times["bare"] / times["graph"], 2),
+        "graph_pps": round(trace.n_packets / times["graph"]),
     }
-    assert ratio >= 0.5, (
-        f"stage graph serves at only {ratio:.2f}x bare classify"
+    assert headroom >= 3.0, (
+        f"the stage graph adds {added * 1e3:.2f} ms to a cached classify, "
+        f"more than a third of the uncached {times['uncached'] * 1e3:.2f} ms"
     )
 
 

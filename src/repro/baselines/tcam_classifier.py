@@ -20,6 +20,7 @@ import numpy as np
 from ..core.errors import CapacityError
 from ..core.geometry import range_to_prefix_cover
 from ..core.packet import PacketTrace
+from ..core.rules import first_match_blocked
 from ..core.ruleset import RuleSet
 from ..energy.tcam import TCAM_ENTRY_BYTES
 
@@ -62,8 +63,12 @@ class TcamClassifier:
                         raise CapacityError(
                             f"range expansion exceeds {max_slots:,} TCAM slots"
                         )
-        self._lo = np.asarray(slots_lo, dtype=np.int64)
-        self._hi = np.asarray(slots_hi, dtype=np.int64)
+        # (ndim, slots) interval tables in slot (= priority) order, the
+        # layout :func:`~repro.core.rules.first_match_blocked` scans.
+        lo = np.asarray(slots_lo, dtype=np.uint32).reshape(-1, 5)
+        hi = np.asarray(slots_hi, dtype=np.uint32).reshape(-1, 5)
+        self._lo = np.ascontiguousarray(lo.T)
+        self._span = np.ascontiguousarray((hi - lo).T)
         self._rule = np.asarray(slot_rule, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -86,30 +91,16 @@ class TcamClassifier:
     def classify(self, header) -> int:
         """First matching slot's rule id (all slots compared in parallel
         in a real TCAM; priority encoder picks the lowest index)."""
-        h = np.asarray([int(v) for v in header], dtype=np.int64)
-        ok = np.all((self._lo <= h) & (h <= self._hi), axis=1)
-        idx = np.nonzero(ok)[0]
-        return int(self._rule[idx[0]]) if idx.size else -1
+        h = np.asarray([int(v) for v in header], dtype=np.uint32)
+        return int(self.classify_batch(h[None, :])[0])
 
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
-        n_packets = headers.shape[0]
-        out = np.full(n_packets, -1, dtype=np.int64)
-        # Chunked to bound the (packets x slots) boolean matrix.
-        chunk = max(1, 2_000_000 // max(self.n_slots, 1))
-        H = headers.astype(np.int64)
-        for start in range(0, n_packets, chunk):
-            h = H[start : start + chunk]
-            ok = np.ones((h.shape[0], self.n_slots), dtype=bool)
-            for d in range(5):
-                ok &= (self._lo[None, :, d] <= h[:, d, None]) & (
-                    h[:, d, None] <= self._hi[None, :, d]
-                )
-            any_hit = ok.any(axis=1)
-            first = ok.argmax(axis=1)
-            out[start : start + chunk] = np.where(
-                any_hit, self._rule[first], -1
-            )
-        return out
+        """Rule id of each header's first matching slot, -1 for none:
+        the oracle's priority-blocked early-exit scan over the slot
+        tables (a dense packets x slots compare costs ~10x as much on
+        the 7.6k slots of acl1-2500), slot -> rule id after."""
+        slot = first_match_blocked(self._lo, self._span, headers)
+        return np.append(self._rule, np.int64(-1))[slot]  # slot -1: no match
 
     def classify_trace(self, trace: PacketTrace) -> np.ndarray:
         return self.classify_batch(trace.headers)

@@ -190,6 +190,55 @@ class Rule:
         return f"Rule#{self.priority}({parts})"
 
 
+def first_match_blocked(
+    lo: np.ndarray,
+    span: np.ndarray,
+    headers: np.ndarray,
+    *,
+    chunk_size: int = 512,
+    rule_block: int = 256,
+) -> np.ndarray:
+    """Lowest interval-table column matching each header; -1 for none.
+
+    ``lo`` / ``span`` are ``(ndim, n)`` ``uint32`` tables (``span = hi -
+    lo``, so ``(v - lo) <= span`` is the whole interval test: uint32
+    wraparound turns ``v < lo`` into a huge value), in priority order.
+    Packets are processed in chunks and, within a chunk, columns in
+    blocks: each block is one ``(chunk, rule_block)`` vectorised test
+    over the packets still unresolved, and the scan stops early once
+    every packet in the chunk has matched — worst case O(n_packets * n),
+    typical cost proportional to how deep the first match sits.  Shared
+    by the linear oracle (:meth:`RuleArrays.batch_match`) and the TCAM
+    model's expanded slots.
+    """
+    headers = np.asarray(headers)
+    n_pkts, n = headers.shape[0], lo.shape[1]
+    out = np.full(n_pkts, -1, dtype=np.int64)
+    if n_pkts == 0 or n == 0:
+        return out
+    headers = headers.astype(np.uint32, copy=False)
+    for p0 in range(0, n_pkts, chunk_size):
+        chunk = headers[p0:p0 + chunk_size]
+        unresolved = np.arange(chunk.shape[0], dtype=np.int64)
+        for r0 in range(0, n, rule_block):
+            r1 = min(r0 + rule_block, n)
+            h = chunk[unresolved]
+            ok = (
+                (h[:, 0][:, None] - lo[0, r0:r1][None, :])
+                <= span[0, r0:r1][None, :]
+            )
+            for d in range(1, lo.shape[0]):
+                v = h[:, d][:, None]
+                ok &= (v - lo[d, r0:r1][None, :]) <= span[d, r0:r1][None, :]
+            hit = ok.any(axis=1)
+            if hit.any():
+                out[p0 + unresolved[hit]] = r0 + ok[hit].argmax(axis=1)
+                unresolved = unresolved[~hit]
+                if unresolved.size == 0:
+                    break
+    return out
+
+
 class RuleArrays:
     """Structure-of-arrays view of a list of rules.
 
@@ -280,41 +329,13 @@ class RuleArrays:
         """First-match indices for an ``(n_packets, ndim)`` header matrix.
 
         This is the linear-search oracle used by tests and the energy model
-        for the software baseline.  Packets are processed in chunks and,
-        within a chunk, rules in priority-ordered blocks: each block is one
-        ``(chunk, rule_block)`` vectorised interval test over the packets
-        still unresolved, and the scan stops early once every packet in
-        the chunk has matched — worst case O(n_packets * n_rules), typical
-        cost proportional to how deep the first match sits.
+        for the software baseline: :func:`first_match_blocked` (chunked,
+        priority-blocked, early exit) over the rules' own tables.
         """
-        headers = np.asarray(headers)
-        n_pkts = headers.shape[0]
-        out = np.full(n_pkts, -1, dtype=np.int64)
-        if n_pkts == 0 or self.n == 0:
-            return out
-        headers = headers.astype(np.uint32, copy=False)
-        for p0 in range(0, n_pkts, chunk_size):
-            chunk = headers[p0:p0 + chunk_size]
-            unresolved = np.arange(chunk.shape[0], dtype=np.int64)
-            for r0 in range(0, self.n, rule_block):
-                r1 = min(r0 + rule_block, self.n)
-                h = chunk[unresolved]
-                ok = (
-                    (h[:, 0][:, None] - self.lo[0, r0:r1][None, :])
-                    <= self.span[0, r0:r1][None, :]
-                )
-                for d in range(1, self.schema.ndim):
-                    v = h[:, d][:, None]
-                    ok &= (v - self.lo[d, r0:r1][None, :]) <= self.span[
-                        d, r0:r1
-                    ][None, :]
-                hit = ok.any(axis=1)
-                if hit.any():
-                    out[p0 + unresolved[hit]] = r0 + ok[hit].argmax(axis=1)
-                    unresolved = unresolved[~hit]
-                    if unresolved.size == 0:
-                        break
-        return out
+        return first_match_blocked(
+            self.lo, self.span, headers,
+            chunk_size=chunk_size, rule_block=rule_block,
+        )
 
     def distinct_range_counts(self, rule_ids: np.ndarray) -> list[int]:
         """Number of distinct (lo, hi) specs per dimension over a subset.

@@ -100,6 +100,38 @@ def pack_flow_keys(headers: np.ndarray) -> np.ndarray:
     return halves.view(_KEY_WORD)[..., 0]
 
 
+#: Below this many keys the lexsort alone beats hashing first (measured
+#: crossover ~500); both roads return the same arrays, so not a tunable.
+_HASH_GROUP_MIN = 512
+_MIX_A = np.uint64(0x9E3779B97F4A7C15)
+_MIX_B = np.uint64(0xBF58476D1CE4E5B9)
+
+
+def _mix_flow_keys(words: np.ndarray) -> np.ndarray:
+    """One 64-bit hash per key; multiply-xorshift rounds, so the high
+    bits (the ones kept) depend on every bit of every word."""
+    h = words[0] * _MIX_A
+    for word in words[1:]:
+        h ^= h >> np.uint64(32)
+        h = (h ^ word) * _MIX_B
+    h ^= h >> np.uint64(29)
+    return h * _MIX_A
+
+
+def _lexsort_dedupe(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dedupe_flow_keys` by one stable ``lexsort`` of every key."""
+    n = words.shape[1]
+    order = np.lexsort(words[::-1])  # lexsort's last key is the primary
+    ranked = np.take(words, order, axis=1)
+    boundary = np.ones(n, bool)
+    boundary[1:] = ranked[0, 1:] != ranked[0, :-1]
+    for word in ranked[1:]:  # a few whole-row ORs beat an axis-0 reduce
+        boundary[1:] |= word[1:] != word[:-1]
+    inverse = np.empty(n, np.intp)
+    inverse[order] = np.cumsum(boundary) - 1
+    return order[np.flatnonzero(boundary)], inverse
+
+
 def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct columns of a packed key matrix, in row-lexicographic order.
 
@@ -108,19 +140,36 @@ def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``inverse[i]`` the rank of key ``i`` — for ``words =
     pack_flow_keys(m)`` exactly the ``return_index`` / ``return_inverse``
     arrays of ``np.unique(m, axis=0)``, so ``m[first]`` is its sorted
-    unique-row matrix.  One stable ``lexsort`` over the words replaces
-    the void-dtype row sort ``np.unique(axis=0)`` does.
+    unique-row matrix.
+
+    Equal keys are grouped by hash: one *value* sort of (hash's high
+    bits, position in the low bits) lays each group out in arrival
+    order, so its head is its first occurrence and only the distinct
+    keys need the (stable, word-by-word) lexsort.  Every key is then
+    compared word for word with its group's head; a batch where two
+    different keys share a hash — or one too small to repay hashing —
+    takes the lexsort over all keys instead.
     """
     n = words.shape[1]
-    order = np.lexsort(words[::-1])  # lexsort's last key is the primary
-    ranked = words[:, order]
-    boundary = np.ones(n, bool)
-    boundary[1:] = ranked[0, 1:] != ranked[0, :-1]
-    for word in ranked[1:]:  # a few whole-row ORs beat an axis-0 reduce
-        boundary[1:] |= word[1:] != word[:-1]
-    inverse = np.empty(n, np.intp)
-    inverse[order] = np.cumsum(boundary) - 1
-    return order[boundary], inverse
+    if n >= _HASH_GROUP_MIN:
+        low = np.uint64((1 << (n - 1).bit_length()) - 1)
+        tagged = (_mix_flow_keys(words) & ~low) | np.arange(n, dtype=np.uint64)
+        tagged.sort()
+        position = (tagged & low).astype(np.intp)
+        boundary = np.ones(n, bool)
+        boundary[1:] = (tagged[1:] ^ tagged[:-1]) > low
+        heads = position[np.flatnonzero(boundary)]
+        # Different hashes, so the heads are distinct: ordering is all.
+        order = np.lexsort(np.take(words, heads, axis=1)[::-1])
+        rank = np.empty(order.size, np.intp)
+        rank[order] = np.arange(order.size)
+        first = heads[order]
+        inverse = np.empty(n, np.intp)
+        inverse[position] = rank[np.cumsum(boundary) - 1]
+        head_of = first[inverse]
+        if all(np.array_equal(word[head_of], word) for word in words):
+            return first, inverse
+    return _lexsort_dedupe(words)
 
 
 class FlowKeys(NamedTuple):
@@ -130,7 +179,8 @@ class FlowKeys(NamedTuple):
     sets: np.ndarray  #: ``(n,)`` int64 set index
 
     def take(self, rows: np.ndarray) -> "FlowKeys":
-        return FlowKeys(self.words[:, rows], self.sets[rows])
+        # np.take is ~3x the mixed index ``words[:, rows]``.
+        return FlowKeys(np.take(self.words, rows, axis=1), self.sets[rows])
 
 
 @dataclass
@@ -247,16 +297,17 @@ class FlowCache:
             self._filled = np.zeros((self.n_sets, self.ways), np.int64)
 
     def _live(self, idx, way: int | None = None) -> np.ndarray:
-        """Valid entries whose fill epoch is still current (and, with
-        aging on, whose fill is younger than ``max_age`` lookups), over
+        """Entries whose fill epoch is still current (and, with aging
+        on, whose fill is younger than ``max_age`` lookups), over
         ``table[idx]`` of the ``(sets, ways)`` tables — or, given
         ``way``, over the sets ``idx`` of that one way (a column view
         then a 1-D gather, a few times cheaper than the mixed index
-        ``table[idx, way]``)."""
-        valid, epoch, filled = self._valid, self._epoch, self._filled
+        ``table[idx, way]``).  The epoch tag alone decides: a slot never
+        filled, invalidated or retired carries ``-1``."""
+        epoch, filled = self._epoch, self._filled
         if way is not None:
-            valid, epoch, filled = valid[:, way], epoch[:, way], filled[:, way]
-        live = valid[idx] & (epoch[idx] == self.epoch)
+            epoch, filled = epoch[:, way], filled[:, way]
+        live = epoch[idx] == self.epoch
         if self.max_age:
             live &= (self._tick - filled[idx]) <= np.int64(self.max_age)
         return live
@@ -327,33 +378,37 @@ class FlowCache:
         :meth:`_flow_keys`."""
         words, s = keys
         n = s.shape[0]
-        touched, inv = np.unique(s, return_inverse=True)
-        inv = inv.reshape(-1)
+        # One stable sort of the set index (a radix sort while it fits
+        # 16 bits) puts each touched set's inserts together in arrival
+        # order: group number and occurrence rank fall out of the runs.
+        radix = s.astype(np.uint16) if self.n_sets <= 1 << 16 else s
+        by_set = np.argsort(radix, kind="stable")
+        ranked = s[by_set]
+        boundary = np.ones(n, bool)
+        boundary[1:] = ranked[1:] != ranked[:-1]
+        starts = np.flatnonzero(boundary)
+        group = np.cumsum(boundary) - 1
+        rank = np.arange(n) - starts[group]
         # Ways of each touched set ordered oldest-first; invalid ways and
         # stale-epoch leftovers are preferred victims.
+        touched = ranked[starts]
         age = np.where(self._live(touched), self._stamp[touched], np.int64(-1))
         order = np.argsort(age, axis=1, kind="stable")
-        # Occurrence rank of each insert within its set.
-        by_set = np.argsort(inv, kind="stable")
-        counts = np.bincount(inv)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        rank = np.empty(n, np.int64)
-        rank[by_set] = np.arange(n) - np.repeat(starts, counts)
-        way = order[inv, rank % self.ways]
+        ranked_way = order[group, rank % self.ways]
         # Overwriting a live entry is an eviction; re-using a dead slot
         # (TTL-expired, epoch-stale, retired — dead is dead, counted
         # once) is a reclamation.  Wrap inserts (rank >= ways) land on a
         # slot a batch-mate just claimed, so whatever the pre-batch
         # state said, they displace a fresh live fill: an eviction.
-        pre_live = self._live((s, way))
-        pre_valid = self._valid[s, way]
+        pre_live = self._live((ranked, ranked_way))
+        pre_valid = self._valid[ranked, ranked_way]
         first_claim = rank < self.ways
-        self.stats.evictions += int(
-            np.where(first_claim, pre_live, True).sum()
-        )
+        self.stats.evictions += int((pre_live | ~first_claim).sum())
         self.stats.reclamations += int(
             (first_claim & pre_valid & ~pre_live).sum()
         )
+        way = np.empty(n, np.intp)
+        way[by_set] = ranked_way  # back to arrival order: last writer wins
         self._keyw[:, way, s] = words
         self._valid[s, way] = True
         self._result[s, way] = results
@@ -398,6 +453,7 @@ class FlowCache:
         """
         if self._valid is not None:
             self._valid[:] = False
+            self._epoch[:] = -1
             self._result[:] = -1
         self.stats.invalidations += 1
 
@@ -609,7 +665,8 @@ class CachedClassifier(ClassifierBase):
             # Deduplicate the misses in ``np.unique(axis=0)`` order —
             # identical eviction/fill order in the fused and unfused
             # paths, whatever order the misses arrived in.
-            first, inverse = dedupe_flow_keys(keys.words[:, miss_rows])
+            missing = np.take(keys.words, miss_rows, axis=1)
+            first, inverse = dedupe_flow_keys(missing)
             rows = miss_rows[first]
             uniq = headers[rows]
             n_backend = rows.size

@@ -21,7 +21,7 @@ Workloads and built backends are shared across cells wherever the cell
 coordinates allow it (same family/size -> same ruleset; same trace
 coordinates -> same trace; static cells share one built backend per
 family/size/backend — the ``linecard`` scenario reuses its bare
-neighbour's build), so a 144-cell quick grid costs ~18 builds, not 144.
+neighbour's build), so the 432-cell quick grid costs ~18 builds, not 432.
 Churn cells always build fresh — live updates mutate the classifier.
 
 ``scenario=linecard`` cells route the same workload through the full

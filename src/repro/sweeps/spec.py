@@ -382,9 +382,14 @@ def default_spec(tier: str = "quick") -> SweepSpec:
 
     ``quick``
         the PR-path grid: all three families x three Table-4 sizes
-        (300/1200/2500) x two backends x a cache/skew grid — runs in a
-        few minutes and is what ``benchmarks/sweeps_baseline.json``
-        pins.
+        (300/1200/2500) x two backends x a cache/skew grid — runs in
+        under a minute and is what ``benchmarks/sweeps_baseline.json``
+        pins.  Two non-zero cache sizes either side of the ~950-flow
+        working set give ``compare_sweeps.py``'s monotone cache axis
+        groups to check, and the ``shards=2`` half runs the thread
+        tier, whose worker count — hence the per-shard caches and the
+        gated hit rate — does not depend on the host's CPU count the
+        way ``auto`` does (one shard is inline in every mode).
     ``full``
         the nightly grid: five Table-4 sizes per family (up to 10k
         rules), both shard points, a three-point cache axis, packet
@@ -397,6 +402,9 @@ def default_spec(tier: str = "quick") -> SweepSpec:
     if tier == "quick":
         return SweepSpec(
             name="paper-grid-quick",
+            shards=(1, 2),
+            shard_modes=("threads",),
+            cache_entries=(0, 256, 4096),
             scenarios=("bare", "linecard"),
         )
     if tier == "full":

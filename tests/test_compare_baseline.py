@@ -85,8 +85,12 @@ class TestGatedMetrics:
     def test_multi_tenant_aggregate_is_gated(self):
         assert "multi_tenant.aggregate_ratio" in compare_baseline.GATED_METRICS
 
-    def test_stage_graph_overhead_is_gated(self):
-        assert "stage_graph.overhead_ratio" in compare_baseline.GATED_METRICS
+    def test_stage_graph_gate_is_its_own_added_cost(self):
+        # Not the ratio to the cached classify: that one falls whenever
+        # the flow cache gets faster, so it is reported, never gated.
+        gated = compare_baseline.GATED_METRICS
+        assert "stage_graph.uncached_over_added" in gated
+        assert "stage_graph.overhead_ratio" not in gated
 
     @pytest.mark.parametrize("key,floor", [
         # "a cache never serves slower than no cache"
@@ -95,6 +99,7 @@ class TestGatedMetrics:
         ("flat_kernel_scaling.large_over_small", 0.8),
         ("update_patch.speedup", 3.0),
         ("update_cache_retention.retention", 0.9),
+        ("stage_graph.uncached_over_added", 3.0),
     ])
     def test_floor_gates_are_pinned_at_their_floors(self, key, floor):
         # The committed baseline holds what the bench test itself
@@ -133,3 +138,64 @@ class TestGatedMetrics:
         )
         assert failures == []
         assert "FAIL" not in report
+
+
+_HOST = {
+    "nproc": 2, "cpu": "cpu-a", "python": "3.11.7", "numpy": "2.4.6",
+    "platform": "linux-a", "commit": "abc",
+}
+
+
+class TestHostFingerprint:
+    """Wall-clock numbers are only diffed against the same host; ratios,
+    counts and gates are diffed anywhere."""
+
+    BASE = {
+        "flat_pps": {"hicuts": 2e6},
+        "oracle": {"batch_s": 0.01, "speedup": 8.0, "packets": 2000},
+        "fused_lookup": {"speedup": 2.0, "fused_pps": 3e6},
+    }
+    SLOW = {
+        "flat_pps": {"hicuts": 1e6},
+        "oracle": {"batch_s": 0.03, "speedup": 4.0, "packets": 2000},
+        "fused_lookup": {"speedup": 2.0, "fused_pps": 1e6},
+    }
+
+    def _compare(self, cur_host, base_host):
+        current = dict(self.SLOW, **({"fingerprint": cur_host} if cur_host else {}))
+        baseline = dict(self.BASE, **({"fingerprint": base_host} if base_host else {}))
+        return compare(current, baseline, threshold=0.8, fail_threshold=0.75)
+
+    def test_same_host_diffs_wall_clock(self):
+        # The commit differs, the host does not: 3 slow wall-clock rows
+        # and the halved (same-run) oracle speedup all warn.
+        report, failures = self._compare(_HOST, dict(_HOST, commit="def"))
+        assert failures == []
+        assert report.count(":warning:") == 4
+        assert "refused" not in report
+
+    @pytest.mark.parametrize("other", [
+        dict(_HOST, nproc=1), dict(_HOST, numpy="1.26.4"), None,
+    ], ids=["cpu-count", "numpy", "unstamped-baseline"])
+    def test_other_host_refuses_wall_clock_only(self, other):
+        report, failures = self._compare(_HOST, other)
+        assert failures == []
+        for key in ("flat_pps.hicuts", "oracle.batch_s", "fused_lookup.fused_pps"):
+            assert f"| `{key}` | " in report
+            row = next(ln for ln in report.splitlines() if f"`{key}`" in ln)
+            assert row.endswith("| — | refused |")
+        # The same-run ratio is still diffed (and warns), the count too.
+        assert report.count(":warning:") == 1
+        assert "3 wall-clock metrics refused" in report
+
+    def test_gates_hold_across_hosts(self):
+        current = {"fused_lookup": {"speedup": 1.0}, "fingerprint": _HOST}
+        baseline = {"fused_lookup": {"speedup": 2.0}}
+        _, failures = compare(
+            current, baseline, threshold=0.8, fail_threshold=0.75
+        )
+        assert failures == ["fused_lookup.speedup"]
+
+    def test_fingerprint_is_not_a_metric(self):
+        report, _ = self._compare(_HOST, dict(_HOST, nproc=64))
+        assert "fingerprint" not in report.split("refused: the two")[0]

@@ -30,7 +30,8 @@ from repro.engine import (
     build_backend,
     build_cached_backend,
 )
-from repro.engine.flowcache import dedupe_flow_keys, pack_flow_keys
+from repro.engine import flowcache
+from repro.engine.flowcache import FlowKeys, dedupe_flow_keys, pack_flow_keys
 from repro.energy import CacheEnergyModel
 
 ALL_BACKENDS = available_backends()
@@ -96,6 +97,43 @@ def _header_matrices(draw):
     return np.asarray(rows, dtype=np.uint32).reshape(n, ndim)
 
 
+#: Batch sizes around the hash-grouping cut and around the point where
+#: the position tag in the sort key grows from 16 to 17 bits.
+_CUT = flowcache._HASH_GROUP_MIN
+_BIG_SIZES = (_CUT - 1, _CUT, _CUT + 1, 65_536, 65_537)
+
+
+@st.composite
+def _flow_batches(draw):
+    """``n`` headers (1-3 key words) drawn with repeats from a small
+    pool of edge-valued flows, optionally half replaced by random —
+    almost surely distinct — ones."""
+    ndim = draw(st.integers(1, 6))
+    pool = draw(st.lists(
+        st.lists(_EDGE_VALUES, min_size=ndim, max_size=ndim),
+        min_size=1, max_size=12,
+    ))
+    n = draw(st.sampled_from(_BIG_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.asarray(pool, dtype=np.uint32)[rng.integers(0, len(pool), n)]
+    if draw(st.booleans()):
+        fresh = rng.random(n) < 0.5
+        m[fresh] = rng.integers(
+            0, 2**32, (int(fresh.sum()), ndim), dtype=np.uint32
+        )
+    return m
+
+
+def _assert_is_np_unique(m):
+    first, inverse = dedupe_flow_keys(pack_flow_keys(m))
+    uniq, index, inv = np.unique(
+        m, axis=0, return_index=True, return_inverse=True
+    )
+    assert np.array_equal(m[first], uniq)
+    assert np.array_equal(first, index)
+    assert np.array_equal(inverse, inv.reshape(-1))
+
+
 class TestPackedKeyDedupe:
     """``dedupe_flow_keys(pack_flow_keys(m))`` is ``np.unique(m, axis=0)``
     — same row order, same first-occurrence index, same inverse — which
@@ -104,13 +142,36 @@ class TestPackedKeyDedupe:
     @settings(max_examples=300, deadline=None)
     @given(_header_matrices())
     def test_matches_np_unique_rows(self, m):
-        first, inverse = dedupe_flow_keys(pack_flow_keys(m))
-        uniq, index, inv = np.unique(
-            m, axis=0, return_index=True, return_inverse=True
-        )
-        assert np.array_equal(m[first], uniq)
-        assert np.array_equal(first, index)
-        assert np.array_equal(inverse, inv.reshape(-1))
+        _assert_is_np_unique(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_flow_batches())
+    def test_matches_np_unique_rows_on_hash_grouped_batches(self, m):
+        _assert_is_np_unique(m)
+
+    @pytest.mark.parametrize("mixer", [
+        lambda words: np.zeros(words.shape[1], np.uint64),  # one group
+        lambda words: words[0] << np.uint64(32),  # blind to most columns
+    ], ids=["constant", "word0-low-half"])
+    def test_hash_collisions_take_the_lexsort(self, monkeypatch, mixer):
+        rng = np.random.default_rng(5)
+        flows = rng.integers(0, 4, (300, 5), dtype=np.uint32)
+        m = flows[rng.integers(0, 300, 4 * _CUT)]
+        monkeypatch.setattr(flowcache, "_mix_flow_keys", mixer)
+        _assert_is_np_unique(m)
+        # ...and it was the fallback that answered, not luck:
+        monkeypatch.setattr(flowcache, "_lexsort_dedupe", _must_not_run)
+        with pytest.raises(AssertionError, match="lexsort"):
+            dedupe_flow_keys(pack_flow_keys(m))
+
+    def test_hash_grouping_needs_no_lexsort_over_the_batch(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        flows = rng.integers(0, 2**32, (900, 5), dtype=np.uint32)
+        m = flows[rng.integers(0, 900, 4 * _CUT)]
+        monkeypatch.setattr(flowcache, "_lexsort_dedupe", _must_not_run)
+        _assert_is_np_unique(m)
+        with pytest.raises(AssertionError, match="lexsort"):
+            dedupe_flow_keys(pack_flow_keys(m[:_CUT - 1]))  # small batch
 
     def test_word_order_is_row_order(self):
         # Column 0 is the most significant half of word 0; an odd last
@@ -121,6 +182,85 @@ class TestPackedKeyDedupe:
         assert words[:, 0].tolist() == [1 << 32, 0]
         assert words[:, 1].tolist() == [2**32 - 1, (2**32 - 1) << 32]
         assert dedupe_flow_keys(words)[0].tolist() == [2, 1, 0]
+
+
+def _must_not_run(words):
+    raise AssertionError("took the lexsort over the whole batch")
+
+
+def _sequential_fill(cache, sets, results):
+    """What one ``_fill`` batch must leave behind, insert by insert:
+    ``(_result table, evictions, reclamations)`` from the pre-batch
+    state — victims oldest-first per set, wrap inserts onto the slots
+    their batch-mates just claimed."""
+    live = cache._live(...)
+    expect = cache._result.copy()
+    order, seen = {}, {}
+    evictions = reclamations = 0
+    for s, result in zip(sets.tolist(), results.tolist()):
+        if s not in order:
+            age = np.where(live[s], cache._stamp[s], -1)
+            order[s], seen[s] = np.argsort(age, kind="stable"), 0
+        way = order[s][seen[s] % cache.ways]
+        if seen[s] >= cache.ways or live[s, way]:
+            evictions += 1
+        elif cache._valid[s, way]:
+            reclamations += 1
+        seen[s] += 1
+        expect[s, way] = result
+    return expect, evictions, reclamations
+
+
+class TestFillGrouping:
+    """``_fill`` groups a batch by set with one stable sort of the set
+    index; these pin it against the insert-by-insert model."""
+
+    def _check(self, cache, sets, rounds=3):
+        rng = np.random.default_rng(9)
+        for _ in range(rounds):
+            n = sets.shape[0]
+            hdr = rng.integers(0, 2**32, (n, 5), dtype=np.uint32)
+            results = rng.permutation(10 * n)[:n] - 1  # distinct, one -1 possible
+            keys = FlowKeys(pack_flow_keys(hdr), sets)
+            cache._ensure_tables(5)
+            expect, evictions, reclamations = _sequential_fill(
+                cache, sets, results
+            )
+            before = cache.stats.evictions, cache.stats.reclamations
+            cache._fill(keys, results)
+            assert np.array_equal(cache._result, expect)
+            assert cache.stats.evictions - before[0] == evictions
+            assert cache.stats.reclamations - before[1] == reclamations
+            # A way a batch keeps is probed back under the same key.
+            hit, got = cache._probe(keys)
+            kept = cache._result[sets, :] == results[:, None]
+            assert hit[kept.any(axis=1)].all()
+            sets = rng.permutation(sets)
+
+    def test_every_insert_in_one_set(self):
+        cache = FlowCache(32, ways=4)
+        self._check(cache, np.full(10, 3, np.int64))
+        assert cache.stats.evictions > 0
+
+    def test_set_indices_beyond_sixteen_bits_stay_apart(self):
+        # 70,000 sets: the sort key cannot be the 16-bit radix one, and
+        # sets 5 / 65,541 (equal modulo 2**16) must not share a group.
+        cache = FlowCache(4 * 70_000, ways=4)
+        sets = np.array(
+            [5, 65_541, 5, 69_999, 65_541, 5, 5, 5, 65_541, 0, 5],
+            dtype=np.int64,
+        )
+        self._check(cache, sets)
+
+    def test_radix_and_wide_keys_agree(self):
+        # The same inserts into a <= 65,536-set cache and a larger one
+        # pick the same ways.
+        rng = np.random.default_rng(10)
+        sets = rng.integers(0, 40, 300)
+        small, large = FlowCache(4 * 64, ways=4), FlowCache(4 * 70_000, ways=4)
+        self._check(small, sets)
+        self._check(large, sets)
+        assert np.array_equal(small._result[:40], large._result[:40])
 
 
 class TestFlowCacheUnit:
@@ -199,6 +339,28 @@ class TestFlowCacheUnit:
         cache.invalidate()
         assert not cache.probe(hdr)[0].any()
         assert cache.stats.invalidations == 1
+        assert cache.occupancy_fraction() == 0.0
+
+    def test_eager_invalidate_then_serve_keeps_the_counters(self, acl_small):
+        # Liveness is the epoch tag alone, so the eager flush must reset
+        # it too.  Counters recorded at the commit where ``_live`` still
+        # read ``_valid``: a scrubbed slot is neither evicted nor
+        # reclaimed when refilled.
+        trace = generate_zipf_trace(
+            acl_small, 4000, n_flows=512, skew=1.0, seed=413
+        )
+        bare = build_backend("hypercuts", acl_small)
+        clf = CachedClassifier(bare, entries=64, ways=4, max_age=700)
+        got = []
+        for i, lo in enumerate(range(0, trace.n_packets, 400)):
+            if i in (3, 7):
+                clf.cache.invalidate()
+            got.append(clf.batch_stats(trace.headers[lo:lo + 400]).match)
+        assert np.array_equal(np.concatenate(got), bare.classify_trace(trace))
+        stats = clf.cache.stats
+        assert (
+            stats.hits, stats.misses, stats.evictions, stats.reclamations
+        ) == (2727, 1273, 1074, 7)
 
 
 class TestFlowCacheRetire:

@@ -103,8 +103,13 @@ class TestExpansion:
         assert {c.family for c in cells} == {"acl1", "fw1", "ipc1"}
         assert len({c.size for c in cells}) >= 3
         assert len({c.backend for c in cells}) >= 2
-        assert len({c.cache_entries for c in cells}) >= 2
         assert len({c.skew for c in cells}) >= 2
+        # The monotone cache-axis gate needs two non-zero sizes per
+        # group to compare, and sharded cells whose hit rate does not
+        # depend on the host's CPU count (``auto`` sizes by it).
+        assert len({c.cache_entries for c in cells} - {0}) >= 2
+        sharded = [c for c in cells if c.shards > 1]
+        assert sharded and all(c.shard_mode == "threads" for c in sharded)
 
     def test_cell_ids_are_unique(self):
         cells = default_spec("full").expand()
@@ -269,12 +274,40 @@ class TestCompareSweeps:
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         cid = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
+        big = "a/1/x/s1-auto/e256w4/z1.1/p40/u0"
         good = tmp_path / "good.json"
         bad = tmp_path / "bad.json"
-        good.write_text(json.dumps(_artifact({cid: _cell()})))
-        bad.write_text(json.dumps(_artifact({cid: _cell(matched=0.1)})))
+        good.write_text(json.dumps(_artifact(
+            {cid: _cell(), big: _cell(entries=256)}
+        )))
+        bad.write_text(json.dumps(_artifact(
+            {cid: _cell(matched=0.1), big: _cell(entries=256)}
+        )))
         assert compare_sweeps.main([str(good), str(good)]) == 0
         assert compare_sweeps.main([str(bad), str(good)]) == 1
+        capsys.readouterr()
+
+    def test_a_monotone_axis_that_checked_nothing_fails(self, tmp_path, capsys):
+        """One non-zero cache size per group leaves the cache axis with
+        no pair to compare: "0 cell groups checked ... all held" used to
+        exit 0.  Only a deliberately filtered run may skip the axis."""
+        cells = {
+            "a/1/x/s1-auto/e0w4/z1.1/p40/u0": _cell(entries=0),
+            "a/1/x/s1-auto/e64w4/z1.1/p40/u0": _cell(),
+        }
+        del cells["a/1/x/s1-auto/e0w4/z1.1/p40/u0"]["hit_rate"]
+        art = _artifact(cells)
+        report, failures = compare_sweeps.compare(
+            art, art, 0.8, 0.75, require_groups=True
+        )
+        assert failures == ["monotone:no-cell-groups"]
+        assert "0 cell groups checked" in report and "FAIL" in report
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(art))
+        assert compare_sweeps.main([str(path), str(path)]) == 1
+        assert compare_sweeps.main(
+            [str(path), str(path), "--allow-missing"]
+        ) == 0
         capsys.readouterr()
 
     def test_missing_input_file_is_nonfatal(self, tmp_path, capsys):

@@ -23,6 +23,27 @@ class TestCorrectness:
         got = tcam.classify_trace(trace)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("family", ["acl1", "fw1", "ipc1"])
+    def test_batch_is_oracle_and_dense_compare(self, family):
+        """``classify_batch`` runs the oracle's early-exit kernel over
+        the expanded slots; it must equal both the oracle over the rules
+        and the dense every-slot compare it replaced."""
+        rs = generate_ruleset(family, 300, seed=84)
+        tcam = TcamClassifier(rs)
+        assert tcam.n_slots > len(rs)  # port ranges really expanded
+        trace = generate_trace(rs, 1500, seed=85, background_fraction=0.3)
+        h = trace.headers.astype(np.int64)
+        lo = tcam._lo.T.astype(np.int64)
+        hi = lo + tcam._span.T
+        ok = np.all(
+            (lo[None] <= h[:, None, :]) & (h[:, None, :] <= hi[None]), axis=2
+        )
+        dense = np.where(ok.any(axis=1), tcam._rule[ok.argmax(axis=1)], -1)
+        got = tcam.classify_batch(trace.headers)
+        assert (got == -1).any() and (got >= 0).any()
+        assert np.array_equal(got, dense)
+        assert np.array_equal(got, rs.arrays.batch_match(trace.headers))
+
     def test_single_classify(self, acl_small):
         tcam = TcamClassifier(acl_small)
         lin = LinearSearchClassifier(acl_small)
