@@ -39,7 +39,7 @@ def main() -> None:
     # 1. One declarative description of the whole serving engine.
     config = EngineConfig(
         backend="hypercuts",      # routed onto the accelerator model
-        shards=2, persistent=True, chunk_size=2048,
+        shards=2, chunk_size=2048,
         cache_entries=4096, cache_ways=4, cache_max_age=500_000,
         updatable=True,           # serve live rule updates
     )

@@ -11,7 +11,7 @@ recovery mechanism the engine layer provides:
   only advances after a successful dispatch;
 * an **arena fence trip** (corrupted shared memory) under
   ``fault_policy="degrade"``, which walks the worker-tier ladder
-  ``persistent -> processes -> threads -> inline`` instead of failing;
+  ``forked -> threads -> inline`` instead of failing;
 * the ``fail`` policy raising a typed
   :class:`~repro.core.errors.ServingFaultError` that names the tier,
   shard and chunk;
@@ -74,11 +74,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     config = EngineConfig(
         backend="hypercuts", shards=2, chunk_size=1024,
-        min_chunk_packets=0, shard_mode="processes", persistent=True,
+        min_chunk_packets=0, shard_mode="processes",
         fault_policy="degrade", max_retries=1,
     )
-    # times=10 outlives every persistent-tier retry, forcing the step
-    # down to the transient fork tier (which has no shared arena).
+    # times=10 outlives every forked-tier retry, forcing the step down
+    # to the thread tier (which has no shared arena).
     plan = FaultPlan((FaultSpec(kind="arena", times=10),))
     with Engine.open(config, rules) as engine:
         report = engine.classify(trace, faults=plan)

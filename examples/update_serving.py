@@ -62,8 +62,8 @@ def main() -> None:
     )
 
     # Single-process serving makes the per-epoch kernel patching visible
-    # below; shards=N and persistent=True serve the same stream with
-    # identical results (each forked worker patches its own copy).
+    # below; shards=N serves the same stream with identical results
+    # (each forked worker patches its own copy).
     pipeline = ClassificationPipeline(clf, chunk_size=4096)
     result = pipeline.run(trace, updates=schedule)
     print(f"served {result.n_packets} packets across "

@@ -223,6 +223,7 @@ class IncrementalClassifier:
         self.ops.add("mem_write", 1)
         # Patch (not recompile) the compiled kernel rows we touched.
         self.tree.mark_dirty(stats.touched)
+        self.update_epoch += 1
         return stats
 
     def _is_live(self, rule_id: int) -> bool:
@@ -249,6 +250,7 @@ class IncrementalClassifier:
             else:
                 node.pushed = node.pushed[node.pushed != rule_id]
         self.tree.mark_dirty(stats.touched)
+        self.update_epoch += 1
         return stats
 
     def apply_updates(self, batch) -> UpdateResult:
@@ -260,8 +262,12 @@ class IncrementalClassifier:
         stream may legitimately race its own earlier removals, and the
         serving path must not die for it.  Every batch — including an
         empty one — advances :attr:`update_epoch` by one, so epochs
-        number ruleset versions deterministically.
+        number ruleset versions deterministically.  (A direct
+        :meth:`insert` / :meth:`remove` / :meth:`rebuild` is a version
+        of its own: serving layers watch the epoch to notice mutations
+        that did not come through them.)
         """
+        epoch = self.update_epoch
         inserted = removed = skipped = 0
         ids: list[int] = []
         touched: set[int] = set()
@@ -281,7 +287,7 @@ class IncrementalClassifier:
             else:  # pragma: no cover - RuleUpdate validates op
                 raise BuildError(f"unknown update op {op.op!r}")
             touched.update(stats.touched)
-        self.update_epoch += 1
+        self.update_epoch = epoch + 1
         # Node ids whose kernel rows this batch changed — what an
         # incremental hardware re-sync (repro.hw.resync) needs to know.
         self.last_touched = touched
@@ -297,6 +303,7 @@ class IncrementalClassifier:
         self.tree = self._build(self._ruleset)
         self._refcounts = self._count_refs()
         self._holders = self._index_holders()
+        self.update_epoch += 1
 
     # ------------------------------------------------------------------
     def _clone_if_shared(

@@ -8,7 +8,7 @@ Subcommands mirror a hardware bring-up flow:
   (decision trees default to the accelerator model) and print
   throughput/energy on the paper's devices;
 * ``bench`` — serve a trace through a :class:`~repro.serve.Engine`
-  session (sharded, optionally persistent/cached/updatable, optionally
+  session (sharded, optionally cached/updatable, optionally
   with streamed segment ingestion) and report serving throughput plus,
   for the accelerator, device throughput and energy;
 * ``serve`` — stand up a :class:`~repro.serve.MultiTenantEngine` from
@@ -362,12 +362,6 @@ def cmd_bench(args) -> int:
     rs = _load_or_generate(args)
     trace = _load_or_generate_trace(args, rs)
     fault_plan = FaultPlan.coerce(args.faults)
-    if args.persistent and args.shards < 2:
-        print(
-            "warning: --persistent needs --shards >= 2 to fork a worker "
-            "pool; running single-process",
-            file=sys.stderr,
-        )
     if args.stream and args.shards > 1 and args.stream <= args.chunk_size:
         print(
             f"warning: --stream {args.stream} <= --chunk-size "
@@ -403,9 +397,9 @@ def cmd_bench(args) -> int:
                   f"{rerun.throughput_pps:,.0f} packets/s "
                   f"(wall clock {rerun.elapsed_s * 1e3:.1f} ms)")
             res = rerun
-        # The persistent pool is forked lazily on first use, so its
-        # existence after the runs says whether the mode engaged.
-        pool_mode = "persistent" if engine.pool_engaged else "per-run"
+        # Workers are forked lazily on the first forked run, so their
+        # existence after the runs says whether the tier engaged.
+        pool_mode = "held" if engine.pool_engaged else "none"
         profile_stages = None
         if args.profile:
             profile_stages = _profile_hot_path(clf, trace, args.chunk_size)
@@ -783,11 +777,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "merge the breakdown into BENCH_engine.json "
                         "(needs --cache-entries)")
     n.add_argument("--persistent", action="store_true",
-                   help="reuse one forked worker pool across runs with "
-                        "shared-memory results (see --repeats)")
+                   help="deprecated no-op: forked shard workers are "
+                        "always held across runs")
     n.add_argument("--repeats", type=int, default=1,
-                   help="run the trace N times (shows the persistent "
-                        "pool's fork-amortisation win)")
+                   help="run the trace N times (shows the held "
+                        "workers' fork-amortisation win)")
     n.add_argument("--stream", type=int, default=0, metavar="PACKETS",
                    help="serve the trace as streamed PACKETS-sized "
                         "segments through Engine.stream (bounded result "
@@ -815,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser(
         "serve",
         help="serve N tenants through one MultiTenantEngine "
-             "(weighted-fair admission, shared persistent pool)",
+             "(weighted-fair admission, one forked-worker lease)",
     )
     v.add_argument("--config", default=None, metavar="ENGINE.json",
                    help="base EngineConfig JSON every tenant inherits "

@@ -32,8 +32,8 @@ Fault kinds
 ``arena``
     the parent scribbles the arena's control word before dispatch, so
     the worker's generation-fence check trips
-    (:class:`~repro.core.errors.ArenaCorruptionError`) — persistent
-    pool only, a no-op elsewhere;
+    (:class:`~repro.core.errors.ArenaCorruptionError`) — forked tier
+    only, a no-op elsewhere;
 ``ingest``
     the streamed session's ingestion thread raises
     :class:`~repro.core.errors.IngestError` before fetching segment

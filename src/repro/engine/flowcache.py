@@ -36,8 +36,8 @@ bypasses entirely (every packet is a backend miss, no coalescing).
 
 Sharding: each pipeline worker forks with a copy-on-write snapshot of
 the cache, so a sharded run maintains one private cache per shard (the
-hardware-natural layout); a persistent pool keeps the per-shard caches
-warm across ``run()`` calls.  Per-chunk hit/miss counts travel back
+hardware-natural layout), and the held workers keep the per-shard
+caches warm across ``run()`` calls.  Per-chunk hit/miss counts travel back
 through :class:`~repro.engine.protocol.BatchStats` and are aggregated
 by the pipeline.
 
@@ -49,12 +49,11 @@ header an inserted rule of higher priority covers — so every other flow
 keeps hitting across the update and the serving process still never
 returns a stale result.  Only events that say nothing about *what*
 changed (``rebuild``, ``invalidate_cache``) drop the whole cache, in
-O(1), through the epoch tag.  The persistent-pool caveat on
-:class:`~repro.engine.pipeline.ClassificationPipeline` applies to the
-cache exactly as it does to the classifier itself: a long-lived pool's
-workers hold the copy-on-write snapshot taken at fork time, so call
-``pipeline.close()`` after any mutation — the next ``run()`` re-forks
-from the updated (and freshly retired) state.
+O(1), through the epoch tag.  Held pipeline workers serve the
+copy-on-write snapshot of cache and classifier taken at fork time; a
+mutation made outside ``run()`` moves ``update_epoch``, which makes the
+:class:`~repro.engine.pipeline.ClassificationPipeline` re-fork them
+from the updated (and freshly retired) state before its next run.
 """
 
 from __future__ import annotations
@@ -417,33 +416,6 @@ class FlowCache:
         self._filled[s, way] = self._tick
         self._tick += np.int64(1)
 
-    def warm(self, headers: np.ndarray, results: np.ndarray) -> None:
-        """Pre-fill from the (header, result) pairs of a finished run.
-
-        Takes the most recent distinct flows (bounded to a few multiples
-        of the cache capacity, so warming a long trace stays O(cache)),
-        deduplicates them and fills normally — the next run starts warm
-        instead of cold.  Lookup/hit/miss and eviction/reclamation
-        counters are untouched: a warm is bookkeeping between runs, not
-        serving traffic.
-        """
-        n = headers.shape[0]
-        if not self.enabled or not n:
-            return
-        tail = min(n, 4 * self.entries)
-        keys = self._flow_keys(headers[n - tail:])
-        first, _ = dedupe_flow_keys(keys.words)
-        evictions, reclamations = (
-            self.stats.evictions, self.stats.reclamations
-        )
-        self._fill(
-            keys.take(first),
-            np.asarray(results[n - tail:], dtype=np.int64)[first],
-        )
-        self.stats.evictions, self.stats.reclamations = (
-            evictions, reclamations
-        )
-
     def invalidate(self) -> None:
         """Eagerly drop every entry; counters are kept.
 
@@ -701,17 +673,6 @@ class CachedClassifier(ClassifierBase):
             cache_hits=hits,
             cache_misses=n_backend,
             cache_evictions=cache.stats.evictions - evictions_before,
-        )
-
-    # ------------------------------------------------------------------
-    def warm_from_run(
-        self, headers: np.ndarray, match: np.ndarray
-    ) -> None:
-        """Pre-warm this process's cache from a finished run's results
-        (the pipeline calls it after forked runs, whose per-shard fills
-        happened in worker processes and never reached this copy)."""
-        self.cache.warm(
-            np.ascontiguousarray(headers, dtype=np.uint32), match
         )
 
     # ------------------------------------------------------------------

@@ -15,32 +15,37 @@ out over N worker shards, and aggregates per-chunk statistics into one
   benchmark suite can track the serving path.
 
 **One plan, one owner per shard.**  :meth:`ClassificationPipeline.plan`
-decides a run's tier and worker count (a :class:`ShardPlan`); chunk
-``i`` belongs to shard ``i % workers`` in every tier, and each shard has
-one long-lived owner that serves its chunks in order — so per-chunk
-cache counters, ``ChunkStats.shard`` and the modelled cycles/energy are
-a function of the plan, never of scheduling.  The tiers differ only in
-who the owner is and how bytes reach it:
+decides a run's tier and worker count (a :class:`ShardPlan`, which
+carries the ``reason`` for the choice); chunk ``i`` belongs to shard
+``i % workers`` in every tier, and each shard has one long-lived owner
+that serves its chunks in order — so per-chunk cache counters,
+``ChunkStats.shard`` and the modelled cycles/energy are a function of
+the plan, never of scheduling.  The tiers differ only in who the owner
+is and how bytes reach it:
 
 * ``inline`` — the calling thread; one chunk, ``shards=1``, no ``fork``
-  on the platform, or ``shard_mode="auto"`` on a host where clamping to
-  the CPU count (:func:`host_cpus`) leaves fewer than two workers.
+  on the platform, or ``shard_mode="auto"`` declining a fork (below).
 * ``threads`` (``shard_mode="threads"``) — a shard-affine thread over a
   private flow-cache clone that stays warm across runs; shared memory,
   no transport.
-* ``processes`` — one forked worker per shard for the duration of one
-  ``run()``; classifier and trace are inherited copy-on-write, results
-  come back through the shard's pipe.  ``shard_mode="processes"`` (the
-  direct-construction default) always forks when it can, ``"auto"``
-  (the :class:`~repro.serve.EngineConfig` default) only with >= 2
-  workers.
-* ``persistent`` (``persistent=True``) — the same workers, forked once
-  and kept across ``run()`` calls.  The trace is written once per run
-  into a pipeline-lifetime shared-memory arena (grown only when a trace
-  outsizes it) sealed with a generation + checksum fence every task
-  verifies; workers cache their attachments and scatter results
+* ``forked`` — one forked worker process per shard, programmed once and
+  then fed packets: forked on first use from the classifier's current
+  state, held for the pipeline's life, released only by
+  :meth:`~ClassificationPipeline.close`.  Each run's trace is written
+  once into a pipeline-lifetime shared-memory arena (grown only when a
+  trace outsizes it) sealed with a generation + checksum fence every
+  task verifies; workers cache their attachments and scatter results
   straight into the shared output segments, so a shard's message is a
   small descriptor and its replies are scalars.
+
+**Who forks.**  ``shard_mode="processes"`` (the direct-construction
+default) forks whenever a run has more than one shard and chunk;
+``"auto"`` (the :class:`~repro.serve.EngineConfig` default) forks only
+when that pays, on a break-even test over costs the pipeline measured
+on itself (:mod:`repro.engine.breakeven`).  ``auto``'s
+choice is therefore host- and load-dependent; matches are identical on
+every tier, but per-chunk cache counters depend on the tier, so pin
+``shard_mode`` when telemetry must reproduce.
 
 **Dispatch auto-tuning.**  ``min_chunk_packets`` coalesces chunks until
 each dispatch carries at least that many packets (the engine default
@@ -53,13 +58,13 @@ of the chunk size is merged into its predecessor.
 pipeline's :class:`~repro.engine.supervision.SupervisionPolicy`
 (``fail``, no deadline, unless one is given): per-chunk deadlines,
 worker-death watch, bounded retry with seeded backoff, and — under
-``fault_policy="degrade"`` — the tier ladder ``persistent -> processes
--> threads -> inline``.  A fork-tier retry tears the workers down and
-re-forks from the parent, whose classifier is only caught up *after* a
-successful dispatch, so every replayed chunk re-applies its exact
-update prefix and the run stays bit-identical to a fault-free one.
-Injected faults (:mod:`repro.engine.faults`) ride the same machinery
-via ``run(trace, faults=plan)``; everything observed lands in
+``fault_policy="degrade"`` — the tier ladder ``forked -> threads ->
+inline``.  A failed forked dispatch tears the workers (and arena) down
+and the retry re-forks from the parent, whose classifier is only caught
+up *after* a successful dispatch, so every replayed chunk re-applies
+its exact update prefix and the run stays bit-identical to a fault-free
+one.  Injected faults (:mod:`repro.engine.faults`) ride the same
+machinery via ``run(trace, faults=plan)``; everything observed lands in
 ``PipelineResult.fault``.
 
 **Live rule updates.**  ``run(trace, updates=[...])`` interleaves a
@@ -67,13 +72,15 @@ via ``run(trace, faults=plan)``; everything observed lands in
 each batch takes effect at the first chunk boundary at or after its
 ``at_packet`` offset, so every packet is classified against exactly one
 ruleset version (its chunk's epoch — recorded on
-:class:`ChunkStats.epoch`).  In the fork tiers each task carries the
+:class:`ChunkStats.epoch`).  On the forked tier each task carries the
 update prefix its chunk requires (a per-process watermark makes
 re-application a no-op) and the parent catches its own copy up after
 the run; the thread and inline tiers apply each batch once at its chunk
 boundary (the thread tier drains in-flight chunks first).  All tiers
 produce identical matches — the differential update-conformance suite
-replays them against a per-epoch linear-search oracle.
+replays them against a per-epoch linear-search oracle.  A classifier
+mutated *outside* ``run()`` is noticed by its ``update_epoch``: the
+next run re-forks the workers and flushes the thread clones' caches.
 """
 
 from __future__ import annotations
@@ -81,7 +88,6 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +95,7 @@ import numpy as np
 from ..core.errors import ArenaCorruptionError, ChunkTimeoutError, ConfigError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, ScheduledUpdate
+from .breakeven import ForkBreakEven
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
 from .protocol import BatchStats, Classifier, batch_stats_of, warm_batch_state
 from .supervision import (
@@ -108,7 +115,7 @@ DEFAULT_CHUNK_SIZE = 4096
 SHARD_MODES = ("auto", "processes", "threads")
 
 #: The tiers whose shard owners are forked processes.
-FORK_TIERS = ("persistent", "processes")
+FORK_TIERS = ("forked",)
 
 #: The engine-level dispatch target: coalesce chunks until each dispatch
 #: carries at least this many packets (runs without updates only).
@@ -118,24 +125,11 @@ DEFAULT_MIN_CHUNK_PACKETS = 65536
 #: merged into its predecessor instead of paying full dispatch cost.
 TAIL_MERGE_DIVISOR = 4
 
-#: Persistent-worker update-log watermark: once this many batches have
+#: Held-worker update-log watermark: once this many batches have
 #: accumulated for one set of workers' lifetime, they are re-forked
 #: (from the caught-up parent) instead of shipping an ever-growing
 #: prefix with every chunk task.
 POOL_LOG_MAX_BATCHES = 64
-
-#: Module global holding (classifier, headers) across a ``fork`` so
-#: shard workers inherit them copy-on-write instead of via pickling.
-#: ``headers`` is ``None`` for persistent workers (the trace then
-#: arrives through the shared-memory arena).
-_SHARD_STATE: tuple[Classifier, np.ndarray | None] | None = None
-
-#: Per-process watermark of the last applied update-batch sequence
-#: number.  Set in the parent immediately before forking so the
-#: children inherit it, then advanced worker-locally as shipped batches
-#: are applied — a batch is applied at most once per process, and always
-#: in sequence order.
-_WORKER_SEQ = 0
 
 #: Per-worker cache of shared-memory arena attachments, keyed by the
 #: segment-name tuple.  The parent's arena is pipeline-lifetime, so in
@@ -146,14 +140,14 @@ _ARENA_ATTACH: dict = {"names": None, "segs": ()}
 #: One update batch as shipped to workers: (sequence number, ops).
 PendingUpdate = tuple[int, tuple[RuleUpdate, ...]]
 
-#: One processed chunk: (match, occupancy | None,
-#: (hits, misses, evictions) | None, shard).  The cache triple is
-#: present only when the classifier is a flow-cached front-end (see
-#: :mod:`repro.engine.flowcache`); ``shard`` is the plan's 0-based id
-#: of the shard that owns the chunk.
-ChunkOutput = tuple[
-    np.ndarray, np.ndarray | None, tuple[int, int, int] | None, int
-]
+#: One chunk's flow-cache counters (hits, misses, evictions); ``None``
+#: unless the classifier is a flow-cached front-end.
+CacheTriple = tuple[int, int, int] | None
+#: One processed chunk: (match, occupancy | None, cache counters).
+ChunkOutput = tuple[np.ndarray, np.ndarray | None, CacheTriple]
+#: One served run, in trace order: (match, occupancy | None — unless
+#: every chunk modelled it — and the per-chunk cache counters).
+RunOutput = tuple[np.ndarray, np.ndarray | None, list[CacheTriple]]
 
 
 def host_cpus() -> int:
@@ -171,6 +165,8 @@ class ShardPlan:
 
     tier: str
     workers: int
+    #: Why :meth:`ClassificationPipeline.plan` chose the tier.
+    reason: str = field(default="", compare=False)
 
     @property
     def forks(self) -> bool:
@@ -204,6 +200,8 @@ class _Run:
     update_results: list = field(default_factory=list)
     #: Parent-side apply seconds per batch, in schedule order.
     update_latencies: list[float] = field(default_factory=list)
+    #: CPU seconds forked workers reported for the chunks they served.
+    worker_cpu_s: float = 0.0
 
     def chunk_faults(self, chunk: int, attempt: int, shard=None):
         """Injected worker-fault specs for one chunk on one dispatch
@@ -214,52 +212,43 @@ class _Run:
         return self.faults.worker_faults(chunk, attempt, shard=shard)
 
 
-def _apply_pending(
-    classifier: Classifier, pending: tuple[PendingUpdate, ...]
-) -> None:
-    """Catch this process's classifier copy up to the newest shipped
-    batch.  Sequence numbers are globally ordered and a shard's tasks
-    arrive in increasing chunk order, so the watermark guarantees every
-    process applies every batch exactly once, in order."""
-    global _WORKER_SEQ
-    for seq, batch in pending:
-        if seq > _WORKER_SEQ:
-            classifier.apply_updates(batch)
-            _WORKER_SEQ = seq
-
-
-def _shard_main(conn, shard: int) -> None:
+def _shard_main(conn, shard: int, classifier: Classifier, seq: int) -> None:
     """Body of one forked shard owner: serve task lists until the
-    parent closes the pipe.
+    parent closes the pipe.  ``classifier`` is this process's
+    copy-on-write snapshot (a fork argument: inherited, not pickled),
+    ``seq`` the sequence number of the last update batch it contains.
+    Sequence numbers are globally ordered and a shard's tasks arrive in
+    increasing chunk order, so the watermark guarantees this process
+    applies every batch exactly once, in order.
 
-    A message is ``(arena, tasks)``: ``arena`` is ``None`` on the
-    transient tier (the trace was inherited copy-on-write, results are
-    sent back whole) or the arena descriptor on the persistent tier;
-    each task is ``(chunk, bounds, update prefix, fault specs)``.  One
-    reply per task goes back in task order; an exception is sent as the
-    reply and raised by the parent.
+    A message is ``(arena, tasks)``: the arena descriptor of the run
+    and this shard's tasks, each ``(chunk, bounds, update prefix, fault
+    specs)``.  One reply per task goes back in task order —
+    :func:`_run_chunk_arena`'s pair plus the CPU and the wall seconds
+    this process spent on the task; an exception is sent as the reply
+    and raised by the parent.
     """
-    assert _SHARD_STATE is not None
-    classifier, headers = _SHARD_STATE
     while True:
         try:
             arena, tasks = conn.recv()
         except EOFError:
             return
         for index, bounds, pending, specs in tasks:
+            cpu0, wall0 = time.process_time(), time.perf_counter()
             try:
                 if specs:
                     fire_worker_specs(
                         specs, in_process=False, chunk=index, shard=shard
                     )
-                if pending:
-                    _apply_pending(classifier, pending)
-                if arena is None:
-                    reply = _run_chunk_local(classifier, headers, bounds)
-                else:
-                    reply = _run_chunk_arena(
-                        classifier, arena, index, bounds, shard
-                    )
+                for batch_seq, batch in pending:
+                    if batch_seq > seq:
+                        classifier.apply_updates(batch)
+                        seq = batch_seq
+                reply = _run_chunk_arena(
+                    classifier, arena, index, bounds, shard
+                ) + (
+                    time.process_time() - cpu0, time.perf_counter() - wall0
+                )
             except Exception as exc:  # noqa: BLE001 - relayed to the parent
                 reply = exc
             conn.send(reply)
@@ -271,7 +260,7 @@ def _attach_arena(names: tuple[str, ...]):
 
     Attaching re-registers the name with the resource tracker, but the
     workers are forked *after* the parent has started the tracker (see
-    ``ClassificationPipeline._fork_workers``), so parent and workers
+    ``ClassificationPipeline._ensure_workers``), so parent and workers
     share one tracker process and the duplicate registration is a set
     no-op — the parent's unlink (on arena growth or ``close()``) remains
     the single owner of the segment lifecycle.
@@ -293,7 +282,7 @@ def _attach_arena(names: tuple[str, ...]):
 def _run_chunk_arena(
     classifier: Classifier, arena, index: int, bounds, shard: int
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Persistent-tier chunk: classify out of the shared arena, write
+    """Forked-tier chunk: classify out of the shared arena, write
     results back into it, return only whether occupancy was modelled
     plus the chunk's flow-cache triple.
 
@@ -405,7 +394,7 @@ class PipelineResult:
     occupancy: np.ndarray | None = field(default=None, repr=False)
     #: Flow-cache totals over all chunks (``None`` on bare backends).
     #: Counts come back from whichever process served each chunk, so
-    #: they are correct in the fork tiers too.
+    #: they are correct on the forked tier too.
     cache_hits: int | None = None
     cache_misses: int | None = None
     cache_evictions: int | None = None
@@ -425,6 +414,9 @@ class PipelineResult:
     #: degradations, crash counts, recovery latencies); all-zero on a
     #: fault-free run.
     fault: FaultReport = field(default_factory=FaultReport, repr=False)
+    #: CPU seconds (``time.process_time`` deltas) forked workers spent
+    #: on this run's chunks; the other tiers work on the caller's clock.
+    worker_cpu_s: float = 0.0
 
     @property
     def n_packets(self) -> int:
@@ -495,15 +487,11 @@ class ClassificationPipeline:
     ``shard_mode`` picks the worker tier (see the module docstring):
     ``"processes"`` forks shard workers whenever ``shards > 1`` (the
     right mode for conformance tests that must exercise the fork
-    transport), ``"auto"`` forks only when the clamped worker count can
-    win, ``"threads"`` runs shard-affine threads with per-shard
-    flow-cache clones.
-
-    With ``persistent=True`` the forked shard workers survive across
-    ``run()`` calls (create once, serve many traces) and traces/results
-    travel through a pipeline-lifetime shared-memory arena instead of
-    pipes.  Use :meth:`close` — or the pipeline as a context manager —
-    to tear the workers (and arena) down deterministically.
+    transport), ``"auto"`` only when a fork can pay, ``"threads"`` runs
+    shard-affine threads with per-shard flow-cache clones.  Forked
+    workers are held from their first run until :meth:`close` — use it,
+    or the pipeline as a context manager, to tear them (and the arena)
+    down deterministically.  ``persistent`` is a deprecated no-op.
 
     ``policy`` is the fault-handling policy every dispatch is
     supervised under; ``None`` means ``SupervisionPolicy()`` — a fault
@@ -511,17 +499,11 @@ class ClassificationPipeline:
     a hang, never a retry.
 
     Rule updates belong *inside* ``run(trace, updates=...)``: the update
-    stream is applied with deterministic epoch semantics on every tier,
-    including persistent workers (each task ships the update prefix
-    its chunk requires, and the long-lived workers catch up exactly
-    once per batch).  The one remaining caveat is **out-of-band**
-    mutation: persistent workers hold the copy-on-write snapshot of
-    the classifier taken when they forked, so mutating the classifier
-    directly (e.g. ``IncrementalClassifier.insert`` between runs) does
-    not reach them — call :meth:`close` after such a mutation and the
-    next ``run()`` forks fresh workers.  (The transient tier re-forks
-    per run and needs no such step; the thread tier shares the live
-    classifier and tracks its ``update_epoch``.)
+    stream is applied with deterministic epoch semantics on every tier
+    (each forked task ships the update prefix its chunk requires, and
+    the long-lived workers catch up exactly once per batch).  Mutating
+    the classifier directly between runs is also safe
+    (:meth:`_sync_owners`).
     """
 
     def __init__(
@@ -551,34 +533,36 @@ class ClassificationPipeline:
         self.classifier = classifier
         self.chunk_size = chunk_size
         self.shards = shards
-        self.persistent = persistent
         self.shard_mode = shard_mode
         self.min_chunk_packets = min_chunk_packets
         self.policy = policy or SupervisionPolicy()
         self._supervisor = Supervisor(self.policy)
-        #: The persistent tier's forked shard owners (``None`` until
-        #: first use and after :meth:`close`).
+        #: The forked tier's shard owners (``None`` until first use and
+        #: after :meth:`close`).
         self._workers: ShardWorkers | None = None
-        #: Pipeline-lifetime shared-memory arena for the persistent
-        #: tier: ``{"names": (in, out, occ, ctl), "segs": [...]}``,
-        #: grown (re-created larger) only when a trace outsizes it.  The
-        #: ctl segment holds the (generation, checksum) fence pair.
+        #: Pipeline-lifetime shared-memory arena of the forked tier:
+        #: ``{"names": (in, out, occ, ctl), "segs": [...]}``, grown
+        #: (re-created larger) only when a trace outsizes it.  The ctl
+        #: segment holds the (generation, checksum) fence pair.
         self._arena: dict | None = None
         #: Monotonic arena-content generation: bumped every time the
         #: parent (re)writes the input segment, never reset, so a stale
         #: attach can never present a valid fence.
         self._arena_generation = 0
         #: Thread-tier per-shard flow-cache clones, persisted across
-        #: runs so shard caches stay warm, plus the backend epoch they
-        #: were last synchronised against.
+        #: runs so shard caches stay warm.
         self._thread_clones: list = []
-        self._thread_epoch = 0
+        #: The classifier ``update_epoch`` the shard owners (held
+        #: workers, thread clones) were last in step with.
+        self._owner_epoch = self._classifier_epoch()
+        #: What ``auto`` has measured of this pipeline's own costs.
+        self._cost = ForkBreakEven()
         #: Monotonic allocator for update-batch sequence numbers and the
         #: parent process's applied-batch watermark.
         self._update_seq = 0
         self._applied_seq = 0
-        #: Batches applied while the current persistent workers have
-        #: been alive.  Shipped (cheaply — workers skip applied seqs)
+        #: Batches applied while the current held workers have been
+        #: alive.  Shipped (cheaply — workers skip applied seqs)
         #: with every later task so a worker that never saw an earlier
         #: run's chunks still applies its updates before any newer ones.
         self._pool_log: list[PendingUpdate] = []
@@ -594,69 +578,74 @@ class ClassificationPipeline:
             return False
 
     def plan(
-        self, n_chunks: int | None = None, tier: str | None = None
+        self,
+        n_chunks: int | None = None,
+        tier: str | None = None,
+        packets: int | None = None,
     ) -> ShardPlan:
         """The tier and worker count for a run of ``n_chunks`` chunks
         (``None``: any run with at least as many chunks as shards — the
         question callers ask before a trace exists, e.g. "would this
-        pipeline fork?").
-
-        ``"processes"`` forks whenever the run has more than one chunk
-        and shard; ``"auto"`` declines when clamping to CPUs and chunks
-        leaves fewer than two workers, because a 1-worker fork pays
-        fork + IPC for zero parallelism.  ``tier`` overrides the choice
-        (a degradation-ladder rung) and only sizes it.
+        pipeline fork?") carrying ``packets`` packets (``None``: enough
+        to be worth a fork).  ``tier`` overrides the choice (a
+        degradation-ladder rung) and only sizes it.
         """
         chunks = self.shards if n_chunks is None else n_chunks
         wanted = max(1, min(self.shards, chunks))
         forked = min(wanted, host_cpus())
+        reason = "forced"
         if tier is None:
-            tier = "inline"
-            if wanted > 1 and self.shard_mode == "threads":
-                tier = "threads"
-            elif (
-                wanted > 1
-                and self._fork_available()
-                and (self.shard_mode == "processes" or forked >= 2)
-            ):
-                tier = "persistent" if self.persistent else "processes"
+            tier, reason = self._choose_tier(wanted, forked, packets)
         workers = {"inline": 1, "threads": wanted}.get(tier, forked)
-        return ShardPlan(tier, workers)
+        return ShardPlan(tier, workers, reason)
+
+    def _choose_tier(
+        self, wanted: int, forked: int, packets: int | None
+    ) -> tuple[str, str]:
+        """``(tier, reason)`` for a run that could engage ``wanted``
+        shards, ``forked`` of them as processes on this host.
+
+        ``"processes"`` forks whenever the run has more than one chunk
+        and shard.  ``"auto"`` declines when clamping to CPUs leaves
+        fewer than two workers (a 1-worker fork pays IPC for zero
+        parallelism), and otherwise asks the costs this pipeline
+        measured on itself whether ``packets`` come out cheaper forked.
+        """
+        if wanted < 2:
+            return "inline", "one shard"
+        if self.shard_mode == "threads":
+            return "threads", "shard_mode=threads"
+        if not self._fork_available():
+            return "inline", "no fork on this platform"
+        if self.shard_mode == "processes":
+            return "forked", "shard_mode=processes"
+        if forked < 2:
+            return "inline", "auto: one CPU"
+        if packets is None:
+            return "forked", f"auto: {forked} workers"
+        fork, why = self._cost.verdict(packets, forked)
+        return ("forked" if fork else "inline"), f"auto: {why}"
 
     # -- forked shard workers -------------------------------------------
     @property
     def workers_alive(self) -> bool:
-        """Whether forked shard workers are currently being held (the
-        persistent tier after its first run, or inside
-        :meth:`held_workers`)."""
+        """Whether forked shard workers are currently being held (from
+        the first forked run, or :meth:`prefork`, until
+        :meth:`close`)."""
         return self._workers is not None
 
-    @contextmanager
-    def held_workers(self, ndim: int):
-        """Fork the shard workers *now* and hold them until the block
-        exits, serving every run inside it on them.
-
-        For callers about to start threads: forking a multi-threaded
-        process risks inheriting held locks, so a streamed session
-        forks once up front instead of once per segment.  A pipeline
-        whose plan does not fork holds nothing; a ``persistent`` one
-        keeps its workers afterwards (they are its own).
-        """
-        if not self.plan().forks:
-            yield
-            return
-        was_persistent, self.persistent = self.persistent, True
-        try:
+    def prefork(self, ndim: int) -> None:
+        """Fork the shard workers *now* if any run of this pipeline
+        could be served forked — for callers about to start threads
+        (forking a multi-threaded process risks inheriting held locks,
+        so a streamed session forks up front)."""
+        if self.plan().forks:
+            self._sync_owners()
             self._ensure_workers(ndim)
-            yield
-        finally:
-            self.persistent = was_persistent
-            if not was_persistent:
-                self.close()
 
     def close(self) -> None:
-        """Tear down the persistent shard workers and their
-        shared-memory arena (no-op otherwise).
+        """Tear down the forked shard workers and their shared-memory
+        arena (no-op when none are held; the next forked run re-forks).
 
         Teardown is bounded (see :meth:`ShardWorkers.close`), and the
         arena segments are unlinked unconditionally afterwards so an
@@ -682,23 +671,27 @@ class ClassificationPipeline:
             # shared_memory internals under us; nothing left to reap.
             pass
 
-    def _ensure_workers(self, ndim: int) -> ShardWorkers:
-        """The persistent tier's workers, forked on first use — one per
-        shard any run could engage, not just this one's."""
-        if self._workers is None:
-            self._workers = self._fork_workers(
-                self.plan().workers, ndim, None
-            )
-        return self._workers
+    def _classifier_epoch(self) -> int:
+        return int(getattr(self.classifier, "update_epoch", 0))
 
-    def _fork_workers(
-        self, count: int, ndim: int, headers: np.ndarray | None
-    ) -> ShardWorkers:
-        """Fork ``count`` shard owners from the current classifier
-        state; ``headers`` rides along copy-on-write on the transient
-        tier and is ``None`` on the persistent one."""
-        global _SHARD_STATE, _WORKER_SEQ
-        if headers is None:
+    def _sync_owners(self) -> None:
+        """Notice a classifier mutated outside ``run()`` (its
+        ``update_epoch`` moved): held workers serve their fork-time
+        snapshot plus the batches shipped since, thread clones a cache
+        retired batch by batch, so the workers are closed (the next
+        forked run re-forks) and the clone caches flushed."""
+        epoch = self._classifier_epoch()
+        if epoch != self._owner_epoch:
+            self.close()
+            for clone in self._thread_clones:
+                clone.cache.advance_epoch()
+            self._owner_epoch = epoch
+
+    def _ensure_workers(self, ndim: int) -> ShardWorkers:
+        """The held workers, forked on first use from the classifier's
+        current state — one per shard any run could engage, not just
+        this one's."""
+        if self._workers is None:
             try:
                 # Start the resource tracker *before* forking: the
                 # workers then share the parent's tracker process, which
@@ -709,23 +702,20 @@ class ClassificationPipeline:
                 resource_tracker.ensure_running()
             except (OSError, RuntimeError):  # pragma: no cover - tracker spawn
                 pass
-        # Build every lazy batch structure (e.g. the tuple-space probe
-        # tables) before forking so workers inherit them copy-on-write
-        # instead of each rebuilding them.
-        warm_batch_state(self.classifier, ndim)
-        _SHARD_STATE = (self.classifier, headers)
-        # Children inherit the parent's applied-update watermark: every
-        # batch the forked snapshot already contains is filtered out of
-        # the shipped prefixes.
-        _WORKER_SEQ = self._applied_seq
-        try:
-            return ShardWorkers(count, _shard_main)
-        finally:
-            # Workers hold their copy-on-write snapshot; the parent
-            # global is only needed across the fork itself.
-            _SHARD_STATE = None
+            # Build every lazy batch structure (e.g. the tuple-space
+            # probe tables) before forking so workers inherit them
+            # copy-on-write instead of each rebuilding them.
+            warm_batch_state(self.classifier, ndim)
+            # Children start at the parent's applied-update watermark:
+            # every batch the forked snapshot already contains is
+            # filtered out of the shipped prefixes.
+            self._workers = ShardWorkers(
+                self.plan().workers, _shard_main,
+                self.classifier, self._applied_seq,
+            )
+        return self._workers
 
-    # -- shared-memory arena (persistent-tier transport) ----------------
+    # -- shared-memory arena (forked-tier transport) --------------------
     def _release_arena(self) -> None:
         if self._arena is not None:
             for shm in self._arena["segs"]:
@@ -809,7 +799,7 @@ class ClassificationPipeline:
         return bounds
 
     def _effective_chunk_size(
-        self, has_updates: bool, n: int | None = None
+        self, has_updates: bool, n: int, workers: int
     ) -> int:
         """The dispatch granularity for one run: coalesced up to
         ``min_chunk_packets`` unless an update stream pins the epoch
@@ -823,12 +813,12 @@ class ClassificationPipeline:
         inversion).  When the plan engages more than one worker, cap
         the coalesced size at ``ceil(n / workers)`` so every one of
         them gets a chunk, never dropping below the configured
-        ``chunk_size``.
+        ``chunk_size`` (an ``auto`` plan that keeps ``n`` packets
+        inline engages one worker, so nothing is capped).
         """
         if has_updates or not self.min_chunk_packets:
             return self.chunk_size
         size = max(self.chunk_size, self.min_chunk_packets)
-        workers = self.plan().workers
         if n and workers > 1:
             per_worker = -(-n // workers)
             size = max(self.chunk_size, min(size, per_worker))
@@ -927,13 +917,13 @@ class ClassificationPipeline:
     # -- supervised dispatch --------------------------------------------
     def _dispatch(
         self, plan: ShardPlan, run: _Run
-    ) -> tuple[list[ChunkOutput], ShardPlan]:
+    ) -> tuple[RunOutput, ShardPlan]:
         """Serve the run on ``plan`` with recovery: bounded same-tier
         retries, then — under ``fault_policy="degrade"`` — the tier
         ladder.  Returns the outputs and the plan that produced them.
 
         Whole-dispatch replay is safe exactly because the parent's
-        classifier is caught up only *after* a successful fork-tier
+        classifier is caught up only *after* a successful forked
         dispatch: a failed attempt leaves the parent at the pre-run
         epoch, the retry re-forks from that snapshot, and every task
         re-ships its chunk's exact update prefix.  The thread and
@@ -982,23 +972,23 @@ class ClassificationPipeline:
 
     def _run_tier(
         self, plan: ShardPlan, run: _Run, attempt: int
-    ) -> list[ChunkOutput]:
+    ) -> RunOutput:
         """One full dispatch attempt on one tier, including the tier's
         update-application contract."""
-        if plan.tier == "threads":
-            outputs = self._run_threads(plan, run, attempt)
-        elif plan.forks:
-            outputs = self._run_forked(plan, run, attempt)
+        if plan.forks:
+            output = self._run_forked(plan, run, attempt)
+        elif plan.tier == "threads":
+            output = _join_chunks(self._run_threads(plan, run, attempt))
         else:
-            outputs = self._run_inline(run, attempt)
+            output = _join_chunks(self._run_inline(run, attempt))
         # The parent's copy catches up after the dispatch: every batch
-        # on the fork tiers (its state then matches the workers', and
+        # on the forked tier (its state then matches the workers', and
         # later forks inherit it; a failed dispatch never gets here —
         # which is what makes whole-dispatch replay epoch-safe), and the
         # batches scheduled past the last chunk on the other two.
         for ordinal in range(len(run.entries)):
             self._apply_entry(run, ordinal)
-        return outputs
+        return output
 
     # ------------------------------------------------------------------
     def run(
@@ -1019,9 +1009,13 @@ class ClassificationPipeline:
 
         headers = trace.headers
         n = headers.shape[0]
+        self._sync_owners()
+        plan = self.plan(packets=n)
         bounds = self._chunk_bounds(
-            n, self._effective_chunk_size(bool(updates), n)
+            n, self._effective_chunk_size(bool(updates), n, plan.workers)
         )
+        if len(bounds) < self.shards:  # fewer chunks than plan() assumed
+            plan = self.plan(len(bounds), packets=n)
         run = _Run(
             headers, bounds, self._normalise_updates(updates, bounds),
             FaultPlan.coerce(faults),
@@ -1030,11 +1024,11 @@ class ClassificationPipeline:
         # a cache wrapper around a non-updatable classifier merely
         # *delegates* and must keep reporting None.
         base_epoch = (
-            int(getattr(self.classifier, "update_epoch", 0))
+            self._classifier_epoch()
             if is_updatable(self.classifier) else None
         )
         started = time.perf_counter()
-        outputs, served = self._dispatch(self.plan(len(bounds)), run)
+        output, served = self._dispatch(plan, run)
         if run.entries and self._workers is not None:
             # Keep the long-lived workers replayable: later runs ship
             # these batches too (applied-at-most-once via the watermark).
@@ -1046,82 +1040,59 @@ class ClassificationPipeline:
                 # from the current state with an empty log.
                 self.close()
         elapsed = time.perf_counter() - started
-        result = self._aggregate(run, outputs, served, elapsed, base_epoch)
-        if (
-            served.tier == "processes"
-            and not run.entries
-            and result.cache_hits is not None
-            and hasattr(self.classifier, "warm_from_run")
-        ):
-            # Transient shards filled *their* (copy-on-write) caches and
-            # died with them; seed the parent's cache from the run's
-            # results so the next fork inherits a warm cache instead of
-            # cold-starting every run.  Skipped when updates ran (the
-            # results span epochs) and in persistent mode (the live
-            # workers already keep their caches warm).
-            self.classifier.warm_from_run(headers, result.match)
-        return result
+        if served.tier == "inline" and n:
+            self._cost.saw_inline(n, elapsed)
+        self._owner_epoch = self._classifier_epoch()
+        return self._aggregate(run, output, served, elapsed, base_epoch)
 
-    # -- fork tiers -----------------------------------------------------
+    # -- forked tier ----------------------------------------------------
     def _run_forked(
         self, plan: ShardPlan, run: _Run, attempt: int
-    ) -> list[ChunkOutput]:
-        """One dispatch over forked shard owners.
-
-        Transient tier: fresh workers inherit the classifier and the
-        trace copy-on-write and send whole chunk results back.
-        Persistent tier: the long-lived workers read the trace out of
-        the arena and scatter match/occupancy slices into its shared
-        output segments, replying with scalars only.  Any failure reaps
-        the workers (replies of the failed dispatch may still be in
-        flight) and, with them, the arena.
+    ) -> RunOutput:
+        """One dispatch over the held shard workers (forked here on
+        first use): they read the trace out of the arena and scatter
+        match/occupancy slices into its shared output segments,
+        replying with scalars only.  Any failure reaps the workers
+        (replies of the failed dispatch may still be in flight) and,
+        with them, the arena.
         """
         headers, bounds = run.headers, run.bounds
-        persistent = plan.tier == "persistent"
         prefixes = self._chunk_prefixes(run)
         shard_tasks: list[list] = [[] for _ in range(plan.workers)]
         for i, b in enumerate(bounds):
             shard_tasks[plan.shard_of(i)].append(
                 (i, b, prefixes[i], run.chunk_faults(i, attempt))
             )
-        ndim = headers.shape[1]
-        workers = None
+        held = self._workers is not None
+        started = time.perf_counter()
         try:
-            workers = (
-                self._ensure_workers(ndim) if persistent
-                else self._fork_workers(plan.workers, ndim, headers)
-            )
-            arena = self._load_arena(run, attempt) if persistent else None
+            workers = self._ensure_workers(headers.shape[1])
+            arena = self._load_arena(run, attempt)
             replies = workers.dispatch(
                 arena, shard_tasks, timeout_s=self.policy.chunk_timeout_s
             )
         except BaseException:
             self.close()
             raise
-        finally:
-            if not persistent and workers is not None:
-                workers.close()
-        if not persistent:
-            return [
-                reply + (plan.shard_of(i),) for i, reply in enumerate(replies)
-            ]
+        # Not billed to the dispatch: the copy out below — it is the
+        # concatenate every tier pays.
+        wall_s = time.perf_counter() - started
+        busy = [0.0] * plan.workers
+        cpu_s = 0.0
+        for i, (_, _, task_cpu_s, task_wall_s) in enumerate(replies):
+            cpu_s += task_cpu_s
+            busy[plan.shard_of(i)] += task_wall_s
+        run.worker_cpu_s += cpu_s
         n = headers.shape[0]
+        self._cost.saw_forked(n, cpu_s, busy, wall_s, held)
         segs = self._arena["segs"]
         match = np.ndarray((n,), np.int64, buffer=segs[1].buf).copy()
         occupancy = (
             np.ndarray((n,), np.int64, buffer=segs[2].buf).copy()
-            if all(has_occ for has_occ, _ in replies)
+            if all(has_occ for has_occ, *_ in replies)
             else None
         )
-        return [
-            (
-                match[s:e],
-                None if occupancy is None else occupancy[s:e],
-                cache,
-                plan.shard_of(i),
-            )
-            for i, ((s, e), (_, cache)) in enumerate(zip(bounds, replies))
-        ]
+        return match, occupancy, [cache for _, cache, *_ in replies]
 
     # -- thread tier ----------------------------------------------------
     def _ensure_thread_clones(self, workers: int) -> list:
@@ -1130,23 +1101,14 @@ class ClassificationPipeline:
         Flow-cached classifiers get one private cache clone per shard
         (kept across runs, so shard caches stay warm); the clones share
         the wrapped backend, whose batch kernels are pure NumPy and safe
-        to walk concurrently.  Bare backends are shared directly.  A
-        backend ``update_epoch`` change since the last run epoch-bumps
-        every clone cache, so out-of-run updates never serve stale
-        entries.
+        to walk concurrently.  Bare backends are shared directly.
+        (:meth:`_sync_owners` flushes the clones after outside updates.)
         """
         base = self.classifier
         if not (hasattr(base, "clone") and hasattr(base, "cache")):
             return [base] * workers
-        if not self._thread_clones:
-            self._thread_epoch = int(getattr(base, "update_epoch", 0))
         while len(self._thread_clones) < workers:
             self._thread_clones.append(base.clone())
-        current = int(getattr(base, "update_epoch", 0))
-        if current != self._thread_epoch:
-            for clone in self._thread_clones:
-                clone.cache.advance_epoch()
-            self._thread_epoch = current
         return self._thread_clones[:workers]
 
     def _run_threads(
@@ -1188,11 +1150,9 @@ class ClassificationPipeline:
                         specs, in_process=True, chunk=i, shard=shard,
                         timeout_s=timeout,
                     )
-                out.append((
-                    i,
-                    _run_chunk_local(clones[shard], headers, bounds[i])
-                    + (shard,),
-                ))
+                out.append(
+                    (i, _run_chunk_local(clones[shard], headers, bounds[i]))
+                )
             return out
 
         def _executor():
@@ -1220,9 +1180,6 @@ class ClassificationPipeline:
                             clone.cache.retire(
                                 entries[idx].batch, result.inserted_ids
                             )
-                        self._thread_epoch = int(
-                            getattr(self.classifier, "update_epoch", 0)
-                        )
                     idx += 1
                 stop = n_chunks
                 if idx < len(entries) and entries[idx].effect_chunk < stop:
@@ -1278,11 +1235,7 @@ class ClassificationPipeline:
         run.report.retries += 1
         run.report.replays += len(chunk_ids)
         return [
-            (
-                i,
-                self._serve_chunk_inline(run, i, attempt + 1, shard=shard)
-                + (shard,),
-            )
+            (i, self._serve_chunk_inline(run, i, attempt + 1, shard=shard))
             for i in chunk_ids
         ]
 
@@ -1331,17 +1284,18 @@ class ClassificationPipeline:
             ):
                 self._apply_entry(run, idx)
                 idx += 1
-            outputs.append(self._serve_chunk_inline(run, i, attempt) + (0,))
+            outputs.append(self._serve_chunk_inline(run, i, attempt))
         return outputs
 
     def _aggregate(
         self,
         run: _Run,
-        outputs: list[ChunkOutput],
+        output: RunOutput,
         served: ShardPlan,
         elapsed: float,
         base_epoch: int | None,
     ) -> PipelineResult:
+        match, occupancy, caches = output
         entries = run.entries
         # Epoch of chunk i = version at run start + batches in effect by
         # chunk i; deterministic whichever process applied them.
@@ -1352,9 +1306,7 @@ class ClassificationPipeline:
                 e.batch
             )
         chunks: list[ChunkStats] = []
-        for i, ((start, end), (match, occ, cache, shard)) in enumerate(
-            zip(run.bounds, outputs)
-        ):
+        for i, ((start, end), cache) in enumerate(zip(run.bounds, caches)):
             epoch = (
                 None if base_epoch is None
                 else base_epoch + bisect_left(effects, i + 1)
@@ -1364,26 +1316,19 @@ class ClassificationPipeline:
                     index=i,
                     start=start,
                     n_packets=end - start,
-                    matched=int((match >= 0).sum()),
-                    occupancy_sum=None if occ is None else int(occ.sum()),
+                    matched=int((match[start:end] >= 0).sum()),
+                    occupancy_sum=(
+                        None if occupancy is None
+                        else int(occupancy[start:end].sum())
+                    ),
                     cache_hits=None if cache is None else cache[0],
                     cache_misses=None if cache is None else cache[1],
                     cache_evictions=None if cache is None else cache[2],
                     epoch=epoch,
                     updates_applied=ops_at.get(i, 0),
-                    shard=shard,
+                    shard=served.shard_of(i),
                 )
             )
-        if outputs:
-            match = np.concatenate([m for m, _, _, _ in outputs])
-            occs = [o for _, o, _, _ in outputs]
-            occupancy = (
-                np.concatenate(occs) if all(o is not None for o in occs) else None
-            )
-        else:
-            match = np.empty(0, dtype=np.int64)
-            occupancy = None
-        caches = [c for _, _, c, _ in outputs]
         has_cache = bool(caches) and all(c is not None for c in caches)
         return PipelineResult(
             match=match,
@@ -1407,7 +1352,20 @@ class ClassificationPipeline:
                 None if base_epoch is None else base_epoch + len(entries)
             ),
             fault=run.report,
+            worker_cpu_s=run.worker_cpu_s,
         )
+
+
+def _join_chunks(outputs: list[ChunkOutput]) -> RunOutput:
+    """Concatenate per-chunk outputs (in chunk order) into one run's."""
+    if not outputs:
+        return np.empty(0, dtype=np.int64), None, []
+    occs = [occ for _, occ, _ in outputs]
+    return (
+        np.concatenate([match for match, _, _ in outputs]),
+        np.concatenate(occs) if all(o is not None for o in occs) else None,
+        [cache for _, _, cache in outputs],
+    )
 
 
 def _run_chunk_local(

@@ -7,23 +7,24 @@ under a :class:`SupervisionPolicy` (built from
 ``max_retries`` / ``chunk_timeout_s`` fields; ``fail`` with no deadline
 when none is given):
 
-* :class:`ShardWorkers` is the fork tiers' executor: one long-lived
-  worker process per shard, each on its own pipe.  The parent waits on
-  the shard pipes *and* the process sentinels, so a dead worker
-  surfaces as a typed :class:`~repro.core.errors.WorkerCrashError`
-  naming its shard the moment it exits, and a shard that makes no
-  progress for ``chunk_timeout_s`` as a
-  :class:`~repro.core.errors.ChunkTimeoutError`;
+* :class:`ShardWorkers` is the forked tier's executor: one worker
+  process per shard, each on its own pipe, held by the pipeline from its
+  first forked run until ``close()``.  The parent waits on the shard
+  pipes *and* the process sentinels, so a dead worker surfaces as a
+  typed :class:`~repro.core.errors.WorkerCrashError` naming its shard
+  the moment it exits, and a shard that makes no progress for
+  ``chunk_timeout_s`` as a :class:`~repro.core.errors.ChunkTimeoutError`;
 * retries use **exponential backoff with seeded jitter**
-  (:meth:`Supervisor.backoff_s`) and every fork-tier retry tears the
-  workers down and re-forks from the parent — the parent applies update
-  batches only *after* a successful dispatch, so a replayed chunk
-  re-applies its exact :class:`~repro.core.updates.ScheduledUpdate`
-  prefix in the fresh workers and the run stays bit-identical;
+  (:meth:`Supervisor.backoff_s`); a failed forked dispatch tears the
+  workers down and its retry re-forks from the parent — the parent
+  applies update batches only *after* a successful dispatch, so a
+  replayed chunk re-applies its exact
+  :class:`~repro.core.updates.ScheduledUpdate` prefix in the fresh
+  workers and the run stays bit-identical;
 * when retries at one tier are exhausted and the policy is
   ``degrade``, the pipeline walks the **degradation ladder**
-  ``persistent -> processes -> threads -> inline`` (starting at the
-  configured tier) and records every step taken;
+  ``forked -> threads -> inline`` (starting at the planned tier) and
+  records every step taken;
 * :meth:`ShardWorkers.close` bounds teardown: SIGTERM, a ``join``
   against one shared deadline, then SIGKILL for stragglers — a hung
   worker cannot wedge ``close()``, and the shared-memory arena is
@@ -59,11 +60,11 @@ from ..core.errors import (
 FAULT_POLICIES = ("fail", "retry", "degrade")
 
 #: The worker-tier degradation ladder, most to least capable.  A run
-#: starts at its configured tier and, under ``fault_policy="degrade"``,
+#: starts at its planned tier and, under ``fault_policy="degrade"``,
 #: falls to the next rung when retries on the current one are
 #: exhausted.  ``inline`` (single-process, per-chunk retry) is the
-#: floor — it shares no pool, no fork and no arena with anything.
-DEGRADATION_LADDER = ("persistent", "processes", "threads", "inline")
+#: floor — it shares no workers, no fork and no arena with anything.
+DEGRADATION_LADDER = ("forked", "threads", "inline")
 
 #: Exceptions the supervisor may recover from (everything else — a
 #: genuine bug, a ConfigError — propagates untouched).
@@ -122,7 +123,7 @@ class FaultReport:
     #: Chunk dispatches replayed (a retried fork dispatch replays every
     #: chunk of the run; inline/thread retries replay one chunk each).
     replays: int = 0
-    #: Ladder steps taken, e.g. ``"persistent->processes:crash"``.
+    #: Ladder steps taken, e.g. ``"forked->threads:WorkerCrashError"``.
     degradations: list[str] = field(default_factory=list)
     worker_crashes: int = 0
     timeouts: int = 0
@@ -270,13 +271,13 @@ class Supervisor:
         )
 
 
-def _shard_entry(target, conn, shard: int, inherited) -> None:
+def _shard_entry(target, conn, shard: int, inherited, args) -> None:
     """First code a forked shard worker runs: drop the parent-side pipe
     ends the fork copied (so a vanished parent reads as EOF on this
     worker's pipe instead of leaving an orphan), then serve."""
     for other in inherited:
         other.close()
-    target(conn, shard)
+    target(conn, shard, *args)
 
 
 class ShardWorkers:
@@ -286,11 +287,12 @@ class ShardWorkers:
     a dispatch sends that worker the ordered list of its chunks' tasks
     in one message and reads one reply per task back, so which process
     serves which chunk — and therefore every per-shard cache counter —
-    is fixed by the plan, never by scheduling.  ``target(conn, shard)``
-    is the worker body; it inherits the parent's memory copy-on-write.
+    is fixed by the plan, never by scheduling.  ``target(conn, shard,
+    *args)`` is the worker body; it inherits the parent's memory — and
+    ``args``, unpickled — copy-on-write.
     """
 
-    def __init__(self, count: int, target) -> None:
+    def __init__(self, count: int, target, *args) -> None:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
@@ -300,7 +302,7 @@ class ShardWorkers:
             ours, theirs = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_entry,
-                args=(target, theirs, shard, (*self.conns, ours)),
+                args=(target, theirs, shard, (*self.conns, ours), args),
                 name=f"repro-shard-{shard}",
                 daemon=True,
             )

@@ -4,7 +4,7 @@ The public entry point to the serving stack::
 
     from repro.serve import Engine, EngineConfig
 
-    config = EngineConfig(backend="hypercuts", shards=4, persistent=True,
+    config = EngineConfig(backend="hypercuts", shards=4,
                           cache_entries=4096)
     with Engine.open(config, ruleset) as engine:
         report = engine.classify(trace)          # EngineReport

@@ -8,7 +8,7 @@ replaces all of that with a single frozen dataclass that
 
 * names the backend and its build parameters (``binth``/``spfac``/
   ``speed``/``software``),
-* shapes the pipeline (``shards``/``chunk_size``/``persistent``),
+* shapes the pipeline (``shards``/``chunk_size``/``shard_mode``),
 * sizes the flow cache (``cache_entries``/``cache_ways``/
   ``cache_max_age``),
 * selects the update policy (``updatable``) and the device energy model
@@ -72,9 +72,12 @@ class EngineConfig:
     # -- pipeline shape --------------------------------------------------
     shards: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
+    #: Deprecated no-op (old configs still load): forked workers are
+    #: always held until ``close()``.
     persistent: bool = False
     #: Worker tier: ``"auto"`` forks only when the clamped worker count
-    #: can win, ``"processes"`` always forks when ``shards > 1``,
+    #: and the pipeline's own measured break-even say a fork wins,
+    #: ``"processes"`` always forks when ``shards > 1``,
     #: ``"threads"`` runs shard-affine in-process workers.  The engine
     #: defaults to ``"auto"`` (``ClassificationPipeline`` constructed
     #: directly keeps the historical ``"processes"`` default).
@@ -103,7 +106,7 @@ class EngineConfig:
     #: :class:`~repro.core.errors.ServingFaultError`, ``"retry"``
     #: replays the dispatch (bounded, backed off) on the same tier,
     #: ``"degrade"`` retries and then walks the worker-tier ladder
-    #: (persistent -> processes -> threads -> inline).
+    #: (forked -> threads -> inline).
     fault_policy: str = "fail"
     #: Dispatch retries per tier before failing (or degrading).
     max_retries: int = 2

@@ -93,6 +93,10 @@ class EngineReport:
     #: quarantined packets, crash counts, recovery latencies).  ``None``
     #: only on a report merged from no runs; all-zero when fault-free.
     fault: FaultReport | None = None
+    #: CPU seconds forked shard workers spent serving (0.0 when nothing
+    #: forked).  Held workers are reaped at ``close()``, so a caller's
+    #: ``RUSAGE_CHILDREN`` reading around a run does not contain this.
+    worker_cpu_s: float = 0.0
 
     # -- energy/device model --------------------------------------------
     energy_model: str = "none"
@@ -189,6 +193,7 @@ class EngineReport:
             final_epoch=result.final_epoch,
             update_latencies_s=result.update_latencies_s,
             fault=result.fault,
+            worker_cpu_s=result.worker_cpu_s,
             energy_model=energy_model,
         )
         report._evaluate_energy()
@@ -274,6 +279,7 @@ class EngineReport:
             final_epoch=final_epoch,
             update_latencies_s=tuple(latencies),
             fault=FaultReport.merged(r.fault for r in results),
+            worker_cpu_s=sum(r.worker_cpu_s for r in results),
             energy_model=energy_model,
         )
         report._evaluate_energy()
@@ -305,6 +311,7 @@ class EngineReport:
             "chunk_size": self.chunk_size,
             "n_chunks": self.n_chunks,
             "n_segments": self.n_segments,
+            "worker_cpu_s": self.worker_cpu_s,
             "energy_model": self.energy_model,
         }
         if self.cache_hits is not None:

@@ -3,11 +3,11 @@
 One object owns what used to be four call sites' worth of plumbing:
 backend construction through the registry (including the tree-to-
 accelerator routing and the update-serving adaptation), flow-cache
-wrapping, pipeline construction, and persistent-pool lifecycle::
+wrapping, pipeline construction, and shard-worker lifecycle::
 
     from repro.serve import Engine, EngineConfig
 
-    config = EngineConfig(backend="hypercuts", shards=4, persistent=True,
+    config = EngineConfig(backend="hypercuts", shards=4,
                           cache_entries=4096)
     with Engine.open(config, ruleset) as engine:
         report = engine.classify(trace)            # one-shot
@@ -23,7 +23,7 @@ Two serving paths, one result:
     (in-memory views, a file reader, a traffic generator).  A
     background **ingestion thread** pulls segments from the iterable
     into a bounded prefetch queue and a **serving thread** classifies
-    them on the (persistent) pipeline, publishing
+    them on the pipeline, publishing
     :class:`ChunkResult`\\ s into a bounded **result ring** the caller
     iterates.  Ingestion (trace generation, file parsing) therefore
     overlaps classification; the bounded queues give backpressure, so
@@ -112,7 +112,7 @@ class Engine:
     """A serving session: one built classifier behind one pipeline.
 
     Construct through :meth:`open` (usable directly as a context
-    manager); :meth:`close` tears down the persistent worker pool.
+    manager); :meth:`close` tears down the held shard workers.
     ``backend_params`` are forwarded to the backend factory for the few
     call sites that need more than the declarative surface (the
     experiment harness's ``ops`` counters and ``capacity_words``).
@@ -144,7 +144,6 @@ class Engine:
             self.classifier,
             chunk_size=config.chunk_size,
             shards=config.shards,
-            persistent=config.persistent,
             shard_mode=config.shard_mode,
             min_chunk_packets=config.min_chunk_packets,
             policy=SupervisionPolicy(
@@ -388,23 +387,8 @@ class Engine:
         first ``next()``; early ``close()`` of the iterator tears the
         session's threads down without leaking)."""
         # Fork the shard workers before any thread exists: forking a
-        # multi-threaded process risks inheriting held locks.  A
-        # transient (non-persistent) config is served on stream-lifetime
-        # workers for the same reason — one pre-threads fork instead of
-        # one fork per segment — released when the stream ends.
-        with self._pipeline.held_workers(self.ruleset.schema.ndim):
-            yield from self._serve_stream(
-                segments, entries, prefetch, ring_slots, plan
-            )
-
-    def _serve_stream(
-        self,
-        segments: Iterable,
-        entries: list[ScheduledUpdate],
-        prefetch: int,
-        ring_slots: int,
-        plan: FaultPlan | None,
-    ) -> Iterator[ChunkResult]:
+        # multi-threaded process risks inheriting held locks.
+        self._pipeline.prefork(self.ruleset.schema.ndim)
         supervisor = self._pipeline._supervisor
         stream_fault = FaultReport()
         quarantined_before = self.quarantine.count if self.quarantine else 0
@@ -494,7 +478,7 @@ class Engine:
                     if item is _DONE:
                         # Updates scheduled past the stream's end apply
                         # after the last segment — through the pipeline
-                        # (so persistent-pool workers catch up too) and
+                        # (so held workers catch up too) and
                         # surfaced as a final zero-packet chunk so the
                         # consumer sees the epoch advance.
                         tail = [

@@ -25,11 +25,11 @@ cache entries, and per-tenant results are bit-identical
 to running that tenant alone: the scheduler only decides *when* a
 segment runs, never *how*.
 
-**One shared persistent pool.**  Fork pools are the expensive shared
-resource (workers, shared-memory arenas).  The engine holds a single
-pool lease: at most one tenant's persistent fork pool is alive at any
+**One set of forked workers.**  Forked shard workers are the expensive
+shared resource (processes, shared-memory arenas).  The engine holds a
+single pool lease: at most one tenant's workers are alive at any
 moment, handed over (previous holder torn down) when the scheduler
-switches to another pool-tier tenant.  N tenants never multiply the
+switches to another tenant whose plan forks.  N tenants never multiply the
 process's worker footprint.
 
 **Weighted-fair admission.**  Interleaving is deficit round-robin over
@@ -190,13 +190,13 @@ class TenantReport:
 
 
 class _PoolLease:
-    """The single-persistent-pool invariant, as an object.
+    """The one-tenant's-workers-alive invariant, as an object.
 
-    Tenant pipelines that plan to fork a persistent pool must ``admit``
-    through the lease before running; admitting a different tenant
-    tears the previous holder's pool down first, so whatever N tenants
-    are configured, at most one fork pool (workers + shared-memory
-    arena) exists at any moment.
+    Every forking pipeline holds its workers between runs, so tenant
+    pipelines whose plan forks must ``admit`` through the lease before
+    running; admitting a different tenant tears the previous holder's
+    workers down first, so whatever N tenants are configured, at most
+    one set (workers + shared-memory arena) exists at any moment.
     """
 
     def __init__(self) -> None:
@@ -207,7 +207,7 @@ class _PoolLease:
         return self._holder[0] if self._holder is not None else None
 
     def admit(self, name: str, pipeline: ClassificationPipeline) -> None:
-        if not (pipeline.persistent and pipeline.plan().forks):
+        if not pipeline.plan().forks:
             return
         if self._holder is not None and self._holder[0] != name:
             self._holder[1].close()
@@ -325,7 +325,7 @@ class MultiTenantEngine:
 
     @property
     def pool_holder(self) -> str | None:
-        """Which tenant currently holds the shared persistent pool."""
+        """Which tenant currently holds the forked-worker lease."""
         return self._lease.holder
 
     def _tenant(self, name: str) -> tuple[TenantSpec, Engine]:
@@ -527,7 +527,7 @@ class MultiTenantEngine:
         st.fault = f"{type(exc).__name__}: {exc}"
         st.done = True
         st.deficit = 0.0
-        # A faulted persistent tier may leave a poisoned pool behind;
+        # A faulted forked tier may leave poisoned workers behind;
         # drop the lease so the next tenant forks fresh.
         self._lease.release(st.name)
 
@@ -579,6 +579,7 @@ class MultiTenantEngine:
             update_skipped=sum(r.update_skipped for r in reports),
             update_latencies_s=tuple(latencies),
             fault=FaultReport.merged(r.fault for r in reports),
+            worker_cpu_s=sum(r.worker_cpu_s for r in reports),
             energy_model="none",
             tenants=tenants,
         )

@@ -7,13 +7,18 @@ multiprocessing must never change classification results.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from repro import FIVE_TUPLE, PacketTrace
-from repro.core.errors import ConfigError
+from repro import Engine, EngineConfig, FIVE_TUPLE, PacketTrace
+from repro.core.errors import ConfigError, ServingFaultError
 from repro.energy import asic_model
-from repro.engine import ClassificationPipeline, build_backend
+from repro.engine import ClassificationPipeline, FaultSpec, build_backend
+from repro.engine.breakeven import ForkBreakEven
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +99,19 @@ class TestAggregation:
         assert res.device_throughput_pps(226e6) is None
 
 
-class TestPersistentPool:
-    """The persistent fork-pool with shared-memory result transport."""
+def _leftovers(names=()):
+    """Live shard workers of this process and, of ``names``, the arena
+    segments still linked in ``/dev/shm``."""
+    workers = sorted(
+        proc.name for proc in multiprocessing.active_children()
+        if proc.name.startswith("repro-shard-")
+    )
+    return workers, [n for n in names if os.path.exists(f"/dev/shm/{n}")]
+
+
+class TestHeldWorkers:
+    """The forked tier: workers held across runs, shared-memory arena
+    transport."""
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_bit_identical_across_repeated_runs(
@@ -103,6 +119,7 @@ class TestPersistentPool:
     ):
         single = acc_small.classify_trace(acl_small_trace)
         run = acc_small.run_trace(acl_small_trace)
+        # ``persistent`` is still accepted (a deprecated no-op).
         with ClassificationPipeline(
             acc_small, chunk_size=300, shards=shards, persistent=True
         ) as pipeline:
@@ -112,37 +129,83 @@ class TestPersistentPool:
                 assert res.occupancy is not None
                 assert np.array_equal(res.occupancy, run.occupancy)
 
-    def test_matches_transient_mode_chunk_stats(
+    def test_matches_inline_tier_chunk_stats(
         self, acc_small, acl_small_trace
     ):
-        transient = ClassificationPipeline(
-            acc_small, chunk_size=256, shards=2
-        ).run(acl_small_trace)
+        inline = ClassificationPipeline(acc_small, chunk_size=256).run(
+            acl_small_trace
+        )
         with ClassificationPipeline(
-            acc_small, chunk_size=256, shards=2, persistent=True
+            acc_small, chunk_size=256, shards=2
         ) as pipeline:
-            persistent = pipeline.run(acl_small_trace)
-        assert np.array_equal(persistent.match, transient.match)
+            forked = pipeline.run(acl_small_trace)
+        assert np.array_equal(forked.match, inline.match)
         assert [
             (c.index, c.start, c.n_packets, c.matched, c.occupancy_sum)
-            for c in persistent.chunks
+            for c in forked.chunks
         ] == [
             (c.index, c.start, c.n_packets, c.matched, c.occupancy_sum)
-            for c in transient.chunks
+            for c in inline.chunks
         ]
+
+    def test_worker_cpu_is_reported(self, acl_small, acl_small_trace):
+        # Held workers are reaped at close(), so their CPU time never
+        # shows in the caller's RUSAGE_CHILDREN around a run: every
+        # reply carries it instead.
+        config = EngineConfig(
+            backend="linear", chunk_size=256, shards=2,
+            shard_mode="processes", min_chunk_packets=0,
+        )
+        with Engine.open(config, acl_small) as engine:
+            if not engine.pipeline._fork_available():  # pragma: no cover
+                pytest.skip("fork multiprocessing unavailable")
+            forked = engine.classify(acl_small_trace)
+        inline = ClassificationPipeline(
+            build_backend("linear", acl_small), chunk_size=256
+        ).run(acl_small_trace)
+        assert forked.worker_cpu_s > 0.0
+        assert forked.to_dict()["worker_cpu_s"] == forked.worker_cpu_s
+        assert inline.worker_cpu_s == 0.0
+
+    @pytest.mark.parametrize("how", ["close", "gc", "failed dispatch"])
+    def test_no_worker_or_arena_segment_outlives_the_engine(
+        self, how, acl_small, acl_small_trace
+    ):
+        config = EngineConfig(
+            backend="linear", chunk_size=256, shards=2,
+            shard_mode="processes", min_chunk_packets=0,
+        )
+        engine = Engine.open(config, acl_small)
+        if not engine.pipeline._fork_available():  # pragma: no cover
+            pytest.skip("fork multiprocessing unavailable")
+        engine.classify(acl_small_trace)
+        names = tuple(engine.pipeline._arena["names"])
+        assert _leftovers(names) == (["repro-shard-0", "repro-shard-1"],
+                                     list(names))
+        if how == "close":
+            engine.close()
+        elif how == "gc":
+            del engine
+            gc.collect()
+        else:
+            with pytest.raises(ServingFaultError):
+                engine.classify(
+                    acl_small_trace, faults=[FaultSpec(kind="crash", chunk=1)]
+                )
+        assert _leftovers(names) == ([], [])
 
     def test_software_backend_no_occupancy(self, acl_small, acl_small_trace):
         clf = build_backend("linear", acl_small)
         with ClassificationPipeline(
-            clf, chunk_size=512, shards=2, persistent=True
+            clf, chunk_size=512, shards=2
         ) as pipeline:
             res = pipeline.run(acl_small_trace)
         assert res.occupancy is None
         assert np.array_equal(res.match, clf.classify_trace(acl_small_trace))
 
-    def test_pool_reused_and_closed(self, acc_small, acl_small_trace):
+    def test_workers_reused_and_closed(self, acc_small, acl_small_trace):
         pipeline = ClassificationPipeline(
-            acc_small, chunk_size=300, shards=2, persistent=True
+            acc_small, chunk_size=300, shards=2
         )
         try:
             pipeline.run(acl_small_trace)
@@ -153,7 +216,7 @@ class TestPersistentPool:
         finally:
             pipeline.close()
         assert pipeline._workers is None
-        # Running again after close() forks a fresh pool on demand.
+        # Running again after close() forks fresh workers on demand.
         res = pipeline.run(acl_small_trace)
         assert res.n_packets == acl_small_trace.n_packets
         pipeline.close()
@@ -162,7 +225,7 @@ class TestPersistentPool:
         full = acl_small_trace
         half = PacketTrace(full.headers[:901], FIVE_TUPLE)
         with ClassificationPipeline(
-            acc_small, chunk_size=300, shards=2, persistent=True
+            acc_small, chunk_size=300, shards=2
         ) as pipeline:
             a = pipeline.run(full)
             b = pipeline.run(half)
@@ -322,6 +385,140 @@ class TestShardModes:
             res.match, acc_small.classify_trace(acl_small_trace)
         )
         assert pipeline.plan().forks == can_win
+
+    #: Costs as a pipeline would have measured them on itself: inline
+    #: serving ns/packet, then of its last forked dispatch the seconds
+    #: beyond the busiest worker and the worker ns/packet (times the
+    #: workers).  A cached job: 162,500 packets x 80 ns = 13 ms inline;
+    #: sharded, a packet costs 110 ns, so two workers need 8.94 ms plus
+    #: the dispatch.  A kernel-bound one: 1M packets x 500 ns.
+    CACHED_DEAR = ForkBreakEven(80.0, 5e-3, 110.0)   # forked 13.94 ms
+    CACHED_CHEAP = ForkBreakEven(80.0, 2e-3, 110.0)  # forked 10.94 ms
+    KERNEL = ForkBreakEven(500.0, 50e-3, 520.0)      # 310 vs 500 ms
+
+    @pytest.mark.parametrize(
+        ("mode", "cpus", "cost", "packets", "tier", "workers", "reason"),
+        [
+            # Nothing measured yet: the old rule, fork with >= 2 workers
+            # (an inline cost alone — single-chunk runs — is not enough).
+            ("auto", 4, None, 162_500, "forked", 2, "cost unmeasured"),
+            ("auto", 4, ForkBreakEven(80.0), 162_500, "forked", 2,
+             "cost unmeasured"),
+            # The 13 ms cached job stays inline while a forked dispatch
+            # is measured dearer than serving it in place, and forks
+            # once it is not: a break-even, not a threshold.
+            ("auto", 4, CACHED_DEAR, 162_500, "inline", 1,
+             "inline 13.00 ms (80 ns/packet) vs forked 13.94 ms "
+             "(5.00 ms + 110 ns/packet over 2 workers)"),
+            ("auto", 4, CACHED_CHEAP, 162_500, "forked", 2,
+             "inline 13.00 ms (80 ns/packet) vs forked 10.94 ms"),
+            ("auto", 4, KERNEL, 1_000_000, "forked", 2,
+             "inline 500.00 ms (500 ns/packet) vs forked 310.00 ms"),
+            # One CPU never forks in auto mode, whatever was measured.
+            ("auto", 1, None, 1_000_000, "inline", 1, "one CPU"),
+            ("auto", 1, KERNEL, 1_000_000, "inline", 1, "one CPU"),
+            # "processes" always forks, even a 1-worker fork.
+            ("processes", 4, CACHED_DEAR, 162_500, "forked", 2,
+             "shard_mode=processes"),
+            ("processes", 1, None, 162_500, "forked", 1,
+             "shard_mode=processes"),
+            ("threads", 1, KERNEL, 1_000_000, "threads", 2,
+             "shard_mode=threads"),
+        ],
+    )
+    def test_plan_table(
+        self, mode, cpus, cost, packets, tier, workers, reason,
+        acc_small, monkeypatch,
+    ):
+        from repro.engine import pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: cpus)
+        pipeline = ClassificationPipeline(
+            acc_small, chunk_size=4096, shards=2, shard_mode=mode
+        )
+        if not pipeline._fork_available():  # pragma: no cover
+            pytest.skip("fork multiprocessing unavailable")
+        if cost is not None:
+            pipeline._cost = cost
+        plan = pipeline.plan(n_chunks=16, packets=packets)
+        assert (plan.tier, plan.workers) == (tier, workers)
+        assert reason in plan.reason
+        assert plan.forks == (tier == "forked")
+        # A single chunk is one shard's work on every mode.
+        assert pipeline.plan(n_chunks=1, packets=packets).tier == "inline"
+
+    def test_declined_fork_is_re_measured_on_a_doubling_interval(
+        self, acc_small, monkeypatch
+    ):
+        """A forked sample that said "stay inline" is not believed for
+        ever (one noisy dispatch must not keep a pipeline inline for
+        life): after ``_fork_trust`` inline runs the plan forks once
+        more to measure again."""
+        from repro.engine import pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 4)
+        pipeline = ClassificationPipeline(
+            acc_small, chunk_size=4096, shards=2, shard_mode="auto"
+        )
+        if not pipeline._fork_available():  # pragma: no cover
+            pytest.skip("fork multiprocessing unavailable")
+        cost = pipeline._cost = ForkBreakEven(80.0, 5e-3, 110.0, trust=4)
+        for cost.age, tier in ((0, "inline"), (3, "inline"), (4, "forked")):
+            plan = pipeline.plan(n_chunks=16, packets=162_500)
+            assert plan.tier == tier
+        assert "re-measuring a fork cost 4 inline runs old" in plan.reason
+        # The re-measure itself: a fresh sample that still says inline
+        # doubles the trust, one that says fork resets it; a fork on
+        # merit (not aged out) leaves it alone.
+        busy = [9e-3, 8e-3]  # 9 ms slowest worker -> 110.8 ns/packet x 2
+        cost.saw_forked(162_500, 12e-3, busy, 14e-3, held=True)
+        assert (cost.age, cost.trust) == (0, 8)
+        assert cost.fork_fixed_s == pytest.approx(5e-3)
+        cost.age = 8
+        cost.saw_forked(162_500, 12e-3, busy, 10e-3, held=True)  # cheap
+        assert (cost.age, cost.trust) == (0, 1)
+        cost.saw_forked(162_500, 12e-3, busy, 20e-3, held=True)  # on merit
+        assert cost.trust == 1
+        cost.saw_forked(162_500, 12e-3, busy, 99.0, held=False)  # forked now
+        assert cost.fork_fixed_s == pytest.approx(11e-3)
+        # Worker CPU per packet only ever lowers the inline estimate.
+        assert cost.inline_ns == pytest.approx(12e-3 / 162_500 * 1e9)
+
+    def test_auto_run_follows_the_measured_break_even(
+        self, acc_small, acl_small_trace, monkeypatch
+    ):
+        """``run()`` serves on the tier ``plan()`` reports: with a
+        forked dispatch measured dearer than serving in place the run
+        stays inline (and coalesces like ``shards=1``), forks nothing,
+        and refreshes the inline cost it measured; when the sample ages
+        out it forks to measure again, and a fresh sample that says
+        "fork" is followed."""
+        from repro.engine import pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 4)
+        with ClassificationPipeline(
+            acc_small, chunk_size=256, shards=2, shard_mode="auto",
+            min_chunk_packets=65536,
+        ) as pipeline:
+            if not pipeline._fork_available():  # pragma: no cover
+                pytest.skip("fork multiprocessing unavailable")
+            cost = pipeline._cost = ForkBreakEven(1.0, 3600.0, 1.0, trust=2)
+            inline = pipeline.run(acl_small_trace)
+            assert (inline.n_shards, len(inline.chunks)) == (1, 1)
+            assert not pipeline.workers_alive
+            assert cost.inline_ns > 1.0 and cost.age == 1
+            pipeline.run(acl_small_trace)
+            # Aged out: two forked runs (the first forks the workers,
+            # the second is the one measured), sized for two workers.
+            for _ in range(2):
+                forked = pipeline.run(acl_small_trace)
+                assert (forked.n_shards, len(forked.chunks)) == (2, 2)
+            assert pipeline.workers_alive and cost.age == 0
+            assert cost.fork_fixed_s < 3600.0
+        assert np.array_equal(inline.match, forked.match)
+        assert np.array_equal(
+            inline.match, acc_small.classify_trace(acl_small_trace)
+        )
 
     def test_processes_mode_forces_fork(self, acc_small, acl_small_trace):
         # The historical contract: shards > 1 forks whenever the

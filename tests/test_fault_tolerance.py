@@ -119,7 +119,7 @@ class TestForkTierFaults:
                     acl_small_trace, faults=[FaultSpec(kind="crash", chunk=1)]
                 )
         exc = excinfo.value
-        assert exc.tier == "processes"
+        assert exc.tier == "forked"
         assert exc.shard is not None  # the dead worker's shard id
         assert isinstance(exc.cause, WorkerCrashError)
 
@@ -202,7 +202,7 @@ class TestForkTierFaults:
         assert proc.returncode == 0 and out.strip(), out
         seen = json.loads(out)
         assert (seen["cause"], seen["tier"], seen["exit"]) == (
-            "WorkerCrashError", "processes", "exit:70"
+            "WorkerCrashError", "forked", "exit:70"
         )
         # Shard s owns chunks s, s + workers, ...: its second one.
         assert seen["chunk"] == seen["shard"] + seen["workers"]
@@ -277,37 +277,31 @@ class TestThreadTierFaults:
 
 
 # ---------------------------------------------------------------------------
-# Persistent tier: arena generation fence + checksum, pool replacement
+# Forked tier: arena generation fence + checksum, worker replacement
 # ---------------------------------------------------------------------------
 class TestArenaFence:
     def test_corruption_detected_and_retried(
         self, acl_small, acl_small_trace, acl_small_oracle
     ):
-        with make_pipeline(
-            acl_small, policy=retry_policy(), persistent=True
-        ) as pipe:
+        with make_pipeline(acl_small, policy=retry_policy()) as pipe:
             res = pipe.run(
                 acl_small_trace, faults=[FaultSpec(kind="arena")]
             )
             assert np.array_equal(res.match, acl_small_oracle)
             assert res.fault.arena_faults == 1
             assert res.fault.retries == 1
-            # The poisoned pool was torn down and a fresh one re-forked.
+            # The poisoned workers were torn down and fresh ones forked.
             assert pipe._workers is not None
 
     def test_corruption_fail_policy(self, acl_small, acl_small_trace):
-        with make_pipeline(
-            acl_small, policy=retry_policy("fail"), persistent=True
-        ) as pipe:
+        with make_pipeline(acl_small, policy=retry_policy("fail")) as pipe:
             with pytest.raises(ServingFaultError) as excinfo:
                 pipe.run(acl_small_trace, faults=[FaultSpec(kind="arena")])
-        assert excinfo.value.tier == "persistent"
+        assert excinfo.value.tier == "forked"
         assert isinstance(excinfo.value.cause, ArenaCorruptionError)
 
     def test_no_orphans_no_leaked_shm(self, acl_small, acl_small_trace):
-        pipe = make_pipeline(
-            acl_small, policy=retry_policy(), persistent=True
-        )
+        pipe = make_pipeline(acl_small, policy=retry_policy())
         try:
             pipe.run(acl_small_trace, faults=[FaultSpec(kind="crash", chunk=0)])
             assert pipe._workers is not None and pipe._arena is not None
@@ -321,18 +315,16 @@ class TestArenaFence:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_crash_during_persistent_run_recovers(
+    def test_crash_then_replacement_workers_keep_serving(
         self, acl_small, acl_small_trace, acl_small_oracle
     ):
-        with make_pipeline(
-            acl_small, policy=retry_policy(), persistent=True
-        ) as pipe:
+        with make_pipeline(acl_small, policy=retry_policy()) as pipe:
             res = pipe.run(
                 acl_small_trace, faults=[FaultSpec(kind="crash", chunk=3)]
             )
             assert np.array_equal(res.match, acl_small_oracle)
             assert res.fault.worker_crashes == 1
-            # The replacement pool keeps serving fault-free runs.
+            # The replacement workers keep serving fault-free runs.
             again = pipe.run(acl_small_trace)
             assert np.array_equal(again.match, acl_small_oracle)
             assert not again.fault.any()
@@ -342,31 +334,28 @@ class TestArenaFence:
 # Degradation ladder
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_persistent_degrades_to_processes(
+    def test_forked_degrades_to_threads(
         self, acl_small, acl_small_trace, acl_small_oracle
     ):
         """An arena fault that outlives every retry (times=10) forces
-        the ladder step; the transient fork tier has no arena and
-        completes bit-identically."""
+        the ladder step; the thread tier has no arena and completes
+        bit-identically."""
         policy = retry_policy("degrade", max_retries=1)
-        with make_pipeline(
-            acl_small, policy=policy, persistent=True
-        ) as pipe:
+        with make_pipeline(acl_small, policy=policy) as pipe:
             res = pipe.run(
                 acl_small_trace, faults=[FaultSpec(kind="arena", times=10)]
             )
+            assert not pipe.workers_alive  # the failed tier was reaped
         assert np.array_equal(res.match, acl_small_oracle)
         assert res.fault.degradations == [
-            "persistent->processes:ArenaCorruptionError"
+            "forked->threads:ArenaCorruptionError"
         ]
         assert res.fault.arena_faults == 2  # attempts 0 and 1
         assert res.fault.recovery_s
 
     def test_fail_policy_never_degrades(self, acl_small, acl_small_trace):
         policy = retry_policy("fail")
-        with make_pipeline(
-            acl_small, policy=policy, persistent=True
-        ) as pipe:
+        with make_pipeline(acl_small, policy=policy) as pipe:
             with pytest.raises(ServingFaultError):
                 pipe.run(
                     acl_small_trace, faults=[FaultSpec(kind="arena", times=10)]
@@ -755,12 +744,12 @@ class TestMultiTenantChaos:
         self, kind, acl_small, fw_small, acl_small_trace, acl_small_oracle,
         quiet_trace, quiet_oracle,
     ):
-        # Persistent pool: the arena transport is where arena faults
-        # inject, and a crash there also exercises the pool lease.
+        # The arena transport is where arena faults inject, and a
+        # crash on the forked tier also exercises the pool lease.
         config_a = EngineConfig(
             backend="linear", chunk_size=CHUNK, shards=2,
             shard_mode="processes", fault_policy="retry",
-            min_chunk_packets=0, persistent=True,
+            min_chunk_packets=0,
         )
         tenants = self._fleet(acl_small, fw_small, config_a)
         faults = {"chaotic": [FaultSpec(kind=kind, segment=1)]}

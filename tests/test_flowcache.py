@@ -324,14 +324,6 @@ class TestFlowCacheUnit:
         assert cache.stats.evictions == 2
         assert cache.stats.reclamations == 0
 
-    def test_warm_leaves_eviction_counters_untouched(self):
-        cache = FlowCache(1, ways=1)
-        hdr = _headers([[i, 0, 0, 0, 0] for i in range(4)])
-        cache.fill(hdr[:1], np.array([0], dtype=np.int64))
-        cache.warm(hdr, np.arange(4, dtype=np.int64))
-        assert cache.stats.evictions == 0
-        assert cache.stats.reclamations == 0
-
     def test_invalidate_drops_entries_keeps_counters(self):
         cache = FlowCache(8, ways=2)
         hdr = _headers([[1, 2, 3, 4, 5]])
@@ -632,16 +624,6 @@ class TestPinnedCounters:
             zlib.crc32(cache._stamp.tobytes()), zlib.crc32(victims.tobytes()),
         ) == self.PINNED[ways]
 
-    def test_warm_keeps_first_occurrence_results(self):
-        # warm() fills each distinct flow with the result of its *first*
-        # occurrence in the tail window (np.unique's return_index).
-        cache = FlowCache(16, ways=4)
-        hdr = _headers([[7, 0, 0, 0, 0], [3, 0, 0, 0, 0], [7, 0, 0, 0, 0]])
-        cache.warm(hdr, np.array([70, 30, 71], dtype=np.int64))
-        hit, result = cache.probe(hdr[:2])
-        assert hit.all() and result.tolist() == [70, 30]
-        assert cache.stats.evictions == cache.stats.reclamations == 0
-
 
 class TestCachedClassifierEdgeCases:
     def test_zero_entry_cache_is_pure_passthrough(self):
@@ -846,16 +828,19 @@ class TestPipelineCacheStats:
             res.cache_evictions
         )
 
-    def test_persistent_pool_update_then_close_serves_fresh(
-        self, acl_small, acl_small_trace
+    @pytest.mark.parametrize("shard_mode", ["processes", "threads"])
+    def test_insert_between_runs_reaches_the_shard_owners(
+        self, shard_mode, acl_small, acl_small_trace
     ):
-        """The documented rule-update recipe over a persistent pool:
-        mutate through the wrapper, close() the pool, rerun."""
+        """Held workers serve the snapshot they forked with and thread
+        clones a private cache; a rule inserted through the wrapper
+        between two runs moves ``update_epoch``, so the second run
+        re-forks / flushes before serving and needs no close()."""
         cached = build_cached_backend(
             "incremental", acl_small, cache_entries=1024
         )
         with ClassificationPipeline(
-            cached, chunk_size=512, shards=2, persistent=True
+            cached, chunk_size=512, shards=2, shard_mode=shard_mode
         ) as pipeline:
             before = pipeline.run(acl_small_trace).match
             missed = before < 0
@@ -868,11 +853,15 @@ class TestPipelineCacheStats:
                 priority=len(acl_small),
                 action=0,
             )
-            cached.insert(catch_all)  # delegates + invalidates
-            pipeline.close()  # workers held the pre-insert snapshot
+            cached.insert(catch_all)  # delegates + retires
             after = pipeline.run(acl_small_trace).match
         assert (after[missed] == len(acl_small)).all()
         assert np.array_equal(after[~missed], before[~missed])
+        assert np.array_equal(
+            after,
+            build_backend("linear", cached.classifier.live_ruleset())
+            .classify_trace(acl_small_trace),
+        )
 
     def test_cached_accelerator_occupancy_drops(self, acl_small, zipf_trace):
         bare = build_backend("accelerator", acl_small)

@@ -364,31 +364,40 @@ class TestSessionLifecycle:
         with pytest.raises(ConfigError, match="EngineConfig"):
             Engine.open("linear", acl_small)
 
-    def test_transient_sharded_stream_borrows_then_restores_pool(
+    def test_classify_and_stream_are_served_by_the_same_workers(
         self, acl_small, acl_small_trace
     ):
-        # A non-persistent sharded config streams on a stream-lifetime
-        # pool (one pre-threads fork, no per-segment forking from a
-        # threaded process) and restores transient mode afterwards.
+        # One engine, one set of held workers: forked by the first
+        # sharded run, reused by every later classify() and stream()
+        # (no per-run or per-stream re-fork), released by close().
         config = EngineConfig(
-            backend="linear", chunk_size=256, shards=2, persistent=False
+            backend="linear", chunk_size=256, shards=2, persistent=False,
+            shard_mode="processes", min_chunk_packets=0,
         )
+        if not ClassificationPipeline._fork_available():  # pragma: no cover
+            pytest.skip("fork multiprocessing unavailable")
+
+        def worker_pids(engine):
+            return [proc.pid for proc in engine.pipeline._workers.procs]
+
         with Engine.open(config, acl_small) as engine:
             want = engine.classify(acl_small_trace).match
+            pids = worker_pids(engine)
+            assert len(pids) == engine.pipeline.plan().workers
             chunks = list(engine.stream(acl_small_trace, segment_packets=512))
-            assert not engine.pipeline.persistent
-            assert not engine.pool_engaged
+            assert worker_pids(engine) == pids
             got = np.concatenate([c.match for c in chunks])
-            # The session still serves one-shot runs afterwards.
             again = engine.classify(acl_small_trace).match
+            assert worker_pids(engine) == pids
+        assert not engine.pool_engaged
         assert np.array_equal(got, want)
         assert np.array_equal(again, want)
 
-    def test_persistent_pool_owned_by_session(self, acl_small, acl_small_trace):
+    def test_workers_owned_by_session(self, acl_small, acl_small_trace):
         config = EngineConfig(
-            backend="linear", chunk_size=256, shards=2, persistent=True,
-            # Force the fork tier: "auto" declines a 1-worker pool on a
-            # single-CPU host, and this test pins pool ownership.
+            backend="linear", chunk_size=256, shards=2,
+            # Force the fork tier: "auto" declines a 1-worker fork on a
+            # single-CPU host, and this test pins worker ownership.
             shard_mode="processes", min_chunk_packets=0,
         )
         engine = Engine.open(config, acl_small)

@@ -2,7 +2,7 @@
 
 Pins the four design points of :mod:`repro.serve.tenancy` — isolation
 by construction (bit-identical per-tenant results, epoch bumps never
-cross tenants), the single persistent-pool lease, weighted-fair
+cross tenants), the single forked-worker lease, weighted-fair
 deficit-round-robin admission, and fault containment — plus the
 :class:`~repro.serve.AsyncEngine` bridge and the ``serve`` CLI entry.
 """
@@ -202,11 +202,10 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# The shared persistent pool lease
+# The forked-worker lease
 # ---------------------------------------------------------------------------
 class _FakePipeline:
-    def __init__(self, persistent=True, plans_fork=True):
-        self.persistent = persistent
+    def __init__(self, plans_fork=True):
         self._plans_fork = plans_fork
         self.closed = 0
 
@@ -232,10 +231,9 @@ class TestPoolLease:
         lease.release("b")
         assert (lease.holder, b.closed) == (None, 1)
 
-    def test_non_pool_tiers_never_take_the_lease(self):
+    def test_non_forking_plans_never_take_the_lease(self):
         lease = _PoolLease()
-        lease.admit("a", _FakePipeline(persistent=False))
-        lease.admit("b", _FakePipeline(plans_fork=False))
+        lease.admit("a", _FakePipeline(plans_fork=False))
         assert lease.holder is None
         lease.close()
 
@@ -245,6 +243,31 @@ class TestPoolLease:
         lease.admit("a", p)
         lease.close()
         assert (lease.holder, p.closed) == (None, 1)
+
+    def test_forking_tenants_never_hold_workers_together(self):
+        """Every forking pipeline holds its workers between runs, so
+        the lease must cover ``persistent=False`` tenants too: after
+        each admitted segment only the tenant just served may have
+        workers alive."""
+        config = EngineConfig(
+            backend="linear", chunk_size=256, shards=2, persistent=False,
+            shard_mode="processes", min_chunk_packets=0,
+        )
+        tenants, workloads = make_fleet(2, config=config)
+        want = isolated_matches(tenants, workloads)
+        got = {name: [] for name in workloads}
+        with MultiTenantEngine.open(tenants) as mte:
+            if not mte.engine("t0").pipeline._fork_available():
+                pytest.skip("fork multiprocessing unavailable")
+            for name, chunk in mte.stream(workloads, segment_packets=512):
+                got[name].append(chunk.match)
+                engaged = [
+                    t for t in mte.names if mte.engine(t).pool_engaged
+                ]
+                assert engaged == [name] == [mte.pool_holder]
+        assert not any(mte.engine(t).pool_engaged for t in mte.names)
+        for name in workloads:
+            assert np.array_equal(np.concatenate(got[name]), want[name])
 
 
 # ---------------------------------------------------------------------------
