@@ -21,7 +21,6 @@ import gc
 import importlib.util
 import json
 import math
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -329,15 +328,10 @@ def test_fault_recovery_gate(acl1k_engine_accelerator, acl1k):
     worker crash (detect via the exit-code watch, tear the workers
     down, re-fork, whole-dispatch replay) still delivers >= 0.5x the
     fault-free throughput on the same 200k-packet workload,
-    bit-identically.  Like for like: the retry serves on freshly forked
-    workers (cold page tables, cold caches), so the fault-free side is
-    a run that forks too — ``close()`` first — as every run of the
-    deleted fork-per-run tier did when this floor was set; the run on
-    already-held workers is recorded beside it.  Lands
-    as ``fault_recovery`` in ``BENCH_engine.json``;
-    ``retried_throughput_ratio`` is gated by ``compare_baseline.py`` (a
-    ratio of same-machine wall clocks, so it is runner-insensitive the
-    way the other gated speedups are)."""
+    bit-identically.  Lands as ``fault_recovery`` in
+    ``BENCH_engine.json``; ``retried_throughput_ratio`` is gated by
+    ``compare_baseline.py`` (a ratio of same-machine wall clocks, so it
+    is runner-insensitive the way the other gated speedups are)."""
     trace = generate_trace(acl1k, 200_000, seed=83)
     policy = SupervisionPolicy(
         fault_policy="retry", max_retries=2,
@@ -350,15 +344,9 @@ def test_fault_recovery_gate(acl1k_engine_accelerator, acl1k):
     if not pipeline._fork_available():  # pragma: no cover - non-fork platform
         pytest.skip("fork multiprocessing unavailable")
     want = pipeline.run(trace)  # warm lazily-built structures
-    t_held = _best_of(lambda: pipeline.run(trace))
-
-    def cold_run():
-        pipeline.close()
-        return pipeline.run(trace)
-
-    t_free = _best_of(cold_run)
+    t_free = _best_of(lambda: pipeline.run(trace), repeats=2)
     t_fault = math.inf
-    for _ in range(3):
+    for _ in range(2):
         t0 = time.perf_counter()
         res = pipeline.run(trace, faults=[FaultSpec(kind="crash", chunk=1)])
         t_fault = min(t_fault, time.perf_counter() - t0)
@@ -368,7 +356,6 @@ def test_fault_recovery_gate(acl1k_engine_accelerator, acl1k):
     _PERF["fault_recovery"] = {
         "packets": trace.n_packets,
         "fault_free_pps": round(trace.n_packets / t_free),
-        "held_workers_pps": round(trace.n_packets / t_held),
         "retried_pps": round(trace.n_packets / t_fault),
         "retried_throughput_ratio": round(ratio, 2),
         "recovery_max_s": round(max(res.fault.recovery_s), 5),
@@ -491,16 +478,18 @@ def test_cached_pipeline_throughput(
     assert res.cache_hit_rate is not None and res.cache_hit_rate > 0.5
 
 
-def _interleaved_samples(runs: dict, rounds: int, inner: int) -> dict:
-    """Per-key wall-clock samples, ``rounds`` of them, each timing
-    ``inner`` back-to-back runs, with the keys sampled round-robin
-    inside every round.  Sequential per-key timing lets slow machine
-    drift (thermal, background load) land on one shard count and fake a
-    scaling inversion; interleaving gives every key the same
-    conditions round by round, and the multi-run samples (with the
-    collector parked) keep single-digit-millisecond workloads out of
-    the noise floor."""
-    samples: dict = {key: [] for key in runs}
+def _interleaved_pps(
+    runs: dict, n_packets: int, rounds: int = 25, inner: int = 4
+) -> dict:
+    """Per-key pps from the minimum wall-clock of ``rounds`` samples,
+    each timing ``inner`` back-to-back runs, with the keys sampled
+    round-robin inside every round.  Sequential per-key timing lets
+    slow machine drift (thermal, background load) land on one shard
+    count and fake a scaling inversion; interleaving gives every key
+    the same conditions, and the multi-run samples (with the collector
+    parked) keep single-digit-millisecond workloads out of the noise
+    floor, so the mins are comparable."""
+    best = {key: float("inf") for key in runs}
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -509,19 +498,21 @@ def _interleaved_samples(runs: dict, rounds: int, inner: int) -> dict:
                 t0 = time.perf_counter()
                 for _ in range(inner):
                     run()
-                samples[key].append(time.perf_counter() - t0)
+                best[key] = min(best[key], time.perf_counter() - t0)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return samples
+    return {key: round(inner * n_packets / t) for key, t in best.items()}
 
 
-def _interleaved_pps(
-    runs: dict, n_packets: int, rounds: int = 25, inner: int = 4
-) -> dict:
-    """Per-key pps from the minimum of the interleaved samples."""
-    samples = _interleaved_samples(runs, rounds, inner)
-    return {key: round(inner * n_packets / min(s)) for key, s in samples.items()}
+def _settle(pipeline, trace) -> None:
+    """Everything that belongs outside the timed rounds: the fork, the
+    cache warm-up, and ``auto`` measuring its own costs — run until
+    ``plan()`` decides from a measurement, then once on that verdict."""
+    pipeline.run(trace)
+    while "unmeasured" in pipeline.plan(packets=trace.n_packets).reason:
+        pipeline.run(trace)
+    pipeline.run(trace)
 
 
 def test_pipeline_shards_monotone_gate(
@@ -532,22 +523,7 @@ def test_pipeline_shards_monotone_gate(
     throughput.  Records the ``persistent_pipeline_pps`` and
     ``flowcache_pipeline_pps`` shards axes that ``compare_baseline.py``
     enforces non-decreasing (0.95 tolerance floor), measured with
-    interleaved rounds so the axis shape is drift-insensitive.
-
-    The statistic is *paired*: the gate holds the median, over the
-    rounds, of the per-round time ratio of neighbouring shard counts
-    against the floor, and records each key's pps from its median
-    sample.  Per-key minima are not comparable at 5% on a shared host —
-    three *identical* inline pipelines sampled this way read minima up
-    to 12% apart in half the trials (paired medians: within 4.2% in
-    every one, 25 rounds each), because the fastest sample is an
-    outlier, not a floor."""
-    rounds, inner = 49, 4
-    # Outside the timed rounds: the fork, the cache warm-up, and the
-    # ``auto`` tier's calibration — it re-measures a declined fork on
-    # an interval that doubles from one run, so this many runs leave
-    # two or three re-measures among the 196 timed ones.
-    settle = 64
+    interleaved rounds so the axis shape is drift-insensitive."""
     persistent: dict = {}
     cached_runs: dict = {}
     # One shared cached classifier: per-instance allocation (heap and
@@ -563,8 +539,7 @@ def test_pipeline_shards_monotone_gate(
                 acl1k_engine_accelerator, chunk_size=2048, shards=shards,
                 persistent=True, shard_mode="auto", min_chunk_packets=65536,
             ))
-            for _ in range(settle):
-                pipeline.run(acl1k_trace)
+            _settle(pipeline, acl1k_trace)
             persistent[f"shards_{shards}"] = (
                 lambda p=pipeline: p.run(acl1k_trace)
             )
@@ -572,33 +547,21 @@ def test_pipeline_shards_monotone_gate(
                 cached_clf, chunk_size=2048, shards=shards,
                 shard_mode="auto", min_chunk_packets=65536,
             ))
-            for _ in range(settle):
-                cached.run(acl1k_zipf_trace)
+            _settle(cached, acl1k_zipf_trace)
             cached_runs[f"shards_{shards}"] = (
                 lambda p=cached: p.run(acl1k_zipf_trace)
             )
-        families = {
-            "persistent_pipeline_pps": (persistent, acl1k_trace),
-            "flowcache_pipeline_pps": (cached_runs, acl1k_zipf_trace),
-        }
-        samples = {
-            family: _interleaved_samples(runs, rounds, inner)
-            for family, (runs, _) in families.items()
-        }
-    for family, (_, trace) in families.items():
-        _PERF[family] = {
-            key: round(inner * trace.n_packets / statistics.median(s))
-            for key, s in samples[family].items()
-        }
-        keys = list(samples[family])
-        for prev, cur in zip(keys, keys[1:]):
-            ratio = statistics.median(
-                p / c for p, c in zip(samples[family][prev], samples[family][cur])
-            )
-            assert ratio >= 0.95, (
-                f"{family} inverted along shards: {cur} runs at "
-                f"{ratio:.3f}x {prev} (median of {rounds} paired rounds; "
-                f"median pps {_PERF[family]})"
+        _PERF["persistent_pipeline_pps"] = _interleaved_pps(
+            persistent, acl1k_trace.n_packets
+        )
+        _PERF["flowcache_pipeline_pps"] = _interleaved_pps(
+            cached_runs, acl1k_zipf_trace.n_packets
+        )
+    for family in ("persistent_pipeline_pps", "flowcache_pipeline_pps"):
+        series = [_PERF[family][f"shards_{s}"] for s in (1, 2, 4)]
+        for prev, cur in zip(series, series[1:]):
+            assert cur >= 0.95 * prev, (
+                f"{family} inverted along shards: {series}"
             )
 
 

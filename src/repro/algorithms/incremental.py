@@ -263,9 +263,8 @@ class IncrementalClassifier:
         serving path must not die for it.  Every batch — including an
         empty one — advances :attr:`update_epoch` by one, so epochs
         number ruleset versions deterministically.  (A direct
-        :meth:`insert` / :meth:`remove` / :meth:`rebuild` is a version
-        of its own: serving layers watch the epoch to notice mutations
-        that did not come through them.)
+        :meth:`insert` / :meth:`remove` / :meth:`rebuild` bumps it too:
+        serving layers watch it for mutations that bypassed them.)
         """
         epoch = self.update_epoch
         inserted = removed = skipped = 0

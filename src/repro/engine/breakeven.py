@@ -4,28 +4,37 @@ A :class:`ForkBreakEven` holds what one
 :class:`~repro.engine.pipeline.ClassificationPipeline` measured *on
 itself* — no constant to tune, no knob:
 
-* ``inline_ns`` — a packet served in place: the wall clock of the
-  latest inline run.  A forked run sets it when nothing else has, and
-  otherwise only lowers it, to its workers' CPU time per packet:
-  sharding never makes a packet cheaper, and letting the (dearer)
-  worker figure overwrite it would make a fork justify itself.
-* ``fork_fixed_s`` / ``fork_ns`` — of the latest forked dispatch on
-  workers already held (forking them is paid once): the wall seconds
-  beyond its busiest worker — arena load, pipes, wake-ups — and that
-  worker's own wall ns/packet, times the workers it ran on.
+* ``inline_ns`` — a packet served in place, in wall-clock ns;
+* ``fork_fixed_s`` / ``fork_ns`` — a forked dispatch on workers
+  already held (forking them is paid once): the wall seconds beyond
+  its busiest worker — arena load, pipes, wake-ups — and that worker's
+  own wall ns/packet, times the workers it ran on.
+
+Each side is the median of its latest :data:`WINDOW` samples (runs
+that declined a fork; dispatches over held workers) and only once that
+window is full — one run is not a measurement: the first forked
+dispatch touches every fresh arena page, the first run back inline
+meets the cold cache the workers kept warm.  Until then ``inline_ns``
+is the forked workers' CPU time per packet, which a forked run may
+only ever lower: sharding never makes a packet cheaper, and letting
+the (dearer) worker figure overwrite a measured one would make a fork
+justify itself.
 
 ``n`` packets fork iff ``fork_fixed_s + n * fork_ns / workers <
-n * inline_ns``; until both sides are measured the answer is "fork",
-as before there was a measurement.  A sample that said "stay inline"
-is not believed for ever (one noisy dispatch must not keep a pipeline
-inline for life): after ``trust`` inline runs in a row the answer is
-"fork" once more; a re-measure that still says inline doubles
-``trust``, one that says fork resets it.
+n * inline_ns``; unmeasured, the answer is "fork", as it always was.
+The forked side is sampled only by runs that fork anyway: a pipeline
+kept inline stays inline until a run large enough to amortise the
+fixed cost comes along.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from statistics import median
+
+#: Runs each side's medians are taken over.
+WINDOW = 5
 
 
 @dataclass
@@ -33,17 +42,15 @@ class ForkBreakEven:
     inline_ns: float | None = None
     fork_fixed_s: float | None = None
     fork_ns: float | None = None
-    #: Inline runs since the forked side was last measured, and how
-    #: many of them the sample is trusted for.
-    age: int = 0
-    trust: int = 1
+    #: ns/packet of the latest declined forks; ``(fixed_s, ns)`` of the
+    #: latest held-worker dispatches.
+    inlines: deque = field(default_factory=lambda: deque(maxlen=WINDOW))
+    recent: deque = field(default_factory=lambda: deque(maxlen=WINDOW))
 
     def verdict(self, packets: int, workers: int) -> tuple[bool, str]:
         """``(fork?, why)`` for a run of ``packets`` over ``workers``."""
         if self.inline_ns is None or self.fork_ns is None:
             return True, "cost unmeasured"
-        if self.age >= self.trust:
-            return True, f"re-measuring a fork cost {self.age} inline runs old"
         inline_s = packets * self.inline_ns * 1e-9
         forked_s = self.fork_fixed_s + packets * self.fork_ns * 1e-9 / workers
         return forked_s < inline_s, (
@@ -54,9 +61,10 @@ class ForkBreakEven:
         )
 
     def saw_inline(self, packets: int, elapsed_s: float) -> None:
-        """An inline run of ``packets`` took ``elapsed_s``."""
-        self.inline_ns = elapsed_s / packets * 1e9
-        self.age += 1
+        """A run of ``packets`` that declined a fork took ``elapsed_s``."""
+        self.inlines.append(elapsed_s / packets * 1e9)
+        if len(self.inlines) == WINDOW:
+            self.inline_ns = median(self.inlines)
 
     def saw_forked(
         self, packets: int, cpu_s: float, busy_s: list[float],
@@ -71,10 +79,9 @@ class ForkBreakEven:
         if not held:
             return
         workers, slowest = len(busy_s), max(busy_s)
-        stale = self.age >= self.trust
-        self.fork_fixed_s = wall_s - slowest
-        self.fork_ns = slowest * workers / packets * 1e9
-        self.age = 0
-        if stale:  # a re-measure: does the fresh sample still say inline?
-            declined = not self.verdict(packets, workers)[0]
-            self.trust = 2 * self.trust if declined else 1
+        self.recent.append(
+            (wall_s - slowest, slowest * workers / packets * 1e9)
+        )
+        if len(self.recent) == WINDOW:
+            self.fork_fixed_s = median(f for f, _ in self.recent)
+            self.fork_ns = median(ns for _, ns in self.recent)

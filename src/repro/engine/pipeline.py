@@ -42,9 +42,9 @@ is and how bytes reach it:
 default) forks whenever a run has more than one shard and chunk;
 ``"auto"`` (the :class:`~repro.serve.EngineConfig` default) forks only
 when that pays, on a break-even test over costs the pipeline measured
-on itself (:mod:`repro.engine.breakeven`).  ``auto``'s
-choice is therefore host- and load-dependent; matches are identical on
-every tier, but per-chunk cache counters depend on the tier, so pin
+on itself (:mod:`repro.engine.breakeven`).  ``auto``'s choice is
+therefore host- and load-dependent; matches are identical on every
+tier, but per-chunk cache counters depend on the tier, so pin
 ``shard_mode`` when telemetry must reproduce.
 
 **Dispatch auto-tuning.**  ``min_chunk_packets`` coalesces chunks until
@@ -89,6 +89,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -150,10 +151,11 @@ ChunkOutput = tuple[np.ndarray, np.ndarray | None, CacheTriple]
 RunOutput = tuple[np.ndarray, np.ndarray | None, list[CacheTriple]]
 
 
+@cache
 def host_cpus() -> int:
     """CPUs this host offers — the one seam every tier decision reads
     the count through (tests monkeypatch it to run both ``auto``
-    branches on any machine)."""
+    branches on any machine); asked once, it costs a sysfs read."""
     return os.cpu_count() or 1
 
 
@@ -203,6 +205,14 @@ class _Run:
     #: CPU seconds forked workers reported for the chunks they served.
     worker_cpu_s: float = 0.0
 
+    @property
+    def clean(self) -> bool:
+        """No updates, no fault injected or recovered: the timings
+        measure serving alone (``auto`` learns its costs from these)."""
+        return not (
+            self.entries or self.faults is not None or self.report.any()
+        )
+
     def chunk_faults(self, chunk: int, attempt: int, shard=None):
         """Injected worker-fault specs for one chunk on one dispatch
         attempt (resolved in the parent, shipped inside the task, so
@@ -218,15 +228,14 @@ def _shard_main(conn, shard: int, classifier: Classifier, seq: int) -> None:
     copy-on-write snapshot (a fork argument: inherited, not pickled),
     ``seq`` the sequence number of the last update batch it contains.
     Sequence numbers are globally ordered and a shard's tasks arrive in
-    increasing chunk order, so the watermark guarantees this process
-    applies every batch exactly once, in order.
+    increasing chunk order, so the watermark makes this process apply
+    every batch exactly once, in order.
 
-    A message is ``(arena, tasks)``: the arena descriptor of the run
-    and this shard's tasks, each ``(chunk, bounds, update prefix, fault
-    specs)``.  One reply per task goes back in task order —
-    :func:`_run_chunk_arena`'s pair plus the CPU and the wall seconds
-    this process spent on the task; an exception is sent as the reply
-    and raised by the parent.
+    A message is ``(arena descriptor, tasks)``, a task ``(chunk, bounds,
+    update prefix, fault specs)``.  One reply per task goes back in
+    task order — :func:`_run_chunk_arena`'s pair plus the CPU and wall
+    seconds the task took; an exception is sent as the reply and raised
+    by the parent.
     """
     while True:
         try:
@@ -485,13 +494,12 @@ class ClassificationPipeline:
     """Stream traces through a classifier in chunks across N shards.
 
     ``shard_mode`` picks the worker tier (see the module docstring):
-    ``"processes"`` forks shard workers whenever ``shards > 1`` (the
-    right mode for conformance tests that must exercise the fork
-    transport), ``"auto"`` only when a fork can pay, ``"threads"`` runs
-    shard-affine threads with per-shard flow-cache clones.  Forked
-    workers are held from their first run until :meth:`close` — use it,
-    or the pipeline as a context manager, to tear them (and the arena)
-    down deterministically.  ``persistent`` is a deprecated no-op.
+    ``"processes"`` forks whenever ``shards > 1`` (what conformance
+    tests of the fork transport want), ``"auto"`` only when a fork
+    pays, ``"threads"`` runs shard-affine threads over flow-cache
+    clones.  Forked workers are held from their first run until
+    :meth:`close` (or the ``with`` block's exit) tears them and the
+    arena down.  ``persistent`` is a deprecated no-op.
 
     ``policy`` is the fault-handling policy every dispatch is
     supervised under; ``None`` means ``SupervisionPolicy()`` — a fault
@@ -537,8 +545,7 @@ class ClassificationPipeline:
         self.min_chunk_packets = min_chunk_packets
         self.policy = policy or SupervisionPolicy()
         self._supervisor = Supervisor(self.policy)
-        #: The forked tier's shard owners (``None`` until first use and
-        #: after :meth:`close`).
+        #: The forked tier's shard owners (``None`` unless held).
         self._workers: ShardWorkers | None = None
         #: Pipeline-lifetime shared-memory arena of the forked tier:
         #: ``{"names": (in, out, occ, ctl), "segs": [...]}``, grown
@@ -562,9 +569,9 @@ class ClassificationPipeline:
         self._update_seq = 0
         self._applied_seq = 0
         #: Batches applied while the current held workers have been
-        #: alive.  Shipped (cheaply — workers skip applied seqs)
-        #: with every later task so a worker that never saw an earlier
-        #: run's chunks still applies its updates before any newer ones.
+        #: alive, shipped (workers skip applied seqs) with every later
+        #: task: a worker that never saw an earlier run's chunks still
+        #: applies its updates before any newer ones.
         self._pool_log: list[PendingUpdate] = []
 
     # -- the plan -------------------------------------------------------
@@ -584,11 +591,11 @@ class ClassificationPipeline:
         packets: int | None = None,
     ) -> ShardPlan:
         """The tier and worker count for a run of ``n_chunks`` chunks
-        (``None``: any run with at least as many chunks as shards — the
-        question callers ask before a trace exists, e.g. "would this
-        pipeline fork?") carrying ``packets`` packets (``None``: enough
-        to be worth a fork).  ``tier`` overrides the choice (a
-        degradation-ladder rung) and only sizes it.
+        (``None``: at least as many as shards — the question asked
+        before a trace exists, e.g. "would this pipeline fork?")
+        carrying ``packets`` packets (``None``: enough to be worth a
+        fork).  ``tier`` overrides the choice (a degradation-ladder
+        rung) and only sizes it.
         """
         chunks = self.shards if n_chunks is None else n_chunks
         wanted = max(1, min(self.shards, chunks))
@@ -604,13 +611,9 @@ class ClassificationPipeline:
     ) -> tuple[str, str]:
         """``(tier, reason)`` for a run that could engage ``wanted``
         shards, ``forked`` of them as processes on this host.
-
-        ``"processes"`` forks whenever the run has more than one chunk
-        and shard.  ``"auto"`` declines when clamping to CPUs leaves
-        fewer than two workers (a 1-worker fork pays IPC for zero
-        parallelism), and otherwise asks the costs this pipeline
-        measured on itself whether ``packets`` come out cheaper forked.
-        """
+        ``"processes"`` forks whenever there is more than one; ``"auto"``
+        not when clamping to CPUs leaves one worker (a 1-worker fork
+        pays IPC for zero parallelism), else on its measured costs."""
         if wanted < 2:
             return "inline", "one shard"
         if self.shard_mode == "threads":
@@ -629,16 +632,14 @@ class ClassificationPipeline:
     # -- forked shard workers -------------------------------------------
     @property
     def workers_alive(self) -> bool:
-        """Whether forked shard workers are currently being held (from
-        the first forked run, or :meth:`prefork`, until
-        :meth:`close`)."""
+        """Whether forked shard workers are being held (from the first
+        forked run, or :meth:`prefork`, until :meth:`close`)."""
         return self._workers is not None
 
     def prefork(self, ndim: int) -> None:
-        """Fork the shard workers *now* if any run of this pipeline
-        could be served forked — for callers about to start threads
-        (forking a multi-threaded process risks inheriting held locks,
-        so a streamed session forks up front)."""
+        """Fork the shard workers *now* if any run could be served
+        forked — for callers about to start threads (a fork from a
+        multi-threaded process risks inheriting held locks)."""
         if self.plan().forks:
             self._sync_owners()
             self._ensure_workers(ndim)
@@ -676,10 +677,9 @@ class ClassificationPipeline:
 
     def _sync_owners(self) -> None:
         """Notice a classifier mutated outside ``run()`` (its
-        ``update_epoch`` moved): held workers serve their fork-time
+        ``update_epoch`` moved).  Held workers serve their fork-time
         snapshot plus the batches shipped since, thread clones a cache
-        retired batch by batch, so the workers are closed (the next
-        forked run re-forks) and the clone caches flushed."""
+        retired batch by batch: close the former, flush the latter."""
         epoch = self._classifier_epoch()
         if epoch != self._owner_epoch:
             self.close()
@@ -803,18 +803,11 @@ class ClassificationPipeline:
     ) -> int:
         """The dispatch granularity for one run: coalesced up to
         ``min_chunk_packets`` unless an update stream pins the epoch
-        grid to the configured ``chunk_size``.
-
-        Coalescing is worker-aware: merging a run into fewer chunks
-        than the shards it could engage starves the workers — at 4
-        shards the ``min_chunk_packets`` floor used to fold a whole
-        trace into one or two dispatches, serving it on 1-2 workers
-        while the rest idled (the shards_4 < shards_2 throughput
-        inversion).  When the plan engages more than one worker, cap
-        the coalesced size at ``ceil(n / workers)`` so every one of
-        them gets a chunk, never dropping below the configured
-        ``chunk_size`` (an ``auto`` plan that keeps ``n`` packets
-        inline engages one worker, so nothing is capped).
+        grid to the configured ``chunk_size``.  Coalescing is
+        worker-aware: with more than one worker the coalesced size is
+        capped at ``ceil(n / workers)`` (never below ``chunk_size``),
+        so every worker gets a chunk instead of one or two dispatches
+        serving the whole trace while the rest idle.
         """
         if has_updates or not self.min_chunk_packets:
             return self.chunk_size
@@ -1010,12 +1003,17 @@ class ClassificationPipeline:
         headers = trace.headers
         n = headers.shape[0]
         self._sync_owners()
-        plan = self.plan(packets=n)
-        bounds = self._chunk_bounds(
-            n, self._effective_chunk_size(bool(updates), n, plan.workers)
-        )
-        if len(bounds) < self.shards:  # fewer chunks than plan() assumed
-            plan = self.plan(len(bounds), packets=n)
+        # Chunk for the most workers a run could engage, plan for those
+        # chunks; a fork ``auto`` declines coalesces like ``shards=1``.
+        pinned = bool(updates)
+        widest = self.plan()
+        size = self._effective_chunk_size(pinned, n, widest.workers)
+        bounds = self._chunk_bounds(n, size)
+        plan = self.plan(len(bounds), packets=n)
+        declined = widest.forks and len(bounds) > 1 and not plan.forks
+        if declined:
+            size = self._effective_chunk_size(pinned, n, 1)
+            bounds = self._chunk_bounds(n, size)
         run = _Run(
             headers, bounds, self._normalise_updates(updates, bounds),
             FaultPlan.coerce(faults),
@@ -1040,7 +1038,7 @@ class ClassificationPipeline:
                 # from the current state with an empty log.
                 self.close()
         elapsed = time.perf_counter() - started
-        if served.tier == "inline" and n:
+        if declined and run.clean:
             self._cost.saw_inline(n, elapsed)
         self._owner_epoch = self._classifier_epoch()
         return self._aggregate(run, output, served, elapsed, base_epoch)
@@ -1051,11 +1049,9 @@ class ClassificationPipeline:
     ) -> RunOutput:
         """One dispatch over the held shard workers (forked here on
         first use): they read the trace out of the arena and scatter
-        match/occupancy slices into its shared output segments,
-        replying with scalars only.  Any failure reaps the workers
-        (replies of the failed dispatch may still be in flight) and,
-        with them, the arena.
-        """
+        match/occupancy slices into its output segments, replying with
+        scalars only.  Any failure reaps the workers (replies of the
+        failed dispatch may still be in flight) and the arena."""
         headers, bounds = run.headers, run.bounds
         prefixes = self._chunk_prefixes(run)
         shard_tasks: list[list] = [[] for _ in range(plan.workers)]
@@ -1084,7 +1080,8 @@ class ClassificationPipeline:
             busy[plan.shard_of(i)] += task_wall_s
         run.worker_cpu_s += cpu_s
         n = headers.shape[0]
-        self._cost.saw_forked(n, cpu_s, busy, wall_s, held)
+        if run.clean:
+            self._cost.saw_forked(n, cpu_s, busy, wall_s, held)
         segs = self._arena["segs"]
         match = np.ndarray((n,), np.int64, buffer=segs[1].buf).copy()
         occupancy = (
@@ -1307,10 +1304,7 @@ class ClassificationPipeline:
             )
         chunks: list[ChunkStats] = []
         for i, ((start, end), cache) in enumerate(zip(run.bounds, caches)):
-            epoch = (
-                None if base_epoch is None
-                else base_epoch + bisect_left(effects, i + 1)
-            )
+            hits, misses, evictions = cache or (None, None, None)
             chunks.append(
                 ChunkStats(
                     index=i,
@@ -1321,10 +1315,13 @@ class ClassificationPipeline:
                         None if occupancy is None
                         else int(occupancy[start:end].sum())
                     ),
-                    cache_hits=None if cache is None else cache[0],
-                    cache_misses=None if cache is None else cache[1],
-                    cache_evictions=None if cache is None else cache[2],
-                    epoch=epoch,
+                    cache_hits=hits,
+                    cache_misses=misses,
+                    cache_evictions=evictions,
+                    epoch=(
+                        None if base_epoch is None
+                        else base_epoch + bisect_left(effects, i + 1)
+                    ),
                     updates_applied=ops_at.get(i, 0),
                     shard=served.shard_of(i),
                 )

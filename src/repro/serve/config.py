@@ -72,8 +72,7 @@ class EngineConfig:
     # -- pipeline shape --------------------------------------------------
     shards: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: Deprecated no-op (old configs still load): forked workers are
-    #: always held until ``close()``.
+    #: Deprecated no-op (forked workers are always held until close).
     persistent: bool = False
     #: Worker tier: ``"auto"`` forks only when the clamped worker count
     #: and the pipeline's own measured break-even say a fork wins,

@@ -93,9 +93,8 @@ class EngineReport:
     #: quarantined packets, crash counts, recovery latencies).  ``None``
     #: only on a report merged from no runs; all-zero when fault-free.
     fault: FaultReport | None = None
-    #: CPU seconds forked shard workers spent serving (0.0 when nothing
-    #: forked).  Held workers are reaped at ``close()``, so a caller's
-    #: ``RUSAGE_CHILDREN`` reading around a run does not contain this.
+    #: CPU seconds forked shard workers spent serving.  They are reaped
+    #: at ``close()``, so ``RUSAGE_CHILDREN`` around a run misses this.
     worker_cpu_s: float = 0.0
 
     # -- energy/device model --------------------------------------------

@@ -192,11 +192,10 @@ class TenantReport:
 class _PoolLease:
     """The one-tenant's-workers-alive invariant, as an object.
 
-    Every forking pipeline holds its workers between runs, so tenant
-    pipelines whose plan forks must ``admit`` through the lease before
-    running; admitting a different tenant tears the previous holder's
-    workers down first, so whatever N tenants are configured, at most
-    one set (workers + shared-memory arena) exists at any moment.
+    A forking pipeline holds its workers between runs, so a tenant
+    whose plan forks must ``admit`` through the lease before running;
+    admitting a different tenant tears the previous holder's workers
+    down first: at most one set (workers + arena) exists at any moment.
     """
 
     def __init__(self) -> None:

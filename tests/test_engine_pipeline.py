@@ -17,7 +17,12 @@ import pytest
 from repro import Engine, EngineConfig, FIVE_TUPLE, PacketTrace
 from repro.core.errors import ConfigError, ServingFaultError
 from repro.energy import asic_model
-from repro.engine import ClassificationPipeline, FaultSpec, build_backend
+from repro.engine import (
+    ClassificationPipeline,
+    FaultSpec,
+    SupervisionPolicy,
+    build_backend,
+)
 from repro.engine.breakeven import ForkBreakEven
 
 
@@ -447,74 +452,84 @@ class TestShardModes:
         # A single chunk is one shard's work on every mode.
         assert pipeline.plan(n_chunks=1, packets=packets).tier == "inline"
 
-    def test_declined_fork_is_re_measured_on_a_doubling_interval(
-        self, acc_small, monkeypatch
-    ):
-        """A forked sample that said "stay inline" is not believed for
-        ever (one noisy dispatch must not keep a pipeline inline for
-        life): after ``_fork_trust`` inline runs the plan forks once
-        more to measure again."""
-        from repro.engine import pipeline as pipeline_module
+    def test_each_cost_is_a_full_window_median(self):
+        """Each side is the median over its latest ``WINDOW`` samples —
+        dispatches on already-held workers, runs that declined a fork —
+        and only once that window is full: ``auto`` keeps forking until
+        the forked side is, and one noisy run neither decides alone nor
+        moves an estimate."""
+        from repro.engine.breakeven import WINDOW
 
-        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 4)
-        pipeline = ClassificationPipeline(
-            acc_small, chunk_size=4096, shards=2, shard_mode="auto"
-        )
-        if not pipeline._fork_available():  # pragma: no cover
-            pytest.skip("fork multiprocessing unavailable")
-        cost = pipeline._cost = ForkBreakEven(80.0, 5e-3, 110.0, trust=4)
-        for cost.age, tier in ((0, "inline"), (3, "inline"), (4, "forked")):
-            plan = pipeline.plan(n_chunks=16, packets=162_500)
-            assert plan.tier == tier
-        assert "re-measuring a fork cost 4 inline runs old" in plan.reason
-        # The re-measure itself: a fresh sample that still says inline
-        # doubles the trust, one that says fork resets it; a fork on
-        # merit (not aged out) leaves it alone.
+        cost = ForkBreakEven()
         busy = [9e-3, 8e-3]  # 9 ms slowest worker -> 110.8 ns/packet x 2
-        cost.saw_forked(162_500, 12e-3, busy, 14e-3, held=True)
-        assert (cost.age, cost.trust) == (0, 8)
+        cost.saw_forked(162_500, 13e-3, busy, 99.0, held=False)  # forked now
+        assert not cost.recent and cost.inline_ns == pytest.approx(80.0)
+        cost.saw_forked(162_500, 13e-3, busy, 0.9, held=True)  # first touch
+        for _ in range(WINDOW - 2):
+            cost.saw_forked(162_500, 13e-3, busy, 14e-3, held=True)
+            assert cost.verdict(162_500, 2) == (True, "cost unmeasured")
+        cost.saw_forked(162_500, 13e-3, busy, 14e-3, held=True)
         assert cost.fork_fixed_s == pytest.approx(5e-3)
-        cost.age = 8
-        cost.saw_forked(162_500, 12e-3, busy, 10e-3, held=True)  # cheap
-        assert (cost.age, cost.trust) == (0, 1)
-        cost.saw_forked(162_500, 12e-3, busy, 20e-3, held=True)  # on merit
-        assert cost.trust == 1
-        cost.saw_forked(162_500, 12e-3, busy, 99.0, held=False)  # forked now
-        assert cost.fork_fixed_s == pytest.approx(11e-3)
-        # Worker CPU per packet only ever lowers the inline estimate.
-        assert cost.inline_ns == pytest.approx(12e-3 / 162_500 * 1e9)
+        assert cost.fork_ns == pytest.approx(2 * 9e-3 / 162_500 * 1e9)
+        assert not cost.verdict(162_500, 2)[0]  # 13 ms vs 14 ms
+        # Back inline: the cold first run is one sample of a window.
+        cost.saw_inline(162_500, 0.1)
+        for _ in range(WINDOW - 1):
+            assert cost.inline_ns == pytest.approx(80.0)
+            cost.saw_inline(162_500, 13.65e-3)
+        assert cost.inline_ns == pytest.approx(84.0)
+        # The window slides: cheaper dispatches take the median over,
+        # and worker CPU per packet only ever lowers the inline figure.
+        for _ in range(WINDOW // 2 + 1):
+            cost.saw_forked(162_500, 15e-3, busy, 10e-3, held=True)
+        assert cost.fork_fixed_s == pytest.approx(1e-3)
+        assert cost.verdict(162_500, 2)[0]  # 13.65 ms vs 10 ms
+        assert cost.inline_ns == pytest.approx(84.0)
+        cost.saw_forked(162_500, 13e-3, busy, 10e-3, held=True)
+        assert cost.inline_ns == pytest.approx(80.0)
 
     def test_auto_run_follows_the_measured_break_even(
         self, acc_small, acl_small_trace, monkeypatch
     ):
-        """``run()`` serves on the tier ``plan()`` reports: with a
-        forked dispatch measured dearer than serving in place the run
-        stays inline (and coalesces like ``shards=1``), forks nothing,
-        and refreshes the inline cost it measured; when the sample ages
-        out it forks to measure again, and a fresh sample that says
-        "fork" is followed."""
+        """``run()`` serves on the tier ``plan()`` reports.  Unmeasured,
+        it forks (sized for two workers) until the window of forked
+        samples is full; with a forked dispatch measured dearer than
+        serving in place it stays inline, coalesces like ``shards=1``
+        and refreshes the inline cost — from clean declined forks only,
+        not from runs that are inline for another reason."""
         from repro.engine import pipeline as pipeline_module
+        from repro.engine.breakeven import WINDOW
 
         monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 4)
         with ClassificationPipeline(
             acc_small, chunk_size=256, shards=2, shard_mode="auto",
             min_chunk_packets=65536,
+            policy=SupervisionPolicy(fault_policy="retry", backoff_base_s=0.0),
         ) as pipeline:
             if not pipeline._fork_available():  # pragma: no cover
                 pytest.skip("fork multiprocessing unavailable")
-            cost = pipeline._cost = ForkBreakEven(1.0, 3600.0, 1.0, trust=2)
-            inline = pipeline.run(acl_small_trace)
-            assert (inline.n_shards, len(inline.chunks)) == (1, 1)
-            assert not pipeline.workers_alive
-            assert cost.inline_ns > 1.0 and cost.age == 1
-            pipeline.run(acl_small_trace)
-            # Aged out: two forked runs (the first forks the workers,
-            # the second is the one measured), sized for two workers.
-            for _ in range(2):
+            cost = pipeline._cost
+            for _ in range(1 + WINDOW):  # the first forks the workers
+                assert cost.fork_ns is None
                 forked = pipeline.run(acl_small_trace)
                 assert (forked.n_shards, len(forked.chunks)) == (2, 2)
-            assert pipeline.workers_alive and cost.age == 0
-            assert cost.fork_fixed_s < 3600.0
+            assert cost.fork_ns is not None and pipeline.workers_alive
+            # A forked dispatch an hour dearer than serving in place.
+            cost.inline_ns, cost.fork_fixed_s = 1.0, 3600.0
+            for _ in range(WINDOW):
+                assert cost.inline_ns == 1.0
+                inline = pipeline.run(acl_small_trace)
+                assert (inline.n_shards, len(inline.chunks)) == (1, 1)
+            assert len(cost.recent) == WINDOW and cost.inline_ns > 1.0
+            # Not a declined fork: one chunk's worth of packets, and a
+            # run that recovered from a fault.
+            cost.inline_ns = 1.0
+            pipeline.run(acl_small_trace.subset(200))
+            pipeline.run(
+                acl_small_trace, faults=[FaultSpec(kind="error", chunk=0)]
+            )
+            assert cost.inline_ns == 1.0
+        assert not pipeline.workers_alive
         assert np.array_equal(inline.match, forked.match)
         assert np.array_equal(
             inline.match, acc_small.classify_trace(acl_small_trace)
