@@ -10,8 +10,8 @@ recovery mechanism the engine layer provides:
   is bit-identical to the fault-free run because the parent's state
   only advances after a successful dispatch;
 * an **arena fence trip** (corrupted shared memory) under
-  ``fault_policy="degrade"``, which walks the worker-tier ladder
-  ``forked -> threads -> inline`` instead of failing;
+  ``fault_policy="degrade"``, which steps down the worker-tier ladder
+  ``forked -> inline`` instead of failing;
 * the ``fail`` policy raising a typed
   :class:`~repro.core.errors.ServingFaultError` that names the tier,
   shard and chunk;
@@ -78,7 +78,7 @@ def main() -> None:
         fault_policy="degrade", max_retries=1,
     )
     # times=10 outlives every forked-tier retry, forcing the step down
-    # to the thread tier (which has no shared arena).
+    # to the inline tier (which has no shared arena).
     plan = FaultPlan((FaultSpec(kind="arena", times=10),))
     with Engine.open(config, rules) as engine:
         report = engine.classify(trace, faults=plan)

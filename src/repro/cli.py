@@ -765,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--shard-mode", default=None, choices=list(SHARD_MODES),
                    help="worker tier: auto forks only when the clamped "
                         "worker count can win, processes always forks, "
-                        "threads runs shard-affine in-process workers "
+                        "threads serves in-process shards on the caller "
                         "(default: auto)")
     n.add_argument("--min-chunk-packets", type=int, default=None,
                    metavar="N",

@@ -52,7 +52,7 @@ class ServingFaultError(ReproError):
 
     Carries the failure coordinates the fault-tolerance contract
     promises: ``shard`` (the 0-based id of the shard that owns the
-    chunk, on the fork and thread tiers alike), ``chunk`` (the chunk
+    chunk, forked or in-process alike), ``chunk`` (the chunk
     ordinal being served when the fault hit), ``epoch`` (the ruleset
     version in effect, when known), ``tier`` (the worker tier that
     failed) and ``cause`` (the underlying exception or fault kind).

@@ -21,9 +21,9 @@ Fault kinds
 -----------
 
 ``crash``
-    the worker process calls ``os._exit`` (in-process tiers raise
-    :class:`~repro.core.errors.InjectedFault` instead — a thread cannot
-    crash alone);
+    the worker process calls ``os._exit`` (in-process serving raises
+    :class:`~repro.core.errors.InjectedFault` instead — the serving
+    process cannot crash alone);
 ``hang``
     the worker sleeps ``seconds`` (past ``chunk_timeout_s`` this trips
     the supervisor's deadline);
@@ -93,7 +93,8 @@ class FaultSpec:
     ``chunk``/``segment``/``batch`` select the target ordinal for the
     relevant kind (``None`` = any chunk / the first segment / any
     batch).  ``shard`` optionally restricts worker faults to one
-    thread-tier shard.  ``stage`` retargets the spec at a named
+    in-process shard (forked workers ignore it).  ``stage`` retargets
+    the spec at a named
     line-card stage (:mod:`repro.stages`) instead of an engine site —
     only ``crash``/``error``/``drop_storm`` make sense there, and
     ``drop_storm`` *requires* a stage.  ``times`` is the number of
@@ -322,9 +323,9 @@ def fire_worker_specs(
 ) -> None:
     """Execute worker-side fault specs at a chunk-serving site.
 
-    ``in_process=True`` (thread tier, inline tier) maps ``crash`` to a
-    raised :class:`InjectedFault` — a thread cannot kill itself without
-    taking the process down — and emulates the hang watchdog: the site
+    ``in_process=True`` (the inline tier) maps ``crash`` to a raised
+    :class:`InjectedFault` — the site cannot kill itself without
+    taking the caller down — and emulates the hang watchdog: the site
     sleeps up to the deadline and raises
     :class:`~repro.core.errors.ChunkTimeoutError` when the injected
     hang outlasts it.  In a forked worker ``crash`` is a real

@@ -194,7 +194,7 @@ class FlowCacheStats:
     ``reclamations`` counts dead slots (TTL-expired, epoch-stale or
     retired, or several at once) re-used by a fill.  A slot that is
     dead for two reasons is dead exactly once, so every fill bumps
-    exactly one of the two counters per overwritten valid slot.
+    exactly one of the two counters per overwritten, once-filled slot.
 
     ``invalidations`` counts invalidation *events*: one per applied
     update batch (:meth:`FlowCache.retire`) and one per whole-cache
@@ -270,11 +270,11 @@ class FlowCache:
         #: per-set column of key word ``k``, so a probe is one 1-D gather
         #: + compare per (way, word) — no per-packet set-wide gather.
         self._keyw: np.ndarray | None = None  # (words, ways, sets) uint64
-        self._valid: np.ndarray | None = None  # (sets, ways) bool
         self._result: np.ndarray | None = None  # (sets, ways) int64
         self._stamp: np.ndarray | None = None  # (sets, ways) int64 last use
         self._epoch: np.ndarray | None = None  # (sets, ways) int64 fill tag
-        self._filled: np.ndarray | None = None  # (sets, ways) int64 fill tick
+        #: Fill tick per slot; 0 = never filled (``_tick`` starts at 1).
+        self._filled: np.ndarray | None = None  # (sets, ways) int64
 
     # ------------------------------------------------------------------
     @property
@@ -289,7 +289,6 @@ class FlowCache:
             self._keyw = np.zeros(
                 ((ndim + 1) // 2, self.ways, self.n_sets), _KEY_WORD
             )
-            self._valid = np.zeros((self.n_sets, self.ways), bool)
             self._result = np.full((self.n_sets, self.ways), -1, np.int64)
             self._stamp = np.zeros((self.n_sets, self.ways), np.int64)
             self._epoch = np.full((self.n_sets, self.ways), -1, np.int64)
@@ -400,16 +399,15 @@ class FlowCache:
         # slot a batch-mate just claimed, so whatever the pre-batch
         # state said, they displace a fresh live fill: an eviction.
         pre_live = self._live((ranked, ranked_way))
-        pre_valid = self._valid[ranked, ranked_way]
+        pre_filled = self._filled[ranked, ranked_way] > 0
         first_claim = rank < self.ways
         self.stats.evictions += int((pre_live | ~first_claim).sum())
         self.stats.reclamations += int(
-            (first_claim & pre_valid & ~pre_live).sum()
+            (first_claim & pre_filled & ~pre_live).sum()
         )
         way = np.empty(n, np.intp)
         way[by_set] = ranked_way  # back to arrival order: last writer wins
         self._keyw[:, way, s] = words
-        self._valid[s, way] = True
         self._result[s, way] = results
         self._stamp[s, way] = self._tick  # fresher than this batch's hits
         self._epoch[s, way] = self.epoch
@@ -423,10 +421,10 @@ class FlowCache:
         this one only when the eager flush itself is the point (tests,
         memory scrubbing).
         """
-        if self._valid is not None:
-            self._valid[:] = False
+        if self._ndim:
             self._epoch[:] = -1
             self._result[:] = -1
+            self._filled[:] = 0
         self.stats.invalidations += 1
 
     def advance_epoch(self) -> None:
@@ -463,7 +461,7 @@ class FlowCache:
         preferred victim whose refill counts as a reclamation.
         """
         self.stats.invalidations += 1
-        if self._valid is None:
+        if not self._ndim:
             return
         live = self._live(...)
         removed = [op.rule_id for op in batch if op.op == OP_REMOVE]
@@ -504,7 +502,7 @@ class FlowCache:
     # ------------------------------------------------------------------
     def occupancy_fraction(self) -> float:
         """Fraction of cache slots holding a live, unexpired entry."""
-        if self._valid is None or not self.entries:
+        if not self._ndim or not self.entries:
             return 0.0
         return float(self._live(...).mean())
 
@@ -561,7 +559,7 @@ class CachedClassifier(ClassifierBase):
     # ------------------------------------------------------------------
     def clone(self) -> "CachedClassifier":
         """A new wrapper around the *same* backend with a private, cold
-        cache — the per-shard cache layout for the thread-pool tier."""
+        cache — the per-shard cache layout of in-process shards."""
         return CachedClassifier(
             self.classifier,
             entries=self.cache.entries,

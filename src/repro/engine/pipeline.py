@@ -20,14 +20,17 @@ carries the ``reason`` for the choice); chunk ``i`` belongs to shard
 ``i % workers`` in every tier, and each shard has one long-lived owner
 that serves its chunks in order — so per-chunk cache counters,
 ``ChunkStats.shard`` and the modelled cycles/energy are a function of
-the plan, never of scheduling.  The tiers differ only in who the owner
+the plan, never of scheduling.  The two tiers differ in who the owner
 is and how bytes reach it:
 
-* ``inline`` — the calling thread; one chunk, ``shards=1``, no ``fork``
-  on the platform, or ``shard_mode="auto"`` declining a fork (below).
-* ``threads`` (``shard_mode="threads"``) — a shard-affine thread over a
-  private flow-cache clone that stays warm across runs; shared memory,
-  no transport.
+* ``inline`` — the calling thread serves every chunk, in order: one
+  chunk, ``shards=1``, no ``fork`` on the platform, or
+  ``shard_mode="auto"`` declining a fork (below).  ``shard_mode=
+  "threads"`` is this tier with N *in-process shards*: chunk ``i`` is
+  served out of shard ``i % N``'s private flow-cache clone, which stays
+  warm across runs — the model of N engines with private caches; no
+  host thread is started (the tiled NumPy kernels hold the GIL, so
+  parallelism is the forked tier's job).
 * ``forked`` — one forked worker process per shard, programmed once and
   then fed packets: forked on first use from the classifier's current
   state, held for the pipeline's life, released only by
@@ -58,14 +61,17 @@ of the chunk size is merged into its predecessor.
 pipeline's :class:`~repro.engine.supervision.SupervisionPolicy`
 (``fail``, no deadline, unless one is given): per-chunk deadlines,
 worker-death watch, bounded retry with seeded backoff, and — under
-``fault_policy="degrade"`` — the tier ladder ``forked -> threads ->
-inline``.  A failed forked dispatch tears the workers (and arena) down
-and the retry re-forks from the parent, whose classifier is only caught
-up *after* a successful dispatch, so every replayed chunk re-applies
-its exact update prefix and the run stays bit-identical to a fault-free
-one.  Injected faults (:mod:`repro.engine.faults`) ride the same
-machinery via ``run(trace, faults=plan)``; everything observed lands in
-``PipelineResult.fault``.
+``fault_policy="degrade"`` — the tier ladder ``forked -> inline``.  A
+failed forked dispatch tears the workers (and arena) down and the retry
+re-forks from the parent, whose classifier is only caught up *after* a
+successful dispatch, so every replayed chunk re-applies its exact
+update prefix and the run stays bit-identical to a fault-free one.  The
+inline tier retries the failed *chunk* on its owner.  Only a process
+boundary can pre-empt work: ``chunk_timeout_s`` kills and replaces a
+hung forked worker, while in-process serving can emulate a deadline
+(an injected hang raises at it) but not enforce one.  Injected faults
+(:mod:`repro.engine.faults`) ride the same machinery via ``run(trace,
+faults=plan)``; everything observed lands in ``PipelineResult.fault``.
 
 **Live rule updates.**  ``run(trace, updates=[...])`` interleaves a
 :class:`~repro.core.updates.ScheduledUpdate` stream with classification:
@@ -75,12 +81,12 @@ ruleset version (its chunk's epoch — recorded on
 :class:`ChunkStats.epoch`).  On the forked tier each task carries the
 update prefix its chunk requires (a per-process watermark makes
 re-application a no-op) and the parent catches its own copy up after
-the run; the thread and inline tiers apply each batch once at its chunk
-boundary (the thread tier drains in-flight chunks first).  All tiers
+the run; in-process serving applies each batch once at its chunk
+boundary and retires every shard clone's cache with it.  Both tiers
 produce identical matches — the differential update-conformance suite
 replays them against a per-epoch linear-search oracle.  A classifier
 mutated *outside* ``run()`` is noticed by its ``update_epoch``: the
-next run re-forks the workers and flushes the thread clones' caches.
+next run re-forks the workers and flushes the shard clones' caches.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ from functools import cache
 
 import numpy as np
 
-from ..core.errors import ArenaCorruptionError, ChunkTimeoutError, ConfigError
+from ..core.errors import ArenaCorruptionError, ConfigError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, ScheduledUpdate
 from .breakeven import ForkBreakEven
@@ -114,9 +120,6 @@ DEFAULT_CHUNK_SIZE = 4096
 
 #: The worker tiers ``shard_mode`` accepts.
 SHARD_MODES = ("auto", "processes", "threads")
-
-#: The tiers whose shard owners are forked processes.
-FORK_TIERS = ("forked",)
 
 #: The engine-level dispatch target: coalesce chunks until each dispatch
 #: carries at least this many packets (runs without updates only).
@@ -173,7 +176,7 @@ class ShardPlan:
     @property
     def forks(self) -> bool:
         """Whether the shard owners are forked processes."""
-        return self.tier in FORK_TIERS
+        return self.tier == "forked"
 
     def shard_of(self, chunk: int) -> int:
         return chunk % self.workers
@@ -363,7 +366,7 @@ class ChunkStats:
     updatable); ``updates_applied`` counts the update *operations* that
     took effect immediately before this chunk.  ``shard`` is the plan's
     0-based id of the shard that owns the chunk (``index % n_shards``
-    of the tier that served the run; 0 inline).
+    of the plan that served the run).
     """
 
     index: int
@@ -388,10 +391,11 @@ class PipelineResult:
     """Trace-order matches plus aggregated serving statistics.
 
     ``n_shards`` is the number of shard owners that *actually ran*: 1
-    whenever the inline tier served the trace (no ``fork`` on the
+    when one classifier served the trace inline (no ``fork`` on the
     platform, a single chunk, ``shards=1``, or ``shard_mode="auto"``
     declining a fork that could not win), else the plan's worker count
-    after clamping to chunk and CPU counts.
+    — in-process shards clamped to the chunk count, forked ones to the
+    CPU count too.
     """
 
     match: np.ndarray
@@ -496,10 +500,11 @@ class ClassificationPipeline:
     ``shard_mode`` picks the worker tier (see the module docstring):
     ``"processes"`` forks whenever ``shards > 1`` (what conformance
     tests of the fork transport want), ``"auto"`` only when a fork
-    pays, ``"threads"`` runs shard-affine threads over flow-cache
-    clones.  Forked workers are held from their first run until
-    :meth:`close` (or the ``with`` block's exit) tears them and the
-    arena down.  ``persistent`` is a deprecated no-op.
+    pays, ``"threads"`` serves in-process shards (one private
+    flow-cache clone each) on the calling thread.  Forked workers are
+    held from their first run until :meth:`close` (or the ``with``
+    block's exit) tears them and the arena down.  ``persistent`` is a
+    deprecated no-op.
 
     ``policy`` is the fault-handling policy every dispatch is
     supervised under; ``None`` means ``SupervisionPolicy()`` — a fault
@@ -544,7 +549,10 @@ class ClassificationPipeline:
         self.shard_mode = shard_mode
         self.min_chunk_packets = min_chunk_packets
         self.policy = policy or SupervisionPolicy()
-        self._supervisor = Supervisor(self.policy)
+        #: The retry predicate, backoff and typed-failure wrapper every
+        #: recovery site of this pipeline (and the session and stage
+        #: graph above it) shares.
+        self.supervisor = Supervisor(self.policy)
         #: The forked tier's shard owners (``None`` unless held).
         self._workers: ShardWorkers | None = None
         #: Pipeline-lifetime shared-memory arena of the forked tier:
@@ -556,11 +564,11 @@ class ClassificationPipeline:
         #: parent (re)writes the input segment, never reset, so a stale
         #: attach can never present a valid fence.
         self._arena_generation = 0
-        #: Thread-tier per-shard flow-cache clones, persisted across
-        #: runs so shard caches stay warm.
-        self._thread_clones: list = []
+        #: The in-process shards' private flow-cache clones, kept
+        #: across runs so shard caches stay warm.
+        self._shard_clones: list = []
         #: The classifier ``update_epoch`` the shard owners (held
-        #: workers, thread clones) were last in step with.
+        #: workers, shard clones) were last in step with.
         self._owner_epoch = self._classifier_epoch()
         #: What ``auto`` has measured of this pipeline's own costs.
         self._cost = ForkBreakEven()
@@ -603,7 +611,10 @@ class ClassificationPipeline:
         reason = "forced"
         if tier is None:
             tier, reason = self._choose_tier(wanted, forked, packets)
-        workers = {"inline": 1, "threads": wanted}.get(tier, forked)
+        if tier == "forked":
+            workers = forked
+        else:  # in-process shards, or the classifier alone
+            workers = wanted if self.shard_mode == "threads" else 1
         return ShardPlan(tier, workers, reason)
 
     def _choose_tier(
@@ -617,7 +628,7 @@ class ClassificationPipeline:
         if wanted < 2:
             return "inline", "one shard"
         if self.shard_mode == "threads":
-            return "threads", "shard_mode=threads"
+            return "inline", "shard_mode=threads"
         if not self._fork_available():
             return "inline", "no fork on this platform"
         if self.shard_mode == "processes":
@@ -678,12 +689,12 @@ class ClassificationPipeline:
     def _sync_owners(self) -> None:
         """Notice a classifier mutated outside ``run()`` (its
         ``update_epoch`` moved).  Held workers serve their fork-time
-        snapshot plus the batches shipped since, thread clones a cache
+        snapshot plus the batches shipped since, shard clones a cache
         retired batch by batch: close the former, flush the latter."""
         epoch = self._classifier_epoch()
         if epoch != self._owner_epoch:
             self.close()
-            for clone in self._thread_clones:
+            for clone in self._shard_clones:
                 clone.cache.advance_epoch()
             self._owner_epoch = epoch
 
@@ -867,7 +878,7 @@ class ClassificationPipeline:
         entry = run.entries[ordinal]
         if entry.seq <= self._applied_seq:
             return None
-        sup = self._supervisor
+        sup = self.supervisor
         attempt = 0
         while True:
             try:
@@ -880,6 +891,11 @@ class ClassificationPipeline:
                 run.update_latencies.append(time.perf_counter() - t0)
                 run.update_results.append(result)
                 self._applied_seq = entry.seq
+                # The classifier's own cache retired inside the apply;
+                # the shard clones hold private ones — all of them, also
+                # those a short run leaves idle.
+                for clone in self._shard_clones:
+                    clone.cache.retire(entry.batch, result.inserted_ids)
                 return result
             except RECOVERABLE as exc:
                 if not sup.may_retry(attempt):
@@ -919,14 +935,14 @@ class ClassificationPipeline:
         classifier is caught up only *after* a successful forked
         dispatch: a failed attempt leaves the parent at the pre-run
         epoch, the retry re-forks from that snapshot, and every task
-        re-ships its chunk's exact update prefix.  The thread and
-        inline tiers apply updates *mid*-dispatch instead, so their
-        recovery is per-chunk (inside the tier) — if one of them still
-        fails after updates took effect, replay would serve early
-        chunks against a later epoch, and the supervisor chooses a
-        typed error over silently breaking bit-identity.
+        re-ships its chunk's exact update prefix.  The inline tier
+        applies updates *mid*-dispatch instead, so its recovery is
+        per-chunk (inside the tier) — if it still fails after updates
+        took effect, replay would serve early chunks against a later
+        epoch, and the supervisor chooses a typed error over silently
+        breaking bit-identity.
         """
-        sup, report = self._supervisor, run.report
+        sup, report = self.supervisor, run.report
         tiers = (plan.tier,)
         if self.policy.fault_policy == "degrade":
             tiers = DEGRADATION_LADDER[DEGRADATION_LADDER.index(plan.tier):]
@@ -970,15 +986,13 @@ class ClassificationPipeline:
         update-application contract."""
         if plan.forks:
             output = self._run_forked(plan, run, attempt)
-        elif plan.tier == "threads":
-            output = _join_chunks(self._run_threads(plan, run, attempt))
         else:
-            output = _join_chunks(self._run_inline(run, attempt))
+            output = _join_chunks(self._run_inline(plan, run, attempt))
         # The parent's copy catches up after the dispatch: every batch
         # on the forked tier (its state then matches the workers', and
         # later forks inherit it; a failed dispatch never gets here —
         # which is what makes whole-dispatch replay epoch-safe), and the
-        # batches scheduled past the last chunk on the other two.
+        # batches scheduled past the last chunk on the inline one.
         for ordinal in range(len(run.entries)):
             self._apply_entry(run, ordinal)
         return output
@@ -1091,159 +1105,32 @@ class ClassificationPipeline:
         )
         return match, occupancy, [cache for _, cache, *_ in replies]
 
-    # -- thread tier ----------------------------------------------------
-    def _ensure_thread_clones(self, workers: int) -> list:
-        """Per-shard serving objects for the thread tier.
+    # -- inline tier ----------------------------------------------------
+    def _shard_owners(self, workers: int) -> list:
+        """The classifier that serves each of the run's ``workers``
+        shards on the calling thread.
 
-        Flow-cached classifiers get one private cache clone per shard
-        (kept across runs, so shard caches stay warm); the clones share
-        the wrapped backend, whose batch kernels are pure NumPy and safe
-        to walk concurrently.  Bare backends are shared directly.
-        (:meth:`_sync_owners` flushes the clones after outside updates.)
+        One shard is the classifier itself.  In-process shards of a
+        flow-cached classifier are private cache clones (kept across
+        runs, so shard caches stay warm; :meth:`_sync_owners` flushes
+        them after outside updates) around the one wrapped backend;
+        bare backends hold no per-shard state and are shared directly.
         """
         base = self.classifier
-        if not (hasattr(base, "clone") and hasattr(base, "cache")):
+        cached = hasattr(base, "clone") and hasattr(base, "cache")
+        if workers < 2 or not cached:
             return [base] * workers
-        while len(self._thread_clones) < workers:
-            self._thread_clones.append(base.clone())
-        return self._thread_clones[:workers]
+        while len(self._shard_clones) < workers:
+            self._shard_clones.append(base.clone())
+        return self._shard_clones[:workers]
 
-    def _run_threads(
-        self, plan: ShardPlan, run: _Run, attempt: int
-    ) -> list[ChunkOutput]:
-        """One run over shard-affine threads.
-
-        Each shard serves its chunks *in order* on one future, so a
-        shard's private cache sees the same chunk sequence a process
-        shard would.  Updates are epoch barriers: all chunks of one
-        epoch drain before the batch applies on the (serving) thread,
-        then every shard cache retires the entries the batch could have
-        changed — identical matches to the other tiers.
-
-        Supervision is per shard group: a failed or deadline-overrun
-        future's chunks are re-served inline on the parent classifier —
-        still strictly between the same two update barriers, so the
-        replay stays in its epoch.  A hung worker thread cannot be
-        killed, so its executor is abandoned (``shutdown(wait=False)``)
-        and replaced; the abandoned future's eventual result is never
-        read, making its late writes harmless.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-
-        headers, bounds, entries = run.headers, run.bounds, run.entries
-        timeout = self.policy.chunk_timeout_s
-        workers = plan.workers
-        clones = self._ensure_thread_clones(workers)
-        cached = clones[0] is not self.classifier
-        outputs: list[ChunkOutput | None] = [None] * len(bounds)
-
-        def _shard_serve(shard, chunk_ids):
-            out = []
-            for i in chunk_ids:
-                specs = run.chunk_faults(i, attempt, shard=shard)
-                if specs:
-                    fire_worker_specs(
-                        specs, in_process=True, chunk=i, shard=shard,
-                        timeout_s=timeout,
-                    )
-                out.append(
-                    (i, _run_chunk_local(clones[shard], headers, bounds[i]))
-                )
-            return out
-
-        def _executor():
-            return ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
-            )
-
-        n_chunks = len(bounds)
-        idx = 0
-        start = 0
-        pool = _executor()
-        abandoned = False
-        try:
-            while start < n_chunks:
-                while (
-                    idx < len(entries)
-                    and entries[idx].effect_chunk <= start
-                ):
-                    result = self._apply_entry(run, idx)
-                    if result is not None and cached:
-                        # The parent's cache retired inside the apply;
-                        # the shard clones hold private caches — all of
-                        # them, also the ones a short run leaves idle.
-                        for clone in self._thread_clones:
-                            clone.cache.retire(
-                                entries[idx].batch, result.inserted_ids
-                            )
-                    idx += 1
-                stop = n_chunks
-                if idx < len(entries) and entries[idx].effect_chunk < stop:
-                    stop = entries[idx].effect_chunk
-                # Flush lazily-patched kernel state on the serving thread
-                # before shards walk the structures concurrently.
-                warm_batch_state(self.classifier, headers.shape[1])
-                futures = []
-                for s in range(workers):
-                    # This epoch group's share of shard s (chunk i
-                    # belongs to shard i % workers, whatever the group).
-                    ids = range(start + (s - start) % workers, stop, workers)
-                    futures.append((s, ids, pool.submit(_shard_serve, s, ids)))
-                for s, ids, fut in futures:
-                    deadline = timeout * max(1, len(ids)) if timeout else None
-                    try:
-                        served = fut.result(timeout=deadline)
-                    except FutureTimeout:
-                        exc = ChunkTimeoutError(
-                            f"thread shard {s} exceeded its {deadline:.2f}s "
-                            f"group deadline ({len(ids)} chunks)",
-                            shard=s, cause="timeout",
-                        )
-                        served = self._thread_fallback(
-                            exc, s, ids, run, attempt
-                        )
-                        # The hung worker thread is a write-off: swap in
-                        # a fresh executor for the remaining groups and
-                        # abandon the old one without joining it.
-                        pool.shutdown(wait=False)
-                        pool = _executor()
-                        abandoned = True
-                    except RECOVERABLE as exc:
-                        served = self._thread_fallback(
-                            exc, s, ids, run, attempt
-                        )
-                    for i, out in served:
-                        outputs[i] = out
-                start = stop
-        finally:
-            pool.shutdown(wait=not abandoned)
-        return outputs
-
-    def _thread_fallback(self, exc, shard, chunk_ids, run: _Run, attempt):
-        """Re-serve one failed thread shard's chunk group inline on the
-        parent classifier.  The group sits strictly between two update
-        barriers, so replaying it chunk-by-chunk stays in its epoch."""
-        run.report.record_failure(exc, shard=shard)
-        if self.policy.fault_policy == "fail":
-            raise self._supervisor.wrap_failure(
-                exc, tier="threads", shard=shard
-            ) from exc
-        run.report.retries += 1
-        run.report.replays += len(chunk_ids)
-        return [
-            (i, self._serve_chunk_inline(run, i, attempt + 1, shard=shard))
-            for i in chunk_ids
-        ]
-
-    # -- inline tier ----------------------------------------------------
     def _serve_chunk_inline(
-        self, run: _Run, index: int, attempt: int, shard: int | None = None
-    ):
-        """Serve one chunk on the parent classifier with per-chunk
-        bounded retry (the inline tier, and the thread tier's fallback
-        path, both land here)."""
-        sup = self._supervisor
+        self, run: _Run, index: int, attempt: int, owner, shard: int
+    ) -> ChunkOutput:
+        """Serve one chunk on its shard's ``owner`` with per-chunk
+        bounded retry.  ``chunk_timeout_s`` is emulated, not enforced:
+        an injected hang raises at the deadline, real work runs on."""
+        sup = self.supervisor
         tries = 0
         while True:
             try:
@@ -1253,9 +1140,7 @@ class ClassificationPipeline:
                         specs, in_process=True, chunk=index, shard=shard,
                         timeout_s=self.policy.chunk_timeout_s,
                     )
-                return _run_chunk_local(
-                    self.classifier, run.headers, run.bounds[index]
-                )
+                return _run_chunk_local(owner, run.headers, run.bounds[index])
             except RECOVERABLE as exc:
                 run.report.record_failure(exc, shard=shard)
                 if not sup.may_retry(tries):
@@ -1267,11 +1152,16 @@ class ClassificationPipeline:
                 time.sleep(sup.backoff_s(tries))
                 tries += 1
 
-    def _run_inline(self, run: _Run, attempt: int) -> list[ChunkOutput]:
-        """Single-process serving loop — the ladder floor.  Updates are
-        interleaved at their chunk boundaries; each *chunk* (not the
-        dispatch) is retried, because batches already applied mid-loop
-        make whole-dispatch replay epoch-unsafe."""
+    def _run_inline(
+        self, plan: ShardPlan, run: _Run, attempt: int
+    ) -> list[ChunkOutput]:
+        """The calling thread's serving loop — the ladder floor: chunk
+        ``i`` on the owner of shard ``i % workers``, so each shard sees
+        its chunks in order.  Updates are interleaved at their chunk
+        boundaries; each *chunk* (not the dispatch) is retried, because
+        batches already applied mid-loop make whole-dispatch replay
+        epoch-unsafe."""
+        owners = self._shard_owners(plan.workers)
         outputs: list[ChunkOutput] = []
         idx = 0
         for i in range(len(run.bounds)):
@@ -1281,7 +1171,10 @@ class ClassificationPipeline:
             ):
                 self._apply_entry(run, idx)
                 idx += 1
-            outputs.append(self._serve_chunk_inline(run, i, attempt))
+            shard = plan.shard_of(i)
+            outputs.append(
+                self._serve_chunk_inline(run, i, attempt, owners[shard], shard)
+            )
         return outputs
 
     def _aggregate(

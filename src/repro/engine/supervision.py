@@ -21,10 +21,11 @@ when none is given):
   replayed chunk re-applies its exact
   :class:`~repro.core.updates.ScheduledUpdate` prefix in the fresh
   workers and the run stays bit-identical;
-* when retries at one tier are exhausted and the policy is
-  ``degrade``, the pipeline walks the **degradation ladder**
-  ``forked -> threads -> inline`` (starting at the planned tier) and
-  records every step taken;
+* when retries on the forked tier are exhausted and the policy is
+  ``degrade``, the pipeline steps down the **degradation ladder**
+  ``forked -> inline`` and records the step; in-process serving
+  retries per chunk, and only *emulates* a deadline — pre-empting work
+  takes a process boundary;
 * :meth:`ShardWorkers.close` bounds teardown: SIGTERM, a ``join``
   against one shared deadline, then SIGKILL for stragglers — a hung
   worker cannot wedge ``close()``, and the shared-memory arena is
@@ -64,7 +65,7 @@ FAULT_POLICIES = ("fail", "retry", "degrade")
 #: falls to the next rung when retries on the current one are
 #: exhausted.  ``inline`` (single-process, per-chunk retry) is the
 #: floor — it shares no workers, no fork and no arena with anything.
-DEGRADATION_LADDER = ("forked", "threads", "inline")
+DEGRADATION_LADDER = ("forked", "inline")
 
 #: Exceptions the supervisor may recover from (everything else — a
 #: genuine bug, a ConfigError — propagates untouched).
@@ -121,9 +122,9 @@ class FaultReport:
     #: Dispatch retries taken (any tier, any cause).
     retries: int = 0
     #: Chunk dispatches replayed (a retried fork dispatch replays every
-    #: chunk of the run; inline/thread retries replay one chunk each).
+    #: chunk of the run; an inline retry replays one chunk).
     replays: int = 0
-    #: Ladder steps taken, e.g. ``"forked->threads:WorkerCrashError"``.
+    #: Ladder steps taken, e.g. ``"forked->inline:WorkerCrashError"``.
     degradations: list[str] = field(default_factory=list)
     worker_crashes: int = 0
     timeouts: int = 0

@@ -77,7 +77,8 @@ class EngineConfig:
     #: Worker tier: ``"auto"`` forks only when the clamped worker count
     #: and the pipeline's own measured break-even say a fork wins,
     #: ``"processes"`` always forks when ``shards > 1``,
-    #: ``"threads"`` runs shard-affine in-process workers.  The engine
+    #: ``"threads"`` serves in-process shards (a private flow-cache
+    #: clone each) on the calling thread — no threads.  The engine
     #: defaults to ``"auto"`` (``ClassificationPipeline`` constructed
     #: directly keeps the historical ``"processes"`` default).
     shard_mode: str = "auto"
@@ -105,7 +106,7 @@ class EngineConfig:
     #: :class:`~repro.core.errors.ServingFaultError`, ``"retry"``
     #: replays the dispatch (bounded, backed off) on the same tier,
     #: ``"degrade"`` retries and then walks the worker-tier ladder
-    #: (forked -> threads -> inline).
+    #: (forked -> inline).
     fault_policy: str = "fail"
     #: Dispatch retries per tier before failing (or degrading).
     max_retries: int = 2

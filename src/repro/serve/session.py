@@ -389,7 +389,7 @@ class Engine:
         # Fork the shard workers before any thread exists: forking a
         # multi-threaded process risks inheriting held locks.
         self._pipeline.prefork(self.ruleset.schema.ndim)
-        supervisor = self._pipeline._supervisor
+        supervisor = self._pipeline.supervisor
         stream_fault = FaultReport()
         quarantined_before = self.quarantine.count if self.quarantine else 0
         ingest_q: queue.Queue = queue.Queue(maxsize=prefetch)

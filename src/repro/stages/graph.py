@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines.tcam_classifier import TcamClassifier
-from ..core.errors import CapacityError, InjectedFault, ServingFaultError
+from ..core.errors import CapacityError, InjectedFault
 from ..core.packet import PacketTrace
 from ..core.rules import DIM_DST_PORT, DIM_PROTO, FIVE_TUPLE
 from ..core.updates import ScheduledUpdate
@@ -261,9 +261,7 @@ class StageGraph:
         stage_plan = plan.stage_plan() if plan is not None else None
         engine_plan = plan.engine_plan() if plan is not None else None
         entries = self.engine._normalise_stream_updates(updates)
-        policy = self.engine.pipeline.policy
-        max_retries = policy.max_retries
-        fail_fast = policy.fault_policy == "fail"
+        supervisor = self.engine.pipeline.supervisor
 
         reports = [
             StageReport(name=s.name, kind=s.kind) for s in self.spec.stages
@@ -368,13 +366,10 @@ class StageGraph:
                             results.append(result)
                         break
                     except InjectedFault as exc:
-                        if fail_fast or attempt >= max_retries:
-                            raise ServingFaultError(
-                                f"stage {stage.kind!r} fault not recovered "
-                                f"(policy "
-                                f"{self.config.fault_policy!r}): {exc}",
+                        if not supervisor.may_retry(attempt):
+                            raise supervisor.wrap_failure(
+                                exc, tier=f"stage:{stage.kind}",
                                 chunk=seg_index,
-                                cause=getattr(exc, "kind", "error"),
                             ) from exc
                         rep.retries += 1
                         stage_retries += 1

@@ -386,8 +386,8 @@ def default_spec(tier: str = "quick") -> SweepSpec:
         under a minute and is what ``benchmarks/sweeps_baseline.json``
         pins.  Two non-zero cache sizes either side of the ~950-flow
         working set give ``compare_sweeps.py``'s monotone cache axis
-        groups to check, and the ``shards=2`` half runs the thread
-        tier, whose worker count — hence the per-shard caches and the
+        groups to check, and the ``shards=2`` half runs in-process
+        shards, whose count — hence the per-shard caches and the
         gated hit rate — does not depend on the host's CPU count the
         way ``auto`` does (one shard is inline in every mode).
     ``full``

@@ -100,6 +100,7 @@ class TestGatedMetrics:
         ("update_patch.speedup", 3.0),
         ("update_cache_retention.retention", 0.9),
         ("stage_graph.uncached_over_added", 3.0),
+        ("inprocess_shards.over_inline", 0.8),
     ])
     def test_floor_gates_are_pinned_at_their_floors(self, key, floor):
         # The committed baseline holds what the bench test itself

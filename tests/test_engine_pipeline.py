@@ -10,12 +10,14 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, FIVE_TUPLE, PacketTrace
 from repro.core.errors import ConfigError, ServingFaultError
+from repro.core.updates import ScheduledUpdate, remove_op
 from repro.energy import asic_model
 from repro.engine import (
     ClassificationPipeline,
@@ -316,7 +318,6 @@ class TestChunkBounds:
         # With an update stream the chunk grid must stay chunk_size so
         # epoch boundaries land where scheduled, whatever the dispatch
         # target says.
-        from repro.core.updates import ScheduledUpdate, remove_op
         from repro.engine.updates import build_updatable_backend
 
         clf = build_updatable_backend("hypercuts", acl_small, binth=16)
@@ -366,6 +367,59 @@ class TestShardModes:
         per_shard = warm.shard_cache_stats()
         assert per_shard is not None and len(per_shard) == 2
         assert all(d["hits"] > 0 for d in per_shard)
+
+    @pytest.mark.parametrize("chunk_timeout_s", [0.0, 5.0])
+    @pytest.mark.parametrize("with_updates", [False, True])
+    def test_threads_mode_serves_on_the_calling_thread(
+        self, with_updates, chunk_timeout_s, acl_small, acl_small_trace
+    ):
+        """In-process shards are cache clones, not threads: every
+        backend call of a ``shard_mode="threads"`` run is made by the
+        thread that called ``run()``, and no thread is ever started —
+        so nothing can outlive a deadline and race a later run on a
+        shard's cache."""
+        from repro.engine import CachedClassifier, build_updatable_backend
+
+        caller = threading.get_ident()
+        alive = threading.active_count()
+        calls: list[tuple[int, int]] = []
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def classify_batch(self, headers):
+                calls.append((threading.get_ident(), threading.active_count()))
+                return self.inner.classify_batch(headers)
+
+            def apply_updates(self, batch):
+                return self.inner.apply_updates(batch)
+
+            @property
+            def update_epoch(self):
+                return self.inner.update_epoch
+
+        updates = [
+            ScheduledUpdate(at_packet=700, batch=(remove_op(3),)),
+            ScheduledUpdate(at_packet=1500, batch=(remove_op(7),)),
+        ]
+        cached = CachedClassifier(
+            Recording(build_updatable_backend("linear", acl_small)),
+            entries=512,
+        )
+        with ClassificationPipeline(
+            cached, chunk_size=256, shards=4, shard_mode="threads",
+            policy=SupervisionPolicy(
+                fault_policy="retry", chunk_timeout_s=chunk_timeout_s
+            ),
+        ) as pipeline:
+            for _ in range(2):  # cold clones, then warm ones
+                res = pipeline.run(
+                    acl_small_trace, updates=updates if with_updates else None
+                )
+                assert threading.active_count() == alive
+        assert res.n_shards == 4 and len(calls) >= len(res.chunks)
+        assert set(calls) == {(caller, alive)}
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_auto_mode_never_loses_to_single_process(
@@ -427,7 +481,8 @@ class TestShardModes:
              "shard_mode=processes"),
             ("processes", 1, None, 162_500, "forked", 1,
              "shard_mode=processes"),
-            ("threads", 1, KERNEL, 1_000_000, "threads", 2,
+            # In-process shards are the inline tier with N owners.
+            ("threads", 1, KERNEL, 1_000_000, "inline", 2,
              "shard_mode=threads"),
         ],
     )

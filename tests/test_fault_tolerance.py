@@ -218,7 +218,8 @@ class TestForkTierFaults:
 
 
 # ---------------------------------------------------------------------------
-# Thread tier: per-chunk recovery (crash maps to a raised InjectedFault)
+# In-process shards (shard_mode="threads"): per-chunk recovery on the
+# shard's own clone (crash maps to a raised InjectedFault)
 # ---------------------------------------------------------------------------
 class TestThreadTierFaults:
     @pytest.mark.parametrize("kind", ["crash", "error"])
@@ -233,7 +234,7 @@ class TestThreadTierFaults:
             )
         assert np.array_equal(res.match, acl_small_oracle)
         assert res.fault.retries >= 1
-        # Thread-tier recovery replays single chunks, not the dispatch.
+        # In-process recovery replays single chunks, not the dispatch.
         assert 1 <= res.fault.replays < len(res.chunks)
 
     def test_hang_respects_deadline(
@@ -258,13 +259,13 @@ class TestThreadTierFaults:
                 pipe.run(
                     acl_small_trace, faults=[FaultSpec(kind="error", chunk=2)]
                 )
-        assert excinfo.value.tier == "threads"
-        assert excinfo.value.chunk == 2
+        assert excinfo.value.tier == "inline"
+        assert (excinfo.value.chunk, excinfo.value.shard) == (2, 0)
 
     def test_shard_scoped_fault_hits_one_shard(
         self, acl_small, acl_small_trace, acl_small_oracle
     ):
-        """A spec with shard= only fires on that thread-tier shard."""
+        """A spec with shard= only fires on that in-process shard."""
         with make_pipeline(
             acl_small, policy=retry_policy(), shard_mode="threads"
         ) as pipe:
@@ -334,12 +335,12 @@ class TestArenaFence:
 # Degradation ladder
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_forked_degrades_to_threads(
+    def test_forked_degrades_to_inline(
         self, acl_small, acl_small_trace, acl_small_oracle
     ):
         """An arena fault that outlives every retry (times=10) forces
-        the ladder step; the thread tier has no arena and completes
-        bit-identically."""
+        the ladder step; the inline tier has no arena and completes
+        bit-identically on one shard."""
         policy = retry_policy("degrade", max_retries=1)
         with make_pipeline(acl_small, policy=policy) as pipe:
             res = pipe.run(
@@ -348,8 +349,9 @@ class TestDegradationLadder:
             assert not pipe.workers_alive  # the failed tier was reaped
         assert np.array_equal(res.match, acl_small_oracle)
         assert res.fault.degradations == [
-            "forked->threads:ArenaCorruptionError"
+            "forked->inline:ArenaCorruptionError"
         ]
+        assert res.n_shards == 1
         assert res.fault.arena_faults == 2  # attempts 0 and 1
         assert res.fault.recovery_s
 
@@ -613,7 +615,7 @@ class TestErrorAndPlanPlumbing:
     def test_serving_fault_errors_survive_pickling(self):
         for exc in (
             WorkerCrashError("w", shard=7, chunk=3, cause="exit:70"),
-            ServingFaultError("s", tier="threads", chunk=1),
+            ServingFaultError("s", tier="inline", chunk=1),
             InjectedFault("i", kind="error", chunk=2, shard=1),
             IngestError("g", segment=4, cause="io"),
         ):

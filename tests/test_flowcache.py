@@ -204,7 +204,7 @@ def _sequential_fill(cache, sets, results):
         way = order[s][seen[s] % cache.ways]
         if seen[s] >= cache.ways or live[s, way]:
             evictions += 1
-        elif cache._valid[s, way]:
+        elif cache._filled[s, way] > 0:
             reclamations += 1
         seen[s] += 1
         expect[s, way] = result

@@ -367,7 +367,7 @@ def test_cached_serving_retires_instead_of_flushing(
         cached, chunk_size=RETIRE_CHUNK, shards=shards, shard_mode=shard_mode
     ) as pipeline:
         res = pipeline.run(trace, updates=schedule)
-        caches = [c.cache for c in pipeline._thread_clones] or [cached.cache]
+        caches = [c.cache for c in pipeline._shard_clones] or [cached.cache]
     assert res.n_shards == shards
     assert np.array_equal(res.match, want)
     assert cached.update_epoch == len(schedule)
@@ -382,22 +382,38 @@ def test_cached_serving_retires_instead_of_flushing(
         assert stats.misses <= n_flows + stats.retired + stats.evictions
 
 
-def test_idle_thread_clones_retire_too():
-    """A run too short to use every shard clone still has to retire the
-    idle clones' entries: they serve again in the next long run."""
+def _catch_all_reaches_warm_clones(shards, short_packets, at_packet):
+    """Warm every in-process shard clone on the full trace, insert a
+    catch-all rule at ``at_packet`` of a run over the first
+    ``short_packets`` packets, then serve the full trace again: every
+    clone must have retired what the insert pre-empts."""
     rs, trace, _ = _retire_case(94)
     cached = CachedClassifier(_retire_backend("incremental", rs), entries=1024)
-    short = trace.subset(2 * RETIRE_CHUNK)
     with ClassificationPipeline(
-        cached, chunk_size=RETIRE_CHUNK, shards=4, shard_mode="threads"
+        cached, chunk_size=RETIRE_CHUNK, shards=shards, shard_mode="threads"
     ) as pipeline:
-        before = pipeline.run(trace).match  # warms all four clones
+        before = pipeline.run(trace).match
         assert (before < 0).any()
-        update = ScheduledUpdate(RETIRE_CHUNK, (insert_op(_catch_all(rs)),))
-        pipeline.run(short, updates=[update])  # 2 chunks: clones 2, 3 idle
+        update = ScheduledUpdate(at_packet, (insert_op(_catch_all(rs)),))
+        pipeline.run(trace.subset(short_packets), updates=[update])
         after = pipeline.run(trace).match
     assert (after[before < 0] == len(rs)).all()
     assert np.array_equal(after[before >= 0], before[before >= 0])
+
+
+def test_idle_thread_clones_retire_too():
+    """A run too short to use every shard clone still has to retire the
+    idle clones' entries: they serve again in the next long run."""
+    # 2 chunks on 4 shards: clones 2 and 3 sit the short run out.
+    _catch_all_reaches_warm_clones(4, 2 * RETIRE_CHUNK, RETIRE_CHUNK)
+
+
+@pytest.mark.parametrize("n_packets", [RETIRE_CHUNK, 4 * RETIRE_CHUNK])
+def test_batch_past_the_last_chunk_retires_the_shard_clones(n_packets):
+    """A batch scheduled at or after the last chunk's start applies once
+    the trace is served; the warm shard clones must retire with it, also
+    when the run itself is a single chunk on the classifier's own cache."""
+    _catch_all_reaches_warm_clones(2, n_packets, n_packets)
 
 
 def test_update_stream_generator_is_seeded_and_well_formed(serve_rs):
