@@ -9,9 +9,9 @@ session:
 1. declare the engine (backend, shards, cache, update policy) and
    round-trip the config through JSON and the CLI flag namespace;
 2. ``classify`` a trace one-shot and read the unified ``EngineReport``;
-3. ``stream`` the same workload as lazily generated segments — a
-   background ingestion thread overlaps trace generation with
-   classification and results arrive through a bounded ring;
+3. ``stream`` the same workload as lazily generated segments — each
+   ``next()`` generates one segment, classifies it and hands it back on
+   the calling thread, so one segment is in flight;
 4. interleave a live rule-update schedule and read the apply-latency
    percentiles off the report.
 
@@ -67,8 +67,8 @@ def main() -> None:
         print(f"update latency/batch: p50 {pct['p50_ms']:.2f} ms, "
               f"p95 {pct['p95_ms']:.2f} ms, p99 {pct['p99_ms']:.2f} ms\n")
 
-        # 3. Streamed serving: segments are *generated lazily* in the
-        # ingestion thread while earlier segments classify.
+        # 3. Streamed serving: each segment is *generated lazily*, when
+        # the session pulls it.
         def segment_source():
             for i in range(N_PACKETS // SEGMENT):
                 yield generate_trace(rules, SEGMENT, seed=100 + i)
@@ -77,7 +77,7 @@ def main() -> None:
         print(f"streamed: {streamed.n_segments} segments, "
               f"{streamed.n_packets:,} packets, "
               f"{streamed.throughput_pps:,.0f} pps end-to-end "
-              f"(ingestion overlapped)")
+              f"(generation included)")
 
         # 4. Streaming an in-memory trace is bit-identical to one-shot.
         check = engine.classify(trace)

@@ -387,7 +387,7 @@ def cmd_bench(args) -> int:
                 faults=fault_plan,
             )
             print(f"streamed ingestion: {res.n_segments} segments x "
-                  f"{args.stream} packets (bounded ring, overlapped)")
+                  f"{args.stream} packets (one in flight)")
         else:
             res = engine.classify(trace, updates=schedule, faults=fault_plan)
         first_run = res
@@ -784,9 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers' fork-amortisation win)")
     n.add_argument("--stream", type=int, default=0, metavar="PACKETS",
                    help="serve the trace as streamed PACKETS-sized "
-                        "segments through Engine.stream (bounded result "
-                        "ring, ingestion overlapped with classification; "
-                        "0 = one-shot)")
+                        "segments through Engine.stream (pulled and "
+                        "classified one at a time on the calling "
+                        "thread; 0 = one-shot)")
     n.add_argument("--updates", type=int, default=0, metavar="N",
                    help="interleave N live rule updates with the first "
                         "run (tree algorithms serve them through the "

@@ -35,7 +35,7 @@ Fault kinds
     (:class:`~repro.core.errors.ArenaCorruptionError`) — forked tier
     only, a no-op elsewhere;
 ``ingest``
-    the streamed session's ingestion thread raises
+    the streamed session raises
     :class:`~repro.core.errors.IngestError` before fetching segment
     ``segment``;
 ``update``
@@ -238,8 +238,8 @@ class FaultPlan:
 
         A spec without a ``segment`` targets the first segment (segment
         0 — also the whole run of a one-shot ``classify``).  Ingest
-        specs are excluded: they belong to the ingestion thread, not to
-        per-segment pipeline runs.
+        specs are excluded: they fire at the session's source pull, not
+        in per-segment pipeline runs.
         """
         specs = tuple(
             s

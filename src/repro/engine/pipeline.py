@@ -644,16 +644,8 @@ class ClassificationPipeline:
     @property
     def workers_alive(self) -> bool:
         """Whether forked shard workers are being held (from the first
-        forked run, or :meth:`prefork`, until :meth:`close`)."""
+        forked run until :meth:`close`)."""
         return self._workers is not None
-
-    def prefork(self, ndim: int) -> None:
-        """Fork the shard workers *now* if any run could be served
-        forked — for callers about to start threads (a fork from a
-        multi-threaded process risks inheriting held locks)."""
-        if self.plan().forks:
-            self._sync_owners()
-            self._ensure_workers(ndim)
 
     def close(self) -> None:
         """Tear down the forked shard workers and their shared-memory

@@ -1,10 +1,9 @@
 """`AsyncEngine` — the serving session for event-loop embedders.
 
-The blocking :class:`~repro.serve.Engine` already overlaps ingestion
-with classification on its own background threads; what an ``asyncio``
-application needs is a facade that never blocks the event loop while
-driving it.  ``AsyncEngine`` is exactly that — a thin bridge, not a
-second serving path::
+The blocking :class:`~repro.serve.Engine` serves on whichever thread
+calls it; what an ``asyncio`` application needs is a facade that never
+blocks the event loop while driving it.  ``AsyncEngine`` is exactly
+that — a thin bridge, not a second serving path::
 
     from repro.serve import AsyncEngine
 
@@ -14,12 +13,12 @@ second serving path::
             await publish(chunk.match)
 
 Every call delegates to the wrapped blocking engine on a worker thread
-(``asyncio.to_thread``); :meth:`stream` pulls one chunk per thread hop,
-so backpressure and prefetch semantics are the underlying session's own
-(``prefetch`` / ``ring_slots`` pass straight through), results are
+(``asyncio.to_thread``); :meth:`stream` pulls one chunk per thread hop
+— the hop runs the session generator's pull-classify-yield step, so the
+source is pulled only when the consumer asks — results are
 bit-identical by construction, and breaking out of the ``async for``
-closes the blocking iterator — the same prompt thread teardown the
-synchronous early-exit contract guarantees.
+closes the blocking generator (there is no session thread to tear
+down).
 """
 
 from __future__ import annotations
@@ -96,11 +95,10 @@ class AsyncEngine:
     ) -> AsyncIterator[ChunkResult]:
         """``async for chunk in engine.stream(...)``.
 
-        One chunk is pulled per worker-thread hop, so the event loop
-        stays responsive while the blocking session's own threads keep
-        ingestion overlapped with classification underneath.  Closing
-        the async iterator early (``break``, ``aclose``) closes the
-        blocking iterator, which tears the session threads down.
+        One chunk is pulled, classified and returned per worker-thread
+        hop, so the event loop stays responsive.  Closing the async
+        iterator early (``break``, ``aclose``) closes the blocking
+        generator.
         """
         it = self._engine.stream(segments, updates, **stream_kwargs)
         sentinel = object()

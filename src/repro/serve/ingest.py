@@ -11,13 +11,12 @@ sources:
 * :func:`iter_trace_file` — stream a ClassBench-format trace file in
   fixed-size segments with a **vectorised parser** (one
   :func:`numpy.loadtxt` call per segment instead of a Python loop per
-  line, ~10x the packets/second of :meth:`PacketTrace.load`).  Driven
-  from the ingestion thread of a streamed session, file parsing overlaps
-  classification — the load-then-run dead time the ROADMAP's async-
-  ingestion item wanted removed.
+  line, ~10x the packets/second of :meth:`PacketTrace.load`).  A
+  streamed session pulls it one segment per result, so the first match
+  is out after one segment's parse instead of the whole file's.
 
-Both are plain generators: nothing is read or parsed until the consumer
-(or the ingestion thread) pulls the next segment, which is what bounds
+Both are plain generators: nothing is read or parsed until the session
+(on its consumer's thread) pulls the next segment, which is what bounds
 streamed memory at ``O(segment)`` instead of ``O(trace)``.
 
 **Malformed input.**  ``iter_trace_file(on_malformed="quarantine")``

@@ -208,8 +208,8 @@ class EngineReport:
         """Fuse the per-segment results of a streamed session.
 
         ``elapsed_s`` is the end-to-end wall clock of the stream (which
-        overlaps ingestion with classification, so it is *not* the sum
-        of the per-segment times).  Matches/occupancy concatenate in
+        includes pulling the segments from their source, so it is *not*
+        the sum of the per-segment times).  Matches/occupancy concatenate in
         stream order; cache and update counters sum; the final epoch is
         the last segment's.  Zero-packet results (empty segments, the
         tail-update chunk) carry no cache/occupancy telemetry and are

@@ -20,14 +20,14 @@ Two serving paths, one result:
     one pipeline run, returning a unified :class:`EngineReport`.
 ``stream(segments, updates=...)``
     a long-lived serving session over any iterable of trace segments
-    (in-memory views, a file reader, a traffic generator).  A
-    background **ingestion thread** pulls segments from the iterable
-    into a bounded prefetch queue and a **serving thread** classifies
-    them on the pipeline, publishing
-    :class:`ChunkResult`\\ s into a bounded **result ring** the caller
-    iterates.  Ingestion (trace generation, file parsing) therefore
-    overlaps classification; the bounded queues give backpressure, so
-    streamed memory stays ``O(segments in flight)``.
+    (in-memory views, a file reader, a traffic generator): one
+    generator that, per ``next()``, pulls a segment from the iterable,
+    classifies it on the pipeline and yields its :class:`ChunkResult`
+    — on the calling thread, like the accelerator it models is fed one
+    packet stream in order.  No thread is started and nothing is
+    queued: the source is pulled when the consumer asks, so streamed
+    memory is one segment in flight (docs/engine.md, "What ingest
+    costs", has the measurement that retired the session's threads).
 
 Exactness: streamed matches are bit-identical to ``classify`` on the
 concatenated trace at every backend/shard/pool/cache combination.  With
@@ -39,9 +39,8 @@ the stream conformance suite pins both.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -66,18 +65,38 @@ from .ingest import (
 )
 from .report import EngineReport
 
-#: Sentinel the ingestion thread publishes after the last segment.
+#: What :meth:`Engine._pull` returns once the source is exhausted.
 _DONE = object()
-#: Sentinel ``_get`` returns when the stream is being torn down.
-_STOPPED = object()
 
 
-@dataclass(frozen=True)
-class _StreamError:
-    """An exception captured in a worker thread, re-raised at the
-    consumer."""
+class UpdateCursor:
+    """A sorted stream-coordinate update schedule, consumed segment by
+    segment — the one place stream offsets become segment offsets
+    (shared by :meth:`Engine.stream` and the stage graph)."""
 
-    exc: BaseException
+    def __init__(self, entries: list[ScheduledUpdate]) -> None:
+        self._pending = deque(entries)
+        #: Packets of the stream consumed so far.
+        self.offset = 0
+
+    def take(self, n: int) -> list[ScheduledUpdate]:
+        """The batches due inside the next ``n`` packets, rebased to
+        that segment's coordinates; advances the stream by ``n``."""
+        start, self.offset = self.offset, self.offset + n
+        due = []
+        while self._pending and self._pending[0].at_packet < self.offset:
+            entry = self._pending.popleft()
+            due.append(ScheduledUpdate(
+                max(0, entry.at_packet - start), entry.batch
+            ))
+        return due
+
+    def rest(self) -> list[ScheduledUpdate]:
+        """Everything scheduled at or past the stream's end, to apply
+        over an empty trace."""
+        tail = [ScheduledUpdate(0, e.batch) for e in self._pending]
+        self._pending.clear()
+        return tail
 
 
 @dataclass
@@ -98,6 +117,16 @@ class ChunkResult:
     epoch: int | None
     match: np.ndarray = field(repr=False, default=None)
     result: PipelineResult = field(repr=False, default=None)
+
+    @classmethod
+    def of(
+        cls, index: int, start: int, result: PipelineResult
+    ) -> "ChunkResult":
+        return cls(
+            index=index, start=start, n_packets=result.n_packets,
+            matched=result.matched, elapsed_s=result.elapsed_s,
+            epoch=result.final_epoch, match=result.match, result=result,
+        )
 
     @property
     def matched_fraction(self) -> float:
@@ -162,7 +191,6 @@ class Engine:
         #: lines) of the most recent :meth:`stream` session; ``None``
         #: before the first stream or when it saw nothing.
         self.last_stream_fault: FaultReport | None = None
-        self._closed = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -243,7 +271,6 @@ class Engine:
         """Tear down the worker pool; the session stays reusable (the
         next run re-forks)."""
         self._pipeline.close()
-        self._closed = True
 
     def __enter__(self) -> "Engine":
         return self
@@ -272,13 +299,10 @@ class Engine:
         segments: Iterable[PacketTrace] | PacketTrace,
         updates=None,
         *,
-        prefetch: int = 2,
-        ring_slots: int = 4,
         segment_packets: int = DEFAULT_SEGMENT_PACKETS,
         faults=None,
     ) -> Iterator[ChunkResult]:
-        """Serve a segment stream, overlapping ingestion with
-        classification.
+        """Serve a segment stream on the calling thread.
 
         ``segments`` is any iterable of :class:`PacketTrace` segments
         (or raw ``(n, ndim)`` header arrays); passing a single
@@ -286,10 +310,10 @@ class Engine:
         ``updates`` is a global :class:`ScheduledUpdate` schedule whose
         ``at_packet`` offsets count from the start of the *stream*.
 
-        Returns a lazy iterator of :class:`ChunkResult`; nothing starts
-        until the first ``next()``.  ``prefetch`` bounds the ingestion
-        queue, ``ring_slots`` the result ring — together they cap how
-        far ingestion may run ahead of the consumer.
+        Returns a lazy iterator of :class:`ChunkResult`: nothing runs
+        until the first ``next()``, each ``next()`` pulls exactly one
+        segment from the source, and an early ``close()`` is a plain
+        generator close (no thread was ever started).
 
         Sharding is per segment: a segment no longer than ``chunk_size``
         is one chunk and serves single-process, so with ``shards > 1``
@@ -297,7 +321,7 @@ class Engine:
         ``--stream`` values that cannot engage the shards).
 
         ``faults`` injects a :class:`~repro.engine.faults.FaultPlan`
-        into the session: ``ingest`` specs fire in the ingestion thread
+        into the session: ``ingest`` specs fire before the source pull
         (retried per the fault policy — the source iterator is not
         advanced past an injected failure), everything else is routed
         to the pipeline run of its target segment.  Stream-level
@@ -306,13 +330,8 @@ class Engine:
         """
         if isinstance(segments, PacketTrace):
             segments = iter_trace_segments(segments, segment_packets)
-        if prefetch < 1:
-            raise ConfigError(f"prefetch must be >= 1, got {prefetch}")
-        if ring_slots < 1:
-            raise ConfigError(f"ring_slots must be >= 1, got {ring_slots}")
         entries = self._normalise_stream_updates(updates)
-        plan = FaultPlan.coerce(faults)
-        return self._stream(segments, entries, prefetch, ring_slots, plan)
+        return self._stream(segments, entries, FaultPlan.coerce(faults))
 
     def classify_stream(
         self,
@@ -333,13 +352,17 @@ class Engine:
             results, elapsed_s=elapsed,
             energy_model=self.config.energy_model,
         )
+        self._fold_stream_fault(report)
+        return report
+
+    def _fold_stream_fault(self, report: EngineReport) -> None:
+        """Fold the last session's stream-level accounting (ingest
+        retries, quarantined lines — it lives outside any one pipeline
+        result) into that session's merged ``report``."""
         if self.last_stream_fault is not None:
-            # Stream-level accounting (ingest retries, quarantined
-            # lines) lives outside any one pipeline result; fold it in.
             if report.fault is None:
                 report.fault = FaultReport()
             report.fault.merge(self.last_stream_fault)
-        return report
 
     # ------------------------------------------------------------------
     def _normalise_stream_updates(
@@ -369,225 +392,70 @@ class Engine:
             np.asarray(segment, dtype=np.uint32), self.ruleset.schema
         )
 
-    def _empty_trace(self) -> PacketTrace:
-        return PacketTrace(
-            np.empty((0, self.ruleset.schema.ndim), dtype=np.uint32),
-            self.ruleset.schema,
-        )
+    def _flush_updates(self, cursor: UpdateCursor) -> PipelineResult | None:
+        """Apply what is scheduled at or past the stream's end: over an
+        empty trace, through the pipeline (so held workers catch up
+        too).  ``None`` when nothing is left."""
+        tail = cursor.rest()
+        if not tail:
+            return None
+        schema = self.ruleset.schema
+        empty = PacketTrace(np.empty((0, schema.ndim), np.uint32), schema)
+        return self._pipeline.run(empty, updates=tail)
+
+    def _pull(self, source: Iterator, index: int, plan, stream_fault):
+        """The stream's next segment, or ``_DONE``.  Injected ingest
+        faults fire *before* the source is pulled, so a retry re-pulls
+        cleanly — the iterator never loses a segment to one."""
+        supervisor = self._pipeline.supervisor
+        attempt = 0
+        while True:
+            try:
+                if plan is not None:
+                    fire_ingest_specs(
+                        plan.ingest_faults(index, attempt), index
+                    )
+                return next(source, _DONE)
+            except IngestError:
+                if not supervisor.may_retry(attempt):
+                    raise
+                stream_fault.ingest_retries += 1
+                time.sleep(supervisor.backoff_s(attempt))
+                attempt += 1
 
     def _stream(
-        self,
-        segments: Iterable,
-        entries: list[ScheduledUpdate],
-        prefetch: int,
-        ring_slots: int,
-        plan: FaultPlan | None = None,
+        self, segments: Iterable, entries: list[ScheduledUpdate], plan
     ) -> Iterator[ChunkResult]:
-        """Generator body of :meth:`stream` (threads start lazily on the
-        first ``next()``; early ``close()`` of the iterator tears the
-        session's threads down without leaking)."""
-        # Fork the shard workers before any thread exists: forking a
-        # multi-threaded process risks inheriting held locks.
-        self._pipeline.prefork(self.ruleset.schema.ndim)
-        supervisor = self._pipeline.supervisor
+        """Generator body of :meth:`stream`: pull, classify, yield — all
+        on the thread that calls ``next()``.  Stream-level accounting is
+        settled in the ``finally``, so exhaustion, an early ``close()``
+        and a raising source all publish it."""
         stream_fault = FaultReport()
         quarantined_before = self.quarantine.count if self.quarantine else 0
-        ingest_q: queue.Queue = queue.Queue(maxsize=prefetch)
-        ring: queue.Queue = queue.Queue(maxsize=ring_slots)
-        stop = threading.Event()
-
-        def _put(q: queue.Queue, item) -> bool:
-            """Bounded put that aborts when the stream is closing."""
-            while not stop.is_set():
-                try:
-                    q.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _get(q: queue.Queue):
-            while not stop.is_set():
-                try:
-                    return q.get(timeout=0.05)
-                except queue.Empty:
-                    continue
-            return _STOPPED
-
-        def _drain(q: queue.Queue) -> None:
-            """Discard everything queued so a producer blocked on a
-            full queue can publish its pending item and observe the
-            stop flag instead of waiting out its poll interval with the
-            sentinel undrained."""
-            while True:
-                try:
-                    q.get_nowait()
-                except queue.Empty:
-                    return
-
-        def _ingest() -> None:
-            # Injected ingest faults fire *before* the source is pulled,
-            # so a retry re-pulls cleanly — the iterator never loses a
-            # segment to an injected failure.  A real source error is
-            # relayed (a dead generator cannot be retried).
-            it = iter(segments)
-            index = 0
-            try:
-                while True:
-                    attempt = 0
-                    while True:
-                        try:
-                            if plan is not None:
-                                specs = plan.ingest_faults(index, attempt)
-                                if specs:
-                                    fire_ingest_specs(specs, index)
-                            segment = next(it)
-                            break
-                        except StopIteration:
-                            _put(ingest_q, _DONE)
-                            return
-                        except IngestError:
-                            if not supervisor.may_retry(attempt):
-                                raise
-                            stream_fault.ingest_retries += 1
-                            time.sleep(supervisor.backoff_s(attempt))
-                            attempt += 1
-                    if not _put(ingest_q, segment):
-                        return
-                    index += 1
-            except BaseException as exc:  # noqa: BLE001 - relayed
-                _put(ingest_q, _StreamError(exc))
-
-        def _serve() -> None:
-            offset = 0
-            index = 0
-            upd_i = 0
-            try:
-                while True:
-                    item = _get(ingest_q)
-                    if item is _STOPPED:
-                        return
-                    if isinstance(item, _StreamError):
-                        _put(ring, item)
-                        # The ingestion thread may still be blocked
-                        # publishing into a full prefetch queue (its
-                        # _DONE sentinel will never be consumed now);
-                        # free a slot so it unblocks promptly.
-                        _drain(ingest_q)
-                        return
-                    if item is _DONE:
-                        # Updates scheduled past the stream's end apply
-                        # after the last segment — through the pipeline
-                        # (so held workers catch up too) and
-                        # surfaced as a final zero-packet chunk so the
-                        # consumer sees the epoch advance.
-                        tail = [
-                            ScheduledUpdate(0, e.batch)
-                            for e in entries[upd_i:]
-                        ]
-                        if tail:
-                            result = self._pipeline.run(
-                                self._empty_trace(), updates=tail
-                            )
-                            _put(ring, ChunkResult(
-                                index=index, start=offset, n_packets=0,
-                                matched=0, elapsed_s=result.elapsed_s,
-                                epoch=result.final_epoch,
-                                match=result.match, result=result,
-                            ))
-                        _put(ring, _DONE)
-                        return
-                    trace = self._as_trace(item)
-                    n = trace.n_packets
-                    local: list[ScheduledUpdate] = []
-                    while (
-                        upd_i < len(entries)
-                        and entries[upd_i].at_packet < offset + n
-                    ):
-                        entry = entries[upd_i]
-                        local.append(ScheduledUpdate(
-                            max(0, entry.at_packet - offset), entry.batch
-                        ))
-                        upd_i += 1
-                    result = self._pipeline.run(
-                        trace, updates=local or None,
-                        faults=plan.for_segment(index)
-                        if plan is not None else None,
-                    )
-                    chunk = ChunkResult(
-                        index=index,
-                        start=offset,
-                        n_packets=n,
-                        matched=result.matched,
-                        elapsed_s=result.elapsed_s,
-                        epoch=result.final_epoch,
-                        match=result.match,
-                        result=result,
-                    )
-                    if not _put(ring, chunk):
-                        return
-                    offset += n
-                    index += 1
-            except BaseException as exc:  # noqa: BLE001 - relayed
-                _put(ring, _StreamError(exc))
-
-        ingest_t = threading.Thread(
-            target=_ingest, name="repro-serve-ingest", daemon=True
-        )
-        serve_t = threading.Thread(
-            target=_serve, name="repro-serve-classify", daemon=True
-        )
+        cursor = UpdateCursor(entries)
+        source = iter(segments)
+        index = 0
         try:
-            # Starts live inside the try: if the second start raises,
-            # the finally still stops and joins the first thread
-            # instead of leaving it running against a dead generator.
-            ingest_t.start()
-            serve_t.start()
             while True:
-                try:
-                    item = ring.get(timeout=0.1)
-                except queue.Empty:
-                    if not serve_t.is_alive():
-                        # The serving thread may have published its last
-                        # items (and exited) between our timeout and the
-                        # liveness check: drain what it left before
-                        # concluding the stream, or a final chunk / a
-                        # relayed error would be lost.
-                        while True:
-                            try:
-                                item = ring.get_nowait()
-                            except queue.Empty:
-                                return
-                            if item is _DONE:
-                                return
-                            if isinstance(item, _StreamError):
-                                raise item.exc
-                            yield item
-                    continue
-                if item is _DONE:
-                    return
-                if isinstance(item, _StreamError):
-                    raise item.exc
-                yield item
+                segment = self._pull(source, index, plan, stream_fault)
+                if segment is _DONE:
+                    break
+                trace = self._as_trace(segment)
+                start = cursor.offset
+                result = self._pipeline.run(
+                    trace,
+                    updates=cursor.take(trace.n_packets) or None,
+                    faults=plan.for_segment(index)
+                    if plan is not None else None,
+                )
+                yield ChunkResult.of(index, start, result)
+                index += 1
+            # The tail surfaces as a final zero-packet chunk so the
+            # consumer sees the epoch advance.
+            result = self._flush_updates(cursor)
+            if result is not None:
+                yield ChunkResult.of(index, cursor.offset, result)
         finally:
-            stop.set()
-            # Unwedge producers parked on full queues (the consumer-
-            # abandons-mid-stream case: the serving thread blocked
-            # publishing into the ring, the ingestion thread into the
-            # prefetch queue, sentinels never drained) so teardown does
-            # not ride on their 50ms stop polls.  The serving thread is
-            # the only one touching the pipeline; wait for it
-            # unconditionally (it blocks only in bounded queue polls or
-            # one finite pipeline.run) so a later classify() never
-            # races an abandoned run.  The ingestion thread may be
-            # parked inside the caller's iterable; once stopped it can
-            # only touch its own queue, so a timed-out join is safe.
-            _drain(ring)
-            if serve_t.ident is not None:
-                serve_t.join()
-            _drain(ingest_q)
-            if ingest_t.ident is not None:
-                ingest_t.join(timeout=2.0)
             if self.quarantine is not None:
                 stream_fault.quarantined += (
                     self.quarantine.count - quarantined_before

@@ -59,8 +59,6 @@ from typing import Iterable, Iterator, Mapping
 from ..core.errors import ConfigError
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
-from ..core.updates import ScheduledUpdate
-from ..engine.faults import FaultPlan
 from ..engine.pipeline import ClassificationPipeline
 from ..engine.supervision import FaultReport
 from .config import EngineConfig
@@ -224,39 +222,30 @@ class _PoolLease:
 
 
 class _TenantState:
-    """Scheduler-side bookkeeping for one tenant in one session."""
+    """Scheduler-side bookkeeping for one tenant in one session.
+
+    The tenant is served by its own ``Engine.stream`` generator over a
+    one-segment peekable feed: the generator pulls exactly one segment
+    per result, so the scheduler peeks the head for admission and then
+    takes ``next(stream)``.
+    """
 
     def __init__(
-        self,
-        spec: TenantSpec,
-        engine: Engine,
-        source: Iterator,
-        entries: list[ScheduledUpdate],
-        plan: FaultPlan | None,
+        self, spec: TenantSpec, engine: Engine, source: Iterator,
+        updates, faults,
     ) -> None:
-        self.spec = spec
+        self.name = spec.name
+        self.weight = spec.weight
         self.engine = engine
         self.source = source
-        self.entries = entries
-        self.plan = plan
         self.head: PacketTrace | None = None
-        self.offset = 0
-        self.index = 0
-        self.upd_i = 0
+        self.stream = engine.stream(self._feed(), updates, faults=faults)
         self.deficit = 0.0
         self.busy_s = 0.0
         self.latencies: list[float] = []
         self.results: list = []
         self.fault: str | None = None
         self.done = False
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def weight(self) -> float:
-        return self.spec.weight
 
     def peek(self) -> PacketTrace | None:
         """The next segment (as a trace), without consuming it."""
@@ -267,10 +256,11 @@ class _TenantState:
                 return None
         return self.head
 
-    def pop(self) -> PacketTrace:
-        segment = self.head
-        self.head = None
-        return segment
+    def _feed(self) -> Iterator[PacketTrace]:
+        """What the tenant's stream pulls from: the peeked head."""
+        while self.peek() is not None:
+            segment, self.head = self.head, None
+            yield segment
 
 
 class MultiTenantEngine:
@@ -300,7 +290,6 @@ class MultiTenantEngine:
         if not self._tenants:
             raise ConfigError("MultiTenantEngine needs at least one tenant")
         self._lease = _PoolLease()
-        self._closed = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -340,7 +329,6 @@ class MultiTenantEngine:
         self._lease.close()
         for _spec, engine in self._tenants.values():
             engine.close()
-        self._closed = True
 
     def __enter__(self) -> "MultiTenantEngine":
         return self
@@ -416,8 +404,7 @@ class MultiTenantEngine:
                 segments = iter_trace_segments(segments, segment_packets)
             states.append(_TenantState(
                 spec, engine, iter(segments),
-                engine._normalise_stream_updates(updates.get(name)),
-                FaultPlan.coerce(faults.get(name)),
+                updates.get(name), faults.get(name),
             ))
         return states
 
@@ -430,94 +417,48 @@ class MultiTenantEngine:
         serving is unaffected."""
         if quantum < 1:
             raise ConfigError(f"quantum must be >= 1, got {quantum}")
-        pending = [st for st in states if not st.done]
+        pending = list(states)
         while pending:
             for st in pending:
                 st.deficit += st.weight * quantum
                 while not st.done:
                     segment = st.peek()
-                    if segment is None:
-                        chunk = self._flush_tail(st)
-                        st.done = True
-                        st.deficit = 0.0
-                        if chunk is not None:
-                            yield st.name, chunk
-                        break
                     # A segment larger than one credit still costs one
                     # whole segment — max(1, ...) keeps empty segments
-                    # from spinning the rotation for free.
-                    cost = max(1, segment.n_packets)
+                    # from spinning the rotation for free.  A drained
+                    # source leaves the tail flush, which is free.
+                    cost = (
+                        0 if segment is None else max(1, segment.n_packets)
+                    )
                     if st.deficit < cost:
                         break
-                    st.pop()
-                    chunk = self._serve_segment(st, segment)
                     st.deficit -= cost
+                    chunk = self._serve_next(st)
                     if chunk is not None:
                         yield st.name, chunk
             pending = [st for st in pending if not st.done]
 
-    def _serve_segment(
-        self, st: _TenantState, trace: PacketTrace
-    ) -> ChunkResult | None:
-        n = trace.n_packets
-        local: list[ScheduledUpdate] = []
-        while (
-            st.upd_i < len(st.entries)
-            and st.entries[st.upd_i].at_packet < st.offset + n
-        ):
-            entry = st.entries[st.upd_i]
-            local.append(ScheduledUpdate(
-                max(0, entry.at_packet - st.offset), entry.batch
-            ))
-            st.upd_i += 1
-        self._lease.admit(st.name, st.engine.pipeline)
+    def _serve_next(self, st: _TenantState) -> ChunkResult | None:
+        """One step of the tenant's stream — its head segment, or past
+        the last one the tail flush — under the pool lease, the latency
+        timer and fault containment."""
+        if st.head is not None:
+            # (The tail flush is an empty-trace run: it never forks.)
+            self._lease.admit(st.name, st.engine.pipeline)
         started = time.perf_counter()
         try:
-            result = st.engine.pipeline.run(
-                trace, updates=local or None,
-                faults=st.plan.for_segment(st.index)
-                if st.plan is not None else None,
-            )
+            chunk = next(st.stream, None)
         except Exception as exc:  # contained: one tenant, not the session
             self._quarantine_tenant(st, exc)
+            return None
+        if chunk is None:
+            st.done = True
+            st.deficit = 0.0
             return None
         latency = time.perf_counter() - started
         st.busy_s += latency
         st.latencies.append(latency)
-        st.results.append(result)
-        chunk = ChunkResult(
-            index=st.index, start=st.offset, n_packets=n,
-            matched=result.matched, elapsed_s=result.elapsed_s,
-            epoch=result.final_epoch, match=result.match, result=result,
-        )
-        st.offset += n
-        st.index += 1
-        return chunk
-
-    def _flush_tail(self, st: _TenantState) -> ChunkResult | None:
-        """Apply updates scheduled past the tenant's stream end, as a
-        final zero-packet chunk (same contract as ``Engine.stream``)."""
-        tail = [
-            ScheduledUpdate(0, e.batch) for e in st.entries[st.upd_i:]
-        ]
-        st.upd_i = len(st.entries)
-        if not tail:
-            return None
-        self._lease.admit(st.name, st.engine.pipeline)
-        try:
-            result = st.engine.pipeline.run(
-                st.engine._empty_trace(), updates=tail
-            )
-        except Exception as exc:
-            self._quarantine_tenant(st, exc)
-            return None
-        st.results.append(result)
-        chunk = ChunkResult(
-            index=st.index, start=st.offset, n_packets=0, matched=0,
-            elapsed_s=result.elapsed_s, epoch=result.final_epoch,
-            match=result.match, result=result,
-        )
-        st.index += 1
+        st.results.append(chunk.result)
         return chunk
 
     def _quarantine_tenant(
@@ -536,6 +477,9 @@ class MultiTenantEngine:
             st.results, elapsed_s=st.busy_s,
             energy_model=st.engine.config.energy_model,
         )
+        # The tenant's stream has ended (exhausted or raised), which
+        # settled its stream-level accounting.
+        st.engine._fold_stream_fault(report)
         return TenantReport(
             name=st.name,
             weight=st.weight,

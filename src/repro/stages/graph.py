@@ -68,6 +68,7 @@ from ..serve.ingest import (
     iter_trace_file,
     iter_trace_segments,
 )
+from ..serve.session import UpdateCursor
 from .spec import StageGraphSpec, StageSpec
 
 #: Mixing weights for the deterministic queue-select flow hash (odd
@@ -261,6 +262,7 @@ class StageGraph:
         stage_plan = plan.stage_plan() if plan is not None else None
         engine_plan = plan.engine_plan() if plan is not None else None
         entries = self.engine._normalise_stream_updates(updates)
+        cursor = UpdateCursor(entries)
         supervisor = self.engine.pipeline.supervisor
 
         reports = [
@@ -272,8 +274,6 @@ class StageGraph:
         results = []
         matches: list[np.ndarray] = []
         seg_index = 0
-        offset = 0
-        upd_i = 0
         stage_retries = 0
         storm_events: list[str] = []
         started = time.perf_counter()
@@ -298,18 +298,9 @@ class StageGraph:
             alive = np.ones(n, dtype=bool)
             seg_match = np.full(n, -1, dtype=np.int64)
             scratch: dict = {}  # per-segment shared work (flow hash)
-            # Updates due inside this segment, rebased onto the classify
-            # stage's survivor coordinates (the batch applies at the
-            # same *packet*, wherever upstream drops moved its index).
-            due: list[tuple[int, ScheduledUpdate]] = []
-            while (
-                upd_i < len(entries)
-                and entries[upd_i].at_packet < offset + n
-            ):
-                due.append(
-                    (max(0, entries[upd_i].at_packet - offset), entries[upd_i])
-                )
-                upd_i += 1
+            # Updates due inside this segment, in segment coordinates;
+            # the classify stage rebases them onto its survivors.
+            due = cursor.take(n)
             for rep, stage in zip(reports, self.spec.stages):
                 n_in = int(np.count_nonzero(alive))
                 rep.packets_in += n_in
@@ -378,13 +369,17 @@ class StageGraph:
                         rep.busy_s += time.perf_counter() - t0
                 rep.packets_out += int(np.count_nonzero(alive))
             matches.append(seg_match)
-            offset += n
             seg_index += 1
+        # Updates scheduled at or past the stream's end apply after the
+        # last segment, exactly as in ``Engine.stream``.
+        tail = self.engine._flush_updates(cursor)
+        if tail is not None:
+            results.append(tail)
         elapsed = time.perf_counter() - started
         return self._finalise(
             reports, results, matches, elapsed,
             n_segments=seg_index,
-            n_packets=offset,
+            n_packets=cursor.offset,
             quarantined=(
                 self.engine.quarantine.count - quar_before
                 if self.engine.quarantine
@@ -495,17 +490,16 @@ class StageGraph:
                 sub = PacketTrace(
                     np.ascontiguousarray(headers[alive]), trace.schema
                 )
-            local = []
-            if due:
-                # Rebase each batch's offset from segment coordinates to
-                # survivor coordinates: it applies after however many of
-                # the first ``at`` packets survived the upstream stages.
-                for at, entry in due:
-                    local.append(
-                        ScheduledUpdate(
-                            int(alive[:at].sum()), entry.batch
-                        )
-                    )
+            # Rebase each batch's offset from segment coordinates to
+            # survivor coordinates: it applies at the same *packet*,
+            # after however many of the first ``at_packet`` packets
+            # survived the upstream stages.
+            local = [
+                ScheduledUpdate(
+                    int(alive[:entry.at_packet].sum()), entry.batch
+                )
+                for entry in due
+            ]
             result = self.engine.pipeline.run(
                 sub,
                 updates=local or None,

@@ -101,6 +101,7 @@ class TestGatedMetrics:
         ("update_cache_retention.retention", 0.9),
         ("stage_graph.uncached_over_added", 3.0),
         ("inprocess_shards.over_inline", 0.8),
+        ("stream_session.over_direct_loop", 0.85),
     ])
     def test_floor_gates_are_pinned_at_their_floors(self, key, floor):
         # The committed baseline holds what the bench test itself

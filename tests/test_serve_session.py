@@ -4,8 +4,9 @@ The acceptance contract of the serving redesign: ``Engine.stream`` is
 bit-identical to ``Engine.classify`` (and to driving the underlying
 ``ClassificationPipeline`` directly, the PR 4 surface) across
 backend x shards x persistent x cache x updates.  Streamed sessions
-must also behave like sessions: lazy start, clean early exit with no
-leaked threads, errors in the segment source surfaced to the consumer.
+must also behave like sessions: lazy start, everything on the calling
+thread (no thread is ever started), clean early exit, errors in the
+segment source surfaced to the consumer.
 """
 
 from __future__ import annotations
@@ -24,6 +25,24 @@ from repro.serve import iter_trace_file, iter_trace_segments
 
 def _thread_names() -> set[str]:
     return {t.name for t in threading.enumerate()}
+
+
+class _RecordingClassifier:
+    """A real backend behind a ``classify_batch`` that records which
+    thread called it."""
+
+    batch_stats = None  # route the pipeline through classify_batch
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.threads: list[int] = []
+
+    def classify_batch(self, headers):
+        self.threads.append(threading.get_ident())
+        return self.inner.classify_batch(headers)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 @pytest.fixture()
@@ -242,28 +261,26 @@ class TestSessionLifecycle:
 
         before = _thread_names()
         with Engine.open(config, acl_small) as engine:
-            it = engine.stream(segments(), prefetch=1, ring_slots=1)
+            it = engine.stream(segments())
             assert not pulled  # nothing runs until the first next()
             first = next(it)
             assert first.n_packets == 256 and first.start == 0
-            it.close()  # early exit: threads must unwind
+            it.close()  # early exit: nothing was started, nothing leaks
         for _ in range(100):
             if _thread_names() <= before:
                 break
             threading.Event().wait(0.05)
         assert _thread_names() <= before
-        # Bounded prefetch: the generator was never drained to the end.
-        assert len(pulled) < acl_small_trace.n_packets // 256
+        # The source is pulled when the consumer asks, never ahead.
+        assert len(pulled) == 1
 
     @pytest.mark.parametrize("shard_mode", ["auto", "processes", "threads"])
     def test_break_after_one_chunk_is_clean_in_every_shard_mode(
         self, shard_mode, acl_small, acl_small_trace
     ):
-        # The consumer abandons mid-stream with both queues saturated
-        # (prefetch=1, ring_slots=1): the ingestion thread is parked on
-        # a full prefetch queue whose _DONE sentinel will never be
-        # drained.  Teardown must unwind both threads promptly and
-        # leave the engine serviceable, in every shard mode.
+        # The consumer abandons mid-stream: the generator close must
+        # leave no thread behind (none was ever started) and the engine
+        # serviceable, in every shard mode.
         config = EngineConfig(
             backend="linear", chunk_size=256, shards=2,
             shard_mode=shard_mode,
@@ -273,7 +290,6 @@ class TestSessionLifecycle:
             want = engine.classify(acl_small_trace).match
             for chunk in engine.stream(
                 iter_trace_segments(acl_small_trace, 256),
-                prefetch=1, ring_slots=1,
             ):
                 assert chunk.index == 0 and chunk.n_packets == 256
                 break  # consumer abandons mid-stream
@@ -285,6 +301,76 @@ class TestSessionLifecycle:
                 break
             threading.Event().wait(0.05)
         assert _thread_names() <= before
+
+    @pytest.mark.parametrize("with_updates", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stream_runs_on_the_calling_thread(
+        self, shards, with_updates, acl_small, acl_small_trace,
+        update_schedule,
+    ):
+        # The design, pinned: a streamed session is pull -> classify ->
+        # yield on whichever thread calls next().  Every source pull and
+        # every classify_batch runs there, one pull per result, and the
+        # process's thread count never moves.
+        config = EngineConfig(
+            backend="linear", chunk_size=256, shards=shards,
+            shard_mode="threads", updatable=with_updates,
+            min_chunk_packets=0,
+        )
+        recorder = _RecordingClassifier(
+            Engine.build_classifier(config, acl_small)
+        )
+        pulls: list[int] = []
+
+        def source():
+            for seg in iter_trace_segments(acl_small_trace, 512):
+                pulls.append(threading.get_ident())
+                yield seg
+
+        me = threading.get_ident()
+        before = threading.active_count()
+        with Engine(config, acl_small, classifier=recorder) as engine:
+            stream = engine.stream(
+                source(), update_schedule if with_updates else None
+            )
+            assert threading.active_count() == before
+            for chunk in stream:
+                assert threading.active_count() == before
+                if chunk.n_packets:
+                    assert len(pulls) == chunk.index + 1
+            assert engine.pipeline.plan().workers == shards
+        assert threading.active_count() == before
+        assert len(pulls) == 4 and set(pulls) == {me}
+        assert len(recorder.threads) >= 4 * shards
+        assert set(recorder.threads) == {me}
+
+    def test_no_thread_around_early_close_or_source_error(
+        self, acl_small, acl_small_trace
+    ):
+        config = EngineConfig(
+            backend="linear", chunk_size=256, shards=2,
+            shard_mode="threads",
+        )
+
+        def broken():
+            yield PacketTrace(
+                acl_small_trace.headers[:512], acl_small_trace.schema
+            )
+            raise OSError("trace feed died")
+
+        before = threading.active_count()
+        with Engine.open(config, acl_small) as engine:
+            stream = engine.stream(acl_small_trace, segment_packets=512)
+            next(stream)
+            assert threading.active_count() == before
+            stream.close()
+            assert threading.active_count() == before
+            stream = engine.stream(broken())
+            next(stream)
+            assert threading.active_count() == before
+            with pytest.raises(OSError, match="trace feed died"):
+                next(stream)
+            assert threading.active_count() == before
 
     def test_segment_source_error_reaches_consumer(
         self, acl_small, acl_small_trace
@@ -344,13 +430,7 @@ class TestSessionLifecycle:
         )
         assert report.n_chunks == len(report.chunks)
 
-    def test_bad_stream_knobs_rejected(self, acl_small, acl_small_trace):
-        config = EngineConfig(backend="linear")
-        with Engine.open(config, acl_small) as engine:
-            with pytest.raises(ConfigError, match="prefetch"):
-                engine.stream(acl_small_trace, prefetch=0)
-            with pytest.raises(ConfigError, match="ring_slots"):
-                engine.stream(acl_small_trace, ring_slots=0)
+    def test_bad_stream_knobs_rejected(self, acl_small_trace):
         with pytest.raises(ConfigError, match="segment_packets"):
             list(iter_trace_segments(acl_small_trace, 0))
 

@@ -17,6 +17,7 @@ import pytest
 from repro.classbench import churn_schedule, generate_zipf_trace
 from repro.core.errors import ConfigError, ServingFaultError
 from repro.core.rules import DIM_PROTO
+from repro.core.updates import ScheduledUpdate
 from repro.engine.faults import FaultPlan, FaultSpec
 from repro.serve import Engine, EngineConfig
 from repro.stages import (
@@ -213,6 +214,57 @@ class TestBitIdentity:
         assert tcam.extra.get("mode") == "monitor"
         assert "tcam_miss" not in tcam.drops
         assert tcam.packets_in == tcam.packets_out
+
+    def test_updates_at_or_past_the_stream_end_are_applied(
+        self, acl_small, zipf_small
+    ):
+        # The graph flushes the schedule's tail (a batch at the stream
+        # end, another beyond it) exactly as Engine.classify_stream does.
+        n = zipf_small.n_packets
+        batches = churn_schedule(acl_small, 40, n, seed=5)
+        schedule = batches[:-2] + [
+            ScheduledUpdate(n, batches[-2].batch),
+            ScheduledUpdate(n + 500, batches[-1].batch),
+        ]
+        overlay = {
+            "backend": "hypercuts", "chunk_size": 1000, "updatable": True,
+        }
+        config = EngineConfig.from_dict(
+            {**EngineConfig().to_dict(), **overlay, "cache_entries": 1024}
+        )
+        with Engine.open(config, acl_small) as engine:
+            want = engine.classify_stream(
+                zipf_small, schedule, segment_packets=1000
+            )
+            want_epoch = engine.classifier.update_epoch
+        # Per-epoch linear oracle for the ruleset the schedule leaves.
+        with Engine.open(
+            EngineConfig(backend="linear", updatable=True), acl_small
+        ) as oracle:
+            oracle.classify_stream(zipf_small, schedule)
+            after = oracle.classify(zipf_small).match
+        # No prefilter: its image is the build-time ruleset, and the
+        # follow-up run below carries no updates to put it in monitor
+        # mode.
+        full = default_graph(overlay, cache_entries=1024)
+        spec = StageGraphSpec(
+            name=full.name,
+            stages=tuple(
+                s for s in full.stages if s.kind != "tcam_prefilter"
+            ),
+        )
+        with StageGraph(spec, acl_small) as graph:
+            report = graph.run(
+                zipf_small, updates=schedule, segment_packets=1000
+            )
+            assert graph.classifier.update_epoch == want_epoch
+            again = graph.run(zipf_small, segment_packets=1000)
+        assert np.array_equal(report.match, want.match)
+        assert report.n_packets == n
+        assert report.update_batches == want.update_batches == len(schedule)
+        assert report.final_epoch == want.final_epoch
+        assert len(report.update_latencies_s) == len(schedule)
+        assert np.array_equal(again.match, after)
 
     def test_tcam_drops_only_no_match_packets(self, acl_small, zipf_small):
         spec = default_graph({"backend": "hypercuts"}, cache_entries=0)

@@ -24,6 +24,7 @@ from repro.classbench import (
     generate_update_stream,
 )
 from repro.core.errors import ConfigError
+from repro.engine.faults import FaultSpec
 from repro.serve import (
     AsyncEngine,
     Engine,
@@ -304,6 +305,47 @@ class TestFaultContainment:
         assert faults.get("t1") is None
 
 
+    @pytest.mark.parametrize("policy", ["retry", "fail"])
+    def test_tenants_honour_ingest_fault_specs(self, policy):
+        # Tenants ride Engine.stream, so an ``ingest`` spec fires at the
+        # tenant's source pull like in a single session: retried in
+        # place (no segment lost) or, under "fail", terminal for that
+        # tenant only.
+        config = EngineConfig(
+            backend="linear", chunk_size=256, fault_policy=policy
+        )
+        tenants, workloads = make_fleet(3, config=config)
+        want = isolated_matches(tenants, workloads)
+        with MultiTenantEngine.open(tenants) as mte:
+            clean = mte.serve(workloads, segment_packets=256)
+        with MultiTenantEngine.open(tenants) as mte:
+            report = mte.serve(
+                workloads, segment_packets=256,
+                faults={"t1": [FaultSpec(kind="ingest", segment=1)]},
+            )
+        by_name = {t.name: t for t in report.tenants}
+        hit = by_name["t1"]
+        if policy == "retry":
+            assert hit.fault is None
+            assert hit.report.fault.ingest_retries == 1
+            assert hit.n_segments == 4
+            assert np.array_equal(hit.report.match, want["t1"])
+        else:
+            assert hit.fault.startswith("IngestError")
+            assert hit.n_segments == 1  # segment 0 served, then out
+        for other in clean.tenants:
+            if other.name == "t1":
+                continue
+            got = by_name[other.name]
+            assert got.fault is None and not got.report.fault.any()
+            assert np.array_equal(got.report.match, want[other.name])
+            for key in (
+                "n_packets", "matched", "n_segments", "n_chunks",
+                "cache_hits", "cache_misses", "update_batches",
+            ):
+                assert getattr(got.report, key) == getattr(other.report, key)
+
+
 # ---------------------------------------------------------------------------
 # Accounting
 # ---------------------------------------------------------------------------
@@ -388,7 +430,6 @@ class TestAsyncEngine:
             async with AsyncEngine.open(config, acl_small) as engine:
                 async for chunk in engine.stream(
                     iter_trace_segments(acl_small_trace, 256),
-                    prefetch=1, ring_slots=1,
                 ):
                     assert chunk.index == 0
                     break
