@@ -6,9 +6,9 @@ append it to ``$GITHUB_STEP_SUMMARY``.
 
 Two enforcement tiers:
 
-* **informational metrics** (throughput points, wall-clock seconds) are
-  warn-only — flagged below ``--threshold`` but never fail the run,
-  because the bench job lives on shared, noisy runners;
+* **informational metrics** (ungated ratios, counts, modelled numbers)
+  are warn-only — flagged below ``--threshold`` but never fail the
+  run;
 * **gated metrics** (:data:`GATED_METRICS` — the speedup/amortisation
   ratios the acceptance gates assert) FAIL the run (exit 1) when they
   regress below ``--fail-threshold`` (default 0.75, i.e. a >25%
@@ -26,14 +26,22 @@ it catches the inverted-scaling shape no per-metric baseline ratio can
 see, because every point can individually beat its baseline while the
 axis still slopes downward.
 
+**The ledger owns wall-clock.**  The committed ``baseline.json`` holds
+no pps / seconds row: only same-run ratios (the gated ones pinned at
+the floor their bench test asserts), counts and modelled numbers, which
+mean the same on every host.  Absolute throughput and latency are
+tracked by ``benchmarks/ledger/`` (``run.py`` / ``compare.py``), which
+measures parent and change on one host, back to back.
+
 **Host fingerprint.**  ``BENCH_engine.json`` carries the ledger's
 ``fingerprint`` block (CPU count and model, Python, NumPy, platform).
-Wall-clock metrics (``*pps*``, ``*_s``, ``*_ms``, ``*_ms_per_run``) are
-only diffed when both files carry the *same* host fields
-(:data:`HOST_FIELDS`); otherwise their rows read ``refused`` — a pps
-measured on another machine, or on one nobody recorded, is not a
-baseline.  Same-run ratios, counts and modelled numbers are diffed on
-any host, and every gate still applies.
+When two full ``BENCH_engine.json`` files are compared, wall-clock
+metrics (``*pps*``, ``*_s``, ``*_ms``, ``*_ms_per_run``) are only
+diffed when both carry the *same* host fields (:data:`HOST_FIELDS`);
+otherwise their rows read ``refused`` — a pps measured on another
+machine, or on one nobody recorded, is not a baseline.  Same-run
+ratios, counts and modelled numbers are diffed on any host, and every
+gate still applies.
 
 Usage::
 

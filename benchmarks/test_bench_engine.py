@@ -521,18 +521,15 @@ def test_cached_pipeline_throughput(
     assert res.cache_hit_rate is not None and res.cache_hit_rate > 0.5
 
 
-def _interleaved_pps(
-    runs: dict, n_packets: int, rounds: int = 25, inner: int = 4
-) -> dict:
-    """Per-key pps from the minimum wall-clock of ``rounds`` samples,
-    each timing ``inner`` back-to-back runs, with the keys sampled
-    round-robin inside every round.  Sequential per-key timing lets
-    slow machine drift (thermal, background load) land on one shard
-    count and fake a scaling inversion; interleaving gives every key
-    the same conditions, and the multi-run samples (with the collector
-    parked) keep single-digit-millisecond workloads out of the noise
-    floor, so the mins are comparable."""
-    best = {key: float("inf") for key in runs}
+def _interleaved_times(runs: dict, rounds: int = 25, inner: int = 4) -> dict:
+    """Per-key wall-clock samples, one per round: each times ``inner``
+    back-to-back runs, with the keys sampled round-robin inside every
+    round.  Sequential per-key timing lets slow machine drift (thermal,
+    background load) land on one shard count and fake a scaling
+    inversion; interleaving gives every key the same conditions, and
+    the multi-run samples (with the collector parked) keep
+    single-digit-millisecond workloads out of the noise floor."""
+    times: dict = {key: [] for key in runs}
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -541,11 +538,23 @@ def _interleaved_pps(
                 t0 = time.perf_counter()
                 for _ in range(inner):
                     run()
-                best[key] = min(best[key], time.perf_counter() - t0)
+                times[key].append(time.perf_counter() - t0)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return {key: round(inner * n_packets / t) for key, t in best.items()}
+    return times
+
+
+def _min_pps(times: dict, n_packets: int, inner: int = 4) -> dict:
+    """Per-key pps from the minimum of its :func:`_interleaved_times`
+    samples."""
+    return {key: round(inner * n_packets / min(ts)) for key, ts in times.items()}
+
+
+def _interleaved_pps(
+    runs: dict, n_packets: int, rounds: int = 25, inner: int = 4
+) -> dict:
+    return _min_pps(_interleaved_times(runs, rounds, inner), n_packets, inner)
 
 
 def _settle(pipeline, trace) -> None:
@@ -564,47 +573,73 @@ def test_pipeline_shards_monotone_gate(
     """Acceptance gate: at the engine's serving defaults (auto tier,
     >= 64k-packet dispatch target) adding shards never *costs*
     throughput.  Records the ``persistent_pipeline_pps`` and
-    ``flowcache_pipeline_pps`` shards axes that ``compare_baseline.py``
-    enforces non-decreasing (0.95 tolerance floor), measured with
-    interleaved rounds so the axis shape is drift-insensitive."""
-    persistent: dict = {}
-    cached_runs: dict = {}
+    ``flowcache_pipeline_pps`` shards axes (per-key minima) that
+    ``compare_baseline.py`` reads, and asserts the step ratios, paired
+    within the interleaved rounds, at the same 0.95 floor."""
+    # family -> (trace, rounds, {shards key: settled pipeline}).  Twice
+    # the rounds for the cached family: a 1 ms run is the noisier of the
+    # two, and auto's bookkeeping (two plan() calls, the declined-fork
+    # sample) is a real ~1-2% of it at shards > 1.
+    families = {
+        "persistent_pipeline_pps": (acl1k_trace, 25, {}),
+        "flowcache_pipeline_pps": (acl1k_zipf_trace, 51, {}),
+    }
     # One shared cached classifier: per-instance allocation (heap and
     # hardware-cache placement of the flow-cache arrays) shifts the
     # identical workload by a few percent, which would be read as an
     # axis inversion.  Only the shard count may vary between keys.
-    cached_clf = CachedClassifier(
-        acl1k_engine_accelerator, entries=4096, ways=4
-    )
+    classifiers = {
+        "persistent_pipeline_pps": acl1k_engine_accelerator,
+        "flowcache_pipeline_pps": CachedClassifier(
+            acl1k_engine_accelerator, entries=4096, ways=4
+        ),
+    }
+    times: dict = {}
     with contextlib.ExitStack() as stack:
         for shards in (1, 2, 4):
-            pipeline = stack.enter_context(ClassificationPipeline(
-                acl1k_engine_accelerator, chunk_size=2048, shards=shards,
-                persistent=True, shard_mode="auto", min_chunk_packets=65536,
-            ))
-            _settle(pipeline, acl1k_trace)
-            persistent[f"shards_{shards}"] = (
-                lambda p=pipeline: p.run(acl1k_trace)
+            for family, (trace, _, pipes) in families.items():
+                pipeline = stack.enter_context(ClassificationPipeline(
+                    classifiers[family], chunk_size=2048, shards=shards,
+                    shard_mode="auto", min_chunk_packets=65536,
+                ))
+                _settle(pipeline, trace)
+                pipes[f"shards_{shards}"] = pipeline
+        for family, (trace, rounds, pipes) in families.items():
+            times[family] = _interleaved_times(
+                {
+                    key: (lambda p=p, t=trace: p.run(t))
+                    for key, p in pipes.items()
+                },
+                rounds=rounds,
             )
-            cached = stack.enter_context(ClassificationPipeline(
-                cached_clf, chunk_size=2048, shards=shards,
-                shard_mode="auto", min_chunk_packets=65536,
-            ))
-            _settle(cached, acl1k_zipf_trace)
-            cached_runs[f"shards_{shards}"] = (
-                lambda p=cached: p.run(acl1k_zipf_trace)
-            )
-        _PERF["persistent_pipeline_pps"] = _interleaved_pps(
-            persistent, acl1k_trace.n_packets
-        )
-        _PERF["flowcache_pipeline_pps"] = _interleaved_pps(
-            cached_runs, acl1k_zipf_trace.n_packets
-        )
-    for family in ("persistent_pipeline_pps", "flowcache_pipeline_pps"):
-        series = [_PERF[family][f"shards_{s}"] for s in (1, 2, 4)]
-        for prev, cur in zip(series, series[1:]):
-            assert cur >= 0.95 * prev, (
-                f"{family} inverted along shards: {series}"
+    for family, (trace, _, pipes) in families.items():
+        _PERF[family] = _min_pps(times[family], trace.n_packets)
+        # Asserted on a paired statistic: each round times every shard
+        # count back to back, so the round's own ratio cancels whatever
+        # the host was doing during it, and the median over rounds
+        # ignores the odd disturbed one.  Two per-key minima (the
+        # recorded axes) are not paired: identical inline pipelines
+        # stepped 5-9% apart on them on a busy host.
+        steps = {
+            f"shards_{half}_to_{full}": float(np.median([
+                t_half / t_full for t_half, t_full in zip(
+                    times[family][f"shards_{half}"],
+                    times[family][f"shards_{full}"],
+                )
+            ]))
+            for half, full in ((1, 2), (2, 4))
+        }
+        _PERF.setdefault("shards_monotone", {})[
+            family.removesuffix("_pipeline_pps")
+        ] = {step: round(ratio, 3) for step, ratio in steps.items()}
+        tiers = {
+            key: p.plan(packets=trace.n_packets).tier
+            for key, p in pipes.items()
+        }
+        for step, ratio in steps.items():
+            assert ratio >= 0.95, (
+                f"{family} inverted along shards: {step} keeps "
+                f"{ratio:.3f}x ({_PERF[family]}; auto settled on {tiers})"
             )
 
 

@@ -7,7 +7,7 @@ sharded streaming pipeline.
 
     clf = build_backend("accelerator", ruleset, algorithm="hypercuts")
     result = ClassificationPipeline(clf, shards=4).run(trace)
-    print(result.throughput_pps(), result.mean_occupancy())
+    print(result.throughput_pps, result.mean_occupancy())
 
 See ``docs/engine.md`` for the architecture overview.
 """
@@ -26,12 +26,7 @@ from .flowcache import (
     FlowCacheStats,
     build_cached_backend,
 )
-from .pipeline import (
-    DEFAULT_CHUNK_SIZE,
-    ChunkStats,
-    ClassificationPipeline,
-    PipelineResult,
-)
+from .pipeline import DEFAULT_CHUNK_SIZE, ClassificationPipeline
 from .protocol import (
     BatchStats,
     Classifier,
@@ -47,6 +42,7 @@ from .registry import (
     register_backend,
     registered_aliases,
 )
+from .report import ChunkStats, EngineReport
 from .supervision import (
     DEGRADATION_LADDER,
     FAULT_POLICIES,
@@ -86,7 +82,7 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "ChunkStats",
     "ClassificationPipeline",
-    "PipelineResult",
+    "EngineReport",
     "BatchStats",
     "Classifier",
     "ClassifierBase",

@@ -2,15 +2,18 @@
 
 A :class:`ClassificationPipeline` streams a :class:`~repro.core.packet.
 PacketTrace` through a classifier in fixed-size chunks, optionally fanned
-out over N worker shards, and aggregates per-chunk statistics into one
-:class:`PipelineResult`:
+out over N worker shards, and returns the run's
+:class:`~repro.engine.report.EngineReport` — the one serving-result
+record, which every layer above (session, tenants, stage graph) passes
+on or merges rather than re-boxes:
 
 * matches are concatenated in trace order, so the pipeline output is
   bit-for-bit identical to a single-shot ``classify_trace`` at every
   shard count (the conformance suite asserts this);
 * backends that model hardware cost (the accelerator) contribute
-  per-packet occupancy, which the result converts into device throughput
-  and energy per packet via the :mod:`repro.energy` models;
+  per-packet occupancy, from which ``EngineReport.with_energy`` derives
+  device throughput and energy per packet via the :mod:`repro.energy`
+  models;
 * wall-clock throughput of the *simulation itself* is reported so the
   benchmark suite can track the serving path.
 
@@ -71,7 +74,7 @@ boundary can pre-empt work: ``chunk_timeout_s`` kills and replaces a
 hung forked worker, while in-process serving can emulate a deadline
 (an injected hang raises at it) but not enforce one.  Injected faults
 (:mod:`repro.engine.faults`) ride the same machinery via ``run(trace,
-faults=plan)``; everything observed lands in ``PipelineResult.fault``.
+faults=plan)``; everything observed lands in ``EngineReport.fault``.
 
 **Live rule updates.**  ``run(trace, updates=[...])`` interleaves a
 :class:`~repro.core.updates.ScheduledUpdate` stream with classification:
@@ -105,6 +108,7 @@ from ..core.updates import RuleUpdate, ScheduledUpdate
 from .breakeven import ForkBreakEven
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
 from .protocol import BatchStats, Classifier, batch_stats_of, warm_batch_state
+from .report import CacheTriple, ChunkStats, EngineReport, sum_cache_triples
 from .supervision import (
     DEGRADATION_LADDER,
     RECOVERABLE,
@@ -144,9 +148,6 @@ _ARENA_ATTACH: dict = {"names": None, "segs": ()}
 #: One update batch as shipped to workers: (sequence number, ops).
 PendingUpdate = tuple[int, tuple[RuleUpdate, ...]]
 
-#: One chunk's flow-cache counters (hits, misses, evictions); ``None``
-#: unless the classifier is a flow-cached front-end.
-CacheTriple = tuple[int, int, int] | None
 #: One processed chunk: (match, occupancy | None, cache counters).
 ChunkOutput = tuple[np.ndarray, np.ndarray | None, CacheTriple]
 #: One served run, in trace order: (match, occupancy | None — unless
@@ -202,7 +203,8 @@ class _Run:
     entries: list[_ScheduledEntry]
     faults: FaultPlan | None
     report: FaultReport = field(default_factory=FaultReport)
-    update_results: list = field(default_factory=list)
+    #: Operations the applied batches skipped (removals of dead ids).
+    update_skipped: int = 0
     #: Parent-side apply seconds per batch, in schedule order.
     update_latencies: list[float] = field(default_factory=list)
     #: CPU seconds forked workers reported for the chunks they served.
@@ -331,169 +333,6 @@ def _run_chunk_arena(
     return occ is not None, cache
 
 
-def aggregate_shard_cache_stats(chunks) -> list[dict]:
-    """Fold per-chunk flow-cache counters into per-shard accounting:
-    one dict per shard with the chunks it served, its hit/miss/eviction
-    totals and its hit rate.  Shared by :class:`PipelineResult` and
-    :class:`~repro.serve.EngineReport`."""
-    acc: dict[int, dict] = {}
-    for c in chunks:
-        if c.cache_hits is None:
-            continue
-        d = acc.setdefault(c.shard, {
-            "shard": c.shard, "chunks": 0, "hits": 0,
-            "misses": 0, "evictions": 0,
-        })
-        d["chunks"] += 1
-        d["hits"] += c.cache_hits
-        d["misses"] += c.cache_misses
-        d["evictions"] += c.cache_evictions or 0
-    out = [acc[k] for k in sorted(acc)]
-    for d in out:
-        lookups = d["hits"] + d["misses"]
-        d["hit_rate"] = d["hits"] / lookups if lookups else 0.0
-    return out
-
-
-@dataclass(frozen=True)
-class ChunkStats:
-    """Aggregate statistics for one processed chunk.
-
-    ``cache_hits``/``cache_misses``/``cache_evictions`` are filled when
-    the classifier is a flow-cached front-end; ``None`` on bare
-    backends.  ``epoch`` is the ruleset version every packet of this
-    chunk was classified against (``None`` when the backend is not
-    updatable); ``updates_applied`` counts the update *operations* that
-    took effect immediately before this chunk.  ``shard`` is the plan's
-    0-based id of the shard that owns the chunk (``index % n_shards``
-    of the plan that served the run).
-    """
-
-    index: int
-    start: int
-    n_packets: int
-    matched: int
-    occupancy_sum: int | None = None
-    cache_hits: int | None = None
-    cache_misses: int | None = None
-    cache_evictions: int | None = None
-    epoch: int | None = None
-    updates_applied: int = 0
-    shard: int = 0
-
-    @property
-    def matched_fraction(self) -> float:
-        return self.matched / self.n_packets if self.n_packets else 0.0
-
-
-@dataclass
-class PipelineResult:
-    """Trace-order matches plus aggregated serving statistics.
-
-    ``n_shards`` is the number of shard owners that *actually ran*: 1
-    when one classifier served the trace inline (no ``fork`` on the
-    platform, a single chunk, ``shards=1``, or ``shard_mode="auto"``
-    declining a fork that could not win), else the plan's worker count
-    — in-process shards clamped to the chunk count, forked ones to the
-    CPU count too.
-    """
-
-    match: np.ndarray
-    chunks: list[ChunkStats]
-    n_shards: int
-    chunk_size: int
-    elapsed_s: float
-    backend: str = "classifier"
-    occupancy: np.ndarray | None = field(default=None, repr=False)
-    #: Flow-cache totals over all chunks (``None`` on bare backends).
-    #: Counts come back from whichever process served each chunk, so
-    #: they are correct on the forked tier too.
-    cache_hits: int | None = None
-    cache_misses: int | None = None
-    cache_evictions: int | None = None
-    #: Live-update totals for the run: batches and operations applied,
-    #: operations skipped (removals of already-dead ids), and the
-    #: classifier's epoch after the run (``None`` when no update stream
-    #: was served / the backend is not updatable).
-    update_batches: int = 0
-    update_ops: int = 0
-    update_skipped: int = 0
-    final_epoch: int | None = None
-    #: Parent-side wall-clock seconds each update batch took to apply,
-    #: in schedule order (the control-plane apply cost: tree surgery +
-    #: kernel patch + cache retirement).  Empty when no updates ran.
-    update_latencies_s: tuple[float, ...] = ()
-    #: Supervisor observations for the run (retries, replays,
-    #: degradations, crash counts, recovery latencies); all-zero on a
-    #: fault-free run.
-    fault: FaultReport = field(default_factory=FaultReport, repr=False)
-    #: CPU seconds (``time.process_time`` deltas) forked workers spent
-    #: on this run's chunks; the other tiers work on the caller's clock.
-    worker_cpu_s: float = 0.0
-
-    @property
-    def n_packets(self) -> int:
-        return len(self.match)
-
-    @property
-    def matched(self) -> int:
-        return int((self.match >= 0).sum())
-
-    @property
-    def matched_fraction(self) -> float:
-        return self.matched / self.n_packets if self.n_packets else 0.0
-
-    def throughput_pps(self) -> float:
-        """Simulation wall-clock packets/second through the pipeline."""
-        return self.n_packets / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    # -- flow-cache aggregation (cached front-ends) ---------------------
-    @property
-    def cache_lookups(self) -> int | None:
-        """Total lookups through the flow cache (hits + backend misses)."""
-        if self.cache_hits is None or self.cache_misses is None:
-            return None
-        return self.cache_hits + self.cache_misses
-
-    @property
-    def cache_hit_rate(self) -> float | None:
-        """Fraction of packets served without a backend lookup."""
-        lookups = self.cache_lookups
-        if lookups is None:
-            return None
-        return self.cache_hits / lookups if lookups else 0.0
-
-    def shard_cache_stats(self) -> list[dict] | None:
-        """Per-shard flow-cache accounting, from the per-chunk counters.
-
-        Each entry reports one shard's chunks served, hits, misses,
-        evictions and hit rate — the per-shard view the aggregate
-        ``cache_hit_rate`` flattens (shard caches are private, so their
-        hit rates genuinely differ under skew).  ``None`` on bare
-        backends.
-        """
-        if self.cache_hits is None:
-            return None
-        return aggregate_shard_cache_stats(self.chunks)
-
-    # -- hardware cost aggregation (accelerator-backed pipelines) -------
-    def mean_occupancy(self) -> float | None:
-        """Mean memory-port cycles per packet, when the backend models it."""
-        if self.occupancy is None or not self.occupancy.size:
-            return None
-        return float(self.occupancy.mean())
-
-    def device_throughput_pps(self, freq_hz: float) -> float | None:
-        """Steady-state modelled-device packets/second at ``freq_hz``."""
-        mo = self.mean_occupancy()
-        return freq_hz / mo if mo else None
-
-    def energy_per_packet_j(self, model) -> float | None:
-        """Joules/packet on an :class:`~repro.energy.AcceleratorPowerModel`."""
-        mo = self.mean_occupancy()
-        return model.energy_per_packet_j(mo) if mo else None
-
-
 class ClassificationPipeline:
     """Stream traces through a classifier in chunks across N shards.
 
@@ -584,6 +423,7 @@ class ClassificationPipeline:
 
     # -- the plan -------------------------------------------------------
     @staticmethod
+    @cache  # asked twice per run; the platform's answer never changes
     def _fork_available() -> bool:
         try:
             import multiprocessing
@@ -597,20 +437,22 @@ class ClassificationPipeline:
         n_chunks: int | None = None,
         tier: str | None = None,
         packets: int | None = None,
+        updates: bool = False,
     ) -> ShardPlan:
         """The tier and worker count for a run of ``n_chunks`` chunks
         (``None``: at least as many as shards — the question asked
         before a trace exists, e.g. "would this pipeline fork?")
         carrying ``packets`` packets (``None``: enough to be worth a
-        fork).  ``tier`` overrides the choice (a degradation-ladder
-        rung) and only sizes it.
+        fork) and, with ``updates``, a rule-update stream.  ``tier``
+        overrides the choice (a degradation-ladder rung) and only sizes
+        it.
         """
         chunks = self.shards if n_chunks is None else n_chunks
         wanted = max(1, min(self.shards, chunks))
         forked = min(wanted, host_cpus())
         reason = "forced"
         if tier is None:
-            tier, reason = self._choose_tier(wanted, forked, packets)
+            tier, reason = self._choose_tier(wanted, forked, packets, updates)
         if tier == "forked":
             workers = forked
         else:  # in-process shards, or the classifier alone
@@ -618,13 +460,17 @@ class ClassificationPipeline:
         return ShardPlan(tier, workers, reason)
 
     def _choose_tier(
-        self, wanted: int, forked: int, packets: int | None
+        self, wanted: int, forked: int, packets: int | None, updates: bool
     ) -> tuple[str, str]:
         """``(tier, reason)`` for a run that could engage ``wanted``
         shards, ``forked`` of them as processes on this host.
         ``"processes"`` forks whenever there is more than one; ``"auto"``
         not when clamping to CPUs leaves one worker (a 1-worker fork
-        pays IPC for zero parallelism), else on its measured costs."""
+        pays IPC for zero parallelism), nor for a run with ``updates``
+        (the break-even is learnt from update-free runs only, and a
+        forked update run applies every batch once per worker and again
+        in the parent, on a chunk grid it cannot coalesce), else on its
+        measured costs."""
         if wanted < 2:
             return "inline", "one shard"
         if self.shard_mode == "threads":
@@ -635,6 +481,8 @@ class ClassificationPipeline:
             return "forked", "shard_mode=processes"
         if forked < 2:
             return "inline", "auto: one CPU"
+        if updates:
+            return "inline", "auto: update runs are not priced"
         if packets is None:
             return "forked", f"auto: {forked} workers"
         fork, why = self._cost.verdict(packets, forked)
@@ -881,7 +729,7 @@ class ClassificationPipeline:
                 t0 = time.perf_counter()
                 result = self.classifier.apply_updates(entry.batch)
                 run.update_latencies.append(time.perf_counter() - t0)
-                run.update_results.append(result)
+                run.update_skipped += getattr(result, "skipped", 0)
                 self._applied_seq = entry.seq
                 # The classifier's own cache retired inside the apply;
                 # the shard clones hold private ones — all of them, also
@@ -992,7 +840,7 @@ class ClassificationPipeline:
     # ------------------------------------------------------------------
     def run(
         self, trace: PacketTrace, updates=None, faults=None
-    ) -> PipelineResult:
+    ) -> EngineReport:
         """Classify ``trace``, optionally interleaving a rule-update
         stream; results are in trace order regardless of shard
         scheduling, and every chunk is classified against one
@@ -1001,7 +849,7 @@ class ClassificationPipeline:
         ``faults`` injects a deterministic
         :class:`~repro.engine.faults.FaultPlan` (or dict / spec list /
         path) into this run's dispatches; recovery follows the
-        pipeline's supervision policy, and ``PipelineResult.fault``
+        pipeline's supervision policy, and ``EngineReport.fault``
         accounts for everything observed.
         """
         from .updates import is_updatable
@@ -1015,7 +863,7 @@ class ClassificationPipeline:
         widest = self.plan()
         size = self._effective_chunk_size(pinned, n, widest.workers)
         bounds = self._chunk_bounds(n, size)
-        plan = self.plan(len(bounds), packets=n)
+        plan = self.plan(len(bounds), packets=n, updates=pinned)
         declined = widest.forks and len(bounds) > 1 and not plan.forks
         if declined:
             size = self._effective_chunk_size(pinned, n, 1)
@@ -1176,7 +1024,7 @@ class ClassificationPipeline:
         served: ShardPlan,
         elapsed: float,
         base_epoch: int | None,
-    ) -> PipelineResult:
+    ) -> EngineReport:
         match, occupancy, caches = output
         entries = run.entries
         # Epoch of chunk i = version at run start + batches in effect by
@@ -1211,24 +1059,22 @@ class ClassificationPipeline:
                     shard=served.shard_of(i),
                 )
             )
-        has_cache = bool(caches) and all(c is not None for c in caches)
-        return PipelineResult(
-            match=match,
-            chunks=chunks,
-            n_shards=served.workers,
-            chunk_size=self.chunk_size,
-            elapsed_s=elapsed,
+        return EngineReport(
             backend=getattr(self.classifier, "backend_name",
                             type(self.classifier).__name__),
+            n_packets=len(match),
+            matched=int((match >= 0).sum()),
+            elapsed_s=elapsed,
+            n_shards=served.workers,
+            chunk_size=self.chunk_size,
+            n_chunks=len(chunks),
+            match=match,
+            chunks=chunks,
             occupancy=occupancy,
-            cache_hits=sum(c[0] for c in caches) if has_cache else None,
-            cache_misses=sum(c[1] for c in caches) if has_cache else None,
-            cache_evictions=sum(c[2] for c in caches) if has_cache else None,
+            **sum_cache_triples(caches),
             update_batches=len(entries),
             update_ops=sum(len(e.batch) for e in entries),
-            update_skipped=sum(
-                getattr(r, "skipped", 0) for r in run.update_results
-            ),
+            update_skipped=run.update_skipped,
             update_latencies_s=tuple(run.update_latencies),
             final_epoch=(
                 None if base_epoch is None else base_epoch + len(entries)
@@ -1252,7 +1098,7 @@ def _join_chunks(outputs: list[ChunkOutput]) -> RunOutput:
 
 def _run_chunk_local(
     classifier: Classifier, headers: np.ndarray, bounds: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray | None, tuple[int, int, int] | None]:
+) -> ChunkOutput:
     start, end = bounds
     stats: BatchStats = batch_stats_of(classifier, headers[start:end])
     cache = (

@@ -1,19 +1,20 @@
-"""`EngineReport` — one telemetry schema for every serving path.
+"""`EngineReport` — the one serving-result record.
 
-Before this layer, a caller had to stitch serving telemetry together
-from three places: :class:`~repro.engine.pipeline.PipelineResult`
-(matches, shards, wall clock), per-chunk
-:class:`~repro.engine.pipeline.ChunkStats` (cache counters, epochs), and
-the :mod:`repro.energy` models (device throughput, J/packet).
-``EngineReport`` consolidates all of it into one flat record with a
-JSON-safe ``to_dict()``, built either from a single pipeline run
-(:meth:`from_result`) or by merging the per-segment results of a
-streamed session (:meth:`merge`).
+Every serving path returns this record: a
+:class:`~repro.engine.pipeline.ClassificationPipeline` run builds it,
+:meth:`Engine.classify <repro.serve.Engine.classify>` stamps the
+config's energy model on it, a streamed session's
+:class:`~repro.serve.ChunkResult` carries one per segment, and
+:meth:`EngineReport.merge` is the one place per-segment, per-tenant and
+stage-graph results are summed.  It holds the trace-order matches, the
+per-chunk :class:`ChunkStats`, the per-packet memory-port occupancy the
+paper's cycles/packet and nJ/packet derive from, and flat counters
+(flow cache, live updates, faults) that ``to_dict()`` lands in a JSON
+artifact unmodified.
 
-Update-apply latency lands here as percentiles: ``update_latency_p50 /
-p95 / p99`` (milliseconds per applied
-:class:`~repro.core.updates.ScheduledUpdate` batch), computed from the
-pipeline's parent-side per-batch timings.
+Update-apply latency is reported as percentiles: ``update_latency``
+(milliseconds per applied :class:`~repro.core.updates.ScheduledUpdate`
+batch), computed from the pipeline's parent-side per-batch timings.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.pipeline import (
-    ChunkStats,
-    PipelineResult,
-    aggregate_shard_cache_stats,
-)
-from ..engine.supervision import FaultReport
+from .supervision import FaultReport
 
 #: The paper's device operating points used for report-side evaluation.
 _DEVICE_FREQ_HZ = {"asic": 226e6, "fpga": 77e6}
+
+#: One part's flow-cache counters (hits, misses, evictions); ``None``
+#: unless it was served through a flow-cached front-end.
+CacheTriple = tuple[int, int, int] | None
 
 
 def latency_percentiles(
@@ -51,10 +51,56 @@ def latency_percentiles(
     }
 
 
+def sum_cache_triples(triples) -> dict:
+    """The ``cache_*`` totals over a result's parts (a run's chunks, a
+    stream's segments, a fleet's tenants): summed when every part has a
+    triple, else all ``None`` — a bare backend, or a mix of cached and
+    bare parts, has no meaningful hit rate."""
+    triples = list(triples)
+    if not triples or any(t is None for t in triples):
+        return dict(cache_hits=None, cache_misses=None, cache_evictions=None)
+    hits, misses, evictions = (sum(column) for column in zip(*triples))
+    return dict(
+        cache_hits=hits, cache_misses=misses, cache_evictions=evictions
+    )
+
+
+@dataclass(frozen=True)
+class ChunkStats:
+    """Aggregate statistics for one processed chunk.
+
+    ``cache_hits``/``cache_misses``/``cache_evictions`` are filled when
+    the classifier is a flow-cached front-end; ``None`` on bare
+    backends.  ``epoch`` is the ruleset version every packet of this
+    chunk was classified against (``None`` when the backend is not
+    updatable); ``updates_applied`` counts the update *operations* that
+    took effect immediately before this chunk.  ``shard`` is the plan's
+    0-based id of the shard that owns the chunk (``index % n_shards``
+    of the plan that served the run).
+    """
+
+    index: int
+    start: int
+    n_packets: int
+    matched: int
+    occupancy_sum: int | None = None
+    cache_hits: int | None = None
+    cache_misses: int | None = None
+    cache_evictions: int | None = None
+    epoch: int | None = None
+    updates_applied: int = 0
+    shard: int = 0
+
+    @property
+    def matched_fraction(self) -> float:
+        return self.matched / self.n_packets if self.n_packets else 0.0
+
+
 @dataclass
 class EngineReport:
-    """Aggregate serving telemetry of one :class:`~repro.serve.Engine`
-    run (single-shot or streamed).
+    """Trace-order matches plus the serving telemetry of one run — a
+    single pipeline run, or several merged (a streamed session, a
+    tenant fleet, a stage graph).
 
     ``match`` is the trace-order first-match array — bit-identical to
     the wrapped classifier's ``classify_trace`` whatever the pipeline
@@ -65,34 +111,52 @@ class EngineReport:
     backend: str
     n_packets: int
     matched: int
+    #: Wall-clock seconds of the *simulation itself* (one run's
+    #: dispatch, or a merged session's end-to-end clock).
     elapsed_s: float
+    #: Shard owners that *actually ran*: 1 when one classifier served
+    #: the trace inline (no ``fork`` on the platform, a single chunk,
+    #: ``shards=1``, or ``shard_mode="auto"`` declining a fork that
+    #: could not win), else the plan's worker count — in-process shards
+    #: clamped to the chunk count, forked ones to the CPU count too.
     n_shards: int
     chunk_size: int
     n_chunks: int
-    #: Number of streamed segments merged into this report (1 for a
-    #: single-shot ``classify``).
+    #: Number of pipeline runs merged into this report (1 for a
+    #: single run).
     n_segments: int = 1
     match: np.ndarray | None = field(default=None, repr=False)
     chunks: list[ChunkStats] = field(default_factory=list, repr=False)
+    #: Per-packet memory-port cycles, when the backend models hardware
+    #: cost (the accelerator); ``None`` on software backends.
     occupancy: np.ndarray | None = field(default=None, repr=False)
 
     # -- flow cache ------------------------------------------------------
+    #: Totals over all chunks (``None`` on bare backends).  Counts come
+    #: back from whichever process served each chunk, so they are
+    #: correct on the forked tier too.
     cache_hits: int | None = None
     cache_misses: int | None = None
     cache_evictions: int | None = None
 
     # -- live updates ----------------------------------------------------
+    #: Batches and operations applied, operations skipped (removals of
+    #: already-dead ids), and the classifier's epoch after the run
+    #: (``None`` when the backend is not updatable).
     update_batches: int = 0
     update_ops: int = 0
     update_skipped: int = 0
     final_epoch: int | None = None
+    #: Parent-side wall-clock seconds each update batch took to apply,
+    #: in schedule order (the control-plane apply cost: tree surgery +
+    #: kernel patch + cache retirement).  Empty when no updates ran.
     update_latencies_s: tuple[float, ...] = ()
 
     # -- fault tolerance -------------------------------------------------
     #: Supervisor observations (retries, replays, degradations,
-    #: quarantined packets, crash counts, recovery latencies).  ``None``
-    #: only on a report merged from no runs; all-zero when fault-free.
-    fault: FaultReport | None = None
+    #: quarantined packets, crash counts, recovery latencies); all-zero
+    #: when fault-free.
+    fault: FaultReport = field(default_factory=FaultReport, repr=False)
     #: CPU seconds forked shard workers spent serving.  They are reaped
     #: at ``close()``, so ``RUSAGE_CHILDREN`` around a run misses this.
     worker_cpu_s: float = 0.0
@@ -125,13 +189,21 @@ class EngineReport:
         return self.n_packets / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
     @property
+    def cache_triple(self) -> CacheTriple:
+        if self.cache_hits is None:
+            return None
+        return self.cache_hits, self.cache_misses, self.cache_evictions
+
+    @property
     def cache_lookups(self) -> int | None:
+        """Total lookups through the flow cache (hits + backend misses)."""
         if self.cache_hits is None or self.cache_misses is None:
             return None
         return self.cache_hits + self.cache_misses
 
     @property
     def cache_hit_rate(self) -> float | None:
+        """Fraction of packets served without a backend lookup."""
         lookups = self.cache_lookups
         if lookups is None:
             return None
@@ -139,13 +211,31 @@ class EngineReport:
 
     def shard_cache_stats(self) -> list[dict] | None:
         """Per-shard flow-cache accounting (chunks, hits, misses,
-        evictions, hit rate), folded from the per-chunk counters.  For
-        a merged stream the shard ids are per-segment worker *slots*
-        (slot 0 of every segment folds together).  ``None`` on bare
-        backends."""
+        evictions, hit rate), folded from the per-chunk counters — the
+        view the aggregate ``cache_hit_rate`` flattens (shard caches
+        are private, so their hit rates genuinely differ under skew).
+        For a merged stream the shard ids are per-segment worker
+        *slots* (slot 0 of every segment folds together).  ``None`` on
+        bare backends."""
         if self.cache_hits is None:
             return None
-        return aggregate_shard_cache_stats(self.chunks)
+        acc: dict[int, dict] = {}
+        for c in self.chunks:
+            if c.cache_hits is None:
+                continue
+            d = acc.setdefault(c.shard, {
+                "shard": c.shard, "chunks": 0, "hits": 0,
+                "misses": 0, "evictions": 0,
+            })
+            d["chunks"] += 1
+            d["hits"] += c.cache_hits
+            d["misses"] += c.cache_misses
+            d["evictions"] += c.cache_evictions or 0
+        out = [acc[k] for k in sorted(acc)]
+        for d in out:
+            lookups = d["hits"] + d["misses"]
+            d["hit_rate"] = d["hits"] / lookups if lookups else 0.0
+        return out
 
     @property
     def first_epoch(self) -> int | None:
@@ -155,6 +245,7 @@ class EngineReport:
         return None
 
     def mean_occupancy(self) -> float | None:
+        """Mean memory-port cycles per packet, when the backend models it."""
         if self.occupancy is None or not self.occupancy.size:
             return None
         return float(self.occupancy.mean())
@@ -165,43 +256,30 @@ class EngineReport:
         return latency_percentiles(self.update_latencies_s)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_result(
-        cls,
-        result: PipelineResult,
-        energy_model: str = "none",
-    ) -> "EngineReport":
-        """Lift one pipeline run into the unified schema."""
-        report = cls(
-            backend=result.backend,
-            n_packets=result.n_packets,
-            matched=result.matched,
-            elapsed_s=result.elapsed_s,
-            n_shards=result.n_shards,
-            chunk_size=result.chunk_size,
-            n_chunks=len(result.chunks),
-            match=result.match,
-            chunks=list(result.chunks),
-            occupancy=result.occupancy,
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-            cache_evictions=result.cache_evictions,
-            update_batches=result.update_batches,
-            update_ops=result.update_ops,
-            update_skipped=result.update_skipped,
-            final_epoch=result.final_epoch,
-            update_latencies_s=result.update_latencies_s,
-            fault=result.fault,
-            worker_cpu_s=result.worker_cpu_s,
-            energy_model=energy_model,
+    @staticmethod
+    def summed_counters(reports) -> dict:
+        """The fields that add across ``reports``, as constructor
+        arguments: cache totals, update totals and latencies, the merged
+        fault report and the worker CPU seconds.  Zero-packet reports
+        (an empty segment, the tail-update chunk, an idle tenant) carry
+        no cache telemetry and must not erase the others' counters."""
+        latencies: list[float] = []
+        for r in reports:
+            latencies.extend(r.update_latencies_s)
+        return dict(
+            **sum_cache_triples(r.cache_triple for r in reports if r.n_packets),
+            update_batches=sum(r.update_batches for r in reports),
+            update_ops=sum(r.update_ops for r in reports),
+            update_skipped=sum(r.update_skipped for r in reports),
+            update_latencies_s=tuple(latencies),
+            fault=FaultReport.merged(r.fault for r in reports),
+            worker_cpu_s=sum(r.worker_cpu_s for r in reports),
         )
-        report._evaluate_energy()
-        return report
 
     @classmethod
     def merge(
         cls,
-        results: list[PipelineResult],
+        results: list[EngineReport],
         elapsed_s: float,
         energy_model: str = "none",
     ) -> "EngineReport":
@@ -211,10 +289,8 @@ class EngineReport:
         includes pulling the segments from their source, so it is *not*
         the sum of the per-segment times).  Matches/occupancy concatenate in
         stream order; cache and update counters sum; the final epoch is
-        the last segment's.  Zero-packet results (empty segments, the
-        tail-update chunk) carry no cache/occupancy telemetry and are
-        excluded from those aggregations — they must not erase the
-        stream's counters.
+        the last segment's.  Zero-packet results carry no occupancy and
+        are excluded from that concatenation.
         """
         if not results:
             return cls(
@@ -225,21 +301,12 @@ class EngineReport:
                 energy_model=energy_model,
             )
         match = np.concatenate([r.match for r in results])
-        packet_results = [r for r in results if r.n_packets]
-        occs = [r.occupancy for r in packet_results]
+        occs = [r.occupancy for r in results if r.n_packets]
         occupancy = (
             np.concatenate(occs)
             if occs and all(o is not None for o in occs)
             else None
         )
-        caches = [
-            (r.cache_hits, r.cache_misses, r.cache_evictions)
-            for r in packet_results
-        ]
-        has_cache = bool(caches) and all(c[0] is not None for c in caches)
-        latencies: list[float] = []
-        for r in results:
-            latencies.extend(r.update_latencies_s)
         final_epoch = None
         for r in results:
             if r.final_epoch is not None:
@@ -255,10 +322,10 @@ class EngineReport:
                     c, index=len(chunks), start=offset + c.start,
                 ))
             offset += r.n_packets
-        report = cls(
+        return cls(
             backend=results[0].backend,
             n_packets=int(match.size),
-            matched=int((match >= 0).sum()),
+            matched=sum(r.matched for r in results),
             elapsed_s=elapsed_s,
             n_shards=max(r.n_shards for r in results),
             chunk_size=results[0].chunk_size,
@@ -267,34 +334,24 @@ class EngineReport:
             match=match,
             chunks=chunks,
             occupancy=occupancy,
-            cache_hits=sum(c[0] for c in caches) if has_cache else None,
-            cache_misses=sum(c[1] for c in caches) if has_cache else None,
-            cache_evictions=(
-                sum(c[2] for c in caches) if has_cache else None
-            ),
-            update_batches=sum(r.update_batches for r in results),
-            update_ops=sum(r.update_ops for r in results),
-            update_skipped=sum(r.update_skipped for r in results),
             final_epoch=final_epoch,
-            update_latencies_s=tuple(latencies),
-            fault=FaultReport.merged(r.fault for r in results),
-            worker_cpu_s=sum(r.worker_cpu_s for r in results),
-            energy_model=energy_model,
-        )
-        report._evaluate_energy()
-        return report
+            **cls.summed_counters(results),
+        ).with_energy(energy_model)
 
-    def _evaluate_energy(self) -> None:
-        """Fill the device-model fields from occupancy, when selected."""
-        freq = _DEVICE_FREQ_HZ.get(self.energy_model)
+    def with_energy(self, energy_model: str) -> "EngineReport":
+        """Stamp ``energy_model`` on this report and fill the
+        device-model fields from its occupancy (left ``None`` under
+        ``"none"`` or on a backend that models no occupancy)."""
+        self.energy_model = energy_model
+        freq = _DEVICE_FREQ_HZ.get(energy_model)
         mo = self.mean_occupancy()
-        if freq is None or not mo:
-            return
-        from ..energy import asic_model, fpga_model
+        if freq is not None and mo:
+            from ..energy import asic_model, fpga_model
 
-        model = asic_model() if self.energy_model == "asic" else fpga_model()
-        self.device_throughput_pps = freq / mo
-        self.energy_per_packet_j = model.energy_per_packet_j(mo)
+            model = asic_model() if energy_model == "asic" else fpga_model()
+            self.device_throughput_pps = freq / mo
+            self.energy_per_packet_j = model.energy_per_packet_j(mo)
+        return self
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -330,7 +387,7 @@ class EngineReport:
             pct = self.update_latency
             if pct is not None:
                 out["update_latency"] = pct
-        if self.fault is not None and self.fault.any():
+        if self.fault.any():
             out["fault"] = self.fault.to_dict()
         mo = self.mean_occupancy()
         if mo is not None:

@@ -31,11 +31,10 @@ when none is given):
   worker cannot wedge ``close()``, and the shared-memory arena is
   reaped by the pipeline right after.
 
-Everything observed lands in a :class:`FaultReport` carried on
-:class:`~repro.engine.pipeline.PipelineResult` (and merged into
-:class:`~repro.serve.EngineReport`): retries, chunk replays,
-degradations, crash counts per shard, quarantined packets and
-recovery latencies.
+Everything observed lands in a :class:`FaultReport` carried on the
+run's :class:`~repro.engine.report.EngineReport` (and summed by its
+``merge``): retries, chunk replays, degradations, crash counts per
+shard, quarantined packets and recovery latencies.
 """
 
 from __future__ import annotations
@@ -197,13 +196,9 @@ class FaultReport:
         self.recovery_s.extend(other.recovery_s)
 
     @classmethod
-    def merged(cls, reports) -> "FaultReport | None":
-        out: FaultReport | None = None
+    def merged(cls, reports) -> "FaultReport":
+        out = cls()
         for r in reports:
-            if r is None:
-                continue
-            if out is None:
-                out = cls()
             out.merge(r)
         return out
 

@@ -17,6 +17,7 @@ should configure serving through this module.  See ``docs/engine.md``.
 """
 
 from ..engine.faults import FaultPlan, FaultSpec
+from ..engine.report import EngineReport, latency_percentiles
 from ..engine.supervision import (
     DEGRADATION_LADDER,
     FAULT_POLICIES,
@@ -32,7 +33,6 @@ from .ingest import (
     iter_trace_segments,
 )
 from .aio import AsyncEngine
-from .report import EngineReport, latency_percentiles
 from .session import ChunkResult, Engine
 from .tenancy import MultiTenantEngine, TenantReport, TenantSpec
 

@@ -28,8 +28,8 @@ from typing import AsyncIterator, Iterable
 
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
+from ..engine.report import EngineReport
 from .config import EngineConfig
-from .report import EngineReport
 from .session import ChunkResult, Engine
 
 

@@ -9,11 +9,11 @@ sources:
   conformance harness's source, and the natural adapter for a generator
   that synthesises traffic segment by segment);
 * :func:`iter_trace_file` — stream a ClassBench-format trace file in
-  fixed-size segments with a **vectorised parser** (one
-  :func:`numpy.loadtxt` call per segment instead of a Python loop per
-  line, ~10x the packets/second of :meth:`PacketTrace.load`).  A
-  streamed session pulls it one segment per result, so the first match
-  is out after one segment's parse instead of the whole file's.
+  fixed-size segments through the one vectorised parser
+  (:func:`repro.core.packet.read_trace_blocks`, which
+  :meth:`PacketTrace.load` also reads with).  A streamed session pulls
+  it one segment per result, so the first match is out after one
+  segment's parse instead of the whole file's.
 
 Both are plain generators: nothing is read or parsed until the session
 (on its consumer's thread) pulls the next segment, which is what bounds
@@ -24,20 +24,16 @@ dead-letters bad lines into a bounded :class:`QuarantineLog` instead of
 aborting the stream: the segment's vectorised parse is retried line by
 line, well-formed rows are kept in order, and each rejected line is
 recorded with its absolute line number and reason (the buffer is
-bounded; overflow only counts).  The default ``"raise"`` keeps the
-historical contract — one bad line raises
-:class:`~repro.core.errors.PacketFormatError`.
+bounded; overflow only counts).  Under the default ``"raise"`` one bad
+line raises :class:`~repro.core.errors.PacketFormatError` naming it.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
-import numpy as np
-
-from ..core.errors import ConfigError, PacketFormatError
-from ..core.packet import PacketTrace
+from ..core.errors import ConfigError
+from ..core.packet import PacketTrace, read_trace_blocks
 from ..core.rules import FIVE_TUPLE, FieldSchema
 
 #: Default packets per streamed segment: a few pipeline chunks' worth,
@@ -118,42 +114,6 @@ def iter_trace_segments(
         )
 
 
-def _salvage_lines(
-    lines: list[str], first_lineno: int, ndim: int, quarantine: QuarantineLog
-) -> list[list[int]]:
-    """Line-by-line fallback parse of a segment the vectorised parser
-    rejected (or that contained out-of-range values): well-formed rows
-    are kept in order, every rejected line is dead-lettered with its
-    absolute line number and reason."""
-    rows: list[list[int]] = []
-    for offset, line in enumerate(lines):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        reason = None
-        row: list[int] = []
-        if len(parts) < ndim:
-            reason = f"expected >= {ndim} columns, got {len(parts)}"
-        else:
-            try:
-                row = [int(p) for p in parts[:ndim]]
-            except ValueError:
-                reason = "non-numeric header field"
-            else:
-                if any(v < 0 for v in row):
-                    reason = "negative header field"
-                elif any(v > 0xFFFFFFFF for v in row):
-                    reason = "header field out of 32-bit range"
-        if reason is None:
-            rows.append(row)
-        else:
-            quarantine.record(
-                first_lineno + offset, line.rstrip("\n"), reason
-            )
-    return rows
-
-
 def iter_trace_file(
     path: str,
     schema: FieldSchema = FIVE_TUPLE,
@@ -164,16 +124,17 @@ def iter_trace_file(
 ) -> Iterator[PacketTrace]:
     """Stream a ClassBench trace file as parsed segments.
 
-    Each segment is parsed with one vectorised :func:`numpy.loadtxt`
-    call over ``segment_packets`` lines (comments and blank lines are
-    skipped, trailing columns beyond the schema — ClassBench's expected-
-    match id — are ignored).  With the default ``on_malformed="raise"``
-    a malformed line raises :class:`~repro.core.errors.
-    PacketFormatError` like the classic loader; with ``"quarantine"``
-    the offending segment is re-parsed line by line, good rows are
-    served in order and bad lines are dead-lettered into ``quarantine``
-    (a fresh bounded :class:`QuarantineLog` when not supplied — pass
-    your own to read the counts back).
+    Each segment is one :func:`~repro.core.packet.read_trace_blocks`
+    block of ``segment_packets`` lines (comments and
+    blank lines are skipped, trailing columns beyond the schema —
+    ClassBench's expected-match id — are ignored).  With the default
+    ``on_malformed="raise"`` a malformed line raises
+    :class:`~repro.core.errors.PacketFormatError` naming
+    ``path:lineno``, as :meth:`PacketTrace.load` does; with
+    ``"quarantine"`` good rows are served in order and bad lines are
+    dead-lettered into ``quarantine`` (a fresh bounded
+    :class:`QuarantineLog` when not supplied — pass your own to read
+    the counts back).
     """
     _check_segment_size(segment_packets)
     if on_malformed not in ON_MALFORMED:
@@ -183,41 +144,6 @@ def iter_trace_file(
         )
     if quarantine is None:
         quarantine = QuarantineLog()
-    ndim = schema.ndim
-    with open(path, "r", encoding="ascii") as fh:
-        lineno = 0
-        while True:
-            lines = list(itertools.islice(fh, segment_packets))
-            if not lines:
-                return
-            first_lineno = lineno + 1
-            lineno += len(lines)
-            salvage = False
-            try:
-                block = np.loadtxt(
-                    lines, dtype=np.int64, usecols=range(ndim), ndmin=2,
-                    comments="#",
-                )
-            except ValueError as exc:
-                if on_malformed == "raise":
-                    raise PacketFormatError(
-                        f"{path}: malformed trace segment: {exc}"
-                    ) from None
-                salvage = True
-            else:
-                # Read as unsigned, a negative field sits above 2^32
-                # too: one compare finds both kinds of overflow before
-                # ``astype(uint32)`` below would wrap them silently.
-                if (block.view(np.uint64) > 0xFFFFFFFF).any():
-                    if on_malformed == "raise":
-                        raise PacketFormatError(
-                            f"{path}: header field outside the 32-bit "
-                            "range in trace segment"
-                        )
-                    salvage = True
-            if salvage:
-                rows = _salvage_lines(lines, first_lineno, ndim, quarantine)
-                block = np.array(rows, dtype=np.int64).reshape(-1, ndim)
-            if not block.size:
-                continue  # a segment of only comments/blank/bad lines
-            yield PacketTrace(block.astype(np.uint32), schema)
+    on_bad = quarantine.record if on_malformed == "quarantine" else None
+    for block in read_trace_blocks(path, schema.ndim, segment_packets, on_bad):
+        yield PacketTrace(block, schema)

@@ -1,9 +1,9 @@
 """`Engine` — the serving-session facade over the classification stack.
 
-One object owns what used to be four call sites' worth of plumbing:
-backend construction through the registry (including the tree-to-
-accelerator routing and the update-serving adaptation), flow-cache
-wrapping, pipeline construction, and shard-worker lifecycle::
+One object owns backend construction through the registry (including
+the tree-to-accelerator routing and the update-serving adaptation),
+flow-cache wrapping, pipeline construction, and shard-worker
+lifecycle::
 
     from repro.serve import Engine, EngineConfig
 
@@ -14,10 +14,11 @@ wrapping, pipeline construction, and shard-worker lifecycle::
         for chunk in engine.stream(segments):      # streamed session
             consume(chunk.match)
 
-Two serving paths, one result:
+Two serving paths, one result record (:class:`EngineReport`):
 
 ``classify(trace, updates=...)``
-    one pipeline run, returning a unified :class:`EngineReport`.
+    one pipeline run: the run's report, with the config's energy model
+    evaluated on it.
 ``stream(segments, updates=...)``
     a long-lived serving session over any iterable of trace segments
     (in-memory views, a file reader, a traffic generator): one
@@ -27,7 +28,8 @@ Two serving paths, one result:
     packet stream in order.  No thread is started and nothing is
     queued: the source is pulled when the consumer asks, so streamed
     memory is one segment in flight (docs/engine.md, "What ingest
-    costs", has the measurement that retired the session's threads).
+    costs").  Each chunk carries its segment's own report;
+    ``classify_stream`` merges them (:meth:`EngineReport.merge`).
 
 Exactness: streamed matches are bit-identical to ``classify`` on the
 concatenated trace at every backend/shard/pool/cache combination.  With
@@ -52,9 +54,10 @@ from ..core.ruleset import RuleSet
 from ..core.updates import ScheduledUpdate
 from ..engine.faults import FaultPlan, fire_ingest_specs
 from ..engine.flowcache import CachedClassifier
-from ..engine.pipeline import ClassificationPipeline, PipelineResult
+from ..engine.pipeline import ClassificationPipeline
 from ..engine.protocol import Classifier
 from ..engine.registry import backend_spec, build_backend
+from ..engine.report import EngineReport
 from ..engine.supervision import FaultReport, SupervisionPolicy
 from ..engine.updates import build_updatable_backend, is_updatable
 from .config import EngineConfig
@@ -63,7 +66,6 @@ from .ingest import (
     QuarantineLog,
     iter_trace_segments,
 )
-from .report import EngineReport
 
 #: What :meth:`Engine._pull` returns once the source is exhausted.
 _DONE = object()
@@ -105,8 +107,9 @@ class ChunkResult:
 
     ``start`` is the segment's first-packet offset in the logical
     stream; ``epoch`` is the classifier's ruleset version after the
-    segment (``None`` for non-updatable backends).  ``result`` keeps
-    the underlying :class:`PipelineResult` for per-chunk statistics.
+    segment (``None`` for non-updatable backends).  ``result`` is the
+    segment's own pipeline-run :class:`EngineReport` (per-chunk
+    statistics, counters) — what :meth:`EngineReport.merge` sums.
     """
 
     index: int
@@ -116,11 +119,11 @@ class ChunkResult:
     elapsed_s: float
     epoch: int | None
     match: np.ndarray = field(repr=False, default=None)
-    result: PipelineResult = field(repr=False, default=None)
+    result: EngineReport = field(repr=False, default=None)
 
     @classmethod
     def of(
-        cls, index: int, start: int, result: PipelineResult
+        cls, index: int, start: int, result: EngineReport
     ) -> "ChunkResult":
         return cls(
             index=index, start=start, n_packets=result.n_packets,
@@ -206,8 +209,8 @@ class Engine:
     ) -> Classifier:
         """Construct the classifier ``config`` describes (no session).
 
-        Routing rules (the policy previously duplicated across the CLI
-        and the experiment harness):
+        Routing rules (one policy for the CLI, the experiment harness
+        and the sweeps):
 
         * ``updatable=True`` builds through the update-serving surface —
           decision-tree backends route to the incremental classifier,
@@ -282,16 +285,15 @@ class Engine:
     def classify(
         self, trace: PacketTrace, updates=None, faults=None
     ) -> EngineReport:
-        """Run one trace (optionally with a live update stream) and
-        return the unified telemetry report; ``report.match`` is the
-        trace-order first-match array.  ``faults`` injects a
-        deterministic :class:`~repro.engine.faults.FaultPlan`; recovery
-        follows the config's ``fault_policy`` and lands in
-        ``report.fault``."""
-        result = self._pipeline.run(trace, updates=updates, faults=faults)
-        return EngineReport.from_result(
-            result, energy_model=self.config.energy_model
-        )
+        """Run one trace (optionally with a live update stream): the
+        pipeline run's report, with the config's energy model evaluated
+        on it; ``report.match`` is the trace-order first-match array.
+        ``faults`` injects a deterministic
+        :class:`~repro.engine.faults.FaultPlan`; recovery follows the
+        config's ``fault_policy`` and lands in ``report.fault``."""
+        return self._pipeline.run(
+            trace, updates=updates, faults=faults
+        ).with_energy(self.config.energy_model)
 
     # -- streamed serving ------------------------------------------------
     def stream(
@@ -347,22 +349,19 @@ class Engine:
             chunk.result
             for chunk in self.stream(segments, updates, **stream_kwargs)
         ]
-        elapsed = time.perf_counter() - started
-        report = EngineReport.merge(
-            results, elapsed_s=elapsed,
-            energy_model=self.config.energy_model,
-        )
-        self._fold_stream_fault(report)
-        return report
+        return self.merged_report(results, time.perf_counter() - started)
 
-    def _fold_stream_fault(self, report: EngineReport) -> None:
-        """Fold the last session's stream-level accounting (ingest
-        retries, quarantined lines — it lives outside any one pipeline
-        result) into that session's merged ``report``."""
+    def merged_report(self, results, elapsed_s: float) -> EngineReport:
+        """The last (ended) session's per-segment ``results`` as one
+        report: :meth:`EngineReport.merge` under the config's energy
+        model, plus the stream-level accounting (ingest retries,
+        quarantined lines) that lives outside any one pipeline run."""
+        report = EngineReport.merge(
+            results, elapsed_s, self.config.energy_model
+        )
         if self.last_stream_fault is not None:
-            if report.fault is None:
-                report.fault = FaultReport()
             report.fault.merge(self.last_stream_fault)
+        return report
 
     # ------------------------------------------------------------------
     def _normalise_stream_updates(
@@ -392,7 +391,7 @@ class Engine:
             np.asarray(segment, dtype=np.uint32), self.ruleset.schema
         )
 
-    def _flush_updates(self, cursor: UpdateCursor) -> PipelineResult | None:
+    def _flush_updates(self, cursor: UpdateCursor) -> EngineReport | None:
         """Apply what is scheduled at or past the stream's end: over an
         empty trace, through the pipeline (so held workers catch up
         too).  ``None`` when nothing is left."""

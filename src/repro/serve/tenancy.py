@@ -45,9 +45,11 @@ tenant keeps serving and their outputs stay byte-for-byte what an
 isolated run produces.
 
 Per-tenant accounting lands in :class:`TenantReport` (p50/p95/p99 of
-per-segment service latency — the SLO numbers — plus the tenant's
-merged :class:`~repro.serve.EngineReport`), rolled into the aggregate
-``EngineReport`` that :meth:`MultiTenantEngine.serve` returns.
+per-segment service latency — the SLO numbers — plus the tenant's own
+:class:`~repro.serve.EngineReport`, the ``EngineReport.merge`` of its
+segments' pipeline reports).  :meth:`MultiTenantEngine.serve` returns
+the fleet's record: the same class, counters summed over the tenants
+(``EngineReport.summed_counters``), the slices on ``tenants``.
 """
 
 from __future__ import annotations
@@ -60,10 +62,9 @@ from ..core.errors import ConfigError
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
 from ..engine.pipeline import ClassificationPipeline
-from ..engine.supervision import FaultReport
+from ..engine.report import EngineReport, latency_percentiles
 from .config import EngineConfig
 from .ingest import DEFAULT_SEGMENT_PACKETS, iter_trace_segments
-from .report import EngineReport, latency_percentiles
 from .session import ChunkResult, Engine
 
 
@@ -143,20 +144,20 @@ class TenantReport:
 
     name: str
     weight: float
+    report: EngineReport = field(repr=False)
     busy_s: float = 0.0
     latencies_s: tuple[float, ...] = ()
-    report: EngineReport | None = field(default=None, repr=False)
     #: ``None`` while healthy; a one-line description of the terminal
     #: fault that removed the tenant from admission otherwise.
     fault: str | None = None
 
     @property
     def n_packets(self) -> int:
-        return self.report.n_packets if self.report is not None else 0
+        return self.report.n_packets
 
     @property
     def n_segments(self) -> int:
-        return self.report.n_segments if self.report is not None else 0
+        return self.report.n_segments
 
     @property
     def throughput_pps(self) -> float:
@@ -182,8 +183,7 @@ class TenantReport:
             out["slo"] = pct
         if self.fault is not None:
             out["fault"] = self.fault
-        if self.report is not None:
-            out["report"] = self.report.to_dict()
+        out["report"] = self.report.to_dict()
         return out
 
 
@@ -473,37 +473,24 @@ class MultiTenantEngine:
 
     # ------------------------------------------------------------------
     def _tenant_report(self, st: _TenantState) -> TenantReport:
-        report = EngineReport.merge(
-            st.results, elapsed_s=st.busy_s,
-            energy_model=st.engine.config.energy_model,
-        )
-        # The tenant's stream has ended (exhausted or raised), which
-        # settled its stream-level accounting.
-        st.engine._fold_stream_fault(report)
         return TenantReport(
             name=st.name,
             weight=st.weight,
+            # The tenant's stream has ended (exhausted or raised), which
+            # settled its stream-level accounting.
+            report=st.engine.merged_report(st.results, st.busy_s),
             busy_s=st.busy_s,
             latencies_s=tuple(st.latencies),
-            report=report,
             fault=st.fault,
         )
 
     def _aggregate(
         self, tenants: list[TenantReport], elapsed_s: float
     ) -> EngineReport:
-        reports = [t.report for t in tenants if t.report is not None]
-        # Cache counters aggregate only when every tenant serves through
-        # a flow cache — a mixed fleet has no meaningful fleet hit rate.
-        caches = [
-            (r.cache_hits, r.cache_misses, r.cache_evictions)
-            for r in reports
-        ]
-        has_cache = bool(caches) and all(c[0] is not None for c in caches)
-        latencies: list[float] = []
-        for r in reports:
-            latencies.extend(r.update_latencies_s)
-        aggregate = EngineReport(
+        """The fleet's record: no match array (tenant traces share no
+        order), counters summed over the tenants' merged reports."""
+        reports = [t.report for t in tenants]
+        return EngineReport(
             backend="multi-tenant",
             n_packets=sum(r.n_packets for r in reports),
             matched=sum(r.matched for r in reports),
@@ -512,18 +499,6 @@ class MultiTenantEngine:
             chunk_size=max((r.chunk_size for r in reports), default=0),
             n_chunks=sum(r.n_chunks for r in reports),
             n_segments=sum(r.n_segments for r in reports),
-            cache_hits=sum(c[0] for c in caches) if has_cache else None,
-            cache_misses=sum(c[1] for c in caches) if has_cache else None,
-            cache_evictions=(
-                sum(c[2] for c in caches) if has_cache else None
-            ),
-            update_batches=sum(r.update_batches for r in reports),
-            update_ops=sum(r.update_ops for r in reports),
-            update_skipped=sum(r.update_skipped for r in reports),
-            update_latencies_s=tuple(latencies),
-            fault=FaultReport.merged(r.fault for r in reports),
-            worker_cpu_s=sum(r.worker_cpu_s for r in reports),
-            energy_model="none",
+            **EngineReport.summed_counters(reports),
             tenants=tenants,
         )
-        return aggregate

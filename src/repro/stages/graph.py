@@ -14,10 +14,12 @@ construction.
 Telemetry: every stage accumulates a :class:`StageReport` (packets
 in/out, per-reason drops, busy seconds, per-stage energy through the
 :mod:`repro.energy` models, injected faults and retries).  The run
-returns a normal :class:`~repro.serve.EngineReport` whose ``match`` is
-the *full stream-order* array (policy-dropped packets report ``-1``,
-exactly what a bare run reports for a no-match packet) and whose
-``stages`` field carries the per-stage reports into ``to_dict()``.
+returns the one serving record, a :class:`~repro.serve.EngineReport`:
+the classify stage's per-segment pipeline reports summed by
+``EngineReport.merge``, with ``match`` scattered back to the *full
+stream-order* array (policy-dropped packets report ``-1``, exactly what
+a bare run reports for a no-match packet) and the per-stage reports on
+``stages`` (and so in ``to_dict()``).
 
 Energy semantics (documented in ``docs/linecard.md``): the soft stages
 (parse/drop/extract/rewrite/queue_select) charge SRAM access energy
@@ -61,7 +63,6 @@ from ..core.updates import ScheduledUpdate
 from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
 from ..energy.tcam import TCAM_ENTRY_BYTES
 from ..engine.faults import FaultPlan
-from ..engine.supervision import FaultReport
 from ..serve import Engine, EngineReport
 from ..serve.ingest import (
     DEFAULT_SEGMENT_PACKETS,
@@ -405,7 +406,7 @@ class StageGraph:
         scratch: dict | None = None,
     ):
         """Execute one stage body over the segment; returns the
-        classify stage's :class:`PipelineResult`, else ``None``."""
+        classify stage's pipeline-run report, else ``None``."""
         headers = trace.headers
         n_in = int(np.count_nonzero(alive))
         all_alive = n_in == trace.n_packets
@@ -654,8 +655,6 @@ class StageGraph:
                 )
         report.stages = reports
         if quarantined or stage_retries or storm_events:
-            if report.fault is None:
-                report.fault = FaultReport()
             report.fault.quarantined += quarantined
             report.fault.retries += stage_retries
             report.fault.chunk_errors += stage_retries

@@ -115,6 +115,19 @@ class TestGatedMetrics:
         block, leaf = key.split(".")
         assert baseline[block][leaf] == floor
 
+    def test_committed_baseline_holds_no_wall_clock_row(self):
+        # It carries no fingerprint, so a pps / seconds row in it could
+        # only ever read ``refused``: the ledger owns wall-clock.
+        baseline = json.loads(
+            (Path(compare_baseline.__file__).parent / "baseline.json")
+            .read_text()
+        )
+        flat: dict = {}
+        compare_baseline._flatten("", baseline, flat)
+        assert "fingerprint" not in baseline
+        assert [k for k in flat if compare_baseline._is_wall_clock(k)] == []
+        assert compare_baseline.GATED_METRICS <= set(flat)
+
     def test_gated_regression_fails(self):
         baseline = {"fused_lookup": {"speedup": 2.0}}
         current = {"fused_lookup": {"speedup": 1.0}}

@@ -20,10 +20,13 @@ from repro.core.errors import ConfigError, ServingFaultError
 from repro.core.updates import ScheduledUpdate, remove_op
 from repro.energy import asic_model
 from repro.engine import (
+    CachedClassifier,
     ClassificationPipeline,
+    EngineReport,
     FaultSpec,
     SupervisionPolicy,
     build_backend,
+    build_updatable_backend,
 )
 from repro.engine.breakeven import ForkBreakEven
 
@@ -88,14 +91,16 @@ class TestAggregation:
         res = ClassificationPipeline(acc_small, chunk_size=512).run(
             acl_small_trace
         )
+        assert res.device_throughput_pps is None  # no energy model yet
+        res.with_energy("asic")
         mo = res.mean_occupancy()
         assert mo is not None and mo >= 1.0
-        assert res.device_throughput_pps(226e6) == pytest.approx(226e6 / mo)
+        assert res.device_throughput_pps == pytest.approx(226e6 / mo)
         model = asic_model()
-        assert res.energy_per_packet_j(model) == pytest.approx(
+        assert res.energy_per_packet_j == pytest.approx(
             model.energy_per_packet_j(mo)
         )
-        assert res.throughput_pps() > 0
+        assert res.throughput_pps > 0
 
     def test_software_backend_has_no_occupancy(self, acl_small, acl_small_trace):
         res = ClassificationPipeline(
@@ -103,7 +108,61 @@ class TestAggregation:
         ).run(acl_small_trace)
         assert res.occupancy is None
         assert res.mean_occupancy() is None
-        assert res.device_throughput_pps(226e6) is None
+        assert res.with_energy("asic").device_throughput_pps is None
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("kind", ["bare", "cached", "updatable"])
+    def test_run_returns_the_engine_report(
+        self, kind, shards, acl_small, acl_small_trace, acl_small_oracle
+    ):
+        """One record: what ``run`` returns is what every layer above
+        passes on, and merging one run gives that run back."""
+        clf = {
+            "bare": lambda: build_backend("accelerator", acl_small),
+            "cached": lambda: CachedClassifier(
+                build_backend("accelerator", acl_small), entries=256
+            ),
+            "updatable": lambda: build_updatable_backend(
+                "incremental", acl_small
+            ),
+        }[kind]()
+        updates = None
+        if kind == "updatable":
+            updates = [ScheduledUpdate(700, (remove_op(0), remove_op(0)))]
+        with ClassificationPipeline(
+            clf, chunk_size=256, shards=shards
+        ) as pipeline:
+            res = pipeline.run(acl_small_trace, updates=updates)
+        assert type(res) is EngineReport
+        assert res.n_segments == 1 and res.n_chunks == len(res.chunks)
+        assert res.n_packets == acl_small_trace.n_packets
+        assert res.matched == int((res.match >= 0).sum())
+        assert (res.cache_hits is None) == (kind != "cached")
+        if kind == "updatable":
+            assert (res.update_batches, res.update_ops) == (1, 2)
+            assert res.update_skipped == 1  # the second removal of id 0
+            assert res.final_epoch == res.first_epoch + 1
+            assert len(res.update_latencies_s) == 1
+        else:
+            assert np.array_equal(res.match, acl_small_oracle)
+            assert res.update_batches == 0 and res.final_epoch is None
+
+        merged = EngineReport.merge([res], res.elapsed_s)
+        assert np.array_equal(merged.match, res.match)
+        if res.occupancy is None:
+            assert merged.occupancy is None
+        else:
+            assert np.array_equal(merged.occupancy, res.occupancy)
+        for name in (
+            "backend", "n_packets", "matched", "elapsed_s", "n_shards",
+            "chunk_size", "n_chunks", "n_segments", "chunks",
+            "cache_hits", "cache_misses", "cache_evictions",
+            "update_batches", "update_ops", "update_skipped",
+            "update_latencies_s", "final_epoch", "worker_cpu_s",
+        ):
+            assert getattr(merged, name) == getattr(res, name), name
+        assert merged.fault.to_dict() == res.fault.to_dict()
+        assert merged.to_dict() == res.to_dict()
 
 
 def _leftovers(names=()):
@@ -484,6 +543,11 @@ class TestShardModes:
             # In-process shards are the inline tier with N owners.
             ("threads", 1, KERNEL, 1_000_000, "inline", 2,
              "shard_mode=threads"),
+            # "+updates": the run carries an update stream.  It is never
+            # priced (the costs come from update-free runs), so auto
+            # does not fork it — the same run without updates does.
+            ("auto+updates", 4, KERNEL, 1_000_000, "inline", 1,
+             "auto: update runs are not priced"),
         ],
     )
     def test_plan_table(
@@ -493,6 +557,7 @@ class TestShardModes:
         from repro.engine import pipeline as pipeline_module
 
         monkeypatch.setattr(pipeline_module, "host_cpus", lambda: cpus)
+        mode, _, updates = mode.partition("+")
         pipeline = ClassificationPipeline(
             acc_small, chunk_size=4096, shards=2, shard_mode=mode
         )
@@ -500,7 +565,9 @@ class TestShardModes:
             pytest.skip("fork multiprocessing unavailable")
         if cost is not None:
             pipeline._cost = cost
-        plan = pipeline.plan(n_chunks=16, packets=packets)
+        plan = pipeline.plan(
+            n_chunks=16, packets=packets, updates=bool(updates)
+        )
         assert (plan.tier, plan.workers) == (tier, workers)
         assert reason in plan.reason
         assert plan.forks == (tier == "forked")

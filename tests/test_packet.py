@@ -81,6 +81,24 @@ class TestPacketTrace:
         with pytest.raises(PacketFormatError):
             PacketTrace.load(str(path))
 
+    def test_load_names_the_short_row(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("1 2 3 4 5\n# comment\n1 2 3\n")
+        with pytest.raises(
+            PacketFormatError, match=r"trace\.txt:3: expected >= 5 columns"
+        ):
+            PacketTrace.load(str(path))
+
+    @pytest.mark.parametrize("text", ["", "# only\n\n# comments\n"])
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_load_of_a_file_without_rows_is_an_empty_trace(
+        self, tmp_path, text
+    ):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        trace = PacketTrace.load(str(path))
+        assert trace.headers.shape == (0, 5)
+
     @pytest.mark.parametrize("field", ["4294967296", "-1"])
     def test_load_rejects_a_field_outside_32_bits(self, tmp_path, field):
         """Used to escape as a bare OverflowError out of NumPy."""

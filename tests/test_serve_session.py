@@ -19,8 +19,13 @@ import pytest
 from repro import Engine, EngineConfig, PacketTrace
 from repro.classbench import generate_update_stream
 from repro.core.errors import ConfigError, PacketFormatError
-from repro.engine import ClassificationPipeline
-from repro.serve import iter_trace_file, iter_trace_segments
+from repro.engine import ClassificationPipeline, FaultReport
+from repro.serve import (
+    EngineReport,
+    MultiTenantEngine,
+    iter_trace_file,
+    iter_trace_segments,
+)
 
 
 def _thread_names() -> set[str]:
@@ -122,6 +127,105 @@ class TestStreamConformance:
                 [headers[:700], headers[700:1200], headers[1200:]]
             )
         assert np.array_equal(streamed.match, want)
+
+    @pytest.mark.parametrize(
+        ("backend", "software"), [("hypercuts", False), ("rfc", True)]
+    )
+    def test_classify_is_the_pipeline_run_plus_the_energy_stamp(
+        self, backend, software, acl_small, acl_small_trace
+    ):
+        config = EngineConfig(
+            backend=backend, software=software, chunk_size=512,
+            cache_entries=0, energy_model="asic",
+        )
+        with Engine.open(config, acl_small) as engine:
+            run = engine.pipeline.run(acl_small_trace)
+            report = engine.classify(acl_small_trace)
+        assert type(run) is type(report) is EngineReport
+        assert run.energy_model == "none"
+        assert run.device_throughput_pps is None
+        assert report.energy_model == "asic"
+        if software:
+            assert report.mean_occupancy() is None
+            assert report.device_throughput_pps is None
+            assert report.energy_per_packet_j is None
+        else:
+            assert report.device_throughput_pps == pytest.approx(
+                226e6 / report.mean_occupancy()
+            )
+            assert report.energy_per_packet_j > 0
+        # Everything but the stamp (and the wall clock) is the run's.
+        stamped = {
+            "energy_model", "device_throughput_pps", "energy_per_packet_j",
+            "elapsed_s", "throughput_pps",
+        }
+        want, got = run.to_dict(), report.to_dict()
+        assert set(got) - set(want) <= stamped
+        assert {k: v for k, v in got.items() if k not in stamped} == {
+            k: v for k, v in want.items() if k not in stamped
+        }
+        assert np.array_equal(report.match, run.match)
+        assert report.chunks == run.chunks
+
+    def test_tenant_aggregate_sums_the_isolated_runs(
+        self, acl_small, acl_small_trace, update_schedule
+    ):
+        """The fleet record is the tenants' counters summed — and the
+        cache triple only when every tenant serves through a cache."""
+        cached = EngineConfig(
+            backend="hicuts", updatable=True, chunk_size=256,
+            cache_entries=256, shards=2, shard_mode="processes",
+        )
+        bare = EngineConfig(backend="linear", chunk_size=256)
+        workloads = {"a": acl_small_trace, "b": acl_small_trace.subset(900)}
+
+        def isolated(config, name, updates=None):
+            with Engine.open(config, acl_small) as engine:
+                return engine.classify_stream(
+                    workloads[name], updates, segment_packets=512
+                )
+
+        # (One forking tenant: a worker-lease hand-over would re-fork
+        # with cold shard caches, unlike the isolated run.)
+        cached_inline = EngineConfig.from_dict({**cached.to_dict(), "shards": 1})
+        for second in (bare, cached_inline):
+            with MultiTenantEngine.open([
+                ({"name": "a", "config": cached.to_dict()}, acl_small),
+                ({"name": "b", "config": second.to_dict()}, acl_small),
+            ]) as fleet:
+                report = fleet.serve(
+                    workloads, updates={"a": update_schedule},
+                    segment_packets=512,
+                )
+            alone = [
+                isolated(cached, "a", update_schedule),
+                isolated(second, "b"),
+            ]
+            for tenant, want in zip(report.tenants, alone):
+                assert np.array_equal(tenant.report.match, want.match)
+            if second is bare:
+                assert report.cache_hits is None
+                assert report.cache_hit_rate is None
+                assert report.tenants[0].report.cache_hits is not None
+            else:
+                for name in ("cache_hits", "cache_misses", "cache_evictions"):
+                    assert getattr(report, name) == sum(
+                        getattr(r, name) for r in alone
+                    )
+            for name in ("update_batches", "update_ops", "update_skipped",
+                         "n_packets", "matched", "n_chunks", "n_segments"):
+                assert getattr(report, name) == sum(
+                    getattr(r, name) for r in alone
+                ), name
+            assert report.update_batches == len(update_schedule)
+            assert len(report.update_latencies_s) == report.update_batches
+            assert report.fault.to_dict() == FaultReport.merged(
+                r.fault for r in alone
+            ).to_dict()
+            assert report.worker_cpu_s == pytest.approx(sum(
+                t.report.worker_cpu_s for t in report.tenants
+            ))
+            assert report.worker_cpu_s > 0  # tenant "a" forked
 
 
 class TestStreamWithUpdates:
