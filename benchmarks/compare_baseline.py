@@ -70,7 +70,9 @@ GATED_METRICS = frozenset({
     "update_patch.speedup",
     "update_cache_retention.retention",
     "flowcache.effective_lookup_speedup",
-    "fused_lookup.speedup",
+    # Pinned at its floor (1.5): one coalesced dispatch against
+    # 2048-packet dispatches on the same miss path, same run.
+    "dispatch_coalescing.speedup",
     "pipeline_pool.amortisation",
     "fault_recovery.retried_throughput_ratio",
     "multi_tenant.aggregate_ratio",

@@ -234,11 +234,12 @@ class DecisionTree:
         return self.lookup(header).rule_id
 
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
-        """Engine-protocol batch lookup: matched rule ids only."""
-        return self.batch_lookup(PacketTrace(headers, self.schema)).match
+        """Engine-protocol batch lookup: matched rule ids only (the
+        match-only walk; :meth:`batch_lookup` adds the statistics)."""
+        return self.flat.batch_match(headers)
 
     def classify_trace(self, trace: PacketTrace) -> np.ndarray:
-        return self.batch_lookup(trace).match
+        return self.flat.batch_match(trace.headers)
 
     # ------------------------------------------------------------------
     # Vectorised batch traversal

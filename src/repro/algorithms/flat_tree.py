@@ -45,6 +45,9 @@ bit-for-bit on every :class:`~repro.algorithms.base.BatchLookup` field
 non-grid compacted-region dead path — the conformance suite in
 ``tests/test_flat_tree.py`` asserts it, which keeps the energy and
 occupancy models built on those statistics valid unchanged.
+:meth:`FlatTree.batch_match` is the same walk (one tile walker,
+``_walk_tile``) handed no statistics arrays: it writes ``match`` only,
+and is what ``classify_batch`` of every tree-backed classifier runs.
 
 **Incremental kernel patching.**  The incremental updater
 (:mod:`repro.algorithms.incremental`) mutates a handful of nodes per
@@ -527,21 +530,47 @@ class FlatTree:
         )
         for lo in range(0, n, _TILE_PACKETS):
             tile = slice(lo, lo + _TILE_PACKETS)
-            self._lookup_tile(
-                headers32[tile], out.match[tile], out.internal_nodes[tile],
-                out.leaf_id[tile], out.leaf_size[tile], out.match_pos[tile],
-                out.rules_compared[tile],
+            self._walk_tile(
+                headers32[tile], out.match[tile],
+                (out.internal_nodes[tile], out.leaf_id[tile],
+                 out.leaf_size[tile], out.match_pos[tile],
+                 out.rules_compared[tile]),
             )
         return out
 
-    def _lookup_tile(
-        self, headers32: np.ndarray, match: np.ndarray,
-        internal_nodes: np.ndarray, leaf_id: np.ndarray,
-        leaf_size: np.ndarray, match_pos: np.ndarray,
-        rules_compared: np.ndarray,
+    def batch_match(self, headers32: np.ndarray) -> np.ndarray:
+        """Match-only traversal: what ``classify_batch`` of every
+        tree-backed classifier runs, a flow cache's miss serve included.
+
+        The walk of :meth:`batch_lookup` with no statistics: the five
+        arrays are neither allocated nor written (measured 5-13% of a
+        walk).  Takes the raw ``(n, ndim)`` uint32 header array a cache
+        miss-set already is, not a :class:`~repro.core.packet.
+        PacketTrace`.  Matches are bit-identical to
+        ``batch_lookup(...).match`` (``tests/test_match_walk.py`` asserts
+        it); use :meth:`batch_lookup` when the occupancy/energy
+        statistics are needed.
+        """
+        headers32 = np.ascontiguousarray(headers32, dtype=np.uint32)
+        n = headers32.shape[0]
+        match = np.full(n, -1, dtype=np.int64)
+        for lo in range(0, n, _TILE_PACKETS):
+            tile = slice(lo, lo + _TILE_PACKETS)
+            self._walk_tile(headers32[tile], match[tile])
+        return match
+
+    def _walk_tile(
+        self, headers32: np.ndarray, match: np.ndarray, stats=None
     ) -> None:
         """Walk one tile of packets root to leaf, writing its slice of
-        every output (views into the caller's preallocated arrays)."""
+        ``match`` and — when the caller wants them — of the five
+        statistics arrays ``stats = (internal_nodes, leaf_id, leaf_size,
+        match_pos, rules_compared)`` (views into arrays allocated once
+        per call, like ``match``)."""
+        if stats is not None:
+            internal_nodes, leaf_id, leaf_size, match_pos, compared = stats
+        else:
+            match_pos = compared = None
         headers = headers32.astype(np.int64)  # traversal arithmetic
         n = headers.shape[0]
         cur = np.zeros(n, dtype=np.int32)
@@ -557,21 +586,23 @@ class FlatTree:
                 sel = active[at_leaf]
                 nids = nodes[at_leaf]
                 lens = self.leaf_len[nids]
-                leaf_id[sel] = nids
-                leaf_size[sel] = lens
+                if stats is not None:
+                    leaf_id[sel] = nids
+                    leaf_size[sel] = lens
                 nz = lens > 0
                 if nz.any():
                     self._match_lists(
                         sel[nz], self.leaf_base[nids[nz]], lens[nz],
                         self.leaf_rules, self.leaf_lo, self.leaf_span,
-                        headers32, match, rules_compared, match_pos,
+                        headers32, match, compared, match_pos,
                     )
                 cur[sel] = -2
             internal = ~at_leaf
             if internal.any():
                 sel = active[internal]
                 nids = nodes[internal]
-                internal_nodes[sel] += 1
+                if stats is not None:
+                    internal_nodes[sel] += 1
                 if self.has_pushed:
                     plen = self.push_len[nids]
                     pm = plen > 0
@@ -579,75 +610,11 @@ class FlatTree:
                         self._match_lists(
                             sel[pm], self.push_base[nids[pm]], plen[pm],
                             self.push_rules, self.push_lo, self.push_span,
-                            headers32, match, rules_compared,
+                            headers32, match, compared,
                         )
                 child, dead = self._advance(sel, nids, headers)
-                if dead.any():
+                if stats is not None and dead.any():
                     leaf_size[sel[dead]] = 0
-                cur[sel] = np.where(dead, np.int32(-2), child)
-            active = active[cur[active] >= 0]
-
-    # ------------------------------------------------------------------
-    def batch_match(self, headers32: np.ndarray) -> np.ndarray:
-        """Match-only traversal: the fused-lookup hot path.
-
-        The walk of :meth:`batch_lookup`, tile by tile through the same
-        first-match kernel, scattering nothing but ``match``: the five
-        statistics arrays are neither allocated nor written (measured
-        5-13% of a walk).  Takes the raw ``(n, ndim)`` uint32 header
-        array a cache miss-set already is, not a
-        :class:`~repro.core.packet.PacketTrace`.  Matches are
-        bit-identical to ``batch_lookup(...).match`` (the fused-path
-        conformance suite asserts it); use :meth:`batch_lookup` when the
-        occupancy/energy statistics are needed.
-        """
-        headers32 = np.ascontiguousarray(headers32, dtype=np.uint32)
-        n = headers32.shape[0]
-        match = np.full(n, -1, dtype=np.int64)
-        for lo in range(0, n, _TILE_PACKETS):
-            tile = slice(lo, lo + _TILE_PACKETS)
-            self._match_tile(headers32[tile], match[tile])
-        return match
-
-    def _match_tile(self, headers32: np.ndarray, match: np.ndarray) -> None:
-        """:meth:`_lookup_tile` without the statistics."""
-        headers = headers32.astype(np.int64)  # traversal arithmetic
-        n = headers.shape[0]
-        cur = np.zeros(n, dtype=np.int32)
-        active = np.arange(n, dtype=np.int64)
-        guard = 0
-        while active.size:
-            guard += 1
-            if guard > 10_000:
-                raise BuildError("batch traversal did not terminate")
-            nodes = cur[active].astype(np.int64)
-            at_leaf = self.kind[nodes] == LEAF
-            if at_leaf.any():
-                sel = active[at_leaf]
-                nids = nodes[at_leaf]
-                lens = self.leaf_len[nids]
-                nz = lens > 0
-                if nz.any():
-                    self._match_only(
-                        sel[nz], self.leaf_base[nids[nz]], lens[nz],
-                        self.leaf_rules, self.leaf_lo, self.leaf_span,
-                        headers32, match,
-                    )
-                cur[sel] = -2
-            internal = ~at_leaf
-            if internal.any():
-                sel = active[internal]
-                nids = nodes[internal]
-                if self.has_pushed:
-                    plen = self.push_len[nids]
-                    pm = plen > 0
-                    if pm.any():
-                        self._match_only(
-                            sel[pm], self.push_base[nids[pm]], plen[pm],
-                            self.push_rules, self.push_lo, self.push_span,
-                            headers32, match,
-                        )
-                child, dead = self._advance(sel, nids, headers)
                 cur[sel] = np.where(dead, np.int32(-2), child)
             active = active[cur[active] >= 0]
 
@@ -742,28 +709,20 @@ class FlatTree:
         self, sel: np.ndarray, base: np.ndarray, lens: np.ndarray,
         rules_flat: np.ndarray, lo_tab: np.ndarray, span_tab: np.ndarray,
         headers32: np.ndarray, match: np.ndarray,
-        rules_compared: np.ndarray, match_pos: np.ndarray | None = None,
+        rules_compared: np.ndarray | None, match_pos: np.ndarray | None = None,
     ) -> None:
-        """First match per list, charged the comparisons the reference
-        counts: up to and including the hit, or the whole list."""
+        """First match per list.  A walk that keeps statistics charges
+        the comparisons the reference counts (up to and including the
+        hit, or the whole list) to ``rules_compared`` and, on a leaf,
+        records the hit's ``match_pos``."""
         hit, first = self._first_match(
             sel, base, lens, lo_tab, span_tab, headers32
         )
-        compared = lens.astype(np.int32)
-        compared[hit] = first + 1
-        rules_compared[sel] += compared
         pkts = sel[hit]
+        if rules_compared is not None:
+            compared = lens.astype(np.int32)
+            compared[hit] = first + 1
+            rules_compared[sel] += compared
         if match_pos is not None:
             match_pos[pkts] = first  # a miss keeps the initial -1
         self._keep_best(match, pkts, rules_flat[base[hit] + first])
-
-    def _match_only(
-        self, sel: np.ndarray, base: np.ndarray, lens: np.ndarray,
-        rules_flat: np.ndarray, lo_tab: np.ndarray, span_tab: np.ndarray,
-        headers32: np.ndarray, match: np.ndarray,
-    ) -> None:
-        """:meth:`_match_lists` without the statistics side channels."""
-        hit, first = self._first_match(
-            sel, base, lens, lo_tab, span_tab, headers32
-        )
-        self._keep_best(match, sel[hit], rules_flat[base[hit] + first])

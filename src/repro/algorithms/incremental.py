@@ -182,18 +182,12 @@ class IncrementalClassifier:
         return self.tree.lookup(header).rule_id
 
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
-        return self.tree.batch_lookup(
-            PacketTrace(headers, self._ruleset.schema)
-        ).match
-
-    def fused_match(self, headers: np.ndarray) -> np.ndarray:
-        """Match-only lookup for the fused cache hot path.  ``flat``
-        flushes any pending kernel patch first, so the walk always sees
-        the current ruleset epoch."""
+        """``flat`` flushes any pending kernel patch first, so the walk
+        always sees the current ruleset epoch."""
         return self.tree.flat.batch_match(headers)
 
     def classify_trace(self, trace: PacketTrace) -> np.ndarray:
-        return self.tree.batch_lookup(trace).match
+        return self.tree.flat.batch_match(trace.headers)
 
     def memory_bytes(self) -> int:
         """Software search-structure model of the current (live) tree."""

@@ -297,9 +297,6 @@ def _profile_hot_path(clf, trace, chunk_size: int) -> dict | None:
         clf.profile = None
     stages["dispatch_s"] = max(0.0, res.elapsed_s - sum(stages.values()))
     stages["total_s"] = res.elapsed_s
-    stages["fused"] = bool(
-        clf.fused and getattr(clf.classifier, "fused_match", None)
-    )
     return stages
 
 
@@ -322,8 +319,7 @@ def _merge_profile_artifact(stages: dict, path: str = "BENCH_engine.json"):
 
 def _print_profile(stages: dict, artifact) -> None:
     total = stages.get("total_s") or 0.0
-    print(f"hot-path profile ({'fused' if stages.get('fused') else 'unfused'}"
-          f" lookup, single process):")
+    print("hot-path profile (single process):")
     for key in (
         "dispatch_s", "probe_s", "dedup_s", "traverse_s", "scatter_s",
         "fill_s",

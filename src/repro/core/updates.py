@@ -102,3 +102,16 @@ class ScheduledUpdate:
             raise ConfigError(
                 f"at_packet must be >= 0, got {self.at_packet}"
             )
+
+
+def sorted_schedule(updates) -> list[ScheduledUpdate]:
+    """An update schedule — :class:`ScheduledUpdate` entries or
+    ``(at_packet, batch)`` pairs — as one list ordered by offset.
+    Equal offsets keep their given order (the sort is stable), so the
+    schedule is fully deterministic."""
+    items = [
+        upd if isinstance(upd, ScheduledUpdate)
+        else ScheduledUpdate(int(upd[0]), tuple(upd[1]))
+        for upd in updates or ()
+    ]
+    return sorted(items, key=lambda upd: upd.at_packet)

@@ -7,8 +7,8 @@ adapters here wrap the structures that need a build pipeline:
 
 * :class:`DecisionTreeClassifier` — builds a HiCuts or HyperCuts tree
   (software or grid/hardware mode) and serves lookups through the
-  compiled :class:`~repro.algorithms.flat_tree.FlatTree` kernel (the
-  tree's ``batch_lookup`` fast path), eagerly compiled at build time;
+  compiled :class:`~repro.algorithms.flat_tree.FlatTree` kernel's
+  match-only walk (``batch_match``), eagerly compiled at build time;
 * :class:`AcceleratorClassifier` — builds the grid-mode tree, places and
   encodes it into the 4800-bit-word memory image, and serves lookups
   through the vectorised accelerator model, reporting per-packet
@@ -75,13 +75,6 @@ class DecisionTreeClassifier(ClassifierBase):
         return self.tree.classify(header)
 
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
-        return self.tree.batch_lookup(PacketTrace(headers, self.schema)).match
-
-    def fused_match(self, headers: np.ndarray) -> np.ndarray:
-        """Match-only lookup for the fused cache hot path: the lean
-        :meth:`~repro.algorithms.flat_tree.FlatTree.batch_match` kernel,
-        with no trace wrapper and no statistics bookkeeping.  Results
-        are bit-identical to :meth:`classify_batch`."""
         return self.tree.flat.batch_match(headers)
 
     def memory_bytes(self) -> int:

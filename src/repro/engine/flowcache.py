@@ -28,11 +28,13 @@ Batch semantics: within one batch the cache is probed once against its
 state at batch start; the missing headers are deduplicated
 (:func:`dedupe_flow_keys` — in ``np.unique(axis=0)`` order, which is
 what fixes the fill order, the victims and every counter), classified
-by the backend once per distinct header, and filled back.  Duplicate
-misses inside a batch therefore coalesce into one backend lookup — the
-vectorised equivalent of the sequential "first packet misses and fills,
-the rest hit" behaviour — and are counted as hits.  A zero-entry cache
-bypasses entirely (every packet is a backend miss, no coalescing).
+by the backend once per distinct header (one ``batch_stats_of`` call: a
+match-only walk on tree backends, the occupancy walk on the
+accelerator), and filled back.  Duplicate misses inside a batch
+therefore coalesce into one backend lookup — the vectorised equivalent
+of the sequential "first packet misses and fills, the rest hit"
+behaviour — and are counted as hits.  A zero-entry cache bypasses
+entirely (every packet is a backend miss, no coalescing).
 
 Sharding: each pipeline worker forks with a copy-on-write snapshot of
 the cache, so a sharded run maintains one private cache per shard (the
@@ -69,6 +71,7 @@ from ..core.ruleset import RuleSet
 from ..core.updates import OP_INSERT, OP_REMOVE, insert_op, remove_op
 from .protocol import BatchStats, Classifier, ClassifierBase, batch_stats_of
 from .registry import build_backend
+from .updates import require_updatable
 
 #: Memory-port cycles charged to a cache-hit lookup when the wrapped
 #: backend models per-packet occupancy: one set-wide probe, the same
@@ -198,7 +201,7 @@ class FlowCacheStats:
 
     ``invalidations`` counts invalidation *events*: one per applied
     update batch (:meth:`FlowCache.retire`) and one per whole-cache
-    flush (:meth:`FlowCache.advance_epoch`, :meth:`FlowCache.invalidate`).
+    flush (:meth:`FlowCache.advance_epoch`).
     ``retired`` counts the live entries :meth:`FlowCache.retire` killed.
     Both are deterministic: they depend only on the cache contents and
     the batch, never on timing or on which process applied it.
@@ -301,7 +304,7 @@ class FlowCache:
         ``way``, over the sets ``idx`` of that one way (a column view
         then a 1-D gather, a few times cheaper than the mixed index
         ``table[idx, way]``).  The epoch tag alone decides: a slot never
-        filled, invalidated or retired carries ``-1``."""
+        filled or retired carries ``-1``."""
         epoch, filled = self._epoch, self._filled
         if way is not None:
             epoch, filled = epoch[:, way], filled[:, way]
@@ -414,19 +417,6 @@ class FlowCache:
         self._filled[s, way] = self._tick
         self._tick += np.int64(1)
 
-    def invalidate(self) -> None:
-        """Eagerly drop every entry; counters are kept.
-
-        :meth:`advance_epoch` is the O(1) serving-path variant — use
-        this one only when the eager flush itself is the point (tests,
-        memory scrubbing).
-        """
-        if self._ndim:
-            self._epoch[:] = -1
-            self._result[:] = -1
-            self._filled[:] = 0
-        self.stats.invalidations += 1
-
     def advance_epoch(self) -> None:
         """O(1) whole-cache invalidation, for a ruleset change nobody
         described (``rebuild``, an out-of-band mutation); an update
@@ -532,7 +522,6 @@ class CachedClassifier(ClassifierBase):
         entries: int = 4096,
         ways: int = 4,
         max_age: int = 0,
-        fused: bool = True,
     ) -> None:
         self.classifier = classifier
         self.cache = FlowCache(entries, ways=ways, max_age=max_age)
@@ -541,11 +530,6 @@ class CachedClassifier(ClassifierBase):
         schema = getattr(classifier, "schema", None)
         if schema is not None:
             self.schema = schema
-        #: Serve misses through the backend's ``fused_match`` hook (the
-        #: lean match-only kernel) when it offers one.  ``fused=False``
-        #: is the escape hatch back to the generic probe-then-traverse
-        #: path; both produce bit-identical matches and cache state.
-        self.fused = fused
         #: Per-stage wall-clock accumulator for ``bench --profile``:
         #: assign a dict and the hot path adds ``probe_s`` / ``dedup_s``
         #: / ``traverse_s`` / ``scatter_s`` / ``fill_s`` into it.  ``None``
@@ -565,42 +549,18 @@ class CachedClassifier(ClassifierBase):
             entries=self.cache.entries,
             ways=self.cache.ways,
             max_age=self.cache.max_age,
-            fused=self.fused,
         )
 
     # ------------------------------------------------------------------
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
         return self.batch_stats(headers).match
 
-    def classify_fused(self, headers: np.ndarray) -> np.ndarray:
-        """The fused probe→walk→scatter→fill pipeline, explicitly.
-
-        Requires a backend exposing ``fused_match`` (the tree-backed
-        classifiers); raises :class:`~repro.core.errors.ConfigError`
-        otherwise, where :meth:`batch_stats` would silently fall back.
-        """
-        fused_fn = getattr(self.classifier, "fused_match", None)
-        if not callable(fused_fn):
-            raise ConfigError(
-                f"backend {getattr(self.classifier, 'backend_name', '?')!r} "
-                "has no fused_match kernel; use classify_batch for the "
-                "generic probe-then-traverse path"
-            )
-        return self._serve_batch(
-            np.ascontiguousarray(headers, dtype=np.uint32), fused_fn
-        ).match
-
     def batch_stats(self, headers: np.ndarray) -> BatchStats:
+        """Probe, dedupe the misses, classify each distinct miss once
+        through the backend's own ``batch_stats`` (a match-only walk on
+        tree backends, the occupancy walk on the accelerator), scatter,
+        fill."""
         headers = np.ascontiguousarray(headers, dtype=np.uint32)
-        fused_fn = (
-            getattr(self.classifier, "fused_match", None)
-            if self.fused else None
-        )
-        return self._serve_batch(
-            headers, fused_fn if callable(fused_fn) else None
-        )
-
-    def _serve_batch(self, headers: np.ndarray, fused_fn) -> BatchStats:
         n = headers.shape[0]
         cache = self.cache
         if n == 0 or not cache.enabled:
@@ -632,30 +592,22 @@ class CachedClassifier(ClassifierBase):
         occupancy = None
         n_backend = 0
         if miss_rows.size:
-            # Deduplicate the misses in ``np.unique(axis=0)`` order —
-            # identical eviction/fill order in the fused and unfused
-            # paths, whatever order the misses arrived in.
+            # Deduplicate the misses in ``np.unique(axis=0)`` order:
+            # the same eviction/fill order whatever order they arrived in.
             missing = np.take(keys.words, miss_rows, axis=1)
             first, inverse = dedupe_flow_keys(missing)
             rows = miss_rows[first]
             uniq = headers[rows]
             n_backend = rows.size
             lap("dedup_s")
-            if fused_fn is not None:
-                # Fused hot path: one lean match-only walk over the
-                # deduplicated misses, no trace wrapper, no stats
-                # arrays.  Tree backends never model occupancy.
-                inner_match, inner_occupancy = fused_fn(uniq), None
-            else:
-                inner = batch_stats_of(self.classifier, uniq)
-                inner_match, inner_occupancy = inner.match, inner.occupancy
-            inner_match = np.asarray(inner_match, dtype=np.int64)
-            self._models_occupancy = inner_occupancy is not None
+            inner = batch_stats_of(self.classifier, uniq)
+            inner_match = np.asarray(inner.match, dtype=np.int64)
+            self._models_occupancy = inner.occupancy is not None
             lap("traverse_s")
             match[miss_rows] = inner_match[inverse]
-            if inner_occupancy is not None:
+            if inner.occupancy is not None:
                 occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
-                occupancy[miss_rows] = inner_occupancy[inverse]
+                occupancy[miss_rows] = inner.occupancy[inverse]
             lap("scatter_s")
             cache._fill(keys.take(rows), inner_match)
             lap("fill_s")
@@ -699,15 +651,8 @@ class CachedClassifier(ClassifierBase):
         serving hits across the update.
         """
         batch = tuple(batch)
-        inner = getattr(self.classifier, "apply_updates", None)
-        if not callable(inner):
-            raise ConfigError(
-                f"wrapped backend "
-                f"{getattr(self.classifier, 'backend_name', '?')!r} does "
-                "not serve rule updates; wrap an updatable classifier "
-                "(see repro.engine.updates.build_updatable_backend)"
-            )
-        out = inner(batch)
+        require_updatable(self.classifier)
+        out = self.classifier.apply_updates(batch)
         self.cache.retire(batch, out.inserted_ids)
         return out
 

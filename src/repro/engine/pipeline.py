@@ -104,7 +104,7 @@ import numpy as np
 
 from ..core.errors import ArenaCorruptionError, ConfigError
 from ..core.packet import PacketTrace
-from ..core.updates import RuleUpdate, ScheduledUpdate
+from ..core.updates import RuleUpdate, sorted_schedule
 from .breakeven import ForkBreakEven
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
 from .protocol import BatchStats, Classifier, batch_stats_of, warm_batch_state
@@ -117,6 +117,7 @@ from .supervision import (
     SupervisionPolicy,
     Supervisor,
 )
+from .updates import is_updatable, require_updatable
 
 #: Default packets per chunk: large enough to amortise NumPy dispatch,
 #: small enough that per-chunk stats stay meaningful for live reporting.
@@ -681,30 +682,15 @@ class ClassificationPipeline:
         """
         if not updates:
             return []
-        from .updates import is_updatable
-
-        if not is_updatable(self.classifier):
-            raise ConfigError(
-                f"backend {getattr(self.classifier, 'backend_name', '?')!r} "
-                "does not serve rule updates; build it through "
-                "repro.engine.updates.build_updatable_backend"
-            )
-        items: list[tuple[int, tuple[RuleUpdate, ...]]] = []
-        for upd in updates:
-            if isinstance(upd, ScheduledUpdate):
-                items.append((upd.at_packet, tuple(upd.batch)))
-            else:
-                at, batch = upd
-                items.append((int(at), tuple(batch)))
-        items.sort(key=lambda item: item[0])  # stable
+        require_updatable(self.classifier)
         starts = [b[0] for b in bounds]
         entries = []
-        for at, batch in items:
+        for upd in sorted_schedule(updates):
             self._update_seq += 1
             entries.append(_ScheduledEntry(
                 seq=self._update_seq,
-                effect_chunk=bisect_left(starts, at),
-                batch=batch,
+                effect_chunk=bisect_left(starts, upd.at_packet),
+                batch=tuple(upd.batch),
             ))
         return entries
 
@@ -852,8 +838,6 @@ class ClassificationPipeline:
         pipeline's supervision policy, and ``EngineReport.fault``
         accounts for everything observed.
         """
-        from .updates import is_updatable
-
         headers = trace.headers
         n = headers.shape[0]
         self._sync_owners()

@@ -16,7 +16,7 @@ threaded from the CLI to whichever backend the user named.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..algorithms import (
@@ -46,7 +46,6 @@ class BackendSpec:
     #: subcommand can report on (treeless backends error cleanly there).
     builds_tree: bool = False
     aliases: tuple[str, ...] = ()
-    extra: dict = field(default_factory=dict)
 
 
 _REGISTRY: dict[str, BackendSpec] = {}

@@ -36,6 +36,7 @@ from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..core.errors import ConfigError
 from ..core.rules import Rule
 from ..core.ruleset import RuleSet
 from ..core.updates import (
@@ -58,6 +59,7 @@ __all__ = [
     "remove_op",
     "UpdatableClassifier",
     "is_updatable",
+    "require_updatable",
     "RebuildUpdatable",
     "build_updatable_backend",
 ]
@@ -90,6 +92,18 @@ def is_updatable(classifier: Classifier) -> bool:
     if getattr(classifier, "_delegates_updates", False):
         return is_updatable(classifier.classifier)
     return callable(getattr(classifier, "apply_updates", None))
+
+
+def require_updatable(classifier: Classifier) -> None:
+    """The one "not updatable" rejection, raised before anything is
+    served or applied."""
+    if not is_updatable(classifier):
+        raise ConfigError(
+            f"backend {getattr(classifier, 'backend_name', '?')!r} does "
+            "not serve rule updates; open the engine with "
+            "EngineConfig(updatable=True) (or build the classifier through "
+            "repro.engine.updates.build_updatable_backend)"
+        )
 
 
 class RebuildUpdatable(ClassifierBase):

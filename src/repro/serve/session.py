@@ -51,7 +51,7 @@ import numpy as np
 from ..core.errors import ConfigError, IngestError
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
-from ..core.updates import ScheduledUpdate
+from ..core.updates import ScheduledUpdate, sorted_schedule
 from ..engine.faults import FaultPlan, fire_ingest_specs
 from ..engine.flowcache import CachedClassifier
 from ..engine.pipeline import ClassificationPipeline
@@ -59,7 +59,7 @@ from ..engine.protocol import Classifier
 from ..engine.registry import backend_spec, build_backend
 from ..engine.report import EngineReport
 from ..engine.supervision import FaultReport, SupervisionPolicy
-from ..engine.updates import build_updatable_backend, is_updatable
+from ..engine.updates import build_updatable_backend, require_updatable
 from .config import EngineConfig
 from .ingest import (
     DEFAULT_SEGMENT_PACKETS,
@@ -68,16 +68,19 @@ from .ingest import (
 )
 
 #: What :meth:`Engine._pull` returns once the source is exhausted.
-_DONE = object()
+STREAM_END = object()
 
 
 class UpdateCursor:
-    """A sorted stream-coordinate update schedule, consumed segment by
-    segment — the one place stream offsets become segment offsets
-    (shared by :meth:`Engine.stream` and the stage graph)."""
+    """A stream-coordinate update schedule for ``classifier`` —
+    rejected up front if it cannot serve one — sorted and consumed
+    segment by segment: the one place stream offsets become segment
+    offsets (shared by :meth:`Engine.stream` and the stage graph)."""
 
-    def __init__(self, entries: list[ScheduledUpdate]) -> None:
-        self._pending = deque(entries)
+    def __init__(self, updates, classifier: Classifier) -> None:
+        if updates:
+            require_updatable(classifier)
+        self._pending = deque(sorted_schedule(updates))
         #: Packets of the stream consumed so far.
         self.offset = 0
 
@@ -332,8 +335,8 @@ class Engine:
         """
         if isinstance(segments, PacketTrace):
             segments = iter_trace_segments(segments, segment_packets)
-        entries = self._normalise_stream_updates(updates)
-        return self._stream(segments, entries, FaultPlan.coerce(faults))
+        cursor = UpdateCursor(updates, self.classifier)
+        return self._stream(segments, cursor, FaultPlan.coerce(faults))
 
     def classify_stream(
         self,
@@ -364,26 +367,6 @@ class Engine:
         return report
 
     # ------------------------------------------------------------------
-    def _normalise_stream_updates(
-        self, updates
-    ) -> list[ScheduledUpdate]:
-        if not updates:
-            return []
-        if not is_updatable(self.classifier):
-            raise ConfigError(
-                f"backend {getattr(self.classifier, 'backend_name', '?')!r} "
-                "does not serve rule updates; open the engine with "
-                "EngineConfig(updatable=True)"
-            )
-        items: list[ScheduledUpdate] = []
-        for upd in updates:
-            if isinstance(upd, ScheduledUpdate):
-                items.append(upd)
-            else:
-                at, batch = upd
-                items.append(ScheduledUpdate(int(at), tuple(batch)))
-        return sorted(items, key=lambda u: u.at_packet)  # stable
-
     def _as_trace(self, segment) -> PacketTrace:
         if isinstance(segment, PacketTrace):
             return segment
@@ -403,7 +386,7 @@ class Engine:
         return self._pipeline.run(empty, updates=tail)
 
     def _pull(self, source: Iterator, index: int, plan, stream_fault):
-        """The stream's next segment, or ``_DONE``.  Injected ingest
+        """The stream's next segment, or ``STREAM_END``.  Injected ingest
         faults fire *before* the source is pulled, so a retry re-pulls
         cleanly — the iterator never loses a segment to one."""
         supervisor = self._pipeline.supervisor
@@ -414,7 +397,7 @@ class Engine:
                     fire_ingest_specs(
                         plan.ingest_faults(index, attempt), index
                     )
-                return next(source, _DONE)
+                return next(source, STREAM_END)
             except IngestError:
                 if not supervisor.may_retry(attempt):
                     raise
@@ -423,7 +406,7 @@ class Engine:
                 attempt += 1
 
     def _stream(
-        self, segments: Iterable, entries: list[ScheduledUpdate], plan
+        self, segments: Iterable, cursor: UpdateCursor, plan
     ) -> Iterator[ChunkResult]:
         """Generator body of :meth:`stream`: pull, classify, yield — all
         on the thread that calls ``next()``.  Stream-level accounting is
@@ -431,13 +414,12 @@ class Engine:
         and a raising source all publish it."""
         stream_fault = FaultReport()
         quarantined_before = self.quarantine.count if self.quarantine else 0
-        cursor = UpdateCursor(entries)
         source = iter(segments)
         index = 0
         try:
             while True:
                 segment = self._pull(source, index, plan, stream_fault)
-                if segment is _DONE:
+                if segment is STREAM_END:
                     break
                 trace = self._as_trace(segment)
                 start = cursor.offset

@@ -63,13 +63,14 @@ from ..core.updates import ScheduledUpdate
 from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
 from ..energy.tcam import TCAM_ENTRY_BYTES
 from ..engine.faults import FaultPlan
+from ..engine.supervision import FaultReport
 from ..serve import Engine, EngineReport
 from ..serve.ingest import (
     DEFAULT_SEGMENT_PACKETS,
     iter_trace_file,
     iter_trace_segments,
 )
-from ..serve.session import UpdateCursor
+from ..serve.session import STREAM_END, UpdateCursor
 from .spec import StageGraphSpec, StageSpec
 
 #: Mixing weights for the deterministic queue-select flow hash (odd
@@ -262,9 +263,11 @@ class StageGraph:
         plan = FaultPlan.coerce(faults)
         stage_plan = plan.stage_plan() if plan is not None else None
         engine_plan = plan.engine_plan() if plan is not None else None
-        entries = self.engine._normalise_stream_updates(updates)
-        cursor = UpdateCursor(entries)
+        cursor = UpdateCursor(updates, self.engine.classifier)
         supervisor = self.engine.pipeline.supervisor
+        # What happens outside any one pipeline run: source-pull and
+        # stage retries, drop storms, quarantined lines.
+        stream_fault = FaultReport()
 
         reports = [
             StageReport(name=s.name, kind=s.kind) for s in self.spec.stages
@@ -275,8 +278,6 @@ class StageGraph:
         results = []
         matches: list[np.ndarray] = []
         seg_index = 0
-        stage_retries = 0
-        storm_events: list[str] = []
         started = time.perf_counter()
         segments = self._segments(source, segment_packets)
         while True:
@@ -284,9 +285,12 @@ class StageGraph:
                 self.engine.quarantine.count if self.engine.quarantine else 0
             )
             pull0 = time.perf_counter()
-            try:
-                segment = next(segments)
-            except StopIteration:
+            # The session's pull: ``ingest`` faults fire before the
+            # source advances and are retried per the fault policy.
+            segment = self.engine._pull(
+                segments, seg_index, engine_plan, stream_fault
+            )
+            if segment is STREAM_END:
                 break
             pull_s = time.perf_counter() - pull0
             trace = self.engine._as_trace(segment)
@@ -342,7 +346,7 @@ class StageGraph:
                         if storms:
                             rep.faults_injected += len(storms)
                             rep.drop("drop_storm", int(alive.sum()))
-                            storm_events.append(
+                            stream_fault.degradations.append(
                                 f"stage:{stage.kind}:drop_storm"
                                 f"@segment{seg_index}"
                             )
@@ -351,7 +355,7 @@ class StageGraph:
                             stage, rep, trace, alive, seg_match,
                             seg_index=seg_index, due=due,
                             engine_plan=engine_plan,
-                            tcam_monitor=bool(entries),
+                            tcam_monitor=bool(updates),
                             scratch=scratch,
                         )
                         if result is not None:
@@ -364,7 +368,8 @@ class StageGraph:
                                 chunk=seg_index,
                             ) from exc
                         rep.retries += 1
-                        stage_retries += 1
+                        stream_fault.retries += 1
+                        stream_fault.chunk_errors += 1
                         attempt += 1
                     finally:
                         rep.busy_s += time.perf_counter() - t0
@@ -377,17 +382,15 @@ class StageGraph:
         if tail is not None:
             results.append(tail)
         elapsed = time.perf_counter() - started
+        if self.engine.quarantine:
+            stream_fault.quarantined = (
+                self.engine.quarantine.count - quar_before
+            )
         return self._finalise(
             reports, results, matches, elapsed,
             n_segments=seg_index,
             n_packets=cursor.offset,
-            quarantined=(
-                self.engine.quarantine.count - quar_before
-                if self.engine.quarantine
-                else 0
-            ),
-            stage_retries=stage_retries,
-            storm_events=storm_events,
+            stream_fault=stream_fault,
         )
 
     # ------------------------------------------------------------------
@@ -615,9 +618,7 @@ class StageGraph:
         *,
         n_segments: int,
         n_packets: int,
-        quarantined: int,
-        stage_retries: int,
-        storm_events: list[str],
+        stream_fault: FaultReport,
     ) -> EngineReport:
         report = EngineReport.merge(
             results, elapsed_s=elapsed,
@@ -654,9 +655,5 @@ class StageGraph:
                     round(hit_rate, 4) if hit_rate is not None else None
                 )
         report.stages = reports
-        if quarantined or stage_retries or storm_events:
-            report.fault.quarantined += quarantined
-            report.fault.retries += stage_retries
-            report.fault.chunk_errors += stage_retries
-            report.fault.degradations.extend(storm_events)
+        report.fault.merge(stream_fault)
         return report

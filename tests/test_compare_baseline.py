@@ -79,8 +79,8 @@ class TestMonotoneAxes:
 
 
 class TestGatedMetrics:
-    def test_fused_lookup_is_gated(self):
-        assert "fused_lookup.speedup" in compare_baseline.GATED_METRICS
+    def test_dispatch_coalescing_is_gated(self):
+        assert "dispatch_coalescing.speedup" in compare_baseline.GATED_METRICS
 
     def test_multi_tenant_aggregate_is_gated(self):
         assert "multi_tenant.aggregate_ratio" in compare_baseline.GATED_METRICS
@@ -102,6 +102,7 @@ class TestGatedMetrics:
         ("stage_graph.uncached_over_added", 3.0),
         ("inprocess_shards.over_inline", 0.8),
         ("stream_session.over_direct_loop", 0.85),
+        ("dispatch_coalescing.speedup", 1.5),
     ])
     def test_floor_gates_are_pinned_at_their_floors(self, key, floor):
         # The committed baseline holds what the bench test itself
@@ -129,23 +130,23 @@ class TestGatedMetrics:
         assert compare_baseline.GATED_METRICS <= set(flat)
 
     def test_gated_regression_fails(self):
-        baseline = {"fused_lookup": {"speedup": 2.0}}
-        current = {"fused_lookup": {"speedup": 1.0}}
+        baseline = {"dispatch_coalescing": {"speedup": 2.0}}
+        current = {"dispatch_coalescing": {"speedup": 1.0}}
         _, failures = compare(
             current, baseline, threshold=0.8, fail_threshold=0.75
         )
-        assert failures == ["fused_lookup.speedup"]
+        assert failures == ["dispatch_coalescing.speedup"]
 
     def test_gated_metric_vanishing_fails(self):
-        baseline = {"fused_lookup": {"speedup": 2.0}}
+        baseline = {"dispatch_coalescing": {"speedup": 2.0}}
         _, failures = compare(
             {}, baseline, threshold=0.8, fail_threshold=0.75
         )
-        assert failures == ["fused_lookup.speedup"]
+        assert failures == ["dispatch_coalescing.speedup"]
 
     def test_healthy_run_passes(self):
         data = {
-            "fused_lookup": {"speedup": 2.7},
+            "dispatch_coalescing": {"speedup": 2.7},
             "flowcache_pipeline_pps": _axis(1e6, 1e6, 1.1e6),
         }
         report, failures = compare(
@@ -168,12 +169,12 @@ class TestHostFingerprint:
     BASE = {
         "flat_pps": {"hicuts": 2e6},
         "oracle": {"batch_s": 0.01, "speedup": 8.0, "packets": 2000},
-        "fused_lookup": {"speedup": 2.0, "fused_pps": 3e6},
+        "dispatch_coalescing": {"speedup": 2.0, "coalesced_pps": 3e6},
     }
     SLOW = {
         "flat_pps": {"hicuts": 1e6},
         "oracle": {"batch_s": 0.03, "speedup": 4.0, "packets": 2000},
-        "fused_lookup": {"speedup": 2.0, "fused_pps": 1e6},
+        "dispatch_coalescing": {"speedup": 2.0, "coalesced_pps": 1e6},
     }
 
     def _compare(self, cur_host, base_host):
@@ -195,7 +196,10 @@ class TestHostFingerprint:
     def test_other_host_refuses_wall_clock_only(self, other):
         report, failures = self._compare(_HOST, other)
         assert failures == []
-        for key in ("flat_pps.hicuts", "oracle.batch_s", "fused_lookup.fused_pps"):
+        for key in (
+            "flat_pps.hicuts", "oracle.batch_s",
+            "dispatch_coalescing.coalesced_pps",
+        ):
             assert f"| `{key}` | " in report
             row = next(ln for ln in report.splitlines() if f"`{key}`" in ln)
             assert row.endswith("| — | refused |")
@@ -204,12 +208,12 @@ class TestHostFingerprint:
         assert "3 wall-clock metrics refused" in report
 
     def test_gates_hold_across_hosts(self):
-        current = {"fused_lookup": {"speedup": 1.0}, "fingerprint": _HOST}
-        baseline = {"fused_lookup": {"speedup": 2.0}}
+        current = {"dispatch_coalescing": {"speedup": 1.0}, "fingerprint": _HOST}
+        baseline = {"dispatch_coalescing": {"speedup": 2.0}}
         _, failures = compare(
             current, baseline, threshold=0.8, fail_threshold=0.75
         )
-        assert failures == ["fused_lookup.speedup"]
+        assert failures == ["dispatch_coalescing.speedup"]
 
     def test_fingerprint_is_not_a_metric(self):
         report, _ = self._compare(_HOST, dict(_HOST, nproc=64))

@@ -25,7 +25,7 @@ from repro.algorithms import (
     flat_tree,
 )
 from repro.core.rules import Rule, make_demo_ruleset
-from repro.hw import Accelerator, build_memory_image
+from repro.hw import Accelerator
 
 FIELDS = (
     "match", "internal_nodes", "leaf_id", "leaf_size", "match_pos",
@@ -248,13 +248,13 @@ class TestTileBoundaries:
         monkeypatch.setattr(flat_tree, "_TILE_PACKETS", TILE)
         flat = FlatTree(hw_tree_small)
         sizes = []
-        walk = flat._lookup_tile
+        walk = flat._walk_tile
 
         def spy(headers32, *out):
             sizes.append(len(headers32))
             walk(headers32, *out)
 
-        monkeypatch.setattr(flat, "_lookup_tile", spy)
+        monkeypatch.setattr(flat, "_walk_tile", spy)
         flat.batch_lookup(acl_small_trace.subset(3 * TILE + 5))
         assert sizes == [TILE, TILE, TILE, 5]
 

@@ -19,7 +19,7 @@ import pytest
 from repro import generate_zipf_trace
 from repro.engine import ClassificationPipeline
 
-from test_fused_path import _make_cached, _update_schedule
+from test_match_walk import _make_cached, _update_schedule
 from test_update_serving import OracleStore
 
 TIERS = {
@@ -62,7 +62,7 @@ def _serve_three_times(tier, shards, with_updates, ruleset, trace):
     kind = "updatable" if with_updates else "tree"
     runs = []
     with ClassificationPipeline(
-        _make_cached(kind, ruleset, fused=True),
+        _make_cached(kind, ruleset),
         chunk_size=256, shards=shards, **TIERS[tier],
     ) as pipeline:
         for _ in range(3):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.classbench import churn_schedule, generate_zipf_trace
-from repro.core.errors import ConfigError, ServingFaultError
+from repro.core.errors import ConfigError, IngestError, ServingFaultError
 from repro.core.rules import DIM_PROTO
 from repro.core.updates import ScheduledUpdate
 from repro.engine.faults import FaultPlan, FaultSpec
@@ -511,6 +511,69 @@ class TestStageFaults:
         assert report.fault is not None
         assert report.fault.faults >= 1
         assert report.n_packets == zipf_small.n_packets
+
+
+class TestIngestFaults:
+    """The graph pulls its source the way ``Engine.stream`` does, so the
+    two agree on ``ingest`` fault specs: both recover with the same
+    matches and ``ingest_retries``, or both raise ``IngestError``."""
+
+    def _both(self, acl_small, zipf_small, overlay, times):
+        """(graph, session) outcomes for one plan: a report, or the
+        ``IngestError`` it raised."""
+        overlay = {"backend": "hypercuts", "max_retries": 2, **overlay}
+        plan = None
+        if times:
+            plan = {"specs": [{"kind": "ingest", "segment": 1, "times": times}]}
+        config = EngineConfig.from_dict(
+            {**EngineConfig().to_dict(), **overlay, "cache_entries": 1024}
+        )
+
+        def outcome(serve):
+            try:
+                return serve()
+            except IngestError as exc:
+                return exc
+
+        with StageGraph(
+            default_graph(overlay, cache_entries=1024), acl_small
+        ) as graph:
+            by_graph = outcome(lambda: graph.run(
+                zipf_small, faults=plan, segment_packets=1000
+            ))
+        with Engine.open(config, acl_small) as engine:
+            by_session = outcome(lambda: engine.classify_stream(
+                zipf_small, segment_packets=1000, faults=plan
+            ))
+        return by_graph, by_session
+
+    def test_one_failed_pull_recovers_under_retry(self, acl_small, zipf_small):
+        retry = {"fault_policy": "retry"}
+        clean, _ = self._both(acl_small, zipf_small, retry, times=0)
+        by_graph, by_session = self._both(acl_small, zipf_small, retry, 1)
+        assert by_graph.fault.ingest_retries == 1
+        assert by_session.fault.ingest_retries == 1
+        assert clean.fault.ingest_retries == 0
+        assert by_graph.n_packets == zipf_small.n_packets
+        assert np.array_equal(by_graph.match, clean.match)
+        assert np.array_equal(by_graph.match, by_session.match)
+        # The parse stage is billed the pull, retries and backoff included.
+        parse = next(s for s in by_graph.stages if s.kind == "parse")
+        assert parse.busy_s > 0
+
+    @pytest.mark.parametrize(
+        "policy,times", [("retry", 5), ("fail", 1)],
+        ids=["past-max-retries", "fail-policy"],
+    )
+    def test_exhausted_pull_raises_as_the_session_does(
+        self, acl_small, zipf_small, policy, times
+    ):
+        by_graph, by_session = self._both(
+            acl_small, zipf_small, {"fault_policy": policy}, times
+        )
+        assert isinstance(by_graph, IngestError)
+        assert isinstance(by_session, IngestError)
+        assert str(by_graph) == str(by_session)
 
 
 # ---------------------------------------------------------------------------
