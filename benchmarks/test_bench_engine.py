@@ -3,15 +3,13 @@
 Tracks the serving subsystem this repo is growing toward: pipeline
 throughput at 1/2/4 shards over the accelerator backend, the compiled
 flat-array traversal kernel against the object-walking reference it
-replaced, held forked workers against a fork per run, and the
-vectorised tuple-space batch lookup against the per-packet scalar loop
-(the conformance oracle).
+replaced, and the vectorised tuple-space batch lookup against the
+per-packet scalar loop (the conformance oracle).
 
 Every measurement lands in ``BENCH_engine.json`` at the repo root (CI
 uploads it as a workflow artifact), so the performance trajectory is
-tracked across PRs: pps, speedup ratios, and the two hard gates — the
-flat kernel's >= 5x over the reference traversal and the held
-workers' fork-amortisation win.
+tracked across PRs: pps, speedup ratios, and the hard gates — first
+among them the flat kernel's >= 5x over the reference traversal.
 """
 
 from __future__ import annotations
@@ -257,45 +255,6 @@ def test_object_reference_batch_lookup(benchmark, acl10k, acl10k_trace):
     benchmark(lambda: tree.batch_lookup_reference(acl10k_trace))
 
 
-# ---------------------------------------------------------------------------
-# Held workers vs a fork per run
-# ---------------------------------------------------------------------------
-def test_persistent_pool_amortises_fork(acl1k_engine_accelerator, acl1k_trace):
-    """Acceptance gate: with the forked workers held across run() calls
-    repeated runs beat re-forking them for every run (``close()``
-    between runs — what the deleted transient tier did)."""
-    clf = acl1k_engine_accelerator
-    runs = 5
-    fresh = ClassificationPipeline(clf, chunk_size=2048, shards=2)
-    if not fresh._fork_available():  # pragma: no cover - non-fork platform
-        pytest.skip("fork multiprocessing unavailable")
-    fresh.run(acl1k_trace)  # warm lazily-built structures
-    fresh.close()
-    t0 = time.perf_counter()
-    for _ in range(runs):
-        fresh.run(acl1k_trace)
-        fresh.close()
-    t_fresh = (time.perf_counter() - t0) / runs
-    with ClassificationPipeline(
-        clf, chunk_size=2048, shards=2
-    ) as pipeline:
-        first = pipeline.run(acl1k_trace)  # forks the workers once
-        t0 = time.perf_counter()
-        for _ in range(runs):
-            res = pipeline.run(acl1k_trace)
-        t_pers = (time.perf_counter() - t0) / runs
-    assert np.array_equal(res.match, first.match)
-    win = t_fresh / t_pers
-    _PERF["pipeline_pool"] = {
-        "runs": runs,
-        "fresh_ms_per_run": round(t_fresh * 1e3, 2),
-        "persistent_ms_per_run": round(t_pers * 1e3, 2),
-        "amortisation": round(win, 2),
-        "persistent_pps": round(acl1k_trace.n_packets / t_pers),
-    }
-    assert win > 1.1, f"held workers only {win:.2f}x a fork per run"
-
-
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_persistent_pipeline_throughput(
     benchmark, acl1k_engine_accelerator, acl1k_trace, shards
@@ -304,15 +263,13 @@ def test_persistent_pipeline_throughput(
 
     Runs ``shard_mode="auto"`` with the >= 64k-packet dispatch target —
     the configuration :class:`~repro.serve.EngineConfig` serves by
-    default.  Display-only: the ``persistent_pipeline_pps`` shards axis
-    the monotone gate enforces is recorded by
-    ``test_pipeline_shards_monotone_gate`` (interleaved rounds), and
-    the pool's fork-amortisation win is gated separately by
-    ``test_persistent_pool_amortises_fork``.
+    default.  Display-only: the ``auto_pipeline_pps`` shards axis the
+    monotone gate enforces is recorded by
+    ``test_pipeline_shards_monotone_gate`` (interleaved rounds).
     """
     with ClassificationPipeline(
         acl1k_engine_accelerator, chunk_size=2048, shards=shards,
-        persistent=True, shard_mode="auto", min_chunk_packets=65536,
+        shard_mode="auto", min_chunk_packets=65536,
     ) as pipeline:
         pipeline.run(acl1k_trace)  # fork/warm outside the timed region
         res = benchmark(lambda: pipeline.run(acl1k_trace))
@@ -572,7 +529,7 @@ def test_pipeline_shards_monotone_gate(
 ):
     """Acceptance gate: at the engine's serving defaults (auto tier,
     >= 64k-packet dispatch target) adding shards never *costs*
-    throughput.  Records the ``persistent_pipeline_pps`` and
+    throughput.  Records the ``auto_pipeline_pps`` and
     ``flowcache_pipeline_pps`` shards axes (per-key minima) that
     ``compare_baseline.py`` reads, and asserts the step ratios, paired
     within the interleaved rounds, at the same 0.95 floor."""
@@ -581,7 +538,7 @@ def test_pipeline_shards_monotone_gate(
     # two, and auto's bookkeeping (two plan() calls, the declined-fork
     # sample) is a real ~1-2% of it at shards > 1.
     families = {
-        "persistent_pipeline_pps": (acl1k_trace, 25, {}),
+        "auto_pipeline_pps": (acl1k_trace, 25, {}),
         "flowcache_pipeline_pps": (acl1k_zipf_trace, 51, {}),
     }
     # One shared cached classifier: per-instance allocation (heap and
@@ -589,7 +546,7 @@ def test_pipeline_shards_monotone_gate(
     # identical workload by a few percent, which would be read as an
     # axis inversion.  Only the shard count may vary between keys.
     classifiers = {
-        "persistent_pipeline_pps": acl1k_engine_accelerator,
+        "auto_pipeline_pps": acl1k_engine_accelerator,
         "flowcache_pipeline_pps": CachedClassifier(
             acl1k_engine_accelerator, entries=4096, ways=4
         ),

@@ -366,6 +366,10 @@ def cmd_bench(args) -> int:
             f"{2 * args.chunk_size} packets to engage the shards",
             file=sys.stderr,
         )
+    if args.updates and args.shards > 1 and args.shard_mode != "threads":
+        print("note: a run (or streamed segment) that carries updates is "
+              "served in-process on one shard; only update-free ones fork",
+              file=sys.stderr)
     schedule = None
     if args.updates:
         schedule = generate_update_stream(
@@ -760,9 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="packets per streamed chunk")
     n.add_argument("--shard-mode", default=None, choices=list(SHARD_MODES),
                    help="worker tier: auto forks only when the clamped "
-                        "worker count can win, processes always forks, "
-                        "threads serves in-process shards on the caller "
-                        "(default: auto)")
+                        "worker count can win, processes forks every "
+                        "update-free run, threads serves in-process "
+                        "shards on the caller (default: auto)")
     n.add_argument("--min-chunk-packets", type=int, default=None,
                    metavar="N",
                    help="coalesce dispatches on update-free runs to at "

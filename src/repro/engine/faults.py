@@ -298,11 +298,11 @@ class FaultPlan:
     @classmethod
     def coerce(cls, obj) -> "FaultPlan | None":
         """Normalise a run's ``faults=`` argument: a plan, a dict, a
-        list of specs, a path string, or None."""
+        list of specs, a path (``str`` or ``os.PathLike``), or None."""
         if obj is None or isinstance(obj, cls):
             return obj or None
-        if isinstance(obj, str):
-            return cls.load(obj)
+        if isinstance(obj, (str, os.PathLike)):
+            return cls.load(os.fspath(obj))
         if isinstance(obj, dict):
             return cls.from_dict(obj)
         if isinstance(obj, (list, tuple)):

@@ -27,30 +27,30 @@ the plan, never of scheduling.  The two tiers differ in who the owner
 is and how bytes reach it:
 
 * ``inline`` — the calling thread serves every chunk, in order: one
-  chunk, ``shards=1``, no ``fork`` on the platform, or
-  ``shard_mode="auto"`` declining a fork (below).  ``shard_mode=
-  "threads"`` is this tier with N *in-process shards*: chunk ``i`` is
-  served out of shard ``i % N``'s private flow-cache clone, which stays
-  warm across runs — the model of N engines with private caches; no
-  host thread is started (the tiled NumPy kernels hold the GIL, so
-  parallelism is the forked tier's job).
+  chunk, ``shards=1``, a run that carries updates, no ``fork`` on the
+  platform, or ``shard_mode="auto"`` declining a fork (below).
+  ``shard_mode="threads"`` is this tier with N *in-process shards*:
+  chunk ``i`` is served out of shard ``i % N``'s private flow-cache
+  clone, which stays warm across runs — the model of N engines with
+  private caches; no host thread is started (the tiled NumPy kernels
+  hold the GIL, so parallelism is the forked tier's job).
 * ``forked`` — one forked worker process per shard, programmed once and
-  then fed packets: forked on first use from the classifier's current
-  state, held for the pipeline's life, released only by
-  :meth:`~ClassificationPipeline.close`.  Each run's trace is written
-  once into a pipeline-lifetime shared-memory arena (grown only when a
-  trace outsizes it) sealed with a generation + checksum fence every
-  task verifies; workers cache their attachments and scatter results
-  straight into the shared output segments, so a shard's message is a
-  small descriptor and its replies are scalars.
+  then fed packets: a snapshot of one ruleset epoch, forked on first
+  use from the classifier's current state and held until that epoch
+  moves or :meth:`~ClassificationPipeline.close`.  Each run's trace is
+  written once into a shared-memory arena held with the workers (grown
+  only when a trace outsizes it) sealed with a generation + checksum fence
+  every task verifies; workers cache their attachments and scatter
+  results straight into the shared output segments, so a shard's
+  message is a small descriptor and its replies are scalars.
 
-**Who forks.**  ``shard_mode="processes"`` (the direct-construction
-default) forks whenever a run has more than one shard and chunk;
-``"auto"`` (the :class:`~repro.serve.EngineConfig` default) forks only
-when that pays, on a break-even test over costs the pipeline measured
-on itself (:mod:`repro.engine.breakeven`).  ``auto``'s choice is
-therefore host- and load-dependent; matches are identical on every
-tier, but per-chunk cache counters depend on the tier, so pin
+**Who forks.**  Update-free runs only.  ``shard_mode="processes"`` (the
+direct-construction default) forks whenever such a run has more than
+one shard and chunk; ``"auto"`` (the :class:`~repro.serve.EngineConfig`
+default) only when that pays, on a break-even test over costs the
+pipeline measured on itself (:mod:`repro.engine.breakeven`).  ``auto``'s
+choice is therefore host- and load-dependent; matches are identical on
+every tier, but per-chunk cache counters depend on the tier, so pin
 ``shard_mode`` when telemetry must reproduce.
 
 **Dispatch auto-tuning.**  ``min_chunk_packets`` coalesces chunks until
@@ -66,13 +66,12 @@ pipeline's :class:`~repro.engine.supervision.SupervisionPolicy`
 worker-death watch, bounded retry with seeded backoff, and — under
 ``fault_policy="degrade"`` — the tier ladder ``forked -> inline``.  A
 failed forked dispatch tears the workers (and arena) down and the retry
-re-forks from the parent, whose classifier is only caught up *after* a
-successful dispatch, so every replayed chunk re-applies its exact
-update prefix and the run stays bit-identical to a fault-free one.  The
-inline tier retries the failed *chunk* on its owner.  Only a process
-boundary can pre-empt work: ``chunk_timeout_s`` kills and replaces a
-hung forked worker, while in-process serving can emulate a deadline
-(an injected hang raises at it) but not enforce one.  Injected faults
+re-forks from the parent; a forked dispatch serves one epoch, so the
+replay is bit-identical to a fault-free run.  The inline tier retries
+the failed *chunk* on its owner.  Only a process boundary can pre-empt
+work: ``chunk_timeout_s`` kills and replaces a hung forked worker,
+while in-process serving can emulate a deadline (an injected hang
+raises at it) but not enforce one.  Injected faults
 (:mod:`repro.engine.faults`) ride the same machinery via ``run(trace,
 faults=plan)``; everything observed lands in ``EngineReport.fault``.
 
@@ -81,15 +80,16 @@ faults=plan)``; everything observed lands in ``EngineReport.fault``.
 each batch takes effect at the first chunk boundary at or after its
 ``at_packet`` offset, so every packet is classified against exactly one
 ruleset version (its chunk's epoch — recorded on
-:class:`ChunkStats.epoch`).  On the forked tier each task carries the
-update prefix its chunk requires (a per-process watermark makes
-re-application a no-op) and the parent catches its own copy up after
-the run; in-process serving applies each batch once at its chunk
-boundary and retires every shard clone's cache with it.  Both tiers
-produce identical matches — the differential update-conformance suite
-replays them against a per-epoch linear-search oracle.  A classifier
-mutated *outside* ``run()`` is noticed by its ``update_epoch``: the
-next run re-forks the workers and flushes the shard clones' caches.
+:class:`ChunkStats.epoch`).  Such a run is served in-process in every
+``shard_mode``: each batch is applied once, to the one classifier, at
+its chunk boundary, and retires every shard clone's cache with it (the
+differential update-conformance suite replays this against a per-epoch
+linear-search oracle).  Forked workers never see an update: a run that
+carries one closes them and the next update-free run re-forks from the
+updated classifier, so under churn ``shards > 1`` pays one re-fork per
+run (or streamed segment) that carried a batch.  A classifier mutated
+*outside* ``run()`` is noticed by its ``update_epoch`` the same way:
+the next run closes the workers and flushes the shard clones' caches.
 """
 
 from __future__ import annotations
@@ -134,20 +134,11 @@ DEFAULT_MIN_CHUNK_PACKETS = 65536
 #: merged into its predecessor instead of paying full dispatch cost.
 TAIL_MERGE_DIVISOR = 4
 
-#: Held-worker update-log watermark: once this many batches have
-#: accumulated for one set of workers' lifetime, they are re-forked
-#: (from the caught-up parent) instead of shipping an ever-growing
-#: prefix with every chunk task.
-POOL_LOG_MAX_BATCHES = 64
-
 #: Per-worker cache of shared-memory arena attachments, keyed by the
-#: segment-name tuple.  The parent's arena is pipeline-lifetime, so in
+#: segment-name tuple.  The parent's arena outlives its workers, so in
 #: steady state a worker attaches once and reuses the mapped segments
 #: for every later chunk; a name change (the arena grew) swaps them.
 _ARENA_ATTACH: dict = {"names": None, "segs": ()}
-
-#: One update batch as shipped to workers: (sequence number, ops).
-PendingUpdate = tuple[int, tuple[RuleUpdate, ...]]
 
 #: One processed chunk: (match, occupancy | None, cache counters).
 ChunkOutput = tuple[np.ndarray, np.ndarray | None, CacheTriple]
@@ -186,10 +177,9 @@ class ShardPlan:
 
 @dataclass(frozen=True)
 class _ScheduledEntry:
-    """A normalised update batch: global sequence number plus the index
-    of the first chunk that must observe it."""
+    """A normalised update batch and the index of the first chunk that
+    must observe it."""
 
-    seq: int
     effect_chunk: int
     batch: tuple[RuleUpdate, ...]
 
@@ -206,7 +196,7 @@ class _Run:
     report: FaultReport = field(default_factory=FaultReport)
     #: Operations the applied batches skipped (removals of dead ids).
     update_skipped: int = 0
-    #: Parent-side apply seconds per batch, in schedule order.
+    #: Apply seconds per batch, in schedule order.
     update_latencies: list[float] = field(default_factory=list)
     #: CPU seconds forked workers reported for the chunks they served.
     worker_cpu_s: float = 0.0
@@ -228,37 +218,30 @@ class _Run:
         return self.faults.worker_faults(chunk, attempt, shard=shard)
 
 
-def _shard_main(conn, shard: int, classifier: Classifier, seq: int) -> None:
+def _shard_main(conn, shard: int, classifier: Classifier) -> None:
     """Body of one forked shard owner: serve task lists until the
     parent closes the pipe.  ``classifier`` is this process's
-    copy-on-write snapshot (a fork argument: inherited, not pickled),
-    ``seq`` the sequence number of the last update batch it contains.
-    Sequence numbers are globally ordered and a shard's tasks arrive in
-    increasing chunk order, so the watermark makes this process apply
-    every batch exactly once, in order.
+    copy-on-write snapshot (a fork argument: inherited, not pickled) of
+    one ruleset epoch; nothing updates it.
 
     A message is ``(arena descriptor, tasks)``, a task ``(chunk, bounds,
-    update prefix, fault specs)``.  One reply per task goes back in
-    task order — :func:`_run_chunk_arena`'s pair plus the CPU and wall
-    seconds the task took; an exception is sent as the reply and raised
-    by the parent.
+    fault specs)``.  One reply per task goes back in task order —
+    :func:`_run_chunk_arena`'s pair plus the CPU and wall seconds the
+    task took; an exception is sent as the reply and raised by the
+    parent.
     """
     while True:
         try:
             arena, tasks = conn.recv()
         except EOFError:
             return
-        for index, bounds, pending, specs in tasks:
+        for index, bounds, specs in tasks:
             cpu0, wall0 = time.process_time(), time.perf_counter()
             try:
                 if specs:
                     fire_worker_specs(
                         specs, in_process=False, chunk=index, shard=shard
                     )
-                for batch_seq, batch in pending:
-                    if batch_seq > seq:
-                        classifier.apply_updates(batch)
-                        seq = batch_seq
                 reply = _run_chunk_arena(
                     classifier, arena, index, bounds, shard
                 ) + (
@@ -338,13 +321,13 @@ class ClassificationPipeline:
     """Stream traces through a classifier in chunks across N shards.
 
     ``shard_mode`` picks the worker tier (see the module docstring):
-    ``"processes"`` forks whenever ``shards > 1`` (what conformance
-    tests of the fork transport want), ``"auto"`` only when a fork
-    pays, ``"threads"`` serves in-process shards (one private
-    flow-cache clone each) on the calling thread.  Forked workers are
-    held from their first run until :meth:`close` (or the ``with``
-    block's exit) tears them and the arena down.  ``persistent`` is a
-    deprecated no-op.
+    ``"processes"`` forks every update-free run with ``shards > 1``
+    (what conformance tests of the fork transport want), ``"auto"``
+    only when a fork pays, ``"threads"`` serves in-process shards (one
+    private flow-cache clone each) on the calling thread.  Forked
+    workers are held from their first run until the ruleset epoch
+    moves or :meth:`close` (or the ``with`` block's exit) tears them
+    and the arena down.  ``persistent`` is a deprecated no-op.
 
     ``policy`` is the fault-handling policy every dispatch is
     supervised under; ``None`` means ``SupervisionPolicy()`` — a fault
@@ -352,10 +335,8 @@ class ClassificationPipeline:
     a hang, never a retry.
 
     Rule updates belong *inside* ``run(trace, updates=...)``: the update
-    stream is applied with deterministic epoch semantics on every tier
-    (each forked task ships the update prefix its chunk requires, and
-    the long-lived workers catch up exactly once per batch).  Mutating
-    the classifier directly between runs is also safe
+    stream is applied, in-process, with deterministic epoch semantics.
+    Mutating the classifier directly between runs is also safe
     (:meth:`_sync_owners`).
     """
 
@@ -395,7 +376,7 @@ class ClassificationPipeline:
         self.supervisor = Supervisor(self.policy)
         #: The forked tier's shard owners (``None`` unless held).
         self._workers: ShardWorkers | None = None
-        #: Pipeline-lifetime shared-memory arena of the forked tier:
+        #: Shared-memory arena of the forked tier, held with the workers:
         #: ``{"names": (in, out, occ, ctl), "segs": [...]}``, grown
         #: (re-created larger) only when a trace outsizes it.  The ctl
         #: segment holds the (generation, checksum) fence pair.
@@ -412,15 +393,6 @@ class ClassificationPipeline:
         self._owner_epoch = self._classifier_epoch()
         #: What ``auto`` has measured of this pipeline's own costs.
         self._cost = ForkBreakEven()
-        #: Monotonic allocator for update-batch sequence numbers and the
-        #: parent process's applied-batch watermark.
-        self._update_seq = 0
-        self._applied_seq = 0
-        #: Batches applied while the current held workers have been
-        #: alive, shipped (workers skip applied seqs) with every later
-        #: task: a worker that never saw an earlier run's chunks still
-        #: applies its updates before any newer ones.
-        self._pool_log: list[PendingUpdate] = []
 
     # -- the plan -------------------------------------------------------
     @staticmethod
@@ -464,26 +436,24 @@ class ClassificationPipeline:
         self, wanted: int, forked: int, packets: int | None, updates: bool
     ) -> tuple[str, str]:
         """``(tier, reason)`` for a run that could engage ``wanted``
-        shards, ``forked`` of them as processes on this host.
-        ``"processes"`` forks whenever there is more than one; ``"auto"``
-        not when clamping to CPUs leaves one worker (a 1-worker fork
-        pays IPC for zero parallelism), nor for a run with ``updates``
-        (the break-even is learnt from update-free runs only, and a
-        forked update run applies every batch once per worker and again
-        in the parent, on a chunk grid it cannot coalesce), else on its
-        measured costs."""
+        shards, ``forked`` of them as processes on this host.  A run
+        with ``updates`` never forks (forked workers are a snapshot of
+        one epoch).  Otherwise ``"processes"`` forks whenever there is
+        more than one shard; ``"auto"`` not when clamping to CPUs leaves
+        one worker (a 1-worker fork pays IPC for zero parallelism), else
+        on its measured costs."""
         if wanted < 2:
             return "inline", "one shard"
         if self.shard_mode == "threads":
             return "inline", "shard_mode=threads"
+        if updates:
+            return "inline", "update runs serve in-process"
         if not self._fork_available():
             return "inline", "no fork on this platform"
         if self.shard_mode == "processes":
             return "forked", "shard_mode=processes"
         if forked < 2:
             return "inline", "auto: one CPU"
-        if updates:
-            return "inline", "auto: update runs are not priced"
         if packets is None:
             return "forked", f"auto: {forked} workers"
         fork, why = self._cost.verdict(packets, forked)
@@ -492,8 +462,8 @@ class ClassificationPipeline:
     # -- forked shard workers -------------------------------------------
     @property
     def workers_alive(self) -> bool:
-        """Whether forked shard workers are being held (from the first
-        forked run until :meth:`close`)."""
+        """Whether forked shard workers are being held (from a forked
+        run until the ruleset epoch moves or :meth:`close`)."""
         return self._workers is not None
 
     def close(self) -> None:
@@ -508,7 +478,6 @@ class ClassificationPipeline:
             self._workers.close(deadline_s=5.0)
             self._workers = None
         self._release_arena()
-        self._pool_log.clear()
 
     def __enter__(self) -> "ClassificationPipeline":
         return self
@@ -530,8 +499,8 @@ class ClassificationPipeline:
     def _sync_owners(self) -> None:
         """Notice a classifier mutated outside ``run()`` (its
         ``update_epoch`` moved).  Held workers serve their fork-time
-        snapshot plus the batches shipped since, shard clones a cache
-        retired batch by batch: close the former, flush the latter."""
+        snapshot, shard clones a cache retired batch by batch inside
+        ``run()``: close the former, flush the latter."""
         epoch = self._classifier_epoch()
         if epoch != self._owner_epoch:
             self.close()
@@ -558,12 +527,8 @@ class ClassificationPipeline:
             # probe tables) before forking so workers inherit them
             # copy-on-write instead of each rebuilding them.
             warm_batch_state(self.classifier, ndim)
-            # Children start at the parent's applied-update watermark:
-            # every batch the forked snapshot already contains is
-            # filtered out of the shipped prefixes.
             self._workers = ShardWorkers(
-                self.plan().workers, _shard_main,
-                self.classifier, self._applied_seq,
+                self.plan().workers, _shard_main, self.classifier
             )
         return self._workers
 
@@ -673,7 +638,7 @@ class ClassificationPipeline:
     def _normalise_updates(
         self, updates, bounds: list[tuple[int, int]]
     ) -> list[_ScheduledEntry]:
-        """Sort, sequence-number and chunk-align an update stream.
+        """Sort and chunk-align an update stream.
 
         A batch scheduled at packet offset ``p`` takes effect at the
         first chunk whose start is >= ``p`` (batches beyond the last
@@ -684,26 +649,16 @@ class ClassificationPipeline:
             return []
         require_updatable(self.classifier)
         starts = [b[0] for b in bounds]
-        entries = []
-        for upd in sorted_schedule(updates):
-            self._update_seq += 1
-            entries.append(_ScheduledEntry(
-                seq=self._update_seq,
-                effect_chunk=bisect_left(starts, upd.at_packet),
-                batch=tuple(upd.batch),
-            ))
-        return entries
+        return [
+            _ScheduledEntry(bisect_left(starts, u.at_packet), tuple(u.batch))
+            for u in sorted_schedule(updates)
+        ]
 
-    def _apply_entry(self, run: _Run, ordinal: int):
-        """Apply update batch ``ordinal`` of the run to this process's
-        classifier and return its ``UpdateResult``; watermarked (a batch
-        an earlier tier or chunk loop already applied is skipped —
-        returns ``None``) and supervised: an injected update fault fires
-        *before* the apply, so a bounded retry re-applies a clean
-        batch."""
+    def _apply_entry(self, run: _Run, ordinal: int) -> None:
+        """Apply update batch ``ordinal`` of the run to the classifier,
+        supervised: an injected update fault fires *before* the apply,
+        so a bounded retry re-applies a clean batch."""
         entry = run.entries[ordinal]
-        if entry.seq <= self._applied_seq:
-            return None
         sup = self.supervisor
         attempt = 0
         while True:
@@ -716,13 +671,12 @@ class ClassificationPipeline:
                 result = self.classifier.apply_updates(entry.batch)
                 run.update_latencies.append(time.perf_counter() - t0)
                 run.update_skipped += getattr(result, "skipped", 0)
-                self._applied_seq = entry.seq
                 # The classifier's own cache retired inside the apply;
                 # the shard clones hold private ones — all of them, also
                 # those a short run leaves idle.
                 for clone in self._shard_clones:
                     clone.cache.retire(entry.batch, result.inserted_ids)
-                return result
+                return
             except RECOVERABLE as exc:
                 if not sup.may_retry(attempt):
                     raise sup.wrap_failure(
@@ -732,23 +686,6 @@ class ClassificationPipeline:
                 time.sleep(sup.backoff_s(attempt))
                 attempt += 1
 
-    def _chunk_prefixes(self, run: _Run) -> list[tuple[PendingUpdate, ...]]:
-        """Per-chunk update prefix a worker must have applied: the
-        current workers' historical batches plus this run's batches up
-        to the chunk's epoch."""
-        acc: list[PendingUpdate] = list(self._pool_log)
-        prefixes = []
-        idx = 0
-        for i in range(len(run.bounds)):
-            while (
-                idx < len(run.entries)
-                and run.entries[idx].effect_chunk <= i
-            ):
-                acc.append((run.entries[idx].seq, run.entries[idx].batch))
-                idx += 1
-            prefixes.append(tuple(acc))
-        return prefixes
-
     # -- supervised dispatch --------------------------------------------
     def _dispatch(
         self, plan: ShardPlan, run: _Run
@@ -757,22 +694,15 @@ class ClassificationPipeline:
         retries, then — under ``fault_policy="degrade"`` — the tier
         ladder.  Returns the outputs and the plan that produced them.
 
-        Whole-dispatch replay is safe exactly because the parent's
-        classifier is caught up only *after* a successful forked
-        dispatch: a failed attempt leaves the parent at the pre-run
-        epoch, the retry re-forks from that snapshot, and every task
-        re-ships its chunk's exact update prefix.  The inline tier
-        applies updates *mid*-dispatch instead, so its recovery is
-        per-chunk (inside the tier) — if it still fails after updates
-        took effect, replay would serve early chunks against a later
-        epoch, and the supervisor chooses a typed error over silently
-        breaking bit-identity.
+        A forked dispatch serves one epoch (update runs never fork), so
+        it is replayed whole, on re-forked workers.  The inline tier
+        applies updates *mid*-dispatch and recovers per chunk, inside
+        the tier; what it cannot recover leaves it as a typed error.
         """
         sup, report = self.supervisor, run.report
         tiers = (plan.tier,)
         if self.policy.fault_policy == "degrade":
             tiers = DEGRADATION_LADDER[DEGRADATION_LADDER.index(plan.tier):]
-        seq_before = self._applied_seq
         last_exc: BaseException | None = None
         detected = 0.0
         for rung, tier in enumerate(tiers):
@@ -783,18 +713,16 @@ class ClassificationPipeline:
                 report.replays += len(run.bounds)
                 report.recovery_s.append(time.perf_counter() - detected)
                 plan = self.plan(len(run.bounds), tier=tier)
+            serve = self._run_forked if plan.forks else self._run_inline
             attempt = 0
             while True:
                 try:
-                    return self._run_tier(plan, run, attempt), plan
+                    return serve(plan, run, attempt), plan
                 except RECOVERABLE as exc:
                     detected = time.perf_counter()
                     last_exc = exc
                     report.record_failure(exc)
-                    if (
-                        self.policy.fault_policy == "fail"
-                        or self._applied_seq != seq_before
-                    ):
+                    if self.policy.fault_policy == "fail":
                         raise sup.wrap_failure(exc, tier=tier) from exc
                     if attempt >= self.policy.max_retries:
                         break  # retries exhausted on this tier
@@ -804,24 +732,6 @@ class ClassificationPipeline:
                     report.recovery_s.append(time.perf_counter() - detected)
                     attempt += 1
         raise sup.wrap_failure(last_exc, tier=tiers[-1]) from last_exc
-
-    def _run_tier(
-        self, plan: ShardPlan, run: _Run, attempt: int
-    ) -> RunOutput:
-        """One full dispatch attempt on one tier, including the tier's
-        update-application contract."""
-        if plan.forks:
-            output = self._run_forked(plan, run, attempt)
-        else:
-            output = _join_chunks(self._run_inline(plan, run, attempt))
-        # The parent's copy catches up after the dispatch: every batch
-        # on the forked tier (its state then matches the workers', and
-        # later forks inherit it; a failed dispatch never gets here —
-        # which is what makes whole-dispatch replay epoch-safe), and the
-        # batches scheduled past the last chunk on the inline one.
-        for ordinal in range(len(run.entries)):
-            self._apply_entry(run, ordinal)
-        return output
 
     # ------------------------------------------------------------------
     def run(
@@ -864,17 +774,10 @@ class ClassificationPipeline:
             if is_updatable(self.classifier) else None
         )
         started = time.perf_counter()
+        if run.entries:
+            # Held workers are a snapshot of the epoch this run leaves.
+            self.close()
         output, served = self._dispatch(plan, run)
-        if run.entries and self._workers is not None:
-            # Keep the long-lived workers replayable: later runs ship
-            # these batches too (applied-at-most-once via the watermark).
-            self._pool_log.extend((e.seq, e.batch) for e in run.entries)
-            if len(self._pool_log) > POOL_LOG_MAX_BATCHES:
-                # Bound the per-task prefix (and parent memory): the
-                # parent is fully caught up after every run, so tearing
-                # the workers down here is safe — the next run re-forks
-                # from the current state with an empty log.
-                self.close()
         elapsed = time.perf_counter() - started
         if declined and run.clean:
             self._cost.saw_inline(n, elapsed)
@@ -890,13 +793,11 @@ class ClassificationPipeline:
         match/occupancy slices into its output segments, replying with
         scalars only.  Any failure reaps the workers (replies of the
         failed dispatch may still be in flight) and the arena."""
-        headers, bounds = run.headers, run.bounds
-        prefixes = self._chunk_prefixes(run)
+        headers = run.headers
         shard_tasks: list[list] = [[] for _ in range(plan.workers)]
-        for i, b in enumerate(bounds):
-            shard_tasks[plan.shard_of(i)].append(
-                (i, b, prefixes[i], run.chunk_faults(i, attempt))
-            )
+        for i, bounds in enumerate(run.bounds):
+            task = (i, bounds, run.chunk_faults(i, attempt))
+            shard_tasks[plan.shard_of(i)].append(task)
         held = self._workers is not None
         started = time.perf_counter()
         try:
@@ -978,13 +879,12 @@ class ClassificationPipeline:
 
     def _run_inline(
         self, plan: ShardPlan, run: _Run, attempt: int
-    ) -> list[ChunkOutput]:
+    ) -> RunOutput:
         """The calling thread's serving loop — the ladder floor: chunk
         ``i`` on the owner of shard ``i % workers``, so each shard sees
-        its chunks in order.  Updates are interleaved at their chunk
-        boundaries; each *chunk* (not the dispatch) is retried, because
-        batches already applied mid-loop make whole-dispatch replay
-        epoch-unsafe."""
+        its chunks in order.  Each update batch lands at its chunk
+        boundary (past the last chunk: after it), which is why a failed
+        *chunk* is retried and never the dispatch."""
         owners = self._shard_owners(plan.workers)
         outputs: list[ChunkOutput] = []
         idx = 0
@@ -999,7 +899,9 @@ class ClassificationPipeline:
             outputs.append(
                 self._serve_chunk_inline(run, i, attempt, owners[shard], shard)
             )
-        return outputs
+        for late in range(idx, len(run.entries)):
+            self._apply_entry(run, late)
+        return _join_chunks(outputs)
 
     def _aggregate(
         self,
@@ -1011,8 +913,7 @@ class ClassificationPipeline:
     ) -> EngineReport:
         match, occupancy, caches = output
         entries = run.entries
-        # Epoch of chunk i = version at run start + batches in effect by
-        # chunk i; deterministic whichever process applied them.
+        # Epoch of chunk i = version at run start + batches in effect by it.
         effects = [e.effect_chunk for e in entries]
         ops_at: dict[int, int] = {}
         for e in entries:

@@ -8,19 +8,18 @@ under a :class:`SupervisionPolicy` (built from
 when none is given):
 
 * :class:`ShardWorkers` is the forked tier's executor: one worker
-  process per shard, each on its own pipe, held by the pipeline from its
-  first forked run until ``close()``.  The parent waits on the shard
-  pipes *and* the process sentinels, so a dead worker surfaces as a
-  typed :class:`~repro.core.errors.WorkerCrashError` naming its shard
-  the moment it exits, and a shard that makes no progress for
-  ``chunk_timeout_s`` as a :class:`~repro.core.errors.ChunkTimeoutError`;
+  process per shard, each on its own pipe, held by the pipeline from a
+  forked run until the ruleset epoch moves or ``close()``.  The parent
+  waits on the shard pipes *and* the process sentinels, so a dead
+  worker surfaces as a typed :class:`~repro.core.errors.WorkerCrashError`
+  naming its shard the moment it exits, and a shard that makes no
+  progress for ``chunk_timeout_s`` as a
+  :class:`~repro.core.errors.ChunkTimeoutError`;
 * retries use **exponential backoff with seeded jitter**
   (:meth:`Supervisor.backoff_s`); a failed forked dispatch tears the
-  workers down and its retry re-forks from the parent — the parent
-  applies update batches only *after* a successful dispatch, so a
-  replayed chunk re-applies its exact
-  :class:`~repro.core.updates.ScheduledUpdate` prefix in the fresh
-  workers and the run stays bit-identical;
+  workers down and its retry re-forks from the parent — a run that
+  carries updates is served in-process, so a forked dispatch serves
+  one epoch and its replay is bit-identical;
 * when retries on the forked tier are exhausted and the policy is
   ``degrade``, the pipeline steps down the **degradation ladder**
   ``forked -> inline`` and records the step; in-process serving

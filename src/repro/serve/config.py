@@ -74,13 +74,13 @@ class EngineConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     #: Deprecated no-op (forked workers are always held until close).
     persistent: bool = False
-    #: Worker tier: ``"auto"`` forks only when the clamped worker count
-    #: and the pipeline's own measured break-even say a fork wins,
-    #: ``"processes"`` always forks when ``shards > 1``,
-    #: ``"threads"`` serves in-process shards (a private flow-cache
-    #: clone each) on the calling thread — no threads.  The engine
-    #: defaults to ``"auto"`` (``ClassificationPipeline`` constructed
-    #: directly keeps the historical ``"processes"`` default).
+    #: Worker tier of update-free runs (one that carries updates is
+    #: served in-process): ``"auto"`` forks only when the clamped worker
+    #: count and the pipeline's own measured break-even say a fork wins,
+    #: ``"processes"`` whenever ``shards > 1``, ``"threads"`` serves
+    #: in-process shards (a private flow-cache clone each) on the
+    #: calling thread — no threads.  The engine defaults to ``"auto"``
+    #: (``ClassificationPipeline`` constructed directly: ``"processes"``).
     shard_mode: str = "auto"
     #: Coalesce dispatches on update-free runs until each carries at
     #: least this many packets (0 disables).  ``chunk_size`` stays the

@@ -376,8 +376,8 @@ class Engine:
 
     def _flush_updates(self, cursor: UpdateCursor) -> EngineReport | None:
         """Apply what is scheduled at or past the stream's end: over an
-        empty trace, through the pipeline (so held workers catch up
-        too).  ``None`` when nothing is left."""
+        empty trace, through the pipeline (counted, supervised, shard
+        clones retired, like any batch).  ``None`` when nothing is left."""
         tail = cursor.rest()
         if not tail:
             return None

@@ -37,9 +37,9 @@ class TestMonotoneAxes:
         assert any("non-decreasing" in line for line in lines)
 
     def test_inverted_axis_fails(self):
-        current = {"persistent_pipeline_pps": _axis(2e6, 1e6, 0.8e6)}
+        current = {"auto_pipeline_pps": _axis(2e6, 1e6, 0.8e6)}
         _, failures = check_monotone(current, tolerance=0.9)
-        assert failures == ["monotone:persistent_pipeline_pps"]
+        assert failures == ["monotone:auto_pipeline_pps"]
 
     def test_tolerance_absorbs_noise_dips(self):
         # A 4% step-down is runner noise under the shards families'
@@ -54,9 +54,9 @@ class TestMonotoneAxes:
     def test_family_floor_tightens_loose_cli_tolerance(self):
         # The shards families carry a 0.95 floor: even a lax
         # --monotone-tolerance cannot re-admit a >5% step-down.
-        dipped = {"persistent_pipeline_pps": _axis(1e6, 0.9e6, 1e6)}
+        dipped = {"auto_pipeline_pps": _axis(1e6, 0.9e6, 1e6)}
         assert check_monotone(dipped, tolerance=0.5)[1] == [
-            "monotone:persistent_pipeline_pps"
+            "monotone:auto_pipeline_pps"
         ]
 
     def test_missing_points_are_skipped(self):

@@ -287,6 +287,45 @@ class TestHeldWorkers:
         assert res.n_packets == acl_small_trace.n_packets
         pipeline.close()
 
+    def test_an_update_run_closes_the_workers_and_the_next_run_reforks(
+        self, acl_small, acl_small_trace
+    ):
+        """Held workers are a snapshot of one epoch.  A run that carries
+        updates is planned in-process — no ladder step is taken to get
+        there, also under ``degrade`` — and closes them; the next
+        update-free run forks new ones from the updated classifier."""
+        batch = (remove_op(0), remove_op(1), remove_op(2))
+        oracle = build_updatable_backend("linear", acl_small)
+        with ClassificationPipeline(
+            build_updatable_backend("incremental", acl_small),
+            chunk_size=256, shards=2,
+            policy=SupervisionPolicy(fault_policy="degrade"),
+        ) as pipeline:
+            if not pipeline._fork_available():  # pragma: no cover
+                pytest.skip("fork multiprocessing unavailable")
+            before = pipeline.run(acl_small_trace)
+            assert pipeline.workers_alive
+            assert np.array_equal(
+                before.match, oracle.classify_trace(acl_small_trace)
+            )
+            updated = pipeline.run(
+                acl_small_trace, updates=[ScheduledUpdate(0, batch)]
+            )
+            assert not pipeline.workers_alive
+            assert updated.n_shards == 1 and updated.worker_cpu_s == 0.0
+            assert updated.fault.degradations == []
+            assert not updated.fault.any()
+            after = pipeline.run(acl_small_trace)
+            assert pipeline.workers_alive
+            assert after.n_shards == before.n_shards
+            assert after.worker_cpu_s > 0.0
+        oracle.apply_updates(batch)
+        want = oracle.classify_trace(acl_small_trace)
+        assert not np.array_equal(want, before.match)  # the batch bites
+        assert np.array_equal(updated.match, want)
+        assert np.array_equal(after.match, want)
+        assert after.final_epoch == updated.final_epoch == 1
+
     def test_varying_trace_sizes_across_runs(self, acc_small, acl_small_trace):
         full = acl_small_trace
         half = PacketTrace(full.headers[:901], FIVE_TUPLE)
@@ -543,11 +582,15 @@ class TestShardModes:
             # In-process shards are the inline tier with N owners.
             ("threads", 1, KERNEL, 1_000_000, "inline", 2,
              "shard_mode=threads"),
-            # "+updates": the run carries an update stream.  It is never
-            # priced (the costs come from update-free runs), so auto
-            # does not fork it — the same run without updates does.
+            # "+updates": the run carries an update stream, so no mode
+            # forks it — the same run without updates does (above) —
+            # and "threads" still serves it from N in-process shards.
             ("auto+updates", 4, KERNEL, 1_000_000, "inline", 1,
-             "auto: update runs are not priced"),
+             "update runs serve in-process"),
+            ("processes+updates", 4, KERNEL, 1_000_000, "inline", 1,
+             "update runs serve in-process"),
+            ("threads+updates", 4, KERNEL, 1_000_000, "inline", 2,
+             "shard_mode=threads"),
         ],
     )
     def test_plan_table(

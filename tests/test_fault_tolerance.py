@@ -639,6 +639,7 @@ class TestErrorAndPlanPlumbing:
         assert FaultPlan.load(str(path)) == plan
         assert FaultPlan.from_dict(plan.to_dict()) == plan
         assert FaultPlan.coerce(str(path)) == plan
+        assert FaultPlan.coerce(path) == plan  # a pathlib.Path too
         assert FaultPlan.coerce(list(plan.specs)) == FaultPlan(plan.specs)
         assert FaultPlan.coerce(None) is None
 

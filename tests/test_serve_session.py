@@ -3,7 +3,7 @@
 The acceptance contract of the serving redesign: ``Engine.stream`` is
 bit-identical to ``Engine.classify`` (and to driving the underlying
 ``ClassificationPipeline`` directly, the PR 4 surface) across
-backend x shards x persistent x cache x updates.  Streamed sessions
+backend x shards x cache x updates.  Streamed sessions
 must also behave like sessions: lazy start, everything on the calling
 thread (no thread is ever started), clean early exit, errors in the
 segment source surfaced to the consumer.
@@ -78,22 +78,19 @@ class TestStreamConformance:
         assert np.array_equal(streamed.match, want)
 
     @pytest.mark.parametrize(
-        ("shards", "persistent", "cache_entries"),
-        [(1, False, 0), (2, False, 0), (2, True, 0),
-         (2, False, 512), (2, True, 512)],
+        ("shards", "cache_entries"), [(1, 0), (2, 0), (2, 512)]
     )
     def test_stream_matches_pipeline_across_pool_modes(
-        self, shards, persistent, cache_entries, acl_small, acl_small_trace
+        self, shards, cache_entries, acl_small, acl_small_trace
     ):
         config = EngineConfig(
             backend="hypercuts", chunk_size=256, shards=shards,
-            persistent=persistent, cache_entries=cache_entries,
+            cache_entries=cache_entries,
         )
         with Engine.open(config, acl_small) as engine:
             # The PR 4 surface, driven directly on the same classifier.
             with ClassificationPipeline(
-                engine.classifier, chunk_size=256, shards=shards,
-                persistent=persistent,
+                engine.classifier, chunk_size=256, shards=shards
             ) as pipeline:
                 want = pipeline.run(acl_small_trace).match
             streamed = engine.classify_stream(
@@ -186,7 +183,10 @@ class TestStreamConformance:
                 )
 
         # (One forking tenant: a worker-lease hand-over would re-fork
-        # with cold shard caches, unlike the isolated run.)
+        # with cold shard caches, unlike the isolated run.)  Its churn
+        # ends half way: segments that carry a batch serve in-process,
+        # the two after them fork.
+        churn = update_schedule[:2]
         cached_inline = EngineConfig.from_dict({**cached.to_dict(), "shards": 1})
         for second in (bare, cached_inline):
             with MultiTenantEngine.open([
@@ -194,13 +194,9 @@ class TestStreamConformance:
                 ({"name": "b", "config": second.to_dict()}, acl_small),
             ]) as fleet:
                 report = fleet.serve(
-                    workloads, updates={"a": update_schedule},
-                    segment_packets=512,
+                    workloads, updates={"a": churn}, segment_packets=512,
                 )
-            alone = [
-                isolated(cached, "a", update_schedule),
-                isolated(second, "b"),
-            ]
+            alone = [isolated(cached, "a", churn), isolated(second, "b")]
             for tenant, want in zip(report.tenants, alone):
                 assert np.array_equal(tenant.report.match, want.match)
             if second is bare:
@@ -217,7 +213,7 @@ class TestStreamConformance:
                 assert getattr(report, name) == sum(
                     getattr(r, name) for r in alone
                 ), name
-            assert report.update_batches == len(update_schedule)
+            assert report.update_batches == len(churn)
             assert len(report.update_latencies_s) == report.update_batches
             assert report.fault.to_dict() == FaultReport.merged(
                 r.fault for r in alone
@@ -225,29 +221,27 @@ class TestStreamConformance:
             assert report.worker_cpu_s == pytest.approx(sum(
                 t.report.worker_cpu_s for t in report.tenants
             ))
-            assert report.worker_cpu_s > 0  # tenant "a" forked
+            assert report.worker_cpu_s > 0  # "a" forked once its churn ended
 
 
 class TestStreamWithUpdates:
     @pytest.mark.parametrize(
-        ("backend", "shards", "persistent", "cache_entries"),
+        ("backend", "shards", "cache_entries"),
         [
-            ("hicuts", 1, False, 0),
-            ("hicuts", 2, False, 0),
-            ("hicuts", 2, True, 0),
-            ("hicuts", 2, True, 256),
-            ("tuple_space", 1, False, 0),  # rebuild-adapted backend
-            ("tuple_space", 2, False, 256),
+            ("hicuts", 1, 0),
+            ("hicuts", 2, 0),
+            ("hicuts", 2, 256),
+            ("tuple_space", 1, 0),  # rebuild-adapted backend
+            ("tuple_space", 2, 256),
         ],
     )
     def test_streamed_updates_identical_to_one_shot(
-        self, backend, shards, persistent, cache_entries,
+        self, backend, shards, cache_entries,
         acl_small, acl_small_trace, update_schedule,
     ):
         config = EngineConfig(
             backend=backend, chunk_size=256, shards=shards,
-            persistent=persistent, cache_entries=cache_entries,
-            updatable=True,
+            cache_entries=cache_entries, updatable=True,
         )
         with Engine.open(config, acl_small) as engine:
             one_shot = engine.classify(
@@ -263,6 +257,39 @@ class TestStreamWithUpdates:
         assert np.array_equal(streamed.match, one_shot.match)
         assert streamed.final_epoch == one_shot.final_epoch
         assert streamed.update_ops == one_shot.update_ops == 24
+
+    def test_only_the_segment_that_carries_a_batch_serves_in_process(
+        self, acl_small, acl_small_trace, update_schedule
+    ):
+        """Forked workers never see an update: of six segments the
+        third carries the one batch and is served in-process, closing
+        the workers; the segments around it fork."""
+        from repro.core.updates import ScheduledUpdate
+
+        config = EngineConfig(
+            backend="hicuts", updatable=True, chunk_size=64, shards=2,
+            shard_mode="processes", min_chunk_packets=0,
+        )
+        churn = [ScheduledUpdate(900, update_schedule[0].batch)]
+        with Engine.open({**config.to_dict(), "shards": 1}, acl_small) as ref:
+            want = ref.classify(acl_small_trace, updates=churn)
+        alive, served = [], []
+        with Engine.open(config, acl_small) as engine:
+            if not engine.pipeline._fork_available():  # pragma: no cover
+                pytest.skip("fork multiprocessing unavailable")
+            forked = engine.pipeline.plan().workers
+            for chunk in engine.stream(
+                acl_small_trace, churn, segment_packets=384
+            ):
+                alive.append(engine.pipeline.workers_alive)
+                served.append(chunk.result)
+        assert [r.update_batches for r in served] == [0, 0, 1, 0, 0, 0]
+        assert alive == [True, True, False, True, True, True]
+        assert [r.n_shards for r in served] == [forked, forked, 1] + [forked] * 3
+        assert [r.worker_cpu_s > 0 for r in served] == alive
+        assert np.array_equal(
+            np.concatenate([r.match for r in served]), want.match
+        )
 
     def test_updates_beyond_stream_end_apply_after(
         self, acl_small, acl_small_trace, update_schedule

@@ -3,10 +3,12 @@
 Every tier gives each shard one long-lived owner that serves chunks
 ``s, s + W, s + 2W, ...`` in order, so two independently built
 pipelines serving the same traffic report the same per-chunk cache
-counters, epochs and shard ids run after run — on the fork tiers as on
-the thread tier.  (A ``multiprocessing.Pool`` let whichever worker was
-free draw the next chunk: matches were right, but the counters depended
-on the draw.)
+counters, epochs and shard ids run after run — on the forked tier as
+in process.  (A ``multiprocessing.Pool`` let whichever worker was free
+draw the next chunk: matches were right, but the counters depended on
+the draw.)  A run that carries updates is planned in-process in every
+``shard_mode``: under ``"processes"`` the update cells serve on one
+shard, and the planned map they are held to is all zeros.
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ from repro.engine import ClassificationPipeline
 from test_match_walk import _make_cached, _update_schedule
 from test_update_serving import OracleStore
 
-TIERS = {
-    "processes": {"shard_mode": "processes"},
-    "processes+persistent": {"shard_mode": "processes", "persistent": True},
-    "threads": {"shard_mode": "threads"},
-}
+TIERS = ("processes", "threads")
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +61,14 @@ def _serve_three_times(tier, shards, with_updates, ruleset, trace):
     runs = []
     with ClassificationPipeline(
         _make_cached(kind, ruleset),
-        chunk_size=256, shards=shards, **TIERS[tier],
+        chunk_size=256, shards=shards, shard_mode=tier,
     ) as pipeline:
         for _ in range(3):
             result = pipeline.run(
                 trace,
                 updates=_update_schedule(ruleset) if with_updates else None,
             )
-            plan = pipeline.plan(len(result.chunks))
+            plan = pipeline.plan(len(result.chunks), updates=with_updates)
             runs.append((
                 [
                     (c.shard, c.cache_hits, c.cache_misses,
@@ -85,7 +83,7 @@ def _serve_three_times(tier, shards, with_updates, ruleset, trace):
 
 @pytest.mark.parametrize("with_updates", [False, True], ids=["static", "updates"])
 @pytest.mark.parametrize("shards", [2, 4])
-@pytest.mark.parametrize("tier", list(TIERS))
+@pytest.mark.parametrize("tier", TIERS)
 def test_telemetry_repeats_across_independent_pipelines(
     tier, shards, with_updates, acl_small, zipf_trace
 ):

@@ -9,9 +9,9 @@ epoch semantics the pipeline documents (a batch takes effect at the
 first chunk whose start is at or after its packet offset), classifies
 each chunk against the live rules of that epoch, and maps the rebuilt
 oracle's compacted ids back to stable ids.  Coverage spans the
-incremental backend across 1/2/4 shards x persistent on/off x flow
-cache on/off, plus the rebuild adapters for linear and tuple-space —
-every combination must match the oracle bit for bit.
+incremental backend across 1/2/4 shards x flow cache on/off, plus the
+rebuild adapters for linear and tuple-space — every combination must
+match the oracle bit for bit.
 
 A property-based layer (Hypothesis) fuzzes raw update batches —
 duplicate inserts, removals of absent ids, empty batches, binth
@@ -132,14 +132,12 @@ def serve_want(serve_rs, serve_trace, serve_schedule):
 
 
 # ---------------------------------------------------------------------------
-# The differential matrix: incremental x shards x persistent x cache
+# The differential matrix: incremental x shards x cache
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [1, 2, 4])
-@pytest.mark.parametrize("persistent", [False, True])
 @pytest.mark.parametrize("cache_entries", [0, 256])
 def test_incremental_matrix_agrees_with_per_epoch_oracle(
-    serve_rs, serve_trace, serve_schedule, serve_want,
-    shards, persistent, cache_entries,
+    serve_rs, serve_trace, serve_schedule, serve_want, shards, cache_entries,
 ):
     clf = build_updatable_backend(
         "incremental", serve_rs, algorithm="hicuts", binth=30, spfac=4,
@@ -147,7 +145,7 @@ def test_incremental_matrix_agrees_with_per_epoch_oracle(
     if cache_entries:
         clf = CachedClassifier(clf, entries=cache_entries, ways=4)
     with ClassificationPipeline(
-        clf, chunk_size=CHUNK, shards=shards, persistent=persistent
+        clf, chunk_size=CHUNK, shards=shards
     ) as pipeline:
         res = pipeline.run(serve_trace, updates=serve_schedule)
     assert np.array_equal(res.match, serve_want)
@@ -241,9 +239,11 @@ def test_trailing_and_empty_batches(serve_rs, serve_trace):
     assert not clf._live[0]  # rule 0 is gone post-run
 
 
-def test_persistent_pool_serves_updates_across_runs(serve_rs, serve_trace):
-    """Lagging persistent workers catch up through the shipped prefix
-    log; a sequential pipeline is the reference."""
+def test_workers_refork_after_an_update_run(serve_rs, serve_trace):
+    """Forked workers are a snapshot of one epoch: an update run is
+    served in-process and closes them, the next update-free run forks
+    new ones from the updated classifier; a sequential pipeline is the
+    reference."""
     extra = list(generate_ruleset("acl1", 6, seed=74).rules)
     u1 = [ScheduledUpdate(512, (insert_op(extra[0]), remove_op(3)))]
     u3 = [ScheduledUpdate(40, (remove_op(10),)),
@@ -251,26 +251,26 @@ def test_persistent_pool_serves_updates_across_runs(serve_rs, serve_trace):
 
     par = build_updatable_backend("incremental", serve_rs, binth=30)
     seq = build_updatable_backend("incremental", serve_rs, binth=30)
-    with ClassificationPipeline(
-        par, chunk_size=CHUNK, shards=4, persistent=True
-    ) as pipeline:
-        runs = [
-            pipeline.run(serve_trace, updates=u1),
-            pipeline.run(serve_trace),
-            pipeline.run(serve_trace, updates=u3),
-            pipeline.run(serve_trace),
-        ]
+    sequence = (u1, None, u3, None)
+    runs, alive, pids = [], [], []
+    with ClassificationPipeline(par, chunk_size=CHUNK, shards=4) as pipeline:
+        if not pipeline._fork_available():  # pragma: no cover
+            pytest.skip("fork multiprocessing unavailable")
+        for updates in sequence:
+            runs.append(pipeline.run(serve_trace, updates=updates))
+            alive.append(pipeline.workers_alive)
+            if pipeline.workers_alive:
+                pids.append({p.pid for p in pipeline._workers.procs})
+    assert alive == [False, True, False, True]
+    assert pids[0].isdisjoint(pids[1])
+    forked = runs[1].n_shards
+    assert [r.n_shards for r in runs] == [1, forked, 1, forked]
+    assert [r.worker_cpu_s > 0 for r in runs] == [False, True, False, True]
     ref_pipe = ClassificationPipeline(seq, chunk_size=CHUNK)
-    refs = [
-        ref_pipe.run(serve_trace, updates=u1),
-        ref_pipe.run(serve_trace),
-        ref_pipe.run(serve_trace, updates=u3),
-        ref_pipe.run(serve_trace),
-    ]
+    refs = [ref_pipe.run(serve_trace, updates=u) for u in sequence]
     for got, want in zip(runs, refs):
         assert np.array_equal(got.match, want.match)
         assert got.final_epoch == want.final_epoch
-    # The parent's copy caught up too.
     assert np.array_equal(
         par.classify_trace(serve_trace), seq.classify_trace(serve_trace)
     )
