@@ -34,7 +34,8 @@ tracked by ``benchmarks/ledger/`` (``run.py`` / ``compare.py``), which
 measures parent and change on one host, back to back.
 
 **Host fingerprint.**  ``BENCH_engine.json`` carries the ledger's
-``fingerprint`` block (CPU count and model, Python, NumPy, platform).
+``fingerprint`` block (CPU count and model, Python, NumPy, platform)
+plus the FlatTree ``kernel`` that served (``native`` / ``portable``).
 When two full ``BENCH_engine.json`` files are compared, wall-clock
 metrics (``*pps*``, ``*_s``, ``*_ms``, ``*_ms_per_run``) are only
 diffed when both carry the *same* host fields (:data:`HOST_FIELDS`);
@@ -63,10 +64,15 @@ import sys
 #: Flattened metric keys enforced as hard gates: a >25% regression (or
 #: the metric vanishing) fails the comparison instead of warning.
 GATED_METRICS = frozenset({
-    # These four are pinned in baseline.json at the floor the bench
-    # test asserts (5.0, 0.8, 3.0, 0.9), not at one host's measured value.
+    # These are pinned in baseline.json at the floor the bench test
+    # asserts (5.0, 0.8, 5.0, 3.0, 0.9), not at one host's measured value.
     "flat_kernel_gate.speedup",
     "flat_kernel_scaling.large_over_small",
+    # Pinned at its floor (5.0): the native walk over the portable one,
+    # same tree, same run.  The bench test is skipped where the library
+    # cannot be built, so there the metric is missing and this fails:
+    # a host that lost its compiler should not read as green.
+    "native_kernel.speedup",
     "update_patch.speedup",
     "update_cache_retention.retention",
     "flowcache.effective_lookup_speedup",
@@ -94,8 +100,10 @@ GATED_METRICS = frozenset({
 })
 
 #: Fingerprint fields that make two hosts' wall-clock numbers
-#: incomparable (the ledger's ``compare.py`` refuses on the same ones).
-HOST_FIELDS = ("nproc", "cpu", "python", "numpy", "platform")
+#: incomparable (the ledger's ``compare.py`` refuses on the first five;
+#: ``kernel`` is ``native.status()``'s — a pps served by the C walk is
+#: no baseline for one served by the NumPy walk, same machine or not).
+HOST_FIELDS = ("nproc", "cpu", "python", "numpy", "platform", "kernel")
 
 #: Metric families that must be non-decreasing along an ordered axis of
 #: the CURRENT results: (family key, ordered point keys, tolerance

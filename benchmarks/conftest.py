@@ -8,12 +8,36 @@ pipeline end-to-end.  The *full* paper grids are regenerated by
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import generate_ruleset, generate_trace, generate_zipf_trace
-from repro.algorithms import build_hicuts
+from repro.algorithms import build_hicuts, native
 from repro.experiments.common import Pipeline
 from repro.hw import Accelerator, build_memory_image
+
+
+@pytest.fixture
+def portable_kernel(monkeypatch):
+    """``with portable_kernel():`` — inside the block every FlatTree walk
+    takes the portable NumPy kernel, as in a process whose native library
+    did not load (the walk asks at call time, so trees compiled outside
+    the block are covered too).  The gates whose denominator is the bare
+    kernel take both sides under it: their floors were derived on the
+    portable walk and guard the Python layers above it.  Test code, not
+    a product switch: ``src/`` has none."""
+
+    @contextlib.contextmanager
+    def portable():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                native, "_kernel",
+                native._Kernel(reason="portable_kernel fixture"),
+            )
+            yield
+
+    return portable
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,25 @@
-"""Legacy shim so `pip install -e .` works without the `wheel` package.
+"""Packaging metadata (there is no pyproject.toml; this file is all of it).
 
-All real metadata lives in pyproject.toml; this file only enables the
-setuptools develop path in offline environments.
+``PYTHONPATH=src`` is how the tests, the CI and the ledger run the
+package; ``pip install -e .`` works offline, without the ``wheel``
+package, through the setuptools develop path.  ``package_data`` ships
+``repro/algorithms/_flat_walk.c``, the one non-``.py`` file the package
+needs: ``repro.algorithms.native`` reads it through
+``importlib.resources`` and builds it on first use.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.2.0",
+    description=(
+        "Reproduction of 'Energy efficient packet classification "
+        "hardware accelerator'"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.algorithms": ["*.c"]},
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -7,8 +7,11 @@
 * :class:`RFCClassifier` — the fastest software baseline the paper
   compares against (546x claim).
 * :class:`TupleSpaceClassifier` — extension baseline ([8]).
+* :mod:`~repro.algorithms.native` — the C walk :class:`FlatTree` serves
+  from when the compiler that is here could build it (``status()``).
 """
 
+from . import native
 from .base import (
     EMPTY_CHILD,
     INTERNAL,
@@ -38,6 +41,7 @@ __all__ = [
     "Node",
     "TreeStats",
     "FlatTree",
+    "native",
     "HiCutsBuilder",
     "HiCutsConfig",
     "build_hicuts",

@@ -1,0 +1,123 @@
+/* The per-packet walk of FlatTree (flat_tree.py: _walk_tile + _advance +
+ * _first_match + _keep_best) over the same buffers; native.py builds and
+ * loads it.  One node per step, then a linear search that stops at the
+ * first hit: the paper's FSM.  Every index derived from table data is
+ * bounds-checked, so a corrupt table is an error code, not a fault. */
+#include <stdint.h>
+
+enum { OK, ERR_STEPS, ERR_RANGE, MAX_STEPS = 10000, LEAF = 1 };
+
+typedef struct {       /* field order is native._Tables._fields_ */
+    int64_t n_nodes, naxes, ndim, pow2, n_children, n_leaf, n_push;
+    const int8_t *kind;
+    const int64_t *ax_dim, *ax_ncuts, *ax_stride, *ax_lo, *ax_hi, *ax_span;
+    const int64_t *ax_mask, *ax_shift;        /* pow2 (grid) trees only */
+    const int64_t *child_base, *child_len;
+    const int64_t *leaf_base, *leaf_len, *push_base, *push_len;
+    const int32_t *children;
+    const int64_t *leaf_rules, *push_rules;
+    const uint32_t *leaf_lo, *leaf_span, *push_lo, *push_span;
+} tables;
+
+/* Search slots [base, base + len) of one CSR rule table (`width` slots
+ * per dimension) for the first whose every interval holds the header:
+ * `(v - lo) <= span` in uint32 is `lo <= v <= hi`, v < lo wraps to a
+ * huge value.  Charges the comparisons the reference counts (up to and
+ * including the hit, or the whole list) and keeps the smaller rule id.
+ * Returns the hit's index in the list, -1 for none, -2 for a list that
+ * runs outside its table. */
+static int64_t match_list(const int64_t *rules, const uint32_t *lo,
+                          const uint32_t *span, int64_t width, int64_t base,
+                          int64_t len, const uint32_t *h, int64_t ndim,
+                          int64_t *best, int32_t *compared)
+{
+    if (base < 0 || len < 0 || base > width - len)
+        return -2;
+    for (int64_t i = 0; i < len; i++) {
+        const uint32_t *l = lo + base + i, *s = span + base + i;
+        int64_t d = 0;
+        while (d < ndim && (uint32_t)(h[d] - l[d * width]) <= s[d * width])
+            d++;
+        if (d < ndim)
+            continue;
+        *compared += (int32_t)(i + 1);
+        if (*best < 0 || rules[base + i] < *best)
+            *best = rules[base + i];
+        return i;
+    }
+    *compared += (int32_t)len;
+    return -1;
+}
+
+/* Walk n packets root to leaf.  `match` is always written, the five
+ * statistics arrays only when `internal_nodes` is not NULL. */
+int flat_walk(const tables *t, const uint32_t *headers, int64_t n,
+              int64_t *match, int32_t *internal_nodes, int32_t *leaf_id,
+              int32_t *leaf_size, int32_t *match_pos, int32_t *rules_compared)
+{
+    const int64_t nn = t->n_nodes, ndim = t->ndim;
+    for (int64_t p = 0; p < n; p++) {
+        const uint32_t *h = headers + p * ndim;
+        int64_t best = -1, nid = 0;
+        int32_t internal = 0, lid = -1, lsize = 0, mpos = -1, compared = 0;
+        for (int steps = 1; ; steps++) {
+            if (steps > MAX_STEPS)
+                return ERR_STEPS;
+            if (nid >= nn)
+                return ERR_RANGE;
+            if (t->kind[nid] == LEAF) {
+                int64_t first = match_list(
+                    t->leaf_rules, t->leaf_lo, t->leaf_span, t->n_leaf,
+                    t->leaf_base[nid], t->leaf_len[nid], h, ndim,
+                    &best, &compared);
+                if (first == -2)
+                    return ERR_RANGE;
+                lid = (int32_t)nid;
+                lsize = (int32_t)t->leaf_len[nid];
+                mpos = (int32_t)first;   /* a miss keeps -1 */
+                break;
+            }
+            internal++;
+            if (t->push_len[nid] > 0
+                && match_list(t->push_rules, t->push_lo, t->push_span,
+                              t->n_push, t->push_base[nid], t->push_len[nid],
+                              h, ndim, &best, &compared) == -2)
+                return ERR_RANGE;
+            int64_t slot = 0, outside = 0;
+            for (int64_t a = 0; a < t->naxes; a++) {
+                int64_t k = a * nn + nid, dim = t->ax_dim[k], coord;
+                if (dim < 0 || dim >= ndim)
+                    return ERR_RANGE;
+                int64_t raw = h[dim];
+                if (t->pow2) {   /* the hardware's mask/shift unit */
+                    coord = (raw & t->ax_mask[k]) >> t->ax_shift[k];
+                } else {         /* software tree: compacted regions */
+                    int64_t lo = t->ax_lo[k], span = t->ax_span[k];
+                    int64_t ncuts = t->ax_ncuts[k], v = raw - lo;
+                    if (span <= 0)
+                        return ERR_RANGE;
+                    outside |= raw < lo || raw > t->ax_hi[k];
+                    v = v < 0 ? 0 : v > span - 1 ? span - 1 : v;
+                    coord = ncuts >= span ? v : v * ncuts / span;
+                }
+                slot += coord * t->ax_stride[k];
+            }
+            int64_t base = t->child_base[nid], len = t->child_len[nid];
+            if (slot < 0 || slot >= len || base < 0
+                    || base > t->n_children - len)
+                return ERR_RANGE;
+            nid = t->children[base + slot];
+            if (nid < 0 || outside)      /* EMPTY_CHILD: the dead path */
+                break;
+        }
+        match[p] = best;
+        if (internal_nodes) {
+            internal_nodes[p] = internal;
+            leaf_id[p] = lid;
+            leaf_size[p] = lsize;
+            match_pos[p] = mpos;
+            rules_compared[p] = compared;
+        }
+    }
+    return OK;
+}

@@ -18,36 +18,35 @@ structure-of-arrays buffers:
   powers of two on the grid, so ``(v % span) * ncuts // span`` is exactly
   ``(v & mask) >> shift``).
 
-:meth:`FlatTree.batch_lookup` then advances *all* active packets one tree
-level per iteration with gather/scatter indexing: there is no
-``np.unique`` grouping, no Python loop over nodes, and no per-packet
-work — the only Python-level loops are over the (at most ``ndim``) axis
-slots, over tree depth and over tiles.  Leaf and pushed-rule linear
-searches are resolved by one segmented first-match kernel
-(:meth:`FlatTree._first_match`): an exact-size ``np.repeat`` expansion of
-the (packet, rule) pairs, the two leading dimensions tested over all
-pairs and the rest over the survivors, the first hit per packet read off
-the survivors' order.
+:meth:`FlatTree.batch_lookup` walks those buffers on one of two kernels,
+bit-identical on every :class:`~repro.algorithms.base.BatchLookup` field.
 
-**Tiles.**  The input is walked ``_TILE_PACKETS`` packets at a time, each
-tile writing its slice of outputs allocated once.  The engine coalesces
-dispatches to 65,536 packets to amortise IPC; a walk of that many
-expands ~1M pairs into a dozen 4-8 MB temporaries, and every pass over
-them goes to memory.  A tile's temporaries stay in L2, so a packet costs
-the same in a large dispatch as in a small one, and dispatch size (IPC)
-and kernel working set (cache) are separate numbers.  Callers see no
-difference; an input of at most one tile is one walk, as before.
+**Native walk.**  When :mod:`~repro.algorithms.native` could build and
+load ``_flat_walk.c`` (once, with the C compiler that is here), the
+whole input goes to its per-packet loop — the paper's FSM: one node per
+step, a leaf linear search that stops at the first hit — over these
+same buffers, ~10x the portable walk.  There is no switch;
+``native.status()`` says which kernel serves and why.
 
-The kernel reproduces :meth:`DecisionTree.batch_lookup_reference`
-bit-for-bit on every :class:`~repro.algorithms.base.BatchLookup` field
+**Portable walk.**  Otherwise (tier-1 is green with no compiler) NumPy
+advances *all* active packets one tree level per iteration with
+gather/scatter indexing; the only Python-level loops are over axis
+slots, tree depth and tiles.  Leaf and pushed-rule searches are one
+segmented first-match (:meth:`FlatTree._first_match`) over an exact-size
+``np.repeat`` expansion of the (packet, rule) pairs.  The input is
+walked ``_TILE_PACKETS`` packets at a time into outputs allocated once:
+the engine coalesces dispatches to 65,536 packets to amortise IPC, a
+walk of that many expands ~1M pairs into 4-8 MB temporaries, and a
+tile's stay in L2.  Tiles apply to this walk only.
+
+Both reproduce :meth:`DecisionTree.batch_lookup_reference` bit-for-bit
 (``match``, ``internal_nodes``, ``leaf_id``, ``leaf_size``, ``match_pos``,
-``rules_compared``), including grid-mode congruence indexing and the
-non-grid compacted-region dead path — the conformance suite in
-``tests/test_flat_tree.py`` asserts it, which keeps the energy and
-occupancy models built on those statistics valid unchanged.
-:meth:`FlatTree.batch_match` is the same walk (one tile walker,
-``_walk_tile``) handed no statistics arrays: it writes ``match`` only,
-and is what ``classify_batch`` of every tree-backed classifier runs.
+``rules_compared``), grid-mode congruence indexing and the non-grid
+compacted-region dead path included — ``tests/test_flat_tree.py``
+asserts it on each kernel, which keeps the energy and occupancy models
+built on those statistics valid.  :meth:`FlatTree.batch_match` is the
+same walk handed no statistics arrays: it writes ``match`` only, and is
+what ``classify_batch`` of every tree-backed classifier runs.
 
 **Incremental kernel patching.**  The incremental updater
 (:mod:`repro.algorithms.incremental`) mutates a handful of nodes per
@@ -74,6 +73,7 @@ import numpy as np
 from ..core.errors import BuildError
 from ..core.packet import PacketTrace
 
+from . import native
 from .base import EMPTY_CHILD, LEAF, BatchLookup
 
 #: Packets walked at a time: a tile's (packet, rule) pair temporaries stay
@@ -162,6 +162,7 @@ class FlatTree:
         # (either direction), which forces a full recompile.
         widths = (self.ax_stride > 0).sum(axis=0)
         self._n_widest = int((widths == self.naxes).sum())
+        self._native = native.bind(self)
 
     # ------------------------------------------------------------------
     def _fill_internal_axes(self, nid: int, node) -> None:
@@ -210,12 +211,7 @@ class FlatTree:
                 and bool((ncuts & (ncuts - 1) == 0).all())
             ):
                 self.pow2 = True
-                self.ax_mask = spans - 1
-                # log2 of a power of two is exact in float64 (spans fit
-                # well under 2**53).
-                log2span = np.log2(spans.astype(np.float64)).astype(np.int64)
-                log2cuts = np.log2(ncuts.astype(np.float64)).astype(np.int64)
-                self.ax_shift = np.maximum(log2span - log2cuts, 0)
+                self.ax_mask, self.ax_shift = self._mask_shift(spans, ncuts)
         if not self.pow2:
             # A fresh compile of a non-pow2 tree has no mask/shift tables;
             # keep the patched object shape-identical.
@@ -240,12 +236,8 @@ class FlatTree:
 
     def nbytes(self) -> int:
         """Total size of the compiled kernel buffers."""
-        total = 0
-        for name in self.BUFFER_NAMES:
-            total += getattr(self, name).nbytes
-        if self.pow2:
-            total += self.ax_mask.nbytes + self.ax_shift.nbytes
-        return total
+        names = self.BUFFER_NAMES + ("ax_mask", "ax_shift") * self.pow2
+        return sum(getattr(self, name).nbytes for name in names)
 
     # ------------------------------------------------------------------
     # Incremental kernel patching (update serving)
@@ -397,6 +389,7 @@ class FlatTree:
                 self._patch_pow2(dirty)
             else:  # pragma: no cover - grid trees are pow2 by invariant
                 self._finalize_pow2()
+        self._native = native.bind(self)  # the buffers were re-bound
         return True
 
     @staticmethod
@@ -508,17 +501,22 @@ class FlatTree:
         """Refresh the mask/shift columns of the dirty nodes (their
         power-of-two alignment was validated before any mutation)."""
         ids = np.fromiter(dirty, dtype=np.int64)
-        spans = self.ax_span[:, ids]
-        ncuts = self.ax_ncuts[:, ids]
-        self.ax_mask[:, ids] = spans - 1
+        self.ax_mask[:, ids], self.ax_shift[:, ids] = self._mask_shift(
+            self.ax_span[:, ids], self.ax_ncuts[:, ids]
+        )
+
+    @staticmethod
+    def _mask_shift(spans: np.ndarray, ncuts: np.ndarray):
+        # log2 of a power of two is exact in float64 (spans fit well
+        # under 2**53).
         log2span = np.log2(spans.astype(np.float64)).astype(np.int64)
         log2cuts = np.log2(ncuts.astype(np.float64)).astype(np.int64)
-        self.ax_shift[:, ids] = np.maximum(log2span - log2cuts, 0)
+        return spans - 1, np.maximum(log2span - log2cuts, 0)
 
     # ------------------------------------------------------------------
     def batch_lookup(self, trace: PacketTrace) -> BatchLookup:
         """Classify a whole trace; see module docstring for the scheme."""
-        headers32 = trace.headers  # uint32, used by the match kernel
+        headers32 = np.ascontiguousarray(trace.headers, dtype=np.uint32)
         n = headers32.shape[0]
         out = BatchLookup(
             match=np.full(n, -1, dtype=np.int64),
@@ -528,14 +526,10 @@ class FlatTree:
             match_pos=np.full(n, -1, dtype=np.int32),
             rules_compared=np.zeros(n, dtype=np.int32),
         )
-        for lo in range(0, n, _TILE_PACKETS):
-            tile = slice(lo, lo + _TILE_PACKETS)
-            self._walk_tile(
-                headers32[tile], out.match[tile],
-                (out.internal_nodes[tile], out.leaf_id[tile],
-                 out.leaf_size[tile], out.match_pos[tile],
-                 out.rules_compared[tile]),
-            )
+        self._walk(headers32, out.match, (
+            out.internal_nodes, out.leaf_id, out.leaf_size, out.match_pos,
+            out.rules_compared,
+        ))
         return out
 
     def batch_match(self, headers32: np.ndarray) -> np.ndarray:
@@ -543,25 +537,30 @@ class FlatTree:
         tree-backed classifier runs, a flow cache's miss serve included.
 
         The walk of :meth:`batch_lookup` with no statistics: the five
-        arrays are neither allocated nor written (measured 5-13% of a
+        arrays are neither allocated nor written (5-13% of a portable
         walk).  Takes the raw ``(n, ndim)`` uint32 header array a cache
-        miss-set already is, not a :class:`~repro.core.packet.
-        PacketTrace`.  Matches are bit-identical to
-        ``batch_lookup(...).match`` (``tests/test_match_walk.py`` asserts
-        it); use :meth:`batch_lookup` when the occupancy/energy
-        statistics are needed.
+        miss-set already is, not a ``PacketTrace``.  Matches are
+        bit-identical to ``batch_lookup(...).match``
+        (``tests/test_match_walk.py`` asserts it).
         """
         headers32 = np.ascontiguousarray(headers32, dtype=np.uint32)
-        n = headers32.shape[0]
-        match = np.full(n, -1, dtype=np.int64)
-        for lo in range(0, n, _TILE_PACKETS):
-            tile = slice(lo, lo + _TILE_PACKETS)
-            self._walk_tile(headers32[tile], match[tile])
+        match = np.full(headers32.shape[0], -1, dtype=np.int64)
+        self._walk(headers32, match)
         return match
 
-    def _walk_tile(
-        self, headers32: np.ndarray, match: np.ndarray, stats=None
-    ) -> None:
+    def _walk(self, headers32, match: np.ndarray, stats=None) -> None:
+        """The native loop over the whole input when it is loaded, else
+        the portable walk a tile at a time."""
+        if native.walk(self._native, headers32, match, stats):
+            return
+        for lo in range(0, match.size, _TILE_PACKETS):
+            tile = slice(lo, lo + _TILE_PACKETS)
+            self._walk_tile(
+                headers32[tile], match[tile],
+                stats and tuple(s[tile] for s in stats),
+            )
+
+    def _walk_tile(self, headers32, match: np.ndarray, stats=None) -> None:
         """Walk one tile of packets root to leaf, writing its slice of
         ``match`` and — when the caller wants them — of the five
         statistics arrays ``stats = (internal_nodes, leaf_id, leaf_size,

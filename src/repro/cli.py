@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algorithms import OpCounter, build_hicuts, build_hypercuts
+from .algorithms import OpCounter, build_hicuts, build_hypercuts, native
 from .classbench import (
     generate_ruleset,
     generate_trace,
@@ -409,9 +409,11 @@ def cmd_bench(args) -> int:
                     "(--cache-entries); skipping",
                     file=sys.stderr,
                 )
+    kernel = native.status()
     print(f"backend: {res.backend}  shards: {res.n_shards}  "
           f"chunk: {res.chunk_size} packets  chunks: {res.n_chunks}  "
-          f"pool: {pool_mode}")
+          f"pool: {pool_mode}  kernel: {kernel['kernel']}"
+          + (f" ({kernel['reason']})" if kernel["reason"] else ""))
     print(f"classified {res.n_packets} packets, {res.matched} matched "
           f"({100 * res.matched_fraction:.1f}%)")
     print(f"pipeline throughput: {res.throughput_pps:,.0f} packets/s "

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro import DEMO_SCHEMA, RuleSet, generate_ruleset, generate_trace, make_demo_ruleset
-from repro.algorithms import LinearSearchClassifier, build_hicuts, build_hypercuts
+from repro.algorithms import (
+    LinearSearchClassifier,
+    build_hicuts,
+    build_hypercuts,
+    native,
+)
 from repro.hw import build_memory_image
 
 
@@ -78,6 +83,64 @@ def hw_hyper_tree_small(acl_small):
 @pytest.fixture(scope="session")
 def hw_hyper_image_small(hw_hyper_tree_small):
     return build_memory_image(hw_hyper_tree_small, speed=1)
+
+
+def _unload_native(monkeypatch) -> None:
+    monkeypatch.setattr(
+        native, "_kernel", native._Kernel(reason="portable_kernel fixture")
+    )
+
+
+@pytest.fixture
+def portable_kernel(monkeypatch):
+    """The rest of the test serves from the portable NumPy walk, as a
+    process whose native library did not load does — trees compiled
+    earlier included, since the walk asks at call time.  Test code, not
+    a product switch: ``src/`` has none."""
+    _unload_native(monkeypatch)
+
+
+@pytest.fixture
+def native_kernel():
+    """The loaded native kernel; skips, with the recorded reason, on a
+    host where the library could not be built or loaded."""
+    status = native.status()
+    if status["kernel"] != "native":
+        pytest.skip(f"native kernel unavailable: {status['reason']}")
+    return native._load()
+
+
+FIELDS = (
+    "match", "internal_nodes", "leaf_id", "leaf_size", "match_pos",
+    "rules_compared",
+)
+
+
+@pytest.fixture
+def assert_kernels_agree(monkeypatch):
+    """``check(tree, trace)``: the live kernel ``tree.flat`` equals
+    ``batch_lookup_reference`` on all six fields and their dtypes, and
+    ``batch_match`` equals ``.match`` — on the default kernel (native
+    wherever it loaded), then on the portable one.  Returns the
+    reference result."""
+
+    def check(tree, trace):
+        ref = tree.batch_lookup_reference(trace)
+        with monkeypatch.context() as patch:
+            for portable in (False, True):
+                if portable:
+                    _unload_native(patch)
+                got = tree.flat.batch_lookup(trace)
+                for name in FIELDS:
+                    a, b = getattr(ref, name), getattr(got, name)
+                    assert a.dtype == b.dtype, (name, portable)
+                    assert np.array_equal(a, b), (name, portable)
+                lean = tree.flat.batch_match(trace.headers)
+                assert lean.dtype == ref.match.dtype
+                assert np.array_equal(lean, ref.match), portable
+        return ref
+
+    return check
 
 
 def random_headers(schema, n, seed=0):

@@ -97,6 +97,7 @@ class TestGatedMetrics:
         ("flowcache_spill.cached_vs_bare_ratio", 1.0),
         ("flat_kernel_gate.speedup", 5.0),
         ("flat_kernel_scaling.large_over_small", 0.8),
+        ("native_kernel.speedup", 5.0),
         ("update_patch.speedup", 3.0),
         ("update_cache_retention.retention", 0.9),
         ("stage_graph.uncached_over_added", 3.0),
@@ -158,7 +159,7 @@ class TestGatedMetrics:
 
 _HOST = {
     "nproc": 2, "cpu": "cpu-a", "python": "3.11.7", "numpy": "2.4.6",
-    "platform": "linux-a", "commit": "abc",
+    "platform": "linux-a", "commit": "abc", "kernel": "native",
 }
 
 
@@ -192,7 +193,9 @@ class TestHostFingerprint:
 
     @pytest.mark.parametrize("other", [
         dict(_HOST, nproc=1), dict(_HOST, numpy="1.26.4"), None,
-    ], ids=["cpu-count", "numpy", "unstamped-baseline"])
+        # same machine, but the FlatTree walk that served differs
+        dict(_HOST, kernel="portable"),
+    ], ids=["cpu-count", "numpy", "unstamped-baseline", "kernel"])
     def test_other_host_refuses_wall_clock_only(self, other):
         report, failures = self._compare(_HOST, other)
         assert failures == []

@@ -5,7 +5,8 @@ splices exactly those rows.  The contract under test is the strongest
 one available: after every patch, every compiled buffer is **bit
 identical** to a fresh ``FlatTree`` compile of the mutated tree — same
 dtypes, same shapes, same contents, same (C-contiguous) memory layout,
-same mask/shift fast-path flag.
+same mask/shift fast-path flag — and the patched kernel walks like the
+reference on all six statistics, on the native and the portable kernel.
 A second group pins the serving-path fix: ``DecisionTree.batch_lookup``
 after an update takes the patch path (the patch counter moves, the
 recompile counter does not), so a silent fallback to full recompilation
@@ -52,7 +53,7 @@ def assert_bit_identical(tree, tag="") -> None:
     ("hypercuts", "acl1", False, 16),  # software mode (non-pow2 path)
 ])
 def test_patched_buffers_bit_identical_after_every_update(
-    algorithm, family, hw_mode, binth
+    algorithm, family, hw_mode, binth, assert_kernels_agree
 ):
     rs = generate_ruleset(family, 250, seed=51)
     inc = IncrementalClassifier(
@@ -74,12 +75,13 @@ def test_patched_buffers_bit_identical_after_every_update(
     assert tree.flat_compiles == 1
     assert tree.flat_patches == expected_patches
     assert expected_patches >= 20  # every insert touches at least a leaf
-    # And the patched kernel still classifies correctly.
+    # And the patched kernel — its native pointer table re-bound by
+    # every patch — still classifies correctly: all six fields on both
+    # kernels.
     trace = generate_trace(inc.live_ruleset(), 1000, seed=53,
                            background_fraction=0.2)
-    got = inc.classify_trace(trace)
-    ref = tree.batch_lookup_reference(trace).match
-    assert np.array_equal(got, ref)
+    ref = assert_kernels_agree(tree, trace)
+    assert np.array_equal(inc.classify_trace(trace), ref.match)
 
 
 def test_serving_thread_patches_instead_of_recompiling():
@@ -115,7 +117,7 @@ def test_patch_rejects_unknown_node_ids():
     assert flat.patch(set()) is True  # nothing to do is a no-op success
 
 
-def test_apply_updates_keeps_kernel_patched():
+def test_apply_updates_keeps_kernel_patched(assert_kernels_agree):
     """The engine-level update surface drives the same patch path."""
     rs = generate_ruleset("acl1", 200, seed=58)
     clf = build_updatable_backend("incremental", rs, binth=30)
@@ -127,6 +129,7 @@ def test_apply_updates_keeps_kernel_patched():
     assert clf.tree.flat_compiles == 1
     assert clf.tree.flat_patches == 1  # one batch -> one splice
     assert_bit_identical(clf.tree, "apply_updates")
+    assert_kernels_agree(clf.tree, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ identical to the object-walking reference traversal
 on grid trees (congruence/mask-shift indexing) and on software trees
 including the compacted-region dead path, where packets fall outside a
 node's shrunk bounding box and must die with ``leaf_size == 0``.  The
-kernel walks its input in tiles; the same identity is asserted with the
-tile shrunk to 64 packets, at every trace length around its boundaries.
+identity classes run once per kernel: as written on the default one (the
+native C loop wherever it loaded) and again, as ``...Portable``, on the
+portable NumPy walk.  That walk takes its input in tiles; the same
+identity is asserted with the tile shrunk to 64 packets, at every trace
+length around its boundaries.
 """
 
 from __future__ import annotations
@@ -23,15 +26,12 @@ from repro.algorithms import (
     build_hicuts,
     build_hypercuts,
     flat_tree,
+    native,
 )
 from repro.core.rules import Rule, make_demo_ruleset
 from repro.hw import Accelerator
 
-FIELDS = (
-    "match", "internal_nodes", "leaf_id", "leaf_size", "match_pos",
-    "rules_compared",
-)
-
+from tests.conftest import FIELDS
 
 def random_headers(schema, n, seed=0):
     rng = np.random.default_rng(seed)
@@ -126,6 +126,17 @@ class TestSoftwareDeadPath:
         trace = PacketTrace(headers, DEMO_SCHEMA)
         batch = assert_batch_agreement(tree, trace)
         assert_scalar_agreement(tree, headers[:300], batch)
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestGridTreesPortable(TestGridTrees):
+    """The same cases on the portable walk (ids of the default-kernel
+    classes are unchanged, so the kernel is a subclass, not a param)."""
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestSoftwareDeadPathPortable(TestSoftwareDeadPath):
+    pass
 
 
 class TestKernelPlumbing:
@@ -231,7 +242,8 @@ class TestTileBoundaries:
 
     @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
     def test_accelerator_occupancy_is_tile_independent(
-        self, monkeypatch, hw_hyper_image_small, acl_small_trace, n
+        self, monkeypatch, portable_kernel, hw_hyper_image_small,
+        acl_small_trace, n,
     ):
         acc = Accelerator(hw_hyper_image_small)
         trace = acl_small_trace.subset(n)
@@ -241,10 +253,10 @@ class TestTileBoundaries:
         assert np.array_equal(tiled.occupancy, one_tile.occupancy)
         assert np.array_equal(tiled.match, one_tile.match)
 
-    def test_tiles_are_actually_walked(self, monkeypatch, hw_tree_small,
-                                       acl_small_trace):
-        """The constant the tests above shrink is the one the kernel
-        reads: 3 * TILE + 5 packets make four walks."""
+    def test_tiles_are_actually_walked(self, monkeypatch, portable_kernel,
+                                       hw_tree_small, acl_small_trace):
+        """The constant the tests above shrink is the one the portable
+        walk reads: 3 * TILE + 5 packets make four walks."""
         monkeypatch.setattr(flat_tree, "_TILE_PACKETS", TILE)
         flat = FlatTree(hw_tree_small)
         sizes = []
@@ -257,6 +269,37 @@ class TestTileBoundaries:
         monkeypatch.setattr(flat, "_walk_tile", spy)
         flat.batch_lookup(acl_small_trace.subset(3 * TILE + 5))
         assert sizes == [TILE, TILE, TILE, 5]
+
+    def test_native_walk_is_the_default_and_is_not_tiled(
+        self, monkeypatch, native_kernel, hw_tree_small, acl_small_trace
+    ):
+        """With the library loaded and nobody asking for it, the whole
+        input goes to the C loop in one call and no tile is walked."""
+        monkeypatch.setattr(flat_tree, "_TILE_PACKETS", TILE)
+        flat = FlatTree(hw_tree_small)
+        calls = []
+
+        def spy(tables, headers, n, *out):
+            calls.append(n)
+            return native_kernel.fn(tables, headers, n, *out)
+
+        monkeypatch.setattr(native, "_kernel", native._Kernel(fn=spy))
+        monkeypatch.setattr(
+            flat, "_walk_tile", lambda *a: pytest.fail("portable tile walked")
+        )
+        trace = acl_small_trace.subset(3 * TILE + 5)
+        got = flat.batch_lookup(trace)
+        assert calls == [3 * TILE + 5]
+        want = hw_tree_small.batch_lookup_reference(trace)
+        assert np.array_equal(got.match, want.match)
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestTileBoundariesPortable:
+    """Where tiles exist: the identity at every tile edge on the portable
+    walk (the class above runs it on the default kernel)."""
+
+    test_all_fields_identical = TestTileBoundaries.test_all_fields_identical
 
 
 class TestFirstMatch:

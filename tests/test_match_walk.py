@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import generate_zipf_trace
-from repro.algorithms import flat_tree
+from repro.algorithms import flat_tree, native
 from repro.algorithms.incremental import IncrementalClassifier
 from repro.core.packet import PacketTrace
 from repro.core.updates import ScheduledUpdate, insert_op, remove_op
@@ -89,17 +89,35 @@ class TestClassifyBatchIsTheMatchWalk:
         flat = getattr(clf, "tree", clf).flat
         headers = acl_small_trace.headers
         want = flat.batch_lookup(acl_small_trace).match
-        seen = []
-        walk = flat._walk_tile
+        asked, tiles, pointers = [], [], []
+        match_walk, walk_tile = flat.batch_match, flat._walk_tile
 
-        def spy(headers32, match, stats=None):
-            seen.append(stats)
-            walk(headers32, match, stats)
+        def spy_match(headers32):
+            asked.append(len(headers32))
+            return match_walk(headers32)
 
-        monkeypatch.setattr(flat, "_walk_tile", spy)
-        assert np.array_equal(clf.classify_batch(headers), want)
-        assert np.array_equal(clf.classify_trace(acl_small_trace), want)
-        assert seen == [None, None]
+        def spy_tile(headers32, match, stats=None):
+            tiles.append(stats)
+            walk_tile(headers32, match, stats)
+
+        monkeypatch.setattr(flat, "batch_match", spy_match)
+        monkeypatch.setattr(flat, "_walk_tile", spy_tile)
+        loaded = native._load()
+        if loaded.fn is not None:  # else the portable half below is all
+
+            def spy_fn(tables, headers32, n, match, *stats):
+                pointers.append(stats)
+                return loaded.fn(tables, headers32, n, match, *stats)
+
+            monkeypatch.setattr(native, "_kernel", native._Kernel(fn=spy_fn))
+        for _ in range(2):  # the default kernel, then the portable walk
+            assert np.array_equal(clf.classify_batch(headers), want)
+            assert np.array_equal(clf.classify_trace(acl_small_trace), want)
+            monkeypatch.setattr(native, "_kernel", native._Kernel(reason="off"))
+        assert asked == [len(headers)] * 4  # every call is batch_match
+        assert set(tiles) == {None}  # the portable walk got no arrays
+        # ... and the C loop got five NULL statistics pointers.
+        assert pointers == [(None,) * 5] * (2 if loaded.fn else 0)
 
     def test_engine_serves_the_trace_equal_to_the_oracle(
         self, acl_small, acl_small_trace, acl_small_oracle
@@ -168,6 +186,10 @@ class TestMissServeEdges:
 # Kernel-level identity: batch_match vs batch_lookup
 # ---------------------------------------------------------------------------
 class TestBatchMatchKernel:
+    """On the default kernel (native wherever it loaded);
+    ``TestBatchMatchKernelPortable`` below re-runs it on the portable
+    walk."""
+
     @pytest.mark.parametrize("algorithm", ["hicuts", "hypercuts"])
     def test_matches_batch_lookup(
         self, algorithm, acl_small, acl_small_trace
@@ -222,3 +244,8 @@ class TestBatchMatchKernel:
             full = inc.tree.flat.batch_lookup(acl_small_trace)
             lean = inc.tree.flat.batch_match(acl_small_trace.headers)
             assert np.array_equal(full.match, lean)
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestBatchMatchKernelPortable(TestBatchMatchKernel):
+    pass

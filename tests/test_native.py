@@ -1,0 +1,349 @@
+"""The native FlatTree kernel: build, load, fall back, refuse bad tables.
+
+``repro.algorithms.native`` builds ``_flat_walk.c`` with the compiler
+that is here and loads it once per process; every way that can fail must
+leave the portable NumPy walk serving, with the reason recorded and
+nothing raised.  The C loop itself must turn what NumPy reported as an
+``IndexError`` (a corrupt table) into a :class:`BuildError`, not a
+fault.  Identity of the two kernels on real trees is asserted where the
+trees are (``test_flat_tree.py``, ``test_match_walk.py``,
+``test_flat_patch.py``); the property test at the end draws small random
+ones — the first slice of the differential fuzzer (ROADMAP item 6).
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import subprocess
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import DEMO_SCHEMA, PacketTrace, RuleSet
+from repro.algorithms import (
+    FlatTree,
+    IncrementalClassifier,
+    build_hypercuts,
+    native,
+)
+from repro.core.errors import BuildError
+from repro.core.rules import Rule, make_demo_ruleset
+from repro.serve import Engine, EngineConfig
+
+from tests.conftest import FIELDS, random_headers
+
+
+@pytest.fixture
+def fresh_load(monkeypatch, tmp_path):
+    """Forget what this process loaded and point the cache at an empty
+    directory: the next ``native.status()`` builds from scratch."""
+    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "repro-native"
+
+
+def _fail_compiles(monkeypatch, error) -> None:
+    """``cc --version`` still answers; every compile raises ``error``."""
+    run = subprocess.run
+
+    def fake(cmd, **kwargs):
+        if "--version" in cmd:
+            return run(cmd, **kwargs)
+        raise error
+
+    monkeypatch.setattr(native.subprocess, "run", fake)
+
+
+# ---------------------------------------------------------------------------
+# Build and load
+# ---------------------------------------------------------------------------
+class TestBuildAndLoad:
+    def test_builds_into_the_user_cache_and_reports_it(
+        self, native_kernel, fresh_load
+    ):
+        status = native.status()
+        assert status["kernel"] == "native" and status["reason"] is None
+        assert status["compiler"]  # the version line, part of the key
+        built = os.listdir(fresh_load)
+        assert built == [os.path.basename(status["path"])]  # no temp left
+        assert status["path"].startswith(str(fresh_load))
+
+    def test_a_cached_library_is_loaded_not_rebuilt(
+        self, native_kernel, fresh_load, monkeypatch
+    ):
+        path = native.status()["path"]
+        stamp = os.stat(path).st_mtime_ns
+        monkeypatch.setattr(native, "_kernel", None)
+        _fail_compiles(monkeypatch, AssertionError("rebuilt a cached library"))
+        assert native.status()["path"] == path
+        assert os.stat(path).st_mtime_ns == stamp
+
+    def test_the_source_is_package_data(self):
+        """Found the way an installed package finds it (setup.py ships
+        ``*.c`` as ``package_data`` of ``repro.algorithms``), not by a
+        path relative to the checkout."""
+        found = resources.files("repro.algorithms").joinpath(native.SOURCE)
+        assert found.is_file()
+        assert native.source() == found.read_bytes()
+        assert b"flat_walk" in native.source()
+
+    def test_two_processes_building_at_once_both_load(
+        self, native_kernel, fresh_load
+    ):
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(2) as pool:  # spawn: nothing loaded is inherited
+            found = pool.map(_status_in_a_fresh_process, [str(fresh_load)] * 2)
+        assert [s["kernel"] for s in found] == ["native", "native"]
+        assert len({s["path"] for s in found}) == 1
+        assert os.listdir(fresh_load) == [os.path.basename(found[0]["path"])]
+
+
+def _status_in_a_fresh_process(cache: str) -> dict:
+    os.environ["XDG_CACHE_HOME"] = os.path.dirname(cache)
+    return native.status()
+
+
+# ---------------------------------------------------------------------------
+# Every failure leaves the portable walk, with its reason
+# ---------------------------------------------------------------------------
+class TestFallback:
+    def test_no_compiler(self, fresh_load, monkeypatch):
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        status = native.status()
+        assert status["kernel"] == "portable"
+        assert "no C compiler" in status["reason"]
+        assert status["compiler"] is None and status["path"] is None
+
+    @pytest.mark.parametrize("error,said", [
+        (subprocess.CalledProcessError(1, "cc", stderr=b"x.c:1: error: no"),
+         "non-zero exit status 1. x.c:1: error: no"),
+        (subprocess.TimeoutExpired("cc", native.BUILD_TIMEOUT_S), "timed out"),
+    ], ids=["non-zero-exit", "timeout"])
+    def test_compiler_fails(
+        self, native_kernel, fresh_load, monkeypatch, error, said
+    ):
+        monkeypatch.setattr(native.tempfile, "gettempdir", lambda: str(fresh_load))
+        _fail_compiles(monkeypatch, error)
+        status = native.status()
+        assert status["kernel"] == "portable"
+        assert said in status["reason"]  # the compiler's own words
+        assert status["compiler"]  # it did answer --version
+        assert os.listdir(fresh_load) == []  # the temp file is gone
+
+    def test_unwritable_cache_falls_to_the_temp_dir_then_to_portable(
+        self, native_kernel, fresh_load, monkeypatch, tmp_path
+    ):
+        fresh_load.parent.mkdir()
+        fresh_load.write_text("a file where the cache directory should be")
+        monkeypatch.setattr(
+            native.tempfile, "gettempdir", lambda: str(tmp_path / "tmp")
+        )
+        (tmp_path / "tmp").mkdir()
+        status = native.status()
+        assert status["kernel"] == "native"
+        assert status["path"].startswith(str(tmp_path / "tmp"))
+        # ... and with the temp dir no better, the portable walk.
+        monkeypatch.setattr(native, "_kernel", None)
+        monkeypatch.setattr(native.tempfile, "gettempdir", lambda: str(fresh_load))
+        status = native.status()
+        assert status["kernel"] == "portable"
+        assert str(fresh_load) in status["reason"]
+
+    def test_a_truncated_cached_library_is_rebuilt_once(
+        self, native_kernel, fresh_load
+    ):
+        # What a killed writer without the temp-name + ``os.replace``
+        # step would have left: the head of the file, under the final
+        # name (same key in every directory), never loaded by anyone.
+        path = fresh_load / os.path.basename(native_kernel.path)
+        fresh_load.mkdir(parents=True)
+        with open(native_kernel.path, "rb") as fh:
+            path.write_bytes(fh.read(48))
+        assert native.status() == {
+            "kernel": "native", "reason": None, "path": str(path),
+            "compiler": native_kernel.compiler,
+        }
+        assert path.stat().st_size == os.path.getsize(native_kernel.path)
+
+    def test_a_library_others_could_write_is_not_loaded(
+        self, native_kernel, fresh_load, monkeypatch
+    ):
+        path = native.status()["path"]
+        os.chmod(path, 0o777)  # as found in a shared temp directory
+        monkeypatch.setattr(native, "_kernel", None)
+        assert native.status()["path"] == path  # rebuilt in place, ours
+        assert os.stat(path).st_mode & 0o022 == 0
+
+    def test_a_library_that_stays_unloadable_is_portable(
+        self, native_kernel, fresh_load, monkeypatch
+    ):
+        monkeypatch.setattr(native.tempfile, "gettempdir", lambda: str(fresh_load))
+        monkeypatch.setattr(  # "builds" an empty file: dlopen refuses it
+            native, "_compile", lambda cc, code, path: open(path, "wb").close()
+        )
+        fresh_load.mkdir(parents=True)
+        status = native.status()
+        assert status["kernel"] == "portable"
+        assert "flat_walk-" in status["reason"]
+
+    def test_engine_serves_the_oracle_after_a_failed_build(
+        self, fresh_load, monkeypatch, acl_small, acl_small_trace,
+        acl_small_oracle,
+    ):
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        config = EngineConfig(backend="hypercuts", cache_entries=512)
+        with Engine.open(config, acl_small) as engine:
+            assert native.status()["kernel"] == "portable"
+            report = engine.classify(acl_small_trace)
+        assert np.array_equal(report.match, acl_small_oracle)
+
+
+# ---------------------------------------------------------------------------
+# The C loop refuses what NumPy refused
+# ---------------------------------------------------------------------------
+def _corrupt(flat, buffer, index, value):
+    """Overwrite one cell in place: the pointer table stays valid."""
+    getattr(flat, buffer)[index] = value
+
+
+def _first_internal(flat) -> int:
+    return int(np.flatnonzero(flat.kind != 1)[0])
+
+
+class TestCorruptTables:
+    @pytest.fixture
+    def software_flat(self):
+        ruleset = RuleSet(make_demo_ruleset(), DEMO_SCHEMA, "table1")
+        tree = build_hypercuts(ruleset, binth=2, spfac=4, hw_mode=False)
+        flat = FlatTree(tree)
+        assert flat.has_pushed and not flat.pow2
+        return flat, PacketTrace(random_headers(DEMO_SCHEMA, 500, seed=5),
+                                 DEMO_SCHEMA)
+
+    def test_a_cyclic_children_table_hits_the_step_guard(
+        self, native_kernel, hw_tree_small, acl_small_trace
+    ):
+        flat = FlatTree(hw_tree_small)
+        flat.children[:] = 0  # every child of the root is the root
+        with pytest.raises(BuildError, match="did not terminate"):
+            flat.batch_lookup(acl_small_trace)
+        with pytest.raises(BuildError, match="did not terminate"):
+            flat.batch_match(acl_small_trace.headers)
+
+    def test_a_child_id_past_the_last_node(
+        self, native_kernel, hw_tree_small, acl_small_trace
+    ):
+        flat = FlatTree(hw_tree_small)
+        flat.children[flat.children >= 0] = flat.n_nodes + 7
+        with pytest.raises(BuildError, match="left its tables"):
+            flat.batch_lookup(acl_small_trace)
+
+    @pytest.mark.parametrize("buffer,cell,value", [
+        ("leaf_len", "leaf", 1 << 40),      # list runs past the leaf table
+        ("leaf_base", "leaf", -3),
+        ("child_len", "internal", 0),       # slot outside the node's row
+        ("child_base", "internal", 1 << 40),
+        ("ax_stride", "axis", 1 << 20),     # slot computed out of the row
+        ("ax_dim", "axis", 9),              # a header field that is not there
+    ])
+    def test_grid_tables(
+        self, native_kernel, hw_tree_small, acl_small_trace, buffer, cell, value
+    ):
+        flat = FlatTree(hw_tree_small)
+        root = _first_internal(flat)
+        index = {
+            "leaf": flat.kind == 1, "internal": root, "axis": (0, root),
+        }[cell]
+        _corrupt(flat, buffer, index, value)
+        with pytest.raises(BuildError, match="left its tables"):
+            flat.batch_lookup(acl_small_trace)
+
+    @pytest.mark.parametrize("buffer,value", [
+        ("push_len", 1 << 40), ("push_base", -1), ("ax_span", 0),
+    ])
+    def test_software_tables(self, native_kernel, software_flat, buffer, value):
+        flat, trace = software_flat
+        if buffer == "ax_span":
+            index = (0, _first_internal(flat))
+        else:
+            index = flat.push_len > 0
+        _corrupt(flat, buffer, index, value)
+        with pytest.raises(BuildError, match="left its tables"):
+            flat.batch_lookup(trace)
+
+    def test_an_array_of_the_wrong_kind_is_refused_before_the_call(
+        self, native_kernel, hw_tree_small, acl_small_trace
+    ):
+        flat = FlatTree(hw_tree_small)
+        n = acl_small_trace.n_packets
+        with pytest.raises(BuildError, match="match is not a C-contiguous int64"):
+            native.walk(flat._native, acl_small_trace.headers,
+                        np.zeros(n, dtype=np.int32))
+        with pytest.raises(BuildError, match="headers is not"):
+            native.walk(flat._native, acl_small_trace.headers[:, :4].copy(),
+                        np.zeros(n, dtype=np.int64))
+        flat.children = flat.children.astype(np.int64)
+        with pytest.raises(BuildError, match="children is not"):
+            native.bind(flat)
+
+
+# ---------------------------------------------------------------------------
+# Property: native == portable == reference (first slice of ROADMAP item 6)
+# ---------------------------------------------------------------------------
+_field = st.integers(0, 255)
+_range = st.tuples(_field, _field).map(lambda p: (min(p), max(p)))
+_rule = st.tuples(*[_range] * DEMO_SCHEMA.ndim).map(lambda r: Rule(ranges=r))
+_update = st.one_of(_rule, st.integers(0, 1 << 16))  # insert | remove by index
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    rules=st.lists(_rule, min_size=3, max_size=10),
+    algorithm=st.sampled_from(["hicuts", "hypercuts"]),
+    hw_mode=st.booleans(),
+    binth=st.sampled_from([3, 5]),
+    headers=st.lists(st.tuples(*[_field] * DEMO_SCHEMA.ndim),
+                     min_size=1, max_size=48),
+    updates=st.lists(_update, max_size=4),
+)
+def test_native_portable_and_reference_agree(
+    rules, algorithm, hw_mode, binth, headers, updates
+):
+    """Small random rulesets x (hw_mode, software) x headers, then a few
+    inserts / removes through ``FlatTree.patch``: six fields and dtypes
+    of both kernels against the reference after every step.  (Written
+    without fixtures: hypothesis re-runs the body per example.)"""
+    inc = IncrementalClassifier(
+        RuleSet(rules, DEMO_SCHEMA, "drawn"), algorithm=algorithm,
+        binth=binth, spfac=2, hw_mode=hw_mode,  # a small cut search
+    )
+    # Packets that land on rule corners as well as the drawn ones.
+    corners = [tuple(lo for lo, _ in r.ranges) for r in rules[:8]]
+    trace = PacketTrace(
+        np.asarray(headers + corners, dtype=np.uint32), DEMO_SCHEMA
+    )
+    tree = inc.tree
+    loaded = native._load()
+    for step in [None, *updates]:
+        if isinstance(step, Rule):
+            inc.insert(step)
+        elif step is not None and inc.n_live_rules:
+            live = np.flatnonzero(inc._live)
+            inc.remove(int(live[step % live.size]))
+        flat = tree.flat  # compiles, or patches in the update
+        ref = tree.batch_lookup_reference(trace)
+        try:
+            for kernel in (loaded, native._Kernel(reason="property test")):
+                native._kernel = kernel
+                got = flat.batch_lookup(trace)
+                for name in FIELDS:
+                    a, b = getattr(ref, name), getattr(got, name)
+                    assert a.dtype == b.dtype, (name, kernel.fn)
+                    assert np.array_equal(a, b), (name, kernel.fn)
+                assert np.array_equal(flat.batch_match(trace.headers), ref.match)
+        finally:
+            native._kernel = loaded
