@@ -10,8 +10,8 @@ recovery mechanism the engine layer provides:
   is bit-identical to the fault-free run because the parent's state
   only advances after a successful dispatch;
 * an **arena fence trip** (corrupted shared memory) under
-  ``fault_policy="degrade"``, which steps down the worker-tier ladder
-  ``forked -> inline`` instead of failing;
+  ``fault_policy="degrade"``, which serves the run inline
+  (``forked -> inline``) once the forked retries run out;
 * the ``fail`` policy raising a typed
   :class:`~repro.core.errors.ServingFaultError` that names the tier,
   shard and chunk;
@@ -70,7 +70,7 @@ def main() -> None:
           f"matches bit-identical to the fault-free run")
 
     # ------------------------------------------------------------------
-    # 2. Arena corruption, policy=degrade: walk the tier ladder
+    # 2. Arena corruption, policy=degrade: forked -> inline
     # ------------------------------------------------------------------
     config = EngineConfig(
         backend="hypercuts", shards=2, chunk_size=1024,

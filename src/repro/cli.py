@@ -59,7 +59,6 @@ from .engine.registry import registered_aliases
 from .hw import build_memory_image, figure5_trace
 from .serve import (
     DEFAULT_SEGMENT_PACKETS,
-    DEGRADATION_LADDER,
     ENERGY_MODELS,
     FAULT_POLICIES,
     ON_MALFORMED,
@@ -713,12 +712,11 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fault-policy", default=None,
                    choices=list(FAULT_POLICIES),
                    help="serving-fault posture: fail raises a typed "
-                        "ServingFaultError, retry replays the dispatch "
-                        "with backoff, degrade retries then walks the "
-                        "worker-tier ladder "
-                        f"({' -> '.join(DEGRADATION_LADDER)})")
+                        "ServingFaultError, retry replays the failed step "
+                        "with backoff, degrade retries then serves a "
+                        "forked run inline (forked -> inline)")
     p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="dispatch retries per tier before failing or "
+                   help="retries per failed step before failing or "
                         "degrading (default 2)")
     p.add_argument("--chunk-timeout", type=float, default=None, metavar="S",
                    help="per-chunk dispatch deadline in seconds "

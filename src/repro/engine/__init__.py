@@ -44,7 +44,6 @@ from .registry import (
 )
 from .report import ChunkStats, EngineReport
 from .supervision import (
-    DEGRADATION_LADDER,
     FAULT_POLICIES,
     FaultReport,
     SupervisionPolicy,
@@ -98,7 +97,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "DEGRADATION_LADDER",
     "FAULT_POLICIES",
     "FaultReport",
     "SupervisionPolicy",

@@ -62,18 +62,22 @@ of the chunk size is merged into its predecessor.
 
 **Fault tolerance.**  Every dispatch is supervised under the
 pipeline's :class:`~repro.engine.supervision.SupervisionPolicy`
-(``fail``, no deadline, unless one is given): per-chunk deadlines,
-worker-death watch, bounded retry with seeded backoff, and — under
-``fault_policy="degrade"`` — the tier ladder ``forked -> inline``.  A
+(``fail``, no deadline, unless one is given): per-chunk deadlines and
+worker-death watch on the forked tier, and one recovery loop,
+:meth:`Supervisor.retry <repro.engine.supervision.Supervisor.retry>`,
+around each recoverable step — a forked dispatch (tier ``forked``), an
+inline chunk (``inline``) and an update-batch apply (``update``).  A
 failed forked dispatch tears the workers (and arena) down and the retry
 re-forks from the parent; a forked dispatch serves one epoch, so the
-replay is bit-identical to a fault-free run.  The inline tier retries
-the failed *chunk* on its owner.  Only a process boundary can pre-empt
-work: ``chunk_timeout_s`` kills and replaces a hung forked worker,
-while in-process serving can emulate a deadline (an injected hang
-raises at it) but not enforce one.  Injected faults
-(:mod:`repro.engine.faults`) ride the same machinery via ``run(trace,
-faults=plan)``; everything observed lands in ``EngineReport.fault``.
+replay is bit-identical to a fault-free run.  Under
+``fault_policy="degrade"`` a forked dispatch out of retries is served
+inline (``forked -> inline``), where the failed *chunk* is retried on
+its owner.  Only a process boundary can pre-empt work:
+``chunk_timeout_s`` kills and replaces a hung forked worker, while
+in-process serving can emulate a deadline (an injected hang raises at
+it) but not enforce one.  Injected faults (:mod:`repro.engine.faults`)
+ride the same machinery via ``run(trace, faults=plan)``; everything
+observed lands in ``EngineReport.fault``.
 
 **Live rule updates.**  ``run(trace, updates=[...])`` interleaves a
 :class:`~repro.core.updates.ScheduledUpdate` stream with classification:
@@ -102,21 +106,14 @@ from functools import cache
 
 import numpy as np
 
-from ..core.errors import ArenaCorruptionError, ConfigError
+from ..core.errors import ArenaCorruptionError, ConfigError, ServingFaultError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, sorted_schedule
 from .breakeven import ForkBreakEven
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
 from .protocol import BatchStats, Classifier, batch_stats_of, warm_batch_state
 from .report import CacheTriple, ChunkStats, EngineReport, sum_cache_triples
-from .supervision import (
-    DEGRADATION_LADDER,
-    RECOVERABLE,
-    FaultReport,
-    ShardWorkers,
-    SupervisionPolicy,
-    Supervisor,
-)
+from .supervision import FaultReport, ShardWorkers, SupervisionPolicy, Supervisor
 from .updates import is_updatable, require_updatable
 
 #: Default packets per chunk: large enough to amortise NumPy dispatch,
@@ -417,7 +414,7 @@ class ClassificationPipeline:
         before a trace exists, e.g. "would this pipeline fork?")
         carrying ``packets`` packets (``None``: enough to be worth a
         fork) and, with ``updates``, a rule-update stream.  ``tier``
-        overrides the choice (a degradation-ladder rung) and only sizes
+        overrides the choice (the ``degrade`` fallback) and only sizes
         it.
         """
         chunks = self.shards if n_chunks is None else n_chunks
@@ -659,79 +656,58 @@ class ClassificationPipeline:
         supervised: an injected update fault fires *before* the apply,
         so a bounded retry re-applies a clean batch."""
         entry = run.entries[ordinal]
-        sup = self.supervisor
-        attempt = 0
-        while True:
-            try:
-                if run.faults is not None:
-                    specs = run.faults.update_faults(ordinal, attempt)
-                    if specs:
-                        fire_update_specs(specs, ordinal)
-                t0 = time.perf_counter()
-                result = self.classifier.apply_updates(entry.batch)
-                run.update_latencies.append(time.perf_counter() - t0)
-                run.update_skipped += getattr(result, "skipped", 0)
-                # The classifier's own cache retired inside the apply;
-                # the shard clones hold private ones — all of them, also
-                # those a short run leaves idle.
-                for clone in self._shard_clones:
-                    clone.cache.retire(entry.batch, result.inserted_ids)
-                return
-            except RECOVERABLE as exc:
-                if not sup.may_retry(attempt):
-                    raise sup.wrap_failure(
-                        exc, tier="update", chunk=ordinal
-                    ) from exc
-                run.report.update_retries += 1
-                time.sleep(sup.backoff_s(attempt))
-                attempt += 1
+
+        def step(attempt: int) -> None:
+            if run.faults is not None:
+                specs = run.faults.update_faults(ordinal, attempt)
+                if specs:
+                    fire_update_specs(specs, ordinal)
+            t0 = time.perf_counter()
+            result = self.classifier.apply_updates(entry.batch)
+            run.update_latencies.append(time.perf_counter() - t0)
+            run.update_skipped += getattr(result, "skipped", 0)
+            # The classifier's own cache retired inside the apply; the
+            # shard clones hold private ones — all of them, also those a
+            # short run leaves idle.
+            for clone in self._shard_clones:
+                clone.cache.retire(entry.batch, result.inserted_ids)
+
+        self.supervisor.retry(
+            step, run.report, tier="update", chunk=ordinal,
+            counter="update_retries",
+        )
 
     # -- supervised dispatch --------------------------------------------
     def _dispatch(
         self, plan: ShardPlan, run: _Run
     ) -> tuple[RunOutput, ShardPlan]:
-        """Serve the run on ``plan`` with recovery: bounded same-tier
-        retries, then — under ``fault_policy="degrade"`` — the tier
-        ladder.  Returns the outputs and the plan that produced them.
+        """Serve the run on ``plan`` with recovery and return the
+        outputs and the plan that produced them.
 
         A forked dispatch serves one epoch (update runs never fork), so
-        it is replayed whole, on re-forked workers.  The inline tier
-        applies updates *mid*-dispatch and recovers per chunk, inside
-        the tier; what it cannot recover leaves it as a typed error.
+        it is retried whole, on re-forked workers; under
+        ``fault_policy="degrade"`` one that runs out of retries is
+        served inline instead.  The inline tier applies updates
+        *mid*-dispatch and recovers per chunk, inside the tier; what it
+        cannot recover leaves it as a typed error.
         """
-        sup, report = self.supervisor, run.report
-        tiers = (plan.tier,)
-        if self.policy.fault_policy == "degrade":
-            tiers = DEGRADATION_LADDER[DEGRADATION_LADDER.index(plan.tier):]
-        last_exc: BaseException | None = None
-        detected = 0.0
-        for rung, tier in enumerate(tiers):
-            if rung:
-                report.degradations.append(
-                    f"{plan.tier}->{tier}:{type(last_exc).__name__}"
+        if plan.forks:
+            try:
+                return self.supervisor.retry(
+                    lambda attempt: self._run_forked(plan, run, attempt),
+                    run.report, tier="forked", replays=len(run.bounds),
+                ), plan
+            except ServingFaultError as exc:
+                if self.policy.fault_policy != "degrade":
+                    raise
+                detected = time.perf_counter()
+                run.report.degradations.append(
+                    f"forked->inline:{type(exc.cause).__name__}"
                 )
-                report.replays += len(run.bounds)
-                report.recovery_s.append(time.perf_counter() - detected)
-                plan = self.plan(len(run.bounds), tier=tier)
-            serve = self._run_forked if plan.forks else self._run_inline
-            attempt = 0
-            while True:
-                try:
-                    return serve(plan, run, attempt), plan
-                except RECOVERABLE as exc:
-                    detected = time.perf_counter()
-                    last_exc = exc
-                    report.record_failure(exc)
-                    if self.policy.fault_policy == "fail":
-                        raise sup.wrap_failure(exc, tier=tier) from exc
-                    if attempt >= self.policy.max_retries:
-                        break  # retries exhausted on this tier
-                    report.retries += 1
-                    report.replays += len(run.bounds)
-                    time.sleep(sup.backoff_s(attempt))
-                    report.recovery_s.append(time.perf_counter() - detected)
-                    attempt += 1
-        raise sup.wrap_failure(last_exc, tier=tiers[-1]) from last_exc
+                run.report.replays += len(run.bounds)
+                plan = self.plan(len(run.bounds), tier="inline")
+                run.report.recovery_s.append(time.perf_counter() - detected)
+        return self._run_inline(plan, run), plan
 
     # ------------------------------------------------------------------
     def run(
@@ -850,41 +826,32 @@ class ClassificationPipeline:
         return self._shard_clones[:workers]
 
     def _serve_chunk_inline(
-        self, run: _Run, index: int, attempt: int, owner, shard: int
+        self, run: _Run, index: int, owner, shard: int
     ) -> ChunkOutput:
         """Serve one chunk on its shard's ``owner`` with per-chunk
         bounded retry.  ``chunk_timeout_s`` is emulated, not enforced:
         an injected hang raises at the deadline, real work runs on."""
-        sup = self.supervisor
-        tries = 0
-        while True:
-            try:
-                specs = run.chunk_faults(index, attempt + tries, shard=shard)
-                if specs:
-                    fire_worker_specs(
-                        specs, in_process=True, chunk=index, shard=shard,
-                        timeout_s=self.policy.chunk_timeout_s,
-                    )
-                return _run_chunk_local(owner, run.headers, run.bounds[index])
-            except RECOVERABLE as exc:
-                run.report.record_failure(exc, shard=shard)
-                if not sup.may_retry(tries):
-                    raise sup.wrap_failure(
-                        exc, tier="inline", chunk=index, shard=shard
-                    ) from exc
-                run.report.retries += 1
-                run.report.replays += 1
-                time.sleep(sup.backoff_s(tries))
-                tries += 1
 
-    def _run_inline(
-        self, plan: ShardPlan, run: _Run, attempt: int
-    ) -> RunOutput:
-        """The calling thread's serving loop — the ladder floor: chunk
-        ``i`` on the owner of shard ``i % workers``, so each shard sees
-        its chunks in order.  Each update batch lands at its chunk
-        boundary (past the last chunk: after it), which is why a failed
-        *chunk* is retried and never the dispatch."""
+        def step(attempt: int) -> ChunkOutput:
+            specs = run.chunk_faults(index, attempt, shard=shard)
+            if specs:
+                fire_worker_specs(
+                    specs, in_process=True, chunk=index, shard=shard,
+                    timeout_s=self.policy.chunk_timeout_s,
+                )
+            return _run_chunk_local(owner, run.headers, run.bounds[index])
+
+        return self.supervisor.retry(
+            step, run.report, tier="inline", chunk=index, shard=shard,
+            replays=1,
+        )
+
+    def _run_inline(self, plan: ShardPlan, run: _Run) -> RunOutput:
+        """The calling thread's serving loop — what ``degrade`` falls
+        back to: chunk ``i`` on the owner of shard ``i % workers``, so
+        each shard sees its chunks in order.  Each update batch lands at
+        its chunk boundary (past the last chunk: after it), which is why
+        a failed *chunk* is retried and never the dispatch."""
         owners = self._shard_owners(plan.workers)
         outputs: list[ChunkOutput] = []
         idx = 0
@@ -897,7 +864,7 @@ class ClassificationPipeline:
                 idx += 1
             shard = plan.shard_of(i)
             outputs.append(
-                self._serve_chunk_inline(run, i, attempt, owners[shard], shard)
+                self._serve_chunk_inline(run, i, owners[shard], shard)
             )
         for late in range(idx, len(run.entries)):
             self._apply_entry(run, late)

@@ -15,16 +15,17 @@ when none is given):
   naming its shard the moment it exits, and a shard that makes no
   progress for ``chunk_timeout_s`` as a
   :class:`~repro.core.errors.ChunkTimeoutError`;
-* retries use **exponential backoff with seeded jitter**
-  (:meth:`Supervisor.backoff_s`); a failed forked dispatch tears the
-  workers down and its retry re-forks from the parent — a run that
-  carries updates is served in-process, so a forked dispatch serves
-  one epoch and its replay is bit-identical;
-* when retries on the forked tier are exhausted and the policy is
-  ``degrade``, the pipeline steps down the **degradation ladder**
-  ``forked -> inline`` and records the step; in-process serving
-  retries per chunk, and only *emulates* a deadline — pre-empting work
-  takes a process boundary;
+* :meth:`Supervisor.retry` is the **one recovery loop**: a forked
+  dispatch, an inline chunk, an update apply, a stream's source pull
+  and a graph stage each hand it a ``step(attempt)``; a recoverable
+  failure is counted, backed off (exponential, seeded jitter) and
+  retried while the policy allows, else raised as a typed
+  :class:`ServingFaultError` at that site's tier and coordinates;
+* a failed forked dispatch tears the workers down and its retry
+  re-forks — it serves one epoch (update runs are in-process), so the
+  replay is bit-identical; under ``degrade`` one out of retries is
+  served inline instead (``forked -> inline``, recorded).  In-process
+  serving only *emulates* a deadline — pre-empting takes a process;
 * :meth:`ShardWorkers.close` bounds teardown: SIGTERM, a ``join``
   against one shared deadline, then SIGKILL for stragglers — a hung
   worker cannot wedge ``close()``, and the shared-memory arena is
@@ -54,16 +55,9 @@ from ..core.errors import (
 
 #: Policies ``fault_policy`` accepts: ``fail`` raises a typed
 #: :class:`ServingFaultError` on the first fault, ``retry`` replays the
-#: dispatch (bounded, backed off) on the same tier, ``degrade`` retries
-#: and then walks the worker-tier ladder downward.
+#: failed step (bounded, backed off) where it failed, ``degrade``
+#: retries and then serves a forked run inline.
 FAULT_POLICIES = ("fail", "retry", "degrade")
-
-#: The worker-tier degradation ladder, most to least capable.  A run
-#: starts at its planned tier and, under ``fault_policy="degrade"``,
-#: falls to the next rung when retries on the current one are
-#: exhausted.  ``inline`` (single-process, per-chunk retry) is the
-#: floor — it shares no workers, no fork and no arena with anything.
-DEGRADATION_LADDER = ("forked", "inline")
 
 #: Exceptions the supervisor may recover from (everything else — a
 #: genuine bug, a ConfigError — propagates untouched).
@@ -122,7 +116,7 @@ class FaultReport:
     #: Chunk dispatches replayed (a retried fork dispatch replays every
     #: chunk of the run; an inline retry replays one chunk).
     replays: int = 0
-    #: Ladder steps taken, e.g. ``"forked->inline:WorkerCrashError"``.
+    #: Degradations taken, e.g. ``"forked->inline:WorkerCrashError"``.
     degradations: list[str] = field(default_factory=list)
     worker_crashes: int = 0
     timeouts: int = 0
@@ -244,6 +238,41 @@ class Supervisor:
             self.policy.fault_policy != "fail"
             and attempt < self.policy.max_retries
         )
+
+    def retry(
+        self,
+        step,
+        report: FaultReport,
+        *,
+        tier: str,
+        chunk=None,
+        shard=None,
+        counter: str = "retries",
+        replays: int = 0,
+    ):
+        """Return ``step(attempt)``, supervised: the one recovery loop
+        every site shares.  A :data:`RECOVERABLE` failure is recorded on
+        ``report``; if the policy allows another try, ``counter`` and
+        ``report.replays`` (by ``replays``) grow, the backoff is slept
+        and one ``recovery_s`` entry appended, else the typed error at
+        ``(tier, chunk, shard)`` is raised.  Anything else propagates
+        untouched."""
+        attempt = 0
+        while True:
+            try:
+                return step(attempt)
+            except RECOVERABLE as exc:
+                detected = time.perf_counter()
+                report.record_failure(exc, shard=shard)
+                if not self.may_retry(attempt):
+                    raise self.wrap_failure(
+                        exc, tier=tier, chunk=chunk, shard=shard
+                    ) from exc
+                setattr(report, counter, getattr(report, counter) + 1)
+                report.replays += replays
+                time.sleep(self.backoff_s(attempt))
+                report.recovery_s.append(time.perf_counter() - detected)
+                attempt += 1
 
     def wrap_failure(
         self, exc: BaseException, *, tier: str, chunk=None, shard=None

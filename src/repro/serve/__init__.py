@@ -18,12 +18,7 @@ should configure serving through this module.  See ``docs/engine.md``.
 
 from ..engine.faults import FaultPlan, FaultSpec
 from ..engine.report import EngineReport, latency_percentiles
-from ..engine.supervision import (
-    DEGRADATION_LADDER,
-    FAULT_POLICIES,
-    FaultReport,
-    SupervisionPolicy,
-)
+from ..engine.supervision import FAULT_POLICIES, FaultReport, SupervisionPolicy
 from .config import ENERGY_MODELS, EngineConfig
 from .ingest import (
     DEFAULT_SEGMENT_PACKETS,
@@ -57,5 +52,4 @@ __all__ = [
     "FaultReport",
     "SupervisionPolicy",
     "FAULT_POLICIES",
-    "DEGRADATION_LADDER",
 ]

@@ -44,7 +44,7 @@ from ..engine.pipeline import (
     SHARD_MODES,
 )
 from ..engine.registry import backend_spec
-from ..engine.supervision import FAULT_POLICIES
+from ..engine.supervision import SupervisionPolicy
 from .ingest import ON_MALFORMED
 
 #: Device energy models ``EngineReport`` can evaluate a run against.
@@ -104,11 +104,11 @@ class EngineConfig:
     #: What a serving fault (worker crash, chunk deadline overrun, arena
     #: fence trip, injected fault) does: ``"fail"`` raises a typed
     #: :class:`~repro.core.errors.ServingFaultError`, ``"retry"``
-    #: replays the dispatch (bounded, backed off) on the same tier,
-    #: ``"degrade"`` retries and then walks the worker-tier ladder
+    #: replays the failed step (bounded, backed off) where it failed,
+    #: ``"degrade"`` retries and then serves a forked run inline
     #: (forked -> inline).
     fault_policy: str = "fail"
-    #: Dispatch retries per tier before failing (or degrading).
+    #: Retries per failed step before failing (or degrading).
     max_retries: int = 2
     #: Per-chunk dispatch deadline in seconds; 0 disables the deadline
     #: (crash detection stays on).
@@ -166,20 +166,7 @@ class EngineConfig:
                 f"cache_max_age must be >= 0 (0 = no aging), "
                 f"got {self.cache_max_age}"
             )
-        if self.fault_policy not in FAULT_POLICIES:
-            raise ConfigError(
-                f"unknown fault_policy {self.fault_policy!r}; "
-                f"expected one of {', '.join(FAULT_POLICIES)}"
-            )
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.chunk_timeout_s < 0:
-            raise ConfigError(
-                f"chunk_timeout_s must be >= 0 (0 = no deadline), "
-                f"got {self.chunk_timeout_s}"
-            )
+        self.policy  # validates the fault posture
         if self.on_malformed not in ON_MALFORMED:
             raise ConfigError(
                 f"unknown on_malformed {self.on_malformed!r}; "
@@ -190,6 +177,15 @@ class EngineConfig:
                 f"unknown energy_model {self.energy_model!r}; "
                 f"expected one of {', '.join(ENERGY_MODELS)}"
             )
+
+    @property
+    def policy(self) -> SupervisionPolicy:
+        """The fault posture as the pipeline's supervision policy."""
+        return SupervisionPolicy(
+            fault_policy=self.fault_policy,
+            max_retries=self.max_retries,
+            chunk_timeout_s=self.chunk_timeout_s,
+        )
 
     # -- dict round-trip -------------------------------------------------
     def to_dict(self) -> dict:

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.errors import ConfigError, IngestError
+from ..core.errors import ConfigError
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
 from ..core.updates import ScheduledUpdate, sorted_schedule
@@ -58,7 +58,7 @@ from ..engine.pipeline import ClassificationPipeline
 from ..engine.protocol import Classifier
 from ..engine.registry import backend_spec, build_backend
 from ..engine.report import EngineReport
-from ..engine.supervision import FaultReport, SupervisionPolicy
+from ..engine.supervision import FaultReport
 from ..engine.updates import build_updatable_backend, require_updatable
 from .config import EngineConfig
 from .ingest import (
@@ -181,11 +181,7 @@ class Engine:
             shards=config.shards,
             shard_mode=config.shard_mode,
             min_chunk_packets=config.min_chunk_packets,
-            policy=SupervisionPolicy(
-                fault_policy=config.fault_policy,
-                max_retries=config.max_retries,
-                chunk_timeout_s=config.chunk_timeout_s,
-            ),
+            policy=config.policy,
         )
         #: Dead-letter buffer for malformed trace lines — live (and
         #: meant to be handed to ``iter_trace_file``) when the config
@@ -386,24 +382,20 @@ class Engine:
         return self._pipeline.run(empty, updates=tail)
 
     def _pull(self, source: Iterator, index: int, plan, stream_fault):
-        """The stream's next segment, or ``STREAM_END``.  Injected ingest
-        faults fire *before* the source is pulled, so a retry re-pulls
-        cleanly — the iterator never loses a segment to one."""
-        supervisor = self._pipeline.supervisor
-        attempt = 0
-        while True:
-            try:
-                if plan is not None:
-                    fire_ingest_specs(
-                        plan.ingest_faults(index, attempt), index
-                    )
-                return next(source, STREAM_END)
-            except IngestError:
-                if not supervisor.may_retry(attempt):
-                    raise
-                stream_fault.ingest_retries += 1
-                time.sleep(supervisor.backoff_s(attempt))
-                attempt += 1
+        """The stream's next segment, or ``STREAM_END``.  Only the
+        injected ingest faults are supervised: they fire *before* the
+        source is pulled, so the iterator never loses a segment to one.
+        The source's own exceptions propagate — a generator that raised
+        is finished, and re-pulling it would end the stream early."""
+        if plan is not None:
+            self._pipeline.supervisor.retry(
+                lambda attempt: fire_ingest_specs(
+                    plan.ingest_faults(index, attempt), index
+                ),
+                stream_fault, tier="ingest", chunk=index,
+                counter="ingest_retries",
+            )
+        return next(source, STREAM_END)
 
     def _stream(
         self, segments: Iterable, cursor: UpdateCursor, plan

@@ -41,8 +41,9 @@ Faults: a :class:`~repro.engine.faults.FaultPlan` splits into its
 engine sub-plan (routed into the pipeline run, unchanged semantics) and
 its stage sub-plan (specs with ``stage`` set, matched by stage *kind*).
 Stage ``crash``/``error`` specs raise at the stage boundary and are
-retried under the engine's supervision policy — with the default
-``times=1`` the retry recovers and output stays bit-identical;
+retried, backed off, under the engine's supervision policy (its
+:meth:`Supervisor.retry`, tier ``stage:<kind>``) — with the
+default ``times=1`` the retry recovers and output stays bit-identical;
 ``drop_storm`` drops every packet reaching the stage, accounted under
 the ``"drop_storm"`` drop reason.
 """
@@ -318,8 +319,8 @@ class StageGraph:
                     )
                     rep.packets_out += n_in
                     continue
-                attempt = 0
-                while True:
+
+                def step(attempt: int):
                     specs = (
                         stage_plan.stage_faults(stage.kind, seg_index, attempt)
                         if stage_plan is not None
@@ -358,21 +359,17 @@ class StageGraph:
                             tcam_monitor=bool(updates),
                             scratch=scratch,
                         )
-                        if result is not None:
-                            results.append(result)
-                        break
-                    except InjectedFault as exc:
-                        if not supervisor.may_retry(attempt):
-                            raise supervisor.wrap_failure(
-                                exc, tier=f"stage:{stage.kind}",
-                                chunk=seg_index,
-                            ) from exc
-                        rep.retries += 1
-                        stream_fault.retries += 1
-                        stream_fault.chunk_errors += 1
-                        attempt += 1
                     finally:
                         rep.busy_s += time.perf_counter() - t0
+                    rep.retries += attempt
+                    return result
+
+                result = supervisor.retry(
+                    step, stream_fault, tier=f"stage:{stage.kind}",
+                    chunk=seg_index,
+                )
+                if result is not None:
+                    results.append(result)
                 rep.packets_out += int(np.count_nonzero(alive))
             matches.append(seg_match)
             seg_index += 1
@@ -441,13 +438,8 @@ class StageGraph:
             fields_ = stage.params.get(
                 "fields", list(range(trace.schema.ndim))
             )
-            # Projection copy models the extraction datapath: one
+            # The extraction datapath is charged, not executed: one
             # modelled access per extracted field per live packet.
-            if n_in:
-                rows = headers if all_alive else headers[alive]
-                _ = np.ascontiguousarray(
-                    rows[:, np.asarray(fields_, dtype=np.intp)]
-                )
             rep.extra["fields"] = list(fields_)
             rep.energy_j += n_in * len(fields_) * SRAM_ACCESS_ENERGY_J
         elif stage.kind == "tcam_prefilter":

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.classbench import generate_trace, generate_update_stream
 from repro.core.errors import (
     ArenaCorruptionError,
+    ChunkTimeoutError,
     ConfigError,
     IngestError,
     InjectedFault,
@@ -39,10 +40,13 @@ from repro.core.errors import (
 from repro.engine import (
     ClassificationPipeline,
     FaultPlan,
+    FaultReport,
     FaultSpec,
     SupervisionPolicy,
+    Supervisor,
     build_backend,
     build_updatable_backend,
+    supervision,
 )
 from repro.serve import (
     Engine,
@@ -237,6 +241,20 @@ class TestThreadTierFaults:
         # In-process recovery replays single chunks, not the dispatch.
         assert 1 <= res.fault.replays < len(res.chunks)
 
+    def test_each_inline_retry_records_its_recovery(
+        self, acl_small, acl_small_trace
+    ):
+        with make_pipeline(
+            acl_small, policy=retry_policy(), shard_mode="threads"
+        ) as pipe:
+            res = pipe.run(
+                acl_small_trace,
+                faults=[FaultSpec(kind="error", chunk=2, times=2)],
+            )
+        assert res.fault.retries == 2
+        assert res.fault.replays == 2
+        assert len(res.fault.recovery_s) == 2
+
     def test_hang_respects_deadline(
         self, acl_small, acl_small_trace, acl_small_oracle
     ):
@@ -386,6 +404,9 @@ class TestUpdatesUnderFaults:
     def test_replay_reapplies_update_prefix(
         self, kind, acl_small, acl_small_trace, schedule
     ):
+        """A faulted chunk's replay sees the same update prefix, at the
+        same epochs: an update run is served in-process on one shard,
+        so a fault retries only the failed chunk."""
         want = self._run(
             acl_small, acl_small_trace, schedule, retry_policy(), None
         )
@@ -394,9 +415,12 @@ class TestUpdatesUnderFaults:
             [FaultSpec(kind=kind, chunk=1)],
         )
         assert np.array_equal(got.match, want.match)
-        assert got.final_epoch == want.final_epoch
-        assert got.update_batches == want.update_batches
+        assert got.n_shards == 1
         assert got.fault.retries == 1
+        assert got.fault.replays == 1
+        assert got.final_epoch == want.final_epoch
+        assert [c.epoch for c in got.chunks] == [c.epoch for c in want.chunks]
+        assert got.update_batches == want.update_batches
 
     def test_update_apply_fault_retried(
         self, acl_small, acl_small_trace, schedule
@@ -411,6 +435,21 @@ class TestUpdatesUnderFaults:
         assert np.array_equal(got.match, want.match)
         assert got.final_epoch == want.final_epoch
         assert got.fault.update_retries == 1
+
+    def test_update_apply_fault_is_counted_as_a_fault(
+        self, acl_small, acl_small_trace, schedule
+    ):
+        """A recovered update fault goes through ``record_failure`` like
+        any other: it counts in ``faults`` and times its recovery."""
+        got = self._run(
+            acl_small, acl_small_trace, schedule, retry_policy(),
+            [FaultSpec(kind="update", batch=0)],
+        )
+        assert got.fault.faults == 1
+        assert got.fault.chunk_errors == 1
+        assert got.fault.update_retries == 1
+        assert got.fault.retries == 0
+        assert len(got.fault.recovery_s) == 1
 
     def test_update_apply_fault_fail_policy(
         self, acl_small, acl_small_trace, schedule
@@ -483,11 +522,35 @@ class TestEngineFaults:
     ):
         config = EngineConfig(backend="linear", chunk_size=CHUNK)
         with Engine.open(config, acl_small) as engine:
-            with pytest.raises(IngestError):
+            with pytest.raises(ServingFaultError) as excinfo:
                 engine.classify_stream(
                     iter_trace_segments(acl_small_trace, 768),
                     faults=[FaultSpec(kind="ingest", segment=1)],
                 )
+        assert excinfo.value.tier == "ingest"
+        assert excinfo.value.chunk == 1
+        assert isinstance(excinfo.value.cause, IngestError)
+
+    def test_a_raising_source_is_not_retried_into_a_short_stream(
+        self, acl_small, acl_small_trace
+    ):
+        """A source generator that raises is finished: re-pulling it
+        under ``retry`` got ``StopIteration`` and returned half the
+        stream as a clean report.  Its error must reach the caller."""
+        def source():
+            for index, segment in enumerate(
+                iter_trace_segments(acl_small_trace, 500)
+            ):
+                if index == 2:
+                    raise IngestError("source failed", segment=index)
+                yield segment
+
+        config = EngineConfig(
+            backend="linear", chunk_size=CHUNK, fault_policy="retry"
+        )
+        with Engine.open(config, acl_small) as engine:
+            with pytest.raises(IngestError, match="source failed"):
+                engine.classify_stream(source())
 
     def test_config_policy_round_trips_to_pipeline(self, acl_small):
         config = EngineConfig(
@@ -671,6 +734,86 @@ class TestErrorAndPlanPlumbing:
         assert seq_a == seq_b  # seeded jitter
         assert all(s <= a.policy.backoff_max_s for s in seq_a)
         assert seq_a[1] > seq_a[0] * 0.9  # roughly exponential
+
+
+# ---------------------------------------------------------------------------
+# Supervisor.retry: the one recovery loop every site hands a step to
+# ---------------------------------------------------------------------------
+def failing_until(good_from: int, *causes):
+    """A ``step(attempt)`` raising ``causes[attempt]`` (the last one
+    again past the end) until ``good_from``, then returning "served"."""
+    calls = []
+
+    def step(attempt):
+        calls.append(attempt)
+        if attempt < good_from:
+            raise causes[min(attempt, len(causes) - 1)]
+        return "served"
+
+    return step, calls
+
+
+class TestSupervisorRetry:
+    def test_fail_raises_the_typed_error_on_the_first_failure(self):
+        sup = Supervisor(SupervisionPolicy(fault_policy="fail"))
+        report = FaultReport()
+        step, calls = failing_until(9, InjectedFault("boom", kind="error"))
+        with pytest.raises(ServingFaultError) as excinfo:
+            sup.retry(step, report, tier="inline", chunk=3, shard=1)
+        exc = excinfo.value
+        assert (exc.tier, exc.chunk, exc.shard) == ("inline", 3, 1)
+        assert isinstance(exc.cause, InjectedFault)
+        assert calls == [0]
+        assert report.chunk_errors == 1
+        assert (report.retries, report.replays, report.recovery_s) == (0, 0, [])
+
+    def test_each_retry_counts_replays_backs_off_and_times_recovery(
+        self, monkeypatch
+    ):
+        policy = SupervisionPolicy(fault_policy="retry", max_retries=3, seed=5)
+        sup, twin = Supervisor(policy), Supervisor(policy)
+        slept = []
+        monkeypatch.setattr(supervision.time, "sleep", slept.append)
+        report = FaultReport()
+        step, calls = failing_until(2, InjectedFault("boom", kind="error"))
+        served = sup.retry(
+            step, report, tier="update", counter="update_retries", replays=4
+        )
+        assert served == "served"
+        assert calls == [0, 1, 2]
+        assert report.update_retries == 2
+        assert report.retries == 0
+        assert report.replays == 8
+        assert report.chunk_errors == 2
+        assert len(report.recovery_s) == 2
+        assert slept == [twin.backoff_s(0), twin.backoff_s(1)]
+
+    def test_exhausted_retries_wrap_the_last_cause(self):
+        sup = Supervisor(retry_policy(max_retries=1))
+        report = FaultReport()
+        last = ChunkTimeoutError("late", chunk=5, shard=0, cause="timeout")
+        step, calls = failing_until(9, InjectedFault("boom"), last)
+        with pytest.raises(ServingFaultError) as excinfo:
+            sup.retry(step, report, tier="forked")
+        assert excinfo.value.cause is last
+        assert excinfo.value.__cause__ is last
+        assert (excinfo.value.tier, excinfo.value.chunk) == ("forked", 5)
+        assert calls == [0, 1]
+        assert (report.retries, report.chunk_errors, report.timeouts) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "exc", [ValueError("bug"), ConfigError("bad")],
+        ids=["ValueError", "ConfigError"],
+    )
+    def test_unrecoverable_errors_propagate_uncounted(self, exc):
+        sup = Supervisor(retry_policy())
+        report = FaultReport()
+        step, calls = failing_until(9, exc)
+        with pytest.raises(type(exc)) as excinfo:
+            sup.retry(step, report, tier="inline")
+        assert excinfo.value is exc
+        assert calls == [0]
+        assert not report.any() and not report.recovery_s
 
 
 # ---------------------------------------------------------------------------

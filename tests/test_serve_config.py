@@ -124,6 +124,9 @@ class TestValidation:
             ("cache_entries", -1, "cache_entries"),
             ("cache_max_age", -5, "cache_max_age"),
             ("energy_model", "solar", "energy_model"),
+            ("fault_policy", "panic", "fault_policy"),
+            ("max_retries", -1, "max_retries"),
+            ("chunk_timeout_s", -0.5, "chunk_timeout_s"),
         ],
     )
     def test_bad_field_named_in_error(self, field, value, message):

@@ -19,7 +19,7 @@ from repro.core.errors import ConfigError, IngestError, ServingFaultError
 from repro.core.rules import DIM_PROTO
 from repro.core.updates import ScheduledUpdate
 from repro.engine.faults import FaultPlan, FaultSpec
-from repro.serve import Engine, EngineConfig
+from repro.serve import Engine, EngineConfig, iter_trace_segments
 from repro.stages import (
     STAGE_KINDS,
     StageGraph,
@@ -512,15 +512,33 @@ class TestStageFaults:
         assert report.fault.faults >= 1
         assert report.n_packets == zipf_small.n_packets
 
+    def test_stage_retry_sleeps_the_backoff_and_times_recovery(
+        self, acl_small, zipf_small
+    ):
+        overlay = {"backend": "hypercuts", "fault_policy": "retry"}
+        spec = default_graph(overlay, cache_entries=0)
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="error", stage="rewrite", segment=0),)
+        )
+        with StageGraph(spec, acl_small) as graph:
+            report = graph.run(zipf_small, faults=plan, segment_packets=1000)
+            base_s = graph.engine.pipeline.policy.backoff_base_s
+        rewrite = next(s for s in report.stages if s.kind == "rewrite")
+        assert rewrite.retries == 1
+        assert report.fault.retries == 1
+        assert len(report.fault.recovery_s) == 1
+        assert report.fault.recovery_s[0] >= base_s > 0
+
 
 class TestIngestFaults:
     """The graph pulls its source the way ``Engine.stream`` does, so the
     two agree on ``ingest`` fault specs: both recover with the same
-    matches and ``ingest_retries``, or both raise ``IngestError``."""
+    matches and ``ingest_retries``, or both raise the same
+    ``ServingFaultError`` at tier ``ingest``."""
 
     def _both(self, acl_small, zipf_small, overlay, times):
         """(graph, session) outcomes for one plan: a report, or the
-        ``IngestError`` it raised."""
+        ``ServingFaultError`` it raised."""
         overlay = {"backend": "hypercuts", "max_retries": 2, **overlay}
         plan = None
         if times:
@@ -532,7 +550,7 @@ class TestIngestFaults:
         def outcome(serve):
             try:
                 return serve()
-            except IngestError as exc:
+            except ServingFaultError as exc:
                 return exc
 
         with StageGraph(
@@ -571,9 +589,32 @@ class TestIngestFaults:
         by_graph, by_session = self._both(
             acl_small, zipf_small, {"fault_policy": policy}, times
         )
-        assert isinstance(by_graph, IngestError)
-        assert isinstance(by_session, IngestError)
+        assert isinstance(by_graph, ServingFaultError)
+        assert isinstance(by_session, ServingFaultError)
+        assert (by_graph.tier, by_graph.chunk) == ("ingest", 1)
+        assert isinstance(by_graph.cause, IngestError)
         assert str(by_graph) == str(by_session)
+
+    def test_a_raising_source_is_not_retried_into_a_short_stream(
+        self, acl_small, zipf_small
+    ):
+        """The graph shares the session's pull: a source that raises
+        its own ``IngestError`` under ``retry`` fails the run instead
+        of being re-pulled into ``StopIteration`` and a short report."""
+        def source():
+            for index, segment in enumerate(
+                iter_trace_segments(zipf_small, 750)
+            ):
+                if index == 2:
+                    raise IngestError("source failed", segment=index)
+                yield segment
+
+        overlay = {"backend": "hypercuts", "fault_policy": "retry"}
+        with StageGraph(
+            default_graph(overlay, cache_entries=0), acl_small
+        ) as graph:
+            with pytest.raises(IngestError, match="source failed"):
+                graph.run(source())
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ class TestFaultContainment:
             assert hit.n_segments == 4
             assert np.array_equal(hit.report.match, want["t1"])
         else:
-            assert hit.fault.startswith("IngestError")
+            assert hit.fault.startswith("ServingFaultError")
             assert hit.n_segments == 1  # segment 0 served, then out
         for other in clean.tenants:
             if other.name == "t1":
