@@ -27,10 +27,12 @@ Subcommands mirror a hardware bring-up flow:
 * ``fsm`` — print a Figure-5 style cycle trace for a few packets.
 
 ``classify`` and ``bench`` are thin shells over the declarative serving
-API: the flag namespace maps onto :class:`~repro.serve.EngineConfig`
-via ``EngineConfig.from_args`` (and back via ``to_args`` — the config
-test suite pins the round trip), and all backend construction, cache
-wrapping and pool lifecycle belongs to :class:`~repro.serve.Engine`.
+API: their :class:`~repro.serve.EngineConfig` flags are generated from
+the config's field declarations (``EngineConfig.add_arguments``), the
+namespace maps back onto a config via ``EngineConfig.from_args`` (and
+forth via ``to_args`` — the config test suite pins the round trip), and
+all backend construction, cache wrapping and pool lifecycle belongs to
+:class:`~repro.serve.Engine`.
 
 ``--algorithm`` accepts every name in :mod:`repro.engine.registry`
 (``repro-classify classify --algorithm rfc ...``); ``build`` errors
@@ -41,9 +43,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 
 from .algorithms import OpCounter, build_hicuts, build_hypercuts, native
 from .classbench import (
+    FAMILIES,
     generate_ruleset,
     generate_trace,
     generate_update_stream,
@@ -52,16 +56,13 @@ from .classbench import (
 from .core.errors import ConfigError, ReproError
 from .core.packet import PacketTrace
 from .core.ruleset import RuleSet
+from .core.spec import Spec, field, read_json
 from .energy import CacheEnergyModel, UpdateCostModel, asic_model, fpga_model, ops_delta
 from .engine import CachedClassifier, available_backends, backend_spec
-from .engine.pipeline import SHARD_MODES
 from .engine.registry import registered_aliases
 from .hw import build_memory_image, figure5_trace
 from .serve import (
     DEFAULT_SEGMENT_PACKETS,
-    ENERGY_MODELS,
-    FAULT_POLICIES,
-    ON_MALFORMED,
     Engine,
     EngineConfig,
     FaultPlan,
@@ -82,6 +83,19 @@ from .sweeps import (
 _ALGORITHM_CHOICES = sorted(set(available_backends()) | set(registered_aliases()))
 _TREE_ALGORITHMS = ("hicuts", "hypercuts")
 
+#: The EngineConfig fields each subcommand exposes as flags
+#: (``EngineConfig.add_arguments`` generates them).
+_BUILD_FIELDS = ("backend", "binth", "spfac", "speed", "software")
+_PIPELINE_FIELDS = (
+    "shards", "chunk_size", "shard_mode", "min_chunk_packets", "persistent",
+    "updatable",
+)
+_CACHE_FIELDS = ("cache_entries", "cache_ways", "cache_max_age")
+_SERVING_FIELDS = (
+    "energy_model", "fault_policy", "max_retries", "chunk_timeout_s",
+    "on_malformed",
+)
+
 
 def _load_or_generate(args) -> RuleSet:
     if getattr(args, "ruleset_file", None):
@@ -101,15 +115,16 @@ def _load_or_generate_trace(args, ruleset: RuleSet) -> PacketTrace:
     return generate_trace(ruleset, args.packets, seed=args.seed + 1)
 
 
-def _build_tree(ruleset: RuleSet, args):
-    build = build_hypercuts if args.algorithm == "hypercuts" else build_hicuts
+def _build_tree(ruleset: RuleSet, config: EngineConfig):
+    build = build_hypercuts if config.backend == "hypercuts" else build_hicuts
     return build(
-        ruleset, binth=args.binth, spfac=args.spfac, hw_mode=not args.software
+        ruleset, binth=config.binth, spfac=config.spfac,
+        hw_mode=not config.software,
     )
 
 
-def _open_engine(ruleset: RuleSet, args) -> Engine:
-    """Open the serving session the CLI namespace describes.
+def _open_engine(ruleset: RuleSet, config: EngineConfig) -> Engine:
+    """Open the serving session the CLI's ``config`` describes.
 
     The whole knob-to-backend policy (tree names route to the
     accelerator unless ``--software``, ``--updates``/``--updatable``
@@ -118,7 +133,6 @@ def _open_engine(ruleset: RuleSet, args) -> Engine:
     :meth:`repro.serve.Engine.build_classifier`; the CLI only maps
     flags to an :class:`~repro.serve.EngineConfig`.
     """
-    config = EngineConfig.from_args(args)
     if config.updatable:
         build_ops = OpCounter()
         engine = Engine.open(config, ruleset, ops=build_ops)
@@ -162,7 +176,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    spec = backend_spec(args.algorithm)
+    config = EngineConfig.from_args(args)
+    spec = backend_spec(config.backend)
     if not spec.builds_tree:
         print(
             f"error: backend {spec.name!r} does not build a decision tree; "
@@ -172,17 +187,18 @@ def cmd_build(args) -> int:
         )
         return 2
     rs = _load_or_generate(args)
-    tree = _build_tree(rs, args)
+    tree = _build_tree(rs, config)
     st = tree.stats()
     print(f"ruleset: {rs.name} ({len(rs)} rules)")
-    print(f"algorithm: {args.algorithm} ({'sw' if args.software else 'hw'} mode)")
+    print(f"algorithm: {config.backend} "
+          f"({'sw' if config.software else 'hw'} mode)")
     print(f"nodes: {st.n_nodes} ({st.n_internal} internal, {st.n_leaves} leaves)")
     print(f"depth: {st.max_depth}, max leaf: {st.max_leaf_rules} rules")
-    if not args.software:
-        image = build_memory_image(tree, speed=args.speed)
+    if not config.software:
+        image = build_memory_image(tree, speed=config.speed)
         print(
             f"memory image: {image.words_used} words = {image.bytes_used:,} "
-            f"bytes (speed={args.speed})"
+            f"bytes (speed={config.speed})"
         )
         print(f"worst-case cycles: {image.worst_case_cycles()}")
     else:
@@ -193,7 +209,7 @@ def cmd_build(args) -> int:
 def cmd_classify(args) -> int:
     rs = _load_or_generate(args)
     trace = _load_or_generate_trace(args, rs)
-    with _open_engine(rs, args) as engine:
+    with _open_engine(rs, EngineConfig.from_args(args)) as engine:
         clf = engine.classifier
         if hasattr(clf, "run_trace"):  # the accelerator: full cost model
             run = clf.run_trace(trace)
@@ -211,7 +227,7 @@ def cmd_classify(args) -> int:
         report = engine.classify(trace)
         print(f"classified {report.n_packets} packets, "
               f"{report.matched} matched")
-        print(f"backend: {backend_spec(args.algorithm).name}")
+        print(f"backend: {engine.config.backend}")
         print(f"memory model: {clf.memory_bytes():,} bytes")
         print(f"worst-case accesses/lookup: "
               f"{clf.memory_accesses_per_lookup()}")
@@ -354,18 +370,20 @@ def _print_fault_report(fault) -> None:
 
 
 def cmd_bench(args) -> int:
+    config = EngineConfig.from_args(args)
+    fault_plan = FaultPlan.coerce(args.faults)
     rs = _load_or_generate(args)
     trace = _load_or_generate_trace(args, rs)
-    fault_plan = FaultPlan.coerce(args.faults)
-    if args.stream and args.shards > 1 and args.stream <= args.chunk_size:
+    shards, chunk_size = config.shards, config.chunk_size
+    if args.stream and shards > 1 and args.stream <= chunk_size:
         print(
             f"warning: --stream {args.stream} <= --chunk-size "
-            f"{args.chunk_size} gives single-chunk segments, which serve "
+            f"{chunk_size} gives single-chunk segments, which serve "
             "single-process; use segments of at least "
-            f"{2 * args.chunk_size} packets to engage the shards",
+            f"{2 * chunk_size} packets to engage the shards",
             file=sys.stderr,
         )
-    if args.updates and args.shards > 1 and args.shard_mode != "threads":
+    if args.updates and shards > 1 and config.shard_mode != "threads":
         print("note: a run (or streamed segment) that carries updates is "
               "served in-process on one shard; only update-free ones fork",
               file=sys.stderr)
@@ -376,7 +394,7 @@ def cmd_bench(args) -> int:
             insert_fraction=_parse_update_mix(args.update_mix),
             batch_size=args.update_batch, seed=args.seed + 2,
         )
-    with _open_engine(rs, args) as engine:
+    with _open_engine(rs, config) as engine:
         clf = engine.classifier
         # The update stream rides along the first run; repeats then
         # serve the updated ruleset (steady state after the churn).
@@ -401,7 +419,7 @@ def cmd_bench(args) -> int:
         pool_mode = "held" if engine.pool_engaged else "none"
         profile_stages = None
         if args.profile:
-            profile_stages = _profile_hot_path(clf, trace, args.chunk_size)
+            profile_stages = _profile_hot_path(clf, trace, chunk_size)
             if profile_stages is None:
                 print(
                     "warning: --profile needs a flow-cached engine "
@@ -446,79 +464,64 @@ def cmd_bench(args) -> int:
     return 0
 
 
-#: Keys a tenants-file entry may carry: identity/weight, an EngineConfig
-#: overlay, and the synthetic workload knobs (mirrors the generate/bench
-#: flag namespace so a tenants file reads like N bench invocations).
-_TENANT_FILE_KEYS = {
-    "name", "weight", "config",
-    "family", "rules", "seed", "packets", "zipf", "flows",
-}
+@dataclass(frozen=True)
+class TenantEntry(Spec):
+    """One object of a ``serve --tenants`` file: the tenant's name and
+    weight, an overlay of the base engine config, and its synthetic
+    workload (named like the generate/bench flags, so a tenants file
+    reads like N bench invocations).  ``name`` defaults to
+    ``tenant<i>`` and ``seed`` to a per-index offset, so tenants get
+    distinct rulesets and traces."""
+
+    name: str | None = None
+    weight: float = 1.0
+    config: dict = field(default_factory=dict)
+    family: str = field("acl1", choices=tuple(sorted(FAMILIES)))
+    rules: int = 500
+    seed: int | None = None
+    packets: int = 10000
+    zipf: float | None = None
+    flows: int = 1024
 
 
 def _load_tenants_file(path: str, base: EngineConfig):
-    """Parse a tenants JSON into ``(spec, ruleset)`` pairs + workloads.
-
-    The file is a JSON list of tenant objects.  Each entry may set
-    ``name`` / ``weight``, overlay fields of the base engine config via
-    ``config`` (validated through ``EngineConfig.from_dict``), and shape
-    its synthetic workload with ``family`` / ``rules`` / ``seed`` /
-    ``packets`` and optionally ``zipf`` / ``flows``.  Seeds default to a
-    per-index offset so tenants get distinct rulesets and traces.
-    """
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
+    """Parse a tenants JSON (a list of :class:`TenantEntry` objects)
+    into ``(spec, ruleset)`` pairs + workloads."""
+    entries = read_json(path, "tenants file")
     if not isinstance(entries, list) or not entries:
         raise ConfigError(
             f"{path}: expected a non-empty JSON list of tenant objects"
         )
     tenants: list[tuple[TenantSpec, RuleSet]] = []
     workloads: dict[str, PacketTrace] = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: tenant #{i} is not a JSON object")
-        unknown = set(entry) - _TENANT_FILE_KEYS
-        if unknown:
-            raise ConfigError(
-                f"{path}: tenant #{i} has unknown keys "
-                f"{sorted(unknown)}; known: {sorted(_TENANT_FILE_KEYS)}"
+    for i, raw in enumerate(entries):
+        try:
+            entry = TenantEntry.from_dict(raw, what="keys")
+            spec = TenantSpec(
+                name=f"tenant{i}" if entry.name is None else entry.name,
+                config=EngineConfig.from_dict(
+                    {**base.to_dict(), **entry.config}
+                ),
+                weight=entry.weight,
             )
-        config = base
-        overlay = entry.get("config") or {}
-        if overlay:
-            config = EngineConfig.from_dict({**base.to_dict(), **overlay})
-        spec = TenantSpec(
-            name=str(entry.get("name", f"tenant{i}")),
-            config=config,
-            weight=float(entry.get("weight", 1.0)),
-        )
-        seed = int(entry.get("seed", 7 + 13 * i))
-        ruleset = generate_ruleset(
-            entry.get("family", "acl1"), int(entry.get("rules", 500)),
-            seed=seed,
-        )
-        packets = int(entry.get("packets", 10000))
-        zipf = entry.get("zipf")
-        if zipf is not None:
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: tenant #{i}: {exc}") from None
+        seed = 7 + 13 * i if entry.seed is None else entry.seed
+        ruleset = generate_ruleset(entry.family, entry.rules, seed=seed)
+        if entry.zipf is not None:
             trace = generate_zipf_trace(
-                ruleset, packets, n_flows=int(entry.get("flows", 1024)),
-                skew=float(zipf), seed=seed + 1,
+                ruleset, entry.packets, n_flows=entry.flows,
+                skew=entry.zipf, seed=seed + 1,
             )
         else:
-            trace = generate_trace(ruleset, packets, seed=seed + 1)
+            trace = generate_trace(ruleset, entry.packets, seed=seed + 1)
         tenants.append((spec, ruleset))
         workloads[spec.name] = trace
     return tenants, workloads
 
 
 def cmd_serve(args) -> int:
-    base = EngineConfig()
-    if args.config:
-        import json
-
-        with open(args.config, encoding="utf-8") as fh:
-            base = EngineConfig.from_dict(json.load(fh))
+    base = EngineConfig.load(args.config) if args.config else EngineConfig()
     tenants, workloads = _load_tenants_file(args.tenants, base)
     with MultiTenantEngine.open(tenants) as engine:
         report = engine.serve(
@@ -660,13 +663,24 @@ def cmd_tables(args) -> int:
 
 
 def cmd_fsm(args) -> int:
+    config = EngineConfig.from_args(args)
     rs = _load_or_generate(args)
-    tree = _build_tree(rs, args)
-    image = build_memory_image(tree, speed=args.speed)
+    tree = _build_tree(rs, config)
+    image = build_memory_image(tree, speed=config.speed)
     trace = generate_trace(rs, args.packets, seed=args.seed + 1)
     for e in figure5_trace(image, trace):
         print(f"cycle {e.cycle:>5d}  {e.state:<10s} {e.detail}")
     return 0
+
+
+class _UpdatesAction(argparse.Action):
+    """``--updates N``: a non-zero count also sets ``updatable`` (the
+    update stream needs the update-serving surface)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if values:
+            namespace.updatable = True
 
 
 def _add_workload_args(
@@ -678,54 +692,20 @@ def _add_workload_args(
     p.add_argument("--rules", type=int, default=1000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--ruleset-file", default=None, help="load instead of generating")
-    p.add_argument("--algorithm", default="hypercuts",
-                   choices=algorithms or _ALGORITHM_CHOICES)
-    p.add_argument("--binth", type=int, default=30)
-    p.add_argument("--spfac", type=float, default=4)
-    p.add_argument("--speed", type=int, default=1, choices=[0, 1])
-    p.add_argument("--software", action="store_true",
-                   help="original software algorithm instead of hw mode")
+    EngineConfig.add_arguments(
+        p, _BUILD_FIELDS,
+        backend={"choices": algorithms or _ALGORITHM_CHOICES},
+    )
     p.add_argument("--packets", type=int, default=packets)
 
 
 def _add_cache_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache-entries", type=int, default=0,
-                   help="flow-cache entries in front of the backend "
-                        "(0 = no cache)")
-    p.add_argument("--cache-ways", type=int, default=4,
-                   help="flow-cache set associativity")
-    p.add_argument("--cache-max-age", type=int, default=0, metavar="N",
-                   help="flow-cache TTL: entries expire N lookups after "
-                        "the fill (0 = no aging)")
+    EngineConfig.add_arguments(p, _CACHE_FIELDS)
     p.add_argument("--zipf", type=float, default=None, metavar="SKEW",
                    help="generate a Zipf(SKEW) flow-popularity trace "
                         "instead of the Pareto-burst one")
     p.add_argument("--flows", type=int, default=1024,
                    help="distinct flows in the Zipf trace (with --zipf)")
-
-
-def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    """Flags shared by every EngineConfig-backed subcommand."""
-    p.add_argument("--energy-model", default="asic", choices=ENERGY_MODELS,
-                   help="device model the engine report evaluates "
-                        "occupancy against")
-    p.add_argument("--fault-policy", default=None,
-                   choices=list(FAULT_POLICIES),
-                   help="serving-fault posture: fail raises a typed "
-                        "ServingFaultError, retry replays the failed step "
-                        "with backoff, degrade retries then serves a "
-                        "forked run inline (forked -> inline)")
-    p.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="retries per failed step before failing or "
-                        "degrading (default 2)")
-    p.add_argument("--chunk-timeout", type=float, default=None, metavar="S",
-                   help="per-chunk dispatch deadline in seconds "
-                        "(0 = no deadline; crash detection stays on)")
-    p.add_argument("--on-malformed", default=None,
-                   choices=list(ON_MALFORMED),
-                   help="malformed trace-line policy for file ingestion: "
-                        "raise aborts, quarantine dead-letters bad lines "
-                        "(bounded, counted) and serves the rest")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,34 +731,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(c, packets=100000)
     c.add_argument("--trace-file", default=None)
     _add_cache_args(c)
-    _add_engine_args(c)
+    EngineConfig.add_arguments(c, _SERVING_FIELDS)
     c.set_defaults(fn=cmd_classify)
 
     n = sub.add_parser("bench", help="serve a trace through an Engine "
                                      "session (sharded pipeline)")
     _add_workload_args(n, packets=100000)
     n.add_argument("--trace-file", default=None)
-    n.add_argument("--shards", type=int, default=1,
-                   help="worker shards (fork-based; 1 = single process)")
-    n.add_argument("--chunk-size", type=int, default=4096,
-                   help="packets per streamed chunk")
-    n.add_argument("--shard-mode", default=None, choices=list(SHARD_MODES),
-                   help="worker tier: auto forks only when the clamped "
-                        "worker count can win, processes forks every "
-                        "update-free run, threads serves in-process "
-                        "shards on the caller (default: auto)")
-    n.add_argument("--min-chunk-packets", type=int, default=None,
-                   metavar="N",
-                   help="coalesce dispatches on update-free runs to at "
-                        "least N packets each (0 disables; default 65536)")
+    EngineConfig.add_arguments(n, _PIPELINE_FIELDS)
     n.add_argument("--profile", action="store_true",
                    help="run one extra single-process pass with per-stage "
                         "timing (dispatch/probe/traverse/scatter+fill) and "
                         "merge the breakdown into BENCH_engine.json "
                         "(needs --cache-entries)")
-    n.add_argument("--persistent", action="store_true",
-                   help="deprecated no-op: forked shard workers are "
-                        "always held across runs")
     n.add_argument("--repeats", type=int, default=1,
                    help="run the trace N times (shows the held "
                         "workers' fork-amortisation win)")
@@ -788,12 +753,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "classified one at a time on the calling "
                         "thread; 0 = one-shot)")
     n.add_argument("--updates", type=int, default=0, metavar="N",
+                   action=_UpdatesAction,
                    help="interleave N live rule updates with the first "
                         "run (tree algorithms serve them through the "
                         "incremental backend)")
-    n.add_argument("--updatable", action="store_true",
-                   help="build through the update-serving surface even "
-                        "without --updates (implied by --updates)")
     n.add_argument("--update-mix", default="50:50", metavar="INS:REM",
                    help="insert:remove weighting of the update stream")
     n.add_argument("--update-batch", type=int, default=8, metavar="OPS",
@@ -803,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "by FaultPlan.save) into the first run; pair with "
                         "--fault-policy retry|degrade to exercise recovery")
     _add_cache_args(n)
-    _add_engine_args(n)
+    EngineConfig.add_arguments(n, _SERVING_FIELDS)
     n.set_defaults(fn=cmd_bench)
 
     v = sub.add_parser(

@@ -57,10 +57,9 @@ ingest/update sites, and vice versa.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from ..core.errors import (
     ChunkTimeoutError,
@@ -68,6 +67,7 @@ from ..core.errors import (
     IngestError,
     InjectedFault,
 )
+from ..core.spec import Spec, check_value, field
 
 #: The fault kinds a :class:`FaultSpec` accepts.
 FAULT_KINDS = (
@@ -87,7 +87,7 @@ CRASH_EXIT_CODE = 70
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Spec):
     """One deterministic fault.
 
     ``chunk``/``segment``/``batch`` select the target ordinal for the
@@ -102,28 +102,18 @@ class FaultSpec:
     attempt only", so a supervised retry recovers.
     """
 
-    kind: str
+    kind: str = field(choices=FAULT_KINDS)
     chunk: int | None = None
     shard: int | None = None
     segment: int | None = None
     batch: int | None = None
     stage: str | None = None
-    times: int = 1
-    seconds: float = 5.0
+    times: int = field(1, min=1)
+    seconds: float = field(5.0, min=0)
     message: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigError(
-                f"unknown fault kind {self.kind!r}; "
-                f"expected one of {', '.join(FAULT_KINDS)}"
-            )
-        if self.times < 1:
-            raise ConfigError(f"fault times must be >= 1, got {self.times}")
-        if self.seconds < 0:
-            raise ConfigError(
-                f"fault seconds must be >= 0, got {self.seconds}"
-            )
+        super().__post_init__()
         if self.kind == "drop_storm" and self.stage is None:
             raise ConfigError(
                 "drop_storm faults target a line-card stage; set stage="
@@ -134,16 +124,9 @@ class FaultSpec:
                 f"{', '.join(STAGE_KINDS_ALLOWED)}, got {self.kind!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if getattr(self, f.name) != f.default
-        } | {"kind": self.kind}
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Spec):
     """A deterministic set of :class:`FaultSpec` to inject into a run.
 
     Serialises to/from plain JSON (``to_dict``/``from_dict``/``save``/
@@ -153,16 +136,6 @@ class FaultPlan:
 
     specs: tuple[FaultSpec, ...] = ()
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "specs",
-            tuple(
-                s if isinstance(s, FaultSpec) else FaultSpec(**s)
-                for s in self.specs
-            ),
-        )
 
     def __bool__(self) -> bool:
         return bool(self.specs)
@@ -251,65 +224,16 @@ class FaultPlan:
             return None
         return FaultPlan(specs=specs, seed=self.seed)
 
-    # -- serialisation -------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "specs": [s.to_dict() for s in self.specs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"FaultPlan.from_dict expects a dict, "
-                f"got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"seed", "specs"})
-        if unknown:
-            raise ConfigError(
-                f"unknown FaultPlan field(s): {', '.join(unknown)}"
-            )
-        specs = []
-        for raw in data.get("specs", ()):
-            known = {f.name for f in fields(FaultSpec)}
-            bad = sorted(set(raw) - known)
-            if bad:
-                raise ConfigError(
-                    f"unknown FaultSpec field(s): {', '.join(bad)}"
-                )
-            specs.append(FaultSpec(**raw))
-        return cls(specs=tuple(specs), seed=int(data.get("seed", 0)))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
+    # ------------------------------------------------------------------
     @classmethod
     def coerce(cls, obj) -> "FaultPlan | None":
         """Normalise a run's ``faults=`` argument: a plan, a dict, a
         list of specs, a path (``str`` or ``os.PathLike``), or None."""
-        if obj is None or isinstance(obj, cls):
-            return obj or None
         if isinstance(obj, (str, os.PathLike)):
-            return cls.load(os.fspath(obj))
-        if isinstance(obj, dict):
-            return cls.from_dict(obj)
-        if isinstance(obj, (list, tuple)):
-            return cls(specs=tuple(obj)) or None
-        raise ConfigError(
-            f"cannot build a FaultPlan from {type(obj).__name__}"
-        )
+            obj = cls.load(os.fspath(obj))
+        elif isinstance(obj, (list, tuple)):
+            obj = cls(specs=obj)
+        return check_value("faults", obj, cls | None) or None
 
 
 # ----------------------------------------------------------------------

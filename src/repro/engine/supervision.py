@@ -46,12 +46,13 @@ from dataclasses import dataclass, field
 from ..core.errors import (
     ArenaCorruptionError,
     ChunkTimeoutError,
-    ConfigError,
     IngestError,
     InjectedFault,
     ServingFaultError,
     WorkerCrashError,
 )
+from ..core.spec import Spec
+from ..core.spec import field as spec_field
 
 #: Policies ``fault_policy`` accepts: ``fail`` raises a typed
 #: :class:`ServingFaultError` on the first fault, ``retry`` replays the
@@ -71,7 +72,7 @@ RECOVERABLE = (
 
 
 @dataclass(frozen=True)
-class SupervisionPolicy:
+class SupervisionPolicy(Spec):
     """Validated fault-handling policy for one pipeline.
 
     ``chunk_timeout_s = 0`` disables the deadline (crash detection via
@@ -80,30 +81,12 @@ class SupervisionPolicy:
     ``backoff_max_s``.
     """
 
-    fault_policy: str = "fail"
-    max_retries: int = 2
-    chunk_timeout_s: float = 0.0
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 1.0
+    fault_policy: str = spec_field("fail", choices=FAULT_POLICIES)
+    max_retries: int = spec_field(2, min=0)
+    chunk_timeout_s: float = spec_field(0.0, min=0)
+    backoff_base_s: float = spec_field(0.05, min=0)
+    backoff_max_s: float = spec_field(1.0, min=0)
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.fault_policy not in FAULT_POLICIES:
-            raise ConfigError(
-                f"unknown fault_policy {self.fault_policy!r}; "
-                f"expected one of {', '.join(FAULT_POLICIES)}"
-            )
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.chunk_timeout_s < 0:
-            raise ConfigError(
-                f"chunk_timeout_s must be >= 0 (0 = no deadline), "
-                f"got {self.chunk_timeout_s}"
-            )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigError("backoff seconds must be >= 0")
 
 
 @dataclass

@@ -48,9 +48,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.errors import ConfigError
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
+from ..core.spec import check_value
 from ..core.updates import ScheduledUpdate, sorted_schedule
 from ..engine.faults import FaultPlan, fire_ingest_specs
 from ..engine.flowcache import CachedClassifier
@@ -161,13 +161,7 @@ class Engine:
         classifier: Classifier | None = None,
         **backend_params,
     ) -> None:
-        if isinstance(config, dict):
-            config = EngineConfig.from_dict(config)
-        if not isinstance(config, EngineConfig):
-            raise ConfigError(
-                f"Engine expects an EngineConfig (or dict), "
-                f"got {type(config).__name__}"
-            )
+        config = check_value("config", config, EngineConfig)
         self.config = config
         self.ruleset = ruleset
         self.classifier = (
@@ -219,8 +213,7 @@ class Engine:
         * ``cache_entries > 0`` wraps the result in a
           :class:`~repro.engine.flowcache.CachedClassifier`.
         """
-        if isinstance(config, dict):
-            config = EngineConfig.from_dict(config)
+        config = check_value("config", config, EngineConfig)
         spec = backend_spec(config.backend)
         shared = dict(
             binth=config.binth, spfac=config.spfac, speed=config.speed,

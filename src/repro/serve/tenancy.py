@@ -61,6 +61,8 @@ from typing import Iterable, Iterator, Mapping
 from ..core.errors import ConfigError
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
+from ..core.spec import Spec, check_value
+from ..core.spec import field as spec_field
 from ..engine.pipeline import ClassificationPipeline
 from ..engine.report import EngineReport, latency_percentiles
 from .config import EngineConfig
@@ -69,7 +71,7 @@ from .session import ChunkResult, Engine
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Spec):
     """One tenant's identity, serving shape, and admission weight.
 
     ``config`` is the tenant's own :class:`EngineConfig` — backends,
@@ -78,56 +80,9 @@ class TenantSpec:
     the packets of a weight-1.0 tenant over any scheduling window).
     """
 
-    name: str
-    config: EngineConfig = field(default_factory=EngineConfig)
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ConfigError(
-                f"tenant name must be a non-empty string, got {self.name!r}"
-            )
-        if isinstance(self.config, dict):
-            object.__setattr__(
-                self, "config", EngineConfig.from_dict(self.config)
-            )
-        if not isinstance(self.config, EngineConfig):
-            raise ConfigError(
-                f"tenant {self.name!r} config must be an EngineConfig "
-                f"(or dict), got {type(self.config).__name__}"
-            )
-        if not self.weight > 0:
-            raise ConfigError(
-                f"tenant {self.name!r} weight must be > 0, "
-                f"got {self.weight}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "config": self.config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"TenantSpec.from_dict expects a dict, "
-                f"got {type(data).__name__}"
-            )
-        known = {"name", "weight", "config"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown TenantSpec field(s): {', '.join(unknown)}; "
-                f"known fields: {', '.join(sorted(known))}"
-            )
-        return cls(
-            name=data.get("name", ""),
-            config=EngineConfig.from_dict(data.get("config", {})),
-            weight=float(data.get("weight", 1.0)),
-        )
+    name: str = spec_field(nonempty=True)
+    config: EngineConfig = spec_field(default_factory=EngineConfig)
+    weight: float = spec_field(1.0, gt=0)
 
 
 @dataclass
@@ -280,8 +235,7 @@ class MultiTenantEngine:
         for spec, ruleset in tenants:
             if isinstance(spec, str):
                 spec = TenantSpec(spec)
-            elif isinstance(spec, dict):
-                spec = TenantSpec.from_dict(spec)
+            spec = check_value("tenant", spec, TenantSpec)
             if spec.name in self._tenants:
                 raise ConfigError(f"duplicate tenant name {spec.name!r}")
             self._tenants[spec.name] = (

@@ -60,6 +60,7 @@ from ..baselines.tcam_classifier import TcamClassifier
 from ..core.errors import CapacityError, InjectedFault
 from ..core.packet import PacketTrace
 from ..core.rules import DIM_DST_PORT, DIM_PROTO, FIVE_TUPLE
+from ..core.spec import check_value
 from ..core.updates import ScheduledUpdate
 from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
 from ..energy.tcam import TCAM_ENTRY_BYTES
@@ -168,9 +169,7 @@ class StageGraph:
     ) -> None:
         if isinstance(spec, (str, Path)):
             spec = StageGraphSpec.load(str(spec))
-        elif isinstance(spec, dict):
-            spec = StageGraphSpec.from_dict(spec)
-        self.spec = spec
+        self.spec = spec = check_value("spec", spec, StageGraphSpec)
         self.ruleset = ruleset
         self.config = spec.engine_config()
         self.engine = Engine(

@@ -9,12 +9,10 @@ table -> rewrite -> queue select) all share the shape.  A
 tuple of typed :class:`StageSpec` entries, each a ``kind`` from
 :data:`STAGE_KINDS` plus validated per-kind parameters.
 
-Like :class:`~repro.serve.EngineConfig` and
-:class:`~repro.sweeps.SweepSpec`, a spec round-trips losslessly through
-plain JSON (``to_dict``/``from_dict``, ``save``/``load``) and rejects
-unknown keys, unknown kinds, out-of-order stages and invalid parameter
-values loudly at construction with a :class:`~repro.core.errors.
-ConfigError` naming the offending field.
+The field checks and the JSON round-trip come from the
+:class:`repro.core.spec.Spec` codec; this module adds the per-kind
+parameter schema and the graph-wide rules (stage order, uniqueness,
+cache ownership).
 
 Stage kinds (canonical pipeline order)
 --------------------------------------
@@ -54,12 +52,12 @@ Stage kinds (canonical pipeline order)
 from __future__ import annotations
 
 import copy
-import dataclasses
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.errors import ConfigError
+from ..core.spec import Spec, check_value, field
 from ..serve import EngineConfig
+from ..serve.ingest import ON_MALFORMED
 
 #: Every stage kind, in canonical pipeline order.  A spec's stages must
 #: be a subsequence of this order (the pipeline is linear; the only
@@ -75,78 +73,62 @@ STAGE_KINDS = (
     "queue_select",
 )
 
-#: Allowed parameter keys (and validators) per stage kind.
-_INT = ("int", int)
-_PARAM_SCHEMA: dict[str, dict] = {
-    "parse": {"on_malformed": ("str", str)},
-    "drop": {"deny_proto": ("int_list", None), "deny_dst_ports": ("range_list", None)},
-    "extract": {"fields": ("int_list", None)},
-    "tcam_prefilter": {"max_slots": _INT},
-    "flow_cache": {"entries": _INT, "ways": _INT, "max_age": _INT},
-    "classify": {"engine": ("dict", dict)},
-    "rewrite": {"bytes": _INT},
-    "queue_select": {"queues": _INT, "policy": ("str", str)},
-}
-
 #: Queue-assignment policies ``queue_select`` accepts: ``"hash"``
 #: spreads by a deterministic 5-tuple flow hash, ``"match"`` by the
 #: matched rule id (unmatched packets land on queue 0).
 QUEUE_POLICIES = ("hash", "match")
 
+#: Allowed parameter keys per stage kind: each key's type and codec
+#: metadata (``"range_list"`` is a list of ``[lo, hi]`` pairs).
+_INT_LIST = tuple[int, ...]
+_COUNT = (int, {"min": 0})
+_PARAM_SCHEMA: dict[str, dict] = {
+    "parse": {"on_malformed": (str, {"choices": ON_MALFORMED})},
+    "drop": {"deny_proto": (_INT_LIST, {}), "deny_dst_ports": ("range_list", {})},
+    "extract": {"fields": (_INT_LIST, {})},
+    "tcam_prefilter": {"max_slots": _COUNT},
+    "flow_cache": {
+        "entries": _COUNT, "ways": (int, {"min": 1}), "max_age": _COUNT,
+    },
+    "classify": {"engine": (dict, {})},
+    "rewrite": {"bytes": _COUNT},
+    "queue_select": {
+        "queues": (int, {"min": 1}),
+        "policy": (str, {"choices": QUEUE_POLICIES}),
+    },
+}
+
 
 def _check_param(kind: str, key: str, value):
     """Validate one stage parameter value; returns the coerced value."""
-    tag, typ = _PARAM_SCHEMA[kind][key]
-    label = f"{kind} stage parameter {key!r}"
-    if tag == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{label} must be an int, got {value!r}")
-        if value < 0:
-            raise ConfigError(f"{label} must be >= 0, got {value}")
-        return value
-    if tag == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{label} must be a string, got {value!r}")
-        return value
-    if tag == "dict":
-        if not isinstance(value, dict):
-            raise ConfigError(f"{label} must be a dict, got {value!r}")
-        return copy.deepcopy(value)
-    if tag == "int_list":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{label} must be a list of ints, got {value!r}")
+    tp, meta = _PARAM_SCHEMA[kind][key]
+    label = f"{kind} stage parameter {key}"
+    if tp == "range_list":
         out = []
-        for v in value:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        for pair in check_value(label, value, tuple[_INT_LIST, ...]):
+            if len(pair) != 2:
                 raise ConfigError(
-                    f"{label} must contain non-negative ints, got {v!r}"
+                    f"{label} must contain [lo, hi] int pairs, got {pair!r}"
                 )
-            out.append(v)
+            lo, hi = pair
+            if lo < 0 or hi < lo:
+                raise ConfigError(
+                    f"{label} pair [{lo}, {hi}] is not a valid range"
+                )
+            out.append([lo, hi])
         return out
-    # range_list: [[lo, hi], ...]
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{label} must be a list of [lo, hi] pairs")
-    out = []
-    for pair in value:
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
-        ):
+    value = check_value(label, value, tp, **meta)
+    if tp is _INT_LIST:
+        if any(v < 0 for v in value):
             raise ConfigError(
-                f"{label} must contain [lo, hi] int pairs, got {pair!r}"
+                f"{label} must contain non-negative ints, got {list(value)!r}"
             )
-        lo, hi = pair
-        if lo < 0 or hi < lo:
-            raise ConfigError(
-                f"{label} pair [{lo}, {hi}] is not a valid range"
-            )
-        out.append([lo, hi])
-    return out
+        return list(value)
+    return copy.deepcopy(value)
 
 
 @dataclass(frozen=True)
-class StageSpec:
+class StageSpec(Spec):
     """One typed pipeline stage: a kind, a display name, parameters."""
 
     kind: str
@@ -154,6 +136,7 @@ class StageSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in STAGE_KINDS:
             raise ConfigError(
                 f"unknown stage kind {self.kind!r}; "
@@ -162,11 +145,6 @@ class StageSpec:
         set_ = object.__setattr__
         if not self.name:
             set_(self, "name", self.kind)
-        if not isinstance(self.params, dict):
-            raise ConfigError(
-                f"stage {self.name!r} params must be a dict, "
-                f"got {type(self.params).__name__}"
-            )
         allowed = _PARAM_SCHEMA[self.kind]
         unknown = sorted(set(self.params) - set(allowed))
         if unknown:
@@ -182,62 +160,18 @@ class StageSpec:
                 for k, v in self.params.items()
             },
         )
-        if self.kind == "parse":
-            from ..serve.ingest import ON_MALFORMED
-
-            mode = self.params.get("on_malformed", "quarantine")
-            if mode not in ON_MALFORMED:
-                raise ConfigError(
-                    f"parse stage on_malformed {mode!r}; "
-                    f"expected one of {', '.join(ON_MALFORMED)}"
-                )
-        if self.kind == "queue_select":
-            policy = self.params.get("policy", "hash")
-            if policy not in QUEUE_POLICIES:
-                raise ConfigError(
-                    f"queue_select policy {policy!r}; "
-                    f"expected one of {', '.join(QUEUE_POLICIES)}"
-                )
-            if self.params.get("queues", 8) < 1:
-                raise ConfigError("queue_select queues must be >= 1")
         if self.kind == "flow_cache":
             entries = self.params.get("entries", 0)
             ways = self.params.get("ways", 4)
-            if entries and entries % max(ways, 1):
+            if entries % ways:
                 raise ConfigError(
                     f"flow_cache entries ({entries}) must be a multiple "
                     f"of ways ({ways})"
                 )
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.name != self.kind:
-            out["name"] = self.name
-        if self.params:
-            out["params"] = copy.deepcopy(self.params)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"StageSpec.from_dict expects a dict, "
-                f"got {type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown StageSpec field(s): {', '.join(unknown)}; "
-                f"known fields: {', '.join(sorted(known))}"
-            )
-        if "kind" not in data:
-            raise ConfigError("StageSpec requires a 'kind' field")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class StageGraphSpec:
+class StageGraphSpec(Spec):
     """Declarative, validated, immutable line-card RX pipeline.
 
     ``stages`` must contain exactly one ``classify`` stage, at most one
@@ -248,22 +182,12 @@ class StageGraphSpec:
     that also names cache fields is rejected as ambiguous).
     """
 
-    name: str = "linecard-rx"
-    stages: tuple[StageSpec, ...] = ()
+    name: str = field("linecard-rx", nonempty=True)
+    stages: tuple[StageSpec, ...] = field((), nonempty=True)
 
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ConfigError(
-                f"name must be a non-empty string, got {self.name!r}"
-            )
-        stages = tuple(
-            s if isinstance(s, StageSpec) else StageSpec.from_dict(s)
-            for s in self.stages
-        )
-        object.__setattr__(self, "stages", stages)
-        if not stages:
-            raise ConfigError("a stage graph needs at least one stage")
-        kinds = [s.kind for s in stages]
+        super().__post_init__()
+        kinds = [s.kind for s in self.stages]
         for kind in set(kinds):
             if kinds.count(kind) > 1:
                 raise ConfigError(f"duplicate {kind!r} stage in graph")
@@ -275,7 +199,7 @@ class StageGraphSpec:
                 f"stages out of canonical order: {' -> '.join(kinds)}; "
                 f"expected a subsequence of {' -> '.join(STAGE_KINDS)}"
             )
-        names = [s.name for s in stages]
+        names = [s.name for s in self.stages]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate stage names: {names!r}")
         # Validate the engine overlay (and the cache-ownership rule)
@@ -320,51 +244,6 @@ class StageGraphSpec:
                 "on_malformed", "quarantine"
             )
         return EngineConfig.from_dict(merged)
-
-    # -- dict/JSON round-trip --------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "stages": [s.to_dict() for s in self.stages],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageGraphSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"StageGraphSpec.from_dict expects a dict, "
-                f"got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"name", "stages"})
-        if unknown:
-            raise ConfigError(
-                f"unknown StageGraphSpec field(s): {', '.join(unknown)}"
-            )
-        stages = data.get("stages", ())
-        if not isinstance(stages, (list, tuple)):
-            raise ConfigError(
-                f"stages must be a list, got {type(stages).__name__}"
-            )
-        return cls(
-            name=data.get("name", "linecard-rx"),
-            stages=tuple(StageSpec.from_dict(s) for s in stages),
-        )
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "StageGraphSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(
-                f"cannot load stage graph {path!r}: {exc}"
-            ) from None
-        return cls.from_dict(data)
 
 
 def default_graph(

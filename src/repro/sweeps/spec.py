@@ -31,20 +31,20 @@ and seeds (the sweep test suite pins this), so a grid cell is
 reproducible in isolation — ``--filter family=fw1`` reruns exactly the
 cells a full sweep would have run.
 
-Like :class:`~repro.serve.EngineConfig`, a spec round-trips losslessly
-through plain JSON (``to_dict``/``from_dict``, ``save``/``load``) and
-rejects unknown keys and invalid axis values loudly at construction.
+The field checks and the JSON round-trip come from the
+:class:`repro.core.spec.Spec` codec (every axis is a non-empty list of
+distinct values).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import zlib
 from dataclasses import dataclass
 
 from ..classbench import FAMILIES
 from ..core.errors import ConfigError
+from ..core.spec import Spec, field
 from ..engine.pipeline import SHARD_MODES
 from ..engine.registry import backend_spec
 from ..serve import EngineConfig
@@ -56,21 +56,9 @@ TIERS = ("quick", "full", "soak")
 SCENARIOS = ("bare", "linecard")
 
 
-def _axis(name: str, values, kind, minimum=None) -> tuple:
-    """Coerce a JSON list (or tuple) axis to a validated tuple."""
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"{name} must be a non-empty list, got {values!r}")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-            raise ConfigError(f"{name} contains non-scalar value {v!r}")
-        v = kind(v)
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{name} values must be >= {minimum}, got {v}")
-        out.append(v)
-    if len(set(out)) != len(out):
-        raise ConfigError(f"{name} contains duplicate values: {values!r}")
-    return tuple(out)
+def _axis(default: tuple, **meta):
+    """A grid axis: a non-empty list of distinct values."""
+    return field(default, nonempty=True, **meta)
 
 
 @dataclass(frozen=True)
@@ -162,60 +150,37 @@ def _stable_seed(base: int, key: str) -> int:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Spec):
     """Declarative, validated, immutable sweep-grid description."""
 
-    name: str = "paper-grid"
-    families: tuple[str, ...] = ("acl1", "fw1", "ipc1")
-    sizes: tuple[int, ...] = (300, 1200, 2500)
-    backends: tuple[str, ...] = ("hypercuts", "tuple_space")
-    shards: tuple[int, ...] = (1,)
-    shard_modes: tuple[str, ...] = ("auto",)
-    cache_entries: tuple[int, ...] = (0, 4096)
-    cache_ways: int = 4
-    skews: tuple[float, ...] = (0.7, 1.1)
-    packet_bytes: tuple[int, ...] = (40,)
-    churn_rates: tuple[int, ...] = (0,)
-    tenants: tuple[int, ...] = (1,)
-    scenarios: tuple[str, ...] = ("bare",)
-    packets: int = 20_000
-    flows: int = 1024
-    chunk_size: int = 4096
+    name: str = field("paper-grid", nonempty=True)
+    families: tuple[str, ...] = _axis(
+        ("acl1", "fw1", "ipc1"), choices=tuple(sorted(FAMILIES))
+    )
+    sizes: tuple[int, ...] = _axis((300, 1200, 2500), min=1)
+    backends: tuple[str, ...] = _axis(("hypercuts", "tuple_space"))
+    shards: tuple[int, ...] = _axis((1,), min=1)
+    shard_modes: tuple[str, ...] = _axis(("auto",), choices=SHARD_MODES)
+    cache_entries: tuple[int, ...] = _axis((0, 4096), min=0)
+    cache_ways: int = field(4, min=1)
+    skews: tuple[float, ...] = _axis((0.7, 1.1), min=0.0)
+    packet_bytes: tuple[int, ...] = _axis((40,), min=1)
+    churn_rates: tuple[int, ...] = _axis((0,), min=0)
+    tenants: tuple[int, ...] = _axis((1,), min=1)
+    scenarios: tuple[str, ...] = _axis(("bare",), choices=SCENARIOS)
+    packets: int = field(20_000, min=1)
+    flows: int = field(1024, min=1)
+    chunk_size: int = field(4096, min=1)
     seed: int = 7
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
-        set_ = object.__setattr__
-        set_(self, "families", _axis("families", self.families, str))
-        set_(self, "sizes", _axis("sizes", self.sizes, int, minimum=1))
-        set_(self, "backends", _axis("backends", self.backends, str))
-        set_(self, "shards", _axis("shards", self.shards, int, minimum=1))
-        set_(self, "shard_modes", _axis("shard_modes", self.shard_modes, str))
-        set_(
-            self,
-            "cache_entries",
-            _axis("cache_entries", self.cache_entries, int, minimum=0),
-        )
-        set_(self, "skews", _axis("skews", self.skews, float, minimum=0.0))
-        set_(
-            self,
-            "packet_bytes",
-            _axis("packet_bytes", self.packet_bytes, int, minimum=1),
-        )
-        set_(
-            self,
-            "churn_rates",
-            _axis("churn_rates", self.churn_rates, int, minimum=0),
-        )
-        set_(self, "tenants", _axis("tenants", self.tenants, int, minimum=1))
-        set_(self, "scenarios", _axis("scenarios", self.scenarios, str))
-        for scenario in self.scenarios:
-            if scenario not in SCENARIOS:
+        super().__post_init__()
+        for f in dataclasses.fields(self):
+            values = getattr(self, f.name)
+            if isinstance(values, tuple) and len(set(values)) != len(values):
                 raise ConfigError(
-                    f"unknown scenario {scenario!r}; "
-                    f"expected one of {', '.join(SCENARIOS)}"
+                    f"{f.name} contains duplicate values: {list(values)!r}"
                 )
         if "linecard" in self.scenarios and any(t > 1 for t in self.tenants):
             raise ConfigError(
@@ -223,77 +188,19 @@ class SweepSpec:
                 "multi-tenant values from the tenants axis or the "
                 "linecard value from scenarios"
             )
-        for family in self.families:
-            if family not in FAMILIES:
-                raise ConfigError(
-                    f"unknown family {family!r}; "
-                    f"expected one of {', '.join(sorted(FAMILIES))}"
-                )
         # Canonicalise backend aliases the way EngineConfig does, so two
         # specs naming the same grid compare equal.
-        set_(
+        object.__setattr__(
             self,
             "backends",
             tuple(backend_spec(b).name for b in self.backends),
         )
-        for mode in self.shard_modes:
-            if mode not in SHARD_MODES:
-                raise ConfigError(
-                    f"unknown shard_mode {mode!r}; "
-                    f"expected one of {', '.join(SHARD_MODES)}"
-                )
-        if self.cache_ways < 1:
-            raise ConfigError(f"cache_ways must be >= 1, got {self.cache_ways}")
         for entries in self.cache_entries:
             if entries and entries % self.cache_ways:
                 raise ConfigError(
                     f"cache_entries ({entries}) must be a multiple of "
                     f"cache_ways ({self.cache_ways})"
                 )
-        if self.packets < 1:
-            raise ConfigError(f"packets must be >= 1, got {self.packets}")
-        if self.flows < 1:
-            raise ConfigError(f"flows must be >= 1, got {self.flows}")
-        if self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
-
-    # -- dict/JSON round-trip --------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-JSON representation (tuples become lists; the exact
-        ``from_dict`` inverse)."""
-        out = dataclasses.asdict(self)
-        return {
-            k: list(v) if isinstance(v, tuple) else v for k, v in out.items()
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"SweepSpec.from_dict expects a dict, got {type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown SweepSpec field(s): {', '.join(unknown)}; "
-                f"known fields: {', '.join(sorted(known))}"
-            )
-        return cls(**data)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "SweepSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load sweep spec {path!r}: {exc}") from None
-        return cls.from_dict(data)
 
     # -- expansion -------------------------------------------------------
     @property

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -133,6 +135,43 @@ class TestBench:
         ])
         assert rc == 2
         assert "multiple" in capsys.readouterr().err
+
+    def test_missing_fault_plan_is_clean_error(self, tmp_path, capsys):
+        rc = main([
+            "bench", "--rules", "60", "--packets", "500", "--algorithm",
+            "linear", "--faults", str(tmp_path / "missing.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load fault plan")
+        assert err.count("\n") == 1
+
+
+class TestServeInputs:
+    """Wrong-typed serve input files exit 2 with one ``error:`` line."""
+
+    def _serve(self, tmp_path, tenants, config=None):
+        tenants_json = tmp_path / "tenants.json"
+        tenants_json.write_text(json.dumps(tenants))
+        argv = ["serve", "--tenants", str(tenants_json)]
+        if config is not None:
+            config_json = tmp_path / "engine.json"
+            config_json.write_text(json.dumps(config))
+            argv += ["--config", str(config_json)]
+        return main(argv)
+
+    def test_wrong_typed_tenant_field_is_named(self, tmp_path, capsys):
+        rc = self._serve(tmp_path, [{"name": "a", "rules": "x"}])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "tenant #0: rules must be an int" in err
+
+    def test_wrong_typed_engine_config_is_named(self, tmp_path, capsys):
+        rc = self._serve(tmp_path, [{"name": "a"}], config={"shards": "2"})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: shards must be an int, got '2'\n"
 
 
 class TestFsm:
