@@ -210,16 +210,22 @@ def test_flat_kernel_speedup_gate(acl10k_hw_tree, acl10k_trace):
     assert speedup >= 5, f"flat kernel only {speedup:.1f}x the reference"
 
 
-def _kernel_miss_flat():
-    """The ledger's ``kernel_miss`` shape: its ruleset and tree, one new
-    flow per packet (~16 rule pairs expanded per packet)."""
+def _kernel_miss():
+    """The ledger's ``kernel_miss`` shape: its ruleset and one new flow
+    per packet (~16 rule pairs expanded per packet)."""
     rules = generate_ruleset("acl1", 2500, seed=11)
+    return rules, generate_zipf_trace(
+        rules, 65_536, n_flows=65_536, skew=0.0, seed=8
+    )
+
+
+def _kernel_miss_flat():
+    """:func:`_kernel_miss`'s compiled tree (the accelerator's: modified
+    HyperCuts, one-word leaves) and traffic."""
+    rules, large = _kernel_miss()
     flat = build_backend(
         "hypercuts", rules, binth=30, spfac=4, hw_mode=True
     ).tree.flat
-    large = generate_zipf_trace(
-        rules, 65_536, n_flows=65_536, skew=0.0, seed=8
-    )
     return flat, large
 
 
@@ -294,6 +300,47 @@ def test_native_kernel_gate(portable_kernel):
         "speedup": round(speedup, 2),
     }
     assert speedup >= 5, f"native walk only {speedup:.1f}x the portable one"
+
+
+def test_accelerator_occupancy_gate(portable_kernel):
+    """Acceptance gate: the paper's cycle model costs the walk it models
+    at most 15%.  ``AcceleratorClassifier.batch_stats`` — matches plus
+    each packet's eq (5)/(7) occupancy, counted by the C loop as it
+    finishes the packet — serves >= 0.85x the pps of the bare
+    ``flat.batch_match`` over the same tree, on one 65,536-packet
+    dispatch of the ``kernel_miss`` workload, the two interleaved in one
+    run; both fields bit-identical to the portable path (the NumPy
+    formula over ``batch_lookup``).  Skipped — with ``native.status()``'s
+    reason — on a host where the library could not be built or loaded."""
+    status = native.status()
+    if status["kernel"] != "native":
+        pytest.skip(f"native kernel unavailable: {status['reason']}")
+    rules, trace = _kernel_miss()
+    accelerator = build_backend("accelerator", rules)
+    flat, headers = accelerator.tree.flat, trace.headers
+    got = accelerator.batch_stats(headers)
+    with portable_kernel():
+        want = accelerator.batch_stats(headers)
+    for field in ("match", "occupancy"):
+        a, b = getattr(want, field), getattr(got, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    t_match = t_stats = float("inf")
+    for _ in range(5):
+        t_match = min(t_match, _best_of(lambda: flat.batch_match(headers)))
+        t_stats = min(
+            t_stats, _best_of(lambda: accelerator.batch_stats(headers))
+        )
+    ratio = t_match / t_stats
+    _PERF["accelerator_occupancy"] = {
+        "rules": 2500,
+        "packets": trace.n_packets,
+        "match_pps": round(trace.n_packets / t_match),
+        "batch_stats_pps": round(trace.n_packets / t_stats),
+        "ratio": round(ratio, 3),
+    }
+    assert ratio >= 0.85, (
+        f"batch_stats serves {ratio:.2f}x the bare walk's pps"
+    )
 
 
 @pytest.mark.parametrize("algorithm", ["hicuts", "hypercuts"])

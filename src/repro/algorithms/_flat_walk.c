@@ -1,11 +1,19 @@
 /* The per-packet walk of FlatTree (flat_tree.py: _walk_tile + _advance +
  * _first_match + _keep_best) over the same buffers; native.py builds and
  * loads it.  One node per step, then a linear search that stops at the
- * first hit: the paper's FSM.  Every index derived from table data is
- * bounds-checked, so a corrupt table is an error code, not a fault. */
+ * first hit: the paper's FSM.  Given an accelerator's leaf placement, the
+ * iteration that finishes a packet also counts its memory-port cycles
+ * (hw/accelerator.py: Accelerator._run_portable, eqs (5)/(7)).  Every
+ * index derived from table data is bounds-checked, so a corrupt table is
+ * an error code, not a fault. */
 #include <stdint.h>
 
 enum { OK, ERR_STEPS, ERR_RANGE, MAX_STEPS = 10000, LEAF = 1 };
+
+typedef struct {       /* field order is native._Placement._fields_ */
+    int64_t n_nodes, rules_per_word;
+    const int64_t *pos, *n_rules;   /* per node: leaf start slot, rules */
+} placement;
 
 typedef struct {       /* field order is native._Tables._fields_ */
     int64_t n_nodes, naxes, ndim, pow2, n_children, n_leaf, n_push;
@@ -49,13 +57,45 @@ static int64_t match_list(const int64_t *rules, const uint32_t *lo,
     return -1;
 }
 
+/* Words fetched and datapath cycles of one finished packet: `x` internal
+ * fetches after the register-resident root, then the leaf words up to the
+ * hit (or the whole leaf on a miss), floor one cycle.  -1 for a leaf id
+ * outside the placement, a start slot outside its word or a rule count no
+ * leaf list can reach (it keeps `pos + z` in range). */
+static int64_t cycles(const placement *pl, int32_t internal, int32_t lid,
+                      int32_t mpos, int64_t *x_out, int64_t *words_out)
+{
+    int64_t x = internal > 1 ? internal - 1 : 0, words = 0;
+    if (lid >= 0) {
+        if (lid >= pl->n_nodes)
+            return -1;
+        int64_t pos = pl->pos[lid], nr = pl->n_rules[lid];
+        if (pos < 0 || pos >= pl->rules_per_word || nr > INT32_MAX)
+            return -1;
+        if (nr > 0) {  /* most leaves end in their first word: no divide */
+            int64_t slot = pos + (mpos >= 0 ? mpos : nr - 1);
+            words = slot < pl->rules_per_word
+                    ? 1 : slot / pl->rules_per_word + 1;
+        }
+    }
+    *x_out = x;
+    *words_out = words;
+    return x + words > 1 ? x + words : 1;
+}
+
 /* Walk n packets root to leaf.  `match` is always written, the five
- * statistics arrays only when `internal_nodes` is not NULL. */
-int flat_walk(const tables *t, const uint32_t *headers, int64_t n,
-              int64_t *match, int32_t *internal_nodes, int32_t *leaf_id,
-              int32_t *leaf_size, int32_t *match_pos, int32_t *rules_compared)
+ * statistics arrays only when `internal_nodes` is not NULL, and with a
+ * placement `pl` the cycle count to `occupancy` and, each when not NULL,
+ * its two terms to `internal_fetches` / `leaf_words`. */
+int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
+              int64_t n, int64_t *match, int32_t *internal_nodes,
+              int32_t *leaf_id, int32_t *leaf_size, int32_t *match_pos,
+              int32_t *rules_compared, int64_t *occupancy,
+              int64_t *internal_fetches, int64_t *leaf_words)
 {
     const int64_t nn = t->n_nodes, ndim = t->ndim;
+    if (occupancy && (!pl || pl->rules_per_word <= 0))
+        return ERR_RANGE;
     for (int64_t p = 0; p < n; p++) {
         const uint32_t *h = headers + p * ndim;
         int64_t best = -1, nid = 0;
@@ -117,6 +157,16 @@ int flat_walk(const tables *t, const uint32_t *headers, int64_t n,
             leaf_size[p] = lsize;
             match_pos[p] = mpos;
             rules_compared[p] = compared;
+        }
+        if (occupancy) {
+            int64_t x, words;
+            occupancy[p] = cycles(pl, internal, lid, mpos, &x, &words);
+            if (occupancy[p] < 0)
+                return ERR_RANGE;
+            if (internal_fetches)
+                internal_fetches[p] = x;
+            if (leaf_words)
+                leaf_words[p] = words;
         }
     }
     return OK;

@@ -548,6 +548,17 @@ class FlatTree:
         self._walk(headers32, match)
         return match
 
+    def walk_cycles(self, headers32, placement, match, cycles) -> bool:
+        """The native walk writing ``match`` and, under an accelerator's
+        leaf ``placement`` (:func:`native.place`), each packet's
+        memory-port cycles ``cycles = (occupancy[, internal_fetches,
+        leaf_words])``, counted by the iteration that finishes the packet.
+        ``False``, nothing written, where the native kernel does not
+        serve: the caller computes them from :meth:`batch_lookup`."""
+        return native.walk(
+            self._native, headers32, match, placement=placement, cycles=cycles
+        )
+
     def _walk(self, headers32, match: np.ndarray, stats=None) -> None:
         """The native loop over the whole input when it is loaded, else
         the portable walk a tile at a time."""

@@ -3,9 +3,12 @@ walk: ``_flat_walk.c``, built once with the C compiler that is here.
 
 The C function is the per-packet loop of the portable NumPy walk over
 the *same* ``FlatTree`` buffers (no second table format), bit-identical
-on all six :class:`~repro.algorithms.base.BatchLookup` fields.  There is
-no switch: a process uses it if it loads and the portable walk if not,
-and :func:`status` says which and why.
+on all six :class:`~repro.algorithms.base.BatchLookup` fields.  Handed
+an accelerator's leaf placement (:func:`place`), it also counts each
+packet's memory-port cycles as it finishes it, bit-identical to
+:class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
+There is no switch: a process uses it if it loads and the portable walk
+if not, and :func:`status` says which and why.
 
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
 serve) looks for ``flat_walk-<key>.so`` in
@@ -64,6 +67,14 @@ class _Tables(ctypes.Structure):
     _fields_ = [(name, ctypes.c_int64) for name in _SCALARS] + [
         (name, ctypes.c_void_p) for name, _, _ in _BUFFERS
     ]
+
+
+class _Placement(ctypes.Structure):
+    """``placement`` of _flat_walk.c: an accelerator's per-node leaf start
+    slot and rule count (:func:`place`); ``keep`` as for ``_Tables``."""
+
+    _fields_ = [("n_nodes", ctypes.c_int64), ("rules_per_word", ctypes.c_int64),
+                ("pos", ctypes.c_void_p), ("n_rules", ctypes.c_void_p)]
 
 
 @dataclass(frozen=True)
@@ -153,9 +164,10 @@ def _open(path: str):
     ):  # the temp dir is shared: load only what nobody else could write
         raise OSError(f"{path} is writable by another user")
     fn = ctypes.CDLL(path).flat_walk
-    # (tables, headers, n, match, the five statistics arrays or NULLs)
-    fn.argtypes = [ctypes.POINTER(_Tables), ctypes.c_void_p, ctypes.c_int64,
-                   *[ctypes.c_void_p] * 6]
+    # (tables, placement or NULL, headers, n, match, the five statistics
+    # arrays or NULLs, the three cycle arrays or NULLs)
+    fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Placement),
+                   ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 9]
     fn.restype = ctypes.c_int
     return fn
 
@@ -204,10 +216,28 @@ def bind(flat) -> _Tables | None:
     return tables
 
 
-def walk(tables: _Tables | None, headers32, match, stats=None) -> bool:
+def place(pos, n_rules, rules_per_word: int) -> _Placement:
+    """The pointer table over an accelerator's leaf placement: per tree
+    node, the leaf's start slot in its first word and its rule count
+    (``int64``, zero for internal nodes), and the rule slots per word."""
+    n = len(pos)
+    placement = _Placement(
+        n, rules_per_word, _pointer("pos", pos, np.int64, (n,)),
+        _pointer("n_rules", n_rules, np.int64, (n,)),
+    )
+    placement.keep = (pos, n_rules)
+    return placement
+
+
+def walk(
+    tables: _Tables | None, headers32, match, stats=None,
+    placement: _Placement | None = None, cycles=(),
+) -> bool:
     """Walk every packet of ``headers32``, writing ``match`` and, when
-    given, the five statistics arrays.  ``False`` (nothing written) when
-    there is no table or no library: the caller takes the portable walk."""
+    given, the five statistics arrays and — under ``placement`` — the
+    ``int64`` cycle arrays ``cycles = (occupancy[, internal_fetches,
+    leaf_words])``.  ``False`` (nothing written) when there is no table
+    or no library: the caller takes the portable walk."""
     fn = _load().fn
     if tables is None or fn is None:
         return False
@@ -215,11 +245,14 @@ def walk(tables: _Tables | None, headers32, match, stats=None) -> bool:
     out = [_pointer("match", match, np.int64, (n,))]
     out += [_pointer("statistics", s, np.int32, (n,)) for s in stats or ()]
     out += [None] * (6 - len(out))
+    out += [_pointer("cycles", c, np.int64, (n,)) for c in cycles]
+    out += [None] * (9 - len(out))
     headers = _pointer("headers", headers32, np.uint32, (n, tables.ndim))
-    code = fn(ctypes.byref(tables), headers, n, *out)
+    code = fn(ctypes.byref(tables), placement, headers, n, *out)
     if code:
         raise BuildError(
             "batch traversal did not terminate" if code == 1 else
-            "batch traversal left its tables (corrupt FlatTree buffers)"
+            "batch traversal left its tables (corrupt FlatTree or "
+            "placement buffers)"
         )
     return True

@@ -124,8 +124,10 @@ class AcceleratorClassifier(ClassifierBase):
         return self.batch_stats(headers).match
 
     def batch_stats(self, headers: np.ndarray) -> BatchStats:
-        run = self.accelerator.run_trace(PacketTrace(headers, self.schema))
-        return BatchStats(match=run.match, occupancy=run.occupancy)
+        match, occupancy = self.accelerator.match_occupancy(
+            PacketTrace(headers, self.schema)
+        )
+        return BatchStats(match=match, occupancy=occupancy)
 
     def run_trace(self, trace: PacketTrace):
         """The full :class:`~repro.hw.AcceleratorRun` (experiment tables)."""

@@ -146,9 +146,13 @@ RunOutput = tuple[np.ndarray, np.ndarray | None, list[CacheTriple]]
 
 @cache
 def host_cpus() -> int:
-    """CPUs this host offers — the one seam every tier decision reads
-    the count through (tests monkeypatch it to run both ``auto``
-    branches on any machine); asked once, it costs a sysfs read."""
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset -c 0`` on a many-core host is 1), else the host's
+    count.  The one seam every tier decision reads the count through
+    (tests monkeypatch it to run both ``auto`` branches on any machine);
+    asked once, it costs a syscall."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

@@ -10,14 +10,20 @@ Two simulators share the :class:`~repro.hw.layout.MemoryImage`:
   (one word per cycle) and the 30 parallel rule comparators.  Slow —
   used for validation and the Figure-5 trace printer.
 * :class:`Accelerator` — the vectorised model used by the experiment
-  harness.  Per-packet *occupancy* (= memory words fetched, the paper's
-  "memory accesses") is computed analytically from the batch tree
-  traversal and the leaf placements, reproducing eqs (5)/(7):
+  harness and the engine.  Per-packet *occupancy* (= memory words
+  fetched, the paper's "memory accesses") is computed analytically from
+  the batch tree traversal and the leaf placements, reproducing eqs
+  (5)/(7):
 
       occupancy = x + (pos + z)//30 + 1
 
   with ``x`` the internal nodes after the root, ``pos`` the leaf's start
-  slot and ``z`` the matching rule's index in the leaf.  Steady-state
+  slot and ``z`` the matching rule's index in the leaf.  On the native
+  kernel the walk computes it (``_flat_walk.c``, handed the placement
+  tables): the loop iteration that finishes a packet counts its fetches,
+  where the Figure 5 FSM makes them.  The NumPy formula over
+  ``batch_lookup`` is the portable walk's path and that count's oracle
+  (``tests/test_native.py``).  Steady-state
   throughput is ``f / mean(occupancy)`` because the root-index
   computation of the next packet overlaps the current leaf search
   (Section 4: the overlap "reduc[es] the worst case number of clock
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..algorithms import native
 from ..core.errors import SimulationError
 from ..core.packet import PacketTrace
 from ..core.rules import FIVE_TUPLE
@@ -114,15 +121,43 @@ class Accelerator:
         # compiled buffers copy-on-write instead of each recompiling.
         self.tree.flat
         n_nodes = len(self.tree.nodes)
-        # Dense per-node placement arrays for vectorised occupancy math.
+        # Dense per-node placement arrays: the native walk's cycle count
+        # reads them, and the portable formula gathers from them.
         self._pos = np.zeros(n_nodes, dtype=np.int64)
         self._nrules = np.zeros(n_nodes, dtype=np.int64)
         for nid, p in image.placements.items():
             if p.is_leaf:
                 self._pos[nid] = p.pos
                 self._nrules[nid] = p.n_rules
+        self._placement = native.place(self._pos, self._nrules, RULES_PER_WORD)
 
     def run_trace(self, trace: PacketTrace) -> AcceleratorRun:
+        """Every packet's match and memory-port cycles, split into
+        internal fetches and leaf words (the record Tables 2-8 read)."""
+        return AcceleratorRun(*self._walk(trace, split=True))
+
+    def match_occupancy(self, trace: PacketTrace) -> tuple[np.ndarray, np.ndarray]:
+        """``run_trace``'s ``match`` and ``occupancy`` only: what serving
+        reads, without the split the native walk then never writes."""
+        match, occupancy, *_ = self._walk(trace, split=False)
+        return match, occupancy
+
+    def _walk(self, trace: PacketTrace, split: bool) -> tuple[np.ndarray, ...]:
+        """``(match, occupancy[, internal_fetches, leaf_words])`` from the
+        native walk, which counts the cycles as it finishes each packet,
+        or else from :meth:`_run_portable`."""
+        n = trace.n_packets  # the C loop writes every cell it is handed
+        out = tuple(np.empty(n, dtype=np.int64) for _ in range(4 if split else 2))
+        if self.tree.flat.walk_cycles(
+            trace.headers, self._placement, out[0], out[1:]
+        ):
+            return out
+        run = self._run_portable(trace)
+        return run.match, run.occupancy, run.internal_fetches, run.leaf_words
+
+    def _run_portable(self, trace: PacketTrace) -> AcceleratorRun:
+        """Eqs (5)/(7) in NumPy over ``batch_lookup``'s statistics: the
+        portable walk's path and the native cycle count's oracle."""
         bl = self.tree.batch_lookup(trace)
         x = np.maximum(bl.internal_nodes.astype(np.int64) - 1, 0)
         has_leaf = bl.leaf_id >= 0
@@ -151,10 +186,10 @@ class Accelerator:
 
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
         """Engine-protocol batch lookup: matched rule ids only."""
-        return self.run_trace(PacketTrace(headers, self.tree.schema)).match
+        return self.classify_trace(PacketTrace(headers, self.tree.schema))
 
     def classify_trace(self, trace: PacketTrace) -> np.ndarray:
-        return self.run_trace(trace).match
+        return self.match_occupancy(trace)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,16 @@ class TestFsmAgreement:
         assert np.array_equal([r.accesses for r in recs], run.memory_accesses())
 
 
+@pytest.mark.parametrize("builder", [build_hicuts, build_hypercuts])
+@pytest.mark.parametrize("speed", [0, 1])
+@pytest.mark.usefixtures("portable_kernel")
+class TestFsmAgreementPortable:
+    """The FSM against the NumPy cycle formula of the portable walk (the
+    class above runs on the default kernel, where the C loop counts)."""
+
+    test_fsm_fast_oracle_agree = TestFsmAgreement.test_fsm_fast_oracle_agree
+
+
 class TestCycleAccounting:
     def test_total_cycle_formula(self, hw_image_small, acl_small,
                                  acl_small_trace):

@@ -165,6 +165,17 @@ class TestAggregation:
         assert merged.to_dict() == res.to_dict()
 
 
+@pytest.mark.usefixtures("portable_kernel")
+class TestAggregationPortable:
+    """The served occupancy against ``run_trace`` on the portable walk,
+    where both come from the NumPy formula (the class above runs it on
+    the default kernel, where the C loop counts the cycles)."""
+
+    test_occupancy_matches_run_trace = (
+        TestAggregation.test_occupancy_matches_run_trace
+    )
+
+
 def _leftovers(names=()):
     """Live shard workers of this process and, of ``names``, the arena
     segments still linked in ``/dev/shm``."""
@@ -542,6 +553,32 @@ class TestShardModes:
             res.match, acc_small.classify_trace(acl_small_trace)
         )
         assert pipeline.plan().forks == can_win
+
+    def test_auto_plans_inline_under_a_one_cpu_affinity_mask(
+        self, acc_small, monkeypatch
+    ):
+        """``host_cpus`` counts the CPUs this process may run on, not the
+        host's: pinned to one (``taskset -c 0``), ``auto`` never forks
+        two workers onto one core."""
+        from repro.engine import pipeline as pipeline_module
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        pipeline_module.host_cpus.cache_clear()
+        try:
+            assert pipeline_module.host_cpus() == 1
+            pipeline = ClassificationPipeline(
+                acc_small, chunk_size=256, shards=2, shard_mode="auto"
+            )
+            if not pipeline._fork_available():  # pragma: no cover
+                pytest.skip("fork multiprocessing unavailable")
+            plan = pipeline.plan(n_chunks=16, packets=1_000_000)
+            assert (plan.tier, plan.workers) == ("inline", 1)
+            assert "one CPU" in plan.reason
+        finally:
+            pipeline_module.host_cpus.cache_clear()
 
     #: Costs as a pipeline would have measured them on itself: inline
     #: serving ns/packet, then of its last forked dispatch the seconds

@@ -279,9 +279,9 @@ class TestTileBoundaries:
         flat = FlatTree(hw_tree_small)
         calls = []
 
-        def spy(tables, headers, n, *out):
+        def spy(tables, placement, headers, n, *out):
             calls.append(n)
-            return native_kernel.fn(tables, headers, n, *out)
+            return native_kernel.fn(tables, placement, headers, n, *out)
 
         monkeypatch.setattr(native, "_kernel", native._Kernel(fn=spy))
         monkeypatch.setattr(

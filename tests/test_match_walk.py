@@ -105,9 +105,9 @@ class TestClassifyBatchIsTheMatchWalk:
         loaded = native._load()
         if loaded.fn is not None:  # else the portable half below is all
 
-            def spy_fn(tables, headers32, n, match, *stats):
-                pointers.append(stats)
-                return loaded.fn(tables, headers32, n, match, *stats)
+            def spy_fn(tables, placement, headers32, n, match, *out):
+                pointers.append((placement, *out))
+                return loaded.fn(tables, placement, headers32, n, match, *out)
 
             monkeypatch.setattr(native, "_kernel", native._Kernel(fn=spy_fn))
         for _ in range(2):  # the default kernel, then the portable walk
@@ -116,8 +116,9 @@ class TestClassifyBatchIsTheMatchWalk:
             monkeypatch.setattr(native, "_kernel", native._Kernel(reason="off"))
         assert asked == [len(headers)] * 4  # every call is batch_match
         assert set(tiles) == {None}  # the portable walk got no arrays
-        # ... and the C loop got five NULL statistics pointers.
-        assert pointers == [(None,) * 5] * (2 if loaded.fn else 0)
+        # ... and the C loop got no placement and NULL pointers for the
+        # five statistics and the three cycle arrays.
+        assert pointers == [(None,) * 9] * (2 if loaded.fn else 0)
 
     def test_engine_serves_the_trace_equal_to_the_oracle(
         self, acl_small, acl_small_trace, acl_small_oracle

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DEMO_SCHEMA, PacketTrace, RuleSet
+from repro import DEMO_SCHEMA, FIVE_TUPLE, PacketTrace, RuleSet
 from repro.algorithms import (
     FlatTree,
     IncrementalClassifier,
@@ -32,6 +32,8 @@ from repro.algorithms import (
 )
 from repro.core.errors import BuildError
 from repro.core.rules import Rule, make_demo_ruleset
+from repro.hw import Accelerator, build_memory_image
+from repro.hw.encoding import RULES_PER_WORD
 from repro.serve import Engine, EngineConfig
 
 from tests.conftest import FIELDS, random_headers
@@ -289,6 +291,32 @@ class TestCorruptTables:
         flat.children = flat.children.astype(np.int64)
         with pytest.raises(BuildError, match="children is not"):
             native.bind(flat)
+        pos = np.zeros(flat.n_nodes, dtype=np.int32)
+        with pytest.raises(BuildError, match="pos is not"):
+            native.place(pos, pos.astype(np.int64), RULES_PER_WORD)
+
+    #: Placements an accelerator's cycle count must refuse, each made from
+    #: the valid ``(pos, n_rules, rules per word)``.
+    CORRUPT_PLACEMENTS = {
+        "leaf id past the table": lambda pos, nr, w: (pos[:1], nr[:1], w),
+        "negative pos": lambda pos, nr, w: (np.where(nr > 0, -1, pos), nr, w),
+        "pos past its word": lambda pos, nr, w: (np.where(nr > 0, w, pos), nr, w),
+        "rule count past int32": lambda pos, nr, w: (pos, nr << 40, w),
+        "no slots per word": lambda pos, nr, w: (pos, nr, 0),
+    }
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPT_PLACEMENTS))
+    def test_placement_tables(
+        self, native_kernel, hw_image_small, acl_small_trace, corrupt
+    ):
+        acc = Accelerator(hw_image_small)
+        acc._placement = native.place(*self.CORRUPT_PLACEMENTS[corrupt](
+            acc._pos, acc._nrules, RULES_PER_WORD
+        ))
+        with pytest.raises(BuildError, match="left its tables"):
+            acc.run_trace(acl_small_trace)
+        with pytest.raises(BuildError, match="left its tables"):
+            acc.match_occupancy(acl_small_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +327,36 @@ _range = st.tuples(_field, _field).map(lambda p: (min(p), max(p)))
 _rule = st.tuples(*[_range] * DEMO_SCHEMA.ndim).map(lambda r: Rule(ranges=r))
 _update = st.one_of(_rule, st.integers(0, 1 << 16))  # insert | remove by index
 
+#: ``AcceleratorRun``'s per-packet arrays.
+_RUN_FIELDS = ("match", "occupancy", "internal_fetches", "leaf_words")
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+def _widen(value: int, width: int, low: int) -> int:
+    """A drawn 8-bit value as the top bits of a ``width``-bit field (the
+    grid an accelerator tree cuts), ``low`` filling the bits below."""
+    shift = width - 8
+    return (value << shift) | (low & ((1 << shift) - 1))
+
+
+def _widen_rule(rule: Rule) -> Rule:
+    """A drawn rule as one the accelerator can encode: IP ranges become
+    the aligned prefix block of their size, the protocol exact or any."""
+    (sip, dip, sport, dport, (plo, phi)) = rule.ranges
+    prefixes = []
+    for lo, hi in (sip, dip):
+        size = 1 << ((hi - lo + 1).bit_length() - 1)
+        lo &= -size
+        prefixes.append((lo, lo + size - 1))
+    proto = (0, 255) if phi - plo >= 128 else (plo, plo)
+    return Rule(ranges=tuple(
+        (_widen(lo, w, 0), _widen(hi, w, -1))
+        for (lo, hi), w in zip(
+            (*prefixes, sport, dport, proto), FIVE_TUPLE.widths
+        )
+    ))
+
+
+@settings(max_examples=160, deadline=None, derandomize=True, database=None)
 @given(
     rules=st.lists(_rule, min_size=3, max_size=10),
     algorithm=st.sampled_from(["hicuts", "hypercuts"]),
@@ -309,24 +365,36 @@ _update = st.one_of(_rule, st.integers(0, 1 << 16))  # insert | remove by index
     headers=st.lists(st.tuples(*[_field] * DEMO_SCHEMA.ndim),
                      min_size=1, max_size=48),
     updates=st.lists(_update, max_size=4),
+    schema=st.sampled_from([DEMO_SCHEMA, FIVE_TUPLE]),
 )
 def test_native_portable_and_reference_agree(
-    rules, algorithm, hw_mode, binth, headers, updates
+    rules, algorithm, hw_mode, binth, headers, updates, schema
 ):
     """Small random rulesets x (hw_mode, software) x headers, then a few
     inserts / removes through ``FlatTree.patch``: six fields and dtypes
-    of both kernels against the reference after every step.  (Written
-    without fixtures: hypothesis re-runs the body per example.)"""
+    of both kernels against the reference after every step.  Drawn on
+    8-bit fields, or widened into the 5-tuple; there a grid tree is also
+    placed at speed 0 and 1, and ``Accelerator.run_trace`` on the native
+    walk (which counts the cycles in the C loop) must equal it on the
+    portable one (the NumPy formula) — on the trace and on no packets;
+    removals leave leaves with no rules.  (Written without fixtures:
+    hypothesis re-runs the body per example.)"""
+    if schema is FIVE_TUPLE:
+        rules = [_widen_rule(r) for r in rules]
+        updates = [_widen_rule(u) if isinstance(u, Rule) else u for u in updates]
+        headers = [
+            tuple(_widen(v, w, v * 0x9E3779B9) for v, w in zip(h, schema.widths))
+            for h in headers
+        ]
     inc = IncrementalClassifier(
-        RuleSet(rules, DEMO_SCHEMA, "drawn"), algorithm=algorithm,
+        RuleSet(rules, schema, "drawn"), algorithm=algorithm,
         binth=binth, spfac=2, hw_mode=hw_mode,  # a small cut search
     )
     # Packets that land on rule corners as well as the drawn ones.
     corners = [tuple(lo for lo, _ in r.ranges) for r in rules[:8]]
-    trace = PacketTrace(
-        np.asarray(headers + corners, dtype=np.uint32), DEMO_SCHEMA
-    )
+    trace = PacketTrace(np.asarray(headers + corners, dtype=np.uint32), schema)
     tree = inc.tree
+    placed = hw_mode and schema is FIVE_TUPLE
     loaded = native._load()
     for step in [None, *updates]:
         if isinstance(step, Rule):
@@ -336,6 +404,11 @@ def test_native_portable_and_reference_agree(
             inc.remove(int(live[step % live.size]))
         flat = tree.flat  # compiles, or patches in the update
         ref = tree.batch_lookup_reference(trace)
+        accelerators = [
+            Accelerator(build_memory_image(tree, speed=speed))
+            for speed in ((0, 1) if placed else ())
+        ]
+        runs = []
         try:
             for kernel in (loaded, native._Kernel(reason="property test")):
                 native._kernel = kernel
@@ -345,5 +418,17 @@ def test_native_portable_and_reference_agree(
                     assert a.dtype == b.dtype, (name, kernel.fn)
                     assert np.array_equal(a, b), (name, kernel.fn)
                 assert np.array_equal(flat.batch_match(trace.headers), ref.match)
+                runs.append([
+                    acc.run_trace(t)
+                    for acc in accelerators for t in (trace, trace.subset(0))
+                ])
+                for acc, run in zip(accelerators, runs[-1][::2]):
+                    match, occupancy = acc.match_occupancy(trace)
+                    assert np.array_equal(match, run.match)
+                    assert np.array_equal(occupancy, run.occupancy)
         finally:
             native._kernel = loaded
+        for on_native, portable in zip(*runs):
+            for name in _RUN_FIELDS:
+                a, b = getattr(portable, name), getattr(on_native, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
