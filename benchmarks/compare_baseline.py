@@ -1,68 +1,53 @@
-"""Compare a fresh ``BENCH_engine.json`` against the committed baseline.
+"""Compare a fresh bench or sweep artifact against its committed baseline.
 
-Emits a GitHub-flavoured markdown table of current-vs-baseline ratios
-for every numeric metric the two files share, so the bench CI job can
-append it to ``$GITHUB_STEP_SUMMARY``.
+One code path for both artifacts CI gates: ``BENCH_engine.json``
+(``pytest -m bench benchmarks/``) against ``benchmarks/baseline.json``,
+and ``BENCH_sweeps.json`` (``repro.cli sweep``) against
+``benchmarks/sweeps_baseline.json``; an artifact with a ``cells``
+mapping is a sweep.  Both are flattened into dotted keys
+(``dispatch_coalescing.speedup``, ``cells.<cell id>.hit_rate``), and
+each numeric key the two share gets a ratio, > 1.0 meaning better: keys
+ending ``_s``, ``_ms``, ``_ms_per_run``, ``_j`` or
+``_accesses_per_lookup`` are costs.  Both sides zero is a match, one
+side zero a collapse.
 
-Two enforcement tiers:
+* **Gated** keys (:data:`GATED_METRICS`, :data:`GATED_CELL_METRICS` in
+  every sweep cell) fail the run below :data:`FAIL_RATIO`, on a
+  collapse, or when the baseline holds them and the run does not (a
+  vanished sweep cell is its gated keys vanishing).  Other keys only
+  warn, below :data:`WARN_RATIO`.
+* **Wall-clock** keys (``*pps*``, the time suffixes, line-rate
+  ``headroom``) are diffed only between files with the same
+  :data:`HOST_FIELDS` fingerprint, else they read ``refused``.  The
+  committed baselines hold none: wall-clock is ``benchmarks/ledger/``'s,
+  parent and change on one host, back to back.
+* **Monotone axes** (:data:`MONOTONE_AXES`) look at the current run: no
+  step of a series may fall below its tolerance times the step before,
+  the inverted-scaling shape no per-key ratio can see.  An axis of the
+  artifact's kind that finds no series fails: it checked nothing.
 
-* **informational metrics** (ungated ratios, counts, modelled numbers)
-  are warn-only — flagged below ``--threshold`` but never fail the
-  run;
-* **gated metrics** (:data:`GATED_METRICS` — the speedup and
-  throughput ratios the acceptance gates assert) FAIL the run (exit 1)
-  when they regress below ``--fail-threshold`` (default 0.75, i.e. a >25%
-  regression) or disappear from the current results entirely.  Ratios
-  of ratios are far less runner-sensitive than absolute pps, which is
-  what makes a hard gate tenable here.
-
-A third check kind, **monotone** (:data:`MONOTONE_AXES`), looks only at
-the *current* results: a metric family recorded along an axis (e.g.
-``*_pipeline_pps`` along ``shards_1 -> shards_2 -> shards_4``) must be
-non-decreasing along that axis, up to ``--monotone-tolerance`` (default
-0.9 — each step may dip at most 10% below its predecessor before the
-run fails).  This is the "sharding must not make serving slower" gate:
-it catches the inverted-scaling shape no per-metric baseline ratio can
-see, because every point can individually beat its baseline while the
-axis still slopes downward.
-
-**The ledger owns wall-clock.**  The committed ``baseline.json`` holds
-no pps / seconds row: only same-run ratios (the gated ones pinned at
-the floor their bench test asserts), counts and modelled numbers, which
-mean the same on every host.  Absolute throughput and latency are
-tracked by ``benchmarks/ledger/`` (``run.py`` / ``compare.py``), which
-measures parent and change on one host, back to back.
-
-**Host fingerprint.**  ``BENCH_engine.json`` carries the ledger's
-``fingerprint`` block (CPU count and model, Python, NumPy, platform)
-plus the FlatTree ``kernel`` that served (``native`` / ``portable``).
-When two full ``BENCH_engine.json`` files are compared, wall-clock
-metrics (``*pps*``, ``*_s``, ``*_ms``, ``*_ms_per_run``) are only
-diffed when both carry the *same* host fields (:data:`HOST_FIELDS`);
-otherwise their rows read ``refused`` — a pps measured on another
-machine, or on one nobody recorded, is not a baseline.  Same-run
-ratios, counts and modelled numbers are diffed on any host, and every
-gate still applies.
+``--allow-missing`` turns the two "nothing there" failures (a gated key
+absent, an empty axis) into warnings, for a ``--filter``\\ ed sweep or a
+reduced bench run.  A missing, unreadable or wrong-shape input fails.
 
 Usage::
 
-    python benchmarks/compare_baseline.py BENCH_engine.json \
-        benchmarks/baseline.json [--threshold 0.8] [--fail-threshold 0.75]
-
-Metrics whose key marks them as costs (``*_s``, ``*_ms``,
-``*_ms_per_run``, ``*_j``, ``*_accesses_per_lookup``) improve downward;
-everything else (pps, speedups, rates) improves upward.  Ratios are
-always oriented so > 1.0 means "better than baseline".
+    python benchmarks/compare_baseline.py CURRENT BASELINE [--allow-missing]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-#: Flattened metric keys enforced as hard gates: a >25% regression (or
-#: the metric vanishing) fails the comparison instead of warning.
+#: A ratio below this flags its row (warn-only unless the key is gated).
+WARN_RATIO = 0.8
+#: A gated ratio below this (a >25% regression) fails the run.
+FAIL_RATIO = 0.75
+
+#: Flattened engine-bench keys enforced as hard gates.
 GATED_METRICS = frozenset({
     # These are pinned in baseline.json at the floor the bench test
     # asserts (5.0, 0.8, 5.0, 3.0, 0.9), not at one host's measured value.
@@ -104,216 +89,235 @@ GATED_METRICS = frozenset({
     "stream_session.over_direct_loop",
 })
 
+#: Leaves gated in every cell of a sweep artifact.  Given the spec's
+#: per-cell seeding they are bit-stable across runs and runners, so a
+#: drift is a behaviour change, never noise.
+GATED_CELL_METRICS = frozenset({
+    "hit_rate",
+    "memory_accesses_per_lookup",
+    "energy_per_packet_j",
+    "matched_fraction",
+})
+
 #: Fingerprint fields that make two hosts' wall-clock numbers
 #: incomparable (the ledger's ``compare.py`` refuses on the first five;
 #: ``kernel`` is ``native.status()``'s — a pps served by the C walk is
 #: no baseline for one served by the NumPy walk, same machine or not).
 HOST_FIELDS = ("nproc", "cpu", "python", "numpy", "platform", "kernel")
 
-#: Metric families that must be non-decreasing along an ordered axis of
-#: the CURRENT results: (family key, ordered point keys, tolerance
-#: floor).  Points absent from the results are skipped (a reduced bench
-#: run is not a failure); an inversion beyond the tolerance is.  The
-#: per-family floor tightens the CLI ``--monotone-tolerance`` — the
-#: effective tolerance is whichever of the two is stricter, so the
-#: shards families never regress past 5% step-to-step regardless of the
-#: flag.
+#: ``(artifact kind, key pattern, tolerance)``.  The pattern's one group
+#: captures the axis value; keys equal but for it form one series,
+#: ordered by that value, and no step may fall below ``tolerance`` times
+#: the step before.
 MONOTONE_AXES = (
-    ("flowcache_pipeline_pps", ("shards_1", "shards_2", "shards_4"), 0.95),
-    ("auto_pipeline_pps", ("shards_1", "shards_2", "shards_4"), 0.95),
+    # Sharding must not make serving slower (5% step-to-step noise).
+    ("engine", r"flowcache_pipeline_pps\.shards_(\d+)", 0.95),
+    ("engine", r"auto_pipeline_pps\.shards_(\d+)", 0.95),
+    # Among cells that differ only in a non-zero cache_entries, a bigger
+    # cache must not serve a colder hit rate.
+    ("sweep", r"cells\..*/e([1-9]\d*)w.*\.hit_rate", 0.9),
 )
 
+#: Key suffixes of costs (lower is better); the first three are times.
+_COSTS = ("_s", "_ms", "_ms_per_run", "_j", "_accesses_per_lookup")
+#: Key lists longer than this are cut in the report.
+_SHOWN = 12
 
-def _flatten(prefix: str, obj, out: dict) -> None:
+
+def _kind(artifact: dict) -> str:
+    return "sweep" if "cells" in artifact else "engine"
+
+
+def load(path: str) -> dict:
+    """The artifact at ``path``; ``ValueError`` when it cannot be one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            artifact = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not artifact or not isinstance(artifact, dict) or not isinstance(
+        artifact.get("cells", {}), dict
+    ):
+        raise ValueError(f"{path}: neither a bench nor a sweep artifact")
+    return artifact
+
+
+def flatten(obj, prefix: str = "") -> dict[str, float]:
+    """Every numeric leaf of ``obj`` under its dotted key; the top-level
+    ``fingerprint`` is the host, not a metric."""
     if isinstance(obj, dict):
-        for key, value in sorted(obj.items()):
-            if not prefix and key == "fingerprint":
-                continue  # the host, not a metric
-            _flatten(f"{prefix}.{key}" if prefix else key, value, out)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        out[prefix] = float(obj)
+        out: dict[str, float] = {}
+        for key, value in obj.items():
+            if prefix or key != "fingerprint":
+                out.update(flatten(value, f"{prefix}.{key}" if prefix else key))
+        return out
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return {prefix: float(obj)}
+    return {}
 
 
-def _host_of(results: dict) -> tuple | None:
-    """The host fields of a results file; ``None`` when it has none."""
-    fingerprint = results.get("fingerprint")
+def _host_of(artifact: dict) -> tuple | None:
+    """The host fields of an artifact; ``None`` when it has none."""
+    fingerprint = artifact.get("fingerprint")
     if not isinstance(fingerprint, dict):
         return None
     return tuple(fingerprint.get(field) for field in HOST_FIELDS)
 
 
-def _is_wall_clock(key: str) -> bool:
-    # ``flat_pps.hicuts``: the unit can sit in the family name.
-    leaf = key.rsplit(".", 1)[-1]
-    return "pps" in key or leaf.endswith(("_s", "_ms", "_ms_per_run"))
-
-
-def _lower_is_better(key: str) -> bool:
-    leaf = key.rsplit(".", 1)[-1]
-    return leaf.endswith(
-        ("_s", "_ms", "_ms_per_run", "_j", "_accesses_per_lookup")
+def is_gated(key: str) -> bool:
+    head, _, leaf = key.rpartition(".")
+    return key in GATED_METRICS or (
+        head.startswith("cells.") and leaf in GATED_CELL_METRICS
     )
 
 
-def check_monotone(
-    current: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Evaluate :data:`MONOTONE_AXES` against the current results.
+def is_wall_clock(key: str) -> bool:
+    # ``flat_pps.hicuts``: the unit can sit in the family name.
+    return "pps" in key or key.endswith((*_COSTS[:3], ".headroom"))
 
-    Returns ``(report_lines, failures)``.  Each axis row shows the
-    recorded points in order; a step falling below ``tolerance`` times
-    its predecessor fails as ``monotone:<family>``.
-    """
-    cur: dict = {}
-    _flatten("", current, cur)
-    lines: list[str] = []
+
+def _ratio(key: str, base: float, cur: float) -> float:
+    """> 1.0 is better; both zero is a match, one-sided zero a collapse."""
+    if base == 0 or cur == 0:
+        return 1.0 if base == cur else float("nan")
+    return base / cur if key.endswith(_COSTS) else cur / base
+
+
+def _listed(keys: list[str]) -> str:
+    shown = ", ".join(f"`{key}`" for key in keys[:_SHOWN])
+    extra = len(keys) - _SHOWN
+    return shown + (f" ... ({extra} more)" if extra > 0 else "")
+
+
+def check_monotone(
+    current: dict, allow_missing: bool = False
+) -> tuple[list[str], list[str]]:
+    """Evaluate the :data:`MONOTONE_AXES` of the artifact's kind on the
+    current run.  Returns ``(report_lines, failures)``; an inverted
+    series fails as ``monotone:<series>``, an axis with no series to
+    check as ``monotone:<pattern>``."""
+    flat = flatten(current)
+    lines = ["", "### Monotone axes (current run)", ""]
     failures: list[str] = []
-    for family, points, floor in MONOTONE_AXES:
-        eff = max(tolerance, floor)
-        series = [
-            (p, cur[f"{family}.{p}"])
-            for p in points
-            if f"{family}.{p}" in cur
-        ]
-        if len(series) < 2:
+    for kind, pattern, tolerance in MONOTONE_AXES:
+        if kind != _kind(current):
             continue
-        broken = [
-            f"{prev_key} -> {key}"
-            for (prev_key, prev), (key, val) in zip(series, series[1:])
-            if val < eff * prev
-        ]
-        shown = ", ".join(f"{key}={val:,.0f}" for key, val in series)
-        if broken:
-            failures.append(f"monotone:{family}")
-            lines.append(
-                f"- :x: `{family}` must be non-decreasing along shards "
-                f"(tolerance {eff:.0%}): {shown} — inverted at "
-                f"{'; '.join(broken)}"
-            )
-        else:
-            lines.append(
-                f"- `{family}` non-decreasing along shards: {shown}"
-            )
-    if lines:
-        lines = ["", "### Monotone axes (current run)", ""] + lines
+        series: dict[str, list[tuple[int, float]]] = {}
+        for key, value in flat.items():
+            if match := re.fullmatch(pattern, key):
+                label = f"{key[:match.start(1)]}*{key[match.end(1):]}"
+                series.setdefault(label, []).append((int(match[1]), value))
+        checked = [(label, sorted(p)) for label, p in series.items() if len(p) > 1]
+        if not checked:
+            lines.append(f"- {':warning:' if allow_missing else ':x:'} "
+                         f"`{pattern}`: no series of two points, the axis "
+                         f"checked nothing")
+            failures += [] if allow_missing else [f"monotone:{pattern}"]
+            continue
+        lines.append(f"- `{pattern}`: {len(checked)} series checked at "
+                     f"tolerance {tolerance:.0%}")
+        for label, points in sorted(checked):
+            broken = [
+                f"{a}: {va:g} -> {b}: {vb:g}"
+                for (a, va), (b, vb) in zip(points, points[1:])
+                if vb < tolerance * va
+            ]
+            if broken:
+                failures.append(f"monotone:{label}")
+                lines.append(f"  - :x: `{label}` fell below {tolerance:.0%} "
+                             f"of the step before: {'; '.join(broken)}")
     return lines, failures
 
 
 def compare(
-    current: dict,
-    baseline: dict,
-    threshold: float,
-    fail_threshold: float,
-    monotone_tolerance: float = 0.9,
+    current: dict, baseline: dict, allow_missing: bool = False
 ) -> tuple[str, list[str]]:
-    """Markdown report plus the list of failed gated metrics."""
-    cur, base = {}, {}
-    _flatten("", current, cur)
-    _flatten("", baseline, base)
-    shared = sorted(set(cur) & set(base))
+    """Markdown report plus the sorted list of failed checks."""
+    kind = _kind(current)
+    if kind != _kind(baseline):
+        raise ValueError(f"the current run is of kind {kind!r}, the "
+                         f"baseline of kind {_kind(baseline)!r}")
+    cur, base = flatten(current), flatten(baseline)
+    shared = sorted(cur.keys() & base.keys())
+    host = _host_of(current)
+    same_host = host is not None and host == _host_of(baseline)
     lines = [
-        "## Bench vs committed baseline",
+        f"## {kind.capitalize()} artifact vs committed baseline",
         "",
         "| metric | baseline | current | ratio (>1 = better) | |",
         "| --- | ---: | ---: | ---: | --- |",
     ]
-    flagged = refused = 0
     failures: list[str] = []
-    host = _host_of(current)
-    same_host = host is not None and host == _host_of(baseline)
+    flagged = refused = elided = 0
     for key in shared:
         b, c = base[key], cur[key]
-        if not same_host and key not in GATED_METRICS and _is_wall_clock(key):
+        gated = is_gated(key)
+        if not same_host and not gated and is_wall_clock(key):
             refused += 1
             lines.append(f"| `{key}` | {b:g} | {c:g} | — | refused |")
             continue
-        if b == 0 or c == 0:
-            ratio = float("nan")
-        elif _lower_is_better(key):
-            ratio = b / c
-        else:
-            ratio = c / b
-        mark = ""
-        gated = key in GATED_METRICS
-        if gated and (ratio != ratio or ratio < fail_threshold):
-            # A gated metric collapsing to 0 (NaN ratio) is the most
-            # extreme regression, not a pass.
+        ratio = _ratio(key, b, c)
+        if gated and not ratio >= FAIL_RATIO:  # a collapse (NaN) fails too
             mark = ":x: gated"
             failures.append(key)
-        elif gated:
-            mark = "gated"
-        elif ratio == ratio and ratio < threshold:  # NaN-safe warn
-            mark = ":warning:"
-            flagged += 1
-        lines.append(
-            f"| `{key}` | {b:g} | {c:g} | {ratio:.2f} | {mark} |"
-        )
-    missing_gated = sorted(GATED_METRICS & set(base) - set(cur))
-    failures.extend(missing_gated)
-    only_cur = sorted(set(cur) - set(base))
-    if only_cur:
-        lines += ["", f"New metrics (no baseline yet): "
-                      f"{', '.join(f'`{k}`' for k in only_cur)}"]
-    only_base = sorted(set(base) - set(cur))
-    if only_base:
-        lines += ["", f"Baseline metrics missing from this run: "
-                      f"{', '.join(f'`{k}`' for k in only_base)}"]
-    mono_lines, mono_failures = check_monotone(current, monotone_tolerance)
+        elif ratio < WARN_RATIO:
+            mark = "gated" if gated else ":warning:"
+            flagged += not gated
+        else:
+            elided += 1
+            continue
+        lines.append(f"| `{key}` | {b:g} | {c:g} | {ratio:.2f} | {mark} |")
+    lines.append(f"| *{elided} rows within bounds elided* | | | | |")
+    missing = sorted(k for k in base.keys() - cur.keys() if is_gated(k))
+    if missing and not allow_missing:
+        failures += missing
+    for label, keys in (
+        (f"Gated baseline metrics missing from this run "
+         f"({':warning:' if allow_missing else ':x: gated'})", missing),
+        ("Ungated baseline metrics missing from this run",
+         sorted(base.keys() - cur.keys() - set(missing))),
+        ("New metrics (no baseline yet)", sorted(cur.keys() - base.keys())),
+    ):
+        if keys:
+            lines += ["", f"{label}, {len(keys)}: {_listed(keys)}"]
+    mono_lines, mono_failures = check_monotone(current, allow_missing)
     lines += mono_lines
-    failures.extend(mono_failures)
-    lines += [
-        "",
-        f"{len(shared)} shared metrics, {flagged} below the "
-        f"{threshold:.0%} warn threshold (informational only).",
-    ]
+    failures = sorted(set(failures + mono_failures))
+    lines += ["", f"{len(shared)} shared metrics, {flagged} below the "
+                  f"{WARN_RATIO:.0%} warn threshold (informational only)."]
     if refused:
-        lines += [
-            "",
-            f"{refused} wall-clock metrics refused: the two files do not "
-            f"carry the same host fingerprint "
-            f"({', '.join(HOST_FIELDS)}).",
-        ]
+        lines += ["", f"{refused} wall-clock metrics refused: the two files "
+                      f"do not carry the same host fingerprint "
+                      f"({', '.join(HOST_FIELDS)})."]
     if failures:
-        lines += [
-            "",
-            f"**FAIL**: gated metric(s) regressed more than "
-            f"{1 - fail_threshold:.0%} (or vanished): "
-            f"{', '.join(f'`{k}`' for k in sorted(set(failures)))}",
-        ]
-    return "\n".join(lines), sorted(set(failures))
+        lines += ["", f"**FAIL**: gated metric(s) regressed more than "
+                      f"{1 - FAIL_RATIO:.0%}, collapsed, vanished or "
+                      f"inverted: {_listed(failures)}"]
+    return "\n".join(lines), failures
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("current", help="fresh BENCH_engine.json")
-    parser.add_argument("baseline", help="committed benchmarks/baseline.json")
-    parser.add_argument("--threshold", type=float, default=0.8,
-                        help="ratio below which a row is flagged (warn)")
-    parser.add_argument("--fail-threshold", type=float, default=0.75,
-                        help="ratio below which a GATED metric fails the "
-                             "comparison")
-    parser.add_argument("--monotone-tolerance", type=float, default=0.9,
-                        help="noise allowance for the monotone shards "
-                             "axes: each step may fall to this fraction "
-                             "of its predecessor before failing")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("current", help="fresh BENCH_engine.json or "
+                                        "BENCH_sweeps.json")
+    parser.add_argument("baseline", help="its committed baseline")
+    parser.add_argument("--allow-missing", action="store_true",
+                        help="warn instead of failing on gated baseline "
+                             "metrics absent from the run and on monotone "
+                             "axes with no series")
     args = parser.parse_args(argv)
     try:
-        with open(args.current, encoding="utf-8") as fh:
-            current = json.load(fh)
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"baseline comparison skipped: {exc}", file=sys.stderr)
-        return 0  # missing inputs stay non-fatal (fresh checkouts)
-    report, failures = compare(
-        current, baseline, args.threshold, args.fail_threshold,
-        monotone_tolerance=args.monotone_tolerance,
-    )
+        report, failures = compare(
+            load(args.current), load(args.baseline), args.allow_missing
+        )
+    except ValueError as exc:
+        print(f"comparison failed: {exc}", file=sys.stderr)
+        return 1
     print(report)
     if failures:
-        print(
-            f"gated regression(s): {', '.join(failures)}", file=sys.stderr
-        )
+        print(f"gated regression(s): {_listed(failures)}", file=sys.stderr)
         return 1
     return 0
 

@@ -7,9 +7,10 @@ grid axes once, :func:`run_sweep` executes every cell through the real
 :class:`~repro.serve.Engine` serving path with deterministic per-cell
 seeding, and the result lands as a ``BENCH_sweeps.json`` artifact plus
 a rendered markdown matrix (:func:`render_matrix`) for the CI step
-summary.  ``benchmarks/compare_sweeps.py`` diffs the artifact against
-the committed ``benchmarks/sweeps_baseline.json`` with the same gated
-regression and monotone-axis semantics the engine bench enjoys.
+summary.  ``benchmarks/compare_baseline.py``, the comparator the engine
+bench uses, diffs the artifact against the committed
+``benchmarks/sweeps_baseline.json`` with the same gated-regression and
+monotone-axis rules.
 
 ::
 

@@ -72,9 +72,9 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         """The ``BENCH_sweeps.json`` schema: spec + cell-id-keyed
-        metrics (flat scalars only, so the comparison tool can flatten
-        it the way ``compare_baseline.py`` flattens the engine
-        artifact)."""
+        metrics, which ``benchmarks/compare_baseline.py`` flattens into
+        ``cells.<cell id>.<metric>`` keys the way it flattens the
+        engine artifact."""
         return {
             "version": ARTIFACT_VERSION,
             "spec": self.spec.to_dict(),

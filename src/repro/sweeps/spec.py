@@ -292,7 +292,7 @@ def default_spec(tier: str = "quick") -> SweepSpec:
         (300/1200/2500) x two backends x a cache/skew grid — runs in
         under a minute and is what ``benchmarks/sweeps_baseline.json``
         pins.  Two non-zero cache sizes either side of the ~950-flow
-        working set give ``compare_sweeps.py``'s monotone cache axis
+        working set give ``compare_baseline.py``'s monotone cache axis
         groups to check, and the ``shards=2`` half runs in-process
         shards, whose count — hence the per-shard caches and the
         gated hit rate — does not depend on the host's CPU count the

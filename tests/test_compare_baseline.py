@@ -1,15 +1,11 @@
-"""The bench-comparison harness: gated ratios and the monotone axes.
-
-``benchmarks/compare_baseline.py`` is the CI enforcement point for the
-perf acceptance gates, so its two failure modes get unit coverage: a
-gated speedup regressing (or vanishing) and a ``*_pipeline_pps`` shards
-axis inverting beyond the noise tolerance.
-"""
+"""``benchmarks/compare_baseline.py``, CI's gate on the engine bench and
+the sweep grid: gates, wall-clock refusal and monotone axes.  Loaded
+once here; the sweep-kind cases in ``tests/test_sweeps.py`` import it,
+and the artifact helpers, from this module."""
 
 from __future__ import annotations
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -23,58 +19,93 @@ _SPEC.loader.exec_module(compare_baseline)
 
 compare = compare_baseline.compare
 check_monotone = compare_baseline.check_monotone
+_BENCHMARKS = Path(compare_baseline.__file__).parent
+#: The declared axis patterns, which name an axis that checked nothing.
+_, AUTO_AXIS, SWEEP_AXIS = (
+    pattern for _, pattern, _ in compare_baseline.MONOTONE_AXES
+)
+
+#: Two sweep cells one step apart on the cache axis.
+SMALL = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
+BIG = "a/1/x/s1-auto/e256w4/z1.1/p40/u0"
 
 
-def _axis(one, two, four):
-    return {"shards_1": one, "shards_2": two, "shards_4": four}
+def sweep_cell(hit=0.9, accesses=2.0, energy=1e-9, matched=0.5, pps=1e6):
+    return {"hit_rate": hit, "memory_accesses_per_lookup": accesses,
+            "energy_per_packet_j": energy, "matched_fraction": matched,
+            "throughput_pps": pps}
+
+
+def sweep_artifact(cells: dict | None = None, **small) -> dict:
+    """``cells``, by default SMALL (with ``small`` applied) and BIG."""
+    if cells is None:
+        cells = {SMALL: sweep_cell(**small), BIG: sweep_cell()}
+    return {"version": 1, "spec": {}, "n_cells": len(cells), "cells": cells}
+
+
+def _axes(flowcache=(1e6, 1e6, 1.1e6), auto=(1e6, 1e6, 1.1e6)) -> dict:
+    """Both engine shards axes, healthy unless told otherwise."""
+    return {f"{family}_pipeline_pps": dict(zip(("shards_1", "shards_2",
+                                                "shards_4"), points))
+            for family, points in (("flowcache", flowcache), ("auto", auto))}
 
 
 class TestMonotoneAxes:
     def test_non_decreasing_axis_passes(self):
-        current = {"flowcache_pipeline_pps": _axis(1e6, 1.2e6, 1.5e6)}
-        lines, failures = check_monotone(current, tolerance=0.9)
+        lines, failures = check_monotone(_axes(flowcache=(1e6, 1.2e6, 1.5e6)))
         assert failures == []
-        assert any("non-decreasing" in line for line in lines)
+        assert sum("1 series checked" in line for line in lines) == 2
 
     def test_inverted_axis_fails(self):
-        current = {"auto_pipeline_pps": _axis(2e6, 1e6, 0.8e6)}
-        _, failures = check_monotone(current, tolerance=0.9)
-        assert failures == ["monotone:auto_pipeline_pps"]
+        _, failures = check_monotone(_axes(auto=(2e6, 1e6, 0.8e6)))
+        assert failures == ["monotone:auto_pipeline_pps.shards_*"]
 
     def test_tolerance_absorbs_noise_dips(self):
-        # A 4% step-down is runner noise under the shards families'
-        # 0.95 tolerance floor; a 20% step-down is not.
-        noisy = {"flowcache_pipeline_pps": _axis(1e6, 0.96e6, 1e6)}
-        assert check_monotone(noisy, tolerance=0.9)[1] == []
-        broken = {"flowcache_pipeline_pps": _axis(1e6, 0.8e6, 1e6)}
-        assert check_monotone(broken, tolerance=0.9)[1] == [
-            "monotone:flowcache_pipeline_pps"
+        # A 4% step-down is runner noise under the shards axes' 0.95
+        # tolerance; a 20% step-down is not.
+        assert check_monotone(_axes(flowcache=(1e6, 0.96e6, 1e6)))[1] == []
+        assert check_monotone(_axes(flowcache=(1e6, 0.8e6, 1e6)))[1] == [
+            "monotone:flowcache_pipeline_pps.shards_*"
         ]
 
     def test_family_floor_tightens_loose_cli_tolerance(self):
-        # The shards families carry a 0.95 floor: even a lax
-        # --monotone-tolerance cannot re-admit a >5% step-down.
-        dipped = {"auto_pipeline_pps": _axis(1e6, 0.9e6, 1e6)}
-        assert check_monotone(dipped, tolerance=0.5)[1] == [
-            "monotone:auto_pipeline_pps"
-        ]
+        # The shards families carry a 0.95 floor, tighter than the 0.9
+        # the sweep's cache axis runs at: a 6% dip the looser axis
+        # admits still fails on a shards axis.
+        tolerances = {pattern: tol for _, pattern, tol
+                      in compare_baseline.MONOTONE_AXES}
+        assert tolerances[AUTO_AXIS] == 0.95 and tolerances[SWEEP_AXIS] == 0.9
+        assert check_monotone(sweep_artifact(hit=0.96))[1] == []
+        for dip in (0.94e6, 0.9e6):
+            assert check_monotone(_axes(auto=(1e6, dip, 1e6)))[1] == [
+                "monotone:auto_pipeline_pps.shards_*"
+            ]
 
     def test_missing_points_are_skipped(self):
-        # One recorded point is not an axis; nothing to enforce.
-        current = {"flowcache_pipeline_pps": {"shards_1": 1e6}}
-        lines, failures = check_monotone(current, tolerance=0.9)
-        assert failures == [] and lines == []
+        # shards_2 unrecorded: the two points left are still an axis.
+        current = _axes()
+        del current["flowcache_pipeline_pps"]["shards_2"]
+        assert check_monotone(current)[1] == []
+        current["flowcache_pipeline_pps"]["shards_4"] = 0.5e6
+        assert check_monotone(current)[1] == [
+            "monotone:flowcache_pipeline_pps.shards_*"
+        ]
+
+    def test_an_axis_that_checked_nothing_fails(self):
+        # A run that stopped recording one family, or recorded a single
+        # point of it, checked nothing on that axis.
+        current = dict(_axes(), auto_pipeline_pps={"shards_1": 1e6})
+        lines, failures = check_monotone(current)
+        assert failures == [f"monotone:{AUTO_AXIS}"]
+        assert any("checked nothing" in line for line in lines)
+        assert check_monotone(current, allow_missing=True)[1] == []
 
     def test_monotone_failures_reach_compare(self):
-        current = {
-            "flowcache_pipeline_pps": _axis(2e6, 1e6, 1e6),
-            "flat_kernel_gate": {"speedup": 8.0},
-        }
+        current = dict(_axes(flowcache=(2e6, 1e6, 1e6)),
+                       flat_kernel_gate={"speedup": 8.0})
         baseline = {"flat_kernel_gate": {"speedup": 8.0}}
-        report, failures = compare(
-            current, baseline, threshold=0.8, fail_threshold=0.75
-        )
-        assert "monotone:flowcache_pipeline_pps" in failures
+        report, failures = compare(current, baseline)
+        assert failures == ["monotone:flowcache_pipeline_pps.shards_*"]
         assert "FAIL" in report
 
 
@@ -111,51 +142,78 @@ class TestGatedMetrics:
         # asserts, not the ratio one host happened to measure (a pinned
         # 11.11 once hard-failed the kernel gate on every other host).
         assert key in compare_baseline.GATED_METRICS
-        baseline = json.loads(
-            (Path(compare_baseline.__file__).parent / "baseline.json")
-            .read_text()
-        )
-        block, leaf = key.split(".")
-        assert baseline[block][leaf] == floor
+        baseline = compare_baseline.load(str(_BENCHMARKS / "baseline.json"))
+        assert compare_baseline.flatten(baseline)[key] == floor
 
     def test_committed_baseline_holds_no_wall_clock_row(self):
-        # It carries no fingerprint, so a pps / seconds row in it could
-        # only ever read ``refused``: the ledger owns wall-clock.
-        baseline = json.loads(
-            (Path(compare_baseline.__file__).parent / "baseline.json")
-            .read_text()
-        )
-        flat: dict = {}
-        compare_baseline._flatten("", baseline, flat)
-        assert "fingerprint" not in baseline
-        assert [k for k in flat if compare_baseline._is_wall_clock(k)] == []
-        assert compare_baseline.GATED_METRICS <= set(flat)
+        # Neither carries a fingerprint, so a pps / seconds row in them
+        # could only ever read ``refused``: the ledger owns wall-clock.
+        for name in ("baseline.json", "sweeps_baseline.json"):
+            baseline = compare_baseline.load(str(_BENCHMARKS / name))
+            flat = compare_baseline.flatten(baseline)
+            assert "fingerprint" not in baseline
+            assert [k for k in flat if compare_baseline.is_wall_clock(k)] == []
+            gated = {
+                k.rsplit(".", 1)[1] if k.startswith("cells.") else k
+                for k in flat if compare_baseline.is_gated(k)
+            }
+            assert gated in (compare_baseline.GATED_METRICS,
+                             compare_baseline.GATED_CELL_METRICS)
+
+    def test_committed_baselines_pass_against_themselves(self, capsys):
+        # The engine baseline holds no shards axis, so only a run told
+        # that a missing axis is expected passes against it.
+        for name in ("baseline.json", "sweeps_baseline.json"):
+            path = str(_BENCHMARKS / name)
+            assert compare_baseline.main([path, path, "--allow-missing"]) == 0
+        capsys.readouterr()
 
     def test_gated_regression_fails(self):
         baseline = {"dispatch_coalescing": {"speedup": 2.0}}
-        current = {"dispatch_coalescing": {"speedup": 1.0}}
-        _, failures = compare(
-            current, baseline, threshold=0.8, fail_threshold=0.75
-        )
-        assert failures == ["dispatch_coalescing.speedup"]
+        current = dict(_axes(), dispatch_coalescing={"speedup": 1.0})
+        assert compare(current, baseline)[1] == ["dispatch_coalescing.speedup"]
 
     def test_gated_metric_vanishing_fails(self):
         baseline = {"dispatch_coalescing": {"speedup": 2.0}}
-        _, failures = compare(
-            {}, baseline, threshold=0.8, fail_threshold=0.75
-        )
-        assert failures == ["dispatch_coalescing.speedup"]
+        assert compare(_axes(), baseline)[1] == ["dispatch_coalescing.speedup"]
+        assert compare(_axes(), baseline, allow_missing=True)[1] == []
+
+    @pytest.mark.parametrize("kind", ["engine", "sweep"])
+    def test_both_zero_matches_one_sided_zero_collapses(self, kind):
+        def artifact(value):
+            if kind == "engine":
+                return dict(_axes(), update_patch={"speedup": value})
+            return sweep_artifact(matched=value)
+        key = ("update_patch.speedup" if kind == "engine"
+               else f"cells.{SMALL}.matched_fraction")
+        assert compare(artifact(0), artifact(0))[1] == []
+        assert compare(artifact(0), artifact(0.5))[1] == [key]
 
     def test_healthy_run_passes(self):
-        data = {
-            "dispatch_coalescing": {"speedup": 2.7},
-            "flowcache_pipeline_pps": _axis(1e6, 1e6, 1.1e6),
-        }
-        report, failures = compare(
-            data, data, threshold=0.8, fail_threshold=0.75
-        )
+        data = dict(_axes(), dispatch_coalescing={"speedup": 2.7})
+        report, failures = compare(data, data)
         assert failures == []
         assert "FAIL" not in report
+
+
+class TestInputs:
+    def test_missing_or_malformed_input_fails(self, tmp_path, capsys):
+        # A bench or sweep step that crashed before writing its JSON
+        # must not leave the gate green.
+        good = str(_BENCHMARKS / "sweeps_baseline.json")
+        bad = {"list.json": "[1, 2]", "empty.json": "{}", "torn.json": '{"a": ',
+               "cells.json": '{"cells": [1]}', "engine.json": '{"a": {"b": 1}}'}
+        for name, text in bad.items():
+            (tmp_path / name).write_text(text)
+        for path in [tmp_path / "nope.json", *(tmp_path / name for name in bad)]:
+            assert compare_baseline.main([str(path), good]) == 1, path
+            assert compare_baseline.main([good, str(path)]) == 1, path
+            assert "comparison failed: " in capsys.readouterr().err
+
+    def test_the_only_flag_is_allow_missing(self, capsys):
+        with pytest.raises(SystemExit):
+            compare_baseline.main(["a.json", "b.json", "--threshold", "0.5"])
+        assert "unrecognized arguments: --threshold" in capsys.readouterr().err
 
 
 _HOST = {
@@ -177,12 +235,13 @@ class TestHostFingerprint:
         "flat_pps": {"hicuts": 1e6},
         "oracle": {"batch_s": 0.03, "speedup": 4.0, "packets": 2000},
         "dispatch_coalescing": {"speedup": 2.0, "coalesced_pps": 1e6},
+        **_axes(),
     }
 
     def _compare(self, cur_host, base_host):
         current = dict(self.SLOW, **({"fingerprint": cur_host} if cur_host else {}))
         baseline = dict(self.BASE, **({"fingerprint": base_host} if base_host else {}))
-        return compare(current, baseline, threshold=0.8, fail_threshold=0.75)
+        return compare(current, baseline)
 
     def test_same_host_diffs_wall_clock(self):
         # The commit differs, the host does not: 3 slow wall-clock rows
@@ -204,20 +263,17 @@ class TestHostFingerprint:
             "flat_pps.hicuts", "oracle.batch_s",
             "dispatch_coalescing.coalesced_pps",
         ):
-            assert f"| `{key}` | " in report
-            row = next(ln for ln in report.splitlines() if f"`{key}`" in ln)
+            row = next(ln for ln in report.splitlines() if f"| `{key}` | " in ln)
             assert row.endswith("| — | refused |")
         # The same-run ratio is still diffed (and warns), the count too.
         assert report.count(":warning:") == 1
         assert "3 wall-clock metrics refused" in report
 
     def test_gates_hold_across_hosts(self):
-        current = {"dispatch_coalescing": {"speedup": 1.0}, "fingerprint": _HOST}
+        current = dict(_axes(), dispatch_coalescing={"speedup": 1.0},
+                       fingerprint=_HOST)
         baseline = {"dispatch_coalescing": {"speedup": 2.0}}
-        _, failures = compare(
-            current, baseline, threshold=0.8, fail_threshold=0.75
-        )
-        assert failures == ["dispatch_coalescing.speedup"]
+        assert compare(current, baseline)[1] == ["dispatch_coalescing.speedup"]
 
     def test_fingerprint_is_not_a_metric(self):
         report, _ = self._compare(_HOST, dict(_HOST, nproc=64))

@@ -2,18 +2,19 @@
 
 Covers the declarative layer (spec round-trip, axis expansion,
 deterministic per-cell seeding), the enforcement layer
-(``benchmarks/compare_sweeps.py`` regression / missing-cell / monotone
-verdicts on synthetic artifacts), and — behind the ``sweep`` marker —
-a mini end-to-end grid through the real :class:`~repro.serve.Engine`.
+(``benchmarks/compare_baseline.py`` regression / missing-cell / monotone
+verdicts on synthetic sweep artifacts), and — behind the ``sweep``
+marker — a mini end-to-end grid through the real
+:class:`~repro.serve.Engine`.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
+from test_compare_baseline import BIG, SMALL, SWEEP_AXIS, compare_baseline
+from test_compare_baseline import sweep_artifact, sweep_cell
 
 from repro.core.errors import ConfigError
 from repro.serve import EngineConfig
@@ -26,12 +27,7 @@ from repro.sweeps import (
     run_sweep,
 )
 
-_SPEC = importlib.util.spec_from_file_location(
-    "compare_sweeps",
-    Path(__file__).resolve().parents[1] / "benchmarks" / "compare_sweeps.py",
-)
-compare_sweeps = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_sweeps)
+compare = compare_baseline.compare
 
 
 def _tiny_spec(**overrides) -> SweepSpec:
@@ -184,138 +180,91 @@ class TestFilters:
         assert kept and all(c.skew == 0.7 for c in kept)
 
 
-def _artifact(cells: dict) -> dict:
-    return {"version": 1, "spec": {}, "n_cells": len(cells), "cells": cells}
-
-
-def _cell(hit=0.9, accesses=2.0, energy=1e-9, matched=0.5, pps=1e6, entries=64):
-    return {
-        "hit_rate": hit,
-        "memory_accesses_per_lookup": accesses,
-        "energy_per_packet_j": energy,
-        "matched_fraction": matched,
-        "throughput_pps": pps,
-        "cache_entries": entries,
-    }
-
-
 class TestCompareSweeps:
+    """Sweep artifacts through the one comparator: every cell's gated
+    leaves, the cache axis, and wall-clock rows refused."""
+
     def test_identical_artifacts_pass(self):
-        art = _artifact({"a/1/x/s1-auto/e64w4/z1.1/p40/u0": _cell()})
-        report, failures = compare_sweeps.compare(art, art, 0.8, 0.75)
+        art = sweep_artifact()
+        report, failures = compare(art, art)
         assert failures == []
         assert "FAIL" not in report
 
     def test_gated_regression_fails(self):
-        cid = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
-        base = _artifact({cid: _cell(hit=0.9)})
-        cur = _artifact({cid: _cell(hit=0.6)})  # ratio 0.67 < 0.75
-        report, failures = compare_sweeps.compare(cur, base, 0.8, 0.75)
-        assert failures == [f"{cid}:hit_rate"]
+        report, failures = compare(sweep_artifact(hit=0.6), sweep_artifact())
+        assert failures == [f"cells.{SMALL}.hit_rate"]
         assert "FAIL" in report
 
     def test_lower_is_better_direction(self):
         """More accesses/lookup is worse even though the number grew."""
-        cid = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
-        base = _artifact({cid: _cell(accesses=2.0)})
-        cur = _artifact({cid: _cell(accesses=3.0)})  # 2/3 < 0.75 -> fail
-        _, failures = compare_sweeps.compare(cur, base, 0.8, 0.75)
-        assert failures == [f"{cid}:memory_accesses_per_lookup"]
+        _, failures = compare(sweep_artifact(accesses=3.0), sweep_artifact())
+        assert failures == [f"cells.{SMALL}.memory_accesses_per_lookup"]
 
     def test_throughput_is_warn_only(self):
-        cid = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
-        base = _artifact({cid: _cell(pps=1e6)})
-        cur = _artifact({cid: _cell(pps=1e5)})  # 10x slower: warn, no gate
-        report, failures = compare_sweeps.compare(cur, base, 0.8, 0.75)
-        assert failures == []
-        assert ":warning:" in report
+        # A sweep artifact carries no host fingerprint, so its wall-clock
+        # rows (pps, line-rate headroom) read ``refused``; stamped with
+        # one host they warn.  Either way a 10x slower cell fails nothing.
+        slow, base = sweep_artifact(pps=1e5), sweep_artifact()
+        for art, headroom in ((slow, 0.1), (base, 1.0)):
+            art["cells"][SMALL]["line_rates"] = {"OC-48": {"headroom": headroom}}
+        report, failures = compare(slow, base)
+        assert failures == [] and "3 wall-clock metrics refused" in report
+        host = {"fingerprint": {"nproc": 2}}
+        report, failures = compare(slow | host, base | host)
+        assert failures == [] and report.count(":warning:") == 2
 
     def test_missing_cell_fails_unless_allowed(self):
-        cid = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
-        base = _artifact({cid: _cell()})
-        cur = _artifact({})
-        _, failures = compare_sweeps.compare(cur, base, 0.8, 0.75)
-        assert failures == [f"{cid}:missing"]
-        _, failures = compare_sweeps.compare(
-            cur, base, 0.8, 0.75, allow_missing=True
+        cur = sweep_artifact({BIG: sweep_cell()})
+        _, failures = compare(cur, sweep_artifact())
+        assert failures == sorted(
+            [f"cells.{SMALL}.{leaf}"
+             for leaf in compare_baseline.GATED_CELL_METRICS]
+            + [f"monotone:{SWEEP_AXIS}"]  # one cache size left: no axis
         )
+        _, failures = compare(cur, sweep_artifact(), allow_missing=True)
         assert failures == []
 
     def test_missing_gated_metric_fails(self):
-        cid = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
-        base = _artifact({cid: _cell()})
-        shrunk = _cell()
-        del shrunk["hit_rate"]
-        cur = _artifact({cid: shrunk})
-        _, failures = compare_sweeps.compare(cur, base, 0.8, 0.75)
-        assert failures == [f"{cid}:hit_rate"]
+        shrunk = sweep_cell()
+        del shrunk["matched_fraction"]
+        cur = sweep_artifact({SMALL: shrunk, BIG: sweep_cell()})
+        _, failures = compare(cur, sweep_artifact())
+        assert failures == [f"cells.{SMALL}.matched_fraction"]
 
     def test_monotone_cache_axis_inversion_fails(self):
         """A bigger cache with a colder hit rate is an inverted-scaling
         failure even when every per-cell ratio vs baseline is clean."""
-        small = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
-        big = "a/1/x/s1-auto/e256w4/z1.1/p40/u0"
-        cells = {
-            small: _cell(hit=0.9, entries=64),
-            big: _cell(hit=0.5, entries=256),
-        }
-        art = _artifact(cells)
-        _, failures = compare_sweeps.compare(art, art, 0.8, 0.75)
-        assert failures == ["monotone:a/1/x/s1-auto/e*w4/z1.1/p40/u0"]
+        art = sweep_artifact({SMALL: sweep_cell(hit=0.9), BIG: sweep_cell(hit=0.5)})
+        assert compare(art, art)[1] == [
+            "monotone:cells.a/1/x/s1-auto/e*w4/z1.1/p40/u0.hit_rate"]
 
     def test_monotone_cache_axis_holds_when_nondecreasing(self):
-        cells = {
-            "a/1/x/s1-auto/e64w4/z1.1/p40/u0": _cell(hit=0.7, entries=64),
-            "a/1/x/s1-auto/e256w4/z1.1/p40/u0": _cell(hit=0.9, entries=256),
-        }
-        art = _artifact(cells)
-        _, failures = compare_sweeps.compare(art, art, 0.8, 0.75)
-        assert failures == []
+        art = sweep_artifact({SMALL: sweep_cell(hit=0.7), BIG: sweep_cell(hit=0.9)})
+        assert compare(art, art)[1] == []
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        cid = "a/1/x/s1-auto/e64w4/z1.1/p40/u0"
-        big = "a/1/x/s1-auto/e256w4/z1.1/p40/u0"
-        good = tmp_path / "good.json"
-        bad = tmp_path / "bad.json"
-        good.write_text(json.dumps(_artifact(
-            {cid: _cell(), big: _cell(entries=256)}
-        )))
-        bad.write_text(json.dumps(_artifact(
-            {cid: _cell(matched=0.1), big: _cell(entries=256)}
-        )))
-        assert compare_sweeps.main([str(good), str(good)]) == 0
-        assert compare_sweeps.main([str(bad), str(good)]) == 1
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(sweep_artifact()))
+        bad.write_text(json.dumps(sweep_artifact(matched=0.1)))
+        assert compare_baseline.main([str(good), str(good)]) == 0
+        assert compare_baseline.main([str(bad), str(good)]) == 1
         capsys.readouterr()
 
     def test_a_monotone_axis_that_checked_nothing_fails(self, tmp_path, capsys):
         """One non-zero cache size per group leaves the cache axis with
         no pair to compare: "0 cell groups checked ... all held" used to
         exit 0.  Only a deliberately filtered run may skip the axis."""
-        cells = {
-            "a/1/x/s1-auto/e0w4/z1.1/p40/u0": _cell(entries=0),
-            "a/1/x/s1-auto/e64w4/z1.1/p40/u0": _cell(),
-        }
-        del cells["a/1/x/s1-auto/e0w4/z1.1/p40/u0"]["hit_rate"]
-        art = _artifact(cells)
-        report, failures = compare_sweeps.compare(
-            art, art, 0.8, 0.75, require_groups=True
-        )
-        assert failures == ["monotone:no-cell-groups"]
-        assert "0 cell groups checked" in report and "FAIL" in report
+        bare = sweep_cell()
+        del bare["hit_rate"]  # e0: no cache, no hit rate
+        art = sweep_artifact({"a/1/x/s1-auto/e0w4/z1.1/p40/u0": bare,
+                              SMALL: sweep_cell()})
+        report, failures = compare(art, art)
+        assert failures == [f"monotone:{SWEEP_AXIS}"]
+        assert "checked nothing" in report and "FAIL" in report
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(art))
-        assert compare_sweeps.main([str(path), str(path)]) == 1
-        assert compare_sweeps.main(
-            [str(path), str(path), "--allow-missing"]
-        ) == 0
-        capsys.readouterr()
-
-    def test_missing_input_file_is_nonfatal(self, tmp_path, capsys):
-        # Fresh checkouts have no artifact yet; the gate must not
-        # misfire before the first sweep lands.
-        assert compare_sweeps.main(
-            [str(tmp_path / "nope.json"), str(tmp_path / "nope.json")]
-        ) == 0
+        assert compare_baseline.main([str(path), str(path)]) == 1
+        assert compare_baseline.main([str(path)] * 2 + ["--allow-missing"]) == 0
         capsys.readouterr()
 
 
@@ -338,11 +287,12 @@ class TestEndToEnd:
         for m in (cached, bare):
             assert m["n_packets"] == spec.packets
             assert set(m["line_rates"]) == {"OC-48", "OC-192", "OC-768"}
-        # The artifact self-compares clean through the real gate.
+        # The artifact self-compares clean through the real gate; with
+        # one non-zero cache size it has no cache axis to check.
         path = tmp_path / "mini.json"
         result.save(str(path))
-        _, failures = compare_sweeps.compare(
-            json.loads(path.read_text()), artifact, 0.8, 0.75
+        _, failures = compare(
+            compare_baseline.load(str(path)), artifact, allow_missing=True
         )
         assert failures == []
 
