@@ -45,6 +45,8 @@ import argparse
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algorithms import OpCounter, build_hicuts, build_hypercuts, native
 from .classbench import (
     FAMILIES,
@@ -67,7 +69,9 @@ from .serve import (
     EngineConfig,
     FaultPlan,
     MultiTenantEngine,
+    QuarantineLog,
     TenantSpec,
+    iter_trace_file,
     iter_trace_segments,
 )
 from .sweeps import (
@@ -103,9 +107,23 @@ def _load_or_generate(args) -> RuleSet:
     return generate_ruleset(args.family, args.rules, seed=args.seed)
 
 
-def _load_or_generate_trace(args, ruleset: RuleSet) -> PacketTrace:
+def _load_or_generate_trace(
+    args, ruleset: RuleSet, on_malformed: str = "raise"
+) -> PacketTrace:
     if getattr(args, "trace_file", None):
-        return PacketTrace.load(args.trace_file)
+        quarantine = QuarantineLog()
+        blocks = [
+            segment.headers
+            for segment in iter_trace_file(
+                args.trace_file, ruleset.schema,
+                on_malformed=on_malformed, quarantine=quarantine,
+            )
+        ]
+        if quarantine:
+            print(f"quarantined: {quarantine.count} malformed trace lines")
+        if not blocks:
+            return PacketTrace.from_packets((), ruleset.schema)
+        return PacketTrace(np.concatenate(blocks), ruleset.schema)
     zipf = getattr(args, "zipf", None)
     if zipf is not None:
         return generate_zipf_trace(
@@ -207,9 +225,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    config = EngineConfig.from_args(args)
     rs = _load_or_generate(args)
-    trace = _load_or_generate_trace(args, rs)
-    with _open_engine(rs, EngineConfig.from_args(args)) as engine:
+    trace = _load_or_generate_trace(args, rs, config.on_malformed)
+    with _open_engine(rs, config) as engine:
         clf = engine.classifier
         if hasattr(clf, "run_trace"):  # the accelerator: full cost model
             run = clf.run_trace(trace)
@@ -373,7 +392,7 @@ def cmd_bench(args) -> int:
     config = EngineConfig.from_args(args)
     fault_plan = FaultPlan.coerce(args.faults)
     rs = _load_or_generate(args)
-    trace = _load_or_generate_trace(args, rs)
+    trace = _load_or_generate_trace(args, rs, config.on_malformed)
     shards, chunk_size = config.shards, config.chunk_size
     if args.stream and shards > 1 and args.stream <= chunk_size:
         print(

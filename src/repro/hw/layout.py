@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-
 from ..core.errors import CapacityError, ConfigError, EncodingError
 from ..core.rules import FIVE_TUPLE
 from ..algorithms.base import EMPTY_CHILD, DecisionTree
@@ -30,6 +29,7 @@ from .encoding import (
     EMPTY_ADDR,
     RULES_PER_WORD,
     ChildEntry,
+    empty_rule_slot,
     encode_internal_node,
     encode_rule,
     pack_leaf_word,
@@ -252,25 +252,12 @@ def build_memory_image(
     # Pass 3: encode.
     # ------------------------------------------------------------------
     memory = MemoryArray(capacity_words)
-    rules = tree.ruleset.rules
-
     if root_wrapped:
-        leaf_place = placements[0]
-        entry = ChildEntry(is_leaf=True, addr=leaf_place.addr, pos=leaf_place.pos)
-        # Synthetic 2-cut root on dim 0: mask the top grid bit; both
-        # children point at the single leaf.
-        memory.write(
-            0,
-            encode_internal_node(
-                masks=[0x80, 0, 0, 0, 0], shifts=[7, 0, 0, 0, 0],
-                entries=[entry, entry],
-            ),
-        )
-
+        memory.write(0, _encode_wrapped_root(placements))
     for nid in internal_order:
         memory.write(placements[nid].addr, _encode_node(tree, nid, placements))
-
-    _encode_leaves(tree, leaf_order, placements, memory, rules)
+    for addr, leaves in _leaf_words(leaf_order, placements).items():
+        memory.write(addr, _encode_leaf_word(tree, addr, leaves, placements))
 
     return MemoryImage(
         tree=tree,
@@ -324,39 +311,51 @@ def _encode_node(
     return encode_internal_node(masks, shifts, entries)
 
 
-def _encode_leaves(
-    tree: DecisionTree,
-    leaf_order: list[int],
-    placements: dict[int, Placement],
-    memory: MemoryArray,
-    rules,
-) -> None:
-    """Pack leaf rule slots into words (slot-accurate, handles sharing of
-    partially filled words between consecutive leaves)."""
-    pending: dict[int, list[int | None]] = {}  # addr -> 30 slots
+def _encode_wrapped_root(placements: dict[int, Placement]) -> int:
+    """The register-root word of a leaf-only tree: a synthetic 2-cut
+    root on dim 0 (mask the top grid bit) whose children both point at
+    the single leaf."""
+    leaf = placements[0]
+    entry = ChildEntry(is_leaf=True, addr=leaf.addr, pos=leaf.pos)
+    return encode_internal_node(
+        masks=[0x80, 0, 0, 0, 0], shifts=[7, 0, 0, 0, 0],
+        entries=[entry, entry],
+    )
 
-    def slot_put(addr: int, pos: int, slot_value: int) -> None:
-        word = pending.setdefault(addr, [None] * RULES_PER_WORD)
-        assert word[pos] is None, "leaf packing collision"
-        word[pos] = slot_value
 
+def _leaf_words(
+    leaf_order: list[int], placements: dict[int, Placement]
+) -> dict[int, list[int]]:
+    """Word address -> the leaves with rule slots in it, in leaf order
+    (consecutive leaves share a partially filled word)."""
+    words: dict[int, list[int]] = {}
     for nid in leaf_order:
         p = placements[nid]
-        if p.n_rules == 0:
-            continue
-        node = tree.nodes[nid]
-        for j, rid in enumerate(node.rule_ids):
-            abs_slot = p.addr * RULES_PER_WORD + p.pos + j
-            slot_put(
-                abs_slot // RULES_PER_WORD,
-                abs_slot % RULES_PER_WORD,
-                encode_rule(
-                    rules[int(rid)], int(rid), end_of_leaf=(j == p.n_rules - 1)
-                ),
+        for addr in range(p.addr, p.addr + p.words_spanned):
+            words.setdefault(addr, []).append(nid)
+    return words
+
+
+def _encode_leaf_word(
+    tree: DecisionTree,
+    addr: int,
+    leaves: list[int],
+    placements: dict[int, Placement],
+) -> int:
+    """Pack word ``addr`` from the slots ``leaves`` store in it
+    (slot-accurate; unused slots are empty)."""
+    rules = tree.ruleset.rules
+    slots = [empty_rule_slot()] * RULES_PER_WORD
+    word_start = addr * RULES_PER_WORD
+    for nid in leaves:
+        p = placements[nid]
+        first = p.addr * RULES_PER_WORD + p.pos  # absolute slot of rule 0
+        rule_ids = tree.nodes[nid].rule_ids
+        lo = max(0, word_start - first)
+        hi = min(p.n_rules, word_start + RULES_PER_WORD - first)
+        for j in range(lo, hi):
+            rid = int(rule_ids[j])
+            slots[first + j - word_start] = encode_rule(
+                rules[rid], rid, end_of_leaf=(j == p.n_rules - 1)
             )
-
-    from .encoding import empty_rule_slot
-
-    for addr, slots in pending.items():
-        filled = [s if s is not None else empty_rule_slot() for s in slots]
-        memory.write(addr, pack_leaf_word(filled))
+    return pack_leaf_word(slots)

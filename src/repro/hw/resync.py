@@ -46,16 +46,15 @@ from dataclasses import dataclass
 
 from ..algorithms.base import EMPTY_CHILD
 from ..core.errors import CapacityError
-from .encoding import (
-    EMPTY_ADDR,
-    RULES_PER_WORD,
-    ChildEntry,
-    empty_rule_slot,
-    encode_internal_node,
-    encode_rule,
-    pack_leaf_word,
+from .encoding import EMPTY_ADDR
+from .layout import (
+    MemoryImage,
+    _encode_leaf_word,
+    _encode_node,
+    _encode_wrapped_root,
+    _leaf_words,
+    _place,
 )
-from .layout import MemoryImage, _encode_node, _place
 from .memory import Placement
 
 
@@ -125,7 +124,6 @@ def resync_memory_image(image: MemoryImage, touched=()) -> ResyncStats:
             f"or binth to trade throughput for memory"
         )
     old = image.placements
-    rules = tree.ruleset.rules
     stats = ResyncStats(total_words=total_words)
     writes_before = memory.writes
 
@@ -155,13 +153,7 @@ def resync_memory_image(image: MemoryImage, touched=()) -> ResyncStats:
     stats.internal_rewritten = len(dirty_internal)
 
     # -- leaves ----------------------------------------------------------
-    word_leaves: dict[int, list[int]] = {}
-    for nid in leaf_order:
-        p = placements[nid]
-        if p.addr == EMPTY_ADDR:
-            continue
-        for w in range(p.addr, p.addr + p.words_spanned):
-            word_leaves.setdefault(w, []).append(nid)
+    word_leaves = _leaf_words(leaf_order, placements)
     changed_leaves: set[int] = set()
     dirty_words: set[int] = set()
     for nid in leaf_order:
@@ -188,37 +180,14 @@ def resync_memory_image(image: MemoryImage, touched=()) -> ResyncStats:
             # Now an internal word (its mover re-encoded it above) or
             # fallen off the end of the layout (discarded below).
             continue
-        slots: list[int | None] = [None] * RULES_PER_WORD
-        for nid in word_leaves.get(w, ()):
-            p = placements[nid]
-            node = tree.nodes[nid]
-            for j, rid in enumerate(node.rule_ids):
-                abs_slot = p.addr * RULES_PER_WORD + p.pos + j
-                if abs_slot // RULES_PER_WORD == w:
-                    slots[abs_slot % RULES_PER_WORD] = encode_rule(
-                        rules[int(rid)],
-                        int(rid),
-                        end_of_leaf=(j == p.n_rules - 1),
-                    )
         memory.write(
-            w,
-            pack_leaf_word(
-                [s if s is not None else empty_rule_slot() for s in slots]
-            ),
+            w, _encode_leaf_word(tree, w, word_leaves.get(w, []), placements)
         )
         stats.leaf_words_rewritten += 1
 
     # -- synthetic register root (wrapped leaf-only tree) ---------------
     if root_wrapped and (0 in changed_leaves or 0 in touched_set):
-        lp = placements[0]
-        entry = ChildEntry(is_leaf=True, addr=lp.addr, pos=lp.pos)
-        memory.write(
-            0,
-            encode_internal_node(
-                masks=[0x80, 0, 0, 0, 0], shifts=[7, 0, 0, 0, 0],
-                entries=[entry, entry],
-            ),
-        )
+        memory.write(0, _encode_wrapped_root(placements))
         stats.internal_rewritten += 1
 
     # -- drop stale words ------------------------------------------------

@@ -20,9 +20,10 @@ Two serving paths, one result record (:class:`EngineReport`):
     one pipeline run: the run's report, with the config's energy model
     evaluated on it.
 ``stream(segments, updates=...)``
-    a long-lived serving session over any iterable of trace segments
-    (in-memory views, a file reader, a traffic generator): one
-    generator that, per ``next()``, pulls a segment from the iterable,
+    a long-lived serving session over a segment source (a trace or
+    header array sliced into views, a trace-file path, a traffic
+    generator — :meth:`Engine._segments` reads them all): one
+    generator that, per ``next()``, pulls a segment from the source,
     classifies it on the pipeline and yields its :class:`ChunkResult`
     — on the calling thread, like the accelerator it models is fed one
     packet stream in order.  No thread is started and nothing is
@@ -41,6 +42,7 @@ the stream conformance suite pins both.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -64,18 +66,16 @@ from .config import EngineConfig
 from .ingest import (
     DEFAULT_SEGMENT_PACKETS,
     QuarantineLog,
+    iter_trace_file,
     iter_trace_segments,
 )
-
-#: What :meth:`Engine._pull` returns once the source is exhausted.
-STREAM_END = object()
 
 
 class UpdateCursor:
     """A stream-coordinate update schedule for ``classifier`` —
     rejected up front if it cannot serve one — sorted and consumed
-    segment by segment: the one place stream offsets become segment
-    offsets (shared by :meth:`Engine.stream` and the stage graph)."""
+    segment by segment by :meth:`Engine._stream`: the one place stream
+    offsets become segment offsets."""
 
     def __init__(self, updates, classifier: Classifier) -> None:
         if updates:
@@ -177,8 +177,8 @@ class Engine:
             min_chunk_packets=config.min_chunk_packets,
             policy=config.policy,
         )
-        #: Dead-letter buffer for malformed trace lines — live (and
-        #: meant to be handed to ``iter_trace_file``) when the config
+        #: Dead-letter buffer for malformed trace lines — live (a path
+        #: given to :meth:`stream` is parsed into it) when the config
         #: asks for quarantine, ``None`` under ``on_malformed="raise"``.
         self.quarantine: QuarantineLog | None = (
             QuarantineLog() if config.on_malformed == "quarantine" else None
@@ -290,17 +290,20 @@ class Engine:
     # -- streamed serving ------------------------------------------------
     def stream(
         self,
-        segments: Iterable[PacketTrace] | PacketTrace,
+        segments: Iterable[PacketTrace] | PacketTrace | np.ndarray | str,
         updates=None,
         *,
         segment_packets: int = DEFAULT_SEGMENT_PACKETS,
         faults=None,
+        _serve_segment=None,
     ) -> Iterator[ChunkResult]:
         """Serve a segment stream on the calling thread.
 
-        ``segments`` is any iterable of :class:`PacketTrace` segments
-        (or raw ``(n, ndim)`` header arrays); passing a single
-        ``PacketTrace`` slices it into ``segment_packets`` views.
+        ``segments`` is any source :meth:`_segments` reads: a
+        :class:`PacketTrace` or a whole ``(n, ndim)`` header array
+        (sliced into ``segment_packets`` views), a trace-file path
+        (parsed under the config's ``on_malformed``), or any iterable
+        of :class:`PacketTrace` segments or raw header arrays.
         ``updates`` is a global :class:`ScheduledUpdate` schedule whose
         ``at_packet`` offsets count from the start of the *stream*.
 
@@ -320,16 +323,26 @@ class Engine:
         advanced past an injected failure), everything else is routed
         to the pipeline run of its target segment.  Stream-level
         accounting is published on :attr:`last_stream_fault` when the
-        session ends.
+        session ends.  ``_serve_segment`` (private) replaces
+        ``pipeline.run`` as the per-segment step: the stage graph serves
+        its stage chain on this loop.
         """
-        if isinstance(segments, PacketTrace):
-            segments = iter_trace_segments(segments, segment_packets)
         cursor = UpdateCursor(updates, self.classifier)
-        return self._stream(segments, cursor, FaultPlan.coerce(faults))
+        # The session's accounting starts here, not at the first
+        # ``next()``: a tenant's scheduler peeks its first segment
+        # before it pulls the stream, and may fault the tenant before
+        # it ever does.
+        self.last_stream_fault = None
+        quarantined = self.quarantine.count if self.quarantine else 0
+        return self._stream(
+            self._segments(segments, segment_packets), cursor,
+            FaultPlan.coerce(faults),
+            _serve_segment or self._pipeline.run, quarantined,
+        )
 
     def classify_stream(
         self,
-        segments: Iterable[PacketTrace] | PacketTrace,
+        segments: Iterable[PacketTrace] | PacketTrace | np.ndarray | str,
         updates=None,
         **stream_kwargs,
     ) -> EngineReport:
@@ -356,59 +369,63 @@ class Engine:
         return report
 
     # ------------------------------------------------------------------
-    def _as_trace(self, segment) -> PacketTrace:
-        if isinstance(segment, PacketTrace):
-            return segment
-        return PacketTrace(
-            np.asarray(segment, dtype=np.uint32), self.ruleset.schema
+    def _segments(self, source, segment_packets: int) -> Iterator[PacketTrace]:
+        """The one source normaliser every serving entry reads through
+        (:meth:`stream`, the stage graph, each tenant): a
+        :class:`PacketTrace` or a whole ``(n, ndim)`` header array is
+        sliced into ``segment_packets`` views; a path is parsed by
+        :func:`iter_trace_file` under the config's ``on_malformed``,
+        bad lines into :attr:`quarantine`; any other iterable yields its
+        segments, raw arrays wrapped."""
+        schema = self.ruleset.schema
+        if isinstance(source, (str, os.PathLike)):
+            return iter_trace_file(
+                os.fspath(source), schema, segment_packets,
+                on_malformed=self.config.on_malformed,
+                quarantine=self.quarantine,
+            )
+        if isinstance(source, np.ndarray):
+            source = PacketTrace(source, schema)
+        if isinstance(source, PacketTrace):
+            return iter_trace_segments(source, segment_packets)
+        return (
+            s if isinstance(s, PacketTrace) else PacketTrace(s, schema)
+            for s in source
         )
 
-    def _flush_updates(self, cursor: UpdateCursor) -> EngineReport | None:
-        """Apply what is scheduled at or past the stream's end: over an
-        empty trace, through the pipeline (counted, supervised, shard
-        clones retired, like any batch).  ``None`` when nothing is left."""
-        tail = cursor.rest()
-        if not tail:
-            return None
-        schema = self.ruleset.schema
-        empty = PacketTrace(np.empty((0, schema.ndim), np.uint32), schema)
-        return self._pipeline.run(empty, updates=tail)
-
-    def _pull(self, source: Iterator, index: int, plan, stream_fault):
-        """The stream's next segment, or ``STREAM_END``.  Only the
-        injected ingest faults are supervised: they fire *before* the
-        source is pulled, so the iterator never loses a segment to one.
-        The source's own exceptions propagate — a generator that raised
-        is finished, and re-pulling it would end the stream early."""
-        if plan is not None:
-            self._pipeline.supervisor.retry(
-                lambda attempt: fire_ingest_specs(
-                    plan.ingest_faults(index, attempt), index
-                ),
-                stream_fault, tier="ingest", chunk=index,
-                counter="ingest_retries",
-            )
-        return next(source, STREAM_END)
-
     def _stream(
-        self, segments: Iterable, cursor: UpdateCursor, plan
+        self, source: Iterator[PacketTrace], cursor: UpdateCursor, plan,
+        serve_segment, quarantined_before: int,
     ) -> Iterator[ChunkResult]:
-        """Generator body of :meth:`stream`: pull, classify, yield — all
-        on the thread that calls ``next()``.  Stream-level accounting is
-        settled in the ``finally``, so exhaustion, an early ``close()``
-        and a raising source all publish it."""
+        """Generator body of :meth:`stream`, and the only segment loop:
+        pull (``ingest`` faults first), take the segment's updates,
+        serve it with ``serve_segment`` (``pipeline.run``, or the stage
+        graph's chain), yield — all on the thread that calls ``next()``
+        — then flush the updates left past the end.  Stream-level
+        accounting is settled in the ``finally``, so exhaustion, an
+        early ``close()`` and a raising source all publish it."""
         stream_fault = FaultReport()
-        quarantined_before = self.quarantine.count if self.quarantine else 0
-        source = iter(segments)
         index = 0
         try:
             while True:
-                segment = self._pull(source, index, plan, stream_fault)
-                if segment is STREAM_END:
+                if plan is not None:
+                    # Only the injected faults are supervised: they fire
+                    # *before* the pull, so the source never loses a
+                    # segment to one.  The source's own exceptions
+                    # propagate — a generator that raised is finished,
+                    # and re-pulling it would end the stream early.
+                    self._pipeline.supervisor.retry(
+                        lambda attempt: fire_ingest_specs(
+                            plan.ingest_faults(index, attempt), index
+                        ),
+                        stream_fault, tier="ingest", chunk=index,
+                        counter="ingest_retries",
+                    )
+                trace = next(source, None)
+                if trace is None:
                     break
-                trace = self._as_trace(segment)
                 start = cursor.offset
-                result = self._pipeline.run(
+                result = serve_segment(
                     trace,
                     updates=cursor.take(trace.n_packets) or None,
                     faults=plan.for_segment(index)
@@ -416,10 +433,18 @@ class Engine:
                 )
                 yield ChunkResult.of(index, start, result)
                 index += 1
-            # The tail surfaces as a final zero-packet chunk so the
-            # consumer sees the epoch advance.
-            result = self._flush_updates(cursor)
-            if result is not None:
+            # What is scheduled at or past the stream's end applies over
+            # an empty trace, through the pipeline (counted, supervised,
+            # shard clones retired, like any batch), and surfaces as a
+            # final zero-packet chunk so the consumer sees the epoch
+            # advance.
+            tail = cursor.rest()
+            if tail:
+                schema = self.ruleset.schema
+                empty = PacketTrace(
+                    np.empty((0, schema.ndim), np.uint32), schema
+                )
+                result = self._pipeline.run(empty, updates=tail)
                 yield ChunkResult.of(index, cursor.offset, result)
         finally:
             if self.quarantine is not None:

@@ -66,7 +66,7 @@ from ..core.spec import field as spec_field
 from ..engine.pipeline import ClassificationPipeline
 from ..engine.report import EngineReport, latency_percentiles
 from .config import EngineConfig
-from .ingest import DEFAULT_SEGMENT_PACKETS, iter_trace_segments
+from .ingest import DEFAULT_SEGMENT_PACKETS
 from .session import ChunkResult, Engine
 
 
@@ -180,19 +180,19 @@ class _TenantState:
     """Scheduler-side bookkeeping for one tenant in one session.
 
     The tenant is served by its own ``Engine.stream`` generator over a
-    one-segment peekable feed: the generator pulls exactly one segment
-    per result, so the scheduler peeks the head for admission and then
-    takes ``next(stream)``.
+    one-segment peekable feed of its normalised source: the generator
+    pulls exactly one segment per result, so the scheduler peeks the
+    head for admission and then takes ``next(stream)``.
     """
 
     def __init__(
-        self, spec: TenantSpec, engine: Engine, source: Iterator,
-        updates, faults,
+        self, spec: TenantSpec, engine: Engine, workload,
+        segment_packets: int, updates, faults,
     ) -> None:
         self.name = spec.name
         self.weight = spec.weight
         self.engine = engine
-        self.source = source
+        self.source = engine._segments(workload, segment_packets)
         self.head: PacketTrace | None = None
         self.stream = engine.stream(self._feed(), updates, faults=faults)
         self.deficit = 0.0
@@ -203,12 +203,9 @@ class _TenantState:
         self.done = False
 
     def peek(self) -> PacketTrace | None:
-        """The next segment (as a trace), without consuming it."""
+        """The next segment, without consuming it."""
         if self.head is None:
-            try:
-                self.head = self.engine._as_trace(next(self.source))
-            except StopIteration:
-                return None
+            self.head = next(self.source, None)
         return self.head
 
     def _feed(self) -> Iterator[PacketTrace]:
@@ -302,17 +299,20 @@ class MultiTenantEngine:
     ) -> Iterator[tuple[str, ChunkResult]]:
         """Serve every workload through weighted-fair admission, lazily.
 
-        ``workloads`` maps tenant names to segment streams (a single
-        :class:`PacketTrace` is sliced into ``segment_packets`` views);
-        ``updates``/``faults`` map tenant names to per-tenant update
-        schedules / fault plans, with the same semantics as
-        :meth:`Engine.stream`.  Yields ``(tenant_name, ChunkResult)``
-        in admission order; ``quantum`` is the scheduler's per-round
-        packet credit (default: ``segment_packets``).
+        ``workloads`` maps tenant names to segment sources — anything
+        :meth:`Engine.stream` reads (a trace or header array is sliced
+        into ``segment_packets`` views, a path is parsed under the
+        tenant's ``on_malformed``); ``updates``/``faults`` map tenant
+        names to per-tenant update schedules / fault plans, with the
+        same semantics as :meth:`Engine.stream`.  Yields
+        ``(tenant_name, ChunkResult)`` in admission order; ``quantum``
+        is the scheduler's per-round packet credit (default:
+        ``segment_packets``).  Bad workloads or quantum raise here, not
+        at the first ``next()``.
         """
-        states = self._states(workloads, updates, faults, segment_packets)
-        q = segment_packets if quantum is None else quantum
-        return self._admit(states, q)
+        return self._admit(*self._session(
+            workloads, updates, faults, segment_packets, quantum
+        ))
 
     def serve(
         self,
@@ -326,19 +326,21 @@ class MultiTenantEngine:
         """Drain a whole :meth:`stream` session into one aggregate
         :class:`EngineReport` whose ``tenants`` field carries the
         per-tenant :class:`TenantReport` slices."""
-        states = self._states(workloads, updates, faults, segment_packets)
+        states, quantum = self._session(
+            workloads, updates, faults, segment_packets, quantum
+        )
         started = time.perf_counter()
-        q = segment_packets if quantum is None else quantum
-        for _name, _chunk in self._admit(states, q):
+        for _name, _chunk in self._admit(states, quantum):
             pass
         elapsed = time.perf_counter() - started
         reports = [self._tenant_report(st) for st in states]
         return self._aggregate(reports, elapsed)
 
     # ------------------------------------------------------------------
-    def _states(
-        self, workloads, updates, faults, segment_packets
-    ) -> list[_TenantState]:
+    def _session(
+        self, workloads, updates, faults, segment_packets, quantum
+    ) -> tuple[list[_TenantState], int]:
+        """The checked workloads as tenant states, and the quantum."""
         if not workloads:
             raise ConfigError("multi-tenant serve needs >= 1 workload")
         unknown = sorted(set(workloads) - set(self._tenants))
@@ -347,20 +349,20 @@ class MultiTenantEngine:
                 f"workload(s) for unknown tenant(s): {', '.join(unknown)}; "
                 f"registered: {', '.join(self._tenants)}"
             )
+        quantum = segment_packets if quantum is None else quantum
+        if quantum < 1:
+            raise ConfigError(f"quantum must be >= 1, got {quantum}")
         updates = updates or {}
         faults = faults or {}
-        states = []
-        for name, (spec, engine) in self._tenants.items():
-            if name not in workloads:
-                continue
-            segments = workloads[name]
-            if isinstance(segments, PacketTrace):
-                segments = iter_trace_segments(segments, segment_packets)
-            states.append(_TenantState(
-                spec, engine, iter(segments),
+        states = [
+            _TenantState(
+                spec, engine, workloads[name], segment_packets,
                 updates.get(name), faults.get(name),
-            ))
-        return states
+            )
+            for name, (spec, engine) in self._tenants.items()
+            if name in workloads
+        ]
+        return states, quantum
 
     def _admit(
         self, states: list[_TenantState], quantum: int
@@ -369,14 +371,16 @@ class MultiTenantEngine:
         packets per tenant and serves whole segments while the credit
         lasts.  Faulted tenants leave the rotation; everyone else's
         serving is unaffected."""
-        if quantum < 1:
-            raise ConfigError(f"quantum must be >= 1, got {quantum}")
         pending = list(states)
         while pending:
             for st in pending:
                 st.deficit += st.weight * quantum
                 while not st.done:
-                    segment = st.peek()
+                    try:
+                        segment = st.peek()
+                    except Exception as exc:  # a source that cannot yield
+                        self._quarantine_tenant(st, exc)
+                        break
                     # A segment larger than one credit still costs one
                     # whole segment — max(1, ...) keeps empty segments
                     # from spinning the rotation for free.  A drained
@@ -421,6 +425,8 @@ class MultiTenantEngine:
         st.fault = f"{type(exc).__name__}: {exc}"
         st.done = True
         st.deficit = 0.0
+        # Settles the stream's accounting if a failed peek left it open.
+        st.stream.close()
         # A faulted forked tier may leave poisoned workers behind;
         # drop the lease so the next tenant forks fresh.
         self._lease.release(st.name)

@@ -9,14 +9,18 @@ through the engine's own :class:`~repro.engine.pipeline.
 ClassificationPipeline` — shards, flow cache, supervision, live updates
 and all — which is what makes the stage bit-identical to a bare
 :meth:`Engine.classify <repro.serve.Engine.classify>` run by
-construction.
+construction.  The graph owns no segment loop: it serves on the
+session's (:meth:`Engine.stream <repro.serve.Engine.stream>` with the
+stage chain as the per-segment step), so source normalisation,
+``ingest`` faults, quarantine counting, update rebasing and the
+end-of-stream update flush are the session's, unchanged.
 
 Telemetry: every stage accumulates a :class:`StageReport` (packets
 in/out, per-reason drops, busy seconds, per-stage energy through the
 :mod:`repro.energy` models, injected faults and retries).  The run
 returns the one serving record, a :class:`~repro.serve.EngineReport`:
-the classify stage's per-segment pipeline reports summed by
-``EngineReport.merge``, with ``match`` scattered back to the *full
+the session's ``merged_report`` of the classify stage's per-segment
+pipeline reports, with ``match`` scattered back to the *full
 stream-order* array (policy-dropped packets report ``-1``, exactly what
 a bare run reports for a no-match packet) and the per-stage reports on
 ``stages`` (and so in ``to_dict()``).
@@ -66,13 +70,7 @@ from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
 from ..energy.tcam import TCAM_ENTRY_BYTES
 from ..engine.faults import FaultPlan
 from ..engine.supervision import FaultReport
-from ..serve import Engine, EngineReport
-from ..serve.ingest import (
-    DEFAULT_SEGMENT_PACKETS,
-    iter_trace_file,
-    iter_trace_segments,
-)
-from ..serve.session import STREAM_END, UpdateCursor
+from ..serve import DEFAULT_SEGMENT_PACKETS, Engine, EngineReport
 from .spec import StageGraphSpec, StageSpec
 
 #: Mixing weights for the deterministic queue-select flow hash (odd
@@ -222,26 +220,6 @@ class StageGraph:
         self.close()
 
     # ------------------------------------------------------------------
-    def _segments(self, source, segment_packets: int):
-        """Normalise any supported source into a segment iterator."""
-        if isinstance(source, (str, Path)):
-            return iter_trace_file(
-                str(source),
-                self.ruleset.schema,
-                segment_packets,
-                on_malformed=self.config.on_malformed,
-                quarantine=self.engine.quarantine,
-            )
-        if isinstance(source, PacketTrace):
-            return iter_trace_segments(source, segment_packets)
-        if isinstance(source, np.ndarray):
-            trace = PacketTrace(
-                np.asarray(source, dtype=np.uint32), self.ruleset.schema
-            )
-            return iter_trace_segments(trace, segment_packets)
-        return iter(source)
-
-    # ------------------------------------------------------------------
     def run(
         self,
         source,
@@ -253,141 +231,120 @@ class StageGraph:
         """Serve ``source`` through every stage and return the merged
         report.
 
-        ``source`` is a :class:`PacketTrace`, a raw header array, a
-        trace-file path (parsed through the quarantine machinery per the
-        ``parse`` stage's policy) or any iterable of segments.
-        ``updates`` is a stream-coordinate update schedule forwarded to
-        the classify stage; ``faults`` a
-        :class:`~repro.engine.faults.FaultPlan` (or dict/list/path).
+        ``source`` is anything :meth:`Engine.stream` reads: a
+        :class:`PacketTrace`, a raw header array, a trace-file path
+        (parsed through the quarantine machinery per the ``parse``
+        stage's policy) or any iterable of segments.  ``updates`` is a
+        stream-coordinate update schedule forwarded to the classify
+        stage; ``faults`` a :class:`~repro.engine.faults.FaultPlan` (or
+        dict/list/path).
+
+        The graph serves on the session's stream loop: the engine pulls
+        each segment (``ingest`` faults included), rebases the updates
+        and flushes the tail; the graph supplies the per-segment step.
         """
         plan = FaultPlan.coerce(faults)
         stage_plan = plan.stage_plan() if plan is not None else None
-        engine_plan = plan.engine_plan() if plan is not None else None
-        cursor = UpdateCursor(updates, self.engine.classifier)
         supervisor = self.engine.pipeline.supervisor
-        # What happens outside any one pipeline run: source-pull and
-        # stage retries, drop storms, quarantined lines.
-        stream_fault = FaultReport()
-
+        tcam_monitor = bool(updates)
+        # Stage retries and drop storms (the session accounts the pull).
+        stage_fault = FaultReport()
         reports = [
             StageReport(name=s.name, kind=s.kind) for s in self.spec.stages
         ]
-        quar_before = (
-            self.engine.quarantine.count if self.engine.quarantine else 0
-        )
-        results = []
         matches: list[np.ndarray] = []
-        seg_index = 0
-        started = time.perf_counter()
-        segments = self._segments(source, segment_packets)
-        while True:
-            quar0 = (
-                self.engine.quarantine.count if self.engine.quarantine else 0
-            )
-            pull0 = time.perf_counter()
-            # The session's pull: ``ingest`` faults fire before the
-            # source advances and are retried per the fault policy.
-            segment = self.engine._pull(
-                segments, seg_index, engine_plan, stream_fault
-            )
-            if segment is STREAM_END:
-                break
-            pull_s = time.perf_counter() - pull0
-            trace = self.engine._as_trace(segment)
-            n = trace.n_packets
-            quarantined = (
-                self.engine.quarantine.count - quar0
-                if self.engine.quarantine
-                else 0
-            )
-            alive = np.ones(n, dtype=bool)
-            seg_match = np.full(n, -1, dtype=np.int64)
+        started = returned = time.perf_counter()
+
+        def serve_segment(trace, updates=None, faults=None):
+            """One segment through the stage chain: the session's step.
+            ``updates`` are the segment's batches in segment coordinates
+            and ``faults`` its engine sub-plan, both for the classify
+            stage, whose pipeline-run report this returns."""
+            nonlocal returned
+            seg_index = len(matches)
+            alive = np.ones(trace.n_packets, dtype=bool)
+            seg_match = np.full(trace.n_packets, -1, dtype=np.int64)
             scratch: dict = {}  # per-segment shared work (flow hash)
-            # Updates due inside this segment, in segment coordinates;
-            # the classify stage rebases them onto its survivors.
-            due = cursor.take(n)
-            for rep, stage in zip(reports, self.spec.stages):
-                n_in = int(np.count_nonzero(alive))
-                rep.packets_in += n_in
-                if stage.kind == "parse":
-                    rep.packets_in += quarantined
-                    rep.busy_s += pull_s
-                    rep.drop("malformed", quarantined)
-                    rep.energy_j += (
-                        (n_in + quarantined) * SRAM_ACCESS_ENERGY_J
-                    )
-                    rep.packets_out += n_in
-                    continue
 
-                def step(attempt: int):
-                    specs = (
-                        stage_plan.stage_faults(stage.kind, seg_index, attempt)
-                        if stage_plan is not None
-                        else ()
-                    )
-                    t0 = time.perf_counter()
-                    try:
-                        raising = [
-                            s for s in specs if s.kind in ("crash", "error")
-                        ]
-                        if raising:
-                            rep.faults_injected += len(raising)
-                            s0 = raising[0]
-                            raise InjectedFault(
-                                s0.message
-                                or f"injected {s0.kind} in stage "
-                                f"{stage.kind} (segment {seg_index})",
-                                kind=s0.kind,
-                                chunk=seg_index,
-                            )
-                        storms = [
-                            s for s in specs if s.kind == "drop_storm"
-                        ]
-                        if storms:
-                            rep.faults_injected += len(storms)
-                            rep.drop("drop_storm", int(alive.sum()))
-                            stream_fault.degradations.append(
-                                f"stage:{stage.kind}:drop_storm"
-                                f"@segment{seg_index}"
-                            )
-                            alive[:] = False
-                        result = self._run_stage(
-                            stage, rep, trace, alive, seg_match,
-                            seg_index=seg_index, due=due,
-                            engine_plan=engine_plan,
-                            tcam_monitor=bool(updates),
-                            scratch=scratch,
-                        )
-                    finally:
-                        rep.busy_s += time.perf_counter() - t0
-                    rep.retries += attempt
-                    return result
-
-                result = supervisor.retry(
-                    step, stream_fault, tier=f"stage:{stage.kind}",
-                    chunk=seg_index,
+            def step(stage: StageSpec, rep: StageReport, attempt: int):
+                specs = (
+                    stage_plan.stage_faults(stage.kind, seg_index, attempt)
+                    if stage_plan is not None
+                    else ()
                 )
-                if result is not None:
-                    results.append(result)
+                t0 = time.perf_counter()
+                try:
+                    raising = [s for s in specs if s.kind in ("crash", "error")]
+                    if raising:
+                        rep.faults_injected += len(raising)
+                        s0 = raising[0]
+                        raise InjectedFault(
+                            s0.message
+                            or f"injected {s0.kind} in stage "
+                            f"{stage.kind} (segment {seg_index})",
+                            kind=s0.kind,
+                            chunk=seg_index,
+                        )
+                    storms = [s for s in specs if s.kind == "drop_storm"]
+                    if storms:
+                        rep.faults_injected += len(storms)
+                        rep.drop("drop_storm", int(alive.sum()))
+                        stage_fault.degradations.append(
+                            f"stage:{stage.kind}:drop_storm@segment{seg_index}"
+                        )
+                        alive[:] = False
+                    result = self._run_stage(
+                        stage, rep, trace, alive, seg_match,
+                        due=updates or (), faults=faults,
+                        tcam_monitor=tcam_monitor, scratch=scratch,
+                    )
+                finally:
+                    rep.busy_s += time.perf_counter() - t0
+                rep.retries += attempt
+                return result
+
+            result = None
+            for rep, stage in zip(reports, self.spec.stages):
+                rep.packets_in += int(np.count_nonzero(alive))
+                if stage.kind == "parse":
+                    # Billed the pull: the time since the previous step
+                    # returned, ingest retries and backoff included.
+                    rep.busy_s += time.perf_counter() - returned
+                    rep.energy_j += trace.n_packets * SRAM_ACCESS_ENERGY_J
+                else:
+                    out = supervisor.retry(
+                        lambda attempt: step(stage, rep, attempt),
+                        stage_fault, tier=f"stage:{stage.kind}",
+                        chunk=seg_index,
+                    )
+                    result = result if out is None else out
                 rep.packets_out += int(np.count_nonzero(alive))
             matches.append(seg_match)
-            seg_index += 1
-        # Updates scheduled at or past the stream's end apply after the
-        # last segment, exactly as in ``Engine.stream``.
-        tail = self.engine._flush_updates(cursor)
-        if tail is not None:
-            results.append(tail)
-        elapsed = time.perf_counter() - started
-        if self.engine.quarantine:
-            stream_fault.quarantined = (
-                self.engine.quarantine.count - quar_before
+            returned = time.perf_counter()
+            return result
+
+        results = [
+            chunk.result
+            for chunk in self.engine.stream(
+                source, updates, segment_packets=segment_packets,
+                faults=plan.engine_plan() if plan is not None else None,
+                _serve_segment=serve_segment,
             )
-        return self._finalise(
-            reports, results, matches, elapsed,
-            n_segments=seg_index,
-            n_packets=cursor.offset,
-            stream_fault=stream_fault,
+        ]
+        report = self.engine.merged_report(
+            results, time.perf_counter() - started
         )
+        # The classify stage served only the survivors: the graph's
+        # match is the full stream-order array, dropped packets -1.
+        report.match = (
+            np.concatenate(matches) if matches else np.empty(0, np.int64)
+        )
+        report.n_packets = report.match.size
+        report.matched = int(np.count_nonzero(report.match >= 0))
+        self._finalise_stages(reports, report)
+        report.stages = reports
+        report.fault.merge(stage_fault)
+        return report
 
     # ------------------------------------------------------------------
     def _run_stage(
@@ -398,18 +355,16 @@ class StageGraph:
         alive: np.ndarray,
         seg_match: np.ndarray,
         *,
-        seg_index: int,
         due,
-        engine_plan,
-        tcam_monitor: bool = False,
-        scratch: dict | None = None,
+        faults,
+        tcam_monitor: bool,
+        scratch: dict,
     ):
         """Execute one stage body over the segment; returns the
         classify stage's pipeline-run report, else ``None``."""
         headers = trace.headers
         n_in = int(np.count_nonzero(alive))
         all_alive = n_in == trace.n_packets
-        scratch = scratch if scratch is not None else {}
 
         def seg_hash() -> np.ndarray:
             """The segment's per-packet flow hash, computed once and
@@ -496,13 +451,7 @@ class StageGraph:
                 for entry in due
             ]
             result = self.engine.pipeline.run(
-                sub,
-                updates=local or None,
-                faults=(
-                    engine_plan.for_segment(seg_index)
-                    if engine_plan is not None
-                    else None
-                ),
+                sub, updates=local or None, faults=faults
             )
             seg_match[alive] = result.match
             return result
@@ -600,39 +549,21 @@ class StageGraph:
             self._energy_model_for = version
         return self._energy_model
 
-    def _finalise(
-        self,
-        reports: list[StageReport],
-        results,
-        matches,
-        elapsed: float,
-        *,
-        n_segments: int,
-        n_packets: int,
-        stream_fault: FaultReport,
-    ) -> EngineReport:
-        report = EngineReport.merge(
-            results, elapsed_s=elapsed,
-            energy_model=self.config.energy_model,
-        )
-        full = (
-            np.concatenate(matches)
-            if matches
-            else np.empty(0, dtype=np.int64)
-        )
-        report.match = full
-        report.n_packets = n_packets
-        report.matched = int(np.count_nonzero(full >= 0))
-        report.n_segments = n_segments
-        if not results:
-            report.backend = self.config.backend
-        # Classify-stage energy needs the run's measured hit rate, so it
-        # lands after the merge; the flow_cache stage's telemetry is the
-        # merged cache counters.
+    def _finalise_stages(
+        self, reports: list[StageReport], report: EngineReport
+    ) -> None:
+        """What the stages learn only from the merged run: the parse
+        stage's dead-lettered lines, the classify energy at the
+        measured hit rate, the flow_cache stage's cache counters."""
+        quarantined = report.fault.quarantined
         model = self._classify_energy_model()
         hit_rate = report.cache_hit_rate
         for rep in reports:
-            if rep.kind == "classify":
+            if rep.kind == "parse" and quarantined:
+                rep.packets_in += quarantined
+                rep.drop("malformed", quarantined)
+                rep.energy_j += quarantined * SRAM_ACCESS_ENERGY_J
+            elif rep.kind == "classify":
                 per_packet = (
                     model.energy_per_packet_j(hit_rate)
                     if hit_rate is not None
@@ -645,6 +576,3 @@ class StageGraph:
                 rep.extra["hit_rate"] = (
                     round(hit_rate, 4) if hit_rate is not None else None
                 )
-        report.stages = reports
-        report.fault.merge(stream_fault)
-        return report

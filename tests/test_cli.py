@@ -71,6 +71,25 @@ class TestClassify:
         assert rc == 0
         assert "classified 300 packets" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["classify", "bench"])
+    def test_on_malformed_quarantine_reads_the_trace_file(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "bad.trace"
+        path.write_text(
+            "16909060\t84281096\t80\t443\t6\t-1\n"
+            "1.2.3.4 dotted quad is malformed\n"
+            "16909060\t84281096\t80\t443\t17\t-1\n"
+        )
+        rc = main([
+            command, "--rules", "60", "--algorithm", "linear",
+            "--trace-file", str(path), "--on-malformed", "quarantine",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "classified 2 packets" in out
+        assert "quarantined: 1 malformed trace lines" in out
+
 
 class TestBench:
     def test_bench_with_flow_cache_zipf(self, capsys):

@@ -5,6 +5,9 @@ bit-identity contract against a bare ``Engine.classify`` across
 backend x shards x cache, per-stage telemetry and energy accounting,
 stage-targeted fault injection, TCAM monitor mode under live updates,
 and file-source quarantine propagation into ``EngineReport.to_dict``.
+The segment loop the graph shares with the session (source shapes,
+``ingest`` faults, updates at the stream end) is pinned on all three
+serving drivers in ``tests/test_segment_loop.py``.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ import numpy as np
 import pytest
 
 from repro.classbench import churn_schedule, generate_zipf_trace
-from repro.core.errors import ConfigError, IngestError, ServingFaultError
+from repro.core.errors import ConfigError, ServingFaultError
 from repro.core.rules import DIM_PROTO
-from repro.core.updates import ScheduledUpdate
 from repro.engine.faults import FaultPlan, FaultSpec
-from repro.serve import Engine, EngineConfig, iter_trace_segments
+from repro.serve import Engine, EngineConfig
 from repro.stages import (
     STAGE_KINDS,
     StageGraph,
@@ -214,57 +216,6 @@ class TestBitIdentity:
         assert tcam.extra.get("mode") == "monitor"
         assert "tcam_miss" not in tcam.drops
         assert tcam.packets_in == tcam.packets_out
-
-    def test_updates_at_or_past_the_stream_end_are_applied(
-        self, acl_small, zipf_small
-    ):
-        # The graph flushes the schedule's tail (a batch at the stream
-        # end, another beyond it) exactly as Engine.classify_stream does.
-        n = zipf_small.n_packets
-        batches = churn_schedule(acl_small, 40, n, seed=5)
-        schedule = batches[:-2] + [
-            ScheduledUpdate(n, batches[-2].batch),
-            ScheduledUpdate(n + 500, batches[-1].batch),
-        ]
-        overlay = {
-            "backend": "hypercuts", "chunk_size": 1000, "updatable": True,
-        }
-        config = EngineConfig.from_dict(
-            {**EngineConfig().to_dict(), **overlay, "cache_entries": 1024}
-        )
-        with Engine.open(config, acl_small) as engine:
-            want = engine.classify_stream(
-                zipf_small, schedule, segment_packets=1000
-            )
-            want_epoch = engine.classifier.update_epoch
-        # Per-epoch linear oracle for the ruleset the schedule leaves.
-        with Engine.open(
-            EngineConfig(backend="linear", updatable=True), acl_small
-        ) as oracle:
-            oracle.classify_stream(zipf_small, schedule)
-            after = oracle.classify(zipf_small).match
-        # No prefilter: its image is the build-time ruleset, and the
-        # follow-up run below carries no updates to put it in monitor
-        # mode.
-        full = default_graph(overlay, cache_entries=1024)
-        spec = StageGraphSpec(
-            name=full.name,
-            stages=tuple(
-                s for s in full.stages if s.kind != "tcam_prefilter"
-            ),
-        )
-        with StageGraph(spec, acl_small) as graph:
-            report = graph.run(
-                zipf_small, updates=schedule, segment_packets=1000
-            )
-            assert graph.classifier.update_epoch == want_epoch
-            again = graph.run(zipf_small, segment_packets=1000)
-        assert np.array_equal(report.match, want.match)
-        assert report.n_packets == n
-        assert report.update_batches == want.update_batches == len(schedule)
-        assert report.final_epoch == want.final_epoch
-        assert len(report.update_latencies_s) == len(schedule)
-        assert np.array_equal(again.match, after)
 
     def test_tcam_drops_only_no_match_packets(self, acl_small, zipf_small):
         spec = default_graph({"backend": "hypercuts"}, cache_entries=0)
@@ -528,93 +479,6 @@ class TestStageFaults:
         assert report.fault.retries == 1
         assert len(report.fault.recovery_s) == 1
         assert report.fault.recovery_s[0] >= base_s > 0
-
-
-class TestIngestFaults:
-    """The graph pulls its source the way ``Engine.stream`` does, so the
-    two agree on ``ingest`` fault specs: both recover with the same
-    matches and ``ingest_retries``, or both raise the same
-    ``ServingFaultError`` at tier ``ingest``."""
-
-    def _both(self, acl_small, zipf_small, overlay, times):
-        """(graph, session) outcomes for one plan: a report, or the
-        ``ServingFaultError`` it raised."""
-        overlay = {"backend": "hypercuts", "max_retries": 2, **overlay}
-        plan = None
-        if times:
-            plan = {"specs": [{"kind": "ingest", "segment": 1, "times": times}]}
-        config = EngineConfig.from_dict(
-            {**EngineConfig().to_dict(), **overlay, "cache_entries": 1024}
-        )
-
-        def outcome(serve):
-            try:
-                return serve()
-            except ServingFaultError as exc:
-                return exc
-
-        with StageGraph(
-            default_graph(overlay, cache_entries=1024), acl_small
-        ) as graph:
-            by_graph = outcome(lambda: graph.run(
-                zipf_small, faults=plan, segment_packets=1000
-            ))
-        with Engine.open(config, acl_small) as engine:
-            by_session = outcome(lambda: engine.classify_stream(
-                zipf_small, segment_packets=1000, faults=plan
-            ))
-        return by_graph, by_session
-
-    def test_one_failed_pull_recovers_under_retry(self, acl_small, zipf_small):
-        retry = {"fault_policy": "retry"}
-        clean, _ = self._both(acl_small, zipf_small, retry, times=0)
-        by_graph, by_session = self._both(acl_small, zipf_small, retry, 1)
-        assert by_graph.fault.ingest_retries == 1
-        assert by_session.fault.ingest_retries == 1
-        assert clean.fault.ingest_retries == 0
-        assert by_graph.n_packets == zipf_small.n_packets
-        assert np.array_equal(by_graph.match, clean.match)
-        assert np.array_equal(by_graph.match, by_session.match)
-        # The parse stage is billed the pull, retries and backoff included.
-        parse = next(s for s in by_graph.stages if s.kind == "parse")
-        assert parse.busy_s > 0
-
-    @pytest.mark.parametrize(
-        "policy,times", [("retry", 5), ("fail", 1)],
-        ids=["past-max-retries", "fail-policy"],
-    )
-    def test_exhausted_pull_raises_as_the_session_does(
-        self, acl_small, zipf_small, policy, times
-    ):
-        by_graph, by_session = self._both(
-            acl_small, zipf_small, {"fault_policy": policy}, times
-        )
-        assert isinstance(by_graph, ServingFaultError)
-        assert isinstance(by_session, ServingFaultError)
-        assert (by_graph.tier, by_graph.chunk) == ("ingest", 1)
-        assert isinstance(by_graph.cause, IngestError)
-        assert str(by_graph) == str(by_session)
-
-    def test_a_raising_source_is_not_retried_into_a_short_stream(
-        self, acl_small, zipf_small
-    ):
-        """The graph shares the session's pull: a source that raises
-        its own ``IngestError`` under ``retry`` fails the run instead
-        of being re-pulled into ``StopIteration`` and a short report."""
-        def source():
-            for index, segment in enumerate(
-                iter_trace_segments(zipf_small, 750)
-            ):
-                if index == 2:
-                    raise IngestError("source failed", segment=index)
-                yield segment
-
-        overlay = {"backend": "hypercuts", "fault_policy": "retry"}
-        with StageGraph(
-            default_graph(overlay, cache_entries=0), acl_small
-        ) as graph:
-            with pytest.raises(IngestError, match="source failed"):
-                graph.run(source())
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,14 @@ class TestAdmission:
             with pytest.raises(ConfigError, match="quantum"):
                 list(mte.stream(workloads, quantum=0))
 
+    def test_quantum_is_checked_at_the_call(self):
+        # Like the workloads: a bad quantum raises before any generator
+        # is handed back, not at the first next().
+        tenants, workloads = make_fleet(1)
+        with MultiTenantEngine.open(tenants) as mte:
+            with pytest.raises(ConfigError, match="quantum"):
+                mte.stream(workloads, quantum=0)
+
     def test_oversized_segments_still_serve(self):
         # A segment bigger than one round's credit must not starve: the
         # deficit accumulates across rounds until the segment fits.
