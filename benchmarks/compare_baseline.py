@@ -63,6 +63,10 @@ GATED_METRICS = frozenset({
     # same tree, same run.  Skipped, so missing, where the library
     # cannot be built, like native_kernel.speedup.
     "accelerator_occupancy.ratio",
+    # Pinned at its floor (2.0): the native flow cache's probe + fill
+    # over the NumPy path's, same caches, same run; skipped, so missing,
+    # where the library cannot be built, like native_kernel.speedup.
+    "flowcache_native.speedup",
     "update_patch.speedup",
     "update_cache_retention.retention",
     "flowcache.effective_lookup_speedup",

@@ -36,6 +36,7 @@ from repro.engine import (
     CachedClassifier,
     ClassificationPipeline,
     FaultSpec,
+    FlowCache,
     SupervisionPolicy,
     build_backend,
 )
@@ -566,6 +567,69 @@ def test_flowcache_spill_gate(acl1k, portable_kernel):
         }
     assert ratio >= 1.0, (
         f"spilling flow cache serves at only {ratio:.2f}x the bare backend"
+    )
+
+
+def test_flowcache_native_gate(acl1k, portable_kernel):
+    """Acceptance gate: the native flow-cache kernels (``_flow_cache.c``)
+    serve the step ``benchmarks/ledger/layers.py`` times — one probe of
+    the ``flowcache_spill`` trace, then one fill of its distinct misses
+    (deduplicated outside the clock, as there) — >= 2x faster than the
+    NumPy path, the two interleaved in one run, over two caches that
+    hold identical tables, clocks and counters after every round.
+    Skipped — with ``native.status()``'s reason — on a host where the
+    library could not be built or loaded."""
+    status = native.status()
+    if status["kernel"] != "native":
+        pytest.skip(f"native kernel unavailable: {status['reason']}")
+    entries = 4096
+    trace = generate_zipf_trace(
+        acl1k, 200_000, n_flows=8 * entries, skew=1.0, seed=84
+    )
+    headers = trace.headers
+    truth = build_backend("hypercuts", acl1k, binth=30, hw_mode=True)
+    truth = truth.classify_batch(headers)
+
+    def serve(cache) -> tuple[float, float]:
+        """Probe, then fill the distinct misses: the seconds of both,
+        and the share of the probe that hit."""
+        t0 = time.perf_counter()
+        hit, _ = cache.probe(headers)
+        probe_s = time.perf_counter() - t0
+        miss = np.flatnonzero(~hit)
+        _, first = np.unique(headers[miss], axis=0, return_index=True)
+        rows = miss[np.sort(first)]
+        t0 = time.perf_counter()
+        cache.fill(headers[rows], truth[rows])
+        return probe_s + time.perf_counter() - t0, float(hit.mean())
+
+    def state(cache) -> tuple:
+        tables = ("_keyw", "_result", "_stamp", "_epoch", "_filled")
+        return (*(getattr(cache, t).tobytes() for t in tables),
+                int(cache._tick), cache.stats)
+
+    on = {"native": FlowCache(entries, ways=4),
+          "portable": FlowCache(entries, ways=4)}
+    best = {"native": float("inf"), "portable": float("inf")}
+    for _ in range(8):  # the first round fills the cold caches
+        seconds, hit_rate = serve(on["native"])
+        best["native"] = min(best["native"], seconds)
+        with portable_kernel():
+            seconds, _ = serve(on["portable"])
+        best["portable"] = min(best["portable"], seconds)
+        assert state(on["native"]) == state(on["portable"])
+    speedup = best["portable"] / best["native"]
+    _PERF["flowcache_native"] = {
+        "entries": entries,
+        "flows": 8 * entries,
+        "packets": trace.n_packets,
+        "hit_rate": round(hit_rate, 4),
+        "portable_pps": round(trace.n_packets / best["portable"]),
+        "native_pps": round(trace.n_packets / best["native"]),
+        "speedup": round(speedup, 2),
+    }
+    assert speedup >= 2, (
+        f"native flow cache only {speedup:.2f}x the NumPy path"
     )
 
 

@@ -3,9 +3,9 @@
 ``PYTHONPATH=src`` is how the tests, the CI and the ledger run the
 package; ``pip install -e .`` works offline, without the ``wheel``
 package, through the setuptools develop path.  ``package_data`` ships
-``repro/algorithms/_flat_walk.c``, the one non-``.py`` file the package
-needs: ``repro.algorithms.native`` reads it through
-``importlib.resources`` and builds it on first use.
+``repro/algorithms/_flat_walk.c`` and ``_flow_cache.c``, the only
+non-``.py`` files the package needs: ``repro.algorithms.native`` reads
+them through ``importlib.resources`` and builds them on first use.
 """
 
 from setuptools import find_packages, setup

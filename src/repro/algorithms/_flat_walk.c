@@ -1,11 +1,12 @@
 /* The per-packet walk of FlatTree (flat_tree.py: _walk_tile + _advance +
- * _first_match + _keep_best) over the same buffers; native.py builds and
- * loads it.  One node per step, then a linear search that stops at the
- * first hit: the paper's FSM.  Given an accelerator's leaf placement, the
- * iteration that finishes a packet also counts its memory-port cycles
- * (hw/accelerator.py: Accelerator._run_portable, eqs (5)/(7)).  Every
- * index derived from table data is bounds-checked, so a corrupt table is
- * an error code, not a fault. */
+ * _first_match + _keep_best) over the same buffers; native.py builds it,
+ * with _flow_cache.c, into one library and loads it.  One node per step,
+ * then a linear search that stops at the first hit: the paper's FSM.
+ * Given an accelerator's leaf placement, the iteration that finishes a
+ * packet also counts its memory-port cycles (hw/accelerator.py:
+ * Accelerator._run_portable, eqs (5)/(7)).  Every index derived from
+ * table data is bounds-checked, so a corrupt table is an error code, not
+ * a fault. */
 #include <stdint.h>
 
 enum { OK, ERR_STEPS, ERR_RANGE, MAX_STEPS = 10000, LEAF = 1 };

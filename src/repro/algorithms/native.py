@@ -1,24 +1,30 @@
 """The native tier of the :class:`~repro.algorithms.flat_tree.FlatTree`
-walk: ``_flat_walk.c``, built once with the C compiler that is here.
+walk and of the :class:`~repro.engine.flowcache.FlowCache`:
+``_flat_walk.c`` and ``_flow_cache.c``, built once, as one library, with
+the C compiler that is here.
 
-The C function is the per-packet loop of the portable NumPy walk over
-the *same* ``FlatTree`` buffers (no second table format), bit-identical
-on all six :class:`~repro.algorithms.base.BatchLookup` fields.  Handed
-an accelerator's leaf placement (:func:`place`), it also counts each
+The walk is the per-packet loop of the portable NumPy walk over the
+*same* ``FlatTree`` buffers (no second table format), bit-identical on
+all six :class:`~repro.algorithms.base.BatchLookup` fields.  Handed an
+accelerator's leaf placement (:func:`place`), it also counts each
 packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
-There is no switch: a process uses it if it loads and the portable walk
-if not, and :func:`status` says which and why.
+The cache kernels (:func:`flow_keys`, :func:`probe`, :func:`dedupe`,
+:func:`fill`) are the flow cache's key packing, probe, miss dedupe and
+fill over the cache's own tables, bit-identical to its NumPy path in
+every table, counter and returned array.  There is no switch: a process
+uses both if the library loads and both portable paths if not, and
+:func:`status` says which and why.
 
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
 serve) looks for ``flat_walk-<key>.so`` in
 ``${XDG_CACHE_HOME:-~/.cache}/repro-native/``, then in the temp
-directory; ``key`` hashes the source, the compiler's version line, the
+directory; ``key`` hashes the sources, the compiler's version line, the
 flags and ``platform.machine()``.  A missing, truncated or foreign file
 is built under a temporary name and moved into place with
 ``os.replace``, so a racing process never loads half a file.  No
 compiler, a failed or timed-out build, an unwritable directory or an
-``OSError`` on load leave the portable walk in place with the reason
+``OSError`` on load leave the portable paths in place with the reason
 recorded; nothing is raised.  docs/engine.md has the full account.
 """
 
@@ -30,6 +36,7 @@ import os
 import platform
 import shutil
 import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
@@ -38,7 +45,8 @@ import numpy as np
 
 from ..core.errors import BuildError
 
-SOURCE = "_flat_walk.c"
+#: One translation unit, in this order (``source()``).
+SOURCES = ("_flat_walk.c", "_flow_cache.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 60
 
@@ -77,12 +85,25 @@ class _Placement(ctypes.Structure):
                 ("pos", ctypes.c_void_p), ("n_rules", ctypes.c_void_p)]
 
 
+class _Cache(ctypes.Structure):
+    """``flow_cache`` of _flow_cache.c: one ``FlowCache``'s geometry, its
+    clock and its five tables, bound for one call (:func:`_bind_cache`)."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in (
+        "n_sets", "ways", "n_words", "max_age", "epoch", "tick",
+    )] + [(name, ctypes.c_void_p) for name in (
+        "keyw", "result", "stamp", "epoch_of", "filled",
+    )]
+
+
 @dataclass(frozen=True)
 class _Kernel:
-    """What this process loaded: ``fn`` is ``flat_walk``, or ``None``
-    (the portable walk) with the ``reason``."""
+    """What this process loaded: ``fn`` is ``flat_walk`` and ``cache``
+    the library its ``fc_*`` flow-cache functions are called on, or
+    ``None`` (the portable paths) with the ``reason``."""
 
     fn: object = None
+    cache: ctypes.CDLL | None = None
     reason: str | None = None
     compiler: str | None = None
     path: str | None = None
@@ -100,8 +121,14 @@ def status() -> dict:
 
 
 def source() -> bytes:
-    """The C source, found the way an installed package finds its data."""
-    return resources.files(__package__).joinpath(SOURCE).read_bytes()
+    """The C sources as one translation unit, found the way an installed
+    package finds its data; ``#line`` keeps each file's own name in the
+    compiler's messages."""
+    root = resources.files(__package__)
+    return b"".join(
+        b'#line 1 "%s"\n' % name.encode() + root.joinpath(name).read_bytes()
+        for name in SOURCES
+    )
 
 
 def _load() -> _Kernel:
@@ -130,15 +157,15 @@ def _build_and_load() -> _Kernel:
         path = os.path.join(folder, name)
         try:
             try:
-                fn = _open(path)
+                fn, cache = _open(path)
             except OSError:  # not there yet, or cut short: build it once
                 _compile(cc, code, path)
-                fn = _open(path)
+                fn, cache = _open(path)
         except (OSError, subprocess.SubprocessError) as exc:
             said = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
             reason = f"{path}: {exc} {said.strip()[-300:]}".rstrip()
             continue
-        return _Kernel(fn=fn, compiler=version, path=path)
+        return _Kernel(fn=fn, cache=cache, compiler=version, path=path)
     return _Kernel(reason=reason, compiler=version)
 
 
@@ -163,13 +190,25 @@ def _open(path: str):
         mode.st_uid != os.getuid() or mode.st_mode & 0o022
     ):  # the temp dir is shared: load only what nobody else could write
         raise OSError(f"{path} is writable by another user")
-    fn = ctypes.CDLL(path).flat_walk
+    lib = ctypes.CDLL(path)
+    fn = lib.flat_walk
     # (tables, placement or NULL, headers, n, match, the five statistics
     # arrays or NULLs, the three cycle arrays or NULLs)
     fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Placement),
                    ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 9]
     fn.restype = ctypes.c_int
-    return fn
+    ptr, i64, cache = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Cache)
+    for name, args, res in (
+        ("fc_keys", [ptr, ptr, i64, i64, i64, ptr, ptr], None),
+        ("fc_probe", [cache, ptr, i64, i64, ptr, ptr, ptr], i64),
+        ("fc_dedupe", [ptr, i64, i64, ptr, ptr], i64),
+        ("fc_fill", [cache, ptr, ptr, i64, ptr, ptr], ctypes.c_int),
+    ):
+        getattr(lib, name).argtypes = args
+        getattr(lib, name).restype = res
+    # The key tables are little-endian words (``flowcache._KEY_WORD``);
+    # the C loops read native ones, so elsewhere the cache stays NumPy.
+    return fn, lib if sys.byteorder == "little" else None
 
 
 def _pointer(name: str, arr, dtype, shape) -> int:
@@ -179,7 +218,7 @@ def _pointer(name: str, arr, dtype, shape) -> int:
         and arr.shape == shape and arr.flags["C_CONTIGUOUS"]
     ):
         raise BuildError(
-            f"native walk: {name} is not a C-contiguous "
+            f"native kernel: {name} is not a C-contiguous "
             f"{np.dtype(dtype).name} array of shape {shape}"
         )
     return arr.ctypes.data
@@ -256,3 +295,108 @@ def walk(
             "placement buffers)"
         )
     return True
+
+
+# ---------------------------------------------------------------------------
+# The flow cache: each function returns ``None`` (nothing written) when
+# the library did not load, and the caller takes its NumPy path.
+# ---------------------------------------------------------------------------
+#: ``_Cache`` table fields and the ``FlowCache`` attributes they bind.
+_CACHE_TABLES = (("keyw", "_keyw"), ("result", "_result"),
+                 ("stamp", "_stamp"), ("epoch_of", "_epoch"),
+                 ("filled", "_filled"))
+
+
+def _bind_cache(cache) -> _Cache:
+    """The pointer table over ``cache``'s tables as they are now (its
+    epoch and tick included); built per call, so it never outlives a
+    re-allocation."""
+    n_words = (cache._ndim + 1) // 2
+    bound = _Cache(cache.n_sets, cache.ways, n_words, cache.max_age,
+                   int(cache.epoch), int(cache._tick))
+    for field, attr in _CACHE_TABLES:
+        keyw = field == "keyw"
+        setattr(bound, field, _pointer(
+            attr, getattr(cache, attr), np.uint64 if keyw else np.int64,
+            (n_words, cache.ways, cache.n_sets) if keyw
+            else (cache.n_sets, cache.ways),
+        ))
+    return bound
+
+
+def flow_keys(headers32, n_sets: int, rows=None):
+    """``(words, sets)``: the packed key words and the FNV set index of
+    every row of the ``(n, ndim)`` ``uint32`` headers (of ``headers32[rows]``
+    when given), in one pass."""
+    lib = _load().cache
+    if lib is None:
+        return None
+    n, ndim = headers32.shape
+    picked = None
+    if rows is not None:
+        picked = _pointer("rows", rows, np.int64, rows.shape[:1])
+        n = rows.shape[0]
+        if n and not (0 <= rows.min() and rows.max() < headers32.shape[0]):
+            raise BuildError("native flow cache: a row outside the headers")
+    words = np.empty(((ndim + 1) // 2, n), np.uint64)
+    sets = np.empty(n, np.int64)
+    headers = _pointer("headers", headers32, np.uint32, headers32.shape)
+    lib.fc_keys(headers, picked, n, ndim, n_sets, words.ctypes.data,
+                sets.ctypes.data)
+    return words, sets
+
+
+def probe(cache, headers32):
+    """``(hit, result, misses)`` of every header against ``cache`` —
+    ``misses`` the positions that missed, in order — refreshing the LRU
+    stamp of each hit way to ``tick + position``."""
+    lib = _load().cache
+    if lib is None:
+        return None
+    n = headers32.shape[0]
+    bound = _bind_cache(cache)
+    headers = _pointer("headers", headers32, np.uint32, (n, cache._ndim))
+    hit, result = np.empty(n, bool), np.empty(n, np.int64)
+    misses = np.empty(n, np.int64)
+    n_miss = lib.fc_probe(ctypes.byref(bound), headers, n, cache._ndim,
+                          hit.ctypes.data, result.ctypes.data,
+                          misses.ctypes.data)
+    return hit, result, misses[:n_miss]
+
+
+def dedupe(words):
+    """``(first, inverse)`` of ``(n_words, n)`` packed keys, as
+    ``flowcache.dedupe_flow_keys`` defines them."""
+    lib = _load().cache
+    if lib is None:
+        return None
+    n_words, n = words.shape
+    first, inverse = np.empty(n, np.int64), np.empty(n, np.int64)
+    distinct = lib.fc_dedupe(
+        _pointer("words", words, np.uint64, (n_words, n)), n_words, n,
+        first.ctypes.data, inverse.ctypes.data,
+    )
+    if distinct < 0:
+        raise MemoryError("native flow cache: out of memory")
+    return first[:distinct], inverse
+
+
+def fill(cache, words, sets, results):
+    """Insert every (key, result) into ``cache`` in order; returns the
+    ``(evictions, reclamations)`` the batch caused."""
+    lib = _load().cache
+    if lib is None:
+        return None
+    n = sets.shape[0]
+    bound = _bind_cache(cache)
+    counts = np.zeros(2, np.int64)
+    code = lib.fc_fill(ctypes.byref(bound),
+                       _pointer("words", words, np.uint64, (bound.n_words, n)),
+                       _pointer("sets", sets, np.int64, (n,)), n,
+                       _pointer("results", results, np.int64, (n,)),
+                       counts.ctypes.data)
+    if code == 3:
+        raise MemoryError("native flow cache: out of memory")
+    if code:
+        raise BuildError("native flow cache: a set index outside the table")
+    return int(counts[0]), int(counts[1])

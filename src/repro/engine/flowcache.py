@@ -2,60 +2,46 @@
 
 The paper's introduction assumes the classic serving deployment: a flow
 cache absorbs the hot traffic and the general classifier only sees cache
-misses — that split is where the energy argument lives.  This module
-reproduces the layer in the simulator:
+misses — that split is where the energy argument lives.
 
-* :class:`FlowCache` — a vectorised, fixed-size, set-associative
-  exact-match table.  Full headers are FNV-hashed into one of
-  ``entries // ways`` sets; each set holds ``ways`` (header, result)
-  entries with LRU-ish replacement driven by a monotonic use stamp.
-  All probe/fill work is NumPy over the whole batch — no per-packet
-  Python.  Headers are compared as *packed flow keys*
-  (:func:`pack_flow_keys`): the ``uint32`` columns packed pairwise into
+* :class:`FlowCache` — a fixed-size, set-associative exact-match table.
+  Full headers are FNV-hashed into one of ``entries // ways`` sets of
+  ``ways`` (header, result) entries, LRU-ish replacement driven by a
+  monotonic use stamp.  Headers are compared as *packed flow keys*
+  (:func:`pack_flow_keys`: the ``uint32`` columns packed pairwise into
   ``ceil(ndim / 2)`` ``uint64`` words, column 0 most significant, so
-  word-lexicographic order is row-lexicographic order for any schema.
-  One :class:`FlowKeys` (words + set index) is computed per batch and
-  shared by the probe, the miss dedupe and the fill.
+  word order is row order for any schema).  Probe, miss dedupe and fill
+  are each one C loop over the batch where
+  :mod:`~repro.algorithms.native` loaded and NumPy over the batch
+  otherwise (the oracle): bit-identical tables, counters and results,
+  no per-packet Python either way.  The probe hands the dedupe and the
+  fill the :class:`FlowKeys` (words + set index) of its misses.
 * :class:`CachedClassifier` — wraps any
   :class:`~repro.engine.protocol.Classifier` behind the same protocol,
-  so the cached form composes with the registry, the sharded
-  :class:`~repro.engine.pipeline.ClassificationPipeline` and the CLI
-  exactly like a bare backend.  Results are bit-identical to the
-  wrapped backend by construction: the cache only ever stores results
-  the backend itself produced, keyed by the *full* header.
+  so it composes with the registry, the pipeline and the CLI like a bare
+  backend, bit-identical to it by construction: the cache only stores
+  results the backend produced, keyed by the *full* header.
 
-Batch semantics: within one batch the cache is probed once against its
-state at batch start; the missing headers are deduplicated
-(:func:`dedupe_flow_keys` — in ``np.unique(axis=0)`` order, which is
-what fixes the fill order, the victims and every counter), classified
-by the backend once per distinct header (one ``batch_stats_of`` call: a
-match-only walk on tree backends, the occupancy walk on the
-accelerator), and filled back.  Duplicate misses inside a batch
-therefore coalesce into one backend lookup — the vectorised equivalent
-of the sequential "first packet misses and fills, the rest hit"
-behaviour — and are counted as hits.  A zero-entry cache bypasses
-entirely (every packet is a backend miss, no coalescing).
+Batch semantics: a batch is probed once against the cache's state at
+batch start; the misses are deduplicated (:func:`dedupe_flow_keys`, in
+``np.unique(axis=0)`` order — which fixes the fill order, the victims
+and every counter), classified once per distinct header (one
+``batch_stats_of`` call) and filled back.  Duplicate misses in a batch
+coalesce into one backend lookup and count as hits.  A zero-entry cache
+bypasses entirely (every packet a backend miss, no coalescing).
 
-Sharding: each pipeline worker forks with a copy-on-write snapshot of
-the cache, so a sharded run maintains one private cache per shard (the
-hardware-natural layout), and the held workers keep the per-shard
-caches warm across ``run()`` calls.  Per-chunk hit/miss counts travel back
-through :class:`~repro.engine.protocol.BatchStats` and are aggregated
-by the pipeline.
+Sharding: each forked pipeline worker serves a copy-on-write snapshot,
+so a sharded run keeps one private, warm cache per shard; per-chunk
+counts travel back through :class:`~repro.engine.protocol.BatchStats`.
 
 Rule updates retire, they do not flush: :meth:`CachedClassifier.insert`
-/ ``remove`` / ``apply_updates`` delegate to the wrapped classifier and
-then :meth:`FlowCache.retire` kills exactly the entries the batch could
-have changed — those whose cached match was removed, and those whose
-header an inserted rule of higher priority covers — so every other flow
-keeps hitting across the update and the serving process still never
-returns a stale result.  Only events that say nothing about *what*
-changed (``rebuild``, ``invalidate_cache``) drop the whole cache, in
-O(1), through the epoch tag.  Held pipeline workers serve the
-copy-on-write snapshot of cache and classifier taken at fork time; a
-mutation made outside ``run()`` moves ``update_epoch``, which makes the
-:class:`~repro.engine.pipeline.ClassificationPipeline` re-fork them
-from the updated (and freshly retired) state before its next run.
+/ ``remove`` / ``apply_updates`` delegate, then :meth:`FlowCache.retire`
+kills exactly the entries the batch could have changed, so every other
+flow keeps hitting and no result is ever stale.  Only events that say
+nothing about *what* changed (``rebuild``, ``invalidate_cache``) drop
+the whole cache, in O(1), through the epoch tag.  A mutation made
+outside ``run()`` moves ``update_epoch``, which makes the pipeline
+re-fork its held workers from the updated state.
 """
 
 from __future__ import annotations
@@ -66,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..algorithms import native
 from ..core.errors import ConfigError
 from ..core.ruleset import RuleSet
 from ..core.updates import OP_INSERT, OP_REMOVE, insert_op, remove_op
@@ -150,8 +137,12 @@ def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys need the (stable, word-by-word) lexsort.  Every key is then
     compared word for word with its group's head; a batch where two
     different keys share a hash — or one too small to repay hashing —
-    takes the lexsort over all keys instead.
+    takes the lexsort over all keys.  The native kernel returns the same
+    arrays from one hash-table pass and one sort.
     """
+    found = native.dedupe(words)
+    if found is not None:
+        return found
     n = words.shape[1]
     if n >= _HASH_GROUP_MIN:
         low = np.uint64((1 << (n - 1).bit_length()) - 1)
@@ -182,29 +173,23 @@ class FlowKeys(NamedTuple):
 
     def take(self, rows: np.ndarray) -> "FlowKeys":
         # np.take is ~3x the mixed index ``words[:, rows]``.
-        return FlowKeys(np.take(self.words, rows, axis=1), self.sets[rows])
+        return FlowKeys(np.take(self.words, rows, axis=1), self.sets.take(rows))
 
 
 @dataclass
 class FlowCacheStats:
     """Running counters of one :class:`FlowCache`.
 
-    ``hits`` counts packets served without a backend lookup (including
-    intra-batch duplicates coalesced onto one miss); ``misses`` counts
-    backend lookups issued.  ``hits + misses == lookups``.
-
-    ``evictions`` counts live entries overwritten by a fill;
-    ``reclamations`` counts dead slots (TTL-expired, epoch-stale or
-    retired, or several at once) re-used by a fill.  A slot that is
-    dead for two reasons is dead exactly once, so every fill bumps
-    exactly one of the two counters per overwritten, once-filled slot.
-
-    ``invalidations`` counts invalidation *events*: one per applied
-    update batch (:meth:`FlowCache.retire`) and one per whole-cache
-    flush (:meth:`FlowCache.advance_epoch`).
-    ``retired`` counts the live entries :meth:`FlowCache.retire` killed.
-    Both are deterministic: they depend only on the cache contents and
-    the batch, never on timing or on which process applied it.
+    ``hits`` counts packets served without a backend lookup (coalesced
+    in-batch duplicates included), ``misses`` backend lookups issued:
+    ``hits + misses == lookups``.  ``evictions`` counts live entries a
+    fill overwrote, ``reclamations`` dead slots (TTL-expired,
+    epoch-stale or retired — dead once, whatever the reasons) it
+    re-used.  ``invalidations`` counts events: one per update batch
+    (:meth:`FlowCache.retire`) and per whole-cache flush
+    (:meth:`FlowCache.advance_epoch`); ``retired`` the live entries
+    ``retire`` killed.  Every counter depends only on the cache contents
+    and the batches, never on timing or on which process served them.
     """
 
     lookups: int = 0
@@ -223,19 +208,16 @@ class FlowCacheStats:
 class FlowCache:
     """Fixed-size set-associative exact-match cache over full headers.
 
-    ``entries == 0`` disables the cache (every lookup is a miss).
-    Tables are allocated lazily on the first probe, when the header
-    width is known, so the cache works with any
-    :class:`~repro.core.rules.FieldSchema`.
+    ``entries == 0`` disables the cache (every lookup is a miss).  The
+    tables are allocated on the first probe, when the header width is
+    known, so any :class:`~repro.core.rules.FieldSchema` works.
 
-    ``max_age`` enables TTL-style aging: an entry is only served while
-    fewer than ``max_age`` lookups have passed through the cache since
-    it was *filled* (hits refresh the LRU stamp, not the fill time, so
-    a hot flow is still re-validated against the backend every
-    ``max_age`` lookups — the standard defence against a stale flow
-    table).  Expired entries miss and become preferred eviction victims;
-    overwriting one is reclamation, not eviction.  ``max_age=0``
-    disables aging.
+    ``max_age`` (0 = off) is TTL-style aging: an entry is served only
+    while fewer than ``max_age`` lookups have passed since it was
+    *filled* — hits refresh the LRU stamp, not the fill time, so a hot
+    flow is still re-validated every ``max_age`` lookups.  Expired
+    entries miss and are preferred victims (a reclamation, not an
+    eviction).
     """
 
     def __init__(
@@ -261,17 +243,15 @@ class FlowCache:
         self.n_sets = self.entries // self.ways if entries else 0
         self.stats = FlowCacheStats()
         self._tick = np.int64(1)
-        #: Current cache epoch.  Entries are tagged with the epoch they
-        #: were filled under and only served while it is current, so the
-        #: whole cache drops in O(1) — one counter bump
-        #: (:meth:`advance_epoch`) instead of an O(entries) flush — and
-        #: :meth:`retire` kills single entries by tagging them ``-1``.
+        #: Current cache epoch: entries are served only while the epoch
+        #: they were filled under is current, so the whole cache drops in
+        #: O(1) (:meth:`advance_epoch`); :meth:`retire` tags single
+        #: entries ``-1``.
         self.epoch = np.int64(0)
         #: Header width the tables were allocated for (0 = not yet).
         self._ndim = 0
-        #: The one key table, words-major: ``_keyw[k, way]`` is a dense
-        #: per-set column of key word ``k``, so a probe is one 1-D gather
-        #: + compare per (way, word) — no per-packet set-wide gather.
+        #: The key table, words-major: ``_keyw[k, way]`` is a dense per-set
+        #: column of key word ``k`` (one 1-D gather per (way, word)).
         self._keyw: np.ndarray | None = None  # (words, ways, sets) uint64
         self._result: np.ndarray | None = None  # (sets, ways) int64
         self._stamp: np.ndarray | None = None  # (sets, ways) int64 last use
@@ -298,13 +278,10 @@ class FlowCache:
             self._filled = np.zeros((self.n_sets, self.ways), np.int64)
 
     def _live(self, idx, way: int | None = None) -> np.ndarray:
-        """Entries whose fill epoch is still current (and, with aging
-        on, whose fill is younger than ``max_age`` lookups), over
-        ``table[idx]`` of the ``(sets, ways)`` tables — or, given
-        ``way``, over the sets ``idx`` of that one way (a column view
-        then a 1-D gather, a few times cheaper than the mixed index
-        ``table[idx, way]``).  The epoch tag alone decides: a slot never
-        filled or retired carries ``-1``."""
+        """Entries filled under the current epoch (and, with aging on, at
+        most ``max_age`` lookups ago) over ``table[idx]`` — or, given
+        ``way``, over the sets ``idx`` of that one way (a column view then
+        a 1-D gather, cheaper than ``table[idx, way]``)."""
         epoch, filled = self._epoch, self._filled
         if way is not None:
             epoch, filled = epoch[:, way], filled[:, way]
@@ -325,6 +302,10 @@ class FlowCache:
         """Pack and hash a batch once (enabled cache only); allocates
         the tables on first use, when the header width is known."""
         self._ensure_tables(headers.shape[1])
+        headers = np.ascontiguousarray(headers, dtype=np.uint32)
+        keys = native.flow_keys(headers, self.n_sets)
+        if keys is not None:
+            return FlowKeys(*keys)
         return FlowKeys(pack_flow_keys(headers), self._set_index(headers))
 
     # ------------------------------------------------------------------
@@ -340,7 +321,25 @@ class FlowCache:
         if not self.enabled or not headers.shape[0]:
             n = headers.shape[0]
             return np.zeros(n, bool), np.full(n, -1, np.int64)
-        return self._probe(self._flow_keys(headers))
+        return self._lookup(headers)[:2]
+
+    def _lookup(self, headers: np.ndarray, miss_keys: bool = False):
+        """:meth:`probe` plus the positions that missed and, with
+        ``miss_keys``, their :class:`FlowKeys` — what the caller dedupes
+        and fills.  Natively one pass that packs and hashes each header
+        as it compares it; the misses are packed after it."""
+        headers = np.ascontiguousarray(headers, dtype=np.uint32)
+        self._ensure_tables(headers.shape[1])
+        found = native.probe(self, headers)
+        if found is None:
+            keys = self._flow_keys(headers)
+            hit, result = self._probe(keys)
+            misses = np.flatnonzero(~hit)
+            return hit, result, misses, keys.take(misses) if miss_keys else None
+        self._tick += np.int64(headers.shape[0])
+        hit, result, misses = found
+        keys = miss_keys and native.flow_keys(headers, self.n_sets, misses)
+        return hit, result, misses, FlowKeys(*keys) if keys else None
 
     def _probe(self, keys: FlowKeys) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`probe` over the batch's :meth:`_flow_keys`."""
@@ -379,6 +378,13 @@ class FlowCache:
         :meth:`_flow_keys`."""
         words, s = keys
         n = s.shape[0]
+        results = np.ascontiguousarray(results, dtype=np.int64)
+        counts = native.fill(self, words, s, results)
+        if counts is not None:
+            self.stats.evictions += counts[0]
+            self.stats.reclamations += counts[1]
+            self._tick += np.int64(1)
+            return
         # One stable sort of the set index (a radix sort while it fits
         # 16 bits) puts each touched set's inserts together in arrival
         # order: group number and occurrence rank fall out of the runs.
@@ -396,11 +402,9 @@ class FlowCache:
         age = np.where(self._live(touched), self._stamp[touched], np.int64(-1))
         order = np.argsort(age, axis=1, kind="stable")
         ranked_way = order[group, rank % self.ways]
-        # Overwriting a live entry is an eviction; re-using a dead slot
-        # (TTL-expired, epoch-stale, retired — dead is dead, counted
-        # once) is a reclamation.  Wrap inserts (rank >= ways) land on a
-        # slot a batch-mate just claimed, so whatever the pre-batch
-        # state said, they displace a fresh live fill: an eviction.
+        # Overwriting a live entry is an eviction, re-using a dead slot a
+        # reclamation.  Wrap inserts (rank >= ways) land on a slot a
+        # batch-mate just claimed: they displace a live fill, an eviction.
         pre_live = self._live((ranked, ranked_way))
         pre_filled = self._filled[ranked, ranked_way] > 0
         first_claim = rank < self.ways
@@ -419,12 +423,9 @@ class FlowCache:
 
     def advance_epoch(self) -> None:
         """O(1) whole-cache invalidation, for a ruleset change nobody
-        described (``rebuild``, an out-of-band mutation); an update
-        batch goes through :meth:`retire` instead.
-
-        Entries filled under earlier epochs stop matching immediately;
-        their slots are reclaimed lazily as new fills land.
-        """
+        described (``rebuild``, an out-of-band mutation; an update batch
+        goes through :meth:`retire`): older entries stop matching at once
+        and their slots are reclaimed as new fills land."""
         self.epoch += np.int64(1)
         self.stats.invalidations += 1
 
@@ -585,19 +586,16 @@ class CachedClassifier(ClassifierBase):
                 t0 = t1
 
         evictions_before = cache.stats.evictions
-        keys = cache._flow_keys(headers)
-        hit, match = cache._probe(keys)
-        miss_rows = np.nonzero(~hit)[0]
+        hit, match, miss_rows, missing = cache._lookup(headers, miss_keys=True)
         lap("probe_s")
         occupancy = None
         n_backend = 0
         if miss_rows.size:
             # Deduplicate the misses in ``np.unique(axis=0)`` order:
             # the same eviction/fill order whatever order they arrived in.
-            missing = np.take(keys.words, miss_rows, axis=1)
-            first, inverse = dedupe_flow_keys(missing)
+            first, inverse = dedupe_flow_keys(missing.words)
             rows = miss_rows[first]
-            uniq = headers[rows]
+            uniq = headers.take(rows, axis=0)
             n_backend = rows.size
             lap("dedup_s")
             inner = batch_stats_of(self.classifier, uniq)
@@ -609,7 +607,7 @@ class CachedClassifier(ClassifierBase):
                 occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
                 occupancy[miss_rows] = inner.occupancy[inverse]
             lap("scatter_s")
-            cache._fill(keys.take(rows), inner_match)
+            cache._fill(missing.take(first), inner_match)
             lap("fill_s")
         elif self._models_occupancy:
             occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)

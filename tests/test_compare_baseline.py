@@ -130,6 +130,7 @@ class TestGatedMetrics:
         ("flat_kernel_scaling.large_over_small", 0.8),
         ("native_kernel.speedup", 5.0),
         ("accelerator_occupancy.ratio", 0.85),
+        ("flowcache_native.speedup", 2.0),
         ("update_patch.speedup", 3.0),
         ("update_cache_retention.retention", 0.9),
         ("stage_graph.uncached_over_added", 3.0),

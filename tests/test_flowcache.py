@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FIVE_TUPLE, PacketTrace, Rule, generate_zipf_trace
+from repro.algorithms import native
 from repro.core.errors import ConfigError
 from repro.core.updates import insert_op, remove_op
 from repro.engine import (
@@ -134,26 +135,39 @@ def _assert_is_np_unique(m):
     assert np.array_equal(inverse, inv.reshape(-1))
 
 
+# The two properties live outside the classes that run them, so that
+# the class and its ``...Portable`` subclass call one hypothesis test.
+@settings(max_examples=300, deadline=None)
+@given(_header_matrices())
+def _unique_rows(m):
+    _assert_is_np_unique(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flow_batches())
+def _unique_rows_of_big_batches(m):
+    _assert_is_np_unique(m)
+
+
 class TestPackedKeyDedupe:
     """``dedupe_flow_keys(pack_flow_keys(m))`` is ``np.unique(m, axis=0)``
     — same row order, same first-occurrence index, same inverse — which
     is what keeps fill order, victims and counters where they were."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(_header_matrices())
-    def test_matches_np_unique_rows(self, m):
-        _assert_is_np_unique(m)
+    def test_matches_np_unique_rows(self):
+        _unique_rows()
 
-    @settings(max_examples=40, deadline=None)
-    @given(_flow_batches())
-    def test_matches_np_unique_rows_on_hash_grouped_batches(self, m):
-        _assert_is_np_unique(m)
+    def test_matches_np_unique_rows_on_hash_grouped_batches(self):
+        _unique_rows_of_big_batches()
 
     @pytest.mark.parametrize("mixer", [
         lambda words: np.zeros(words.shape[1], np.uint64),  # one group
         lambda words: words[0] << np.uint64(32),  # blind to most columns
     ], ids=["constant", "word0-low-half"])
-    def test_hash_collisions_take_the_lexsort(self, monkeypatch, mixer):
+    def test_hash_collisions_take_the_lexsort(
+        self, monkeypatch, portable_kernel, mixer
+    ):
+        # This and the next test pin the NumPy path's own fallback.
         rng = np.random.default_rng(5)
         flows = rng.integers(0, 4, (300, 5), dtype=np.uint32)
         m = flows[rng.integers(0, 300, 4 * _CUT)]
@@ -164,7 +178,9 @@ class TestPackedKeyDedupe:
         with pytest.raises(AssertionError, match="lexsort"):
             dedupe_flow_keys(pack_flow_keys(m))
 
-    def test_hash_grouping_needs_no_lexsort_over_the_batch(self, monkeypatch):
+    def test_hash_grouping_needs_no_lexsort_over_the_batch(
+        self, monkeypatch, portable_kernel
+    ):
         rng = np.random.default_rng(6)
         flows = rng.integers(0, 2**32, (900, 5), dtype=np.uint32)
         m = flows[rng.integers(0, 900, 4 * _CUT)]
@@ -172,6 +188,16 @@ class TestPackedKeyDedupe:
         _assert_is_np_unique(m)
         with pytest.raises(AssertionError, match="lexsort"):
             dedupe_flow_keys(pack_flow_keys(m[:_CUT - 1]))  # small batch
+
+    def test_every_byte_of_every_word_orders(self):
+        # Columns that differ in one byte each, at any of the four byte
+        # positions: a sort that skipped a byte, or any word after the
+        # first, would misplace some of them.
+        rng = np.random.default_rng(8)
+        for ndim in (2, 5, 6):
+            shift = rng.choice([0, 8, 16, 24], (3000, ndim))
+            m = (rng.integers(0, 4, (3000, ndim)) << shift).astype(np.uint32)
+            _assert_is_np_unique(m)
 
     def test_word_order_is_row_order(self):
         # Column 0 is the most significant half of word 0; an odd last
@@ -620,6 +646,134 @@ class TestPinnedCounters:
             stats.hits, stats.misses, stats.evictions, stats.reclamations,
             zlib.crc32(cache._stamp.tobytes()), zlib.crc32(victims.tobytes()),
         ) == self.PINNED[ways]
+
+
+# ---------------------------------------------------------------------------
+# The native cache kernels against the NumPy path (the oracle)
+# ---------------------------------------------------------------------------
+@pytest.mark.usefixtures("portable_kernel")
+class TestPackedKeyDedupePortable(TestPackedKeyDedupe):
+    pass
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestFillGroupingPortable(TestFillGrouping):
+    pass
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestFlowCacheAgingPortable(TestFlowCacheAging):
+    pass
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestPinnedCountersPortable(TestPinnedCounters):
+    pass
+
+
+class ResultOfHeader(CountingClassifier):
+    """Protocol-shaped stub for any header width: a fixed function of
+    the columns, ``-1`` (no match) included."""
+
+    def classify_batch(self, headers: np.ndarray) -> np.ndarray:
+        wide = headers.astype(np.int64)
+        return (wide.sum(axis=1) * 7 + wide[:, 0]) % 13 - 1
+
+
+#: Small header values that collide in a small cache, plus the edges.
+_SMALL = st.integers(0, 3) | _EDGE_VALUES
+_ID = st.integers(-1, 12)
+
+
+@st.composite
+def _cache_runs(draw):
+    """A cache geometry (one set and 1-way included), a pool of flows and
+    a sequence of steps over it: served batches, direct probes and
+    fills, update batches to retire and whole-cache flushes."""
+    ndim = draw(st.integers(1, 6))
+    ways = draw(st.sampled_from([1, 2, 4]))
+    entries = ways * draw(st.sampled_from([1, 2, 3, 8]))
+    if draw(st.booleans()):
+        ways = entries  # one set
+    max_age = draw(st.sampled_from([0, 0, 1, 5, 40]))
+    pool = np.asarray(draw(st.lists(
+        st.lists(_SMALL, min_size=ndim, max_size=ndim),
+        min_size=1, max_size=3 * entries + 2,
+    )), dtype=np.uint32)
+    rows = st.lists(st.integers(0, len(pool) - 1), max_size=40)
+    box = st.lists(
+        st.tuples(_SMALL, _SMALL).map(sorted).map(tuple),
+        min_size=ndim, max_size=ndim,
+    ).map(lambda ranges: Rule(ranges=tuple(ranges)))
+    step = st.one_of(
+        st.tuples(st.just("serve"), rows, st.sampled_from([1, 1, 1, 20])),
+        st.tuples(st.just("probe"), rows),
+        st.tuples(st.just("fill"), rows),
+        st.tuples(st.just("retire"), st.lists(_ID, max_size=3),
+                  st.lists(st.tuples(box, _ID), max_size=2)),
+        st.tuples(st.just("flush")),
+    )
+    return entries, ways, max_age, pool, draw(st.lists(step, max_size=12))
+
+
+def _take_step(clf: CachedClassifier, pool: np.ndarray, step) -> list:
+    """Apply one drawn step; what it returned, as comparable values."""
+    kind, *args = step
+    if kind == "serve":
+        rows, repeat = args
+        out = clf.batch_stats(np.tile(pool[rows], (repeat, 1)))
+        return [out.match.tolist(), out.occupancy, out.cache_hits,
+                out.cache_misses, out.cache_evictions]
+    if kind == "probe":
+        return [a.tolist() for a in clf.cache.probe(pool[args[0]])]
+    if kind == "fill":
+        headers = pool[args[0]]
+        clf.cache.fill(headers, ResultOfHeader().classify_batch(headers))
+    elif kind == "retire":
+        removed, inserted = args
+        ops = [remove_op(i) for i in removed if i >= 0]
+        ops += [insert_op(rule) for rule, _ in inserted]
+        clf.cache.retire(ops, [rule_id for _, rule_id in inserted])
+    else:
+        clf.invalidate_cache()
+    return []
+
+
+def _assert_same_cache(a: FlowCache, b: FlowCache) -> None:
+    for name in ("_keyw", "_result", "_stamp", "_epoch", "_filled"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (a._tick, a.epoch, a.stats) == (b._tick, b.epoch, b.stats)
+
+
+class TestNativeCacheKernels:
+    """The native probe, dedupe and fill leave every table, the clock and
+    every counter where the NumPy path leaves them, step after step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cache_runs())
+    def test_native_and_portable_serve_the_same(self, run):
+        if native.status()["kernel"] != "native":
+            pytest.skip(f"native kernel unavailable: {native.status()['reason']}")
+        entries, ways, max_age, pool, steps = run
+        backend = ResultOfHeader()
+        twins = [
+            CachedClassifier(backend, entries=entries, ways=ways,
+                             max_age=max_age)
+            for _ in range(2)
+        ]
+        for step in steps:
+            said = []
+            for clf, portable in zip(twins, (False, True)):
+                with pytest.MonkeyPatch.context() as patch:
+                    if portable:
+                        patch.setattr(native, "_kernel",
+                                      native._Kernel(reason="oracle side"))
+                    said.append(_take_step(clf, pool, step))
+            assert said[0] == said[1], step
+            _assert_same_cache(twins[0].cache, twins[1].cache)
 
 
 class TestCachedClassifierEdgeCases:

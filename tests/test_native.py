@@ -1,9 +1,11 @@
-"""The native FlatTree kernel: build, load, fall back, refuse bad tables.
+"""The native library: build, load, fall back, refuse bad tables.
 
-``repro.algorithms.native`` builds ``_flat_walk.c`` with the compiler
-that is here and loads it once per process; every way that can fail must
-leave the portable NumPy walk serving, with the reason recorded and
-nothing raised.  The C loop itself must turn what NumPy reported as an
+``repro.algorithms.native`` builds ``_flat_walk.c`` and ``_flow_cache.c``
+with the compiler that is here and loads them once per process; every
+way that can fail must leave the portable NumPy walk and cache serving,
+with the reason recorded and nothing raised.  The flow-cache kernels
+must serve every cache geometry as NumPy does and see no table of the
+wrong kind.  The C loop itself must turn what NumPy reported as an
 ``IndexError`` (a corrupt table) into a :class:`BuildError`, not a
 fault.  Identity of the two kernels on real trees is asserted where the
 trees are (``test_flat_tree.py``, ``test_match_walk.py``,
@@ -31,6 +33,7 @@ from repro.algorithms import (
     native,
 )
 from repro.core.errors import BuildError
+from repro.engine import CachedClassifier, FlowCache
 from repro.core.rules import Rule, make_demo_ruleset
 from repro.hw import Accelerator, build_memory_image
 from repro.hw.encoding import RULES_PER_WORD
@@ -87,11 +90,14 @@ class TestBuildAndLoad:
     def test_the_source_is_package_data(self):
         """Found the way an installed package finds it (setup.py ships
         ``*.c`` as ``package_data`` of ``repro.algorithms``), not by a
-        path relative to the checkout."""
-        found = resources.files("repro.algorithms").joinpath(native.SOURCE)
-        assert found.is_file()
-        assert native.source() == found.read_bytes()
-        assert b"flat_walk" in native.source()
+        path relative to the checkout; every file is one part of the one
+        translation unit the compile key hashes."""
+        code = native.source()
+        for name in native.SOURCES:
+            found = resources.files("repro.algorithms").joinpath(name)
+            assert found.is_file()
+            assert b'#line 1 "%s"\n' % name.encode() + found.read_bytes() in code
+        assert b"int flat_walk(" in code and b" fc_probe(" in code
 
     def test_two_processes_building_at_once_both_load(
         self, native_kernel, fresh_load
@@ -317,6 +323,135 @@ class TestCorruptTables:
             acc.run_trace(acl_small_trace)
         with pytest.raises(BuildError, match="left its tables"):
             acc.match_occupancy(acl_small_trace)
+
+
+# ---------------------------------------------------------------------------
+# The flow-cache kernels: every geometry, and no bad table reaches C
+# ---------------------------------------------------------------------------
+class _ColumnSum:
+    """A backend for any header width: result = column sum mod 11, -1."""
+
+    backend_name = "column-sum"
+
+    def classify_batch(self, headers):
+        return headers.astype(np.int64).sum(axis=1) % 11 - 1
+
+    def memory_bytes(self) -> int:
+        return 0
+
+    def memory_accesses_per_lookup(self) -> int:
+        return 1
+
+
+def _cache_state(cache: FlowCache) -> tuple:
+    return (
+        *(getattr(cache, name).tobytes() for name in
+          ("_keyw", "_result", "_stamp", "_epoch", "_filled")),
+        int(cache._tick), cache.stats,
+    )
+
+
+class TestCacheGeometries:
+    @pytest.mark.parametrize("entries,ways,ndim", [
+        (8, 8, 5),                  # ways == entries: one set
+        (512, 512, 2),              # ...with far more ways than 64
+        (64, 1, 4),                 # one way
+        (4 * 70_000, 4, 5),         # 70,000 sets: the modulo index
+        (2 * (1 << 17), 2, 3),      # 131,072 sets: the mask index
+        *((384, 4, ndim) for ndim in range(1, 7)),  # odd and even widths
+    ])
+    def test_native_serves_what_numpy_serves(
+        self, native_kernel, monkeypatch, entries, ways, ndim
+    ):
+        rng = np.random.default_rng(entries + ways + ndim)
+        size = min(entries, 4096)  # a few thousand flows reach every set
+        flows = rng.integers(0, 1 << 32, (3 * size // 2 + 7, ndim),
+                             dtype=np.uint32)
+        flows[::5, 0] = 7  # rows that share their first word
+        twins = [CachedClassifier(_ColumnSum(), entries=entries, ways=ways,
+                                  max_age=5 * entries)
+                 for _ in range(2)]
+        for step in range(6):
+            batch = flows[rng.integers(0, len(flows), 2 * size + 50)]
+            served = []
+            for clf, portable in zip(twins, (False, True)):
+                with monkeypatch.context() as patch:
+                    if portable:
+                        patch.setattr(native, "_kernel",
+                                      native._Kernel(reason="oracle side"))
+                    out = clf.batch_stats(batch)
+                    served.append((out.match.tolist(), out.cache_hits,
+                                   out.cache_misses, out.cache_evictions))
+                    if step == 3:
+                        clf.invalidate_cache()
+            assert served[0] == served[1]
+            assert _cache_state(twins[0].cache) == _cache_state(twins[1].cache)
+        stats = twins[0].cache.stats
+        assert stats.hits and (stats.evictions or entries > size)
+
+    @pytest.fixture
+    def warm(self):
+        cache = FlowCache(64, ways=4)
+        headers = random_headers(FIVE_TUPLE, 200, seed=3)
+        keys = cache._flow_keys(headers)
+        cache._fill(keys, np.arange(200, dtype=np.int64))
+        return cache, headers, keys
+
+    #: ``FlowCache`` tables a C loop must never see, each made from the
+    #: valid one: wrong dtype, wrong shape, not C-contiguous.
+    CORRUPT_TABLES = {
+        "_keyw": lambda t: t.view(np.int64),
+        "_result": lambda t: t.astype(np.int32),
+        "_stamp": lambda t: t[:-1],
+        "_epoch": lambda t: np.asfortranarray(t),
+        "_filled": lambda t: t.reshape(t.shape[::-1]),
+    }
+
+    @pytest.mark.parametrize("table", sorted(CORRUPT_TABLES))
+    def test_a_table_of_the_wrong_kind_is_refused_before_the_call(
+        self, native_kernel, warm, table
+    ):
+        cache, headers, keys = warm
+        setattr(cache, table, self.CORRUPT_TABLES[table](getattr(cache, table)))
+        with pytest.raises(BuildError, match=f"{table} is not a C-contiguous"):
+            native.probe(cache, headers)
+        with pytest.raises(BuildError, match=f"{table} is not a C-contiguous"):
+            native.fill(cache, *keys, np.zeros(len(keys.sets), np.int64))
+
+    def test_an_input_of_the_wrong_kind_is_refused_before_the_call(
+        self, native_kernel, warm
+    ):
+        cache, headers, (words, sets) = warm
+        n = len(sets)
+        with pytest.raises(BuildError, match="headers is not"):
+            native.flow_keys(headers.astype(np.int64), cache.n_sets)
+        with pytest.raises(BuildError, match="headers is not"):
+            native.probe(cache, headers[:, :4].copy())  # not the cached width
+        with pytest.raises(BuildError, match="rows is not"):
+            native.flow_keys(headers, cache.n_sets, np.arange(3, dtype=np.int32))
+        with pytest.raises(BuildError, match="a row outside"):
+            native.flow_keys(headers, cache.n_sets, np.array([0, n]))
+        with pytest.raises(BuildError, match="words is not"):
+            native.dedupe(np.asfortranarray(words))
+        with pytest.raises(BuildError, match="words is not"):
+            native.fill(cache, words[:2], sets, np.zeros(n, np.int64))
+        with pytest.raises(BuildError, match="sets is not"):
+            native.fill(cache, words, sets.astype(np.int32),
+                        np.zeros(n, np.int64))
+        with pytest.raises(BuildError, match="results is not"):
+            native.fill(cache, words, sets, np.zeros(n, np.int32))
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_a_set_index_outside_the_table_writes_nothing(
+        self, native_kernel, warm, bad
+    ):
+        cache, _, (words, sets) = warm
+        sets = sets.copy()
+        sets[-1] = bad  # 64 entries / 4 ways: sets 0..15
+        before = _cache_state(cache)
+        with pytest.raises(BuildError, match="set index outside"):
+            native.fill(cache, words, sets, np.zeros(len(sets), np.int64))
+        assert _cache_state(cache) == before
 
 
 # ---------------------------------------------------------------------------

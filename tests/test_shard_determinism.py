@@ -8,7 +8,8 @@ in process.  (A ``multiprocessing.Pool`` let whichever worker was free
 draw the next chunk: matches were right, but the counters depended on
 the draw.)  A run that carries updates is planned in-process in every
 ``shard_mode``: under ``"processes"`` the update cells serve on one
-shard, and the planned map they are held to is all zeros.
+shard, and the planned map they are held to is all zeros.  Every case
+runs on the default kernel and on the portable one.
 """
 
 from __future__ import annotations
@@ -102,3 +103,14 @@ def test_telemetry_repeats_across_independent_pipelines(
         assert all(hits is not None for _, hits, *_ in telemetry)
         assert np.array_equal(match, want[run])
         assert np.array_equal(second[run][2], want[run])
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestTelemetryPortable:
+    """The test above on the portable flow cache and walk: both kernels
+    give the same per-chunk counters (``TestNativeCacheKernels`` in
+    test_flowcache.py pins one against the other)."""
+
+    test_telemetry_repeats_across_independent_pipelines = staticmethod(
+        test_telemetry_repeats_across_independent_pipelines
+    )
