@@ -683,7 +683,8 @@ def test_cached_pipeline_throughput(
 ):
     """Flow-cached streaming at the engine's serving defaults (20k Zipf
     packets): ``shard_mode="auto"`` plus the >= 64k-packet dispatch
-    target, so shards engage only when they can win.  Display-only: the
+    target, so a run this short serves inline at every shard count
+    (two workers fork from 131,072 packets).  Display-only: the
     ``flowcache_pipeline_pps`` shards axis the monotone gate enforces
     is recorded by ``test_pipeline_shards_monotone_gate``."""
     cached = CachedClassifier(
@@ -737,14 +738,11 @@ def _interleaved_pps(
     return _min_pps(_interleaved_times(runs, rounds, inner), n_packets, inner)
 
 
-def _settle(pipeline, trace) -> None:
-    """Everything that belongs outside the timed rounds: the fork, the
-    cache warm-up, and ``auto`` measuring its own costs — run until
-    ``plan()`` decides from a measurement, then once on that verdict."""
-    pipeline.run(trace)
-    while "unmeasured" in pipeline.plan(packets=trace.n_packets).reason:
-        pipeline.run(trace)
-    pipeline.run(trace)
+def _counted(pipeline, trace, served: list):
+    """One run of ``trace`` that records the shards it was served on."""
+    def run() -> None:
+        served.append(pipeline.run(trace).n_shards)
+    return run
 
 
 def test_pipeline_shards_monotone_gate(
@@ -756,11 +754,9 @@ def test_pipeline_shards_monotone_gate(
     ``flowcache_pipeline_pps`` shards axes (per-key minima) that
     ``compare_baseline.py`` reads, and asserts the step ratios, paired
     within the interleaved rounds, at the same 0.95 floor."""
-    # family -> (trace, rounds, {shards key: settled pipeline}).  51
-    # rounds each: a 1 ms run is noisy, auto's bookkeeping (two plan()
-    # calls, the declined-fork sample) is a real ~1-2% of it at
-    # shards > 1, and on a contended host 25 rounds let the uncached
-    # family's median step fall to ~0.92x.
+    # family -> (trace, rounds, {shards key: warm pipeline}).  51
+    # rounds each: a 1 ms run is noisy, and on a contended host 25
+    # rounds let the uncached family's median step fall to ~0.92x.
     families = {
         "auto_pipeline_pps": (acl1k_trace, 51, {}),
         "flowcache_pipeline_pps": (acl1k_zipf_trace, 51, {}),
@@ -776,6 +772,8 @@ def test_pipeline_shards_monotone_gate(
         ),
     }
     times: dict = {}
+    # family -> shards key -> n_shards of every timed run.
+    served: dict = {family: {} for family in families}
     with contextlib.ExitStack() as stack:
         for shards in (1, 2, 4):
             for family, (trace, _, pipes) in families.items():
@@ -783,17 +781,19 @@ def test_pipeline_shards_monotone_gate(
                     classifiers[family], chunk_size=2048, shards=shards,
                     shard_mode="auto", min_chunk_packets=65536,
                 ))
-                _settle(pipeline, trace)
+                pipeline.run(trace)  # untimed: any fork, the cache warm-up
                 pipes[f"shards_{shards}"] = pipeline
         for family, (trace, rounds, pipes) in families.items():
             times[family] = _interleaved_times(
                 {
-                    key: (lambda p=p, t=trace: p.run(t))
+                    key: _counted(
+                        p, trace, served[family].setdefault(key, [])
+                    )
                     for key, p in pipes.items()
                 },
                 rounds=rounds,
             )
-    for family, (trace, _, pipes) in families.items():
+    for family, (trace, _, _) in families.items():
         _PERF[family] = _min_pps(times[family], trace.n_packets)
         # Asserted on a paired statistic: each round times every shard
         # count back to back, so the round's own ratio cancels whatever
@@ -813,14 +813,14 @@ def test_pipeline_shards_monotone_gate(
         _PERF.setdefault("shards_monotone", {})[
             family.removesuffix("_pipeline_pps")
         ] = {step: round(ratio, 3) for step, ratio in steps.items()}
-        tiers = {
-            key: p.plan(packets=trace.n_packets).tier
-            for key, p in pipes.items()
-        }
+        forked = ", ".join(
+            f"{key} {sum(n > 1 for n in runs)}/{len(runs)}"
+            for key, runs in served[family].items()
+        )
         for step, ratio in steps.items():
             assert ratio >= 0.95, (
                 f"{family} inverted along shards: {step} keeps "
-                f"{ratio:.3f}x ({_PERF[family]}; auto settled on {tiers})"
+                f"{ratio:.3f}x ({_PERF[family]}; forked runs: {forked})"
             )
 
 

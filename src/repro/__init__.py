@@ -49,7 +49,6 @@ from .engine import (
     build_backend,
 )
 from .serve import (
-    AsyncEngine,
     ChunkResult,
     Engine,
     EngineConfig,
@@ -87,7 +86,6 @@ __all__ = [
     "build_backend",
     "ChunkResult",
     "Engine",
-    "AsyncEngine",
     "MultiTenantEngine",
     "TenantSpec",
     "TenantReport",

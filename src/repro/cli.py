@@ -394,14 +394,6 @@ def cmd_bench(args) -> int:
     rs = _load_or_generate(args)
     trace = _load_or_generate_trace(args, rs, config.on_malformed)
     shards, chunk_size = config.shards, config.chunk_size
-    if args.stream and shards > 1 and args.stream <= chunk_size:
-        print(
-            f"warning: --stream {args.stream} <= --chunk-size "
-            f"{chunk_size} gives single-chunk segments, which serve "
-            "single-process; use segments of at least "
-            f"{2 * chunk_size} packets to engage the shards",
-            file=sys.stderr,
-        )
     if args.updates and shards > 1 and config.shard_mode != "threads":
         print("note: a run (or streamed segment) that carries updates is "
               "served in-process on one shard; only update-free ones fork",
@@ -415,6 +407,18 @@ def cmd_bench(args) -> int:
         )
     with _open_engine(rs, config) as engine:
         clf = engine.classifier
+        if args.stream and shards > 1:
+            # Planned on the segment's chunk count too: a single-chunk
+            # segment serves on one shard in every mode.
+            plan = engine.pipeline.plan(
+                -(-args.stream // chunk_size), packets=args.stream
+            )
+            if plan.workers < 2:
+                print(
+                    f"warning: --stream {args.stream} segments serve on "
+                    f"one shard ({plan.reason})",
+                    file=sys.stderr,
+                )
         # The update stream rides along the first run; repeats then
         # serve the updated ruleset (steady state after the churn).
         if args.stream:

@@ -24,7 +24,6 @@ from .flowcache import (
     CachedClassifier,
     FlowCache,
     FlowCacheStats,
-    build_cached_backend,
 )
 from .pipeline import DEFAULT_CHUNK_SIZE, ClassificationPipeline
 from .protocol import (
@@ -77,7 +76,6 @@ __all__ = [
     "CachedClassifier",
     "FlowCache",
     "FlowCacheStats",
-    "build_cached_backend",
     "DEFAULT_CHUNK_SIZE",
     "ChunkStats",
     "ClassificationPipeline",

@@ -54,10 +54,8 @@ import numpy as np
 
 from ..algorithms import native
 from ..core.errors import ConfigError
-from ..core.ruleset import RuleSet
 from ..core.updates import OP_INSERT, OP_REMOVE, insert_op, remove_op
 from .protocol import BatchStats, Classifier, ClassifierBase, batch_stats_of
-from .registry import build_backend
 from .updates import require_updatable
 
 #: Memory-port cycles charged to a cache-hit lookup when the wrapped
@@ -679,20 +677,3 @@ class CachedClassifier(ClassifierBase):
         self.classifier.rebuild()
         self.cache.advance_epoch()
 
-
-def build_cached_backend(
-    name: str,
-    ruleset: RuleSet,
-    *,
-    cache_entries: int = 4096,
-    cache_ways: int = 4,
-    cache_max_age: int = 0,
-    **params,
-) -> CachedClassifier:
-    """Registry composition: build backend ``name`` and wrap it."""
-    return CachedClassifier(
-        build_backend(name, ruleset, **params),
-        entries=cache_entries,
-        ways=cache_ways,
-        max_age=cache_max_age,
-    )

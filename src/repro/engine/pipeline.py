@@ -47,11 +47,11 @@ is and how bytes reach it:
 **Who forks.**  Update-free runs only.  ``shard_mode="processes"`` (the
 direct-construction default) forks whenever such a run has more than
 one shard and chunk; ``"auto"`` (the :class:`~repro.serve.EngineConfig`
-default) only when that pays, on a break-even test over costs the
-pipeline measured on itself (:mod:`repro.engine.breakeven`).  ``auto``'s
-choice is therefore host- and load-dependent; matches are identical on
-every tier, but per-chunk cache counters depend on the tier, so pin
-``shard_mode`` when telemetry must reproduce.
+default) only when the run gives every worker a full coalesced
+dispatch: ``n >= workers * max(chunk_size, min_chunk_packets)``, with
+``workers = min(shards, host_cpus())`` at least two.  The tier, and so
+the per-chunk telemetry, is a function of the run's size, the config
+and the CPU count.
 
 **Dispatch auto-tuning.**  ``min_chunk_packets`` coalesces chunks until
 each dispatch carries at least that many packets (the engine default
@@ -109,7 +109,6 @@ import numpy as np
 from ..core.errors import ArenaCorruptionError, ConfigError, ServingFaultError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, sorted_schedule
-from .breakeven import ForkBreakEven
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
 from .protocol import BatchStats, Classifier, batch_stats_of, warm_batch_state
 from .report import CacheTriple, ChunkStats, EngineReport, sum_cache_triples
@@ -202,14 +201,6 @@ class _Run:
     #: CPU seconds forked workers reported for the chunks they served.
     worker_cpu_s: float = 0.0
 
-    @property
-    def clean(self) -> bool:
-        """No updates, no fault injected or recovered: the timings
-        measure serving alone (``auto`` learns its costs from these)."""
-        return not (
-            self.entries or self.faults is not None or self.report.any()
-        )
-
     def chunk_faults(self, chunk: int, attempt: int, shard=None):
         """Injected worker-fault specs for one chunk on one dispatch
         attempt (resolved in the parent, shipped inside the task, so
@@ -227,9 +218,8 @@ def _shard_main(conn, shard: int, classifier: Classifier) -> None:
 
     A message is ``(arena descriptor, tasks)``, a task ``(chunk, bounds,
     fault specs)``.  One reply per task goes back in task order —
-    :func:`_run_chunk_arena`'s pair plus the CPU and wall seconds the
-    task took; an exception is sent as the reply and raised by the
-    parent.
+    :func:`_run_chunk_arena`'s pair plus the CPU seconds the task took;
+    an exception is sent as the reply and raised by the parent.
     """
     while True:
         try:
@@ -237,7 +227,7 @@ def _shard_main(conn, shard: int, classifier: Classifier) -> None:
         except EOFError:
             return
         for index, bounds, specs in tasks:
-            cpu0, wall0 = time.process_time(), time.perf_counter()
+            cpu0 = time.process_time()
             try:
                 if specs:
                     fire_worker_specs(
@@ -245,9 +235,7 @@ def _shard_main(conn, shard: int, classifier: Classifier) -> None:
                     )
                 reply = _run_chunk_arena(
                     classifier, arena, index, bounds, shard
-                ) + (
-                    time.process_time() - cpu0, time.perf_counter() - wall0
-                )
+                ) + (time.process_time() - cpu0,)
             except Exception as exc:  # noqa: BLE001 - relayed to the parent
                 reply = exc
             conn.send(reply)
@@ -324,8 +312,9 @@ class ClassificationPipeline:
     ``shard_mode`` picks the worker tier (see the module docstring):
     ``"processes"`` forks every update-free run with ``shards > 1``
     (what conformance tests of the fork transport want), ``"auto"``
-    only when a fork pays, ``"threads"`` serves in-process shards (one
-    private flow-cache clone each) on the calling thread.  Forked
+    only when every worker gets a full coalesced dispatch,
+    ``"threads"`` serves in-process shards (one private flow-cache
+    clone each) on the calling thread.  Forked
     workers are held from their first run until the ruleset epoch
     moves or :meth:`close` (or the ``with`` block's exit) tears them
     and the arena down.  ``persistent`` is a deprecated no-op.
@@ -392,8 +381,6 @@ class ClassificationPipeline:
         #: The classifier ``update_epoch`` the shard owners (held
         #: workers, shard clones) were last in step with.
         self._owner_epoch = self._classifier_epoch()
-        #: What ``auto`` has measured of this pipeline's own costs.
-        self._cost = ForkBreakEven()
 
     # -- the plan -------------------------------------------------------
     @staticmethod
@@ -442,7 +429,7 @@ class ClassificationPipeline:
         one epoch).  Otherwise ``"processes"`` forks whenever there is
         more than one shard; ``"auto"`` not when clamping to CPUs leaves
         one worker (a 1-worker fork pays IPC for zero parallelism), else
-        on its measured costs."""
+        when ``packets`` fill one coalesced dispatch per worker."""
         if wanted < 2:
             return "inline", "one shard"
         if self.shard_mode == "threads":
@@ -457,8 +444,17 @@ class ClassificationPipeline:
             return "inline", "auto: one CPU"
         if packets is None:
             return "forked", f"auto: {forked} workers"
-        fork, why = self._cost.verdict(packets, forked)
-        return ("forked" if fork else "inline"), f"auto: {why}"
+        # Clamped shards, not chunks: the rule must read the same
+        # before the grid is cut and after.
+        workers = min(self.shards, host_cpus())
+        dispatch = max(self.chunk_size, self.min_chunk_packets)
+        if packets < workers * dispatch:
+            return "inline", (
+                f"auto: {packets} packets < {workers} workers x {dispatch}"
+            )
+        return "forked", (
+            f"auto: {packets} packets >= {workers} workers x {dispatch}"
+        )
 
     # -- forked shard workers -------------------------------------------
     @property
@@ -731,17 +727,14 @@ class ClassificationPipeline:
         headers = trace.headers
         n = headers.shape[0]
         self._sync_owners()
-        # Chunk for the most workers a run could engage, plan for those
-        # chunks; a fork ``auto`` declines coalesces like ``shards=1``.
+        # The tier follows from ``n``: cut the grid for the workers it
+        # engages, then size the plan to the chunks.
         pinned = bool(updates)
-        widest = self.plan()
-        size = self._effective_chunk_size(pinned, n, widest.workers)
-        bounds = self._chunk_bounds(n, size)
+        sizing = self.plan(packets=n, updates=pinned)
+        bounds = self._chunk_bounds(
+            n, self._effective_chunk_size(pinned, n, sizing.workers)
+        )
         plan = self.plan(len(bounds), packets=n, updates=pinned)
-        declined = widest.forks and len(bounds) > 1 and not plan.forks
-        if declined:
-            size = self._effective_chunk_size(pinned, n, 1)
-            bounds = self._chunk_bounds(n, size)
         run = _Run(
             headers, bounds, self._normalise_updates(updates, bounds),
             FaultPlan.coerce(faults),
@@ -759,8 +752,6 @@ class ClassificationPipeline:
             self.close()
         output, served = self._dispatch(plan, run)
         elapsed = time.perf_counter() - started
-        if declined and run.clean:
-            self._cost.saw_inline(n, elapsed)
         self._owner_epoch = self._classifier_epoch()
         return self._aggregate(run, output, served, elapsed, base_epoch)
 
@@ -778,8 +769,6 @@ class ClassificationPipeline:
         for i, bounds in enumerate(run.bounds):
             task = (i, bounds, run.chunk_faults(i, attempt))
             shard_tasks[plan.shard_of(i)].append(task)
-        held = self._workers is not None
-        started = time.perf_counter()
         try:
             workers = self._ensure_workers(headers.shape[1])
             arena = self._load_arena(run, attempt)
@@ -789,18 +778,8 @@ class ClassificationPipeline:
         except BaseException:
             self.close()
             raise
-        # Not billed to the dispatch: the copy out below — it is the
-        # concatenate every tier pays.
-        wall_s = time.perf_counter() - started
-        busy = [0.0] * plan.workers
-        cpu_s = 0.0
-        for i, (_, _, task_cpu_s, task_wall_s) in enumerate(replies):
-            cpu_s += task_cpu_s
-            busy[plan.shard_of(i)] += task_wall_s
-        run.worker_cpu_s += cpu_s
+        run.worker_cpu_s += sum(cpu_s for *_, cpu_s in replies)
         n = headers.shape[0]
-        if run.clean:
-            self._cost.saw_forked(n, cpu_s, busy, wall_s, held)
         segs = self._arena["segs"]
         match = np.ndarray((n,), np.int64, buffer=segs[1].buf).copy()
         occupancy = (

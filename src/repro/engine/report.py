@@ -116,8 +116,8 @@ class EngineReport:
     elapsed_s: float
     #: Shard owners that *actually ran*: 1 when one classifier served
     #: the trace inline (no ``fork`` on the platform, a single chunk,
-    #: ``shards=1``, or ``shard_mode="auto"`` declining a fork that
-    #: could not win), else the plan's worker count — in-process shards
+    #: ``shards=1``, or ``shard_mode="auto"`` declining a run too short
+    #: to give each worker a full dispatch), else the plan's worker count — in-process shards
     #: clamped to the chunk count, forked ones to the CPU count too.
     n_shards: int
     chunk_size: int

@@ -27,7 +27,6 @@ from .ingest import (
     iter_trace_file,
     iter_trace_segments,
 )
-from .aio import AsyncEngine
 from .session import ChunkResult, Engine
 from .tenancy import MultiTenantEngine, TenantReport, TenantSpec
 
@@ -43,7 +42,6 @@ __all__ = [
     "latency_percentiles",
     "ChunkResult",
     "Engine",
-    "AsyncEngine",
     "MultiTenantEngine",
     "TenantSpec",
     "TenantReport",

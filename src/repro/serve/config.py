@@ -76,9 +76,10 @@ class EngineConfig(Spec):
     shard_mode: str = field(
         "auto",
         choices=SHARD_MODES,
-        help="worker tier: auto forks only when the clamped worker count "
-        "can win, processes forks every update-free run, threads serves "
-        "in-process shards on the caller (default: auto)",
+        help="worker tier: auto forks a run of at least shards x "
+        "max(chunk size, min chunk packets) packets (shards clamped to "
+        "the CPUs, at least 2), processes forks every update-free run, "
+        "threads serves in-process shards on the caller (default: auto)",
     )
     #: ``chunk_size`` stays the epoch grid and the reporting granularity
     #: for update streams.

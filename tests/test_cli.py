@@ -134,6 +134,29 @@ class TestBench:
         assert "streamed ingestion: 4 segments x 1000 packets" in out
         assert "classified 4000 packets" in out
 
+    @pytest.mark.parametrize(
+        ("stream", "warns"), [(16384, True), (262144, False)]
+    )
+    def test_bench_stream_warns_when_segments_cannot_fork(
+        self, stream, warns, capsys, monkeypatch
+    ):
+        """The warning asks the pipeline's own plan: under the engine
+        defaults two workers fork from 2 x 65536 packets, so 16384-packet
+        segments (four full chunks each) still serve on one shard."""
+        from repro.engine import pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 2)
+        rc = main([
+            "bench", "--family", "acl1", "--rules", "120", "--seed", "3",
+            "--packets", "1000", "--algorithm", "tss", "--shards", "2",
+            "--stream", str(stream),
+        ])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert ("segments serve on one shard" in err) == warns
+        if warns:
+            assert "16384 packets < 2 workers x 65536" in err
+
     def test_bench_energy_model_selects_device(self, capsys):
         common = [
             "bench", "--family", "acl1", "--rules", "120", "--seed", "3",

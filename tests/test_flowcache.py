@@ -29,7 +29,6 @@ from repro.engine import (
     FlowCache,
     available_backends,
     build_backend,
-    build_cached_backend,
 )
 from repro.engine import flowcache
 from repro.engine.flowcache import FlowKeys, dedupe_flow_keys, pack_flow_keys
@@ -834,8 +833,8 @@ class TestCachedClassifierEdgeCases:
     def test_invalidation_after_incremental_rule_update(
         self, acl_small, acl_small_trace
     ):
-        clf = build_cached_backend(
-            "incremental", acl_small, cache_entries=4096
+        clf = CachedClassifier(
+            build_backend("incremental", acl_small), entries=4096
         )
         before = clf.classify_trace(acl_small_trace)
         missed = before < 0
@@ -863,8 +862,8 @@ class TestCachedClassifierEdgeCases:
         """Control for the invalidation test: mutating the wrapped
         classifier behind the cache's back *does* serve stale results —
         which is exactly why the update hooks flush."""
-        clf = build_cached_backend(
-            "incremental", acl_small, cache_entries=4096
+        clf = CachedClassifier(
+            build_backend("incremental", acl_small), entries=4096
         )
         before = clf.classify_trace(acl_small_trace)
         missed = before < 0
@@ -947,14 +946,14 @@ class TestPipelineCacheStats:
         assert all(c.cache_hits is None for c in res.chunks)
 
     def test_chunk_stats_sum_to_totals(self, acl_small, zipf_trace):
-        cached = build_cached_backend("linear", acl_small, cache_entries=1024)
+        cached = CachedClassifier(build_backend("linear", acl_small), entries=1024)
         res = ClassificationPipeline(cached, chunk_size=256).run(zipf_trace)
         assert sum(c.cache_hits for c in res.chunks) == res.cache_hits
         assert sum(c.cache_misses for c in res.chunks) == res.cache_misses
         assert res.cache_lookups == res.n_packets
 
     def test_warm_cache_second_run_all_hits(self, acl_small, zipf_trace):
-        cached = build_cached_backend("linear", acl_small, cache_entries=1024)
+        cached = CachedClassifier(build_backend("linear", acl_small), entries=1024)
         pipeline = ClassificationPipeline(cached, chunk_size=256)  # 1 shard
         pipeline.run(zipf_trace)
         res = pipeline.run(zipf_trace)  # 64 flows all fit: no misses left
@@ -967,8 +966,8 @@ class TestPipelineCacheStats:
         """Eviction counts happen inside forked workers; the pipeline
         must report them from the chunk outputs, not the parent cache
         (which forked runs never touch)."""
-        cached = build_cached_backend(
-            "linear", acl_small, cache_entries=4, cache_ways=1
+        cached = CachedClassifier(
+            build_backend("linear", acl_small), entries=4, ways=1
         )
         res = ClassificationPipeline(
             cached, chunk_size=256, shards=2
@@ -987,8 +986,8 @@ class TestPipelineCacheStats:
         clones a private cache; a rule inserted through the wrapper
         between two runs moves ``update_epoch``, so the second run
         re-forks / flushes before serving and needs no close()."""
-        cached = build_cached_backend(
-            "incremental", acl_small, cache_entries=1024
+        cached = CachedClassifier(
+            build_backend("incremental", acl_small), entries=1024
         )
         with ClassificationPipeline(
             cached, chunk_size=512, shards=2, shard_mode=shard_mode
@@ -1045,7 +1044,7 @@ class TestCacheEnergyModel:
         )
 
     def test_for_classifier_unwraps_cache(self, acl_small):
-        cached = build_cached_backend("linear", acl_small, cache_entries=64)
+        cached = CachedClassifier(build_backend("linear", acl_small), entries=64)
         model = CacheEnergyModel.for_classifier(cached)
         assert model.backend_accesses == float(
             cached.classifier.memory_accesses_per_lookup()

@@ -6,8 +6,10 @@ pipelines serving the same traffic report the same per-chunk cache
 counters, epochs and shard ids run after run — on the forked tier as
 in process.  (A ``multiprocessing.Pool`` let whichever worker was free
 draw the next chunk: matches were right, but the counters depended on
-the draw.)  A run that carries updates is planned in-process in every
-``shard_mode``: under ``"processes"`` the update cells serve on one
+the draw.)  ``"auto"`` is held to the same: its tier follows from the
+run's size, the config and the CPU count, never from timings.  A run
+that carries updates is planned in-process in every ``shard_mode``:
+under ``"processes"`` and ``"auto"`` the update cells serve on one
 shard, and the planned map they are held to is all zeros.  Every case
 runs on the default kernel and on the portable one.
 """
@@ -25,7 +27,7 @@ from repro.engine import ClassificationPipeline
 from test_match_walk import _make_cached, _update_schedule
 from test_update_serving import OracleStore
 
-TIERS = ("processes", "threads")
+TIERS = ("auto", "processes", "threads")
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,10 @@ def _serve_three_times(tier, shards, with_updates, ruleset, trace):
                 trace,
                 updates=_update_schedule(ruleset) if with_updates else None,
             )
-            plan = pipeline.plan(len(result.chunks), updates=with_updates)
+            plan = pipeline.plan(
+                len(result.chunks), packets=trace.n_packets,
+                updates=with_updates,
+            )
             runs.append((
                 [
                     (c.shard, c.cache_hits, c.cache_misses,

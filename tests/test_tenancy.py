@@ -1,18 +1,15 @@
-"""Multi-tenant serving + asyncio facade: the tenancy design contract.
+"""Multi-tenant serving: the tenancy design contract.
 
 Pins the four design points of :mod:`repro.serve.tenancy` — isolation
 by construction (bit-identical per-tenant results, epoch bumps never
 cross tenants), the single forked-worker lease, weighted-fair
 deficit-round-robin admission, and fault containment — plus the
-:class:`~repro.serve.AsyncEngine` bridge and the ``serve`` CLI entry.
+``serve`` CLI entry.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,12 +23,10 @@ from repro.classbench import (
 from repro.core.errors import ConfigError
 from repro.engine.faults import FaultSpec
 from repro.serve import (
-    AsyncEngine,
     Engine,
     EngineConfig,
     MultiTenantEngine,
     TenantSpec,
-    iter_trace_segments,
 )
 from repro.serve.tenancy import _PoolLease
 
@@ -380,72 +375,6 @@ class TestReporting:
         for tenant in data["tenants"]:
             assert tenant["n_packets"] == 1024
             assert "slo" in tenant or "latency" not in tenant
-
-
-# ---------------------------------------------------------------------------
-# AsyncEngine
-# ---------------------------------------------------------------------------
-def _serve_threads():
-    return {
-        t.name for t in threading.enumerate()
-        if t.name.startswith("repro-serve")
-    }
-
-
-def _assert_serve_threads_gone():
-    for _ in range(100):
-        if not _serve_threads():
-            return
-        time.sleep(0.05)
-    raise AssertionError(f"serve threads leaked: {_serve_threads()}")
-
-
-class TestAsyncEngine:
-    def test_stream_bit_identical_to_sync(self, acl_small, acl_small_trace):
-        async def run():
-            async with AsyncEngine.open(CONFIG, acl_small) as engine:
-                chunks = []
-                async for chunk in engine.stream(
-                    iter_trace_segments(acl_small_trace, 256)
-                ):
-                    chunks.append(chunk)
-                report = await engine.classify(acl_small_trace)
-                return chunks, report
-
-        chunks, report = asyncio.run(run())
-        got = np.concatenate([c.match for c in chunks])
-        assert np.array_equal(got, report.match)
-
-    def test_classify_stream_off_the_loop(self, acl_small, acl_small_trace):
-        async def run():
-            async with AsyncEngine.open(CONFIG, acl_small) as engine:
-                return await engine.classify_stream(
-                    iter_trace_segments(acl_small_trace, 512)
-                )
-
-        report = asyncio.run(run())
-        assert report.n_packets == acl_small_trace.n_packets
-        assert report.n_segments == 4
-
-    def test_early_break_tears_the_session_down(
-        self, acl_small, acl_small_trace
-    ):
-        config = EngineConfig(
-            backend="linear", chunk_size=256, shards=2, shard_mode="threads"
-        )
-
-        async def run():
-            async with AsyncEngine.open(config, acl_small) as engine:
-                async for chunk in engine.stream(
-                    iter_trace_segments(acl_small_trace, 256),
-                ):
-                    assert chunk.index == 0
-                    break
-
-        asyncio.run(run())
-        # asyncio.to_thread's executor threads outlive the loop by
-        # design; only the engine's own serve threads must be gone.
-        _assert_serve_threads_gone()
 
 
 # ---------------------------------------------------------------------------
