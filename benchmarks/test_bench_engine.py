@@ -419,9 +419,9 @@ def test_fault_recovery_gate(acl1k_engine_accelerator, acl1k, portable_kernel):
             if not pipeline._fork_available():  # pragma: no cover - non-fork
                 pytest.skip("fork multiprocessing unavailable")
             want = pipeline.run(trace)  # warm lazily-built structures
-            t_free = _best_of(lambda: pipeline.run(trace), repeats=2)
+            t_free = _best_of(lambda: pipeline.run(trace), repeats=3)
             t_fault = math.inf
-            for _ in range(2):
+            for _ in range(3):
                 t0 = time.perf_counter()
                 res = pipeline.run(
                     trace, faults=[FaultSpec(kind="crash", chunk=1)]

@@ -40,7 +40,7 @@ def main() -> None:
     config = EngineConfig(
         backend="hypercuts",      # routed onto the accelerator model
         shards=2, chunk_size=2048,
-        cache_entries=4096, cache_ways=4, cache_max_age=500_000,
+        cache_entries=4096, cache_ways=4,
         updatable=True,           # serve live rule updates
     )
     print("config:", json.dumps(config.to_dict(), indent=None))

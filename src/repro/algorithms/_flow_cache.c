@@ -12,7 +12,7 @@
 enum { FC_OK, FC_ERR_RANGE = 2, FC_ERR_MEMORY = 3 };
 
 typedef struct {       /* field order is native._Cache._fields_ */
-    int64_t n_sets, ways, n_words, max_age, epoch, tick;
+    int64_t n_sets, ways, n_words, epoch, tick;
     uint64_t *keyw;                     /* (n_words, ways, n_sets) */
     int64_t *result, *stamp, *epoch_of, *filled;   /* (n_sets, ways) */
 } flow_cache;
@@ -48,12 +48,10 @@ void fc_keys(const uint32_t *headers, const int64_t *rows, int64_t n,
     }
 }
 
-/* The slot's fill epoch is current and, with aging on, its fill is at
- * most max_age lookups old (FlowCache._live). */
+/* The slot's fill epoch is current (FlowCache._live). */
 static int live(const flow_cache *c, int64_t slot)
 {
-    return c->epoch_of[slot] == c->epoch
-           && (!c->max_age || c->tick - c->filled[slot] <= c->max_age);
+    return c->epoch_of[slot] == c->epoch;
 }
 
 /* FlowCache._probe straight from the headers (their keys are compared

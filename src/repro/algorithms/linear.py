@@ -50,12 +50,6 @@ class LinearSearchClassifier:
         """Vectorised batch classification (oracle for whole traces)."""
         return self.classify_batch(trace.headers)
 
-    def avg_rules_scanned(self, trace: PacketTrace) -> float:
-        """Mean rules visited per packet (first match index + 1, or n)."""
-        matches = self.classify_trace(trace)
-        scanned = np.where(matches >= 0, matches + 1, self.arrays.n)
-        return float(scanned.mean()) if scanned.size else 0.0
-
     def memory_bytes(self) -> int:
         """The raw ruleset storage (no auxiliary structure)."""
         return self.ruleset.storage_bytes()

@@ -90,7 +90,7 @@ class _Cache(ctypes.Structure):
     clock and its five tables, bound for one call (:func:`_bind_cache`)."""
 
     _fields_ = [(name, ctypes.c_int64) for name in (
-        "n_sets", "ways", "n_words", "max_age", "epoch", "tick",
+        "n_sets", "ways", "n_words", "epoch", "tick",
     )] + [(name, ctypes.c_void_p) for name in (
         "keyw", "result", "stamp", "epoch_of", "filled",
     )]
@@ -312,8 +312,8 @@ def _bind_cache(cache) -> _Cache:
     epoch and tick included); built per call, so it never outlives a
     re-allocation."""
     n_words = (cache._ndim + 1) // 2
-    bound = _Cache(cache.n_sets, cache.ways, n_words, cache.max_age,
-                   int(cache.epoch), int(cache._tick))
+    bound = _Cache(cache.n_sets, cache.ways, n_words, int(cache.epoch),
+                   int(cache._tick))
     for field, attr in _CACHE_TABLES:
         keyw = field == "keyw"
         setattr(bound, field, _pointer(

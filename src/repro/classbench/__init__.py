@@ -6,7 +6,7 @@ similar workloads from embedded seed models.  See DESIGN.md §1
 (substitution 2) for why this preserves the evaluation's shape.
 """
 
-from .generator import generate_ruleset, paper_acl1_sizes, paper_table4_sizes
+from .generator import generate_ruleset
 from .seeds import ACL1, FAMILIES, FW1, IPC1, SeedModel, get_seed
 from .trace import generate_trace, generate_zipf_trace, trace_locality
 from .updates import churn_schedule, generate_update_stream
@@ -15,8 +15,6 @@ __all__ = [
     "churn_schedule",
     "generate_ruleset",
     "generate_update_stream",
-    "paper_acl1_sizes",
-    "paper_table4_sizes",
     "ACL1",
     "FAMILIES",
     "FW1",

@@ -212,18 +212,3 @@ def generate_ruleset(
         )
     label = name or f"{model.name}_{n_rules}_s{seed}"
     return RuleSet(rules, FIVE_TUPLE, label)
-
-
-def paper_acl1_sizes() -> list[int]:
-    """Ruleset sizes of the paper's Tables 2/3/6/7/8 (acl1 family)."""
-    return [60, 150, 500, 1000, 1600, 2191]
-
-
-def paper_table4_sizes(family: str) -> list[int]:
-    """Ruleset sizes of the paper's Table 4, per family."""
-    sizes = {
-        "acl1": [300, 1200, 2500, 5000, 10000, 15000, 20000, 24920],
-        "fw1": [300, 1200, 2500, 5000, 10000, 15000, 20000, 23087],
-        "ipc1": [300, 1200, 2500, 5000, 10000, 15000, 20000, 24274],
-    }
-    return sizes[family]

@@ -14,9 +14,13 @@ remove always names a live id at its point in the stream).
 Narrowing keeps every field prefix-shaped or exact: a prefix field
 deepens to a random sub-prefix, anything else collapses to a random
 exact value inside the source interval.  That keeps generated rules
-valid for every backend in the registry — including tuple-space search,
-whose tuple derivation assumes prefix-shaped IP fields — and for the
-ClassBench file format.
+valid for the software backends — including tuple-space search, whose
+tuple derivation assumes prefix-shaped IP fields — and for the
+ClassBench file format.  It does *not* keep them valid for the
+accelerator: a wildcard protocol ``(0, 255)`` is a prefix too, so it can
+deepen to e.g. ``(192, 255)``, and :func:`repro.hw.encoding.encode_rule`
+encodes only an exact or wildcard protocol (an ``EncodingError``
+otherwise).
 """
 
 from __future__ import annotations

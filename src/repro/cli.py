@@ -94,7 +94,7 @@ _PIPELINE_FIELDS = (
     "shards", "chunk_size", "shard_mode", "min_chunk_packets", "persistent",
     "updatable",
 )
-_CACHE_FIELDS = ("cache_entries", "cache_ways", "cache_max_age")
+_CACHE_FIELDS = ("cache_entries", "cache_ways")
 _SERVING_FIELDS = (
     "energy_model", "fault_policy", "max_retries", "chunk_timeout_s",
     "on_malformed",
@@ -309,63 +309,6 @@ def _print_update_report(clf, res) -> None:
           f"({break_even:,.0f} batches to break even)")
 
 
-def _profile_hot_path(clf, trace, chunk_size: int) -> dict | None:
-    """One extra single-process pass with per-stage wall-clock timing.
-
-    Stage seconds (cache probe, miss dedupe, miss-set kernel traversal,
-    result scatter, cache fill) accumulate inside the classifier's
-    ``profile`` hook across chunks; everything the stages do not account for —
-    chunk slicing, Python dispatch, stats assembly — is reported as
-    ``dispatch_s``.  Runs single-process on purpose: forked workers
-    would accumulate the stage times in their own address spaces.
-    """
-    from .engine.pipeline import ClassificationPipeline
-
-    if not isinstance(clf, CachedClassifier):
-        return None
-    clf.profile = {}
-    try:
-        res = ClassificationPipeline(clf, chunk_size=chunk_size).run(trace)
-        stages = dict(clf.profile)
-    finally:
-        clf.profile = None
-    stages["dispatch_s"] = max(0.0, res.elapsed_s - sum(stages.values()))
-    stages["total_s"] = res.elapsed_s
-    return stages
-
-
-def _merge_profile_artifact(stages: dict, path: str = "BENCH_engine.json"):
-    """Read-modify-write the bench artifact's ``profile`` section."""
-    import json
-    from pathlib import Path
-
-    artifact = Path(path)
-    data: dict = {}
-    if artifact.exists():
-        try:
-            data = json.loads(artifact.read_text())
-        except ValueError:
-            data = {}
-    data["profile"] = stages
-    artifact.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return artifact
-
-
-def _print_profile(stages: dict, artifact) -> None:
-    total = stages.get("total_s") or 0.0
-    print("hot-path profile (single process):")
-    for key in (
-        "dispatch_s", "probe_s", "dedup_s", "traverse_s", "scatter_s",
-        "fill_s",
-    ):
-        if key not in stages:
-            continue
-        seconds = stages[key]
-        share = 100.0 * seconds / total if total else 0.0
-        print(f"  {key[:-2]:>9s}: {seconds * 1e3:8.2f} ms ({share:4.1f}%)")
-    print(f"  merged into {artifact}")
-
-
 def _print_fault_report(fault) -> None:
     """One-line supervisor summary plus any degradations taken."""
     parts = [f"{fault.retries} retries", f"{fault.replays} chunk replays"]
@@ -440,15 +383,6 @@ def cmd_bench(args) -> int:
         # Workers are forked lazily on the first forked run, so their
         # existence after the runs says whether the tier engaged.
         pool_mode = "held" if engine.pool_engaged else "none"
-        profile_stages = None
-        if args.profile:
-            profile_stages = _profile_hot_path(clf, trace, chunk_size)
-            if profile_stages is None:
-                print(
-                    "warning: --profile needs a flow-cached engine "
-                    "(--cache-entries); skipping",
-                    file=sys.stderr,
-                )
     kernel = native.status()
     print(f"backend: {res.backend}  shards: {res.n_shards}  "
           f"chunk: {res.chunk_size} packets  chunks: {res.n_chunks}  "
@@ -473,10 +407,6 @@ def cmd_bench(args) -> int:
                       f"hit rate {100 * d['hit_rate']:.1f}% "
                       f"({d['hits']}/{d['hits'] + d['misses']}), "
                       f"{d['evictions']} evictions")
-    if profile_stages is not None:
-        _print_profile(
-            profile_stages, _merge_profile_artifact(profile_stages)
-        )
     mo = res.mean_occupancy()
     if mo is not None and res.device_throughput_pps is not None:
         # The report evaluates the device --energy-model selects.
@@ -634,7 +564,7 @@ def cmd_linecard(args) -> int:
         )
     rs = _load_or_generate(args)
     plan = FaultPlan.coerce(args.faults) if args.faults else None
-    source = args.trace_lines or _load_or_generate_trace(args, rs)
+    source = args.trace_file or _load_or_generate_trace(args, rs)
     with StageGraph(spec, rs) as graph:
         report = graph.run(
             source, faults=plan, segment_packets=args.segment_packets
@@ -762,11 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(n, packets=100000)
     n.add_argument("--trace-file", default=None)
     EngineConfig.add_arguments(n, _PIPELINE_FIELDS)
-    n.add_argument("--profile", action="store_true",
-                   help="run one extra single-process pass with per-stage "
-                        "timing (dispatch/probe/traverse/scatter+fill) and "
-                        "merge the breakdown into BENCH_engine.json "
-                        "(needs --cache-entries)")
     n.add_argument("--repeats", type=int, default=1,
                    help="run the trace N times (shows the held "
                         "workers' fork-amortisation win)")
@@ -873,12 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate a Zipf(SKEW) flow-popularity trace")
     l.add_argument("--flows", type=int, default=1024,
                    help="distinct flows in the Zipf trace (with --zipf)")
-    l.add_argument("--trace-file", default=None,
-                   help="binary PacketTrace to replay")
-    l.add_argument("--trace-lines", default=None, metavar="FILE.txt",
-                   help="text trace file fed through the parse stage's "
-                        "line ingestion (malformed lines hit the "
-                        "quarantine path)")
+    l.add_argument("--trace-file", default=None, metavar="FILE.txt",
+                   help="ClassBench text trace fed through the parse "
+                        "stage (malformed lines follow its on_malformed "
+                        "policy and are counted)")
     l.add_argument("--cache-entries", type=int, default=4096,
                    help="flow_cache stage entries for the default graph "
                         "(0 omits the stage)")

@@ -20,10 +20,6 @@ NumPy ``uint32``/``int64`` arrays for the vectorised paths.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
-
 from .errors import RuleFormatError
 
 #: Number of most-significant bits of every dimension visible to the
@@ -173,45 +169,8 @@ def grid_cell_to_range(glo: int, ghi: int, width: int) -> tuple[int, int]:
     return glo >> shift, ghi >> shift
 
 
-def grid_cells_vec(values: np.ndarray, width: int) -> np.ndarray:
-    """Vectorised :func:`grid_cell` for a ``uint32`` array."""
-    if width >= HW_GRID_BITS:
-        return (values >> np.uint32(width - HW_GRID_BITS)).astype(np.uint32)
-    return (values.astype(np.uint32) << np.uint32(HW_GRID_BITS - width)).astype(
-        np.uint32
-    )
-
-
-def aligned_power_of_two(lo: int, hi: int) -> bool:
-    """True when ``[lo, hi]`` is a power-of-two block aligned to its size.
-
-    The hardware cut arithmetic (mask + shift, no divider) only works on
-    such blocks; the grid-based builders maintain this invariant for every
-    node region.
-    """
-    span = hi - lo + 1
-    return span > 0 and span & (span - 1) == 0 and lo % span == 0
-
-
-def iter_prefixes_of(value: int, width: int) -> Iterator[tuple[int, int]]:
-    """Yield every prefix (value, len) that matches ``value``, longest first.
-
-    Used by the RFC/tuple-space baselines when building equivalence tables.
-    """
-    for plen in range(width, -1, -1):
-        host = width - plen
-        yield ((value >> host) << host, plen)
-
-
 def pow2_at_most(n: int) -> int:
     """Largest power of two that is <= ``n`` (n >= 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return 1 << (n.bit_length() - 1)
-
-
-def pow2_at_least(n: int) -> int:
-    """Smallest power of two that is >= ``n`` (n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 1 << ((n - 1).bit_length())

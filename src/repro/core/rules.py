@@ -150,13 +150,6 @@ class Rule:
         lo, hi = self.ranges[dim]
         return lo == hi
 
-    def grid_footprint(self, schema: FieldSchema) -> tuple[tuple[int, int], ...]:
-        """The rule's cell interval on the hardware's 8-MSB grid, per dim."""
-        return tuple(
-            grid_span(lo, hi, schema.widths[d])
-            for d, (lo, hi) in enumerate(self.ranges)
-        )
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

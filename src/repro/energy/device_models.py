@@ -44,34 +44,20 @@ class AcceleratorPowerModel:
         self,
         device: DeviceSpec,
         active_fraction: float = ACTIVE_POWER_FRACTION,
-        static_fraction: float = 0.06,
     ) -> None:
         if not 0 < active_fraction <= 1:
             raise ValueError("active_fraction must be in (0, 1]")
         self.device = device
         self.active_fraction = active_fraction
-        self.static_fraction = static_fraction
 
     # ------------------------------------------------------------------
     @property
     def active_power_norm_w(self) -> float:
         return self.device.power_norm_w * self.active_fraction
 
-    @property
-    def static_power_norm_w(self) -> float:
-        return self.device.power_norm_w * self.static_fraction
-
     def energy_per_packet_j(self, mean_occupancy: float) -> float:
         """Normalised Joules per packet under back-to-back traffic."""
         return self.active_power_norm_w * mean_occupancy / self.device.freq_hz
-
-    def power_at_load_w(self, utilisation: float) -> float:
-        """Average power at a given port-utilisation fraction in [0, 1]."""
-        util = min(max(utilisation, 0.0), 1.0)
-        return (
-            self.static_power_norm_w
-            + (self.active_power_norm_w - self.static_power_norm_w) * util
-        )
 
     # ------------------------------------------------------------------
     def evaluate(self, run: AcceleratorRun, freq_hz: float | None = None) -> AcceleratorCost:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from ..algorithms.base import BatchLookup, DecisionTree
 from ..algorithms.opcount import OpCounter
 from ..algorithms.rfc import RFCClassifier
-from ..algorithms.linear import LinearSearchClassifier
 
 
 def software_lookup_ops(tree: DecisionTree, batch: BatchLookup) -> OpCounter:
@@ -46,16 +45,4 @@ def rfc_lookup_ops(rfc: RFCClassifier, n_packets: int) -> OpCounter:
     # 2 alu per chunk extraction (7 chunks) + 3 per combine.
     combines = accesses - 7
     ops.add("alu", (2 * 7 + 3 * combines) * n_packets)
-    return ops
-
-
-def linear_lookup_ops(
-    linear: LinearSearchClassifier, n_packets: int, avg_scanned: float
-) -> OpCounter:
-    """Linear search: 5 reads + 10 alu + 1 branch per rule scanned."""
-    ops = OpCounter()
-    total = int(round(avg_scanned * n_packets))
-    ops.add("mem_read", 5 * total)
-    ops.add("alu", 10 * total)
-    ops.add("branch", total)
     return ops

@@ -20,11 +20,8 @@ of the library already uses:
   write port, at the companion SRAM's per-access energy
   (:data:`~repro.energy.flowcache.SRAM_ACCESS_ENERGY_J`).
 
-``break_even_updates`` answers the deployment question directly: how
-many incremental updates can the control plane apply before it has
-spent a from-scratch rebuild's energy.  ``retire_energy_j`` prices what
-an update costs the *data* plane's flow cache, so the walks it saves by
-not flushing are reported net.
+``retire_energy_j`` prices what an update costs the *data* plane's flow
+cache, so the walks it saves by not flushing are reported net.
 """
 
 from __future__ import annotations
@@ -100,20 +97,3 @@ class UpdateCostModel:
             self.control_plane_energy_j(build_ops)
             + self.resync_energy_j(image_words)
         )
-
-    def break_even_updates(
-        self,
-        update_ops,
-        build_ops,
-        words_per_update: int = 0,
-        image_words: int = 0,
-    ) -> float:
-        """Incremental updates affordable per full-rebuild energy budget.
-
-        ``update_ops`` is the cost of *one* representative update (or an
-        average); values above 1 mean the incremental path wins.
-        """
-        per_update = self.update_energy_j(update_ops, words_per_update)
-        if per_update <= 0:
-            return float("inf")
-        return self.rebuild_energy_j(build_ops, image_words) / per_update

@@ -34,19 +34,19 @@ Sharding: each forked pipeline worker serves a copy-on-write snapshot,
 so a sharded run keeps one private, warm cache per shard; per-chunk
 counts travel back through :class:`~repro.engine.protocol.BatchStats`.
 
-Rule updates retire, they do not flush: :meth:`CachedClassifier.insert`
-/ ``remove`` / ``apply_updates`` delegate, then :meth:`FlowCache.retire`
-kills exactly the entries the batch could have changed, so every other
-flow keeps hitting and no result is ever stale.  Only events that say
-nothing about *what* changed (``rebuild``, ``invalidate_cache``) drop
-the whole cache, in O(1), through the epoch tag.  A mutation made
-outside ``run()`` moves ``update_epoch``, which makes the pipeline
-re-fork its held workers from the updated state.
+Rule updates retire, they do not flush:
+:meth:`CachedClassifier.apply_updates` delegates, then
+:meth:`FlowCache.retire` kills exactly the entries the batch could have
+changed, so every other flow keeps hitting and no result is ever stale.
+Only an event that says nothing about *what* changed
+(:meth:`CachedClassifier.invalidate_cache`) drops the whole cache, in
+O(1), through the epoch tag.  A mutation made outside ``run()`` moves
+``update_epoch``, which makes the pipeline re-fork its held workers from
+the updated state.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from ..algorithms import native
 from ..core.errors import ConfigError
-from ..core.updates import OP_INSERT, OP_REMOVE, insert_op, remove_op
+from ..core.updates import OP_INSERT, OP_REMOVE
 from .protocol import BatchStats, Classifier, ClassifierBase, batch_stats_of
 from .updates import require_updatable
 
@@ -181,9 +181,9 @@ class FlowCacheStats:
     ``hits`` counts packets served without a backend lookup (coalesced
     in-batch duplicates included), ``misses`` backend lookups issued:
     ``hits + misses == lookups``.  ``evictions`` counts live entries a
-    fill overwrote, ``reclamations`` dead slots (TTL-expired,
-    epoch-stale or retired — dead once, whatever the reasons) it
-    re-used.  ``invalidations`` counts events: one per update batch
+    fill overwrote, ``reclamations`` dead slots (epoch-stale or
+    retired — dead once, whatever the reasons) it re-used.
+    ``invalidations`` counts events: one per update batch
     (:meth:`FlowCache.retire`) and per whole-cache flush
     (:meth:`FlowCache.advance_epoch`); ``retired`` the live entries
     ``retire`` killed.  Every counter depends only on the cache contents
@@ -208,19 +208,11 @@ class FlowCache:
 
     ``entries == 0`` disables the cache (every lookup is a miss).  The
     tables are allocated on the first probe, when the header width is
-    known, so any :class:`~repro.core.rules.FieldSchema` works.
-
-    ``max_age`` (0 = off) is TTL-style aging: an entry is served only
-    while fewer than ``max_age`` lookups have passed since it was
-    *filled* — hits refresh the LRU stamp, not the fill time, so a hot
-    flow is still re-validated every ``max_age`` lookups.  Expired
-    entries miss and are preferred victims (a reclamation, not an
-    eviction).
+    known, so any :class:`~repro.core.rules.FieldSchema` works.  An
+    entry is live while the epoch it was filled under is current.
     """
 
-    def __init__(
-        self, entries: int = 4096, ways: int = 4, max_age: int = 0
-    ) -> None:
+    def __init__(self, entries: int = 4096, ways: int = 4) -> None:
         if entries < 0:
             raise ConfigError(f"cache entries must be >= 0, got {entries}")
         if entries:
@@ -231,13 +223,8 @@ class FlowCache:
                     f"cache entries ({entries}) must be a multiple of "
                     f"ways ({ways})"
                 )
-        if max_age < 0:
-            raise ConfigError(
-                f"cache max_age must be >= 0 (0 = no aging), got {max_age}"
-            )
         self.entries = int(entries)
         self.ways = int(ways)
-        self.max_age = int(max_age)
         self.n_sets = self.entries // self.ways if entries else 0
         self.stats = FlowCacheStats()
         self._tick = np.int64(1)
@@ -254,7 +241,8 @@ class FlowCache:
         self._result: np.ndarray | None = None  # (sets, ways) int64
         self._stamp: np.ndarray | None = None  # (sets, ways) int64 last use
         self._epoch: np.ndarray | None = None  # (sets, ways) int64 fill tag
-        #: Fill tick per slot; 0 = never filled (``_tick`` starts at 1).
+        #: Fill tick per slot; 0 = never filled (``_tick`` starts at 1),
+        #: which tells a reclamation from a first fill.
         self._filled: np.ndarray | None = None  # (sets, ways) int64
 
     # ------------------------------------------------------------------
@@ -276,17 +264,11 @@ class FlowCache:
             self._filled = np.zeros((self.n_sets, self.ways), np.int64)
 
     def _live(self, idx, way: int | None = None) -> np.ndarray:
-        """Entries filled under the current epoch (and, with aging on, at
-        most ``max_age`` lookups ago) over ``table[idx]`` — or, given
-        ``way``, over the sets ``idx`` of that one way (a column view then
-        a 1-D gather, cheaper than ``table[idx, way]``)."""
-        epoch, filled = self._epoch, self._filled
-        if way is not None:
-            epoch, filled = epoch[:, way], filled[:, way]
-        live = epoch[idx] == self.epoch
-        if self.max_age:
-            live &= (self._tick - filled[idx]) <= np.int64(self.max_age)
-        return live
+        """Entries filled under the current epoch over ``table[idx]`` — or,
+        given ``way``, over the sets ``idx`` of that one way (a column
+        view then a 1-D gather, cheaper than ``table[idx, way]``)."""
+        epoch = self._epoch if way is None else self._epoch[:, way]
+        return epoch[idx] == self.epoch
 
     def _set_index(self, headers: np.ndarray) -> np.ndarray:
         """FNV-1a over the header columns, folded modulo the set count."""
@@ -421,8 +403,8 @@ class FlowCache:
 
     def advance_epoch(self) -> None:
         """O(1) whole-cache invalidation, for a ruleset change nobody
-        described (``rebuild``, an out-of-band mutation; an update batch
-        goes through :meth:`retire`): older entries stop matching at once
+        described (an out-of-band mutation; an update batch goes through
+        :meth:`retire`): older entries stop matching at once
         and their slots are reclaimed as new fills land."""
         self.epoch += np.int64(1)
         self.stats.invalidations += 1
@@ -490,20 +472,19 @@ class FlowCache:
 
     # ------------------------------------------------------------------
     def occupancy_fraction(self) -> float:
-        """Fraction of cache slots holding a live, unexpired entry."""
+        """Fraction of cache slots holding a live entry."""
         if not self._ndim or not self.entries:
             return 0.0
         return float(self._live(...).mean())
 
     def memory_bytes(self, ndim: int = 5) -> int:
-        """Modelled footprint: key + result + stamp + epoch + valid
-        (+ the fill-time stamp when aging is enabled).  The key is the
-        *modelled* ``4 * ndim``-byte header a hardware table would
-        store, independent of how this host lays its key words out."""
+        """Modelled footprint: key + result + stamp + epoch + valid.  The
+        key is the *modelled* ``4 * ndim``-byte header a hardware table
+        would store, independent of how this host lays its key words
+        out."""
         if self._ndim:
             ndim = self._ndim
-        age_stamp = 8 if self.max_age else 0
-        return self.entries * (4 * ndim + 8 + 8 + 8 + 1 + age_stamp)
+        return self.entries * (4 * ndim + 8 + 8 + 8 + 1)
 
 
 class CachedClassifier(ClassifierBase):
@@ -516,24 +497,15 @@ class CachedClassifier(ClassifierBase):
     """
 
     def __init__(
-        self,
-        classifier: Classifier,
-        entries: int = 4096,
-        ways: int = 4,
-        max_age: int = 0,
+        self, classifier: Classifier, entries: int = 4096, ways: int = 4
     ) -> None:
         self.classifier = classifier
-        self.cache = FlowCache(entries, ways=ways, max_age=max_age)
+        self.cache = FlowCache(entries, ways=ways)
         inner = getattr(classifier, "backend_name", type(classifier).__name__)
         self.backend_name = f"{inner}+cache"
         schema = getattr(classifier, "schema", None)
         if schema is not None:
             self.schema = schema
-        #: Per-stage wall-clock accumulator for ``bench --profile``:
-        #: assign a dict and the hot path adds ``probe_s`` / ``dedup_s``
-        #: / ``traverse_s`` / ``scatter_s`` / ``fill_s`` into it.  ``None``
-        #: (the default) keeps the hot path timer-free.
-        self.profile: dict | None = None
         #: Whether the wrapped backend models per-packet occupancy;
         #: learned on the first backend call so all-hit chunks still
         #: report a consistent occupancy shape.
@@ -544,10 +516,7 @@ class CachedClassifier(ClassifierBase):
         """A new wrapper around the *same* backend with a private, cold
         cache — the per-shard cache layout of in-process shards."""
         return CachedClassifier(
-            self.classifier,
-            entries=self.cache.entries,
-            ways=self.cache.ways,
-            max_age=self.cache.max_age,
+            self.classifier, entries=self.cache.entries, ways=self.cache.ways
         )
 
     # ------------------------------------------------------------------
@@ -572,20 +541,8 @@ class CachedClassifier(ClassifierBase):
                 cache_misses=n,
                 cache_evictions=0,
             )
-        prof = self.profile
-        t0 = time.perf_counter() if prof is not None else 0.0
-
-        def lap(stage: str) -> None:
-            """Charge the time since the previous lap to ``stage``."""
-            nonlocal t0
-            if prof is not None:
-                t1 = time.perf_counter()
-                prof[stage] = prof.get(stage, 0.0) + (t1 - t0)
-                t0 = t1
-
         evictions_before = cache.stats.evictions
         hit, match, miss_rows, missing = cache._lookup(headers, miss_keys=True)
-        lap("probe_s")
         occupancy = None
         n_backend = 0
         if miss_rows.size:
@@ -595,18 +552,14 @@ class CachedClassifier(ClassifierBase):
             rows = miss_rows[first]
             uniq = headers.take(rows, axis=0)
             n_backend = rows.size
-            lap("dedup_s")
             inner = batch_stats_of(self.classifier, uniq)
             inner_match = np.asarray(inner.match, dtype=np.int64)
             self._models_occupancy = inner.occupancy is not None
-            lap("traverse_s")
             match[miss_rows] = inner_match[inverse]
             if inner.occupancy is not None:
                 occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
                 occupancy[miss_rows] = inner.occupancy[inverse]
-            lap("scatter_s")
             cache._fill(missing.take(first), inner_match)
-            lap("fill_s")
         elif self._models_occupancy:
             occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
         hits = n - n_backend
@@ -656,24 +609,3 @@ class CachedClassifier(ClassifierBase):
         """Drop the whole cache after an out-of-band ruleset mutation
         (O(1): nothing says which entries it touched)."""
         self.cache.advance_epoch()
-
-    def insert(self, rule):
-        """Delegate to the wrapped classifier, then retire the entries
-        the new rule pre-empts."""
-        out = self.classifier.insert(rule)
-        self.cache.retire((insert_op(rule),), (out.rule_id,))
-        return out
-
-    def remove(self, rule_id: int):
-        """Delegate to the wrapped classifier, then retire the entries
-        that cached ``rule_id``."""
-        out = self.classifier.remove(rule_id)
-        self.cache.retire((remove_op(rule_id),), ())
-        return out
-
-    def rebuild(self) -> None:
-        """Delegate to the wrapped classifier, then drop the whole cache
-        (a rebuild compacts tombstones, so every cached id is void)."""
-        self.classifier.rebuild()
-        self.cache.advance_epoch()
-

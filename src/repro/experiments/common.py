@@ -35,6 +35,7 @@ from ..hw import (
     MemoryImage,
     measure_layout,
 )
+from .paper_values import ACL1_SIZES, TABLE4_SIZES
 
 #: The paper's parameter headline for every table: spfac=4, speed=1.
 PAPER_SPFAC = 4
@@ -46,15 +47,7 @@ PAPER_SPEED = 1
 BINTH_SOFTWARE = 16
 BINTH_HARDWARE = 30
 
-#: acl1 sizes of Tables 2/3/6/7/8.
-ACL1_SIZES = (60, 150, 500, 1000, 1600, 2191)
-
-#: Table 4 grids per family.
-TABLE4_SIZES = {
-    "acl1": (300, 1200, 2500, 5000, 10000, 15000, 20000, 24920),
-    "fw1": (300, 1200, 2500, 5000, 10000, 15000, 20000, 23087),
-    "ipc1": (300, 1200, 2500, 5000, 10000, 15000, 20000, 24274),
-}
+#: The quick Table 4 grids: a subset of each family's paper grid.
 TABLE4_SIZES_QUICK = {
     "acl1": (300, 2500, 10000),
     "fw1": (300, 2500, 10000),

@@ -54,6 +54,9 @@ TABLE4 = {
     },
 }
 
+#: Table 4 size grids per family.
+TABLE4_SIZES = {family: data["sizes"] for family, data in TABLE4.items()}
+
 #: Table 5: device comparison (see repro.energy.technology for the specs).
 TABLE5 = {
     "Virtex5SX95T": {"process_nm": 65, "voltage_v": 1.0, "freq_mhz": 77,

@@ -61,19 +61,6 @@ class MemoryImage:
         return self.placements[node_id]
 
     # ------------------------------------------------------------------
-    def leaf_words_scanned(self, node_id: int, z: int) -> int:
-        """Words fetched to reach rule index ``z`` of a leaf (0-based).
-
-        With ``pos`` the leaf's start slot, slot ``z`` lives in word
-        ``(pos + z) // 30`` relative to the leaf's first word — this is
-        the ``(pos + z)/30`` term of eq (5) and, since ``speed=1`` forces
-        ``pos = 0`` for any straddling leaf, the ``z/30`` term of eq (7).
-        """
-        p = self.placements[node_id]
-        if z < 0:
-            z = max(p.n_rules - 1, 0)
-        return (p.pos + z) // RULES_PER_WORD + 1
-
     def worst_case_occupancy(self) -> int:
         """Max memory words fetched for any packet (= Table 8's hardware
         "worst case memory accesses"): internal nodes after the register-

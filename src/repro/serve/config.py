@@ -5,8 +5,7 @@ A single frozen dataclass that
 * names the backend and its build parameters (``binth``/``spfac``/
   ``speed``/``software``),
 * shapes the pipeline (``shards``/``chunk_size``/``shard_mode``),
-* sizes the flow cache (``cache_entries``/``cache_ways``/
-  ``cache_max_age``),
+* sizes the flow cache (``cache_entries``/``cache_ways``),
 * selects the update policy (``updatable``) and the device energy model
   (``energy_model``),
 * sets the fault posture (``fault_policy``/``max_retries``/
@@ -97,11 +96,6 @@ class EngineConfig(Spec):
         help="flow-cache entries in front of the backend (0 = no cache)",
     )
     cache_ways: int = field(4, min=1, help="flow-cache set associativity")
-    cache_max_age: int = field(
-        0, min=0, metavar="N",
-        help="flow-cache TTL: entries expire N lookups after the fill "
-        "(0 = no aging)",
-    )
 
     # -- update policy ---------------------------------------------------
     #: Tree backends route to the incremental classifier, everything

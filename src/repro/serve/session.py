@@ -244,10 +244,7 @@ class Engine:
             )
         if config.cache_entries:
             clf = CachedClassifier(
-                clf,
-                entries=config.cache_entries,
-                ways=config.cache_ways,
-                max_age=config.cache_max_age,
+                clf, entries=config.cache_entries, ways=config.cache_ways
             )
         return clf
 

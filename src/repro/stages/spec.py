@@ -87,9 +87,7 @@ _PARAM_SCHEMA: dict[str, dict] = {
     "drop": {"deny_proto": (_INT_LIST, {}), "deny_dst_ports": ("range_list", {})},
     "extract": {"fields": (_INT_LIST, {})},
     "tcam_prefilter": {"max_slots": _COUNT},
-    "flow_cache": {
-        "entries": _COUNT, "ways": (int, {"min": 1}), "max_age": _COUNT,
-    },
+    "flow_cache": {"entries": _COUNT, "ways": (int, {"min": 1})},
     "classify": {"engine": (dict, {})},
     "rewrite": {"bytes": _COUNT},
     "queue_select": {
@@ -224,8 +222,7 @@ class StageGraphSpec(Spec):
         cache = self.stage("flow_cache")
         if cache is not None:
             clash = sorted(
-                k for k in overlay
-                if k in ("cache_entries", "cache_ways", "cache_max_age")
+                k for k in overlay if k in ("cache_entries", "cache_ways")
             )
             if clash:
                 raise ConfigError(
@@ -237,7 +234,6 @@ class StageGraphSpec(Spec):
         if cache is not None:
             merged["cache_entries"] = cache.params.get("entries", 4096)
             merged["cache_ways"] = cache.params.get("ways", 4)
-            merged["cache_max_age"] = cache.params.get("max_age", 0)
         parse = self.stage("parse")
         if parse is not None:
             merged["on_malformed"] = parse.params.get(

@@ -155,7 +155,7 @@ def _run_linecard_cell(
     overlay = {
         k: v
         for k, v in config.to_dict().items()
-        if k not in ("cache_entries", "cache_ways", "cache_max_age")
+        if k not in ("cache_entries", "cache_ways")
     }
     graph_spec = default_graph(
         overlay,

@@ -14,12 +14,12 @@ from repro.classbench import (
     generate_trace,
     generate_zipf_trace,
     get_seed,
-    paper_acl1_sizes,
-    paper_table4_sizes,
     trace_locality,
 )
 from repro.core.errors import ConfigError
 from repro.core.rules import FIVE_TUPLE
+from repro.experiments import common
+from repro.experiments.paper_values import ACL1_SIZES, TABLE4_SIZES
 
 
 class TestSeeds:
@@ -89,8 +89,10 @@ class TestGenerator:
             generate_ruleset("acl1", 0)
 
     def test_paper_grids(self):
-        assert paper_acl1_sizes() == [60, 150, 500, 1000, 1600, 2191]
-        assert paper_table4_sizes("fw1")[-1] == 23087
+        assert ACL1_SIZES == (60, 150, 500, 1000, 1600, 2191)
+        assert TABLE4_SIZES["fw1"][-1] == 23087
+        assert common.ACL1_SIZES is ACL1_SIZES
+        assert common.TABLE4_SIZES is TABLE4_SIZES
 
 
 class TestTraceGenerator:

@@ -169,30 +169,6 @@ class TestBench:
         out = capsys.readouterr().out
         assert "FPGA" not in out and "ASIC" not in out
 
-    @pytest.mark.parametrize("kernel", ["default", "portable"])
-    def test_profile_prints_and_records_every_stage(
-        self, tmp_path, monkeypatch, request, capsys, kernel
-    ):
-        if kernel == "portable":
-            request.getfixturevalue("portable_kernel")
-        monkeypatch.chdir(tmp_path)  # the artifact lands in the cwd
-        rc = main([
-            "bench", "--family", "acl1", "--rules", "120", "--seed", "3",
-            "--packets", "4000", "--algorithm", "hypercuts",
-            "--cache-entries", "256", "--zipf", "1.0", "--flows", "512",
-            "--profile",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        stages = ("dispatch", "probe", "dedup", "traverse", "scatter", "fill")
-        printed = out.split("hot-path profile (single process):\n")[1]
-        assert [line.split(":")[0].strip() for line in
-                printed.splitlines()[:6]] == list(stages)
-        recorded = json.loads((tmp_path / "BENCH_engine.json").read_text())
-        for stage in stages:
-            assert recorded["profile"][f"{stage}_s"] >= 0.0
-        assert recorded["profile"]["total_s"] > 0.0
-
     def test_bad_cache_geometry_is_clean_error(self, capsys):
         rc = main([
             "bench", "--family", "acl1", "--rules", "60", "--seed", "3",
@@ -260,6 +236,16 @@ class TestArgErrors:
         with pytest.raises(SystemExit):
             main(["build", "--family", "nope"])
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--profile"],
+        ["bench", "--cache-max-age", "5"],
+        ["linecard", "--trace-lines", "x"],
+    ])
+    def test_removed_flag_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
 
 class TestLinecard:
     def test_default_run_prints_stage_table(self, capsys):
@@ -300,7 +286,7 @@ class TestLinecard:
         assert rc == 0
         assert "packets" in capsys.readouterr().out
 
-    def test_trace_lines_reports_quarantine(self, tmp_path, capsys):
+    def test_trace_file_reports_quarantine(self, tmp_path, capsys):
         lines = tmp_path / "trace.txt"
         lines.write_text(
             "# comment\n"
@@ -310,7 +296,7 @@ class TestLinecard:
         )
         rc = main([
             "linecard", "--family", "acl1", "--rules", "80",
-            "--seed", "3", "--trace-lines", str(lines),
+            "--seed", "3", "--trace-file", str(lines),
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -135,14 +135,6 @@ class TestDeviceModels:
         assert f.energy_per_packet_norm_j > a.energy_per_packet_norm_j
         assert f.throughput_pps == pytest.approx(77e6 / run.mean_occupancy())
 
-    def test_power_at_load_interpolates(self):
-        model = asic_model()
-        idle = model.power_at_load_w(0.0)
-        full = model.power_at_load_w(1.0)
-        assert idle == pytest.approx(model.static_power_norm_w)
-        assert full == pytest.approx(model.active_power_norm_w)
-        assert idle < model.power_at_load_w(0.5) < full
-
 
 class TestTcamModel:
     def test_fit_reproduces_datasheet_points(self):

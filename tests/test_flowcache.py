@@ -359,15 +359,15 @@ class TestFlowCacheUnit:
         assert cache.occupancy_fraction() == 0.0
 
     def test_whole_cache_flush_then_serve_keeps_the_counters(self, acl_small):
-        # Liveness is the epoch tag alone.  Counters recorded at the
-        # commit before ``FlowCache.invalidate`` (the eager scrub) went,
-        # with ``advance_epoch`` in its place: refilling an epoch-stale
-        # slot is a reclamation, never an eviction.
+        # Liveness is the epoch tag alone: refilling an epoch-stale slot
+        # is a reclamation, never an eviction.  Counters recorded, on
+        # both kernels, at the last commit that still had TTL aging,
+        # with aging off.
         trace = generate_zipf_trace(
             acl_small, 4000, n_flows=512, skew=1.0, seed=413
         )
         bare = build_backend("hypercuts", acl_small)
-        clf = CachedClassifier(bare, entries=64, ways=4, max_age=700)
+        clf = CachedClassifier(bare, entries=64, ways=4)
         got = []
         for i, lo in enumerate(range(0, trace.n_packets, 400)):
             if i in (3, 7):
@@ -377,7 +377,7 @@ class TestFlowCacheUnit:
         stats = clf.cache.stats
         assert (
             stats.hits, stats.misses, stats.evictions, stats.reclamations
-        ) == (2727, 1273, 1074, 135)
+        ) == (2727, 1273, 1081, 128)
 
 
 class TestFlowCacheRetire:
@@ -474,15 +474,14 @@ class TestFlowCacheRetire:
         assert cache.probe(b)[0].all() and cache.probe(c)[0].all()
         assert not cache.probe(a)[0].any()
 
-    def test_expired_entry_is_not_counted_and_dies_once(self):
-        # ``retired`` counts *live* entries killed; an entry the TTL
-        # already killed is not one, and its slot is still reclaimed
-        # exactly once.
-        cache = FlowCache(2, ways=2, max_age=3)
+    def test_stale_entry_is_not_counted_and_dies_once(self):
+        # ``retired`` counts *live* entries killed; an entry a whole
+        # flush already killed is not one, and its slot is still
+        # reclaimed exactly once.
+        cache = FlowCache(2, ways=2)
         a = _headers([[1, 0, 0, 0, 0]])
         cache.fill(a, np.array([10]))
-        for _ in range(4):
-            cache.probe(_headers([[9, 9, 9, 9, 9]]))  # a TTL-expires
+        cache.advance_epoch()  # a goes epoch-stale
         cache.retire((remove_op(10),), ())
         assert cache.stats.retired == 0
         cache.fill(_headers([[2, 0, 0, 0, 0]]), np.array([11]))
@@ -499,137 +498,122 @@ class TestFlowCacheRetire:
         assert self._hits(cache) == [False, True, False]
 
 
-class TestFlowCacheAging:
-    """TTL/aging eviction: entries expire ``max_age`` lookups after the
-    tick they were *filled* at (hits refresh the LRU stamp only)."""
+class TestFlowCacheEpoch:
+    """The one liveness rule: an entry is live while the epoch it was
+    filled under is current — however many lookups pass meanwhile."""
 
-    def test_bad_max_age_rejected(self):
-        with pytest.raises(ConfigError, match="max_age"):
-            FlowCache(8, ways=2, max_age=-1)
-
-    def test_fresh_entry_hits_stale_entry_misses(self):
-        cache = FlowCache(8, ways=2, max_age=6)
-        hdr = _headers([[1, 2, 3, 4, 5]])
-        other = _headers([[9, 9, 9, 9, 9]])
-        cache.probe(hdr)
-        cache.fill(hdr, np.array([7]))
-        assert cache.probe(hdr)[0].all()  # well inside the TTL window
-        for _ in range(6):  # age the entry out with unrelated lookups
-            cache.probe(other)
-        assert not cache.probe(hdr)[0].any()
-
-    def test_hits_do_not_extend_the_ttl(self):
-        # A hot flow keeps hitting right up to max_age, then must be
-        # re-validated against the backend: hits refresh the LRU stamp,
-        # not the fill time.
-        cache = FlowCache(8, ways=2, max_age=4)
-        hdr = _headers([[1, 2, 3, 4, 5]])
-        cache.fill(hdr, np.array([7]))
-        hits = [bool(cache.probe(hdr)[0][0]) for _ in range(8)]
-        assert hits[0] and not hits[-1]
-        assert hits.index(False) <= 4
-
-    def test_zero_max_age_disables_aging(self):
-        cache = FlowCache(8, ways=2, max_age=0)
+    def test_entry_outlives_any_number_of_lookups(self):
+        cache = FlowCache(8, ways=2)
         hdr = _headers([[1, 2, 3, 4, 5]])
         other = _headers([[9, 9, 9, 9, 9]])
         cache.fill(hdr, np.array([7]))
         for _ in range(1000):
             cache.probe(other)
-        assert cache.probe(hdr)[0].all()
+        hit, result = cache.probe(hdr)
+        assert hit.all() and result.tolist() == [7]
 
-    def test_expired_slot_is_reclaimed_not_evicted(self):
-        cache = FlowCache(2, ways=2, max_age=3)  # one set of two ways
-        a = _headers([[1, 0, 0, 0, 0]])
-        b = _headers([[2, 0, 0, 0, 0]])
-        c = _headers([[3, 0, 0, 0, 0]])
+    def test_fill_after_a_flush_is_live_in_the_new_epoch(self):
+        cache = FlowCache(8, ways=2)
+        hdr = _headers([[1, 2, 3, 4, 5]])
+        cache.fill(hdr, np.array([7]))
+        cache.advance_epoch()
+        cache.fill(hdr, np.array([8]))
+        hit, result = cache.probe(hdr)
+        assert hit.all() and result.tolist() == [8]
+        assert cache.epoch == 1
+
+    def test_stale_slot_is_reclaimed_not_evicted(self):
+        cache = FlowCache(2, ways=2)  # one set of two ways
+        a, b, c = (_headers([[v, 0, 0, 0, 0]]) for v in (1, 2, 3))
         cache.fill(a, np.array([10]))
-        for _ in range(4):
-            cache.probe(b)  # a expires
-        cache.fill(b, np.array([11]))  # one live entry, one expired
-        cache.fill(c, np.array([12]))  # lands on a's expired slot
+        cache.advance_epoch()  # a goes epoch-stale
+        cache.fill(b, np.array([11]))  # one live entry, one stale
+        cache.fill(c, np.array([12]))  # the set's other slot
         assert cache.stats.evictions == 0
         assert cache.stats.reclamations == 1
         assert cache.probe(b)[0].all() and cache.probe(c)[0].all()
+        assert not cache.probe(a)[0].any()
 
-    def test_doubly_dead_slot_is_reclaimed_exactly_once(self):
-        # A slot can be dead for two independent reasons at once —
-        # TTL-expired *and* epoch-stale.  Re-using it must count as one
-        # reclamation (and never as an eviction), not one per reason.
-        cache = FlowCache(2, ways=2, max_age=3)
-        a = _headers([[1, 0, 0, 0, 0]])
-        cache.fill(a, np.array([10]))
-        for _ in range(4):
-            cache.probe(_headers([[9, 9, 9, 9, 9]]))  # a TTL-expires
-        cache.advance_epoch()  # ...and goes epoch-stale on top
-        cache.fill(_headers([[2, 0, 0, 0, 0]]), np.array([11]))
-        cache.fill(_headers([[3, 0, 0, 0, 0]]), np.array([12]))
-        assert cache.stats.evictions == 0
-        assert cache.stats.reclamations == 1
-
-    def test_occupancy_fraction_drops_after_expiry(self):
-        cache = FlowCache(4, ways=2, max_age=2)
-        cache.fill(_headers([[1, 0, 0, 0, 0]]), np.array([1]))
-        assert cache.occupancy_fraction() > 0.0
+    def test_repeated_flushes_reclaim_a_slot_once(self):
+        # Stale under several epochs is still one dead slot.
+        cache = FlowCache(1, ways=1)
+        cache.fill(_headers([[1, 0, 0, 0, 0]]), np.array([10]))
         for _ in range(3):
-            cache.probe(_headers([[8, 8, 8, 8, 8]]))
-        assert cache.occupancy_fraction() == 0.0
+            cache.advance_epoch()
+        cache.fill(_headers([[2, 0, 0, 0, 0]]), np.array([11]))
+        assert (cache.stats.evictions, cache.stats.reclamations) == (0, 1)
+        assert cache.stats.invalidations == 3
 
-    def test_cached_classifier_revalidates_after_expiry(self, acl_small):
-        # Bit-identity is unconditional; aging only changes *when* the
-        # backend is consulted.  After the TTL passes, the same flow
-        # causes a second backend lookup.
+    def test_occupancy_fraction_refills_after_a_flush(self):
+        cache = FlowCache(4, ways=2)
+        hdr = _headers([[1, 0, 0, 0, 0], [2, 0, 0, 0, 0]])
+        cache.fill(hdr, np.array([1, 2]))
+        assert cache.occupancy_fraction() == 0.5
+        cache.advance_epoch()
+        assert cache.occupancy_fraction() == 0.0
+        cache.fill(hdr[:1], np.array([1]))
+        assert cache.occupancy_fraction() == 0.25
+
+    def test_cached_classifier_revalidates_only_after_a_flush(self):
         inner = CountingClassifier()
-        cached = CachedClassifier(inner, entries=64, ways=4, max_age=8)
+        cached = CachedClassifier(inner, entries=64, ways=4)
         hdr = _headers([[1, 2, 3, 4, 5]])
         bulk = _headers([[6, 7, 8, 9, 1]])
         assert cached.classify_batch(hdr).tolist() == [4]
-        calls = inner.calls
-        assert cached.classify_batch(hdr).tolist() == [4]  # served by cache
-        assert inner.calls == calls
-        for _ in range(12):
+        for _ in range(50):
             cached.classify_batch(bulk)
         calls = inner.calls
+        assert cached.classify_batch(hdr).tolist() == [4]  # still cached
+        assert inner.calls == calls
+        cached.invalidate_cache()
         assert cached.classify_batch(hdr).tolist() == [4]
-        assert inner.calls == calls + 1  # expired -> revalidated
+        assert inner.calls == calls + 1  # flushed -> revalidated
 
-    def test_pipeline_conformance_with_aggressive_ttl(
+    def test_flush_before_every_batch_keeps_results(
         self, acl_small, zipf_trace
     ):
-        # A pathologically small TTL must never change results, only
-        # hit rates: the pipeline output stays bit-identical.
+        # A flush only ever costs hits, never a changed answer.
         bare = build_backend("tuple_space", acl_small)
         want = bare.classify_trace(zipf_trace)
-        cached = CachedClassifier(bare, entries=256, ways=4, max_age=50)
-        res = ClassificationPipeline(cached, chunk_size=256).run(zipf_trace)
-        assert np.array_equal(res.match, want)
-        aged = res.cache_hit_rate
-        fresh = ClassificationPipeline(
-            CachedClassifier(bare, entries=256, ways=4), chunk_size=256
-        ).run(zipf_trace)
-        assert np.array_equal(fresh.match, want)
-        assert aged <= fresh.cache_hit_rate
+        flushed = CachedClassifier(bare, entries=256, ways=4)
+        kept = CachedClassifier(bare, entries=256, ways=4)
+        got = []
+        for lo in range(0, zipf_trace.n_packets, 256):
+            chunk = zipf_trace.headers[lo:lo + 256]
+            flushed.invalidate_cache()
+            got.append(flushed.batch_stats(chunk).match)
+            kept.batch_stats(chunk)
+        assert np.array_equal(np.concatenate(got), want)
+        assert flushed.cache.stats.hit_rate < kept.cache.stats.hit_rate
+
+    def test_memory_bytes_models_one_stamp_per_slot(self):
+        # key + result + LRU stamp + epoch tag + valid bit, and no more.
+        cache = FlowCache(16, ways=4)
+        assert cache.memory_bytes(ndim=5) == 16 * (20 + 8 + 8 + 8 + 1)
+        cache.fill(_headers([[1, 2, 3]]), np.array([0]))
+        assert cache.memory_bytes(ndim=5) == 16 * (12 + 8 + 8 + 8 + 1)
 
 
 class TestPinnedCounters:
-    """Counters and replacement state recorded from the commit *before*
-    the packed-key table: any change to probe, dedupe or fill that moves
-    a hit, a victim or a stamp shows up here as a changed number."""
+    """Counters and replacement state recorded, on both kernels, at the
+    last commit that still had TTL aging, with aging off: any change to
+    probe, dedupe or fill that moves a hit, a victim or a stamp shows up
+    here as a changed number."""
 
     #: ways -> (hits, misses, evictions, reclamations, crc32 of the
     #: final ``_stamp`` table, crc32 of the per-set victim order).
     PINNED = {
-        1: (3962, 2038, 1628, 282, 1289753943, 4021661486),
-        4: (4005, 1995, 1619, 248, 2121017361, 2737356902),
+        1: (3990, 2010, 1755, 127, 3273094453, 4021661486),
+        4: (4011, 1989, 1733, 128, 888604085, 1727804690),
     }
 
     @pytest.mark.parametrize("ways", [1, 4])
-    def test_zipf_trace_with_ttl_and_epoch_bump(self, acl_small, ways):
+    def test_zipf_trace_with_epoch_bump(self, acl_small, ways):
         trace = generate_zipf_trace(
             acl_small, 6000, n_flows=1024, skew=1.0, seed=412
         )
         bare = build_backend("hypercuts", acl_small)
-        clf = CachedClassifier(bare, entries=128, ways=ways, max_age=900)
+        clf = CachedClassifier(bare, entries=128, ways=ways)
         got = []
         for i, lo in enumerate(range(0, trace.n_packets, 500)):
             if i == 6:
@@ -661,7 +645,17 @@ class TestFillGroupingPortable(TestFillGrouping):
 
 
 @pytest.mark.usefixtures("portable_kernel")
-class TestFlowCacheAgingPortable(TestFlowCacheAging):
+class TestFlowCacheUnitPortable(TestFlowCacheUnit):
+    pass
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestFlowCacheRetirePortable(TestFlowCacheRetire):
+    pass
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestFlowCacheEpochPortable(TestFlowCacheEpoch):
     pass
 
 
@@ -694,7 +688,6 @@ def _cache_runs(draw):
     entries = ways * draw(st.sampled_from([1, 2, 3, 8]))
     if draw(st.booleans()):
         ways = entries  # one set
-    max_age = draw(st.sampled_from([0, 0, 1, 5, 40]))
     pool = np.asarray(draw(st.lists(
         st.lists(_SMALL, min_size=ndim, max_size=ndim),
         min_size=1, max_size=3 * entries + 2,
@@ -712,7 +705,7 @@ def _cache_runs(draw):
                   st.lists(st.tuples(box, _ID), max_size=2)),
         st.tuples(st.just("flush")),
     )
-    return entries, ways, max_age, pool, draw(st.lists(step, max_size=12))
+    return entries, ways, pool, draw(st.lists(step, max_size=12))
 
 
 def _take_step(clf: CachedClassifier, pool: np.ndarray, step) -> list:
@@ -756,11 +749,10 @@ class TestNativeCacheKernels:
     def test_native_and_portable_serve_the_same(self, run):
         if native.status()["kernel"] != "native":
             pytest.skip(f"native kernel unavailable: {native.status()['reason']}")
-        entries, ways, max_age, pool, steps = run
+        entries, ways, pool, steps = run
         backend = ResultOfHeader()
         twins = [
-            CachedClassifier(backend, entries=entries, ways=ways,
-                             max_age=max_age)
+            CachedClassifier(backend, entries=entries, ways=ways)
             for _ in range(2)
         ]
         for step in steps:
@@ -846,7 +838,7 @@ class TestCachedClassifierEdgeCases:
             priority=len(acl_small),
             action=0,
         )
-        clf.insert(catch_all)
+        clf.apply_updates((insert_op(catch_all),))
         assert clf.cache.stats.invalidations == 1
         after = clf.classify_trace(acl_small_trace)
         # Stale -1 results must not be served from the cache.
@@ -1003,7 +995,7 @@ class TestPipelineCacheStats:
                 priority=len(acl_small),
                 action=0,
             )
-            cached.insert(catch_all)  # delegates + retires
+            cached.apply_updates((insert_op(catch_all),))  # + retires
             after = pipeline.run(acl_small_trace).match
         assert (after[missed] == len(acl_small)).all()
         assert np.array_equal(after[~missed], before[~missed])

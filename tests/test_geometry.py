@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +10,11 @@ from repro.core.errors import RuleFormatError
 from repro.core.geometry import (
     HW_GRID_BITS,
     HW_GRID_CELLS,
-    aligned_power_of_two,
     child_index,
     cut_interval,
     grid_cell,
     grid_cell_to_range,
-    grid_cells_vec,
     grid_span,
-    iter_prefixes_of,
-    pow2_at_least,
     pow2_at_most,
     prefix_to_range,
     range_contains,
@@ -182,21 +177,9 @@ class TestGrid:
         lo, hi = grid_cell_to_range(0xC0, 0xC0, 32)
         assert lo == 0xC0000000 and hi == 0xC0FFFFFF
 
-    def test_grid_cells_vec_matches_scalar(self):
-        vals = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
-        vec = grid_cells_vec(vals, 32)
-        for v, g in zip(vals, vec):
-            assert grid_cell(int(v), 32) == int(g)
-
     def test_constants(self):
         assert HW_GRID_BITS == 8
         assert HW_GRID_CELLS == 256
-
-    def test_aligned_power_of_two(self):
-        assert aligned_power_of_two(0, 255)
-        assert aligned_power_of_two(64, 127)
-        assert not aligned_power_of_two(64, 128)
-        assert not aligned_power_of_two(1, 2)
 
 
 class TestMisc:
@@ -204,16 +187,5 @@ class TestMisc:
         assert pow2_at_most(1) == 1
         assert pow2_at_most(255) == 128
         assert pow2_at_most(256) == 256
-        assert pow2_at_least(1) == 1
-        assert pow2_at_least(3) == 4
-        assert pow2_at_least(256) == 256
         with pytest.raises(ValueError):
             pow2_at_most(0)
-        with pytest.raises(ValueError):
-            pow2_at_least(0)
-
-    def test_iter_prefixes_of(self):
-        prefixes = list(iter_prefixes_of(0b1010, 4))
-        assert prefixes[0] == (0b1010, 4)
-        assert prefixes[-1] == (0, 0)
-        assert len(prefixes) == 5

@@ -368,8 +368,7 @@ class TestCacheGeometries:
         flows = rng.integers(0, 1 << 32, (3 * size // 2 + 7, ndim),
                              dtype=np.uint32)
         flows[::5, 0] = 7  # rows that share their first word
-        twins = [CachedClassifier(_ColumnSum(), entries=entries, ways=ways,
-                                  max_age=5 * entries)
+        twins = [CachedClassifier(_ColumnSum(), entries=entries, ways=ways)
                  for _ in range(2)]
         for step in range(6):
             batch = flows[rng.integers(0, len(flows), 2 * size + 50)]

@@ -88,17 +88,6 @@ class TestRule:
         assert rule.is_exact(3)
         assert rule.is_prefix(1, FIVE_TUPLE)
 
-    def test_grid_footprint(self):
-        rule = Rule.from_5tuple(
-            (0xC0A80000, 16), (0, 0), (0, 1023), (80, 80), (6, 1)
-        )
-        fp = rule.grid_footprint(FIVE_TUPLE)
-        assert fp[0] == (0xC0, 0xC0)
-        assert fp[1] == (0, 255)
-        assert fp[2] == (0, 3)  # ports 0-1023 -> top byte 0-3
-        assert fp[3] == (0, 0)
-        assert fp[4] == (6, 6)
-
 
 class TestDemoRuleset:
     def test_verbatim_table1(self):

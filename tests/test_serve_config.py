@@ -27,13 +27,12 @@ CONFIG_GRID = [
     EngineConfig(backend="hicuts", speed=0, persistent=True, shards=2),
     EngineConfig(
         backend="accelerator", cache_entries=4096, cache_ways=8,
-        cache_max_age=100_000,
     ),
     EngineConfig(backend="incremental", updatable=True, energy_model="fpga"),
     EngineConfig(
         backend="hypercuts", binth=24, spfac=6.0, shards=8,
         chunk_size=8192, persistent=True, cache_entries=512, cache_ways=2,
-        cache_max_age=5000, updatable=True, energy_model="none",
+        updatable=True, energy_model="none",
     ),
     EngineConfig(backend="tcam", energy_model="none"),
 ]
@@ -109,6 +108,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="warp_speed"):
             EngineConfig.from_dict({"backend": "linear", "warp_speed": 9})
 
+    def test_removed_cache_max_age_key_is_named(self):
+        with pytest.raises(ConfigError, match="cache_max_age"):
+            EngineConfig.from_dict({"backend": "linear", "cache_max_age": 9})
+
     def test_from_dict_rejects_non_dict(self):
         with pytest.raises(ConfigError, match="expects a dict"):
             EngineConfig.from_dict(["backend", "linear"])
@@ -122,7 +125,6 @@ class TestValidation:
             ("shards", 0, "shards"),
             ("chunk_size", 0, "chunk_size"),
             ("cache_entries", -1, "cache_entries"),
-            ("cache_max_age", -5, "cache_max_age"),
             ("energy_model", "solar", "energy_model"),
             ("fault_policy", "panic", "fault_policy"),
             ("max_retries", -1, "max_retries"),

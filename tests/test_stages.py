@@ -73,6 +73,7 @@ class TestStageSpec:
             ("drop", {"deny_dst_ports": [[80]]}, "pairs"),
             ("extract", {"fields": "all"}, "list of ints"),
             ("classify", {"engine": 7}, "must be a dict"),
+            ("flow_cache", {"max_age": 5}, "max_age"),
         ],
     )
     def test_bad_params_rejected(self, kind, params, match):
