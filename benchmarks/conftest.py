@@ -3,7 +3,7 @@
 Benchmarks use moderate workload sizes so a full ``pytest benchmarks/
 --benchmark-only`` run finishes in minutes while still exercising the
 pipeline end-to-end.  The *full* paper grids are regenerated by
-``python -m repro.experiments.run_all`` (see EXPERIMENTS.md).
+``python -m repro.cli tables``.
 """
 
 from __future__ import annotations

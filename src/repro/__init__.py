@@ -8,7 +8,7 @@ Public API quick tour::
         build_hicuts, build_hypercuts,
     )
     from repro.hw import build_memory_image, Accelerator
-    from repro.energy import Sa1100Model, AsicModel, FpgaModel
+    from repro.energy import Sa1100Model, asic_model, fpga_model
 
     rules = generate_ruleset("acl1", 1000, seed=1)
     trace = generate_trace(rules, 100_000, seed=2)
@@ -21,17 +21,7 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
-from .core import (
-    DEMO_SCHEMA,
-    FIVE_TUPLE,
-    FieldSchema,
-    Packet,
-    PacketTrace,
-    ReproError,
-    Rule,
-    RuleSet,
-    make_demo_ruleset,
-)
+from .core import PacketTrace, Rule, RuleSet
 from .classbench import generate_ruleset, generate_trace, generate_zipf_trace
 from .algorithms import (
     DecisionTree,
@@ -61,15 +51,9 @@ from .serve import (
 __version__ = "1.2.0"
 
 __all__ = [
-    "DEMO_SCHEMA",
-    "FIVE_TUPLE",
-    "FieldSchema",
-    "Packet",
     "PacketTrace",
-    "ReproError",
     "Rule",
     "RuleSet",
-    "make_demo_ruleset",
     "generate_ruleset",
     "generate_trace",
     "generate_zipf_trace",

@@ -12,22 +12,13 @@
 """
 
 from . import native
-from .base import (
-    EMPTY_CHILD,
-    INTERNAL,
-    LEAF,
-    BatchLookup,
-    DecisionTree,
-    LookupResult,
-    Node,
-    TreeStats,
-)
+from .base import EMPTY_CHILD, INTERNAL, LEAF, BatchLookup, DecisionTree, Node
 from .flat_tree import FlatTree
-from .hicuts import HiCutsBuilder, HiCutsConfig, build_hicuts
+from .hicuts import build_hicuts
 from .incremental import IncrementalClassifier, UpdateStats
-from .hypercuts import HyperCutsBuilder, HyperCutsConfig, build_hypercuts
+from .hypercuts import build_hypercuts
 from .linear import LinearSearchClassifier
-from .opcount import CATEGORIES, NULL_COUNTER, NullCounter, OpCounter
+from .opcount import OpCounter
 from .rfc import RFCClassifier, build_rfc
 from .tuple_space import TupleSpaceClassifier
 
@@ -37,23 +28,14 @@ __all__ = [
     "LEAF",
     "BatchLookup",
     "DecisionTree",
-    "LookupResult",
     "Node",
-    "TreeStats",
     "FlatTree",
     "native",
-    "HiCutsBuilder",
-    "HiCutsConfig",
     "build_hicuts",
     "IncrementalClassifier",
     "UpdateStats",
-    "HyperCutsBuilder",
-    "HyperCutsConfig",
     "build_hypercuts",
     "LinearSearchClassifier",
-    "CATEGORIES",
-    "NULL_COUNTER",
-    "NullCounter",
     "OpCounter",
     "RFCClassifier",
     "build_rfc",

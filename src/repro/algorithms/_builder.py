@@ -40,6 +40,9 @@ from ._partition import (
     eliminate_redundant,
 )
 
+#: A node this deep becomes a leaf whatever its rule count.
+_MAX_DEPTH = 64
+
 
 @dataclass
 class CutDecision:
@@ -70,26 +73,12 @@ class BuilderConfig:
     spfac: float = 4.0
     hw_mode: bool = False
     redundancy_elimination: bool = True
-    max_depth: int = 64
-    #: Nodes larger than this skip redundancy elimination.  Default
-    #: (None) resolves to ``max(4 * binth, 64)``: elimination is a
-    #: near-leaf optimisation, and a fixed cliff would make build cost
-    #: non-monotonic in ruleset size (an O(n²) scan at the root for sets
-    #: just under the cliff).
-    elimination_limit: int | None = None
-
-    def resolved_elimination_limit(self) -> int:
-        if self.elimination_limit is not None:
-            return self.elimination_limit
-        return max(4 * self.binth, 64)
 
     def validate(self) -> None:
         if self.binth < 1:
             raise ConfigError("binth must be >= 1")
         if self.spfac <= 0:
             raise ConfigError("spfac must be > 0")
-        if self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1")
 
 
 @dataclass
@@ -156,16 +145,20 @@ class TreeBuilder:
         cfg = self.config
         rule_ids = item.rule_ids
         self.ops.add("mem_read", len(rule_ids))
+        # Nodes larger than ``max(4 * binth, 64)`` skip redundancy
+        # elimination: it is a near-leaf optimisation, and a fixed cliff
+        # would make build cost non-monotonic in ruleset size (an O(n²)
+        # scan at the root for sets just under the cliff).
         if (
             cfg.redundancy_elimination
-            and 1 < len(rule_ids) <= cfg.resolved_elimination_limit()
+            and 1 < len(rule_ids) <= max(4 * cfg.binth, 64)
         ):
             rule_ids = eliminate_redundant(
                 self.arrays, rule_ids, item.region, self.ops
             )
         if (
             len(rule_ids) <= cfg.binth
-            or item.depth >= cfg.max_depth
+            or item.depth >= _MAX_DEPTH
             or all_rules_identical_in_region(self.arrays, rule_ids, item.region)
         ):
             self._make_leaf(item.node_id, rule_ids, item)

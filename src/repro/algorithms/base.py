@@ -22,7 +22,7 @@ invariants hold (and tests assert them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,9 +135,6 @@ class DecisionTree:
 
     def leaf_ids(self) -> list[int]:
         return [i for i, n in enumerate(self.nodes) if n.is_leaf]
-
-    def iter_nodes(self) -> Iterator[tuple[int, Node]]:
-        return iter(enumerate(self.nodes))
 
     # ------------------------------------------------------------------
     # Software-semantics lookup (the oracle-checked reference traversal)

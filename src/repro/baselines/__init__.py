@@ -1,5 +1,5 @@
 """Hardware baselines the paper compares against (TCAM)."""
 
-from .tcam_classifier import TcamClassifier, TcamStats
+from .tcam_classifier import TcamClassifier
 
-__all__ = ["TcamClassifier", "TcamStats"]
+__all__ = ["TcamClassifier"]

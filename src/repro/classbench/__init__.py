@@ -7,21 +7,15 @@ similar workloads from embedded seed models.  See DESIGN.md §1
 """
 
 from .generator import generate_ruleset
-from .seeds import ACL1, FAMILIES, FW1, IPC1, SeedModel, get_seed
-from .trace import generate_trace, generate_zipf_trace, trace_locality
+from .seeds import FAMILIES
+from .trace import generate_trace, generate_zipf_trace
 from .updates import churn_schedule, generate_update_stream
 
 __all__ = [
     "churn_schedule",
     "generate_ruleset",
     "generate_update_stream",
-    "ACL1",
     "FAMILIES",
-    "FW1",
-    "IPC1",
-    "SeedModel",
-    "get_seed",
     "generate_trace",
     "generate_zipf_trace",
-    "trace_locality",
 ]

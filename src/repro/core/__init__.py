@@ -11,28 +11,19 @@ from .errors import (
     EncodingError,
     PacketFormatError,
     ReproError,
-    RuleFormatError,
     SimulationError,
 )
 from .geometry import (
-    HW_GRID_BITS,
-    HW_GRID_CELLS,
-    grid_cell,
     grid_cell_to_range,
-    grid_span,
     prefix_to_range,
     range_is_prefix,
-    range_to_prefix,
     range_to_prefix_cover,
 )
 from .packet import Packet, PacketTrace
 from .rules import (
     DEMO_SCHEMA,
-    DIM_DST_IP,
     DIM_DST_PORT,
     DIM_PROTO,
-    DIM_SRC_IP,
-    DIM_SRC_PORT,
     FIVE_TUPLE,
     FieldSchema,
     Rule,
@@ -48,25 +39,16 @@ __all__ = [
     "EncodingError",
     "PacketFormatError",
     "ReproError",
-    "RuleFormatError",
     "SimulationError",
-    "HW_GRID_BITS",
-    "HW_GRID_CELLS",
-    "grid_cell",
     "grid_cell_to_range",
-    "grid_span",
     "prefix_to_range",
     "range_is_prefix",
-    "range_to_prefix",
     "range_to_prefix_cover",
     "Packet",
     "PacketTrace",
     "DEMO_SCHEMA",
-    "DIM_DST_IP",
     "DIM_DST_PORT",
     "DIM_PROTO",
-    "DIM_SRC_IP",
-    "DIM_SRC_PORT",
     "FIVE_TUPLE",
     "FieldSchema",
     "Rule",

@@ -32,7 +32,6 @@ from .geometry import (
     grid_span,
     prefix_to_range,
     range_is_prefix,
-    range_to_prefix,
 )
 
 
@@ -136,11 +135,6 @@ class Rule:
 
     def is_wildcard(self, dim: int, schema: FieldSchema) -> bool:
         return self.ranges[dim] == schema.full_range(dim)
-
-    def prefix_view(self, dim: int, schema: FieldSchema) -> tuple[int, int]:
-        """(value, prefix_len) for a dimension that is a prefix block."""
-        lo, hi = self.ranges[dim]
-        return range_to_prefix(lo, hi, schema.widths[dim])
 
     def is_prefix(self, dim: int, schema: FieldSchema) -> bool:
         lo, hi = self.ranges[dim]

@@ -1,116 +1,64 @@
 """Energy and power models: SA-1100 software, ASIC/FPGA accelerator,
 TCAM/SRAM comparison points, and eq (8) technology normalisation."""
 
-from .calibration import (
-    ACTIVE_POWER_FRACTION,
-    DEFAULT_TRACE_PACKETS,
-    SA1100_CYCLES_PER_OP,
-)
-from .device_models import (
-    AcceleratorCost,
-    AcceleratorPowerModel,
-    asic_model,
-    fpga_model,
-)
+from .device_models import asic_model, fpga_model
 from .flowcache import SRAM_ACCESS_ENERGY_J, CacheEnergyModel
 from .updates import UpdateCostModel, ops_delta
 from .metrics import (
-    LINE_RATES,
-    MIN_PACKET_BYTES,
-    OC48,
     OC192,
     OC768,
-    LineRate,
     fmt_int,
     fmt_sci,
     gain,
     line_rate_feasibility,
     sustains_line_rate,
 )
-from .sa1100 import Sa1100Model, SoftwareCost
+from .sa1100 import Sa1100Model
 from .software_ops import rfc_lookup_ops, software_lookup_ops
 from .tcam import (
     AYAMA_10128,
     AYAMA_10512,
     CY7C1370DV25,
     CY7C1381D,
-    SRAM_TRANSISTORS_PER_BIT,
-    TCAM_ENTRY_BITS,
     TCAM_ENTRY_BYTES,
-    TCAM_STORAGE_EFFICIENCY_AVG,
-    TCAM_STORAGE_EFFICIENCY_RANGE,
-    TCAM_TRANSISTORS_PER_BIT,
-    SramChip,
     TcamModel,
-    TcamOperatingPoint,
 )
 from .technology import (
     ASIC65,
     ASIC_AT_133MHZ_MW,
     ASIC_AT_226MHZ_MW,
-    DEVICES,
     SA1100,
-    TARGET_PROCESS_NM,
-    TARGET_VOLTAGE_V,
     VIRTEX5,
-    DeviceSpec,
-    denormalize_power,
     normalize_power,
-    scaling_factor,
-    voltage_factor,
 )
 
 __all__ = [
-    "ACTIVE_POWER_FRACTION",
-    "DEFAULT_TRACE_PACKETS",
-    "SA1100_CYCLES_PER_OP",
-    "AcceleratorCost",
-    "AcceleratorPowerModel",
     "asic_model",
     "fpga_model",
     "SRAM_ACCESS_ENERGY_J",
     "CacheEnergyModel",
     "UpdateCostModel",
     "ops_delta",
-    "LINE_RATES",
-    "MIN_PACKET_BYTES",
-    "OC48",
     "OC192",
     "OC768",
-    "LineRate",
     "fmt_int",
     "fmt_sci",
     "gain",
     "line_rate_feasibility",
     "sustains_line_rate",
     "Sa1100Model",
-    "SoftwareCost",
     "rfc_lookup_ops",
     "software_lookup_ops",
     "AYAMA_10128",
     "AYAMA_10512",
     "CY7C1370DV25",
     "CY7C1381D",
-    "SRAM_TRANSISTORS_PER_BIT",
-    "TCAM_ENTRY_BITS",
     "TCAM_ENTRY_BYTES",
-    "TCAM_STORAGE_EFFICIENCY_AVG",
-    "TCAM_STORAGE_EFFICIENCY_RANGE",
-    "TCAM_TRANSISTORS_PER_BIT",
-    "SramChip",
     "TcamModel",
-    "TcamOperatingPoint",
     "ASIC65",
     "ASIC_AT_133MHZ_MW",
     "ASIC_AT_226MHZ_MW",
-    "DEVICES",
     "SA1100",
-    "TARGET_PROCESS_NM",
-    "TARGET_VOLTAGE_V",
     "VIRTEX5",
-    "DeviceSpec",
-    "denormalize_power",
     "normalize_power",
-    "scaling_factor",
-    "voltage_factor",
 ]

@@ -83,18 +83,6 @@ class DeviceSpec:
         """Raw power in the device's native technology."""
         return denormalize_power(self.power_norm_w, self.process_nm, self.voltage_v)
 
-    @property
-    def energy_per_cycle_j(self) -> float:
-        """Normalised energy per clock cycle."""
-        return self.power_norm_w / self.freq_hz
-
-    def cycles_to_energy(self, cycles: float) -> float:
-        """Normalised energy for ``cycles`` clock cycles."""
-        return self.energy_per_cycle_j * cycles
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / self.freq_hz
-
 
 #: Table 5, FPGA column: Virtex5SX95T, power includes datapath + memory.
 VIRTEX5 = DeviceSpec(

@@ -13,12 +13,7 @@ See ``docs/engine.md`` for the architecture overview.
 """
 
 from .backends import AcceleratorClassifier, DecisionTreeClassifier
-from .faults import (
-    CRASH_EXIT_CODE,
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-)
+from .faults import FaultPlan, FaultSpec
 from .flowcache import (
     HIT_OCCUPANCY_CYCLES,
     CachedClassifier,
@@ -56,7 +51,6 @@ from .updates import (
     UpdateResult,
     build_updatable_backend,
     insert_op,
-    is_updatable,
     remove_op,
 )
 
@@ -68,7 +62,6 @@ __all__ = [
     "UpdateResult",
     "build_updatable_backend",
     "insert_op",
-    "is_updatable",
     "remove_op",
     "AcceleratorClassifier",
     "DecisionTreeClassifier",
@@ -91,8 +84,6 @@ __all__ = [
     "build_backend",
     "register_backend",
     "registered_aliases",
-    "CRASH_EXIT_CODE",
-    "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "FAULT_POLICIES",

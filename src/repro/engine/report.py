@@ -26,9 +26,6 @@ import numpy as np
 
 from .supervision import FaultReport
 
-#: The paper's device operating points used for report-side evaluation.
-_DEVICE_FREQ_HZ = {"asic": 226e6, "fpga": 77e6}
-
 #: One part's flow-cache counters (hits, misses, evictions); ``None``
 #: unless it was served through a flow-cached front-end.
 CacheTriple = tuple[int, int, int] | None
@@ -90,10 +87,6 @@ class ChunkStats:
     epoch: int | None = None
     updates_applied: int = 0
     shard: int = 0
-
-    @property
-    def matched_fraction(self) -> float:
-        return self.matched / self.n_packets if self.n_packets else 0.0
 
 
 @dataclass
@@ -343,13 +336,12 @@ class EngineReport:
         device-model fields from its occupancy (left ``None`` under
         ``"none"`` or on a backend that models no occupancy)."""
         self.energy_model = energy_model
-        freq = _DEVICE_FREQ_HZ.get(energy_model)
         mo = self.mean_occupancy()
-        if freq is not None and mo:
+        if energy_model in ("asic", "fpga") and mo:
             from ..energy import asic_model, fpga_model
 
             model = asic_model() if energy_model == "asic" else fpga_model()
-            self.device_throughput_pps = freq / mo
+            self.device_throughput_pps = model.device.freq_hz / mo
             self.energy_per_packet_j = model.energy_per_packet_j(mo)
         return self
 

@@ -131,10 +131,6 @@ class RebuildUpdatable(ClassifierBase):
         self._refresh()
 
     # ------------------------------------------------------------------
-    @property
-    def n_live_rules(self) -> int:
-        return int(self._live.sum())
-
     def live_ruleset(self) -> RuleSet:
         """The live rules in priority order (ids compacted)."""
         rules = [r for i, r in enumerate(self._rules) if self._live[i]]

@@ -5,28 +5,6 @@ Each module exposes ``run(pipeline) -> rows`` (structured results) and
 checks).  ``run_all`` regenerates everything.
 """
 
-from .common import (
-    ACL1_SIZES,
-    BINTH_HARDWARE,
-    BINTH_SOFTWARE,
-    PAPER_SPEED,
-    PAPER_SPFAC,
-    TABLE4_SIZES,
-    Pipeline,
-    Workload,
-    render_table,
-    shape_check,
-)
+from .common import Pipeline, Workload
 
-__all__ = [
-    "ACL1_SIZES",
-    "BINTH_HARDWARE",
-    "BINTH_SOFTWARE",
-    "PAPER_SPEED",
-    "PAPER_SPFAC",
-    "TABLE4_SIZES",
-    "Pipeline",
-    "Workload",
-    "render_table",
-    "shape_check",
-]
+__all__ = ["Pipeline", "Workload"]

@@ -1,10 +1,5 @@
-"""Regenerate every table and figure in one run.
-
-Usage::
-
-    python -m repro.experiments.run_all            # full grids
-    python -m repro.experiments.run_all --quick    # CI-sized grids
-    python -m repro.experiments.run_all -o EXPERIMENTS_RUN.md
+"""Regenerate every table and figure in one run
+(``python -m repro.cli tables [--quick] [-o FILE]``).
 
 One :class:`~repro.experiments.common.Pipeline` is shared so each
 workload is generated/built exactly once across tables.
@@ -12,8 +7,6 @@ workload is generated/built exactly once across tables.
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 
 from . import (
@@ -54,23 +47,3 @@ def run_all(quick: bool = False, seed: int = 7) -> str:
         body = fn(pipe)
         parts.append(f"## {name}  (took {time.time() - t0:.1f}s)\n\n```\n{body}\n```")
     return "\n\n".join(parts)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="CI-sized grids")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("-o", "--output", default=None, help="write markdown here")
-    args = parser.parse_args(argv)
-    out = run_all(quick=args.quick, seed=args.seed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("# Regenerated experiments\n\n" + out + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(out)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -6,32 +6,13 @@ parameter) and Section 4's architecture (Figure 4 datapath, Figure 5 FSM)
 as a cycle-accurate functional simulator plus a vectorised trace model.
 """
 
-from .accelerator import (
-    Accelerator,
-    AcceleratorFSM,
-    AcceleratorRun,
-    FsmPacketRecord,
-    FsmTraceEvent,
-    figure5_trace,
-    header_msb8,
-)
+from .accelerator import Accelerator, AcceleratorFSM, AcceleratorRun, figure5_trace
 from .encoding import (
-    CHILD_ENTRY_BITS,
-    EMPTY_ADDR,
-    INVALID_RULE_ID,
-    MAX_CHILDREN,
-    RULE_BITS,
     RULES_PER_WORD,
-    WORD_BITS,
-    WORD_BYTES,
     ChildEntry,
-    DecodedNode,
-    DecodedRule,
     decode_internal_node,
-    decode_ip_prefix,
     decode_rule,
     encode_internal_node,
-    encode_ip_prefix,
     encode_rule,
     pack_leaf_word,
     unpack_leaf_word,
@@ -42,39 +23,18 @@ from .layout import (
     build_memory_image,
     measure_layout,
 )
-from .memory import (
-    DEFAULT_CAPACITY_WORDS,
-    EXTENDED_CAPACITY_WORDS,
-    N_MEMORY_BLOCKS,
-    MemoryArray,
-    Placement,
-)
-from .resync import ResyncStats, resync_memory_image
+from .memory import DEFAULT_CAPACITY_WORDS, N_MEMORY_BLOCKS, Placement
 
 __all__ = [
     "Accelerator",
     "AcceleratorFSM",
     "AcceleratorRun",
-    "FsmPacketRecord",
-    "FsmTraceEvent",
     "figure5_trace",
-    "header_msb8",
-    "CHILD_ENTRY_BITS",
-    "EMPTY_ADDR",
-    "INVALID_RULE_ID",
-    "MAX_CHILDREN",
-    "RULE_BITS",
     "RULES_PER_WORD",
-    "WORD_BITS",
-    "WORD_BYTES",
     "ChildEntry",
-    "DecodedNode",
-    "DecodedRule",
     "decode_internal_node",
-    "decode_ip_prefix",
     "decode_rule",
     "encode_internal_node",
-    "encode_ip_prefix",
     "encode_rule",
     "pack_leaf_word",
     "unpack_leaf_word",
@@ -83,10 +43,6 @@ __all__ = [
     "build_memory_image",
     "measure_layout",
     "DEFAULT_CAPACITY_WORDS",
-    "EXTENDED_CAPACITY_WORDS",
     "N_MEMORY_BLOCKS",
-    "MemoryArray",
     "Placement",
-    "ResyncStats",
-    "resync_memory_image",
 ]

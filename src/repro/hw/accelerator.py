@@ -90,10 +90,6 @@ class AcceleratorRun:
     def latency(self) -> np.ndarray:
         return self.occupancy + 1
 
-    @property
-    def total_cycles(self) -> int:
-        return int(self.occupancy.sum())
-
     def mean_occupancy(self) -> float:
         return float(self.occupancy.mean()) if self.occupancy.size else 0.0
 
@@ -183,13 +179,6 @@ class Accelerator:
             np.asarray([list(header)], dtype=np.uint32), self.tree.schema
         )
         return int(self.run_trace(trace).match[0])
-
-    def classify_batch(self, headers: np.ndarray) -> np.ndarray:
-        """Engine-protocol batch lookup: matched rule ids only."""
-        return self.classify_trace(PacketTrace(headers, self.tree.schema))
-
-    def classify_trace(self, trace: PacketTrace) -> np.ndarray:
-        return self.match_occupancy(trace)[0]
 
 
 # ---------------------------------------------------------------------------

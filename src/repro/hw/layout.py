@@ -57,9 +57,6 @@ class MemoryImage:
     def bytes_used(self) -> int:
         return self.memory.bytes_used
 
-    def placement_of(self, node_id: int) -> Placement:
-        return self.placements[node_id]
-
     # ------------------------------------------------------------------
     def worst_case_occupancy(self) -> int:
         """Max memory words fetched for any packet (= Table 8's hardware

@@ -19,7 +19,7 @@ should configure serving through this module.  See ``docs/engine.md``.
 from ..engine.faults import FaultPlan, FaultSpec
 from ..engine.report import EngineReport, latency_percentiles
 from ..engine.supervision import FAULT_POLICIES, FaultReport, SupervisionPolicy
-from .config import ENERGY_MODELS, EngineConfig
+from .config import EngineConfig
 from .ingest import (
     DEFAULT_SEGMENT_PACKETS,
     ON_MALFORMED,
@@ -31,7 +31,6 @@ from .session import ChunkResult, Engine
 from .tenancy import MultiTenantEngine, TenantReport, TenantSpec
 
 __all__ = [
-    "ENERGY_MODELS",
     "EngineConfig",
     "DEFAULT_SEGMENT_PACKETS",
     "ON_MALFORMED",

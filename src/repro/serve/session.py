@@ -134,14 +134,6 @@ class ChunkResult:
             epoch=result.final_epoch, match=result.match, result=result,
         )
 
-    @property
-    def matched_fraction(self) -> float:
-        return self.matched / self.n_packets if self.n_packets else 0.0
-
-    @property
-    def throughput_pps(self) -> float:
-        return self.n_packets / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
 
 class Engine:
     """A serving session: one built classifier behind one pipeline.

@@ -15,16 +15,9 @@ the energy/fault semantics.
 """
 
 from .graph import StageGraph, StageReport
-from .spec import (
-    QUEUE_POLICIES,
-    STAGE_KINDS,
-    StageGraphSpec,
-    StageSpec,
-    default_graph,
-)
+from .spec import STAGE_KINDS, StageGraphSpec, StageSpec, default_graph
 
 __all__ = [
-    "QUEUE_POLICIES",
     "STAGE_KINDS",
     "StageGraph",
     "StageGraphSpec",

@@ -67,7 +67,7 @@ from ..core.rules import DIM_DST_PORT, DIM_PROTO, FIVE_TUPLE
 from ..core.spec import check_value
 from ..core.updates import ScheduledUpdate
 from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
-from ..energy.tcam import TCAM_ENTRY_BYTES
+from ..energy.tcam import AYAMA_10128, TCAM_ENTRY_BYTES
 from ..engine.faults import FaultPlan
 from ..engine.supervision import FaultReport
 from ..serve import DEFAULT_SEGMENT_PACKETS, Engine, EngineReport
@@ -423,7 +423,7 @@ class StageGraph:
                 rep.extra["unique_flows"] = int(self._tcam_keys.size)
                 model = TcamModel()
                 rep.energy_j += n_in * model.energy_per_lookup_j(
-                    self.tcam.n_slots * TCAM_ENTRY_BYTES, self.tcam_freq_hz
+                    self.tcam.n_slots * TCAM_ENTRY_BYTES, AYAMA_10128.freq_hz
                 )
         elif stage.kind == "flow_cache":
             # The cache executes inside the engine (CachedClassifier is
@@ -483,10 +483,6 @@ class StageGraph:
                 ]
             rep.energy_j += n_in * SRAM_ACCESS_ENERGY_J
         return None
-
-    #: Operating frequency the TCAM prefilter is modelled at (the Ayama
-    #: 10128's 77 MHz datasheet point).
-    tcam_freq_hz = 77e6
 
     def _tcam_verdicts(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Per-packet TCAM verdicts through the flow-hash memo.

@@ -96,6 +96,16 @@ _PARAM_SCHEMA: dict[str, dict] = {
     },
 }
 
+#: The flow_cache stage's geometry where a parameter is omitted: what
+#: the stage is checked against and what the engine is built with.
+_FLOW_CACHE_DEFAULTS = {"entries": 4096, "ways": 4}
+
+
+def _cache_geometry(params: dict) -> tuple[int, int]:
+    """A flow_cache stage's ``(entries, ways)``, defaults filled in."""
+    params = {**_FLOW_CACHE_DEFAULTS, **params}
+    return params["entries"], params["ways"]
+
 
 def _check_param(kind: str, key: str, value):
     """Validate one stage parameter value; returns the coerced value."""
@@ -159,12 +169,11 @@ class StageSpec(Spec):
             },
         )
         if self.kind == "flow_cache":
-            entries = self.params.get("entries", 0)
-            ways = self.params.get("ways", 4)
+            entries, ways = _cache_geometry(self.params)
             if entries % ways:
                 raise ConfigError(
-                    f"flow_cache entries ({entries}) must be a multiple "
-                    f"of ways ({ways})"
+                    f"flow_cache stage {self.name!r}: entries ({entries}) "
+                    f"must be a multiple of ways ({ways})"
                 )
 
 
@@ -232,8 +241,8 @@ class StageGraphSpec(Spec):
                 )
         merged = {**EngineConfig().to_dict(), **overlay}
         if cache is not None:
-            merged["cache_entries"] = cache.params.get("entries", 4096)
-            merged["cache_ways"] = cache.params.get("ways", 4)
+            geometry = _cache_geometry(cache.params)
+            merged["cache_entries"], merged["cache_ways"] = geometry
         parse = self.stage("parse")
         if parse is not None:
             merged["on_malformed"] = parse.params.get(

@@ -23,25 +23,14 @@ See ``docs/sweeps.md`` for the spec schema and the CI tiers.
 """
 
 from .matrix import render_matrix
-from .runner import ARTIFACT_VERSION, CellResult, SweepResult, run_sweep
-from .spec import (
-    TIERS,
-    SweepCell,
-    SweepSpec,
-    default_spec,
-    match_filters,
-    parse_filters,
-)
+from .runner import run_sweep
+from .spec import TIERS, SweepCell, SweepSpec, default_spec, parse_filters
 
 __all__ = [
-    "ARTIFACT_VERSION",
     "TIERS",
-    "CellResult",
     "SweepCell",
     "SweepSpec",
-    "SweepResult",
     "default_spec",
-    "match_filters",
     "parse_filters",
     "render_matrix",
     "run_sweep",

@@ -20,13 +20,11 @@ def _column_key(m: dict) -> tuple:
         m["shard_mode"],
         m["packet_bytes"],
         m["churn"],
-        # Pre-tenancy artifacts have no tenants field: single-tenant.
-        m.get("tenants", 1),
     )
 
 
 def _column_label(key: tuple, varying: dict[str, bool]) -> str:
-    backend, entries, skew, shards, mode, pkt, churn, tenants = key
+    backend, entries, skew, shards, mode, pkt, churn = key
     parts = [backend]
     if varying["cache_entries"]:
         parts.append("bare" if not entries else f"e{entries}")
@@ -38,8 +36,6 @@ def _column_label(key: tuple, varying: dict[str, bool]) -> str:
         parts.append(f"p{pkt}")
     if varying["churn"]:
         parts.append(f"u{churn}")
-    if varying["tenants"]:
-        parts.append(f"t{tenants}")
     return " ".join(parts)
 
 
@@ -76,7 +72,6 @@ def render_matrix(artifact: dict) -> str:
             "packet_bytes", "churn",
         )
     }
-    varying["tenants"] = len({m.get("tenants", 1) for m in metrics}) > 1
     families = sorted({m["family"] for m in metrics})
     for family in families:
         fam = [m for m in metrics if m["family"] == family]

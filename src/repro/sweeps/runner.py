@@ -41,12 +41,7 @@ from typing import Callable
 from ..classbench import churn_schedule, generate_ruleset, generate_zipf_trace
 from ..energy import CacheEnergyModel, line_rate_feasibility
 from ..engine.flowcache import CachedClassifier
-from ..serve import (
-    Engine,
-    MultiTenantEngine,
-    TenantSpec,
-    iter_trace_segments,
-)
+from ..serve import Engine
 from ..stages import StageGraph, default_graph
 from .spec import SweepCell, SweepSpec, match_filters
 
@@ -104,7 +99,6 @@ def _cell_metrics(cell: SweepCell, report, classifier) -> dict:
         "skew": cell.skew,
         "packet_bytes": cell.packet_bytes,
         "churn": cell.churn,
-        "tenants": cell.tenants,
         "scenario": cell.scenario,
         "n_packets": report.n_packets,
         "matched_fraction": round(report.matched_fraction, 4),
@@ -174,35 +168,6 @@ def _run_linecard_cell(
     return metrics
 
 
-def _run_multi_tenant_cell(cell, ruleset, trace, config, schedule) -> dict:
-    """Execute a ``tenants > 1`` cell through one
-    :class:`~repro.serve.MultiTenantEngine` session.
-
-    The cell's trace is split into N equal contiguous slices, one per
-    tenant, and every tenant runs the *same* engine config against the
-    *same* ruleset — the axis measures the admission scheduler and
-    shared-pool overhead, not workload drift, so the aggregate metrics
-    stay comparable with the cell's single-tenant neighbours.  A churn
-    schedule rides on the first tenant only: the other tenants' epochs
-    (and caches) must be untouched by its updates.
-    """
-    names = [f"t{i}" for i in range(cell.tenants)]
-    tenants = [(TenantSpec(name=name, config=config), ruleset) for name in names]
-    per = -(-trace.n_packets // cell.tenants)
-    workloads = dict(zip(names, iter_trace_segments(trace, per)))
-    updates = {names[0]: schedule} if schedule else None
-    with MultiTenantEngine.open(tenants) as mte:
-        report = mte.serve(
-            workloads,
-            updates=updates,
-            segment_packets=max(1, min(per, cell.chunk_size)),
-        )
-        metrics = _cell_metrics(cell, report, mte.engine(names[0]).classifier)
-    tenant_pps = [t.throughput_pps for t in report.tenants]
-    metrics["min_tenant_pps"] = round(min(tenant_pps))
-    return metrics
-
-
 def run_sweep(
     spec: SweepSpec,
     filters: dict[str, set[str]] | None = None,
@@ -251,9 +216,7 @@ def run_sweep(
                 cell.packets,
                 seed=cell.update_seed,
             )
-        elif cell.tenants == 1:
-            # Multi-tenant cells skip the shared-build cache: the
-            # MultiTenantEngine builds each tenant's own classifier.
+        else:
             build_key = (rs_key, cell.backend)
             bare = backends.get(build_key)
             if bare is None:
@@ -268,11 +231,7 @@ def run_sweep(
                 classifier = CachedClassifier(
                     bare, entries=cell.cache_entries, ways=cell.cache_ways
                 )
-        if cell.tenants > 1:
-            metrics = _run_multi_tenant_cell(
-                cell, ruleset, trace, config, schedule
-            )
-        elif cell.scenario == "linecard":
+        if cell.scenario == "linecard":
             metrics = _run_linecard_cell(
                 cell, ruleset, trace, config, schedule, classifier
             )

@@ -14,9 +14,6 @@ work) report family x size x skew grids as their headline evidence.  A
 * ``skews`` — Zipf flow-popularity skew of the trace;
 * ``packet_bytes`` — wire packet size for line-rate feasibility;
 * ``churn_rates`` — live rule updates per 1000 packets (0 = static);
-* ``tenants`` — how many tenants share the cell's engine through a
-  :class:`~repro.serve.MultiTenantEngine` session (1 = the plain
-  single-tenant serving path; see ``docs/engine.md``);
 * ``scenarios`` — the serving surface each cell executes through:
   ``"bare"`` (a plain :class:`~repro.serve.Engine` session) or
   ``"linecard"`` (the full :mod:`repro.stages` RX stage graph over the
@@ -39,6 +36,8 @@ distinct values).
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -54,6 +53,20 @@ TIERS = ("quick", "full", "soak")
 
 #: The serving scenarios the ``scenarios`` axis accepts.
 SCENARIOS = ("bare", "linecard")
+
+#: Each grid axis of a spec and the cell field it sets, in expansion order.
+_AXES = (
+    ("families", "family"),
+    ("sizes", "size"),
+    ("backends", "backend"),
+    ("shards", "shards"),
+    ("shard_modes", "shard_mode"),
+    ("cache_entries", "cache_entries"),
+    ("skews", "skew"),
+    ("packet_bytes", "packet_bytes"),
+    ("churn_rates", "churn"),
+    ("scenarios", "scenario"),
+)
 
 
 def _axis(default: tuple, **meta):
@@ -86,19 +99,16 @@ class SweepCell:
     flows: int
     chunk_size: int
     seed: int
-    tenants: int = 1
-    scenario: str = "bare"
+    scenario: str
 
     @property
     def cell_id(self) -> str:
         """Stable axis-coordinate key (the ``cells`` key in the
-        artifact, and what ``--filter`` selects against).  The tenants
-        and scenario coordinates only appear for non-default cells, so
-        grids that never touch those axes keep their historical cell
-        ids (and their committed baselines)."""
-        suffix = f"/t{self.tenants}" if self.tenants > 1 else ""
-        if self.scenario != "bare":
-            suffix += f"/{self.scenario}"
+        artifact, and what ``--filter`` selects against).  The scenario
+        coordinate only appears for non-default cells, so grids that
+        never touch that axis keep their historical cell ids (and their
+        committed baselines)."""
+        suffix = f"/{self.scenario}" if self.scenario != "bare" else ""
         return (
             f"{self.family}/{self.size}/{self.backend}"
             f"/s{self.shards}-{self.shard_mode}"
@@ -166,7 +176,6 @@ class SweepSpec(Spec):
     skews: tuple[float, ...] = _axis((0.7, 1.1), min=0.0)
     packet_bytes: tuple[int, ...] = _axis((40,), min=1)
     churn_rates: tuple[int, ...] = _axis((0,), min=0)
-    tenants: tuple[int, ...] = _axis((1,), min=1)
     scenarios: tuple[str, ...] = _axis(("bare",), choices=SCENARIOS)
     packets: int = field(20_000, min=1)
     flows: int = field(1024, min=1)
@@ -182,12 +191,6 @@ class SweepSpec(Spec):
                 raise ConfigError(
                     f"{f.name} contains duplicate values: {list(values)!r}"
                 )
-        if "linecard" in self.scenarios and any(t > 1 for t in self.tenants):
-            raise ConfigError(
-                "the linecard scenario serves a single tenant; drop the "
-                "multi-tenant values from the tenants axis or the "
-                "linecard value from scenarios"
-            )
         # Canonicalise backend aliases the way EngineConfig does, so two
         # specs naming the same grid compare equal.
         object.__setattr__(
@@ -205,68 +208,20 @@ class SweepSpec(Spec):
     # -- expansion -------------------------------------------------------
     @property
     def n_cells(self) -> int:
-        return (
-            len(self.families)
-            * len(self.sizes)
-            * len(self.backends)
-            * len(self.shards)
-            * len(self.shard_modes)
-            * len(self.cache_entries)
-            * len(self.skews)
-            * len(self.packet_bytes)
-            * len(self.churn_rates)
-            * len(self.tenants)
-            * len(self.scenarios)
-        )
+        return math.prod(len(getattr(self, axis)) for axis, _ in _AXES)
 
     def expand(self) -> list[SweepCell]:
         """The full cross product, in stable axis order."""
-        cells = []
-        for family in self.families:
-            for size in self.sizes:
-                for backend in self.backends:
-                    for shards in self.shards:
-                        for mode in self.shard_modes:
-                            for entries in self.cache_entries:
-                                for skew in self.skews:
-                                    for pkt in self.packet_bytes:
-                                        for churn in self.churn_rates:
-                                            for n_ten in self.tenants:
-                                                for scn in self.scenarios:
-                                                    cells.append(
-                                                        self._cell(
-                                                            family, size,
-                                                            backend, shards,
-                                                            mode, entries,
-                                                            skew, pkt,
-                                                            churn, n_ten,
-                                                            scn,
-                                                        )
-                                                    )
-        return cells
-
-    def _cell(
-        self, family, size, backend, shards, mode, entries, skew, pkt, churn,
-        n_tenants=1, scenario="bare",
-    ) -> SweepCell:
-        return SweepCell(
-            family=family,
-            size=size,
-            backend=backend,
-            shards=shards,
-            shard_mode=mode,
-            cache_entries=entries,
+        fixed = dict(
             cache_ways=self.cache_ways,
-            skew=skew,
-            packet_bytes=pkt,
-            churn=churn,
             packets=self.packets,
             flows=self.flows,
             chunk_size=self.chunk_size,
             seed=self.seed,
-            tenants=n_tenants,
-            scenario=scenario,
         )
+        names = [name for _, name in _AXES]
+        grid = itertools.product(*(getattr(self, axis) for axis, _ in _AXES))
+        return [SweepCell(**dict(zip(names, point)), **fixed) for point in grid]
 
     # -- tiers -----------------------------------------------------------
     def quick(self) -> "SweepSpec":
@@ -349,8 +304,7 @@ def parse_filters(pairs: list[str]) -> dict[str, set[str]]:
     """
     allowed = {
         "family", "size", "backend", "shards", "shard_mode",
-        "cache_entries", "skew", "packet_bytes", "churn", "tenants",
-        "scenario",
+        "cache_entries", "skew", "packet_bytes", "churn", "scenario",
     }
     out: dict[str, set[str]] = {}
     for pair in pairs or []:

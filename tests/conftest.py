@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DEMO_SCHEMA, RuleSet, generate_ruleset, generate_trace, make_demo_ruleset
+from repro import RuleSet, generate_ruleset, generate_trace
+from repro.core.rules import DEMO_SCHEMA, make_demo_ruleset
 from repro.algorithms import (
     LinearSearchClassifier,
     build_hicuts,

@@ -7,13 +7,8 @@ import pytest
 
 from repro import generate_ruleset, generate_trace
 from repro.algorithms import LinearSearchClassifier, build_hicuts, build_hypercuts
-from repro.hw import (
-    Accelerator,
-    AcceleratorFSM,
-    build_memory_image,
-    figure5_trace,
-    header_msb8,
-)
+from repro.hw import Accelerator, AcceleratorFSM, build_memory_image, figure5_trace
+from repro.hw.accelerator import header_msb8
 
 
 class TestHeaderMsb8:

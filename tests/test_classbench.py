@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 from repro.classbench import (
-    ACL1,
     FAMILIES,
-    FW1,
-    IPC1,
     generate_ruleset,
     generate_trace,
     generate_zipf_trace,
-    get_seed,
-    trace_locality,
 )
+from repro.classbench.seeds import ACL1, FW1, IPC1, get_seed
+from repro.classbench.trace import trace_locality
 from repro.core.errors import ConfigError
 from repro.core.rules import FIVE_TUPLE
 from repro.experiments import common

@@ -188,6 +188,44 @@ class TestBench:
         assert err.startswith("error: cannot load fault plan")
         assert err.count("\n") == 1
 
+    def test_retried_fault_is_reported(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"specs": [{"kind": "error", "chunk": 1}]}))
+        rc = main([
+            "bench", "--rules", "60", "--packets", "2000", "--chunk-size",
+            "500", "--algorithm", "linear", "--faults", str(plan),
+            "--fault-policy", "retry", "--min-chunk-packets", "0",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "chunks: 4" in out
+        assert "fault recovery: 1 retries, 1 chunk replays" in out
+
+
+class TestSweep:
+    def test_quick_shrinks_a_spec_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "tiny", "families": ["acl1"], "sizes": [60, 5000],
+            "backends": ["linear"], "shards": [1, 2], "cache_entries": [0],
+            "skews": [1.1], "churn_rates": [0, 8], "packets": 30000,
+            "flows": 32,
+        }))
+        artifact = tmp_path / "sweep.json"
+        rc = main([
+            "sweep", "--spec", str(spec), "--quick", "-o", str(artifact),
+            "--matrix", str(tmp_path / "matrix.md"),
+        ])
+        assert rc == 0
+        assert "sweep 'tiny-quick': 1 cells" in capsys.readouterr().out
+        ran = json.loads(artifact.read_text())
+        assert ran["spec"]["sizes"] == [60]
+        assert ran["spec"]["shards"] == [1]
+        assert ran["spec"]["churn_rates"] == [0]
+        assert ran["spec"]["packets"] == 20000
+        (cell,) = ran["cells"].values()
+        assert cell["n_packets"] == 20000
+
 
 class TestServeInputs:
     """Wrong-typed serve input files exit 2 with one ``error:`` line."""

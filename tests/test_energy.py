@@ -15,11 +15,11 @@ from repro.energy import (
     Sa1100Model,
     TcamModel,
     asic_model,
-    denormalize_power,
     fpga_model,
     normalize_power,
     software_lookup_ops,
 )
+from repro.energy.technology import denormalize_power
 from repro.energy.metrics import (
     OC48,
     OC192,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FIVE_TUPLE, PacketTrace, Rule, RuleSet
+from repro import PacketTrace, Rule, RuleSet
+from repro.core.rules import FIVE_TUPLE
 from repro.core.errors import ConfigError
 from repro.engine import (
     available_backends,

@@ -16,7 +16,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Engine, EngineConfig, FIVE_TUPLE, PacketTrace
+from repro import Engine, EngineConfig, PacketTrace
+from repro.core.rules import FIVE_TUPLE
 from repro.core.errors import ConfigError, ServingFaultError
 from repro.core.updates import ScheduledUpdate, remove_op
 from repro.energy import asic_model

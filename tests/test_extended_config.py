@@ -11,14 +11,8 @@ from repro import generate_ruleset, generate_trace
 from repro.algorithms import build_hicuts
 from repro.core.errors import CapacityError
 from repro.experiments import figures
-from repro.hw import (
-    Accelerator,
-    AcceleratorFSM,
-    EXTENDED_CAPACITY_WORDS,
-    MemoryArray,
-    build_memory_image,
-    measure_layout,
-)
+from repro.hw import Accelerator, AcceleratorFSM, build_memory_image, measure_layout
+from repro.hw.memory import EXTENDED_CAPACITY_WORDS, MemoryArray
 from repro.hw.layout import MemoryImage
 
 

@@ -18,11 +18,11 @@ from repro.core.rules import FIVE_TUPLE
 from repro.hw import (
     Accelerator,
     AcceleratorFSM,
-    EMPTY_ADDR,
     build_memory_image,
     decode_internal_node,
     decode_rule,
 )
+from repro.hw.encoding import EMPTY_ADDR
 from repro.hw.encoding import ChildEntry, encode_internal_node
 
 

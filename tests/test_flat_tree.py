@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DEMO_SCHEMA, PacketTrace, RuleSet, generate_ruleset
+from repro import PacketTrace, RuleSet, generate_ruleset
+from repro.core.rules import DEMO_SCHEMA
 from repro.algorithms import (
     FlatTree,
     IncrementalClassifier,

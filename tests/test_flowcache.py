@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FIVE_TUPLE, PacketTrace, Rule, generate_zipf_trace
+from repro import PacketTrace, Rule, generate_zipf_trace
+from repro.core.rules import FIVE_TUPLE
 from repro.algorithms import native
 from repro.core.errors import ConfigError
 from repro.core.updates import insert_op, remove_op

@@ -16,7 +16,8 @@ from repro import generate_ruleset, generate_trace
 from repro.algorithms.incremental import IncrementalClassifier
 from repro.core.errors import CapacityError
 from repro.core.updates import insert_op, remove_op
-from repro.hw import Accelerator, build_memory_image, resync_memory_image
+from repro.hw import Accelerator, build_memory_image
+from repro.hw.resync import resync_memory_image
 
 
 @pytest.fixture()
@@ -132,3 +133,14 @@ class TestIncrementalResync:
         assert stats.words_rewritten == 0
         assert stats.words_discarded == 0
         assert image.memory.to_bytes() == before
+
+    def test_shrinking_batch_discards_stale_words(self, inc):
+        # A batch that is mostly removals leaves the layout with fewer
+        # words; the re-sync must drop the ones past its end.
+        image = build_memory_image(inc.tree, speed=1)
+        before = image.memory.words_used
+        inc.apply_updates([remove_op(i) for i in range(0, 1000, 2)])
+        stats = resync_memory_image(image, inc.last_touched)
+        assert stats.words_discarded > 0
+        assert image.memory.words_used < before
+        assert_matches_scratch(image)

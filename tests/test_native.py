@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DEMO_SCHEMA, FIVE_TUPLE, PacketTrace, RuleSet
+from repro import PacketTrace, RuleSet
+from repro.core.rules import DEMO_SCHEMA, FIVE_TUPLE
 from repro.algorithms import (
     FlatTree,
     IncrementalClassifier,

@@ -16,7 +16,8 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.errors import ConfigError
-from repro.serve import ENERGY_MODELS, EngineConfig
+from repro.serve import EngineConfig
+from repro.serve.config import ENERGY_MODELS
 
 #: A spread of configs covering every field away from its default.
 CONFIG_GRID = [

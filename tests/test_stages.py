@@ -66,6 +66,7 @@ class TestStageSpec:
             ("queue_select", {"policy": "rr"}, "policy"),
             ("queue_select", {"queues": 0}, "queues must be >= 1"),
             ("flow_cache", {"entries": 100, "ways": 8}, "multiple"),
+            ("flow_cache", {"ways": 3}, r"flow_cache stage.*\(4096\).*ways \(3\)"),
             ("tcam_prefilter", {"max_slots": -1}, ">= 0"),
             ("rewrite", {"bytes": "wide"}, "must be an int"),
             ("drop", {"deny_proto": [6, -1]}, "non-negative"),

@@ -21,11 +21,11 @@ from repro.serve import EngineConfig
 from repro.sweeps import (
     SweepSpec,
     default_spec,
-    match_filters,
     parse_filters,
     render_matrix,
     run_sweep,
 )
+from repro.sweeps.spec import match_filters
 
 compare = compare_baseline.compare
 
@@ -371,9 +371,12 @@ class TestScenarioAxis:
         with pytest.raises(ConfigError, match="unknown scenario"):
             _tiny_spec(scenarios=("turbo",))
 
-    def test_linecard_with_multi_tenant_rejected(self):
-        with pytest.raises(ConfigError, match="single tenant"):
-            _tiny_spec(scenarios=("bare", "linecard"), tenants=(1, 2))
+    def test_tenants_is_not_an_axis(self):
+        data = _tiny_spec().to_dict()
+        with pytest.raises(ConfigError, match="unknown SweepSpec field.*tenants"):
+            SweepSpec.from_dict({**data, "tenants": [1, 2]})
+        with pytest.raises(ConfigError, match="unknown --filter axis 'tenants'"):
+            parse_filters(["tenants=1"])
 
     def test_scenario_filter_selects(self):
         spec = _tiny_spec(scenarios=("bare", "linecard"))

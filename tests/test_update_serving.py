@@ -42,8 +42,8 @@ from repro.engine import (
     RebuildUpdatable,
     build_backend,
     build_updatable_backend,
-    is_updatable,
 )
+from repro.engine.updates import is_updatable
 
 CHUNK = 256
 
