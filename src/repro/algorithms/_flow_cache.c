@@ -1,10 +1,11 @@
-/* The flow cache's per-batch loops (engine/flowcache.py: FlowCache's
- * _flow_keys, _probe and _fill, and dedupe_flow_keys) over the same
- * tables; native.py builds this file into one library with
- * _flat_walk.c.  Keys are the packed words of pack_flow_keys, stored
- * words-major: word k of key p is words[k * n + p].  The one set index
- * that comes from outside (fc_fill's) is bounds-checked, so a bad one is
- * an error code, not a fault. */
+/* The flow cache's two per-batch loops, FlowCache.lookup and
+ * FlowCache.commit (engine/flowcache.py, whose NumPy paths are the
+ * oracle), over its own tables; native.py builds this file into one
+ * library with _flat_walk.c.  Keys are pack_flow_keys' words, set-major:
+ * way w of set s holds keyw[(s * ways + w) * nw ...].  The hot loops
+ * select without branching on the data (a mispredicted branch costs
+ * more than reading every way).  fc_commit range-checks its indices
+ * (sets, misses, ranks) before the first write: a bad one is an error. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -12,19 +13,25 @@
 enum { FC_OK, FC_ERR_RANGE = 2, FC_ERR_MEMORY = 3 };
 
 typedef struct {       /* field order is native._Cache._fields_ */
-    int64_t n_sets, ways, n_words, epoch, tick;
-    uint64_t *keyw;                     /* (n_words, ways, n_sets) */
+    int64_t n_sets, ways, ndim, epoch, tick;
+    uint64_t *keyw;                     /* (n_sets, ways, n_words) */
     int64_t *result, *stamp, *epoch_of, *filled;   /* (n_sets, ways) */
 } flow_cache;
 
-/* FNV-1a over the header columns, the high bits folded in, modulo the
- * set count (a mask when it is a power of two: the same index). */
-static int64_t set_index(const uint32_t *h, int64_t ndim, uint64_t n_sets)
+/* FNV-1a over the header columns, the high bits folded in: the set
+ * index is this modulo the set count, and fc_lookup groups misses by it. */
+static uint64_t fnv(const uint32_t *h, int64_t ndim)
 {
     uint64_t x = 0xCBF29CE484222325ULL;
+#pragma GCC unroll 8
     for (int64_t d = 0; d < ndim; d++)
         x = (x ^ h[d]) * 0x100000001B3ULL;
-    x ^= x >> 33;
+    return x ^ x >> 33;
+}
+
+/* x modulo the set count, a mask when that is a power of two. */
+static int64_t set_of(uint64_t x, uint64_t n_sets)
+{
     return (int64_t)((n_sets & (n_sets - 1)) ? x % n_sets : x & (n_sets - 1));
 }
 
@@ -35,78 +42,20 @@ static uint64_t key_word(const uint32_t *h, int64_t ndim, int64_t k)
     return (uint64_t)h[2 * k] << 32 | (2 * k + 1 < ndim ? h[2 * k + 1] : 0);
 }
 
-/* pack_flow_keys and FlowCache._set_index of headers[rows[i]] (of
- * headers[i] when rows is NULL), i < n, in one pass. */
-void fc_keys(const uint32_t *headers, const int64_t *rows, int64_t n,
-             int64_t ndim, int64_t n_sets, uint64_t *words, int64_t *sets)
-{
-    for (int64_t i = 0; i < n; i++) {
-        const uint32_t *h = headers + (rows ? rows[i] : i) * ndim;
-        for (int64_t k = 0; k < (ndim + 1) / 2; k++)
-            words[k * n + i] = key_word(h, ndim, k);
-        sets[i] = set_index(h, ndim, (uint64_t)n_sets);
-    }
-}
-
 /* The slot's fill epoch is current (FlowCache._live). */
 static int live(const flow_cache *c, int64_t slot)
 {
     return c->epoch_of[slot] == c->epoch;
 }
 
-/* FlowCache._probe straight from the headers (their keys are compared
- * word by word as they are packed, never stored): the first live way of
- * each header's set holding its key gives hit, the cached result (-1 on
- * a miss) and the LRU stamp tick + p.  The positions that missed go to
- * misses[], in order; returns their count. */
-int64_t fc_probe(flow_cache *c, const uint32_t *headers, int64_t n,
-                 int64_t ndim, uint8_t *hit, int64_t *result, int64_t *misses)
-{
-    const int64_t ways = c->ways, n_sets = c->n_sets, nw = c->n_words;
-    int64_t n_miss = 0;
-    for (int64_t p = 0; p < n; p++) {
-        const uint32_t *h = headers + p * ndim;
-        int64_t s = set_index(h, ndim, (uint64_t)n_sets), found = -1;
-        for (int64_t w = 0; w < ways && found < 0; w++) {
-            int64_t k = 0;
-            while (k < nw && c->keyw[(k * ways + w) * n_sets + s]
-                             == key_word(h, ndim, k))
-                k++;
-            if (k == nw && live(c, s * ways + w))
-                found = w;
-        }
-        hit[p] = found >= 0;
-        if (found >= 0) {
-            result[p] = c->result[s * ways + found];
-            c->stamp[s * ways + found] = c->tick + p;
-        } else {
-            result[p] = -1;
-            misses[n_miss++] = p;
-        }
-    }
-    return n_miss;
-}
-
-/* 64-bit multiply-xorshift over one key's words (any good mix will do:
- * it only spreads the keys over the dedupe table). */
-static uint64_t mix(const uint64_t *words, int64_t n, int64_t p, int64_t nw)
-{
-    uint64_t h = words[p] * 0x9E3779B97F4A7C15ULL;
-    for (int64_t k = 1; k < nw; k++)
-        h = ((h ^ (h >> 32)) ^ words[k * n + p]) * 0xBF58476D1CE4E5B9ULL;
-    h ^= h >> 29;
-    return h * 0x9E3779B97F4A7C15ULL;
-}
-
 /* One distinct key while it is sorted: its first word inline, so most
  * comparisons read no further. */
 typedef struct { uint64_t w0; int64_t id; } entry;
 
+/* a sorts before b, two keys of one run of equal first words. */
 static int before(const entry *a, const entry *b, const uint64_t *keys,
                   int64_t nw)
 {
-    if (a->w0 != b->w0 || nw < 2)
-        return a->w0 < b->w0;
     const uint64_t *x = keys + a->id * nw, *y = keys + b->id * nw;
     for (int64_t k = 1; k < nw; k++)
         if (x[k] != y[k])
@@ -114,23 +63,12 @@ static int before(const entry *a, const entry *b, const uint64_t *keys,
     return 0;
 }
 
-/* Stable bottom-up merge sort of e[0, n) by key (w0 alone when nw < 2),
- * through tmp; insertion-sorted runs of 16 first.  Returns the array
- * the sorted result ended in. */
-static entry *sort_entries(entry *e, entry *tmp, int64_t n,
-                           const uint64_t *keys, int64_t nw)
+/* Bottom-up merge sort of one such run e[0, n) through tmp.  Returns the
+ * array the result ended in. */
+static entry *sort_run(entry *e, entry *tmp, int64_t n, const uint64_t *keys,
+                       int64_t nw)
 {
-    for (int64_t lo = 0; lo < n; lo += 16) {
-        int64_t hi = lo + 16 < n ? lo + 16 : n;
-        for (int64_t i = lo + 1; i < hi; i++) {
-            entry x = e[i];
-            int64_t j = i;
-            for (; j > lo && before(&x, &e[j - 1], keys, nw); j--)
-                e[j] = e[j - 1];
-            e[j] = x;
-        }
-    }
-    for (int64_t width = 16; width < n; width *= 2) {
+    for (int64_t width = 1; width < n; width *= 2) {
         for (int64_t lo = 0; lo < n; lo += 2 * width) {
             int64_t mid = lo + width < n ? lo + width : n;
             int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
@@ -149,188 +87,300 @@ static entry *sort_entries(entry *e, entry *tmp, int64_t n,
     return e;
 }
 
-/* LSD radix sort of e[0, n) by w0, a byte at a time through tmp (a byte
- * every entry shares costs no pass), then each run of equal w0 by the
- * rest of the key.  Returns the array the result ended in. */
+/* LSD radix sort of e[0, n), n >= 1, by w0, 11 bits at a time through
+ * tmp (a digit every entry shares costs no pass), then each run of equal
+ * w0 by the rest of the key.  Returns the array the result ended in,
+ * NULL when out of memory. */
 static entry *sort_keys(entry *e, entry *tmp, int64_t n, const uint64_t *keys,
                         int64_t nw)
 {
-    int64_t count[8][256] = {{0}};   /* one counter per byte value */
+    enum { BITS = 11, PASSES = (64 + BITS - 1) / BITS, RADIX = 1 << BITS };
+    int64_t (*count)[RADIX] = calloc(PASSES, sizeof *count);
+    if (!count)
+        return NULL;
     for (int64_t i = 0; i < n; i++)
-        for (int b = 0; b < 8; b++)
-            count[b][e[i].w0 >> 8 * b & 0xff]++;
-    for (int b = 0; b < 8; b++) {
+        for (int b = 0; b < PASSES; b++)
+            count[b][e[i].w0 >> BITS * b & (RADIX - 1)]++;
+    for (int b = 0; b < PASSES; b++) {
         int64_t *c = count[b], sum = 0;
-        if (n == 0 || c[e[0].w0 >> 8 * b & 0xff] == n)
+        if (c[e[0].w0 >> BITS * b & (RADIX - 1)] == n)
             continue;
-        for (int v = 0; v < 256; v++) {
+        for (int v = 0; v < RADIX; v++) {
             int64_t x = c[v];
             c[v] = sum;
             sum += x;
         }
         for (int64_t i = 0; i < n; i++)
-            tmp[c[e[i].w0 >> 8 * b & 0xff]++] = e[i];
+            tmp[c[e[i].w0 >> BITS * b & (RADIX - 1)]++] = e[i];
         entry *swap = e;
         e = tmp;
         tmp = swap;
     }
+    free(count);
     for (int64_t lo = 0, hi; lo < n; lo = hi) {
         for (hi = lo + 1; hi < n && e[hi].w0 == e[lo].w0; hi++)
             ;
-        if (hi - lo > 1) {
-            entry *run = sort_entries(e + lo, tmp + lo, hi - lo, keys, nw);
-            if (run != e + lo)
-                memcpy(e + lo, run, (size_t)(hi - lo) * sizeof *e);
-        }
+        entry *run = sort_run(e + lo, tmp + lo, hi - lo, keys, nw);
+        if (run != e + lo)
+            memcpy(e + lo, run, (size_t)(hi - lo) * sizeof *e);
     }
     return e;
 }
 
-/* An empty open-addressed table of 2^bits slots holding ids 0..nd-1 + 1
- * at their hashes' top bits; NULL when out of memory. */
-static int64_t *dedupe_table(int bits, const uint64_t *hash, int64_t nd)
+/* One batch's distinct misses so far, by id (arrival order): each one's
+ * FNV value and packed key, room for `most` (the batch size).  `table`
+ * (2^bits slots, at most half full) finds an id by FNV value; it grows
+ * with the distinct count, and nothing is allocated before the first miss. */
+typedef struct { uint64_t x; int64_t id; } slot;   /* id + 1, 0: empty */
+
+typedef struct {
+    int bits;
+    int64_t most, nd;
+    uint64_t *x, *keys;
+    slot *table;
+} groups;
+
+static uint64_t home(uint64_t x, int bits)
 {
-    const uint64_t mask = ((uint64_t)1 << bits) - 1;
-    int64_t *table = calloc(mask + 1, sizeof *table);
-    for (int64_t id = 0; table && id < nd; id++) {
-        uint64_t i = hash[id] >> (64 - bits);
-        while (table[i])
-            i = (i + 1) & mask;
-        table[i] = id + 1;
-    }
-    return table;
+    return x * 0x9E3779B97F4A7C15ULL >> (64 - bits);
 }
 
-/* dedupe_flow_keys: group the n keys by first occurrence in an
- * open-addressed table (grown with the distinct count, kept at most half
- * full), sort the distinct ones word-lexicographically, and write
- * first[rank] (the position of each distinct key's first occurrence) and
- * inverse[p] (key p's rank): np.unique(axis=0)'s return_index /
- * return_inverse.  Returns the distinct count, or -FC_ERR_MEMORY. */
-int64_t fc_dedupe(const uint64_t *words, int64_t n_words, int64_t n,
-                  int64_t *first, int64_t *inverse)
+/* Double the table, or make the first (and the per-id arrays): at least
+ * 2^10 slots and `expect` ids a quarter full (a rehash costs more than a
+ * larger first table); 0 when out of memory. */
+static int grow(groups *g, int64_t nw, int64_t expect)
 {
-    const int64_t nw = n_words, most = n ? n : 1;
-    int bits = 10;
-    uint64_t *hash = malloc((size_t)most * sizeof *hash);
-    uint64_t *keys = malloc((size_t)most * nw * sizeof *keys);
-    entry *e = malloc((size_t)most * 2 * sizeof *e);
-    int64_t *table = dedupe_table(bits, NULL, 0), nd = 0;
-    if (!hash || !keys || !e || !table)
-        goto fail;
-    for (int64_t p = 0; p < n; p++) {
-        if (2 * (nd + 1) > (int64_t)1 << bits) {
-            free(table);
-            if (!(table = dedupe_table(++bits, hash, nd)))
-                goto fail;
-        }
-        const uint64_t h = mix(words, n, p, nw);
-        const uint64_t mask = ((uint64_t)1 << bits) - 1;
-        for (uint64_t i = h >> (64 - bits);; i = (i + 1) & mask) {
-            int64_t id = table[i] - 1, k = 0;
-            if (id < 0) {          /* a new key: its first occurrence */
-                id = nd++;
-                table[i] = id + 1;
-                hash[id] = h;
-                for (; k < nw; k++)
-                    keys[id * nw + k] = words[k * n + p];
-                first[id] = p;
-                inverse[p] = id;
-                break;
-            }
-            if (hash[id] != h)
-                continue;
-            while (k < nw && keys[id * nw + k] == words[k * n + p])
-                k++;
-            if (k == nw) {
-                inverse[p] = id;
-                break;
-            }
-        }
+    int bits = g->table ? g->bits + 1 : 10;
+    while (!g->table && (int64_t)1 << bits < 4 * expect)
+        bits++;
+    const size_t size = (size_t)1 << bits;
+    slot *table = calloc(size, sizeof *table);
+    if (!table || (!g->x && !(g->x = malloc(g->most * sizeof *g->x)))
+        || (!g->keys && !(g->keys = malloc(g->most * nw * sizeof *g->keys))))
+        return free(table), 0;
+    for (int64_t id = 0; id < g->nd; id++) {
+        uint64_t i = home(g->x[id], bits);
+        while (table[i].id)
+            i = (i + 1) & (size - 1);
+        table[i] = (slot){g->x[id], id + 1};
     }
-    for (int64_t id = 0; id < nd; id++)
-        e[id] = (entry){keys[id * nw], id};
-    entry *sorted = sort_keys(e, e + nd, nd, keys, nw);
-    /* first[] held the heads by id: keep them in table[] (at least 2 nd
-     * slots, now free) and turn the group ids into ranks through it. */
-    int64_t *head = table, *rank = table + nd;
-    memcpy(head, first, (size_t)nd * sizeof *head);
-    for (int64_t r = 0; r < nd; r++) {
-        first[r] = head[sorted[r].id];
-        rank[sorted[r].id] = r;
-    }
-    for (int64_t p = 0; p < n; p++)
-        inverse[p] = rank[inverse[p]];
-    free(hash), free(keys), free(e), free(table);
-    return nd;
-fail:
-    free(hash), free(keys), free(e), free(table);
-    return -FC_ERR_MEMORY;
+    free(g->table);
+    g->table = table;
+    g->bits = bits;
+    return 1;
 }
 
-/* The ways of set s oldest-first (dead ones first, as age -1), stable in
- * way order: FlowCache._fill's argsort of one touched set.  `e` holds
- * 2 * ways entries; the sign flip keeps int64 order in uint64. */
-static void victim_order(const flow_cache *c, int64_t s, int64_t *order,
-                         entry *e)
+/* The id of key kw (FNV value x), a new one on its first occurrence; -1
+ * when out of memory. */
+static inline int64_t group(groups *g, const uint64_t *kw, int64_t nw,
+                            uint64_t x, int64_t expect)
 {
-    const int64_t ways = c->ways;
-    for (int64_t w = 0; w < ways; w++) {
-        int64_t age = live(c, s * ways + w) ? c->stamp[s * ways + w] : -1;
-        e[w] = (entry){(uint64_t)age ^ (1ULL << 63), w};
+    if (2 * (g->nd + 1) > (int64_t)1 << g->bits && !grow(g, nw, expect))
+        return -1;
+    const uint64_t mask = ((uint64_t)1 << g->bits) - 1;
+    for (uint64_t i = home(x, g->bits);; i = (i + 1) & mask) {
+        int64_t id = g->table[i].id - 1, k = 0;
+        if (id < 0) {
+            g->table[i] = (slot){x, (id = g->nd++) + 1};
+            g->x[id] = x;
+            memcpy(g->keys + id * nw, kw, (size_t)nw * sizeof *kw);
+            return id;
+        }
+        while (g->table[i].x == x && k < nw && g->keys[id * nw + k] == kw[k])
+            k++;
+        if (k == nw)
+            return id;
     }
-    entry *sorted = sort_entries(e, e + ways, ways, NULL, 1);
-    for (int64_t w = 0; w < ways; w++)
-        order[w] = sorted[w].id;
 }
 
-/* FlowCache._fill, insert by insert: the r-th insert into a set takes
- * the r-th way (mod ways) of the set's pre-batch victim order; it is an
- * eviction when it wraps or the way was live, a reclamation when the
- * way was dead but once filled.  Later inserts overwrite earlier ones.
- * counts[0..1] get the evictions and reclamations. */
-int fc_fill(flow_cache *c, const uint64_t *words, const int64_t *sets,
-            int64_t n, const int64_t *results, int64_t *counts)
+/* The first way of set s that is live and holds key kw, or -1. */
+static inline int64_t find(const flow_cache *c, int64_t s, const uint64_t *kw,
+                           int64_t nw, int64_t ways)
 {
-    const int64_t ways = c->ways, n_sets = c->n_sets, nw = c->n_words;
-    const int64_t most = n < n_sets ? n : n_sets;  /* sets touched */
-    int64_t *touched = malloc((size_t)n_sets * sizeof *touched);
-    int64_t *seen = malloc((size_t)(most ? most : 1) * sizeof *seen);
-    int64_t *order = malloc((size_t)(most ? most : 1) * ways * sizeof *order);
-    entry *e = malloc((size_t)ways * 2 * sizeof *e);
-    int64_t evictions = 0, reclamations = 0, n_touched = 0, code = FC_OK;
-    if (!touched || !seen || !order || !e) {
-        code = FC_ERR_MEMORY;
-        goto out;
-    }
-    for (int64_t p = 0; p < n; p++)
-        if (sets[p] < 0 || sets[p] >= n_sets) {   /* before any write */
-            code = FC_ERR_RANGE;
-            goto out;
-        }
-    memset(touched, 0xff, (size_t)n_sets * sizeof *touched);
-    for (int64_t p = 0; p < n; p++) {
-        int64_t s = sets[p], t = touched[s];
-        if (t < 0) {   /* first insert into s: nothing written there yet */
-            t = touched[s] = n_touched++;
-            seen[t] = 0;
-            victim_order(c, s, order + t * ways, e);
-        }
-        int64_t r = seen[t]++, way = order[t * ways + r % ways];
-        int64_t slot = s * ways + way;
-        if (r >= ways || live(c, slot))
-            evictions++;
-        else if (c->filled[slot] > 0)
-            reclamations++;
+    int64_t found = -1;
+#pragma GCC unroll 8
+    for (int64_t w = ways - 1; w >= 0; w--) {
+        const uint64_t *key = c->keyw + (s * ways + w) * nw;
+        uint64_t diff = (uint64_t)(c->epoch_of[s * ways + w] ^ c->epoch);
+#pragma GCC unroll 8
         for (int64_t k = 0; k < nw; k++)
-            c->keyw[(k * ways + way) * n_sets + s] = words[k * n + p];
-        c->result[slot] = results[p];
-        c->stamp[slot] = c->filled[slot] = c->tick;
-        c->epoch_of[slot] = c->epoch;
+            diff |= key[k] ^ kw[k];
+        const int64_t same = -(int64_t)(diff == 0);
+        found = (w & same) | (found & ~same);
+    }
+    return found;
+}
+
+/* FlowCache.lookup: match[p] is the cached result (-1: a miss), a hit's
+ * LRU stamp becomes tick + p, and the misses' positions go to misses[].
+ * With uniq, they are grouped by FNV value, BLOCK headers at a time, in
+ * a table first sized for `expect` (the result never depends on it): the
+ * distinct headers go to uniq in np.unique(axis=0) order, their sets to
+ * sets, miss i's rank among them to rank[i], and both counts to counts.
+ * Inlined for the five-tuple 4-way cache, constant bounds, and any other. */
+enum { BLOCK = 256 };
+
+static inline __attribute__((always_inline)) int
+lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
+       int64_t *match, int64_t *misses, int64_t *rank, uint32_t *uniq,
+       int64_t *sets, int64_t *counts, const int64_t ndim, const int64_t ways)
+{
+    const int64_t nw = (ndim + 1) / 2;
+    groups g = {.most = n};
+    expect = expect < n ? expect : n;
+    entry *e = NULL;
+    int64_t m = 0, code = FC_ERR_MEMORY;
+    /* One block's misses: FNV values, then keys. */
+    uint64_t *miss_x = malloc((size_t)BLOCK * (nw + 1) * sizeof *miss_x);
+    if (!miss_x)
+        goto out;
+    uint64_t *miss_kw = miss_x + BLOCK;
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n, first = m;
+        for (int64_t p = lo; p < hi; p++) {
+            const uint32_t *h = headers + p * ndim;
+            const uint64_t x = fnv(h, ndim);
+            const int64_t s = set_of(x, (uint64_t)c->n_sets), i = m - first;
+            uint64_t *kw = miss_kw + i * nw;   /* kept when it misses */
+#pragma GCC unroll 8
+            for (int64_t k = 0; k < nw; k++)
+                kw[k] = key_word(h, ndim, k);
+            const int64_t w = find(c, s, kw, nw, ways), miss = w >> 63;
+            const int64_t at = s * ways + (w & ~miss);   /* way 0 on a miss */
+            match[p] = c->result[at] | miss;
+            c->stamp[at] = (c->stamp[at] & miss) | ((c->tick + p) & ~miss);
+            misses[m] = p;   /* kept when it missed */
+            miss_x[i] = x;
+            m -= miss;
+        }
+        for (int64_t i = 0; uniq && i < m - first; i++) {
+            if (i + 4 < m - first && g.table)
+                __builtin_prefetch(g.table + home(miss_x[i + 4], g.bits));
+            rank[first + i] = group(&g, miss_kw + i * nw, nw, miss_x[i],
+                                    expect);
+            if (rank[first + i] < 0)
+                goto out;
+        }
+    }
+    if (g.nd && !(e = malloc((size_t)g.nd * 2 * sizeof *e)))
+        goto out;
+    for (int64_t id = 0; id < g.nd; id++)
+        e[id] = (entry){g.keys[id * nw], id};
+    entry *sorted = e;
+    if (g.nd && !(sorted = sort_keys(e, e + g.nd, g.nd, g.keys, nw)))
+        goto out;
+    int64_t *rank_of = (int64_t *)g.table;   /* >= 2 nd slots, free now */
+    for (int64_t r = 0; r < g.nd; r++) {
+        const int64_t id = sorted[r].id;
+        rank_of[id] = r;
+        for (int64_t d = 0; d < ndim; d++)   /* pack_flow_keys, undone */
+            uniq[r * ndim + d] = (uint32_t)(g.keys[id * nw + d / 2]
+                                            >> (d % 2 ? 0 : 32));
+        sets[r] = set_of(g.x[id], (uint64_t)c->n_sets);
+    }
+    for (int64_t i = 0; g.nd && i < m; i++)
+        rank[i] = rank_of[rank[i]];
+    counts[0] = m;
+    counts[1] = g.nd;
+    code = FC_OK;
+out:
+    free(miss_x), free(g.table), free(g.x), free(g.keys), free(e);
+    return (int)code;
+}
+
+int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
+              int64_t expect, int64_t *match, int64_t *misses, int64_t *rank,
+              uint32_t *uniq, int64_t *sets, int64_t *counts)
+{
+    if (c->ndim == 5 && c->ways == 4)
+        return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
+                      counts, 5, 4);
+    return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
+                  counts, c->ndim, c->ways);
+}
+
+/* The ways of set s oldest-first (dead ones as age -1), stable in way
+ * order: FlowCache._fill's argsort of one set, by insertion. */
+static void victim_order(const flow_cache *c, int64_t s, int64_t *order,
+                         int64_t *age)
+{
+    for (int64_t w = 0, j; w < c->ways; w++) {
+        const int64_t slot = s * c->ways + w;
+        age[w] = live(c, slot) ? c->stamp[slot] : -1;
+        for (j = w; j > 0 && age[order[j - 1]] > age[w]; j--)
+            order[j] = order[j - 1];
+        order[j] = w;
+    }
+}
+
+/* FlowCache.commit.  The scatter (given match): every packet gets
+ * hit_cycles in occupancy (if given), then miss i, at position
+ * misses[i], results[rank[i]] in match and cycles[rank[i]] in occupancy.
+ * Then the fill of the nd distinct keys, each packed from its row of
+ * uniq into sets[r] (NULL: its own set): the i-th insert into a set, in
+ * rank order, takes the i-th way (mod ways) of the set's pre-batch
+ * victim order, an eviction when it wraps or the way was live, a
+ * reclamation when the way was dead but once filled.  A counting sort by
+ * set serves each set's inserts together, so its lines are read once.
+ * counts[0..1] get the evictions and reclamations. */
+int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
+              int64_t nd, const int64_t *results, const int64_t *cycles,
+              const int64_t *misses, const int64_t *rank, int64_t m,
+              int64_t *match, int64_t *occupancy, int64_t n,
+              int64_t hit_cycles, int64_t *counts)
+{
+    const int64_t ways = c->ways, n_sets = c->n_sets, ndim = c->ndim;
+    const int64_t nw = (ndim + 1) / 2;
+    for (int64_t r = 0; sets && r < nd; r++)   /* before any write */
+        if (sets[r] < 0 || sets[r] >= n_sets)
+            return FC_ERR_RANGE;
+    for (int64_t i = 0; i < m; i++)
+        if (misses[i] < 0 || misses[i] >= n || rank[i] < 0 || rank[i] >= nd)
+            return FC_ERR_RANGE;
+    int64_t *set = malloc((size_t)(nd + 1) * sizeof *set);
+    int64_t *by_set = malloc((size_t)(nd + 1) * sizeof *by_set);
+    int64_t *end = calloc((size_t)n_sets + 1, sizeof *end);
+    int64_t *order = malloc((size_t)ways * 2 * sizeof *order);
+    int64_t evictions = 0, reclamations = 0;
+    int code = FC_ERR_MEMORY;
+    if (!set || !by_set || !end || !order)
+        goto out;
+    for (int64_t p = 0; occupancy && p < n; p++)
+        occupancy[p] = hit_cycles;
+    for (int64_t i = 0; i < m; i++) {
+        match[misses[i]] = results[rank[i]];
+        if (occupancy)
+            occupancy[misses[i]] = cycles[rank[i]];
+    }
+    for (int64_t r = 0; r < nd; r++) {
+        set[r] = sets ? sets[r]
+                      : set_of(fnv(uniq + r * ndim, ndim), (uint64_t)n_sets);
+        end[set[r] + 1]++;
+    }
+    for (int64_t s = 0; s < n_sets; s++)
+        end[s + 1] += end[s];
+    for (int64_t r = 0; r < nd; r++)
+        by_set[end[set[r]]++] = r;     /* end[s] ends up past set s */
+    for (int64_t j = 0; j < nd;) {   /* one set's inserts, in rank order */
+        const int64_t s = set[by_set[j]];
+        victim_order(c, s, order, order + ways);
+        for (int64_t i = 0; j < end[s]; i++, j++) {
+            const int64_t r = by_set[j];
+            const int64_t slot = s * ways + order[i < ways ? i : i % ways];
+            const int evicts = i >= ways || live(c, slot);
+            evictions += evicts;
+            reclamations += !evicts & (c->filled[slot] > 0);
+            for (int64_t k = 0; k < nw; k++)
+                c->keyw[slot * nw + k] = key_word(uniq + r * ndim, ndim, k);
+            c->result[slot] = results[r];
+            c->stamp[slot] = c->filled[slot] = c->tick;
+            c->epoch_of[slot] = c->epoch;
+        }
     }
     counts[0] = evictions;
     counts[1] = reclamations;
+    code = FC_OK;
 out:
-    free(touched), free(seen), free(order), free(e);
-    return (int)code;
+    free(set), free(by_set), free(end), free(order);
+    return code;
 }

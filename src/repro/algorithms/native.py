@@ -9,23 +9,20 @@ all six :class:`~repro.algorithms.base.BatchLookup` fields.  Handed an
 accelerator's leaf placement (:func:`place`), it also counts each
 packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
-The cache kernels (:func:`flow_keys`, :func:`probe`, :func:`dedupe`,
-:func:`fill`) are the flow cache's key packing, probe, miss dedupe and
-fill over the cache's own tables, bit-identical to its NumPy path in
-every table, counter and returned array.  There is no switch: a process
-uses both if the library loads and both portable paths if not, and
-:func:`status` says which and why.
+The cache kernels (:func:`lookup`, :func:`commit`) are the flow
+cache's two per-batch calls over its own tables, bit-identical to its
+NumPy path in every table, counter and returned array.  There is no
+switch: a process uses both if the library loads and both portable
+paths if not, and :func:`status` says which and why.
 
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
-serve) looks for ``flat_walk-<key>.so`` in
-``${XDG_CACHE_HOME:-~/.cache}/repro-native/``, then in the temp
-directory; ``key`` hashes the sources, the compiler's version line, the
-flags and ``platform.machine()``.  A missing, truncated or foreign file
-is built under a temporary name and moved into place with
-``os.replace``, so a racing process never loads half a file.  No
-compiler, a failed or timed-out build, an unwritable directory or an
-``OSError`` on load leave the portable paths in place with the reason
-recorded; nothing is raised.  docs/engine.md has the full account.
+serve) loads ``flat_walk-<key>.so`` from
+``${XDG_CACHE_HOME:-~/.cache}/repro-native/``, else the temp directory
+(``key`` hashes the sources, compiler, flags and machine), building it
+under a temporary name and ``os.replace``-ing it in when missing, so a
+racing process never loads half a file.  No compiler, a failed or
+timed-out build, an unwritable directory or an ``OSError`` on load leave
+the portable paths in place, the reason recorded; nothing is raised.
 """
 
 from __future__ import annotations
@@ -85,15 +82,18 @@ class _Placement(ctypes.Structure):
                 ("pos", ctypes.c_void_p), ("n_rules", ctypes.c_void_p)]
 
 
+#: ``_Cache`` table fields and the ``FlowCache`` attributes they bind.
+_CACHE_TABLES = (("keyw", "_keyw"), ("result", "_result"), ("stamp", "_stamp"),
+                 ("epoch_of", "_epoch"), ("filled", "_filled"))
+
+
 class _Cache(ctypes.Structure):
     """``flow_cache`` of _flow_cache.c: one ``FlowCache``'s geometry, its
     clock and its five tables, bound for one call (:func:`_bind_cache`)."""
 
     _fields_ = [(name, ctypes.c_int64) for name in (
-        "n_sets", "ways", "n_words", "epoch", "tick",
-    )] + [(name, ctypes.c_void_p) for name in (
-        "keyw", "result", "stamp", "epoch_of", "filled",
-    )]
+        "n_sets", "ways", "ndim", "epoch", "tick",
+    )] + [(field, ctypes.c_void_p) for field, _ in _CACHE_TABLES]
 
 
 @dataclass(frozen=True)
@@ -199,10 +199,9 @@ def _open(path: str):
     fn.restype = ctypes.c_int
     ptr, i64, cache = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Cache)
     for name, args, res in (
-        ("fc_keys", [ptr, ptr, i64, i64, i64, ptr, ptr], None),
-        ("fc_probe", [cache, ptr, i64, i64, ptr, ptr, ptr], i64),
-        ("fc_dedupe", [ptr, i64, i64, ptr, ptr], i64),
-        ("fc_fill", [cache, ptr, ptr, i64, ptr, ptr], ctypes.c_int),
+        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6], ctypes.c_int),
+        ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
+                       ptr, i64, i64, ptr], ctypes.c_int),
     ):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = res
@@ -297,106 +296,83 @@ def walk(
     return True
 
 
-# ---------------------------------------------------------------------------
 # The flow cache: each function returns ``None`` (nothing written) when
 # the library did not load, and the caller takes its NumPy path.
-# ---------------------------------------------------------------------------
-#: ``_Cache`` table fields and the ``FlowCache`` attributes they bind.
-_CACHE_TABLES = (("keyw", "_keyw"), ("result", "_result"),
-                 ("stamp", "_stamp"), ("epoch_of", "_epoch"),
-                 ("filled", "_filled"))
 
 
 def _bind_cache(cache) -> _Cache:
     """The pointer table over ``cache``'s tables as they are now (its
     epoch and tick included); built per call, so it never outlives a
     re-allocation."""
+    if not cache.n_sets:  # every set index would fall outside the tables
+        raise BuildError("native flow cache: a zero-entry cache")
     n_words = (cache._ndim + 1) // 2
-    bound = _Cache(cache.n_sets, cache.ways, n_words, int(cache.epoch),
+    bound = _Cache(cache.n_sets, cache.ways, cache._ndim, int(cache.epoch),
                    int(cache._tick))
     for field, attr in _CACHE_TABLES:
         keyw = field == "keyw"
         setattr(bound, field, _pointer(
             attr, getattr(cache, attr), np.uint64 if keyw else np.int64,
-            (n_words, cache.ways, cache.n_sets) if keyw
+            (cache.n_sets, cache.ways, n_words) if keyw
             else (cache.n_sets, cache.ways),
         ))
     return bound
 
 
-def flow_keys(headers32, n_sets: int, rows=None):
-    """``(words, sets)``: the packed key words and the FNV set index of
-    every row of the ``(n, ndim)`` ``uint32`` headers (of ``headers32[rows]``
-    when given), in one pass."""
+def lookup(cache, headers32, group: bool = True, expect: int = 0):
+    """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)``,
+    grouping in a table first sized for ``expect`` distinct misses;
+    without ``group`` the probe alone (the last three ``None``)."""
     lib = _load().cache
     if lib is None:
         return None
-    n, ndim = headers32.shape
-    picked = None
-    if rows is not None:
-        picked = _pointer("rows", rows, np.int64, rows.shape[:1])
-        n = rows.shape[0]
-        if n and not (0 <= rows.min() and rows.max() < headers32.shape[0]):
-            raise BuildError("native flow cache: a row outside the headers")
-    words = np.empty(((ndim + 1) // 2, n), np.uint64)
-    sets = np.empty(n, np.int64)
-    headers = _pointer("headers", headers32, np.uint32, headers32.shape)
-    lib.fc_keys(headers, picked, n, ndim, n_sets, words.ctypes.data,
-                sets.ctypes.data)
-    return words, sets
-
-
-def probe(cache, headers32):
-    """``(hit, result, misses)`` of every header against ``cache`` —
-    ``misses`` the positions that missed, in order — refreshing the LRU
-    stamp of each hit way to ``tick + position``."""
-    lib = _load().cache
-    if lib is None:
-        return None
-    n = headers32.shape[0]
+    n, ndim = headers32.shape[0], cache._ndim
     bound = _bind_cache(cache)
-    headers = _pointer("headers", headers32, np.uint32, (n, cache._ndim))
-    hit, result = np.empty(n, bool), np.empty(n, np.int64)
-    misses = np.empty(n, np.int64)
-    n_miss = lib.fc_probe(ctypes.byref(bound), headers, n, cache._ndim,
-                          hit.ctypes.data, result.ctypes.data,
-                          misses.ctypes.data)
-    return hit, result, misses[:n_miss]
-
-
-def dedupe(words):
-    """``(first, inverse)`` of ``(n_words, n)`` packed keys, as
-    ``flowcache.dedupe_flow_keys`` defines them."""
-    lib = _load().cache
-    if lib is None:
-        return None
-    n_words, n = words.shape
-    first, inverse = np.empty(n, np.int64), np.empty(n, np.int64)
-    distinct = lib.fc_dedupe(
-        _pointer("words", words, np.uint64, (n_words, n)), n_words, n,
-        first.ctypes.data, inverse.ctypes.data,
-    )
-    if distinct < 0:
-        raise MemoryError("native flow cache: out of memory")
-    return first[:distinct], inverse
-
-
-def fill(cache, words, sets, results):
-    """Insert every (key, result) into ``cache`` in order; returns the
-    ``(evictions, reclamations)`` the batch caused."""
-    lib = _load().cache
-    if lib is None:
-        return None
-    n = sets.shape[0]
-    bound = _bind_cache(cache)
+    headers = _pointer("headers", headers32, np.uint32, (n, ndim))
+    match, misses = np.empty(n, np.int64), np.empty(n, np.int64)
+    rank, uniq, sets = (np.empty(n, np.int64), np.empty((n, ndim), np.uint32),
+                        np.empty(n, np.int64)) if group else (None,) * 3
     counts = np.zeros(2, np.int64)
-    code = lib.fc_fill(ctypes.byref(bound),
-                       _pointer("words", words, np.uint64, (bound.n_words, n)),
-                       _pointer("sets", sets, np.int64, (n,)), n,
-                       _pointer("results", results, np.int64, (n,)),
-                       counts.ctypes.data)
+    if lib.fc_lookup(ctypes.byref(bound), headers, n, expect, match.ctypes.data,
+                     *(a if a is None else a.ctypes.data
+                       for a in (misses, rank, uniq, sets, counts))):
+        raise MemoryError("native flow cache: out of memory")
+    m, distinct = counts
+    if group:
+        rank, uniq, sets = rank[:m], uniq[:distinct], sets[:distinct]
+    return match, misses[:m], rank, uniq, sets
+
+
+def _optional(name: str, arr, size: int):
+    return None if arr is None else _pointer(name, arr, np.int64, (size,))
+
+
+def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
+           match=None, hit_cycles: int = 0):
+    """``FlowCache.commit``: ``(occupancy, evictions, reclamations)``."""
+    lib = _load().cache
+    if lib is None:
+        return None
+    nd, m = uniq.shape[0], 0 if misses is None else misses.shape[0]
+    n = 0 if match is None else match.shape[0]
+    bound = _bind_cache(cache)
+    scatter, occupancy = [None] * 3, None  # misses, rank, match: all or none
+    if misses is not None:
+        scatter = [_pointer(name, a, np.int64, (size,)) for name, a, size in
+                   (("misses", misses, m), ("rank", rank, m), ("match", match, n))]
+        occupancy = None if cycles is None else np.empty(n, np.int64)
+    counts = np.zeros(2, np.int64)
+    code = lib.fc_commit(
+        ctypes.byref(bound),
+        _pointer("uniq", uniq, np.uint32, (nd, cache._ndim)),
+        _optional("sets", sets, nd), nd,
+        _pointer("results", results, np.int64, (nd,)),
+        _optional("cycles", cycles, nd), *scatter[:2], m, scatter[2],
+        _optional("occupancy", occupancy, n), n, hit_cycles, counts.ctypes.data,
+    )
     if code == 3:
         raise MemoryError("native flow cache: out of memory")
     if code:
-        raise BuildError("native flow cache: a set index outside the table")
-    return int(counts[0]), int(counts[1])
+        raise BuildError("native flow cache: a set index, miss or rank "
+                         "outside its table")
+    return occupancy, int(counts[0]), int(counts[1])

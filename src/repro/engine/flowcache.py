@@ -10,12 +10,12 @@ misses — that split is where the energy argument lives.
   monotonic use stamp.  Headers are compared as *packed flow keys*
   (:func:`pack_flow_keys`: the ``uint32`` columns packed pairwise into
   ``ceil(ndim / 2)`` ``uint64`` words, column 0 most significant, so
-  word order is row order for any schema).  Probe, miss dedupe and fill
-  are each one C loop over the batch where
-  :mod:`~repro.algorithms.native` loaded and NumPy over the batch
-  otherwise (the oracle): bit-identical tables, counters and results,
-  no per-packet Python either way.  The probe hands the dedupe and the
-  fill the :class:`FlowKeys` (words + set index) of its misses.
+  word order is row order for any schema).  A batch is two calls:
+  :meth:`FlowCache.lookup` (probe, and group the misses) and
+  :meth:`FlowCache.commit` (scatter the backend's answers, fill).  Each
+  is one C loop over the batch where :mod:`~repro.algorithms.native`
+  loaded and NumPy otherwise (the oracle): bit-identical tables,
+  counters and results, no per-packet Python either way.
 * :class:`CachedClassifier` — wraps any
   :class:`~repro.engine.protocol.Classifier` behind the same protocol,
   so it composes with the registry, the pipeline and the CLI like a bare
@@ -23,12 +23,12 @@ misses — that split is where the energy argument lives.
   results the backend produced, keyed by the *full* header.
 
 Batch semantics: a batch is probed once against the cache's state at
-batch start; the misses are deduplicated (:func:`dedupe_flow_keys`, in
-``np.unique(axis=0)`` order — which fixes the fill order, the victims
-and every counter), classified once per distinct header (one
-``batch_stats_of`` call) and filled back.  Duplicate misses in a batch
-coalesce into one backend lookup and count as hits.  A zero-entry cache
-bypasses entirely (every packet a backend miss, no coalescing).
+batch start; the misses are grouped in ``np.unique(axis=0)`` order
+(which fixes the fill order, the victims and every counter), classified
+once per distinct header (one ``batch_stats_of`` call) and filled back.
+Duplicate misses in a batch coalesce into one backend lookup and count
+as hits.  A zero-entry cache bypasses entirely (every packet a backend
+miss, no coalescing).
 
 Sharding: each forked pipeline worker serves a copy-on-write snapshot,
 so a sharded run keeps one private, warm cache per shard; per-chunk
@@ -47,8 +47,7 @@ the updated state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,8 +86,8 @@ def pack_flow_keys(headers: np.ndarray) -> np.ndarray:
     return halves.view(_KEY_WORD)[..., 0]
 
 
-#: Below this many keys the lexsort alone beats hashing first (measured
-#: crossover ~500); both roads return the same arrays, so not a tunable.
+#: Below this many keys the lexsort alone beats hashing first; both
+#: roads return the same arrays, so not a tunable.
 _HASH_GROUP_MIN = 512
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
@@ -120,27 +119,17 @@ def _lexsort_dedupe(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct columns of a packed key matrix, in row-lexicographic order.
-
-    Returns ``(first, inverse)``: ``first[j]`` is the position of the
-    first occurrence of the ``j``-th smallest distinct key and
-    ``inverse[i]`` the rank of key ``i`` — for ``words =
-    pack_flow_keys(m)`` exactly the ``return_index`` / ``return_inverse``
-    arrays of ``np.unique(m, axis=0)``, so ``m[first]`` is its sorted
-    unique-row matrix.
+    """Distinct columns of a packed key matrix, in row-lexicographic order:
+    ``(first, inverse)``, for ``words = pack_flow_keys(m)`` exactly the
+    ``return_index`` / ``return_inverse`` of ``np.unique(m, axis=0)``.
 
     Equal keys are grouped by hash: one *value* sort of (hash's high
     bits, position in the low bits) lays each group out in arrival
     order, so its head is its first occurrence and only the distinct
-    keys need the (stable, word-by-word) lexsort.  Every key is then
-    compared word for word with its group's head; a batch where two
-    different keys share a hash — or one too small to repay hashing —
-    takes the lexsort over all keys.  The native kernel returns the same
-    arrays from one hash-table pass and one sort.
+    keys need the lexsort.  Every key is then compared with its group's
+    head; a batch where two different keys share a hash — or one too
+    small to repay hashing — takes the lexsort over all keys.
     """
-    found = native.dedupe(words)
-    if found is not None:
-        return found
     n = words.shape[1]
     if n >= _HASH_GROUP_MIN:
         low = np.uint64((1 << (n - 1).bit_length()) - 1)
@@ -163,31 +152,19 @@ def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _lexsort_dedupe(words)
 
 
-class FlowKeys(NamedTuple):
-    """What one batch's headers look like to a :class:`FlowCache`."""
-
-    words: np.ndarray  #: ``(n_words, n)`` uint64, from :func:`pack_flow_keys`
-    sets: np.ndarray  #: ``(n,)`` int64 set index
-
-    def take(self, rows: np.ndarray) -> "FlowKeys":
-        # np.take is ~3x the mixed index ``words[:, rows]``.
-        return FlowKeys(np.take(self.words, rows, axis=1), self.sets.take(rows))
-
-
 @dataclass
 class FlowCacheStats:
     """Running counters of one :class:`FlowCache`.
 
     ``hits`` counts packets served without a backend lookup (coalesced
-    in-batch duplicates included), ``misses`` backend lookups issued:
-    ``hits + misses == lookups``.  ``evictions`` counts live entries a
-    fill overwrote, ``reclamations`` dead slots (epoch-stale or
-    retired — dead once, whatever the reasons) it re-used.
-    ``invalidations`` counts events: one per update batch
-    (:meth:`FlowCache.retire`) and per whole-cache flush
-    (:meth:`FlowCache.advance_epoch`); ``retired`` the live entries
-    ``retire`` killed.  Every counter depends only on the cache contents
-    and the batches, never on timing or on which process served them.
+    in-batch duplicates included), ``misses`` backend lookups issued
+    (``hits + misses == lookups``).  ``evictions`` counts live entries a
+    fill overwrote, ``reclamations`` dead slots it re-used (once, however
+    often they died).  ``invalidations``
+    counts update batches (:meth:`FlowCache.retire`) and whole-cache
+    flushes (:meth:`FlowCache.advance_epoch`); ``retired`` the live
+    entries ``retire`` killed.  Every counter depends only on the cache
+    contents and the batches, never on timing or on who served them.
     """
 
     lookups: int = 0
@@ -235,15 +212,18 @@ class FlowCache:
         self.epoch = np.int64(0)
         #: Header width the tables were allocated for (0 = not yet).
         self._ndim = 0
-        #: The key table, words-major: ``_keyw[k, way]`` is a dense per-set
-        #: column of key word ``k`` (one 1-D gather per (way, word)).
-        self._keyw: np.ndarray | None = None  # (words, ways, sets) uint64
+        #: The key table, set-major: a set's keys are one run of
+        #: ``ways * words`` words, the lines one probe reads.
+        self._keyw: np.ndarray | None = None  # (sets, ways, words) uint64
         self._result: np.ndarray | None = None  # (sets, ways) int64
         self._stamp: np.ndarray | None = None  # (sets, ways) int64 last use
         self._epoch: np.ndarray | None = None  # (sets, ways) int64 fill tag
         #: Fill tick per slot; 0 = never filled (``_tick`` starts at 1),
         #: which tells a reclamation from a first fill.
         self._filled: np.ndarray | None = None  # (sets, ways) int64
+        #: Distinct misses of the last native lookup, the size the next
+        #: one's grouping table starts at (its result never depends on it).
+        self._distinct = 0
 
     # ------------------------------------------------------------------
     @property
@@ -256,7 +236,7 @@ class FlowCache:
         if self._ndim != ndim:
             self._ndim = ndim
             self._keyw = np.zeros(
-                ((ndim + 1) // 2, self.ways, self.n_sets), _KEY_WORD
+                (self.n_sets, self.ways, (ndim + 1) // 2), _KEY_WORD
             )
             self._result = np.full((self.n_sets, self.ways), -1, np.int64)
             self._stamp = np.zeros((self.n_sets, self.ways), np.int64)
@@ -278,58 +258,60 @@ class FlowCache:
         h ^= h >> np.uint64(33)  # fold the high bits into the modulo
         return (h % np.uint64(self.n_sets)).astype(np.int64)
 
-    def _flow_keys(self, headers: np.ndarray) -> FlowKeys:
-        """Pack and hash a batch once (enabled cache only); allocates
-        the tables on first use, when the header width is known."""
-        self._ensure_tables(headers.shape[1])
+    def _prepare(self, headers: np.ndarray) -> np.ndarray:
+        """``headers`` as C-contiguous ``uint32``, the tables allocated."""
         headers = np.ascontiguousarray(headers, dtype=np.uint32)
-        keys = native.flow_keys(headers, self.n_sets)
-        if keys is not None:
-            return FlowKeys(*keys)
-        return FlowKeys(pack_flow_keys(headers), self._set_index(headers))
+        self._ensure_tables(headers.shape[1])
+        return headers
 
     # ------------------------------------------------------------------
     def probe(self, headers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Look every header up against the current cache state.
 
         Returns ``(hit, result)``: a boolean hit mask and the cached
-        first-match rule id where hit (undefined elsewhere).  Hit
-        entries get their LRU stamp refreshed, later batch positions
-        counting as fresher.  On a disabled (zero-entry) cache every
-        probe misses.
+        first-match rule id where hit (-1 elsewhere).  Hit entries get
+        their LRU stamp refreshed, later batch positions counting as
+        fresher.  On a disabled (zero-entry) cache every probe misses.
         """
         if not self.enabled or not headers.shape[0]:
             n = headers.shape[0]
             return np.zeros(n, bool), np.full(n, -1, np.int64)
-        return self._lookup(headers)[:2]
-
-    def _lookup(self, headers: np.ndarray, miss_keys: bool = False):
-        """:meth:`probe` plus the positions that missed and, with
-        ``miss_keys``, their :class:`FlowKeys` — what the caller dedupes
-        and fills.  Natively one pass that packs and hashes each header
-        as it compares it; the misses are packed after it."""
-        headers = np.ascontiguousarray(headers, dtype=np.uint32)
-        self._ensure_tables(headers.shape[1])
-        found = native.probe(self, headers)
+        headers = self._prepare(headers)
+        found = native.lookup(self, headers, group=False)
         if found is None:
-            keys = self._flow_keys(headers)
-            hit, result = self._probe(keys)
-            misses = np.flatnonzero(~hit)
-            return hit, result, misses, keys.take(misses) if miss_keys else None
+            return self._probe(pack_flow_keys(headers), self._set_index(headers))
         self._tick += np.int64(headers.shape[0])
-        hit, result, misses = found
-        keys = miss_keys and native.flow_keys(headers, self.n_sets, misses)
-        return hit, result, misses, FlowKeys(*keys) if keys else None
+        hit = np.ones(headers.shape[0], bool)
+        hit[found[1]] = False
+        return hit, found[0]
 
-    def _probe(self, keys: FlowKeys) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe` over the batch's :meth:`_flow_keys`."""
-        words, s = keys
+    def lookup(self, headers: np.ndarray):
+        """:meth:`probe` a batch on an enabled cache and group its misses:
+        ``(match, misses, rank, uniq, sets)``, each header's cached result
+        (-1: a miss), the positions that missed, each miss's rank among
+        the distinct missed headers, those in ``np.unique(axis=0)`` order
+        and their set indices.  Natively one pass that groups a miss by
+        its probe's FNV value; in NumPy :func:`dedupe_flow_keys` after."""
+        headers = self._prepare(headers)
+        found = native.lookup(self, headers, expect=self._distinct)
+        if found is not None:
+            self._tick += np.int64(headers.shape[0])
+            self._distinct = found[3].shape[0]
+            return found
+        words, s = pack_flow_keys(headers), self._set_index(headers)
+        hit, match = self._probe(words, s)
+        misses = np.flatnonzero(~hit)
+        first, rank = dedupe_flow_keys(np.take(words, misses, axis=1))
+        return match, misses, rank, headers[misses[first]], s[misses[first]]
+
+    def _probe(self, words: np.ndarray, s: np.ndarray):
+        """:meth:`probe` over the batch's packed keys and set indices."""
         n = s.shape[0]
         hit = np.zeros(n, bool)
         way = np.zeros(n, np.intp)  # ways passed before the first match
         for w in range(self.ways):
             eq = self._live(s, way=w)
-            for column, word in zip(self._keyw[:, w], words):
+            for column, word in zip(self._keyw[:, w].T, words):
                 eq &= column[s] == word
             hit |= eq
             way += ~hit
@@ -341,6 +323,38 @@ class FlowCache:
         self._tick += np.int64(n)
         return hit, result
 
+    def commit(self, uniq, sets, results, cycles=None, misses=None,
+               rank=None, match=None):
+        """Serve one :meth:`lookup`'s misses, then fill its distinct keys.
+
+        ``results`` (and ``cycles``, the occupancy) are the backend's
+        answers for the ``uniq`` rows.  Given the lookup's ``misses``
+        and ``rank``, each miss gets its rank's result in ``match`` (in
+        place) and its rank's cycles in the returned occupancy (``None``
+        without ``cycles``), each hit :data:`HIT_OCCUPANCY_CYCLES`.  Then
+        the rows go in, in order, into ``sets`` (``None``: their own).
+        """
+        results = np.ascontiguousarray(results, dtype=np.int64)
+        if cycles is not None:
+            cycles = np.ascontiguousarray(cycles, dtype=np.int64)
+        done = native.commit(self, uniq, sets, results, cycles, misses, rank,
+                             match, HIT_OCCUPANCY_CYCLES)
+        if done is not None:
+            occupancy, evictions, reclamations = done
+            self.stats.evictions += evictions
+            self.stats.reclamations += reclamations
+            self._tick += np.int64(1)
+            return occupancy
+        occupancy = None
+        if misses is not None:
+            match[misses] = results[rank]
+            if cycles is not None:
+                occupancy = np.full(len(match), HIT_OCCUPANCY_CYCLES, np.int64)
+                occupancy[misses] = cycles[rank]
+        s = self._set_index(uniq) if sets is None else sets
+        self._fill(pack_flow_keys(uniq), s, results)
+        return occupancy
+
     def fill(self, headers: np.ndarray, results: np.ndarray) -> None:
         """Insert (header -> result) pairs, LRU-evicting within sets.
 
@@ -351,23 +365,13 @@ class FlowCache:
         """
         if not self.enabled or not headers.shape[0]:
             return
-        self._fill(self._flow_keys(headers), results)
+        self.commit(self._prepare(headers), None, results)
 
-    def _fill(self, keys: FlowKeys, results: np.ndarray) -> None:
-        """:meth:`fill` over (a :meth:`FlowKeys.take` of) the batch's
-        :meth:`_flow_keys`."""
-        words, s = keys
+    def _fill(self, words: np.ndarray, s: np.ndarray, results: np.ndarray):
+        """:meth:`commit`'s fill over packed keys and set indices."""
         n = s.shape[0]
-        results = np.ascontiguousarray(results, dtype=np.int64)
-        counts = native.fill(self, words, s, results)
-        if counts is not None:
-            self.stats.evictions += counts[0]
-            self.stats.reclamations += counts[1]
-            self._tick += np.int64(1)
-            return
-        # One stable sort of the set index (a radix sort while it fits
-        # 16 bits) puts each touched set's inserts together in arrival
-        # order: group number and occurrence rank fall out of the runs.
+        # One stable sort of the set index (radix while it fits 16 bits)
+        # groups each set's inserts in arrival order.
         radix = s.astype(np.uint16) if self.n_sets <= 1 << 16 else s
         by_set = np.argsort(radix, kind="stable")
         ranked = s[by_set]
@@ -383,8 +387,7 @@ class FlowCache:
         order = np.argsort(age, axis=1, kind="stable")
         ranked_way = order[group, rank % self.ways]
         # Overwriting a live entry is an eviction, re-using a dead slot a
-        # reclamation.  Wrap inserts (rank >= ways) land on a slot a
-        # batch-mate just claimed: they displace a live fill, an eviction.
+        # reclamation; a wrap insert (rank >= ways) displaces a live fill.
         pre_live = self._live((ranked, ranked_way))
         pre_filled = self._filled[ranked, ranked_way] > 0
         first_claim = rank < self.ways
@@ -394,7 +397,7 @@ class FlowCache:
         )
         way = np.empty(n, np.intp)
         way[by_set] = ranked_way  # back to arrival order: last writer wins
-        self._keyw[:, way, s] = words
+        self._keyw[s, way] = words.T
         self._result[s, way] = results
         self._stamp[s, way] = self._tick  # fresher than this batch's hits
         self._epoch[s, way] = self.epoch
@@ -418,18 +421,12 @@ class FlowCache:
         inserts took, in batch order.  An entry caching first match
         ``c`` is retired when ``c`` is a removed id, or when an inserted
         rule with an id below ``c`` (any id when ``c == -1``) covers the
-        entry's header.  That is a superset of the entries whose answer
-        changed: the new first match of a header is the lowest live id
-        covering it among the old and the inserted rules, so it differs
-        from ``c`` only if ``c`` died or a lower inserted id covers the
-        header.  Over-retiring only costs a backend walk, which is also
-        why ops need no ordering: an insert removed again later in the
-        same batch, a duplicate removal and a removal of a dead id all
-        just widen the superset.
-
-        A retired slot is tagged epoch ``-1``, which no cache epoch ever
-        equals: the read path needs no new check, and the slot is a
-        preferred victim whose refill counts as a reclamation.
+        entry's header: a superset of the entries whose answer changed,
+        since a header's new first match is the lowest live id covering
+        it.  Over-retiring only costs a backend walk, so ops need no
+        ordering (a re-removed insert or a dead id just widens the set).
+        A retired slot is tagged epoch ``-1``, which no cache epoch
+        equals: a preferred victim whose refill is a reclamation.
         """
         self.stats.invalidations += 1
         if not self._ndim:
@@ -458,17 +455,13 @@ class FlowCache:
         self.stats.retired += int(doomed.sum())
 
     def _headers(self, s: np.ndarray, way: np.ndarray) -> np.ndarray:
-        """The ``(n, ndim)`` headers stored in slots ``(s, way)``,
-        unpacked from the key words (:func:`pack_flow_keys` reversed)."""
-        words = self._keyw[:, way, s]
-        low = np.uint64(0xFFFFFFFF)
-        return np.stack(
-            [
-                words[d // 2] & low if d % 2 else words[d // 2] >> np.uint64(32)
-                for d in range(self._ndim)
-            ],
-            axis=1,
-        ).astype(np.int64)
+        """The ``(n, ndim)`` headers stored in slots ``(s, way)``:
+        :func:`pack_flow_keys` undone (each little-endian word's halves
+        swapped back into column order)."""
+        n, words = len(s), self._keyw.shape[2]
+        halves = self._keyw[s, way].view(_KEY_HALF).reshape(n, words, 2)
+        columns = halves[..., ::-1].reshape(n, 2 * words)
+        return columns[:, : self._ndim].astype(np.int64)
 
     # ------------------------------------------------------------------
     def occupancy_fraction(self) -> float:
@@ -506,9 +499,8 @@ class CachedClassifier(ClassifierBase):
         schema = getattr(classifier, "schema", None)
         if schema is not None:
             self.schema = schema
-        #: Whether the wrapped backend models per-packet occupancy;
-        #: learned on the first backend call so all-hit chunks still
-        #: report a consistent occupancy shape.
+        #: Whether the wrapped backend models per-packet occupancy, learned
+        #: on its first call so all-hit chunks report the same shape.
         self._models_occupancy: bool | None = None
 
     # ------------------------------------------------------------------
@@ -524,42 +516,27 @@ class CachedClassifier(ClassifierBase):
         return self.batch_stats(headers).match
 
     def batch_stats(self, headers: np.ndarray) -> BatchStats:
-        """Probe, dedupe the misses, classify each distinct miss once
-        through the backend's own ``batch_stats`` (a match-only walk on
-        tree backends, the occupancy walk on the accelerator), scatter,
-        fill."""
+        """Look the batch up, classify each distinct miss once through
+        the backend's own ``batch_stats`` (a match-only walk on tree
+        backends, the occupancy walk on the accelerator), then commit:
+        scatter its answers to the misses and fill them."""
         headers = np.ascontiguousarray(headers, dtype=np.uint32)
         n = headers.shape[0]
         cache = self.cache
         if n == 0 or not cache.enabled:
             inner = batch_stats_of(self.classifier, headers)
             self._models_occupancy = inner.occupancy is not None
-            return BatchStats(
-                match=inner.match,
-                occupancy=inner.occupancy,
-                cache_hits=0,
-                cache_misses=n,
-                cache_evictions=0,
-            )
+            return replace(inner, cache_hits=0, cache_misses=n,
+                           cache_evictions=0)
         evictions_before = cache.stats.evictions
-        hit, match, miss_rows, missing = cache._lookup(headers, miss_keys=True)
+        match, misses, rank, uniq, sets = cache.lookup(headers)
+        n_backend = uniq.shape[0]
         occupancy = None
-        n_backend = 0
-        if miss_rows.size:
-            # Deduplicate the misses in ``np.unique(axis=0)`` order:
-            # the same eviction/fill order whatever order they arrived in.
-            first, inverse = dedupe_flow_keys(missing.words)
-            rows = miss_rows[first]
-            uniq = headers.take(rows, axis=0)
-            n_backend = rows.size
+        if n_backend:
             inner = batch_stats_of(self.classifier, uniq)
-            inner_match = np.asarray(inner.match, dtype=np.int64)
             self._models_occupancy = inner.occupancy is not None
-            match[miss_rows] = inner_match[inverse]
-            if inner.occupancy is not None:
-                occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
-                occupancy[miss_rows] = inner.occupancy[inverse]
-            cache._fill(missing.take(first), inner_match)
+            occupancy = cache.commit(uniq, sets, inner.match, inner.occupancy,
+                                     misses, rank, match)
         elif self._models_occupancy:
             occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
         hits = n - n_backend
@@ -567,10 +544,7 @@ class CachedClassifier(ClassifierBase):
         cache.stats.hits += hits
         cache.stats.misses += n_backend
         return BatchStats(
-            match=match,
-            occupancy=occupancy,
-            cache_hits=hits,
-            cache_misses=n_backend,
+            match, occupancy, cache_hits=hits, cache_misses=n_backend,
             cache_evictions=cache.stats.evictions - evictions_before,
         )
 

@@ -32,7 +32,8 @@ from repro.engine import (
     build_backend,
 )
 from repro.engine import flowcache
-from repro.engine.flowcache import FlowKeys, dedupe_flow_keys, pack_flow_keys
+from repro.engine.protocol import BatchStats, batch_stats_of
+from repro.engine.flowcache import dedupe_flow_keys, pack_flow_keys
 from repro.energy import CacheEnergyModel
 
 ALL_BACKENDS = available_backends()
@@ -238,8 +239,9 @@ def _sequential_fill(cache, sets, results):
 
 
 class TestFillGrouping:
-    """``_fill`` groups a batch by set with one stable sort of the set
-    index; these pin it against the insert-by-insert model."""
+    """A commit's fill groups a batch by set (NumPy: one stable sort of
+    the set index; natively: one counting sort); these pin it against
+    the insert-by-insert model."""
 
     def _check(self, cache, sets, rounds=3):
         rng = np.random.default_rng(9)
@@ -247,18 +249,17 @@ class TestFillGrouping:
             n = sets.shape[0]
             hdr = rng.integers(0, 2**32, (n, 5), dtype=np.uint32)
             results = rng.permutation(10 * n)[:n] - 1  # distinct, one -1 possible
-            keys = FlowKeys(pack_flow_keys(hdr), sets)
             cache._ensure_tables(5)
             expect, evictions, reclamations = _sequential_fill(
                 cache, sets, results
             )
             before = cache.stats.evictions, cache.stats.reclamations
-            cache._fill(keys, results)
+            cache.commit(hdr, sets, results)
             assert np.array_equal(cache._result, expect)
             assert cache.stats.evictions - before[0] == evictions
             assert cache.stats.reclamations - before[1] == reclamations
             # A way a batch keeps is probed back under the same key.
-            hit, got = cache._probe(keys)
+            hit, got = cache._probe(pack_flow_keys(hdr), sets)
             kept = cache._result[sets, :] == results[:, None]
             assert hit[kept.any(axis=1)].all()
             sets = rng.permutation(sets)
@@ -674,6 +675,15 @@ class ResultOfHeader(CountingClassifier):
         return (wide.sum(axis=1) * 7 + wide[:, 0]) % 13 - 1
 
 
+class CyclesOfHeader(ResultOfHeader):
+    """:class:`ResultOfHeader` that also models per-packet occupancy, a
+    fixed function of the columns too (as the accelerator does)."""
+
+    def batch_stats(self, headers: np.ndarray) -> BatchStats:
+        cycles = headers.astype(np.int64).sum(axis=1) % 5 + 2
+        return BatchStats(match=self.classify_batch(headers), occupancy=cycles)
+
+
 #: Small header values that collide in a small cache, plus the edges.
 _SMALL = st.integers(0, 3) | _EDGE_VALUES
 _ID = st.integers(-1, 12)
@@ -681,17 +691,21 @@ _ID = st.integers(-1, 12)
 
 @st.composite
 def _cache_runs(draw):
-    """A cache geometry (one set and 1-way included), a pool of flows and
-    a sequence of steps over it: served batches, direct probes and
-    fills, update batches to retire and whole-cache flushes."""
+    """A cache geometry (one set, 1-way, a set count that is no power of
+    two and one past 2^16 included), a backend with or without
+    occupancy, a pool of flows and a sequence of steps over it: served
+    batches (empty, repeated, all-new), direct lookups and commits,
+    probes, fills, commits with occupancy but no misses, update batches
+    to retire and whole-cache flushes."""
     ndim = draw(st.integers(1, 6))
     ways = draw(st.sampled_from([1, 2, 4]))
-    entries = ways * draw(st.sampled_from([1, 2, 3, 8]))
-    if draw(st.booleans()):
+    n_sets = draw(st.sampled_from([1, 2, 3, 8, (1 << 16) + 1]))
+    entries = ways * n_sets
+    if n_sets < 9 and draw(st.booleans()):
         ways = entries  # one set
     pool = np.asarray(draw(st.lists(
         st.lists(_SMALL, min_size=ndim, max_size=ndim),
-        min_size=1, max_size=3 * entries + 2,
+        min_size=1, max_size=min(3 * entries + 2, 98),
     )), dtype=np.uint32)
     rows = st.lists(st.integers(0, len(pool) - 1), max_size=40)
     box = st.lists(
@@ -700,13 +714,20 @@ def _cache_runs(draw):
     ).map(lambda ranges: Rule(ranges=tuple(ranges)))
     step = st.one_of(
         st.tuples(st.just("serve"), rows, st.sampled_from([1, 1, 1, 20])),
+        st.tuples(st.just("lookup"), rows),
         st.tuples(st.just("probe"), rows),
         st.tuples(st.just("fill"), rows),
+        st.tuples(st.just("commit"), rows),
         st.tuples(st.just("retire"), st.lists(_ID, max_size=3),
                   st.lists(st.tuples(box, _ID), max_size=2)),
         st.tuples(st.just("flush")),
     )
-    return entries, ways, pool, draw(st.lists(step, max_size=12))
+    backend = draw(st.sampled_from([ResultOfHeader, CyclesOfHeader]))
+    return entries, ways, backend(), pool, draw(st.lists(step, max_size=12))
+
+
+def _listed(*arrays) -> list:
+    return [None if a is None else a.tolist() for a in arrays]
 
 
 def _take_step(clf: CachedClassifier, pool: np.ndarray, step) -> list:
@@ -715,13 +736,24 @@ def _take_step(clf: CachedClassifier, pool: np.ndarray, step) -> list:
     if kind == "serve":
         rows, repeat = args
         out = clf.batch_stats(np.tile(pool[rows], (repeat, 1)))
-        return [out.match.tolist(), out.occupancy, out.cache_hits,
+        return [*_listed(out.match, out.occupancy), out.cache_hits,
                 out.cache_misses, out.cache_evictions]
+    if kind == "lookup":
+        match, misses, rank, uniq, sets = found = clf.cache.lookup(pool[args[0]])
+        inner = batch_stats_of(clf.classifier, uniq)
+        occupancy = clf.cache.commit(
+            uniq, sets, inner.match, inner.occupancy, misses, rank, match
+        )
+        return _listed(*found, occupancy)
     if kind == "probe":
-        return [a.tolist() for a in clf.cache.probe(pool[args[0]])]
+        return _listed(*clf.cache.probe(pool[args[0]]))
     if kind == "fill":
         headers = pool[args[0]]
         clf.cache.fill(headers, ResultOfHeader().classify_batch(headers))
+    elif kind == "commit":  # occupancy given, nothing to scatter it to
+        headers = clf.cache._prepare(pool[args[0]])
+        results = ResultOfHeader().classify_batch(headers)
+        return _listed(clf.cache.commit(headers, None, results, results + 2))
     elif kind == "retire":
         removed, inserted = args
         ops = [remove_op(i) for i in removed if i >= 0]
@@ -742,16 +774,18 @@ def _assert_same_cache(a: FlowCache, b: FlowCache) -> None:
 
 
 class TestNativeCacheKernels:
-    """The native probe, dedupe and fill leave every table, the clock and
-    every counter where the NumPy path leaves them, step after step."""
+    """The native lookup and commit (``fc_lookup``, ``fc_commit``) return
+    what the NumPy path returns — every served ``BatchStats``, every
+    lookup's four arrays, every commit's occupancy — and leave every
+    table, the clock and every counter where it leaves them, step after
+    step."""
 
     @settings(max_examples=200, deadline=None)
     @given(_cache_runs())
     def test_native_and_portable_serve_the_same(self, run):
         if native.status()["kernel"] != "native":
             pytest.skip(f"native kernel unavailable: {native.status()['reason']}")
-        entries, ways, pool, steps = run
-        backend = ResultOfHeader()
+        entries, ways, backend, pool, steps = run
         twins = [
             CachedClassifier(backend, entries=entries, ways=ways)
             for _ in range(2)

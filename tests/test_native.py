@@ -98,7 +98,7 @@ class TestBuildAndLoad:
             found = resources.files("repro.algorithms").joinpath(name)
             assert found.is_file()
             assert b'#line 1 "%s"\n' % name.encode() + found.read_bytes() in code
-        assert b"int flat_walk(" in code and b" fc_probe(" in code
+        assert b"int flat_walk(" in code and b" fc_lookup(" in code
 
     def test_two_processes_building_at_once_both_load(
         self, native_kernel, fresh_load
@@ -391,11 +391,13 @@ class TestCacheGeometries:
 
     @pytest.fixture
     def warm(self):
+        """A cache holding 200 flows, and one lookup of a batch half of
+        them, half new (and every row twice)."""
         cache = FlowCache(64, ways=4)
-        headers = random_headers(FIVE_TUPLE, 200, seed=3)
-        keys = cache._flow_keys(headers)
-        cache._fill(keys, np.arange(200, dtype=np.int64))
-        return cache, headers, keys
+        flows = random_headers(FIVE_TUPLE, 300, seed=3)
+        cache.fill(flows[:200], np.arange(200, dtype=np.int64))
+        headers = np.tile(flows[100:300], (2, 1))
+        return cache, headers, native.lookup(cache, headers)
 
     #: ``FlowCache`` tables a C loop must never see, each made from the
     #: valid one: wrong dtype, wrong shape, not C-contiguous.
@@ -411,47 +413,72 @@ class TestCacheGeometries:
     def test_a_table_of_the_wrong_kind_is_refused_before_the_call(
         self, native_kernel, warm, table
     ):
-        cache, headers, keys = warm
+        cache, headers, (_, _, _, uniq, sets) = warm
         setattr(cache, table, self.CORRUPT_TABLES[table](getattr(cache, table)))
         with pytest.raises(BuildError, match=f"{table} is not a C-contiguous"):
-            native.probe(cache, headers)
+            native.lookup(cache, headers)
         with pytest.raises(BuildError, match=f"{table} is not a C-contiguous"):
-            native.fill(cache, *keys, np.zeros(len(keys.sets), np.int64))
+            native.commit(cache, uniq, sets, np.zeros(len(uniq), np.int64))
 
     def test_an_input_of_the_wrong_kind_is_refused_before_the_call(
         self, native_kernel, warm
     ):
-        cache, headers, (words, sets) = warm
-        n = len(sets)
-        with pytest.raises(BuildError, match="headers is not"):
-            native.flow_keys(headers.astype(np.int64), cache.n_sets)
-        with pytest.raises(BuildError, match="headers is not"):
-            native.probe(cache, headers[:, :4].copy())  # not the cached width
-        with pytest.raises(BuildError, match="rows is not"):
-            native.flow_keys(headers, cache.n_sets, np.arange(3, dtype=np.int32))
-        with pytest.raises(BuildError, match="a row outside"):
-            native.flow_keys(headers, cache.n_sets, np.array([0, n]))
-        with pytest.raises(BuildError, match="words is not"):
-            native.dedupe(np.asfortranarray(words))
-        with pytest.raises(BuildError, match="words is not"):
-            native.fill(cache, words[:2], sets, np.zeros(n, np.int64))
-        with pytest.raises(BuildError, match="sets is not"):
-            native.fill(cache, words, sets.astype(np.int32),
-                        np.zeros(n, np.int64))
-        with pytest.raises(BuildError, match="results is not"):
-            native.fill(cache, words, sets, np.zeros(n, np.int32))
+        cache, headers, (match, misses, rank, uniq, sets) = warm
+        nd = len(uniq)
+        results = np.zeros(nd, np.int64)
+        # int64, another width, strided
+        for bad in (headers.astype(np.int64), headers[:, :4].copy(),
+                    headers[::2]):
+            with pytest.raises(BuildError, match="headers is not"):
+                native.lookup(cache, bad)
+        commits = {  # name in the message -> the commit's arguments
+            "uniq": (uniq.astype(np.int64), sets, results),
+            "uniq ": (uniq[:, :3].copy(), sets, results),
+            "sets": (uniq, sets.astype(np.int32), results),
+            "results": (uniq, sets, results[:-1]),  # not one per row
+            "results ": (uniq, sets, np.zeros(nd, np.int32)),
+            "cycles": (uniq, sets, results, results[:-1]),
+            "misses": (uniq, sets, results, None, misses[::2], rank, match),
+            "rank": (uniq, sets, results, None, misses, rank[1:], match),
+            "rank ": (uniq, sets, results, None, misses, None, match),
+            "match": (uniq, sets, results, None, misses, rank,
+                      match.astype(np.int32)),
+            "match ": (uniq, sets, results, None, misses, rank, None),
+        }
+        for name, args in commits.items():
+            with pytest.raises(BuildError, match=f"{name.strip()} is not"):
+                native.commit(cache, *args)
 
-    @pytest.mark.parametrize("bad", [-1, 16])
-    def test_a_set_index_outside_the_table_writes_nothing(
-        self, native_kernel, warm, bad
+    def test_a_zero_entry_cache_is_refused_before_the_call(
+        self, native_kernel
     ):
-        cache, _, (words, sets) = warm
-        sets = sets.copy()
-        sets[-1] = bad  # 64 entries / 4 ways: sets 0..15
-        before = _cache_state(cache)
-        with pytest.raises(BuildError, match="set index outside"):
-            native.fill(cache, words, sets, np.zeros(len(sets), np.int64))
+        # No set to index: the C loops would read past the tables.
+        cache, headers = FlowCache(0), random_headers(FIVE_TUPLE, 10, seed=1)
+        with pytest.raises(BuildError, match="zero-entry"):
+            cache.lookup(headers)
+        with pytest.raises(BuildError, match="zero-entry"):
+            cache.commit(headers, None, np.zeros(10, np.int64))
+
+    @pytest.mark.parametrize("where,bad", [
+        ("sets", -1), ("sets", 16),  # 64 entries / 4 ways: sets 0..15
+        ("misses", -1), ("misses", 400),  # 400 headers
+        ("rank", -1), ("rank", "distinct"),
+    ])
+    def test_an_index_outside_its_table_writes_nothing(
+        self, native_kernel, warm, where, bad
+    ):
+        cache, _, (match, misses, rank, uniq, sets) = warm
+        arrays = {"sets": sets.copy(), "misses": misses.copy(),
+                  "rank": rank.copy()}
+        arrays[where][-1] = len(uniq) if bad == "distinct" else bad
+        cycles = np.ones(len(uniq), np.int64)
+        before, served = _cache_state(cache), match.copy()
+        with pytest.raises(BuildError, match="outside its table"):
+            native.commit(cache, uniq, arrays["sets"],
+                          np.zeros(len(uniq), np.int64), cycles,
+                          arrays["misses"], arrays["rank"], match)
         assert _cache_state(cache) == before
+        assert np.array_equal(match, served)
 
 
 # ---------------------------------------------------------------------------
