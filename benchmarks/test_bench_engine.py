@@ -1087,8 +1087,9 @@ def test_stage_graph_overhead_gate(acl1k, acl1k_zipf_trace, portable_kernel):
     All three sides are taken under ``portable_kernel``: the uncached
     engine *is* the bare kernel, and the floor of 3.0 was derived
     against the NumPy walk.  ``uncached_over_added_native`` (ungated) is
-    the same reading on the native kernel, where the graph's own work
-    has not changed and the yardstick got ~9x shorter."""
+    the same reading on the native kernel, where the yardstick got ~9x
+    shorter and the graph's own work shrank less: of the stages, only
+    the prefilter's flow hash and verdict memo run in C."""
     from repro.stages import StageGraph, default_graph
 
     trace = acl1k_zipf_trace

@@ -1,7 +1,8 @@
 """The native tier of the :class:`~repro.algorithms.flat_tree.FlatTree`
-walk and of the :class:`~repro.engine.flowcache.FlowCache`:
-``_flat_walk.c`` and ``_flow_cache.c``, built once, as one library, with
-the C compiler that is here.
+walk, of the :class:`~repro.engine.flowcache.FlowCache` and of the stage
+graph's TCAM prefilter: ``_flat_walk.c``, ``_flow_cache.c`` and
+``_prefilter.c``, built once, as one library, with the C compiler that
+is here.
 
 The walk is the per-packet loop of the portable NumPy walk over the
 *same* ``FlatTree`` buffers (no second table format), bit-identical on
@@ -11,9 +12,12 @@ packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
 The cache kernels (:func:`lookup`, :func:`commit`) are the flow
 cache's two per-batch calls over its own tables, bit-identical to its
-NumPy path in every table, counter and returned array.  There is no
-switch: a process uses both if the library loads and both portable
-paths if not, and :func:`status` says which and why.
+NumPy path in every table, counter and returned array.  The prefilter
+calls (:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
+:class:`~repro.stages.StageGraph`'s per-packet flow hash and its verdict
+memo, bit-identical to its NumPy path in every hash and verdict.  There
+is no switch: a process uses all of them if the library loads and every
+portable path if not, and :func:`status` says which and why.
 
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
 serve) loads ``flat_walk-<key>.so`` from
@@ -43,7 +47,7 @@ import numpy as np
 from ..core.errors import BuildError
 
 #: One translation unit, in this order (``source()``).
-SOURCES = ("_flat_walk.c", "_flow_cache.c")
+SOURCES = ("_flat_walk.c", "_flow_cache.c", "_prefilter.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 60
 
@@ -98,12 +102,13 @@ class _Cache(ctypes.Structure):
 
 @dataclass(frozen=True)
 class _Kernel:
-    """What this process loaded: ``fn`` is ``flat_walk`` and ``cache``
-    the library its ``fc_*`` flow-cache functions are called on, or
-    ``None`` (the portable paths) with the ``reason``."""
+    """What this process loaded: ``fn`` is ``flat_walk`` and ``lib``
+    the library its ``fc_*`` flow-cache and ``pf_*`` prefilter functions
+    are called on, or ``None`` (the portable paths) with the
+    ``reason``."""
 
     fn: object = None
-    cache: ctypes.CDLL | None = None
+    lib: ctypes.CDLL | None = None
     reason: str | None = None
     compiler: str | None = None
     path: str | None = None
@@ -157,15 +162,15 @@ def _build_and_load() -> _Kernel:
         path = os.path.join(folder, name)
         try:
             try:
-                fn, cache = _open(path)
+                fn, lib = _open(path)
             except OSError:  # not there yet, or cut short: build it once
                 _compile(cc, code, path)
-                fn, cache = _open(path)
+                fn, lib = _open(path)
         except (OSError, subprocess.SubprocessError) as exc:
             said = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
             reason = f"{path}: {exc} {said.strip()[-300:]}".rstrip()
             continue
-        return _Kernel(fn=fn, cache=cache, compiler=version, path=path)
+        return _Kernel(fn=fn, lib=lib, compiler=version, path=path)
     return _Kernel(reason=reason, compiler=version)
 
 
@@ -202,11 +207,15 @@ def _open(path: str):
         ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6], ctypes.c_int),
         ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
                        ptr, i64, i64, ptr], ctypes.c_int),
+        ("pf_hash", [ptr, i64, i64, ptr, ptr], None),
+        ("pf_probe", [ptr, i64, ptr, i64, ptr, ptr], i64),
+        ("pf_insert", [ptr, i64, ptr, ptr, i64], None),
     ):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = res
     # The key tables are little-endian words (``flowcache._KEY_WORD``);
-    # the C loops read native ones, so elsewhere the cache stays NumPy.
+    # the C loops read native ones, so elsewhere the cache (and the
+    # prefilter, in the same library) stays NumPy.
     return fn, lib if sys.byteorder == "little" else None
 
 
@@ -323,7 +332,7 @@ def lookup(cache, headers32, group: bool = True, expect: int = 0):
     """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)``,
     grouping in a table first sized for ``expect`` distinct misses;
     without ``group`` the probe alone (the last three ``None``)."""
-    lib = _load().cache
+    lib = _load().lib
     if lib is None:
         return None
     n, ndim = headers32.shape[0], cache._ndim
@@ -350,7 +359,7 @@ def _optional(name: str, arr, size: int):
 def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
            match=None, hit_cycles: int = 0):
     """``FlowCache.commit``: ``(occupancy, evictions, reclamations)``."""
-    lib = _load().cache
+    lib = _load().lib
     if lib is None:
         return None
     nd, m = uniq.shape[0], 0 if misses is None else misses.shape[0]
@@ -376,3 +385,70 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
         raise BuildError("native flow cache: a set index, miss or rank "
                          "outside its table")
     return occupancy, int(counts[0]), int(counts[1])
+
+
+# The line card's TCAM prefilter (``stages/graph.py``): each function
+# returns ``False`` / ``None`` (nothing written) when the library did not
+# load, and the graph takes its NumPy path.
+
+
+def flow_hash(rows, weight, out) -> bool:
+    """``out[p]`` = the flow hash of header row ``p`` (``uint32``, one
+    column per ``uint64`` entry of ``weight``)."""
+    lib = _load().lib
+    if lib is None:
+        return False
+    n, ncols = out.shape[0], len(weight)
+    lib.pf_hash(_pointer("rows", rows, np.uint32, (n, ncols)), n, ncols,
+                _pointer("weight", weight, np.uint64, (ncols,)),
+                _pointer("out", out, np.uint64, (n,)))
+    return True
+
+
+def _memo_size(slots) -> int:
+    """The slot count of a verdict memo, once it is a power of two."""
+    size = len(slots)
+    if size < 1 or size & (size - 1):
+        raise BuildError(f"native prefilter: {size} memo slots, not a "
+                         "power of two")
+    return size
+
+
+def memo_probe(slots, h, out):
+    """``out[p]`` = the memoised verdict of flow hash ``h[p]``, -1 for a
+    flow ``slots`` lacks; returns those flows' positions.  ``slots`` is
+    the ``(size, 2)`` ``uint64`` table of ``(hash, verdict + 2)`` pairs,
+    ``0`` empty."""
+    lib = _load().lib
+    if lib is None:
+        return None
+    n, size = out.shape[0], _memo_size(slots)
+    unseen = np.empty(n, np.int64)
+    m = lib.pf_probe(
+        _pointer("slots", slots, np.uint64, (size, 2)), size,
+        _pointer("h", h, np.uint64, (n,)), n,
+        _pointer("out", out, np.int64, (n,)), unseen.ctypes.data,
+    )
+    if m < 0:
+        raise BuildError("native prefilter: a memo with no empty slot")
+    return unseen[:m]
+
+
+def memo_insert(slots, keys, verdicts, n_flows: int) -> bool:
+    """Insert ``keys`` (distinct flow hashes, none in ``slots`` yet) with
+    their ``verdicts`` into a memo holding ``n_flows``; refused past half
+    full."""
+    lib = _load().lib
+    if lib is None:
+        return False
+    k, size = len(keys), _memo_size(slots)
+    args = (_pointer("slots", slots, np.uint64, (size, 2)), size,
+            _pointer("keys", keys, np.uint64, (k,)),
+            _pointer("verdicts", verdicts, np.int64, (k,)), k)
+    if n_flows < 0 or 2 * (n_flows + k) > size:
+        raise BuildError(f"native prefilter: {n_flows} + {k} flows past "
+                         f"half of {size} memo slots")
+    if k and verdicts.min() < -1:  # -2 would read as an empty slot
+        raise BuildError("native prefilter: a verdict below -1")
+    lib.pf_insert(*args)
+    return True

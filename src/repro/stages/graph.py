@@ -60,6 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..algorithms import native
 from ..baselines.tcam_classifier import TcamClassifier
 from ..core.errors import CapacityError, InjectedFault
 from ..core.packet import PacketTrace
@@ -80,15 +81,24 @@ _HASH_WEIGHTS = np.array(
     dtype=np.uint64,
 )
 
+#: Slots of the native verdict memo's first table (it doubles at half
+#: load).
+_MEMO_SLOTS = 1 << 10
+
 
 def _flow_hash(rows: np.ndarray) -> np.ndarray:
-    """A 64-bit mixed hash per header row (vectorised).
+    """A 64-bit mixed hash per header row: one C loop when the native
+    library loaded, else the NumPy passes below (the oracle).
 
     Each column is folded in through a full splitmix64 finaliser round,
     so structured field deltas cannot cancel the way they could under a
     plain weighted sum.  Distinct flows colliding is a ~2**-64-per-pair
     event — far below the simulator's noise floor."""
-    h = np.zeros(rows.shape[0], dtype=np.uint64)
+    h = np.empty(rows.shape[0], dtype=np.uint64)
+    weight = np.resize(_HASH_WEIGHTS, rows.shape[1])  # column j: j % 5
+    if native.flow_hash(np.ascontiguousarray(rows, np.uint32), weight, h):
+        return h
+    h[:] = 0
     for j in range(rows.shape[1]):
         h ^= rows[:, j].astype(np.uint64) + _HASH_WEIGHTS[
             j % len(_HASH_WEIGHTS)
@@ -178,7 +188,8 @@ class StageGraph:
         #: Memoised TCAM verdicts keyed by sorted 64-bit flow hash (the
         #: prefilter ruleset is static for the graph's lifetime), plus a
         #: direct-indexed table for the warm path (one gather per
-        #: packet; slot evictions just fall back to the sorted memo).
+        #: packet; slot evictions just fall back to the sorted memo):
+        #: the NumPy path's memo.  The native one is ``_memo``.
         self._tcam_keys = np.empty(0, dtype=np.uint64)
         self._tcam_vals = np.empty(0, dtype=np.int64)
         tc = spec.stage("tcam_prefilter")
@@ -197,10 +208,15 @@ class StageGraph:
                     # so the stage passes everything through (recorded).
                     self._tcam_bypass = "max_slots"
         if self.tcam is not None:
-            self._tcam_tkeys = np.full(
-                1 << 18, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64
-            )
+            self._tcam_tkeys = np.zeros(1 << 18, dtype=np.uint64)
             self._tcam_tvals = np.zeros(1 << 18, dtype=np.int64)
+            # Which slots hold a flow: no key value marks an empty slot.
+            self._tcam_tfilled = np.zeros(1 << 18, dtype=bool)
+            # The native memo: an open-addressed table of ``(hash,
+            # verdict + 2)`` slots, 0 empty, at most half full, holding
+            # ``_memo_n`` flows.
+            self._memo = np.zeros((_MEMO_SLOTS, 2), dtype=np.uint64)
+            self._memo_n = 0
         #: The classify stage's energy model and the ruleset version it
         #: was derived for (see :meth:`_classify_energy_model`).
         self._energy_model: CacheEnergyModel | None = None
@@ -420,7 +436,7 @@ class StageGraph:
                     keep[alive] = survivors
                     alive &= keep
                 rep.extra["n_slots"] = self.tcam.n_slots
-                rep.extra["unique_flows"] = int(self._tcam_keys.size)
+                rep.extra["unique_flows"] = self._unique_flows
                 model = TcamModel()
                 rep.energy_j += n_in * model.energy_per_lookup_j(
                     self.tcam.n_slots * TCAM_ENTRY_BYTES, AYAMA_10128.freq_hz
@@ -490,13 +506,56 @@ class StageGraph:
         The prefilter image is static for the graph's lifetime, so each
         distinct flow costs the O(slots) Python model walk exactly once
         across every run — the simulator-side analogue of the device's
-        single-cycle parallel compare — and every later sighting is a
-        vectorised ``searchsorted`` probe.  ``h`` is the rows' flow
-        hash (``_flow_hash``, precomputed once per segment).  Energy is
-        still charged per *packet* by the caller: every packet crosses
-        the TCAM."""
+        single-cycle parallel compare — and every later sighting is one
+        probe of the memo, in C (``native.memo_probe``) when the library
+        loaded, else :meth:`_tcam_verdicts_portable`.  ``h`` is the
+        rows' flow hash (``_flow_hash``, precomputed once per segment).
+        Energy is still charged per *packet* by the caller: every packet
+        crosses the TCAM."""
+        out = np.empty(h.size, dtype=np.int64)
+        unseen = native.memo_probe(self._memo, h, out)
+        if unseen is None:
+            return self._tcam_verdicts_portable(rows, h)
+        if unseen.size:  # new flows: the TCAM model once per distinct one
+            keys, first, inverse = np.unique(
+                h[unseen], return_index=True, return_inverse=True
+            )
+            found = self.tcam.classify_batch(rows[unseen[first]])
+            self._memo_add(keys, found.astype(np.int64))
+            out[unseen] = found[inverse]
+        return out
+
+    @property
+    def _unique_flows(self) -> int:
+        """The flows the TCAM memo holds.  One path memoises; the other
+        path's memo stays empty."""
+        return self._memo_n + int(self._tcam_keys.size)
+
+    def _memo_add(self, keys: np.ndarray, verdicts: np.ndarray) -> None:
+        """Memoise ``keys``, distinct flow hashes not in the native memo,
+        with their verdicts.  The table doubles until it is at most half
+        full; a new table takes every flow of the old one first."""
+        n, k = self._memo_n, keys.size
+        size = self._memo.shape[0]
+        while 2 * (n + k) > size:
+            size *= 2
+        if size > self._memo.shape[0]:
+            old = self._memo[self._memo[:, 1] != 0]
+            self._memo = np.zeros((size, 2), dtype=np.uint64)
+            native.memo_insert(
+                self._memo, old[:, 0].copy(),
+                old[:, 1].astype(np.int64) - 2, 0,
+            )
+        native.memo_insert(self._memo, keys, verdicts, n)
+        self._memo_n = n + k
+
+    def _tcam_verdicts_portable(
+        self, rows: np.ndarray, h: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_tcam_verdicts` in NumPy: a direct-indexed table, then
+        a ``searchsorted`` probe of the sorted memo for its misses."""
         slot = (h & np.uint64(self._tcam_tkeys.size - 1)).astype(np.intp)
-        hit = self._tcam_tkeys[slot] == h
+        hit = self._tcam_tfilled[slot] & (self._tcam_tkeys[slot] == h)
         if hit.all():  # warm path: one gather + compare per packet
             return self._tcam_tvals[slot]
         out = np.empty(rows.shape[0], dtype=np.int64)
@@ -530,6 +589,7 @@ class StageGraph:
         miss_slots = slot[miss]
         self._tcam_tkeys[miss_slots] = miss_h
         self._tcam_tvals[miss_slots] = resolved
+        self._tcam_tfilled[miss_slots] = True
         return out
 
     # ------------------------------------------------------------------

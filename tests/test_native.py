@@ -1,11 +1,11 @@
 """The native library: build, load, fall back, refuse bad tables.
 
-``repro.algorithms.native`` builds ``_flat_walk.c`` and ``_flow_cache.c``
-with the compiler that is here and loads them once per process; every
-way that can fail must leave the portable NumPy walk and cache serving,
-with the reason recorded and nothing raised.  The flow-cache kernels
-must serve every cache geometry as NumPy does and see no table of the
-wrong kind.  The C loop itself must turn what NumPy reported as an
+``repro.algorithms.native`` builds ``_flat_walk.c``, ``_flow_cache.c``
+and ``_prefilter.c`` with the compiler that is here and loads them once
+per process; every way that can fail must leave the portable NumPy
+walk, cache and prefilter serving, with the reason recorded and nothing
+raised.  The flow-cache kernels must serve every cache geometry as NumPy
+does and see no table of the wrong kind, nor may the prefilter's.  The C loop itself must turn what NumPy reported as an
 ``IndexError`` (a corrupt table) into a :class:`BuildError`, not a
 fault.  Identity of the two kernels on real trees is asserted where the
 trees are (``test_flat_tree.py``, ``test_match_walk.py``,
@@ -479,6 +479,86 @@ class TestCacheGeometries:
                           arrays["misses"], arrays["rank"], match)
         assert _cache_state(cache) == before
         assert np.array_equal(match, served)
+
+
+class TestPrefilterRefusals:
+    """The prefilter's C calls (``pf_hash``, ``pf_probe``, ``pf_insert``)
+    see no array of the wrong kind, and a probe writes nothing when it
+    is handed fewer hashes than outputs."""
+
+    @pytest.fixture
+    def memo(self):
+        """64 slots holding ten flows and their verdicts, -1 to 8."""
+        slots = np.zeros((64, 2), np.uint64)
+        keys = np.arange(1, 11, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        verdicts = np.arange(-1, 9, dtype=np.int64)
+        assert native.memo_insert(slots, keys, verdicts, 0)
+        return slots, keys, verdicts
+
+    def test_the_hash_refuses_an_input_of_the_wrong_kind(self, native_kernel):
+        rows = random_headers(FIVE_TUPLE, 20, seed=1)
+        weight, out = np.ones(5, np.uint64), np.empty(20, np.uint64)
+        calls = {  # the message (padded to a distinct key) -> arguments
+            "rows is not": (rows.astype(np.int64), weight, out),
+            "rows is not ": (rows[:, :4].copy(), weight, out),  # narrower
+            "rows is not  ": (np.asfortranarray(rows), weight, out),
+            "weight is not": (rows, weight.astype(np.int64), out),
+            "out is not": (rows, weight, out.astype(np.int64)),
+            "out is not ": (rows, weight, np.empty(40, np.uint64)[::2]),
+        }
+        for name, args in calls.items():
+            with pytest.raises(BuildError, match=name.strip()):
+                native.flow_hash(*args)
+
+    def test_the_probe_refuses_an_input_of_the_wrong_kind(
+        self, native_kernel, memo
+    ):
+        slots, keys, verdicts = memo
+        out = np.full(10, 7, np.int64)
+        calls = {
+            "slots is not": (slots.view(np.int64), keys, out),
+            "slots is not ": (np.zeros((64, 3), np.uint64), keys, out),
+            "slots is not  ": (np.asfortranarray(slots), keys, out),
+            "not a power of two": (slots[:48].copy(), keys, out),
+            "h is not": (slots, keys.astype(np.int64), out),
+            "h is not ": (slots, np.repeat(keys, 2)[::2], out),
+            "h is not  ": (slots, keys[:-1], out),  # shorter than out
+            "out is not": (slots, keys, out.astype(np.int32)),
+        }
+        for name, args in calls.items():
+            with pytest.raises(BuildError, match=name.strip()):
+                native.memo_probe(*args)
+        assert out.tolist() == [7] * 10  # nothing written
+        assert native.memo_probe(slots, keys, out).size == 0
+        assert out.tolist() == verdicts.tolist()
+
+    def test_a_memo_with_no_empty_slot_is_an_error_not_a_hang(
+        self, native_kernel, memo
+    ):
+        _, keys, _ = memo
+        full = np.ones((64, 2), np.uint64)  # no probe of a new flow ends
+        with pytest.raises(BuildError, match="no empty slot"):
+            native.memo_probe(full, keys, np.empty(10, np.int64))
+
+    def test_the_insert_refuses_an_input_of_the_wrong_kind(
+        self, native_kernel, memo
+    ):
+        slots, keys, verdicts = memo
+        new = keys + np.uint64(1)
+        before = slots.copy()
+        calls = {
+            "keys is not": (slots, new.astype(np.int64), verdicts, 10),
+            "keys is not ": (slots, np.repeat(new, 2)[::2], verdicts, 10),
+            "verdicts is not": (slots, new, verdicts[1:], 10),
+            "slots is not": (np.asfortranarray(slots), new, verdicts, 10),
+            "past half": (slots, new, verdicts, 23),  # 33 flows, 64 slots
+            "past half ": (slots, new, verdicts, -1),
+            "below -1": (slots, new, verdicts - 1, 10),
+        }
+        for name, args in calls.items():
+            with pytest.raises(BuildError, match=name.strip()):
+                native.memo_insert(*args)
+        assert np.array_equal(slots, before)
 
 
 # ---------------------------------------------------------------------------

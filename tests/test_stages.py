@@ -4,7 +4,9 @@ Covers the spec layer (validation, JSON round-trip), the runner's
 bit-identity contract against a bare ``Engine.classify`` across
 backend x shards x cache, per-stage telemetry and energy accounting,
 stage-targeted fault injection, TCAM monitor mode under live updates,
-and file-source quarantine propagation into ``EngineReport.to_dict``.
+file-source quarantine propagation into ``EngineReport.to_dict``, and
+the TCAM prefilter's C flow hash and verdict memo against their NumPy
+oracle.
 The segment loop the graph shares with the session (source shapes,
 ``ingest`` faults, updates at the stream end) is pinned on all three
 serving drivers in ``tests/test_segment_loop.py``.
@@ -17,6 +19,8 @@ import json
 import numpy as np
 import pytest
 
+from repro import generate_ruleset
+from repro.algorithms import native
 from repro.classbench import churn_schedule, generate_zipf_trace
 from repro.core.errors import ConfigError, ServingFaultError
 from repro.core.rules import DIM_PROTO
@@ -29,6 +33,9 @@ from repro.stages import (
     StageSpec,
     default_graph,
 )
+from repro.stages.graph import _MEMO_SLOTS, _flow_hash
+
+from tests.conftest import random_headers
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +393,128 @@ class TestStageSemantics:
         assert np.array_equal(
             report.match >= 0, report.match >= 0
         )  # ran to completion
+
+
+# ---------------------------------------------------------------------------
+# The TCAM prefilter's two kernels: C against the NumPy oracle
+# ---------------------------------------------------------------------------
+
+
+def _prefilter_graph(ruleset) -> StageGraph:
+    """A graph of the prefilter alone before a classify stage on the
+    linear backend, which builds at once."""
+    return StageGraph(
+        StageGraphSpec(
+            stages=(
+                StageSpec(kind="tcam_prefilter"),
+                StageSpec(
+                    kind="classify", params={"engine": {"backend": "linear"}}
+                ),
+            )
+        ),
+        ruleset,
+    )
+
+
+def _on_both_kernels(monkeypatch, fn):
+    """``[fn(0) on the native kernel, fn(1) on the NumPy path]``."""
+    out = [fn(0)]
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            native, "_kernel", native._Kernel(reason="oracle side")
+        )
+        out.append(fn(1))
+    return out
+
+
+class TestPrefilterKernels:
+    """The prefilter's flow hash and verdict memo in C (``pf_hash``,
+    ``pf_probe`` + ``pf_insert``) return what the NumPy path returns,
+    segment after segment, and a graph served on either kernel reports
+    the same telemetry."""
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_flow_hash(self, native_kernel, monkeypatch, width):
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, 1 << 32, (500, width), dtype=np.uint32)
+        rows[0], rows[1], rows[2, 0] = 0, 0xFFFFFFFF, 0xFFFFFFFF
+        for given in (rows, rows[::3], rows[:0]):  # strided, empty
+            fast, oracle = _on_both_kernels(
+                monkeypatch, lambda side: _flow_hash(given)
+            )
+            assert fast.dtype == oracle.dtype == np.uint64
+            assert np.array_equal(fast, oracle)
+
+    def test_verdict_memo(self, native_kernel, monkeypatch, acl_small):
+        rng = np.random.default_rng(5)
+        # Flows that match (rule corners) and flows that mostly do not.
+        corners = np.array(
+            [[lo for lo, _ in rule.ranges] for rule in acl_small.rules],
+            dtype=np.uint32,
+        )
+        pool = np.unique(
+            np.concatenate(
+                [corners, random_headers(acl_small.schema, 1800, seed=6)]
+            ),
+            axis=0,
+        )
+        pool = pool[rng.permutation(len(pool))]
+        segments = [
+            pool[np.arange(100).repeat(2)],   # first seen, each twice
+            pool[:100],                       # repeated: all memoised
+            pool[50:150],                     # mixed
+            pool[:0],                         # empty
+            pool[150:],                       # past the first table size
+            pool[rng.integers(0, len(pool), 3000)],  # everything, shuffled
+        ]
+        twins = [_prefilter_graph(acl_small) for _ in range(2)]
+        assert len(pool) > _MEMO_SLOTS  # the native table doubles twice
+
+        def serve(side):
+            got = twins[side]._tcam_verdicts(rows, _flow_hash(rows))
+            return got.tolist(), twins[side]._unique_flows
+
+        for rows in segments:
+            served = _on_both_kernels(monkeypatch, serve)
+            assert served[0] == served[1]
+            assert served[0][0] == twins[0].tcam.classify_batch(rows).tolist()
+        assert twins[0]._unique_flows == len(pool)
+        assert twins[0]._memo.shape[0] == 4 * _MEMO_SLOTS
+        assert twins[1]._memo_n == 0  # the NumPy path kept its own memo
+
+    @pytest.mark.parametrize("kernel", ["native", "portable"])
+    def test_no_hash_value_marks_an_empty_memo_slot(self, request, kernel):
+        """A flow matching no rule reads -1 whatever its hash: the memo
+        never takes an empty slot for a memoised flow, so hash
+        ``2**64 - 1`` (the old empty marker) and ``0`` read no verdict
+        they were not given."""
+        request.getfixturevalue(f"{kernel}_kernel")
+        ruleset = generate_ruleset("acl1", 300, seed=11)
+        rows = np.array([[1, 2, 3, 4, 250]], dtype=np.uint32)
+        with _prefilter_graph(ruleset) as graph:
+            assert graph.tcam.classify_batch(rows).tolist() == [-1]
+            for h in (2**64 - 1, 0, 2**64 - 1, 12345):
+                got = graph._tcam_verdicts(rows, np.array([h], np.uint64))
+                assert got.tolist() == [-1], h
+            assert graph._unique_flows == 3
+
+    def test_a_graph_run(self, native_kernel, monkeypatch, acl_small,
+                         zipf_small):
+        spec = default_graph({"backend": "hypercuts"}, cache_entries=1024)
+
+        def run(side):
+            with StageGraph(spec, acl_small) as graph:
+                return graph.run(zipf_small, segment_packets=1000)
+
+        fast, oracle = _on_both_kernels(monkeypatch, run)
+        assert np.array_equal(fast.match, oracle.match)
+        for a, b in zip(fast.stages, oracle.stages, strict=True):
+            assert a.drops == b.drops, a.kind
+            assert a.energy_j == b.energy_j, a.kind
+            for key in ("unique_flows", "queue_occupancy"):
+                assert a.extra.get(key) == b.extra.get(key), (a.kind, key)
+        tcam = next(s for s in fast.stages if s.kind == "tcam_prefilter")
+        assert tcam.extra["unique_flows"] > 0
 
 
 # ---------------------------------------------------------------------------
