@@ -48,85 +48,6 @@ static int live(const flow_cache *c, int64_t slot)
     return c->epoch_of[slot] == c->epoch;
 }
 
-/* One distinct key while it is sorted: its first word inline, so most
- * comparisons read no further. */
-typedef struct { uint64_t w0; int64_t id; } entry;
-
-/* a sorts before b, two keys of one run of equal first words. */
-static int before(const entry *a, const entry *b, const uint64_t *keys,
-                  int64_t nw)
-{
-    const uint64_t *x = keys + a->id * nw, *y = keys + b->id * nw;
-    for (int64_t k = 1; k < nw; k++)
-        if (x[k] != y[k])
-            return x[k] < y[k];
-    return 0;
-}
-
-/* Bottom-up merge sort of one such run e[0, n) through tmp.  Returns the
- * array the result ended in. */
-static entry *sort_run(entry *e, entry *tmp, int64_t n, const uint64_t *keys,
-                       int64_t nw)
-{
-    for (int64_t width = 1; width < n; width *= 2) {
-        for (int64_t lo = 0; lo < n; lo += 2 * width) {
-            int64_t mid = lo + width < n ? lo + width : n;
-            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
-            int64_t i = lo, j = mid, o = lo;
-            while (i < mid && j < hi)
-                tmp[o++] = before(&e[j], &e[i], keys, nw) ? e[j++] : e[i++];
-            while (i < mid)
-                tmp[o++] = e[i++];
-            while (j < hi)
-                tmp[o++] = e[j++];
-        }
-        entry *swap = e;
-        e = tmp;
-        tmp = swap;
-    }
-    return e;
-}
-
-/* LSD radix sort of e[0, n), n >= 1, by w0, 11 bits at a time through
- * tmp (a digit every entry shares costs no pass), then each run of equal
- * w0 by the rest of the key.  Returns the array the result ended in,
- * NULL when out of memory. */
-static entry *sort_keys(entry *e, entry *tmp, int64_t n, const uint64_t *keys,
-                        int64_t nw)
-{
-    enum { BITS = 11, PASSES = (64 + BITS - 1) / BITS, RADIX = 1 << BITS };
-    int64_t (*count)[RADIX] = calloc(PASSES, sizeof *count);
-    if (!count)
-        return NULL;
-    for (int64_t i = 0; i < n; i++)
-        for (int b = 0; b < PASSES; b++)
-            count[b][e[i].w0 >> BITS * b & (RADIX - 1)]++;
-    for (int b = 0; b < PASSES; b++) {
-        int64_t *c = count[b], sum = 0;
-        if (c[e[0].w0 >> BITS * b & (RADIX - 1)] == n)
-            continue;
-        for (int v = 0; v < RADIX; v++) {
-            int64_t x = c[v];
-            c[v] = sum;
-            sum += x;
-        }
-        for (int64_t i = 0; i < n; i++)
-            tmp[c[e[i].w0 >> BITS * b & (RADIX - 1)]++] = e[i];
-        entry *swap = e;
-        e = tmp;
-        tmp = swap;
-    }
-    free(count);
-    for (int64_t lo = 0, hi; lo < n; lo = hi) {
-        for (hi = lo + 1; hi < n && e[hi].w0 == e[lo].w0; hi++)
-            ;
-        entry *run = sort_run(e + lo, tmp + lo, hi - lo, keys, nw);
-        if (run != e + lo)
-            memcpy(e + lo, run, (size_t)(hi - lo) * sizeof *e);
-    }
-    return e;
-}
-
 /* One batch's distinct misses so far, by id (arrival order): each one's
  * FNV value and packed key, room for `most` (the batch size).  `table`
  * (2^bits slots, at most half full) finds an id by FNV value; it grows
@@ -215,8 +136,9 @@ static inline int64_t find(const flow_cache *c, int64_t s, const uint64_t *kw,
  * LRU stamp becomes tick + p, and the misses' positions go to misses[].
  * With uniq, they are grouped by FNV value, BLOCK headers at a time, in
  * a table first sized for `expect` (the result never depends on it): the
- * distinct headers go to uniq in np.unique(axis=0) order, their sets to
- * sets, miss i's rank among them to rank[i], and both counts to counts.
+ * distinct headers go to uniq in the order of each one's last miss, their
+ * sets to sets, miss i's rank among them to rank[i], and both counts to
+ * counts.
  * Inlined for the five-tuple 4-way cache, constant bounds, and any other. */
 enum { BLOCK = 256 };
 
@@ -228,7 +150,6 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
     const int64_t nw = (ndim + 1) / 2;
     groups g = {.most = n};
     expect = expect < n ? expect : n;
-    entry *e = NULL;
     int64_t m = 0, code = FC_ERR_MEMORY;
     /* One block's misses: FNV values, then keys. */
     uint64_t *miss_x = malloc((size_t)BLOCK * (nw + 1) * sizeof *miss_x);
@@ -262,29 +183,29 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
                 goto out;
         }
     }
-    if (g.nd && !(e = malloc((size_t)g.nd * 2 * sizeof *e)))
-        goto out;
-    for (int64_t id = 0; id < g.nd; id++)
-        e[id] = (entry){g.keys[id * nw], id};
-    entry *sorted = e;
-    if (g.nd && !(sorted = sort_keys(e, e + g.nd, g.nd, g.keys, nw)))
-        goto out;
-    int64_t *rank_of = (int64_t *)g.table;   /* >= 2 nd slots, free now */
-    for (int64_t r = 0; r < g.nd; r++) {
-        const int64_t id = sorted[r].id;
-        rank_of[id] = r;
+    /* Ids to last-sighting ranks, in g.table (free now, >= 4 nd int64s):
+     * each id's last miss index, then its rank once emitted there.  No
+     * ids without uniq: a probe alone passes NULL uniq, rank and sets. */
+    int64_t *last = (int64_t *)g.table, r = 0;
+    for (int64_t i = 0; g.nd && i < m; i++)
+        last[rank[i]] = i;
+    for (int64_t i = 0; g.nd && i < m; i++) {
+        const int64_t id = rank[i];
+        if (last[id] != i)
+            continue;
+        last[id] = r;
         for (int64_t d = 0; d < ndim; d++)   /* pack_flow_keys, undone */
             uniq[r * ndim + d] = (uint32_t)(g.keys[id * nw + d / 2]
                                             >> (d % 2 ? 0 : 32));
-        sets[r] = set_of(g.x[id], (uint64_t)c->n_sets);
+        sets[r++] = set_of(g.x[id], (uint64_t)c->n_sets);
     }
     for (int64_t i = 0; g.nd && i < m; i++)
-        rank[i] = rank_of[rank[i]];
+        rank[i] = last[rank[i]];
     counts[0] = m;
     counts[1] = g.nd;
     code = FC_OK;
 out:
-    free(miss_x), free(g.table), free(g.x), free(g.keys), free(e);
+    free(miss_x), free(g.table), free(g.x), free(g.keys);
     return (int)code;
 }
 

@@ -23,9 +23,11 @@ misses — that split is where the energy argument lives.
   results the backend produced, keyed by the *full* header.
 
 Batch semantics: a batch is probed once against the cache's state at
-batch start; the misses are grouped in ``np.unique(axis=0)`` order
-(which fixes the fill order, the victims and every counter), classified
-once per distinct header (one ``batch_stats_of`` call) and filled back.
+batch start; the misses are grouped in the order of each distinct
+header's last occurrence (which fixes the fill order, the victims and
+every counter: the flows seen last are the ones a crowded set keeps),
+classified once per distinct header (one ``batch_stats_of`` call) and
+filled back.
 Duplicate misses in a batch coalesce into one backend lookup and count
 as hits.  A zero-entry cache bypasses entirely (every packet a backend
 miss, no coalescing).
@@ -104,6 +106,24 @@ def _mix_flow_keys(words: np.ndarray) -> np.ndarray:
     return h * _MIX_A
 
 
+def _by_last_sighting(
+    position: np.ndarray, boundary: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dedupe_flow_keys`' ``(first, inverse)`` from keys sorted
+    into groups, each group in arrival order: ``position`` holds the
+    sorted keys' batch positions, ``boundary`` marks each group's first
+    element.  Groups rank by their last position, and a group's first
+    position is its first element's."""
+    last = np.ones_like(boundary)
+    last[:-1] = boundary[1:]
+    order = np.argsort(position[last])
+    rank = np.empty(order.size, np.intp)
+    rank[order] = np.arange(order.size)
+    inverse = np.empty(position.size, np.intp)
+    inverse[position] = rank[np.cumsum(boundary) - 1]
+    return position[boundary][order], inverse
+
+
 def _lexsort_dedupe(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`dedupe_flow_keys` by one stable ``lexsort`` of every key."""
     n = words.shape[1]
@@ -113,39 +133,29 @@ def _lexsort_dedupe(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     boundary[1:] = ranked[0, 1:] != ranked[0, :-1]
     for word in ranked[1:]:  # a few whole-row ORs beat an axis-0 reduce
         boundary[1:] |= word[1:] != word[:-1]
-    inverse = np.empty(n, np.intp)
-    inverse[order] = np.cumsum(boundary) - 1
-    return order[np.flatnonzero(boundary)], inverse
+    return _by_last_sighting(order, boundary)
 
 
 def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct columns of a packed key matrix, in row-lexicographic order:
-    ``(first, inverse)``, for ``words = pack_flow_keys(m)`` exactly the
-    ``return_index`` / ``return_inverse`` of ``np.unique(m, axis=0)``.
+    """Distinct columns of a packed key matrix, in the order of each
+    one's last occurrence: ``(first, inverse)``, each distinct key's
+    first position and each key's rank among them.
 
     Equal keys are grouped by hash: one *value* sort of (hash's high
     bits, position in the low bits) lays each group out in arrival
-    order, so its head is its first occurrence and only the distinct
-    keys need the lexsort.  Every key is then compared with its group's
-    head; a batch where two different keys share a hash — or one too
-    small to repay hashing — takes the lexsort over all keys.
+    order, so its head is its first occurrence and its tail its last.
+    Every key is then compared with its group's head; a batch where two
+    different keys share a hash — or one too small to repay hashing —
+    takes a stable ``lexsort`` over all keys instead.
     """
     n = words.shape[1]
     if n >= _HASH_GROUP_MIN:
         low = np.uint64((1 << (n - 1).bit_length()) - 1)
         tagged = (_mix_flow_keys(words) & ~low) | np.arange(n, dtype=np.uint64)
         tagged.sort()
-        position = (tagged & low).astype(np.intp)
         boundary = np.ones(n, bool)
         boundary[1:] = (tagged[1:] ^ tagged[:-1]) > low
-        heads = position[np.flatnonzero(boundary)]
-        # Different hashes, so the heads are distinct: ordering is all.
-        order = np.lexsort(np.take(words, heads, axis=1)[::-1])
-        rank = np.empty(order.size, np.intp)
-        rank[order] = np.arange(order.size)
-        first = heads[order]
-        inverse = np.empty(n, np.intp)
-        inverse[position] = rank[np.cumsum(boundary) - 1]
+        first, inverse = _by_last_sighting((tagged & low).astype(np.intp), boundary)
         head_of = first[inverse]
         if all(np.array_equal(word[head_of], word) for word in words):
             return first, inverse
@@ -289,9 +299,10 @@ class FlowCache:
         """:meth:`probe` a batch on an enabled cache and group its misses:
         ``(match, misses, rank, uniq, sets)``, each header's cached result
         (-1: a miss), the positions that missed, each miss's rank among
-        the distinct missed headers, those in ``np.unique(axis=0)`` order
-        and their set indices.  Natively one pass that groups a miss by
-        its probe's FNV value; in NumPy :func:`dedupe_flow_keys` after."""
+        the distinct missed headers, those in the order of each one's
+        last miss and their set indices.  Natively one pass that groups a
+        miss by its probe's FNV value; in NumPy :func:`dedupe_flow_keys`
+        after."""
         headers = self._prepare(headers)
         found = native.lookup(self, headers, expect=self._distinct)
         if found is not None:

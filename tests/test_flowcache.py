@@ -126,14 +126,22 @@ def _flow_batches(draw):
     return m
 
 
-def _assert_is_np_unique(m):
+def _assert_groups_by_last_sighting(m):
+    """``np.unique(m, axis=0)``'s groups, reordered by each group's last
+    position: the first index and the inverse follow the reordering."""
     first, inverse = dedupe_flow_keys(pack_flow_keys(m))
     uniq, index, inv = np.unique(
         m, axis=0, return_index=True, return_inverse=True
     )
-    assert np.array_equal(m[first], uniq)
-    assert np.array_equal(first, index)
-    assert np.array_equal(inverse, inv.reshape(-1))
+    inv = inv.reshape(-1)
+    last = np.zeros(len(uniq), np.intp)
+    last[inv] = np.arange(len(m))  # the last write of each group wins
+    order = np.argsort(last)
+    rank = np.empty(len(uniq), np.intp)
+    rank[order] = np.arange(len(uniq))
+    assert np.array_equal(m[first], uniq[order])
+    assert np.array_equal(first, index[order])
+    assert np.array_equal(inverse, rank[inv])
 
 
 # The two properties live outside the classes that run them, so that
@@ -141,24 +149,25 @@ def _assert_is_np_unique(m):
 @settings(max_examples=300, deadline=None)
 @given(_header_matrices())
 def _unique_rows(m):
-    _assert_is_np_unique(m)
+    _assert_groups_by_last_sighting(m)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_flow_batches())
 def _unique_rows_of_big_batches(m):
-    _assert_is_np_unique(m)
+    _assert_groups_by_last_sighting(m)
 
 
 class TestPackedKeyDedupe:
     """``dedupe_flow_keys(pack_flow_keys(m))`` is ``np.unique(m, axis=0)``
-    — same row order, same first-occurrence index, same inverse — which
-    is what keeps fill order, victims and counters where they were."""
+    ranked by each row's last occurrence — same groups, same
+    first-occurrence index, the inverse to match — which is what fixes
+    fill order, victims and counters on both kernels."""
 
-    def test_matches_np_unique_rows(self):
+    def test_groups_rows_by_last_sighting(self):
         _unique_rows()
 
-    def test_matches_np_unique_rows_on_hash_grouped_batches(self):
+    def test_groups_rows_by_last_sighting_on_hash_grouped_batches(self):
         _unique_rows_of_big_batches()
 
     @pytest.mark.parametrize("mixer", [
@@ -173,7 +182,7 @@ class TestPackedKeyDedupe:
         flows = rng.integers(0, 4, (300, 5), dtype=np.uint32)
         m = flows[rng.integers(0, 300, 4 * _CUT)]
         monkeypatch.setattr(flowcache, "_mix_flow_keys", mixer)
-        _assert_is_np_unique(m)
+        _assert_groups_by_last_sighting(m)
         # ...and it was the fallback that answered, not luck:
         monkeypatch.setattr(flowcache, "_lexsort_dedupe", _must_not_run)
         with pytest.raises(AssertionError, match="lexsort"):
@@ -186,19 +195,19 @@ class TestPackedKeyDedupe:
         flows = rng.integers(0, 2**32, (900, 5), dtype=np.uint32)
         m = flows[rng.integers(0, 900, 4 * _CUT)]
         monkeypatch.setattr(flowcache, "_lexsort_dedupe", _must_not_run)
-        _assert_is_np_unique(m)
+        _assert_groups_by_last_sighting(m)
         with pytest.raises(AssertionError, match="lexsort"):
             dedupe_flow_keys(pack_flow_keys(m[:_CUT - 1]))  # small batch
 
-    def test_every_byte_of_every_word_orders(self):
+    def test_every_byte_of_every_word_tells_keys_apart(self):
         # Columns that differ in one byte each, at any of the four byte
-        # positions: a sort that skipped a byte, or any word after the
-        # first, would misplace some of them.
+        # positions: a grouping that skipped a byte, or any word after
+        # the first, would merge some of them.
         rng = np.random.default_rng(8)
         for ndim in (2, 5, 6):
             shift = rng.choice([0, 8, 16, 24], (3000, ndim))
             m = (rng.integers(0, 4, (3000, ndim)) << shift).astype(np.uint32)
-            _assert_is_np_unique(m)
+            _assert_groups_by_last_sighting(m)
 
     def test_word_order_is_row_order(self):
         # Column 0 is the most significant half of word 0; an odd last
@@ -208,7 +217,8 @@ class TestPackedKeyDedupe:
         assert words.shape == (2, 3) and words.dtype == np.uint64
         assert words[:, 0].tolist() == [1 << 32, 0]
         assert words[:, 1].tolist() == [2**32 - 1, (2**32 - 1) << 32]
-        assert dedupe_flow_keys(words)[0].tolist() == [2, 1, 0]
+        # Distinct rows seen once each rank by when they were seen.
+        assert dedupe_flow_keys(words)[0].tolist() == [0, 1, 2]
 
 
 def _must_not_run(words):
@@ -290,6 +300,21 @@ class TestFillGrouping:
         assert np.array_equal(small._result[:40], large._result[:40])
 
 
+class TestFillOrder:
+    """A batch fills its distinct misses in the order each was last
+    seen, so a set that overflows keeps the flows seen most recently."""
+
+    def test_a_flow_seen_last_survives_a_crowded_set(self):
+        clf = CachedClassifier(CountingClassifier(), entries=2, ways=2)
+        a, b, c = ([v, 0, 0, 0, 0] for v in (1, 2, 3))
+        first = clf.batch_stats(_headers([a, b, c, a]))
+        assert (first.cache_hits, first.cache_misses) == (1, 3)
+        # B and C fill the two ways, then A, seen last, wraps onto B's.
+        assert clf.batch_stats(_headers([a])).cache_hits == 1
+        assert clf.batch_stats(_headers([c])).cache_hits == 1
+        assert clf.batch_stats(_headers([b])).cache_hits == 0
+
+
 class TestFlowCacheUnit:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError, match="entries"):
@@ -363,8 +388,7 @@ class TestFlowCacheUnit:
     def test_whole_cache_flush_then_serve_keeps_the_counters(self, acl_small):
         # Liveness is the epoch tag alone: refilling an epoch-stale slot
         # is a reclamation, never an eviction.  Counters recorded, on
-        # both kernels, at the last commit that still had TTL aging,
-        # with aging off.
+        # both kernels, when the fill order became last sighting.
         trace = generate_zipf_trace(
             acl_small, 4000, n_flows=512, skew=1.0, seed=413
         )
@@ -379,7 +403,7 @@ class TestFlowCacheUnit:
         stats = clf.cache.stats
         assert (
             stats.hits, stats.misses, stats.evictions, stats.reclamations
-        ) == (2727, 1273, 1081, 128)
+        ) == (2764, 1236, 1044, 128)
 
 
 class TestFlowCacheRetire:
@@ -597,16 +621,16 @@ class TestFlowCacheEpoch:
 
 
 class TestPinnedCounters:
-    """Counters and replacement state recorded, on both kernels, at the
-    last commit that still had TTL aging, with aging off: any change to
-    probe, dedupe or fill that moves a hit, a victim or a stamp shows up
-    here as a changed number."""
+    """Counters and replacement state recorded, on both kernels, when the
+    fill order became last sighting: any change to probe, dedupe or fill
+    that moves a hit, a victim or a stamp shows up here as a changed
+    number."""
 
     #: ways -> (hits, misses, evictions, reclamations, crc32 of the
     #: final ``_stamp`` table, crc32 of the per-set victim order).
     PINNED = {
-        1: (3990, 2010, 1755, 127, 3273094453, 4021661486),
-        4: (4011, 1989, 1733, 128, 888604085, 1727804690),
+        1: (4022, 1978, 1723, 127, 144640205, 4021661486),
+        4: (4054, 1946, 1690, 128, 1705503899, 79563529),
     }
 
     @pytest.mark.parametrize("ways", [1, 4])
@@ -643,6 +667,11 @@ class TestPackedKeyDedupePortable(TestPackedKeyDedupe):
 
 @pytest.mark.usefixtures("portable_kernel")
 class TestFillGroupingPortable(TestFillGrouping):
+    pass
+
+
+@pytest.mark.usefixtures("portable_kernel")
+class TestFillOrderPortable(TestFillOrder):
     pass
 
 
