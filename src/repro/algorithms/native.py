@@ -14,8 +14,9 @@ The cache kernels (:func:`lookup`, :func:`commit`) are the flow
 cache's two per-batch calls over its own tables, bit-identical to its
 NumPy path in every table, counter and returned array.  The prefilter
 calls (:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
-:class:`~repro.stages.StageGraph`'s per-packet flow hash and its verdict
-memo, bit-identical to its NumPy path in every hash and verdict.  There
+:class:`~repro.stages.StageGraph`'s per-packet flow hash (the flow
+cache's FNV-1a) and its verdict memo, bit-identical to its NumPy path in
+every hash and verdict.  There
 is no switch: a process uses all of them if the library loads and every
 portable path if not, and :func:`status` says which and why.
 
@@ -207,9 +208,9 @@ def _open(path: str):
         ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6], ctypes.c_int),
         ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
                        ptr, i64, i64, ptr], ctypes.c_int),
-        ("pf_hash", [ptr, i64, i64, ptr, ptr], None),
-        ("pf_probe", [ptr, i64, ptr, i64, ptr, ptr], i64),
-        ("pf_insert", [ptr, i64, ptr, ptr, i64], None),
+        ("pf_hash", [ptr, i64, i64, ptr], None),
+        ("pf_probe", [ptr, i64, i64, ptr, ptr, i64, ptr, ptr], i64),
+        ("pf_insert", [ptr, i64, i64, ptr, ptr, ptr, i64], None),
     ):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = res
@@ -392,40 +393,41 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
 # load, and the graph takes its NumPy path.
 
 
-def flow_hash(rows, weight, out) -> bool:
-    """``out[p]`` = the flow hash of header row ``p`` (``uint32``, one
-    column per ``uint64`` entry of ``weight``)."""
+def flow_hash(rows, out) -> bool:
+    """``out[p]`` = the flow hash of ``uint32`` header row ``p``: the
+    flow cache's (``flowcache.flow_hash``)."""
     lib = _load().lib
     if lib is None:
         return False
-    n, ncols = out.shape[0], len(weight)
-    lib.pf_hash(_pointer("rows", rows, np.uint32, (n, ncols)), n, ncols,
-                _pointer("weight", weight, np.uint64, (ncols,)),
+    n, ndim = out.shape[0], np.shape(rows)[-1]
+    lib.pf_hash(_pointer("rows", rows, np.uint32, (n, ndim)), n, ndim,
                 _pointer("out", out, np.uint64, (n,)))
     return True
 
 
-def _memo_size(slots) -> int:
-    """The slot count of a verdict memo, once it is a power of two."""
+def _memo_table(slots, ndim: int):
+    """The address and row count of a verdict memo of ``ndim``-column
+    headers, once it is ``(power of two, ndim + 1)`` ``uint32``."""
     size = len(slots)
     if size < 1 or size & (size - 1):
         raise BuildError(f"native prefilter: {size} memo slots, not a "
                          "power of two")
-    return size
+    return _pointer("slots", slots, np.uint32, (size, ndim + 1)), size
 
 
-def memo_probe(slots, h, out):
-    """``out[p]`` = the memoised verdict of flow hash ``h[p]``, -1 for a
-    flow ``slots`` lacks; returns those flows' positions.  ``slots`` is
-    the ``(size, 2)`` ``uint64`` table of ``(hash, verdict + 2)`` pairs,
-    ``0`` empty."""
+def memo_probe(slots, rows, h, out):
+    """``out[p]`` = the memoised verdict of header row ``p`` (flow hash
+    ``h[p]``), -1 for a flow ``slots`` lacks; returns those flows'
+    positions.  ``slots`` is the table of ``(header columns, verdict +
+    2)`` rows, tag ``0`` empty."""
     lib = _load().lib
     if lib is None:
         return None
-    n, size = out.shape[0], _memo_size(slots)
+    n, ndim = out.shape[0], np.shape(rows)[-1]
+    table, size = _memo_table(slots, ndim)
     unseen = np.empty(n, np.int64)
     m = lib.pf_probe(
-        _pointer("slots", slots, np.uint64, (size, 2)), size,
+        table, size, ndim, _pointer("rows", rows, np.uint32, (n, ndim)),
         _pointer("h", h, np.uint64, (n,)), n,
         _pointer("out", out, np.int64, (n,)), unseen.ctypes.data,
     )
@@ -434,21 +436,23 @@ def memo_probe(slots, h, out):
     return unseen[:m]
 
 
-def memo_insert(slots, keys, verdicts, n_flows: int) -> bool:
-    """Insert ``keys`` (distinct flow hashes, none in ``slots`` yet) with
-    their ``verdicts`` into a memo holding ``n_flows``; refused past half
-    full."""
+def memo_insert(slots, rows, h, verdicts, n_flows: int) -> bool:
+    """Insert header ``rows`` (distinct flows, none in ``slots`` yet;
+    flow hashes ``h``) with their ``verdicts`` into a memo holding
+    ``n_flows``; refused past half full."""
     lib = _load().lib
     if lib is None:
         return False
-    k, size = len(keys), _memo_size(slots)
-    args = (_pointer("slots", slots, np.uint64, (size, 2)), size,
-            _pointer("keys", keys, np.uint64, (k,)),
+    k, ndim = len(h), np.shape(rows)[-1]
+    table, size = _memo_table(slots, ndim)
+    args = (table, size, ndim, _pointer("rows", rows, np.uint32, (k, ndim)),
+            _pointer("h", h, np.uint64, (k,)),
             _pointer("verdicts", verdicts, np.int64, (k,)), k)
     if n_flows < 0 or 2 * (n_flows + k) > size:
         raise BuildError(f"native prefilter: {n_flows} + {k} flows past "
                          f"half of {size} memo slots")
-    if k and verdicts.min() < -1:  # -2 would read as an empty slot
-        raise BuildError("native prefilter: a verdict below -1")
+    if k and not -1 <= verdicts.min() <= verdicts.max() < 2**32 - 2:
+        raise BuildError("native prefilter: a verdict below -1 or past "
+                         "the uint32 tag")  # the tag would read as empty
     lib.pf_insert(*args)
     return True

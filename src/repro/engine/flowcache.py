@@ -88,22 +88,21 @@ def pack_flow_keys(headers: np.ndarray) -> np.ndarray:
     return halves.view(_KEY_WORD)[..., 0]
 
 
-#: Below this many keys the lexsort alone beats hashing first; both
-#: roads return the same arrays, so not a tunable.
+#: Below this many keys the lexsort alone beats grouping by hash;
+#: both roads return the same arrays, so not a tunable.
 _HASH_GROUP_MIN = 512
-_MIX_A = np.uint64(0x9E3779B97F4A7C15)
-_MIX_B = np.uint64(0xBF58476D1CE4E5B9)
 
 
-def _mix_flow_keys(words: np.ndarray) -> np.ndarray:
-    """One 64-bit hash per key; multiply-xorshift rounds, so the high
-    bits (the ones kept) depend on every bit of every word."""
-    h = words[0] * _MIX_A
-    for word in words[1:]:
-        h ^= h >> np.uint64(32)
-        h = (h ^ word) * _MIX_B
-    h ^= h >> np.uint64(29)
-    return h * _MIX_A
+def flow_hash(headers: np.ndarray) -> np.ndarray:
+    """The one flow hash, per ``(n, ndim)`` header row: FNV-1a over the
+    ``uint32`` columns, the high bits folded into the low ones.  The
+    cache's set index is it modulo the set count; the line card's
+    prefilter memo and hash queue use it too (``_flow_cache.c``'s
+    ``fnv`` is the C side)."""
+    h = np.full(headers.shape[0], _FNV_OFFSET, np.uint64)
+    for d in range(headers.shape[1]):
+        h = (h ^ headers[:, d].astype(np.uint64)) * _FNV_PRIME
+    return h ^ h >> np.uint64(33)
 
 
 def _by_last_sighting(
@@ -136,22 +135,26 @@ def _lexsort_dedupe(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _by_last_sighting(order, boundary)
 
 
-def dedupe_flow_keys(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dedupe_flow_keys(
+    words: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Distinct columns of a packed key matrix, in the order of each
     one's last occurrence: ``(first, inverse)``, each distinct key's
-    first position and each key's rank among them.
+    first position and each key's rank among them.  ``x`` holds the
+    keys' :func:`flow_hash` values.
 
-    Equal keys are grouped by hash: one *value* sort of (hash's high
+    Equal keys are grouped by hash: one *value* sort of (``x``'s high
     bits, position in the low bits) lays each group out in arrival
     order, so its head is its first occurrence and its tail its last.
     Every key is then compared with its group's head; a batch where two
-    different keys share a hash — or one too small to repay hashing —
-    takes a stable ``lexsort`` over all keys instead.
+    different keys share those bits — or one too small to repay
+    hashing — takes a stable ``lexsort`` over all keys instead, so the
+    result never depends on ``x``.
     """
     n = words.shape[1]
     if n >= _HASH_GROUP_MIN:
         low = np.uint64((1 << (n - 1).bit_length()) - 1)
-        tagged = (_mix_flow_keys(words) & ~low) | np.arange(n, dtype=np.uint64)
+        tagged = (x & ~low) | np.arange(n, dtype=np.uint64)
         tagged.sort()
         boundary = np.ones(n, bool)
         boundary[1:] = (tagged[1:] ^ tagged[:-1]) > low
@@ -260,13 +263,9 @@ class FlowCache:
         epoch = self._epoch if way is None else self._epoch[:, way]
         return epoch[idx] == self.epoch
 
-    def _set_index(self, headers: np.ndarray) -> np.ndarray:
-        """FNV-1a over the header columns, folded modulo the set count."""
-        h = np.full(headers.shape[0], _FNV_OFFSET, np.uint64)
-        for d in range(headers.shape[1]):
-            h = (h ^ headers[:, d].astype(np.uint64)) * _FNV_PRIME
-        h ^= h >> np.uint64(33)  # fold the high bits into the modulo
-        return (h % np.uint64(self.n_sets)).astype(np.int64)
+    def _set_index(self, x: np.ndarray) -> np.ndarray:
+        """The sets of the headers whose :func:`flow_hash` is ``x``."""
+        return (x % np.uint64(self.n_sets)).astype(np.int64)
 
     def _prepare(self, headers: np.ndarray) -> np.ndarray:
         """``headers`` as C-contiguous ``uint32``, the tables allocated."""
@@ -289,7 +288,8 @@ class FlowCache:
         headers = self._prepare(headers)
         found = native.lookup(self, headers, group=False)
         if found is None:
-            return self._probe(pack_flow_keys(headers), self._set_index(headers))
+            return self._probe(pack_flow_keys(headers),
+                               self._set_index(flow_hash(headers)))
         self._tick += np.int64(headers.shape[0])
         hit = np.ones(headers.shape[0], bool)
         hit[found[1]] = False
@@ -302,17 +302,18 @@ class FlowCache:
         the distinct missed headers, those in the order of each one's
         last miss and their set indices.  Natively one pass that groups a
         miss by its probe's FNV value; in NumPy :func:`dedupe_flow_keys`
-        after."""
+        after, over the same :func:`flow_hash` values."""
         headers = self._prepare(headers)
         found = native.lookup(self, headers, expect=self._distinct)
         if found is not None:
             self._tick += np.int64(headers.shape[0])
             self._distinct = found[3].shape[0]
             return found
-        words, s = pack_flow_keys(headers), self._set_index(headers)
+        words, x = pack_flow_keys(headers), flow_hash(headers)
+        s = self._set_index(x)
         hit, match = self._probe(words, s)
         misses = np.flatnonzero(~hit)
-        first, rank = dedupe_flow_keys(np.take(words, misses, axis=1))
+        first, rank = dedupe_flow_keys(np.take(words, misses, axis=1), x[misses])
         return match, misses, rank, headers[misses[first]], s[misses[first]]
 
     def _probe(self, words: np.ndarray, s: np.ndarray):
@@ -362,7 +363,7 @@ class FlowCache:
             if cycles is not None:
                 occupancy = np.full(len(match), HIT_OCCUPANCY_CYCLES, np.int64)
                 occupancy[misses] = cycles[rank]
-        s = self._set_index(uniq) if sets is None else sets
+        s = self._set_index(flow_hash(uniq)) if sets is None else sets
         self._fill(pack_flow_keys(uniq), s, results)
         return occupancy
 

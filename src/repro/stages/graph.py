@@ -70,44 +70,24 @@ from ..core.updates import ScheduledUpdate
 from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
 from ..energy.tcam import AYAMA_10128, TCAM_ENTRY_BYTES
 from ..engine.faults import FaultPlan
+from ..engine.flowcache import dedupe_flow_keys, flow_hash, pack_flow_keys
 from ..engine.supervision import FaultReport
 from ..serve import DEFAULT_SEGMENT_PACKETS, Engine, EngineReport
 from .spec import StageGraphSpec, StageSpec
 
-#: Mixing weights for the deterministic queue-select flow hash (odd
-#: constants, one per 5-tuple field; Fibonacci-hash style).
-_HASH_WEIGHTS = np.array(
-    [0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F, 0x165667B1],
-    dtype=np.uint64,
-)
-
-#: Slots of the native verdict memo's first table (it doubles at half
-#: load).
+#: Rows of the native verdict memo's first table (it doubles at half
+#: load), and slots of the NumPy path's direct-indexed front.
 _MEMO_SLOTS = 1 << 10
+_FRONT_SLOTS = 1 << 18
 
 
 def _flow_hash(rows: np.ndarray) -> np.ndarray:
-    """A 64-bit mixed hash per header row: one C loop when the native
-    library loaded, else the NumPy passes below (the oracle).
-
-    Each column is folded in through a full splitmix64 finaliser round,
-    so structured field deltas cannot cancel the way they could under a
-    plain weighted sum.  Distinct flows colliding is a ~2**-64-per-pair
-    event — far below the simulator's noise floor."""
+    """The flow cache's hash (:func:`~repro.engine.flowcache.flow_hash`)
+    per header row: one C loop when the native library loaded, else
+    the NumPy oracle."""
+    rows = np.ascontiguousarray(rows, np.uint32)
     h = np.empty(rows.shape[0], dtype=np.uint64)
-    weight = np.resize(_HASH_WEIGHTS, rows.shape[1])  # column j: j % 5
-    if native.flow_hash(np.ascontiguousarray(rows, np.uint32), weight, h):
-        return h
-    h[:] = 0
-    for j in range(rows.shape[1]):
-        h ^= rows[:, j].astype(np.uint64) + _HASH_WEIGHTS[
-            j % len(_HASH_WEIGHTS)
-        ]
-        h += np.uint64(0x9E3779B97F4A7C15)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-    return h
+    return h if native.flow_hash(rows, h) else flow_hash(rows)
 
 
 @dataclass
@@ -185,13 +165,6 @@ class StageGraph:
         )
         self.tcam: TcamClassifier | None = None
         self._tcam_bypass: str | None = None
-        #: Memoised TCAM verdicts keyed by sorted 64-bit flow hash (the
-        #: prefilter ruleset is static for the graph's lifetime), plus a
-        #: direct-indexed table for the warm path (one gather per
-        #: packet; slot evictions just fall back to the sorted memo):
-        #: the NumPy path's memo.  The native one is ``_memo``.
-        self._tcam_keys = np.empty(0, dtype=np.uint64)
-        self._tcam_vals = np.empty(0, dtype=np.int64)
         tc = spec.stage("tcam_prefilter")
         if tc is not None:
             if ruleset.schema is not FIVE_TUPLE:
@@ -208,15 +181,16 @@ class StageGraph:
                     # so the stage passes everything through (recorded).
                     self._tcam_bypass = "max_slots"
         if self.tcam is not None:
-            self._tcam_tkeys = np.zeros(1 << 18, dtype=np.uint64)
-            self._tcam_tvals = np.zeros(1 << 18, dtype=np.int64)
-            # Which slots hold a flow: no key value marks an empty slot.
-            self._tcam_tfilled = np.zeros(1 << 18, dtype=bool)
-            # The native memo: an open-addressed table of ``(hash,
-            # verdict + 2)`` slots, 0 empty, at most half full, holding
-            # ``_memo_n`` flows.
-            self._memo = np.zeros((_MEMO_SLOTS, 2), dtype=np.uint64)
+            # The native memo: an open-addressed table of ``(header
+            # columns, verdict + 2)`` rows, tag 0 empty, at most half
+            # full, holding ``_memo_n`` flows.
+            self._memo = np.zeros((_MEMO_SLOTS, FIVE_TUPLE.ndim + 1), np.uint32)
             self._memo_n = 0
+            #: The NumPy path's memo: every flow's verdict by header
+            #: bytes, behind a direct-indexed front of rows like the
+            #: native memo's, made on first use.
+            self._verdicts: dict[bytes, int] = {}
+            self._front: np.ndarray | None = None
         #: The classify stage's energy model and the ruleset version it
         #: was derived for (see :meth:`_classify_energy_model`).
         self._energy_model: CacheEnergyModel | None = None
@@ -501,95 +475,92 @@ class StageGraph:
         return None
 
     def _tcam_verdicts(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Per-packet TCAM verdicts through the flow-hash memo.
+        """Per-packet TCAM verdicts through the verdict memo.
 
         The prefilter image is static for the graph's lifetime, so each
         distinct flow costs the O(slots) Python model walk exactly once
         across every run — the simulator-side analogue of the device's
         single-cycle parallel compare — and every later sighting is one
         probe of the memo, in C (``native.memo_probe``) when the library
-        loaded, else :meth:`_tcam_verdicts_portable`.  ``h`` is the
-        rows' flow hash (``_flow_hash``, precomputed once per segment).
-        Energy is still charged per *packet* by the caller: every packet
-        crosses the TCAM."""
+        loaded, else :meth:`_tcam_verdicts_portable`.  ``h`` must be
+        ``_flow_hash(rows)`` (computed once per segment), since a regrow
+        rehashes the stored headers with it: it finds a flow's memo row,
+        and the header confirms it.  Energy is
+        still charged per *packet* by the caller: every packet crosses
+        the TCAM."""
+        rows = np.ascontiguousarray(rows, np.uint32)
         out = np.empty(h.size, dtype=np.int64)
-        unseen = native.memo_probe(self._memo, h, out)
+        unseen = native.memo_probe(self._memo, rows, h, out)
         if unseen is None:
             return self._tcam_verdicts_portable(rows, h)
         if unseen.size:  # new flows: the TCAM model once per distinct one
-            keys, first, inverse = np.unique(
-                h[unseen], return_index=True, return_inverse=True
+            first, inverse = dedupe_flow_keys(
+                pack_flow_keys(rows[unseen]), h[unseen]
             )
-            found = self.tcam.classify_batch(rows[unseen[first]])
-            self._memo_add(keys, found.astype(np.int64))
+            new = unseen[first]
+            found = self.tcam.classify_batch(rows[new]).astype(np.int64)
+            self._memo_add(rows[new], h[new], found)
             out[unseen] = found[inverse]
         return out
 
     @property
     def _unique_flows(self) -> int:
-        """The flows the TCAM memo holds.  One path memoises; the other
-        path's memo stays empty."""
-        return self._memo_n + int(self._tcam_keys.size)
+        """The distinct headers the TCAM memo holds.  One path
+        memoises; the other path's memo stays empty."""
+        return self._memo_n + len(self._verdicts)
 
-    def _memo_add(self, keys: np.ndarray, verdicts: np.ndarray) -> None:
-        """Memoise ``keys``, distinct flow hashes not in the native memo,
-        with their verdicts.  The table doubles until it is at most half
-        full; a new table takes every flow of the old one first."""
-        n, k = self._memo_n, keys.size
+    def _memo_add(self, rows: np.ndarray, h: np.ndarray,
+                  verdicts: np.ndarray) -> None:
+        """Memoise header ``rows`` (``h`` = ``_flow_hash(rows)``),
+        distinct flows not in the native memo, with their verdicts.  The
+        table doubles until it is at most half full; a new table takes
+        every flow of the old one first, rehashed with ``_flow_hash``."""
+        n, k = self._memo_n, len(verdicts)
         size = self._memo.shape[0]
         while 2 * (n + k) > size:
             size *= 2
         if size > self._memo.shape[0]:
-            old = self._memo[self._memo[:, 1] != 0]
-            self._memo = np.zeros((size, 2), dtype=np.uint64)
-            native.memo_insert(
-                self._memo, old[:, 0].copy(),
-                old[:, 1].astype(np.int64) - 2, 0,
-            )
-        native.memo_insert(self._memo, keys, verdicts, n)
+            old = self._memo[self._memo[:, -1] != 0]
+            self._memo = np.zeros((size, old.shape[1]), np.uint32)
+            keys = np.ascontiguousarray(old[:, :-1])
+            native.memo_insert(self._memo, keys, _flow_hash(keys),
+                               old[:, -1].astype(np.int64) - 2, 0)
+        native.memo_insert(self._memo, rows, h, verdicts, n)
         self._memo_n = n + k
 
     def _tcam_verdicts_portable(
         self, rows: np.ndarray, h: np.ndarray
     ) -> np.ndarray:
-        """:meth:`_tcam_verdicts` in NumPy: a direct-indexed table, then
-        a ``searchsorted`` probe of the sorted memo for its misses."""
-        slot = (h & np.uint64(self._tcam_tkeys.size - 1)).astype(np.intp)
-        hit = self._tcam_tfilled[slot] & (self._tcam_tkeys[slot] == h)
-        if hit.all():  # warm path: one gather + compare per packet
-            return self._tcam_tvals[slot]
-        out = np.empty(rows.shape[0], dtype=np.int64)
-        out[hit] = self._tcam_tvals[slot[hit]]
-        miss = ~hit
-        miss_h = h[miss]
-        keys = self._tcam_keys
-        # Resolve slot losers from the sorted memo; truly new flows go
-        # through the TCAM model once and join both structures.
-        if keys.size:
-            pos = np.minimum(np.searchsorted(keys, miss_h), keys.size - 1)
-            known = keys[pos] == miss_h
-        else:
-            known = np.zeros(miss_h.size, dtype=bool)
-        new = ~known
-        if new.any():
-            new_h = miss_h[new]
-            uniq_h, first = np.unique(new_h, return_index=True)
-            verdicts = self.tcam.classify_batch(rows[miss][new][first])
-            merged_keys = np.concatenate([keys, uniq_h])
-            merged_vals = np.concatenate(
-                [self._tcam_vals, verdicts.astype(np.int64)]
+        """:meth:`_tcam_verdicts` in NumPy: the direct-indexed front,
+        compared column by column, then the verdict dict once per
+        distinct flow the front missed."""
+        ndim = rows.shape[1]
+        if self._front is None:
+            self._front = np.zeros((_FRONT_SLOTS, ndim + 1), np.uint32)
+        slot = (h & np.uint64(_FRONT_SLOTS - 1)).astype(np.intp)
+        got = self._front.take(slot, axis=0)  # whole rows: one line each
+        hit = got[:, -1] != 0
+        for d in range(ndim):
+            hit &= got[:, d] == rows[:, d]
+        out = got[:, -1].astype(np.int64) - 2
+        if hit.all():  # warm path: one row gather + compare per packet
+            return out
+        miss = np.flatnonzero(~hit)
+        first, inverse = dedupe_flow_keys(pack_flow_keys(rows[miss]), h[miss])
+        new = miss[first]
+        keys = rows[new].view(np.dtype((np.void, 4 * ndim))).ravel().tolist()
+        get = self._verdicts.get
+        found = np.array([get(key, -2) for key in keys], np.int64)
+        unknown = np.flatnonzero(found == -2)
+        if unknown.size:  # the TCAM model once per distinct new flow
+            found[unknown] = self.tcam.classify_batch(rows[new[unknown]])
+            self._verdicts.update(
+                zip([keys[i] for i in unknown], found[unknown].tolist())
             )
-            order = np.argsort(merged_keys, kind="stable")
-            self._tcam_keys = merged_keys[order]
-            self._tcam_vals = merged_vals[order]
-        resolved = self._tcam_vals[
-            np.searchsorted(self._tcam_keys, miss_h)
-        ]
-        out[miss] = resolved
-        miss_slots = slot[miss]
-        self._tcam_tkeys[miss_slots] = miss_h
-        self._tcam_tvals[miss_slots] = resolved
-        self._tcam_tfilled[miss_slots] = True
+        out[miss] = found[inverse]
+        # Whole rows in one assignment: where two new flows share a
+        # slot, the later one's header and verdict win together.
+        self._front[slot[new]] = np.column_stack([rows[new], found + 2])
         return out
 
     # ------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.engine import (
 )
 from repro.engine import flowcache
 from repro.engine.protocol import BatchStats, batch_stats_of
-from repro.engine.flowcache import dedupe_flow_keys, pack_flow_keys
+from repro.engine.flowcache import dedupe_flow_keys, flow_hash, pack_flow_keys
 from repro.energy import CacheEnergyModel
 
 ALL_BACKENDS = available_backends()
@@ -126,10 +126,12 @@ def _flow_batches(draw):
     return m
 
 
-def _assert_groups_by_last_sighting(m):
+def _assert_groups_by_last_sighting(m, x=None):
     """``np.unique(m, axis=0)``'s groups, reordered by each group's last
-    position: the first index and the inverse follow the reordering."""
-    first, inverse = dedupe_flow_keys(pack_flow_keys(m))
+    position: the first index and the inverse follow the reordering,
+    whatever the hashes ``x`` (default: the rows' ``flow_hash``)."""
+    x = flow_hash(m) if x is None else x
+    first, inverse = dedupe_flow_keys(pack_flow_keys(m), x)
     uniq, index, inv = np.unique(
         m, axis=0, return_index=True, return_inverse=True
     )
@@ -159,7 +161,8 @@ def _unique_rows_of_big_batches(m):
 
 
 class TestPackedKeyDedupe:
-    """``dedupe_flow_keys(pack_flow_keys(m))`` is ``np.unique(m, axis=0)``
+    """``dedupe_flow_keys(pack_flow_keys(m), flow_hash(m))`` is
+    ``np.unique(m, axis=0)``
     ranked by each row's last occurrence — same groups, same
     first-occurrence index, the inverse to match — which is what fixes
     fill order, victims and counters on both kernels."""
@@ -170,23 +173,22 @@ class TestPackedKeyDedupe:
     def test_groups_rows_by_last_sighting_on_hash_grouped_batches(self):
         _unique_rows_of_big_batches()
 
-    @pytest.mark.parametrize("mixer", [
-        lambda words: np.zeros(words.shape[1], np.uint64),  # one group
-        lambda words: words[0] << np.uint64(32),  # blind to most columns
+    @pytest.mark.parametrize("crafted", [
+        lambda m: np.zeros(len(m), np.uint64),  # one group
+        lambda m: pack_flow_keys(m)[0] << np.uint64(32),  # blind to most columns
     ], ids=["constant", "word0-low-half"])
     def test_hash_collisions_take_the_lexsort(
-        self, monkeypatch, portable_kernel, mixer
+        self, monkeypatch, portable_kernel, crafted
     ):
         # This and the next test pin the NumPy path's own fallback.
         rng = np.random.default_rng(5)
         flows = rng.integers(0, 4, (300, 5), dtype=np.uint32)
         m = flows[rng.integers(0, 300, 4 * _CUT)]
-        monkeypatch.setattr(flowcache, "_mix_flow_keys", mixer)
-        _assert_groups_by_last_sighting(m)
+        _assert_groups_by_last_sighting(m, crafted(m))
         # ...and it was the fallback that answered, not luck:
         monkeypatch.setattr(flowcache, "_lexsort_dedupe", _must_not_run)
         with pytest.raises(AssertionError, match="lexsort"):
-            dedupe_flow_keys(pack_flow_keys(m))
+            dedupe_flow_keys(pack_flow_keys(m), crafted(m))
 
     def test_hash_grouping_needs_no_lexsort_over_the_batch(
         self, monkeypatch, portable_kernel
@@ -196,8 +198,9 @@ class TestPackedKeyDedupe:
         m = flows[rng.integers(0, 900, 4 * _CUT)]
         monkeypatch.setattr(flowcache, "_lexsort_dedupe", _must_not_run)
         _assert_groups_by_last_sighting(m)
+        small = m[:_CUT - 1]
         with pytest.raises(AssertionError, match="lexsort"):
-            dedupe_flow_keys(pack_flow_keys(m[:_CUT - 1]))  # small batch
+            dedupe_flow_keys(pack_flow_keys(small), flow_hash(small))
 
     def test_every_byte_of_every_word_tells_keys_apart(self):
         # Columns that differ in one byte each, at any of the four byte
@@ -218,7 +221,7 @@ class TestPackedKeyDedupe:
         assert words[:, 0].tolist() == [1 << 32, 0]
         assert words[:, 1].tolist() == [2**32 - 1, (2**32 - 1) << 32]
         # Distinct rows seen once each rank by when they were seen.
-        assert dedupe_flow_keys(words)[0].tolist() == [0, 1, 2]
+        assert dedupe_flow_keys(words, flow_hash(m))[0].tolist() == [0, 1, 2]
 
 
 def _must_not_run(words):

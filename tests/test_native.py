@@ -35,6 +35,7 @@ from repro.algorithms import (
 )
 from repro.core.errors import BuildError
 from repro.engine import CachedClassifier, FlowCache
+from repro.engine.flowcache import flow_hash
 from repro.core.rules import Rule, make_demo_ruleset
 from repro.hw import Accelerator, build_memory_image
 from repro.hw.encoding import RULES_PER_WORD
@@ -484,27 +485,26 @@ class TestCacheGeometries:
 class TestPrefilterRefusals:
     """The prefilter's C calls (``pf_hash``, ``pf_probe``, ``pf_insert``)
     see no array of the wrong kind, and a probe writes nothing when it
-    is handed fewer hashes than outputs."""
+    is handed fewer rows or hashes than outputs."""
 
     @pytest.fixture
     def memo(self):
-        """64 slots holding ten flows and their verdicts, -1 to 8."""
-        slots = np.zeros((64, 2), np.uint64)
-        keys = np.arange(1, 11, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        verdicts = np.arange(-1, 9, dtype=np.int64)
-        assert native.memo_insert(slots, keys, verdicts, 0)
-        return slots, keys, verdicts
+        """64 rows holding ten flows and their verdicts, -1 to 8."""
+        slots = np.zeros((64, 6), np.uint32)
+        rows = random_headers(FIVE_TUPLE, 10, seed=2)
+        h, verdicts = flow_hash(rows), np.arange(-1, 9, dtype=np.int64)
+        assert native.memo_insert(slots, rows, h, verdicts, 0)
+        return slots, rows, h, verdicts
 
     def test_the_hash_refuses_an_input_of_the_wrong_kind(self, native_kernel):
         rows = random_headers(FIVE_TUPLE, 20, seed=1)
-        weight, out = np.ones(5, np.uint64), np.empty(20, np.uint64)
+        out = np.empty(20, np.uint64)
         calls = {  # the message (padded to a distinct key) -> arguments
-            "rows is not": (rows.astype(np.int64), weight, out),
-            "rows is not ": (rows[:, :4].copy(), weight, out),  # narrower
-            "rows is not  ": (np.asfortranarray(rows), weight, out),
-            "weight is not": (rows, weight.astype(np.int64), out),
-            "out is not": (rows, weight, out.astype(np.int64)),
-            "out is not ": (rows, weight, np.empty(40, np.uint64)[::2]),
+            "rows is not": (rows.astype(np.int64), out),
+            "rows is not ": (rows[:10].copy(), out),  # fewer rows than out
+            "rows is not  ": (np.asfortranarray(rows), out),
+            "out is not": (rows, out.astype(np.int64)),
+            "out is not ": (rows, np.empty(40, np.uint64)[::2]),
         }
         for name, args in calls.items():
             with pytest.raises(BuildError, match=name.strip()):
@@ -513,47 +513,71 @@ class TestPrefilterRefusals:
     def test_the_probe_refuses_an_input_of_the_wrong_kind(
         self, native_kernel, memo
     ):
-        slots, keys, verdicts = memo
+        slots, rows, h, verdicts = memo
         out = np.full(10, 7, np.int64)
         calls = {
-            "slots is not": (slots.view(np.int64), keys, out),
-            "slots is not ": (np.zeros((64, 3), np.uint64), keys, out),
-            "slots is not  ": (np.asfortranarray(slots), keys, out),
-            "not a power of two": (slots[:48].copy(), keys, out),
-            "h is not": (slots, keys.astype(np.int64), out),
-            "h is not ": (slots, np.repeat(keys, 2)[::2], out),
-            "h is not  ": (slots, keys[:-1], out),  # shorter than out
-            "out is not": (slots, keys, out.astype(np.int32)),
+            "slots is not": (slots.view(np.int32), rows, h, out),
+            "slots is not ": (np.asfortranarray(slots), rows, h, out),
+            "not a power of two": (slots[:48].copy(), rows, h, out),
+            "rows is not": (slots, rows.astype(np.int64), h, out),
+            "rows is not ": (slots, rows[:-1], h, out),  # shorter than out
+            "rows is not  ": (slots, np.asfortranarray(rows), h, out),
+            "h is not": (slots, rows, h.astype(np.int64), out),
+            "h is not ": (slots, rows, np.repeat(h, 2)[::2], out),
+            "h is not  ": (slots, rows, h[:-1], out),  # shorter than out
+            "out is not": (slots, rows, h, out.astype(np.int32)),
         }
         for name, args in calls.items():
             with pytest.raises(BuildError, match=name.strip()):
                 native.memo_probe(*args)
         assert out.tolist() == [7] * 10  # nothing written
-        assert native.memo_probe(slots, keys, out).size == 0
+        assert native.memo_probe(slots, rows, h, out).size == 0
         assert out.tolist() == verdicts.tolist()
+
+    def test_a_table_whose_width_is_not_ndim_plus_one_is_refused(
+        self, native_kernel, memo
+    ):
+        slots, rows, h, verdicts = memo
+        before = slots.copy()
+        for table in (slots[:, :5].copy(), np.zeros((64, 7), np.uint32)):
+            with pytest.raises(BuildError, match="slots is not"):
+                native.memo_probe(table, rows, h, np.empty(10, np.int64))
+            with pytest.raises(BuildError, match="slots is not"):
+                native.memo_insert(table, rows, h, verdicts, 0)
+        # Rows one column narrower than the table are refused the same way.
+        narrow = np.ascontiguousarray(rows[:, :4])
+        with pytest.raises(BuildError, match="slots is not"):
+            native.memo_probe(slots, narrow, h, np.empty(10, np.int64))
+        assert np.array_equal(slots, before)
 
     def test_a_memo_with_no_empty_slot_is_an_error_not_a_hang(
         self, native_kernel, memo
     ):
-        _, keys, _ = memo
-        full = np.ones((64, 2), np.uint64)  # no probe of a new flow ends
+        _, rows, h, _ = memo
+        full = np.ones((64, 6), np.uint32)  # no probe of a new flow ends
         with pytest.raises(BuildError, match="no empty slot"):
-            native.memo_probe(full, keys, np.empty(10, np.int64))
+            native.memo_probe(full, rows, h, np.empty(10, np.int64))
 
     def test_the_insert_refuses_an_input_of_the_wrong_kind(
         self, native_kernel, memo
     ):
-        slots, keys, verdicts = memo
-        new = keys + np.uint64(1)
+        slots, rows, h, verdicts = memo
+        new = rows + np.uint32(1)
+        new_h = flow_hash(new)
         before = slots.copy()
         calls = {
-            "keys is not": (slots, new.astype(np.int64), verdicts, 10),
-            "keys is not ": (slots, np.repeat(new, 2)[::2], verdicts, 10),
-            "verdicts is not": (slots, new, verdicts[1:], 10),
-            "slots is not": (np.asfortranarray(slots), new, verdicts, 10),
-            "past half": (slots, new, verdicts, 23),  # 33 flows, 64 slots
-            "past half ": (slots, new, verdicts, -1),
-            "below -1": (slots, new, verdicts - 1, 10),
+            "rows is not": (slots, new.astype(np.int64), new_h, verdicts, 10),
+            "rows is not ": (slots, np.asfortranarray(new), new_h, verdicts,
+                             10),
+            "h is not": (slots, new, new_h.astype(np.int64), verdicts, 10),
+            "h is not ": (slots, new, np.repeat(new_h, 2)[::2], verdicts, 10),
+            "verdicts is not": (slots, new, new_h, verdicts[1:], 10),
+            "slots is not": (np.asfortranarray(slots), new, new_h, verdicts,
+                             10),
+            "past half": (slots, new, new_h, verdicts, 23),  # 33 of 64
+            "past half ": (slots, new, new_h, verdicts, -1),
+            "below -1": (slots, new, new_h, verdicts - 1, 10),
+            "past the uint32 tag": (slots, new, new_h, verdicts + 2**32, 10),
         }
         for name, args in calls.items():
             with pytest.raises(BuildError, match=name.strip()):

@@ -33,6 +33,7 @@ from repro.stages import (
     StageSpec,
     default_graph,
 )
+from repro.engine.flowcache import FlowCache, flow_hash
 from repro.stages.graph import _MEMO_SLOTS, _flow_hash
 
 from tests.conftest import random_headers
@@ -372,7 +373,7 @@ class TestStageSemantics:
         assert tcam.extra["bypassed"] == "schema"
         assert tcam.packets_in == tcam.packets_out == 200
 
-    def test_tcam_bypassed_on_slot_budget(self, acl_small, zipf_small):
+    def test_tcam_bypassed_on_slot_budget(self, acl_small, acl_small_trace):
         spec = default_graph(cache_entries=0)
         spec = StageGraphSpec.from_dict(
             {
@@ -387,12 +388,18 @@ class TestStageSemantics:
         )
         with StageGraph(spec, acl_small) as graph:
             assert graph.tcam is None
-            report = graph.run(zipf_small)
+            report = graph.run(acl_small_trace)
+            config = graph.config
         tcam = next(s for s in report.stages if s.kind == "tcam_prefilter")
         assert tcam.extra["bypassed"] == "max_slots"
-        assert np.array_equal(
-            report.match >= 0, report.match >= 0
-        )  # ran to completion
+        # The trace's background packets match no rule: a bypassed stage
+        # passes them on anyway.
+        assert (report.match < 0).any()
+        assert tcam.packets_in == tcam.packets_out == acl_small_trace.n_packets
+        assert "tcam_miss" not in tcam.drops
+        with Engine.open(config, acl_small) as engine:
+            want = engine.classify(acl_small_trace).match
+        assert np.array_equal(report.match, want)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +441,23 @@ class TestPrefilterKernels:
     the same telemetry."""
 
     @pytest.mark.parametrize("width", range(1, 7))
-    def test_flow_hash(self, native_kernel, monkeypatch, width):
+    def test_flow_hash(self, native_kernel, width):
         rng = np.random.default_rng(width)
         rows = rng.integers(0, 1 << 32, (500, width), dtype=np.uint32)
         rows[0], rows[1], rows[2, 0] = 0, 0xFFFFFFFF, 0xFFFFFFFF
         for given in (rows, rows[::3], rows[:0]):  # strided, empty
-            fast, oracle = _on_both_kernels(
-                monkeypatch, lambda side: _flow_hash(given)
-            )
-            assert fast.dtype == oracle.dtype == np.uint64
-            assert np.array_equal(fast, oracle)
+            fast = _flow_hash(given)
+            assert fast.dtype == np.uint64
+            assert np.array_equal(fast, flow_hash(given))
+        # One hash: the flow cache files each header in set flow_hash
+        # modulo the set count (500 sets: a true modulo, not a mask).
+        flows = np.unique(rows, axis=0)
+        cache = FlowCache(entries=4000, ways=8)
+        cache.fill(flows, np.arange(len(flows)))
+        s, way = np.nonzero(cache._live(...))
+        stored = cache._headers(s, way).astype(np.uint32)
+        assert len(s) == len(flows)
+        assert np.array_equal(flow_hash(stored) % np.uint64(cache.n_sets), s)
 
     def test_verdict_memo(self, native_kernel, monkeypatch, acl_small):
         rng = np.random.default_rng(5)
@@ -478,25 +492,45 @@ class TestPrefilterKernels:
             served = _on_both_kernels(monkeypatch, serve)
             assert served[0] == served[1]
             assert served[0][0] == twins[0].tcam.classify_batch(rows).tolist()
-        assert twins[0]._unique_flows == len(pool)
+        assert [twin._unique_flows for twin in twins] == [len(pool)] * 2
         assert twins[0]._memo.shape[0] == 4 * _MEMO_SLOTS
-        assert twins[1]._memo_n == 0  # the NumPy path kept its own memo
 
     @pytest.mark.parametrize("kernel", ["native", "portable"])
-    def test_no_hash_value_marks_an_empty_memo_slot(self, request, kernel):
-        """A flow matching no rule reads -1 whatever its hash: the memo
-        never takes an empty slot for a memoised flow, so hash
-        ``2**64 - 1`` (the old empty marker) and ``0`` read no verdict
-        they were not given."""
+    def test_no_header_marks_an_empty_memo_row(self, request, kernel):
+        """The tag, not a key value, marks an empty memo row: the
+        all-zero and all-ones headers are real keys that read the -1
+        they were given, and the memo counts headers, not hashes."""
         request.getfixturevalue(f"{kernel}_kernel")
         ruleset = generate_ruleset("acl1", 300, seed=11)
-        rows = np.array([[1, 2, 3, 4, 250]], dtype=np.uint32)
+        rows = np.array(
+            [[0] * 5, [0xFFFFFFFF] * 5, [1, 2, 3, 4, 250]], dtype=np.uint32
+        )
         with _prefilter_graph(ruleset) as graph:
-            assert graph.tcam.classify_batch(rows).tolist() == [-1]
-            for h in (2**64 - 1, 0, 2**64 - 1, 12345):
-                got = graph._tcam_verdicts(rows, np.array([h], np.uint64))
-                assert got.tolist() == [-1], h
+            assert graph.tcam.classify_batch(rows).tolist() == [-1] * 3
+            for seg in (rows[:2], rows, rows[[2, 0, 2, 1, 0]]):
+                got = graph._tcam_verdicts(seg, _flow_hash(seg))
+                assert got.tolist() == [-1] * len(seg)
             assert graph._unique_flows == 3
+
+    @pytest.mark.parametrize("kernel", ["native", "portable"])
+    def test_two_headers_sharing_a_hash_read_their_own_verdicts(
+        self, request, kernel
+    ):
+        """The hash finds a memo row and the header confirms it: ``b``,
+        handed the hash of rule 0's low corner ``a``, reads its own
+        no-match, not ``a``'s rule 0."""
+        request.getfixturevalue(f"{kernel}_kernel")
+        ruleset = generate_ruleset("acl1", 300, seed=11)
+        a = [lo for lo, _ in ruleset.rules[0].ranges]
+        rows = np.array([a, [1, 2, 3, 4, 250]], dtype=np.uint32)
+        h = _flow_hash(rows[:1])[0]  # a's hash, handed to both
+        with _prefilter_graph(ruleset) as graph:
+            want = graph.tcam.classify_batch(rows).tolist()
+            assert want == [0, -1]
+            for seg in ([0], [1], [0, 1], [1, 0, 1]):
+                got = graph._tcam_verdicts(rows[seg], np.full(len(seg), h))
+                assert got.tolist() == [want[i] for i in seg], seg
+            assert graph._unique_flows == 2
 
     def test_a_graph_run(self, native_kernel, monkeypatch, acl_small,
                          zipf_small):
