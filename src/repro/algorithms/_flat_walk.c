@@ -2,18 +2,56 @@
  * _first_match + _keep_best) over the same buffers; native.py builds it,
  * with _flow_cache.c, into one library and loads it.  One node per step,
  * then a linear search that stops at the first hit: the paper's FSM.
- * Given an accelerator's leaf placement, the iteration that finishes a
- * packet also counts its memory-port cycles (hw/accelerator.py:
+ * Given an accelerator's leaf placement, each block of packets is first
+ * checked against the field widths, and the iteration that finishes a
+ * packet counts its memory-port cycles (hw/accelerator.py:
  * Accelerator._run_portable, eqs (5)/(7)).  Every index derived from
  * table data is bounds-checked, so a corrupt table is an error code, not
- * a fault. */
+ * a fault.  A call splits its packets into contiguous
+ * slices over up to `threads` threads (fan_out); packets are independent,
+ * so every output is the one-thread output. */
+#include <pthread.h>
 #include <stdint.h>
+#include <string.h>
 
-enum { OK, ERR_STEPS, ERR_RANGE, MAX_STEPS = 10000, LEAF = 1 };
+enum { OK, ERR_STEPS, ERR_RANGE, ERR_WIDTH, MAX_STEPS = 10000, LEAF = 1 };
+
+/* The most threads one call starts; native.MIN_SLICE keeps k far below. */
+enum { MAX_THREADS = 64 };
+
+/* Run job(jobs + i * size) for every i < k, each exactly once: jobs 1..k-1
+ * on threads created here and joined before the return, job 0 on the
+ * caller's thread, and any job whose thread could not be created on the
+ * caller too.  No thread outlives the call, so a later fork() is safe and
+ * nothing needs shutting down.  _flow_cache.c splits its calls with it. */
+static void fan_out(void *(*job)(void *), void *jobs, size_t size, int64_t k)
+{
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS] = {0};
+    char *at = jobs;
+    for (int64_t i = 1; i < k; i++)
+        started[i] = !pthread_create(&tid[i], NULL, job, at + i * size);
+    job(at);
+    for (int64_t i = 1; i < k; i++) {
+        if (started[i])
+            pthread_join(tid[i], NULL);
+        else
+            job(at + i * size);
+    }
+}
+
+/* `threads` clamped to [1, MAX_THREADS] and to one job per item. */
+static int64_t clamp_threads(int64_t threads, int64_t items)
+{
+    int64_t k = threads < MAX_THREADS ? threads : MAX_THREADS;
+    k = k < items ? k : items;
+    return k > 1 ? k : 1;
+}
 
 typedef struct {       /* field order is native._Placement._fields_ */
-    int64_t n_nodes, rules_per_word;
+    int64_t n_nodes, rules_per_word, ndim;
     const int64_t *pos, *n_rules;   /* per node: leaf start slot, rules */
+    const uint32_t *max_value;      /* per field: the largest legal value */
 } placement;
 
 typedef struct {       /* field order is native._Tables._fields_ */
@@ -84,21 +122,74 @@ static int64_t cycles(const placement *pl, int32_t internal, int32_t lid,
     return x + words > 1 ? x + words : 1;
 }
 
-/* Walk n packets root to leaf.  `match` is always written, the five
- * statistics arrays only when `internal_nodes` is not NULL, and with a
- * placement `pl` the cycle count to `occupancy` and, each when not NULL,
- * its two terms to `internal_fetches` / `leaf_words`. */
-int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
-              int64_t n, int64_t *match, int32_t *internal_nodes,
-              int32_t *leaf_id, int32_t *leaf_size, int32_t *match_pos,
-              int32_t *rules_compared, int64_t *occupancy,
-              int64_t *internal_fetches, int64_t *leaf_words)
+/* Header widths, checked four headers at a time: 4 * ndim fields, ndim
+ * vectors of four, each ANDed with the 2^width - 1 masks at its place in
+ * that run and ORed into one vector (GCC vector types, lowered to scalars
+ * where the target has no SIMD), about one vector operation a header.
+ * `outside` holds the inverted masks of such a run (width_masks). */
+typedef uint32_t u32x4 __attribute__((vector_size(16)));
+enum { WIDE = 16 };
+
+static void width_masks(u32x4 *outside, int64_t ndim, const uint32_t *max_value)
 {
+    for (int64_t v = 0; v < ndim && ndim <= WIDE; v++)
+        for (int i = 0; i < 4; i++)
+            outside[v][i] = ~max_value[(4 * v + i) % ndim];
+}
+
+/* Whether a field of the n headers has a bit outside its mask. */
+static inline __attribute__((always_inline)) uint32_t
+over_width_of(const uint32_t *h, int64_t n, const int64_t ndim,
+              const u32x4 *outside, const uint32_t *max_value)
+{
+    u32x4 over = {0, 0, 0, 0};
+    int64_t p = 0;
+    for (; ndim <= WIDE && p + 4 <= n; p += 4)
+        for (int64_t v = 0; v < ndim; v++) {
+            u32x4 x;
+            memcpy(&x, h + p * ndim + 4 * v, sizeof x);
+            over |= x & outside[v];
+        }
+    uint32_t any = over[0] | over[1] | over[2] | over[3];
+    for (; p < n; p++)
+        for (int64_t d = 0; d < ndim; d++)
+            any |= h[p * ndim + d] & ~max_value[d];
+    return any;
+}
+
+/* Inlined for the five-tuple, constant bounds, and any other width. */
+static uint32_t over_width(const uint32_t *h, int64_t n, int64_t ndim,
+                           const u32x4 *outside, const uint32_t *max_value)
+{
+    return ndim == 5 ? over_width_of(h, n, 5, outside, max_value)
+                     : over_width_of(h, n, ndim, outside, max_value);
+}
+
+/* One flat_walk call: its arguments, its n packets cut into `slices`
+ * contiguous slices handed out in order (`next`, taken atomically), and
+ * each slice's code. */
+enum { SLICES_PER_THREAD = 16, BLOCK_PACKETS = 256 };
+
+typedef struct {
+    const tables *t;
+    const placement *pl;
+    const uint32_t *headers;
+    int64_t n, slices, next;
+    int64_t *match;
+    int32_t *internal_nodes, *leaf_id, *leaf_size, *match_pos, *rules_compared;
+    int64_t *occupancy, *internal_fetches, *leaf_words;
+    int code[MAX_THREADS * SLICES_PER_THREAD];
+} walk_job;
+
+/* Walk packets [lo, hi) root to leaf; an error stops the walk at the
+ * packet that met it. */
+static int walk_block(const walk_job *j, int64_t lo, int64_t hi)
+{
+    const tables *t = j->t;
+    const placement *pl = j->pl;
     const int64_t nn = t->n_nodes, ndim = t->ndim;
-    if (occupancy && (!pl || pl->rules_per_word <= 0))
-        return ERR_RANGE;
-    for (int64_t p = 0; p < n; p++) {
-        const uint32_t *h = headers + p * ndim;
+    for (int64_t p = lo; p < hi; p++) {
+        const uint32_t *h = j->headers + p * ndim;
         int64_t best = -1, nid = 0;
         int32_t internal = 0, lid = -1, lsize = 0, mpos = -1, compared = 0;
         for (int steps = 1; ; steps++) {
@@ -151,24 +242,97 @@ int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
             if (nid < 0 || outside)      /* EMPTY_CHILD: the dead path */
                 break;
         }
-        match[p] = best;
-        if (internal_nodes) {
-            internal_nodes[p] = internal;
-            leaf_id[p] = lid;
-            leaf_size[p] = lsize;
-            match_pos[p] = mpos;
-            rules_compared[p] = compared;
+        j->match[p] = best;
+        if (j->internal_nodes) {
+            j->internal_nodes[p] = internal;
+            j->leaf_id[p] = lid;
+            j->leaf_size[p] = lsize;
+            j->match_pos[p] = mpos;
+            j->rules_compared[p] = compared;
         }
-        if (occupancy) {
+        if (j->occupancy) {
             int64_t x, words;
-            occupancy[p] = cycles(pl, internal, lid, mpos, &x, &words);
-            if (occupancy[p] < 0)
+            j->occupancy[p] = cycles(pl, internal, lid, mpos, &x, &words);
+            if (j->occupancy[p] < 0)
                 return ERR_RANGE;
-            if (internal_fetches)
-                internal_fetches[p] = x;
-            if (leaf_words)
-                leaf_words[p] = words;
+            if (j->internal_fetches)
+                j->internal_fetches[p] = x;
+            if (j->leaf_words)
+                j->leaf_words[p] = words;
         }
     }
     return OK;
+}
+
+/* Take slices until none is left: a thread that starts late, or runs
+ * slower, walks fewer of them. */
+/* Walk packets [lo, hi) a block at a time, each block's widths checked
+ * first under a placement (PacketTrace's check, without the trace: the
+ * block is then in cache for the walk).  A width error stops the slice;
+ * a walk error stops the walk, not the checks, since a width error
+ * anywhere is the call's error, as when PacketTrace checked before the
+ * walk. */
+static int walk_slice(const walk_job *j, int64_t lo, int64_t hi)
+{
+    const int64_t ndim = j->t->ndim;
+    u32x4 outside[WIDE];
+    int code = OK;
+    if (j->pl)
+        width_masks(outside, ndim, j->pl->max_value);
+    for (int64_t b = lo; b < hi; b += BLOCK_PACKETS) {
+        const int64_t e = b + BLOCK_PACKETS < hi ? b + BLOCK_PACKETS : hi;
+        if (j->pl && over_width(j->headers + b * ndim, e - b, ndim, outside,
+                                j->pl->max_value))
+            return ERR_WIDTH;
+        if (code == OK)
+            code = walk_block(j, b, e);
+    }
+    return code;
+}
+
+static void *walk_thread(void *arg)
+{
+    walk_job *j = *(walk_job **)arg;
+    for (int64_t i; (i = __atomic_fetch_add(&j->next, 1, __ATOMIC_RELAXED))
+                    < j->slices;)
+        j->code[i] = walk_slice(j, j->n * i / j->slices,
+                                j->n * (i + 1) / j->slices);
+    return NULL;
+}
+
+/* Walk n packets root to leaf on up to `threads` threads, each taking
+ * contiguous slices in order.  `match` is always written, the five
+ * statistics arrays only when `internal_nodes` is not NULL; under a
+ * placement `pl` every header's fields are checked against its widths,
+ * and the cycle count goes to `occupancy` and, each when not NULL, its
+ * two terms to `internal_fetches` / `leaf_words`.  Returns ERR_WIDTH if a
+ * header is too wide, else the lowest failing slice's code: the code of
+ * the first failing packet, as with one thread. */
+int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
+              int64_t n, int64_t *match, int32_t *internal_nodes,
+              int32_t *leaf_id, int32_t *leaf_size, int32_t *match_pos,
+              int32_t *rules_compared, int64_t *occupancy,
+              int64_t *internal_fetches, int64_t *leaf_words, int64_t threads)
+{
+    if ((occupancy && !pl) || (pl && (pl->rules_per_word <= 0
+                                      || pl->ndim != t->ndim)))
+        return ERR_RANGE;
+    const int64_t k = clamp_threads(threads, n);
+    const int64_t slices = k == 1               ? 1
+                           : n < k * SLICES_PER_THREAD ? n
+                                                     : k * SLICES_PER_THREAD;
+    walk_job job = {t, pl, headers, n, slices, 0, match, internal_nodes,
+                    leaf_id, leaf_size, match_pos, rules_compared, occupancy,
+                    internal_fetches, leaf_words, {OK}};
+    walk_job *each[MAX_THREADS];
+    for (int64_t i = 0; i < k; i++)
+        each[i] = &job;
+    fan_out(walk_thread, each, sizeof *each, k);
+    int code = OK;
+    for (int64_t i = 0; i < slices; i++) {
+        if (job.code[i] == ERR_WIDTH)
+            return ERR_WIDTH;
+        code = code ? code : job.code[i];
+    }
+    return code;
 }

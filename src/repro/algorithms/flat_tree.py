@@ -552,7 +552,9 @@ class FlatTree:
         """The native walk writing ``match`` and, under an accelerator's
         leaf ``placement`` (:func:`native.place`), each packet's
         memory-port cycles ``cycles = (occupancy[, internal_fetches,
-        leaf_words])``, counted by the iteration that finishes the packet.
+        leaf_words])``, counted by the iteration that finishes the packet,
+        once every header's fields are within the placement's widths
+        (:class:`~repro.core.errors.PacketFormatError` if not).
         ``False``, nothing written, where the native kernel does not
         serve: the caller computes them from :meth:`batch_lookup`."""
         return native.walk(

@@ -20,6 +20,13 @@ every hash and verdict.  There
 is no switch: a process uses all of them if the library loads and every
 portable path if not, and :func:`status` says which and why.
 
+The walk and the two cache calls split one call over up to
+:func:`threads_for` threads, created and joined inside the call (so
+none outlives it, and a later ``fork()`` is safe): the walk by
+contiguous packet slice, the cache by contiguous range of cache sets.
+Every output is the one-thread output by construction (docs/engine.md,
+"Threads inside a native call").
+
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
 serve) loads ``flat_walk-<key>.so`` from
 ``${XDG_CACHE_HOME:-~/.cache}/repro-native/``, else the temp directory
@@ -41,15 +48,16 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
 
-from ..core.errors import BuildError
+from ..core.errors import BuildError, PacketFormatError
 
 #: One translation unit, in this order (``source()``).
 SOURCES = ("_flat_walk.c", "_flow_cache.c", "_prefilter.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 BUILD_TIMEOUT_S = 60
 
 # ``tables`` of _flat_walk.c in its field order: the scalars, then one
@@ -81,10 +89,13 @@ class _Tables(ctypes.Structure):
 
 class _Placement(ctypes.Structure):
     """``placement`` of _flat_walk.c: an accelerator's per-node leaf start
-    slot and rule count (:func:`place`); ``keep`` as for ``_Tables``."""
+    slot and rule count and its per-field largest value (:func:`place`);
+    ``keep`` as for ``_Tables``."""
 
-    _fields_ = [("n_nodes", ctypes.c_int64), ("rules_per_word", ctypes.c_int64),
-                ("pos", ctypes.c_void_p), ("n_rules", ctypes.c_void_p)]
+    _fields_ = [(name, ctypes.c_int64)
+                for name in ("n_nodes", "rules_per_word", "ndim")] + [
+        (name, ctypes.c_void_p) for name in ("pos", "n_rules", "max_value")
+    ]
 
 
 #: ``_Cache`` table fields and the ``FlowCache`` attributes they bind.
@@ -115,15 +126,71 @@ class _Kernel:
     path: str | None = None
 
 
-#: Set by the first :func:`_load`: the one piece of process-wide state.
+#: Set by the first :func:`_load`: the library this process loaded.
 _kernel: _Kernel | None = None
+
+#: Packets one thread of a split walk gets at the least.  Measured, not
+#: a knob: on a 2-CPU host a walk of 16,384-65,536 packets runs 1.6-1.8x
+#: faster on two threads, and a thread costs ~50 us to start and join
+#: (docs/engine.md, "Threads inside a native call").
+MIN_SLICE = 16384
+#: The same for the flow cache's two calls.  A split lookup pays a
+#: hashing round and a serial merge on top of the probes, so on that host
+#: it ran 0.7-1.3x the one-thread speed at 14-45% more CPU at every size
+#: measured (65,536 to 524,288 packets): below 2^20 packets a thread,
+#: the cache calls stay on the calling thread.
+MIN_CACHE_SLICE = 1 << 20
+
+#: Set in a forked shard owner (:func:`one_thread`): its siblings hold
+#: the host's other CPUs.
+_one_thread = False
+
+
+@cache
+def host_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset -c 0`` on a many-core host is 1), else the host's
+    count.  The one seam every tier decision and thread count reads the
+    count through (tests monkeypatch it to run both ``auto`` branches on
+    any machine); asked once, it costs a syscall."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
+def thread_ceiling() -> int:
+    """The most threads one native call of this process uses."""
+    return 1 if _one_thread else host_cpus()
+
+
+def one_thread() -> None:
+    """Keep every later native call of this process on the calling
+    thread: what a forked shard owner does, so ``k`` forked owners never
+    start more threads than the host has CPUs."""
+    global _one_thread
+    _one_thread = True
+
+
+def threads_for(
+    n: int, threads: int | None = None, min_slice: int = MIN_SLICE
+) -> int:
+    """Threads a call over ``n`` packets splits into: ``threads`` when
+    given (the tests force counts the rule would not pick), else
+    ``min(thread_ceiling(), n // min_slice)``, at least one."""
+    if threads is not None:
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        return threads
+    return max(1, min(thread_ceiling(), n // min_slice))
 
 
 def status() -> dict:
-    """Which walk this process serves with, and why (loads on first use)."""
+    """Which walk this process serves with, and why (loads on first use),
+    and the most threads one of its native calls uses."""
     k = _load()
     return {"kernel": "native" if k.fn else "portable", "reason": k.reason,
-            "compiler": k.compiler, "path": k.path}
+            "compiler": k.compiler, "path": k.path,
+            "threads": thread_ceiling()}
 
 
 def source() -> bytes:
@@ -199,15 +266,16 @@ def _open(path: str):
     lib = ctypes.CDLL(path)
     fn = lib.flat_walk
     # (tables, placement or NULL, headers, n, match, the five statistics
-    # arrays or NULLs, the three cycle arrays or NULLs)
+    # arrays or NULLs, the three cycle arrays or NULLs, threads)
     fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Placement),
-                   ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 9]
+                   ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 9,
+                   ctypes.c_int64]
     fn.restype = ctypes.c_int
     ptr, i64, cache = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Cache)
     for name, args, res in (
-        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6], ctypes.c_int),
+        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6, i64], ctypes.c_int),
         ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
-                       ptr, i64, i64, ptr], ctypes.c_int),
+                       ptr, i64, i64, ptr, i64], ctypes.c_int),
         ("pf_hash", [ptr, i64, i64, ptr], None),
         ("pf_probe", [ptr, i64, i64, ptr, ptr, i64, ptr, ptr], i64),
         ("pf_insert", [ptr, i64, i64, ptr, ptr, ptr, i64], None),
@@ -264,28 +332,37 @@ def bind(flat) -> _Tables | None:
     return tables
 
 
-def place(pos, n_rules, rules_per_word: int) -> _Placement:
+def place(pos, n_rules, rules_per_word: int, max_value) -> _Placement:
     """The pointer table over an accelerator's leaf placement: per tree
     node, the leaf's start slot in its first word and its rule count
-    (``int64``, zero for internal nodes), and the rule slots per word."""
-    n = len(pos)
+    (``int64``, zero for internal nodes), the rule slots per word, and
+    per header field the largest value its width holds (``uint32``,
+    ``2**width - 1``), which the walk checks every header against."""
+    n, ndim = len(pos), len(max_value)
+    if np.any(np.asarray(max_value) & (np.asarray(max_value) + 1)):
+        raise BuildError("native kernel: a largest field value that is "
+                         "not 2**width - 1")
     placement = _Placement(
-        n, rules_per_word, _pointer("pos", pos, np.int64, (n,)),
+        n, rules_per_word, ndim, _pointer("pos", pos, np.int64, (n,)),
         _pointer("n_rules", n_rules, np.int64, (n,)),
+        _pointer("max_value", max_value, np.uint32, (ndim,)),
     )
-    placement.keep = (pos, n_rules)
+    placement.keep = (pos, n_rules, max_value)
     return placement
 
 
 def walk(
     tables: _Tables | None, headers32, match, stats=None,
-    placement: _Placement | None = None, cycles=(),
+    placement: _Placement | None = None, cycles=(), threads: int | None = None,
 ) -> bool:
-    """Walk every packet of ``headers32``, writing ``match`` and, when
-    given, the five statistics arrays and — under ``placement`` — the
-    ``int64`` cycle arrays ``cycles = (occupancy[, internal_fetches,
-    leaf_words])``.  ``False`` (nothing written) when there is no table
-    or no library: the caller takes the portable walk."""
+    """Walk every packet of ``headers32`` over :func:`threads_for`
+    threads, writing ``match`` and, when given, the five statistics
+    arrays and — under ``placement`` — the ``int64`` cycle arrays
+    ``cycles = (occupancy[, internal_fetches, leaf_words])``, after
+    checking each header's fields against their widths
+    (:class:`~repro.core.errors.PacketFormatError`, as ``PacketTrace``
+    raises).  ``False`` (nothing written) when there is no table or no
+    library: the caller takes the portable walk."""
     fn = _load().fn
     if tables is None or fn is None:
         return False
@@ -296,7 +373,12 @@ def walk(
     out += [_pointer("cycles", c, np.int64, (n,)) for c in cycles]
     out += [None] * (9 - len(out))
     headers = _pointer("headers", headers32, np.uint32, (n, tables.ndim))
-    code = fn(ctypes.byref(tables), placement, headers, n, *out)
+    code = fn(ctypes.byref(tables), placement, headers, n, *out,
+              threads_for(n, threads))
+    if code == 3:
+        widths = placement.keep[2]
+        field = int(np.flatnonzero((headers32 > widths).any(axis=0))[0])
+        raise PacketFormatError(f"trace field {field} exceeds field width")
     if code:
         raise BuildError(
             "batch traversal did not terminate" if code == 1 else
@@ -329,10 +411,12 @@ def _bind_cache(cache) -> _Cache:
     return bound
 
 
-def lookup(cache, headers32, group: bool = True, expect: int = 0):
-    """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)``,
-    grouping in a table first sized for ``expect`` distinct misses;
-    without ``group`` the probe alone (the last three ``None``)."""
+def lookup(cache, headers32, group: bool = True, expect: int = 0,
+           threads: int | None = None):
+    """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)`` over
+    :func:`threads_for` threads, grouping in a table first sized for
+    ``expect`` distinct misses; without ``group`` the probe alone (the
+    last three ``None``)."""
     lib = _load().lib
     if lib is None:
         return None
@@ -345,7 +429,8 @@ def lookup(cache, headers32, group: bool = True, expect: int = 0):
     counts = np.zeros(2, np.int64)
     if lib.fc_lookup(ctypes.byref(bound), headers, n, expect, match.ctypes.data,
                      *(a if a is None else a.ctypes.data
-                       for a in (misses, rank, uniq, sets, counts))):
+                       for a in (misses, rank, uniq, sets, counts)),
+                     threads_for(n, threads, MIN_CACHE_SLICE)):
         raise MemoryError("native flow cache: out of memory")
     m, distinct = counts
     if group:
@@ -358,8 +443,11 @@ def _optional(name: str, arr, size: int):
 
 
 def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
-           match=None, hit_cycles: int = 0):
-    """``FlowCache.commit``: ``(occupancy, evictions, reclamations)``."""
+           match=None, hit_cycles: int = 0, threads: int | None = None):
+    """``FlowCache.commit`` over :func:`threads_for` threads of the rows
+    it fills (its scatter is a copy, which alone does not repay a
+    thread): ``(occupancy, evictions, reclamations)``.  ``misses`` must
+    ascend, as a lookup's do."""
     lib = _load().lib
     if lib is None:
         return None
@@ -379,12 +467,13 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
         _pointer("results", results, np.int64, (nd,)),
         _optional("cycles", cycles, nd), *scatter[:2], m, scatter[2],
         _optional("occupancy", occupancy, n), n, hit_cycles, counts.ctypes.data,
+        threads_for(nd, threads, MIN_CACHE_SLICE),
     )
     if code == 3:
         raise MemoryError("native flow cache: out of memory")
     if code:
         raise BuildError("native flow cache: a set index, miss or rank "
-                         "outside its table")
+                         "outside its table, or misses out of order")
     return occupancy, int(counts[0]), int(counts[1])
 
 

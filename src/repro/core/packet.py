@@ -56,18 +56,27 @@ class Packet:
         return pkt
 
 
+def header_matrix(headers: np.ndarray, schema: FieldSchema) -> np.ndarray:
+    """``headers`` as the C-contiguous ``(n, ndim)`` ``uint32`` matrix a
+    :class:`PacketTrace` stores, its shape checked against ``schema``;
+    its field widths are not (the trace checks them, the accelerator's
+    native walk checks them as it walks)."""
+    headers = np.ascontiguousarray(headers, dtype=np.uint32)
+    if headers.ndim != 2 or headers.shape[1] != schema.ndim:
+        raise PacketFormatError(
+            f"trace shape {headers.shape} does not match schema with "
+            f"{schema.ndim} dims"
+        )
+    return headers
+
+
 class PacketTrace:
     """A sequence of packet headers stored as a dense uint32 matrix."""
 
     __slots__ = ("schema", "headers")
 
     def __init__(self, headers: np.ndarray, schema: FieldSchema) -> None:
-        headers = np.ascontiguousarray(headers, dtype=np.uint32)
-        if headers.ndim != 2 or headers.shape[1] != schema.ndim:
-            raise PacketFormatError(
-                f"trace shape {headers.shape} does not match schema with "
-                f"{schema.ndim} dims"
-            )
+        headers = header_matrix(headers, schema)
         for d in range(schema.ndim):
             if headers[:, d].size and int(headers[:, d].max()) > schema.max_value(d):
                 raise PacketFormatError(f"trace field {d} exceeds field width")

@@ -124,9 +124,7 @@ class AcceleratorClassifier(ClassifierBase):
         return self.batch_stats(headers).match
 
     def batch_stats(self, headers: np.ndarray) -> BatchStats:
-        match, occupancy = self.accelerator.match_occupancy(
-            PacketTrace(headers, self.schema)
-        )
+        match, occupancy = self.accelerator.match_occupancy(headers)
         return BatchStats(match=match, occupancy=occupancy)
 
     def run_trace(self, trace: PacketTrace):

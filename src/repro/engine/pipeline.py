@@ -98,7 +98,6 @@ the next run closes the workers and flushes the shard clones' caches.
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -106,6 +105,8 @@ from functools import cache
 
 import numpy as np
 
+from ..algorithms import native
+from ..algorithms.native import host_cpus
 from ..core.errors import ArenaCorruptionError, ConfigError, ServingFaultError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, sorted_schedule
@@ -141,18 +142,6 @@ ChunkOutput = tuple[np.ndarray, np.ndarray | None, CacheTriple]
 #: One served run, in trace order: (match, occupancy | None — unless
 #: every chunk modelled it — and the per-chunk cache counters).
 RunOutput = tuple[np.ndarray, np.ndarray | None, list[CacheTriple]]
-
-
-@cache
-def host_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (``taskset -c 0`` on a many-core host is 1), else the host's
-    count.  The one seam every tier decision reads the count through
-    (tests monkeypatch it to run both ``auto`` branches on any machine);
-    asked once, it costs a syscall."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -219,8 +208,11 @@ def _shard_main(conn, shard: int, classifier: Classifier) -> None:
     A message is ``(arena descriptor, tasks)``, a task ``(chunk, bounds,
     fault specs)``.  One reply per task goes back in task order —
     :func:`_run_chunk_arena`'s pair plus the CPU seconds the task took;
-    an exception is sent as the reply and raised by the parent.
+    an exception is sent as the reply and raised by the parent.  Its
+    native calls stay on its one thread: its siblings hold the other
+    CPUs.
     """
+    native.one_thread()
     while True:
         try:
             arena, tasks = conn.recv()

@@ -23,7 +23,9 @@ Two simulators share the :class:`~repro.hw.layout.MemoryImage`:
   tables): the loop iteration that finishes a packet counts its fetches,
   where the Figure 5 FSM makes them.  The NumPy formula over
   ``batch_lookup`` is the portable walk's path and that count's oracle
-  (``tests/test_native.py``).  Steady-state
+  (``tests/test_native.py``).  The native walk also checks each
+  header's field widths as it walks, so serving hands it raw headers
+  and builds no :class:`~repro.core.packet.PacketTrace`.  Steady-state
   throughput is ``f / mean(occupancy)`` because the root-index
   computation of the next packet overlaps the current leaf search
   (Section 4: the overlap "reduc[es] the worst case number of clock
@@ -41,7 +43,7 @@ import numpy as np
 
 from ..algorithms import native
 from ..core.errors import SimulationError
-from ..core.packet import PacketTrace
+from ..core.packet import PacketTrace, header_matrix
 from ..core.rules import FIVE_TUPLE
 from .encoding import (
     RULES_PER_WORD,
@@ -125,30 +127,38 @@ class Accelerator:
             if p.is_leaf:
                 self._pos[nid] = p.pos
                 self._nrules[nid] = p.n_rules
-        self._placement = native.place(self._pos, self._nrules, RULES_PER_WORD)
+        schema = self.tree.schema
+        self._max_value = np.array(
+            [schema.max_value(d) for d in range(schema.ndim)], np.uint32
+        )
+        self._placement = native.place(
+            self._pos, self._nrules, RULES_PER_WORD, self._max_value
+        )
 
     def run_trace(self, trace: PacketTrace) -> AcceleratorRun:
         """Every packet's match and memory-port cycles, split into
         internal fetches and leaf words (the record Tables 2-8 read)."""
-        return AcceleratorRun(*self._walk(trace, split=True))
+        return AcceleratorRun(*self._walk(trace.headers, split=True))
 
-    def match_occupancy(self, trace: PacketTrace) -> tuple[np.ndarray, np.ndarray]:
-        """``run_trace``'s ``match`` and ``occupancy`` only: what serving
-        reads, without the split the native walk then never writes."""
-        match, occupancy, *_ = self._walk(trace, split=False)
+    def match_occupancy(self, headers) -> tuple[np.ndarray, np.ndarray]:
+        """``run_trace``'s ``match`` and ``occupancy`` of an ``(n, ndim)``
+        header array: what serving reads, without the split the native
+        walk then never writes.  A header outside its field widths is a
+        :class:`~repro.core.errors.PacketFormatError`, as for a trace."""
+        match, occupancy, *_ = self._walk(headers, split=False)
         return match, occupancy
 
-    def _walk(self, trace: PacketTrace, split: bool) -> tuple[np.ndarray, ...]:
+    def _walk(self, headers, split: bool) -> tuple[np.ndarray, ...]:
         """``(match, occupancy[, internal_fetches, leaf_words])`` from the
-        native walk, which counts the cycles as it finishes each packet,
-        or else from :meth:`_run_portable`."""
-        n = trace.n_packets  # the C loop writes every cell it is handed
+        native walk, which checks the widths and counts the cycles as it
+        finishes each packet, or else from :meth:`_run_portable` over a
+        checked :class:`PacketTrace`."""
+        headers = header_matrix(headers, self.tree.schema)
+        n = headers.shape[0]  # the C loop writes every cell it is handed
         out = tuple(np.empty(n, dtype=np.int64) for _ in range(4 if split else 2))
-        if self.tree.flat.walk_cycles(
-            trace.headers, self._placement, out[0], out[1:]
-        ):
+        if self.tree.flat.walk_cycles(headers, self._placement, out[0], out[1:]):
             return out
-        run = self._run_portable(trace)
+        run = self._run_portable(PacketTrace(headers, self.tree.schema))
         return run.match, run.occupancy, run.internal_fetches, run.leaf_words
 
     def _run_portable(self, trace: PacketTrace) -> AcceleratorRun:

@@ -105,9 +105,10 @@ class TestClassifyBatchIsTheMatchWalk:
         loaded = native._load()
         if loaded.fn is not None:  # else the portable half below is all
 
-            def spy_fn(tables, placement, headers32, n, match, *out):
+            def spy_fn(tables, placement, headers32, n, match, *rest):
+                *out, _threads = rest
                 pointers.append((placement, *out))
-                return loaded.fn(tables, placement, headers32, n, match, *out)
+                return loaded.fn(tables, placement, headers32, n, match, *rest)
 
             monkeypatch.setattr(native, "_kernel", native._Kernel(fn=spy_fn))
         for _ in range(2):  # the default kernel, then the portable walk

@@ -176,6 +176,7 @@ class TestFallback:
         assert native.status() == {
             "kernel": "native", "reason": None, "path": str(path),
             "compiler": native_kernel.compiler,
+            "threads": native.thread_ceiling(),
         }
         assert path.stat().st_size == os.path.getsize(native_kernel.path)
 
@@ -300,17 +301,24 @@ class TestCorruptTables:
         with pytest.raises(BuildError, match="children is not"):
             native.bind(flat)
         pos = np.zeros(flat.n_nodes, dtype=np.int32)
+        widths = np.full(FIVE_TUPLE.ndim, 255, np.uint32)
         with pytest.raises(BuildError, match="pos is not"):
-            native.place(pos, pos.astype(np.int64), RULES_PER_WORD)
+            native.place(pos, pos.astype(np.int64), RULES_PER_WORD, widths)
+        with pytest.raises(BuildError, match="max_value is not"):
+            native.place(pos.astype(np.int64), pos.astype(np.int64),
+                         RULES_PER_WORD, widths.astype(np.int64))
 
     #: Placements an accelerator's cycle count must refuse, each made from
-    #: the valid ``(pos, n_rules, rules per word)``.
+    #: the valid ``(pos, n_rules, rules per word, max_value)``.
     CORRUPT_PLACEMENTS = {
-        "leaf id past the table": lambda pos, nr, w: (pos[:1], nr[:1], w),
-        "negative pos": lambda pos, nr, w: (np.where(nr > 0, -1, pos), nr, w),
-        "pos past its word": lambda pos, nr, w: (np.where(nr > 0, w, pos), nr, w),
-        "rule count past int32": lambda pos, nr, w: (pos, nr << 40, w),
-        "no slots per word": lambda pos, nr, w: (pos, nr, 0),
+        "leaf id past the table": lambda pos, nr, w, mv: (pos[:1], nr[:1], w, mv),
+        "negative pos": lambda pos, nr, w, mv: (
+            np.where(nr > 0, -1, pos), nr, w, mv),
+        "pos past its word": lambda pos, nr, w, mv: (
+            np.where(nr > 0, w, pos), nr, w, mv),
+        "rule count past int32": lambda pos, nr, w, mv: (pos, nr << 40, w, mv),
+        "no slots per word": lambda pos, nr, w, mv: (pos, nr, 0, mv),
+        "widths of another schema": lambda pos, nr, w, mv: (pos, nr, w, mv[1:]),
     }
 
     @pytest.mark.parametrize("corrupt", sorted(CORRUPT_PLACEMENTS))
@@ -319,12 +327,12 @@ class TestCorruptTables:
     ):
         acc = Accelerator(hw_image_small)
         acc._placement = native.place(*self.CORRUPT_PLACEMENTS[corrupt](
-            acc._pos, acc._nrules, RULES_PER_WORD
+            acc._pos, acc._nrules, RULES_PER_WORD, acc._max_value
         ))
         with pytest.raises(BuildError, match="left its tables"):
             acc.run_trace(acl_small_trace)
         with pytest.raises(BuildError, match="left its tables"):
-            acc.match_occupancy(acl_small_trace)
+            acc.match_occupancy(acl_small_trace.headers)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +697,7 @@ def test_native_portable_and_reference_agree(
                     for acc in accelerators for t in (trace, trace.subset(0))
                 ])
                 for acc, run in zip(accelerators, runs[-1][::2]):
-                    match, occupancy = acc.match_occupancy(trace)
+                    match, occupancy = acc.match_occupancy(trace.headers)
                     assert np.array_equal(match, run.match)
                     assert np.array_equal(occupancy, run.occupancy)
         finally:
