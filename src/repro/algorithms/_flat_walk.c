@@ -7,9 +7,10 @@
  * packet counts its memory-port cycles (hw/accelerator.py:
  * Accelerator._run_portable, eqs (5)/(7)).  Every index derived from
  * table data is bounds-checked, so a corrupt table is an error code, not
- * a fault.  A call splits its packets into contiguous
- * slices over up to `threads` threads (fan_out); packets are independent,
- * so every output is the one-thread output. */
+ * a fault.  A call splits its packets into one contiguous slice per
+ * thread, over up to `threads` threads created and joined inside the
+ * call; packets are independent, so every output is the one-thread
+ * output. */
 #include <pthread.h>
 #include <stdint.h>
 #include <string.h>
@@ -18,35 +19,6 @@ enum { OK, ERR_STEPS, ERR_RANGE, ERR_WIDTH, MAX_STEPS = 10000, LEAF = 1 };
 
 /* The most threads one call starts; native.MIN_SLICE keeps k far below. */
 enum { MAX_THREADS = 64 };
-
-/* Run job(jobs + i * size) for every i < k, each exactly once: jobs 1..k-1
- * on threads created here and joined before the return, job 0 on the
- * caller's thread, and any job whose thread could not be created on the
- * caller too.  No thread outlives the call, so a later fork() is safe and
- * nothing needs shutting down.  _flow_cache.c splits its calls with it. */
-static void fan_out(void *(*job)(void *), void *jobs, size_t size, int64_t k)
-{
-    pthread_t tid[MAX_THREADS];
-    int started[MAX_THREADS] = {0};
-    char *at = jobs;
-    for (int64_t i = 1; i < k; i++)
-        started[i] = !pthread_create(&tid[i], NULL, job, at + i * size);
-    job(at);
-    for (int64_t i = 1; i < k; i++) {
-        if (started[i])
-            pthread_join(tid[i], NULL);
-        else
-            job(at + i * size);
-    }
-}
-
-/* `threads` clamped to [1, MAX_THREADS] and to one job per item. */
-static int64_t clamp_threads(int64_t threads, int64_t items)
-{
-    int64_t k = threads < MAX_THREADS ? threads : MAX_THREADS;
-    k = k < items ? k : items;
-    return k > 1 ? k : 1;
-}
 
 typedef struct {       /* field order is native._Placement._fields_ */
     int64_t n_nodes, rules_per_word, ndim;
@@ -165,20 +137,19 @@ static uint32_t over_width(const uint32_t *h, int64_t n, int64_t ndim,
                      : over_width_of(h, n, ndim, outside, max_value);
 }
 
-/* One flat_walk call: its arguments, its n packets cut into `slices`
- * contiguous slices handed out in order (`next`, taken atomically), and
- * each slice's code. */
-enum { SLICES_PER_THREAD = 16, BLOCK_PACKETS = 256 };
+/* One thread's share of a flat_walk call: its arguments, its contiguous
+ * slice [lo, hi) of the packets, and the slice's code. */
+enum { BLOCK_PACKETS = 256 };
 
 typedef struct {
     const tables *t;
     const placement *pl;
     const uint32_t *headers;
-    int64_t n, slices, next;
+    int64_t lo, hi;
     int64_t *match;
     int32_t *internal_nodes, *leaf_id, *leaf_size, *match_pos, *rules_compared;
     int64_t *occupancy, *internal_fetches, *leaf_words;
-    int code[MAX_THREADS * SLICES_PER_THREAD];
+    int code;
 } walk_job;
 
 /* Walk packets [lo, hi) root to leaf; an error stops the walk at the
@@ -264,50 +235,45 @@ static int walk_block(const walk_job *j, int64_t lo, int64_t hi)
     return OK;
 }
 
-/* Take slices until none is left: a thread that starts late, or runs
- * slower, walks fewer of them. */
-/* Walk packets [lo, hi) a block at a time, each block's widths checked
+/* Walk the job's slice a block at a time, each block's widths checked
  * first under a placement (PacketTrace's check, without the trace: the
  * block is then in cache for the walk).  A width error stops the slice;
  * a walk error stops the walk, not the checks, since a width error
  * anywhere is the call's error, as when PacketTrace checked before the
  * walk. */
-static int walk_slice(const walk_job *j, int64_t lo, int64_t hi)
+static void *walk_slice(void *arg)
 {
+    walk_job *j = arg;
     const int64_t ndim = j->t->ndim;
     u32x4 outside[WIDE];
     int code = OK;
     if (j->pl)
         width_masks(outside, ndim, j->pl->max_value);
-    for (int64_t b = lo; b < hi; b += BLOCK_PACKETS) {
-        const int64_t e = b + BLOCK_PACKETS < hi ? b + BLOCK_PACKETS : hi;
+    for (int64_t b = j->lo; b < j->hi; b += BLOCK_PACKETS) {
+        const int64_t e = b + BLOCK_PACKETS < j->hi ? b + BLOCK_PACKETS : j->hi;
         if (j->pl && over_width(j->headers + b * ndim, e - b, ndim, outside,
-                                j->pl->max_value))
-            return ERR_WIDTH;
+                                j->pl->max_value)) {
+            code = ERR_WIDTH;
+            break;
+        }
         if (code == OK)
             code = walk_block(j, b, e);
     }
-    return code;
-}
-
-static void *walk_thread(void *arg)
-{
-    walk_job *j = *(walk_job **)arg;
-    for (int64_t i; (i = __atomic_fetch_add(&j->next, 1, __ATOMIC_RELAXED))
-                    < j->slices;)
-        j->code[i] = walk_slice(j, j->n * i / j->slices,
-                                j->n * (i + 1) / j->slices);
+    j->code = code;
     return NULL;
 }
 
-/* Walk n packets root to leaf on up to `threads` threads, each taking
- * contiguous slices in order.  `match` is always written, the five
- * statistics arrays only when `internal_nodes` is not NULL; under a
- * placement `pl` every header's fields are checked against its widths,
- * and the cycle count goes to `occupancy` and, each when not NULL, its
- * two terms to `internal_fetches` / `leaf_words`.  Returns ERR_WIDTH if a
- * header is too wide, else the lowest failing slice's code: the code of
- * the first failing packet, as with one thread. */
+/* Walk n packets root to leaf on up to `threads` threads, one contiguous
+ * slice each: slice 0 on the caller's thread, the others on threads
+ * joined before the return (so none outlives the call and a later fork()
+ * is safe), and a slice whose thread could not be created on the caller
+ * too.  `match` is always written, the five statistics arrays only when
+ * `internal_nodes` is not NULL; under a placement `pl` every header's
+ * fields are checked against its widths, and the cycle count goes to
+ * `occupancy` and, each when not NULL, its two terms to
+ * `internal_fetches` / `leaf_words`.  Returns ERR_WIDTH if a header is
+ * too wide, else the lowest failing slice's code: the code of the first
+ * failing packet, as with one thread. */
 int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
               int64_t n, int64_t *match, int32_t *internal_nodes,
               int32_t *leaf_id, int32_t *leaf_size, int32_t *match_pos,
@@ -317,22 +283,31 @@ int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
     if ((occupancy && !pl) || (pl && (pl->rules_per_word <= 0
                                       || pl->ndim != t->ndim)))
         return ERR_RANGE;
-    const int64_t k = clamp_threads(threads, n);
-    const int64_t slices = k == 1               ? 1
-                           : n < k * SLICES_PER_THREAD ? n
-                                                     : k * SLICES_PER_THREAD;
-    walk_job job = {t, pl, headers, n, slices, 0, match, internal_nodes,
-                    leaf_id, leaf_size, match_pos, rules_compared, occupancy,
-                    internal_fetches, leaf_words, {OK}};
-    walk_job *each[MAX_THREADS];
+    int64_t k = threads < MAX_THREADS ? threads : MAX_THREADS;
+    k = k < n ? k : n;
+    k = k > 1 ? k : 1;
+    walk_job job[MAX_THREADS];
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS] = {0};
     for (int64_t i = 0; i < k; i++)
-        each[i] = &job;
-    fan_out(walk_thread, each, sizeof *each, k);
+        job[i] = (walk_job){t, pl, headers, n * i / k, n * (i + 1) / k, match,
+                            internal_nodes, leaf_id, leaf_size, match_pos,
+                            rules_compared, occupancy, internal_fetches,
+                            leaf_words, OK};
+    for (int64_t i = 1; i < k; i++)
+        started[i] = !pthread_create(&tid[i], NULL, walk_slice, &job[i]);
+    walk_slice(&job[0]);
+    for (int64_t i = 1; i < k; i++) {
+        if (started[i])
+            pthread_join(tid[i], NULL);
+        else
+            walk_slice(&job[i]);
+    }
     int code = OK;
-    for (int64_t i = 0; i < slices; i++) {
-        if (job.code[i] == ERR_WIDTH)
+    for (int64_t i = 0; i < k; i++) {
+        if (job[i].code == ERR_WIDTH)
             return ERR_WIDTH;
-        code = code ? code : job.code[i];
+        code = code ? code : job[i].code;
     }
     return code;
 }

@@ -1,17 +1,11 @@
 /* The flow cache's two per-batch loops, FlowCache.lookup and
  * FlowCache.commit (engine/flowcache.py, whose NumPy paths are the
  * oracle), over its own tables; native.py builds this file into one
- * library with _flat_walk.c, whose fan_out splits each call over up to
- * `threads` threads.  Keys are pack_flow_keys' words, set-major: way w
- * of set s holds keyw[(s * ways + w) * nw ...].  The hot loops select
- * without branching on the data (a mispredicted branch costs more than
- * reading every way).  fc_commit range-checks its indices (sets, misses,
- * ranks) before the first write: a bad one is an error.
- *
- * The split: thread t owns the contiguous set range owner_of() gives it,
- * so no two threads touch one set, and each set still sees its packets in
- * arrival order with the LRU stamp of their global position.  Every
- * table, counter and returned array is therefore the one-thread one. */
+ * library with _flat_walk.c.  Keys are pack_flow_keys' words, set-major:
+ * way w of set s holds keyw[(s * ways + w) * nw ...].  The hot loops
+ * select without branching on the data (a mispredicted branch costs
+ * more than reading every way).  fc_commit range-checks its indices
+ * (sets, misses, ranks) before the first write: a bad one is an error. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -55,14 +49,14 @@ static int live(const flow_cache *c, int64_t slot)
 }
 
 /* One batch's distinct misses so far, by id (arrival order): each one's
- * FNV value and packed key.  `table` (2^bits slots, at most half full)
- * finds an id by FNV value; it and the per-id arrays grow with the
- * distinct count, and nothing is allocated before the first miss. */
+ * FNV value and packed key, room for `most` (the batch size).  `table`
+ * (2^bits slots, at most half full) finds an id by FNV value; it grows
+ * with the distinct count, and nothing is allocated before the first miss. */
 typedef struct { uint64_t x; int64_t id; } slot;   /* id + 1, 0: empty */
 
 typedef struct {
     int bits;
-    int64_t nd;
+    int64_t most, nd;
     uint64_t *x, *keys;
     slot *table;
 } groups;
@@ -72,24 +66,18 @@ static uint64_t home(uint64_t x, int bits)
     return x * 0x9E3779B97F4A7C15ULL >> (64 - bits);
 }
 
-/* Double the table and the per-id arrays, or make the first: at least
+/* Double the table, or make the first (and the per-id arrays): at least
  * 2^10 slots and `expect` ids a quarter full (a rehash costs more than a
- * larger first table), ids for half the slots; 0 when out of memory.  The
- * arrays grow with the ids, not with the batch: a split lookup's owners
- * allocate on threads of their own, whose freed memory goes back to the
- * system, so each call would fault in batch-sized arrays anew. */
+ * larger first table); 0 when out of memory. */
 static int grow(groups *g, int64_t nw, int64_t expect)
 {
     int bits = g->table ? g->bits + 1 : 10;
     while (!g->table && (int64_t)1 << bits < 4 * expect)
         bits++;
-    const size_t size = (size_t)1 << bits, room = size / 2;
+    const size_t size = (size_t)1 << bits;
     slot *table = calloc(size, sizeof *table);
-    uint64_t *x = table ? realloc(g->x, room * sizeof *x) : NULL;
-    g->x = x ? x : g->x;
-    uint64_t *keys = x ? realloc(g->keys, room * nw * sizeof *keys) : NULL;
-    g->keys = keys ? keys : g->keys;
-    if (!keys)
+    if (!table || (!g->x && !(g->x = malloc(g->most * sizeof *g->x)))
+        || (!g->keys && !(g->keys = malloc(g->most * nw * sizeof *g->keys))))
         return free(table), 0;
     for (int64_t id = 0; id < g->nd; id++) {
         uint64_t i = home(g->x[id], bits);
@@ -144,144 +132,64 @@ static inline int64_t find(const flow_cache *c, int64_t s, const uint64_t *kw,
     return found;
 }
 
-/* The owner of set s among k threads: thread t owns the sets from
- * first_set(t) up to first_set(t + 1). */
-static int64_t owner_of(int64_t s, int64_t k, int64_t n_sets)
-{
-    return s * k / n_sets;
-}
-
-static int64_t first_set(int64_t t, int64_t k, int64_t n_sets)
-{
-    return (t * n_sets + k - 1) / k;
-}
-
-/* The hashing round of a split lookup, over packets [lo, hi): each one's
- * FNV value and position, bucketed under the thread that owns its set
- * (owner_of).  Owner o's bucket is x and pos from o * (hi - lo), count[o]
- * long, in arrival order. */
-typedef struct {
-    const flow_cache *c;
-    const uint32_t *headers;
-    int64_t lo, hi, k;
-    uint64_t *x;
-    int64_t *pos, count[MAX_THREADS];
-} slice;
-
-static void *hash_thread(void *arg)
-{
-    slice *j = arg;
-    const int64_t ndim = j->c->ndim, n_sets = j->c->n_sets, k = j->k;
-    const int64_t room = j->hi - j->lo;
-    int64_t count[MAX_THREADS] = {0};
-    for (int64_t p = j->lo; p < j->hi; p++) {
-        const uint64_t x = fnv(j->headers + p * ndim, ndim);
-        const int64_t o = owner_of(set_of(x, (uint64_t)n_sets), k, n_sets);
-        const int64_t at = o * room + count[o]++;
-        j->x[at] = x;
-        j->pos[at] = p;
-    }
-    memcpy(j->count, count, sizeof count);
-    return NULL;
-}
-
-/* One owner's share of fc_lookup: every header (no split), or in a split
- * its buckets of the k slices, in slice order, so in arrival order.  Out:
- * its misses' positions, their local ids then local ranks, and, by local
- * rank, its distinct misses' rows and sets (the call's outputs without a
- * split) and the position of each one's last miss, then its global rank
- * once merged (lastpos: inside g.table, which then holds no ids). */
-typedef struct {
-    flow_cache *c;
-    const uint32_t *headers;
-    const slice *slices;
-    int64_t n, me, k, expect, grouping;
-    int64_t *match, *misses, *rank, *sets;
-    uint32_t *uniq;
-    int64_t m;
-    groups g;
-    int64_t *lastpos;
-    int code;
-} owner;
-
-/* FlowCache.lookup over one owner's headers: match[p] is the cached
- * result (-1: a miss), a hit's LRU stamp becomes tick + p, and the
- * misses' positions go to misses[].  With grouping they are grouped by
- * FNV value, BLOCK headers at a time, in a table first sized for
- * `expect` (the result never depends on it), then ranked by each
- * distinct header's last miss.  Inlined for the five-tuple 4-way cache,
- * constant bounds, and any other, and for a split. */
+/* FlowCache.lookup: match[p] is the cached result (-1: a miss), a hit's
+ * LRU stamp becomes tick + p, and the misses' positions go to misses[].
+ * With uniq, they are grouped by FNV value, BLOCK headers at a time, in
+ * a table first sized for `expect` (the result never depends on it): the
+ * distinct headers go to uniq in the order of each one's last miss, their
+ * sets to sets, miss i's rank among them to rank[i], and both counts to
+ * counts.
+ * Inlined for the five-tuple 4-way cache, constant bounds, and any other. */
 enum { BLOCK = 256 };
 
 static inline __attribute__((always_inline)) int
-serve(owner *o, const int64_t ndim, const int64_t ways, const int split)
+lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
+       int64_t *match, int64_t *misses, int64_t *rank, uint32_t *uniq,
+       int64_t *sets, int64_t *counts, const int64_t ndim, const int64_t ways)
 {
-    flow_cache *c = o->c;
-    const uint32_t *headers = o->headers;
-    const int64_t nw = (ndim + 1) / 2, n_sets = c->n_sets;
-    int64_t *match = o->match, *misses = o->misses, *rank = o->rank, m = 0;
-    groups g = {0};   /* in o->g once done: a local no store can alias */
+    const int64_t nw = (ndim + 1) / 2;
+    groups g = {.most = n};
+    expect = expect < n ? expect : n;
+    int64_t m = 0, code = FC_ERR_MEMORY;
     /* One block's misses: FNV values, then keys. */
     uint64_t *miss_x = malloc((size_t)BLOCK * (nw + 1) * sizeof *miss_x);
     if (!miss_x)
-        return FC_ERR_MEMORY;
+        goto out;
     uint64_t *miss_kw = miss_x + BLOCK;
-    for (int64_t t = 0; t < (split ? o->k : 1); t++) {
-        const slice *sl = split ? o->slices + t : NULL;
-        const int64_t start = split ? o->me * (sl->hi - sl->lo) : 0;
-        const int64_t *pos = split ? sl->pos + start : NULL;
-        const uint64_t *xs = split ? sl->x + start : NULL;
-        const int64_t count = split ? sl->count[o->me] : o->n;
-        for (int64_t lo = 0; lo < count; lo += BLOCK) {
-            const int64_t hi = lo + BLOCK < count ? lo + BLOCK : count;
-            const int64_t first = m;
-            for (int64_t j = lo; j < hi; j++) {
-                const int64_t p = split ? pos[j] : j;
-                const uint32_t *h = headers + p * ndim;
-                const uint64_t x = split ? xs[j] : fnv(h, ndim);
-                const int64_t s = set_of(x, (uint64_t)n_sets), i = m - first;
-                uint64_t *kw = miss_kw + i * nw;   /* kept when it misses */
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n, first = m;
+        for (int64_t p = lo; p < hi; p++) {
+            const uint32_t *h = headers + p * ndim;
+            const uint64_t x = fnv(h, ndim);
+            const int64_t s = set_of(x, (uint64_t)c->n_sets), i = m - first;
+            uint64_t *kw = miss_kw + i * nw;   /* kept when it misses */
 #pragma GCC unroll 8
-                for (int64_t d = 0; d < nw; d++)
-                    kw[d] = key_word(h, ndim, d);
-                const int64_t w = find(c, s, kw, nw, ways), miss = w >> 63;
-                const int64_t at = s * ways + (w & ~miss); /* way 0: a miss */
-                match[p] = c->result[at] | miss;
-                c->stamp[at] = (c->stamp[at] & miss)
-                               | ((c->tick + p) & ~miss);
-                misses[m] = p;   /* kept when it missed */
-                miss_x[i] = x;
-                m -= miss;
-            }
-            for (int64_t i = 0; o->grouping && i < m - first; i++) {
-                if (i + 4 < m - first && g.table)
-                    __builtin_prefetch(g.table + home(miss_x[i + 4], g.bits));
-                rank[first + i] = group(&g, miss_kw + i * nw, nw, miss_x[i],
-                                        o->expect);
-                if (rank[first + i] < 0)
-                    return free(miss_x), o->g = g, FC_ERR_MEMORY;
-            }
+            for (int64_t k = 0; k < nw; k++)
+                kw[k] = key_word(h, ndim, k);
+            const int64_t w = find(c, s, kw, nw, ways), miss = w >> 63;
+            const int64_t at = s * ways + (w & ~miss);   /* way 0 on a miss */
+            match[p] = c->result[at] | miss;
+            c->stamp[at] = (c->stamp[at] & miss) | ((c->tick + p) & ~miss);
+            misses[m] = p;   /* kept when it missed */
+            miss_x[i] = x;
+            m -= miss;
+        }
+        for (int64_t i = 0; uniq && i < m - first; i++) {
+            if (i + 4 < m - first && g.table)
+                __builtin_prefetch(g.table + home(miss_x[i + 4], g.bits));
+            rank[first + i] = group(&g, miss_kw + i * nw, nw, miss_x[i],
+                                    expect);
+            if (rank[first + i] < 0)
+                goto out;
         }
     }
-    free(miss_x);
-    o->g = g;
-    o->m = m;
-    static int64_t none = INT64_MAX;
-    o->lastpos = &none;   /* a split's merge reads up to a sentinel */
-    if (split)
-        misses[m] = INT64_MAX;
-    if (!g.nd)   /* no ids without grouping */
-        return FC_OK;
     /* Ids to last-sighting ranks, in g.table (free now, >= 4 nd int64s):
-     * each id's last miss index, then its rank once emitted there. */
-    int64_t *last = (int64_t *)g.table, r = 0, *lastpos = last + g.nd;
-    uint32_t *uniq = o->uniq;
-    int64_t *sets = o->sets;
-    o->lastpos = lastpos;
-    lastpos[g.nd] = INT64_MAX;
-    for (int64_t i = 0; i < m; i++)
+     * each id's last miss index, then its rank once emitted there.  No
+     * ids without uniq: a probe alone passes NULL uniq, rank and sets. */
+    int64_t *last = (int64_t *)g.table, r = 0;
+    for (int64_t i = 0; g.nd && i < m; i++)
         last[rank[i]] = i;
-    for (int64_t i = 0; i < m; i++) {
+    for (int64_t i = 0; g.nd && i < m; i++) {
         const int64_t id = rank[i];
         if (last[id] != i)
             continue;
@@ -289,122 +197,27 @@ serve(owner *o, const int64_t ndim, const int64_t ways, const int split)
         for (int64_t d = 0; d < ndim; d++)   /* pack_flow_keys, undone */
             uniq[r * ndim + d] = (uint32_t)(g.keys[id * nw + d / 2]
                                             >> (d % 2 ? 0 : 32));
-        sets[r] = set_of(g.x[id], (uint64_t)n_sets);
-        lastpos[r++] = misses[i];
+        sets[r++] = set_of(g.x[id], (uint64_t)c->n_sets);
     }
-    for (int64_t i = 0; i < m; i++)
+    for (int64_t i = 0; g.nd && i < m; i++)
         rank[i] = last[rank[i]];
-    return FC_OK;
-}
-
-static void *serve_thread(void *arg)
-{
-    owner *o = arg;
-    const int64_t ndim = o->c->ndim, ways = o->c->ways, split = o->k > 1;
-    if (split)
-        o->code = serve(o, ndim, ways, 1);
-    else if (ndim == 5 && ways == 4)
-        o->code = serve(o, 5, 4, 0);
-    else
-        o->code = serve(o, ndim, ways, 0);
-    return NULL;
-}
-
-/* The owner whose next entry key[o][at[o]] is the smallest, without a
- * branch on the data: every list ends in an INT64_MAX sentinel. */
-static inline int64_t smallest(const int64_t *const *key, const int64_t *at,
-                               int64_t k)
-{
-    int64_t b = 0, best = key[0][at[0]];
-    for (int64_t o = 1; o < k; o++) {
-        const int64_t v = key[o][at[o]];
-        b = v < best ? o : b;
-        best = v < best ? v : best;
-    }
-    return b;
-}
-
-/* FlowCache.lookup: match[p] is each header's cached result (-1: a miss),
- * a hit's LRU stamp becomes tick + p, the misses' positions go to
- * misses[]; with uniq, the distinct missed headers go to uniq in the
- * order of each one's last miss, their sets to sets, miss i's rank among
- * them to rank[i], and both counts to counts.  Over k > 1 threads, a
- * hashing round by packet slice buckets each header under the owner of
- * its set, each owner serves its buckets, and the owners' misses and
- * distinct misses are merged here, by position and by last-sighting
- * position. */
-int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
-              int64_t expect, int64_t *match, int64_t *misses, int64_t *rank,
-              uint32_t *uniq, int64_t *sets, int64_t *counts, int64_t threads)
-{
-    const int64_t k = clamp_threads(threads, n), ndim = c->ndim;
-    const int64_t grouping = uniq != NULL;
-    owner own[MAX_THREADS];
-    /* A split's misses, ranks and sets by owner, then the buckets; and
-     * its distinct rows by owner. */
-    int64_t *buf = NULL;
-    uint32_t *rows = NULL;
-    int code = FC_ERR_MEMORY;
-    expect = expect < n ? expect : n;
-    slice part[MAX_THREADS];
-    if (k > 1) {   /* the hashing round */
-        buf = malloc((size_t)(5 * k * (n + 1)) * sizeof *buf);
-        rows = malloc((size_t)(k * n * ndim + 1) * sizeof *rows);
-        if (!buf || !rows)
-            return free(buf), free(rows), code;
-        for (int64_t t = 0; t < k; t++) {
-            const int64_t lo = n * t / k, hi = n * (t + 1) / k;
-            part[t] = (slice){c, headers, lo, hi, k,
-                              (uint64_t *)buf + 3 * k * (n + 1) + k * lo,
-                              buf + 4 * k * (n + 1) + k * lo, {0}};
-        }
-        fan_out(hash_thread, part, sizeof *part, k);
-    }
-    for (int64_t o = 0; o < k; o++)
-        own[o] = (owner){.c = c, .headers = headers, .slices = part, .n = n,
-                         .me = o, .k = k, .expect = expect / k,
-                         .grouping = grouping, .match = match,
-                         .misses = k > 1 ? buf + 3 * o * (n + 1) : misses,
-                         .rank = k > 1 ? buf + (3 * o + 1) * (n + 1) : rank,
-                         .sets = k > 1 ? buf + (3 * o + 2) * (n + 1) : sets,
-                         .uniq = k > 1 ? rows + o * n * ndim : uniq};
-    fan_out(serve_thread, own, sizeof *own, k);
-    int64_t m = 0, nd = 0, at[MAX_THREADS] = {0};
-    for (int64_t o = 0; o < k; o++) {
-        if (own[o].code)
-            goto out;
-        m += own[o].m;
-        nd += own[o].g.nd;
-    }
-    /* A split's merge (one owner's arrays are the outputs already, its
-     * local ranks the global ones). */
-    const int64_t *key[MAX_THREADS];
-    for (int64_t o = 0; k > 1 && o < k; o++)
-        key[o] = own[o].lastpos;
-    for (int64_t r = 0; k > 1 && r < nd; r++) {   /* by last sighting */
-        const int64_t b = smallest(key, at, k);
-        memcpy(uniq + r * ndim, own[b].uniq + at[b] * ndim,
-               (size_t)ndim * sizeof *uniq);
-        sets[r] = own[b].sets[at[b]];
-        own[b].lastpos[at[b]++] = r;   /* from here on: the global rank */
-    }
-    for (int64_t o = 0; k > 1 && o < k; o++)
-        at[o] = 0, key[o] = own[o].misses;
-    for (int64_t i = 0; k > 1 && i < m; i++) {   /* by position */
-        const int64_t b = smallest(key, at, k);
-        misses[i] = own[b].misses[at[b]];
-        if (grouping)
-            rank[i] = own[b].lastpos[own[b].rank[at[b]]];
-        at[b]++;
-    }
     counts[0] = m;
-    counts[1] = nd;
+    counts[1] = g.nd;
     code = FC_OK;
 out:
-    for (int64_t o = 0; o < k; o++)
-        free(own[o].g.table), free(own[o].g.x), free(own[o].g.keys);
-    free(buf), free(rows);
-    return code;
+    free(miss_x), free(g.table), free(g.x), free(g.keys);
+    return (int)code;
+}
+
+int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
+              int64_t expect, int64_t *match, int64_t *misses, int64_t *rank,
+              uint32_t *uniq, int64_t *sets, int64_t *counts)
+{
+    if (c->ndim == 5 && c->ways == 4)
+        return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
+                      counts, 5, 4);
+    return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
+                  counts, c->ndim, c->ways);
 }
 
 /* The ways of set s oldest-first (dead ones as age -1), stable in way
@@ -421,99 +234,45 @@ static void victim_order(const flow_cache *c, int64_t s, int64_t *order,
     }
 }
 
-/* One thread's share of fc_commit: the scatter over packets [p_lo, p_hi)
- * and the fill of sets [s_lo, s_hi), with `order` for its victim order,
- * and the evictions and reclamations it counted. */
-typedef struct {
-    flow_cache *c;
-    const uint32_t *uniq;
-    const int64_t *results, *cycles, *misses, *rank, *set, *by_set, *end;
-    int64_t m, *match, *occupancy, hit_cycles;
-    int64_t p_lo, p_hi, s_lo, s_hi;
-    int64_t *order;
-    int64_t evictions, reclamations;
-} commit_job;
-
-static void *commit_thread(void *arg)
-{
-    commit_job *j = arg;
-    flow_cache *c = j->c;
-    const int64_t ways = c->ways, ndim = c->ndim, nw = (ndim + 1) / 2;
-    const int64_t *misses = j->misses, *rank = j->rank, *results = j->results;
-    const int64_t *set = j->set, *by_set = j->by_set, *end = j->end;
-    int64_t *match = j->match, *occupancy = j->occupancy, *order = j->order;
-    int64_t evictions = 0, reclamations = 0;
-    for (int64_t p = j->p_lo; occupancy && p < j->p_hi; p++)
-        occupancy[p] = j->hit_cycles;
-    int64_t i = 0, hi = j->m;   /* the first miss at or past p_lo */
-    while (i < hi) {
-        const int64_t mid = i + (hi - i) / 2;
-        if (misses[mid] < j->p_lo)
-            i = mid + 1;
-        else
-            hi = mid;
-    }
-    for (; i < j->m && misses[i] < j->p_hi; i++) {
-        match[misses[i]] = results[rank[i]];
-        if (occupancy)
-            occupancy[misses[i]] = j->cycles[rank[i]];
-    }
-    const int64_t last = j->s_hi ? end[j->s_hi - 1] : 0;
-    for (int64_t at = j->s_lo ? end[j->s_lo - 1] : 0; at < last;) {
-        const int64_t s = set[by_set[at]];   /* its inserts, in rank order */
-        victim_order(c, s, order, order + ways);
-        for (int64_t nth = 0; at < end[s]; nth++, at++) {
-            const int64_t r = by_set[at];
-            const int64_t slot = s * ways + order[nth < ways ? nth : nth % ways];
-            const int evicts = nth >= ways || live(c, slot);
-            evictions += evicts;
-            reclamations += !evicts & (c->filled[slot] > 0);
-            for (int64_t k = 0; k < nw; k++)
-                c->keyw[slot * nw + k] = key_word(j->uniq + r * ndim, ndim, k);
-            c->result[slot] = results[r];
-            c->stamp[slot] = c->filled[slot] = c->tick;
-            c->epoch_of[slot] = c->epoch;
-        }
-    }
-    j->evictions = evictions;
-    j->reclamations = reclamations;
-    return NULL;
-}
-
 /* FlowCache.commit.  The scatter (given match): every packet gets
  * hit_cycles in occupancy (if given), then miss i, at position
- * misses[i] (strictly ascending), results[rank[i]] in match and
- * cycles[rank[i]] in occupancy.  Then the fill of the nd distinct keys,
- * each packed from its row of uniq into sets[r] (NULL: its own set): the
- * i-th insert into a set, in rank order, takes the i-th way (mod ways) of
- * the set's pre-batch victim order, an eviction when it wraps or the way
- * was live, a reclamation when the way was dead but once filled.  A
- * counting sort by set serves each set's inserts together, so its lines
- * are read once.  Over k threads, thread t scatters the t-th packet slice
- * and fills the t-th set range.  counts[0..1] get the evictions and
- * reclamations. */
+ * misses[i], results[rank[i]] in match and cycles[rank[i]] in occupancy.
+ * Then the fill of the nd distinct keys, each packed from its row of
+ * uniq into sets[r] (NULL: its own set): the i-th insert into a set, in
+ * rank order, takes the i-th way (mod ways) of the set's pre-batch
+ * victim order, an eviction when it wraps or the way was live, a
+ * reclamation when the way was dead but once filled.  A counting sort by
+ * set serves each set's inserts together, so its lines are read once.
+ * counts[0..1] get the evictions and reclamations. */
 int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
               int64_t nd, const int64_t *results, const int64_t *cycles,
               const int64_t *misses, const int64_t *rank, int64_t m,
               int64_t *match, int64_t *occupancy, int64_t n,
-              int64_t hit_cycles, int64_t *counts, int64_t threads)
+              int64_t hit_cycles, int64_t *counts)
 {
     const int64_t ways = c->ways, n_sets = c->n_sets, ndim = c->ndim;
-    const int64_t k = clamp_threads(threads, n > nd ? n : nd);
+    const int64_t nw = (ndim + 1) / 2;
     for (int64_t r = 0; sets && r < nd; r++)   /* before any write */
         if (sets[r] < 0 || sets[r] >= n_sets)
             return FC_ERR_RANGE;
     for (int64_t i = 0; i < m; i++)
-        if (misses[i] < 0 || misses[i] >= n || rank[i] < 0 || rank[i] >= nd
-                || (i && misses[i] <= misses[i - 1]))
+        if (misses[i] < 0 || misses[i] >= n || rank[i] < 0 || rank[i] >= nd)
             return FC_ERR_RANGE;
     int64_t *set = malloc((size_t)(nd + 1) * sizeof *set);
     int64_t *by_set = malloc((size_t)(nd + 1) * sizeof *by_set);
     int64_t *end = calloc((size_t)n_sets + 1, sizeof *end);
-    int64_t *order = malloc((size_t)(k * ways * 2) * sizeof *order);
+    int64_t *order = malloc((size_t)ways * 2 * sizeof *order);
+    int64_t evictions = 0, reclamations = 0;
     int code = FC_ERR_MEMORY;
     if (!set || !by_set || !end || !order)
         goto out;
+    for (int64_t p = 0; occupancy && p < n; p++)
+        occupancy[p] = hit_cycles;
+    for (int64_t i = 0; i < m; i++) {
+        match[misses[i]] = results[rank[i]];
+        if (occupancy)
+            occupancy[misses[i]] = cycles[rank[i]];
+    }
     for (int64_t r = 0; r < nd; r++) {
         set[r] = sets ? sets[r]
                       : set_of(fnv(uniq + r * ndim, ndim), (uint64_t)n_sets);
@@ -523,20 +282,24 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
         end[s + 1] += end[s];
     for (int64_t r = 0; r < nd; r++)
         by_set[end[set[r]]++] = r;     /* end[s] ends up past set s */
-    commit_job job[MAX_THREADS];
-    for (int64_t t = 0; t < k; t++)
-        job[t] = (commit_job){c, uniq, results, cycles, misses, rank, set,
-                              by_set, end, m, match, occupancy, hit_cycles,
-                              n * t / k, n * (t + 1) / k,
-                              first_set(t, k, n_sets),
-                              first_set(t + 1, k, n_sets),
-                              order + t * ways * 2, 0, 0};
-    fan_out(commit_thread, job, sizeof *job, k);
-    counts[0] = counts[1] = 0;
-    for (int64_t t = 0; t < k; t++) {
-        counts[0] += job[t].evictions;
-        counts[1] += job[t].reclamations;
+    for (int64_t j = 0; j < nd;) {   /* one set's inserts, in rank order */
+        const int64_t s = set[by_set[j]];
+        victim_order(c, s, order, order + ways);
+        for (int64_t i = 0; j < end[s]; i++, j++) {
+            const int64_t r = by_set[j];
+            const int64_t slot = s * ways + order[i < ways ? i : i % ways];
+            const int evicts = i >= ways || live(c, slot);
+            evictions += evicts;
+            reclamations += !evicts & (c->filled[slot] > 0);
+            for (int64_t k = 0; k < nw; k++)
+                c->keyw[slot * nw + k] = key_word(uniq + r * ndim, ndim, k);
+            c->result[slot] = results[r];
+            c->stamp[slot] = c->filled[slot] = c->tick;
+            c->epoch_of[slot] = c->epoch;
+        }
     }
+    counts[0] = evictions;
+    counts[1] = reclamations;
     code = FC_OK;
 out:
     free(set), free(by_set), free(end), free(order);

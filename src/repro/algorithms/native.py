@@ -20,12 +20,12 @@ every hash and verdict.  There
 is no switch: a process uses all of them if the library loads and every
 portable path if not, and :func:`status` says which and why.
 
-The walk and the two cache calls split one call over up to
-:func:`threads_for` threads, created and joined inside the call (so
-none outlives it, and a later ``fork()`` is safe): the walk by
-contiguous packet slice, the cache by contiguous range of cache sets.
-Every output is the one-thread output by construction (docs/engine.md,
-"Threads inside a native call").
+The walk splits one call over up to :func:`threads_for` threads, one
+contiguous packet slice each, created and joined inside the call (so
+none outlives it, and a later ``fork()`` is safe).  Packets are
+independent, so every output is the one-thread output (docs/engine.md,
+"Threads inside a native call").  The cache and prefilter calls run on
+the calling thread.
 
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
 serve) loads ``flat_walk-<key>.so`` from
@@ -134,12 +134,6 @@ _kernel: _Kernel | None = None
 #: faster on two threads, and a thread costs ~50 us to start and join
 #: (docs/engine.md, "Threads inside a native call").
 MIN_SLICE = 16384
-#: The same for the flow cache's two calls.  A split lookup pays a
-#: hashing round and a serial merge on top of the probes, so on that host
-#: it ran 0.7-1.3x the one-thread speed at 14-45% more CPU at every size
-#: measured (65,536 to 524,288 packets): below 2^20 packets a thread,
-#: the cache calls stay on the calling thread.
-MIN_CACHE_SLICE = 1 << 20
 
 #: Set in a forked shard owner (:func:`one_thread`): its siblings hold
 #: the host's other CPUs.
@@ -150,43 +144,42 @@ _one_thread = False
 def host_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one (``taskset -c 0`` on a many-core host is 1), else the host's
-    count.  The one seam every tier decision and thread count reads the
-    count through (tests monkeypatch it to run both ``auto`` branches on
-    any machine); asked once, it costs a syscall."""
+    count.  The one seam the pipeline's tier plan and the walk's thread
+    count read it through (tests monkeypatch ``native.host_cpus`` to run
+    both ``auto`` branches on any machine); asked once, it costs a
+    syscall."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
 def thread_ceiling() -> int:
-    """The most threads one native call of this process uses."""
+    """The most threads one native walk of this process uses."""
     return 1 if _one_thread else host_cpus()
 
 
 def one_thread() -> None:
-    """Keep every later native call of this process on the calling
+    """Keep every later native walk of this process on the calling
     thread: what a forked shard owner does, so ``k`` forked owners never
     start more threads than the host has CPUs."""
     global _one_thread
     _one_thread = True
 
 
-def threads_for(
-    n: int, threads: int | None = None, min_slice: int = MIN_SLICE
-) -> int:
+def threads_for(n: int, threads: int | None = None) -> int:
     """Threads a call over ``n`` packets splits into: ``threads`` when
     given (the tests force counts the rule would not pick), else
-    ``min(thread_ceiling(), n // min_slice)``, at least one."""
+    ``min(thread_ceiling(), n // MIN_SLICE)``, at least one."""
     if threads is not None:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         return threads
-    return max(1, min(thread_ceiling(), n // min_slice))
+    return max(1, min(thread_ceiling(), n // MIN_SLICE))
 
 
 def status() -> dict:
     """Which walk this process serves with, and why (loads on first use),
-    and the most threads one of its native calls uses."""
+    and the most threads one of its native walks uses."""
     k = _load()
     return {"kernel": "native" if k.fn else "portable", "reason": k.reason,
             "compiler": k.compiler, "path": k.path,
@@ -273,9 +266,9 @@ def _open(path: str):
     fn.restype = ctypes.c_int
     ptr, i64, cache = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Cache)
     for name, args, res in (
-        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6, i64], ctypes.c_int),
+        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6], ctypes.c_int),
         ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
-                       ptr, i64, i64, ptr, i64], ctypes.c_int),
+                       ptr, i64, i64, ptr], ctypes.c_int),
         ("pf_hash", [ptr, i64, i64, ptr], None),
         ("pf_probe", [ptr, i64, i64, ptr, ptr, i64, ptr, ptr], i64),
         ("pf_insert", [ptr, i64, i64, ptr, ptr, ptr, i64], None),
@@ -411,12 +404,10 @@ def _bind_cache(cache) -> _Cache:
     return bound
 
 
-def lookup(cache, headers32, group: bool = True, expect: int = 0,
-           threads: int | None = None):
-    """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)`` over
-    :func:`threads_for` threads, grouping in a table first sized for
-    ``expect`` distinct misses; without ``group`` the probe alone (the
-    last three ``None``)."""
+def lookup(cache, headers32, group: bool = True, expect: int = 0):
+    """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)``,
+    grouping in a table first sized for ``expect`` distinct misses;
+    without ``group`` the probe alone (the last three ``None``)."""
     lib = _load().lib
     if lib is None:
         return None
@@ -429,8 +420,7 @@ def lookup(cache, headers32, group: bool = True, expect: int = 0,
     counts = np.zeros(2, np.int64)
     if lib.fc_lookup(ctypes.byref(bound), headers, n, expect, match.ctypes.data,
                      *(a if a is None else a.ctypes.data
-                       for a in (misses, rank, uniq, sets, counts)),
-                     threads_for(n, threads, MIN_CACHE_SLICE)):
+                       for a in (misses, rank, uniq, sets, counts))):
         raise MemoryError("native flow cache: out of memory")
     m, distinct = counts
     if group:
@@ -443,11 +433,8 @@ def _optional(name: str, arr, size: int):
 
 
 def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
-           match=None, hit_cycles: int = 0, threads: int | None = None):
-    """``FlowCache.commit`` over :func:`threads_for` threads of the rows
-    it fills (its scatter is a copy, which alone does not repay a
-    thread): ``(occupancy, evictions, reclamations)``.  ``misses`` must
-    ascend, as a lookup's do."""
+           match=None, hit_cycles: int = 0):
+    """``FlowCache.commit``: ``(occupancy, evictions, reclamations)``."""
     lib = _load().lib
     if lib is None:
         return None
@@ -467,13 +454,12 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
         _pointer("results", results, np.int64, (nd,)),
         _optional("cycles", cycles, nd), *scatter[:2], m, scatter[2],
         _optional("occupancy", occupancy, n), n, hit_cycles, counts.ctypes.data,
-        threads_for(nd, threads, MIN_CACHE_SLICE),
     )
     if code == 3:
         raise MemoryError("native flow cache: out of memory")
     if code:
         raise BuildError("native flow cache: a set index, miss or rank "
-                         "outside its table, or misses out of order")
+                         "outside its table")
     return occupancy, int(counts[0]), int(counts[1])
 
 

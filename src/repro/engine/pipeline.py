@@ -49,7 +49,7 @@ direct-construction default) forks whenever such a run has more than
 one shard and chunk; ``"auto"`` (the :class:`~repro.serve.EngineConfig`
 default) only when the run gives every worker a full coalesced
 dispatch: ``n >= workers * max(chunk_size, min_chunk_packets)``, with
-``workers = min(shards, host_cpus())`` at least two.  The tier, and so
+``workers = min(shards, native.host_cpus())`` at least two.  The tier, and so
 the per-chunk telemetry, is a function of the run's size, the config
 and the CPU count.
 
@@ -106,7 +106,6 @@ from functools import cache
 import numpy as np
 
 from ..algorithms import native
-from ..algorithms.native import host_cpus
 from ..core.errors import ArenaCorruptionError, ConfigError, ServingFaultError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, sorted_schedule
@@ -402,7 +401,7 @@ class ClassificationPipeline:
         """
         chunks = self.shards if n_chunks is None else n_chunks
         wanted = max(1, min(self.shards, chunks))
-        forked = min(wanted, host_cpus())
+        forked = min(wanted, native.host_cpus())
         reason = "forced"
         if tier is None:
             tier, reason = self._choose_tier(wanted, forked, packets, updates)
@@ -438,7 +437,7 @@ class ClassificationPipeline:
             return "forked", f"auto: {forked} workers"
         # Clamped shards, not chunks: the rule must read the same
         # before the grid is cut and after.
-        workers = min(self.shards, host_cpus())
+        workers = min(self.shards, native.host_cpus())
         dispatch = max(self.chunk_size, self.min_chunk_packets)
         if packets < workers * dispatch:
             return "inline", (

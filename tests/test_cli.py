@@ -143,9 +143,9 @@ class TestBench:
         """The warning asks the pipeline's own plan: under the engine
         defaults two workers fork from 2 x 65536 packets, so 16384-packet
         segments (four full chunks each) still serve on one shard."""
-        from repro.engine import pipeline as pipeline_module
+        from repro.algorithms import native
 
-        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 2)
+        monkeypatch.setattr(native, "host_cpus", lambda: 2)
         rc = main([
             "bench", "--family", "acl1", "--rules", "120", "--seed", "3",
             "--packets", "1000", "--algorithm", "tss", "--shards", "2",

@@ -541,9 +541,9 @@ class TestShardModes:
         # "processes".  Either way the matches are identical.  The CPU
         # count is patched at the plan's one seam, so both branches run
         # on any machine.
-        from repro.engine import pipeline as pipeline_module
+        from repro.algorithms import native
 
-        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: cpus)
+        monkeypatch.setattr(native, "host_cpus", lambda: cpus)
         pipeline = ClassificationPipeline(
             acc_small, chunk_size=256, shards=4, shard_mode="auto"
         )
@@ -561,15 +561,15 @@ class TestShardModes:
         """``host_cpus`` counts the CPUs this process may run on, not the
         host's: pinned to one (``taskset -c 0``), ``auto`` never forks
         two workers onto one core."""
-        from repro.engine import pipeline as pipeline_module
+        from repro.algorithms import native
 
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0}, raising=False
         )
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        pipeline_module.host_cpus.cache_clear()
+        native.host_cpus.cache_clear()
         try:
-            assert pipeline_module.host_cpus() == 1
+            assert native.host_cpus() == 1
             pipeline = ClassificationPipeline(
                 acc_small, chunk_size=256, shards=2, shard_mode="auto"
             )
@@ -579,7 +579,7 @@ class TestShardModes:
             assert (plan.tier, plan.workers) == ("inline", 1)
             assert "one CPU" in plan.reason
         finally:
-            pipeline_module.host_cpus.cache_clear()
+            native.host_cpus.cache_clear()
 
     @pytest.mark.parametrize(
         ("mode", "cpus", "packets", "tier", "workers", "reason"),
@@ -616,9 +616,9 @@ class TestShardModes:
         self, mode, cpus, packets, tier, workers, reason,
         acc_small, monkeypatch,
     ):
-        from repro.engine import pipeline as pipeline_module
+        from repro.algorithms import native
 
-        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: cpus)
+        monkeypatch.setattr(native, "host_cpus", lambda: cpus)
         mode, _, updates = mode.partition("+")
         pipeline = ClassificationPipeline(
             acc_small, chunk_size=4096, shards=2, shard_mode=mode
@@ -642,9 +642,9 @@ class TestShardModes:
         coalesced dispatch: none of them ever forks — not while warming
         up, not after — because the tier is a function of the run's
         size, not of timings the pipeline takes of itself."""
-        from repro.engine import pipeline as pipeline_module
+        from repro.algorithms import native
 
-        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 4)
+        monkeypatch.setattr(native, "host_cpus", lambda: 4)
         with contextlib.ExitStack() as stack:
             pipelines = [
                 stack.enter_context(ClassificationPipeline(
@@ -667,9 +667,9 @@ class TestShardModes:
     ):
         """2 workers x max(256, 1000) = 2000 packets fork; 1999 serve
         inline, on the same coalesced grid, with the same matches."""
-        from repro.engine import pipeline as pipeline_module
+        from repro.algorithms import native
 
-        monkeypatch.setattr(pipeline_module, "host_cpus", lambda: 4)
+        monkeypatch.setattr(native, "host_cpus", lambda: 4)
         with ClassificationPipeline(
             acc_small, chunk_size=256, shards=2, shard_mode="auto",
             min_chunk_packets=1000,

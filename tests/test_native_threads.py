@@ -1,14 +1,12 @@
-"""Native calls split over threads: every output is the one-thread one.
+"""The native walk split over threads: every output is the one-thread one.
 
-The walk (``flat_walk``) splits a call by contiguous packet slice, the
-flow cache's lookup and commit (``fc_lookup``, ``fc_commit``) by
-contiguous range of cache sets; every thread is created and joined
-inside the call.  ``threads`` forces a count the rule
-(:func:`~repro.algorithms.native.threads_for`) would not pick on inputs
-this small, so each case runs at k = 2, 3 and 4 against k = 1 and the
-NumPy oracle.  Also here: a header outside its field widths is a
-``PacketFormatError`` on both kernels, no thread outlives a call, and a
-forked shard owner serves on one thread.
+The walk (``flat_walk``) splits a call into one contiguous packet slice
+per thread, each thread created and joined inside the call.  ``threads``
+forces a count the rule (:func:`~repro.algorithms.native.threads_for`)
+would not pick on inputs this small, so each case runs at k = 2, 3 and 4
+against k = 1 and the NumPy oracle.  Also here: a header outside its
+field widths is a ``PacketFormatError`` on both kernels, no thread
+outlives a call, and a forked shard owner walks on one thread.
 """
 
 from __future__ import annotations
@@ -24,26 +22,21 @@ from repro import PacketTrace
 from repro.algorithms import build_hypercuts, native
 from repro.core.errors import BuildError, PacketFormatError
 from repro.core.rules import FIVE_TUPLE
-from repro.engine import CachedClassifier, ClassificationPipeline, FlowCache
+from repro.engine import ClassificationPipeline
 from repro.engine.backends import AcceleratorClassifier
-from repro.engine.flowcache import flow_hash
 from repro.engine.protocol import ClassifierBase
 from repro.hw import Accelerator
 
+from tests import test_native
 from tests.conftest import FIELDS, random_headers
-from tests.test_flowcache import TestNativeCacheKernels, TestPinnedCounters
-from tests.test_native import TestCorruptTables
 
 THREADS = (2, 3, 4)
 
 
 def _forced(monkeypatch, k: int) -> None:
-    """Every native walk, lookup and commit of the test runs on ``k``
-    threads, whatever its size."""
-    for name in ("walk", "lookup", "commit"):
-        monkeypatch.setattr(
-            native, name, functools.partial(getattr(native, name), threads=k)
-        )
+    """Every native walk of the test runs on ``k`` threads, whatever its
+    size."""
+    monkeypatch.setattr(native, "walk", functools.partial(native.walk, threads=k))
 
 
 def _walk_all(acc: Accelerator, headers, k: int) -> tuple:
@@ -128,10 +121,12 @@ class TestWalk:
         leaf_of = flat.batch_lookup(acl_small_trace).leaf_id
         early, late = leaf_of[leaf_of >= 0][[0, -1]]
         assert early != late
-        # The packets that reach `late` go last, so the two errors fall in
-        # different slices at every k > 1.
-        order = np.argsort(leaf_of == late, kind="stable")
-        headers = acl_small_trace.headers[order]
+        # 500 packets that end in `early`, then 500 that end in `late`:
+        # at every k > 1 the first slice meets only the first leaf's
+        # error and the last slice only the second's.
+        ends_in = [acl_small_trace.headers[leaf_of == leaf] for leaf in (early, late)]
+        headers = np.concatenate([rows[np.arange(500) % len(rows)]
+                                  for rows in ends_in])
         for ranged, looped, error in ((early, late, "left its tables"),
                                       (late, early, "did not terminate")):
             saved = flat.leaf_len.copy(), flat.children.copy()
@@ -144,28 +139,13 @@ class TestWalk:
                 flat.leaf_len[:], flat.children[:] = saved
 
 
-class _AtEveryK:
-    """Runs the inherited tests once per forced thread count (a class
-    fixture: the cache suite's property test takes no function one)."""
-
-    @pytest.fixture(autouse=True, scope="class", params=THREADS)
-    def threads(self, request):
-        with pytest.MonkeyPatch.context() as patch:
-            _forced(patch, request.param)
-            yield request.param
-
-
-class TestCorruptTablesAtEveryK(_AtEveryK, TestCorruptTables):
+class TestCorruptTablesAtEveryK(test_native.TestCorruptTables):
     """Every corrupt table and placement is the same error on k threads."""
 
-
-class TestNativeCacheKernelsAtEveryK(_AtEveryK, TestNativeCacheKernels):
-    """Every served batch, lookup, commit, table and counter of the
-    drawn cache runs is NumPy's on k threads."""
-
-
-class TestPinnedCountersAtEveryK(_AtEveryK, TestPinnedCounters):
-    """The pinned counters and replacement state hold on k threads."""
+    @pytest.fixture(autouse=True, params=THREADS)
+    def threads(self, request, monkeypatch):
+        _forced(monkeypatch, request.param)
+        return request.param
 
 
 class TestHeaderWidths:
@@ -194,75 +174,20 @@ class TestHeaderWidths:
                               clf.classify_trace(PacketTrace(headers, FIVE_TUPLE)))
 
 
-def _cache_tables(cache: FlowCache) -> tuple:
-    return (*(getattr(cache, t).tobytes() for t in
-              ("_keyw", "_result", "_stamp", "_epoch", "_filled")),
-            int(cache._tick), cache.stats)
-
-
-class TestCacheSplit:
-    @pytest.mark.parametrize("owner", [0, 3])
-    def test_a_batch_whose_sets_all_fall_to_one_owner(
-        self, native_kernel, monkeypatch, owner
-    ):
-        """16 sets over four threads: sets 4o..4o+3 are thread o's.  A
-        batch that lands on one thread's sets only leaves the others
-        nothing to serve; tables, counters and arrays are still those of
-        one thread and of NumPy."""
-        pool = random_headers(FIVE_TUPLE, 4000, seed=9)
-        sets = flow_hash(pool) % np.uint64(16)
-        mine = pool[(sets // np.uint64(4)) == owner][:300]
-        batches = [mine[:120], np.tile(mine[60:200], (2, 1)), mine[150:]]
-        served = []
-        for k in (1, 4, None):
-            with monkeypatch.context() as patch:
-                if k is None:
-                    patch.setattr(native, "_kernel", native._Kernel(reason="oracle"))
-                else:
-                    _forced(patch, k)
-                clf = CachedClassifier(_SportOf(), entries=64, ways=4)
-                got = []
-                for batch in batches:
-                    out = clf.batch_stats(batch)
-                    got.append((out.match.tolist(), out.cache_hits,
-                                out.cache_misses, out.cache_evictions))
-                found = clf.cache.lookup(mine)
-                got.append([a.tolist() for a in found])
-                served.append((got, _cache_tables(clf.cache)))
-        assert served[0] == served[1] == served[2]
-
-    def test_commit_refuses_misses_out_of_order(self, native_kernel):
-        cache = FlowCache(64, ways=4)
-        headers = cache._prepare(
-            np.tile(random_headers(FIVE_TUPLE, 40, seed=4), (2, 1)))
-        match, misses, rank, uniq, sets = native.lookup(cache, headers)
-        misses[[0, 1]] = misses[[1, 0]]
-        with pytest.raises(BuildError, match="out of order"):
-            native.commit(cache, uniq, sets, np.zeros(len(uniq), np.int64),
-                          None, misses, rank, match)
-
-
-class _SportOf(ClassifierBase):
-    """Every header maps to its source-port field."""
+class _ThreadsSeen(ClassifierBase):
+    """Every header maps to the threads a million-packet native walk of
+    the serving process would split into."""
 
     schema = FIVE_TUPLE
 
     def classify_batch(self, headers):
-        return headers[:, 2].astype(np.int64)
+        return np.full(len(headers), native.threads_for(1 << 20), np.int64)
 
     def memory_bytes(self) -> int:
         return 0
 
     def memory_accesses_per_lookup(self) -> int:
         return 1
-
-
-class _ThreadsSeen(_SportOf):
-    """Every header maps to the threads a million-packet native call of
-    the serving process would split into."""
-
-    def classify_batch(self, headers):
-        return np.full(len(headers), native.threads_for(1 << 20), np.int64)
 
 
 def _tasks() -> int:
@@ -276,17 +201,9 @@ class TestThreadsEndWithTheCall:
         self, native_kernel, hw_image_small, acl_small_trace
     ):
         acc = Accelerator(hw_image_small)
-        cache = FlowCache(64, ways=4)
-        cache._prepare(acl_small_trace.headers)
         before = threading.active_count(), _tasks()
         for k in THREADS:
             _walk_all(acc, acl_small_trace.headers, k)
-            assert (threading.active_count(), _tasks()) == before
-            match, misses, rank, uniq, sets = native.lookup(
-                cache, acl_small_trace.headers, threads=k)
-            assert (threading.active_count(), _tasks()) == before
-            native.commit(cache, uniq, sets, np.zeros(len(uniq), np.int64),
-                          None, misses, rank, match, threads=k)
             assert (threading.active_count(), _tasks()) == before
 
     def test_a_forked_run_after_a_threaded_one_is_bit_identical(
