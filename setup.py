@@ -3,7 +3,7 @@
 ``PYTHONPATH=src`` is how the tests, the CI and the ledger run the
 package; ``pip install -e .`` works offline, without the ``wheel``
 package, through the setuptools develop path.  ``package_data`` ships
-``repro/algorithms/_flat_walk.c`` and ``_flow_cache.c``, the only
+the C sources ``repro/algorithms/*.c`` (``native.SOURCES``), the only
 non-``.py`` files the package needs: ``repro.algorithms.native`` reads
 them through ``importlib.resources`` and builds them on first use.
 """

@@ -1,8 +1,8 @@
 """The native tier of the :class:`~repro.algorithms.flat_tree.FlatTree`
-walk, of the :class:`~repro.engine.flowcache.FlowCache` and of the stage
-graph's TCAM prefilter: ``_flat_walk.c``, ``_flow_cache.c`` and
-``_prefilter.c``, built once, as one library, with the C compiler that
-is here.
+walk, of the :class:`~repro.engine.flowcache.FlowCache`, of the stage
+graph's TCAM prefilter and of the trace text parser: ``_flat_walk.c``,
+``_flow_cache.c``, ``_prefilter.c`` and ``_trace_text.c``, built once,
+as one library, with the C compiler that is here.
 
 The walk is the per-packet loop of the portable NumPy walk over the
 *same* ``FlatTree`` buffers (no second table format), bit-identical on
@@ -16,7 +16,11 @@ NumPy path in every table, counter and returned array.  The prefilter
 calls (:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
 :class:`~repro.stages.StageGraph`'s per-packet flow hash (the flow
 cache's FNV-1a) and its verdict memo, bit-identical to its NumPy path in
-every hash and verdict.  There
+every hash and verdict.  The parser (:func:`parse_text`) turns whole
+lines of ClassBench trace text into ``uint32`` header rows and refuses
+any line outside its strict grammar, which
+:func:`~repro.core.packet.read_trace_blocks` then hands to its
+text-mode loop, so the rows are that loop's on every input.  There
 is no switch: a process uses all of them if the library loads and every
 portable path if not, and :func:`status` says which and why.
 
@@ -24,11 +28,12 @@ The walk splits one call over up to :func:`threads_for` threads, one
 contiguous packet slice each, created and joined inside the call (so
 none outlives it, and a later ``fork()`` is safe).  Packets are
 independent, so every output is the one-thread output (docs/engine.md,
-"Threads inside a native call").  The cache and prefilter calls run on
-the calling thread.
+"Threads inside a native call").  The cache, prefilter and parser
+calls run on the calling thread; like every ctypes call, each releases
+the GIL while it runs.
 
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
-serve) loads ``flat_walk-<key>.so`` from
+serve) or trace file read loads ``flat_walk-<key>.so`` from
 ``${XDG_CACHE_HOME:-~/.cache}/repro-native/``, else the temp directory
 (``key`` hashes the sources, compiler, flags and machine), building it
 under a temporary name and ``os.replace``-ing it in when missing, so a
@@ -56,7 +61,7 @@ import numpy as np
 from ..core.errors import BuildError, PacketFormatError
 
 #: One translation unit, in this order (``source()``).
-SOURCES = ("_flat_walk.c", "_flow_cache.c", "_prefilter.c")
+SOURCES = ("_flat_walk.c", "_flow_cache.c", "_prefilter.c", "_trace_text.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 BUILD_TIMEOUT_S = 60
 
@@ -272,12 +277,14 @@ def _open(path: str):
         ("pf_hash", [ptr, i64, i64, ptr], None),
         ("pf_probe", [ptr, i64, i64, ptr, ptr, i64, ptr, ptr], i64),
         ("pf_insert", [ptr, i64, i64, ptr, ptr, ptr, i64], None),
+        ("tt_parse", [ptr, i64, i64, i64, ptr, i64, ptr], ctypes.c_int),
     ):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = res
     # The key tables are little-endian words (``flowcache._KEY_WORD``);
     # the C loops read native ones, so elsewhere the cache (and the
-    # prefilter, in the same library) stays NumPy.
+    # prefilter and the trace parser, in the same library, whose digit
+    # loop reads little-endian words too) stays portable.
     return fn, lib if sys.byteorder == "little" else None
 
 
@@ -531,3 +538,33 @@ def memo_insert(slots, rows, h, verdicts, n_flows: int) -> bool:
                          "the uint32 tag")  # the tag would read as empty
     lib.pf_insert(*args)
     return True
+
+
+# The trace text parser (``core/packet.py``'s ``read_trace_blocks``):
+# ``None`` when the library did not load, and the reader takes its
+# text-mode loop.
+
+#: Bytes past its input the trace parser may read (never use).
+TEXT_PAD = 16
+
+
+def parse_text(buf, start: int, stop: int, max_lines: int, out, row: int,
+               used):
+    """Parse the whole lines of ``buf[start:stop]`` (``uint8``, readable
+    :data:`TEXT_PAD` bytes past ``stop``), at most ``max_lines`` of them,
+    into rows ``row:`` of ``out`` (``(rows, ndim)`` ``uint32``): ``True``
+    with ``used = [rows, bytes, lines]`` parsed, ``False`` (``used``
+    meaningless) when a line is outside ``_trace_text.c``'s grammar."""
+    lib = _load().lib
+    if lib is None:
+        return None
+    cap, ndim = out.shape
+    if not (0 <= start <= stop and stop + TEXT_PAD <= buf.size
+            and 0 <= row <= cap):
+        raise BuildError("native trace parser: a window outside its buffers")
+    return not lib.tt_parse(
+        _pointer("buf", buf, np.uint8, buf.shape) + start, stop - start,
+        ndim, max_lines,
+        _pointer("out", out, np.uint32, out.shape) + row * ndim * 4,
+        cap - row, _pointer("used", used, np.int64, (3,)),
+    )

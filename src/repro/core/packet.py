@@ -8,14 +8,18 @@ Python objects — the single most important hot-path rule from the HPC
 guides (vectorise the loop, keep data in one contiguous buffer).
 
 The same rule holds for reading a trace file: :func:`read_trace_blocks`
-is the one ClassBench trace parser — one :func:`numpy.loadtxt` call per
-block of lines — behind both :meth:`PacketTrace.load` (the whole file)
-and :func:`repro.serve.iter_trace_file` (segment by segment).
+is the one ClassBench trace parser — one pass of the native library's C
+parser over the bytes of each block of lines, or, from the first block
+outside its strict grammar on (and on a host without the library), one
+:func:`numpy.loadtxt` call per block — behind both
+:meth:`PacketTrace.load` (the whole file) and
+:func:`repro.serve.iter_trace_file` (segment by segment).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -24,10 +28,19 @@ import numpy as np
 from .errors import PacketFormatError
 from .rules import FIVE_TUPLE, FieldSchema
 
-#: Lines :meth:`PacketTrace.load` hands the vectorised reader per parse
-#: call: enough to amortise the call, small enough that a bad line's
-#: line-by-line search stays short.
+#: Lines :meth:`PacketTrace.load` reads per block: enough to amortise a
+#: block, small enough that a bad line's line-by-line search stays short.
 _LOAD_BLOCK_LINES = 65536
+
+#: Bytes the native pass reads a trace file in at a time (a line longer
+#: than that doubles it), and rows a block's output starts with (a block
+#: of more header rows doubles it).
+_READ_BYTES = 1 << 20
+_BLOCK_ROWS = 1 << 16
+
+#: A header field on every path: the integers ``np.loadtxt`` reads;
+#: Python's ``int()`` also takes ``1_000``.
+_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -138,33 +151,34 @@ def _salvage_lines(
     lines: list[str], first_lineno: int, ndim: int, on_bad
 ) -> list[list[int]]:
     """Line-by-line fallback parse of a block the vectorised parser
-    rejected (or that contained out-of-range values): well-formed rows
-    are kept in order, every rejected line goes to ``on_bad`` with its
-    absolute line number and reason."""
+    rejected (or that contained out-of-range values or a non-ASCII
+    byte): well-formed rows are kept in order, every rejected line goes
+    to ``on_bad`` with its absolute line number, its text (a non-ASCII
+    byte as ``\\xNN``) and the reason."""
     rows: list[list[int]] = []
     for offset, line in enumerate(lines):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
         reason = None
         row: list[int] = []
-        if len(parts) < ndim:
+        if not line.isascii():
+            reason = "non-ASCII byte"
+        elif not (text := line.split("#", 1)[0].strip()):
+            continue
+        elif len(parts := text.split()) < ndim:
             reason = f"expected >= {ndim} columns, got {len(parts)}"
+        elif not all(map(_FIELD.fullmatch, parts[:ndim])):
+            reason = "non-numeric header field"
         else:
-            try:
-                row = [int(p) for p in parts[:ndim]]
-            except ValueError:
-                reason = "non-numeric header field"
-            else:
-                if any(v < 0 for v in row):
-                    reason = "negative header field"
-                elif any(v > 0xFFFFFFFF for v in row):
-                    reason = "header field out of 32-bit range"
+            row = [int(p) for p in parts[:ndim]]
+            if any(v < 0 for v in row):
+                reason = "negative header field"
+            elif any(v > 0xFFFFFFFF for v in row):
+                reason = "header field out of 32-bit range"
         if reason is None:
             rows.append(row)
         else:
-            on_bad(first_lineno + offset, line.rstrip("\n"), reason)
+            text = line.rstrip("\n").encode("ascii", "surrogateescape")
+            on_bad(first_lineno + offset,
+                   text.decode("ascii", "backslashreplace"), reason)
     return rows
 
 
@@ -180,12 +194,85 @@ def read_trace_blocks(
     expected-match id — are ignored; a block with no rows yields
     nothing).
 
-    A malformed line — too few columns, a non-numeric or negative
-    field, one beyond 32 bits — raises :class:`PacketFormatError`
-    naming ``path:lineno``; with ``on_bad`` it is handed to that sink
-    as ``(lineno, text, reason)`` instead and the block's well-formed
-    rows are served in order.
+    A malformed line — too few columns, a field that is not
+    ``[+-]?[0-9]+``, a negative one, one beyond 32 bits, a non-ASCII
+    byte — raises :class:`PacketFormatError` naming ``path:lineno``;
+    with ``on_bad`` it is handed to that sink as ``(lineno, text,
+    reason)`` instead and the block's well-formed rows are served in
+    order.
+
+    Blocks are parsed by the native library's one pass over the bytes
+    (``_trace_text.c``) while they stay inside its strict grammar; from
+    the first block it refuses (a ``\\r``, a sign, a non-ASCII byte, a
+    malformed line, ...) on, or without the library, the text-mode loop
+    reads the rest of the file from that block's byte offset on, so
+    the blocks, line numbers and errors never depend on which read
+    them.
     """
+    resume = yield from _native_blocks(path, ndim, block_lines)
+    if resume is not None:
+        yield from _text_blocks(path, ndim, block_lines, on_bad, *resume)
+
+
+def _native_blocks(path: str, ndim: int, block_lines: int):
+    """Yield the file's blocks through ``native.parse_text``; returns
+    ``None`` after the last, or the byte offset and the lines before it
+    of the first block the parser refused (or could not take: no
+    library)."""
+    from ..algorithms import native  # not at import: it imports core
+
+    pad = native.TEXT_PAD + 1  # and a byte to end an unterminated line
+    buf = np.empty(_READ_BYTES + pad, np.uint8)
+    used = np.zeros(3, np.int64)
+    start = stop = offset = lineno = 0  # offset, lineno: at buf[start]
+    eof = False
+    with open(path, "rb", buffering=0) as fh:
+        while not (eof and start == stop):
+            resume = offset, lineno
+            out = np.empty((min(block_lines, _BLOCK_ROWS), ndim), np.uint32)
+            rows = lines = 0
+            while lines < block_lines:
+                if not native.parse_text(
+                    buf, start, stop, block_lines - lines, out, rows, used
+                ):
+                    return resume
+                n_rows, n_bytes, n_lines = used.tolist()
+                rows, lines = rows + n_rows, lines + n_lines
+                start, offset = start + n_bytes, offset + n_bytes
+                lineno += n_lines
+                if lines == block_lines:
+                    break
+                if rows == len(out):  # it stopped at a row out lacks
+                    grown = np.empty((min(2 * rows, block_lines), ndim),
+                                     np.uint32)
+                    grown[:rows] = out
+                    out = grown
+                elif eof:
+                    break
+                else:  # no whole line left: keep the tail, read on
+                    tail = stop - start
+                    buf[:tail] = buf[start:stop]
+                    start, stop = 0, tail
+                    if stop == len(buf) - pad:  # one line fills it
+                        buf = np.concatenate([buf, np.empty_like(buf)])
+                    got = fh.readinto(memoryview(buf)[stop:-pad])
+                    stop += got
+                    if not got:
+                        eof = True
+                        if stop and buf[stop - 1] != 0x0A:
+                            buf[stop] = 0x0A  # the unterminated last line
+                            stop += 1
+            if rows:
+                yield out[:rows]
+
+
+def _text_blocks(
+    path: str, ndim: int, block_lines: int, on_bad, offset: int, lineno: int
+) -> Iterator[np.ndarray]:
+    """The portable text-mode loop: one :func:`numpy.loadtxt` call per
+    block of lines from byte ``offset`` on (``lineno`` lines before it),
+    line by line through :func:`_salvage_lines` for a block it rejects,
+    one with a non-ASCII byte or one with no rows."""
 
     def reject(lineno: int, text: str, reason: str) -> None:
         raise PacketFormatError(
@@ -193,25 +280,30 @@ def read_trace_blocks(
             "decimals)"
         )
 
-    with open(path, "r", encoding="ascii") as fh:
-        lineno = 0
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        fh.seek(offset)  # a byte offset is a cookie to a stateless codec
         while True:
             lines = list(itertools.islice(fh, block_lines))
             if not lines:
                 return
             first_lineno = lineno + 1
             lineno += len(lines)
-            try:
-                block = np.loadtxt(
-                    lines, dtype=np.int64, usecols=range(ndim), ndmin=2,
-                    comments="#",
-                )
-                # Read as unsigned, a negative field sits above 2^32
-                # too: one compare finds both kinds of overflow before
-                # ``astype(uint32)`` below would wrap them silently.
-                clean = not (block.view(np.uint64) > 0xFFFFFFFF).any()
-            except ValueError:
-                clean = False
+            clean = "".join(lines).isascii() and any(
+                line.split("#", 1)[0].strip() for line in lines
+            )
+            if clean:
+                try:
+                    block = np.loadtxt(
+                        lines, dtype=np.int64, usecols=range(ndim), ndmin=2,
+                        comments="#",
+                    )
+                    # Read as unsigned, a negative field sits above 2^32
+                    # too: one compare finds both kinds of overflow
+                    # before ``astype(uint32)`` below would wrap them
+                    # silently.
+                    clean = not (block.view(np.uint64) > 0xFFFFFFFF).any()
+                except ValueError:
+                    clean = False
             if not clean:
                 rows = _salvage_lines(
                     lines, first_lineno, ndim, on_bad or reject

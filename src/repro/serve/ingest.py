@@ -9,9 +9,11 @@ sources:
   conformance harness's source, and the natural adapter for a generator
   that synthesises traffic segment by segment);
 * :func:`iter_trace_file` — stream a ClassBench-format trace file in
-  fixed-size segments through the one vectorised parser
+  fixed-size segments through the one parser
   (:func:`repro.core.packet.read_trace_blocks`, which
-  :meth:`PacketTrace.load` also reads with).  A streamed session pulls
+  :meth:`PacketTrace.load` also reads with: a native pass over each
+  segment's bytes while they stay inside its grammar, the text-mode
+  loop from the first segment that does not).  A streamed session pulls
   it one segment per result, so the first match is out after one
   segment's parse instead of the whole file's.
 
@@ -21,10 +23,10 @@ streamed memory at ``O(segment)`` instead of ``O(trace)``.
 
 **Malformed input.**  ``iter_trace_file(on_malformed="quarantine")``
 dead-letters bad lines into a bounded :class:`QuarantineLog` instead of
-aborting the stream: the segment's vectorised parse is retried line by
-line, well-formed rows are kept in order, and each rejected line is
-recorded with its absolute line number and reason (the buffer is
-bounded; overflow only counts).  Under the default ``"raise"`` one bad
+aborting the stream: the segment is parsed again line by line,
+well-formed rows are kept in order, and each rejected line (a non-ASCII
+byte included) is recorded with its absolute line number and reason
+(the buffer is bounded; overflow only counts).  Under the default ``"raise"`` one bad
 line raises :class:`~repro.core.errors.PacketFormatError` naming it.
 """
 

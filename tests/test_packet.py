@@ -90,7 +90,6 @@ class TestPacketTrace:
             PacketTrace.load(str(path))
 
     @pytest.mark.parametrize("text", ["", "# only\n\n# comments\n"])
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
     def test_load_of_a_file_without_rows_is_an_empty_trace(
         self, tmp_path, text
     ):
