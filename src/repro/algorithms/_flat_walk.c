@@ -149,16 +149,19 @@ typedef struct {
     int64_t *match;
     int32_t *internal_nodes, *leaf_id, *leaf_size, *match_pos, *rules_compared;
     int64_t *occupancy, *internal_fetches, *leaf_words;
+    int64_t matched, occupancy_sum;   /* the slice's tallies */
     int code;
 } walk_job;
 
-/* Walk packets [lo, hi) root to leaf; an error stops the walk at the
+/* Walk packets [lo, hi) root to leaf, adding the packets that matched
+ * and their cycles to the job's tallies; an error stops the walk at the
  * packet that met it. */
-static int walk_block(const walk_job *j, int64_t lo, int64_t hi)
+static int walk_block(walk_job *j, int64_t lo, int64_t hi)
 {
     const tables *t = j->t;
     const placement *pl = j->pl;
     const int64_t nn = t->n_nodes, ndim = t->ndim;
+    int64_t matched = 0, occupancy_sum = 0;   /* kept out of *j's stores */
     for (int64_t p = lo; p < hi; p++) {
         const uint32_t *h = j->headers + p * ndim;
         int64_t best = -1, nid = 0;
@@ -214,6 +217,7 @@ static int walk_block(const walk_job *j, int64_t lo, int64_t hi)
                 break;
         }
         j->match[p] = best;
+        matched += best >= 0;
         if (j->internal_nodes) {
             j->internal_nodes[p] = internal;
             j->leaf_id[p] = lid;
@@ -223,15 +227,19 @@ static int walk_block(const walk_job *j, int64_t lo, int64_t hi)
         }
         if (j->occupancy) {
             int64_t x, words;
-            j->occupancy[p] = cycles(pl, internal, lid, mpos, &x, &words);
-            if (j->occupancy[p] < 0)
+            const int64_t c = cycles(pl, internal, lid, mpos, &x, &words);
+            if (c < 0)
                 return ERR_RANGE;
+            j->occupancy[p] = c;
+            occupancy_sum += c;
             if (j->internal_fetches)
                 j->internal_fetches[p] = x;
             if (j->leaf_words)
                 j->leaf_words[p] = words;
         }
     }
+    j->matched += matched;
+    j->occupancy_sum += occupancy_sum;
     return OK;
 }
 
@@ -271,14 +279,17 @@ static void *walk_slice(void *arg)
  * `internal_nodes` is not NULL; under a placement `pl` every header's
  * fields are checked against its widths, and the cycle count goes to
  * `occupancy` and, each when not NULL, its two terms to
- * `internal_fetches` / `leaf_words`.  Returns ERR_WIDTH if a header is
- * too wide, else the lowest failing slice's code: the code of the first
- * failing packet, as with one thread. */
+ * `internal_fetches` / `leaf_words`.  When `tally` is not NULL, the
+ * packets that matched and the sum of their cycles are added to
+ * tally[0] and tally[1], each slice's counts summed.  Returns ERR_WIDTH
+ * if a header is too wide, else the lowest failing slice's code: the
+ * code of the first failing packet, as with one thread. */
 int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
               int64_t n, int64_t *match, int32_t *internal_nodes,
               int32_t *leaf_id, int32_t *leaf_size, int32_t *match_pos,
               int32_t *rules_compared, int64_t *occupancy,
-              int64_t *internal_fetches, int64_t *leaf_words, int64_t threads)
+              int64_t *internal_fetches, int64_t *leaf_words, int64_t threads,
+              int64_t *tally)
 {
     if ((occupancy && !pl) || (pl && (pl->rules_per_word <= 0
                                       || pl->ndim != t->ndim)))
@@ -293,7 +304,7 @@ int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
         job[i] = (walk_job){t, pl, headers, n * i / k, n * (i + 1) / k, match,
                             internal_nodes, leaf_id, leaf_size, match_pos,
                             rules_compared, occupancy, internal_fetches,
-                            leaf_words, OK};
+                            leaf_words, 0, 0, OK};
     for (int64_t i = 1; i < k; i++)
         started[i] = !pthread_create(&tid[i], NULL, walk_slice, &job[i]);
     walk_slice(&job[0]);
@@ -308,6 +319,10 @@ int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
         if (job[i].code == ERR_WIDTH)
             return ERR_WIDTH;
         code = code ? code : job[i].code;
+    }
+    for (int64_t i = 0; tally && code == OK && i < k; i++) {
+        tally[0] += job[i].matched;
+        tally[1] += job[i].occupancy_sum;
     }
     return code;
 }

@@ -134,6 +134,9 @@ static inline int64_t find(const flow_cache *c, int64_t s, const uint64_t *kw,
 
 /* FlowCache.lookup: match[p] is the cached result (-1: a miss), a hit's
  * LRU stamp becomes tick + p, and the misses' positions go to misses[].
+ * Given occupancy, every occupancy[p] is hit_cycles in the same pass (a
+ * miss's is fc_commit's to write); given tally, the hits with a result
+ * >= 0 are added to tally[0] and their cycles to tally[1].
  * With uniq, they are grouped by FNV value, BLOCK headers at a time, in
  * a table first sized for `expect` (the result never depends on it): the
  * distinct headers go to uniq in the order of each one's last miss, their
@@ -145,12 +148,13 @@ enum { BLOCK = 256 };
 static inline __attribute__((always_inline)) int
 lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
        int64_t *match, int64_t *misses, int64_t *rank, uint32_t *uniq,
-       int64_t *sets, int64_t *counts, const int64_t ndim, const int64_t ways)
+       int64_t *sets, int64_t *counts, int64_t *occupancy, int64_t hit_cycles,
+       int64_t *tally, const int64_t ndim, const int64_t ways)
 {
     const int64_t nw = (ndim + 1) / 2;
     groups g = {.most = n};
     expect = expect < n ? expect : n;
-    int64_t m = 0, code = FC_ERR_MEMORY;
+    int64_t m = 0, matched = 0, code = FC_ERR_MEMORY;
     /* One block's misses: FNV values, then keys. */
     uint64_t *miss_x = malloc((size_t)BLOCK * (nw + 1) * sizeof *miss_x);
     if (!miss_x)
@@ -168,7 +172,11 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
                 kw[k] = key_word(h, ndim, k);
             const int64_t w = find(c, s, kw, nw, ways), miss = w >> 63;
             const int64_t at = s * ways + (w & ~miss);   /* way 0 on a miss */
-            match[p] = c->result[at] | miss;
+            const int64_t result = c->result[at] | miss;
+            match[p] = result;
+            matched += result >= 0;
+            if (occupancy)
+                occupancy[p] = hit_cycles;
             c->stamp[at] = (c->stamp[at] & miss) | ((c->tick + p) & ~miss);
             misses[m] = p;   /* kept when it missed */
             miss_x[i] = x;
@@ -203,6 +211,10 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
         rank[i] = last[rank[i]];
     counts[0] = m;
     counts[1] = g.nd;
+    if (tally) {
+        tally[0] += matched;
+        tally[1] += occupancy ? (n - m) * hit_cycles : 0;
+    }
     code = FC_OK;
 out:
     free(miss_x), free(g.table), free(g.x), free(g.keys);
@@ -211,13 +223,14 @@ out:
 
 int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
               int64_t expect, int64_t *match, int64_t *misses, int64_t *rank,
-              uint32_t *uniq, int64_t *sets, int64_t *counts)
+              uint32_t *uniq, int64_t *sets, int64_t *counts,
+              int64_t *occupancy, int64_t hit_cycles, int64_t *tally)
 {
     if (c->ndim == 5 && c->ways == 4)
         return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                      counts, 5, 4);
+                      counts, occupancy, hit_cycles, tally, 5, 4);
     return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                  counts, c->ndim, c->ways);
+                  counts, occupancy, hit_cycles, tally, c->ndim, c->ways);
 }
 
 /* The ways of set s oldest-first (dead ones as age -1), stable in way
@@ -234,9 +247,11 @@ static void victim_order(const flow_cache *c, int64_t s, int64_t *order,
     }
 }
 
-/* FlowCache.commit.  The scatter (given match): every packet gets
- * hit_cycles in occupancy (if given), then miss i, at position
- * misses[i], results[rank[i]] in match and cycles[rank[i]] in occupancy.
+/* FlowCache.commit.  The scatter (given match): miss i, at position
+ * misses[i], gets results[rank[i]] in match and, given occupancy,
+ * cycles[rank[i]] in it (fc_lookup wrote the hits'); given tally, the
+ * misses with a result >= 0 are added to tally[0] and their cycles to
+ * tally[1].
  * Then the fill of the nd distinct keys, each packed from its row of
  * uniq into sets[r] (NULL: its own set): the i-th insert into a set, in
  * rank order, takes the i-th way (mod ways) of the set's pre-batch
@@ -248,10 +263,12 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
               int64_t nd, const int64_t *results, const int64_t *cycles,
               const int64_t *misses, const int64_t *rank, int64_t m,
               int64_t *match, int64_t *occupancy, int64_t n,
-              int64_t hit_cycles, int64_t *counts)
+              int64_t *counts, int64_t *tally)
 {
     const int64_t ways = c->ways, n_sets = c->n_sets, ndim = c->ndim;
     const int64_t nw = (ndim + 1) / 2;
+    if (occupancy && !cycles)
+        return FC_ERR_RANGE;
     for (int64_t r = 0; sets && r < nd; r++)   /* before any write */
         if (sets[r] < 0 || sets[r] >= n_sets)
             return FC_ERR_RANGE;
@@ -262,16 +279,18 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
     int64_t *by_set = malloc((size_t)(nd + 1) * sizeof *by_set);
     int64_t *end = calloc((size_t)n_sets + 1, sizeof *end);
     int64_t *order = malloc((size_t)ways * 2 * sizeof *order);
-    int64_t evictions = 0, reclamations = 0;
+    int64_t evictions = 0, reclamations = 0, matched = 0, cycles_sum = 0;
     int code = FC_ERR_MEMORY;
     if (!set || !by_set || !end || !order)
         goto out;
-    for (int64_t p = 0; occupancy && p < n; p++)
-        occupancy[p] = hit_cycles;
     for (int64_t i = 0; i < m; i++) {
-        match[misses[i]] = results[rank[i]];
-        if (occupancy)
+        const int64_t result = results[rank[i]];
+        match[misses[i]] = result;
+        matched += result >= 0;
+        if (occupancy) {
             occupancy[misses[i]] = cycles[rank[i]];
+            cycles_sum += cycles[rank[i]];
+        }
     }
     for (int64_t r = 0; r < nd; r++) {
         set[r] = sets ? sets[r]
@@ -300,6 +319,10 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
     }
     counts[0] = evictions;
     counts[1] = reclamations;
+    if (tally) {
+        tally[0] += matched;
+        tally[1] += cycles_sum;
+    }
     code = FC_OK;
 out:
     free(set), free(by_set), free(end), free(order);

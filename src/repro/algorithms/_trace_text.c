@@ -3,10 +3,11 @@
  * what that loop reads: fields of 1-10 ASCII digits, each at most
  * 4294967295, separated by spaces and tabs; '#' comments and blank
  * lines; trailing columns of printable ASCII, skipped; lines ended by
- * '\n'.  Anything else ('\r', a byte >= 0x80, a sign, a dot, a NUL, too
- * few columns, an overflow) refuses the call, and the caller hands the
- * whole block to the text-mode loop, so the rows never depend on which
- * side read them.  A field's digits are found and converted eight
+ * '\n' or "\r\n" (both one line end to the loop's universal newlines).
+ * Anything else (a '\r' not before '\n', a byte >= 0x80, a sign, a dot,
+ * a NUL, too few columns, an overflow) refuses the call, and the caller
+ * hands the whole block to the text-mode loop, so the rows never depend
+ * on which side read them.  A field's digits are found and converted eight
  * bytes at a time (little-endian words, as the library's other loops
  * assume). */
 #include <stdint.h>
@@ -55,6 +56,13 @@ static inline int tt_field(const uint8_t *q, uint64_t *value)
 
 static inline int tt_blank(uint8_t c) { return c == ' ' || c == '\t'; }
 
+/* Whether a line ends at q: '\n', or '\r' then '\n' (q[1] is inside the
+ * window whenever q[0] is a '\r' before its line's '\n'). */
+static inline int tt_eol(const uint8_t *q)
+{
+    return *q == '\n' || (*q == '\r' && q[1] == '\n');
+}
+
 /* Parse whole lines of buf[0, len) into rows of ndim uint32 fields at
  * out, stopping after max_lines lines, before a row that would be the
  * (max_rows + 1)-th, or at the last '\n' (a line it does not end waits
@@ -73,7 +81,7 @@ int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
         const uint8_t *q = p;
         while (tt_blank(*q))
             q++;
-        if (*q != '\n' && *q != '#') {  /* a header row */
+        if (!tt_eol(q) && *q != '#') {  /* a header row */
             if (rows == max_rows)
                 break;
             uint32_t *row = out + rows * ndim;
@@ -91,13 +99,15 @@ int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
                 row[d] = (uint32_t)v;
                 q += n;
             }
-            if (*q != '\n' && *q != '#' && !tt_blank(*q))
+            if (!tt_eol(q) && *q != '#' && !tt_blank(*q))
                 return TT_REFUSED;  /* "5x", "5.0", "5_0" */
             rows++;
         }
-        /* The rest: a comment or the trailing columns. */
+        /* The rest: a comment or the trailing columns, and a '\r' that
+         * ends the line. */
         for (; *q != '\n'; q++)
-            if ((uint8_t)(*q - 0x20) > 0x7e - 0x20 && *q != '\t')
+            if ((uint8_t)(*q - 0x20) > 0x7e - 0x20 && *q != '\t'
+                && !tt_eol(q))
                 return TT_REFUSED;
         p = q + 1;
     }

@@ -548,17 +548,22 @@ class FlatTree:
         self._walk(headers32, match)
         return match
 
-    def walk_cycles(self, headers32, placement, match, cycles) -> bool:
+    def walk_cycles(
+        self, headers32, placement, match, cycles, tally=None
+    ) -> bool:
         """The native walk writing ``match`` and, under an accelerator's
         leaf ``placement`` (:func:`native.place`), each packet's
         memory-port cycles ``cycles = (occupancy[, internal_fetches,
         leaf_words])``, counted by the iteration that finishes the packet,
         once every header's fields are within the placement's widths
-        (:class:`~repro.core.errors.PacketFormatError` if not).
-        ``False``, nothing written, where the native kernel does not
-        serve: the caller computes them from :meth:`batch_lookup`."""
+        (:class:`~repro.core.errors.PacketFormatError` if not); the
+        packets that matched and their cycles are added to ``tally``
+        when given.  ``False``, nothing written, where the native kernel
+        does not serve: the caller computes them from
+        :meth:`batch_lookup`."""
         return native.walk(
-            self._native, headers32, match, placement=placement, cycles=cycles
+            self._native, headers32, match, placement=placement,
+            cycles=cycles, tally=tally,
         )
 
     def _walk(self, headers32, match: np.ndarray, stats=None) -> None:

@@ -12,7 +12,10 @@ packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
 The cache kernels (:func:`lookup`, :func:`commit`) are the flow
 cache's two per-batch calls over its own tables, bit-identical to its
-NumPy path in every table, counter and returned array.  The prefilter
+NumPy path in every table, counter and returned array.  The walk and
+both cache calls write into the arrays they are handed (a slice of a
+run's outputs) and add what they wrote to a two-cell tally: the
+packets with a result >= 0 and their cycles.  The prefilter
 calls (:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
 :class:`~repro.stages.StageGraph`'s per-packet flow hash (the flow
 cache's FNV-1a) and its verdict memo, bit-identical to its NumPy path in
@@ -264,16 +267,18 @@ def _open(path: str):
     lib = ctypes.CDLL(path)
     fn = lib.flat_walk
     # (tables, placement or NULL, headers, n, match, the five statistics
-    # arrays or NULLs, the three cycle arrays or NULLs, threads)
+    # arrays or NULLs, the three cycle arrays or NULLs, threads, tally or
+    # NULL)
     fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Placement),
                    ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 9,
-                   ctypes.c_int64]
+                   ctypes.c_int64, ctypes.c_void_p]
     fn.restype = ctypes.c_int
     ptr, i64, cache = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Cache)
     for name, args, res in (
-        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 6], ctypes.c_int),
+        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 7, i64, ptr],
+         ctypes.c_int),
         ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
-                       ptr, i64, i64, ptr], ctypes.c_int),
+                       ptr, i64, ptr, ptr], ctypes.c_int),
         ("pf_hash", [ptr, i64, i64, ptr], None),
         ("pf_probe", [ptr, i64, i64, ptr, ptr, i64, ptr, ptr], i64),
         ("pf_insert", [ptr, i64, i64, ptr, ptr, ptr, i64], None),
@@ -354,6 +359,7 @@ def place(pos, n_rules, rules_per_word: int, max_value) -> _Placement:
 def walk(
     tables: _Tables | None, headers32, match, stats=None,
     placement: _Placement | None = None, cycles=(), threads: int | None = None,
+    tally=None,
 ) -> bool:
     """Walk every packet of ``headers32`` over :func:`threads_for`
     threads, writing ``match`` and, when given, the five statistics
@@ -361,8 +367,10 @@ def walk(
     ``cycles = (occupancy[, internal_fetches, leaf_words])``, after
     checking each header's fields against their widths
     (:class:`~repro.core.errors.PacketFormatError`, as ``PacketTrace``
-    raises).  ``False`` (nothing written) when there is no table or no
-    library: the caller takes the portable walk."""
+    raises).  Given ``tally`` (two ``int64`` cells), the packets that
+    matched and the sum of their cycles are added to it, each thread's
+    counts summed.  ``False`` (nothing written) when there is no table
+    or no library: the caller takes the portable walk."""
     fn = _load().fn
     if tables is None or fn is None:
         return False
@@ -374,7 +382,7 @@ def walk(
     out += [None] * (9 - len(out))
     headers = _pointer("headers", headers32, np.uint32, (n, tables.ndim))
     code = fn(ctypes.byref(tables), placement, headers, n, *out,
-              threads_for(n, threads))
+              threads_for(n, threads), _optional("tally", tally, 2))
     if code == 3:
         widths = placement.keep[2]
         field = int(np.flatnonzero((headers32 > widths).any(axis=0))[0])
@@ -411,23 +419,31 @@ def _bind_cache(cache) -> _Cache:
     return bound
 
 
-def lookup(cache, headers32, group: bool = True, expect: int = 0):
+def lookup(cache, headers32, group: bool = True, expect: int = 0,
+           match=None, occupancy=None, hit_cycles: int = 0, tally=None):
     """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)``,
     grouping in a table first sized for ``expect`` distinct misses;
-    without ``group`` the probe alone (the last three ``None``)."""
+    without ``group`` the probe alone (the last three ``None``).
+    ``match`` is written in place when given; ``occupancy``, when given,
+    gets ``hit_cycles`` in every cell in the same pass, and ``tally``
+    (two ``int64`` cells) the hits' matched count and cycles."""
     lib = _load().lib
     if lib is None:
         return None
     n, ndim = headers32.shape[0], cache._ndim
     bound = _bind_cache(cache)
     headers = _pointer("headers", headers32, np.uint32, (n, ndim))
-    match, misses = np.empty(n, np.int64), np.empty(n, np.int64)
+    match = np.empty(n, np.int64) if match is None else match
+    misses = np.empty(n, np.int64)
     rank, uniq, sets = (np.empty(n, np.int64), np.empty((n, ndim), np.uint32),
                         np.empty(n, np.int64)) if group else (None,) * 3
     counts = np.zeros(2, np.int64)
-    if lib.fc_lookup(ctypes.byref(bound), headers, n, expect, match.ctypes.data,
+    if lib.fc_lookup(ctypes.byref(bound), headers, n, expect,
+                     _pointer("match", match, np.int64, (n,)),
                      *(a if a is None else a.ctypes.data
-                       for a in (misses, rank, uniq, sets, counts))):
+                       for a in (misses, rank, uniq, sets, counts)),
+                     _optional("occupancy", occupancy, n), hit_cycles,
+                     _optional("tally", tally, 2)):
         raise MemoryError("native flow cache: out of memory")
     m, distinct = counts
     if group:
@@ -440,34 +456,37 @@ def _optional(name: str, arr, size: int):
 
 
 def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
-           match=None, hit_cycles: int = 0):
-    """``FlowCache.commit``: ``(occupancy, evictions, reclamations)``."""
+           match=None, occupancy=None, tally=None):
+    """``FlowCache.commit``: ``(evictions, reclamations)``.  Given the
+    misses, each gets its rank's result in ``match`` and, given
+    ``occupancy``, its rank's ``cycles`` there; ``tally`` (two ``int64``
+    cells) gets the misses' matched count and cycles."""
     lib = _load().lib
     if lib is None:
         return None
     nd, m = uniq.shape[0], 0 if misses is None else misses.shape[0]
     n = 0 if match is None else match.shape[0]
     bound = _bind_cache(cache)
-    scatter, occupancy = [None] * 3, None  # misses, rank, match: all or none
+    scatter = [None] * 4  # misses, rank, match, occupancy: all or none
     if misses is not None:
         scatter = [_pointer(name, a, np.int64, (size,)) for name, a, size in
                    (("misses", misses, m), ("rank", rank, m), ("match", match, n))]
-        occupancy = None if cycles is None else np.empty(n, np.int64)
+        scatter.append(_optional("occupancy", occupancy, n))
     counts = np.zeros(2, np.int64)
     code = lib.fc_commit(
         ctypes.byref(bound),
         _pointer("uniq", uniq, np.uint32, (nd, cache._ndim)),
         _optional("sets", sets, nd), nd,
         _pointer("results", results, np.int64, (nd,)),
-        _optional("cycles", cycles, nd), *scatter[:2], m, scatter[2],
-        _optional("occupancy", occupancy, n), n, hit_cycles, counts.ctypes.data,
+        _optional("cycles", cycles, nd), *scatter[:2], m, *scatter[2:], n,
+        counts.ctypes.data, _optional("tally", tally, 2),
     )
     if code == 3:
         raise MemoryError("native flow cache: out of memory")
     if code:
         raise BuildError("native flow cache: a set index, miss or rank "
                          "outside its table")
-    return occupancy, int(counts[0]), int(counts[1])
+    return int(counts[0]), int(counts[1])
 
 
 # The line card's TCAM prefilter (``stages/graph.py``): each function

@@ -25,7 +25,7 @@ from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
 from ..hw import Accelerator, MemoryImage, build_memory_image
 from ..hw.memory import DEFAULT_CAPACITY_WORDS
-from .protocol import BatchStats, ClassifierBase
+from .protocol import BatchOut, BatchStats, ClassifierBase, batch_out, tallied
 
 _TREE_BUILDERS = {"hicuts": build_hicuts, "hypercuts": build_hypercuts}
 
@@ -95,6 +95,7 @@ class AcceleratorClassifier(ClassifierBase):
     """
 
     backend_name = "accelerator"
+    models_occupancy = True
 
     def __init__(
         self,
@@ -123,9 +124,14 @@ class AcceleratorClassifier(ClassifierBase):
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
         return self.batch_stats(headers).match
 
-    def batch_stats(self, headers: np.ndarray) -> BatchStats:
-        match, occupancy = self.accelerator.match_occupancy(headers)
-        return BatchStats(match=match, occupancy=occupancy)
+    def batch_stats(
+        self, headers: np.ndarray, out: BatchOut | None = None
+    ) -> BatchStats:
+        """Matches and occupancy written into ``out`` (fresh arrays when
+        ``None``) by the walk, which adds their tallies as it goes."""
+        out = out or batch_out(len(headers), True)
+        self.accelerator.match_occupancy(headers, *out)
+        return tallied(out)
 
     def run_trace(self, trace: PacketTrace):
         """The full :class:`~repro.hw.AcceleratorRun` (experiment tables)."""

@@ -54,9 +54,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..algorithms import native
-from ..core.errors import ConfigError
+from ..core.errors import BuildError, ConfigError
 from ..core.updates import OP_INSERT, OP_REMOVE
-from .protocol import BatchStats, Classifier, ClassifierBase, batch_stats_of
+from .protocol import (
+    BatchOut,
+    BatchStats,
+    Classifier,
+    ClassifierBase,
+    batch_out,
+    batch_stats_of,
+    models_occupancy,
+    tallied,
+)
 from .updates import require_updatable
 
 #: Memory-port cycles charged to a cache-hit lookup when the wrapped
@@ -295,24 +304,43 @@ class FlowCache:
         hit[found[1]] = False
         return hit, found[0]
 
-    def lookup(self, headers: np.ndarray):
+    def lookup(self, headers: np.ndarray, match=None, occupancy=None,
+               tally=None):
         """:meth:`probe` a batch on an enabled cache and group its misses:
         ``(match, misses, rank, uniq, sets)``, each header's cached result
         (-1: a miss), the positions that missed, each miss's rank among
         the distinct missed headers, those in the order of each one's
         last miss and their set indices.  Natively one pass that groups a
         miss by its probe's FNV value; in NumPy :func:`dedupe_flow_keys`
-        after, over the same :func:`flow_hash` values."""
+        after, over the same :func:`flow_hash` values.
+
+        ``match`` is written in place when given.  ``occupancy``, when
+        given, gets :data:`HIT_OCCUPANCY_CYCLES` in every cell in the
+        same pass (:meth:`commit` writes a miss's), and ``tally`` (two
+        ``int64`` cells) gets the hits' matched count and cycles added.
+        """
         headers = self._prepare(headers)
-        found = native.lookup(self, headers, expect=self._distinct)
+        found = native.lookup(self, headers, expect=self._distinct,
+                              match=match, occupancy=occupancy,
+                              hit_cycles=HIT_OCCUPANCY_CYCLES, tally=tally)
         if found is not None:
             self._tick += np.int64(headers.shape[0])
             self._distinct = found[3].shape[0]
             return found
         words, x = pack_flow_keys(headers), flow_hash(headers)
         s = self._set_index(x)
-        hit, match = self._probe(words, s)
+        hit, result = self._probe(words, s)
+        if match is None:
+            match = result
+        else:
+            match[:] = result
         misses = np.flatnonzero(~hit)
+        if occupancy is not None:
+            occupancy[:] = HIT_OCCUPANCY_CYCLES
+        if tally is not None:
+            hits = 0 if occupancy is None else len(hit) - len(misses)
+            tally += (np.count_nonzero(result >= 0),
+                      hits * HIT_OCCUPANCY_CYCLES)
         first, rank = dedupe_flow_keys(np.take(words, misses, axis=1), x[misses])
         return match, misses, rank, headers[misses[first]], s[misses[first]]
 
@@ -336,36 +364,41 @@ class FlowCache:
         return hit, result
 
     def commit(self, uniq, sets, results, cycles=None, misses=None,
-               rank=None, match=None):
+               rank=None, match=None, occupancy=None, tally=None) -> None:
         """Serve one :meth:`lookup`'s misses, then fill its distinct keys.
 
         ``results`` (and ``cycles``, the occupancy) are the backend's
         answers for the ``uniq`` rows.  Given the lookup's ``misses``
-        and ``rank``, each miss gets its rank's result in ``match`` (in
-        place) and its rank's cycles in the returned occupancy (``None``
-        without ``cycles``), each hit :data:`HIT_OCCUPANCY_CYCLES`.  Then
-        the rows go in, in order, into ``sets`` (``None``: their own).
+        and ``rank``, each miss gets its rank's result in ``match`` and,
+        given ``occupancy``, its rank's cycles there (in place; the
+        lookup wrote the hits'), and ``tally`` (two ``int64`` cells)
+        gets the misses' matched count and cycles added.  Then the rows
+        go in, in order, into ``sets`` (``None``: their own).
         """
+        if occupancy is not None and cycles is None:
+            raise BuildError("flow cache: occupancy without the misses' "
+                             "cycles")
         results = np.ascontiguousarray(results, dtype=np.int64)
         if cycles is not None:
             cycles = np.ascontiguousarray(cycles, dtype=np.int64)
         done = native.commit(self, uniq, sets, results, cycles, misses, rank,
-                             match, HIT_OCCUPANCY_CYCLES)
+                             match, occupancy, tally)
         if done is not None:
-            occupancy, evictions, reclamations = done
+            evictions, reclamations = done
             self.stats.evictions += evictions
             self.stats.reclamations += reclamations
             self._tick += np.int64(1)
-            return occupancy
-        occupancy = None
+            return
         if misses is not None:
-            match[misses] = results[rank]
-            if cycles is not None:
-                occupancy = np.full(len(match), HIT_OCCUPANCY_CYCLES, np.int64)
-                occupancy[misses] = cycles[rank]
+            served = results[rank]
+            match[misses] = served
+            cost = 0
+            if occupancy is not None:
+                occupancy[misses] = cost = cycles[rank]
+            if tally is not None:
+                tally += (np.count_nonzero(served >= 0), np.sum(cost))
         s = self._set_index(flow_hash(uniq)) if sets is None else sets
         self._fill(pack_flow_keys(uniq), s, results)
-        return occupancy
 
     def fill(self, headers: np.ndarray, results: np.ndarray) -> None:
         """Insert (header -> result) pairs, LRU-evicting within sets.
@@ -511,9 +544,12 @@ class CachedClassifier(ClassifierBase):
         schema = getattr(classifier, "schema", None)
         if schema is not None:
             self.schema = schema
-        #: Whether the wrapped backend models per-packet occupancy, learned
-        #: on its first call so all-hit chunks report the same shape.
-        self._models_occupancy: bool | None = None
+
+    @property
+    def models_occupancy(self) -> bool:
+        """The wrapped backend's: a hit then costs
+        :data:`HIT_OCCUPANCY_CYCLES`."""
+        return models_occupancy(self.classifier)
 
     # ------------------------------------------------------------------
     def clone(self) -> "CachedClassifier":
@@ -527,36 +563,40 @@ class CachedClassifier(ClassifierBase):
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
         return self.batch_stats(headers).match
 
-    def batch_stats(self, headers: np.ndarray) -> BatchStats:
+    def batch_stats(
+        self, headers: np.ndarray, out: BatchOut | None = None
+    ) -> BatchStats:
         """Look the batch up, classify each distinct miss once through
         the backend's own ``batch_stats`` (a match-only walk on tree
         backends, the occupancy walk on the accelerator), then commit:
-        scatter its answers to the misses and fill them."""
+        scatter its answers to the misses and fill them.  The results
+        go into ``out`` (fresh arrays when ``None``): the lookup writes
+        every hit's and the commit every miss's, each adding the
+        tallies of what it wrote."""
         headers = np.ascontiguousarray(headers, dtype=np.uint32)
         n = headers.shape[0]
         cache = self.cache
+        out = out or batch_out(n, self.models_occupancy)
         if n == 0 or not cache.enabled:
-            inner = batch_stats_of(self.classifier, headers)
-            self._models_occupancy = inner.occupancy is not None
+            inner = batch_stats_of(self.classifier, headers, out)
             return replace(inner, cache_hits=0, cache_misses=n,
                            cache_evictions=0)
         evictions_before = cache.stats.evictions
-        match, misses, rank, uniq, sets = cache.lookup(headers)
+        match, occupancy, tally = out
+        _, misses, rank, uniq, sets = cache.lookup(
+            headers, match, occupancy, tally
+        )
         n_backend = uniq.shape[0]
-        occupancy = None
         if n_backend:
             inner = batch_stats_of(self.classifier, uniq)
-            self._models_occupancy = inner.occupancy is not None
-            occupancy = cache.commit(uniq, sets, inner.match, inner.occupancy,
-                                     misses, rank, match)
-        elif self._models_occupancy:
-            occupancy = np.full(n, HIT_OCCUPANCY_CYCLES, np.int64)
+            cache.commit(uniq, sets, inner.match, inner.occupancy, misses,
+                         rank, match, occupancy, tally)
         hits = n - n_backend
         cache.stats.lookups += n
         cache.stats.hits += hits
         cache.stats.misses += n_backend
-        return BatchStats(
-            match, occupancy, cache_hits=hits, cache_misses=n_backend,
+        return tallied(
+            out, cache_hits=hits, cache_misses=n_backend,
             cache_evictions=cache.stats.evictions - evictions_before,
         )
 

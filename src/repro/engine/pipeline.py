@@ -7,9 +7,10 @@ out over N worker shards, and returns the run's
 record, which every layer above (session, tenants, stage graph) passes
 on or merges rather than re-boxes:
 
-* matches are concatenated in trace order, so the pipeline output is
-  bit-for-bit identical to a single-shot ``classify_trace`` at every
-  shard count (the conformance suite asserts this);
+* a run's ``match`` array is allocated once, each chunk writing its
+  slice in place (and counting its tallies as it writes), bit-for-bit
+  identical to a single-shot ``classify_trace`` at every shard count
+  (the conformance suite asserts this);
 * backends that model hardware cost (the accelerator) contribute
   per-packet occupancy, from which ``EngineReport.with_energy`` derives
   device throughput and energy per packet via the :mod:`repro.energy`
@@ -100,7 +101,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache
 
 import numpy as np
@@ -110,7 +111,9 @@ from ..core.errors import ArenaCorruptionError, ConfigError, ServingFaultError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, sorted_schedule
 from .faults import FaultPlan, fire_update_specs, fire_worker_specs
-from .protocol import BatchStats, Classifier, batch_stats_of, warm_batch_state
+from .protocol import (
+    BatchOut, Classifier, batch_stats_of, models_occupancy, warm_batch_state
+)
 from .report import CacheTriple, ChunkStats, EngineReport, sum_cache_triples
 from .supervision import FaultReport, ShardWorkers, SupervisionPolicy, Supervisor
 from .updates import is_updatable, require_updatable
@@ -135,12 +138,6 @@ TAIL_MERGE_DIVISOR = 4
 #: steady state a worker attaches once and reuses the mapped segments
 #: for every later chunk; a name change (the arena grew) swaps them.
 _ARENA_ATTACH: dict = {"names": None, "segs": ()}
-
-#: One processed chunk: (match, occupancy | None, cache counters).
-ChunkOutput = tuple[np.ndarray, np.ndarray | None, CacheTriple]
-#: One served run, in trace order: (match, occupancy | None — unless
-#: every chunk modelled it — and the per-chunk cache counters).
-RunOutput = tuple[np.ndarray, np.ndarray | None, list[CacheTriple]]
 
 
 @dataclass(frozen=True)
@@ -181,6 +178,8 @@ class _Run:
     bounds: list[tuple[int, int]]
     entries: list[_ScheduledEntry]
     faults: FaultPlan | None
+    #: Whether the classifier models occupancy (sizes the outputs).
+    models_occupancy: InitVar[bool] = False
     report: FaultReport = field(default_factory=FaultReport)
     #: Operations the applied batches skipped (removals of dead ids).
     update_skipped: int = 0
@@ -188,6 +187,24 @@ class _Run:
     update_latencies: list[float] = field(default_factory=list)
     #: CPU seconds forked workers reported for the chunks they served.
     worker_cpu_s: float = 0.0
+
+    def __post_init__(self, models_occupancy: bool) -> None:
+        # The outputs, each chunk writing its slice in place: ``match``,
+        # ``occupancy`` (unless unmodelled or chunkless), and per chunk
+        # its ``(matched, occupancy_sum)`` tally row and cache triple.
+        n, chunks = self.headers.shape[0], len(self.bounds)
+        self.match = np.empty(n, np.int64)
+        self.occupancy = (
+            np.empty(n, np.int64) if chunks and models_occupancy else None
+        )
+        self.tally = np.zeros((chunks, 2), np.int64)
+        self.caches: list[CacheTriple] = [None] * chunks
+
+    def out(self, chunk: int) -> BatchOut:
+        """Where chunk ``chunk`` writes: its slices and tally row."""
+        window = slice(*self.bounds[chunk])
+        occupancy = None if self.occupancy is None else self.occupancy[window]
+        return self.match[window], occupancy, self.tally[chunk]
 
     def chunk_faults(self, chunk: int, attempt: int, shard=None):
         """Injected worker-fault specs for one chunk on one dispatch
@@ -206,7 +223,8 @@ def _shard_main(conn, shard: int, classifier: Classifier) -> None:
 
     A message is ``(arena descriptor, tasks)``, a task ``(chunk, bounds,
     fault specs)``.  One reply per task goes back in task order —
-    :func:`_run_chunk_arena`'s pair plus the CPU seconds the task took;
+    :func:`_run_chunk_arena`'s cache triple and tallies plus the CPU
+    seconds the task took;
     an exception is sent as the reply and raised by the parent.  Its
     native calls stay on its one thread: its siblings hold the other
     CPUs.
@@ -259,10 +277,10 @@ def _attach_arena(names: tuple[str, ...]):
 
 def _run_chunk_arena(
     classifier: Classifier, arena, index: int, bounds, shard: int
-) -> tuple[bool, tuple[int, int, int] | None]:
-    """Forked-tier chunk: classify out of the shared arena, write
-    results back into it, return only whether occupancy was modelled
-    plus the chunk's flow-cache triple.
+) -> tuple[CacheTriple, tuple[int, int]]:
+    """Forked-tier chunk: classify out of the shared arena straight
+    into its output segments, return only the chunk's flow-cache triple
+    and its ``(matched, occupancy_sum)`` tally.
 
     ``arena`` is ``(segment names, trace shape, dtype, fence)``.  In
     steady state the cached attachment is reused, so no ``shm_open``/
@@ -290,11 +308,13 @@ def _run_chunk_arena(
     n = shape[0]
     start, end = bounds
     headers = np.ndarray(shape, dtype=dtype, buffer=segs[0].buf)
-    match, occ, cache = _run_chunk_local(classifier, headers, bounds)
-    np.ndarray((n,), np.int64, buffer=segs[1].buf)[start:end] = match
-    if occ is not None:
-        np.ndarray((n,), np.int64, buffer=segs[2].buf)[start:end] = occ
-    return occ is not None, cache
+    match, occupancy = (
+        np.ndarray((n,), np.int64, buffer=seg.buf)[start:end] for seg in segs[1:3]
+    )
+    if not models_occupancy(classifier):
+        occupancy = None
+    out = (match, occupancy, np.zeros(2, np.int64))
+    return _run_chunk_local(classifier, headers, bounds, out), tuple(out[2].tolist())
 
 
 class ClassificationPipeline:
@@ -669,11 +689,9 @@ class ClassificationPipeline:
         )
 
     # -- supervised dispatch --------------------------------------------
-    def _dispatch(
-        self, plan: ShardPlan, run: _Run
-    ) -> tuple[RunOutput, ShardPlan]:
-        """Serve the run on ``plan`` with recovery and return the
-        outputs and the plan that produced them.
+    def _dispatch(self, plan: ShardPlan, run: _Run) -> ShardPlan:
+        """Serve the run on ``plan`` with recovery, into the run's
+        outputs, and return the plan that produced them.
 
         A forked dispatch serves one epoch (update runs never fork), so
         it is retried whole, on re-forked workers; under
@@ -684,10 +702,11 @@ class ClassificationPipeline:
         """
         if plan.forks:
             try:
-                return self.supervisor.retry(
+                self.supervisor.retry(
                     lambda attempt: self._run_forked(plan, run, attempt),
                     run.report, tier="forked", replays=len(run.bounds),
-                ), plan
+                )
+                return plan
             except ServingFaultError as exc:
                 if self.policy.fault_policy != "degrade":
                     raise
@@ -698,7 +717,8 @@ class ClassificationPipeline:
                 run.report.replays += len(run.bounds)
                 plan = self.plan(len(run.bounds), tier="inline")
                 run.report.recovery_s.append(time.perf_counter() - detected)
-        return self._run_inline(plan, run), plan
+        self._run_inline(plan, run)
+        return plan
 
     # ------------------------------------------------------------------
     def run(
@@ -728,7 +748,7 @@ class ClassificationPipeline:
         plan = self.plan(len(bounds), packets=n, updates=pinned)
         run = _Run(
             headers, bounds, self._normalise_updates(updates, bounds),
-            FaultPlan.coerce(faults),
+            FaultPlan.coerce(faults), models_occupancy(self.classifier),
         )
         # Epochs are reported only for genuinely updatable backends —
         # a cache wrapper around a non-updatable classifier merely
@@ -741,20 +761,19 @@ class ClassificationPipeline:
         if run.entries:
             # Held workers are a snapshot of the epoch this run leaves.
             self.close()
-        output, served = self._dispatch(plan, run)
+        served = self._dispatch(plan, run)
         elapsed = time.perf_counter() - started
         self._owner_epoch = self._classifier_epoch()
-        return self._aggregate(run, output, served, elapsed, base_epoch)
+        return self._aggregate(run, served, elapsed, base_epoch)
 
     # -- forked tier ----------------------------------------------------
-    def _run_forked(
-        self, plan: ShardPlan, run: _Run, attempt: int
-    ) -> RunOutput:
+    def _run_forked(self, plan: ShardPlan, run: _Run, attempt: int) -> None:
         """One dispatch over the held shard workers (forked here on
-        first use): they read the trace out of the arena and scatter
+        first use): they read the trace out of the arena and write
         match/occupancy slices into its output segments, replying with
-        scalars only.  Any failure reaps the workers (replies of the
-        failed dispatch may still be in flight) and the arena."""
+        scalars only, which land in the run's outputs once every chunk
+        answered.  Any failure reaps the workers (replies of the failed
+        dispatch may still be in flight) and the arena."""
         headers = run.headers
         shard_tasks: list[list] = [[] for _ in range(plan.workers)]
         for i, bounds in enumerate(run.bounds):
@@ -770,15 +789,14 @@ class ClassificationPipeline:
             self.close()
             raise
         run.worker_cpu_s += sum(cpu_s for *_, cpu_s in replies)
+        for i, (cache, tally, _) in enumerate(replies):
+            run.caches[i] = cache
+            run.tally[i] = tally
         n = headers.shape[0]
         segs = self._arena["segs"]
-        match = np.ndarray((n,), np.int64, buffer=segs[1].buf).copy()
-        occupancy = (
-            np.ndarray((n,), np.int64, buffer=segs[2].buf).copy()
-            if all(has_occ for has_occ, *_ in replies)
-            else None
-        )
-        return match, occupancy, [cache for _, cache, *_ in replies]
+        run.match[:] = np.ndarray((n,), np.int64, buffer=segs[1].buf)
+        if run.occupancy is not None:
+            run.occupancy[:] = np.ndarray((n,), np.int64, buffer=segs[2].buf)
 
     # -- inline tier ----------------------------------------------------
     def _shard_owners(self, workers: int) -> list:
@@ -801,33 +819,36 @@ class ClassificationPipeline:
 
     def _serve_chunk_inline(
         self, run: _Run, index: int, owner, shard: int
-    ) -> ChunkOutput:
-        """Serve one chunk on its shard's ``owner`` with per-chunk
-        bounded retry.  ``chunk_timeout_s`` is emulated, not enforced:
-        an injected hang raises at the deadline, real work runs on."""
+    ) -> None:
+        """Serve one chunk on its shard's ``owner`` into the run's
+        outputs, with per-chunk bounded retry: an attempt rewrites the
+        chunk's whole slice and restarts its tally.  ``chunk_timeout_s``
+        is emulated, not enforced: an injected hang raises at the
+        deadline, real work runs on."""
 
-        def step(attempt: int) -> ChunkOutput:
+        def step(attempt: int) -> CacheTriple:
             specs = run.chunk_faults(index, attempt, shard=shard)
             if specs:
                 fire_worker_specs(
                     specs, in_process=True, chunk=index, shard=shard,
                     timeout_s=self.policy.chunk_timeout_s,
                 )
-            return _run_chunk_local(owner, run.headers, run.bounds[index])
+            return _run_chunk_local(
+                owner, run.headers, run.bounds[index], run.out(index)
+            )
 
-        return self.supervisor.retry(
+        run.caches[index] = self.supervisor.retry(
             step, run.report, tier="inline", chunk=index, shard=shard,
             replays=1,
         )
 
-    def _run_inline(self, plan: ShardPlan, run: _Run) -> RunOutput:
+    def _run_inline(self, plan: ShardPlan, run: _Run) -> None:
         """The calling thread's serving loop — what ``degrade`` falls
         back to: chunk ``i`` on the owner of shard ``i % workers``, so
         each shard sees its chunks in order.  Each update batch lands at
         its chunk boundary (past the last chunk: after it), which is why
         a failed *chunk* is retried and never the dispatch."""
         owners = self._shard_owners(plan.workers)
-        outputs: list[ChunkOutput] = []
         idx = 0
         for i in range(len(run.bounds)):
             while (
@@ -837,22 +858,18 @@ class ClassificationPipeline:
                 self._apply_entry(run, idx)
                 idx += 1
             shard = plan.shard_of(i)
-            outputs.append(
-                self._serve_chunk_inline(run, i, owners[shard], shard)
-            )
+            self._serve_chunk_inline(run, i, owners[shard], shard)
         for late in range(idx, len(run.entries)):
             self._apply_entry(run, late)
-        return _join_chunks(outputs)
 
     def _aggregate(
         self,
         run: _Run,
-        output: RunOutput,
         served: ShardPlan,
         elapsed: float,
         base_epoch: int | None,
     ) -> EngineReport:
-        match, occupancy, caches = output
+        """The run's report, counted from the chunks' tallies alone."""
         entries = run.entries
         # Epoch of chunk i = version at run start + batches in effect by it.
         effects = [e.effect_chunk for e in entries]
@@ -862,18 +879,17 @@ class ClassificationPipeline:
                 e.batch
             )
         chunks: list[ChunkStats] = []
-        for i, ((start, end), cache) in enumerate(zip(run.bounds, caches)):
+        for i, ((start, end), (matched, cycles), cache) in enumerate(
+            zip(run.bounds, run.tally.tolist(), run.caches)
+        ):
             hits, misses, evictions = cache or (None, None, None)
             chunks.append(
                 ChunkStats(
                     index=i,
                     start=start,
                     n_packets=end - start,
-                    matched=int((match[start:end] >= 0).sum()),
-                    occupancy_sum=(
-                        None if occupancy is None
-                        else int(occupancy[start:end].sum())
-                    ),
+                    matched=matched,
+                    occupancy_sum=None if run.occupancy is None else cycles,
                     cache_hits=hits,
                     cache_misses=misses,
                     cache_evictions=evictions,
@@ -888,16 +904,16 @@ class ClassificationPipeline:
         return EngineReport(
             backend=getattr(self.classifier, "backend_name",
                             type(self.classifier).__name__),
-            n_packets=len(match),
-            matched=int((match >= 0).sum()),
+            n_packets=len(run.match),
+            matched=sum(c.matched for c in chunks),
             elapsed_s=elapsed,
             n_shards=served.workers,
             chunk_size=self.chunk_size,
             n_chunks=len(chunks),
-            match=match,
+            match=run.match,
             chunks=chunks,
-            occupancy=occupancy,
-            **sum_cache_triples(caches),
+            occupancy=run.occupancy,
+            **sum_cache_triples(run.caches),
             update_batches=len(entries),
             update_ops=sum(len(e.batch) for e in entries),
             update_skipped=run.update_skipped,
@@ -910,30 +926,14 @@ class ClassificationPipeline:
         )
 
 
-def _join_chunks(outputs: list[ChunkOutput]) -> RunOutput:
-    """Concatenate per-chunk outputs (in chunk order) into one run's."""
-    if not outputs:
-        return np.empty(0, dtype=np.int64), None, []
-    occs = [occ for _, occ, _ in outputs]
-    return (
-        np.concatenate([match for match, _, _ in outputs]),
-        np.concatenate(occs) if all(o is not None for o in occs) else None,
-        [cache for _, _, cache in outputs],
-    )
-
-
 def _run_chunk_local(
-    classifier: Classifier, headers: np.ndarray, bounds: tuple[int, int]
-) -> ChunkOutput:
+    classifier: Classifier, headers: np.ndarray, bounds: tuple[int, int],
+    out: BatchOut,
+) -> CacheTriple:
+    """Classify one chunk into ``out`` (its tally restarted); returns
+    its flow-cache triple."""
     start, end = bounds
-    stats: BatchStats = batch_stats_of(classifier, headers[start:end])
-    cache = (
-        None
-        if stats.cache_hits is None or stats.cache_misses is None
-        else (
-            stats.cache_hits,
-            stats.cache_misses,
-            stats.cache_evictions or 0,
-        )
-    )
-    return stats.match, stats.occupancy, cache
+    stats = batch_stats_of(classifier, headers[start:end], out)
+    if stats.cache_hits is None or stats.cache_misses is None:
+        return None
+    return stats.cache_hits, stats.cache_misses, stats.cache_evictions or 0

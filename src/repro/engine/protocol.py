@@ -12,7 +12,9 @@ engine layer fixes the contract once:
 * :class:`BatchStats` — the per-batch result record the
   :class:`~repro.engine.pipeline.ClassificationPipeline` aggregates;
   backends with a hardware cost model (the accelerator) attach per-packet
-  occupancy, everything else reports matches only.
+  occupancy, everything else reports matches only;
+* :func:`batch_stats_of` — the one way to serve a batch: into the
+  caller's slices (:data:`BatchOut`), with the batch's tallies.
 
 The semantic requirement is unchanged from the rest of the library: every
 backend must agree packet-for-packet with the linear-search oracle
@@ -24,7 +26,9 @@ whole registry.
 from __future__ import annotations
 
 import abc
+import inspect
 from dataclasses import dataclass
+from functools import cache
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -44,6 +48,9 @@ class BatchStats:
     (:class:`~repro.engine.flowcache.CachedClassifier`): packets served
     without a backend lookup, backend lookups issued, and entries
     evicted while filling this batch; ``None`` on bare backends.
+    ``matched`` (results >= 0) and ``occupancy_sum`` are the batch's
+    tallies, counted by the kernels that wrote the cells (reductions on
+    the NumPy path); :func:`batch_stats_of` always fills them.
     """
 
     match: np.ndarray
@@ -51,10 +58,45 @@ class BatchStats:
     cache_hits: int | None = None
     cache_misses: int | None = None
     cache_evictions: int | None = None
+    matched: int | None = None
+    occupancy_sum: int | None = None
 
     @property
     def n_packets(self) -> int:
         return len(self.match)
+
+
+#: Where one batch's results go: its ``match`` slice, its ``occupancy``
+#: slice (``None`` unless the classifier models it) and a two-cell
+#: ``int64`` tally the kernels add the matched packets and their cycles
+#: into.
+BatchOut = tuple[np.ndarray, np.ndarray | None, np.ndarray]
+
+
+def batch_out(n: int, occupancy: bool) -> BatchOut:
+    """Fresh outputs for a batch of ``n`` packets, the tally at zero."""
+    return (
+        np.empty(n, np.int64),
+        np.empty(n, np.int64) if occupancy else None,
+        np.zeros(2, np.int64),
+    )
+
+
+def tallied(out: BatchOut, **counters) -> BatchStats:
+    """The :class:`BatchStats` of a batch written into ``out``."""
+    match, occupancy, tally = out
+    return BatchStats(
+        match, occupancy, matched=int(tally[0]),
+        occupancy_sum=None if occupancy is None else int(tally[1]),
+        **counters,
+    )
+
+
+def models_occupancy(classifier) -> bool:
+    """Whether ``classifier``'s ``batch_stats`` reports per-packet
+    occupancy: its ``models_occupancy`` attribute, ``False`` when it
+    has none (the accelerator sets it)."""
+    return bool(getattr(classifier, "models_occupancy", False))
 
 
 @runtime_checkable
@@ -114,17 +156,52 @@ class ClassifierBase(abc.ABC):
         return BatchStats(match=self.classify_batch(headers))
 
 
-def batch_stats_of(classifier: Classifier, headers: np.ndarray) -> BatchStats:
+@cache
+def _writes_in_place(kind: type) -> bool:
+    """Whether ``kind.batch_stats`` takes the ``out`` it writes into."""
+    fn = getattr(kind, "batch_stats", None)
+    return callable(fn) and "out" in inspect.signature(fn).parameters
+
+
+def batch_stats_of(
+    classifier: Classifier, headers: np.ndarray, out: BatchOut | None = None
+) -> BatchStats:
     """Uniform stats entry point for any :class:`Classifier`.
 
-    Backends that implement ``batch_stats`` (engine adapters, notably the
-    accelerator with its occupancy model) are used directly; plain
-    protocol implementers are wrapped.
+    The results go into ``out`` (:data:`BatchOut`; fresh arrays when
+    ``None``), whose tally starts at zero, so a retried batch counts
+    only its last attempt.  Backends whose ``batch_stats`` takes ``out``
+    (the accelerator, the flow cache) write into it in place and count
+    the tallies as they write; any other is called as before — its
+    ``batch_stats`` when it has one, else ``classify_batch`` — and its
+    arrays copied into ``out`` (kept as they are without one), the
+    tallies then NumPy reductions.
     """
     stats_fn = getattr(classifier, "batch_stats", None)
-    if callable(stats_fn):
-        return stats_fn(headers)
-    return BatchStats(match=classifier.classify_batch(headers))
+    if _writes_in_place(type(classifier)):
+        if out is None:
+            out = batch_out(headers.shape[0], models_occupancy(classifier))
+        out[2][:] = 0
+        return stats_fn(headers, out=out)
+    stats = (
+        stats_fn(headers) if callable(stats_fn)
+        else BatchStats(match=classifier.classify_batch(headers))
+    )
+    if out is None:
+        out = (stats.match, stats.occupancy, np.zeros(2, np.int64))
+    else:
+        out[0][:] = stats.match
+        if out[1] is not None:
+            out[1][:] = stats.occupancy
+    match, occupancy, tally = out
+    tally[:] = (
+        np.count_nonzero(match >= 0),
+        0 if occupancy is None else occupancy.sum(),
+    )
+    return tallied(
+        out, cache_hits=stats.cache_hits, cache_misses=stats.cache_misses,
+        cache_evictions=stats.cache_evictions,
+    )
 
 
 def warm_batch_state(classifier: Classifier, ndim: int) -> None:

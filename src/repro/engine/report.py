@@ -238,10 +238,15 @@ class EngineReport:
         return None
 
     def mean_occupancy(self) -> float | None:
-        """Mean memory-port cycles per packet, when the backend models it."""
-        if self.occupancy is None or not self.occupancy.size:
+        """Mean memory-port cycles per packet, when the backend models it:
+        the chunks' summed integer ``occupancy_sum`` tallies over their
+        packets (a stage graph's classified ones), never a pass over
+        ``occupancy`` — bit-identical to ``float(occupancy.mean())``,
+        whose partial sums are integers below 2**53 and so exact."""
+        sums = [c.occupancy_sum for c in self.chunks]
+        if not sums or None in sums:
             return None
-        return float(self.occupancy.mean())
+        return sum(sums) / sum(c.n_packets for c in self.chunks)
 
     @property
     def update_latency(self) -> dict[str, float] | None:

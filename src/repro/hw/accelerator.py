@@ -138,28 +138,39 @@ class Accelerator:
     def run_trace(self, trace: PacketTrace) -> AcceleratorRun:
         """Every packet's match and memory-port cycles, split into
         internal fetches and leaf words (the record Tables 2-8 read)."""
-        return AcceleratorRun(*self._walk(trace.headers, split=True))
+        return AcceleratorRun(*self._walk(trace.headers, (None,) * 4))
 
-    def match_occupancy(self, headers) -> tuple[np.ndarray, np.ndarray]:
+    def match_occupancy(
+        self, headers, match=None, occupancy=None, tally=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``run_trace``'s ``match`` and ``occupancy`` of an ``(n, ndim)``
         header array: what serving reads, without the split the native
-        walk then never writes.  A header outside its field widths is a
+        walk then never writes.  Each is written into the array given
+        for it (fresh ones otherwise), and ``tally`` (two ``int64``
+        cells), when given, gets the packets that matched and their
+        cycles added.  A header outside its field widths is a
         :class:`~repro.core.errors.PacketFormatError`, as for a trace."""
-        match, occupancy, *_ = self._walk(headers, split=False)
-        return match, occupancy
+        return self._walk(headers, (match, occupancy), tally)
 
-    def _walk(self, headers, split: bool) -> tuple[np.ndarray, ...]:
-        """``(match, occupancy[, internal_fetches, leaf_words])`` from the
-        native walk, which checks the widths and counts the cycles as it
-        finishes each packet, or else from :meth:`_run_portable` over a
-        checked :class:`PacketTrace`."""
+    def _walk(self, headers, out, tally=None) -> tuple[np.ndarray, ...]:
+        """Fill ``out = (match, occupancy[, internal_fetches,
+        leaf_words])`` (``None``: a fresh array) from the native walk,
+        which checks the widths and counts the cycles as it finishes
+        each packet, or else from :meth:`_run_portable` over a checked
+        :class:`PacketTrace`, whose tallies are reductions."""
         headers = header_matrix(headers, self.tree.schema)
         n = headers.shape[0]  # the C loop writes every cell it is handed
-        out = tuple(np.empty(n, dtype=np.int64) for _ in range(4 if split else 2))
-        if self.tree.flat.walk_cycles(headers, self._placement, out[0], out[1:]):
+        out = tuple(np.empty(n, np.int64) if a is None else a for a in out)
+        flat = self.tree.flat
+        if flat.walk_cycles(headers, self._placement, out[0], out[1:], tally):
             return out
         run = self._run_portable(PacketTrace(headers, self.tree.schema))
-        return run.match, run.occupancy, run.internal_fetches, run.leaf_words
+        for dst, src in zip(out, (run.match, run.occupancy,
+                                  run.internal_fetches, run.leaf_words)):
+            dst[:] = src
+        if tally is not None:
+            tally += (np.count_nonzero(run.match >= 0), run.occupancy.sum())
+        return out
 
     def _run_portable(self, trace: PacketTrace) -> AcceleratorRun:
         """Eqs (5)/(7) in NumPy over ``batch_lookup``'s statistics: the

@@ -32,7 +32,7 @@ from repro.engine import (
     build_backend,
 )
 from repro.engine import flowcache
-from repro.engine.protocol import BatchStats, batch_stats_of
+from repro.engine.protocol import BatchStats, batch_out, batch_stats_of
 from repro.engine.flowcache import dedupe_flow_keys, flow_hash, pack_flow_keys
 from repro.energy import CacheEnergyModel
 
@@ -711,6 +711,8 @@ class CyclesOfHeader(ResultOfHeader):
     """:class:`ResultOfHeader` that also models per-packet occupancy, a
     fixed function of the columns too (as the accelerator does)."""
 
+    models_occupancy = True
+
     def batch_stats(self, headers: np.ndarray) -> BatchStats:
         cycles = headers.astype(np.int64).sum(axis=1) % 5 + 2
         return BatchStats(match=self.classify_batch(headers), occupancy=cycles)
@@ -769,14 +771,18 @@ def _take_step(clf: CachedClassifier, pool: np.ndarray, step) -> list:
         rows, repeat = args
         out = clf.batch_stats(np.tile(pool[rows], (repeat, 1)))
         return [*_listed(out.match, out.occupancy), out.cache_hits,
-                out.cache_misses, out.cache_evictions]
+                out.cache_misses, out.cache_evictions, out.matched,
+                out.occupancy_sum]
     if kind == "lookup":
-        match, misses, rank, uniq, sets = found = clf.cache.lookup(pool[args[0]])
-        inner = batch_stats_of(clf.classifier, uniq)
-        occupancy = clf.cache.commit(
-            uniq, sets, inner.match, inner.occupancy, misses, rank, match
+        out = batch_out(len(args[0]), clf.models_occupancy)
+        match, misses, rank, uniq, sets = found = clf.cache.lookup(
+            pool[args[0]], *out
         )
-        return _listed(*found, occupancy)
+        inner = batch_stats_of(clf.classifier, uniq)
+        clf.cache.commit(
+            uniq, sets, inner.match, inner.occupancy, misses, rank, *out
+        )
+        return _listed(*found, *out)
     if kind == "probe":
         return _listed(*clf.cache.probe(pool[args[0]]))
     if kind == "fill":
@@ -807,10 +813,10 @@ def _assert_same_cache(a: FlowCache, b: FlowCache) -> None:
 
 class TestNativeCacheKernels:
     """The native lookup and commit (``fc_lookup``, ``fc_commit``) return
-    what the NumPy path returns — every served ``BatchStats``, every
-    lookup's four arrays, every commit's occupancy — and leave every
-    table, the clock and every counter where it leaves them, step after
-    step."""
+    what the NumPy path returns — every served ``BatchStats`` with its
+    tallies, every lookup's four arrays, the match, occupancy and tally
+    a lookup and its commit write — and leave every table, the clock
+    and every counter where it leaves them, step after step."""
 
     @settings(max_examples=200, deadline=None)
     @given(_cache_runs())

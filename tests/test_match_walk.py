@@ -106,8 +106,8 @@ class TestClassifyBatchIsTheMatchWalk:
         if loaded.fn is not None:  # else the portable half below is all
 
             def spy_fn(tables, placement, headers32, n, match, *rest):
-                *out, _threads = rest
-                pointers.append((placement, *out))
+                *out, _threads, tally = rest
+                pointers.append((placement, *out, tally))
                 return loaded.fn(tables, placement, headers32, n, match, *rest)
 
             monkeypatch.setattr(native, "_kernel", native._Kernel(fn=spy_fn))
@@ -118,8 +118,8 @@ class TestClassifyBatchIsTheMatchWalk:
         assert asked == [len(headers)] * 4  # every call is batch_match
         assert set(tiles) == {None}  # the portable walk got no arrays
         # ... and the C loop got no placement and NULL pointers for the
-        # five statistics and the three cycle arrays.
-        assert pointers == [(None,) * 9] * (2 if loaded.fn else 0)
+        # five statistics, the three cycle arrays and the tally.
+        assert pointers == [(None,) * 10] * (2 if loaded.fn else 0)
 
     def test_engine_serves_the_trace_equal_to_the_oracle(
         self, acl_small, acl_small_trace, acl_small_oracle

@@ -139,11 +139,25 @@ class TestEdgeCorpus:
             blocks = list(read_trace_blocks(str(path), 5, block_lines))
             assert np.concatenate(blocks).tolist() == want
 
+    def test_crlf_line_ends_parse_natively(self, tmp_path, no_fallback):
+        """``\\r\\n`` ends a line as ``\\n`` does, after a field, trailing
+        text, a comment or nothing, at any block size."""
+        path = tmp_path / "crlf.trace"
+        path.write_bytes(
+            b"# ClassBench trace\r\n\r\n1\t2\t3\t4\t5\t-1\r\n"
+            b"6 7 8 9 10#note\r\n \t\r\n11 12 13 14 15\r\n16 17 18 19 20"
+        )
+        want = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15],
+                [16, 17, 18, 19, 20]]
+        for block_lines in range(1, 8):
+            blocks = list(read_trace_blocks(str(path), 5, block_lines))
+            assert np.concatenate(blocks).tolist() == want
+
     def test_a_refused_block_is_reread_from_its_start(self, tmp_path):
         """The text-mode loop takes over at the refused block, with its
         line numbers: the rows before it come from the native pass."""
         path = tmp_path / "late.trace"
-        path.write_bytes(GOOD * 5 + b"6 7 8 9 10\r\n" + b"1 2 3\n")
+        path.write_bytes(GOOD * 5 + b"+6 7 8 9 10\n" + b"1 2 3\n")
         with pytest.raises(PacketFormatError, match=r"late\.trace:7: "):
             list(read_trace_blocks(str(path), 5, 2))
         log = QuarantineLog()
