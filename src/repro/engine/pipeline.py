@@ -33,8 +33,10 @@ is and how bytes reach it:
   ``shard_mode="threads"`` is this tier with N *in-process shards*:
   chunk ``i`` is served out of shard ``i % N``'s private flow-cache
   clone, which stays warm across runs — the model of N engines with
-  private caches; no host thread is started (the tiled NumPy kernels
-  hold the GIL, so parallelism is the forked tier's job).
+  private caches.  The shards are served one after another on the
+  calling thread; the only threads are a native walk's own, joined
+  before that call returns (``docs/engine.md``, "Threads inside a
+  native call").
 * ``forked`` — one forked worker process per shard, programmed once and
   then fed packets: a snapshot of one ruleset epoch, forked on first
   use from the classifier's current state and held until that epoch

@@ -240,9 +240,11 @@ class EngineReport:
     def mean_occupancy(self) -> float | None:
         """Mean memory-port cycles per packet, when the backend models it:
         the chunks' summed integer ``occupancy_sum`` tallies over their
-        packets (a stage graph's classified ones), never a pass over
-        ``occupancy`` — bit-identical to ``float(occupancy.mean())``,
-        whose partial sums are integers below 2**53 and so exact."""
+        packets, never a pass over ``occupancy`` — bit-identical to
+        ``float(occupancy.mean())``, whose partial sums are integers
+        below 2**53 and so exact.  A stage graph's chunks count only
+        its classified packets, so this divides by those, not by
+        ``occupancy.size`` (a dropped packet's 0 is not a cycle count)."""
         sums = [c.occupancy_sum for c in self.chunks]
         if not sums or None in sums:
             return None
@@ -258,14 +260,16 @@ class EngineReport:
     def summed_counters(reports) -> dict:
         """The fields that add across ``reports``, as constructor
         arguments: cache totals, update totals and latencies, the merged
-        fault report and the worker CPU seconds.  Zero-packet reports
-        (an empty segment, the tail-update chunk, an idle tenant) carry
-        no cache telemetry and must not erase the others' counters."""
+        fault report and the worker CPU seconds.  Reports that classified
+        no packet, so hold no chunk (an empty segment, the tail-update
+        chunk, an idle tenant, a stage-graph segment dropped whole),
+        carry no cache telemetry and must not erase the others'
+        counters."""
         latencies: list[float] = []
         for r in reports:
             latencies.extend(r.update_latencies_s)
         return dict(
-            **sum_cache_triples(r.cache_triple for r in reports if r.n_packets),
+            **sum_cache_triples(r.cache_triple for r in reports if r.chunks),
             update_batches=sum(r.update_batches for r in reports),
             update_ops=sum(r.update_ops for r in reports),
             update_skipped=sum(r.update_skipped for r in reports),
@@ -287,8 +291,14 @@ class EngineReport:
         includes pulling the segments from their source, so it is *not*
         the sum of the per-segment times).  Matches/occupancy concatenate in
         stream order; cache and update counters sum; the final epoch is
-        the last segment's.  Zero-packet results carry no occupancy and
-        are excluded from that concatenation.
+        the last segment's.  A zero-packet result (an empty segment, the
+        tail-update run) is left out of the occupancy concatenation; any
+        other result without occupancy leaves the merge without one.  A
+        stage-graph segment is its classify run restated on all its
+        packets (a dropped one reads match -1 and occupancy 0), so it
+        carries an occupancy whenever the classifier models one, even
+        when classify saw none of its packets; its chunks count only the
+        classified packets.
         """
         if not results:
             return cls(

@@ -17,13 +17,16 @@ end-of-stream update flush are the session's, unchanged.
 
 Telemetry: every stage accumulates a :class:`StageReport` (packets
 in/out, per-reason drops, busy seconds, per-stage energy through the
-:mod:`repro.energy` models, injected faults and retries).  The run
-returns the one serving record, a :class:`~repro.serve.EngineReport`:
-the session's ``merged_report`` of the classify stage's per-segment
-pipeline reports, with ``match`` scattered back to the *full
-stream-order* array (policy-dropped packets report ``-1``, exactly what
-a bare run reports for a no-match packet) and the per-stage reports on
-``stages`` (and so in ``to_dict()``).
+:mod:`repro.energy` models, injected faults and retries).  Each segment
+returns the classify stage's pipeline-run report restated on the whole
+segment, and the run returns the session's ``merged_report`` of those
+as it is, with the per-stage reports on ``stages`` (and so in
+``to_dict()``): ``match`` and ``occupancy`` have one entry per packet of
+the stream (a dropped packet reads ``match = -1``, what a bare run
+reports for a no-match packet, and ``occupancy = 0``), and each chunk's
+``start`` is the stream position of its first classified packet.  The
+chunks count only classified packets, so ``mean_occupancy()`` and the
+energy divide by those.
 
 Energy semantics (documented in ``docs/linecard.md``): the soft stages
 (parse/drop/extract/rewrite/queue_select) charge SRAM access energy
@@ -54,8 +57,9 @@ the ``"drop_storm"`` drop reason.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +75,7 @@ from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
 from ..energy.tcam import AYAMA_10128, TCAM_ENTRY_BYTES
 from ..engine.faults import FaultPlan
 from ..engine.flowcache import dedupe_flow_keys, flow_hash, pack_flow_keys
+from ..engine.protocol import models_occupancy
 from ..engine.supervision import FaultReport
 from ..serve import DEFAULT_SEGMENT_PACKETS, Engine, EngineReport
 from .spec import StageGraphSpec, StageSpec
@@ -242,25 +247,22 @@ class StageGraph:
         reports = [
             StageReport(name=s.name, kind=s.kind) for s in self.spec.stages
         ]
-        matches: list[np.ndarray] = []
-        started = returned = time.perf_counter()
+        segments = itertools.count()
+        returned = time.perf_counter()
 
         def serve_segment(trace, updates=None, faults=None):
             """One segment through the stage chain: the session's step.
             ``updates`` are the segment's batches in segment coordinates
             and ``faults`` its engine sub-plan, both for the classify
-            stage, whose pipeline-run report this returns."""
+            stage, whose report on the whole segment this returns."""
             nonlocal returned
-            seg_index = len(matches)
+            seg_index = next(segments)
             alive = np.ones(trace.n_packets, dtype=bool)
-            seg_match = np.full(trace.n_packets, -1, dtype=np.int64)
             scratch: dict = {}  # per-segment shared work (flow hash)
 
             def step(stage: StageSpec, rep: StageReport, attempt: int):
-                specs = (
+                specs = () if stage_plan is None else (
                     stage_plan.stage_faults(stage.kind, seg_index, attempt)
-                    if stage_plan is not None
-                    else ()
                 )
                 t0 = time.perf_counter()
                 try:
@@ -272,8 +274,7 @@ class StageGraph:
                             s0.message
                             or f"injected {s0.kind} in stage "
                             f"{stage.kind} (segment {seg_index})",
-                            kind=s0.kind,
-                            chunk=seg_index,
+                            kind=s0.kind, chunk=seg_index,
                         )
                     storms = [s for s in specs if s.kind == "drop_storm"]
                     if storms:
@@ -283,15 +284,16 @@ class StageGraph:
                             f"stage:{stage.kind}:drop_storm@segment{seg_index}"
                         )
                         alive[:] = False
-                    result = self._run_stage(
-                        stage, rep, trace, alive, seg_match,
+                    out = self._run_stage(
+                        stage, rep, trace, alive,
+                        None if result is None else result.match,
                         due=updates or (), faults=faults,
                         tcam_monitor=tcam_monitor, scratch=scratch,
                     )
                 finally:
                     rep.busy_s += time.perf_counter() - t0
                 rep.retries += attempt
-                return result
+                return out
 
             result = None
             for rep, stage in zip(reports, self.spec.stages):
@@ -309,28 +311,14 @@ class StageGraph:
                     )
                     result = result if out is None else out
                 rep.packets_out += int(np.count_nonzero(alive))
-            matches.append(seg_match)
             returned = time.perf_counter()
             return result
 
-        results = [
-            chunk.result
-            for chunk in self.engine.stream(
-                source, updates, segment_packets=segment_packets,
-                faults=plan.engine_plan() if plan is not None else None,
-                _serve_segment=serve_segment,
-            )
-        ]
-        report = self.engine.merged_report(
-            results, time.perf_counter() - started
+        report = self.engine.classify_stream(
+            source, updates, segment_packets=segment_packets,
+            faults=plan.engine_plan() if plan is not None else None,
+            _serve_segment=serve_segment,
         )
-        # The classify stage served only the survivors: the graph's
-        # match is the full stream-order array, dropped packets -1.
-        report.match = (
-            np.concatenate(matches) if matches else np.empty(0, np.int64)
-        )
-        report.n_packets = report.match.size
-        report.matched = int(np.count_nonzero(report.match >= 0))
         self._finalise_stages(reports, report)
         report.stages = reports
         report.fault.merge(stage_fault)
@@ -343,7 +331,7 @@ class StageGraph:
         rep: StageReport,
         trace: PacketTrace,
         alive: np.ndarray,
-        seg_match: np.ndarray,
+        seg_match: np.ndarray | None,
         *,
         due,
         faults,
@@ -351,7 +339,8 @@ class StageGraph:
         scratch: dict,
     ):
         """Execute one stage body over the segment; returns the
-        classify stage's pipeline-run report, else ``None``."""
+        classify stage's report, else ``None``.  ``seg_match`` is the
+        segment's match once classify has run (a dropped packet -1)."""
         headers = trace.headers
         n_in = int(np.count_nonzero(alive))
         all_alive = n_in == trace.n_packets
@@ -424,27 +413,40 @@ class StageGraph:
             rep.extra["ways"] = self.config.cache_ways
             rep.energy_j += n_in * SRAM_ACCESS_ENERGY_J
         elif stage.kind == "classify":
-            if n_in == trace.n_packets:
-                sub = trace  # nothing dropped upstream: zero-copy
-            else:
-                sub = PacketTrace(
-                    np.ascontiguousarray(headers[alive]), trace.schema
-                )
+            sub = trace if all_alive else PacketTrace(
+                np.ascontiguousarray(headers[alive]), trace.schema
+            )
             # Rebase each batch's offset from segment coordinates to
             # survivor coordinates: it applies at the same *packet*,
             # after however many of the first ``at_packet`` packets
             # survived the upstream stages.
             local = [
-                ScheduledUpdate(
-                    int(alive[:entry.at_packet].sum()), entry.batch
-                )
-                for entry in due
+                ScheduledUpdate(int(alive[:e.at_packet].sum()), e.batch)
+                for e in due
             ]
             result = self.engine.pipeline.run(
                 sub, updates=local or None, faults=faults
             )
-            seg_match[alive] = result.match
-            return result
+            if all_alive:  # nothing dropped: the run is the segment's
+                return result
+            # Restated on the whole segment: a dropped packet reads -1
+            # and occupancy 0 (kept when classify saw none, so the merge
+            # keeps the stream's); a chunk starts at its first packet.
+            where = np.flatnonzero(alive)
+            match = np.full(trace.n_packets, -1, np.int64)
+            match[where] = result.match
+            occupancy = None
+            if models_occupancy(self.engine.classifier):
+                occupancy = np.zeros(trace.n_packets, np.int64)
+                if where.size:
+                    occupancy[where] = result.occupancy
+            return replace(
+                result, n_packets=trace.n_packets, match=match,
+                occupancy=occupancy, chunks=[
+                    replace(c, start=int(where[c.start]))
+                    for c in result.chunks
+                ],
+            )
         elif stage.kind == "rewrite":
             matched = seg_match if all_alive else seg_match[alive]
             touched = int(np.count_nonzero(matched >= 0))
@@ -454,9 +456,7 @@ class StageGraph:
                 "packets_rewritten", 0
             ) + touched
             # One modelled 32-bit SRAM write per 4 header bytes touched.
-            rep.energy_j += (
-                touched * max(1, nbytes // 4) * SRAM_ACCESS_ENERGY_J
-            )
+            rep.energy_j += touched * max(1, nbytes // 4) * SRAM_ACCESS_ENERGY_J
         elif stage.kind == "queue_select":
             queues = stage.params.get("queues", 8)
             policy = stage.params.get("policy", "hash")
@@ -591,12 +591,10 @@ class StageGraph:
                 rep.drop("malformed", quarantined)
                 rep.energy_j += quarantined * SRAM_ACCESS_ENERGY_J
             elif rep.kind == "classify":
-                per_packet = (
-                    model.energy_per_packet_j(hit_rate)
-                    if hit_rate is not None
-                    else model.uncached_energy_per_packet_j()
+                rep.energy_j += rep.packets_in * (
+                    model.uncached_energy_per_packet_j()
+                    if hit_rate is None else model.energy_per_packet_j(hit_rate)
                 )
-                rep.energy_j += rep.packets_in * per_packet
             elif rep.kind == "flow_cache" and report.cache_hits is not None:
                 rep.extra["hits"] = report.cache_hits
                 rep.extra["misses"] = report.cache_misses

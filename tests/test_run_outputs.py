@@ -6,7 +6,9 @@ cells count each chunk's tallies (``matched``, ``occupancy_sum``), and
 the report's counts, mean occupancy and energy come from those tallies
 alone.  Every test here checks them against the NumPy reductions over
 the delivered arrays, bit for bit, on the native and the portable
-kernels.
+kernels.  A stage graph's ``match`` and ``occupancy`` are aligned to the
+stream's packets, a dropped one reading -1 / 0, and its tallies count
+the classified packets alone.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from repro import Engine, EngineConfig, PacketTrace
 from repro.algorithms import native
 from repro.core.errors import InjectedFault
+from repro.core.rules import DIM_PROTO
 from repro.core.updates import ScheduledUpdate, remove_op
 from repro.energy import asic_model
 from repro.engine import (
@@ -30,8 +33,8 @@ from repro.engine import (
     build_updatable_backend,
     pipeline,
 )
-from repro.engine.faults import FaultSpec
-from repro.stages import StageGraph, default_graph
+from repro.engine.faults import FaultPlan, FaultSpec
+from repro.stages import StageGraph, StageGraphSpec, StageSpec, default_graph
 
 CHUNK = 300  # does not divide any trace length below
 FAST_RETRY = dict(max_retries=2, backoff_base_s=0.0, backoff_max_s=0.0)
@@ -92,6 +95,38 @@ def assert_tallied(report) -> None:
     model = asic_model()
     assert report.energy_per_packet_j == model.energy_per_packet_j(mean)
     assert report.device_throughput_pps == model.device.freq_hz / mean
+
+
+def assert_aligned(report, alive, bare, same_occupancy=True) -> None:
+    """``report`` is a stage graph's over ``bare``'s trace, and ``alive``
+    marks the packets that reached its classify stage.  Its ``match``
+    and ``occupancy`` hold one entry per packet: a survivor's equal the
+    bare run's (the occupancy unless ``same_occupancy`` is off), a
+    dropped packet reads -1 / 0.  Its chunks tile the survivors in
+    stream order, each starting at the stream position of its first
+    one, and its mean occupancy and energy are the survivors' mean."""
+    match, occupancy = report.match, report.occupancy
+    assert report.n_packets == match.size == occupancy.size == alive.size
+    assert (match[~alive] == -1).all()
+    assert (occupancy[~alive] == 0).all()
+    assert np.array_equal(match[alive], bare.match[alive])
+    if same_occupancy:
+        assert np.array_equal(occupancy[alive], bare.occupancy[alive])
+    where = np.flatnonzero(alive)
+    done = 0
+    for c in report.chunks:
+        mine = where[done:done + c.n_packets]
+        assert c.start == mine[0], c
+        assert c.matched == int(np.count_nonzero(match[mine] >= 0)), c
+        assert c.occupancy_sum == int(occupancy[mine].sum()), c
+        done += c.n_packets
+    assert done == where.size
+    assert report.matched == int(np.count_nonzero(match >= 0))
+    mean = float(occupancy[alive].mean())
+    assert report.mean_occupancy() == mean
+    assert report.energy_per_packet_j == asic_model().energy_per_packet_j(
+        mean
+    )
 
 
 @pytest.mark.usefixtures("walk_threads")
@@ -246,18 +281,45 @@ class TestEveryTier:
         assert_tallied(merged)
 
     def test_a_stage_graph(self, kernel, acl_small, traffic):
-        """The graph's ``match`` covers the whole stream (a dropped
-        packet -1), its chunks and ``occupancy`` only what reached the
-        classify stage."""
-        with StageGraph(default_graph(cache_entries=256), acl_small) as graph:
+        """A graph's outputs are aligned to the stream's packets.  Its
+        drop stage denies UDP and its TCAM prefilter drops what no rule
+        matches; every other packet reaches classify."""
+        spec = default_graph(cache_entries=0)
+        spec = StageGraphSpec(name=spec.name, stages=tuple(
+            StageSpec(kind="drop", params={"deny_proto": [17]})
+            if s.kind == "drop" else s
+            for s in spec.stages
+        ))
+        with StageGraph(spec, acl_small) as graph:
             report = graph.run(traffic, segment_packets=1000)
-        occupancy = report.occupancy
-        assert 0 < occupancy.size < report.n_packets  # some were dropped
-        assert sum(c.n_packets for c in report.chunks) == occupancy.size
-        assert sum(c.matched for c in report.chunks) == report.matched
-        assert sum(c.occupancy_sum for c in report.chunks) == occupancy.sum()
-        mean = float(occupancy.mean())
-        assert report.mean_occupancy() == mean
-        assert report.energy_per_packet_j == asic_model().energy_per_packet_j(
-            mean
-        )
+        with Engine.open(spec.engine_config(), acl_small) as engine:
+            bare = engine.classify(traffic)
+        alive = (traffic.headers[:, DIM_PROTO] != 17) & (bare.match >= 0)
+        assert 0 < alive.sum() < traffic.n_packets
+        assert (bare.match[~alive] >= 0).any()  # some matched ones dropped
+        assert_aligned(report, alive, bare)
+
+    @pytest.mark.parametrize("cache_entries", [0, 256], ids=["bare", "cached"])
+    def test_a_graph_segment_dropped_whole(
+        self, kernel, cache_entries, acl_small, traffic
+    ):
+        """A drop storm empties segment 1 of 3, so classify sees none of
+        its packets: the stream keeps its occupancy (zeros there) and
+        its cache counters, and the mean occupancy and energy are the
+        classified packets'."""
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="drop_storm", stage="drop", segment=1),
+        ))
+        spec = default_graph(cache_entries=cache_entries)
+        with StageGraph(spec, acl_small) as graph:
+            report = graph.run(traffic, faults=plan, segment_packets=1000)
+        with Engine.open(spec.engine_config(), acl_small) as engine:
+            bare = engine.classify(traffic)
+        assert report.occupancy is not None
+        assert (report.occupancy[1000:2000] == 0).all()
+        assert (report.match[1000:2000] == -1).all()
+        assert (report.cache_hits is None) == (not cache_entries)
+        alive = bare.match >= 0  # the TCAM prefilter drops the rest
+        alive[1000:2000] = False
+        # A cache's hits cost fewer cycles than the bare walk.
+        assert_aligned(report, alive, bare, same_occupancy=not cache_entries)
