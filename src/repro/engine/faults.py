@@ -47,12 +47,18 @@ Fault kinds
     upstream policer meltdown / ACL misprogram), accounted per stage
     under the ``"drop_storm"`` drop reason.
 
-Stage targeting: a spec with ``stage`` set names a line-card pipeline
-stage (:mod:`repro.stages`) as its injection site instead of an engine
-internals site — ``crash``/``error`` raise at that stage's boundary
-(retried under the engine's supervision policy), ``drop_storm`` drops.
-Stage-targeted specs never fire inside the engine's own worker/arena/
-ingest/update sites, and vice versa.
+Where a spec fires
+------------------
+
+A spec's *site* follows from its ``kind`` and ``stage``: with ``stage``
+set it is that line-card stage (:mod:`repro.stages`) — ``crash``/
+``error`` raise at the stage's boundary (retried under the engine's
+supervision policy), ``drop_storm`` drops — else ``crash``/``hang``/
+``error`` fire at the chunk site, ``arena``/``ingest``/``update`` at
+their namesakes.  Stage-targeted specs never fire at an engine site,
+and vice versa.  Every site asks :meth:`FaultPlan.due` for its specs,
+matched by the one coordinate rule of :class:`FaultSpec`, and fires
+them through :func:`fire`.
 """
 
 from __future__ import annotations
@@ -74,8 +80,16 @@ FAULT_KINDS = (
     "crash", "hang", "error", "arena", "ingest", "update", "drop_storm",
 )
 
-#: Kinds fired inside a chunk-serving worker.
-WORKER_KINDS = ("crash", "hang", "error")
+#: The engine site a spec without a ``stage`` fires at, by kind
+#: (``drop_storm`` always names a stage).
+ENGINE_SITES = {
+    "crash": "chunk", "hang": "chunk", "error": "chunk",
+    "arena": "arena", "ingest": "ingest", "update": "update",
+}
+
+#: The sites inside one pipeline run: :meth:`FaultPlan.for_segment`
+#: routes their specs to the run of their segment.
+RUN_SITES = ("chunk", "arena", "update")
 
 #: Kinds a stage-targeted spec (``stage`` set) may carry.
 STAGE_KINDS_ALLOWED = ("crash", "error", "drop_storm")
@@ -90,16 +104,21 @@ CRASH_EXIT_CODE = 70
 class FaultSpec(Spec):
     """One deterministic fault.
 
-    ``chunk``/``segment``/``batch`` select the target ordinal for the
-    relevant kind (``None`` = any chunk / the first segment / any
-    batch).  ``shard`` optionally restricts worker faults to one
-    in-process shard (forked workers ignore it).  ``stage`` retargets
-    the spec at a named
-    line-card stage (:mod:`repro.stages`) instead of an engine site —
-    only ``crash``/``error``/``drop_storm`` make sense there, and
+    ``stage`` retargets the spec at a named line-card stage
+    (:mod:`repro.stages`) instead of an engine site — only
+    ``crash``/``error``/``drop_storm`` make sense there, and
     ``drop_storm`` *requires* a stage.  ``times`` is the number of
     dispatch *attempts* the fault fires on — the default 1 means "first
     attempt only", so a supervised retry recovers.
+
+    The coordinate rule, the same at every site: an unset ``segment``
+    is segment 0; an unset ``chunk`` / ``batch`` / ``shard`` means any.
+    Each site has only some of the coordinates and ignores the others:
+    the chunk site (chunk, in-process shard — forked workers ignore
+    ``shard``), the update site (batch ordinal), the ingest site and a
+    stage (the segment they pull or serve).  A streamed session settles
+    the segment of a pipeline run's sites (chunk, arena, update) with
+    :meth:`FaultPlan.for_segment`; a one-shot run takes its plan whole.
     """
 
     kind: str = field(choices=FAULT_KINDS)
@@ -124,6 +143,26 @@ class FaultSpec(Spec):
                 f"{', '.join(STAGE_KINDS_ALLOWED)}, got {self.kind!r}"
             )
 
+    @property
+    def site(self) -> str:
+        """Where the spec fires: its ``stage``, else its kind's engine
+        site (:data:`ENGINE_SITES`)."""
+        return (
+            self.stage if self.stage is not None else ENGINE_SITES[self.kind]
+        )
+
+    def selects(
+        self, *, segment=None, chunk=None, batch=None, shard=None
+    ) -> bool:
+        """Whether the coordinate rule points this spec at a site with
+        these coordinates (``None``: the site has no such coordinate)."""
+        return (
+            (segment is None or (self.segment or 0) == segment)
+            and (chunk is None or self.chunk in (None, chunk))
+            and (batch is None or self.batch in (None, batch))
+            and (shard is None or self.shard in (None, shard))
+        )
+
 
 @dataclass(frozen=True)
 class FaultPlan(Spec):
@@ -131,7 +170,9 @@ class FaultPlan(Spec):
 
     Serialises to/from plain JSON (``to_dict``/``from_dict``/``save``/
     ``load``) so CI chaos configs and recorded soak-run plans are the
-    same artifact.
+    same artifact.  Every injection site selects from it with
+    :meth:`due`; a streamed session hands each segment's pipeline run
+    its :meth:`for_segment` sub-plan.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -141,84 +182,32 @@ class FaultPlan(Spec):
         return bool(self.specs)
 
     # -- selection -----------------------------------------------------
-    def worker_faults(
-        self, chunk: int, attempt: int, shard: int | None = None
+    def due(
+        self, site: str, attempt: int, **coordinates
     ) -> tuple[FaultSpec, ...]:
-        """Worker-side specs that fire for ``chunk`` on this
-        ``attempt`` (parent computes this and ships the result in the
-        task descriptor)."""
+        """The specs firing at ``site`` on this dispatch ``attempt``:
+        those whose :attr:`FaultSpec.site` it is, whose ``times`` the
+        attempt is below, and which :meth:`FaultSpec.selects` the
+        site's ``coordinates`` (``segment`` / ``chunk`` / ``batch`` /
+        ``shard``).  The one selector of every injection site."""
         return tuple(
             s
             for s in self.specs
-            if s.stage is None
-            and s.kind in WORKER_KINDS
-            and s.chunk in (None, chunk)
-            and (s.shard is None or shard is None or s.shard == shard)
+            if s.site == site
             and attempt < s.times
+            and s.selects(**coordinates)
         )
-
-    def arena_faults(self, attempt: int) -> tuple[FaultSpec, ...]:
-        return tuple(
-            s for s in self.specs if s.kind == "arena" and attempt < s.times
-        )
-
-    def ingest_faults(
-        self, segment: int, attempt: int
-    ) -> tuple[FaultSpec, ...]:
-        return tuple(
-            s
-            for s in self.specs
-            if s.kind == "ingest"
-            and s.segment in (None, segment)
-            and attempt < s.times
-        )
-
-    def update_faults(self, batch: int, attempt: int) -> tuple[FaultSpec, ...]:
-        return tuple(
-            s
-            for s in self.specs
-            if s.kind == "update"
-            and s.batch in (None, batch)
-            and attempt < s.times
-        )
-
-    def stage_faults(
-        self, stage: str, segment: int, attempt: int
-    ) -> tuple[FaultSpec, ...]:
-        """Stage-targeted specs firing at line-card stage ``stage`` for
-        stream segment ``segment`` on this ``attempt`` (a spec without a
-        ``segment`` targets segment 0, matching :meth:`for_segment`)."""
-        return tuple(
-            s
-            for s in self.specs
-            if s.stage == stage
-            and (s.segment if s.segment is not None else 0) == segment
-            and attempt < s.times
-        )
-
-    def stage_plan(self) -> "FaultPlan | None":
-        """The stage-targeted sub-plan (specs with ``stage`` set)."""
-        specs = tuple(s for s in self.specs if s.stage is not None)
-        return FaultPlan(specs=specs, seed=self.seed) if specs else None
-
-    def engine_plan(self) -> "FaultPlan | None":
-        """The engine-internals sub-plan (specs without a ``stage``)."""
-        specs = tuple(s for s in self.specs if s.stage is None)
-        return FaultPlan(specs=specs, seed=self.seed) if specs else None
 
     def for_segment(self, segment: int) -> "FaultPlan | None":
-        """The worker/arena/update sub-plan for one stream segment.
-
-        A spec without a ``segment`` targets the first segment (segment
-        0 — also the whole run of a one-shot ``classify``).  Ingest
-        specs are excluded: they fire at the session's source pull, not
-        in per-segment pipeline runs.
+        """The sub-plan of the pipeline run serving stream segment
+        ``segment``: the specs of its sites (:data:`RUN_SITES`) the
+        coordinate rule points at that segment.  Ingest and stage specs
+        stay with the session and the graph, which query the whole plan.
         """
         specs = tuple(
             s
             for s in self.specs
-            if s.kind != "ingest"
-            and (s.segment if s.segment is not None else 0) == segment
+            if s.site in RUN_SITES and s.selects(segment=segment)
         )
         if not specs:
             return None
@@ -237,70 +226,44 @@ class FaultPlan(Spec):
 
 
 # ----------------------------------------------------------------------
-def fire_worker_specs(
+def fire(
     specs: tuple[FaultSpec, ...],
+    site: str,
+    index: int | None = None,
     *,
-    in_process: bool,
-    chunk: int | None = None,
     shard: int | None = None,
+    forked: bool = False,
     timeout_s: float = 0.0,
 ) -> None:
-    """Execute worker-side fault specs at a chunk-serving site.
+    """Fire the specs :meth:`FaultPlan.due` selected at ``site``, whose
+    ordinal (chunk, update batch or segment) is ``index``; the first
+    raising spec ends the call.  The one firer of every injection site.
 
-    ``in_process=True`` (the inline tier) maps ``crash`` to a raised
-    :class:`InjectedFault` — the site cannot kill itself without
-    taking the caller down — and emulates the hang watchdog: the site
-    sleeps up to the deadline and raises
-    :class:`~repro.core.errors.ChunkTimeoutError` when the injected
-    hang outlasts it.  In a forked worker ``crash`` is a real
-    ``os._exit`` and ``hang`` a real sleep; detection is the parent
-    supervisor's job.
+    ``crash`` is a real ``os._exit`` in a ``forked`` worker; in process
+    it raises :class:`InjectedFault` — the site cannot kill itself
+    without taking the caller down — as do ``error`` and ``update``.
+    ``ingest`` raises :class:`IngestError`.  ``hang`` sleeps
+    ``seconds``; in process it emulates the watchdog, sleeping only up
+    to ``timeout_s`` and raising
+    :class:`~repro.core.errors.ChunkTimeoutError` when the hang
+    outlasts it (a forked hang is the parent supervisor's to detect).
+    ``arena`` and ``drop_storm`` act at their sites, not here.
     """
     for spec in specs:
-        if spec.kind == "crash":
-            if in_process:
-                raise InjectedFault(
-                    spec.message
-                    or f"injected crash while serving chunk {chunk}",
-                    kind="crash", chunk=chunk, shard=shard,
-                )
+        kind = spec.kind
+        message = spec.message or f"injected {kind} at {site} {index}"
+        if kind == "crash" and forked:
             os._exit(CRASH_EXIT_CODE)
-        elif spec.kind == "hang":
-            if in_process and timeout_s and spec.seconds > timeout_s:
+        elif kind == "hang":
+            if not forked and timeout_s and spec.seconds > timeout_s:
                 time.sleep(timeout_s)
                 raise ChunkTimeoutError(
                     f"injected hang ({spec.seconds:.2f}s) outlasted the "
                     f"{timeout_s:.2f}s chunk deadline",
-                    chunk=chunk, shard=shard, cause="hang",
+                    chunk=index, shard=shard, cause="hang",
                 )
             time.sleep(spec.seconds)
-        elif spec.kind == "error":
-            raise InjectedFault(
-                spec.message or f"injected error while serving chunk {chunk}",
-                kind="error", chunk=chunk, shard=shard,
-            )
-
-
-def fire_update_specs(
-    specs: tuple[FaultSpec, ...], batch: int
-) -> None:
-    """Raise the injected update-apply failure, if any (fires *before*
-    the apply, so a retry re-applies a clean batch)."""
-    for spec in specs:
-        raise InjectedFault(
-            spec.message or f"injected failure applying update batch {batch}",
-            kind="update", chunk=batch,
-        )
-
-
-def fire_ingest_specs(
-    specs: tuple[FaultSpec, ...], segment: int
-) -> None:
-    """Raise the injected ingestion failure, if any (fires *before* the
-    source is pulled, so the source iterator survives a retry)."""
-    for spec in specs:
-        raise IngestError(
-            spec.message or f"injected I/O error fetching segment {segment}",
-            segment=segment,
-            cause=spec.kind,
-        )
+        elif kind == "ingest":
+            raise IngestError(message, segment=index, cause=kind)
+        elif kind in ("crash", "error", "update"):
+            raise InjectedFault(message, kind=kind, chunk=index, shard=shard)

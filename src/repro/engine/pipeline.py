@@ -112,7 +112,7 @@ from ..algorithms import native
 from ..core.errors import ArenaCorruptionError, ConfigError, ServingFaultError
 from ..core.packet import PacketTrace
 from ..core.updates import RuleUpdate, sorted_schedule
-from .faults import FaultPlan, fire_update_specs, fire_worker_specs
+from .faults import FaultPlan, fire
 from .protocol import (
     BatchOut, Classifier, batch_stats_of, models_occupancy, warm_batch_state
 )
@@ -214,7 +214,7 @@ class _Run:
         workers need no shared plan state)."""
         if self.faults is None:
             return ()
-        return self.faults.worker_faults(chunk, attempt, shard=shard)
+        return self.faults.due("chunk", attempt, chunk=chunk, shard=shard)
 
 
 def _shard_main(conn, shard: int, classifier: Classifier) -> None:
@@ -241,9 +241,7 @@ def _shard_main(conn, shard: int, classifier: Classifier) -> None:
             cpu0 = time.process_time()
             try:
                 if specs:
-                    fire_worker_specs(
-                        specs, in_process=False, chunk=index, shard=shard
-                    )
+                    fire(specs, "chunk", index, shard=shard, forked=True)
                 reply = _run_chunk_arena(
                     classifier, arena, index, bounds, shard
                 ) + (time.process_time() - cpu0,)
@@ -598,7 +596,7 @@ class ClassificationPipeline:
         fence = (self._arena_generation, int(headers.sum(dtype=np.uint64)))
         ctl = np.ndarray((2,), np.uint64, buffer=segs[3].buf)
         ctl[0], ctl[1] = fence
-        if run.faults is not None and run.faults.arena_faults(attempt):
+        if run.faults is not None and run.faults.due("arena", attempt):
             # Injected corruption: flip checksum bits *after* sealing —
             # to the workers' fence check this is exactly what a torn
             # or stale arena write looks like.
@@ -672,9 +670,8 @@ class ClassificationPipeline:
 
         def step(attempt: int) -> None:
             if run.faults is not None:
-                specs = run.faults.update_faults(ordinal, attempt)
-                if specs:
-                    fire_update_specs(specs, ordinal)
+                fire(run.faults.due("update", attempt, batch=ordinal),
+                     "update", ordinal)
             t0 = time.perf_counter()
             result = self.classifier.apply_updates(entry.batch)
             run.update_latencies.append(time.perf_counter() - t0)
@@ -831,10 +828,8 @@ class ClassificationPipeline:
         def step(attempt: int) -> CacheTriple:
             specs = run.chunk_faults(index, attempt, shard=shard)
             if specs:
-                fire_worker_specs(
-                    specs, in_process=True, chunk=index, shard=shard,
-                    timeout_s=self.policy.chunk_timeout_s,
-                )
+                fire(specs, "chunk", index, shard=shard,
+                     timeout_s=self.policy.chunk_timeout_s)
             return _run_chunk_local(
                 owner, run.headers, run.bounds[index], run.out(index)
             )

@@ -26,9 +26,7 @@ whole registry.
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass
-from functools import cache
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -151,17 +149,6 @@ class ClassifierBase(abc.ABC):
     def classify_trace(self, trace: PacketTrace) -> np.ndarray:
         return self.classify_batch(trace.headers)
 
-    def batch_stats(self, headers: np.ndarray) -> BatchStats:
-        """Matches plus whatever cost statistics the backend models."""
-        return BatchStats(match=self.classify_batch(headers))
-
-
-@cache
-def _writes_in_place(kind: type) -> bool:
-    """Whether ``kind.batch_stats`` takes the ``out`` it writes into."""
-    fn = getattr(kind, "batch_stats", None)
-    return callable(fn) and "out" in inspect.signature(fn).parameters
-
 
 def batch_stats_of(
     classifier: Classifier, headers: np.ndarray, out: BatchOut | None = None
@@ -170,38 +157,25 @@ def batch_stats_of(
 
     The results go into ``out`` (:data:`BatchOut`; fresh arrays when
     ``None``), whose tally starts at zero, so a retried batch counts
-    only its last attempt.  Backends whose ``batch_stats`` takes ``out``
-    (the accelerator, the flow cache) write into it in place and count
-    the tallies as they write; any other is called as before — its
-    ``batch_stats`` when it has one, else ``classify_batch`` — and its
-    arrays copied into ``out`` (kept as they are without one), the
-    tallies then NumPy reductions.
+    only its last attempt.  A classifier with a ``batch_stats`` (the
+    accelerator, the flow cache) writes into ``out`` in place and
+    counts the tallies as it writes; any other is served by
+    ``classify_batch``, its matches copied into ``out`` (kept as they
+    are without one) and tallied by a NumPy reduction.
     """
     stats_fn = getattr(classifier, "batch_stats", None)
-    if _writes_in_place(type(classifier)):
+    if stats_fn is not None:
         if out is None:
             out = batch_out(headers.shape[0], models_occupancy(classifier))
         out[2][:] = 0
         return stats_fn(headers, out=out)
-    stats = (
-        stats_fn(headers) if callable(stats_fn)
-        else BatchStats(match=classifier.classify_batch(headers))
-    )
+    match = classifier.classify_batch(headers)
     if out is None:
-        out = (stats.match, stats.occupancy, np.zeros(2, np.int64))
+        out = (match, None, np.zeros(2, np.int64))
     else:
-        out[0][:] = stats.match
-        if out[1] is not None:
-            out[1][:] = stats.occupancy
-    match, occupancy, tally = out
-    tally[:] = (
-        np.count_nonzero(match >= 0),
-        0 if occupancy is None else occupancy.sum(),
-    )
-    return tallied(
-        out, cache_hits=stats.cache_hits, cache_misses=stats.cache_misses,
-        cache_evictions=stats.cache_evictions,
-    )
+        out[0][:] = match
+    out[2][:] = (np.count_nonzero(match >= 0), 0)
+    return tallied(out)
 
 
 def warm_batch_state(classifier: Classifier, ndim: int) -> None:

@@ -54,7 +54,7 @@ from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
 from ..core.spec import check_value
 from ..core.updates import ScheduledUpdate, sorted_schedule
-from ..engine.faults import FaultPlan, fire_ingest_specs
+from ..engine.faults import FaultPlan, fire
 from ..engine.flowcache import CachedClassifier
 from ..engine.pipeline import ClassificationPipeline
 from ..engine.protocol import Classifier
@@ -309,8 +309,10 @@ class Engine:
         ``faults`` injects a :class:`~repro.engine.faults.FaultPlan`
         into the session: ``ingest`` specs fire before the source pull
         (retried per the fault policy — the source iterator is not
-        advanced past an injected failure), everything else is routed
-        to the pipeline run of its target segment.  Stream-level
+        advanced past an injected failure), chunk, arena and update
+        specs are routed to the pipeline run of their segment
+        (:meth:`FaultPlan.for_segment`; stage specs are a stage
+        graph's).  Stream-level
         accounting is published on :attr:`last_stream_fault` when the
         session ends.  ``_serve_segment`` (private) replaces
         ``pipeline.run`` as the per-segment step: the stage graph serves
@@ -404,8 +406,9 @@ class Engine:
                     # propagate — a generator that raised is finished,
                     # and re-pulling it would end the stream early.
                     self._pipeline.supervisor.retry(
-                        lambda attempt: fire_ingest_specs(
-                            plan.ingest_faults(index, attempt), index
+                        lambda attempt: fire(
+                            plan.due("ingest", attempt, segment=index),
+                            "ingest", index,
                         ),
                         stream_fault, tier="ingest", chunk=index,
                         counter="ingest_retries",

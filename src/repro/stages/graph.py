@@ -44,13 +44,15 @@ inserted mid-stream; the stage keeps its telemetry and energy accounting
 (plus a ``would_drop`` counter) but filters nothing, preserving
 bit-identity with the bare updating engine.
 
-Faults: a :class:`~repro.engine.faults.FaultPlan` splits into its
-engine sub-plan (routed into the pipeline run, unchanged semantics) and
-its stage sub-plan (specs with ``stage`` set, matched by stage *kind*).
-Stage ``crash``/``error`` specs raise at the stage boundary and are
-retried, backed off, under the engine's supervision policy (its
-:meth:`Supervisor.retry`, tier ``stage:<kind>``) — with the
-default ``times=1`` the retry recovers and output stays bit-identical;
+Faults: the graph hands its one :class:`~repro.engine.faults.FaultPlan`
+to the session, which routes each segment's engine specs into the
+classify stage's pipeline run, and asks the same plan at each stage
+step for the specs whose ``stage`` is that stage's *kind*
+(:meth:`FaultPlan.due`).  Stage ``crash``/``error`` specs raise at the
+stage boundary and are retried, backed off, under the engine's
+supervision policy (its :meth:`Supervisor.retry`, tier
+``stage:<kind>``) — with the default ``times=1`` the retry recovers and
+output stays bit-identical;
 ``drop_storm`` drops every packet reaching the stage, accounted under
 the ``"drop_storm"`` drop reason.
 """
@@ -66,14 +68,14 @@ import numpy as np
 
 from ..algorithms import native
 from ..baselines.tcam_classifier import TcamClassifier
-from ..core.errors import CapacityError, InjectedFault
+from ..core.errors import CapacityError
 from ..core.packet import PacketTrace
 from ..core.rules import DIM_DST_PORT, DIM_PROTO, FIVE_TUPLE
 from ..core.spec import check_value
 from ..core.updates import ScheduledUpdate
 from ..energy import SRAM_ACCESS_ENERGY_J, CacheEnergyModel, TcamModel
 from ..energy.tcam import AYAMA_10128, TCAM_ENTRY_BYTES
-from ..engine.faults import FaultPlan
+from ..engine.faults import FaultPlan, fire
 from ..engine.flowcache import dedupe_flow_keys, flow_hash, pack_flow_keys
 from ..engine.protocol import models_occupancy
 from ..engine.supervision import FaultReport
@@ -239,7 +241,6 @@ class StageGraph:
         and flushes the tail; the graph supplies the per-segment step.
         """
         plan = FaultPlan.coerce(faults)
-        stage_plan = plan.stage_plan() if plan is not None else None
         supervisor = self.engine.pipeline.supervisor
         tcam_monitor = bool(updates)
         # Stage retries and drop storms (the session accounts the pull).
@@ -253,7 +254,7 @@ class StageGraph:
         def serve_segment(trace, updates=None, faults=None):
             """One segment through the stage chain: the session's step.
             ``updates`` are the segment's batches in segment coordinates
-            and ``faults`` its engine sub-plan, both for the classify
+            and ``faults`` its pipeline-run sub-plan, both for the classify
             stage, whose report on the whole segment this returns."""
             nonlocal returned
             seg_index = next(segments)
@@ -261,24 +262,18 @@ class StageGraph:
             scratch: dict = {}  # per-segment shared work (flow hash)
 
             def step(stage: StageSpec, rep: StageReport, attempt: int):
-                specs = () if stage_plan is None else (
-                    stage_plan.stage_faults(stage.kind, seg_index, attempt)
+                specs = () if plan is None else (
+                    plan.due(stage.kind, attempt, segment=seg_index)
                 )
                 t0 = time.perf_counter()
                 try:
-                    raising = [s for s in specs if s.kind in ("crash", "error")]
-                    if raising:
-                        rep.faults_injected += len(raising)
-                        s0 = raising[0]
-                        raise InjectedFault(
-                            s0.message
-                            or f"injected {s0.kind} in stage "
-                            f"{stage.kind} (segment {seg_index})",
-                            kind=s0.kind, chunk=seg_index,
-                        )
-                    storms = [s for s in specs if s.kind == "drop_storm"]
-                    if storms:
-                        rep.faults_injected += len(storms)
+                    if specs:
+                        # The raising specs count (the first raises), or
+                        # else the drop storms, which are all that is left.
+                        rep.faults_injected += sum(
+                            s.kind != "drop_storm" for s in specs
+                        ) or len(specs)
+                        fire(specs, stage.kind, seg_index)
                         rep.drop("drop_storm", int(alive.sum()))
                         stage_fault.degradations.append(
                             f"stage:{stage.kind}:drop_storm@segment{seg_index}"
@@ -316,7 +311,7 @@ class StageGraph:
 
         report = self.engine.classify_stream(
             source, updates, segment_packets=segment_packets,
-            faults=plan.engine_plan() if plan is not None else None,
+            faults=plan,
             _serve_segment=serve_segment,
         )
         self._finalise_stages(reports, report)

@@ -32,7 +32,9 @@ from repro.engine import (
     build_backend,
 )
 from repro.engine import flowcache
-from repro.engine.protocol import BatchStats, batch_out, batch_stats_of
+from repro.engine.protocol import (
+    BatchStats, batch_out, batch_stats_of, tallied,
+)
 from repro.engine.flowcache import dedupe_flow_keys, flow_hash, pack_flow_keys
 from repro.energy import CacheEnergyModel
 
@@ -713,9 +715,14 @@ class CyclesOfHeader(ResultOfHeader):
 
     models_occupancy = True
 
-    def batch_stats(self, headers: np.ndarray) -> BatchStats:
-        cycles = headers.astype(np.int64).sum(axis=1) % 5 + 2
-        return BatchStats(match=self.classify_batch(headers), occupancy=cycles)
+    def batch_stats(self, headers: np.ndarray, out=None) -> BatchStats:
+        """Written into ``out`` in place, tallies added, as the
+        accelerator writes its batch."""
+        match, occupancy, tally = out or batch_out(len(headers), True)
+        match[:] = self.classify_batch(headers)
+        occupancy[:] = headers.astype(np.int64).sum(axis=1) % 5 + 2
+        tally += (np.count_nonzero(match >= 0), occupancy.sum())
+        return tallied((match, occupancy, tally))
 
 
 #: Small header values that collide in a small cache, plus the edges.

@@ -12,6 +12,10 @@ source, and updates scheduled at or past the stream's end.
 
 A tenant contains a failure instead of raising it, so the tenant
 entry reports the error as its ``fault`` text, ``"<type>: <message>"``.
+
+``TestOneCoordinateRule`` pins where a spec with no coordinates fires,
+kind by kind, on the same three entries: an unset ``segment`` is
+segment 0 at every site, an unset ``chunk`` / ``batch`` means any.
 """
 
 from __future__ import annotations
@@ -223,3 +227,62 @@ class TestSameSourceSameAnswer:
         assert report.final_epoch == streamed.final_epoch
         assert len(report.update_latencies_s) == len(schedule)
         assert np.array_equal(again.match, after)
+
+
+#: Per kind: a spec with no coordinates, the overlay its site needs, the
+#: ``report.fault`` counter it moves and how far on a four-segment
+#: stream (per entry where they differ).  Chunk specs fire at every
+#: chunk of segment 0's run (four 250-packet chunks), update specs at
+#: both batches of segment 0, the ingest spec at the pull of segment 0,
+#: the arena spec at segment 0's forked dispatch, and a stage spec at
+#: segment 0 of the graph's classify stage — engine sites never select
+#: it.
+CHUNKED = {"chunk_size": 250, "min_chunk_packets": 0}
+COORDINATE_RULE = {
+    "crash": ({"kind": "crash"}, CHUNKED, "chunk_errors", 4),
+    "error": ({"kind": "error"}, CHUNKED, "chunk_errors", 4),
+    "hang": (
+        {"kind": "hang", "seconds": 0.05},
+        {**CHUNKED, "chunk_timeout_s": 0.01}, "timeouts", 4,
+    ),
+    "arena": (
+        {"kind": "arena"},
+        {**CHUNKED, "shards": 2, "shard_mode": "processes"},
+        "arena_faults", 1,
+    ),
+    "update": ({"kind": "update"}, {"updatable": True}, "update_retries", 2),
+    "ingest": ({"kind": "ingest"}, {}, "ingest_retries", 1),
+    "stage": (
+        {"kind": "error", "stage": "classify"}, {}, "retries",
+        {"session": 0, "graph": 1, "tenant": 0},
+    ),
+}
+#: Update batches at these packets: two in segment 0, one in each other.
+UPDATE_AT = (100, 600, 1500, 2500, 3500)
+
+
+@pytest.mark.parametrize("kind", ENTRIES)
+class TestOneCoordinateRule:
+    @pytest.mark.parametrize("fault", COORDINATE_RULE)
+    def test_a_spec_without_coordinates_fires_where_the_rule_says(
+        self, acl_small, kind, fault
+    ):
+        spec, overlay, counter, fired = COORDINATE_RULE[fault]
+        trace = generate_zipf_trace(
+            acl_small, 4 * SEGMENT, n_flows=256, skew=1.0, seed=12
+        )
+        updates = None
+        if fault == "update":
+            batches = churn_schedule(acl_small, 10, 4 * SEGMENT, seed=5)
+            updates = [
+                ScheduledUpdate(at, b.batch)
+                for at, b in zip(UPDATE_AT, batches)
+            ]
+        with serving(
+            kind, acl_small, fault_policy="retry", **overlay
+        ) as serve:
+            report = serve(trace, updates=updates, faults=[spec])
+        if isinstance(fired, dict):
+            fired = fired[kind]
+        assert getattr(report.fault, counter) == fired
+        assert report.n_packets == trace.n_packets
