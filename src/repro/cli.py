@@ -59,7 +59,7 @@ from .core.errors import ConfigError, ReproError
 from .core.packet import PacketTrace
 from .core.ruleset import RuleSet
 from .core.spec import Spec, field, read_json
-from .energy import CacheEnergyModel, UpdateCostModel, asic_model, fpga_model, ops_delta
+from .energy import CacheEnergyModel, UpdateCostModel, ops_delta
 from .engine import CachedClassifier, available_backends, backend_spec
 from .engine.registry import registered_aliases
 from .hw import build_memory_image, figure5_trace
@@ -230,19 +230,6 @@ def cmd_classify(args) -> int:
     trace = _load_or_generate_trace(args, rs, config.on_malformed)
     with _open_engine(rs, config) as engine:
         clf = engine.classifier
-        if hasattr(clf, "run_trace"):  # the accelerator: full cost model
-            run = clf.run_trace(trace)
-            asic, fpga = asic_model(), fpga_model()
-            a, f = asic.evaluate(run), fpga.evaluate(run)
-            matched = int((run.match >= 0).sum())
-            print(f"classified {trace.n_packets} packets, {matched} matched")
-            print(f"mean occupancy: {run.mean_occupancy():.3f} cycles/packet")
-            print(f"worst-case latency: {run.worst_latency()} cycles")
-            print(f"ASIC 226MHz: {a.throughput_pps / 1e6:8.1f} Mpps, "
-                  f"{a.energy_per_packet_norm_j:.3E} J/packet")
-            print(f"FPGA  77MHz: {f.throughput_pps / 1e6:8.1f} Mpps, "
-                  f"{f.energy_per_packet_norm_j:.3E} J/packet")
-            return 0
         report = engine.classify(trace)
         print(f"classified {report.n_packets} packets, "
               f"{report.matched} matched")
@@ -255,7 +242,25 @@ def cmd_classify(args) -> int:
                 clf, report.cache_hits, report.cache_misses,
                 report.cache_evictions,
             )
+        _print_occupancy(report)
     return 0
+
+
+def _print_occupancy(report) -> None:
+    """A backend that models occupancy: its mean and worst-case cycles
+    per packet, and the device the report's ``energy_model`` evaluated
+    (nothing under ``"none"``)."""
+    mo = report.mean_occupancy()
+    if mo is None:
+        return
+    print(f"mean occupancy: {mo:.3f} cycles/packet")
+    print(f"worst-case latency: {int(report.occupancy.max()) + 1} cycles")
+    if report.device_throughput_pps is not None:
+        label = (
+            "ASIC 226MHz" if report.energy_model == "asic" else "FPGA  77MHz"
+        )
+        print(f"{label}: {report.device_throughput_pps / 1e6:8.1f} Mpps, "
+              f"{report.energy_per_packet_j:.3E} J/packet")
 
 
 def _parse_update_mix(mix: str) -> float:
@@ -336,7 +341,7 @@ def cmd_bench(args) -> int:
     fault_plan = FaultPlan.coerce(args.faults)
     rs = _load_or_generate(args)
     trace = _load_or_generate_trace(args, rs, config.on_malformed)
-    shards, chunk_size = config.shards, config.chunk_size
+    shards = config.shards
     if args.updates and shards > 1 and config.shard_mode != "threads":
         print("note: a run (or streamed segment) that carries updates is "
               "served in-process on one shard; only update-free ones fork",
@@ -351,11 +356,7 @@ def cmd_bench(args) -> int:
     with _open_engine(rs, config) as engine:
         clf = engine.classifier
         if args.stream and shards > 1:
-            # Planned on the segment's chunk count too: a single-chunk
-            # segment serves on one shard in every mode.
-            plan = engine.pipeline.plan(
-                -(-args.stream // chunk_size), packets=args.stream
-            )
+            plan = engine.pipeline.plan(args.stream)
             if plan.workers < 2:
                 print(
                     f"warning: --stream {args.stream} segments serve on "
@@ -407,13 +408,7 @@ def cmd_bench(args) -> int:
                       f"hit rate {100 * d['hit_rate']:.1f}% "
                       f"({d['hits']}/{d['hits'] + d['misses']}), "
                       f"{d['evictions']} evictions")
-    mo = res.mean_occupancy()
-    if mo is not None and res.device_throughput_pps is not None:
-        # The report evaluates the device --energy-model selects.
-        label = "ASIC 226MHz" if res.energy_model == "asic" else "FPGA  77MHz"
-        print(f"mean occupancy: {mo:.3f} cycles/packet")
-        print(f"{label}: {res.device_throughput_pps / 1e6:8.1f} Mpps, "
-              f"{res.energy_per_packet_j:.3E} J/packet")
+    _print_occupancy(res)
     return 0
 
 

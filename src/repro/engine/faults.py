@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.errors import (
     ChunkTimeoutError,
@@ -118,7 +118,8 @@ class FaultSpec(Spec):
     ``shard``), the update site (batch ordinal), the ingest site and a
     stage (the segment they pull or serve).  A streamed session settles
     the segment of a pipeline run's sites (chunk, arena, update) with
-    :meth:`FaultPlan.for_segment`; a one-shot run takes its plan whole.
+    :meth:`FaultPlan.for_segment`, which rebases them to the run's own
+    segment 0; a one-shot run is segment 0.
     """
 
     kind: str = field(choices=FAULT_KINDS)
@@ -201,11 +202,14 @@ class FaultPlan(Spec):
     def for_segment(self, segment: int) -> "FaultPlan | None":
         """The sub-plan of the pipeline run serving stream segment
         ``segment``: the specs of its sites (:data:`RUN_SITES`) the
-        coordinate rule points at that segment.  Ingest and stage specs
-        stay with the session and the graph, which query the whole plan.
+        coordinate rule points at that segment, rebased to segment 0 —
+        the run's sites select with ``segment=0``, the one segment a
+        run serves, the way a segment's updates are rebased to its
+        first packet.  Ingest and stage specs stay with the session and
+        the graph, which query the whole plan.
         """
         specs = tuple(
-            s
+            replace(s, segment=0)
             for s in self.specs
             if s.site in RUN_SITES and s.selects(segment=segment)
         )

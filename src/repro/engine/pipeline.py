@@ -19,13 +19,16 @@ on or merges rather than re-boxes:
   benchmark suite can track the serving path.
 
 **One plan, one owner per shard.**  :meth:`ClassificationPipeline.plan`
-decides a run's tier and worker count (a :class:`ShardPlan`, which
-carries the ``reason`` for the choice); chunk ``i`` belongs to shard
-``i % workers`` in every tier, and each shard has one long-lived owner
-that serves its chunks in order — so per-chunk cache counters,
-``ChunkStats.shard`` and the modelled cycles/energy are a function of
-the plan, never of scheduling.  The two tiers differ in who the owner
-is and how bytes reach it:
+is the one question about a run of ``n`` packets: it decides the tier,
+the shard owners and the chunk grid together (a :class:`ShardPlan`,
+with the ``reason`` for the tier); ``run()`` serves exactly that, and
+every other caller (the tenancy lease, the CLI) asks it with the
+packets it will serve.  Chunk ``i`` belongs to shard ``i % workers``
+in every tier, and each shard has one long-lived owner that serves its
+chunks in order — so per-chunk cache counters, ``ChunkStats.shard`` and
+the modelled cycles/energy are a function of the plan, never of
+scheduling.  The two tiers differ in who the owner is and how bytes
+reach it:
 
 * ``inline`` — the calling thread serves every chunk, in order: one
   chunk, ``shards=1``, a run that carries updates, no ``fork`` on the
@@ -103,7 +106,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -144,12 +147,13 @@ _ARENA_ATTACH: dict = {"names": None, "segs": ()}
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """Who serves a run: the worker tier and how many shard owners it
-    engages.  Chunk ``i`` belongs to shard ``i % workers`` on every
-    tier."""
+    """How a run is served: the worker tier, how many shard owners it
+    engages and the chunk grid they serve.  Chunk ``i`` (packets
+    ``bounds[i]``) belongs to shard ``i % workers`` on every tier."""
 
     tier: str
     workers: int
+    bounds: tuple[tuple[int, int], ...]
     #: Why :meth:`ClassificationPipeline.plan` chose the tier.
     reason: str = field(default="", compare=False)
 
@@ -177,7 +181,7 @@ class _Run:
     end up serving it."""
 
     headers: np.ndarray
-    bounds: list[tuple[int, int]]
+    bounds: tuple[tuple[int, int], ...]
     entries: list[_ScheduledEntry]
     faults: FaultPlan | None
     #: Whether the classifier models occupancy (sizes the outputs).
@@ -211,10 +215,13 @@ class _Run:
     def chunk_faults(self, chunk: int, attempt: int, shard=None):
         """Injected worker-fault specs for one chunk on one dispatch
         attempt (resolved in the parent, shipped inside the task, so
-        workers need no shared plan state)."""
+        workers need no shared plan state).  A run serves one segment,
+        its segment 0."""
         if self.faults is None:
             return ()
-        return self.faults.due("chunk", attempt, chunk=chunk, shard=shard)
+        return self.faults.due(
+            "chunk", attempt, segment=0, chunk=chunk, shard=shard
+        )
 
 
 def _shard_main(conn, shard: int, classifier: Classifier) -> None:
@@ -395,7 +402,7 @@ class ClassificationPipeline:
 
     # -- the plan -------------------------------------------------------
     @staticmethod
-    @cache  # asked twice per run; the platform's answer never changes
+    @cache  # the platform's answer never changes
     def _fork_available() -> bool:
         try:
             import multiprocessing
@@ -404,44 +411,50 @@ class ClassificationPipeline:
         except ImportError:  # pragma: no cover - multiprocessing is stdlib
             return False
 
-    def plan(
-        self,
-        n_chunks: int | None = None,
-        tier: str | None = None,
-        packets: int | None = None,
-        updates: bool = False,
-    ) -> ShardPlan:
-        """The tier and worker count for a run of ``n_chunks`` chunks
-        (``None``: at least as many as shards — the question asked
-        before a trace exists, e.g. "would this pipeline fork?")
-        carrying ``packets`` packets (``None``: enough to be worth a
-        fork) and, with ``updates``, a rule-update stream.  ``tier``
-        overrides the choice (the ``degrade`` fallback) and only sizes
-        it.
-        """
-        chunks = self.shards if n_chunks is None else n_chunks
-        wanted = max(1, min(self.shards, chunks))
-        forked = min(wanted, native.host_cpus())
-        reason = "forced"
-        if tier is None:
-            tier, reason = self._choose_tier(wanted, forked, packets, updates)
-        if tier == "forked":
-            workers = forked
-        else:  # in-process shards, or the classifier alone
-            workers = wanted if self.shard_mode == "threads" else 1
-        return ShardPlan(tier, workers, reason)
+    def plan(self, packets: int, updates: bool = False) -> ShardPlan:
+        """How a run of ``packets`` packets (carrying a rule-update
+        stream iff ``updates``) is served: its tier, shard owners and
+        chunk grid.  The grid is cut for the owners the tier engages,
+        and a grid of one chunk is one shard's work in every mode.
 
-    def _choose_tier(
-        self, wanted: int, forked: int, packets: int | None, updates: bool
-    ) -> tuple[str, str]:
-        """``(tier, reason)`` for a run that could engage ``wanted``
-        shards, ``forked`` of them as processes on this host.  A run
-        with ``updates`` never forks (forked workers are a snapshot of
-        one epoch).  Otherwise ``"processes"`` forks whenever there is
-        more than one shard; ``"auto"`` not when clamping to CPUs leaves
-        one worker (a 1-worker fork pays IPC for zero parallelism), else
-        when ``packets`` fill one coalesced dispatch per worker."""
-        if wanted < 2:
+        The grid: ``chunk_size`` packets per chunk, coalesced up to
+        ``min_chunk_packets`` unless ``updates`` pin it (the chunk grid
+        is the epoch grid) but never past ``ceil(packets / owners)``,
+        so every owner gets a chunk; a final chunk shorter than
+        ``chunk_size / 4`` is folded into its predecessor (it would pay
+        full dispatch cost for a sliver of work)."""
+        tier, reason = self._choose_tier(packets, updates)
+        if tier == "forked":
+            owners = min(self.shards, native.host_cpus())
+        else:  # in-process shards, or the classifier alone
+            owners = self.shards if self.shard_mode == "threads" else 1
+        size = self.chunk_size
+        if self.min_chunk_packets and not updates:
+            size = max(size, min(self.min_chunk_packets, -(-packets // owners)))
+        bounds = [
+            (start, min(start + size, packets))
+            for start in range(0, packets, size)
+        ]
+        if (
+            len(bounds) > 1
+            and (bounds[-1][1] - bounds[-1][0]) * TAIL_MERGE_DIVISOR < size
+        ):
+            bounds[-2:] = [(bounds[-2][0], packets)]
+        if len(bounds) < 2:
+            tier, reason = "inline", "one shard"
+        return ShardPlan(
+            tier, min(owners, max(1, len(bounds))), tuple(bounds), reason
+        )
+
+    def _choose_tier(self, packets: int, updates: bool) -> tuple[str, str]:
+        """``(tier, reason)`` for a run of ``packets`` packets with
+        enough chunks for every shard.  A run with ``updates`` never
+        forks (forked workers are a snapshot of one epoch).  Otherwise
+        ``"processes"`` forks whenever there is more than one shard;
+        ``"auto"`` not when clamping to CPUs leaves one worker (a
+        1-worker fork pays IPC for zero parallelism), else when
+        ``packets`` fill one coalesced dispatch per worker."""
+        if self.shards < 2:
             return "inline", "one shard"
         if self.shard_mode == "threads":
             return "inline", "shard_mode=threads"
@@ -451,13 +464,9 @@ class ClassificationPipeline:
             return "inline", "no fork on this platform"
         if self.shard_mode == "processes":
             return "forked", "shard_mode=processes"
-        if forked < 2:
-            return "inline", "auto: one CPU"
-        if packets is None:
-            return "forked", f"auto: {forked} workers"
-        # Clamped shards, not chunks: the rule must read the same
-        # before the grid is cut and after.
         workers = min(self.shards, native.host_cpus())
+        if workers < 2:
+            return "inline", "auto: one CPU"
         dispatch = max(self.chunk_size, self.min_chunk_packets)
         if packets < workers * dispatch:
             return "inline", (
@@ -536,7 +545,8 @@ class ClassificationPipeline:
             # copy-on-write instead of each rebuilding them.
             warm_batch_state(self.classifier, ndim)
             self._workers = ShardWorkers(
-                self.plan().workers, _shard_main, self.classifier
+                min(self.shards, native.host_cpus()), _shard_main,
+                self.classifier,
             )
         return self._workers
 
@@ -596,55 +606,18 @@ class ClassificationPipeline:
         fence = (self._arena_generation, int(headers.sum(dtype=np.uint64)))
         ctl = np.ndarray((2,), np.uint64, buffer=segs[3].buf)
         ctl[0], ctl[1] = fence
-        if run.faults is not None and run.faults.due("arena", attempt):
+        if run.faults is not None and run.faults.due(
+            "arena", attempt, segment=0
+        ):
             # Injected corruption: flip checksum bits *after* sealing —
             # to the workers' fence check this is exactly what a torn
             # or stale arena write looks like.
             ctl[1] ^= np.uint64(0xDEAD)
         return arena["names"], headers.shape, str(headers.dtype), fence
 
-    # -- the chunk grid -------------------------------------------------
-    def _chunk_bounds(
-        self, n: int, chunk_size: int | None = None
-    ) -> list[tuple[int, int]]:
-        """Chunk grid over ``n`` packets, with the tiny-tail merge: a
-        final chunk shorter than ``chunk_size / 4`` is folded into its
-        predecessor (it would pay full dispatch cost for a sliver of
-        work)."""
-        size = self.chunk_size if chunk_size is None else chunk_size
-        bounds = [
-            (start, min(start + size, n)) for start in range(0, n, size)
-        ]
-        if (
-            len(bounds) > 1
-            and (bounds[-1][1] - bounds[-1][0]) * TAIL_MERGE_DIVISOR < size
-        ):
-            _, end = bounds.pop()
-            bounds[-1] = (bounds[-1][0], end)
-        return bounds
-
-    def _effective_chunk_size(
-        self, has_updates: bool, n: int, workers: int
-    ) -> int:
-        """The dispatch granularity for one run: coalesced up to
-        ``min_chunk_packets`` unless an update stream pins the epoch
-        grid to the configured ``chunk_size``.  Coalescing is
-        worker-aware: with more than one worker the coalesced size is
-        capped at ``ceil(n / workers)`` (never below ``chunk_size``),
-        so every worker gets a chunk instead of one or two dispatches
-        serving the whole trace while the rest idle.
-        """
-        if has_updates or not self.min_chunk_packets:
-            return self.chunk_size
-        size = max(self.chunk_size, self.min_chunk_packets)
-        if n and workers > 1:
-            per_worker = -(-n // workers)
-            size = max(self.chunk_size, min(size, per_worker))
-        return size
-
     # -- update-stream plumbing -----------------------------------------
     def _normalise_updates(
-        self, updates, bounds: list[tuple[int, int]]
+        self, updates, bounds: tuple[tuple[int, int], ...]
     ) -> list[_ScheduledEntry]:
         """Sort and chunk-align an update stream.
 
@@ -670,7 +643,8 @@ class ClassificationPipeline:
 
         def step(attempt: int) -> None:
             if run.faults is not None:
-                fire(run.faults.due("update", attempt, batch=ordinal),
+                fire(run.faults.due("update", attempt, segment=0,
+                                    batch=ordinal),
                      "update", ordinal)
             t0 = time.perf_counter()
             result = self.classifier.apply_updates(entry.batch)
@@ -714,7 +688,10 @@ class ClassificationPipeline:
                     f"forked->inline:{type(exc.cause).__name__}"
                 )
                 run.report.replays += len(run.bounds)
-                plan = self.plan(len(run.bounds), tier="inline")
+                plan = replace(
+                    plan, tier="inline", workers=1,
+                    reason="fault_policy=degrade",
+                )
                 run.report.recovery_s.append(time.perf_counter() - detected)
         self._run_inline(plan, run)
         return plan
@@ -737,16 +714,10 @@ class ClassificationPipeline:
         headers = trace.headers
         n = headers.shape[0]
         self._sync_owners()
-        # The tier follows from ``n``: cut the grid for the workers it
-        # engages, then size the plan to the chunks.
-        pinned = bool(updates)
-        sizing = self.plan(packets=n, updates=pinned)
-        bounds = self._chunk_bounds(
-            n, self._effective_chunk_size(pinned, n, sizing.workers)
-        )
-        plan = self.plan(len(bounds), packets=n, updates=pinned)
+        plan = self.plan(n, updates=bool(updates))
         run = _Run(
-            headers, bounds, self._normalise_updates(updates, bounds),
+            headers, plan.bounds,
+            self._normalise_updates(updates, plan.bounds),
             FaultPlan.coerce(faults), models_occupancy(self.classifier),
         )
         # Epochs are reported only for genuinely updatable backends —

@@ -29,8 +29,9 @@ segment runs, never *how*.
 shared resource (processes, shared-memory arenas).  The engine holds a
 single pool lease: at most one tenant's workers are alive at any
 moment, handed over (previous holder torn down) when the scheduler
-switches to another tenant whose plan forks.  N tenants never multiply the
-process's worker footprint.
+admits another tenant's segment whose plan forks (the plan of the
+segment about to be served).  N tenants never multiply the process's
+worker footprint.
 
 **Weighted-fair admission.**  Interleaving is deficit round-robin over
 the tenants' segment streams: each scheduling round credits every
@@ -146,9 +147,11 @@ class _PoolLease:
     """The one-tenant's-workers-alive invariant, as an object.
 
     A forking pipeline holds its workers between runs, so a tenant
-    whose plan forks must ``admit`` through the lease before running;
-    admitting a different tenant tears the previous holder's workers
-    down first: at most one set (workers + arena) exists at any moment.
+    whose next segment's plan forks must ``admit`` through the lease
+    before running it; admitting a different tenant tears the previous
+    holder's workers down first: at most one set (workers + arena)
+    exists at any moment.  A segment that plans inline leaves the lease
+    (and whoever holds it) alone.
     """
 
     def __init__(self) -> None:
@@ -158,8 +161,10 @@ class _PoolLease:
     def holder(self) -> str | None:
         return self._holder[0] if self._holder is not None else None
 
-    def admit(self, name: str, pipeline: ClassificationPipeline) -> None:
-        if not pipeline.plan().forks:
+    def admit(
+        self, name: str, pipeline: ClassificationPipeline, packets: int
+    ) -> None:
+        if not pipeline.plan(packets).forks:
             return
         if self._holder is not None and self._holder[0] != name:
             self._holder[1].close()
@@ -402,7 +407,9 @@ class MultiTenantEngine:
         timer and fault containment."""
         if st.head is not None:
             # (The tail flush is an empty-trace run: it never forks.)
-            self._lease.admit(st.name, st.engine.pipeline)
+            self._lease.admit(
+                st.name, st.engine.pipeline, st.head.n_packets
+            )
         started = time.perf_counter()
         try:
             chunk = next(st.stream, None)

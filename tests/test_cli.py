@@ -63,6 +63,29 @@ class TestClassify:
         assert "Mpps" in out
         assert "mean occupancy" in out
 
+    def test_classify_energy_model_selects_device(self, capsys):
+        common = [
+            "classify", "--family", "acl1", "--rules", "120", "--seed", "3",
+            "--packets", "500", "--algorithm", "hypercuts",
+        ]
+        assert main([*common, "--energy-model", "fpga"]) == 0
+        out = capsys.readouterr().out
+        assert "FPGA" in out and "ASIC" not in out
+        assert main([*common, "--energy-model", "none"]) == 0
+        out = capsys.readouterr().out
+        assert "FPGA" not in out and "ASIC" not in out
+        assert "mean occupancy" in out and "worst-case latency" in out
+
+    def test_classify_cached_accelerator_reports_occupancy(self, capsys):
+        rc = main([
+            "classify", "--family", "acl1", "--rules", "120", "--seed", "3",
+            "--packets", "500", "--cache-entries", "256",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "flow cache: 256 entries" in out
+        assert "mean occupancy" in out and "ASIC 226MHz" in out
+
     def test_classify_software(self, capsys):
         rc = main([
             "classify", "--family", "acl1", "--rules", "120",
@@ -135,27 +158,36 @@ class TestBench:
         assert "classified 4000 packets" in out
 
     @pytest.mark.parametrize(
-        ("stream", "warns"), [(16384, True), (262144, False)]
+        ("mode", "stream", "reason"),
+        [
+            # One coalesced dispatch (auto inline) is one chunk.
+            ("auto", 16384, "(one shard)"),
+            ("auto", 100_000, "100000 packets < 2 workers x 65536"),
+            ("auto", 262144, None),
+            # The 904-packet tail merges into the one 4096-packet chunk.
+            ("processes", 5000, "(one shard)"),
+        ],
     )
     def test_bench_stream_warns_when_segments_cannot_fork(
-        self, stream, warns, capsys, monkeypatch
+        self, mode, stream, reason, capsys, monkeypatch
     ):
-        """The warning asks the pipeline's own plan: under the engine
-        defaults two workers fork from 2 x 65536 packets, so 16384-packet
-        segments (four full chunks each) still serve on one shard."""
+        """The warning asks the plan a segment's run serves: under the
+        engine defaults two workers fork from 2 x 65536 packets, and a
+        segment the grid leaves one chunk serves on one shard in every
+        mode."""
         from repro.algorithms import native
 
         monkeypatch.setattr(native, "host_cpus", lambda: 2)
         rc = main([
             "bench", "--family", "acl1", "--rules", "120", "--seed", "3",
             "--packets", "1000", "--algorithm", "tss", "--shards", "2",
-            "--stream", str(stream),
+            "--shard-mode", mode, "--stream", str(stream),
         ])
         assert rc == 0
         err = capsys.readouterr().err
-        assert ("segments serve on one shard" in err) == warns
-        if warns:
-            assert "16384 packets < 2 workers x 65536" in err
+        assert ("segments serve on one shard" in err) == (reason is not None)
+        if reason is not None:
+            assert reason in err
 
     def test_bench_energy_model_selects_device(self, capsys):
         common = [

@@ -389,19 +389,23 @@ class TestChunkBounds:
 
     def test_tail_merge_grid(self, acc_small):
         p = ClassificationPipeline(acc_small, chunk_size=1000)
+
+        def grid(n):
+            return list(p.plan(n).bounds)
+
         # Tail of 100 (< 1000/4) folds into the previous chunk...
-        assert p._chunk_bounds(2100) == [(0, 1000), (1000, 2100)]
+        assert grid(2100) == [(0, 1000), (1000, 2100)]
         # ...a tail of exactly a quarter stays its own chunk...
-        assert p._chunk_bounds(2250) == [
+        assert grid(2250) == [
             (0, 1000), (1000, 2000), (2000, 2250),
         ]
         # ...and exact multiples are untouched.
-        assert p._chunk_bounds(3000) == [
+        assert grid(3000) == [
             (0, 1000), (1000, 2000), (2000, 3000),
         ]
         # A single short chunk never merges (there is no predecessor).
-        assert p._chunk_bounds(10) == [(0, 10)]
-        assert p._chunk_bounds(0) == []
+        assert grid(10) == [(0, 10)]
+        assert grid(0) == []
 
     def test_tail_merge_serves_identically(self, acc_small, acl_small_trace):
         # 2000 packets, chunk 950 -> 950/950/100; the 100-packet tail
@@ -441,6 +445,44 @@ class TestChunkBounds:
 
 
 class TestShardModes:
+    @pytest.mark.parametrize("updates", [False, True], ids=["static", "updates"])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("mode", ["auto", "processes", "threads"])
+    def test_run_serves_exactly_its_plan(
+        self, mode, cpus, updates, acl_small, acl_small_trace, monkeypatch
+    ):
+        """``run(trace)`` serves the plan ``plan(n, updates)`` answers:
+        as many shards as its workers, its chunk grid, each chunk on
+        ``plan.shard_of`` its index, and held workers iff it forks.  The
+        sizes straddle the tail merge (1249 vs 1250 packets at
+        ``chunk_size=1000``), auto's fork threshold (2 workers x 4000
+        coalesced packets, +-1) and a 1M-packet run."""
+        from repro.algorithms import native
+
+        monkeypatch.setattr(native, "host_cpus", lambda: cpus)
+        headers = np.resize(
+            acl_small_trace.headers, (1_000_000, acl_small_trace.headers.shape[1])
+        )
+        with ClassificationPipeline(
+            build_updatable_backend("incremental", acl_small),
+            chunk_size=1000, shards=2, shard_mode=mode,
+            min_chunk_packets=4000,
+        ) as pipeline:
+            for n in (1249, 1250, 7999, 8000, 8001, 1_000_000):
+                plan = pipeline.plan(n, updates)
+                res = pipeline.run(
+                    PacketTrace(headers[:n], acl_small_trace.schema),
+                    updates=[ScheduledUpdate(n // 2, ())] if updates else None,
+                )
+                assert res.n_shards == plan.workers
+                assert [(c.start, c.start + c.n_packets) for c in res.chunks] == (
+                    list(plan.bounds)
+                )
+                assert [c.shard for c in res.chunks] == [
+                    plan.shard_of(c.index) for c in res.chunks
+                ]
+                assert pipeline.workers_alive == plan.forks
+
     @pytest.mark.parametrize("shards", [2, 4])
     def test_threads_mode_matches_single_shot(
         self, acc_small, acl_small_trace, shards
@@ -553,7 +595,7 @@ class TestShardModes:
         assert np.array_equal(
             res.match, acc_small.classify_trace(acl_small_trace)
         )
-        assert pipeline.plan().forks == can_win
+        assert pipeline.plan(acl_small_trace.n_packets).forks == can_win
 
     def test_auto_plans_inline_under_a_one_cpu_affinity_mask(
         self, acc_small, monkeypatch
@@ -575,7 +617,7 @@ class TestShardModes:
             )
             if not pipeline._fork_available():  # pragma: no cover
                 pytest.skip("fork multiprocessing unavailable")
-            plan = pipeline.plan(n_chunks=16, packets=1_000_000)
+            plan = pipeline.plan(1_000_000)
             assert (plan.tier, plan.workers) == ("inline", 1)
             assert "one CPU" in plan.reason
         finally:
@@ -625,14 +667,13 @@ class TestShardModes:
         )
         if not pipeline._fork_available():  # pragma: no cover
             pytest.skip("fork multiprocessing unavailable")
-        plan = pipeline.plan(
-            n_chunks=16, packets=packets, updates=bool(updates)
-        )
+        plan = pipeline.plan(packets, updates=bool(updates))
         assert (plan.tier, plan.workers) == (tier, workers)
         assert reason in plan.reason
         assert plan.forks == (tier == "forked")
-        # A single chunk is one shard's work on every mode.
-        assert pipeline.plan(n_chunks=1, packets=packets).tier == "inline"
+        # A single chunk is one shard's work on every mode: 5119 packets
+        # are one chunk once the 1023-packet tail merges.
+        assert pipeline.plan(5119).tier == "inline"
 
     def test_auto_never_forks_a_run_below_its_threshold(
         self, acc_small, acl_small_trace, monkeypatch
@@ -697,4 +738,4 @@ class TestShardModes:
         )
         if not pipeline._fork_available():  # pragma: no cover
             pytest.skip("fork multiprocessing unavailable")
-        assert pipeline.plan().forks
+        assert pipeline.plan(acl_small_trace.n_packets).forks

@@ -187,7 +187,8 @@ class TestForkTierFaults:
                 print(json.dumps({
                     "cause": type(exc.cause).__name__, "tier": exc.tier,
                     "shard": exc.shard, "chunk": exc.chunk,
-                    "exit": exc.cause.cause, "workers": pipe.plan().workers,
+                    "exit": exc.cause.cause,
+                    "workers": pipe.plan(trace.n_packets).workers,
                     "seconds": time.monotonic() - started,
                 }))
         """)

@@ -220,7 +220,7 @@ class TestThreadsEndWithTheCall:
             clf, chunk_size=500, shards=2, shard_mode="processes"
         ) as pipeline:
             forked = pipeline.run(acl_small_trace)
-            assert pipeline.plan(4).forks
+            assert pipeline.plan(acl_small_trace.n_packets).forks
         assert np.array_equal(inline.match, forked.match)
         assert np.array_equal(inline.occupancy, forked.occupancy)
 
@@ -234,5 +234,5 @@ class TestThreadsEndWithTheCall:
             clf, chunk_size=250, shards=2, shard_mode="processes"
         ) as pipeline:
             forked = pipeline.run(trace)
-            assert pipeline.plan(4).forks
+            assert pipeline.plan(trace.n_packets).forks
         assert set(forked.match.tolist()) == {1}

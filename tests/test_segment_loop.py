@@ -25,7 +25,12 @@ import contextlib
 import numpy as np
 import pytest
 
-from repro.classbench import churn_schedule, generate_zipf_trace
+from repro.classbench import (
+    churn_schedule,
+    generate_ruleset,
+    generate_trace,
+    generate_zipf_trace,
+)
 from repro.core.errors import IngestError, ServingFaultError
 from repro.core.updates import ScheduledUpdate
 from repro.serve import (
@@ -286,3 +291,27 @@ class TestOneCoordinateRule:
             fired = fired[kind]
         assert getattr(report.fault, counter) == fired
         assert report.n_packets == trace.n_packets
+
+
+@pytest.mark.parametrize(
+    ("segment", "one_shot", "streamed"), [(0, 4, 1), (2, 0, 1)]
+)
+def test_a_one_shot_run_is_segment_0(segment, one_shot, streamed):
+    """``classify`` serves one segment, segment 0: a chunk spec aimed at
+    a later segment never fires there, while the stream serves it at
+    that segment's one chunk.  Aimed at segment 0 it fires at each of
+    the one-shot run's four chunks, and at the stream's first."""
+    ruleset = generate_ruleset("acl1", 100, seed=7)
+    trace = generate_trace(ruleset, 4000, seed=8)
+    config = EngineConfig(
+        chunk_size=1000, min_chunk_packets=0, fault_policy="retry"
+    )
+    faults = [{"kind": "error", "segment": segment}]
+    with Engine.open(config, ruleset) as engine:
+        whole = engine.classify(trace, faults=faults)
+        stream = engine.classify_stream(
+            trace, segment_packets=1000, faults=faults
+        )
+    assert whole.fault.chunk_errors == one_shot
+    assert stream.fault.chunk_errors == streamed
+    assert np.array_equal(whole.match, stream.match)

@@ -277,7 +277,7 @@ class TestStreamWithUpdates:
         with Engine.open(config, acl_small) as engine:
             if not engine.pipeline._fork_available():  # pragma: no cover
                 pytest.skip("fork multiprocessing unavailable")
-            forked = engine.pipeline.plan().workers
+            forked = engine.pipeline.plan(384).workers
             for chunk in engine.stream(
                 acl_small_trace, churn, segment_packets=384
             ):
@@ -469,7 +469,7 @@ class TestSessionLifecycle:
                 assert threading.active_count() == before
                 if chunk.n_packets:
                     assert len(pulls) == chunk.index + 1
-            assert engine.pipeline.plan().workers == shards
+            assert engine.pipeline.plan(512).workers == shards
         assert threading.active_count() == before
         assert len(pulls) == 4 and set(pulls) == {me}
         assert len(recorder.threads) >= 4 * shards
@@ -594,7 +594,9 @@ class TestSessionLifecycle:
         with Engine.open(config, acl_small) as engine:
             want = engine.classify(acl_small_trace).match
             pids = worker_pids(engine)
-            assert len(pids) == engine.pipeline.plan().workers
+            assert len(pids) == engine.pipeline.plan(
+                acl_small_trace.n_packets
+            ).workers
             chunks = list(engine.stream(acl_small_trace, segment_packets=512))
             assert worker_pids(engine) == pids
             got = np.concatenate([c.match for c in chunks])

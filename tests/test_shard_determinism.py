@@ -71,10 +71,7 @@ def _serve_three_times(tier, shards, with_updates, ruleset, trace):
                 trace,
                 updates=_update_schedule(ruleset) if with_updates else None,
             )
-            plan = pipeline.plan(
-                len(result.chunks), packets=trace.n_packets,
-                updates=with_updates,
-            )
+            plan = pipeline.plan(trace.n_packets, updates=with_updates)
             runs.append((
                 [
                     (c.shard, c.cache_hits, c.cache_misses,

@@ -213,7 +213,7 @@ class _FakePipeline:
         self._plans_fork = plans_fork
         self.closed = 0
 
-    def plan(self):
+    def plan(self, packets, updates=False):
         return SimpleNamespace(forks=self._plans_fork)
 
     def close(self):
@@ -224,11 +224,11 @@ class TestPoolLease:
     def test_at_most_one_holder_with_handover(self):
         lease = _PoolLease()
         a, b = _FakePipeline(), _FakePipeline()
-        lease.admit("a", a)
+        lease.admit("a", a, 512)
         assert lease.holder == "a"
-        lease.admit("a", a)
+        lease.admit("a", a, 512)
         assert (lease.holder, a.closed) == ("a", 0)
-        lease.admit("b", b)  # handover tears the previous pool down
+        lease.admit("b", b, 512)  # handover tears the previous pool down
         assert (lease.holder, a.closed, b.closed) == ("b", 1, 0)
         lease.release("a")  # not the holder: no-op
         assert lease.holder == "b"
@@ -237,14 +237,14 @@ class TestPoolLease:
 
     def test_non_forking_plans_never_take_the_lease(self):
         lease = _PoolLease()
-        lease.admit("a", _FakePipeline(plans_fork=False))
+        lease.admit("a", _FakePipeline(plans_fork=False), 512)
         assert lease.holder is None
         lease.close()
 
     def test_close_drops_the_holder(self):
         lease = _PoolLease()
         p = _FakePipeline()
-        lease.admit("a", p)
+        lease.admit("a", p, 512)
         lease.close()
         assert (lease.holder, p.closed) == (None, 1)
 
@@ -270,6 +270,48 @@ class TestPoolLease:
                 ]
                 assert engaged == [name] == [mte.pool_holder]
         assert not any(mte.engine(t).pool_engaged for t in mte.names)
+        for name in workloads:
+            assert np.array_equal(np.concatenate(got[name]), want[name])
+
+
+    def test_an_inline_tenant_leaves_the_holder_its_workers(
+        self, monkeypatch
+    ):
+        """The lease asks the plan of the segment it admits.  On two
+        CPUs an ``auto`` tenant's 512-packet segments plan inline (below
+        2 x 4096 packets), so its turns never take the lease: the
+        forking tenant keeps the lease and the same held workers from
+        its first segment to its last."""
+        from repro.algorithms import native
+
+        monkeypatch.setattr(native, "host_cpus", lambda: 2)
+        base = dict(backend="linear", chunk_size=256, shards=2)
+        configs = {
+            "fork": EngineConfig(
+                **base, shard_mode="processes", min_chunk_packets=0
+            ),
+            "inline": EngineConfig(
+                **base, shard_mode="auto", min_chunk_packets=4096
+            ),
+        }
+        tenants, workloads = [], {}
+        for i, (name, config) in enumerate(configs.items()):
+            ruleset = generate_ruleset("acl1", 80, seed=301 + i)
+            tenants.append((TenantSpec(name, config), ruleset))
+            workloads[name] = generate_trace(ruleset, 2048, seed=401 + i)
+        want = isolated_matches(tenants, workloads)
+        got = {name: [] for name in workloads}
+        pids = set()
+        with MultiTenantEngine.open(tenants) as mte:
+            if not mte.engine("fork").pipeline._fork_available():
+                pytest.skip("fork multiprocessing unavailable")
+            for name, chunk in mte.stream(workloads, segment_packets=512):
+                got[name].append(chunk.match)
+                assert mte.pool_holder == "fork"
+                assert not mte.engine("inline").pool_engaged
+                workers = mte.engine("fork").pipeline._workers
+                pids.add(tuple(proc.pid for proc in workers.procs))
+        assert len(got["inline"]) == 4 and len(pids) == 1
         for name in workloads:
             assert np.array_equal(np.concatenate(got[name]), want[name])
 
