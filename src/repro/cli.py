@@ -26,13 +26,18 @@ Subcommands mirror a hardware bring-up flow:
 * ``tables`` — regenerate the paper's tables (wraps run_all);
 * ``fsm`` — print a Figure-5 style cycle trace for a few packets.
 
-``classify`` and ``bench`` are thin shells over the declarative serving
-API: their :class:`~repro.serve.EngineConfig` flags are generated from
-the config's field declarations (``EngineConfig.add_arguments``), the
-namespace maps back onto a config via ``EngineConfig.from_args`` (and
-forth via ``to_args`` — the config test suite pins the round trip), and
-all backend construction, cache wrapping and pool lifecycle belongs to
-:class:`~repro.serve.Engine`.
+Every flag is generated from a field declaration: the workload flags
+from :class:`TenantEntry`, the one workload declaration (a ``serve
+--tenants`` entry's keys; :meth:`TenantEntry.ruleset` /
+:meth:`TenantEntry.trace` build flags and tenants files alike), the
+engine flags from :class:`~repro.serve.EngineConfig`
+(``EngineConfig.from_args`` maps them back onto a config; the config
+test suite pins the round trip).  :func:`render_report` is the one
+report renderer: ``classify``, ``bench``, ``serve`` and ``linecard``
+print their :class:`~repro.engine.report.EngineReport` through it, each
+section under the condition ``EngineReport.to_dict`` uses, and ``-o
+REPORT.json`` writes ``to_dict()``.  Backend construction, cache
+wrapping and pool lifecycle belong to :class:`~repro.serve.Engine`.
 
 ``--algorithm`` accepts every name in :mod:`repro.engine.registry`
 (``repro-classify classify --algorithm rfc ...``); ``build`` errors
@@ -42,6 +47,8 @@ cleanly for backends that do not construct a decision tree.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from dataclasses import dataclass
 
@@ -62,6 +69,7 @@ from .core.spec import Spec, field, read_json
 from .energy import CacheEnergyModel, UpdateCostModel, ops_delta
 from .engine import CachedClassifier, available_backends, backend_spec
 from .engine.registry import registered_aliases
+from .engine.report import EngineReport
 from .hw import build_memory_image, figure5_trace
 from .serve import (
     DEFAULT_SEGMENT_PACKETS,
@@ -72,7 +80,6 @@ from .serve import (
     QuarantineLog,
     TenantSpec,
     iter_trace_file,
-    iter_trace_segments,
 )
 from .sweeps import (
     TIERS,
@@ -101,36 +108,108 @@ _SERVING_FIELDS = (
 )
 
 
-def _load_or_generate(args) -> RuleSet:
-    if getattr(args, "ruleset_file", None):
-        return RuleSet.load(args.ruleset_file)
-    return generate_ruleset(args.family, args.rules, seed=args.seed)
+@dataclass(frozen=True)
+class TenantEntry(Spec):
+    """One object of a ``serve --tenants`` file: the tenant's name and
+    weight, an overlay of the base engine config, and its synthetic
+    workload — whose fields are also the workload flags of the other
+    subcommands, so a tenants file reads like N bench invocations.  In
+    a tenants file ``name`` defaults to ``tenant<i>`` and ``seed`` to a
+    per-index offset, so tenants get distinct rulesets and traces."""
 
+    name: str | None = None
+    weight: float = 1.0
+    config: dict = field(default_factory=dict)
+    family: str = field("acl1", choices=tuple(sorted(FAMILIES)))
+    rules: int = 500
+    seed: int | None = None
+    packets: int = 10000
+    zipf: float | None = field(
+        None, metavar="SKEW",
+        help="generate a Zipf(SKEW) flow-popularity trace instead of the "
+        "Pareto-burst one",
+    )
+    flows: int = field(
+        1024, help="distinct flows in the Zipf trace (with --zipf)"
+    )
 
-def _load_or_generate_trace(
-    args, ruleset: RuleSet, on_malformed: str = "raise"
-) -> PacketTrace:
-    if getattr(args, "trace_file", None):
-        quarantine = QuarantineLog()
-        blocks = [
-            segment.headers
-            for segment in iter_trace_file(
-                args.trace_file, ruleset.schema,
-                on_malformed=on_malformed, quarantine=quarantine,
-            )
-        ]
-        if quarantine:
-            print(f"quarantined: {quarantine.count} malformed trace lines")
-        if not blocks:
-            return PacketTrace.from_packets((), ruleset.schema)
-        return PacketTrace(np.concatenate(blocks), ruleset.schema)
-    zipf = getattr(args, "zipf", None)
-    if zipf is not None:
+    def ruleset(self) -> RuleSet:
+        """The declared ruleset (``seed`` set: a tenants file sets one
+        per index)."""
+        return generate_ruleset(self.family, self.rules, seed=self.seed)
+
+    def trace(self, ruleset: RuleSet) -> PacketTrace:
+        """``packets`` packets over ``ruleset``: Zipf(``zipf``) over
+        ``flows`` flows, or Pareto bursts when ``zipf`` is unset."""
+        if self.zipf is None:
+            return generate_trace(ruleset, self.packets, seed=self.seed + 1)
         return generate_zipf_trace(
-            ruleset, args.packets, n_flows=args.flows, skew=zipf,
-            seed=args.seed + 1,
+            ruleset, self.packets, n_flows=self.flows, skew=self.zipf,
+            seed=self.seed + 1,
         )
-    return generate_trace(ruleset, args.packets, seed=args.seed + 1)
+
+
+#: The workload flags' command-line defaults (a tenants file's entries
+#: keep ``TenantEntry``'s own; ``--packets`` is per subcommand).  The
+#: optional fields' flags name their value type.
+_WORKLOAD_FLAGS = {
+    "family": {"default": "acl1"},
+    "rules": {"default": 1000},
+    "seed": {"default": 7, "type": int},
+    "zipf": {"type": float},
+    "flows": {"default": 1024},
+}
+
+#: Flags more than one subcommand takes, declared once.
+_SHARED_FLAGS = {
+    "--ruleset-file": dict(help="load instead of generating"),
+    "--trace-file": dict(
+        metavar="FILE.txt",
+        help="ClassBench text trace to serve instead of a generated one "
+        "(malformed lines follow the on_malformed policy and are counted)",
+    ),
+    "--segment-packets": dict(
+        type=int, default=DEFAULT_SEGMENT_PACKETS, metavar="N",
+        help="packets per stream segment (serve interleaves tenants at "
+        "this grain)",
+    ),
+    "--faults": dict(
+        metavar="PLAN.json",
+        help="inject a deterministic fault plan (JSON written by "
+        "FaultPlan.save) into the first run; stage-targeted specs hit "
+        "the line card's stages",
+    ),
+    "-o --output": dict(
+        metavar="REPORT.json",
+        help="write the EngineReport (with any per-tenant or per-stage "
+        "telemetry) as JSON",
+    ),
+}
+
+
+def _ruleset(args) -> RuleSet:
+    """``--ruleset-file``, else the ruleset the workload flags declare."""
+    if args.ruleset_file:
+        return RuleSet.load(args.ruleset_file)
+    return TenantEntry.from_args(args).ruleset()
+
+
+def _trace(args, ruleset: RuleSet, on_malformed: str) -> tuple[PacketTrace, int]:
+    """``--trace-file`` read whole under ``on_malformed``, with the
+    number of lines it quarantined; else the declared trace."""
+    if not args.trace_file:
+        return TenantEntry.from_args(args).trace(ruleset), 0
+    quarantine = QuarantineLog()
+    blocks = [
+        segment.headers
+        for segment in iter_trace_file(
+            args.trace_file, ruleset.schema,
+            on_malformed=on_malformed, quarantine=quarantine,
+        )
+    ]
+    empty = np.empty((0, ruleset.schema.ndim), np.uint32)
+    headers = np.concatenate([empty, *blocks])
+    return PacketTrace(headers, ruleset.schema), quarantine.count
 
 
 def _build_tree(ruleset: RuleSet, config: EngineConfig):
@@ -141,53 +220,173 @@ def _build_tree(ruleset: RuleSet, config: EngineConfig):
     )
 
 
-def _open_engine(ruleset: RuleSet, config: EngineConfig) -> Engine:
-    """Open the serving session the CLI's ``config`` describes.
+def render_report(
+    report: EngineReport,
+    engine: Engine | None = None,
+    *,
+    build_ops: OpCounter | None = None,
+    title: str = "",
+    output: str | None = None,
+) -> None:
+    """Print ``report``: the headline and shape, then each section only
+    when the report carries it (the conditions ``to_dict()`` uses) —
+    faults, updates, flow cache (per shard when sharded), occupancy and
+    device, tenants, stages — and write ``to_dict()`` to ``output``.
 
-    The whole knob-to-backend policy (tree names route to the
-    accelerator unless ``--software``, ``--updates``/``--updatable``
-    builds through the update-serving surface, ``--cache-entries``
-    wraps a flow cache) lives in
-    :meth:`repro.serve.Engine.build_classifier`; the CLI only maps
-    flags to an :class:`~repro.serve.EngineConfig`.
-    """
-    if config.updatable:
-        build_ops = OpCounter()
-        engine = Engine.open(config, ruleset, ops=build_ops)
-        inner = getattr(engine.classifier, "classifier", engine.classifier)
-        inner.build_ops_snapshot = build_ops.copy()
-        return engine
-    return Engine.open(config, ruleset)
+    ``engine`` (the session that served it) adds the classifier's
+    memory model, flow-cache geometry and energy split, kernel patch
+    counters and pool state; ``build_ops``, the op counts of its build,
+    prices the updates against a rebuild.  Cache counts come from the
+    report, not the live cache: a sharded run's caches live in forked
+    workers, and only the per-chunk counters travel back."""
+    clf = engine.classifier if engine is not None else None
+    print(f"{title}classified {report.n_packets} packets, {report.matched} "
+          f"matched ({100 * report.matched_fraction:.1f}%): "
+          f"{report.throughput_pps:,.0f} packets/s (wall clock "
+          f"{report.elapsed_s * 1e3:.1f} ms)")
+    kernel = native.status()
+    pool = "" if engine is None else (
+        f"  pool: {'held' if engine.pool_engaged else 'none'}"
+    )
+    print(f"backend: {report.backend}  shards: {report.n_shards}  "
+          f"chunk: {report.chunk_size} packets  chunks: {report.n_chunks}  "
+          f"segments: {report.n_segments}{pool}  "
+          f"kernel: {kernel['kernel']}"
+          + (f" ({kernel['reason']})" if kernel["reason"] else ""))
+    if clf is not None:
+        print(f"memory model: {clf.memory_bytes():,} bytes, worst-case "
+              f"accesses/lookup: {clf.memory_accesses_per_lookup()}")
 
+    fault = report.fault
+    if fault.quarantined:
+        print(f"quarantined: {fault.quarantined} malformed trace lines")
+    if dataclasses.replace(fault, quarantined=0).any():
+        counts = (
+            (fault.worker_crashes, "worker crashes"),
+            (fault.timeouts, "deadline overruns"),
+            (fault.arena_faults, "arena fence trips"),
+            (fault.update_retries, "update retries"),
+            (fault.ingest_retries, "ingest retries"),
+        )
+        print(f"fault recovery: {fault.retries} retries, {fault.replays} "
+              f"chunk replays"
+              + "".join(f", {n} {what}" for n, what in counts if n))
+        for step in fault.degradations:
+            print(f"  degraded {step}")
+        if fault.recovery_s:
+            print(f"  worst recovery: {max(fault.recovery_s) * 1e3:.1f} ms")
 
-def _print_cache_report(clf, hits: int, misses: int, evictions: int) -> None:
-    """Hit rate, effective accesses and the hit/miss energy split.
+    if report.update_batches or report.final_epoch is not None:
+        print(f"updates: {report.update_batches} batches / "
+              f"{report.update_ops} ops ({report.update_skipped} skipped), "
+              f"epochs {report.first_epoch}..{report.final_epoch}")
+        pct = report.update_latency
+        if pct is not None:
+            print(f"update latency/batch: p50 {pct['p50_ms']:.3f} ms, "
+                  f"p95 {pct['p95_ms']:.3f} ms, p99 {pct['p99_ms']:.3f} ms "
+                  f"(max {pct['max_ms']:.3f} ms over {pct['batches']} "
+                  f"batches)")
+        inner = getattr(clf, "classifier", clf)
+        tree = getattr(inner, "tree", None)
+        if hasattr(tree, "flat_patches"):
+            tree.flat  # flush any pending control-plane patch
+            print(f"flat kernel (this process): {tree.flat_patches} "
+                  f"row-splice patches, {tree.flat_compiles} full compiles")
+        ops = getattr(inner, "ops", None)
+        delta = (
+            ops_delta(ops, build_ops)
+            if build_ops is not None and hasattr(ops, "counts") else None
+        )
+        if delta is not None and delta.total() > 0 and report.update_ops:
+            model = UpdateCostModel()
+            # Average the *energy* over batches, not the op counts —
+            # integer counters would floor low-frequency categories.
+            update_j = model.update_energy_j(delta) / max(
+                1, report.update_batches
+            )
+            rebuild_j = model.rebuild_energy_j(build_ops)
+            break_even = rebuild_j / update_j if update_j > 0 else float("inf")
+            print(f"update energy model: {update_j:.3E} J/batch "
+                  f"control-plane vs {rebuild_j:.3E} J full rebuild "
+                  f"({break_even:,.0f} batches to break even)")
 
-    Counts are passed in rather than read off ``clf.cache.stats``: in a
-    sharded pipeline the caches live in forked workers, and only the
-    per-chunk counters travel back to this process.
-    """
-    lookups = hits + misses
-    hit_rate = hits / lookups if lookups else 0.0
-    cache = clf.cache
-    model = CacheEnergyModel.for_classifier(clf)
-    print(f"flow cache: {cache.entries} entries x {cache.ways}-way, "
-          f"hit rate {100 * hit_rate:.1f}% ({hits}/{lookups}), "
-          f"{misses} backend lookups, {evictions} evictions")
-    print(f"effective accesses/lookup: "
-          f"{model.effective_accesses_per_lookup(hit_rate):.2f} "
-          f"vs {model.backend_accesses:.0f} uncached "
-          f"({model.effective_lookup_speedup(hit_rate):.1f}x fewer)")
-    print(f"cache energy model: {model.energy_per_packet_j(hit_rate):.3E} "
-          f"J/packet vs {model.uncached_energy_per_packet_j():.3E} uncached")
+    if report.cache_hits is not None:
+        hit_rate = report.cache_hit_rate
+        cached = isinstance(clf, CachedClassifier)
+        geometry = (
+            f"{clf.cache.entries} entries x {clf.cache.ways}-way, "
+            if cached else ""
+        )
+        print(f"flow cache: {geometry}hit rate {100 * hit_rate:.1f}% "
+              f"({report.cache_hits}/{report.cache_lookups}), "
+              f"{report.cache_misses} backend lookups, "
+              f"{report.cache_evictions} evictions")
+        if cached:
+            model = CacheEnergyModel.for_classifier(clf)
+            print(f"effective accesses/lookup: "
+                  f"{model.effective_accesses_per_lookup(hit_rate):.2f} "
+                  f"vs {model.backend_accesses:.0f} uncached "
+                  f"({model.effective_lookup_speedup(hit_rate):.1f}x fewer)")
+            print(f"cache energy model: "
+                  f"{model.energy_per_packet_j(hit_rate):.3E} J/packet vs "
+                  f"{model.uncached_energy_per_packet_j():.3E} uncached")
+        shards = report.shard_cache_stats()
+        for d in shards if len(shards) > 1 else ():
+            print(f"  shard {d['shard']}: {d['chunks']} chunks, "
+                  f"hit rate {100 * d['hit_rate']:.1f}% "
+                  f"({d['hits']}/{d['hits'] + d['misses']}), "
+                  f"{d['evictions']} evictions")
+
+    mean_occupancy = report.mean_occupancy()
+    if mean_occupancy is not None:
+        print(f"mean occupancy: {mean_occupancy:.3f} cycles/packet")
+        print(f"worst-case latency: {int(report.occupancy.max()) + 1} cycles")
+    if report.device_throughput_pps is not None:
+        label = "ASIC 226MHz" if report.energy_model == "asic" else "FPGA  77MHz"
+        print(f"{label}: {report.device_throughput_pps / 1e6:8.1f} Mpps, "
+              f"{report.energy_per_packet_j:.3E} J/packet")
+
+    if report.tenants is not None:
+        print(f"{len(report.tenants)} tenants:")
+        for t in report.tenants:
+            line = (f"  {t.name:<12s} w={t.weight:<4g} "
+                    f"{t.n_packets:>8d} packets  {t.n_segments:>4d} segments  "
+                    f"{t.throughput_pps:>12,.0f} pps")
+            slo = t.slo
+            if slo is not None:
+                line += (f"  p50 {slo['p50_ms']:.2f} / p95 {slo['p95_ms']:.2f}"
+                         f" / p99 {slo['p99_ms']:.2f} ms")
+            if t.fault:
+                line += f"  FAULT: {t.fault}"
+            print(line)
+
+    if report.stages is not None:
+        print(f"{len(report.stages)} stages:")
+        for s in report.stages:
+            line = (f"  {s.name:<15s} in {s.packets_in:>8d}  "
+                    f"out {s.packets_out:>8d}  {s.energy_j:.3E} J")
+            if s.dropped:
+                line += "  drops " + ", ".join(
+                    f"{k}={v}" for k, v in sorted(s.drops.items())
+                )
+            if s.retries:
+                line += f"  retries {s.retries}"
+            print(line)
+
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {output}")
 
 
 def cmd_generate(args) -> int:
-    rs = generate_ruleset(args.family, args.rules, seed=args.seed)
+    entry = TenantEntry.from_args(args)
+    rs = entry.ruleset()
     rs.save(args.output)
     print(f"wrote {len(rs)} rules to {args.output}")
     if args.trace:
-        trace = generate_trace(rs, args.packets, seed=args.seed + 1)
+        trace = entry.trace(rs)
         trace.save(args.trace)
         print(f"wrote {trace.n_packets} packets to {args.trace}")
     return 0
@@ -204,7 +403,7 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         return 2
-    rs = _load_or_generate(args)
+    rs = _ruleset(args)
     tree = _build_tree(rs, config)
     st = tree.stats()
     print(f"ruleset: {rs.name} ({len(rs)} rules)")
@@ -226,41 +425,13 @@ def cmd_build(args) -> int:
 
 def cmd_classify(args) -> int:
     config = EngineConfig.from_args(args)
-    rs = _load_or_generate(args)
-    trace = _load_or_generate_trace(args, rs, config.on_malformed)
-    with _open_engine(rs, config) as engine:
-        clf = engine.classifier
+    rs = _ruleset(args)
+    trace, quarantined = _trace(args, rs, config.on_malformed)
+    with Engine.open(config, rs) as engine:
         report = engine.classify(trace)
-        print(f"classified {report.n_packets} packets, "
-              f"{report.matched} matched")
-        print(f"backend: {engine.config.backend}")
-        print(f"memory model: {clf.memory_bytes():,} bytes")
-        print(f"worst-case accesses/lookup: "
-              f"{clf.memory_accesses_per_lookup()}")
-        if isinstance(clf, CachedClassifier):
-            _print_cache_report(
-                clf, report.cache_hits, report.cache_misses,
-                report.cache_evictions,
-            )
-        _print_occupancy(report)
+        report.fault.quarantined += quarantined
+        render_report(report, engine)
     return 0
-
-
-def _print_occupancy(report) -> None:
-    """A backend that models occupancy: its mean and worst-case cycles
-    per packet, and the device the report's ``energy_model`` evaluated
-    (nothing under ``"none"``)."""
-    mo = report.mean_occupancy()
-    if mo is None:
-        return
-    print(f"mean occupancy: {mo:.3f} cycles/packet")
-    print(f"worst-case latency: {int(report.occupancy.max()) + 1} cycles")
-    if report.device_throughput_pps is not None:
-        label = (
-            "ASIC 226MHz" if report.energy_model == "asic" else "FPGA  77MHz"
-        )
-        print(f"{label}: {report.device_throughput_pps / 1e6:8.1f} Mpps, "
-              f"{report.energy_per_packet_j:.3E} J/packet")
 
 
 def _parse_update_mix(mix: str) -> float:
@@ -276,76 +447,11 @@ def _parse_update_mix(mix: str) -> float:
     return ins / (ins + rem)
 
 
-def _print_update_report(clf, res) -> None:
-    """Epoch trajectory, apply-latency percentiles, patch-vs-recompile
-    counters, and the update energy model (control-plane ops vs a
-    from-scratch rebuild)."""
-    print(f"updates: {res.update_batches} batches / {res.update_ops} ops "
-          f"({res.update_skipped} skipped), epochs "
-          f"{res.first_epoch}..{res.final_epoch}")
-    pct = res.update_latency
-    if pct is not None:
-        print(f"update latency/batch: p50 {pct['p50_ms']:.3f} ms, "
-              f"p95 {pct['p95_ms']:.3f} ms, p99 {pct['p99_ms']:.3f} ms "
-              f"(max {pct['max_ms']:.3f} ms over {pct['batches']} batches)")
-    inner = getattr(clf, "classifier", clf)
-    tree = getattr(inner, "tree", None)
-    if tree is not None and hasattr(tree, "flat_patches"):
-        tree.flat  # flush any pending control-plane patch
-        print(f"flat kernel (this process): {tree.flat_patches} row-splice "
-              f"patches, {tree.flat_compiles} full compiles")
-    snapshot = getattr(clf, "build_ops_snapshot", None) or getattr(
-        inner, "build_ops_snapshot", None
-    )
-    ops = getattr(inner, "ops", None)
-    if snapshot is None or not hasattr(ops, "counts"):
-        return
-    delta = ops_delta(ops, snapshot)
-    if delta.total() <= 0 or res.update_ops == 0:
-        return
-    model = UpdateCostModel()
-    # Average the *energy* over batches, not the op counts — integer
-    # counters would floor low-frequency categories to zero.
-    update_j = model.update_energy_j(delta) / max(1, res.update_batches)
-    rebuild_j = model.rebuild_energy_j(snapshot)
-    break_even = rebuild_j / update_j if update_j > 0 else float("inf")
-    print(f"update energy model: {update_j:.3E} J/batch control-plane vs "
-          f"{rebuild_j:.3E} J full rebuild "
-          f"({break_even:,.0f} batches to break even)")
-
-
-def _print_fault_report(fault) -> None:
-    """One-line supervisor summary plus any degradations taken."""
-    parts = [f"{fault.retries} retries", f"{fault.replays} chunk replays"]
-    if fault.worker_crashes:
-        parts.append(f"{fault.worker_crashes} worker crashes")
-    if fault.timeouts:
-        parts.append(f"{fault.timeouts} deadline overruns")
-    if fault.arena_faults:
-        parts.append(f"{fault.arena_faults} arena fence trips")
-    if fault.update_retries:
-        parts.append(f"{fault.update_retries} update retries")
-    if fault.ingest_retries:
-        parts.append(f"{fault.ingest_retries} ingest retries")
-    if fault.quarantined:
-        parts.append(f"{fault.quarantined} packets quarantined")
-    print(f"fault recovery: {', '.join(parts)}")
-    for step in fault.degradations:
-        print(f"  degraded {step}")
-    if fault.recovery_s:
-        print(f"  worst recovery: {max(fault.recovery_s) * 1e3:.1f} ms")
-
-
 def cmd_bench(args) -> int:
     config = EngineConfig.from_args(args)
     fault_plan = FaultPlan.coerce(args.faults)
-    rs = _load_or_generate(args)
-    trace = _load_or_generate_trace(args, rs, config.on_malformed)
-    shards = config.shards
-    if args.updates and shards > 1 and config.shard_mode != "threads":
-        print("note: a run (or streamed segment) that carries updates is "
-              "served in-process on one shard; only update-free ones fork",
-              file=sys.stderr)
+    rs = _ruleset(args)
+    trace, quarantined = _trace(args, rs, config.on_malformed)
     schedule = None
     if args.updates:
         schedule = generate_update_stream(
@@ -353,83 +459,43 @@ def cmd_bench(args) -> int:
             insert_fraction=_parse_update_mix(args.update_mix),
             batch_size=args.update_batch, seed=args.seed + 2,
         )
-    with _open_engine(rs, config) as engine:
-        clf = engine.classifier
-        if args.stream and shards > 1:
+    # The update energy model prices the updates' op counts against the
+    # build's, so an updatable backend counts from its build on.
+    ops = {"ops": OpCounter()} if config.updatable else {}
+    with Engine.open(config, rs, **ops) as engine:
+        build_ops = ops["ops"].copy() if ops else None
+        if args.updates:
+            plan = engine.pipeline.plan(
+                args.stream or trace.n_packets, updates=True
+            )
+            if plan.workers < config.shards:
+                print(f"note: a run (or streamed segment) that carries "
+                      f"updates serves on {plan.workers} of "
+                      f"{config.shards} shards ({plan.reason})",
+                      file=sys.stderr)
+        if args.stream and config.shards > 1:
             plan = engine.pipeline.plan(args.stream)
             if plan.workers < 2:
-                print(
-                    f"warning: --stream {args.stream} segments serve on "
-                    f"one shard ({plan.reason})",
-                    file=sys.stderr,
-                )
+                print(f"warning: --stream {args.stream} segments serve on "
+                      f"one shard ({plan.reason})", file=sys.stderr)
         # The update stream rides along the first run; repeats then
         # serve the updated ruleset (steady state after the churn).
         if args.stream:
-            res = engine.classify_stream(
-                iter_trace_segments(trace, args.stream), updates=schedule,
-                faults=fault_plan,
+            report = engine.classify_stream(
+                trace, updates=schedule, faults=fault_plan,
+                segment_packets=args.stream,
             )
-            print(f"streamed ingestion: {res.n_segments} segments x "
-                  f"{args.stream} packets (one in flight)")
         else:
-            res = engine.classify(trace, updates=schedule, faults=fault_plan)
-        first_run = res
-        for i in range(1, args.repeats):
-            rerun = engine.classify(trace)
-            print(f"run {i + 1}/{args.repeats}: "
-                  f"{rerun.throughput_pps:,.0f} packets/s "
-                  f"(wall clock {rerun.elapsed_s * 1e3:.1f} ms)")
-            res = rerun
-        # Workers are forked lazily on the first forked run, so their
-        # existence after the runs says whether the tier engaged.
-        pool_mode = "held" if engine.pool_engaged else "none"
-    kernel = native.status()
-    print(f"backend: {res.backend}  shards: {res.n_shards}  "
-          f"chunk: {res.chunk_size} packets  chunks: {res.n_chunks}  "
-          f"pool: {pool_mode}  kernel: {kernel['kernel']}"
-          + (f" ({kernel['reason']})" if kernel["reason"] else ""))
-    print(f"classified {res.n_packets} packets, {res.matched} matched "
-          f"({100 * res.matched_fraction:.1f}%)")
-    print(f"pipeline throughput: {res.throughput_pps:,.0f} packets/s "
-          f"(wall clock {res.elapsed_s * 1e3:.1f} ms)")
-    if first_run.fault is not None and first_run.fault.any():
-        _print_fault_report(first_run.fault)
-    if schedule is not None:
-        _print_update_report(clf, first_run)
-    if res.cache_hits is not None and isinstance(clf, CachedClassifier):
-        _print_cache_report(
-            clf, res.cache_hits, res.cache_misses, res.cache_evictions
-        )
-        shard_stats = res.shard_cache_stats()
-        if shard_stats and len(shard_stats) > 1:
-            for d in shard_stats:
-                print(f"  shard {d['shard']}: {d['chunks']} chunks, "
-                      f"hit rate {100 * d['hit_rate']:.1f}% "
-                      f"({d['hits']}/{d['hits'] + d['misses']}), "
-                      f"{d['evictions']} evictions")
-    _print_occupancy(res)
+            report = engine.classify(trace, updates=schedule, faults=fault_plan)
+        report.fault.quarantined += quarantined
+        for i in range(args.repeats):
+            if i:
+                report = engine.classify(trace)
+            render_report(
+                report, engine, build_ops=build_ops,
+                title=f"run {i + 1}/{args.repeats}: " if args.repeats > 1 else "",
+            )
     return 0
-
-
-@dataclass(frozen=True)
-class TenantEntry(Spec):
-    """One object of a ``serve --tenants`` file: the tenant's name and
-    weight, an overlay of the base engine config, and its synthetic
-    workload (named like the generate/bench flags, so a tenants file
-    reads like N bench invocations).  ``name`` defaults to
-    ``tenant<i>`` and ``seed`` to a per-index offset, so tenants get
-    distinct rulesets and traces."""
-
-    name: str | None = None
-    weight: float = 1.0
-    config: dict = field(default_factory=dict)
-    family: str = field("acl1", choices=tuple(sorted(FAMILIES)))
-    rules: int = 500
-    seed: int | None = None
-    packets: int = 10000
-    zipf: float | None = None
-    flows: int = 1024
 
 
 def _load_tenants_file(path: str, base: EngineConfig):
@@ -454,17 +520,11 @@ def _load_tenants_file(path: str, base: EngineConfig):
             )
         except ConfigError as exc:
             raise ConfigError(f"{path}: tenant #{i}: {exc}") from None
-        seed = 7 + 13 * i if entry.seed is None else entry.seed
-        ruleset = generate_ruleset(entry.family, entry.rules, seed=seed)
-        if entry.zipf is not None:
-            trace = generate_zipf_trace(
-                ruleset, entry.packets, n_flows=entry.flows,
-                skew=entry.zipf, seed=seed + 1,
-            )
-        else:
-            trace = generate_trace(ruleset, entry.packets, seed=seed + 1)
+        if entry.seed is None:
+            entry = dataclasses.replace(entry, seed=7 + 13 * i)
+        ruleset = entry.ruleset()
         tenants.append((spec, ruleset))
-        workloads[spec.name] = trace
+        workloads[spec.name] = entry.trace(ruleset)
     return tenants, workloads
 
 
@@ -476,27 +536,7 @@ def cmd_serve(args) -> int:
             workloads, segment_packets=args.segment_packets,
             quantum=args.quantum,
         )
-    print(f"served {len(report.tenants)} tenants: {report.n_packets} "
-          f"packets in {report.elapsed_s * 1e3:.1f} ms "
-          f"({report.throughput_pps:,.0f} packets/s aggregate)")
-    for t in report.tenants:
-        line = (f"  {t.name:<12s} w={t.weight:<4g} "
-                f"{t.n_packets:>8d} packets  {t.n_segments:>4d} segments  "
-                f"{t.throughput_pps:>12,.0f} pps")
-        slo = t.slo
-        if slo is not None:
-            line += (f"  p50 {slo['p50_ms']:.2f} / p95 {slo['p95_ms']:.2f}"
-                     f" / p99 {slo['p99_ms']:.2f} ms")
-        if t.fault:
-            line += f"  FAULT: {t.fault}"
-        print(line)
-    if args.output:
-        import json
-
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
+    render_report(report, output=args.output)
     return 0
 
 
@@ -539,61 +579,26 @@ def cmd_sweep(args) -> int:
 def cmd_linecard(args) -> int:
     from .stages import StageGraph, StageGraphSpec, default_graph
 
+    spec = default_graph(
+        {"backend": args.algorithm},
+        cache_entries=args.cache_entries,
+        cache_ways=args.cache_ways,
+    )
     if args.emit_graph:
-        spec = default_graph(
-            {"backend": args.algorithm},
-            cache_entries=args.cache_entries,
-            cache_ways=args.cache_ways,
-        )
         spec.save(args.emit_graph)
         print(f"wrote the default {len(spec.stages)}-stage graph "
               f"to {args.emit_graph}")
         return 0
     if args.graph:
         spec = StageGraphSpec.load(args.graph)
-    else:
-        spec = default_graph(
-            {"backend": args.algorithm},
-            cache_entries=args.cache_entries,
-            cache_ways=args.cache_ways,
-        )
-    rs = _load_or_generate(args)
-    plan = FaultPlan.coerce(args.faults) if args.faults else None
-    source = args.trace_file or _load_or_generate_trace(args, rs)
+    rs = _ruleset(args)
+    source = args.trace_file or TenantEntry.from_args(args).trace(rs)
     with StageGraph(spec, rs) as graph:
         report = graph.run(
-            source, faults=plan, segment_packets=args.segment_packets
+            source, faults=FaultPlan.coerce(args.faults),
+            segment_packets=args.segment_packets,
         )
-    print(f"graph {spec.name!r}: {len(spec.stages)} stages over the "
-          f"{graph.config.backend!r} backend")
-    print(f"{report.n_packets} packets in {report.elapsed_s * 1e3:.1f} ms "
-          f"({report.throughput_pps:,.0f} packets/s), "
-          f"{100 * report.matched_fraction:.1f}% matched")
-    for s in report.stages:
-        line = (f"  {s.name:<15s} in {s.packets_in:>8d}  "
-                f"out {s.packets_out:>8d}  {s.energy_j:.3E} J")
-        if s.dropped:
-            line += "  drops " + ", ".join(
-                f"{k}={v}" for k, v in sorted(s.drops.items())
-            )
-        if s.retries:
-            line += f"  retries {s.retries}"
-        print(line)
-    hit_rate = report.cache_hit_rate
-    if hit_rate is not None:
-        print(f"flow cache hit rate: {100 * hit_rate:.1f}%")
-    fault = report.fault
-    if fault is not None and fault.quarantined:
-        print(f"quarantined: {fault.quarantined} malformed trace lines")
-    if fault is not None and (fault.faults or fault.retries):
-        print(f"faults: {fault.to_dict()}")
-    if args.output:
-        import json
-
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
+        render_report(report, graph.engine, output=args.output)
     return 0
 
 
@@ -612,10 +617,10 @@ def cmd_tables(args) -> int:
 
 def cmd_fsm(args) -> int:
     config = EngineConfig.from_args(args)
-    rs = _load_or_generate(args)
+    rs = _ruleset(args)
     tree = _build_tree(rs, config)
     image = build_memory_image(tree, speed=config.speed)
-    trace = generate_trace(rs, args.packets, seed=args.seed + 1)
+    trace = TenantEntry.from_args(args).trace(rs)
     for e in figure5_trace(image, trace):
         print(f"cycle {e.cycle:>5d}  {e.state:<10s} {e.detail}")
     return 0
@@ -632,28 +637,32 @@ class _UpdatesAction(argparse.Action):
 
 
 def _add_workload_args(
-    p: argparse.ArgumentParser,
-    packets: int = 10000,
-    algorithms: list[str] | None = None,
+    p: argparse.ArgumentParser, packets: int, *files: str, skew: bool = False
 ) -> None:
-    p.add_argument("--family", default="acl1", choices=["acl1", "fw1", "ipc1"])
-    p.add_argument("--rules", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--ruleset-file", default=None, help="load instead of generating")
-    EngineConfig.add_arguments(
-        p, _BUILD_FIELDS,
-        backend={"choices": algorithms or _ALGORITHM_CHOICES},
+    """The workload flags, generated from :class:`TenantEntry`'s fields
+    at the command-line defaults (``--zipf`` / ``--flows`` with
+    ``skew``), then the shared ``files`` flags that load one instead."""
+    names = ("family", "rules", "seed", "packets")
+    TenantEntry.add_arguments(
+        p, names + (("zipf", "flows") if skew else ()),
+        packets={"default": packets}, **_WORKLOAD_FLAGS,
     )
-    p.add_argument("--packets", type=int, default=packets)
+    _add_shared(p, *files)
 
 
-def _add_cache_args(p: argparse.ArgumentParser) -> None:
-    EngineConfig.add_arguments(p, _CACHE_FIELDS)
-    p.add_argument("--zipf", type=float, default=None, metavar="SKEW",
-                   help="generate a Zipf(SKEW) flow-popularity trace "
-                        "instead of the Pareto-burst one")
-    p.add_argument("--flows", type=int, default=1024,
-                   help="distinct flows in the Zipf trace (with --zipf)")
+def _add_engine_args(
+    p: argparse.ArgumentParser, *fields: str,
+    algorithms=_ALGORITHM_CHOICES,
+) -> None:
+    """The build flags plus ``fields``, generated from EngineConfig."""
+    EngineConfig.add_arguments(
+        p, _BUILD_FIELDS + fields, backend={"choices": algorithms}
+    )
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(*flag.split(), **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -663,30 +672,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="synthesise a ruleset (and trace)")
-    g.add_argument("--family", default="acl1", choices=["acl1", "fw1", "ipc1"])
-    g.add_argument("--rules", type=int, default=1000)
-    g.add_argument("--seed", type=int, default=7)
+    _add_workload_args(g, 10000)
     g.add_argument("--output", required=True)
     g.add_argument("--trace", default=None)
-    g.add_argument("--packets", type=int, default=10000)
     g.set_defaults(fn=cmd_generate)
 
     b = sub.add_parser("build", help="build a search structure")
-    _add_workload_args(b)
+    _add_workload_args(b, 10000, "--ruleset-file")
+    _add_engine_args(b)
     b.set_defaults(fn=cmd_build)
 
     c = sub.add_parser("classify", help="classify a trace")
-    _add_workload_args(c, packets=100000)
-    c.add_argument("--trace-file", default=None)
-    _add_cache_args(c)
-    EngineConfig.add_arguments(c, _SERVING_FIELDS)
+    _add_workload_args(c, 100000, "--ruleset-file", "--trace-file", skew=True)
+    _add_engine_args(c, *_CACHE_FIELDS, *_SERVING_FIELDS)
     c.set_defaults(fn=cmd_classify)
 
     n = sub.add_parser("bench", help="serve a trace through an Engine "
                                      "session (sharded pipeline)")
-    _add_workload_args(n, packets=100000)
-    n.add_argument("--trace-file", default=None)
-    EngineConfig.add_arguments(n, _PIPELINE_FIELDS)
+    _add_workload_args(n, 100000, "--ruleset-file", "--trace-file", skew=True)
+    _add_engine_args(n, *_PIPELINE_FIELDS, *_CACHE_FIELDS, *_SERVING_FIELDS)
     n.add_argument("--repeats", type=int, default=1,
                    help="run the trace N times (shows the held "
                         "workers' fork-amortisation win)")
@@ -704,12 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="insert:remove weighting of the update stream")
     n.add_argument("--update-batch", type=int, default=8, metavar="OPS",
                    help="operations per scheduled update batch")
-    n.add_argument("--faults", default=None, metavar="PLAN.json",
-                   help="inject a deterministic fault plan (JSON written "
-                        "by FaultPlan.save) into the first run; pair with "
-                        "--fault-policy retry|degrade to exercise recovery")
-    _add_cache_args(n)
-    EngineConfig.add_arguments(n, _SERVING_FIELDS)
+    _add_shared(n, "--faults")
     n.set_defaults(fn=cmd_bench)
 
     v = sub.add_parser(
@@ -725,16 +724,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON list of tenant objects: name, weight, "
                         "config overlay, and workload knobs "
                         "(family/rules/seed/packets/zipf/flows)")
-    v.add_argument("--segment-packets", type=int,
-                   default=DEFAULT_SEGMENT_PACKETS, metavar="N",
-                   help="packets per admitted stream segment (the "
-                        "scheduler interleaves tenants at this grain)")
+    _add_shared(v, "--segment-packets")
     v.add_argument("--quantum", type=int, default=None, metavar="PACKETS",
                    help="deficit round-robin quantum in packets per "
                         "weight unit (default: one segment)")
-    v.add_argument("-o", "--output", default=None, metavar="REPORT.json",
-                   help="write the aggregate EngineReport (with the "
-                        "per-tenant slices) as JSON")
+    _add_shared(v, "-o --output")
     v.set_defaults(fn=cmd_serve)
 
     s = sub.add_parser(
@@ -778,40 +772,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the default graph spec (honouring "
                         "--algorithm/--cache-entries) as editable JSON "
                         "and exit")
-    l.add_argument("--family", default="acl1",
-                   choices=["acl1", "fw1", "ipc1"])
-    l.add_argument("--rules", type=int, default=1000)
-    l.add_argument("--seed", type=int, default=7)
-    l.add_argument("--ruleset-file", default=None,
-                   help="load instead of generating")
-    l.add_argument("--algorithm", default="hypercuts",
-                   choices=_ALGORITHM_CHOICES,
-                   help="classify-stage backend for the default graph "
-                        "(ignored with --graph: the spec names its own)")
-    l.add_argument("--packets", type=int, default=100000)
-    l.add_argument("--zipf", type=float, default=None, metavar="SKEW",
-                   help="generate a Zipf(SKEW) flow-popularity trace")
-    l.add_argument("--flows", type=int, default=1024,
-                   help="distinct flows in the Zipf trace (with --zipf)")
-    l.add_argument("--trace-file", default=None, metavar="FILE.txt",
-                   help="ClassBench text trace fed through the parse "
-                        "stage (malformed lines follow its on_malformed "
-                        "policy and are counted)")
-    l.add_argument("--cache-entries", type=int, default=4096,
-                   help="flow_cache stage entries for the default graph "
-                        "(0 omits the stage)")
-    l.add_argument("--cache-ways", type=int, default=4,
-                   help="flow_cache stage associativity")
-    l.add_argument("--segment-packets", type=int,
-                   default=DEFAULT_SEGMENT_PACKETS, metavar="N",
-                   help="packets per pipeline segment")
-    l.add_argument("--faults", default=None, metavar="PLAN.json",
-                   help="deterministic fault plan (FaultPlan.save); "
-                        "stage-targeted specs hit graph stages, the "
-                        "rest ride the engine pipeline")
-    l.add_argument("-o", "--output", default=None, metavar="REPORT.json",
-                   help="write the EngineReport (with per-stage "
-                        "telemetry) as JSON")
+    _add_workload_args(l, 100000, "--ruleset-file", "--trace-file", skew=True)
+    # The default graph's classify stage and flow_cache stage: kept out
+    # of an EngineConfig (the graph spec owns them), so they store into
+    # their own names at the line card's defaults.
+    EngineConfig.add_arguments(
+        l, ("backend", *_CACHE_FIELDS),
+        backend={"dest": "algorithm", "default": "hypercuts",
+                 "choices": _ALGORITHM_CHOICES,
+                 "help": "classify-stage backend for the default graph "
+                         "(ignored with --graph: the spec names its own)"},
+        cache_entries={"default": 4096,
+                       "help": "flow_cache stage entries for the default "
+                               "graph (0 omits the stage)"},
+        cache_ways={"default": 4},
+    )
+    _add_shared(l, "--segment-packets", "--faults", "-o --output")
     l.set_defaults(fn=cmd_linecard)
 
     t = sub.add_parser("tables", help="regenerate the paper's tables")
@@ -821,7 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_tables)
 
     f = sub.add_parser("fsm", help="Figure-5 cycle trace")
-    _add_workload_args(f, packets=5, algorithms=list(_TREE_ALGORITHMS))
+    _add_workload_args(f, 5, "--ruleset-file")
+    _add_engine_args(f, algorithms=list(_TREE_ALGORITHMS))
     f.set_defaults(fn=cmd_fsm)
     return parser
 

@@ -415,7 +415,10 @@ class ClassificationPipeline:
         """How a run of ``packets`` packets (carrying a rule-update
         stream iff ``updates``) is served: its tier, shard owners and
         chunk grid.  The grid is cut for the owners the tier engages,
-        and a grid of one chunk is one shard's work in every mode.
+        and a grid of one chunk is one shard's work in every mode: the
+        reason stays the tier chooser's when it engages one owner
+        anyway, and reads ``one chunk`` when the grid alone collapses a
+        tier of several owners (or a fork).
 
         The grid: ``chunk_size`` packets per chunk, coalesced up to
         ``min_chunk_packets`` unless ``updates`` pin it (the chunk grid
@@ -440,8 +443,8 @@ class ClassificationPipeline:
             and (bounds[-1][1] - bounds[-1][0]) * TAIL_MERGE_DIVISOR < size
         ):
             bounds[-2:] = [(bounds[-2][0], packets)]
-        if len(bounds) < 2:
-            tier, reason = "inline", "one shard"
+        if len(bounds) < 2 and (tier == "forked" or owners > 1):
+            tier, reason = "inline", "one chunk"
         return ShardPlan(
             tier, min(owners, max(1, len(bounds))), tuple(bounds), reason
         )

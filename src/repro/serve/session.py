@@ -109,30 +109,36 @@ class ChunkResult:
     """One streamed segment's classification result.
 
     ``start`` is the segment's first-packet offset in the logical
-    stream; ``epoch`` is the classifier's ruleset version after the
-    segment (``None`` for non-updatable backends).  ``result`` is the
-    segment's own pipeline-run :class:`EngineReport` (per-chunk
-    statistics, counters) — what :meth:`EngineReport.merge` sums.
+    stream; ``result`` is the segment's own pipeline-run
+    :class:`EngineReport` (per-chunk statistics, counters) — what
+    :meth:`EngineReport.merge` sums — and every other figure is read
+    off it (``epoch``: the classifier's ruleset version after the
+    segment, ``None`` for non-updatable backends).
     """
 
     index: int
     start: int
-    n_packets: int
-    matched: int
-    elapsed_s: float
-    epoch: int | None
-    match: np.ndarray = field(repr=False, default=None)
-    result: EngineReport = field(repr=False, default=None)
+    result: EngineReport = field(repr=False)
 
-    @classmethod
-    def of(
-        cls, index: int, start: int, result: EngineReport
-    ) -> "ChunkResult":
-        return cls(
-            index=index, start=start, n_packets=result.n_packets,
-            matched=result.matched, elapsed_s=result.elapsed_s,
-            epoch=result.final_epoch, match=result.match, result=result,
-        )
+    @property
+    def n_packets(self) -> int:
+        return self.result.n_packets
+
+    @property
+    def matched(self) -> int:
+        return self.result.matched
+
+    @property
+    def elapsed_s(self) -> float:
+        return self.result.elapsed_s
+
+    @property
+    def epoch(self) -> int | None:
+        return self.result.final_epoch
+
+    @property
+    def match(self) -> np.ndarray:
+        return self.result.match
 
 
 class Engine:
@@ -423,7 +429,7 @@ class Engine:
                     faults=plan.for_segment(index)
                     if plan is not None else None,
                 )
-                yield ChunkResult.of(index, start, result)
+                yield ChunkResult(index, start, result)
                 index += 1
             # What is scheduled at or past the stream's end applies over
             # an empty trace, through the pipeline (counted, supervised,
@@ -437,7 +443,7 @@ class Engine:
                     np.empty((0, schema.ndim), np.uint32), schema
                 )
                 result = self._pipeline.run(empty, updates=tail)
-                yield ChunkResult.of(index, cursor.offset, result)
+                yield ChunkResult(index, cursor.offset, result)
         finally:
             if self.quarantine is not None:
                 stream_fault.quarantined += (

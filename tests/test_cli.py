@@ -4,10 +4,129 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.ruleset import RuleSet
+
+
+#: Every subcommand's flags: option strings -> (dest, default).  The
+#: workload, engine and shared flags are generated from their one
+#: declaration each; this pins what every subcommand exposes.
+_WORKLOAD = {
+    "--family": ("family", "acl1"),
+    "--rules": ("rules", 1000),
+    "--seed": ("seed", 7),
+}
+_BUILD = {
+    "--ruleset-file": ("ruleset_file", None),
+    "--algorithm": ("backend", None),
+    "--binth": ("binth", None),
+    "--spfac": ("spfac", None),
+    "--speed": ("speed", None),
+    "--software": ("software", None),
+}
+_SKEW = {"--zipf": ("zipf", None), "--flows": ("flows", 1024)}
+_CACHE = {
+    "--cache-entries": ("cache_entries", None),
+    "--cache-ways": ("cache_ways", None),
+}
+_SERVING = {
+    "--energy-model": ("energy_model", None),
+    "--fault-policy": ("fault_policy", None),
+    "--max-retries": ("max_retries", None),
+    "--chunk-timeout": ("chunk_timeout_s", None),
+    "--on-malformed": ("on_malformed", None),
+}
+FLAG_TABLE = {
+    "generate": {
+        **_WORKLOAD,
+        "--output": ("output", None),
+        "--trace": ("trace", None),
+        "--packets": ("packets", 10000),
+    },
+    "build": {**_WORKLOAD, **_BUILD, "--packets": ("packets", 10000)},
+    "classify": {
+        **_WORKLOAD, **_BUILD, **_CACHE, **_SKEW, **_SERVING,
+        "--packets": ("packets", 100000),
+        "--trace-file": ("trace_file", None),
+    },
+    "bench": {
+        **_WORKLOAD, **_BUILD, **_CACHE, **_SKEW, **_SERVING,
+        "--packets": ("packets", 100000),
+        "--trace-file": ("trace_file", None),
+        "--shards": ("shards", None),
+        "--chunk-size": ("chunk_size", None),
+        "--shard-mode": ("shard_mode", None),
+        "--min-chunk-packets": ("min_chunk_packets", None),
+        "--persistent": ("persistent", None),
+        "--updatable": ("updatable", None),
+        "--repeats": ("repeats", 1),
+        "--stream": ("stream", 0),
+        "--updates": ("updates", 0),
+        "--update-mix": ("update_mix", "50:50"),
+        "--update-batch": ("update_batch", 8),
+        "--faults": ("faults", None),
+    },
+    "serve": {
+        "--config": ("config", None),
+        "--tenants": ("tenants", None),
+        "--segment-packets": ("segment_packets", 65536),
+        "--quantum": ("quantum", None),
+        "-o/--output": ("output", None),
+    },
+    "sweep": {
+        "--spec": ("spec", None),
+        "--tier": ("tier", "quick"),
+        "--quick": ("quick", False),
+        "--filter": ("filter", []),
+        "-o/--output": ("output", "BENCH_sweeps.json"),
+        "--matrix": ("matrix", None),
+        "-v/--verbose": ("verbose", False),
+    },
+    "linecard": {
+        **_WORKLOAD, **_SKEW,
+        "--graph": ("graph", None),
+        "--emit-graph": ("emit_graph", None),
+        "--ruleset-file": ("ruleset_file", None),
+        "--algorithm": ("algorithm", "hypercuts"),
+        "--packets": ("packets", 100000),
+        "--trace-file": ("trace_file", None),
+        "--cache-entries": ("cache_entries", 4096),
+        "--cache-ways": ("cache_ways", 4),
+        "--segment-packets": ("segment_packets", 65536),
+        "--faults": ("faults", None),
+        "-o/--output": ("output", None),
+    },
+    "tables": {
+        "--quick": ("quick", False),
+        "--seed": ("seed", 7),
+        "-o/--output": ("output", None),
+    },
+    "fsm": {**_WORKLOAD, **_BUILD, "--packets": ("packets", 5)},
+}
+
+
+class TestFlagTable:
+    def test_every_subcommand_flag(self):
+        """Each subcommand's option strings, ``dest`` and default."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        (sub,) = (
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == set(FLAG_TABLE)
+        for command, parser in sub.choices.items():
+            got = {
+                "/".join(a.option_strings): (a.dest, a.default)
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            assert got == FLAG_TABLE[command], command
 
 
 class TestGenerate:
@@ -154,18 +273,20 @@ class TestBench:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "streamed ingestion: 4 segments x 1000 packets" in out
+        assert "chunks: 4  segments: 4" in out
         assert "classified 4000 packets" in out
 
     @pytest.mark.parametrize(
         ("mode", "stream", "reason"),
         [
-            # One coalesced dispatch (auto inline) is one chunk.
-            ("auto", 16384, "(one shard)"),
+            # One coalesced dispatch: auto declined the fork, and says
+            # why.
+            ("auto", 16384, "16384 packets < 2 workers x 65536"),
             ("auto", 100_000, "100000 packets < 2 workers x 65536"),
             ("auto", 262144, None),
-            # The 904-packet tail merges into the one 4096-packet chunk.
-            ("processes", 5000, "(one shard)"),
+            # The 904-packet tail merges into the one 4096-packet chunk,
+            # which collapses the fork.
+            ("processes", 5000, "(one chunk)"),
         ],
     )
     def test_bench_stream_warns_when_segments_cannot_fork(
@@ -232,6 +353,57 @@ class TestBench:
         out = capsys.readouterr().out
         assert "chunks: 4" in out
         assert "fault recovery: 1 retries, 1 chunk replays" in out
+
+
+class TestWorkloadDeclaration:
+    @pytest.mark.parametrize("knobs", [
+        {"family": "fw1", "rules": 80, "seed": 5, "packets": 300},
+        {"family": "ipc1", "rules": 60, "seed": 11, "packets": 400,
+         "zipf": 1.1, "flows": 16},
+    ])
+    def test_a_tenant_entry_and_bench_flags_build_one_workload(
+        self, tmp_path, knobs
+    ):
+        """A tenants-file entry and the same knobs as ``bench`` flags
+        generate the same ruleset and the same trace."""
+        from repro.cli import _load_tenants_file, _ruleset, _trace, build_parser
+        from repro.serve import EngineConfig
+
+        path = tmp_path / "tenants.json"
+        path.write_text(json.dumps([{"name": "t", **knobs}]))
+        ((_, tenant_rules),), workloads = _load_tenants_file(
+            str(path), EngineConfig()
+        )
+        argv = ["bench"]
+        for key, value in knobs.items():
+            argv += [f"--{key}", str(value)]
+        args = build_parser().parse_args(argv)
+        rules = _ruleset(args)
+        trace, quarantined = _trace(args, rules, "raise")
+        assert rules.rules == tenant_rules.rules
+        assert np.array_equal(trace.headers, workloads["t"].headers)
+        assert quarantined == 0
+
+
+class TestBenchUpdatesNote:
+    """``bench --updates`` asks the plan an update run serves and names
+    its reason when it engages fewer owners than ``--shards``."""
+
+    def _bench(self, *extra):
+        return main([
+            "bench", "--rules", "60", "--packets", "2000", "--chunk-size",
+            "500", "--algorithm", "linear", "--shards", "2",
+            "--updates", "4", *extra,
+        ])
+
+    def test_an_update_run_names_the_plans_reason(self, capsys):
+        assert self._bench() == 0
+        err = capsys.readouterr().err
+        assert "serves on 1 of 2 shards (update runs serve in-process)" in err
+
+    def test_in_process_shards_print_no_note(self, capsys):
+        assert self._bench("--shard-mode", "threads") == 0
+        assert "note:" not in capsys.readouterr().err
 
 
 class TestSweep:
@@ -329,7 +501,7 @@ class TestLinecard:
         for name in ("parse", "tcam_prefilter", "flow_cache",
                      "classify", "queue_select"):
             assert name in out
-        assert "flow cache hit rate" in out
+        assert "flow cache: 4096 entries x 4-way, hit rate" in out
 
     def test_emit_graph_round_trips(self, tmp_path, capsys):
         from repro.stages import StageGraphSpec

@@ -652,6 +652,16 @@ class TestShardModes:
              "update runs serve in-process"),
             ("threads+updates", 4, 1_000_000, "inline", 2,
              "shard_mode=threads"),
+            # The grid leaves 5119 packets one chunk (4096 + a merged
+            # 1023-packet tail): one owner in every mode.  A tier that
+            # engages one owner anyway keeps its reason; the grid's
+            # collapse of a fork or of in-process shards says so.
+            ("auto", 4, 5119, "inline", 1,
+             "auto: 5119 packets < 2 workers x 4096"),
+            ("auto+updates", 4, 5119, "inline", 1,
+             "update runs serve in-process"),
+            ("processes", 4, 5119, "inline", 1, "one chunk"),
+            ("threads", 1, 5119, "inline", 1, "one chunk"),
         ],
     )
     def test_plan_table(

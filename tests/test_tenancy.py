@@ -445,7 +445,8 @@ class TestServeCli:
         ])
         captured = capsys.readouterr().out
         assert rc == 0
-        assert "served 2 tenants: 1200 packets" in captured
+        assert "classified 1200 packets" in captured
+        assert "2 tenants:" in captured
         assert "gold" in captured and "bronze" in captured
         data = json.loads(out_json.read_text())
         assert [t["name"] for t in data["tenants"]] == ["gold", "bronze"]
