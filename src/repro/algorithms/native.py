@@ -11,8 +11,9 @@ accelerator's leaf placement (:func:`place`), it also counts each
 packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
 The cache kernels (:func:`lookup`, :func:`commit`) are the flow
-cache's two per-batch calls over its own tables, bit-identical to its
-NumPy path in every table, counter and returned array.  The walk and
+cache's two per-batch calls over its own tables, bound once per table
+allocation (:func:`_bound`), bit-identical to its NumPy path in every
+table, counter and returned array.  The walk and
 both cache calls write into the arrays they are handed (a slice of a
 run's outputs) and add what they wrote to a two-cell tally: the
 packets with a result >= 0 and their cycles.  The prefilter
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import platform
 import shutil
@@ -113,7 +115,8 @@ _CACHE_TABLES = (("keyw", "_keyw"), ("result", "_result"), ("stamp", "_stamp"),
 
 class _Cache(ctypes.Structure):
     """``flow_cache`` of _flow_cache.c: one ``FlowCache``'s geometry, its
-    clock and its five tables, bound for one call (:func:`_bind_cache`)."""
+    clock and its five tables, bound once per table allocation
+    (:func:`_bound`)."""
 
     _fields_ = [(name, ctypes.c_int64) for name in (
         "n_sets", "ways", "ndim", "epoch", "tick",
@@ -401,14 +404,12 @@ def walk(
 
 
 def _bind_cache(cache) -> _Cache:
-    """The pointer table over ``cache``'s tables as they are now (its
-    epoch and tick included); built per call, so it never outlives a
-    re-allocation."""
+    """The pointer table over ``cache``'s tables as they are now, which
+    it keeps; :func:`_bound` builds it once per table allocation."""
     if not cache.n_sets:  # every set index would fall outside the tables
         raise BuildError("native flow cache: a zero-entry cache")
     n_words = (cache._ndim + 1) // 2
-    bound = _Cache(cache.n_sets, cache.ways, cache._ndim, int(cache.epoch),
-                   int(cache._tick))
+    bound = _Cache(cache.n_sets, cache.ways, cache._ndim)
     for field, attr in _CACHE_TABLES:
         keyw = field == "keyw"
         setattr(bound, field, _pointer(
@@ -416,6 +417,18 @@ def _bind_cache(cache) -> _Cache:
             (cache.n_sets, cache.ways, n_words) if keyw
             else (cache.n_sets, cache.ways),
         ))
+    bound.keep = [getattr(cache, attr) for _, attr in _CACHE_TABLES]
+    return bound
+
+
+def _bound(cache) -> _Cache:
+    """``cache``'s pointer table with its clock written in, built by
+    :func:`_bind_cache` once per table allocation (or header width)."""
+    bound = cache._native
+    tables = [getattr(cache, attr) for _, attr in _CACHE_TABLES]
+    if bound is None or not all(map(operator.is_, bound.keep, tables)):
+        bound = cache._native = _bind_cache(cache)
+    bound.epoch, bound.tick = int(cache.epoch), int(cache._tick)
     return bound
 
 
@@ -431,7 +444,7 @@ def lookup(cache, headers32, group: bool = True, expect: int = 0,
     if lib is None:
         return None
     n, ndim = headers32.shape[0], cache._ndim
-    bound = _bind_cache(cache)
+    bound = _bound(cache)
     headers = _pointer("headers", headers32, np.uint32, (n, ndim))
     match = np.empty(n, np.int64) if match is None else match
     misses = np.empty(n, np.int64)
@@ -466,7 +479,7 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
         return None
     nd, m = uniq.shape[0], 0 if misses is None else misses.shape[0]
     n = 0 if match is None else match.shape[0]
-    bound = _bind_cache(cache)
+    bound = _bound(cache)
     scatter = [None] * 4  # misses, rank, match, occupancy: all or none
     if misses is not None:
         scatter = [_pointer(name, a, np.int64, (size,)) for name, a, size in

@@ -222,6 +222,8 @@ class FaultPlan(Spec):
     def coerce(cls, obj) -> "FaultPlan | None":
         """Normalise a run's ``faults=`` argument: a plan, a dict, a
         list of specs, a path (``str`` or ``os.PathLike``), or None."""
+        if obj is None:  # every fault-free run: no type check to pay
+            return None
         if isinstance(obj, (str, os.PathLike)):
             obj = cls.load(os.fspath(obj))
         elif isinstance(obj, (list, tuple)):

@@ -15,7 +15,9 @@ misses — that split is where the energy argument lives.
   :meth:`FlowCache.commit` (scatter the backend's answers, fill).  Each
   is one C loop over the batch where :mod:`~repro.algorithms.native`
   loaded and NumPy otherwise (the oracle): bit-identical tables,
-  counters and results, no per-packet Python either way.
+  counters and results, no per-packet Python either way.  The C side is
+  bound once: the cache's pointer table is built when its tables are
+  (re)allocated and kept, so a call hands over its batch and the clock.
 * :class:`CachedClassifier` — wraps any
   :class:`~repro.engine.protocol.Classifier` behind the same protocol,
   so it composes with the registry, the pipeline and the CLI like a bare
@@ -246,6 +248,11 @@ class FlowCache:
         #: Distinct misses of the last native lookup, the size the next
         #: one's grouping table starts at (its result never depends on it).
         self._distinct = 0
+        #: The native calls' pointer table over these tables, bound on
+        #: the first native call after they are (re)allocated and then
+        #: kept: each call writes only the epoch and the clock into it
+        #: (``native._bound``).
+        self._native = None
 
     # ------------------------------------------------------------------
     @property

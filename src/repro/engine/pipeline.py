@@ -186,6 +186,9 @@ class _Run:
     faults: FaultPlan | None
     #: Whether the classifier models occupancy (sizes the outputs).
     models_occupancy: InitVar[bool] = False
+    #: The ``(match, occupancy)`` arrays to write (a slice of a stream's
+    #: outputs), or ``None`` for fresh ones.
+    outputs: InitVar[tuple | None] = None
     report: FaultReport = field(default_factory=FaultReport)
     #: Operations the applied batches skipped (removals of dead ids).
     update_skipped: int = 0
@@ -194,15 +197,18 @@ class _Run:
     #: CPU seconds forked workers reported for the chunks they served.
     worker_cpu_s: float = 0.0
 
-    def __post_init__(self, models_occupancy: bool) -> None:
+    def __post_init__(self, models_occupancy: bool, outputs) -> None:
         # The outputs, each chunk writing its slice in place: ``match``,
         # ``occupancy`` (unless unmodelled or chunkless), and per chunk
         # its ``(matched, occupancy_sum)`` tally row and cache triple.
         n, chunks = self.headers.shape[0], len(self.bounds)
-        self.match = np.empty(n, np.int64)
-        self.occupancy = (
-            np.empty(n, np.int64) if chunks and models_occupancy else None
+        models_occupancy = bool(chunks and models_occupancy)
+        self.match, self.occupancy = outputs or (
+            np.empty(n, np.int64),
+            np.empty(n, np.int64) if models_occupancy else None,
         )
+        if not models_occupancy:
+            self.occupancy = None
         self.tally = np.zeros((chunks, 2), np.int64)
         self.caches: list[CacheTriple] = [None] * chunks
 
@@ -701,12 +707,15 @@ class ClassificationPipeline:
 
     # ------------------------------------------------------------------
     def run(
-        self, trace: PacketTrace, updates=None, faults=None
+        self, trace: PacketTrace, updates=None, faults=None, out=None
     ) -> EngineReport:
         """Classify ``trace``, optionally interleaving a rule-update
         stream; results are in trace order regardless of shard
         scheduling, and every chunk is classified against one
-        well-defined ruleset epoch.
+        well-defined ruleset epoch.  ``out`` is the ``(match,
+        occupancy)`` pair to write the results into (a segment's slice
+        of a stream's outputs; occupancy ``None`` unless the classifier
+        models it), fresh arrays when ``None``.
 
         ``faults`` injects a deterministic
         :class:`~repro.engine.faults.FaultPlan` (or dict / spec list /
@@ -721,15 +730,9 @@ class ClassificationPipeline:
         run = _Run(
             headers, plan.bounds,
             self._normalise_updates(updates, plan.bounds),
-            FaultPlan.coerce(faults), models_occupancy(self.classifier),
+            FaultPlan.coerce(faults), models_occupancy(self.classifier), out,
         )
-        # Epochs are reported only for genuinely updatable backends —
-        # a cache wrapper around a non-updatable classifier merely
-        # *delegates* and must keep reporting None.
-        base_epoch = (
-            self._classifier_epoch()
-            if is_updatable(self.classifier) else None
-        )
+        base_epoch = self._reported_epoch()
         started = time.perf_counter()
         if run.entries:
             # Held workers are a snapshot of the epoch this run leaves.
@@ -738,6 +741,24 @@ class ClassificationPipeline:
         elapsed = time.perf_counter() - started
         self._owner_epoch = self._classifier_epoch()
         return self._aggregate(run, served, elapsed, base_epoch)
+
+    def empty_report(self) -> EngineReport:
+        """What :meth:`run` reports for an empty trace, built without
+        serving one and over no segment: the report of a session that
+        served none."""
+        plan = self.plan(0)
+        run = _Run(np.empty((0, 0), np.uint32), plan.bounds, [], None)
+        report = self._aggregate(run, plan, 0.0, self._reported_epoch())
+        report.n_segments = 0
+        return report
+
+    def _reported_epoch(self) -> int | None:
+        """The classifier's epoch, reported only for genuinely updatable
+        backends: a cache wrapper around a non-updatable classifier
+        merely *delegates* and must keep reporting ``None``."""
+        if is_updatable(self.classifier):
+            return self._classifier_epoch()
+        return None
 
     # -- forked tier ----------------------------------------------------
     def _run_forked(self, plan: ShardPlan, run: _Run, attempt: int) -> None:

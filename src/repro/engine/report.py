@@ -62,9 +62,11 @@ def sum_cache_triples(triples) -> dict:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChunkStats:
-    """Aggregate statistics for one processed chunk.
+    """Aggregate statistics for one processed chunk (a plain slotted
+    record: one is built per chunk on the serving path, and a frozen
+    one costs several times as much to build).
 
     ``cache_hits``/``cache_misses``/``cache_evictions`` are filled when
     the classifier is a flow-cached front-end; ``None`` on bare
@@ -116,7 +118,7 @@ class EngineReport:
     chunk_size: int
     n_chunks: int
     #: Number of pipeline runs merged into this report (1 for a
-    #: single run).
+    #: single run, 0 for a stream that served no segment).
     n_segments: int = 1
     match: np.ndarray | None = field(default=None, repr=False)
     chunks: list[ChunkStats] = field(default_factory=list, repr=False)
@@ -284,37 +286,34 @@ class EngineReport:
         results: list[EngineReport],
         elapsed_s: float,
         energy_model: str = "none",
+        outputs: tuple | None = None,
     ) -> "EngineReport":
-        """Fuse the per-segment results of a streamed session.
+        """Fuse the per-segment results of a streamed session (at least
+        one: a session with none reports its pipeline's empty run).
 
         ``elapsed_s`` is the end-to-end wall clock of the stream (which
         includes pulling the segments from their source, so it is *not*
-        the sum of the per-segment times).  Matches/occupancy concatenate in
-        stream order; cache and update counters sum; the final epoch is
+        the sum of the per-segment times).  ``outputs``, when given, is
+        the stream-sized ``(match, occupancy)`` pair every result wrote
+        its slice of, in stream order (a known-length source): the merge
+        takes it as it is.  Otherwise matches/occupancy concatenate in
+        stream order.  Cache and update counters sum; the final epoch is
         the last segment's.  A zero-packet result (an empty segment, the
-        tail-update run) is left out of the occupancy concatenation; any
-        other result without occupancy leaves the merge without one.  A
-        stage-graph segment is its classify run restated on all its
-        packets (a dropped one reads match -1 and occupancy 0), so it
-        carries an occupancy whenever the classifier models one, even
-        when classify saw none of its packets; its chunks count only the
-        classified packets.
+        tail-update run) has no occupancy to give; any other result
+        without occupancy leaves the merge without one.  A stage-graph
+        segment is its classify run restated on all its packets (a
+        dropped one reads match -1 and occupancy 0), so it carries an
+        occupancy whenever the classifier models one, even when classify
+        saw none of its packets; its chunks count only the classified
+        packets.
         """
-        if not results:
-            return cls(
-                backend="classifier", n_packets=0, matched=0,
-                elapsed_s=elapsed_s, n_shards=0, chunk_size=0, n_chunks=0,
-                n_segments=0,
-                match=np.empty(0, dtype=np.int64),
-                energy_model=energy_model,
-            )
-        match = np.concatenate([r.match for r in results])
         occs = [r.occupancy for r in results if r.n_packets]
-        occupancy = (
-            np.concatenate(occs)
-            if occs and all(o is not None for o in occs)
-            else None
-        )
+        whole = bool(occs) and all(o is not None for o in occs)
+        if outputs is None:
+            match = np.concatenate([r.match for r in results])
+            occupancy = np.concatenate(occs) if whole else None
+        else:
+            match, occupancy = outputs[0], outputs[1] if whole else None
         final_epoch = None
         for r in results:
             if r.final_epoch is not None:
@@ -338,7 +337,7 @@ class EngineReport:
             n_shards=max(r.n_shards for r in results),
             chunk_size=results[0].chunk_size,
             n_chunks=len(chunks),
-            n_segments=len(results),
+            n_segments=sum(r.n_segments for r in results),
             match=match,
             chunks=chunks,
             occupancy=occupancy,

@@ -107,12 +107,13 @@ def _check_segment_size(segment_packets: int) -> None:
 def iter_trace_segments(
     trace: PacketTrace, segment_packets: int = DEFAULT_SEGMENT_PACKETS
 ) -> Iterator[PacketTrace]:
-    """Yield ``trace`` as consecutive zero-copy segment views."""
+    """Yield ``trace`` as consecutive zero-copy segment views (its rows
+    were checked when it was built: a view is not checked again)."""
     _check_segment_size(segment_packets)
-    n = trace.n_packets
-    for start in range(0, n, segment_packets):
-        yield PacketTrace(
-            trace.headers[start:start + segment_packets], trace.schema
+    headers, schema = trace.headers, trace.schema
+    for start in range(0, trace.n_packets, segment_packets):
+        yield PacketTrace.from_checked(
+            headers[start:start + segment_packets], schema
         )
 
 

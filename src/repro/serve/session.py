@@ -30,7 +30,11 @@ Two serving paths, one result record (:class:`EngineReport`):
     queued: the source is pulled when the consumer asks, so streamed
     memory is one segment in flight (docs/engine.md, "What ingest
     costs").  Each chunk carries its segment's own report;
-    ``classify_stream`` merges them (:meth:`EngineReport.merge`).
+    ``classify_stream`` merges them (:meth:`EngineReport.merge`).  A
+    source already in memory (a trace or a header array) has a known
+    length, so ``classify_stream`` serves it like one run: one
+    stream-sized ``match`` (and ``occupancy``), each segment writing
+    its slice, and nothing concatenated at the end.
 
 Exactness: streamed matches are bit-identical to ``classify`` on the
 concatenated trace at every backend/shard/pool/cache combination.  With
@@ -57,7 +61,7 @@ from ..core.updates import ScheduledUpdate, sorted_schedule
 from ..engine.faults import FaultPlan, fire
 from ..engine.flowcache import CachedClassifier
 from ..engine.pipeline import ClassificationPipeline
-from ..engine.protocol import Classifier
+from ..engine.protocol import Classifier, models_occupancy
 from ..engine.registry import backend_spec, build_backend
 from ..engine.report import EngineReport
 from ..engine.supervision import FaultReport
@@ -291,6 +295,7 @@ class Engine:
         segment_packets: int = DEFAULT_SEGMENT_PACKETS,
         faults=None,
         _serve_segment=None,
+        _outputs=None,
     ) -> Iterator[ChunkResult]:
         """Serve a segment stream on the calling thread.
 
@@ -322,7 +327,10 @@ class Engine:
         accounting is published on :attr:`last_stream_fault` when the
         session ends.  ``_serve_segment`` (private) replaces
         ``pipeline.run`` as the per-segment step: the stage graph serves
-        its stage chain on this loop.
+        its stage chain on this loop.  ``_outputs`` (private) is the
+        stream-sized ``(match, occupancy)`` pair :meth:`classify_stream`
+        hands a known-length source: each segment is served into its
+        slice of it.
         """
         cursor = UpdateCursor(updates, self.classifier)
         # The session's accounting starts here, not at the first
@@ -334,7 +342,7 @@ class Engine:
         return self._stream(
             self._segments(segments, segment_packets), cursor,
             FaultPlan.coerce(faults),
-            _serve_segment or self._pipeline.run, quarantined,
+            _serve_segment or self._pipeline.run, quarantined, _outputs,
         )
 
     def classify_stream(
@@ -344,22 +352,47 @@ class Engine:
         **stream_kwargs,
     ) -> EngineReport:
         """Consume a whole :meth:`stream` session into one merged
-        :class:`EngineReport` (end-to-end wall clock, concatenated
-        matches)."""
+        :class:`EngineReport` (end-to-end wall clock, stream-order
+        matches).  A source whose length is known up front (a
+        :class:`PacketTrace` or a header array) is served into one
+        stream-sized ``match`` (and ``occupancy``, when the classifier
+        models it): each segment's run writes its slice, and the merge
+        takes the pair as it is.  Any other source's segments are
+        concatenated by the merge."""
         started = time.perf_counter()
+        if isinstance(segments, np.ndarray):  # checked once, here
+            segments = PacketTrace(segments, self.ruleset.schema)
+        outputs = None
+        if isinstance(segments, PacketTrace) and segments.n_packets:
+            n = segments.n_packets
+            outputs = np.empty(n, np.int64), (
+                np.empty(n, np.int64)
+                if models_occupancy(self.classifier) else None
+            )
         results = [
-            chunk.result
-            for chunk in self.stream(segments, updates, **stream_kwargs)
+            chunk.result for chunk in self.stream(
+                segments, updates, _outputs=outputs, **stream_kwargs
+            )
         ]
-        return self.merged_report(results, time.perf_counter() - started)
+        return self.merged_report(
+            results, time.perf_counter() - started, outputs
+        )
 
-    def merged_report(self, results, elapsed_s: float) -> EngineReport:
+    def merged_report(
+        self, results, elapsed_s: float, outputs=None
+    ) -> EngineReport:
         """The last (ended) session's per-segment ``results`` as one
-        report: :meth:`EngineReport.merge` under the config's energy
-        model, plus the stream-level accounting (ingest retries,
-        quarantined lines) that lives outside any one pipeline run."""
+        report: :meth:`EngineReport.merge` (over ``outputs``, the
+        stream-sized pair the results wrote into, when there is one)
+        under the config's energy model, plus the stream-level
+        accounting (ingest retries, quarantined lines) that lives
+        outside any one pipeline run.  A session that served no segment
+        reports what :meth:`classify` reports for no packets, over no
+        segment."""
+        if not results:
+            results, outputs = [self._pipeline.empty_report()], None
         report = EngineReport.merge(
-            results, elapsed_s, self.config.energy_model
+            results, elapsed_s, self.config.energy_model, outputs
         )
         if self.last_stream_fault is not None:
             report.fault.merge(self.last_stream_fault)
@@ -392,12 +425,13 @@ class Engine:
 
     def _stream(
         self, source: Iterator[PacketTrace], cursor: UpdateCursor, plan,
-        serve_segment, quarantined_before: int,
+        serve_segment, quarantined_before: int, outputs,
     ) -> Iterator[ChunkResult]:
         """Generator body of :meth:`stream`, and the only segment loop:
         pull (``ingest`` faults first), take the segment's updates,
         serve it with ``serve_segment`` (``pipeline.run``, or the stage
-        graph's chain), yield — all on the thread that calls ``next()``
+        graph's chain) into its slice of ``outputs`` (fresh arrays when
+        ``None``), yield — all on the thread that calls ``next()``
         — then flush the updates left past the end.  Stream-level
         accounting is settled in the ``finally``, so exhaustion, an
         early ``close()`` and a raising source all publish it."""
@@ -423,11 +457,15 @@ class Engine:
                 if trace is None:
                     break
                 start = cursor.offset
+                window = slice(start, start + trace.n_packets)
                 result = serve_segment(
                     trace,
                     updates=cursor.take(trace.n_packets) or None,
                     faults=plan.for_segment(index)
                     if plan is not None else None,
+                    out=None if outputs is None else tuple(
+                        a if a is None else a[window] for a in outputs
+                    ),
                 )
                 yield ChunkResult(index, start, result)
                 index += 1

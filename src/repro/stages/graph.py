@@ -26,7 +26,10 @@ the stream (a dropped packet reads ``match = -1``, what a bare run
 reports for a no-match packet, and ``occupancy = 0``), and each chunk's
 ``start`` is the stream position of its first classified packet.  The
 chunks count only classified packets, so ``mean_occupancy()`` and the
-energy divide by those.
+energy divide by those.  Over a trace or a header array the segments
+write the session's stream-sized outputs: a segment with no drop hands
+its slice to the classify run, one with drops scatters its survivors
+into it.
 
 Energy semantics (documented in ``docs/linecard.md``): the soft stages
 (parse/drop/extract/rewrite/queue_select) charge SRAM access energy
@@ -81,6 +84,9 @@ from ..engine.protocol import models_occupancy
 from ..engine.supervision import FaultReport
 from ..serve import DEFAULT_SEGMENT_PACKETS, Engine, EngineReport
 from .spec import StageGraphSpec, StageSpec
+
+#: The stage kinds that can drop a packet (a fault's drop storm aside).
+_DROPPING = frozenset({"drop", "tcam_prefilter"})
 
 #: Rows of the native verdict memo's first table (it doubles at half
 #: load), and slots of the NumPy path's direct-indexed front.
@@ -251,14 +257,17 @@ class StageGraph:
         segments = itertools.count()
         returned = time.perf_counter()
 
-        def serve_segment(trace, updates=None, faults=None):
+        def serve_segment(trace, updates=None, faults=None, out=None):
             """One segment through the stage chain: the session's step.
             ``updates`` are the segment's batches in segment coordinates
             and ``faults`` its pipeline-run sub-plan, both for the classify
-            stage, whose report on the whole segment this returns."""
+            stage, whose report on the whole segment this returns, written
+            into ``out`` (the segment's slice of the stream's outputs)
+            when given."""
             nonlocal returned
             seg_index = next(segments)
             alive = np.ones(trace.n_packets, dtype=bool)
+            live = trace.n_packets  # recounted after a stage that can drop
             scratch: dict = {}  # per-segment shared work (flow hash)
 
             def step(stage: StageSpec, rep: StageReport, attempt: int):
@@ -279,33 +288,39 @@ class StageGraph:
                             f"stage:{stage.kind}:drop_storm@segment{seg_index}"
                         )
                         alive[:] = False
-                    out = self._run_stage(
+                    got = self._run_stage(
                         stage, rep, trace, alive,
                         None if result is None else result.match,
-                        due=updates or (), faults=faults,
+                        n_in=int(np.count_nonzero(alive)) if specs else live,
+                        due=updates or (), faults=faults, out=out,
                         tcam_monitor=tcam_monitor, scratch=scratch,
                     )
                 finally:
                     rep.busy_s += time.perf_counter() - t0
                 rep.retries += attempt
-                return out
+                return got
 
             result = None
             for rep, stage in zip(reports, self.spec.stages):
-                rep.packets_in += int(np.count_nonzero(alive))
+                rep.packets_in += live
                 if stage.kind == "parse":
                     # Billed the pull: the time since the previous step
                     # returned, ingest retries and backoff included.
                     rep.busy_s += time.perf_counter() - returned
                     rep.energy_j += trace.n_packets * SRAM_ACCESS_ENERGY_J
                 else:
-                    out = supervisor.retry(
-                        lambda attempt: step(stage, rep, attempt),
-                        stage_fault, tier=f"stage:{stage.kind}",
-                        chunk=seg_index,
+                    # Only an injected fault is recoverable at a stage.
+                    got = step(stage, rep, 0) if plan is None else (
+                        supervisor.retry(
+                            lambda attempt: step(stage, rep, attempt),
+                            stage_fault, tier=f"stage:{stage.kind}",
+                            chunk=seg_index,
+                        )
                     )
-                    result = result if out is None else out
-                rep.packets_out += int(np.count_nonzero(alive))
+                    result = result if got is None else got
+                    if plan is not None or stage.kind in _DROPPING:
+                        live = int(np.count_nonzero(alive))
+                rep.packets_out += live
             returned = time.perf_counter()
             return result
 
@@ -328,16 +343,19 @@ class StageGraph:
         alive: np.ndarray,
         seg_match: np.ndarray | None,
         *,
+        n_in: int,
         due,
         faults,
+        out,
         tcam_monitor: bool,
         scratch: dict,
     ):
-        """Execute one stage body over the segment; returns the
-        classify stage's report, else ``None``.  ``seg_match`` is the
-        segment's match once classify has run (a dropped packet -1)."""
+        """Execute one stage body over the segment's ``n_in`` live
+        packets (``alive``); returns the classify stage's report, else
+        ``None``.  ``seg_match`` is the segment's match once classify has
+        run (a dropped packet -1); classify writes into ``out`` when
+        given."""
         headers = trace.headers
-        n_in = int(np.count_nonzero(alive))
         all_alive = n_in == trace.n_packets
 
         def seg_hash() -> np.ndarray:
@@ -408,7 +426,7 @@ class StageGraph:
             rep.extra["ways"] = self.config.cache_ways
             rep.energy_j += n_in * SRAM_ACCESS_ENERGY_J
         elif stage.kind == "classify":
-            sub = trace if all_alive else PacketTrace(
+            sub = trace if all_alive else PacketTrace.from_checked(
                 np.ascontiguousarray(headers[alive]), trace.schema
             )
             # Rebase each batch's offset from segment coordinates to
@@ -419,20 +437,23 @@ class StageGraph:
                 ScheduledUpdate(int(alive[:e.at_packet].sum()), e.batch)
                 for e in due
             ]
-            result = self.engine.pipeline.run(
-                sub, updates=local or None, faults=faults
-            )
+            run = self.engine.pipeline.run
             if all_alive:  # nothing dropped: the run is the segment's
-                return result
+                return run(sub, updates=local or None, faults=faults, out=out)
+            result = run(sub, updates=local or None, faults=faults)
             # Restated on the whole segment: a dropped packet reads -1
             # and occupancy 0 (kept when classify saw none, so the merge
             # keeps the stream's); a chunk starts at its first packet.
             where = np.flatnonzero(alive)
-            match = np.full(trace.n_packets, -1, np.int64)
+            match, occupancy = out or (
+                np.empty(trace.n_packets, np.int64),
+                np.empty(trace.n_packets, np.int64)
+                if models_occupancy(self.engine.classifier) else None,
+            )
+            match.fill(-1)
             match[where] = result.match
-            occupancy = None
-            if models_occupancy(self.engine.classifier):
-                occupancy = np.zeros(trace.n_packets, np.int64)
+            if occupancy is not None:
+                occupancy.fill(0)
                 if where.size:
                     occupancy[where] = result.occupancy
             return replace(
@@ -459,8 +480,10 @@ class StageGraph:
                 if policy == "match":
                     m = seg_match if all_alive else seg_match[alive]
                     q = np.where(m >= 0, m % queues, 0).astype(np.int64)
-                else:
+                elif queues & (queues - 1):
                     q = (seg_hash() % np.uint64(queues)).astype(np.int64)
+                else:  # a power of two: the mask, ten times cheaper
+                    q = (seg_hash() & np.uint64(queues - 1)).astype(np.int64)
                 counts = np.bincount(q, minlength=queues)
                 prev = rep.extra.get("queue_occupancy", [0] * queues)
                 rep.extra["queue_occupancy"] = [

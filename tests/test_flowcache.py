@@ -12,6 +12,7 @@ incremental rule update.
 
 from __future__ import annotations
 
+import multiprocessing
 import zlib
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.engine.protocol import (
 )
 from repro.engine.flowcache import dedupe_flow_keys, flow_hash, pack_flow_keys
 from repro.energy import CacheEnergyModel
+from tests.conftest import random_headers
 
 ALL_BACKENDS = available_backends()
 
@@ -845,6 +847,94 @@ class TestNativeCacheKernels:
                     said.append(_take_step(clf, pool, step))
             assert said[0] == said[1], step
             _assert_same_cache(twins[0].cache, twins[1].cache)
+
+
+class TestBoundContext:
+    """The native cache calls are bound once: ``FlowCache._native`` is
+    built over the tables when they are (re)allocated and then only gets
+    the epoch and the clock.  Interleaved with every event that moves
+    the cache's state — a whole-cache flush, an update batch's retire, a
+    header-width change that reallocates the tables, a fill, a fork of a
+    shard owner, a batch larger than any before — the native twin's
+    tables, counters and results stay the NumPy twin's."""
+
+    @staticmethod
+    def _serve(twins, headers) -> None:
+        said = []
+        for clf, portable in zip(twins, (False, True)):
+            with pytest.MonkeyPatch.context() as patch:
+                if portable:
+                    patch.setattr(native, "_kernel",
+                                  native._Kernel(reason="oracle side"))
+                out = clf.batch_stats(headers)
+                said.append([*_listed(out.match, out.occupancy),
+                             out.cache_hits, out.cache_misses,
+                             out.cache_evictions, out.occupancy_sum])
+        assert said[0] == said[1]
+        _assert_same_cache(twins[0].cache, twins[1].cache)
+
+    @staticmethod
+    def _both(twins, event) -> None:
+        for clf in twins:
+            event(clf)
+
+    def test_the_bound_context_is_never_stale(self, native_kernel):
+        twins = [CachedClassifier(CyclesOfHeader(), entries=64, ways=4)
+                 for _ in range(2)]
+        rng = np.random.default_rng(45)
+
+        def batch(n, ndim=5):
+            return rng.integers(0, 6, size=(n, ndim)).astype(np.uint32)
+
+        self._serve(twins, batch(300))
+        bound = twins[0].cache._native
+        assert bound is not None and twins[1].cache._native is None
+        self._serve(twins, batch(300))
+        self._both(twins, lambda clf: clf.invalidate_cache())
+        self._serve(twins, batch(300))
+        box = Rule(ranges=((0, 2),) * 5)
+        self._both(twins, lambda clf: clf.cache.retire(
+            [remove_op(3), insert_op(box)], [2]))
+        self._serve(twins, batch(300))
+        fill = batch(40)
+        self._both(twins, lambda clf: clf.cache.fill(
+            fill, np.arange(40, dtype=np.int64)))
+        self._serve(twins, batch(300))
+        if "fork" in multiprocessing.get_all_start_methods():
+            # A forked shard owner serves on its copy-on-write copy of
+            # the bound table.
+            child = multiprocessing.get_context("fork").Process(
+                target=self._serve, args=(twins, batch(3000))
+            )
+            child.start()
+            child.join(60)
+            assert child.exitcode == 0
+        self._serve(twins, batch(300))
+        # Seven columns: the tables are reallocated and bound anew.
+        self._serve(twins, batch(300, ndim=7))
+        assert twins[0].cache._native is not bound
+        assert twins[0].cache._native.ndim == 7
+        self._serve(twins, batch(200, ndim=7))
+        self._serve(twins, batch(5000, ndim=7))  # larger than any before
+        self._serve(twins, batch(100, ndim=7))
+
+    def test_a_steady_batch_binds_nothing(self, native_kernel, monkeypatch):
+        clf = CachedClassifier(CyclesOfHeader(), entries=64, ways=4)
+        headers = random_headers(FIVE_TUPLE, 500, seed=4)
+        clf.batch_stats(headers)
+        checked = []
+        real = native._pointer
+
+        def spy(name, *args):
+            checked.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(native, "_pointer", spy)
+        for _ in range(3):
+            clf.batch_stats(headers)
+            clf.cache.advance_epoch()
+        tables = {"_keyw", "_result", "_stamp", "_epoch", "_filled"}
+        assert checked and not tables & set(checked)
 
 
 class TestCachedClassifierEdgeCases:
