@@ -319,9 +319,10 @@ class TestStageSemantics:
                 report.cache_hit_rate
             )
 
+    @pytest.mark.parametrize("queues", [4, 6])
     @pytest.mark.parametrize("policy", ["hash", "match"])
     def test_queue_occupancy_sums_to_survivors(
-        self, acl_small, zipf_small, policy
+        self, acl_small, zipf_small, policy, queues
     ):
         spec = StageGraphSpec(
             stages=(
@@ -331,7 +332,7 @@ class TestStageSemantics:
                 ),
                 StageSpec(
                     kind="queue_select",
-                    params={"queues": 4, "policy": policy},
+                    params={"queues": queues, "policy": policy},
                 ),
             )
         )
@@ -339,11 +340,15 @@ class TestStageSemantics:
             report = graph.run(zipf_small, segment_packets=1000)
         queue = report.stages[-1]
         occ = queue.extra["queue_occupancy"]
-        assert len(occ) == 4
+        assert len(occ) == queues
         assert sum(occ) == queue.packets_out == zipf_small.n_packets
         if policy == "hash":
-            # The flow hash must actually spread flows across queues.
+            # The flow hash must actually spread flows across queues,
+            # each to its hash modulo the queue count (a mask when that
+            # is a power of two).
             assert sum(1 for c in occ if c) > 1
+            hashed = flow_hash(zipf_small.headers) % np.uint64(queues)
+            assert occ == np.bincount(hashed, minlength=queues).tolist()
 
     def test_rewrite_touches_only_matched(self, acl_small, zipf_small):
         spec = default_graph({"backend": "hypercuts"}, cache_entries=0)
