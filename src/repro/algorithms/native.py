@@ -10,14 +10,13 @@ all six :class:`~repro.algorithms.base.BatchLookup` fields.  Handed an
 accelerator's leaf placement (:func:`place`), it also counts each
 packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
-The cache kernels (:func:`lookup`, :func:`commit`) are the flow
-cache's two per-batch calls over its own tables, bound once per table
-allocation (:func:`_bound`), bit-identical to its NumPy path in every
-table, counter and returned array.  The walk and
+The cache kernels (:func:`lookup`, :func:`commit`) are the flow cache's
+two per-batch calls over its own tables (bound once), bit-identical to
+its NumPy path in every table, counter and returned array.  The walk and
 both cache calls write into the arrays they are handed (a slice of a
-run's outputs) and add what they wrote to a two-cell tally: the
-packets with a result >= 0 and their cycles.  The prefilter
-calls (:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
+run's outputs) and add what they wrote to a two-cell tally: the packets
+with a result >= 0 and their cycles.  The prefilter calls
+(:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
 :class:`~repro.stages.StageGraph`'s per-packet flow hash (the flow
 cache's FNV-1a) and its verdict memo, bit-identical to its NumPy path in
 every hash and verdict.  The parser (:func:`parse_text`) turns whole
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import operator
 import os
 import platform
 import shutil
@@ -115,8 +113,7 @@ _CACHE_TABLES = (("keyw", "_keyw"), ("result", "_result"), ("stamp", "_stamp"),
 
 class _Cache(ctypes.Structure):
     """``flow_cache`` of _flow_cache.c: one ``FlowCache``'s geometry, its
-    clock and its five tables, bound once per table allocation
-    (:func:`_bound`)."""
+    clock and its five tables, bound once per allocation (:func:`_bound`)."""
 
     _fields_ = [(name, ctypes.c_int64) for name in (
         "n_sets", "ways", "ndim", "epoch", "tick",
@@ -403,31 +400,23 @@ def walk(
 # the library did not load, and the caller takes its NumPy path.
 
 
-def _bind_cache(cache) -> _Cache:
-    """The pointer table over ``cache``'s tables as they are now, which
-    it keeps; :func:`_bound` builds it once per table allocation."""
-    if not cache.n_sets:  # every set index would fall outside the tables
-        raise BuildError("native flow cache: a zero-entry cache")
-    n_words = (cache._ndim + 1) // 2
-    bound = _Cache(cache.n_sets, cache.ways, cache._ndim)
-    for field, attr in _CACHE_TABLES:
-        keyw = field == "keyw"
-        setattr(bound, field, _pointer(
-            attr, getattr(cache, attr), np.uint64 if keyw else np.int64,
-            (cache.n_sets, cache.ways, n_words) if keyw
-            else (cache.n_sets, cache.ways),
-        ))
-    bound.keep = [getattr(cache, attr) for _, attr in _CACHE_TABLES]
-    return bound
-
-
 def _bound(cache) -> _Cache:
-    """``cache``'s pointer table with its clock written in, built by
-    :func:`_bind_cache` once per table allocation (or header width)."""
+    """``cache``'s pointer table, built once per table allocation
+    (``FlowCache._ensure_tables`` drops it), its clock written in."""
     bound = cache._native
-    tables = [getattr(cache, attr) for _, attr in _CACHE_TABLES]
-    if bound is None or not all(map(operator.is_, bound.keep, tables)):
-        bound = cache._native = _bind_cache(cache)
+    if bound is None:
+        if not cache.n_sets:  # every set index would fall outside the tables
+            raise BuildError("native flow cache: a zero-entry cache")
+        n_words = (cache._ndim + 1) // 2
+        bound = _Cache(cache.n_sets, cache.ways, cache._ndim)
+        for field, attr in _CACHE_TABLES:
+            keyw = field == "keyw"
+            setattr(bound, field, _pointer(
+                attr, getattr(cache, attr), np.uint64 if keyw else np.int64,
+                (cache.n_sets, cache.ways, n_words) if keyw
+                else (cache.n_sets, cache.ways),
+            ))
+        cache._native = bound
     bound.epoch, bound.tick = int(cache.epoch), int(cache._tick)
     return bound
 
