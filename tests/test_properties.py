@@ -77,18 +77,9 @@ def headers_for(draw, ruleset, n=24):
     return PacketTrace(np.asarray(rows, dtype=np.uint32), FIVE_TUPLE)
 
 
-# Derandomized: the 25 draws depend on the test and on the modules loaded
-# (Hypothesis mines their constants), not on the run.  Free draws now
-# and then reach a ruleset on which the tree builders run away (23
-# rules, binth 4, spfac 2: a 70,701-node software HiCuts tree in 21-28 s;
-# one draw held a whole tier-1 run for 20 minutes), so the suite's wall
-# time was a lottery.  Run alone, the fixed draws still include such a
-# ruleset (24 rules: a 34,302-node software HiCuts tree in ~10 s); the
-# builders' cost is ROADMAP item 1.
 common_settings = settings(
     max_examples=25,
     deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
