@@ -85,9 +85,6 @@ from ..engine.supervision import FaultReport
 from ..serve import DEFAULT_SEGMENT_PACKETS, Engine, EngineReport
 from .spec import StageGraphSpec, StageSpec
 
-#: The stage kinds that can drop a packet (a fault's drop storm aside).
-_DROPPING = frozenset({"drop", "tcam_prefilter"})
-
 #: Rows of the native verdict memo's first table (it doubles at half
 #: load), and slots of the NumPy path's direct-indexed front.
 _MEMO_SLOTS = 1 << 10
@@ -267,7 +264,6 @@ class StageGraph:
             nonlocal returned
             seg_index = next(segments)
             alive = np.ones(trace.n_packets, dtype=bool)
-            live = trace.n_packets  # recounted after a stage that can drop
             scratch: dict = {}  # per-segment shared work (flow hash)
 
             def step(stage: StageSpec, rep: StageReport, attempt: int):
@@ -291,7 +287,6 @@ class StageGraph:
                     got = self._run_stage(
                         stage, rep, trace, alive,
                         None if result is None else result.match,
-                        n_in=int(np.count_nonzero(alive)) if specs else live,
                         due=updates or (), faults=faults, out=out,
                         tcam_monitor=tcam_monitor, scratch=scratch,
                     )
@@ -302,25 +297,20 @@ class StageGraph:
 
             result = None
             for rep, stage in zip(reports, self.spec.stages):
-                rep.packets_in += live
+                rep.packets_in += int(np.count_nonzero(alive))
                 if stage.kind == "parse":
                     # Billed the pull: the time since the previous step
                     # returned, ingest retries and backoff included.
                     rep.busy_s += time.perf_counter() - returned
                     rep.energy_j += trace.n_packets * SRAM_ACCESS_ENERGY_J
                 else:
-                    # Only an injected fault is recoverable at a stage.
-                    got = step(stage, rep, 0) if plan is None else (
-                        supervisor.retry(
-                            lambda attempt: step(stage, rep, attempt),
-                            stage_fault, tier=f"stage:{stage.kind}",
-                            chunk=seg_index,
-                        )
+                    got = supervisor.retry(
+                        lambda attempt: step(stage, rep, attempt),
+                        stage_fault, tier=f"stage:{stage.kind}",
+                        chunk=seg_index,
                     )
                     result = result if got is None else got
-                    if plan is not None or stage.kind in _DROPPING:
-                        live = int(np.count_nonzero(alive))
-                rep.packets_out += live
+                rep.packets_out += int(np.count_nonzero(alive))
             returned = time.perf_counter()
             return result
 
@@ -343,7 +333,6 @@ class StageGraph:
         alive: np.ndarray,
         seg_match: np.ndarray | None,
         *,
-        n_in: int,
         due,
         faults,
         out,
@@ -356,6 +345,7 @@ class StageGraph:
         run (a dropped packet -1); classify writes into ``out`` when
         given."""
         headers = trace.headers
+        n_in = int(np.count_nonzero(alive))
         all_alive = n_in == trace.n_packets
 
         def seg_hash() -> np.ndarray:
