@@ -339,11 +339,10 @@ class StageGraph:
         tcam_monitor: bool,
         scratch: dict,
     ):
-        """Execute one stage body over the segment's ``n_in`` live
-        packets (``alive``); returns the classify stage's report, else
-        ``None``.  ``seg_match`` is the segment's match once classify has
-        run (a dropped packet -1); classify writes into ``out`` when
-        given."""
+        """Execute one stage body over the segment; returns the
+        classify stage's report, else ``None``.  ``seg_match`` is the
+        segment's match once classify has run (a dropped packet -1);
+        classify writes into ``out`` when given."""
         headers = trace.headers
         n_in = int(np.count_nonzero(alive))
         all_alive = n_in == trace.n_packets
