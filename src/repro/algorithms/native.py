@@ -401,21 +401,24 @@ def walk(
 
 
 def _bound(cache) -> _Cache:
-    """``cache``'s pointer table, built once per table allocation
-    (``FlowCache._ensure_tables`` drops it), its clock written in."""
+    """``cache``'s pointer table with its clock written in, built (and
+    shape-checked) once per table allocation; a table replaced since the
+    last call is noticed by identity and bound anew."""
+    tables = [getattr(cache, attr) for _, attr in _CACHE_TABLES]
     bound = cache._native
-    if bound is None:
+    if bound is None or any(a is not b for a, b in zip(bound.keep, tables)):
         if not cache.n_sets:  # every set index would fall outside the tables
             raise BuildError("native flow cache: a zero-entry cache")
         n_words = (cache._ndim + 1) // 2
         bound = _Cache(cache.n_sets, cache.ways, cache._ndim)
-        for field, attr in _CACHE_TABLES:
+        for (field, attr), table in zip(_CACHE_TABLES, tables):
             keyw = field == "keyw"
             setattr(bound, field, _pointer(
-                attr, getattr(cache, attr), np.uint64 if keyw else np.int64,
+                attr, table, np.uint64 if keyw else np.int64,
                 (cache.n_sets, cache.ways, n_words) if keyw
                 else (cache.n_sets, cache.ways),
             ))
+        bound.keep = tables
         cache._native = bound
     bound.epoch, bound.tick = int(cache.epoch), int(cache._tick)
     return bound

@@ -271,7 +271,6 @@ class FlowCache:
             self._stamp = np.zeros((self.n_sets, self.ways), np.int64)
             self._epoch = np.full((self.n_sets, self.ways), -1, np.int64)
             self._filled = np.zeros((self.n_sets, self.ways), np.int64)
-            self._native = None  # bound anew over the new tables
 
     def _live(self, idx, way: int | None = None) -> np.ndarray:
         """Entries filled under the current epoch over ``table[idx]`` — or,
