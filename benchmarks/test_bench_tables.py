@@ -1,10 +1,11 @@
 """Benchmarks: regenerating each paper table (quick-grid workloads).
 
 One benchmark per table/figure of the evaluation section, wired to the
-same experiment modules that produce EXPERIMENTS.md.  A shared pipeline
-fixture caches workloads, so each benchmark measures its table's own
-projection work on top of the built structures — plus one uncached
-benchmark (`test_table2_cold`) that measures the full build pipeline.
+same experiment modules that ``python -m repro.cli tables`` runs.  A
+shared pipeline fixture caches workloads, so each benchmark measures its
+table's own projection work on top of the built structures — plus one
+uncached benchmark (`test_table2_cold`) that measures the full build
+pipeline.
 """
 
 from __future__ import annotations

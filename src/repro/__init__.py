@@ -17,8 +17,11 @@ Public API quick tour::
     result = Accelerator(image).run_trace(trace)
     print(result.throughput_pps(226e6))
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module map.
+Paper to package: ``core`` (rules, packets, geometry), ``classbench``
+(workloads), ``algorithms`` (Sections 2-3's trees and the baselines),
+``hw`` (Section 4's accelerator), ``energy`` (Tables 3-7's power models),
+``experiments`` (the tables), and ``engine`` / ``serve`` / ``stages``
+(serving them).
 """
 
 from .core import PacketTrace, Rule, RuleSet

@@ -2,7 +2,8 @@
 
 * :func:`build_hicuts` / :func:`build_hypercuts` — original software
   algorithms (Section 2) and, with ``hw_mode=True``, the paper's modified
-  hardware-oriented variants (Section 3).
+  hardware-oriented variants (Section 3); :func:`tree_builder` picks
+  either by name (``TREE_BUILDERS``).
 * :class:`LinearSearchClassifier` — the first-match oracle.
 * :class:`RFCClassifier` — the fastest software baseline the paper
   compares against (546x claim).
@@ -20,6 +21,7 @@ from .hypercuts import build_hypercuts
 from .linear import LinearSearchClassifier
 from .opcount import OpCounter
 from .rfc import RFCClassifier, build_rfc
+from .trees import TREE_BUILDERS, tree_builder
 from .tuple_space import TupleSpaceClassifier
 
 __all__ = [
@@ -39,5 +41,7 @@ __all__ = [
     "OpCounter",
     "RFCClassifier",
     "build_rfc",
+    "TREE_BUILDERS",
+    "tree_builder",
     "TupleSpaceClassifier",
 ]

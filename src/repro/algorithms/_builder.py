@@ -4,22 +4,38 @@ The two algorithms differ only in *how a node decides its cut* (one
 dimension with doubling vs. a multi-dimension combination search); the
 surrounding mechanics are shared and live here:
 
-* work-list driven construction (explicit stack, no Python recursion),
+* work-list driven construction (explicit stack, no Python recursion) of
+  a whole tree or of one subtree in a given box
+  (:meth:`TreeBuilder.build_subtree`, which incremental updates splice
+  into a live tree),
+* the stop rules, below,
 * leaf creation with redundancy elimination,
 * child merging ("merging child nodes which have associated with them the
   same set of rules" — Section 2) and empty-child removal,
 * region bookkeeping in full precision and, for the modified algorithms,
   on the 8-MSB hardware grid where every region is a power-of-two aligned
-  box (the invariant that makes mask/shift child indexing possible).
+  box (the invariant that makes mask/shift child indexing possible);
+  :func:`child_boxes` gives children's boxes to the builder and to the
+  incremental updater alike.
 
-Merging correctness (see DESIGN.md §6): in software mode siblings with
-identical rule sets merge and the surviving node's region is the per-
-dimension hull of the merged regions — sound because every merged sibling
-overlaps every rule in the shared set, so the hull partition covers every
-packet that can arrive.  In grid mode regions must stay aligned, so
-siblings merge only when their rules' footprints are *congruent* relative
-to each sibling's box (bitwise-identical discrimination); leaf-sized
-children (n <= binth) merge unconditionally since leaves never cut again.
+Stop rules: ``binth`` is a target, not a bound.  A node with at most
+``binth`` rules is a leaf; a node with more becomes a leaf too when its
+rules are identical inside its region, at ``_MAX_DEPTH``, when no
+dimension can be cut, or when the chosen cut keeps every rule in one
+child (it separates nothing; cutting on would only shrink the box around
+the same rules).  Under the last rule a node's rule count strictly falls
+along every path, so a tree is at most ``n - binth`` deep.  A leaf larger
+than ``binth`` spans several memory words, which the placement already
+prices (``Placement.words_spanned``).
+
+Merging correctness: in software mode siblings with identical rule sets
+merge and the surviving node's region is the per-dimension hull of the
+merged regions — sound because every merged sibling overlaps every rule
+in the shared set, so the hull partition covers every packet that can
+arrive.  In grid mode regions must stay aligned, so siblings merge only
+when their rules' footprints are *congruent* relative to each sibling's
+box (bitwise-identical discrimination); leaf-sized children
+(n <= binth) merge unconditionally since leaves never cut again.
 """
 
 from __future__ import annotations
@@ -44,21 +60,51 @@ from ._partition import (
 _MAX_DEPTH = 64
 
 
+def child_boxes(
+    region: tuple[tuple[int, int], ...],
+    grid_region: tuple[tuple[int, int], ...] | None,
+    dims: tuple[int, ...],
+    counts: tuple[int, ...],
+    flats: list[int],
+    widths: tuple[int, ...],
+) -> list[tuple[tuple, tuple | None]]:
+    """(region, grid_region) of each child in ``flats`` (flat indexes,
+    row-major over the cut axes) of a node cut ``counts`` ways along
+    ``dims``.  Each axis's cells are computed once, in the coordinates
+    the node is cut in (grid cells in grid mode, field values otherwise).
+    """
+    box = region if grid_region is None else grid_region
+    cells = [cut_interval(*box[d], c) for d, c in zip(dims, counts)]
+    boxes = []
+    for flat in flats:
+        child = list(region)
+        grid = None if grid_region is None else list(grid_region)
+        for dim, axis in zip(reversed(dims), reversed(cells)):
+            flat, coord = divmod(flat, len(axis))
+            if grid is None:
+                child[dim] = axis[coord]
+            else:
+                grid[dim] = axis[coord]
+                child[dim] = grid_cell_to_range(*axis[coord], widths[dim])
+        boxes.append((tuple(child), None if grid is None else tuple(grid)))
+    return boxes
+
+
 @dataclass
 class CutDecision:
     """Outcome of a node's cut-selection heuristic.
 
     ``dims``/``counts`` name the cut axes; ``firsts``/``lasts`` give every
     rule's child-coordinate interval per axis (aligned with the node's
-    rule-id array).  ``pushed`` optionally holds the boolean mask of rules
-    hoisted to the internal node (HyperCuts push-common-subsets).
+    rule-id array); ``max_child`` is the most rules any child receives,
+    which the stop rule reads.
     """
 
     dims: tuple[int, ...]
     counts: tuple[int, ...]
     firsts: list[np.ndarray]
     lasts: list[np.ndarray]
-    pushed: np.ndarray | None = None
+    max_child: int
 
 
 @dataclass
@@ -67,6 +113,10 @@ class BuilderConfig:
 
     ``binth`` and ``spfac`` are the paper's knobs; ``hw_mode`` selects the
     modified (hardware-oriented, grid-cutting) algorithm variant.
+    ``binth`` is a target, not a bound: a node with more rules still
+    becomes a leaf when its rules are identical in its region, at
+    ``_MAX_DEPTH``, when no dimension can be cut, or when the chosen cut
+    keeps every rule in one child.
     """
 
     binth: int = 16
@@ -113,23 +163,20 @@ class TreeBuilder:
     def build(self) -> DecisionTree:
         if len(self.ruleset) == 0:
             raise BuildError("cannot build a tree for an empty ruleset")
-        root_region = self.schema.universe()
         root_grid = (
             tuple((0, 255) for _ in range(self.schema.ndim))
             if self.config.hw_mode
             else None
         )
-        all_ids = np.arange(len(self.ruleset), dtype=np.int64)
-        self.nodes = [
-            Node(kind=LEAF, region=root_region, grid_region=root_grid, depth=0)
-        ]
-        stack = [_WorkItem(0, all_ids, root_region, root_grid, 0)]
-        while stack:
-            item = stack.pop()
-            self._build_node(item, stack)
+        nodes = self.build_subtree(
+            np.arange(len(self.ruleset), dtype=np.int64),
+            self.schema.universe(),
+            root_grid,
+            0,
+        )
         return DecisionTree(
             self.ruleset,
-            self.nodes,
+            nodes,
             grid_mode=self.config.hw_mode,
             params={
                 "algorithm": self.algorithm,
@@ -139,6 +186,26 @@ class TreeBuilder:
             },
             build_ops=self.ops if isinstance(self.ops, OpCounter) else None,
         )
+
+    def build_subtree(
+        self,
+        rule_ids: np.ndarray,
+        region: tuple[tuple[int, int], ...],
+        grid_region: tuple[tuple[int, int], ...] | None,
+        depth: int,
+    ) -> list[Node]:
+        """Grow the subtree over ``rule_ids`` in the box ``region`` (and
+        ``grid_region`` in grid mode), its root at ``depth``.
+
+        Returns the subtree's nodes, root first; child ids index the
+        returned list."""
+        self.nodes = [
+            Node(kind=LEAF, region=region, grid_region=grid_region, depth=depth)
+        ]
+        stack = [_WorkItem(0, rule_ids, region, grid_region, depth)]
+        while stack:
+            self._build_node(stack.pop(), stack)
+        return self.nodes
 
     # ------------------------------------------------------------------
     def _build_node(self, item: _WorkItem, stack: list[_WorkItem]) -> None:
@@ -165,7 +232,9 @@ class TreeBuilder:
             return
 
         decision = self._decide_cut(rule_ids, item)
-        if decision is None:
+        # The stop rule: a cut that keeps every rule in one child separates
+        # nothing, so cutting on would only shrink the box around them.
+        if decision is None or decision.max_child >= len(rule_ids):
             self._make_leaf(item.node_id, rule_ids, item)
             return
         self._apply_cut(item, rule_ids, decision, stack)
@@ -201,9 +270,10 @@ class TreeBuilder:
 
         firsts, lasts = decision.firsts, decision.lasts
         part_ids = rule_ids
-        if decision.pushed is not None and decision.pushed.any():
-            node.pushed = rule_ids[decision.pushed]
-            keep = ~decision.pushed
+        pushed = self._common_rules(decision)
+        if pushed is not None and pushed.any():
+            node.pushed = rule_ids[pushed]
+            keep = ~pushed
             part_ids = rule_ids[keep]
             firsts = [f[keep] for f in firsts]
             lasts = [l[keep] for l in lasts]
@@ -212,29 +282,31 @@ class TreeBuilder:
         children_lists = assign_children(
             part_ids, firsts, lasts, decision.counts, self.ops
         )
-        child_boxes = self._child_boxes(item, decision)
-        n_children = len(children_lists)
-        child_ids = np.full(n_children, EMPTY_CHILD, dtype=np.int32)
+        child_ids = np.full(len(children_lists), EMPTY_CHILD, dtype=np.int32)
+        # An empty child stays EMPTY_CHILD, so only the others need a box.
+        filled = [j for j, lst in enumerate(children_lists) if lst.size]
+        boxes = dict(zip(filled, child_boxes(
+            item.region, item.grid_region, decision.dims, decision.counts,
+            filled, self.schema.widths,
+        )))
 
         # --- merge identical siblings --------------------------------
         groups: dict[bytes, list[int]] = {}
-        for j, lst in enumerate(children_lists):
-            if lst.size == 0:
-                continue
-            groups.setdefault(lst.tobytes(), []).append(j)
+        for j in filled:
+            groups.setdefault(children_lists[j].tobytes(), []).append(j)
 
         for sig, members in groups.items():
             lst = children_lists[members[0]]
             leaf_sized = lst.size <= cfg.binth
             if cfg.hw_mode and not leaf_sized:
                 subgroups = self._congruent_subgroups(
-                    lst, members, child_boxes, decision.dims
+                    lst, members, boxes, decision.dims
                 )
             else:
                 subgroups = [members]
             for sub in subgroups:
                 rep_region, rep_grid = self._merged_region(
-                    sub, child_boxes, leaf_sized
+                    sub, boxes, leaf_sized
                 )
                 new_id = len(self.nodes)
                 self.nodes.append(
@@ -255,58 +327,11 @@ class TreeBuilder:
         node.children = child_ids
 
     # ------------------------------------------------------------------
-    def _child_boxes(
-        self, item: _WorkItem, decision: CutDecision
-    ) -> list[tuple[tuple, tuple | None]]:
-        """(region, grid_region) for every flat child index, row-major."""
-        per_axis_full: list[list[tuple[int, int]]] = []
-        per_axis_grid: list[list[tuple[int, int]] | None] = []
-        for dim, ncuts in zip(decision.dims, decision.counts):
-            if self.config.hw_mode:
-                assert item.grid_region is not None
-                glo, ghi = item.grid_region[dim]
-                cells = cut_interval(glo, ghi, ncuts)
-                per_axis_grid.append(cells)
-                width = self.schema.widths[dim]
-                per_axis_full.append(
-                    [grid_cell_to_range(a, b, width) for a, b in cells]
-                )
-            else:
-                lo, hi = item.region[dim]
-                per_axis_full.append(cut_interval(lo, hi, ncuts))
-                per_axis_grid.append(None)
-
-        boxes: list[tuple[tuple, tuple | None]] = []
-        n_children = 1
-        for c in decision.counts:
-            n_children *= c
-        strides = []
-        acc = 1
-        for c in reversed(decision.counts):
-            strides.append(acc)
-            acc *= c
-        strides.reverse()
-        for flat in range(n_children):
-            region = list(item.region)
-            grid = list(item.grid_region) if item.grid_region else None
-            rem = flat
-            for axis, (dim, ncuts, stride) in enumerate(
-                zip(decision.dims, decision.counts, strides)
-            ):
-                coord = rem // stride
-                rem %= stride
-                region[dim] = per_axis_full[axis][coord]
-                if grid is not None:
-                    grid[dim] = per_axis_grid[axis][coord]  # type: ignore[index]
-            boxes.append((tuple(region), tuple(grid) if grid else None))
-        return boxes
-
-    # ------------------------------------------------------------------
     def _congruent_subgroups(
         self,
         rule_list: np.ndarray,
         members: list[int],
-        child_boxes: list[tuple[tuple, tuple | None]],
+        boxes: dict[int, tuple[tuple, tuple | None]],
         dims: tuple[int, ...],
     ) -> list[list[int]]:
         """Split same-rule-set siblings into relative-footprint-congruent
@@ -316,7 +341,7 @@ class TreeBuilder:
         for both and may be shared."""
 
         def signature(j: int) -> bytes:
-            region = child_boxes[j][0]
+            region = boxes[j][0]
             parts = []
             for d in dims:
                 lo, hi = region[d]
@@ -340,7 +365,7 @@ class TreeBuilder:
     def _merged_region(
         self,
         members: list[int],
-        child_boxes: list[tuple[tuple, tuple | None]],
+        boxes: dict[int, tuple[tuple, tuple | None]],
         leaf_sized: bool,
     ) -> tuple[tuple, tuple | None]:
         """Region of a merged node.
@@ -358,17 +383,17 @@ class TreeBuilder:
         are never cut again.
         """
         if len(members) == 1:
-            return child_boxes[members[0]]
+            return boxes[members[0]]
         if self.config.hw_mode and not leaf_sized:
-            return child_boxes[members[0]]
-        regions = [child_boxes[j][0] for j in members]
+            return boxes[members[0]]
+        regions = [boxes[j][0] for j in members]
         hull = tuple(
             (min(r[d][0] for r in regions), max(r[d][1] for r in regions))
             for d in range(self.schema.ndim)
         )
         if not self.config.hw_mode:
             return hull, None
-        grids = [child_boxes[j][1] for j in members]
+        grids = [boxes[j][1] for j in members]
         grid_hull = tuple(
             (min(g[d][0] for g in grids), max(g[d][1] for g in grids))
             for d in range(self.schema.ndim)
@@ -376,12 +401,18 @@ class TreeBuilder:
         return hull, grid_hull
 
     # ------------------------------------------------------------------
-    # Subclass hook
+    # Subclass hooks
     # ------------------------------------------------------------------
     def _decide_cut(
         self, rule_ids: np.ndarray, item: _WorkItem
     ) -> CutDecision | None:
         raise NotImplementedError
+
+    def _common_rules(self, decision: CutDecision) -> np.ndarray | None:
+        """Mask of the rules an internal node keeps itself instead of
+        passing to its children (HyperCuts' push-common-subsets); asked
+        only once the stop rule has let the cut through."""
+        return None
 
     # ------------------------------------------------------------------
     # Helpers for subclasses

@@ -106,16 +106,6 @@ def max_count_grid(
     return int(core.max()) if core.size else 0
 
 
-def refs_multi(firsts: list[np.ndarray], lasts: list[np.ndarray]) -> int:
-    """Total child references of a multi-dimensional cut (Π per-dim spans)."""
-    if not firsts:
-        return 0
-    total = np.ones(len(firsts[0]), dtype=np.int64)
-    for f, l in zip(firsts, lasts):
-        total *= l - f + 1
-    return int(total.sum())
-
-
 def assign_children(
     rule_ids: np.ndarray,
     firsts: list[np.ndarray],

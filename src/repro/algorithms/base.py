@@ -445,7 +445,7 @@ class DecisionTree:
 
     def _worst_case_paths(self) -> tuple[int, int, int]:
         """(max internal depth, leaf size on the worst path, worst-case
-        software memory accesses per DESIGN.md §6 conventions).
+        software memory accesses).
 
         Memoised DFS over the DAG; the software access count charges 2
         reads per internal node and (1 + rules) per leaf plus pushed-rule
@@ -478,7 +478,7 @@ class DecisionTree:
     def software_memory_bytes(self) -> int:
         """Model of the *software* search-structure size (Table 2 left).
 
-        Conventions (DESIGN.md §6): an internal node costs a 16-byte header
+        Conventions: an internal node costs a 16-byte header
         plus 4 bytes per child pointer; a leaf costs an 8-byte header plus
         4 bytes per rule pointer (software stores pointers, not rules —
         that is precisely the indirection the paper's modification

@@ -108,8 +108,7 @@ class HiCutsBuilder(TreeBuilder):
         uses_div = not self.cfg.hw_mode
         heuristic = self.cfg.dim_heuristic
 
-        best: tuple[float, int, int] | None = None  # (score, np, dim)
-        best_spans: tuple[np.ndarray, np.ndarray] | None = None
+        best = None  # ((score, np, dim), first, last, max_child)
         for dim in range(self.schema.ndim):
             span = self._span_of(item, dim)
             dim_cap = min(cap, pow2_at_most(span)) if span > 1 else 0
@@ -135,17 +134,17 @@ class HiCutsBuilder(TreeBuilder):
                 heuristic, rule_ids, item, dim, max_child, refs, np_cur
             )
             key = (score, np_cur, dim)
-            if best is None or key < best:
-                best = key
-                best_spans = (first, last)
-        if best is None or best_spans is None:
+            if best is None or key < best[0]:
+                best = (key, first, last, max_child)
+        if best is None:
             return None  # no dimension discriminates -> leaf
-        _, np_cur, dim = best
+        (_, np_cur, dim), first, last, max_child = best
         return CutDecision(
             dims=(dim,),
             counts=(np_cur,),
-            firsts=[best_spans[0]],
-            lasts=[best_spans[1]],
+            firsts=[first],
+            lasts=[last],
+            max_child=max_child,
         )
 
     def _dim_score(

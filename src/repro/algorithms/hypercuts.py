@@ -23,8 +23,8 @@ eq (4): ``np <= 2^(4 + spfac)`` and ``np >= 32`` with integer spfac in
 
 Combination search: exhaustive enumeration of power-of-two cut vectors
 when the candidate space is small, otherwise a deterministic greedy ascent
-(add one bit of cutting to the dimension that minimises the largest child;
-see DESIGN.md §6).  Both paths are exercised by tests.
+(add one bit of cutting to the dimension that minimises the largest
+child).  Both paths are exercised by tests.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from ..core.ruleset import RuleSet
 from .base import DecisionTree
 from .opcount import OpCounter
 from ._builder import BuilderConfig, CutDecision, TreeBuilder, _WorkItem
-from ._partition import (
-    clipped_bounds,
-    coord_spans,
-    max_count_grid,
-    refs_multi,
-)
+from ._partition import clipped_bounds, coord_spans, max_count_grid
 
 #: eq (4) floor on total cuts in the modified algorithm.
 HW_MIN_CUTS = 32
@@ -148,36 +143,18 @@ class HyperCutsBuilder(TreeBuilder):
         if not axes:
             return None
 
-        combo = self._search_combo(axes, n, lo_bound, hi_bound)
-        if combo is None:
-            return None
-        exponents, firsts, lasts = combo
-        sel_dims = tuple(axes[i][0] for i in range(len(axes)) if exponents[i])
-        sel_counts = tuple(1 << exponents[i] for i in range(len(axes)) if exponents[i])
-        sel_firsts = [firsts[i] for i in range(len(axes)) if exponents[i]]
-        sel_lasts = [lasts[i] for i in range(len(axes)) if exponents[i]]
+        return self._search_combo(axes, n, lo_bound, hi_bound)
 
-        # No discrimination at all -> leaf.
-        if refs_multi(sel_firsts, sel_lasts) >= n * int(np.prod(sel_counts)):
+    def _common_rules(self, decision: CutDecision) -> np.ndarray | None:
+        """Rules spanning every child (push-common-subsets, original
+        algorithm only)."""
+        if not self.cfg.resolved_push():
             return None
-
-        pushed = None
-        if self.cfg.resolved_push():
-            pushed = np.ones(n, dtype=bool)
-            for f, l, c in zip(sel_firsts, sel_lasts, sel_counts):
-                pushed &= (f == 0) & (l == c - 1)
-            self.ops.add("alu", 2 * n * len(sel_counts))
-            if pushed.all():
-                return None  # every rule common to every child -> leaf
-            if not pushed.any():
-                pushed = None
-        return CutDecision(
-            dims=sel_dims,
-            counts=sel_counts,
-            firsts=sel_firsts,
-            lasts=sel_lasts,
-            pushed=pushed,
-        )
+        pushed = np.ones(len(decision.firsts[0]), dtype=bool)
+        for f, l, c in zip(decision.firsts, decision.lasts, decision.counts):
+            pushed &= (f == 0) & (l == c - 1)
+        self.ops.add("alu", 2 * pushed.size * len(decision.counts))
+        return pushed
 
     # ------------------------------------------------------------------
     def _candidate_dims(self, rule_ids: np.ndarray, item: _WorkItem) -> list[int]:
@@ -202,13 +179,9 @@ class HyperCutsBuilder(TreeBuilder):
         n: int,
         lo_bound: int,
         hi_bound: int,
-    ):
-        """Find the exponent vector minimising the largest child.
-
-        Returns ``(exponents, firsts, lasts)`` where ``firsts[i]``/
-        ``lasts[i]`` are the coordinate spans for axis i at its chosen cut
-        count, or None when no cutting is possible.
-        """
+    ) -> CutDecision | None:
+        """Find the exponent vector minimising the largest child; the cut
+        on the axes it cuts, or None when no cutting is possible."""
         k = len(axes)
         max_exp = [min(int(math.log2(axes[i][1])), int(math.log2(hi_bound))) for i in range(k)]
         if sum(max_exp) == 0:
@@ -243,7 +216,7 @@ class HyperCutsBuilder(TreeBuilder):
             n_combos *= m + 1
         # ``best`` respects the lo_bound floor (eq 4's np >= 32 in hw mode);
         # ``fallback`` records the best smaller combo, used when the grid
-        # has too little resolution left to reach the floor (DESIGN.md §6).
+        # has too little resolution left to reach the floor.
         best: tuple[int, int, tuple[int, ...]] | None = None  # (maxc, prod, exps)
         fallback: tuple[int, int, tuple[int, ...]] | None = None
 
@@ -298,18 +271,15 @@ class HyperCutsBuilder(TreeBuilder):
         chosen = best if best is not None else fallback
         if chosen is None:
             return None
-        _, _, exps = chosen
-        firsts: list[np.ndarray] = []
-        lasts: list[np.ndarray] = []
-        for i, e in enumerate(exps):
-            if e:
-                first, last = spans(i, e)
-            else:
-                first = np.zeros(n, dtype=np.int64)
-                last = np.zeros(n, dtype=np.int64)
-            firsts.append(first)
-            lasts.append(last)
-        return tuple(exps), firsts, lasts
+        maxc, _, exps = chosen
+        cut = [i for i, e in enumerate(exps) if e]
+        return CutDecision(
+            dims=tuple(axes[i][0] for i in cut),
+            counts=tuple(1 << exps[i] for i in cut),
+            firsts=[spans(i, exps[i])[0] for i in cut],
+            lasts=[spans(i, exps[i])[1] for i in cut],
+            max_child=maxc,
+        )
 
 
 def build_hypercuts(

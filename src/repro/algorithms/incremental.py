@@ -29,6 +29,7 @@ cost of an update batch can be compared with a full rebuild (see
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,10 @@ from ..core.packet import PacketTrace
 from ..core.rules import Rule
 from ..core.ruleset import RuleSet
 from ..core.updates import OP_INSERT, OP_REMOVE, RuleUpdate, UpdateResult
+from ._builder import TreeBuilder, child_boxes
 from .base import EMPTY_CHILD, LEAF, DecisionTree, Node
-from .hicuts import HiCutsBuilder, HiCutsConfig
-from .hypercuts import HyperCutsBuilder, HyperCutsConfig
 from .opcount import NULL_COUNTER, OpCounter
+from .trees import tree_builder
 
 
 @dataclass
@@ -106,8 +107,8 @@ class IncrementalClassifier:
         self.last_touched: set[int] = set()
 
     # ------------------------------------------------------------------
-    def _config(self):
-        """Builder configuration for an *updatable* tree.
+    def _builder(self, ruleset: RuleSet, ops: OpCounter | None = None) -> TreeBuilder:
+        """The tree builder for an *updatable* tree.
 
         Redundancy elimination is disabled: dropping a rule because an
         earlier rule shadows it is only sound while the shadowing rule
@@ -118,22 +119,14 @@ class IncrementalClassifier:
         had been eliminated and silently vanished).  Updatable trees
         therefore keep every overlapping rule in every leaf.
         """
-        if self.algorithm == "hicuts":
-            return HiCutsConfig(binth=self.binth, spfac=self.spfac,
-                                hw_mode=self.hw_mode,
-                                redundancy_elimination=False)
-        if self.algorithm == "hypercuts":
-            return HyperCutsConfig(binth=self.binth, spfac=self.spfac,
-                                   hw_mode=self.hw_mode,
-                                   redundancy_elimination=False)
-        raise BuildError(f"unknown algorithm {self.algorithm!r}")
+        return tree_builder(
+            self.algorithm, ruleset, ops, binth=self.binth, spfac=self.spfac,
+            hw_mode=self.hw_mode, redundancy_elimination=False,
+        )
 
     def _build(self, ruleset: RuleSet) -> DecisionTree:
-        cfg = self._config()
         ops = self.ops if isinstance(self.ops, OpCounter) else None
-        if self.algorithm == "hicuts":
-            return HiCutsBuilder(ruleset, cfg, ops).build()
-        return HyperCutsBuilder(ruleset, cfg, ops).build()
+        return self._builder(ruleset, ops).build()
 
     def _count_refs(self, node_ids=None, refs=None) -> dict[int, int]:
         """Add the child pointers of nodes ``node_ids`` (default: the
@@ -393,24 +386,27 @@ class IncrementalClassifier:
                 )
             )
         strides = node.child_strides()
+        slots = [
+            sum(c * s for c, s in zip(coords, strides))
+            for coords in itertools.product(*spans)
+        ]
+        boxes = child_boxes(
+            node.region, node.grid_region, node.cut_dims, node.cut_counts,
+            slots, self.tree.schema.widths,
+        )
         self.ops.add("alu", 4 * len(spans))
-
-        def visit(axis: int, flat: int) -> None:
-            if axis == len(spans):
-                self._insert_slot(nid, flat, rid, stats)
-                return
-            for coord in spans[axis]:
-                visit(axis + 1, flat + coord * strides[axis])
-
-        visit(0, 0)
+        for flat, box in zip(slots, boxes):
+            self._insert_slot(nid, flat, rid, box, stats)
 
     def _insert_slot(
-        self, nid: int, flat: int, rid: int, stats: UpdateStats
+        self, nid: int, flat: int, rid: int, box, stats: UpdateStats
     ) -> None:
+        """Insert ``rid`` into child slot ``flat`` of node ``nid``, whose
+        box is ``box`` (``(region, grid_region)``)."""
         node = self.tree.nodes[nid]
         assert node.children is not None
         child = int(node.children[flat])
-        region, grid = self._child_box(node, flat)
+        region, grid = box
         if child == EMPTY_CHILD:
             # A fresh leaf materialises in this sub-region.
             new_id = len(self.tree.nodes)
@@ -434,61 +430,24 @@ class IncrementalClassifier:
             true_region=region, true_grid=grid, stats=stats,
         )
 
-    def _child_box(self, node: Node, flat: int):
-        """Region of child ``flat`` (mirrors the builder's box math)."""
-        from ..core.geometry import cut_interval, grid_cell_to_range
-
-        region = list(node.region)
-        grid = list(node.grid_region) if node.grid_region else None
-        rem = flat
-        for dim, ncuts, stride in zip(
-            node.cut_dims, node.cut_counts, node.child_strides()
-        ):
-            coord = rem // stride
-            rem %= stride
-            if grid is not None:
-                glo, ghi = node.grid_region[dim]  # type: ignore[index]
-                cell = cut_interval(glo, ghi, ncuts)[coord]
-                grid[dim] = cell
-                region[dim] = grid_cell_to_range(
-                    cell[0], cell[1], self.tree.schema.widths[dim]
-                )
-            else:
-                lo, hi = node.region[dim]
-                region[dim] = cut_interval(lo, hi, ncuts)[coord]
-        return tuple(region), tuple(grid) if grid else None
-
     def _rebuild_subtree(self, nid: int, stats: UpdateStats) -> None:
         """Re-run the builder on an oversized leaf's rules and region,
         splicing the produced nodes into the tree."""
         node = self.tree.nodes[nid]
         sub_rules = node.rule_ids
-        sub_ruleset = self.tree.ruleset  # rule ids are global
-        cfg = self._config()  # removal-safe: no redundancy elimination
-        if self.algorithm == "hicuts":
-            builder = HiCutsBuilder(sub_ruleset, cfg)
-        else:
-            builder = HyperCutsBuilder(sub_ruleset, cfg)
-        # Build with the leaf's region as the root universe.
-        from ._builder import _WorkItem
+        # Rule ids are global, so the subtree is built over the tree's
+        # ruleset, in the leaf's box.
+        nodes = self._builder(self.tree.ruleset).build_subtree(
+            sub_rules, node.region, node.grid_region, node.depth
+        )
 
-        builder.nodes = [
-            Node(kind=LEAF, region=node.region, grid_region=node.grid_region,
-                 depth=node.depth)
-        ]
-        stack = [
-            _WorkItem(0, sub_rules, node.region, node.grid_region, node.depth)
-        ]
-        while stack:
-            builder._build_node(stack.pop(), stack)
-
-        # Splice: builder node 0 replaces `nid`; the rest append with
+        # Splice: the subtree's root replaces `nid`; the rest append with
         # offset ids.
         offset = len(self.tree.nodes)
         remap = {0: nid}
-        for i in range(1, len(builder.nodes)):
+        for i in range(1, len(nodes)):
             remap[i] = offset + i - 1
-        for i, built in enumerate(builder.nodes):
+        for i, built in enumerate(nodes):
             if built.children is not None:
                 built.children = np.array(
                     [
@@ -503,11 +462,11 @@ class IncrementalClassifier:
                 self.tree.nodes.append(built)
         # The spliced nodes point only at each other (the leaf they
         # replace had no children), and its rules now live in them.
-        spliced = [nid, *range(offset, offset + len(builder.nodes) - 1)]
+        spliced = [nid, *range(offset, offset + len(nodes) - 1)]
         self._count_refs(spliced, self._refcounts)
         for rid in sub_rules.tolist():
             self._holders[rid].discard(nid)
         self._index_holders(spliced, self._holders)
         stats.subtrees_rebuilt += 1
         stats.touched.update(spliced)
-        self.ops.add("alloc", len(builder.nodes))
+        self.ops.add("alloc", len(nodes))

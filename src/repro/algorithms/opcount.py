@@ -2,10 +2,10 @@
 
 The paper derives its software energy numbers (Tables 3 and 6) by running
 the algorithms on a StrongARM SA-1100 under Sim-Panalyzer, an instruction-
-level power simulator.  We cannot run Sim-Panalyzer, so — per DESIGN.md
-substitution 3 — every builder and software lookup in this library is
-instrumented with an :class:`OpCounter` that tallies the architectural
-events the energy model charges for:
+level power simulator.  We cannot run Sim-Panalyzer, so every builder
+and software lookup in this library is instrumented with an
+:class:`OpCounter` that tallies the architectural events the energy
+model charges for:
 
 ========== ===========================================================
 category    meaning

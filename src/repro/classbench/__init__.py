@@ -2,8 +2,8 @@
 
 The paper's evaluation rests on ClassBench filter sets (acl1/fw1/ipc1) and
 their companion packet traces; this subpackage regenerates statistically
-similar workloads from embedded seed models.  See DESIGN.md §1
-(substitution 2) for why this preserves the evaluation's shape.
+similar workloads from embedded seed models that keep the structure the
+paper's results depend on (see :mod:`.seeds`).
 """
 
 from .generator import generate_ruleset

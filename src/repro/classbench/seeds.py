@@ -3,9 +3,8 @@
 The paper evaluates on filter sets derived from the ClassBench seed
 families ``acl1`` (access control list), ``fw1`` (firewall) and ``ipc1``
 (IP chain); the original seed files and the WUSTL trace archive are no
-longer distributed, so — per the substitution policy in DESIGN.md — we
-embed *parameter models* of the three families that capture the structural
-signatures the paper's results depend on:
+longer distributed, so we embed *parameter models* of the three families
+that capture the structural signatures the paper's results depend on:
 
 * **acl1** — almost every rule fully specifies the destination (long dst
   prefixes), sources are a mix of specified prefixes and wildcards,

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import OpCounter, build_hicuts, build_hypercuts, native
+from .algorithms import TREE_BUILDERS, OpCounter, native, tree_builder
 from .classbench import (
     FAMILIES,
     generate_ruleset,
@@ -92,7 +92,6 @@ from .sweeps import (
 
 #: Names ``--algorithm`` accepts: every registered backend plus aliases.
 _ALGORITHM_CHOICES = sorted(set(available_backends()) | set(registered_aliases()))
-_TREE_ALGORITHMS = ("hicuts", "hypercuts")
 
 #: The EngineConfig fields each subcommand exposes as flags
 #: (``EngineConfig.add_arguments`` generates them).
@@ -213,11 +212,10 @@ def _trace(args, ruleset: RuleSet, on_malformed: str) -> tuple[PacketTrace, int]
 
 
 def _build_tree(ruleset: RuleSet, config: EngineConfig):
-    build = build_hypercuts if config.backend == "hypercuts" else build_hicuts
-    return build(
-        ruleset, binth=config.binth, spfac=config.spfac,
+    return tree_builder(
+        config.backend, ruleset, binth=config.binth, spfac=config.spfac,
         hw_mode=not config.software,
-    )
+    ).build()
 
 
 def render_report(
@@ -398,7 +396,7 @@ def cmd_build(args) -> int:
     if not spec.builds_tree:
         print(
             f"error: backend {spec.name!r} does not build a decision tree; "
-            f"'build' supports {', '.join(_TREE_ALGORITHMS)} — use "
+            f"'build' supports {', '.join(TREE_BUILDERS)} — use "
             f"'classify' or 'bench' for {spec.name!r}",
             file=sys.stderr,
         )
@@ -798,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fsm", help="Figure-5 cycle trace")
     _add_workload_args(f, 5, "--ruleset-file")
-    _add_engine_args(f, algorithms=list(_TREE_ALGORITHMS))
+    _add_engine_args(f, algorithms=list(TREE_BUILDERS))
     f.set_defaults(fn=cmd_fsm)
     return parser
 

@@ -1,7 +1,6 @@
 """Core substrate: rules, rulesets, packets and interval geometry.
 
-Everything else in :mod:`repro` is built on these types.  See
-``DESIGN.md`` section 2 for the package map.
+Everything else in :mod:`repro` is built on these types.
 """
 
 from .errors import (

@@ -137,7 +137,7 @@ class RuleSet:
         )
 
     # ------------------------------------------------------------------
-    # Statistics used by the generator tests and DESIGN.md shape checks
+    # Statistics used by the generator tests and the experiments' shapes
     # ------------------------------------------------------------------
     def wildcard_fraction(self, dim: int) -> float:
         if not self.rules:

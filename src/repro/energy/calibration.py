@@ -2,7 +2,7 @@
 
 The paper obtains software numbers by running the algorithms on a
 StrongARM SA-1100 under Sim-Panalyzer (instruction-level power
-simulation).  Our substitution (DESIGN.md §4) counts architectural events
+simulation).  Our substitution counts architectural events
 (:mod:`repro.algorithms.opcount`) and converts them to SA-1100 cycles with
 the weights below, then to energy through the Table 5 power rail.
 

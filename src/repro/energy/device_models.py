@@ -2,7 +2,7 @@
 
 The paper measures post-place-and-route power with annotated switching
 activity (Synopsys PrimePower for the 65 nm ASIC, Xilinx XPower for the
-Virtex-5).  Our stand-in (DESIGN.md §4) charges energy per *active cycle*
+Virtex-5).  Our stand-in charges energy per *active cycle*
 — every cycle the accelerator holds its memory port it burns
 ``ACTIVE_POWER_FRACTION`` of the device's reported power; idle cycles
 burn the static remainder.  With back-to-back traffic (the paper's

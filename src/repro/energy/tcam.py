@@ -13,8 +13,8 @@ engines on power:
 
 :class:`TcamModel` interpolates the Ayama operating points with the
 standard affine-in-size, linear-in-frequency CAM power law
-``P = (p0 + p1 * bytes) * f`` fitted through the two datasheet points
-(DESIGN.md §4); tests pin the fit to reproduce both points exactly.
+``P = (p0 + p1 * bytes) * f`` fitted through the two datasheet points;
+tests pin the fit to reproduce both points exactly.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ with ``S`` the process scaling factor (target / source feature size) and
 ``U`` the voltage scaling factor ``(V_target / V_source)^2`` (dynamic
 power is quadratic in supply voltage).  Table 5's asterisked numbers are
 these normalised values; we embed the same operating points and derive
-the raw powers back from them (DESIGN.md §4).
+the raw powers back from them.
 """
 
 from __future__ import annotations

@@ -19,34 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..algorithms import DecisionTree, OpCounter, build_hicuts, build_hypercuts
-from ..core.errors import ConfigError
+from ..algorithms import OpCounter, tree_builder
 from ..core.packet import PacketTrace
 from ..core.ruleset import RuleSet
 from ..hw import Accelerator, MemoryImage, build_memory_image
 from ..hw.memory import DEFAULT_CAPACITY_WORDS
 from .protocol import BatchOut, BatchStats, ClassifierBase, batch_out, tallied
-
-_TREE_BUILDERS = {"hicuts": build_hicuts, "hypercuts": build_hypercuts}
-
-
-def _build_tree(
-    ruleset: RuleSet,
-    algorithm: str,
-    binth: int,
-    spfac: float,
-    hw_mode: bool,
-    ops: OpCounter | None,
-) -> DecisionTree:
-    try:
-        builder = _TREE_BUILDERS[algorithm]
-    except KeyError:
-        raise ConfigError(
-            f"unknown tree algorithm {algorithm!r}; "
-            f"expected one of {sorted(_TREE_BUILDERS)}"
-        ) from None
-    return builder(ruleset, binth=binth, spfac=spfac, hw_mode=hw_mode, ops=ops)
-
 
 class DecisionTreeClassifier(ClassifierBase):
     """HiCuts/HyperCuts decision tree behind the uniform engine surface."""
@@ -64,7 +42,9 @@ class DecisionTreeClassifier(ClassifierBase):
         self.backend_name = algorithm
         self.ruleset = ruleset
         self.schema = ruleset.schema
-        self.tree = _build_tree(ruleset, algorithm, binth, spfac, hw_mode, ops)
+        self.tree = tree_builder(
+            algorithm, ruleset, ops, binth=binth, spfac=spfac, hw_mode=hw_mode
+        ).build()
         # Compile the flat-array kernel eagerly: serving adapters are
         # built once and queried many times (and forked pipeline workers
         # inherit the compiled buffers copy-on-write).
@@ -111,7 +91,9 @@ class AcceleratorClassifier(ClassifierBase):
         self.ruleset = ruleset
         self.schema = ruleset.schema
         self.algorithm = algorithm
-        self.tree = _build_tree(ruleset, algorithm, binth, spfac, True, ops)
+        self.tree = tree_builder(
+            algorithm, ruleset, ops, binth=binth, spfac=spfac, hw_mode=True
+        ).build()
         self.image: MemoryImage = build_memory_image(
             self.tree, speed=speed, capacity_words=capacity_words
         )

@@ -1,4 +1,4 @@
-"""Experiment harness: one module per paper table/figure (DESIGN.md §3).
+"""Experiment harness: one module per paper table/figure.
 
 Each module exposes ``run(pipeline) -> rows`` (structured results) and
 ``report(pipeline) -> str`` (paper-vs-measured text table plus shape

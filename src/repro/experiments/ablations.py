@@ -1,4 +1,4 @@
-"""Ablations of the paper's design choices (DESIGN.md X1-X3).
+"""Ablations of the paper's design choices (X1-X3 below).
 
 * **X1 speed 0 vs 1** — eq (5) vs eq (7): contiguous leaf packing saves
   words but costs cycles whenever a leaf straddles a word boundary.

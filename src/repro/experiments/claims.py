@@ -2,8 +2,8 @@
 
 The abstract and conclusions make seven concrete claims; this module
 measures each on regenerated workloads and reports pass/fail.  It is the
-"did we actually reproduce the paper?" summary that EXPERIMENTS.md keys
-off, and doubles as an integration test target.
+"did we actually reproduce the paper?" summary, and doubles as an
+integration test target.
 
 1. "tested on large rulesets containing up to 25,000 rules";
 2. "classifying up to 77 Million packets per second (Mpps) on a

@@ -8,7 +8,7 @@ module stays a thin projection.
 
 ``quick=True`` shrinks trace lengths and the Table 4 size grid so the
 whole suite runs in CI time; the full configuration reproduces the
-paper's grids (see EXPERIMENTS.md for the recorded outputs).
+paper's grids (``python -m repro.cli tables`` prints them).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .paper_values import ACL1_SIZES, TABLE4_SIZES
 PAPER_SPFAC = 4
 PAPER_SPEED = 1
 
-#: binth conventions (DESIGN.md §6): the paper leaves binth unstated; we
+#: binth conventions: the paper leaves binth unstated; we
 #: fix 16 for the original software algorithms (HiCuts' customary value)
 #: and 30 for the hardware structures (a leaf fills one memory word).
 BINTH_SOFTWARE = 16
@@ -214,5 +214,6 @@ def render_table(
 
 
 def shape_check(label: str, condition: bool) -> str:
-    """One-line pass/fail marker for DESIGN.md's shape assertions."""
+    """One-line pass/fail marker for a shape assertion: a result the
+    paper's tables show, checked on the regenerated workloads."""
     return f"[{'PASS' if condition else 'FAIL'}] {label}"

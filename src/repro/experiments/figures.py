@@ -5,7 +5,7 @@ one child into 2 on field 4 (binth 3).  Figure 2 is the geometric view of
 those cuts.  Figure 3: HyperCuts performs a single 2x2 cut on fields 0
 and 4.  The builders reproduce the exact shapes with spfac=2 (the paper's
 illustration omits spfac; 2 is the value under which eq (1)/(2) produce
-the drawn cuts — DESIGN.md §6).
+the drawn cuts).
 
 Figure 5's FSM is rendered as an execution trace of the cycle-accurate
 simulator on a small workload.

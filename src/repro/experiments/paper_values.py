@@ -1,8 +1,7 @@
 """The paper's published table values, embedded for side-by-side reporting.
 
-Every experiment prints paper-vs-measured columns; EXPERIMENTS.md records
-the comparison.  Values transcribed from Kennedy, Wang & Liu (IPDPS 2008)
-Tables 2-8.  Keys follow ``<impl>_<algo>``: ``sw`` = original software
+Every experiment prints paper-vs-measured columns.  Values transcribed
+from Kennedy, Wang & Liu (IPDPS 2008) Tables 2-8.  Keys follow ``<impl>_<algo>``: ``sw`` = original software
 algorithm on the StrongARM, ``hw`` = modified algorithm on the
 accelerator; where a table splits hardware results by device the keys are
 ``asic``/``fpga``.

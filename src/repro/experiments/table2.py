@@ -2,7 +2,8 @@
 
 Software columns: the modelled in-memory footprint of the original
 HiCuts/HyperCuts structures (node headers + child pointers + rule
-pointers + the ruleset; conventions in DESIGN.md §6).  Hardware columns:
+pointers + the ruleset; ``DecisionTree.software_memory_bytes`` states
+the conventions).  Hardware columns:
 used 4800-bit words × 600 bytes, exactly the paper's metric.
 """
 

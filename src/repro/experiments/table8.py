@@ -1,8 +1,8 @@
 """Table 8 — worst-case number of memory accesses.
 
-Software: static worst path through the original trees under the access
-conventions of DESIGN.md §6 (2 reads per internal node, 1 + one read per
-rule at the leaf).  Hardware: the memory-image worst case (internal
+Software: static worst path through the original trees under the
+software model's access conventions (2 reads per internal node, 1 + one
+read per rule at the leaf).  Hardware: the memory-image worst case (internal
 fetches after the register-resident root + worst full-leaf scan + the
 root-index cycle, which the paper counts since "this result also
 represents the worst case number of clock cycles").

@@ -15,8 +15,7 @@ Section 3 of the paper fixes the geometry:
   *end-of-leaf* flag, which is how the search knows where a leaf's rule
   list stops (the paper leaves this mechanism implicit).
 
-Two encodings the paper leaves under-specified are realised as follows
-(DESIGN.md §6):
+Two encodings the paper leaves under-specified are realised as follows:
 
 * **3-bit IP mask**: field values 0-4 directly encode prefix lengths
   28-32 (the address bits are all significant); field value 5 means the

@@ -9,7 +9,7 @@ from repro import generate_ruleset, generate_trace
 from repro.algorithms import LinearSearchClassifier
 from repro.algorithms.incremental import IncrementalClassifier, UpdateStats
 from repro.algorithms.opcount import OpCounter
-from repro.core.errors import BuildError
+from repro.core.errors import BuildError, ConfigError
 from repro.core.rules import Rule
 from repro.core.updates import insert_op, remove_op
 from repro.hw import build_memory_image, Accelerator
@@ -162,8 +162,9 @@ class TestHyperCutsMode:
         assert np.array_equal(inc.classify_trace(trace), oracle_match(inc, trace))
 
     def test_unknown_algorithm(self):
+        # The one name -> builder table's error, as for a serving backend.
         rs = generate_ruleset("acl1", 50, seed=106)
-        with pytest.raises(BuildError):
+        with pytest.raises(ConfigError, match="unknown tree algorithm"):
             IncrementalClassifier(rs, algorithm="nope")
 
 

@@ -19,7 +19,6 @@ from repro.algorithms._partition import (
     eliminate_redundant,
     max_count_grid,
     refs_and_max_1d,
-    refs_multi,
 )
 from repro.core.geometry import child_index
 from repro.core.rules import DEMO_SCHEMA, Rule, RuleArrays
@@ -98,12 +97,6 @@ class TestMaxCountGrid:
         for i in range(len(boxes)):
             grid[f0[i] : l0[i] + 1, f1[i] : l1[i] + 1] += 1
         assert max_count_grid([f0, f1], [l0, l1], (c0, c1)) == grid.max()
-
-    def test_refs_multi(self):
-        firsts = [np.array([0, 1]), np.array([0, 0])]
-        lasts = [np.array([1, 1]), np.array([2, 0])]
-        # rule0: 2 x 3 children, rule1: 1 x 1.
-        assert refs_multi(firsts, lasts) == 7
 
 
 class TestAssignChildren:

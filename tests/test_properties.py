@@ -1,14 +1,15 @@
 """End-to-end property-based tests: every classifier agrees with the
 first-match linear-search oracle on randomly generated workloads.
 
-These are the library's core invariant (DESIGN.md §5.1): HiCuts,
-HyperCuts (both modes), RFC, TSS, TCAM and the hardware accelerator are
-all just accelerated implementations of the same function.
+These are the library's core invariant: HiCuts, HyperCuts (both modes),
+RFC, TSS, TCAM and the hardware accelerator are all just accelerated
+implementations of the same function.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -90,16 +91,49 @@ def test_decision_trees_match_oracle(data):
     rs = data.draw(rulesets())
     trace = data.draw(headers_for(rs))
     want = LinearSearchClassifier(rs).classify_trace(trace)
+    binth = 4 if len(rs) > 4 else 2
     for builder in (build_hicuts, build_hypercuts):
         for hw_mode in (False, True):
             tree = builder(
-                rs, binth=4 if len(rs) > 4 else 2, spfac=2 if not hw_mode else 4,
+                rs, binth=binth, spfac=2 if not hw_mode else 4,
                 hw_mode=hw_mode,
             )
             got = tree.batch_lookup(trace).match
             assert np.array_equal(got, want), (
                 f"{builder.__name__} hw={hw_mode} diverged from oracle"
             )
+            # The stop rule makes a node's rule count fall strictly along
+            # every path, so no tree is deeper than n - binth.
+            depth = max(node.depth for node in tree.nodes)
+            assert depth <= max(0, len(rs) - binth), (
+                f"{builder.__name__} hw={hw_mode}: depth {depth}"
+            )
+
+
+@pytest.mark.parametrize("hw_mode", [False, True])
+@pytest.mark.parametrize("builder", [build_hicuts, build_hypercuts])
+def test_a_cut_that_separates_nothing_makes_a_leaf(builder, hw_mode):
+    """Every cut of these two rules keeps one of them whole in every
+    child, so the largest child always holds both: the root is a leaf of
+    both rules, not a chain of cuts down one field."""
+    rs = RuleSet(
+        [
+            Rule.from_5tuple((3, 32), (0, 0), (0, 65535), (0, 65535), (0, 0)),
+            Rule.from_5tuple((0, 0), (0, 0), (0, 65535), (80, 80), (0, 0)),
+        ],
+        FIVE_TUPLE,
+    )
+    tree = builder(rs, binth=1, hw_mode=hw_mode)
+    assert len(tree.nodes) == 1
+    assert tree.nodes[0].rule_ids.tolist() == [0, 1]
+    trace = PacketTrace(
+        np.array([[3, 0, 0, 80, 0], [3, 9, 0, 81, 6], [4, 0, 0, 80, 0],
+                  [4, 0, 0, 81, 0]], dtype=np.uint32),
+        FIVE_TUPLE,
+    )
+    want = LinearSearchClassifier(rs).classify_trace(trace)
+    assert want.tolist() == [0, 0, 1, -1]
+    assert np.array_equal(tree.batch_lookup(trace).match, want)
 
 
 @common_settings
