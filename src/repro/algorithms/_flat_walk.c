@@ -151,11 +151,19 @@ typedef struct {
     int64_t *occupancy, *internal_fetches, *leaf_words;
     int64_t matched, occupancy_sum;   /* the slice's tallies */
     int code;
+    int64_t failed;                   /* the packet a walk error met */
 } walk_job;
+
+/* A walk error met at packet p: recorded in the job, then returned. */
+static int failed_at(walk_job *j, int64_t p, int code)
+{
+    j->failed = p;
+    return code;
+}
 
 /* Walk packets [lo, hi) root to leaf, adding the packets that matched
  * and their cycles to the job's tallies; an error stops the walk at the
- * packet that met it. */
+ * packet that met it (j->failed). */
 static int walk_block(walk_job *j, int64_t lo, int64_t hi)
 {
     const tables *t = j->t;
@@ -168,16 +176,16 @@ static int walk_block(walk_job *j, int64_t lo, int64_t hi)
         int32_t internal = 0, lid = -1, lsize = 0, mpos = -1, compared = 0;
         for (int steps = 1; ; steps++) {
             if (steps > MAX_STEPS)
-                return ERR_STEPS;
+                return failed_at(j, p, ERR_STEPS);
             if (nid >= nn)
-                return ERR_RANGE;
+                return failed_at(j, p, ERR_RANGE);
             if (t->kind[nid] == LEAF) {
                 int64_t first = match_list(
                     t->leaf_rules, t->leaf_lo, t->leaf_span, t->n_leaf,
                     t->leaf_base[nid], t->leaf_len[nid], h, ndim,
                     &best, &compared);
                 if (first == -2)
-                    return ERR_RANGE;
+                    return failed_at(j, p, ERR_RANGE);
                 lid = (int32_t)nid;
                 lsize = (int32_t)t->leaf_len[nid];
                 mpos = (int32_t)first;   /* a miss keeps -1 */
@@ -188,12 +196,12 @@ static int walk_block(walk_job *j, int64_t lo, int64_t hi)
                 && match_list(t->push_rules, t->push_lo, t->push_span,
                               t->n_push, t->push_base[nid], t->push_len[nid],
                               h, ndim, &best, &compared) == -2)
-                return ERR_RANGE;
+                return failed_at(j, p, ERR_RANGE);
             int64_t slot = 0, outside = 0;
             for (int64_t a = 0; a < t->naxes; a++) {
                 int64_t k = a * nn + nid, dim = t->ax_dim[k], coord;
                 if (dim < 0 || dim >= ndim)
-                    return ERR_RANGE;
+                    return failed_at(j, p, ERR_RANGE);
                 int64_t raw = h[dim];
                 if (t->pow2) {   /* the hardware's mask/shift unit */
                     coord = (raw & t->ax_mask[k]) >> t->ax_shift[k];
@@ -201,7 +209,7 @@ static int walk_block(walk_job *j, int64_t lo, int64_t hi)
                     int64_t lo = t->ax_lo[k], span = t->ax_span[k];
                     int64_t ncuts = t->ax_ncuts[k], v = raw - lo;
                     if (span <= 0)
-                        return ERR_RANGE;
+                        return failed_at(j, p, ERR_RANGE);
                     outside |= raw < lo || raw > t->ax_hi[k];
                     v = v < 0 ? 0 : v > span - 1 ? span - 1 : v;
                     coord = ncuts >= span ? v : v * ncuts / span;
@@ -211,7 +219,7 @@ static int walk_block(walk_job *j, int64_t lo, int64_t hi)
             int64_t base = t->child_base[nid], len = t->child_len[nid];
             if (slot < 0 || slot >= len || base < 0
                     || base > t->n_children - len)
-                return ERR_RANGE;
+                return failed_at(j, p, ERR_RANGE);
             nid = t->children[base + slot];
             if (nid < 0 || outside)      /* EMPTY_CHILD: the dead path */
                 break;
@@ -229,7 +237,7 @@ static int walk_block(walk_job *j, int64_t lo, int64_t hi)
             int64_t x, words;
             const int64_t c = cycles(pl, internal, lid, mpos, &x, &words);
             if (c < 0)
-                return ERR_RANGE;
+                return failed_at(j, p, ERR_RANGE);
             j->occupancy[p] = c;
             occupancy_sum += c;
             if (j->internal_fetches)
@@ -304,7 +312,7 @@ int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
         job[i] = (walk_job){t, pl, headers, n * i / k, n * (i + 1) / k, match,
                             internal_nodes, leaf_id, leaf_size, match_pos,
                             rules_compared, occupancy, internal_fetches,
-                            leaf_words, 0, 0, OK};
+                            leaf_words, 0, 0, OK, 0};
     for (int64_t i = 1; i < k; i++)
         started[i] = !pthread_create(&tid[i], NULL, walk_slice, &job[i]);
     walk_slice(&job[0]);

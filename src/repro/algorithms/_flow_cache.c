@@ -1,16 +1,21 @@
-/* The flow cache's two per-batch loops, FlowCache.lookup and
- * FlowCache.commit (engine/flowcache.py, whose NumPy paths are the
- * oracle), over its own tables; native.py builds this file into one
- * library with _flat_walk.c.  Keys are pack_flow_keys' words, set-major:
- * way w of set s holds keyw[(s * ways + w) * nw ...].  The hot loops
- * select without branching on the data (a mispredicted branch costs
- * more than reading every way).  fc_commit range-checks its indices
- * (sets, misses, ranks) before the first write: a bad one is an error. */
+/* The flow cache's per-batch loops over its own tables: FlowCache.lookup
+ * and FlowCache.commit (engine/flowcache.py, whose NumPy paths are the
+ * oracle), and fc_serve, which serves a whole batch for a backend whose
+ * miss classification is one FlatTree walk: the probe, the walk of the
+ * distinct misses and the commit in one call.  native.py builds this file
+ * into one library after _flat_walk.c, whose walk fc_serve runs.  Keys are
+ * pack_flow_keys' words, set-major: way w of set s holds
+ * keyw[(s * ways + w) * nw ...].  The hot loops select without branching
+ * on the data (a mispredicted branch costs more than reading every way).
+ * fc_commit range-checks its indices (sets, misses, ranks) before the
+ * first write: a bad one is an error. */
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { FC_OK, FC_ERR_RANGE = 2, FC_ERR_MEMORY = 3 };
+/* FC_ERR_MEMORY is past the walk's codes, which fc_serve returns too. */
+enum { FC_OK, FC_ERR_RANGE = 2, FC_ERR_MEMORY = 4 };
 
 typedef struct {       /* field order is native._Cache._fields_ */
     int64_t n_sets, ways, ndim, epoch, tick;
@@ -132,24 +137,131 @@ static inline int64_t find(const flow_cache *c, int64_t s, const uint64_t *kw,
     return found;
 }
 
-/* FlowCache.lookup: match[p] is the cached result (-1: a miss), a hit's
- * LRU stamp becomes tick + p, and the misses' positions go to misses[].
- * Given occupancy, every occupancy[p] is hit_cycles in the same pass (a
- * miss's is fc_commit's to write); given tally, the hits with a result
- * >= 0 are added to tally[0] and their cycles to tally[1].
- * With uniq, they are grouped by FNV value, BLOCK headers at a time, in
- * a table first sized for `expect` (the result never depends on it): the
- * distinct headers go to uniq in the order of each one's last miss, their
- * sets to sets, miss i's rank among them to rank[i], and both counts to
- * counts.
- * Inlined for the five-tuple 4-way cache, constant bounds, and any other. */
 enum { BLOCK = 256 };
 
+/* Start fetching the lines of the set of FNV value x that a probe reads
+ * and writes: its keys, fill epochs, results and stamps. */
+static inline void fetch_set(const flow_cache *c, uint64_t x, int64_t nw,
+                             int64_t ways)
+{
+    const int64_t at = set_of(x, (uint64_t)c->n_sets) * ways;
+    __builtin_prefetch(c->keyw + at * nw);
+    __builtin_prefetch(c->keyw + (at + ways) * nw - 1);
+    __builtin_prefetch(c->epoch_of + at);
+    __builtin_prefetch(c->result + at);
+    __builtin_prefetch(c->stamp + at, 1);
+}
+
+/* Probe packets [lo, hi) of the batch, whose first m packets missed:
+ * match[p] is the cached result (-1: a miss), a hit's LRU stamp becomes
+ * tick + p and, given occupancy, occupancy[p] is hit_cycles; the hits
+ * with a result >= 0 are added to *matched.  Each miss's position goes
+ * to misses[m], its FNV value to miss_x[i] and its packed key to
+ * miss_kw[i * nw], i counting the misses of this call.  Returns m.
+ * A packet's set is fetched AHEAD packets before its turn (its FNV value
+ * kept until then), so the probe does not wait on its lines. */
+enum { AHEAD = 8 };
+
+static inline __attribute__((always_inline)) int64_t
+probe(flow_cache *c, const uint32_t *headers, int64_t lo, int64_t hi,
+      int64_t m, int64_t *match, int64_t *misses, uint64_t *miss_x,
+      uint64_t *miss_kw, int64_t *occupancy, int64_t hit_cycles,
+      int64_t *matched, const int64_t ndim, const int64_t ways)
+{
+    const int64_t nw = (ndim + 1) / 2, first = m;
+    int64_t found = 0;
+    uint64_t ahead[AHEAD];
+    for (int64_t p = lo; p < lo + AHEAD && p < hi; p++)
+        fetch_set(c, ahead[p % AHEAD] = fnv(headers + p * ndim, ndim), nw,
+                  ways);
+    for (int64_t p = lo; p < hi; p++) {
+        const uint32_t *h = headers + p * ndim;
+        const uint64_t x = ahead[p % AHEAD];
+        if (p + AHEAD < hi)
+            fetch_set(c, ahead[p % AHEAD] = fnv(h + AHEAD * ndim, ndim), nw,
+                      ways);
+        const int64_t s = set_of(x, (uint64_t)c->n_sets), i = m - first;
+        uint64_t *kw = miss_kw + i * nw;   /* kept when it misses */
+#pragma GCC unroll 8
+        for (int64_t k = 0; k < nw; k++)
+            kw[k] = key_word(h, ndim, k);
+        const int64_t w = find(c, s, kw, nw, ways), miss = w >> 63;
+        const int64_t at = s * ways + (w & ~miss);   /* way 0 on a miss */
+        const int64_t result = c->result[at] | miss;
+        match[p] = result;
+        found += result >= 0;
+        if (occupancy)
+            occupancy[p] = hit_cycles;
+        c->stamp[at] = (c->stamp[at] & miss) | ((c->tick + p) & ~miss);
+        misses[m] = p;   /* kept when it missed */
+        miss_x[i] = x;
+        m -= miss;
+    }
+    *matched += found;
+    return m;
+}
+
+/* Group `count` misses (FNV values x, packed keys kw) in g, each one's
+ * id to rank[i]; 0 when out of memory.  Inlined where nw is constant. */
+static inline __attribute__((always_inline)) int
+group_block(groups *g, const uint64_t *x, const uint64_t *kw, int64_t count,
+            int64_t nw, int64_t expect, int64_t *rank)
+{
+    for (int64_t i = 0; i < count; i++) {
+        if (i + 4 < count && g->table)
+            __builtin_prefetch(g->table + home(x[i + 4], g->bits));
+        if ((rank[i] = group(g, kw + i * nw, nw, x[i], expect)) < 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* The m grouped misses' ids (in rank) to ranks by last sighting: the
+ * distinct headers go to uniq in the order of each one's last miss,
+ * their sets to sets, and miss i's rank among them to rank[i].  Walking
+ * back from the last miss, a header's first sighting is its last, so
+ * the headers take the ranks from nd - 1 down as they are met, without
+ * a branch on the data; g's table (free now, >= 4 nd int64s) holds each
+ * id's rank (-1 until met), then the id of each rank (plus one slot the
+ * misses already met write to). */
+static void by_last_sighting(const groups *g, int64_t *rank, int64_t m,
+                             uint32_t *uniq, int64_t *sets, int64_t n_sets,
+                             int64_t ndim)
+{
+    if (!g->nd)
+        return;
+    const int64_t nw = (ndim + 1) / 2, nd = g->nd;
+    int64_t *rank_of = (int64_t *)g->table, *id_of = rank_of + nd, r = nd;
+    memset(rank_of, 0xff, (size_t)nd * sizeof *rank_of);
+    for (int64_t i = m - 1; i >= 0; i--) {
+        const int64_t id = rank[i], seen = rank_of[id], fresh = seen >> 63;
+        r += fresh;
+        const int64_t mine = (r & fresh) | (seen & ~fresh);
+        id_of[(r & fresh) | (nd & ~fresh)] = id;
+        rank_of[id] = rank[i] = mine;
+    }
+    for (r = 0; r < nd; r++) {
+        const int64_t id = id_of[r];
+        for (int64_t d = 0; d < ndim; d++)   /* pack_flow_keys, undone */
+            uniq[r * ndim + d] = (uint32_t)(g->keys[id * nw + d / 2]
+                                            >> (d % 2 ? 0 : 32));
+        sets[r] = set_of(g->x[id], (uint64_t)n_sets);
+    }
+}
+
+/* FlowCache.lookup: probe every packet, BLOCK at a time, counting both
+ * in counts.  Given tally, the hits with a result >= 0 are added to
+ * tally[0] and their cycles to tally[1].  With uniq, each block's misses
+ * are grouped by FNV value while in cache, in a table first sized for
+ * `expect` (the result never depends on it), then ranked by last
+ * sighting (uniq, sets, rank).  Given xs, each miss's FNV value goes to
+ * xs[i] (fc_serve's probe: no uniq).
+ * Inlined for the five-tuple 4-way cache, constant bounds, and any other. */
 static inline __attribute__((always_inline)) int
 lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
        int64_t *match, int64_t *misses, int64_t *rank, uint32_t *uniq,
        int64_t *sets, int64_t *counts, int64_t *occupancy, int64_t hit_cycles,
-       int64_t *tally, const int64_t ndim, const int64_t ways)
+       int64_t *tally, uint64_t *xs, const int64_t ndim, const int64_t ways)
 {
     const int64_t nw = (ndim + 1) / 2;
     groups g = {.most = n};
@@ -162,53 +274,14 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
     uint64_t *miss_kw = miss_x + BLOCK;
     for (int64_t lo = 0; lo < n; lo += BLOCK) {
         const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n, first = m;
-        for (int64_t p = lo; p < hi; p++) {
-            const uint32_t *h = headers + p * ndim;
-            const uint64_t x = fnv(h, ndim);
-            const int64_t s = set_of(x, (uint64_t)c->n_sets), i = m - first;
-            uint64_t *kw = miss_kw + i * nw;   /* kept when it misses */
-#pragma GCC unroll 8
-            for (int64_t k = 0; k < nw; k++)
-                kw[k] = key_word(h, ndim, k);
-            const int64_t w = find(c, s, kw, nw, ways), miss = w >> 63;
-            const int64_t at = s * ways + (w & ~miss);   /* way 0 on a miss */
-            const int64_t result = c->result[at] | miss;
-            match[p] = result;
-            matched += result >= 0;
-            if (occupancy)
-                occupancy[p] = hit_cycles;
-            c->stamp[at] = (c->stamp[at] & miss) | ((c->tick + p) & ~miss);
-            misses[m] = p;   /* kept when it missed */
-            miss_x[i] = x;
-            m -= miss;
-        }
-        for (int64_t i = 0; uniq && i < m - first; i++) {
-            if (i + 4 < m - first && g.table)
-                __builtin_prefetch(g.table + home(miss_x[i + 4], g.bits));
-            rank[first + i] = group(&g, miss_kw + i * nw, nw, miss_x[i],
-                                    expect);
-            if (rank[first + i] < 0)
-                goto out;
-        }
+        uint64_t *x = xs ? xs + first : miss_x;
+        m = probe(c, headers, lo, hi, m, match, misses, x, miss_kw, occupancy,
+                  hit_cycles, &matched, ndim, ways);
+        if (uniq && !group_block(&g, x, miss_kw, m - first, nw, expect,
+                                 rank + first))
+            goto out;
     }
-    /* Ids to last-sighting ranks, in g.table (free now, >= 4 nd int64s):
-     * each id's last miss index, then its rank once emitted there.  No
-     * ids without uniq: a probe alone passes NULL uniq, rank and sets. */
-    int64_t *last = (int64_t *)g.table, r = 0;
-    for (int64_t i = 0; g.nd && i < m; i++)
-        last[rank[i]] = i;
-    for (int64_t i = 0; g.nd && i < m; i++) {
-        const int64_t id = rank[i];
-        if (last[id] != i)
-            continue;
-        last[id] = r;
-        for (int64_t d = 0; d < ndim; d++)   /* pack_flow_keys, undone */
-            uniq[r * ndim + d] = (uint32_t)(g.keys[id * nw + d / 2]
-                                            >> (d % 2 ? 0 : 32));
-        sets[r++] = set_of(g.x[id], (uint64_t)c->n_sets);
-    }
-    for (int64_t i = 0; g.nd && i < m; i++)
-        rank[i] = last[rank[i]];
+    by_last_sighting(&g, rank, m, uniq, sets, c->n_sets, ndim);
     counts[0] = m;
     counts[1] = g.nd;
     if (tally) {
@@ -221,6 +294,10 @@ out:
     return (int)code;
 }
 
+/* The misses' positions go to misses[], their count and the distinct
+ * count to counts[0..1]; with uniq, the distinct headers in the order of
+ * each one's last miss, their sets to sets and miss i's rank among them
+ * to rank[i]. */
 int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
               int64_t expect, int64_t *match, int64_t *misses, int64_t *rank,
               uint32_t *uniq, int64_t *sets, int64_t *counts,
@@ -228,9 +305,10 @@ int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
 {
     if (c->ndim == 5 && c->ways == 4)
         return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                      counts, occupancy, hit_cycles, tally, 5, 4);
+                      counts, occupancy, hit_cycles, tally, NULL, 5, 4);
     return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                  counts, occupancy, hit_cycles, tally, c->ndim, c->ways);
+                  counts, occupancy, hit_cycles, tally, NULL, c->ndim,
+                  c->ways);
 }
 
 /* The ways of set s oldest-first (dead ones as age -1), stable in way
@@ -326,5 +404,284 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
     code = FC_OK;
 out:
     free(set), free(by_set), free(end), free(order);
+    return code;
+}
+
+/* fc_serve: one batch for a backend whose miss classification is one
+ * FlatTree walk.  The calling thread probes the whole batch (lookup, as
+ * fc_lookup does), then the misses go to k owners, owner o holding the
+ * sets s with s * k / n_sets == o, each owner's misses in arrival order.
+ * An owner groups its misses and ranks them by last sighting, walks its
+ * distinct misses (walk_slice: widths checked, cycles counted), waits at
+ * the gate for every other owner, and then, if no owner failed, scatters
+ * its results to its misses and fills its own sets (fc_commit over its
+ * arrays).  Sets are disjoint and a set's inserts keep their order by
+ * last sighting, so every table, count and output is the one-owner one. */
+typedef struct owner owner;
+
+typedef struct {       /* what the owners of one call share */
+    flow_cache *c;
+    const tables *t;
+    const placement *pl;
+    const uint32_t *headers;
+    int64_t n, m, k, expect;
+    int refused;       /* the walk refuses its tables (flat_walk's check) */
+    int64_t *misses;   /* the probe's misses: positions */
+    uint64_t *xs;      /* and FNV values */
+    int64_t *match, *occupancy;
+    owner *owners;
+    pthread_mutex_t lock;
+    pthread_cond_t all_in;
+    int64_t waiting;   /* owners not yet at the gate */
+} serve_call;
+
+struct owner {
+    serve_call *call;
+    int64_t lo, hi;        /* its sets */
+    int64_t m, nd;         /* its misses, distinct misses */
+    int64_t *pos;          /* its misses' positions, arrival order, */
+    uint64_t *x;           /* their FNV values, */
+    int64_t *rank;         /* each one's rank among the distinct ones */
+    uint32_t *uniq;        /* the distinct ones, by last sighting */
+    int64_t *sets;         /* their sets, then results and cycles */
+    int64_t stop;          /* the last miss of the first failing one */
+    int64_t counts[2], tally[2];
+    int code, fill_code;
+};
+
+/* The owner's misses, from the probe's in arrival order: the probe's
+ * arrays themselves for the one owner, else those of its sets, copied
+ * in one pass without a branch on the data (into room for all); 0 when
+ * out of memory. */
+static int take_misses(owner *o)
+{
+    const serve_call *s = o->call;
+    const int64_t m = s->m, lo = o->lo, hi = o->hi;
+    const uint64_t n_sets = (uint64_t)s->c->n_sets;
+    o->rank = malloc((size_t)(m + 1) * sizeof *o->rank);
+    if (s->k == 1) {
+        o->m = m;
+        o->pos = s->misses;
+        o->x = s->xs;
+        return o->rank != NULL;
+    }
+    int64_t *pos = o->pos = malloc((size_t)(m + 1) * sizeof *pos);
+    uint64_t *x = o->x = malloc((size_t)(m + 1) * sizeof *x);
+    if (!o->rank || !pos || !x)
+        return 0;
+    int64_t j = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t set = set_of(s->xs[i], n_sets);
+        pos[j] = s->misses[i];
+        x[j] = s->xs[i];
+        j += (lo <= set) & (set < hi);
+    }
+    o->m = j;
+    return 1;
+}
+
+/* Group the owner's misses in g, BLOCK at a time, their keys packed
+ * into kw; 0 when out of memory.  Inlined for the five-tuple. */
+static inline __attribute__((always_inline)) int
+group_owned(owner *o, groups *g, uint64_t *kw, const int64_t ndim)
+{
+    const serve_call *s = o->call;
+    const int64_t nw = (ndim + 1) / 2;
+    const int64_t expect = s->expect < o->m ? s->expect : o->m;
+    for (int64_t b = 0; b < o->m; b += BLOCK) {
+        const int64_t e = b + BLOCK < o->m ? b + BLOCK : o->m;
+        for (int64_t i = b; i < e; i++)
+            for (int64_t k = 0; k < nw; k++)
+                kw[(i - b) * nw + k] = key_word(s->headers + o->pos[i] * ndim,
+                                                ndim, k);
+        if (!group_block(g, o->x + b, kw, e - b, nw, expect, o->rank + b))
+            return 0;
+    }
+    return 1;
+}
+
+/* Steps 1 and 2: group the owner's misses, rank them by last sighting
+ * and walk the distinct ones.  o->code is the walk's code, or
+ * FC_ERR_MEMORY. */
+static void group_and_walk(owner *o)
+{
+    const serve_call *s = o->call;
+    const int64_t ndim = s->c->ndim, nw = (ndim + 1) / 2;
+    o->code = FC_ERR_MEMORY;
+    if (!take_misses(o))
+        return;
+    groups g = {.most = o->m};
+    uint64_t *kw = malloc((size_t)BLOCK * nw * sizeof *kw);
+    if (!kw || !(ndim == 5 ? group_owned(o, &g, kw, 5)
+                           : group_owned(o, &g, kw, ndim)))
+        goto out;
+    o->nd = g.nd;
+    o->uniq = malloc((size_t)(g.nd + 1) * ndim * sizeof *o->uniq);
+    o->sets = malloc((size_t)(g.nd + 1) * 3 * sizeof *o->sets);
+    if (!o->uniq || !o->sets)
+        goto out;
+    by_last_sighting(&g, o->rank, o->m, o->uniq, o->sets, s->c->n_sets, ndim);
+    if (s->refused && g.nd) {
+        o->code = ERR_RANGE;
+        goto out;
+    }
+    int64_t *results = o->sets + g.nd, *cycles = results + g.nd;
+    walk_job j = {s->t, s->pl, o->uniq, 0, g.nd, results, NULL, NULL, NULL,
+                  NULL, NULL, s->pl ? cycles : NULL, NULL, NULL, 0, 0, OK, 0};
+    walk_slice(&j);
+    o->code = j.code;
+    if (j.code != OK && j.code != ERR_WIDTH) {
+        int64_t i = o->m - 1;
+        while (o->rank[i] != j.failed)
+            i--;
+        o->stop = o->pos[i];
+    }
+out:
+    free(kw), free(g.table), free(g.x), free(g.keys);
+}
+
+/* Step 3: `count` owners arrive at the gate; wait until every owner has. */
+static void arrive(serve_call *s, int64_t count)
+{
+    pthread_mutex_lock(&s->lock);
+    if ((s->waiting -= count) == 0)
+        pthread_cond_broadcast(&s->all_in);
+    while (s->waiting > 0)
+        pthread_cond_wait(&s->all_in, &s->lock);
+    pthread_mutex_unlock(&s->lock);
+}
+
+/* Step 4, past the gate: unless an owner failed, scatter the owner's
+ * results and cycles to its misses and fill its sets, its tallies and
+ * counts kept apart. */
+static void scatter_and_fill(owner *o)
+{
+    const serve_call *s = o->call;
+    for (int64_t i = 0; i < s->k; i++)
+        if (s->owners[i].code != FC_OK)
+            return;
+    if (!o->nd)   /* no misses */
+        return;
+    const int64_t *results = o->sets + o->nd, *cycles = results + o->nd;
+    o->fill_code = fc_commit(s->c, o->uniq, o->sets, o->nd, results,
+                             s->occupancy ? cycles : NULL, o->pos, o->rank,
+                             o->m, s->match, s->occupancy, s->n, o->counts,
+                             o->tally);
+}
+
+static void *serve_owner(void *arg)
+{
+    owner *o = arg;
+    group_and_walk(o);
+    arrive(o->call, 1);
+    scatter_and_fill(o);
+    return NULL;
+}
+
+/* Serve n headers through cache c and, for its misses, the walk of t
+ * (under placement pl, its widths checked and cycles counted into
+ * occupancy): match, occupancy and tally are written as fc_lookup, the
+ * walk and fc_commit write them, and the tables and c->tick (+ n after
+ * the probe) left where they leave them, an error included.  The misses
+ * split over k = min(threads, misses / least) owners (threads when least
+ * is 0), at least one, one of them the calling thread, the others
+ * threads joined before the return.  counts gets the misses, the
+ * distinct misses, the evictions, the reclamations and k.  Returns
+ * ERR_RANGE if there are misses to walk and the walk refuses its
+ * placement (as flat_walk does), else ERR_WIDTH if a miss is too wide,
+ * else the walk code of the failing distinct miss last missed first, or
+ * FC_ERR_MEMORY. */
+int fc_serve(flow_cache *c, const tables *t, const placement *pl,
+             const uint32_t *headers, int64_t n, int64_t expect,
+             int64_t *match, int64_t *occupancy, int64_t hit_cycles,
+             int64_t threads, int64_t least, int64_t *counts, int64_t *tally)
+{
+    if (t->ndim != c->ndim)
+        return ERR_RANGE;
+    int64_t *misses = malloc((size_t)(n + 1) * sizeof *misses);
+    uint64_t *xs = malloc((size_t)(n + 1) * sizeof *xs);
+    const int refused = (occupancy && !pl)
+        || (pl && (pl->rules_per_word <= 0 || pl->ndim != t->ndim));
+    serve_call s = {c, t, pl, headers, n, 0, 1, 0, refused, misses, xs,
+                    match, occupancy, NULL, PTHREAD_MUTEX_INITIALIZER,
+                    PTHREAD_COND_INITIALIZER, 0};
+    owner owners[MAX_THREADS] = {{0}};
+    pthread_t tid[MAX_THREADS];
+    int started[MAX_THREADS] = {0};
+    int code = FC_ERR_MEMORY;
+    if (!misses || !xs)
+        goto out;
+    code = c->ndim == 5 && c->ways == 4
+        ? lookup(c, headers, n, 0, match, misses, NULL, NULL, NULL, counts,
+                 occupancy, hit_cycles, tally, xs, 5, 4)
+        : lookup(c, headers, n, 0, match, misses, NULL, NULL, NULL, counts,
+                 occupancy, hit_cycles, tally, xs, c->ndim, c->ways);
+    if (code)
+        goto out;
+    c->tick += n;
+    s.m = counts[0];
+    int64_t k = least ? s.m / least : threads;
+    k = k < threads ? k : threads;
+    k = k < MAX_THREADS ? k : MAX_THREADS;
+    s.k = k = k > 1 ? k : 1;
+    s.expect = expect / k;
+    s.owners = owners;
+    s.waiting = k;
+    for (int64_t o = 0; o < k; o++)   /* the sets with set * k / n_sets == o */
+        owners[o] = (owner){.call = &s, .lo = (o * c->n_sets + k - 1) / k,
+                            .hi = ((o + 1) * c->n_sets + k - 1) / k};
+    /* Owner 0 and every owner whose thread could not start serve on the
+     * calling thread, all arriving at the gate at once. */
+    int64_t here = 1;
+    for (int64_t o = 1; o < k; o++)
+        started[o] = !pthread_create(&tid[o], NULL, serve_owner, &owners[o]);
+    group_and_walk(&owners[0]);
+    for (int64_t o = 1; o < k; o++)
+        if (!started[o]) {
+            group_and_walk(&owners[o]);
+            here++;
+        }
+    arrive(&s, here);
+    for (int64_t o = 0; o < k; o++)
+        if (!o || !started[o])
+            scatter_and_fill(&owners[o]);
+    for (int64_t o = 1; o < k; o++)
+        if (started[o])
+            pthread_join(tid[o], NULL);
+    /* The one-owner error: memory, else the walk's refusal of its
+     * tables, else width, else the code of the failing distinct miss
+     * whose last miss comes first. */
+    int memory = 0, width = 0, walk = OK;
+    int64_t first = INT64_MAX, sums[3] = {0};
+    for (int64_t o = 0; o < k; o++) {
+        const owner *w = &owners[o];
+        memory |= w->code == FC_ERR_MEMORY || w->fill_code;
+        width |= w->code == ERR_WIDTH;
+        if (w->code != OK && w->code != ERR_WIDTH && w->stop < first)
+            first = w->stop, walk = w->code;
+        sums[0] += w->nd;
+        sums[1] += w->counts[0];
+        sums[2] += w->counts[1];
+    }
+    code = memory ? FC_ERR_MEMORY : refused && sums[0] ? ERR_RANGE
+         : width ? ERR_WIDTH : walk;
+    counts[1] = sums[0];
+    counts[2] = sums[1];
+    counts[3] = sums[2];
+    counts[4] = k;
+    for (int64_t o = 0; tally && code == FC_OK && o < k; o++) {
+        tally[0] += owners[o].tally[0];
+        tally[1] += owners[o].tally[1];
+    }
+out:
+    for (int64_t o = 0; o < MAX_THREADS; o++) {
+        owner *w = &owners[o];
+        if (w->pos != misses)   /* not the probe's own arrays */
+            free(w->pos), free(w->x);
+        free(w->rank), free(w->uniq), free(w->sets);
+    }
+    free(misses), free(xs);
+    pthread_mutex_destroy(&s.lock);
+    pthread_cond_destroy(&s.all_in);
     return code;
 }

@@ -566,6 +566,15 @@ class FlatTree:
             cycles=cycles, tally=tally,
         )
 
+    def miss_walk(self, placement=None):
+        """What a flow cache's one-call miss serve
+        (:func:`native.serve`) walks for a backend that is this walk:
+        ``(tables, placement)``, the pointer table over the current
+        buffers and an accelerator's leaf placement (``None``: a
+        match-only walk).  ``None`` for a tree the native walk does not
+        serve."""
+        return None if self._native is None else (self._native, placement)
+
     def _walk(self, headers32, match: np.ndarray, stats=None) -> None:
         """The native loop over the whole input when it is loaded, else
         the portable walk a tile at a time."""

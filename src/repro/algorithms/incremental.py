@@ -182,6 +182,12 @@ class IncrementalClassifier:
     def classify_trace(self, trace: PacketTrace) -> np.ndarray:
         return self.tree.flat.batch_match(trace.headers)
 
+    @property
+    def miss_walk(self):
+        """``classify_batch`` is one match-only walk of the patched tree:
+        a flow cache may serve its misses in the same native call."""
+        return self.tree.flat.miss_walk()
+
     def memory_bytes(self) -> int:
         """Software search-structure model of the current (live) tree."""
         return self.tree.software_memory_bytes()

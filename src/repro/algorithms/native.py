@@ -12,8 +12,10 @@ packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
 The cache kernels (:func:`lookup`, :func:`commit`) are the flow cache's
 two per-batch calls over its own tables (bound once), bit-identical to
-its NumPy path in every table, counter and returned array.  The walk and
-both cache calls write into the arrays they are handed (a slice of a
+its NumPy path in every table, counter and returned array;
+:func:`serve` is both around the walk of the distinct misses, in one
+call, for a backend whose miss classification is that walk.  The walk
+and the cache calls write into the arrays they are handed (a slice of a
 run's outputs) and add what they wrote to a two-cell tally: the packets
 with a result >= 0 and their cycles.  The prefilter calls
 (:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
@@ -31,9 +33,11 @@ The walk splits one call over up to :func:`threads_for` threads, one
 contiguous packet slice each, created and joined inside the call (so
 none outlives it, and a later ``fork()`` is safe).  Packets are
 independent, so every output is the one-thread output (docs/engine.md,
-"Threads inside a native call").  The cache, prefilter and parser
-calls run on the calling thread; like every ctypes call, each releases
-the GIL while it runs.
+"Threads inside a native call").  :func:`serve` splits its misses the
+same way, over set owners: the cache's sets are disjoint, so its tables
+and counters are the one-owner ones.  The other cache calls, the
+prefilter and the parser run on the calling thread; like every ctypes
+call, each releases the GIL while it runs.
 
 The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
 serve) or trace file read loads ``flat_walk-<key>.so`` from
@@ -277,6 +281,11 @@ def _open(path: str):
     for name, args, res in (
         ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 7, i64, ptr],
          ctypes.c_int),
+        # (cache, tables, placement or NULL, headers, n, expect, match,
+        # occupancy or NULL, hit cycles, threads, least, counts, tally)
+        ("fc_serve", [cache, ctypes.POINTER(_Tables),
+                      ctypes.POINTER(_Placement), ptr, i64, i64, ptr, ptr,
+                      i64, i64, i64, ptr, ptr], ctypes.c_int),
         ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
                        ptr, i64, ptr, ptr], ctypes.c_int),
         ("pf_hash", [ptr, i64, i64, ptr], None),
@@ -383,17 +392,27 @@ def walk(
     headers = _pointer("headers", headers32, np.uint32, (n, tables.ndim))
     code = fn(ctypes.byref(tables), placement, headers, n, *out,
               threads_for(n, threads), _optional("tally", tally, 2))
+    check(code, headers32, placement)
+    return True
+
+
+def check(code: int, headers32, placement: _Placement | None) -> None:
+    """Raise the error a walk (or :func:`serve`) returned ``code`` for
+    over ``headers32``: a too-wide header is the
+    :class:`~repro.core.errors.PacketFormatError` ``PacketTrace`` raises,
+    naming the first field any header overflows."""
     if code == 3:
         widths = placement.keep[2]
         field = int(np.flatnonzero((headers32 > widths).any(axis=0))[0])
         raise PacketFormatError(f"trace field {field} exceeds field width")
+    if code == 4:
+        raise MemoryError("native flow cache: out of memory")
     if code:
         raise BuildError(
             "batch traversal did not terminate" if code == 1 else
             "batch traversal left its tables (corrupt FlatTree or "
             "placement buffers)"
         )
-    return True
 
 
 # The flow cache: each function returns ``None`` (nothing written) when
@@ -460,6 +479,38 @@ def _optional(name: str, arr, size: int):
     return None if arr is None else _pointer(name, arr, np.int64, (size,))
 
 
+def serve(cache, walk, headers32, counts, match, occupancy=None,
+          hit_cycles: int = 0, tally=None, threads: int | None = None):
+    """One cached batch in one call (``fc_serve``), for a backend whose
+    miss classification is one native walk, ``walk = (tables,
+    placement)``: the probe of :func:`lookup` on the calling thread, then
+    the misses split over :func:`threads_for` ``(misses, threads)`` set
+    owners (the count is only known inside the call), each grouping,
+    walking and filling its own sets.  ``match``, ``occupancy`` and
+    ``tally`` are written as :func:`lookup`, the walk and :func:`commit`
+    write them; ``counts`` (five ``int64`` cells) gets the misses, the
+    distinct misses, the evictions, the reclamations and the owners.
+    Returns the call's code for :func:`check` (an error leaves every
+    table as the three calls leave it), or ``None`` (nothing written)
+    when the library did not load."""
+    lib = _load().lib
+    if lib is None:
+        return None
+    tables, placement = walk
+    n = headers32.shape[0]
+    bound = _bound(cache)
+    most, least = ((thread_ceiling(), MIN_SLICE) if threads is None
+                   else (threads_for(n, threads), 0))
+    return lib.fc_serve(
+        ctypes.byref(bound), ctypes.byref(tables), placement,
+        _pointer("headers", headers32, np.uint32, (n, cache._ndim)), n,
+        cache._distinct, _pointer("match", match, np.int64, (n,)),
+        _optional("occupancy", occupancy, n), hit_cycles, most, least,
+        _pointer("counts", counts, np.int64, (5,)),
+        _optional("tally", tally, 2),
+    )
+
+
 def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
            match=None, occupancy=None, tally=None):
     """``FlowCache.commit``: ``(evictions, reclamations)``.  Given the
@@ -486,7 +537,7 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
         _optional("cycles", cycles, nd), *scatter[:2], m, *scatter[2:], n,
         counts.ctypes.data, _optional("tally", tally, 2),
     )
-    if code == 3:
+    if code == 4:
         raise MemoryError("native flow cache: out of memory")
     if code:
         raise BuildError("native flow cache: a set index, miss or rank "

@@ -57,6 +57,13 @@ class DecisionTreeClassifier(ClassifierBase):
     def classify_batch(self, headers: np.ndarray) -> np.ndarray:
         return self.tree.flat.batch_match(headers)
 
+    @property
+    def miss_walk(self):
+        """``classify_batch`` is one match-only walk: a flow cache may
+        serve its misses in the same native call
+        (``CachedClassifier.batch_stats``)."""
+        return self.tree.flat.miss_walk()
+
     def memory_bytes(self) -> int:
         return self.tree.software_memory_bytes()
 
@@ -114,6 +121,12 @@ class AcceleratorClassifier(ClassifierBase):
         out = out or batch_out(len(headers), True)
         self.accelerator.match_occupancy(headers, *out)
         return tallied(out)
+
+    @property
+    def miss_walk(self):
+        """``batch_stats`` is one occupancy walk: a flow cache may serve
+        its misses in the same native call."""
+        return self.accelerator.miss_walk
 
     def run_trace(self, trace: PacketTrace):
         """The full :class:`~repro.hw.AcceleratorRun` (experiment tables)."""

@@ -15,9 +15,14 @@ misses — that split is where the energy argument lives.
   :meth:`FlowCache.commit` (scatter the backend's answers, fill).  Each
   is one C loop over the batch where :mod:`~repro.algorithms.native`
   loaded and NumPy otherwise (the oracle): bit-identical tables,
-  counters and results, no per-packet Python either way.  The C side is
-  bound once: the cache's pointer table is built when its tables are
-  (re)allocated and kept, so a call hands over its batch and the clock.
+  counters and results, no per-packet Python either way.  For a backend
+  whose miss classification is one native ``FlatTree`` walk the batch
+  is one native call instead, :meth:`FlowCache.serve`: the probe, then
+  the misses split over set-owning threads, each walking and filling
+  its own sets (the same tables and counters at any thread count).  The
+  C side is bound once: the cache's pointer table is built when its
+  tables are (re)allocated and kept, so a call hands over its batch and
+  the clock.
 * :class:`CachedClassifier` — wraps any
   :class:`~repro.engine.protocol.Classifier` behind the same protocol,
   so it composes with the registry, the pipeline and the CLI like a bare
@@ -351,6 +356,37 @@ class FlowCache:
         first, rank = dedupe_flow_keys(np.take(words, misses, axis=1), x[misses])
         return match, misses, rank, headers[misses[first]], s[misses[first]]
 
+    def serve(self, headers: np.ndarray, walk, match, occupancy=None,
+              tally=None) -> int | None:
+        """:meth:`lookup`, the backend and :meth:`commit` in one native
+        call (:func:`~repro.algorithms.native.serve`), for a backend
+        whose miss classification is one native walk, ``walk = (tables,
+        placement)``: the probe on the calling thread, then the misses
+        split over set owners, each grouping, walking and filling its
+        own sets.  ``match``, ``occupancy`` and ``tally`` are written,
+        and the tables, the eviction counters and the clock left, as
+        the three calls leave them, an error included.  Returns the
+        distinct misses; ``None`` (nothing done) where the library did
+        not load or the walk's header width is not the batch's (the
+        three calls raise their own error)."""
+        headers = self._prepare(headers)
+        n, ndim = headers.shape
+        tables, placement = walk
+        if tables.ndim != ndim:
+            return None
+        counts = np.zeros(5, np.int64)
+        code = native.serve(self, walk, headers, counts, match, occupancy,
+                            HIT_OCCUPANCY_CYCLES, tally)
+        if code is None:
+            return None
+        self._tick += np.int64(n)
+        self._distinct = distinct = int(counts[1])
+        native.check(code, headers, placement)
+        self.stats.evictions += int(counts[2])
+        self.stats.reclamations += int(counts[3])
+        self._tick += np.int64(distinct > 0)
+        return distinct
+
     def _probe(self, words: np.ndarray, s: np.ndarray):
         """:meth:`probe` over the batch's packed keys and set indices."""
         n = s.shape[0]
@@ -579,7 +615,14 @@ class CachedClassifier(ClassifierBase):
         scatter its answers to the misses and fill them.  The results
         go into ``out`` (fresh arrays when ``None``): the lookup writes
         every hit's and the commit every miss's, each adding the
-        tallies of what it wrote."""
+        tallies of what it wrote.
+
+        A backend whose miss classification is one native ``FlatTree``
+        walk says so through its ``miss_walk`` (``(tables, placement)``
+        or ``None``, read on every call: a patch re-binds the tables);
+        its batch is then all three steps in one native call
+        (:meth:`FlowCache.serve`), with the same results, tables and
+        counters."""
         headers = np.ascontiguousarray(headers, dtype=np.uint32)
         n = headers.shape[0]
         cache = self.cache
@@ -590,14 +633,19 @@ class CachedClassifier(ClassifierBase):
                            cache_evictions=0)
         evictions_before = cache.stats.evictions
         match, occupancy, tally = out
-        _, misses, rank, uniq, sets = cache.lookup(
-            headers, match, occupancy, tally
+        walk = getattr(self.classifier, "miss_walk", None)
+        n_backend = None if walk is None else cache.serve(
+            headers, walk, match, occupancy, tally
         )
-        n_backend = uniq.shape[0]
-        if n_backend:
-            inner = batch_stats_of(self.classifier, uniq)
-            cache.commit(uniq, sets, inner.match, inner.occupancy, misses,
-                         rank, match, occupancy, tally)
+        if n_backend is None:
+            _, misses, rank, uniq, sets = cache.lookup(
+                headers, match, occupancy, tally
+            )
+            n_backend = uniq.shape[0]
+            if n_backend:
+                inner = batch_stats_of(self.classifier, uniq)
+                cache.commit(uniq, sets, inner.match, inner.occupancy,
+                             misses, rank, match, occupancy, tally)
         hits = n - n_backend
         cache.stats.lookups += n
         cache.stats.hits += hits

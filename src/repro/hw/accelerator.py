@@ -152,6 +152,13 @@ class Accelerator:
         :class:`~repro.core.errors.PacketFormatError`, as for a trace."""
         return self._walk(headers, (match, occupancy), tally)
 
+    @property
+    def miss_walk(self):
+        """The native walk this accelerator serves with, for a flow
+        cache's one-call miss serve: ``FlatTree.miss_walk`` under the
+        leaf placement."""
+        return self.tree.flat.miss_walk(self._placement)
+
     def _walk(self, headers, out, tally=None) -> tuple[np.ndarray, ...]:
         """Fill ``out = (match, occupancy[, internal_fetches,
         leaf_words])`` (``None``: a fresh array) from the native walk,

@@ -1,11 +1,15 @@
-"""The native walk split over threads: every output is the one-thread one.
+"""The native walk and the cached serve split over threads: every output
+is the one-thread one.
 
 The walk (``flat_walk``) splits a call into one contiguous packet slice
-per thread, each thread created and joined inside the call.  ``threads``
-forces a count the rule (:func:`~repro.algorithms.native.threads_for`)
-would not pick on inputs this small, so each case runs at k = 2, 3 and 4
-against k = 1 and the NumPy oracle.  Also here: a header outside its
-field widths is a ``PacketFormatError`` on both kernels, no thread
+per thread; the cached serve (``fc_serve``) splits a batch's misses over
+set owners, each grouping, walking and filling its own sets.  Each
+thread is created and joined inside the call.  ``threads`` forces a
+count the rule (:func:`~repro.algorithms.native.threads_for`) would not
+pick on inputs this small, so each case runs at k = 2, 3 and 4 against
+k = 1 and the NumPy oracle (the serve also against the three calls it
+replaces: lookup, the backend, commit).  Also here: a header outside
+its field widths is a ``PacketFormatError`` on both kernels, no thread
 outlives a call, and a forked shard owner walks on one thread.
 """
 
@@ -14,18 +18,23 @@ from __future__ import annotations
 import functools
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro import PacketTrace
-from repro.algorithms import build_hypercuts, native
+from repro import PacketTrace, RuleSet, generate_ruleset
+from repro.algorithms import IncrementalClassifier, build_hypercuts, native
 from repro.core.errors import BuildError, PacketFormatError
-from repro.core.rules import FIVE_TUPLE
-from repro.engine import ClassificationPipeline
-from repro.engine.backends import AcceleratorClassifier
-from repro.engine.protocol import ClassifierBase
+from repro.core.rules import DEMO_SCHEMA, FIVE_TUPLE, FieldSchema, Rule
+from repro.core.rules import make_demo_ruleset
+from repro.core.updates import insert_op, remove_op
+from repro.engine import CachedClassifier, ClassificationPipeline
+from repro.engine.backends import AcceleratorClassifier, DecisionTreeClassifier
+from repro.engine.flowcache import flow_hash
+from repro.engine.protocol import ClassifierBase, batch_out
 from repro.hw import Accelerator
+from repro.hw.encoding import RULES_PER_WORD
 
 from tests import test_native
 from tests.conftest import FIELDS, random_headers
@@ -34,9 +43,10 @@ THREADS = (2, 3, 4)
 
 
 def _forced(monkeypatch, k: int) -> None:
-    """Every native walk of the test runs on ``k`` threads, whatever its
-    size."""
+    """Every native walk and cached serve of the test runs on ``k``
+    threads, whatever its size."""
     monkeypatch.setattr(native, "walk", functools.partial(native.walk, threads=k))
+    monkeypatch.setattr(native, "serve", functools.partial(native.serve, threads=k))
 
 
 def _walk_all(acc: Accelerator, headers, k: int) -> tuple:
@@ -174,6 +184,380 @@ class TestHeaderWidths:
                               clf.classify_trace(PacketTrace(headers, FIVE_TUPLE)))
 
 
+# ---------------------------------------------------------------------------
+# The cached serve: one native call, its misses split over set owners
+# ---------------------------------------------------------------------------
+#: Every way a cached batch is served: the three calls the one call
+#: replaces (``lookup``, the backend, ``commit``), the one call on each
+#: forced owner count, and the NumPy oracle.
+PATHS = ("three", *[1, *THREADS], "numpy")
+
+_TABLES = ("_keyw", "_result", "_stamp", "_epoch", "_filled")
+
+
+def _on_path(path, fn):
+    """``fn()`` served the ``path`` way."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "numpy":
+            patch.setattr(native, "_kernel", native._Kernel(reason="oracle"))
+        elif path == "three":
+            patch.setattr(native, "serve", lambda *args, **kwargs: None)
+        else:
+            _forced(patch, path)
+        return fn()
+
+
+def _state(clf: CachedClassifier, path) -> tuple:
+    """The cache's five tables, clock and counters, and, off the NumPy
+    path (which groups without it), the size its next grouping starts
+    at."""
+    cache = clf.cache
+    tables = [getattr(cache, name) for name in _TABLES]
+    state = (*(t if t is None else t.tobytes() for t in tables),
+             int(cache._tick), int(cache.epoch), replace(cache.stats))
+    return state if path == "numpy" else (*state, cache._distinct)
+
+
+def _served(clf: CachedClassifier, headers) -> list:
+    out = batch_out(len(headers), clf.models_occupancy)
+    stats = clf.batch_stats(headers, out)
+    return [None if a is None else a.tolist() for a in out] + [
+        stats.cache_hits, stats.cache_misses, stats.cache_evictions]
+
+
+def _same_everywhere(twins: dict, step) -> list:
+    """Apply ``step(clf)`` on every path's twin; what each returned and
+    its state must be the three calls' (the NumPy oracle's state without
+    the grouping size).  Returns the three calls' answer."""
+    said = {path: _on_path(path, lambda: step(clf))
+            for path, clf in twins.items()}
+    want = said["three"]
+    for path, clf in twins.items():
+        assert said[path] == want, path
+        ref = _state(twins["three"], path)
+        assert _state(clf, path) == ref, path
+    return want
+
+
+def _twins(make, entries: int, ways: int) -> dict:
+    return {path: CachedClassifier(make(path), entries=entries, ways=ways)
+            for path in PATHS}
+
+
+def _crowded(n_sets: int, n: int, seed: int, schema=FIVE_TUPLE):
+    """``n`` distinct headers that all land in set 0."""
+    rows = random_headers(schema, 64 * n * max(n_sets, 1), seed=seed)
+    rows = np.unique(rows[flow_hash(rows) % np.uint64(n_sets) == 0], axis=0)
+    assert len(rows) >= n
+    return rows[:n]
+
+
+def _three_columns() -> RuleSet:
+    """A 3-field schema (8, 8 and 16 bits) with 40 random boxes and a
+    catch-all."""
+    schema = FieldSchema(names=("a", "b", "c"), widths=(8, 8, 16))
+    rng = np.random.default_rng(3)
+    rules = [Rule(ranges=tuple(
+        tuple(int(v) for v in sorted(rng.integers(0, 2**w, size=2)))
+        for w in schema.widths)) for _ in range(40)]
+    rules.append(Rule(ranges=tuple((0, 2**w - 1) for w in schema.widths)))
+    return RuleSet(rules, schema, "three-columns")
+
+
+def spill_owners() -> int:
+    """Owners of one cached spill-sized batch (65,536 new headers, all
+    misses) served through a cached accelerator: what ``threads_for``
+    gives that many misses in this process."""
+    clf = AcceleratorClassifier(generate_ruleset("acl1", 100, seed=7))
+    cache = CachedClassifier(clf, entries=8192, ways=4).cache
+    headers = cache._prepare(random_headers(FIVE_TUPLE, 1 << 16, seed=9))
+    counts = np.zeros(5, np.int64)
+    match, occupancy, tally = batch_out(len(headers), True)
+    assert native.serve(cache, clf.miss_walk, headers, counts, match,
+                        occupancy, 1, tally) == 0
+    assert counts[0] == len(headers)
+    return int(counts[4])
+
+
+class TestCachedServe:
+    """One native call (``fc_serve``) serves a cached batch for a backend
+    whose miss classification is one ``FlatTree`` walk: at every owner
+    count, ``match``, ``occupancy``, the tally, the batch's counts, the
+    five tables, ``FlowCacheStats``, the clock and ``_distinct`` are the
+    three calls', and all but ``_distinct`` the NumPy oracle's."""
+
+    #: (entries, ways): sets not divisible by k (7, 13, 5), one set (fewer
+    #: than k), 1-, 4- and 8-way sets, and one roomy cache.
+    GEOMETRIES = [(28, 4), (4, 4), (13, 1), (40, 8), (1024, 4)]
+
+    @staticmethod
+    def _batches(headers, n_sets: int, ways: int, seed: int):
+        """One packet; a trace slice with repeats; the same again (its
+        flows now cached); new headers only; one crowded set, repeated
+        out of order."""
+        crowded = _crowded(n_sets, 3 * ways + 2, seed, DEMO_SCHEMA
+                           if headers.shape[1] == 5 and headers.max() < 256
+                           else FIVE_TUPLE)
+        fresh = random_headers(FIVE_TUPLE, 300, seed=seed + 1)
+        order = np.random.default_rng(seed).integers(0, len(crowded), 200)
+        return [headers[:1], headers[:600], headers[:600], fresh,
+                crowded[order], headers[300:900]]
+
+    @pytest.mark.parametrize("entries,ways", GEOMETRIES)
+    def test_an_accelerator_serves_the_same_on_every_path(
+        self, native_kernel, acl_small, acl_small_trace, entries, ways
+    ):
+        clf = AcceleratorClassifier(acl_small)
+        twins = _twins(lambda path: clf, entries, ways)
+        box = Rule(ranges=((0, 2**31),) + ((0, 2**32 - 1),)
+                   + ((0, 2**16 - 1),) * 2 + ((0, 255),))
+        n_sets = entries // ways
+        for i, batch in enumerate(self._batches(
+                acl_small_trace.headers, n_sets, ways, seed=entries)):
+            _same_everywhere(twins, lambda clf: _served(clf, batch))
+            if i == 2:
+                _same_everywhere(twins, lambda clf: clf.invalidate_cache())
+            if i == 3:
+                _same_everywhere(twins, lambda clf: clf.cache.retire(
+                    [remove_op(5), insert_op(box)], [150]))
+
+    def test_the_batch_shapes_read_as_they_say(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        """On the roomy cache: a repeated batch all hits, new headers all
+        miss, and a crowded set evicts."""
+        clf = CachedClassifier(AcceleratorClassifier(acl_small),
+                               entries=1024, ways=4)
+        headers = acl_small_trace.headers[:600]
+        clf.batch_stats(headers[:40])
+        again = clf.batch_stats(headers[:40])
+        assert again.cache_misses == 0 and again.cache_hits == 40
+        fresh = random_headers(FIVE_TUPLE, 300, seed=11)
+        assert clf.batch_stats(fresh).cache_misses == len(np.unique(fresh, axis=0))
+        crowded = _crowded(256, 14, seed=1)
+        assert clf.batch_stats(crowded).cache_evictions >= 14 - 4
+
+    @pytest.mark.parametrize("entries,ways", [(28, 4), (4, 4), (40, 8)])
+    def test_a_software_tree_serves_the_same_on_every_path(
+        self, native_kernel, acl_small, acl_small_trace, entries, ways
+    ):
+        clf = DecisionTreeClassifier(acl_small, algorithm="hypercuts",
+                                     binth=8, spfac=2)
+        assert clf.miss_walk is not None and clf.miss_walk[1] is None
+        twins = _twins(lambda path: clf, entries, ways)
+        for batch in self._batches(acl_small_trace.headers, entries // ways,
+                                   ways, seed=3):
+            _same_everywhere(twins, lambda clf: _served(clf, batch))
+
+    def test_a_three_column_schema_serves_the_same_on_every_path(
+        self, native_kernel
+    ):
+        rules = _three_columns()
+        clf = DecisionTreeClassifier(rules, algorithm="hypercuts", binth=4)
+        twins = _twins(lambda path: clf, 28, 4)
+        headers = random_headers(rules.schema, 400, seed=5)
+        crowded = _crowded(7, 20, seed=6, schema=rules.schema)
+        for batch in (headers[:1], headers, headers[:300],
+                      crowded[np.arange(90) % 20], headers[::-1]):
+            _same_everywhere(twins, lambda clf: _served(clf, batch))
+
+    def test_the_incremental_backend_serves_the_same_after_an_update(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        twins = _twins(lambda path: IncrementalClassifier(
+            acl_small, algorithm="hypercuts", binth=8, hw_mode=False), 28, 4)
+        headers = acl_small_trace.headers
+        _same_everywhere(twins, lambda clf: _served(clf, headers[:700]))
+        box = Rule(ranges=((0, 2**32 - 1),) * 2 + ((0, 2**16 - 1),) * 2
+                   + ((0, 255),))
+        batch = [remove_op(3), insert_op(box), remove_op(40)]
+        _same_everywhere(twins, lambda clf: clf.apply_updates(batch)
+                         .inserted_ids)
+        for clf in twins.values():   # the patch is bound before the serve
+            assert clf.classifier.miss_walk is not None
+        for rows in (headers[:700], headers[500:]):
+            _same_everywhere(twins, lambda clf: _served(clf, rows))
+
+    @pytest.mark.parametrize("k", [1, *THREADS])
+    def test_an_empty_batch_moves_nothing(self, native_kernel, acl_small, k):
+        clf = CachedClassifier(AcceleratorClassifier(acl_small), entries=28)
+        cache = clf.cache
+        cache._prepare(np.empty((0, 5), np.uint32))
+        before = _state(clf, k)
+        counts = np.zeros(5, np.int64)
+        match, occupancy, tally = batch_out(0, True)
+        assert native.serve(cache, clf.classifier.miss_walk,
+                            np.empty((0, 5), np.uint32), counts, match,
+                            occupancy, 1, tally, threads=k) == 0
+        assert counts.tolist() == [0, 0, 0, 0, k]
+        assert _state(clf, k) == before
+
+    def test_a_spill_sized_batch_takes_the_walks_thread_rule(
+        self, native_kernel
+    ):
+        """Owners are ``threads_for(misses)``: one per ``MIN_SLICE``
+        misses, at most the process's ceiling (1 under ``taskset -c 0``
+        and in a forked shard owner)."""
+        assert spill_owners() == native.threads_for(1 << 16)
+
+
+class TestCachedServeErrors:
+    """A batch that fails its walk through the cache fails as the three
+    calls do, at every owner count: the same exception and message, and
+    the tables, counters, clock and outputs the three calls leave."""
+
+    @staticmethod
+    def _fails_the_same(twins: dict, headers, error, match: str) -> None:
+        said = {}
+
+        def step(clf):
+            out = batch_out(len(headers), clf.models_occupancy)
+            with pytest.raises(error, match=match) as caught:
+                clf.batch_stats(headers, out)
+            return [str(caught.value)] + [a.tolist() for a in out if a is not None]
+
+        for path, clf in twins.items():
+            if path != "numpy":
+                said[path] = _on_path(path, lambda: step(clf))
+        for path in said:
+            assert said[path] == said["three"], path
+            assert _state(twins[path], path) == _state(twins["three"], path)
+
+    @staticmethod
+    def _warm(clf_of, headers, entries=64):
+        """Twins on the native paths, each cache warm with ``headers``."""
+        twins = {path: CachedClassifier(clf_of(path), entries=entries)
+                 for path in PATHS if path != "numpy"}
+        for path, clf in twins.items():
+            _on_path(path, lambda: clf.batch_stats(headers))
+        return twins
+
+    def test_a_wide_header_among_hits_and_misses(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        clf = AcceleratorClassifier(acl_small)
+        headers = acl_small_trace.headers
+        for wide_at in (0, 150, 399):
+            twins = self._warm(lambda path: clf, headers[:200])
+            batch = headers[100:500].copy()   # half hits, half misses
+            batch[wide_at, 4] = 256   # the protocol field is 8 bits wide
+            self._fails_the_same(twins, batch, PacketFormatError,
+                                 "trace field 4 exceeds field width")
+
+    @pytest.mark.parametrize("ranged_first", [True, False])
+    def test_the_failing_miss_last_seen_first_names_the_error(
+        self, native_kernel, acl_small, acl_small_trace, ranged_first
+    ):
+        """One leaf runs past its table (a range error), every pointer to
+        another is turned back to the root (a step-guard error): the
+        failing distinct miss whose last miss comes first names the
+        error, whichever owner holds it."""
+        clf = AcceleratorClassifier(acl_small)
+        flat = clf.tree.flat
+        headers = acl_small_trace.headers
+        leaf_of = flat.batch_lookup(acl_small_trace).leaf_id
+        early, late = leaf_of[leaf_of >= 0][[0, -1]]
+        ends_in = {leaf: headers[leaf_of == leaf] for leaf in (early, late)}
+        ranged, looped = (early, late) if ranged_first else (late, early)
+        a, b = ends_in[ranged][:40], ends_in[looped][:40]
+        # Every `a` header is seen again after every `b` one, except
+        # the last `b`, which is seen last of all.
+        batch = np.concatenate([b[:-1], a, b[:-1], b[-1:], headers[:200]])
+        twins = self._warm(lambda path: clf, headers[:200])
+        saved = flat.leaf_len.copy(), flat.children.copy()
+        flat.leaf_len[ranged] = 1 << 40
+        flat.children[flat.children == looped] = 0
+        try:
+            self._fails_the_same(twins, batch, BuildError, "left its tables")
+        finally:
+            flat.leaf_len[:], flat.children[:] = saved
+
+    def test_one_corrupt_leaf_among_good_misses(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        """Only the misses that end in one leaf fail: the owners whose
+        walks succeeded fill nothing either."""
+        clf = AcceleratorClassifier(acl_small)
+        flat = clf.tree.flat
+        headers = acl_small_trace.headers
+        leaf_of = flat.batch_lookup(acl_small_trace).leaf_id
+        leaf = np.bincount(leaf_of[leaf_of >= 0]).argmax()
+        twins = self._warm(lambda path: clf, headers[:200])
+        good = headers[100:900][leaf_of[100:900] != leaf]
+        batch = np.concatenate([good, headers[leaf_of == leaf][:1], good])
+        saved = flat.leaf_len[leaf]
+        flat.leaf_len[leaf] = 1 << 40
+        try:
+            self._fails_the_same(twins, batch, BuildError, "left its tables")
+        finally:
+            flat.leaf_len[leaf] = saved
+
+    #: Every corrupt-table case of ``test_native.TestCorruptTables``:
+    #: (tree, buffer, cell, value, message).
+    CORRUPT_TABLES = [
+        ("grid", "children", "all", 0, "did not terminate"),
+        ("grid", "children", "past", None, "left its tables"),
+        ("grid", "leaf_len", "leaf", 1 << 40, "left its tables"),
+        ("grid", "leaf_base", "leaf", -3, "left its tables"),
+        ("grid", "child_len", "internal", 0, "left its tables"),
+        ("grid", "child_base", "internal", 1 << 40, "left its tables"),
+        ("grid", "ax_stride", "axis", 1 << 20, "left its tables"),
+        ("grid", "ax_dim", "axis", 9, "left its tables"),
+        ("software", "push_len", "pushed", 1 << 40, "left its tables"),
+        ("software", "push_base", "pushed", -1, "left its tables"),
+        ("software", "ax_span", "axis", 0, "left its tables"),
+    ]
+
+    @pytest.mark.parametrize("tree,buffer,cell,value,message", CORRUPT_TABLES)
+    def test_a_corrupt_table(
+        self, native_kernel, acl_small, acl_small_trace, tree, buffer, cell,
+        value, message
+    ):
+        if tree == "grid":
+            clf = AcceleratorClassifier(acl_small)
+            headers = acl_small_trace.headers
+        else:
+            demo = RuleSet(make_demo_ruleset(), DEMO_SCHEMA, "table1")
+            clf = DecisionTreeClassifier(demo, algorithm="hypercuts",
+                                         binth=2, spfac=4)
+            headers = random_headers(DEMO_SCHEMA, 500, seed=5)
+        flat = clf.tree.flat
+        assert tree == "grid" or (flat.has_pushed and not flat.pow2)
+        twins = self._warm(lambda path: clf, headers[:200])
+        root = test_native._first_internal(flat)
+        index = {
+            "all": slice(None), "past": flat.children >= 0,
+            "leaf": flat.kind == 1, "internal": root, "axis": (0, root),
+            "pushed": flat.push_len > 0,
+        }[cell]
+        if value is None:
+            value = flat.n_nodes + 7
+        saved = getattr(flat, buffer).copy()
+        test_native._corrupt(flat, buffer, index, value)
+        try:
+            self._fails_the_same(twins, headers, BuildError, message)
+        finally:
+            getattr(flat, buffer)[:] = saved
+
+    @pytest.mark.parametrize(
+        "corrupt", sorted(test_native.TestCorruptTables.CORRUPT_PLACEMENTS))
+    def test_a_corrupt_placement(
+        self, native_kernel, acl_small, acl_small_trace, corrupt
+    ):
+        clf = AcceleratorClassifier(acl_small)
+        acc = clf.accelerator
+        headers = acl_small_trace.headers
+        twins = self._warm(lambda path: clf, headers[:200])
+        saved = acc._placement
+        acc._placement = native.place(
+            *test_native.TestCorruptTables.CORRUPT_PLACEMENTS[corrupt](
+                acc._pos, acc._nrules, RULES_PER_WORD, acc._max_value))
+        try:
+            self._fails_the_same(twins, headers, BuildError, "left its tables")
+        finally:
+            acc._placement = saved
+
+
 class _ThreadsSeen(ClassifierBase):
     """Every header maps to the threads a million-packet native walk of
     the serving process would split into."""
@@ -223,6 +607,45 @@ class TestThreadsEndWithTheCall:
             assert pipeline.plan(acl_small_trace.n_packets).forks
         assert np.array_equal(inline.match, forked.match)
         assert np.array_equal(inline.occupancy, forked.occupancy)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task on this platform")
+    def test_no_thread_outlives_a_split_cached_serve(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        clf = CachedClassifier(AcceleratorClassifier(acl_small), entries=64)
+        before = threading.active_count(), _tasks()
+        for k in THREADS:
+            counts = np.zeros(5, np.int64)
+            headers = clf.cache._prepare(acl_small_trace.headers)
+            match, occupancy, tally = batch_out(len(headers), True)
+            assert native.serve(clf.cache, clf.classifier.miss_walk, headers,
+                                counts, match, occupancy, 1, tally,
+                                threads=k) == 0
+            assert counts[4] == k
+            assert (threading.active_count(), _tasks()) == before
+
+    def test_a_forked_run_after_a_split_serve_is_bit_identical(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        """A process that served its cache on k owners forks as one that
+        served it on one: the same cache state, the same forked run."""
+        acc = AcceleratorClassifier(acl_small)
+        runs = []
+        for k in (1, 3):
+            clf = CachedClassifier(acc, entries=64)
+            with pytest.MonkeyPatch.context() as patch:
+                _forced(patch, k)
+                clf.batch_stats(acl_small_trace.headers[:900])
+            with ClassificationPipeline(
+                clf, chunk_size=500, shards=2, shard_mode="processes"
+            ) as pipeline:
+                report = pipeline.run(acl_small_trace)
+                assert pipeline.plan(acl_small_trace.n_packets).forks
+            runs.append((report.match, report.occupancy, report.cache_hits,
+                         report.cache_misses, report.cache_evictions))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
     def test_a_forked_shard_owner_serves_on_one_thread(self, monkeypatch):
         monkeypatch.setattr(native, "host_cpus", lambda: 4)

@@ -49,10 +49,11 @@ def kernel(request):
 
 @pytest.fixture(params=[1, 2], ids=["k1", "k2"])
 def walk_threads(request, monkeypatch):
-    """Every native walk of the test splits into ``k`` slices."""
-    monkeypatch.setattr(
-        native, "walk", functools.partial(native.walk, threads=request.param)
-    )
+    """Every native walk of the test splits into ``k`` slices, and every
+    cached serve's misses over ``k`` set owners."""
+    for name in ("walk", "serve"):
+        monkeypatch.setattr(native, name, functools.partial(
+            getattr(native, name), threads=request.param))
     return request.param
 
 
