@@ -1,14 +1,15 @@
 /* The flow cache's per-batch loops over its own tables: FlowCache.lookup
  * and FlowCache.commit (engine/flowcache.py, whose NumPy paths are the
- * oracle), and fc_serve, which serves a whole batch for a backend whose
- * miss classification is one FlatTree walk: the probe, the walk of the
- * distinct misses and the commit in one call.  native.py builds this file
- * into one library after _flat_walk.c, whose walk fc_serve runs.  Keys are
- * pack_flow_keys' words, set-major: way w of set s holds
- * keyw[(s * ways + w) * nw ...].  The hot loops select without branching
- * on the data (a mispredicted branch costs more than reading every way).
- * fc_commit range-checks its indices (sets, misses, ranks) before the
- * first write: a bad one is an error. */
+ * oracle), fc_serve, which serves a whole batch for a backend whose miss
+ * classification is one FlatTree walk: the probe, the walk of the
+ * distinct misses and the commit in one call, and fc_retire, which kills
+ * the entries one rule-update batch could have changed (FlowCache.retire).
+ * native.py builds this file into one library after _flat_walk.c, whose
+ * walk fc_serve runs.  Keys are pack_flow_keys' words, set-major: way w
+ * of set s holds keyw[(s * ways + w) * nw ...].  The hot loops select
+ * without branching on the data (a mispredicted branch costs more than
+ * reading every way).  fc_commit range-checks its indices (sets, misses,
+ * ranks) before the first write: a bad one is an error. */
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -405,6 +406,64 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
 out:
     free(set), free(by_set), free(end), free(order);
     return code;
+}
+
+/* FlowCache.retire after one update batch, in one pass over the slots:
+ * a live slot is tagged epoch -1 when its result is one of the
+ * n_removed ids of removed (ascending), or when its result is -1 or
+ * above the lowest of the n_ins inserted ids and an insert j whose id is
+ * below that result (any, for -1) covers the slot's header: bounds[(j *
+ * ndim + d) * 2] <= column d <= bounds[... + 1] on every column, the
+ * columns read back from the key words of those candidates only.
+ * Returns the slots retired. */
+int64_t fc_retire(flow_cache *c, const int64_t *removed, int64_t n_removed,
+                  const int64_t *bounds, const int64_t *ids, int64_t n_ins)
+{
+    const int64_t ndim = c->ndim, nw = (ndim + 1) / 2, epoch = c->epoch;
+    const int64_t slots = c->n_sets * c->ways, *results = c->result;
+    int64_t *epoch_of = c->epoch_of, least = INT64_MAX, retired = 0;
+    for (int64_t j = 0; j < n_ins; j++)
+        least = ids[j] < least ? ids[j] : least;
+    uint64_t seen = 0;   /* bit i: some removed id is i modulo 64 */
+    for (int64_t i = 0; i < n_removed; i++)
+        seen |= (uint64_t)1 << (removed[i] & 63);
+    for (int64_t slot = 0; slot < slots; slot++) {
+        if (epoch_of[slot] != epoch)
+            continue;
+        const int64_t result = results[slot];
+        int doomed = 0;
+        if (seen >> (result & 63) & 1) {   /* maybe removed: search */
+            int64_t lo = 0, hi = n_removed;
+            while (lo < hi) {
+                const int64_t mid = lo + (hi - lo) / 2;
+                if (removed[mid] < result)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            doomed = lo < n_removed && removed[lo] == result;
+        }
+        if (!doomed && n_ins && (result < 0 || result > least)) {
+            const uint64_t *kw = c->keyw + slot * nw;
+            for (int64_t j = 0; !doomed && j < n_ins; j++) {
+                if (result >= 0 && result <= ids[j])
+                    continue;
+                const int64_t *b = bounds + j * ndim * 2;
+                int64_t d = 0;
+                for (; d < ndim; d++) {
+                    const int64_t v = (uint32_t)(kw[d / 2] >> (d % 2 ? 0 : 32));
+                    if (v < b[2 * d] || v > b[2 * d + 1])
+                        break;
+                }
+                doomed = d == ndim;
+            }
+        }
+        if (doomed) {
+            epoch_of[slot] = -1;
+            retired++;
+        }
+    }
+    return retired;
 }
 
 /* fc_serve: one batch for a backend whose miss classification is one

@@ -19,6 +19,12 @@ Following the HPC guides, the kernel never loops over rules in Python:
 
 All coordinates are ``int64``; field values are < 2^32 and cut counts
 <= 2^16, so products stay well inside the 63-bit range.
+
+HyperCuts' combination search runs ``coord_spans`` and
+``max_count_grid`` in C where the native library loaded: ``_partition.c``'s
+``cs_search`` (``native.search_cuts``) serves one node's whole search in
+one call, with the same spans, counts and chosen cut; the functions here
+are its oracle and the fallback.
 """
 
 from __future__ import annotations

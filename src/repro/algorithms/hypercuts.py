@@ -24,7 +24,9 @@ eq (4): ``np <= 2^(4 + spfac)`` and ``np >= 32`` with integer spfac in
 Combination search: exhaustive enumeration of power-of-two cut vectors
 when the candidate space is small, otherwise a deterministic greedy ascent
 (add one bit of cutting to the dimension that minimises the largest
-child).  Both paths are exercised by tests.
+child).  Both paths are exercised by tests.  Either runs as one native
+call per node (``_partition.c``'s ``cs_search``) where the library
+loaded, the NumPy search being its oracle and fallback.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from ..core.errors import ConfigError
 from ..core.geometry import pow2_at_most
 from ..core.ruleset import RuleSet
 from .base import DecisionTree
+from . import native
 from .opcount import OpCounter
 from ._builder import BuilderConfig, CutDecision, TreeBuilder, _WorkItem
 from ._partition import clipped_bounds, coord_spans, max_count_grid
@@ -181,12 +184,60 @@ class HyperCutsBuilder(TreeBuilder):
         hi_bound: int,
     ) -> CutDecision | None:
         """Find the exponent vector minimising the largest child; the cut
-        on the axes it cuts, or None when no cutting is possible."""
+        on the axes it cuts, or None when no cutting is possible.
+
+        The search is one native call (``native.search_cuts``) where the
+        library loaded, :meth:`_search_portable` otherwise; both charge
+        the same ops: ``(1 << j) * n`` ALU per evaluated combination of
+        ``j`` cut axes and one :meth:`_charge_eval` per span computed."""
         k = len(axes)
         max_exp = [min(int(math.log2(axes[i][1])), int(math.log2(hi_bound))) for i in range(k)]
         if sum(max_exp) == 0:
             return None
+        n_combos = 1
+        for m in max_exp:
+            n_combos *= m + 1
+        exhaustive = n_combos * n <= EXHAUSTIVE_BUDGET
+        found = native.search_cuts(
+            [axis[2:] for axis in axes], max_exp, n, lo_bound, hi_bound,
+            exhaustive,
+        )
+        if found is None:
+            chosen = self._search_portable(
+                axes, max_exp, n, lo_bound, hi_bound, exhaustive
+            )
+        else:
+            best, fallback, evals, n_spans = found
+            for j, count in enumerate(evals):
+                self.ops.add("alu", (1 << j) * n * count)
+            for _ in range(n_spans):
+                self._charge_eval(n, not self.cfg.hw_mode)
+            chosen = best if best is not None else fallback
+        if chosen is None:
+            return None
+        maxc, _, exps = chosen
+        cut = [i for i, e in enumerate(exps) if e]
+        spans = [coord_spans(*axes[i][2:], 1 << exps[i]) for i in cut]
+        return CutDecision(
+            dims=tuple(axes[i][0] for i in cut),
+            counts=tuple(1 << exps[i] for i in cut),
+            firsts=[f for f, _ in spans],
+            lasts=[l for _, l in spans],
+            max_child=maxc,
+        )
 
+    def _search_portable(
+        self,
+        axes: list[tuple],
+        max_exp: list[int],
+        n: int,
+        lo_bound: int,
+        hi_bound: int,
+        exhaustive: bool,
+    ) -> tuple[int, int, tuple[int, ...]] | None:
+        """The NumPy search, the oracle of ``_partition.c``'s
+        ``cs_search``: the chosen ``(maxc, prod, exps)``, or None."""
+        k = len(axes)
         # Precompute spans per axis per exponent, lazily cached.
         span_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -211,9 +262,6 @@ class HyperCutsBuilder(TreeBuilder):
             self.ops.add("alu", (1 << len(cs)) * n)
             return max_count_grid(fs, ls, tuple(cs))
 
-        n_combos = 1
-        for m in max_exp:
-            n_combos *= m + 1
         # ``best`` respects the lo_bound floor (eq 4's np >= 32 in hw mode);
         # ``fallback`` records the best smaller combo, used when the grid
         # has too little resolution left to reach the floor.
@@ -230,7 +278,7 @@ class HyperCutsBuilder(TreeBuilder):
                 if fallback is None or key < fallback:
                     fallback = key
 
-        if n_combos * n <= EXHAUSTIVE_BUDGET:
+        if exhaustive:
             # Exhaustive enumeration of admissible exponent vectors.
             def rec(i: int, exps: list[int], prod: int) -> None:
                 if i == k:
@@ -268,18 +316,7 @@ class HyperCutsBuilder(TreeBuilder):
                 prod <<= 1
                 consider(step_best[0], prod, tuple(exps))
 
-        chosen = best if best is not None else fallback
-        if chosen is None:
-            return None
-        maxc, _, exps = chosen
-        cut = [i for i, e in enumerate(exps) if e]
-        return CutDecision(
-            dims=tuple(axes[i][0] for i in cut),
-            counts=tuple(1 << exps[i] for i in cut),
-            firsts=[spans(i, exps[i])[0] for i in cut],
-            lasts=[spans(i, exps[i])[1] for i in cut],
-            max_child=maxc,
-        )
+        return best if best is not None else fallback
 
 
 def build_hypercuts(

@@ -1,8 +1,9 @@
 """The native tier of the :class:`~repro.algorithms.flat_tree.FlatTree`
 walk, of the :class:`~repro.engine.flowcache.FlowCache`, of the stage
-graph's TCAM prefilter and of the trace text parser: ``_flat_walk.c``,
-``_flow_cache.c``, ``_prefilter.c`` and ``_trace_text.c``, built once,
-as one library, with the C compiler that is here.
+graph's TCAM prefilter, of the trace text parser and of HyperCuts' cut
+search: ``_flat_walk.c``, ``_flow_cache.c``, ``_prefilter.c``,
+``_trace_text.c`` and ``_partition.c``, built once, as one library, with
+the C compiler that is here.
 
 The walk is the per-packet loop of the portable NumPy walk over the
 *same* ``FlatTree`` buffers (no second table format), bit-identical on
@@ -14,10 +15,11 @@ The cache kernels (:func:`lookup`, :func:`commit`) are the flow cache's
 two per-batch calls over its own tables (bound once), bit-identical to
 its NumPy path in every table, counter and returned array;
 :func:`serve` is both around the walk of the distinct misses, in one
-call, for a backend whose miss classification is that walk.  The walk
-and the cache calls write into the arrays they are handed (a slice of a
-run's outputs) and add what they wrote to a two-cell tally: the packets
-with a result >= 0 and their cycles.  The prefilter calls
+call, for a backend whose miss classification is that walk, and
+:func:`retire` is ``FlowCache.retire``'s pass over the tables after an
+update batch.  The walk and the cache calls write into the arrays they
+are handed (a slice of a run's outputs) and add what they wrote to a
+two-cell tally: the packets with a result >= 0 and their cycles.  The prefilter calls
 (:func:`flow_hash`, :func:`memo_probe`, :func:`memo_insert`) are
 :class:`~repro.stages.StageGraph`'s per-packet flow hash (the flow
 cache's FNV-1a) and its verdict memo, bit-identical to its NumPy path in
@@ -25,9 +27,14 @@ every hash and verdict.  The parser (:func:`parse_text`) turns whole
 lines of ClassBench trace text into ``uint32`` header rows and refuses
 any line outside its strict grammar, which
 :func:`~repro.core.packet.read_trace_blocks` then hands to its
-text-mode loop, so the rows are that loop's on every input.  There
-is no switch: a process uses all of them if the library loads and every
-portable path if not, and :func:`status` says which and why.
+text-mode loop, so the rows are that loop's on every input.  The cut
+search (:func:`search_cuts`) is one HyperCuts node's
+``HyperCutsBuilder._search_combo`` over ``_partition.py``'s
+``coord_spans`` and ``max_count_grid``, both branches, in one call: the
+same chosen cut, and the counts the builder charges its ``OpCounter``
+with.  There is no switch: a process uses all of them if the library
+loads and every portable path if not, and :func:`status` says which and
+why.
 
 The walk splits one call over up to :func:`threads_for` threads, one
 contiguous packet slice each, created and joined inside the call (so
@@ -36,12 +43,12 @@ independent, so every output is the one-thread output (docs/engine.md,
 "Threads inside a native call").  :func:`serve` splits its misses the
 same way, over set owners: the cache's sets are disjoint, so its tables
 and counters are the one-owner ones.  The other cache calls, the
-prefilter and the parser run on the calling thread; like every ctypes
-call, each releases the GIL while it runs.
+prefilter, the parser and the cut search run on the calling thread;
+like every ctypes call, each releases the GIL while it runs.
 
-The first ``FlatTree`` compile (inside ``Engine.open``, never in a timed
-serve) or trace file read loads ``flat_walk-<key>.so`` from
-``${XDG_CACHE_HOME:-~/.cache}/repro-native/``, else the temp directory
+The first tree build or ``FlatTree`` compile (inside ``Engine.open``,
+never in a timed serve) or trace file read loads ``flat_walk-<key>.so``
+from ``${XDG_CACHE_HOME:-~/.cache}/repro-native/``, else the temp directory
 (``key`` hashes the sources, compiler, flags and machine), building it
 under a temporary name and ``os.replace``-ing it in when missing, so a
 racing process never loads half a file.  No compiler, a failed or
@@ -68,7 +75,8 @@ import numpy as np
 from ..core.errors import BuildError, PacketFormatError
 
 #: One translation unit, in this order (``source()``).
-SOURCES = ("_flat_walk.c", "_flow_cache.c", "_prefilter.c", "_trace_text.c")
+SOURCES = ("_flat_walk.c", "_flow_cache.c", "_prefilter.c", "_trace_text.c",
+           "_partition.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 BUILD_TIMEOUT_S = 60
 
@@ -292,13 +300,19 @@ def _open(path: str):
         ("pf_probe", [ptr, i64, i64, ptr, ptr, i64, ptr, ptr], i64),
         ("pf_insert", [ptr, i64, i64, ptr, ptr, ptr, i64], None),
         ("tt_parse", [ptr, i64, i64, i64, ptr, i64, ptr], ctypes.c_int),
+        # (cache, removed, removes, bounds, ids, inserts)
+        ("fc_retire", [cache, ptr, i64, ptr, ptr, i64], i64),
+        # (bounds, region, max_exp, k, n, lo_bound, hi_bound, exhaustive,
+        # out, evals, spans)
+        ("cs_search", [ptr, ptr, ptr, *[i64] * 5, ptr, ptr, ptr],
+         ctypes.c_int),
     ):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = res
     # The key tables are little-endian words (``flowcache._KEY_WORD``);
     # the C loops read native ones, so elsewhere the cache (and the
-    # prefilter and the trace parser, in the same library, whose digit
-    # loop reads little-endian words too) stays portable.
+    # prefilter, the trace parser, whose digit loop reads little-endian
+    # words too, and the cut search, in the same library) stays portable.
     return fn, lib if sys.byteorder == "little" else None
 
 
@@ -545,6 +559,26 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
     return int(counts[0]), int(counts[1])
 
 
+def retire(cache, removed, bounds, ids):
+    """``FlowCache.retire``'s pass over the tables: the live entries whose
+    result is one of the ``removed`` ids (ascending, ``int64``), or that
+    an insert with a lower id covers (``bounds``: ``(inserts, ndim, 2)``
+    ``int64`` lo / hi, ``ids`` their ``int64`` ids), are tagged epoch
+    -1; returns how many."""
+    lib = _load().lib
+    if lib is None:
+        return None
+    m = ids.shape[0]
+    bound = _bound(cache)
+    return int(lib.fc_retire(
+        ctypes.byref(bound),
+        _pointer("removed", removed, np.int64, removed.shape[:1]),
+        removed.shape[0],
+        _pointer("bounds", bounds, np.int64, (m, cache._ndim, 2)),
+        _pointer("ids", ids, np.int64, (m,)), m,
+    ))
+
+
 # The line card's TCAM prefilter (``stages/graph.py``): each function
 # returns ``False`` / ``None`` (nothing written) when the library did not
 # load, and the graph takes its NumPy path.
@@ -643,3 +677,42 @@ def parse_text(buf, start: int, stop: int, max_lines: int, out, row: int,
         _pointer("out", out, np.uint32, out.shape) + row * ndim * 4,
         cap - row, _pointer("used", used, np.int64, (3,)),
     )
+
+
+# HyperCuts' combination search (``hypercuts.py``): ``None`` when the
+# library did not load, refuses the node or runs out of memory, and the
+# builder takes its NumPy search.
+
+
+def search_cuts(axes, max_exp, n: int, lo_bound: int, hi_bound: int,
+                exhaustive: bool):
+    """One node's ``HyperCutsBuilder._search_combo`` in one call
+    (``cs_search``): ``axes`` holds each candidate axis's ``(rule lo,
+    rule hi, region lo, region hi)`` as ``_axis_bounds`` gives them,
+    ``max_exp`` each axis's largest exponent, ``exhaustive`` the branch.
+    Returns ``(best, fallback, evals, spans)``: the two ``(maxc, prod,
+    exps)`` keys (``None`` for none), the combinations evaluated per
+    number of cut axes (a list of ``k + 1``) and the spans computed."""
+    lib = _load().lib
+    if lib is None:
+        return None
+    k = len(axes)
+    bounds = np.empty((k, 2, n), np.int64)
+    region = np.empty((k, 2), np.int64)
+    for i, (rlo, rhi, reg_lo, reg_hi) in enumerate(axes):
+        bounds[i, 0], bounds[i, 1], region[i] = rlo, rhi, (reg_lo, reg_hi)
+    exps = np.array(max_exp, np.int64)
+    out = np.empty((2, 2 + k), np.int64)
+    evals = np.empty(k + 1, np.int64)
+    spans = np.empty(1, np.int64)
+    code = lib.cs_search(bounds.ctypes.data, region.ctypes.data,
+                         exps.ctypes.data, k, n, lo_bound, hi_bound,
+                         exhaustive, out.ctypes.data, evals.ctypes.data,
+                         spans.ctypes.data)
+    if code:  # refused, or out of memory: the NumPy search decides
+        return None
+    best, fallback = (
+        (int(row[0]), int(row[1]), tuple(row[2:].tolist())) if row[1] else None
+        for row in out
+    )
+    return best, fallback, evals.tolist(), int(spans[0])

@@ -46,7 +46,9 @@ counts travel back through :class:`~repro.engine.protocol.BatchStats`.
 Rule updates retire, they do not flush:
 :meth:`CachedClassifier.apply_updates` delegates, then
 :meth:`FlowCache.retire` kills exactly the entries the batch could have
-changed, so every other flow keeps hitting and no result is ever stale.
+changed (one C pass over the slots, ``fc_retire``, where the native
+library loaded), so every other flow keeps hitting and no result is ever
+stale.
 Only an event that says nothing about *what* changed
 (:meth:`CachedClassifier.invalidate_cache`) drops the whole cache, in
 O(1), through the epoch tag.  A mutation made outside ``run()`` moves
@@ -517,16 +519,26 @@ class FlowCache:
         equals: a preferred victim whose refill is a reclamation.
         """
         self.stats.invalidations += 1
-        if not self._ndim:
+        if not self._ndim or not self.n_sets:
             return
-        live = self._live(...)
-        removed = [op.rule_id for op in batch if op.op == OP_REMOVE]
-        doomed = live & np.isin(self._result, removed)
+        removed = np.array(
+            sorted({op.rule_id for op in batch if op.op == OP_REMOVE}), np.int64
+        )
         bounds = np.array(
             [op.rule.ranges for op in batch if op.op == OP_INSERT], np.int64
-        )  # (inserts, ndim, lo/hi)
+        ).reshape(-1, self._ndim, 2)  # (inserts, ndim, lo/hi)
+        ids = np.asarray(inserted_ids, dtype=np.int64)
+        retired = native.retire(self, removed, bounds, ids)
+        if retired is None:
+            retired = self._retire_portable(removed, bounds, ids)
+        self.stats.retired += retired
+
+    def _retire_portable(self, removed, bounds, ids) -> int:
+        """:meth:`retire`'s NumPy pass, the oracle of ``fc_retire``: the
+        number of entries it tagged."""
+        live = self._live(...)
+        doomed = live & np.isin(self._result, removed)
         if bounds.size:
-            ids = np.asarray(inserted_ids, dtype=np.int64)
             # Only an entry below some inserted rule's priority can be
             # pre-empted; inserts append, so in practice the no-matches.
             s, way = np.nonzero(
@@ -540,7 +552,7 @@ class FlowCache:
             hit = (covered & ((cached < 0) | (cached > ids))).any(axis=1)
             doomed[s[hit], way[hit]] = True
         self._epoch[doomed] = -1
-        self.stats.retired += int(doomed.sum())
+        return int(doomed.sum())
 
     def _headers(self, s: np.ndarray, way: np.ndarray) -> np.ndarray:
         """The ``(n, ndim)`` headers stored in slots ``(s, way)``:

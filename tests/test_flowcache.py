@@ -820,6 +820,19 @@ def _assert_same_cache(a: FlowCache, b: FlowCache) -> None:
     assert (a._tick, a.epoch, a.stats) == (b._tick, b.epoch, b.stats)
 
 
+def _on_both_kernels(twins, act) -> list:
+    """``act(clf)`` on the first twin natively and on the second
+    through the NumPy path; what each returned."""
+    said = []
+    for clf, portable in zip(twins, (False, True)):
+        with pytest.MonkeyPatch.context() as patch:
+            if portable:
+                patch.setattr(native, "_kernel",
+                              native._Kernel(reason="oracle side"))
+            said.append(act(clf))
+    return said
+
+
 class TestNativeCacheKernels:
     """The native lookup and commit (``fc_lookup``, ``fc_commit``) return
     what the NumPy path returns — every served ``BatchStats`` with its
@@ -838,15 +851,89 @@ class TestNativeCacheKernels:
             for _ in range(2)
         ]
         for step in steps:
-            said = []
-            for clf, portable in zip(twins, (False, True)):
-                with pytest.MonkeyPatch.context() as patch:
-                    if portable:
-                        patch.setattr(native, "_kernel",
-                                      native._Kernel(reason="oracle side"))
-                    said.append(_take_step(clf, pool, step))
+            said = _on_both_kernels(
+                twins, lambda clf: _take_step(clf, pool, step))
             assert said[0] == said[1], step
             _assert_same_cache(twins[0].cache, twins[1].cache)
+
+
+class TestNativeRetire:
+    """``fc_retire`` (one C pass over the slots) retires what
+    ``FlowCache.retire``'s NumPy pass retires: the same ``_epoch``
+    table, the same ``stats.retired`` / ``invalidations``, and the same
+    next cached serve, on a cache holding no-match entries, slots
+    already at epoch -1 and slots of an older epoch."""
+
+    BATCHES = {
+        "empty": ([], []),
+        "removes": ([2, 5, 5, 40], []),
+        # (column, its range, id): each insert spans the whole pool on
+        # every other column; ids below and above the cached results, so
+        # each insert is judged by its own id.
+        "inserts": ([], [(0, (0, 1), 7), (-1, (2, 3), 0), (1, (2, 2), 11)]),
+        "both": ([1, 9], [(-1, (1, 3), 3), (0, (0, 0), 12)]),
+    }
+
+    @staticmethod
+    def _live(cache) -> list[int]:
+        """The matches the live slots cache, in slot order."""
+        results = cache._result[cache._epoch == cache.epoch]
+        return [int(r) for r in results if r >= 0]
+
+    @staticmethod
+    def _serve(clf, headers):
+        out = clf.batch_stats(headers)
+        return [*_listed(out.match, out.occupancy), out.cache_hits,
+                out.cache_misses, out.cache_evictions]
+
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    @pytest.mark.parametrize("ndim", [5, 3])
+    @pytest.mark.parametrize("ways", [1, 4, 8])
+    def test_native_and_portable_retire_the_same(self, native_kernel, ways,
+                                                 ndim, batch):
+        rng = np.random.default_rng(ways * 10 + ndim)
+
+        def headers(n):
+            return rng.integers(0, 4, size=(n, ndim)).astype(np.uint32)
+
+        def fill(n):
+            h, results = headers(n), rng.integers(-1, 13, size=n)
+            results[::3] = -1  # no-match entries
+            return lambda clf: clf.cache.fill(h, results)
+
+        twins = [CachedClassifier(ResultOfHeader(), entries=32 * ways,
+                                  ways=ways) for _ in range(2)]
+        steps = [
+            fill(300),
+            lambda clf: clf.invalidate_cache(),  # an older epoch's slots
+            fill(60),
+            lambda clf: clf.cache.retire(  # slots at epoch -1
+                [remove_op(i) for i in {3, 8, *self._live(clf.cache)[:2]}],
+                ()),
+            lambda clf, h=headers(10): self._serve(clf, h),
+        ]
+        for step in steps:
+            said = _on_both_kernels(twins, step)
+            assert said[0] == said[1]
+        epochs = twins[0].cache._epoch
+        assert (epochs == -1).any() and (epochs < twins[0].cache.epoch).any()
+        assert (twins[0].cache._result[epochs == twins[0].cache.epoch] < 0).any()
+        before = twins[0].cache.stats.retired
+
+        removed, inserted = self.BATCHES[batch]
+        ops = [remove_op(i) for i in removed]
+        for column, box, _ in inserted:
+            ranges = [(0, 3)] * ndim
+            ranges[column] = box
+            ops.append(insert_op(Rule(ranges=tuple(ranges))))
+        ids = [rule_id for _, _, rule_id in inserted]
+        _on_both_kernels(twins, lambda clf: clf.cache.retire(ops, ids))
+        _assert_same_cache(twins[0].cache, twins[1].cache)
+        assert (twins[0].cache.stats.retired > before) == (batch != "empty")
+        said = _on_both_kernels(twins, lambda clf, h=headers(200):
+                                self._serve(clf, h))
+        assert said[0] == said[1]
+        _assert_same_cache(twins[0].cache, twins[1].cache)
 
 
 class TestBoundContext:
@@ -860,16 +947,12 @@ class TestBoundContext:
 
     @staticmethod
     def _serve(twins, headers) -> None:
-        said = []
-        for clf, portable in zip(twins, (False, True)):
-            with pytest.MonkeyPatch.context() as patch:
-                if portable:
-                    patch.setattr(native, "_kernel",
-                                  native._Kernel(reason="oracle side"))
-                out = clf.batch_stats(headers)
-                said.append([*_listed(out.match, out.occupancy),
-                             out.cache_hits, out.cache_misses,
-                             out.cache_evictions, out.occupancy_sum])
+        def serve(clf):
+            out = clf.batch_stats(headers)
+            return [*_listed(out.match, out.occupancy), out.cache_hits,
+                    out.cache_misses, out.cache_evictions, out.occupancy_sum]
+
+        said = _on_both_kernels(twins, serve)
         assert said[0] == said[1]
         _assert_same_cache(twins[0].cache, twins[1].cache)
 

@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import generate_ruleset, generate_trace
-from repro.algorithms import LinearSearchClassifier, OpCounter, build_hypercuts
-from repro.algorithms.hypercuts import HW_MIN_CUTS, HyperCutsConfig
+from repro import Rule, RuleSet, generate_ruleset, generate_trace
+from repro.algorithms import (
+    LinearSearchClassifier,
+    OpCounter,
+    build_hicuts,
+    build_hypercuts,
+    hypercuts,
+    native,
+)
+from repro.algorithms.flat_tree import FlatTree
+from repro.algorithms.hypercuts import (
+    HW_MIN_CUTS,
+    HyperCutsBuilder,
+    HyperCutsConfig,
+)
 from repro.core.errors import ConfigError
+from repro.core.geometry import pow2_at_most
+from repro.core.rules import FIVE_TUPLE
 
 
 class TestFigure3:
@@ -165,3 +183,191 @@ class TestHeuristicEffects:
         build_hypercuts(acl_small, binth=16, spfac=4, ops=ops)
         assert ops.total() > 0
         assert ops["div"] > 0  # compaction + index division in sw mode
+
+
+# ---------------------------------------------------------------------------
+# The native cut search (``_partition.c``'s ``cs_search``) against the NumPy
+# search it replaces (``HyperCutsBuilder._search_portable``, the oracle)
+# ---------------------------------------------------------------------------
+
+
+def _both_kernels(run):
+    """``run()`` on the native kernel, then on the portable one."""
+    said = [run()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "_kernel", native._Kernel(reason="oracle side"))
+        said.append(run())
+    return said
+
+
+def _decision(decision):
+    if decision is None:
+        return None
+    return (decision.dims, decision.counts, decision.max_child,
+            [f.tolist() for f in decision.firsts],
+            [l.tolist() for l in decision.lasts])
+
+
+@st.composite
+def _search_nodes(draw):
+    """One node's candidate axes as ``_decide_cut`` hands them over:
+    k = 1-5 axes, each a region (as small as two cells, so eq 4's floor
+    can be out of reach: a fallback-only node) and every rule's raw
+    bounds overlapping it; hw or software bounds.  Few distinct values,
+    so many combinations tie on their largest child."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    hw = draw(st.booleans())
+    spfac = draw(st.integers(1, 4)) if hw else draw(
+        st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    axes = []
+    for dim in range(k):
+        lo = draw(st.integers(0, 40))
+        span = draw(st.sampled_from([2, 3, 4, 7, 8, 64, 255, 256, 300]))
+        hi = lo + span - 1
+        edges = st.sampled_from(sorted({lo, lo + 1, (lo + hi) // 2, hi}))
+        rlo = np.array([draw(edges) - draw(st.sampled_from([0, 0, 5]))
+                        for _ in range(n)])
+        rhi = np.array([max(int(a), draw(edges)) + draw(st.sampled_from([0, 0, 9]))
+                        for a in rlo])
+        rlo = np.maximum(rlo, 0)
+        axes.append((dim, pow2_at_most(span), rlo.astype(np.uint32),
+                     rhi.astype(np.uint32), lo, hi))
+    return hw, spfac, axes, n
+
+
+class TestNativeCutSearch:
+    """One node's search is one native call with the NumPy search's
+    answer: the same ``CutDecision`` (dims, counts, spans, largest
+    child) and the same ``OpCounter`` totals, on both branches."""
+
+    @staticmethod
+    def _search(hw, spfac, axes, n, demo_ruleset):
+        def run():
+            ops = OpCounter()
+            cfg = HyperCutsConfig(hw_mode=hw, spfac=spfac)
+            builder = HyperCutsBuilder(demo_ruleset, cfg, ops)
+            if hw:
+                lo_bound, hi_bound = HW_MIN_CUTS, cfg.hw_max_cuts()
+            else:
+                lo_bound, hi_bound = 2, max(2, int(spfac * math.sqrt(n)))
+            found = builder._search_combo(axes, n, lo_bound, hi_bound)
+            return _decision(found), ops.as_dict()
+        return _both_kernels(run)
+
+    @pytest.mark.parametrize("budget", [hypercuts.EXHAUSTIVE_BUDGET, 0],
+                             ids=["exhaustive", "greedy"])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(node=_search_nodes())
+    def test_native_and_portable_choose_the_same_cut(
+        self, native_kernel, demo_ruleset, monkeypatch, budget, node
+    ):
+        monkeypatch.setattr(hypercuts, "EXHAUSTIVE_BUDGET", budget)
+        said = self._search(*node, demo_ruleset)
+        assert said[0] == said[1]
+
+    @pytest.mark.parametrize("budget", [hypercuts.EXHAUSTIVE_BUDGET, 0],
+                             ids=["exhaustive", "greedy"])
+    def test_fallback_only_node(self, native_kernel, demo_ruleset,
+                                monkeypatch, budget):
+        """Two 4-cell axes reach 16 children, below eq 4's 32: the cut
+        is the best fallback (the fewest children among the smallest
+        largest child), on both kernels."""
+        monkeypatch.setattr(hypercuts, "EXHAUSTIVE_BUDGET", budget)
+        rlo = np.array([0, 1, 2, 3, 0], np.uint32)
+        rhi = np.array([0, 1, 2, 3, 3], np.uint32)
+        axes = [(0, 4, rlo, rhi, 0, 3), (3, 4, rlo[::-1].copy(),
+                                         rhi[::-1].copy(), 0, 3)]
+        said = self._search(True, 4, axes, 5, demo_ruleset)
+        assert said[0] == said[1]
+        assert said[0][0][1:3] == ((4,), 2)
+
+    def test_every_combination_ties(self, native_kernel, demo_ruleset):
+        """Rules spanning the whole region tie every combination at n:
+        the key's product and then its exponents decide."""
+        n = 6
+        full = np.zeros(n, np.uint32), np.full(n, 255, np.uint32)
+        axes = [(d, 256, *full, 0, 255) for d in range(3)]
+        said = self._search(True, 3, axes, n, demo_ruleset)
+        assert said[0] == said[1]
+        assert said[0][0][2] == n
+
+
+    def test_a_rule_outside_its_region_is_refused(self, native_kernel):
+        """The native search serves only nodes whose rules overlap the
+        region on every axis (as the builder's always do); any other
+        goes to the NumPy search."""
+        inside = np.array([0, 3], np.uint32), np.array([1, 7], np.uint32)
+        outside = np.array([0, 9], np.uint32), np.array([1, 12], np.uint32)
+        args = ([3], 2, HW_MIN_CUTS, 256, True)
+        assert native.search_cuts([(*inside, 0, 7)], *args) is not None
+        assert native.search_cuts([(*outside, 0, 7)], *args) is None
+
+
+def edge_biased_ruleset(seed: int, n: int = 24) -> RuleSet:
+    """Small wildcard-heavy 5-tuple rulesets on the field edges: /0 or
+    /32 addresses, wildcard or exact ports and protocols, all from a few
+    repeated values.  Hardware HyperCuts at ``binth=4`` searches every
+    admissible combination at each of their 24-rule nodes, the slowest
+    builds of their size."""
+    rng = np.random.default_rng(seed)
+    small = [0, 1, 2, 3]
+
+    def address():
+        return (int(rng.choice([*small, 2**32 - 1])), int(rng.choice([0, 32])))
+
+    def port():
+        if rng.random() < 0.5:
+            return (0, 65535)
+        value = int(rng.choice([*small, 80, 65535]))
+        return (value, value)
+
+    def proto():
+        return (0, 0) if rng.random() < 0.5 else (int(rng.choice([6, 17])), 1)
+
+    return RuleSet([
+        Rule.from_5tuple(address(), address(), port(), port(), proto())
+        for _ in range(n)
+    ], FIVE_TUPLE)
+
+
+def _flat_buffers(tree) -> dict:
+    flat = FlatTree(tree)
+    out = {name: getattr(flat, name).tolist() for name, _, _ in native._BUFFERS
+           if getattr(flat, name, None) is not None}
+    out.update(naxes=flat.naxes, pow2=flat.pow2)
+    return out
+
+
+class TestNativeBuildIdentity:
+    """Whole builds through the native search: every ``FlatTree`` buffer
+    and the ``OpCounter`` totals equal the portable build's."""
+
+    @staticmethod
+    def _build(ruleset, builder, hw_mode):
+        def run():
+            ops = OpCounter()
+            tree = builder(ruleset, binth=30 if hw_mode else 16, spfac=4,
+                           hw_mode=hw_mode, ops=ops)
+            return _flat_buffers(tree), ops.as_dict()
+        return _both_kernels(run)
+
+    @pytest.mark.parametrize("hw_mode", [False, True], ids=["sw", "hw"])
+    @pytest.mark.parametrize("builder", [build_hicuts, build_hypercuts],
+                             ids=["hicuts", "hypercuts"])
+    @pytest.mark.parametrize("family", ["acl1", "fw1", "ipc1"])
+    def test_classbench_builds(self, native_kernel, family, builder, hw_mode):
+        ruleset = generate_ruleset(family, 600, seed=7)
+        said = self._build(ruleset, builder, hw_mode)
+        assert said[0] == said[1]
+
+    @pytest.mark.parametrize("seed", [66, 122])
+    def test_edge_biased_draws(self, native_kernel, seed):
+        def run():
+            ops = OpCounter()
+            tree = build_hypercuts(edge_biased_ruleset(seed), binth=4,
+                                   spfac=4, hw_mode=True, ops=ops)
+            return _flat_buffers(tree), ops.as_dict()
+        said = _both_kernels(run)
+        assert said[0] == said[1]
