@@ -9,11 +9,20 @@
  * hands the whole block to the text-mode loop, so the rows never depend
  * on which side read them.  A field's digits are found and converted eight
  * bytes at a time (little-endian words, as the library's other loops
- * assume). */
+ * assume).  A call splits its lines into one contiguous slice per thread,
+ * over up to `threads` threads created and joined inside the call; a line
+ * gives at most one row, so each slice writes its rows where one thread
+ * would if every line before it gave one, and the gaps are closed after
+ * the join. */
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 enum { TT_REFUSED = 1 };
+
+/* The most slices one call cuts. */
+enum { TT_MAX_THREADS = 64 };
 
 /* How many leading bytes of w are ASCII digits (0-8).  A byte carries
  * out of the + 6 only if it is >= 0xfa, not a digit, so every byte up to
@@ -63,44 +72,113 @@ static inline int tt_eol(const uint8_t *q)
     return *q == '\n' || (*q == '\r' && q[1] == '\n');
 }
 
-/* Parse whole lines of buf[0, len) into rows of ndim uint32 fields at
- * out, stopping after max_lines lines, before a row that would be the
- * (max_rows + 1)-th, or at the last '\n' (a line it does not end waits
- * for the next call).  used[] = {rows, bytes, lines} consumed.  Returns
- * 0, or TT_REFUSED on a line outside the grammar (used[] then means
- * nothing).  buf must be readable 16 bytes past len. */
-int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
-             int64_t max_lines, uint32_t *out, int64_t max_rows,
-             int64_t *used)
+/* Sixteen bytes, compared lane by lane (GCC's vector extension: SSE2 on
+ * x86-64, NEON on AArch64). */
+typedef uint8_t tt_v16 __attribute__((vector_size(16)));
+
+/* The '\n' bytes of w: bit 7 of each set, every other bit clear (exact:
+ * no borrow crosses a byte). */
+static inline uint64_t tt_newlines(uint64_t w)
 {
-    const uint8_t *p = buf, *end = buf + len;
-    while (end > buf && end[-1] != '\n')
-        end--;
+    const uint64_t low7 = 0x7F7F7F7F7F7F7F7FULL;
+    uint64_t x = w ^ 0x0A0A0A0A0A0A0A0AULL;
+    return ~(((x & low7) + low7) | x | low7);
+}
+
+/* Cut [buf, end) (end just past a '\n') for k slices: cut t (0 < t < k)
+ * ends the first line that is the (t * lines / k)-th or ends at least
+ * t / k of the bytes in, so the lines before the last cut fit `lines`
+ * rows whatever they hold; cut[t] is where it ends and at[t] the lines
+ * before it.  Returns the slices the cuts make, fewer than k when the
+ * lines run out.  Eight bytes at a time, and 64 when they hold no cut;
+ * reads up to seven bytes past end. */
+static int64_t tt_cuts(const uint8_t *buf, const uint8_t *end,
+                       int64_t lines, int64_t k, const uint8_t **cut,
+                       int64_t *at)
+{
+    const tt_v16 nl = (tt_v16){0} + '\n';
+    const int64_t len = end - buf;
+    int64_t seen = 0, t = 1, line = lines / k, byte = len / k;
+    for (const uint8_t *p = buf; p < end; p += 8) {
+        uint64_t w, m;
+        if (end - p >= 64 && p + 64 - buf < byte) {
+            tt_v16 v, lanes = {0};
+            for (int i = 0; i < 4; i++) {
+                memcpy(&v, p + 16 * i, 16);
+                lanes -= (tt_v16)(v == nl);
+            }
+            uint64_t half[2];
+            memcpy(half, &lanes, 16);
+            int64_t c = (int64_t)(((half[0] + half[1]) * 0x0101010101010101ULL)
+                                  >> 56);
+            if (seen + c < line) {
+                seen += c;
+                p += 56;
+                continue;
+            }
+        }
+        memcpy(&w, p, 8);
+        m = tt_newlines(w);
+        if (end - p < 8)  /* the bytes past end are not the window's */
+            m &= (1ULL << (8 * (end - p))) - 1;
+        for (; m; m &= m - 1) {
+            const uint8_t *q = p + (__builtin_ctzll(m) >> 3) + 1;
+            for (seen++; seen >= line || q - buf >= byte; ) {
+                cut[t] = q;
+                at[t] = seen;
+                if (++t == k)
+                    return k;
+                line = lines * t / k;
+                byte = len * t / k;
+            }
+        }
+    }
+    return t;
+}
+
+/* One slice: whole lines [p, end) into rows at out, at most max_lines
+ * lines and max_rows rows; each column's largest value raises maxes[]. */
+typedef struct {
+    const uint8_t *p, *end;
+    int64_t ndim, max_lines, max_rows;
+    uint32_t *out, *maxes;
+    int64_t rows, lines;  /* parsed; p is then just past the last line */
+    int code;
+} tt_slice;
+
+static void *tt_lines(void *arg)
+{
+    tt_slice *s = arg;
+    const uint8_t *p = s->p;
+    const int64_t ndim = s->ndim;
     int64_t rows = 0, lines = 0;
-    for (; p < end && lines < max_lines; lines++) {
+    s->code = TT_REFUSED;
+    for (; p < s->end && lines < s->max_lines; lines++) {
         const uint8_t *q = p;
         while (tt_blank(*q))
             q++;
         if (!tt_eol(q) && *q != '#') {  /* a header row */
-            if (rows == max_rows)
+            if (rows == s->max_rows)
                 break;
-            uint32_t *row = out + rows * ndim;
+            uint32_t *row = s->out + rows * ndim;
             for (int64_t d = 0; d < ndim; d++) {
                 if (d) {  /* a separator, then the next field */
                     if (!tt_blank(*q))
-                        return TT_REFUSED;
+                        return NULL;
                     while (tt_blank(*++q))
                         ;
                 }
                 uint64_t v;
                 int n = tt_field(q, &v);
                 if (!n || v > 0xFFFFFFFFULL)
-                    return TT_REFUSED;
+                    return NULL;
                 row[d] = (uint32_t)v;
+                if (row[d] > s->maxes[d])
+                    s->maxes[d] = row[d];
                 q += n;
             }
             if (!tt_eol(q) && *q != '#' && !tt_blank(*q))
-                return TT_REFUSED;  /* "5x", "5.0", "5_0" */
+                return NULL;  /* "5x", "5.0", "5_0" */
             rows++;
         }
         /* The rest: a comment or the trailing columns, and a '\r' that
@@ -108,11 +186,105 @@ int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
         for (; *q != '\n'; q++)
             if ((uint8_t)(*q - 0x20) > 0x7e - 0x20 && *q != '\t'
                 && !tt_eol(q))
-                return TT_REFUSED;
+                return NULL;
         p = q + 1;
     }
-    used[0] = rows;
-    used[1] = p - buf;
-    used[2] = lines;
-    return 0;
+    s->p = p;
+    s->rows = rows;
+    s->lines = lines;
+    s->code = 0;
+    return NULL;
+}
+
+/* Parse whole lines of buf[0, len) into rows of ndim uint32 fields at
+ * out, stopping after max_lines lines, before a row that would be the
+ * (max_rows + 1)-th, or at the last '\n' (a line it does not end waits
+ * for the next call).  used[] = {rows, bytes, lines} consumed and the
+ * threads the call ran on; maxes[d] is raised to column d's largest
+ * value.  Returns 0, or TT_REFUSED on a line outside the grammar (used[]
+ * and maxes[] then mean nothing).  Rows of out past used[0] are scratch.
+ * buf must be readable 16 bytes past len.
+ *
+ * With threads > 1 and lines enough for two slices of `least` (any count
+ * when least is 0), the lines are cut into k = min(threads, lines /
+ * least) slices (tt_cuts), one a thread: slice 0 on the calling thread,
+ * the others on threads joined before the return, and a slice whose
+ * thread could not start on the caller.  Slice t < k - 1 writes the rows
+ * of its lines from the row of its first line; the last parses on from
+ * its cut under what is left of max_lines, and of max_rows as though
+ * every line before it were a row.  After the join the rows are moved
+ * up, in order, a refusal in any slice is the call's, and the calling
+ * thread parses on from where the last slice stopped, with the room
+ * really left.  So the rows, used[0..2], maxes and the return code are
+ * one thread's. */
+int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
+             int64_t max_lines, uint32_t *out, int64_t max_rows,
+             int64_t *used, uint32_t *maxes, int64_t threads, int64_t least)
+{
+    const uint8_t *end = buf + len;
+    while (end > buf && end[-1] != '\n')
+        end--;
+    /* Lines that fit whatever they hold; and lines are at most bytes. */
+    const int64_t fit = max_lines < max_rows ? max_lines : max_rows;
+    const int64_t most = fit < end - buf ? fit : end - buf;
+    int64_t k = least ? most / least : most;
+    k = threads < k ? threads : k;
+    k = k < TT_MAX_THREADS ? k : TT_MAX_THREADS;
+    const uint8_t *cut[TT_MAX_THREADS] = {buf};
+    int64_t at[TT_MAX_THREADS] = {0};
+    if (k > 1) {
+        k = tt_cuts(buf, end, fit, k, cut, at);
+        if (at[1] < least)  /* short lines fooled the byte count */
+            k = 1;
+    }
+    uint32_t *max = k > 1 ? calloc((size_t)(k * ndim), sizeof *max) : NULL;
+    if (!max)
+        k = 1;
+    tt_slice slice[TT_MAX_THREADS];
+    for (int64_t t = 0; t < k; t++) {
+        const int64_t lines = t + 1 < k ? at[t + 1] - at[t] : -1;
+        slice[t] = (tt_slice){cut[t], t + 1 < k ? cut[t + 1] : end, ndim,
+                              lines < 0 ? max_lines - at[t] : lines,
+                              lines < 0 ? max_rows - at[t] : lines,
+                              out + at[t] * ndim, k > 1 ? max + t * ndim
+                              : maxes, 0, 0, 0};
+    }
+    pthread_t tid[TT_MAX_THREADS];
+    int started[TT_MAX_THREADS] = {0};
+    for (int64_t t = 1; t < k; t++)
+        started[t] = !pthread_create(&tid[t], NULL, tt_lines, &slice[t]);
+    tt_lines(&slice[0]);
+    for (int64_t t = 1; t < k; t++) {
+        if (started[t])
+            pthread_join(tid[t], NULL);
+        else
+            tt_lines(&slice[t]);
+    }
+    /* In order: a refusal is the call's; later slices are dropped. */
+    int64_t rows = 0, code = 0;
+    for (int64_t t = 0; t < k && !code; t++) {
+        tt_slice *s = &slice[t];
+        code = s->code;
+        if (s->out != out + rows * ndim)
+            memmove(out + rows * ndim, s->out,
+                    (size_t)(s->rows * ndim) * sizeof *out);
+        rows += s->rows;
+        for (int64_t d = 0; k > 1 && d < ndim; d++)
+            maxes[d] = s->maxes[d] > maxes[d] ? s->maxes[d] : maxes[d];
+    }
+    free(max);
+    if (code)
+        return TT_REFUSED;
+    /* The last slice stopped at max_lines, at the window's end, or at a
+     * row its share of the room lacked: parse on with the room left. */
+    const tt_slice *last = &slice[k - 1];
+    tt_slice tail = {last->p, end, ndim,
+                     last->max_lines - last->lines, max_rows - rows,
+                     out + rows * ndim, maxes, 0, 0, 0};
+    tt_lines(&tail);
+    used[0] = rows + tail.rows;
+    used[1] = tail.p - buf;
+    used[2] = at[k - 1] + last->lines + tail.lines;
+    used[3] = k;
+    return tail.code;
 }

@@ -42,9 +42,12 @@ none outlives it, and a later ``fork()`` is safe).  Packets are
 independent, so every output is the one-thread output (docs/engine.md,
 "Threads inside a native call").  :func:`serve` splits its misses the
 same way, over set owners: the cache's sets are disjoint, so its tables
-and counters are the one-owner ones.  The other cache calls, the
-prefilter, the parser and the cut search run on the calling thread;
-like every ctypes call, each releases the GIL while it runs.
+and counters are the one-owner ones.  :func:`parse_text` splits its lines
+the same way, one contiguous run of lines per thread: a line gives at most
+one row, so each run writes its rows from the row of its first line and
+the gaps are closed after the join.  The other cache calls, the prefilter
+and the cut search run on the calling thread; like every ctypes call,
+each releases the GIL while it runs.
 
 The first tree build or ``FlatTree`` compile (inside ``Engine.open``,
 never in a timed serve) or trace file read loads ``flat_walk-<key>.so``
@@ -299,7 +302,10 @@ def _open(path: str):
         ("pf_hash", [ptr, i64, i64, ptr], None),
         ("pf_probe", [ptr, i64, i64, ptr, ptr, i64, ptr, ptr], i64),
         ("pf_insert", [ptr, i64, i64, ptr, ptr, ptr, i64], None),
-        ("tt_parse", [ptr, i64, i64, i64, ptr, i64, ptr], ctypes.c_int),
+        # (buf, len, ndim, max_lines, out, max_rows, used, maxes, threads,
+        # least)
+        ("tt_parse", [ptr, i64, i64, i64, ptr, i64, ptr, ptr, i64, i64],
+         ctypes.c_int),
         # (cache, removed, removes, bounds, ids, inserts)
         ("fc_retire", [cache, ptr, i64, ptr, ptr, i64], i64),
         # (bounds, region, max_exp, k, n, lo_bound, hi_bound, exhaustive,
@@ -656,14 +662,28 @@ def memo_insert(slots, rows, h, verdicts, n_flows: int) -> bool:
 #: Bytes past its input the trace parser may read (never use).
 TEXT_PAD = 16
 
+#: Lines one thread of a split parse gets at the least.  Measured, not a
+#: knob: on a 2-CPU host a parse of 2,048 ledger lines runs slower on two
+#: threads than on one (0.94x), and one of 4,096-16,384 lines 1.1-1.4x
+#: faster (docs/engine.md, "What ingest costs").
+MIN_LINES = 2048
+
 
 def parse_text(buf, start: int, stop: int, max_lines: int, out, row: int,
-               used):
+               used, maxes, threads: int | None = None):
     """Parse the whole lines of ``buf[start:stop]`` (``uint8``, readable
     :data:`TEXT_PAD` bytes past ``stop``), at most ``max_lines`` of them,
     into rows ``row:`` of ``out`` (``(rows, ndim)`` ``uint32``): ``True``
-    with ``used = [rows, bytes, lines]`` parsed, ``False`` (``used``
-    meaningless) when a line is outside ``_trace_text.c``'s grammar."""
+    with ``used = [rows, bytes, lines, threads]`` parsed (rows of ``out``
+    past the parsed ones are scratch) and ``maxes`` (``ndim`` ``uint32``)
+    raised to each column's largest value, ``False`` (``used`` and
+    ``maxes`` meaningless) when a line is outside ``_trace_text.c``'s
+    grammar.  The lines are split over up to ``min(thread_ceiling(),
+    lines // MIN_LINES)`` threads (created and joined inside the call;
+    ``lines`` is what ``max_lines``, the room in ``out`` and the bytes
+    allow), or over ``threads`` when given (the tests force counts the
+    rule would not pick); the rows, ``used[:3]``, ``maxes`` and the
+    answer are one thread's at every count."""
     lib = _load().lib
     if lib is None:
         return None
@@ -671,11 +691,14 @@ def parse_text(buf, start: int, stop: int, max_lines: int, out, row: int,
     if not (0 <= start <= stop and stop + TEXT_PAD <= buf.size
             and 0 <= row <= cap):
         raise BuildError("native trace parser: a window outside its buffers")
+    most, least = ((thread_ceiling(), MIN_LINES) if threads is None
+                   else (threads_for(0, threads), 0))
     return not lib.tt_parse(
         _pointer("buf", buf, np.uint8, buf.shape) + start, stop - start,
         ndim, max_lines,
         _pointer("out", out, np.uint32, out.shape) + row * ndim * 4,
-        cap - row, _pointer("used", used, np.int64, (3,)),
+        cap - row, _pointer("used", used, np.int64, (4,)),
+        _pointer("maxes", maxes, np.uint32, (ndim,)), most, least,
     )
 
 

@@ -207,8 +207,8 @@ def _trace(args, ruleset: RuleSet, on_malformed: str) -> tuple[PacketTrace, int]
         )
     ]
     empty = np.empty((0, ruleset.schema.ndim), np.uint32)
-    headers = np.concatenate([empty, *blocks])
-    return PacketTrace(headers, ruleset.schema), quarantine.count
+    headers = np.concatenate([empty, *blocks])  # each segment is checked
+    return PacketTrace.from_checked(headers, ruleset.schema), quarantine.count
 
 
 def _build_tree(ruleset: RuleSet, config: EngineConfig):

@@ -9,11 +9,15 @@ guides (vectorise the loop, keep data in one contiguous buffer).
 
 The same rule holds for reading a trace file: :func:`read_trace_blocks`
 is the one ClassBench trace parser — one pass of the native library's C
-parser over the bytes of each block of lines, or, from the first block
-outside its strict grammar on (and on a host without the library), one
-:func:`numpy.loadtxt` call per block — behind both
+parser over the bytes of each block of lines (split over the host's CPUs
+inside the call, each thread a contiguous run of lines), or, from the
+first block outside its strict grammar on (and on a host without the
+library), one :func:`numpy.loadtxt` call per block — behind both
 :meth:`PacketTrace.load` (the whole file) and
-:func:`repro.serve.iter_trace_file` (segment by segment).
+:func:`repro.serve.iter_trace_file` (segment by segment).  Each block
+comes with its columns' largest values (the native pass keeps them as it
+writes the rows), so its field widths are checked from those
+(:func:`check_widths`), not by a second pass over its rows.
 """
 
 from __future__ import annotations
@@ -83,6 +87,14 @@ def header_matrix(headers: np.ndarray, schema: FieldSchema) -> np.ndarray:
     return headers
 
 
+def check_widths(maxes, schema: FieldSchema) -> None:
+    """Raise :class:`PacketFormatError` naming the first field whose
+    largest value ``maxes[d]`` does not fit its width."""
+    for d, top in enumerate(maxes.tolist()):
+        if top > schema.max_value(d):
+            raise PacketFormatError(f"trace field {d} exceeds field width")
+
+
 class PacketTrace:
     """A sequence of packet headers stored as a dense uint32 matrix."""
 
@@ -90,9 +102,8 @@ class PacketTrace:
 
     def __init__(self, headers: np.ndarray, schema: FieldSchema) -> None:
         headers = header_matrix(headers, schema)
-        for d in range(schema.ndim):
-            if headers[:, d].size and int(headers[:, d].max()) > schema.max_value(d):
-                raise PacketFormatError(f"trace field {d} exceeds field width")
+        if len(headers):
+            check_widths(headers.max(axis=0), schema)
         self.schema = schema
         self.headers = headers
 
@@ -155,7 +166,9 @@ class PacketTrace:
         blocks = list(read_trace_blocks(path, schema.ndim, _LOAD_BLOCK_LINES))
         if not blocks:
             return PacketTrace.from_packets((), schema)
-        return PacketTrace(np.concatenate(blocks), schema)
+        check_widths(np.max([maxes for _, maxes in blocks], axis=0), schema)
+        return PacketTrace.from_checked(
+            np.concatenate([block for block, _ in blocks]), schema)
 
 
 def _salvage_lines(
@@ -198,12 +211,12 @@ def read_trace_blocks(
     ndim: int,
     block_lines: int,
     on_bad=None,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Parse a ClassBench trace file ``block_lines`` lines at a time
-    into ``(n, ndim)`` ``uint32`` header blocks (comments and blank
-    lines are skipped, trailing columns beyond ``ndim`` — ClassBench's
-    expected-match id — are ignored; a block with no rows yields
-    nothing).
+    into ``(n, ndim)`` ``uint32`` header blocks, each with its columns'
+    largest values (comments and blank lines are skipped, trailing
+    columns beyond ``ndim`` — ClassBench's expected-match id — are
+    ignored; a block with no rows yields nothing).
 
     A malformed line — too few columns, a field that is not
     ``[+-]?[0-9]+``, a negative one, one beyond 32 bits, a non-ASCII
@@ -213,41 +226,44 @@ def read_trace_blocks(
     order.
 
     Blocks are parsed by the native library's one pass over the bytes
-    (``_trace_text.c``) while they stay inside its strict grammar; from
-    the first block it refuses (a ``\\r``, a sign, a non-ASCII byte, a
-    malformed line, ...) on, or without the library, the text-mode loop
-    reads the rest of the file from that block's byte offset on, so
-    the blocks, line numbers and errors never depend on which read
-    them.
+    (``_trace_text.c``, which keeps the column maxima as it writes the
+    rows) while they stay inside its strict grammar; from the first
+    block it refuses (a ``\\r``, a sign, a non-ASCII byte, a malformed
+    line, ...) on, or without the library, the text-mode loop reads the
+    rest of the file from that block's byte offset on, so the blocks,
+    line numbers and errors never depend on which read them.
     """
     resume = yield from _native_blocks(path, ndim, block_lines)
     if resume is not None:
-        yield from _text_blocks(path, ndim, block_lines, on_bad, *resume)
+        for block in _text_blocks(path, ndim, block_lines, on_bad, *resume):
+            yield block, block.max(axis=0)
 
 
 def _native_blocks(path: str, ndim: int, block_lines: int):
-    """Yield the file's blocks through ``native.parse_text``; returns
-    ``None`` after the last, or the byte offset and the lines before it
-    of the first block the parser refused (or could not take: no
-    library)."""
+    """Yield the file's blocks, each with its column maxima, through
+    ``native.parse_text``; returns ``None`` after the last, or the byte
+    offset and the lines before it of the first block the parser refused
+    (or could not take: no library)."""
     from ..algorithms import native  # not at import: it imports core
 
     pad = native.TEXT_PAD + 1  # and a byte to end an unterminated line
     buf = np.empty(_READ_BYTES + pad, np.uint8)
-    used = np.zeros(3, np.int64)
+    used = np.zeros(4, np.int64)
     start = stop = offset = lineno = 0  # offset, lineno: at buf[start]
     eof = False
     with open(path, "rb", buffering=0) as fh:
         while not (eof and start == stop):
             resume = offset, lineno
             out = np.empty((min(block_lines, _BLOCK_ROWS), ndim), np.uint32)
+            maxes = np.zeros(ndim, np.uint32)
             rows = lines = 0
             while lines < block_lines:
                 if not native.parse_text(
-                    buf, start, stop, block_lines - lines, out, rows, used
+                    buf, start, stop, block_lines - lines, out, rows, used,
+                    maxes,
                 ):
                     return resume
-                n_rows, n_bytes, n_lines = used.tolist()
+                n_rows, n_bytes, n_lines, _ = used.tolist()
                 rows, lines = rows + n_rows, lines + n_lines
                 start, offset = start + n_bytes, offset + n_bytes
                 lineno += n_lines
@@ -274,7 +290,7 @@ def _native_blocks(path: str, ndim: int, block_lines: int):
                             buf[stop] = 0x0A  # the unterminated last line
                             stop += 1
             if rows:
-                yield out[:rows]
+                yield out[:rows], maxes
 
 
 def _text_blocks(

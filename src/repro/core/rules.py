@@ -235,11 +235,22 @@ class RuleArrays:
     grid.  Builders index these arrays with rule-id arrays instead of
     carrying Python ``Rule`` objects, which keeps the per-node work inside
     NumPy.
+
+    The seven arrays are views of the first ``n`` columns of buffers with
+    room to spare (a ``(ndim, n)`` table is then not C-contiguous: its
+    rows are, and a consumer that needs the whole table contiguous takes
+    it through ``np.take`` or ``np.ascontiguousarray``), so
+    :meth:`append_rule` writes one column in place and re-allocates only
+    when the room runs out, doubling it.
     """
 
     __slots__ = (
         "schema", "n", "lo", "hi", "span", "glo", "ghi", "priority", "action",
+        "_room",
     )
+
+    #: Columns of the buffers, in ``_room``'s order.
+    _FIELDS = ("lo", "hi", "span", "glo", "ghi", "priority", "action")
 
     def __init__(self, rules: Sequence[Rule], schema: FieldSchema) -> None:
         self.schema = schema
@@ -263,35 +274,32 @@ class RuleArrays:
         # Interval widths for the single-compare test ``(v - lo) <= span``
         # (uint32 wraparound turns ``v < lo`` into a huge value).
         self.span = self.hi - self.lo
+        self._room = tuple(getattr(self, name) for name in self._FIELDS)
 
     def append_rule(self, rule: Rule) -> None:
-        """Extend the view with one more rule (incremental inserts).
-
-        One bulk ``np.concatenate`` per buffer — no per-rule Python pass
-        over the existing rules, which is what keeps a single control-
-        plane insert O(copy) instead of O(n_rules) rebuild work.  The
-        result is bit-identical to constructing :class:`RuleArrays` from
-        the extended rule list.
-        """
-        nd = self.schema.ndim
-        col = np.empty((nd, 1), dtype=np.uint32)
-        gcol_lo = np.empty((nd, 1), dtype=np.uint32)
-        gcol_hi = np.empty((nd, 1), dtype=np.uint32)
-        col_hi = np.empty((nd, 1), dtype=np.uint32)
-        for d, (lo, hi) in enumerate(rule.ranges):
-            col[d, 0] = lo
-            col_hi[d, 0] = hi
-            g0, g1 = grid_span(lo, hi, self.schema.widths[d])
-            gcol_lo[d, 0] = g0
-            gcol_hi[d, 0] = g1
-        self.lo = np.concatenate([self.lo, col], axis=1)
-        self.hi = np.concatenate([self.hi, col_hi], axis=1)
-        self.glo = np.concatenate([self.glo, gcol_lo], axis=1)
-        self.ghi = np.concatenate([self.ghi, gcol_hi], axis=1)
-        self.span = self.hi - self.lo
-        self.priority = np.append(self.priority, np.int64(rule.priority))
-        self.action = np.append(self.action, np.int64(rule.action))
+        """Extend the view with one more rule (incremental inserts): one
+        column written in place, the buffers doubled when full, so an
+        insert costs amortized O(1) instead of a copy of every array.
+        The result is value-identical to constructing :class:`RuleArrays`
+        from the extended rule list."""
+        if self.n == self._room[-1].shape[0]:
+            grown = []
+            for buf in self._room:
+                wider = np.empty(
+                    (*buf.shape[:-1], max(8, 2 * self.n)), dtype=buf.dtype
+                )
+                wider[..., : self.n] = buf
+                grown.append(wider)
+            self._room = tuple(grown)
+        lo, hi, span, glo, ghi, priority, action = self._room
+        i = self.n
+        for d, (r_lo, r_hi) in enumerate(rule.ranges):
+            lo[d, i], hi[d, i], span[d, i] = r_lo, r_hi, r_hi - r_lo
+            glo[d, i], ghi[d, i] = grid_span(r_lo, r_hi, self.schema.widths[d])
+        priority[i], action[i] = rule.priority, rule.action
         self.n += 1
+        for name, buf in zip(self._FIELDS, self._room):
+            setattr(self, name, buf[..., : self.n])
 
     def match_mask(self, header: Sequence[int]) -> np.ndarray:
         """Boolean mask of rules matching ``header`` (vectorised)."""

@@ -12,8 +12,9 @@ sources:
   fixed-size segments through the one parser
   (:func:`repro.core.packet.read_trace_blocks`, which
   :meth:`PacketTrace.load` also reads with: a native pass over each
-  segment's bytes while they stay inside its grammar, the text-mode
-  loop from the first segment that does not).  A streamed session pulls
+  segment's bytes while they stay inside its grammar, split over the
+  host's CPUs inside the call, the text-mode loop from the first
+  segment that does not).  A streamed session pulls
   it one segment per result, so the first match is out after one
   segment's parse instead of the whole file's.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..core.errors import ConfigError
-from ..core.packet import PacketTrace, read_trace_blocks
+from ..core.packet import PacketTrace, check_widths, read_trace_blocks
 from ..core.rules import FIVE_TUPLE, FieldSchema
 
 #: Default packets per streamed segment: a few pipeline chunks' worth,
@@ -128,7 +129,8 @@ def iter_trace_file(
     """Stream a ClassBench trace file as parsed segments.
 
     Each segment is one :func:`~repro.core.packet.read_trace_blocks`
-    block of ``segment_packets`` lines (comments and
+    block of ``segment_packets`` lines, its widths checked from the
+    block's column maxima (comments and
     blank lines are skipped, trailing columns beyond the schema —
     ClassBench's expected-match id — are ignored).  With the default
     ``on_malformed="raise"`` a malformed line raises
@@ -148,5 +150,8 @@ def iter_trace_file(
     if quarantine is None:
         quarantine = QuarantineLog()
     on_bad = quarantine.record if on_malformed == "quarantine" else None
-    for block in read_trace_blocks(path, schema.ndim, segment_packets, on_bad):
-        yield PacketTrace(block, schema)
+    for block, maxes in read_trace_blocks(
+        path, schema.ndim, segment_packets, on_bad
+    ):
+        check_widths(maxes, schema)
+        yield PacketTrace.from_checked(block, schema)

@@ -10,7 +10,8 @@ pick on inputs this small, so each case runs at k = 2, 3 and 4 against
 k = 1 and the NumPy oracle (the serve also against the three calls it
 replaces: lookup, the backend, commit).  Also here: a header outside
 its field widths is a ``PacketFormatError`` on both kernels, no thread
-outlives a call, and a forked shard owner walks on one thread.
+outlives a call (a split trace text parse included), and a forked shard
+owner walks on one thread.
 """
 
 from __future__ import annotations
@@ -277,6 +278,31 @@ def spill_owners() -> int:
                         occupancy, 1, tally) == 0
     assert counts[0] == len(headers)
     return int(counts[4])
+
+
+def _ledger_text(n: int) -> bytes:
+    """``n`` lines of ClassBench trace text as the ledger writes it."""
+    rows = random_headers(FIVE_TUPLE, n, seed=4).tolist()
+    return b"".join(b"%d\t%d\t%d\t%d\t%d\t-1\n" % tuple(r) for r in rows)
+
+
+def _parse(text: bytes, threads: int | None = None) -> int:
+    """Parse ``text`` in one native call; returns the threads it ran on."""
+    n = text.count(b"\n")
+    buf = np.zeros(len(text) + native.TEXT_PAD, np.uint8)
+    buf[:len(text)] = np.frombuffer(text, np.uint8)
+    used = np.zeros(4, np.int64)
+    assert native.parse_text(buf, 0, len(text), n, np.empty((n, 5), np.uint32),
+                             0, used, np.zeros(5, np.uint32), threads=threads)
+    assert used[2] == n
+    return int(used[3])
+
+
+def parse_threads() -> int:
+    """Threads one 16,384-line trace text parse runs on: what the parse's
+    rule (``min(thread_ceiling(), lines // MIN_LINES)``) gives that many
+    lines in this process."""
+    return _parse(_ledger_text(16384))
 
 
 class TestCachedServe:
@@ -624,6 +650,19 @@ class TestThreadsEndWithTheCall:
                                 threads=k) == 0
             assert counts[4] == k
             assert (threading.active_count(), _tasks()) == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task on this platform")
+    def test_no_thread_outlives_a_split_parse(self, native_kernel):
+        text = _ledger_text(4096)
+        before = threading.active_count(), _tasks()
+        for k in THREADS:
+            assert _parse(text, threads=k) == k
+            assert (threading.active_count(), _tasks()) == before
+
+    def test_a_16k_line_parse_takes_the_rule(self, native_kernel):
+        assert parse_threads() == min(native.thread_ceiling(),
+                                      16384 // native.MIN_LINES)
 
     def test_a_forked_run_after_a_split_serve_is_bit_identical(
         self, native_kernel, acl_small, acl_small_trace

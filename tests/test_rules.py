@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.classbench import generate_ruleset
 from repro.core.errors import RuleFormatError
 from repro.core.rules import (
     DEMO_SCHEMA,
@@ -151,6 +152,34 @@ class TestRuleArrays:
         counts = arrays.distinct_range_counts(ids)
         # Hand-computed from Table 1 (see Figure 3 analysis).
         assert counts == [9, 7, 4, 3, 10]
+
+    def test_appends_equal_a_fresh_build_through_every_growth_step(self):
+        """300 appends onto 0 and onto 11 rules (the buffers double at 8,
+        16, ... columns): after each, every array holds the values,
+        dtype and shape of a fresh build over the extended list, a batch
+        match agrees, and each row of a table is contiguous."""
+        extra = generate_ruleset("acl1", 300, seed=5).rules
+        rng = np.random.default_rng(8)
+        headers = rng.integers(0, 2**16, size=(64, 5), dtype=np.uint32)
+        for base in ([], extra[:11]):
+            arrays = RuleArrays(base, FIVE_TUPLE)
+            rules = list(base)
+            for rule in extra:
+                rule = Rule(ranges=rule.ranges, priority=len(rules),
+                            action=rule.action)
+                arrays.append_rule(rule)
+                rules.append(rule)
+                fresh = RuleArrays(rules, FIVE_TUPLE)
+                assert arrays.n == fresh.n == len(rules)
+                for name in RuleArrays._FIELDS:
+                    got, want = getattr(arrays, name), getattr(fresh, name)
+                    assert got.dtype == want.dtype, name
+                    assert got.shape == want.shape, name
+                    assert np.array_equal(got, want), name
+                    assert all(row.flags["C_CONTIGUOUS"]
+                               for row in np.atleast_2d(got)), name
+                assert np.array_equal(arrays.batch_match(headers),
+                                      fresh.batch_match(headers))
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 32))
     def test_grid_footprint_consistent(self, value, plen):

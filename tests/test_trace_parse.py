@@ -6,11 +6,17 @@ exception types and messages on any input, because the native pass
 refuses every block outside its grammar and the text-mode loop reads
 the file from there on.  The identity checks alone would pass if the
 native pass refused everything, so the clean inputs here also assert
-that it never fell back on them.
+that it never fell back on them.  A native call splits its lines over
+threads (``TestSplitParse`` forces k = 1-4 through ``threads``): every
+count gives the one-thread call's rows, counts, column maxima and
+answer.  The widths of a streamed block are checked from those maxima on
+the native path and from the rows on the text-mode loop, with the same
+error at the same segment (``TestFieldWidths``).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -61,26 +67,40 @@ EDGES = {
 }
 
 
-def _read(path, block_lines: int, quarantine: bool, absent: bool):
+def _read(path, block_lines: int, quarantine: bool, absent: bool,
+          threads: int | None = None):
     """What ``read_trace_blocks`` gives: its blocks and quarantine
-    entries, or the exception it raised (type and message)."""
+    entries, or the exception it raised (type and message); ``threads``
+    forces each native call's thread count."""
     log = QuarantineLog(max_entries=1000)
     with pytest.MonkeyPatch.context() as mp:
         if absent:
             mp.setattr(native, "_kernel", native._Kernel(reason="absent"))
+        if threads is not None:
+            mp.setattr(native, "parse_text",
+                       functools.partial(native.parse_text, threads=threads))
         try:
-            blocks = list(read_trace_blocks(
+            pairs = list(read_trace_blocks(
                 str(path), 5, block_lines, log.record if quarantine else None
             ))
         except Exception as exc:  # compared, type and message
             return type(exc), str(exc)
-    assert all(b.dtype == np.uint32 and b.shape[1] == 5 for b in blocks)
-    return [b.tolist() for b in blocks], log.entries
+    for block, maxes in pairs:  # every block with its column maxima
+        assert block.dtype == np.uint32 and block.shape[1] == 5
+        assert np.array_equal(maxes, block.max(axis=0))
+    return [block.tolist() for block, _ in pairs], log.entries
 
 
-def _assert_same_both_ways(path, block_lines: int) -> None:
+def _blocks(path, block_lines: int, on_bad=None) -> list:
+    return [block for block, _ in read_trace_blocks(
+        str(path), 5, block_lines, on_bad)]
+
+
+def _assert_same_both_ways(path, block_lines: int,
+                           threads: int | None = None) -> None:
     for quarantine in (False, True):
-        got = _read(path, block_lines, quarantine, absent=False)
+        got = _read(path, block_lines, quarantine, absent=False,
+                    threads=threads)
         assert got == _read(path, block_lines, quarantine, absent=True)
 
 
@@ -136,7 +156,7 @@ class TestEdgeCorpus:
         want = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10],
                 [4294967295, 0, 65535, 0, 255], [11, 12, 13, 14, 15]]
         for block_lines in range(1, 8):
-            blocks = list(read_trace_blocks(str(path), 5, block_lines))
+            blocks = _blocks(path, block_lines)
             assert np.concatenate(blocks).tolist() == want
 
     def test_crlf_line_ends_parse_natively(self, tmp_path, no_fallback):
@@ -150,7 +170,7 @@ class TestEdgeCorpus:
         want = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15],
                 [16, 17, 18, 19, 20]]
         for block_lines in range(1, 8):
-            blocks = list(read_trace_blocks(str(path), 5, block_lines))
+            blocks = _blocks(path, block_lines)
             assert np.concatenate(blocks).tolist() == want
 
     def test_a_refused_block_is_reread_from_its_start(self, tmp_path):
@@ -159,9 +179,9 @@ class TestEdgeCorpus:
         path = tmp_path / "late.trace"
         path.write_bytes(GOOD * 5 + b"+6 7 8 9 10\n" + b"1 2 3\n")
         with pytest.raises(PacketFormatError, match=r"late\.trace:7: "):
-            list(read_trace_blocks(str(path), 5, 2))
+            _blocks(path, 2)
         log = QuarantineLog()
-        blocks = list(read_trace_blocks(str(path), 5, 2, log.record))
+        blocks = _blocks(path, 2, log.record)
         assert [len(b) for b in blocks] == [2, 2, 2]
         assert blocks[-1].tolist() == [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
         assert log.entries == [(7, "1 2 3", "expected >= 5 columns, got 3")]
@@ -257,7 +277,7 @@ class TestNoDataWarning:
             warnings.simplefilter("error")
             if absent:
                 mp.setattr(native, "_kernel", native._Kernel(reason="absent"))
-            blocks = list(read_trace_blocks(str(path), 5, 1))
+            blocks = _blocks(path, 1)
         assert len(blocks) == 2
 
 
@@ -289,6 +309,210 @@ def test_random_line_mixes_agree(tmp_path_factory, lines, final_newline,
     text = "\n".join(lines) + ("\n" if final_newline and lines else "")
     path.write_bytes(text.encode("latin-1"))
     _assert_same_both_ways(path, block_lines)
+
+
+@pytest.mark.usefixtures("native_kernel")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    lines=st.lists(_LINE, max_size=14),
+    final_newline=st.booleans(),
+    block_lines=st.integers(1, 9),
+)
+def test_random_line_mixes_agree_split_three_ways(
+    tmp_path_factory, lines, final_newline, block_lines
+):
+    path = tmp_path_factory.mktemp("mix") / "t.trace"
+    text = "\n".join(lines) + ("\n" if final_newline and lines else "")
+    path.write_bytes(text.encode("latin-1"))
+    _assert_same_both_ways(path, block_lines, threads=3)
+
+
+def _call(text: bytes, max_lines: int, free_rows: int, threads: int,
+          row: int = 3):
+    """One ``native.parse_text`` call over ``text`` on ``threads``
+    threads into an ``out`` with ``free_rows`` rows free past ``row``:
+    ``(True, used[:3], the rows it wrote, maxes)``, or ``(False,)`` when
+    it refused; and the threads it ran on."""
+    buf = np.zeros(len(text) + native.TEXT_PAD, np.uint8)
+    buf[:len(text)] = np.frombuffer(text, np.uint8)
+    out = np.full((row + free_rows, 5), 7, np.uint32)
+    used = np.zeros(4, np.int64)
+    maxes = np.array([1, 0, 0, 0, 9], np.uint32)  # raised, never lowered
+    if not native.parse_text(buf, 0, len(text), max_lines, out, row, used,
+                             maxes, threads=threads):
+        return (False,), int(used[3])
+    rows = out[row:row + used[0]]
+    want = np.maximum(rows.max(axis=0), [1, 0, 0, 0, 9]) if len(rows) \
+        else [1, 0, 0, 0, 9]
+    assert maxes.tolist() == list(want)
+    return (True, used[:3].tolist(), rows.tolist(), maxes.tolist()), \
+        int(used[3])
+
+
+def _lines(n: int, start: int = 0) -> list[bytes]:
+    return [b"%d %d %d %d %d\n" % (i, 2 * i, i % 65536, 3, i % 256)
+            for i in range(start, start + n)]
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestSplitParse:
+    """One call on k = 2-4 threads against k = 1 (rows, ``used``,
+    maxima, refusal) and, read through ``read_trace_blocks``, against
+    the text-mode loop (blocks, line numbers, quarantine entries,
+    errors)."""
+
+    KINDS = {
+        "comment": b"# a comment\n",
+        "blank": b"\n",
+        "blanks_and_tab": b" \t \n",
+        "crlf": b"9 8 7 6 5\r\n",
+        "trailing_columns": b"9 8 7 6 5 -1 any text # x\n",
+        "comment_crlf": b"# c\r\n",
+    }
+
+    def _same_at_every_k(self, text: bytes, max_lines: int, free_rows: int,
+                         split: bool = True):
+        want, one = _call(text, max_lines, free_rows, 1)
+        assert one == 1 or not want[0]
+        for k in (2, 3, 4):
+            got, used_k = _call(text, max_lines, free_rows, k)
+            assert got == want, k
+            if split and want[0]:
+                assert used_k > 1, k
+        return want
+
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS.keys())
+    def test_a_slice_boundary_on_each_kind_of_line(self, kind):
+        """The line sits at every position of a 12-line window, so each
+        k's cuts fall on it, before it and after it."""
+        for at in range(12):
+            lines = _lines(12)
+            lines[at] = kind
+            text = b"".join(lines)
+            for max_lines, free in ((12, 12), (100, 100), (7, 12), (12, 5)):
+                self._same_at_every_k(text, max_lines, free)
+
+    def test_runs_of_comments_leave_gaps_that_close(self):
+        lines = _lines(24)
+        for at in (0, 1, 2, 9, 10, 11, 12, 13, 20, 21, 22):
+            lines[at] = b"# gap\n"
+        want = self._same_at_every_k(b"".join(lines), 24, 24)
+        assert want[1] == [13, sum(map(len, lines)), 24]
+        assert [r[0] for r in want[2]] == [
+            i for i in range(24) if lines[i] != b"# gap\n"]
+
+    def test_a_refused_line_in_the_last_slice_only(self):
+        for bad in (b"+1 2 3 4 5\n", b"1 2 3\n", b"1 2 3 4 5\r6\n",
+                    b"1 2 3 4 5 \xe9\n"):
+            text = b"".join(_lines(30)) + bad
+            assert self._same_at_every_k(text, 100, 100) == (False,)
+            # One line short of it, nothing is refused.
+            want = self._same_at_every_k(text, 30, 100)
+            assert want[1][2] == 30
+
+    def test_max_lines_ends_inside_a_later_slice(self):
+        text = b"".join(_lines(40))
+        for max_lines in (2, 3, 5, 9, 17, 25, 33, 39, 40, 41):
+            want = self._same_at_every_k(text, max_lines, 100)
+            assert want[1][2] == min(max_lines, 40)
+
+    def test_fewer_free_rows_than_lines(self):
+        lines = _lines(30)
+        lines[3] = lines[17] = b"# c\n"
+        text = b"".join(lines)
+        for free in (0, 1, 2, 5, 13, 14, 27, 28, 29):
+            want = self._same_at_every_k(text, 30, free, split=free > 1)
+            assert want[1][0] == min(free, 28)
+
+    @pytest.mark.parametrize("text", [
+        b"", b"1 2 3 4 5", b"1 2 3 4 5\n", b"# c\n", b"1 2 3 4 5\n6 7 8 9 10",
+        b"1 2 3 4 5\n6 7 8 9 10\n", b"\n\n", b"# a\n6 7 8 9 10\n",
+    ], ids=["empty", "one_unended", "one", "one_comment", "one_and_unended",
+            "two", "two_blank", "comment_then_row"])
+    def test_zero_one_and_two_line_windows(self, text):
+        for max_lines in (0, 1, 2, 5):
+            for free in (0, 1, 2):
+                self._same_at_every_k(text, max_lines, free, split=False)
+
+    def test_files_read_the_same_at_every_k(self, tmp_path):
+        """Through ``read_trace_blocks``: the blocks, line numbers,
+        quarantine entries and errors of every k are the text-mode
+        loop's, a refusal in a later slice included."""
+        clean = b"".join(_lines(50))
+        mixed = clean[:300] + b"# c\r\n \n" + clean[300:]
+        late_bad = clean + b"1 2 3\n" + clean
+        for name, data in (("clean", clean), ("mixed", mixed),
+                           ("late_bad", late_bad)):
+            path = tmp_path / f"{name}.trace"
+            path.write_bytes(data)
+            for block_lines in (1, 7, 40, 1000):
+                for k in (1, 2, 3, 4):
+                    _assert_same_both_ways(path, block_lines, threads=k)
+
+    def test_a_ledger_sized_call_splits_by_the_rule(self, tmp_path,
+                                                    no_fallback):
+        """16,384 lines with no count forced: the rule's threads, and the
+        one-thread rows."""
+        rng = np.random.default_rng(49)
+        rows = rng.integers(0, 2**32, (16384, 5), dtype=np.uint64)
+        text = b"".join(b"%d\t%d\t%d\t%d\t%d\t-1\n" % tuple(r)
+                        for r in rows.tolist())
+        buf = np.zeros(len(text) + native.TEXT_PAD, np.uint8)
+        buf[:len(text)] = np.frombuffer(text, np.uint8)
+        out = np.empty((16384, 5), np.uint32)
+        used = np.zeros(4, np.int64)
+        maxes = np.zeros(5, np.uint32)
+        assert native.parse_text(buf, 0, len(text), 16384, out, 0, used,
+                                 maxes)
+        assert used[3] == min(native.thread_ceiling(),
+                              16384 // native.MIN_LINES)
+        assert np.array_equal(out, rows.astype(np.uint32))
+        assert np.array_equal(maxes, rows.max(axis=0).astype(np.uint32))
+
+
+class TestFieldWidths:
+    """A streamed block's widths: from the native pass's column maxima,
+    or from the rows on the text-mode loop; the same
+    ``PacketFormatError`` at the same segment either way."""
+
+    @pytest.mark.parametrize("absent", [False, True], ids=["native", "absent"])
+    def test_a_too_wide_field_raises_at_its_segment(self, tmp_path, absent):
+        path = tmp_path / "wide.trace"
+        path.write_bytes(GOOD * 5 + b"1 2 65536 4 256\n" + GOOD * 3)
+        with pytest.MonkeyPatch.context() as mp:
+            if absent:
+                mp.setattr(native, "_kernel", native._Kernel(reason="absent"))
+            segments = iter_trace_file(str(path), segment_packets=2)
+            got = [next(segments).n_packets, next(segments).n_packets]
+            with pytest.raises(PacketFormatError,
+                               match=r"^trace field 2 exceeds field width$"):
+                next(segments)
+            with pytest.raises(PacketFormatError,
+                               match=r"^trace field 2 exceeds field width$"):
+                PacketTrace.load(str(path))
+        assert got == [2, 2]
+
+    def test_the_widest_legal_values_pass(self, tmp_path, no_fallback):
+        path = tmp_path / "edge.trace"
+        path.write_bytes(b"4294967295 4294967295 65535 65535 255\n" + GOOD)
+        segments = list(iter_trace_file(str(path), segment_packets=1))
+        assert [s.headers.tolist() for s in segments] == [
+            [[2**32 - 1, 2**32 - 1, 65535, 65535, 255]], [[1, 2, 3, 4, 5]]]
+
+    def test_native_segments_take_no_second_width_pass(
+        self, tmp_path, monkeypatch, no_fallback
+    ):
+        """The rows are checked from the parse's maxima: building a
+        segment never runs ``PacketTrace``'s pass over them."""
+        path = tmp_path / "t.trace"
+        path.write_bytes(GOOD * 10)
+
+        def no_pass(*args):
+            raise AssertionError("a width pass over parsed rows")
+
+        monkeypatch.setattr(PacketTrace, "__init__", no_pass)
+        assert sum(s.n_packets for s in iter_trace_file(
+            str(path), segment_packets=4)) == 10
 
 
 def test_save_load_round_trip_of_100k_rows(tmp_path, no_fallback):
