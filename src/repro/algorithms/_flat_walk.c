@@ -7,18 +7,95 @@
  * packet counts its memory-port cycles (hw/accelerator.py:
  * Accelerator._run_portable, eqs (5)/(7)).  Every index derived from
  * table data is bounds-checked, so a corrupt table is an error code, not
- * a fault.  A call splits its packets into one contiguous slice per
- * thread, over up to `threads` threads created and joined inside the
- * call; packets are independent, so every output is the one-thread
- * output. */
+ * a fault.  This file also holds the library's one split (split_count,
+ * split_run): a call splits its packets into k contiguous slices, one a
+ * job, on threads created and joined inside the call; packets are
+ * independent, so every output is the one-thread output. */
 #include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 
-enum { OK, ERR_STEPS, ERR_RANGE, ERR_WIDTH, MAX_STEPS = 10000, LEAF = 1 };
+/* Every code the library's calls return (pf_probe returns a count, -1
+ * for a corrupt memo); native.py reads them by value.  REFUSED is an
+ * input tt_parse or cs_search leaves to the Python path. */
+enum { OK, ERR_STEPS, ERR_RANGE, ERR_WIDTH, ERR_MEMORY, REFUSED };
 
-/* The most threads one call starts; native.MIN_SLICE keeps k far below. */
+enum { MAX_STEPS = 10000, LEAF = 1 };
+
+/* The one rule every threaded call (flat_walk, fc_serve, tt_parse) counts
+ * its jobs by: k = min(threads, work / least), `threads` when least is 0
+ * (a count forced from outside), at least 1 and at most MAX_THREADS. */
 enum { MAX_THREADS = 64 };
+
+static int64_t split_count(int64_t work, int64_t threads, int64_t least)
+{
+    int64_t k = least ? work / least : threads;
+    k = k < threads ? k : threads;
+    k = k < MAX_THREADS ? k : MAX_THREADS;
+    return k > 1 ? k : 1;
+}
+
+/* One split_run call: its jobs, the next one to claim, and the jobs run
+ * so far by the threads at the barrier. */
+typedef struct {
+    void (*run)(void *, int64_t), (*after)(void *, int64_t);
+    void *arg;
+    int64_t k, next, done;
+    pthread_mutex_t lock;
+    pthread_cond_t cond;
+} split;
+
+/* One thread's share: claim jobs until none is left, running each; then,
+ * given `after`, wait at the barrier until every job has run and run
+ * `after` on the jobs this thread claimed. */
+static void split_share(split *s)
+{
+    int64_t mine[MAX_THREADS], m = 0, j;
+    while ((j = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED)) < s->k)
+        s->run(s->arg, mine[m++] = j);
+    if (!s->after)
+        return;
+    pthread_mutex_lock(&s->lock);
+    if ((s->done += m) == s->k)
+        pthread_cond_broadcast(&s->cond);
+    while (s->done < s->k)
+        pthread_cond_wait(&s->cond, &s->lock);
+    pthread_mutex_unlock(&s->lock);
+    for (int64_t i = 0; i < m; i++)
+        s->after(s->arg, mine[i]);
+}
+
+static void *split_main(void *s)
+{
+    split_share(s);
+    return NULL;
+}
+
+/* Run jobs 0 .. k-1 of arg: run(arg, j) for each, then, given `after`,
+ * after(arg, j) for each once every run has returned (one barrier), on
+ * the thread that ran run(arg, j).  The calling thread and up to k - 1
+ * threads created here and joined before the return claim the jobs from
+ * one counter, so none outlives the call and a later fork() is safe.  A
+ * thread that cannot start is one thread fewer: the threads that did
+ * start claim its jobs, each job runs exactly once, and the outputs never
+ * depend on how many started.  Claiming, not a share fixed once the
+ * thread count is known, lets a thread start on its job at once instead
+ * of waiting to be told that count. */
+static void split_run(int64_t k, void (*run)(void *, int64_t),
+                      void (*after)(void *, int64_t), void *arg)
+{
+    split s = {run, after, arg, k, 0, 0, PTHREAD_MUTEX_INITIALIZER,
+               PTHREAD_COND_INITIALIZER};
+    pthread_t tid[MAX_THREADS];
+    int64_t n = 1;
+    for (int64_t t = 1; t < k; t++)
+        n += !pthread_create(&tid[n], NULL, split_main, &s);
+    split_share(&s);
+    for (int64_t t = 1; t < n; t++)
+        pthread_join(tid[t], NULL);
+    pthread_mutex_destroy(&s.lock);
+    pthread_cond_destroy(&s.cond);
+}
 
 typedef struct {       /* field order is native._Placement._fields_ */
     int64_t n_nodes, rules_per_word, ndim;
@@ -137,8 +214,8 @@ static uint32_t over_width(const uint32_t *h, int64_t n, int64_t ndim,
                      : over_width_of(h, n, ndim, outside, max_value);
 }
 
-/* One thread's share of a flat_walk call: its arguments, its contiguous
- * slice [lo, hi) of the packets, and the slice's code. */
+/* One job of a flat_walk call: its arguments, its contiguous slice
+ * [lo, hi) of the packets, and the slice's code. */
 enum { BLOCK_PACKETS = 256 };
 
 typedef struct {
@@ -251,15 +328,15 @@ static int walk_block(walk_job *j, int64_t lo, int64_t hi)
     return OK;
 }
 
-/* Walk the job's slice a block at a time, each block's widths checked
+/* Walk job i's slice a block at a time, each block's widths checked
  * first under a placement (PacketTrace's check, without the trace: the
  * block is then in cache for the walk).  A width error stops the slice;
  * a walk error stops the walk, not the checks, since a width error
  * anywhere is the call's error, as when PacketTrace checked before the
  * walk. */
-static void *walk_slice(void *arg)
+static void walk_slice(void *jobs, int64_t i)
 {
-    walk_job *j = arg;
+    walk_job *j = (walk_job *)jobs + i;
     const int64_t ndim = j->t->ndim;
     u32x4 outside[WIDE];
     int code = OK;
@@ -276,52 +353,36 @@ static void *walk_slice(void *arg)
             code = walk_block(j, b, e);
     }
     j->code = code;
-    return NULL;
 }
 
-/* Walk n packets root to leaf on up to `threads` threads, one contiguous
- * slice each: slice 0 on the caller's thread, the others on threads
- * joined before the return (so none outlives the call and a later fork()
- * is safe), and a slice whose thread could not be created on the caller
- * too.  `match` is always written, the five statistics arrays only when
- * `internal_nodes` is not NULL; under a placement `pl` every header's
- * fields are checked against its widths, and the cycle count goes to
- * `occupancy` and, each when not NULL, its two terms to
- * `internal_fetches` / `leaf_words`.  When `tally` is not NULL, the
- * packets that matched and the sum of their cycles are added to
- * tally[0] and tally[1], each slice's counts summed.  Returns ERR_WIDTH
- * if a header is too wide, else the lowest failing slice's code: the
- * code of the first failing packet, as with one thread. */
+/* Walk n packets root to leaf as k = split_count(n, threads, least)
+ * contiguous slices, one a job (split_run), k to *ran.  `match` is always
+ * written, the five statistics arrays only when `internal_nodes` is not
+ * NULL; under a placement `pl` every header's fields are checked against
+ * its widths, and the cycle count goes to `occupancy` and, each when not
+ * NULL, its two terms to `internal_fetches` / `leaf_words`.  When `tally`
+ * is not NULL, the packets that matched and the sum of their cycles are
+ * added to tally[0] and tally[1], each slice's counts summed.  Returns
+ * ERR_WIDTH if a header is too wide, else the lowest failing slice's
+ * code: the code of the first failing packet, as with one thread. */
 int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
               int64_t n, int64_t *match, int32_t *internal_nodes,
               int32_t *leaf_id, int32_t *leaf_size, int32_t *match_pos,
               int32_t *rules_compared, int64_t *occupancy,
               int64_t *internal_fetches, int64_t *leaf_words, int64_t threads,
-              int64_t *tally)
+              int64_t least, int64_t *ran, int64_t *tally)
 {
     if ((occupancy && !pl) || (pl && (pl->rules_per_word <= 0
                                       || pl->ndim != t->ndim)))
         return ERR_RANGE;
-    int64_t k = threads < MAX_THREADS ? threads : MAX_THREADS;
-    k = k < n ? k : n;
-    k = k > 1 ? k : 1;
+    const int64_t k = *ran = split_count(n, threads, least);
     walk_job job[MAX_THREADS];
-    pthread_t tid[MAX_THREADS];
-    int started[MAX_THREADS] = {0};
     for (int64_t i = 0; i < k; i++)
         job[i] = (walk_job){t, pl, headers, n * i / k, n * (i + 1) / k, match,
                             internal_nodes, leaf_id, leaf_size, match_pos,
                             rules_compared, occupancy, internal_fetches,
                             leaf_words, 0, 0, OK, 0};
-    for (int64_t i = 1; i < k; i++)
-        started[i] = !pthread_create(&tid[i], NULL, walk_slice, &job[i]);
-    walk_slice(&job[0]);
-    for (int64_t i = 1; i < k; i++) {
-        if (started[i])
-            pthread_join(tid[i], NULL);
-        else
-            walk_slice(&job[i]);
-    }
+    split_run(k, walk_slice, NULL, job);
     int code = OK;
     for (int64_t i = 0; i < k; i++) {
         if (job[i].code == ERR_WIDTH)

@@ -10,13 +10,9 @@
  * without branching on the data (a mispredicted branch costs more than
  * reading every way).  fc_commit range-checks its indices (sets, misses,
  * ranks) before the first write: a bad one is an error. */
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* FC_ERR_MEMORY is past the walk's codes, which fc_serve returns too. */
-enum { FC_OK, FC_ERR_RANGE = 2, FC_ERR_MEMORY = 4 };
 
 typedef struct {       /* field order is native._Cache._fields_ */
     int64_t n_sets, ways, ndim, epoch, tick;
@@ -267,7 +263,7 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
     const int64_t nw = (ndim + 1) / 2;
     groups g = {.most = n};
     expect = expect < n ? expect : n;
-    int64_t m = 0, matched = 0, code = FC_ERR_MEMORY;
+    int64_t m = 0, matched = 0, code = ERR_MEMORY;
     /* One block's misses: FNV values, then keys. */
     uint64_t *miss_x = malloc((size_t)BLOCK * (nw + 1) * sizeof *miss_x);
     if (!miss_x)
@@ -289,7 +285,7 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
         tally[0] += matched;
         tally[1] += occupancy ? (n - m) * hit_cycles : 0;
     }
-    code = FC_OK;
+    code = OK;
 out:
     free(miss_x), free(g.table), free(g.x), free(g.keys);
     return (int)code;
@@ -347,19 +343,19 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
     const int64_t ways = c->ways, n_sets = c->n_sets, ndim = c->ndim;
     const int64_t nw = (ndim + 1) / 2;
     if (occupancy && !cycles)
-        return FC_ERR_RANGE;
+        return ERR_RANGE;
     for (int64_t r = 0; sets && r < nd; r++)   /* before any write */
         if (sets[r] < 0 || sets[r] >= n_sets)
-            return FC_ERR_RANGE;
+            return ERR_RANGE;
     for (int64_t i = 0; i < m; i++)
         if (misses[i] < 0 || misses[i] >= n || rank[i] < 0 || rank[i] >= nd)
-            return FC_ERR_RANGE;
+            return ERR_RANGE;
     int64_t *set = malloc((size_t)(nd + 1) * sizeof *set);
     int64_t *by_set = malloc((size_t)(nd + 1) * sizeof *by_set);
     int64_t *end = calloc((size_t)n_sets + 1, sizeof *end);
     int64_t *order = malloc((size_t)ways * 2 * sizeof *order);
     int64_t evictions = 0, reclamations = 0, matched = 0, cycles_sum = 0;
-    int code = FC_ERR_MEMORY;
+    int code = ERR_MEMORY;
     if (!set || !by_set || !end || !order)
         goto out;
     for (int64_t i = 0; i < m; i++) {
@@ -402,7 +398,7 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
         tally[0] += matched;
         tally[1] += cycles_sum;
     }
-    code = FC_OK;
+    code = OK;
 out:
     free(set), free(by_set), free(end), free(order);
     return code;
@@ -468,14 +464,15 @@ int64_t fc_retire(flow_cache *c, const int64_t *removed, int64_t n_removed,
 
 /* fc_serve: one batch for a backend whose miss classification is one
  * FlatTree walk.  The calling thread probes the whole batch (lookup, as
- * fc_lookup does), then the misses go to k owners, owner o holding the
- * sets s with s * k / n_sets == o, each owner's misses in arrival order.
- * An owner groups its misses and ranks them by last sighting, walks its
- * distinct misses (walk_slice: widths checked, cycles counted), waits at
- * the gate for every other owner, and then, if no owner failed, scatters
- * its results to its misses and fills its own sets (fc_commit over its
- * arrays).  Sets are disjoint and a set's inserts keep their order by
- * last sighting, so every table, count and output is the one-owner one. */
+ * fc_lookup does), then the misses go to k owners, one a job (split_run),
+ * owner o holding the sets s with s * k / n_sets == o, each owner's misses
+ * in arrival order.  An owner groups its misses and ranks them by last
+ * sighting and walks its distinct misses (walk_slice: widths checked,
+ * cycles counted); past the split's barrier, if no owner failed, it
+ * scatters its results to its misses and fills its own sets (fc_commit
+ * over its arrays).  Sets are disjoint and a set's inserts keep their
+ * order by last sighting, so every table, count and output is the
+ * one-owner one. */
 typedef struct owner owner;
 
 typedef struct {       /* what the owners of one call share */
@@ -488,10 +485,6 @@ typedef struct {       /* what the owners of one call share */
     int64_t *misses;   /* the probe's misses: positions */
     uint64_t *xs;      /* and FNV values */
     int64_t *match, *occupancy;
-    owner *owners;
-    pthread_mutex_t lock;
-    pthread_cond_t all_in;
-    int64_t waiting;   /* owners not yet at the gate */
 } serve_call;
 
 struct owner {
@@ -559,14 +552,15 @@ group_owned(owner *o, groups *g, uint64_t *kw, const int64_t ndim)
     return 1;
 }
 
-/* Steps 1 and 2: group the owner's misses, rank them by last sighting
+/* The split's jobs: group owner i's misses, rank them by last sighting
  * and walk the distinct ones.  o->code is the walk's code, or
- * FC_ERR_MEMORY. */
-static void group_and_walk(owner *o)
+ * ERR_MEMORY. */
+static void group_and_walk(void *owners, int64_t i)
 {
+    owner *o = (owner *)owners + i;
     const serve_call *s = o->call;
     const int64_t ndim = s->c->ndim, nw = (ndim + 1) / 2;
-    o->code = FC_ERR_MEMORY;
+    o->code = ERR_MEMORY;
     if (!take_misses(o))
         return;
     groups g = {.most = o->m};
@@ -587,37 +581,27 @@ static void group_and_walk(owner *o)
     int64_t *results = o->sets + g.nd, *cycles = results + g.nd;
     walk_job j = {s->t, s->pl, o->uniq, 0, g.nd, results, NULL, NULL, NULL,
                   NULL, NULL, s->pl ? cycles : NULL, NULL, NULL, 0, 0, OK, 0};
-    walk_slice(&j);
+    walk_slice(&j, 0);
     o->code = j.code;
     if (j.code != OK && j.code != ERR_WIDTH) {
-        int64_t i = o->m - 1;
-        while (o->rank[i] != j.failed)
-            i--;
-        o->stop = o->pos[i];
+        int64_t last = o->m - 1;
+        while (o->rank[last] != j.failed)
+            last--;
+        o->stop = o->pos[last];
     }
 out:
     free(kw), free(g.table), free(g.x), free(g.keys);
 }
 
-/* Step 3: `count` owners arrive at the gate; wait until every owner has. */
-static void arrive(serve_call *s, int64_t count)
+/* Past the barrier: unless an owner failed, scatter owner i's results
+ * and cycles to its misses and fill its sets, its tallies and counts kept
+ * apart. */
+static void scatter_and_fill(void *owners, int64_t i)
 {
-    pthread_mutex_lock(&s->lock);
-    if ((s->waiting -= count) == 0)
-        pthread_cond_broadcast(&s->all_in);
-    while (s->waiting > 0)
-        pthread_cond_wait(&s->all_in, &s->lock);
-    pthread_mutex_unlock(&s->lock);
-}
-
-/* Step 4, past the gate: unless an owner failed, scatter the owner's
- * results and cycles to its misses and fill its sets, its tallies and
- * counts kept apart. */
-static void scatter_and_fill(owner *o)
-{
+    owner *o = (owner *)owners + i;
     const serve_call *s = o->call;
-    for (int64_t i = 0; i < s->k; i++)
-        if (s->owners[i].code != FC_OK)
+    for (int64_t j = 0; j < s->k; j++)
+        if (((owner *)owners)[j].code != OK)
             return;
     if (!o->nd)   /* no misses */
         return;
@@ -628,28 +612,17 @@ static void scatter_and_fill(owner *o)
                              o->tally);
 }
 
-static void *serve_owner(void *arg)
-{
-    owner *o = arg;
-    group_and_walk(o);
-    arrive(o->call, 1);
-    scatter_and_fill(o);
-    return NULL;
-}
-
 /* Serve n headers through cache c and, for its misses, the walk of t
  * (under placement pl, its widths checked and cycles counted into
  * occupancy): match, occupancy and tally are written as fc_lookup, the
  * walk and fc_commit write them, and the tables and c->tick (+ n after
  * the probe) left where they leave them, an error included.  The misses
- * split over k = min(threads, misses / least) owners (threads when least
- * is 0), at least one, one of them the calling thread, the others
- * threads joined before the return.  counts gets the misses, the
- * distinct misses, the evictions, the reclamations and k.  Returns
- * ERR_RANGE if there are misses to walk and the walk refuses its
- * placement (as flat_walk does), else ERR_WIDTH if a miss is too wide,
- * else the walk code of the failing distinct miss last missed first, or
- * FC_ERR_MEMORY. */
+ * split over k = split_count(misses, threads, least) owners.  counts gets
+ * the misses, the distinct misses, the evictions, the reclamations and
+ * k.  Returns ERR_RANGE if there are misses to walk and the walk refuses
+ * its placement (as flat_walk does), else ERR_WIDTH if a miss is too
+ * wide, else the walk code of the failing distinct miss last missed
+ * first, or ERR_MEMORY. */
 int fc_serve(flow_cache *c, const tables *t, const placement *pl,
              const uint32_t *headers, int64_t n, int64_t expect,
              int64_t *match, int64_t *occupancy, int64_t hit_cycles,
@@ -662,12 +635,9 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
     const int refused = (occupancy && !pl)
         || (pl && (pl->rules_per_word <= 0 || pl->ndim != t->ndim));
     serve_call s = {c, t, pl, headers, n, 0, 1, 0, refused, misses, xs,
-                    match, occupancy, NULL, PTHREAD_MUTEX_INITIALIZER,
-                    PTHREAD_COND_INITIALIZER, 0};
+                    match, occupancy};
     owner owners[MAX_THREADS] = {{0}};
-    pthread_t tid[MAX_THREADS];
-    int started[MAX_THREADS] = {0};
-    int code = FC_ERR_MEMORY;
+    int code = ERR_MEMORY;
     if (!misses || !xs)
         goto out;
     code = c->ndim == 5 && c->ways == 4
@@ -679,34 +649,12 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
         goto out;
     c->tick += n;
     s.m = counts[0];
-    int64_t k = least ? s.m / least : threads;
-    k = k < threads ? k : threads;
-    k = k < MAX_THREADS ? k : MAX_THREADS;
-    s.k = k = k > 1 ? k : 1;
+    const int64_t k = s.k = split_count(s.m, threads, least);
     s.expect = expect / k;
-    s.owners = owners;
-    s.waiting = k;
     for (int64_t o = 0; o < k; o++)   /* the sets with set * k / n_sets == o */
         owners[o] = (owner){.call = &s, .lo = (o * c->n_sets + k - 1) / k,
                             .hi = ((o + 1) * c->n_sets + k - 1) / k};
-    /* Owner 0 and every owner whose thread could not start serve on the
-     * calling thread, all arriving at the gate at once. */
-    int64_t here = 1;
-    for (int64_t o = 1; o < k; o++)
-        started[o] = !pthread_create(&tid[o], NULL, serve_owner, &owners[o]);
-    group_and_walk(&owners[0]);
-    for (int64_t o = 1; o < k; o++)
-        if (!started[o]) {
-            group_and_walk(&owners[o]);
-            here++;
-        }
-    arrive(&s, here);
-    for (int64_t o = 0; o < k; o++)
-        if (!o || !started[o])
-            scatter_and_fill(&owners[o]);
-    for (int64_t o = 1; o < k; o++)
-        if (started[o])
-            pthread_join(tid[o], NULL);
+    split_run(k, group_and_walk, scatter_and_fill, owners);
     /* The one-owner error: memory, else the walk's refusal of its
      * tables, else width, else the code of the failing distinct miss
      * whose last miss comes first. */
@@ -714,7 +662,7 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
     int64_t first = INT64_MAX, sums[3] = {0};
     for (int64_t o = 0; o < k; o++) {
         const owner *w = &owners[o];
-        memory |= w->code == FC_ERR_MEMORY || w->fill_code;
+        memory |= w->code == ERR_MEMORY || w->fill_code;
         width |= w->code == ERR_WIDTH;
         if (w->code != OK && w->code != ERR_WIDTH && w->stop < first)
             first = w->stop, walk = w->code;
@@ -722,13 +670,13 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
         sums[1] += w->counts[0];
         sums[2] += w->counts[1];
     }
-    code = memory ? FC_ERR_MEMORY : refused && sums[0] ? ERR_RANGE
+    code = memory ? ERR_MEMORY : refused && sums[0] ? ERR_RANGE
          : width ? ERR_WIDTH : walk;
     counts[1] = sums[0];
     counts[2] = sums[1];
     counts[3] = sums[2];
     counts[4] = k;
-    for (int64_t o = 0; tally && code == FC_OK && o < k; o++) {
+    for (int64_t o = 0; tally && code == OK && o < k; o++) {
         tally[0] += owners[o].tally[0];
         tally[1] += owners[o].tally[1];
     }
@@ -740,7 +688,5 @@ out:
         free(w->rank), free(w->uniq), free(w->sets);
     }
     free(misses), free(xs);
-    pthread_mutex_destroy(&s.lock);
-    pthread_cond_destroy(&s.all_in);
     return code;
 }

@@ -10,8 +10,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { CS_OK, CS_ERR_MEMORY, CS_REFUSED };
-
 /* One search: the rule bounds of each candidate axis (raw, clipped to
  * the region when a span is computed), each axis's spans by exponent,
  * computed once, and the best / fallback (maxc, prod, exps). */
@@ -203,10 +201,10 @@ static int ascend(search *s, int64_t *exps)
  * max_exp (k) each axis's largest exponent, exhaustive the branch the
  * caller chose.  out gets the best then the fallback (maxc, prod,
  * exps[k]), prod 0 for none; evals[j] (k + 1 cells) the combinations of
- * j cut axes evaluated, *n_spans the spans computed.  CS_REFUSED (nothing
+ * j cut axes evaluated, *n_spans the spans computed.  REFUSED (nothing
  * written) when a rule lies outside the region on some axis, or the
  * search is outside what this file sizes for (more than 8 axes, more
- * than 2^30 cuts on one); on that and on CS_ERR_MEMORY the caller takes
+ * than 2^30 cuts on one); on that and on ERR_MEMORY the caller takes
  * the NumPy search. */
 int cs_search(const int64_t *bounds, const int64_t *region,
               const int64_t *max_exp, int64_t k, int64_t n,
@@ -214,18 +212,18 @@ int cs_search(const int64_t *bounds, const int64_t *region,
               int64_t *out, int64_t *evals, int64_t *n_spans)
 {
     if (k < 1 || k > 8 || n < 1 || hi_bound < 2)
-        return CS_REFUSED;
+        return REFUSED;
     int64_t max_e = 0;
     for (int64_t i = 0; i < k; i++) {
         if (max_exp[i] < 0 || max_exp[i] > 30
             || region[2 * i] > region[2 * i + 1])
-            return CS_REFUSED;
+            return REFUSED;
         max_e = max_exp[i] > max_e ? max_exp[i] : max_e;
         const int64_t *rlo = bounds + 2 * i * n, *rhi = rlo + n;
         for (int64_t r = 0; r < n; r++)
             if (rlo[r] > region[2 * i + 1] || rhi[r] < region[2 * i]
                 || rlo[r] > rhi[r])
-                return CS_REFUSED;
+                return REFUSED;
     }
     const int64_t n_spans_max = k * (max_e + 1);
     int64_t exps[8] = {0};
@@ -242,5 +240,5 @@ int cs_search(const int64_t *bounds, const int64_t *region,
     for (int64_t at = 0; s.spans && at < n_spans_max; at++)
         free(s.spans[at]);
     free(s.spans), free(s.diff);
-    return ok ? CS_OK : CS_ERR_MEMORY;
+    return ok ? OK : ERR_MEMORY;
 }

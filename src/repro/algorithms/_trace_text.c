@@ -9,20 +9,13 @@
  * hands the whole block to the text-mode loop, so the rows never depend
  * on which side read them.  A field's digits are found and converted eight
  * bytes at a time (little-endian words, as the library's other loops
- * assume).  A call splits its lines into one contiguous slice per thread,
- * over up to `threads` threads created and joined inside the call; a line
- * gives at most one row, so each slice writes its rows where one thread
- * would if every line before it gave one, and the gaps are closed after
- * the join. */
-#include <pthread.h>
+ * assume).  A call splits its lines into k contiguous slices, one a job
+ * (_flat_walk.c's split_count and split_run); a line gives at most one
+ * row, so each slice writes its rows where one thread would if every line
+ * before it gave one, and the gaps are closed after the join. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-enum { TT_REFUSED = 1 };
-
-/* The most slices one call cuts. */
-enum { TT_MAX_THREADS = 64 };
 
 /* How many leading bytes of w are ASCII digits (0-8).  A byte carries
  * out of the + 6 only if it is >= 0xfa, not a digit, so every byte up to
@@ -146,13 +139,13 @@ typedef struct {
     int code;
 } tt_slice;
 
-static void *tt_lines(void *arg)
+static void tt_lines(void *slices, int64_t t)
 {
-    tt_slice *s = arg;
+    tt_slice *s = (tt_slice *)slices + t;
     const uint8_t *p = s->p;
     const int64_t ndim = s->ndim;
     int64_t rows = 0, lines = 0;
-    s->code = TT_REFUSED;
+    s->code = REFUSED;
     for (; p < s->end && lines < s->max_lines; lines++) {
         const uint8_t *q = p;
         while (tt_blank(*q))
@@ -164,21 +157,21 @@ static void *tt_lines(void *arg)
             for (int64_t d = 0; d < ndim; d++) {
                 if (d) {  /* a separator, then the next field */
                     if (!tt_blank(*q))
-                        return NULL;
+                        return;
                     while (tt_blank(*++q))
                         ;
                 }
                 uint64_t v;
                 int n = tt_field(q, &v);
                 if (!n || v > 0xFFFFFFFFULL)
-                    return NULL;
+                    return;
                 row[d] = (uint32_t)v;
                 if (row[d] > s->maxes[d])
                     s->maxes[d] = row[d];
                 q += n;
             }
             if (!tt_eol(q) && *q != '#' && !tt_blank(*q))
-                return NULL;  /* "5x", "5.0", "5_0" */
+                return;  /* "5x", "5.0", "5_0" */
             rows++;
         }
         /* The rest: a comment or the trailing columns, and a '\r' that
@@ -186,37 +179,33 @@ static void *tt_lines(void *arg)
         for (; *q != '\n'; q++)
             if ((uint8_t)(*q - 0x20) > 0x7e - 0x20 && *q != '\t'
                 && !tt_eol(q))
-                return NULL;
+                return;
         p = q + 1;
     }
     s->p = p;
     s->rows = rows;
     s->lines = lines;
-    s->code = 0;
-    return NULL;
+    s->code = OK;
 }
 
 /* Parse whole lines of buf[0, len) into rows of ndim uint32 fields at
  * out, stopping after max_lines lines, before a row that would be the
  * (max_rows + 1)-th, or at the last '\n' (a line it does not end waits
  * for the next call).  used[] = {rows, bytes, lines} consumed and the
- * threads the call ran on; maxes[d] is raised to column d's largest
- * value.  Returns 0, or TT_REFUSED on a line outside the grammar (used[]
+ * slices the call ran on; maxes[d] is raised to column d's largest
+ * value.  Returns OK, or REFUSED on a line outside the grammar (used[]
  * and maxes[] then mean nothing).  Rows of out past used[0] are scratch.
  * buf must be readable 16 bytes past len.
  *
- * With threads > 1 and lines enough for two slices of `least` (any count
- * when least is 0), the lines are cut into k = min(threads, lines /
- * least) slices (tt_cuts), one a thread: slice 0 on the calling thread,
- * the others on threads joined before the return, and a slice whose
- * thread could not start on the caller.  Slice t < k - 1 writes the rows
- * of its lines from the row of its first line; the last parses on from
- * its cut under what is left of max_lines, and of max_rows as though
- * every line before it were a row.  After the join the rows are moved
- * up, in order, a refusal in any slice is the call's, and the calling
- * thread parses on from where the last slice stopped, with the room
- * really left.  So the rows, used[0..2], maxes and the return code are
- * one thread's. */
+ * The lines are cut (tt_cuts) into up to k = split_count(lines, threads,
+ * least) slices, one a job (split_run), where lines is what max_lines,
+ * max_rows and the bytes allow.  Slice t < k - 1 writes the rows of its
+ * lines from the row of its first line; the last parses on from its cut
+ * under what is left of max_lines, and of max_rows as though every line
+ * before it were a row.  After the join the rows are moved up, in order,
+ * a refusal in any slice is the call's, and the calling thread parses on
+ * from where the last slice stopped, with the room really left.  So the
+ * rows, used[0..2], maxes and the return code are one thread's. */
 int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
              int64_t max_lines, uint32_t *out, int64_t max_rows,
              int64_t *used, uint32_t *maxes, int64_t threads, int64_t least)
@@ -224,14 +213,13 @@ int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
     const uint8_t *end = buf + len;
     while (end > buf && end[-1] != '\n')
         end--;
-    /* Lines that fit whatever they hold; and lines are at most bytes. */
+    /* Lines that fit whatever they hold; and lines are at most bytes.
+     * With none, a cut would give a slice a line it has no row for. */
     const int64_t fit = max_lines < max_rows ? max_lines : max_rows;
     const int64_t most = fit < end - buf ? fit : end - buf;
-    int64_t k = least ? most / least : most;
-    k = threads < k ? threads : k;
-    k = k < TT_MAX_THREADS ? k : TT_MAX_THREADS;
-    const uint8_t *cut[TT_MAX_THREADS] = {buf};
-    int64_t at[TT_MAX_THREADS] = {0};
+    int64_t k = most ? split_count(most, threads, least) : 1;
+    const uint8_t *cut[MAX_THREADS] = {buf};
+    int64_t at[MAX_THREADS] = {0};
     if (k > 1) {
         k = tt_cuts(buf, end, fit, k, cut, at);
         if (at[1] < least)  /* short lines fooled the byte count */
@@ -240,28 +228,18 @@ int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
     uint32_t *max = k > 1 ? calloc((size_t)(k * ndim), sizeof *max) : NULL;
     if (!max)
         k = 1;
-    tt_slice slice[TT_MAX_THREADS];
+    tt_slice slice[MAX_THREADS];
     for (int64_t t = 0; t < k; t++) {
         const int64_t lines = t + 1 < k ? at[t + 1] - at[t] : -1;
         slice[t] = (tt_slice){cut[t], t + 1 < k ? cut[t + 1] : end, ndim,
                               lines < 0 ? max_lines - at[t] : lines,
                               lines < 0 ? max_rows - at[t] : lines,
                               out + at[t] * ndim, k > 1 ? max + t * ndim
-                              : maxes, 0, 0, 0};
+                              : maxes, 0, 0, OK};
     }
-    pthread_t tid[TT_MAX_THREADS];
-    int started[TT_MAX_THREADS] = {0};
-    for (int64_t t = 1; t < k; t++)
-        started[t] = !pthread_create(&tid[t], NULL, tt_lines, &slice[t]);
-    tt_lines(&slice[0]);
-    for (int64_t t = 1; t < k; t++) {
-        if (started[t])
-            pthread_join(tid[t], NULL);
-        else
-            tt_lines(&slice[t]);
-    }
+    split_run(k, tt_lines, NULL, slice);
     /* In order: a refusal is the call's; later slices are dropped. */
-    int64_t rows = 0, code = 0;
+    int64_t rows = 0, code = OK;
     for (int64_t t = 0; t < k && !code; t++) {
         tt_slice *s = &slice[t];
         code = s->code;
@@ -274,14 +252,14 @@ int tt_parse(const uint8_t *buf, int64_t len, int64_t ndim,
     }
     free(max);
     if (code)
-        return TT_REFUSED;
+        return REFUSED;
     /* The last slice stopped at max_lines, at the window's end, or at a
      * row its share of the room lacked: parse on with the room left. */
     const tt_slice *last = &slice[k - 1];
     tt_slice tail = {last->p, end, ndim,
                      last->max_lines - last->lines, max_rows - rows,
-                     out + rows * ndim, maxes, 0, 0, 0};
-    tt_lines(&tail);
+                     out + rows * ndim, maxes, 0, 0, OK};
+    tt_lines(&tail, 0);
     used[0] = rows + tail.rows;
     used[1] = tail.p - buf;
     used[2] = at[k - 1] + last->lines + tail.lines;

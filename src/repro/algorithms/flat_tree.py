@@ -550,7 +550,7 @@ class FlatTree:
 
     def walk_cycles(
         self, headers32, placement, match, cycles, tally=None
-    ) -> bool:
+    ) -> int:
         """The native walk writing ``match`` and, under an accelerator's
         leaf ``placement`` (:func:`native.place`), each packet's
         memory-port cycles ``cycles = (occupancy[, internal_fetches,
@@ -558,9 +558,9 @@ class FlatTree:
         once every header's fields are within the placement's widths
         (:class:`~repro.core.errors.PacketFormatError` if not); the
         packets that matched and their cycles are added to ``tally``
-        when given.  ``False``, nothing written, where the native kernel
-        does not serve: the caller computes them from
-        :meth:`batch_lookup`."""
+        when given.  Returns the k it ran on, or 0, nothing
+        written, where the native kernel does not serve: the caller
+        computes them from :meth:`batch_lookup`."""
         return native.walk(
             self._native, headers32, match, placement=placement,
             cycles=cycles, tally=tally,

@@ -36,18 +36,19 @@ with.  There is no switch: a process uses all of them if the library
 loads and every portable path if not, and :func:`status` says which and
 why.
 
-The walk splits one call over up to :func:`threads_for` threads, one
-contiguous packet slice each, created and joined inside the call (so
-none outlives it, and a later ``fork()`` is safe).  Packets are
-independent, so every output is the one-thread output (docs/engine.md,
-"Threads inside a native call").  :func:`serve` splits its misses the
-same way, over set owners: the cache's sets are disjoint, so its tables
-and counters are the one-owner ones.  :func:`parse_text` splits its lines
-the same way, one contiguous run of lines per thread: a line gives at most
-one row, so each run writes its rows from the row of its first line and
-the gaps are closed after the join.  The other cache calls, the prefilter
-and the cut search run on the calling thread; like every ctypes call,
-each releases the GIL while it runs.
+One rule splits every threaded call (docs/engine.md, "Threads inside a
+native call"): :func:`walk` over its packets, :func:`serve` over its
+misses (by cache set), :func:`parse_text` over its lines, each into k =
+``min(threads, work // least)`` jobs (``threads`` when ``least`` is 0), at
+least one, where :func:`_split` passes :func:`thread_ceiling` and the
+call's ``least`` or a count forced from outside; each call reports its k.
+The calling thread and threads created and joined inside the call claim
+the jobs from one counter, so none outlives the call and a later
+``fork()`` is safe, and a thread that cannot start is one thread fewer.
+The jobs touch disjoint outputs, so every output is the one-thread
+output.  The other cache
+calls, the prefilter and the cut search run on the calling thread; like
+every ctypes call, each releases the GIL while it runs.
 
 The first tree build or ``FlatTree`` compile (inside ``Engine.open``,
 never in a timed serve) or trace file read loads ``flat_walk-<key>.so``
@@ -152,10 +153,10 @@ class _Kernel:
 #: Set by the first :func:`_load`: the library this process loaded.
 _kernel: _Kernel | None = None
 
-#: Packets one thread of a split walk gets at the least.  Measured, not
-#: a knob: on a 2-CPU host a walk of 16,384-65,536 packets runs 1.6-1.8x
-#: faster on two threads, and a thread costs ~50 us to start and join
-#: (docs/engine.md, "Threads inside a native call").
+#: Packets (a serve's misses) one job of a split walk gets at the least.
+#: Measured, not a knob: on a 2-CPU host a walk of 16,384-65,536 packets
+#: runs 1.6-1.8x faster on two threads, and a thread costs ~50 us to start
+#: and join (docs/engine.md, "Threads inside a native call").
 MIN_SLICE = 16384
 
 #: Set in a forked shard owner (:func:`one_thread`): its siblings hold
@@ -177,32 +178,33 @@ def host_cpus() -> int:
 
 
 def thread_ceiling() -> int:
-    """The most threads one native walk of this process uses."""
+    """The most threads one native call of this process uses."""
     return 1 if _one_thread else host_cpus()
 
 
 def one_thread() -> None:
-    """Keep every later native walk of this process on the calling
+    """Keep every later native call of this process on the calling
     thread: what a forked shard owner does, so ``k`` forked owners never
     start more threads than the host has CPUs."""
     global _one_thread
     _one_thread = True
 
 
-def threads_for(n: int, threads: int | None = None) -> int:
-    """Threads a call over ``n`` packets splits into: ``threads`` when
-    given (the tests force counts the rule would not pick), else
-    ``min(thread_ceiling(), n // MIN_SLICE)``, at least one."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        return threads
-    return max(1, min(thread_ceiling(), n // MIN_SLICE))
+def _split(least: int, threads: int | None) -> tuple[int, int]:
+    """The ``(threads, least)`` a threaded call hands its C function:
+    :func:`thread_ceiling` and the call's ``least``, or a forced count
+    and 0 when ``threads`` is given (the tests force counts the rule
+    would not pick)."""
+    if threads is None:
+        return thread_ceiling(), least
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads, 0
 
 
 def status() -> dict:
     """Which walk this process serves with, and why (loads on first use),
-    and the most threads one of its native walks uses."""
+    and the most threads one of its native calls uses."""
     k = _load()
     return {"kernel": "native" if k.fn else "portable", "reason": k.reason,
             "compiler": k.compiler, "path": k.path,
@@ -282,11 +284,12 @@ def _open(path: str):
     lib = ctypes.CDLL(path)
     fn = lib.flat_walk
     # (tables, placement or NULL, headers, n, match, the five statistics
-    # arrays or NULLs, the three cycle arrays or NULLs, threads, tally or
-    # NULL)
+    # arrays or NULLs, the three cycle arrays or NULLs, threads, least, k,
+    # tally or NULL)
     fn.argtypes = [ctypes.POINTER(_Tables), ctypes.POINTER(_Placement),
                    ctypes.c_void_p, ctypes.c_int64, *[ctypes.c_void_p] * 9,
-                   ctypes.c_int64, ctypes.c_void_p]
+                   ctypes.c_int64, ctypes.c_int64,
+                   ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p]
     fn.restype = ctypes.c_int
     ptr, i64, cache = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Cache)
     for name, args, res in (
@@ -389,20 +392,21 @@ def walk(
     tables: _Tables | None, headers32, match, stats=None,
     placement: _Placement | None = None, cycles=(), threads: int | None = None,
     tally=None,
-) -> bool:
-    """Walk every packet of ``headers32`` over :func:`threads_for`
-    threads, writing ``match`` and, when given, the five statistics
-    arrays and — under ``placement`` — the ``int64`` cycle arrays
+) -> int:
+    """Walk every packet of ``headers32``, split by the one rule with
+    :data:`MIN_SLICE`, writing ``match`` and, when given, the five
+    statistics arrays and — under ``placement`` — the ``int64`` cycle arrays
     ``cycles = (occupancy[, internal_fetches, leaf_words])``, after
     checking each header's fields against their widths
     (:class:`~repro.core.errors.PacketFormatError`, as ``PacketTrace``
     raises).  Given ``tally`` (two ``int64`` cells), the packets that
-    matched and the sum of their cycles are added to it, each thread's
-    counts summed.  ``False`` (nothing written) when there is no table
-    or no library: the caller takes the portable walk."""
+    matched and the sum of their cycles are added to it, each job's
+    counts summed.  Returns the k it ran on, or 0 (nothing written) when
+    there is no table or no library: the caller takes the portable
+    walk."""
     fn = _load().fn
     if tables is None or fn is None:
-        return False
+        return 0
     n = match.shape[0]
     out = [_pointer("match", match, np.int64, (n,))]
     out += [_pointer("statistics", s, np.int32, (n,)) for s in stats or ()]
@@ -410,15 +414,17 @@ def walk(
     out += [_pointer("cycles", c, np.int64, (n,)) for c in cycles]
     out += [None] * (9 - len(out))
     headers = _pointer("headers", headers32, np.uint32, (n, tables.ndim))
+    k = ctypes.c_int64()
     code = fn(ctypes.byref(tables), placement, headers, n, *out,
-              threads_for(n, threads), _optional("tally", tally, 2))
+              *_split(MIN_SLICE, threads), ctypes.byref(k),
+              _optional("tally", tally, 2))
     check(code, headers32, placement)
-    return True
+    return k.value
 
 
 def check(code: int, headers32, placement: _Placement | None) -> None:
-    """Raise the error a walk (or :func:`serve`) returned ``code`` for
-    over ``headers32``: a too-wide header is the
+    """Raise the error a native call (the walk, :func:`serve`, the cache
+    calls) returned ``code`` for over ``headers32``: a too-wide header is the
     :class:`~repro.core.errors.PacketFormatError` ``PacketTrace`` raises,
     naming the first field any header overflows."""
     if code == 3:
@@ -482,13 +488,12 @@ def lookup(cache, headers32, group: bool = True, expect: int = 0,
     rank, uniq, sets = (np.empty(n, np.int64), np.empty((n, ndim), np.uint32),
                         np.empty(n, np.int64)) if group else (None,) * 3
     counts = np.zeros(2, np.int64)
-    if lib.fc_lookup(ctypes.byref(bound), headers, n, expect,
-                     _pointer("match", match, np.int64, (n,)),
-                     *(a if a is None else a.ctypes.data
-                       for a in (misses, rank, uniq, sets, counts)),
-                     _optional("occupancy", occupancy, n), hit_cycles,
-                     _optional("tally", tally, 2)):
-        raise MemoryError("native flow cache: out of memory")
+    check(lib.fc_lookup(ctypes.byref(bound), headers, n, expect,
+                        _pointer("match", match, np.int64, (n,)),
+                        *(a if a is None else a.ctypes.data
+                          for a in (misses, rank, uniq, sets, counts)),
+                        _optional("occupancy", occupancy, n), hit_cycles,
+                        _optional("tally", tally, 2)), headers32, None)
     m, distinct = counts
     if group:
         rank, uniq, sets = rank[:m], uniq[:distinct], sets[:distinct]
@@ -504,7 +509,7 @@ def serve(cache, walk, headers32, counts, match, occupancy=None,
     """One cached batch in one call (``fc_serve``), for a backend whose
     miss classification is one native walk, ``walk = (tables,
     placement)``: the probe of :func:`lookup` on the calling thread, then
-    the misses split over :func:`threads_for` ``(misses, threads)`` set
+    the misses split by the one rule with :data:`MIN_SLICE` over set
     owners (the count is only known inside the call), each grouping,
     walking and filling its own sets.  ``match``, ``occupancy`` and
     ``tally`` are written as :func:`lookup`, the walk and :func:`commit`
@@ -519,14 +524,12 @@ def serve(cache, walk, headers32, counts, match, occupancy=None,
     tables, placement = walk
     n = headers32.shape[0]
     bound = _bound(cache)
-    most, least = ((thread_ceiling(), MIN_SLICE) if threads is None
-                   else (threads_for(n, threads), 0))
     return lib.fc_serve(
         ctypes.byref(bound), ctypes.byref(tables), placement,
         _pointer("headers", headers32, np.uint32, (n, cache._ndim)), n,
         cache._distinct, _pointer("match", match, np.int64, (n,)),
-        _optional("occupancy", occupancy, n), hit_cycles, most, least,
-        _pointer("counts", counts, np.int64, (5,)),
+        _optional("occupancy", occupancy, n), hit_cycles,
+        *_split(MIN_SLICE, threads), _pointer("counts", counts, np.int64, (5,)),
         _optional("tally", tally, 2),
     )
 
@@ -557,11 +560,10 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
         _optional("cycles", cycles, nd), *scatter[:2], m, *scatter[2:], n,
         counts.ctypes.data, _optional("tally", tally, 2),
     )
-    if code == 4:
-        raise MemoryError("native flow cache: out of memory")
-    if code:
+    if code == 2:
         raise BuildError("native flow cache: a set index, miss or rank "
                          "outside its table")
+    check(code, None, None)
     return int(counts[0]), int(counts[1])
 
 
@@ -678,12 +680,10 @@ def parse_text(buf, start: int, stop: int, max_lines: int, out, row: int,
     past the parsed ones are scratch) and ``maxes`` (``ndim`` ``uint32``)
     raised to each column's largest value, ``False`` (``used`` and
     ``maxes`` meaningless) when a line is outside ``_trace_text.c``'s
-    grammar.  The lines are split over up to ``min(thread_ceiling(),
-    lines // MIN_LINES)`` threads (created and joined inside the call;
-    ``lines`` is what ``max_lines``, the room in ``out`` and the bytes
-    allow), or over ``threads`` when given (the tests force counts the
-    rule would not pick); the rows, ``used[:3]``, ``maxes`` and the
-    answer are one thread's at every count."""
+    grammar.  The lines split by the one rule with :data:`MIN_LINES`
+    (the work is what ``max_lines``, the room in ``out`` and the bytes
+    allow); the rows, ``used[:3]``, ``maxes`` and the answer are one
+    thread's at every k."""
     lib = _load().lib
     if lib is None:
         return None
@@ -691,14 +691,13 @@ def parse_text(buf, start: int, stop: int, max_lines: int, out, row: int,
     if not (0 <= start <= stop and stop + TEXT_PAD <= buf.size
             and 0 <= row <= cap):
         raise BuildError("native trace parser: a window outside its buffers")
-    most, least = ((thread_ceiling(), MIN_LINES) if threads is None
-                   else (threads_for(0, threads), 0))
     return not lib.tt_parse(
         _pointer("buf", buf, np.uint8, buf.shape) + start, stop - start,
         ndim, max_lines,
         _pointer("out", out, np.uint32, out.shape) + row * ndim * 4,
         cap - row, _pointer("used", used, np.int64, (4,)),
-        _pointer("maxes", maxes, np.uint32, (ndim,)), most, least,
+        _pointer("maxes", maxes, np.uint32, (ndim,)),
+        *_split(MIN_LINES, threads),
     )
 
 

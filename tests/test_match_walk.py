@@ -106,7 +106,7 @@ class TestClassifyBatchIsTheMatchWalk:
         if loaded.fn is not None:  # else the portable half below is all
 
             def spy_fn(tables, placement, headers32, n, match, *rest):
-                *out, _threads, tally = rest
+                *out, _threads, _least, _k, tally = rest
                 pointers.append((placement, *out, tally))
                 return loaded.fn(tables, placement, headers32, n, match, *rest)
 

@@ -2,22 +2,28 @@
 is the one-thread one.
 
 The walk (``flat_walk``) splits a call into one contiguous packet slice
-per thread; the cached serve (``fc_serve``) splits a batch's misses over
-set owners, each grouping, walking and filling its own sets.  Each
-thread is created and joined inside the call.  ``threads`` forces a
-count the rule (:func:`~repro.algorithms.native.threads_for`) would not
-pick on inputs this small, so each case runs at k = 2, 3 and 4 against
-k = 1 and the NumPy oracle (the serve also against the three calls it
-replaces: lookup, the backend, commit).  Also here: a header outside
-its field widths is a ``PacketFormatError`` on both kernels, no thread
-outlives a call (a split trace text parse included), and a forked shard
-owner walks on one thread.
+per job; the cached serve (``fc_serve``) splits a batch's misses over
+set owners, each grouping, walking and filling its own sets.  Every
+threaded call counts its jobs by one rule and runs them through one
+split (``_flat_walk.c``'s ``split_count`` / ``split_run``), its threads
+created and joined inside the call.  ``threads`` forces a count the rule
+would not pick on inputs this small, so each case runs at k = 2, 3 and 4
+against k = 1 and the NumPy oracle (the serve also against the three
+calls it replaces: lookup, the backend, commit).  Also here: a header
+outside its field widths is a ``PacketFormatError`` on both kernels, no
+thread outlives a call (a split trace text parse included), a forked
+shard owner walks on one thread, and a library whose ``pthread_create``
+refuses every other call gives the one-thread outputs, tables, counters
+and errors at every k (the walk, the cached serve and the parse).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
+import shutil
+import subprocess
 import threading
 from dataclasses import replace
 
@@ -37,7 +43,7 @@ from repro.engine.protocol import ClassifierBase, batch_out
 from repro.hw import Accelerator
 from repro.hw.encoding import RULES_PER_WORD
 
-from tests import test_native
+from tests import test_native, test_trace_parse
 from tests.conftest import FIELDS, random_headers
 
 THREADS = (2, 3, 4)
@@ -58,7 +64,7 @@ def _walk_all(acc: Accelerator, headers, k: int) -> tuple:
     stats = tuple(np.empty(n, np.int32) for _ in range(5))
     cycles = tuple(np.empty(n, np.int64) for _ in range(3))
     assert native.walk(acc.tree.flat._native, headers, match, stats,
-                       acc._placement, cycles, threads=k)
+                       acc._placement, cycles, threads=k) == k
     return (match, *stats, *cycles)
 
 
@@ -265,11 +271,24 @@ def _three_columns() -> RuleSet:
     return RuleSet(rules, schema, "three-columns")
 
 
+@functools.cache
+def _acl1_100() -> AcceleratorClassifier:
+    return AcceleratorClassifier(generate_ruleset("acl1", 100, seed=7))
+
+
+def walk_threads() -> int:
+    """Threads one native walk of 65,536 new headers (four ``MIN_SLICE``)
+    runs on in this process, as the call reports it."""
+    headers = random_headers(FIVE_TUPLE, 1 << 16, seed=9)
+    return native.walk(_acl1_100().tree.flat._native, headers,
+                       np.empty(len(headers), np.int64))
+
+
 def spill_owners() -> int:
     """Owners of one cached spill-sized batch (65,536 new headers, all
-    misses) served through a cached accelerator: what ``threads_for``
-    gives that many misses in this process."""
-    clf = AcceleratorClassifier(generate_ruleset("acl1", 100, seed=7))
+    misses) served through a cached accelerator, as the call reports
+    them."""
+    clf = _acl1_100()
     cache = CachedClassifier(clf, entries=8192, ways=4).cache
     headers = cache._prepare(random_headers(FIVE_TUPLE, 1 << 16, seed=9))
     counts = np.zeros(5, np.int64)
@@ -421,10 +440,10 @@ class TestCachedServe:
     def test_a_spill_sized_batch_takes_the_walks_thread_rule(
         self, native_kernel
     ):
-        """Owners are ``threads_for(misses)``: one per ``MIN_SLICE``
-        misses, at most the process's ceiling (1 under ``taskset -c 0``
-        and in a forked shard owner)."""
-        assert spill_owners() == native.threads_for(1 << 16)
+        """Owners are the walk's threads for as many packets: one per
+        ``MIN_SLICE`` misses, at most the process's ceiling (1 under
+        ``taskset -c 0`` and in a forked shard owner)."""
+        assert spill_owners() == walk_threads()
 
 
 class TestCachedServeErrors:
@@ -585,13 +604,13 @@ class TestCachedServeErrors:
 
 
 class _ThreadsSeen(ClassifierBase):
-    """Every header maps to the threads a million-packet native walk of
-    the serving process would split into."""
+    """Every header maps to the threads a 65,536-packet native walk of
+    the serving process runs on."""
 
     schema = FIVE_TUPLE
 
     def classify_batch(self, headers):
-        return np.full(len(headers), native.threads_for(1 << 20), np.int64)
+        return np.full(len(headers), walk_threads(), np.int64)
 
     def memory_bytes(self) -> int:
         return 0
@@ -660,6 +679,37 @@ class TestThreadsEndWithTheCall:
             assert _parse(text, threads=k) == k
             assert (threading.active_count(), _tasks()) == before
 
+    def test_many_calls_of_more_jobs_than_cpus_all_end(
+        self, native_kernel, acl_small, hw_image_small, acl_small_trace
+    ):
+        """Eight jobs a call, more than this host's CPUs: 100 walks,
+        cached serves and parses in a row, on a daemon thread given a
+        minute, each the one-thread answer (a lost wake-up at the split's
+        barrier would hang one)."""
+        acc, clf = Accelerator(hw_image_small), AcceleratorClassifier(acl_small)
+        headers, text = acl_small_trace.headers, _ledger_text(512)
+
+        def serve(k):
+            cache = CachedClassifier(clf, entries=64).cache
+            counts = np.zeros(5, np.int64)
+            match, occupancy, tally = batch_out(len(headers), True)
+            assert native.serve(cache, clf.miss_walk, cache._prepare(headers),
+                                counts, match, occupancy, 1, tally,
+                                threads=k) == 0
+            return match.tolist(), occupancy.tolist(), counts.tolist()[:4]
+
+        def answers(k):
+            return ([a.tolist() for a in _walk_all(acc, headers, k)],
+                    serve(k), _parse(text, threads=k))
+
+        want = (*answers(1)[:2], 8)
+        same = []
+        runner = threading.Thread(target=lambda: same.extend(
+            answers(8) == want for _ in range(100)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive() and same == [True] * 100
+
     def test_a_16k_line_parse_takes_the_rule(self, native_kernel):
         assert parse_threads() == min(native.thread_ceiling(),
                                       16384 // native.MIN_LINES)
@@ -686,7 +736,13 @@ class TestThreadsEndWithTheCall:
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
 
-    def test_a_forked_shard_owner_serves_on_one_thread(self, monkeypatch):
+    def test_a_walk_takes_the_rule(self, native_kernel):
+        assert walk_threads() == min(native.thread_ceiling(),
+                                     (1 << 16) // native.MIN_SLICE)
+
+    def test_a_forked_shard_owner_serves_on_one_thread(
+        self, native_kernel, monkeypatch
+    ):
         monkeypatch.setattr(native, "host_cpus", lambda: 4)
         clf = _ThreadsSeen()
         trace = PacketTrace(random_headers(FIVE_TUPLE, 1000, seed=2), FIVE_TUPLE)
@@ -698,3 +754,98 @@ class TestThreadsEndWithTheCall:
             forked = pipeline.run(trace)
             assert pipeline.plan(trace.n_packets).forks
         assert set(forked.match.tolist()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# A thread that cannot start: one thread fewer, the same outputs
+# ---------------------------------------------------------------------------
+#: Appended to the library's source and linked with
+#: ``-Wl,--wrap=pthread_create``: a ``pthread_create`` that refuses every
+#: other call with ``EAGAIN``, counting its refusals in ``refused``.
+_REFUSING = b"""
+#line 1 "refusing_create.c"
+#include <errno.h>
+int __real_pthread_create(pthread_t *, const pthread_attr_t *,
+                          void *(*)(void *), void *);
+int refused;
+static int calls;
+
+int __wrap_pthread_create(pthread_t *id, const pthread_attr_t *attr,
+                          void *(*start)(void *), void *arg)
+{
+    if (calls++ % 2 == 0)
+        return refused++, EAGAIN;
+    return __real_pthread_create(id, attr, start, arg);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def refusing_build(tmp_path_factory):
+    """``(fn, lib)`` of the library built with the refusing
+    ``pthread_create``, loaded through ``native._open``."""
+    status = native.status()
+    if status["kernel"] != "native":
+        pytest.skip(f"native kernel unavailable: {status['reason']}")
+    path = tmp_path_factory.mktemp("refusing") / "flat_walk-refusing.so"
+    subprocess.run(
+        [shutil.which("cc") or shutil.which("gcc"), *native.FLAGS,
+         "-Wl,--wrap=pthread_create", "-x", "c", "-o", str(path), "-"],
+        input=native.source() + _REFUSING, check=True, capture_output=True,
+        timeout=native.BUILD_TIMEOUT_S,
+    )
+    os.chmod(path, 0o755)
+    return native._open(str(path))
+
+
+class _RefusedStarts:
+    """Every native call of the suite it is mixed into runs on the
+    refusing build."""
+
+    @pytest.fixture(autouse=True)
+    def refusing(self, refusing_build, monkeypatch):
+        fn, lib = refusing_build
+        monkeypatch.setattr(native, "_kernel", native._Kernel(fn=fn, lib=lib))
+        return ctypes.c_int.in_dll(lib, "refused")
+
+
+class TestRefusedStarts(_RefusedStarts):
+    def test_every_other_create_is_refused(
+        self, refusing, hw_image_small, acl_small_trace
+    ):
+        """k = 2, 3 and 4 ask for six threads, and three are refused."""
+        before = refusing.value
+        acc = Accelerator(hw_image_small)
+        for k in THREADS:
+            _walk_all(acc, acl_small_trace.headers, k)
+        assert refusing.value - before == 3
+
+
+class TestWalkWhenAThreadCannotStart(_RefusedStarts, TestWalk):
+    pass
+
+
+class TestCachedServeWhenAThreadCannotStart(_RefusedStarts, TestCachedServe):
+    pass
+
+
+class TestCachedServeErrorsWhenAThreadCannotStart(
+    _RefusedStarts, TestCachedServeErrors
+):
+    pass
+
+
+class TestSplitParseWhenAThreadCannotStart(
+    _RefusedStarts, test_trace_parse.TestSplitParse
+):
+    pass
+
+
+class TestThreadsEndWhenAThreadCannotStart(
+    _RefusedStarts, TestThreadsEndWithTheCall
+):
+    pass
+
+
+#: ``TestSplitParse`` asks for it by name.
+no_fallback = test_trace_parse.no_fallback
