@@ -522,11 +522,10 @@ def test_flowcache_spill_gate(acl1k, portable_kernel):
     (``cached_vs_bare_ratio_native``): ten standalone runs of this test
     read 0.53-0.81 (median 0.71; 0.36-0.59, median 0.44, before the
     cached serve became one native call).  The bare side's 65,536-packet
-    match-only walks split over two threads; the cached side probes
-    every packet on one thread, and splits its misses over set owners
-    only in a dispatch with ``2 * native.MIN_SLICE`` probe misses (one
-    of this trace's three; the other two carry ~17k), so there the cache
-    of a tree backend buys modelled energy, not wall clock."""
+    match-only walks split over two threads; the cached side splits a
+    dispatch over set owners only when the last one left
+    ``native.MIN_OWNED`` distinct misses an owner, so there the cache of
+    a tree backend buys modelled energy, not wall clock."""
     entries = 4096
     trace = generate_zipf_trace(
         acl1k, 200_000, n_flows=8 * entries, skew=1.0, seed=84

@@ -9,9 +9,12 @@
  * table data is bounds-checked, so a corrupt table is an error code, not
  * a fault.  This file also holds the library's one split (split_count,
  * split_run): a call splits its packets into k contiguous slices, one a
- * job, on threads created and joined inside the call; packets are
- * independent, so every output is the one-thread output. */
+ * job, on threads created, each on its own CPU, and joined inside the
+ * call; packets are independent, so every output is the one-thread
+ * output. */
+#define _GNU_SOURCE   /* sched_getcpu, pthread_attr_setaffinity_np */
 #include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -71,6 +74,34 @@ static void *split_main(void *s)
     return NULL;
 }
 
+/* Where thread t of a split starts: attr set to the t-th CPU of the
+ * calling thread's affinity mask after the one it runs on (cyclically),
+ * or NULL (anywhere) where that is not known.  A cpuset that does not
+ * balance load (sched_load_balance off) keeps a thread on the CPU that
+ * made it unless told otherwise: unplaced, the split's threads would
+ * all run on the caller's CPU, one at a time.  A thread whose CPU is
+ * busy claims its jobs late or not at all: the others claim them. */
+static pthread_attr_t *placed(pthread_attr_t *attr, int64_t t)
+{
+#ifdef __linux__
+    cpu_set_t allowed, one;
+    int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof allowed, &allowed))
+        return NULL;
+    for (int64_t left = t % CPU_COUNT(&allowed); left;)
+        left -= CPU_ISSET(cpu = (cpu + 1) % CPU_SETSIZE, &allowed);
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (!pthread_attr_init(attr)) {
+        if (!pthread_attr_setaffinity_np(attr, sizeof one, &one))
+            return attr;
+        pthread_attr_destroy(attr);
+    }
+#endif
+    (void)attr, (void)t;
+    return NULL;
+}
+
 /* Run jobs 0 .. k-1 of arg: run(arg, j) for each, then, given `after`,
  * after(arg, j) for each once every run has returned (one barrier), on
  * the thread that ran run(arg, j).  The calling thread and up to k - 1
@@ -88,8 +119,12 @@ static void split_run(int64_t k, void (*run)(void *, int64_t),
                PTHREAD_COND_INITIALIZER};
     pthread_t tid[MAX_THREADS];
     int64_t n = 1;
-    for (int64_t t = 1; t < k; t++)
-        n += !pthread_create(&tid[n], NULL, split_main, &s);
+    for (int64_t t = 1; t < k; t++) {
+        pthread_attr_t attr, *at = placed(&attr, t);
+        n += !pthread_create(&tid[n], at, split_main, &s);
+        if (at)
+            pthread_attr_destroy(at);
+    }
     split_share(&s);
     for (int64_t t = 1; t < n; t++)
         pthread_join(tid[t], NULL);
@@ -355,6 +390,16 @@ static void walk_slice(void *jobs, int64_t i)
     j->code = code;
 }
 
+/* Whether a walk refuses its placement: cycles asked for without one,
+ * or one with no rule slot in a word or another field count than the
+ * tables (flat_walk and fc_serve return ERR_RANGE for it). */
+static int placement_refused(const tables *t, const placement *pl,
+                             const int64_t *occupancy)
+{
+    return (occupancy && !pl)
+        || (pl && (pl->rules_per_word <= 0 || pl->ndim != t->ndim));
+}
+
 /* Walk n packets root to leaf as k = split_count(n, threads, least)
  * contiguous slices, one a job (split_run), k to *ran.  `match` is always
  * written, the five statistics arrays only when `internal_nodes` is not
@@ -372,8 +417,7 @@ int flat_walk(const tables *t, const placement *pl, const uint32_t *headers,
               int64_t *internal_fetches, int64_t *leaf_words, int64_t threads,
               int64_t least, int64_t *ran, int64_t *tally)
 {
-    if ((occupancy && !pl) || (pl && (pl->rules_per_word <= 0
-                                      || pl->ndim != t->ndim)))
+    if (placement_refused(t, pl, occupancy))
         return ERR_RANGE;
     const int64_t k = *ran = split_count(n, threads, least);
     walk_job job[MAX_THREADS];

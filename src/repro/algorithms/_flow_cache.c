@@ -149,18 +149,28 @@ static inline void fetch_set(const flow_cache *c, uint64_t x, int64_t nw,
     __builtin_prefetch(c->stamp + at, 1);
 }
 
-/* Probe packets [lo, hi) of the batch, whose first m packets missed:
- * match[p] is the cached result (-1: a miss), a hit's LRU stamp becomes
- * tick + p and, given occupancy, occupancy[p] is hit_cycles; the hits
- * with a result >= 0 are added to *matched.  Each miss's position goes
- * to misses[m], its FNV value to miss_x[i] and its packed key to
- * miss_kw[i * nw], i counting the misses of this call.  Returns m.
- * A packet's set is fetched AHEAD packets before its turn (its FNV value
- * kept until then), so the probe does not wait on its lines. */
+/* Probe packets [lo, hi) of the batch, or, given pos, the packets at
+ * positions pos[lo .. hi) (arrival order, each one's FNV value in xs),
+ * whose first m packets missed: match[p] is the cached result (-1: a
+ * miss), a hit's LRU stamp becomes tick + p and, given occupancy,
+ * occupancy[p] is hit_cycles; the hits with a result >= 0 are added to
+ * *matched.  Each miss's position goes to misses[m], its FNV value to
+ * miss_x[i] and its packed key to miss_kw[i * nw], i counting the
+ * misses of this call.  Returns m.  A packet's set is fetched AHEAD
+ * packets before its turn (its FNV value kept until then), so the probe
+ * does not wait on its lines. */
 enum { AHEAD = 8 };
 
+static inline __attribute__((always_inline)) uint64_t
+ahead_of(const uint32_t *headers, const int64_t *pos, const uint64_t *xs,
+         int64_t i, const int64_t ndim)
+{
+    return pos ? xs[pos[i]] : fnv(headers + i * ndim, ndim);
+}
+
 static inline __attribute__((always_inline)) int64_t
-probe(flow_cache *c, const uint32_t *headers, int64_t lo, int64_t hi,
+probe(flow_cache *c, int64_t tick, const uint32_t *headers,
+      const int64_t *pos, const uint64_t *xs, int64_t lo, int64_t hi,
       int64_t m, int64_t *match, int64_t *misses, uint64_t *miss_x,
       uint64_t *miss_kw, int64_t *occupancy, int64_t hit_cycles,
       int64_t *matched, const int64_t ndim, const int64_t ways)
@@ -168,17 +178,19 @@ probe(flow_cache *c, const uint32_t *headers, int64_t lo, int64_t hi,
     const int64_t nw = (ndim + 1) / 2, first = m;
     int64_t found = 0;
     uint64_t ahead[AHEAD];
-    for (int64_t p = lo; p < lo + AHEAD && p < hi; p++)
-        fetch_set(c, ahead[p % AHEAD] = fnv(headers + p * ndim, ndim), nw,
-                  ways);
-    for (int64_t p = lo; p < hi; p++) {
+    for (int64_t i = lo; i < lo + AHEAD && i < hi; i++)
+        fetch_set(c, ahead[i % AHEAD] = ahead_of(headers, pos, xs, i, ndim),
+                  nw, ways);
+    for (int64_t i = lo; i < hi; i++) {
+        const int64_t p = pos ? pos[i] : i;
         const uint32_t *h = headers + p * ndim;
-        const uint64_t x = ahead[p % AHEAD];
-        if (p + AHEAD < hi)
-            fetch_set(c, ahead[p % AHEAD] = fnv(h + AHEAD * ndim, ndim), nw,
-                      ways);
-        const int64_t s = set_of(x, (uint64_t)c->n_sets), i = m - first;
-        uint64_t *kw = miss_kw + i * nw;   /* kept when it misses */
+        const uint64_t x = ahead[i % AHEAD];
+        if (i + AHEAD < hi)
+            fetch_set(c, ahead[i % AHEAD] = ahead_of(headers, pos, xs,
+                                                     i + AHEAD, ndim),
+                      nw, ways);
+        const int64_t s = set_of(x, (uint64_t)c->n_sets), j = m - first;
+        uint64_t *kw = miss_kw + j * nw;   /* kept when it misses */
 #pragma GCC unroll 8
         for (int64_t k = 0; k < nw; k++)
             kw[k] = key_word(h, ndim, k);
@@ -189,9 +201,9 @@ probe(flow_cache *c, const uint32_t *headers, int64_t lo, int64_t hi,
         found += result >= 0;
         if (occupancy)
             occupancy[p] = hit_cycles;
-        c->stamp[at] = (c->stamp[at] & miss) | ((c->tick + p) & ~miss);
+        c->stamp[at] = (c->stamp[at] & miss) | ((tick + p) & ~miss);
         misses[m] = p;   /* kept when it missed */
-        miss_x[i] = x;
+        miss_x[j] = x;
         m -= miss;
     }
     *matched += found;
@@ -251,14 +263,13 @@ static void by_last_sighting(const groups *g, int64_t *rank, int64_t m,
  * tally[0] and their cycles to tally[1].  With uniq, each block's misses
  * are grouped by FNV value while in cache, in a table first sized for
  * `expect` (the result never depends on it), then ranked by last
- * sighting (uniq, sets, rank).  Given xs, each miss's FNV value goes to
- * xs[i] (fc_serve's probe: no uniq).
+ * sighting (uniq, sets, rank).
  * Inlined for the five-tuple 4-way cache, constant bounds, and any other. */
 static inline __attribute__((always_inline)) int
 lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
        int64_t *match, int64_t *misses, int64_t *rank, uint32_t *uniq,
        int64_t *sets, int64_t *counts, int64_t *occupancy, int64_t hit_cycles,
-       int64_t *tally, uint64_t *xs, const int64_t ndim, const int64_t ways)
+       int64_t *tally, const int64_t ndim, const int64_t ways)
 {
     const int64_t nw = (ndim + 1) / 2;
     groups g = {.most = n};
@@ -271,10 +282,10 @@ lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
     uint64_t *miss_kw = miss_x + BLOCK;
     for (int64_t lo = 0; lo < n; lo += BLOCK) {
         const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n, first = m;
-        uint64_t *x = xs ? xs + first : miss_x;
-        m = probe(c, headers, lo, hi, m, match, misses, x, miss_kw, occupancy,
-                  hit_cycles, &matched, ndim, ways);
-        if (uniq && !group_block(&g, x, miss_kw, m - first, nw, expect,
+        m = probe(c, c->tick, headers, NULL, NULL, lo, hi, m, match, misses,
+                  miss_x, miss_kw, occupancy, hit_cycles, &matched, ndim,
+                  ways);
+        if (uniq && !group_block(&g, miss_x, miss_kw, m - first, nw, expect,
                                  rank + first))
             goto out;
     }
@@ -302,10 +313,9 @@ int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
 {
     if (c->ndim == 5 && c->ways == 4)
         return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                      counts, occupancy, hit_cycles, tally, NULL, 5, 4);
+                      counts, occupancy, hit_cycles, tally, 5, 4);
     return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                  counts, occupancy, hit_cycles, tally, NULL, c->ndim,
-                  c->ways);
+                  counts, occupancy, hit_cycles, tally, c->ndim, c->ways);
 }
 
 /* The ways of set s oldest-first (dead ones as age -1), stable in way
@@ -463,134 +473,151 @@ int64_t fc_retire(flow_cache *c, const int64_t *removed, int64_t n_removed,
 }
 
 /* fc_serve: one batch for a backend whose miss classification is one
- * FlatTree walk.  The calling thread probes the whole batch (lookup, as
- * fc_lookup does), then the misses go to k owners, one a job (split_run),
- * owner o holding the sets s with s * k / n_sets == o, each owner's misses
- * in arrival order.  An owner groups its misses and ranks them by last
- * sighting and walks its distinct misses (walk_slice: widths checked,
- * cycles counted); past the split's barrier, if no owner failed, it
- * scatters its results to its misses and fills its own sets (fc_commit
- * over its arrays).  Sets are disjoint and a set's inserts keep their
- * order by last sighting, so every table, count and output is the
- * one-owner one. */
-typedef struct owner owner;
-
+ * FlatTree walk, split over k owners, one a job (split_run), owner o
+ * holding the sets s with s * k / n_sets == o.  At k > 1 the calling
+ * thread first hashes the batch and marks each packet's owner
+ * (hash_batch); the one owner of a k = 1 call takes the batch as it is,
+ * hashing as it probes.  Each owner probes its packets in arrival order
+ * (probe, as fc_lookup does: a hit is stamped tick + p, p its place in
+ * the batch), grouping each BLOCK's misses while in cache, ranks its
+ * distinct misses by last sighting and walks them (walk_slice: widths
+ * checked, cycles counted); past the split's barrier, if no owner
+ * failed, it scatters its results to its misses and fills its own sets
+ * (fc_commit over its arrays).  Sets are disjoint, and a set's probes
+ * and inserts come in the order one owner makes them, so every table,
+ * count and output is the one-owner one. */
 typedef struct {       /* what the owners of one call share */
     flow_cache *c;
     const tables *t;
     const placement *pl;
     const uint32_t *headers;
-    int64_t n, m, k, expect;
-    int refused;       /* the walk refuses its tables (flat_walk's check) */
-    int64_t *misses;   /* the probe's misses: positions */
-    uint64_t *xs;      /* and FNV values */
+    int64_t n, k, expect, tick, hit_cycles;   /* tick: the probe's clock */
+    int refused;       /* the walk refuses its placement */
+    uint64_t *xs;      /* k > 1: each packet's FNV value, */
+    uint8_t *own;      /* and owner */
+    /* Each owner's from the sum of the earlier owners' packet counts: */
+    int64_t *misses, *rank;                /* its misses' positions, ranks */
+    uint32_t *uniq;                        /* its distinct misses, */
+    int64_t *sets, *results, *cycles;      /* their sets, walk outputs, */
+    uint64_t *ids_x, *ids_keys;            /* FNV values and keys (nw) */
+    uint64_t *scratch;   /* per owner: one block's misses' FNV values, keys */
     int64_t *match, *occupancy;
 } serve_call;
 
-struct owner {
-    serve_call *call;
-    int64_t lo, hi;        /* its sets */
+typedef struct {
+    const serve_call *call;
+    int64_t first, count;  /* where its arrays start, its packets */
     int64_t m, nd;         /* its misses, distinct misses */
-    int64_t *pos;          /* its misses' positions, arrival order, */
-    uint64_t *x;           /* their FNV values, */
-    int64_t *rank;         /* each one's rank among the distinct ones */
-    uint32_t *uniq;        /* the distinct ones, by last sighting */
-    int64_t *sets;         /* their sets, then results and cycles */
+    int64_t matched;       /* its hits with a result >= 0 */
     int64_t stop;          /* the last miss of the first failing one */
     int64_t counts[2], tally[2];
     int code, fill_code;
-};
+} owner;
 
-/* The owner's misses, from the probe's in arrival order: the probe's
- * arrays themselves for the one owner, else those of its sets, copied
- * in one pass without a branch on the data (into room for all); 0 when
- * out of memory. */
-static int take_misses(owner *o)
+/* The calling thread's pass of a k-owner call: each packet's FNV value
+ * to xs[p] (the probe's, computed once) and its owner to own[p]; each
+ * owner's packet count, and so where its arrays start.  Inlined for the
+ * five-tuple. */
+static inline __attribute__((always_inline)) void
+hash_batch(const serve_call *s, owner *owners, const int64_t ndim)
 {
-    const serve_call *s = o->call;
-    const int64_t m = s->m, lo = o->lo, hi = o->hi;
-    const uint64_t n_sets = (uint64_t)s->c->n_sets;
-    o->rank = malloc((size_t)(m + 1) * sizeof *o->rank);
-    if (s->k == 1) {
-        o->m = m;
-        o->pos = s->misses;
-        o->x = s->xs;
-        return o->rank != NULL;
+    const uint64_t n_sets = (uint64_t)s->c->n_sets, k = (uint64_t)s->k;
+    const int shift = __builtin_ctzll(n_sets), pow2 = !(n_sets & (n_sets - 1));
+    const uint32_t *restrict headers = s->headers;
+    uint64_t *restrict xs = s->xs;
+    uint8_t *restrict own = s->own;
+    int64_t count[4][MAX_THREADS] = {{0}};   /* four, so no count waits */
+    for (int64_t p = 0; p < s->n; p++) {
+        const uint64_t x = xs[p] = fnv(headers + p * ndim, ndim);
+        const uint64_t set = (uint64_t)set_of(x, n_sets) * k;
+        const uint8_t o = (uint8_t)(pow2 ? set >> shift : set / n_sets);
+        own[p] = o;
+        count[p & 3][o]++;
     }
-    int64_t *pos = o->pos = malloc((size_t)(m + 1) * sizeof *pos);
-    uint64_t *x = o->x = malloc((size_t)(m + 1) * sizeof *x);
-    if (!o->rank || !pos || !x)
-        return 0;
-    int64_t j = 0;
-    for (int64_t i = 0; i < m; i++) {
-        const int64_t set = set_of(s->xs[i], n_sets);
-        pos[j] = s->misses[i];
-        x[j] = s->xs[i];
-        j += (lo <= set) & (set < hi);
+    for (int64_t o = 0, first = 0; o < s->k; first += owners[o++].count) {
+        owners[o].first = first;
+        owners[o].count = count[0][o] + count[1][o] + count[2][o]
+                        + count[3][o];
     }
-    o->m = j;
-    return 1;
 }
 
-/* Group the owner's misses in g, BLOCK at a time, their keys packed
- * into kw; 0 when out of memory.  Inlined for the five-tuple. */
+/* Probe owner i's packets BLOCK at a time, in arrival order, grouping
+ * each block's misses in g; 0 when out of memory (the probe still runs
+ * to the end, so every hit is stamped whatever the grouping met).  The
+ * one owner of a k = 1 call probes the batch as it is; at k > 1 each
+ * block is the owner's next BLOCK packets, read off own[].  Inlined for
+ * the five-tuple 4-way cache. */
 static inline __attribute__((always_inline)) int
-group_owned(owner *o, groups *g, uint64_t *kw, const int64_t ndim)
+probe_owned(owner *o, int64_t i, groups *g, uint64_t *miss_x,
+            const int64_t ndim, const int64_t ways)
 {
     const serve_call *s = o->call;
-    const int64_t nw = (ndim + 1) / 2;
-    const int64_t expect = s->expect < o->m ? s->expect : o->m;
-    for (int64_t b = 0; b < o->m; b += BLOCK) {
-        const int64_t e = b + BLOCK < o->m ? b + BLOCK : o->m;
-        for (int64_t i = b; i < e; i++)
-            for (int64_t k = 0; k < nw; k++)
-                kw[(i - b) * nw + k] = key_word(s->headers + o->pos[i] * ndim,
-                                                ndim, k);
-        if (!group_block(g, o->x + b, kw, e - b, nw, expect, o->rank + b))
-            return 0;
+    const int64_t nw = (ndim + 1) / 2, first = o->first;
+    const int64_t expect = s->expect < o->count ? s->expect : o->count;
+    uint64_t *miss_kw = miss_x + BLOCK;
+    int64_t m = 0, grouped = 1, list[BLOCK];
+    for (int64_t lo = 0, p = 0; lo < o->count;) {
+        int64_t hi = lo + BLOCK < o->count ? lo + BLOCK : o->count, j = 0;
+        const int64_t before = m;
+        if (s->own) {   /* its next packets: positions p on, in list */
+            for (; j < hi - lo; p++) {
+                list[j] = p;
+                j += s->own[p] == i;
+            }
+            m = probe(s->c, s->tick, s->headers, list, s->xs, 0, j, m,
+                      s->match, s->misses + first, miss_x, miss_kw,
+                      s->occupancy, s->hit_cycles, &o->matched, ndim, ways);
+        } else {
+            m = probe(s->c, s->tick, s->headers, NULL, NULL, lo, hi, m,
+                      s->match, s->misses + first, miss_x, miss_kw,
+                      s->occupancy, s->hit_cycles, &o->matched, ndim, ways);
+        }
+        grouped = grouped && group_block(g, miss_x, miss_kw, m - before, nw,
+                                         expect, s->rank + first + before);
+        lo = hi;
     }
-    return 1;
+    o->m = m;
+    return grouped;
 }
 
-/* The split's jobs: group owner i's misses, rank them by last sighting
- * and walk the distinct ones.  o->code is the walk's code, or
- * ERR_MEMORY. */
-static void group_and_walk(void *owners, int64_t i)
+/* The split's jobs: owner i probes its packets, ranks its distinct
+ * misses by last sighting and walks them.  o->code is the walk's code,
+ * ERR_RANGE where the walk refuses its placement, or ERR_MEMORY. */
+static void probe_group_walk(void *owners, int64_t i)
 {
     owner *o = (owner *)owners + i;
     const serve_call *s = o->call;
-    const int64_t ndim = s->c->ndim, nw = (ndim + 1) / 2;
+    const flow_cache *c = s->c;
+    const int64_t ndim = c->ndim, nw = (ndim + 1) / 2, first = o->first;
+    groups g = {.most = o->count, .x = s->ids_x + first,
+                .keys = s->ids_keys + first * nw};
+    uint64_t *miss_x = s->scratch + i * BLOCK * (nw + 1);
+    const int grouped = ndim == 5 && c->ways == 4
+        ? probe_owned(o, i, &g, miss_x, 5, 4)
+        : probe_owned(o, i, &g, miss_x, ndim, c->ways);
     o->code = ERR_MEMORY;
-    if (!take_misses(o))
-        return;
-    groups g = {.most = o->m};
-    uint64_t *kw = malloc((size_t)BLOCK * nw * sizeof *kw);
-    if (!kw || !(ndim == 5 ? group_owned(o, &g, kw, 5)
-                           : group_owned(o, &g, kw, ndim)))
+    if (!grouped)
         goto out;
     o->nd = g.nd;
-    o->uniq = malloc((size_t)(g.nd + 1) * ndim * sizeof *o->uniq);
-    o->sets = malloc((size_t)(g.nd + 1) * 3 * sizeof *o->sets);
-    if (!o->uniq || !o->sets)
+    by_last_sighting(&g, s->rank + first, o->m, s->uniq + first * ndim,
+                     s->sets + first, c->n_sets, ndim);
+    o->code = s->refused && g.nd ? ERR_RANGE : OK;
+    if (o->code)
         goto out;
-    by_last_sighting(&g, o->rank, o->m, o->uniq, o->sets, s->c->n_sets, ndim);
-    if (s->refused && g.nd) {
-        o->code = ERR_RANGE;
-        goto out;
-    }
-    int64_t *results = o->sets + g.nd, *cycles = results + g.nd;
-    walk_job j = {s->t, s->pl, o->uniq, 0, g.nd, results, NULL, NULL, NULL,
-                  NULL, NULL, s->pl ? cycles : NULL, NULL, NULL, 0, 0, OK, 0};
+    walk_job j = {s->t, s->pl, s->uniq + first * ndim, 0, g.nd,
+                  s->results + first, NULL, NULL, NULL, NULL, NULL,
+                  s->pl ? s->cycles + first : NULL, NULL, NULL, 0, 0, OK, 0};
     walk_slice(&j, 0);
     o->code = j.code;
     if (j.code != OK && j.code != ERR_WIDTH) {
+        const int64_t *rank = s->rank + first;
         int64_t last = o->m - 1;
-        while (o->rank[last] != j.failed)
+        while (rank[last] != j.failed)
             last--;
-        o->stop = o->pos[last];
+        o->stop = s->misses[first + last];
     }
 out:
-    free(kw), free(g.table), free(g.x), free(g.keys);
+    free(g.table);
 }
 
 /* Past the barrier: unless an owner failed, scatter owner i's results
@@ -600,26 +627,31 @@ static void scatter_and_fill(void *owners, int64_t i)
 {
     owner *o = (owner *)owners + i;
     const serve_call *s = o->call;
+    const int64_t f = o->first;
     for (int64_t j = 0; j < s->k; j++)
         if (((owner *)owners)[j].code != OK)
             return;
     if (!o->nd)   /* no misses */
         return;
-    const int64_t *results = o->sets + o->nd, *cycles = results + o->nd;
-    o->fill_code = fc_commit(s->c, o->uniq, o->sets, o->nd, results,
-                             s->occupancy ? cycles : NULL, o->pos, o->rank,
-                             o->m, s->match, s->occupancy, s->n, o->counts,
-                             o->tally);
+    o->fill_code = fc_commit(
+        s->c, s->uniq + f * s->c->ndim, s->sets + f, o->nd, s->results + f,
+        s->occupancy ? s->cycles + f : NULL, s->misses + f, s->rank + f,
+        o->m, s->match, s->occupancy, s->n, o->counts, o->tally);
 }
 
 /* Serve n headers through cache c and, for its misses, the walk of t
  * (under placement pl, its widths checked and cycles counted into
  * occupancy): match, occupancy and tally are written as fc_lookup, the
  * walk and fc_commit write them, and the tables and c->tick (+ n after
- * the probe) left where they leave them, an error included.  The misses
- * split over k = split_count(misses, threads, least) owners.  counts gets
- * the misses, the distinct misses, the evictions, the reclamations and
- * k.  Returns ERR_RANGE if there are misses to walk and the walk refuses
+ * the probe) left where they leave them, an error included.  The batch
+ * splits over k = split_count(expect, threads, least) owners: expect,
+ * the distinct misses of the cache's last batch (the grouping's first
+ * size), stands for the walks and fills this one brings, which only its
+ * probe could count; a batch of hits splits nothing, since hashing it
+ * first costs more than half its probe.  Every array an owner writes is
+ * allocated before the first probe.  counts gets the
+ * misses, the distinct misses, the evictions, the reclamations and k.
+ * Returns ERR_RANGE if there are misses to walk and the walk refuses
  * its placement (as flat_walk does), else ERR_WIDTH if a miss is too
  * wide, else the walk code of the failing distinct miss last missed
  * first, or ERR_MEMORY. */
@@ -630,63 +662,64 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
 {
     if (t->ndim != c->ndim)
         return ERR_RANGE;
-    int64_t *misses = malloc((size_t)(n + 1) * sizeof *misses);
-    uint64_t *xs = malloc((size_t)(n + 1) * sizeof *xs);
-    const int refused = (occupancy && !pl)
-        || (pl && (pl->rules_per_word <= 0 || pl->ndim != t->ndim));
-    serve_call s = {c, t, pl, headers, n, 0, 1, 0, refused, misses, xs,
-                    match, occupancy};
+    const int64_t ndim = c->ndim, nw = (ndim + 1) / 2;
+    const int64_t k = split_count(expect, threads, least);
+    const size_t rows = (size_t)n + 1;
+    int64_t *work = malloc(rows * 5 * sizeof *work);
+    uint64_t *ids = malloc(rows * (nw + 1) * sizeof *ids);
+    uint64_t *scratch = malloc((size_t)k * BLOCK * (nw + 1) * sizeof *scratch);
+    uint32_t *uniq = malloc(rows * ndim * sizeof *uniq);
+    uint64_t *xs = k > 1 ? malloc(rows * sizeof *xs) : NULL;
+    uint8_t *own = k > 1 ? malloc(rows) : NULL;
+    serve_call s = {c, t, pl, headers, n, k, expect / k, c->tick, hit_cycles,
+                    placement_refused(t, pl, occupancy), xs, own, work,
+                    work + rows, uniq, work + 2 * rows, work + 3 * rows,
+                    work + 4 * rows, ids, ids + rows, scratch, match,
+                    occupancy};
     owner owners[MAX_THREADS] = {{0}};
     int code = ERR_MEMORY;
-    if (!misses || !xs)
+    if (!work || !ids || !scratch || !uniq || (k > 1 && (!xs || !own)))
         goto out;
-    code = c->ndim == 5 && c->ways == 4
-        ? lookup(c, headers, n, 0, match, misses, NULL, NULL, NULL, counts,
-                 occupancy, hit_cycles, tally, xs, 5, 4)
-        : lookup(c, headers, n, 0, match, misses, NULL, NULL, NULL, counts,
-                 occupancy, hit_cycles, tally, xs, c->ndim, c->ways);
-    if (code)
-        goto out;
-    c->tick += n;
-    s.m = counts[0];
-    const int64_t k = s.k = split_count(s.m, threads, least);
-    s.expect = expect / k;
-    for (int64_t o = 0; o < k; o++)   /* the sets with set * k / n_sets == o */
-        owners[o] = (owner){.call = &s, .lo = (o * c->n_sets + k - 1) / k,
-                            .hi = ((o + 1) * c->n_sets + k - 1) / k};
-    split_run(k, group_and_walk, scatter_and_fill, owners);
+    if (k > 1 && ndim == 5)
+        hash_batch(&s, owners, 5);
+    else if (k > 1)
+        hash_batch(&s, owners, ndim);
+    else
+        owners[0].count = n;
+    for (int64_t o = 0; o < k; o++)
+        owners[o].call = &s;
+    c->tick += n;   /* the fills' clock */
+    split_run(k, probe_group_walk, scatter_and_fill, owners);
     /* The one-owner error: memory, else the walk's refusal of its
-     * tables, else width, else the code of the failing distinct miss
+     * placement, else width, else the code of the failing distinct miss
      * whose last miss comes first. */
     int memory = 0, width = 0, walk = OK;
-    int64_t first = INT64_MAX, sums[3] = {0};
+    int64_t first = INT64_MAX, sums[5] = {0};
     for (int64_t o = 0; o < k; o++) {
         const owner *w = &owners[o];
         memory |= w->code == ERR_MEMORY || w->fill_code;
         width |= w->code == ERR_WIDTH;
         if (w->code != OK && w->code != ERR_WIDTH && w->stop < first)
             first = w->stop, walk = w->code;
-        sums[0] += w->nd;
-        sums[1] += w->counts[0];
-        sums[2] += w->counts[1];
+        sums[0] += w->m;
+        sums[1] += w->nd;
+        sums[2] += w->counts[0];
+        sums[3] += w->counts[1];
+        sums[4] += w->matched;
     }
-    code = memory ? ERR_MEMORY : refused && sums[0] ? ERR_RANGE
+    code = memory ? ERR_MEMORY : s.refused && sums[1] ? ERR_RANGE
          : width ? ERR_WIDTH : walk;
-    counts[1] = sums[0];
-    counts[2] = sums[1];
-    counts[3] = sums[2];
+    memcpy(counts, sums, 4 * sizeof *counts);
     counts[4] = k;
+    if (tally) {   /* the hits', then, if nothing failed, the misses' */
+        tally[0] += sums[4];
+        tally[1] += occupancy ? (n - sums[0]) * hit_cycles : 0;
+    }
     for (int64_t o = 0; tally && code == OK && o < k; o++) {
         tally[0] += owners[o].tally[0];
         tally[1] += owners[o].tally[1];
     }
 out:
-    for (int64_t o = 0; o < MAX_THREADS; o++) {
-        owner *w = &owners[o];
-        if (w->pos != misses)   /* not the probe's own arrays */
-            free(w->pos), free(w->x);
-        free(w->rank), free(w->uniq), free(w->sets);
-    }
-    free(misses), free(xs);
+    free(work), free(ids), free(scratch), free(uniq), free(xs), free(own);
     return code;
 }

@@ -38,7 +38,8 @@ why.
 
 One rule splits every threaded call (docs/engine.md, "Threads inside a
 native call"): :func:`walk` over its packets, :func:`serve` over its
-misses (by cache set), :func:`parse_text` over its lines, each into k =
+batch (by cache set, sized by the walks it expects), :func:`parse_text`
+over its lines, each into k =
 ``min(threads, work // least)`` jobs (``threads`` when ``least`` is 0), at
 least one, where :func:`_split` passes :func:`thread_ceiling` and the
 call's ``least`` or a count forced from outside; each call reports its k.
@@ -153,11 +154,16 @@ class _Kernel:
 #: Set by the first :func:`_load`: the library this process loaded.
 _kernel: _Kernel | None = None
 
-#: Packets (a serve's misses) one job of a split walk gets at the least.
-#: Measured, not a knob: on a 2-CPU host a walk of 16,384-65,536 packets
-#: runs 1.6-1.8x faster on two threads, and a thread costs ~50 us to start
-#: and join (docs/engine.md, "Threads inside a native call").
+#: Packets one job of a split walk gets at the least.  Measured, not a
+#: knob: on a 2-CPU host a walk of 16,384-65,536 packets runs 1.6-1.8x
+#: faster on two threads, and a thread costs ~50 us to start and join
+#: (docs/engine.md, "Threads inside a native call").
 MIN_SLICE = 16384
+
+#: Distinct misses one owner of a split cached serve walks at the least,
+#: as the cache's last batch counted them.  Measured, not a knob: see
+#: docs/engine.md, "Split: a cached batch, over set owners".
+MIN_OWNED = 4096
 
 #: Set in a forked shard owner (:func:`one_thread`): its siblings hold
 #: the host's other CPUs.
@@ -508,10 +514,10 @@ def serve(cache, walk, headers32, counts, match, occupancy=None,
           hit_cycles: int = 0, tally=None, threads: int | None = None):
     """One cached batch in one call (``fc_serve``), for a backend whose
     miss classification is one native walk, ``walk = (tables,
-    placement)``: the probe of :func:`lookup` on the calling thread, then
-    the misses split by the one rule with :data:`MIN_SLICE` over set
-    owners (the count is only known inside the call), each grouping,
-    walking and filling its own sets.  ``match``, ``occupancy`` and
+    placement)``: the batch split by the one rule with :data:`MIN_OWNED`
+    over set owners, the work being the distinct misses of the cache's
+    last batch, each owner probing its packets in arrival order, then
+    grouping, walking and filling its own sets.  ``match``, ``occupancy`` and
     ``tally`` are written as :func:`lookup`, the walk and :func:`commit`
     write them; ``counts`` (five ``int64`` cells) gets the misses, the
     distinct misses, the evictions, the reclamations and the owners.
@@ -529,7 +535,7 @@ def serve(cache, walk, headers32, counts, match, occupancy=None,
         _pointer("headers", headers32, np.uint32, (n, cache._ndim)), n,
         cache._distinct, _pointer("match", match, np.int64, (n,)),
         _optional("occupancy", occupancy, n), hit_cycles,
-        *_split(MIN_SLICE, threads), _pointer("counts", counts, np.int64, (5,)),
+        *_split(MIN_OWNED, threads), _pointer("counts", counts, np.int64, (5,)),
         _optional("tally", tally, 2),
     )
 

@@ -363,9 +363,10 @@ class FlowCache:
         """:meth:`lookup`, the backend and :meth:`commit` in one native
         call (:func:`~repro.algorithms.native.serve`), for a backend
         whose miss classification is one native walk, ``walk = (tables,
-        placement)``: the probe on the calling thread, then the misses
-        split over set owners, each grouping, walking and filling its
-        own sets.  ``match``, ``occupancy`` and ``tally`` are written,
+        placement)``: the batch split over set owners by the distinct
+        misses of the last one, each probing its packets in arrival
+        order, then grouping, walking and filling its own sets.
+        ``match``, ``occupancy`` and ``tally`` are written,
         and the tables, the eviction counters and the clock left, as
         the three calls leave them, an error included.  Returns the
         distinct misses; ``None`` (nothing done) where the library did

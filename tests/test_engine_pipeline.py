@@ -12,11 +12,13 @@ import gc
 import multiprocessing
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, PacketTrace
+from repro.algorithms import native
 from repro.core.rules import FIVE_TUPLE
 from repro.core.errors import ConfigError, ServingFaultError
 from repro.core.updates import ScheduledUpdate, remove_op
@@ -247,13 +249,19 @@ class TestHeldWorkers:
 
     @pytest.mark.parametrize("how", ["close", "gc", "failed dispatch"])
     def test_no_worker_or_arena_segment_outlives_the_engine(
-        self, how, acl_small, acl_small_trace
+        self, how, acl_small, acl_small_trace, monkeypatch, request
     ):
+        # Two workers on any host: plan() forks min(shards, host_cpus()).
+        monkeypatch.setattr(native, "host_cpus", lambda: 2)
         config = EngineConfig(
             backend="linear", chunk_size=256, shards=2,
             shard_mode="processes", min_chunk_packets=0,
         )
         engine = Engine.open(config, acl_small)
+        # A failed assert still closes it (a weak reference, so the "gc"
+        # case can collect it), and the next case starts with no worker.
+        held = weakref.ref(engine)
+        request.addfinalizer(lambda: held() is not None and held().close())
         if not engine.pipeline._fork_available():  # pragma: no cover
             pytest.skip("fork multiprocessing unavailable")
         engine.classify(acl_small_trace)
@@ -457,7 +465,6 @@ class TestShardModes:
         sizes straddle the tail merge (1249 vs 1250 packets at
         ``chunk_size=1000``), auto's fork threshold (2 workers x 4000
         coalesced packets, +-1) and a 1M-packet run."""
-        from repro.algorithms import native
 
         monkeypatch.setattr(native, "host_cpus", lambda: cpus)
         headers = np.resize(
@@ -583,7 +590,6 @@ class TestShardModes:
         # "processes".  Either way the matches are identical.  The CPU
         # count is patched at the plan's one seam, so both branches run
         # on any machine.
-        from repro.algorithms import native
 
         monkeypatch.setattr(native, "host_cpus", lambda: cpus)
         pipeline = ClassificationPipeline(
@@ -603,7 +609,6 @@ class TestShardModes:
         """``host_cpus`` counts the CPUs this process may run on, not the
         host's: pinned to one (``taskset -c 0``), ``auto`` never forks
         two workers onto one core."""
-        from repro.algorithms import native
 
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0}, raising=False
@@ -668,7 +673,6 @@ class TestShardModes:
         self, mode, cpus, packets, tier, workers, reason,
         acc_small, monkeypatch,
     ):
-        from repro.algorithms import native
 
         monkeypatch.setattr(native, "host_cpus", lambda: cpus)
         mode, _, updates = mode.partition("+")
@@ -693,7 +697,6 @@ class TestShardModes:
         coalesced dispatch: none of them ever forks — not while warming
         up, not after — because the tier is a function of the run's
         size, not of timings the pipeline takes of itself."""
-        from repro.algorithms import native
 
         monkeypatch.setattr(native, "host_cpus", lambda: 4)
         with contextlib.ExitStack() as stack:
@@ -718,7 +721,6 @@ class TestShardModes:
     ):
         """2 workers x max(256, 1000) = 2000 packets fork; 1999 serve
         inline, on the same coalesced grid, with the same matches."""
-        from repro.algorithms import native
 
         monkeypatch.setattr(native, "host_cpus", lambda: 4)
         with ClassificationPipeline(

@@ -2,8 +2,8 @@
 is the one-thread one.
 
 The walk (``flat_walk``) splits a call into one contiguous packet slice
-per job; the cached serve (``fc_serve``) splits a batch's misses over
-set owners, each grouping, walking and filling its own sets.  Every
+per job; the cached serve (``fc_serve``) splits a batch over set owners,
+each probing, walking and filling its own sets.  Every
 threaded call counts its jobs by one rule and runs them through one
 split (``_flat_walk.c``'s ``split_count`` / ``split_run``), its threads
 created and joined inside the call.  ``threads`` forces a count the rule
@@ -38,7 +38,7 @@ from repro.core.rules import make_demo_ruleset
 from repro.core.updates import insert_op, remove_op
 from repro.engine import CachedClassifier, ClassificationPipeline
 from repro.engine.backends import AcceleratorClassifier, DecisionTreeClassifier
-from repro.engine.flowcache import flow_hash
+from repro.engine.flowcache import flow_hash, pack_flow_keys
 from repro.engine.protocol import ClassifierBase, batch_out
 from repro.hw import Accelerator
 from repro.hw.encoding import RULES_PER_WORD
@@ -192,7 +192,7 @@ class TestHeaderWidths:
 
 
 # ---------------------------------------------------------------------------
-# The cached serve: one native call, its misses split over set owners
+# The cached serve: one native call, its batch split over set owners
 # ---------------------------------------------------------------------------
 #: Every way a cached batch is served: the three calls the one call
 #: replaces (``lookup``, the backend, ``commit``), the one call on each
@@ -251,10 +251,10 @@ def _twins(make, entries: int, ways: int) -> dict:
             for path in PATHS}
 
 
-def _crowded(n_sets: int, n: int, seed: int, schema=FIVE_TUPLE):
-    """``n`` distinct headers that all land in set 0."""
+def _crowded(n_sets: int, n: int, seed: int, schema=FIVE_TUPLE, at: int = 0):
+    """``n`` distinct headers that all land in set ``at``."""
     rows = random_headers(schema, 64 * n * max(n_sets, 1), seed=seed)
-    rows = np.unique(rows[flow_hash(rows) % np.uint64(n_sets) == 0], axis=0)
+    rows = np.unique(rows[flow_hash(rows) % np.uint64(n_sets) == at], axis=0)
     assert len(rows) >= n
     return rows[:n]
 
@@ -284,19 +284,45 @@ def walk_threads() -> int:
                        np.empty(len(headers), np.int64))
 
 
+def _owners_of(batches) -> list[list[int]]:
+    """The counts (misses, distinct, evictions, reclamations, owners) of
+    each of ``batches`` served in turn through one cached accelerator
+    (8,192 x 4), as its native serves report them."""
+    clf = CachedClassifier(_acl1_100(), entries=8192, ways=4)
+    said, real = [], native.serve
+
+    def serve(cache, walk, headers, counts, *args, **kwargs):
+        code = real(cache, walk, headers, counts, *args, **kwargs)
+        said.append(counts.tolist())
+        return code
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "serve", serve)
+        for headers in batches:
+            clf.batch_stats(headers)
+    assert len(said) == len(batches)
+    return said
+
+
 def spill_owners() -> int:
-    """Owners of one cached spill-sized batch (65,536 new headers, all
-    misses) served through a cached accelerator, as the call reports
-    them."""
-    clf = _acl1_100()
-    cache = CachedClassifier(clf, entries=8192, ways=4).cache
-    headers = cache._prepare(random_headers(FIVE_TUPLE, 1 << 16, seed=9))
-    counts = np.zeros(5, np.int64)
-    match, occupancy, tally = batch_out(len(headers), True)
-    assert native.serve(cache, clf.miss_walk, headers, counts, match,
-                        occupancy, 1, tally) == 0
-    assert counts[0] == len(headers)
-    return int(counts[4])
+    """Owners of a spill-sized batch (65,536 new headers, all misses)
+    served after one like it, whose 65,536 distinct misses the split
+    sizes it by: ``min(thread_ceiling(), 65536 // MIN_OWNED)``."""
+    first, then = _owners_of([random_headers(FIVE_TUPLE, 1 << 16, seed=s)
+                              for s in (8, 9)])
+    assert first[1] == then[0] == then[1] == 1 << 16
+    return then[4]
+
+
+def hit_owners() -> int:
+    """Owners of a 65,536-packet batch of hits (512 flows) served after
+    another: 1 on every host, since the last batch left nothing to
+    walk."""
+    flows = random_headers(FIVE_TUPLE, 512, seed=9)
+    headers = flows[np.random.default_rng(9).integers(0, 512, 1 << 16)]
+    *_, then = _owners_of([headers] * 3)
+    assert then[0] == 0
+    return then[4]
 
 
 def _ledger_text(n: int) -> bytes:
@@ -437,13 +463,69 @@ class TestCachedServe:
         assert counts.tolist() == [0, 0, 0, 0, k]
         assert _state(clf, k) == before
 
-    def test_a_spill_sized_batch_takes_the_walks_thread_rule(
-        self, native_kernel
+    @pytest.mark.parametrize("entries,ways", [(28, 4), (40, 8)])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_a_batch_in_one_owners_sets_serves_the_same(
+        self, native_kernel, acl_small, acl_small_trace, entries, ways, at
     ):
-        """Owners are the walk's threads for as many packets: one per
-        ``MIN_SLICE`` misses, at most the process's ceiling (1 under
-        ``taskset -c 0`` and in a forked shard owner)."""
-        assert spill_owners() == walk_threads()
+        """Every packet lands in the first set (the caller's owner) or
+        the last (the last owner's): the other owners get no packet."""
+        clf = AcceleratorClassifier(acl_small)
+        twins = _twins(lambda path: clf, entries, ways)
+        n_sets = entries // ways
+        crowded = _crowded(n_sets, 3 * ways + 2, seed=entries,
+                           at=0 if at == "first" else n_sets - 1)
+        order = np.random.default_rng(entries).integers(0, len(crowded), 300)
+        for batch in (crowded[order], crowded[order[::-1]], crowded[:ways]):
+            _same_everywhere(twins, lambda clf: _served(clf, batch))
+
+    def test_an_all_hit_batch_serves_the_same(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        clf = AcceleratorClassifier(acl_small)
+        twins = _twins(lambda path: clf, 8192, 4)
+        headers = acl_small_trace.headers[:900]
+        _same_everywhere(twins, lambda clf: _served(clf, headers))
+        for batch in (headers, headers[::-1]):
+            served = _same_everywhere(twins, lambda clf: _served(clf, batch))
+            assert served[-2:] == [0, 0]   # no miss, no eviction
+
+    def test_a_slot_hit_in_both_halves_keeps_the_last_stamp(
+        self, native_kernel, acl_small, acl_small_trace
+    ):
+        """A cached header seen in the first and the second half of the
+        batch, among misses of every set: its slot's stamp is the clock
+        before the batch plus its last position."""
+        clf = AcceleratorClassifier(acl_small)
+        twins = _twins(lambda path: clf, 1024, 4)
+        twice = acl_small_trace.headers[:1]
+        _same_everywhere(twins, lambda clf: _served(clf, twice))
+        fresh = random_headers(FIVE_TUPLE, 600, seed=12)
+        batch = np.concatenate([fresh[:300], twice, fresh[300:], twice,
+                                fresh[:3]])
+        last = len(batch) - 4
+        ticks = {path: int(clf.cache._tick) for path, clf in twins.items()}
+        _same_everywhere(twins, lambda clf: _served(clf, batch))
+        key = pack_flow_keys(twice)[:, 0]
+        for path, clf in twins.items():
+            cache = clf.cache
+            s = int(flow_hash(twice)[0] % np.uint64(cache.n_sets))
+            (way,) = np.flatnonzero((cache._keyw[s] == key).all(axis=1))
+            assert cache._stamp[s, way] == ticks[path] + last, path
+
+    def test_a_batch_takes_the_serves_rule(self, native_kernel, monkeypatch):
+        """Owners are ``min(ceiling, distinct // MIN_OWNED)``, the distinct
+        misses being the cache's last batch's (1 when it had none): a
+        ceiling of 4 here, 1 under ``taskset -c 0`` and in a forked shard
+        owner."""
+        monkeypatch.setattr(native, "host_cpus", lambda: 4)
+        least = native.MIN_OWNED
+        for distinct, k in ((least - 1, 1), (2 * least, 2), (3 * least + 5, 3),
+                            (8 * least, 4)):
+            fresh = random_headers(FIVE_TUPLE, distinct, seed=distinct)
+            first, then = _owners_of([fresh, fresh[::-1]])
+            assert first[1] == distinct and then[4] == k, distinct
+        assert hit_owners() == 1
 
 
 class TestCachedServeErrors:
@@ -514,6 +596,39 @@ class TestCachedServeErrors:
         flat.children[flat.children == looped] = 0
         try:
             self._fails_the_same(twins, batch, BuildError, "left its tables")
+        finally:
+            flat.leaf_len[:], flat.children[:] = saved
+
+    @pytest.mark.parametrize("ranged_first", [True, False])
+    def test_the_failing_miss_last_seen_first_in_the_second_owner(
+        self, native_kernel, acl_small, acl_small_trace, ranged_first
+    ):
+        """Two leaves fail, one (a range error) for headers of the upper
+        half of the sets only, the second owner's at k = 2, the other (a
+        step-guard error) for the lower half's: the one whose failing
+        distinct miss was last seen first names the error, in either
+        owner."""
+        clf = AcceleratorClassifier(acl_small)
+        flat = clf.tree.flat
+        headers = acl_small_trace.headers
+        leaf_of = flat.batch_lookup(acl_small_trace).leaf_id
+        upper = flow_hash(headers) % np.uint64(16) >= 8   # 64 entries, 4 ways
+        counts = np.bincount(leaf_of[leaf_of >= 0], minlength=flat.n_nodes)
+        ranged, looped = np.argsort(counts)[-2:]
+        a = headers[(leaf_of == ranged) & upper][:20]
+        b = headers[(leaf_of == looped) & ~upper][:20]
+        assert len(a) and len(b)
+        first, second = (a, b) if ranged_first else (b, a)
+        # `first` is seen again after `second` but the last `second` header.
+        batch = np.concatenate([second[:-1], first, second[:-1], second[-1:],
+                                headers[:200]])
+        twins = self._warm(lambda path: clf, headers[:200])
+        saved = flat.leaf_len.copy(), flat.children.copy()
+        flat.leaf_len[ranged] = 1 << 40
+        flat.children[flat.children == looped] = 0
+        try:
+            self._fails_the_same(twins, batch, BuildError, "left its tables"
+                                 if ranged_first else "did not terminate")
         finally:
             flat.leaf_len[:], flat.children[:] = saved
 

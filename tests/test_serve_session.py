@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import Engine, EngineConfig, PacketTrace
+from repro.algorithms import native
 from repro.classbench import generate_update_stream
 from repro.core.errors import ConfigError, PacketFormatError
 from repro.engine import ClassificationPipeline, FaultReport
@@ -165,10 +166,13 @@ class TestStreamConformance:
         assert report.chunks == run.chunks
 
     def test_tenant_aggregate_sums_the_isolated_runs(
-        self, acl_small, acl_small_trace, update_schedule
+        self, acl_small, acl_small_trace, update_schedule, monkeypatch
     ):
         """The fleet record is the tenants' counters summed — and the
         cache triple only when every tenant serves through a cache."""
+        # Tenant "a" forks two owners on any host: plan() forks
+        # min(shards, host_cpus()), and one owner serves inline.
+        monkeypatch.setattr(native, "host_cpus", lambda: 2)
         cached = EngineConfig(
             backend="hicuts", updatable=True, chunk_size=256,
             cache_entries=256, shards=2, shard_mode="processes",
