@@ -1,15 +1,17 @@
-/* The flow cache's per-batch loops over its own tables: FlowCache.lookup
- * and FlowCache.commit (engine/flowcache.py, whose NumPy paths are the
- * oracle), fc_serve, which serves a whole batch for a backend whose miss
- * classification is one FlatTree walk: the probe, the walk of the
- * distinct misses and the commit in one call, and fc_retire, which kills
- * the entries one rule-update batch could have changed (FlowCache.retire).
- * native.py builds this file into one library after _flat_walk.c, whose
- * walk fc_serve runs.  Keys are pack_flow_keys' words, set-major: way w
- * of set s holds keyw[(s * ways + w) * nw ...].  The hot loops select
- * without branching on the data (a mispredicted branch costs more than
- * reading every way).  fc_commit range-checks its indices (sets, misses,
- * ranks) before the first write: a bad one is an error. */
+/* The flow cache's per-batch loops over its own tables: fc_serve, one
+ * batch's probe (FlowCache.probe), its probe and miss grouping
+ * (FlowCache.lookup) or, for a backend whose miss classification is one
+ * FlatTree walk, the probe, the walk of the distinct misses and the fill
+ * in one call (FlowCache.serve); fc_commit, the scatter of the backend's
+ * answers and the fill (FlowCache.commit); and fc_retire, which kills the
+ * entries one rule-update batch could have changed (FlowCache.retire).
+ * engine/flowcache.py's NumPy paths are the oracle.  native.py builds
+ * this file into one library after _flat_walk.c, whose walk fc_serve
+ * runs.  Keys are pack_flow_keys' words, set-major: way w of set s holds
+ * keyw[(s * ways + w) * nw ...].  The hot loops select without branching
+ * on the data (a mispredicted branch costs more than reading every way).
+ * fc_commit range-checks its indices (sets, misses, ranks) before the
+ * first write: a bad one is an error. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -21,7 +23,7 @@ typedef struct {       /* field order is native._Cache._fields_ */
 } flow_cache;
 
 /* FNV-1a over the header columns, the high bits folded in: the set
- * index is this modulo the set count, and fc_lookup groups misses by it. */
+ * index is this modulo the set count, and fc_serve groups misses by it. */
 static uint64_t fnv(const uint32_t *h, int64_t ndim)
 {
     uint64_t x = 0xCBF29CE484222325ULL;
@@ -51,14 +53,14 @@ static int live(const flow_cache *c, int64_t slot)
 }
 
 /* One batch's distinct misses so far, by id (arrival order): each one's
- * FNV value and packed key, room for `most` (the batch size).  `table`
- * (2^bits slots, at most half full) finds an id by FNV value; it grows
- * with the distinct count, and nothing is allocated before the first miss. */
+ * FNV value and packed key, in arrays the caller sized for the batch.
+ * `table` (2^bits slots, at most half full) finds an id by FNV value; it
+ * grows with the distinct count, and is not made before the first miss. */
 typedef struct { uint64_t x; int64_t id; } slot;   /* id + 1, 0: empty */
 
 typedef struct {
     int bits;
-    int64_t most, nd;
+    int64_t nd;
     uint64_t *x, *keys;
     slot *table;
 } groups;
@@ -68,19 +70,18 @@ static uint64_t home(uint64_t x, int bits)
     return x * 0x9E3779B97F4A7C15ULL >> (64 - bits);
 }
 
-/* Double the table, or make the first (and the per-id arrays): at least
- * 2^10 slots and `expect` ids a quarter full (a rehash costs more than a
- * larger first table); 0 when out of memory. */
-static int grow(groups *g, int64_t nw, int64_t expect)
+/* Double the table, or make the first: at least 2^10 slots and `expect`
+ * ids a quarter full (a rehash costs more than a larger first table); 0
+ * when out of memory. */
+static int grow(groups *g, int64_t expect)
 {
     int bits = g->table ? g->bits + 1 : 10;
     while (!g->table && (int64_t)1 << bits < 4 * expect)
         bits++;
     const size_t size = (size_t)1 << bits;
     slot *table = calloc(size, sizeof *table);
-    if (!table || (!g->x && !(g->x = malloc(g->most * sizeof *g->x)))
-        || (!g->keys && !(g->keys = malloc(g->most * nw * sizeof *g->keys))))
-        return free(table), 0;
+    if (!table)
+        return 0;
     for (int64_t id = 0; id < g->nd; id++) {
         uint64_t i = home(g->x[id], bits);
         while (table[i].id)
@@ -98,7 +99,7 @@ static int grow(groups *g, int64_t nw, int64_t expect)
 static inline int64_t group(groups *g, const uint64_t *kw, int64_t nw,
                             uint64_t x, int64_t expect)
 {
-    if (2 * (g->nd + 1) > (int64_t)1 << g->bits && !grow(g, nw, expect))
+    if (2 * (g->nd + 1) > (int64_t)1 << g->bits && !grow(g, expect))
         return -1;
     const uint64_t mask = ((uint64_t)1 << g->bits) - 1;
     for (uint64_t i = home(x, g->bits);; i = (i + 1) & mask) {
@@ -258,66 +259,6 @@ static void by_last_sighting(const groups *g, int64_t *rank, int64_t m,
     }
 }
 
-/* FlowCache.lookup: probe every packet, BLOCK at a time, counting both
- * in counts.  Given tally, the hits with a result >= 0 are added to
- * tally[0] and their cycles to tally[1].  With uniq, each block's misses
- * are grouped by FNV value while in cache, in a table first sized for
- * `expect` (the result never depends on it), then ranked by last
- * sighting (uniq, sets, rank).
- * Inlined for the five-tuple 4-way cache, constant bounds, and any other. */
-static inline __attribute__((always_inline)) int
-lookup(flow_cache *c, const uint32_t *headers, int64_t n, int64_t expect,
-       int64_t *match, int64_t *misses, int64_t *rank, uint32_t *uniq,
-       int64_t *sets, int64_t *counts, int64_t *occupancy, int64_t hit_cycles,
-       int64_t *tally, const int64_t ndim, const int64_t ways)
-{
-    const int64_t nw = (ndim + 1) / 2;
-    groups g = {.most = n};
-    expect = expect < n ? expect : n;
-    int64_t m = 0, matched = 0, code = ERR_MEMORY;
-    /* One block's misses: FNV values, then keys. */
-    uint64_t *miss_x = malloc((size_t)BLOCK * (nw + 1) * sizeof *miss_x);
-    if (!miss_x)
-        goto out;
-    uint64_t *miss_kw = miss_x + BLOCK;
-    for (int64_t lo = 0; lo < n; lo += BLOCK) {
-        const int64_t hi = lo + BLOCK < n ? lo + BLOCK : n, first = m;
-        m = probe(c, c->tick, headers, NULL, NULL, lo, hi, m, match, misses,
-                  miss_x, miss_kw, occupancy, hit_cycles, &matched, ndim,
-                  ways);
-        if (uniq && !group_block(&g, miss_x, miss_kw, m - first, nw, expect,
-                                 rank + first))
-            goto out;
-    }
-    by_last_sighting(&g, rank, m, uniq, sets, c->n_sets, ndim);
-    counts[0] = m;
-    counts[1] = g.nd;
-    if (tally) {
-        tally[0] += matched;
-        tally[1] += occupancy ? (n - m) * hit_cycles : 0;
-    }
-    code = OK;
-out:
-    free(miss_x), free(g.table), free(g.x), free(g.keys);
-    return (int)code;
-}
-
-/* The misses' positions go to misses[], their count and the distinct
- * count to counts[0..1]; with uniq, the distinct headers in the order of
- * each one's last miss, their sets to sets and miss i's rank among them
- * to rank[i]. */
-int fc_lookup(flow_cache *c, const uint32_t *headers, int64_t n,
-              int64_t expect, int64_t *match, int64_t *misses, int64_t *rank,
-              uint32_t *uniq, int64_t *sets, int64_t *counts,
-              int64_t *occupancy, int64_t hit_cycles, int64_t *tally)
-{
-    if (c->ndim == 5 && c->ways == 4)
-        return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                      counts, occupancy, hit_cycles, tally, 5, 4);
-    return lookup(c, headers, n, expect, match, misses, rank, uniq, sets,
-                  counts, occupancy, hit_cycles, tally, c->ndim, c->ways);
-}
-
 /* The ways of set s oldest-first (dead ones as age -1), stable in way
  * order: FlowCache._fill's argsort of one set, by insertion. */
 static void victim_order(const flow_cache *c, int64_t s, int64_t *order,
@@ -332,9 +273,17 @@ static void victim_order(const flow_cache *c, int64_t s, int64_t *order,
     }
 }
 
+/* The int64 cells commit's scratch holds for nd distinct keys: each
+ * one's set, the keys by set, each set's end and one set's victim order
+ * and ages. */
+static size_t commit_cells(const flow_cache *c, int64_t nd)
+{
+    return (size_t)(2 * nd + c->n_sets + 1 + 2 * c->ways);
+}
+
 /* FlowCache.commit.  The scatter (given match): miss i, at position
  * misses[i], gets results[rank[i]] in match and, given occupancy,
- * cycles[rank[i]] in it (fc_lookup wrote the hits'); given tally, the
+ * cycles[rank[i]] in it (the probe wrote the hits'); given tally, the
  * misses with a result >= 0 are added to tally[0] and their cycles to
  * tally[1].
  * Then the fill of the nd distinct keys, each packed from its row of
@@ -343,31 +292,20 @@ static void victim_order(const flow_cache *c, int64_t s, int64_t *order,
  * victim order, an eviction when it wraps or the way was live, a
  * reclamation when the way was dead but once filled.  A counting sort by
  * set serves each set's inserts together, so its lines are read once.
- * counts[0..1] get the evictions and reclamations. */
-int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
-              int64_t nd, const int64_t *results, const int64_t *cycles,
-              const int64_t *misses, const int64_t *rank, int64_t m,
-              int64_t *match, int64_t *occupancy, int64_t n,
-              int64_t *counts, int64_t *tally)
+ * counts[0..1] get the evictions and reclamations.  scratch holds
+ * commit_cells(c, nd) cells; nothing here allocates or fails. */
+static void commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
+                   int64_t nd, const int64_t *results, const int64_t *cycles,
+                   const int64_t *misses, const int64_t *rank, int64_t m,
+                   int64_t *match, int64_t *occupancy, int64_t *counts,
+                   int64_t *tally, int64_t *scratch)
 {
     const int64_t ways = c->ways, n_sets = c->n_sets, ndim = c->ndim;
     const int64_t nw = (ndim + 1) / 2;
-    if (occupancy && !cycles)
-        return ERR_RANGE;
-    for (int64_t r = 0; sets && r < nd; r++)   /* before any write */
-        if (sets[r] < 0 || sets[r] >= n_sets)
-            return ERR_RANGE;
-    for (int64_t i = 0; i < m; i++)
-        if (misses[i] < 0 || misses[i] >= n || rank[i] < 0 || rank[i] >= nd)
-            return ERR_RANGE;
-    int64_t *set = malloc((size_t)(nd + 1) * sizeof *set);
-    int64_t *by_set = malloc((size_t)(nd + 1) * sizeof *by_set);
-    int64_t *end = calloc((size_t)n_sets + 1, sizeof *end);
-    int64_t *order = malloc((size_t)ways * 2 * sizeof *order);
+    int64_t *set = scratch, *by_set = set + nd, *end = by_set + nd;
+    int64_t *order = end + n_sets + 1;
     int64_t evictions = 0, reclamations = 0, matched = 0, cycles_sum = 0;
-    int code = ERR_MEMORY;
-    if (!set || !by_set || !end || !order)
-        goto out;
+    memset(end, 0, (size_t)(n_sets + 1) * sizeof *end);
     for (int64_t i = 0; i < m; i++) {
         const int64_t result = results[rank[i]];
         match[misses[i]] = result;
@@ -408,10 +346,31 @@ int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
         tally[0] += matched;
         tally[1] += cycles_sum;
     }
-    code = OK;
-out:
-    free(set), free(by_set), free(end), free(order);
-    return code;
+}
+
+/* commit, after its indices are range-checked (ERR_RANGE before any
+ * write), in scratch of its own (ERR_MEMORY before any write). */
+int fc_commit(flow_cache *c, const uint32_t *uniq, const int64_t *sets,
+              int64_t nd, const int64_t *results, const int64_t *cycles,
+              const int64_t *misses, const int64_t *rank, int64_t m,
+              int64_t *match, int64_t *occupancy, int64_t n,
+              int64_t *counts, int64_t *tally)
+{
+    if (occupancy && !cycles)
+        return ERR_RANGE;
+    for (int64_t r = 0; sets && r < nd; r++)
+        if (sets[r] < 0 || sets[r] >= c->n_sets)
+            return ERR_RANGE;
+    for (int64_t i = 0; i < m; i++)
+        if (misses[i] < 0 || misses[i] >= n || rank[i] < 0 || rank[i] >= nd)
+            return ERR_RANGE;
+    int64_t *scratch = malloc(commit_cells(c, nd) * sizeof *scratch);
+    if (!scratch)
+        return ERR_MEMORY;
+    commit(c, uniq, sets, nd, results, cycles, misses, rank, m, match,
+           occupancy, counts, tally, scratch);
+    free(scratch);
+    return OK;
 }
 
 /* FlowCache.retire after one update batch, in one pass over the slots:
@@ -472,23 +431,22 @@ int64_t fc_retire(flow_cache *c, const int64_t *removed, int64_t n_removed,
     return retired;
 }
 
-/* fc_serve: one batch for a backend whose miss classification is one
- * FlatTree walk, split over k owners, one a job (split_run), owner o
- * holding the sets s with s * k / n_sets == o.  At k > 1 the calling
- * thread first hashes the batch and marks each packet's owner
+/* fc_serve: one batch, split over k owners, one a job (split_run),
+ * owner o holding the sets s with s * k / n_sets == o.  At k > 1 the
+ * calling thread first hashes the batch and marks each packet's owner
  * (hash_batch); the one owner of a k = 1 call takes the batch as it is,
  * hashing as it probes.  Each owner probes its packets in arrival order
- * (probe, as fc_lookup does: a hit is stamped tick + p, p its place in
- * the batch), grouping each BLOCK's misses while in cache, ranks its
- * distinct misses by last sighting and walks them (walk_slice: widths
- * checked, cycles counted); past the split's barrier, if no owner
- * failed, it scatters its results to its misses and fills its own sets
- * (fc_commit over its arrays).  Sets are disjoint, and a set's probes
- * and inserts come in the order one owner makes them, so every table,
- * count and output is the one-owner one. */
+ * (probe: a hit is stamped tick + p, p its place in the batch), grouping
+ * each BLOCK's misses while in cache, ranks its distinct misses by last
+ * sighting and, given a walk, allocates its fill's scratch and walks
+ * them (walk_slice: widths checked, cycles counted); past the split's
+ * barrier, if no owner failed, it scatters its results to its misses
+ * and fills its own sets (commit over its arrays).  Sets are disjoint,
+ * and a set's probes and inserts come in the order one owner makes
+ * them, so every table, count and output is the one-owner one. */
 typedef struct {       /* what the owners of one call share */
     flow_cache *c;
-    const tables *t;
+    const tables *t;   /* NULL: no walk, and no fill */
     const placement *pl;
     const uint32_t *headers;
     int64_t n, k, expect, tick, hit_cycles;   /* tick: the probe's clock */
@@ -511,7 +469,8 @@ typedef struct {
     int64_t matched;       /* its hits with a result >= 0 */
     int64_t stop;          /* the last miss of the first failing one */
     int64_t counts[2], tally[2];
-    int code, fill_code;
+    int64_t *fill;         /* its commit's scratch */
+    int code;
 } owner;
 
 /* The calling thread's pass of a k-owner call: each packet's FNV value
@@ -542,11 +501,11 @@ hash_batch(const serve_call *s, owner *owners, const int64_t ndim)
 }
 
 /* Probe owner i's packets BLOCK at a time, in arrival order, grouping
- * each block's misses in g; 0 when out of memory (the probe still runs
- * to the end, so every hit is stamped whatever the grouping met).  The
- * one owner of a k = 1 call probes the batch as it is; at k > 1 each
- * block is the owner's next BLOCK packets, read off own[].  Inlined for
- * the five-tuple 4-way cache. */
+ * each block's misses in g when the call has ranks to write; 0 when out
+ * of memory (the probe still runs to the end, so every hit is stamped
+ * whatever the grouping met).  The one owner of a k = 1 call probes the
+ * batch as it is; at k > 1 each block is the owner's next BLOCK packets,
+ * read off own[].  Inlined for the five-tuple 4-way cache. */
 static inline __attribute__((always_inline)) int
 probe_owned(owner *o, int64_t i, groups *g, uint64_t *miss_x,
             const int64_t ndim, const int64_t ways)
@@ -572,38 +531,48 @@ probe_owned(owner *o, int64_t i, groups *g, uint64_t *miss_x,
                       s->match, s->misses + first, miss_x, miss_kw,
                       s->occupancy, s->hit_cycles, &o->matched, ndim, ways);
         }
-        grouped = grouped && group_block(g, miss_x, miss_kw, m - before, nw,
-                                         expect, s->rank + first + before);
+        if (grouped && s->rank)
+            grouped = group_block(g, miss_x, miss_kw, m - before, nw, expect,
+                                  s->rank + first + before);
         lo = hi;
     }
     o->m = m;
     return grouped;
 }
 
-/* The split's jobs: owner i probes its packets, ranks its distinct
- * misses by last sighting and walks them.  o->code is the walk's code,
- * ERR_RANGE where the walk refuses its placement, or ERR_MEMORY. */
+/* The split's jobs: owner i probes its packets and, given ranks to
+ * write, ranks its distinct misses by last sighting; given a walk, it
+ * walks them.  o->code is the walk's code, ERR_RANGE where the walk
+ * refuses its placement, or ERR_MEMORY. */
 static void probe_group_walk(void *owners, int64_t i)
 {
     owner *o = (owner *)owners + i;
     const serve_call *s = o->call;
     const flow_cache *c = s->c;
     const int64_t ndim = c->ndim, nw = (ndim + 1) / 2, first = o->first;
-    groups g = {.most = o->count, .x = s->ids_x + first,
-                .keys = s->ids_keys + first * nw};
+    groups g = {0};
+    if (s->rank)
+        g.x = s->ids_x + first, g.keys = s->ids_keys + first * nw;
     uint64_t *miss_x = s->scratch + i * BLOCK * (nw + 1);
     const int grouped = ndim == 5 && c->ways == 4
         ? probe_owned(o, i, &g, miss_x, 5, 4)
         : probe_owned(o, i, &g, miss_x, ndim, c->ways);
-    o->code = ERR_MEMORY;
-    if (!grouped)
+    o->code = grouped ? OK : ERR_MEMORY;
+    if (!grouped || !s->rank)
         goto out;
     o->nd = g.nd;
     by_last_sighting(&g, s->rank + first, o->m, s->uniq + first * ndim,
                      s->sets + first, c->n_sets, ndim);
-    o->code = s->refused && g.nd ? ERR_RANGE : OK;
-    if (o->code)
+    if (!s->t || !g.nd)
         goto out;
+    if (s->refused) {
+        o->code = ERR_RANGE;
+        goto out;
+    }
+    if (!(o->fill = malloc(commit_cells(c, g.nd) * sizeof *o->fill))) {
+        o->code = ERR_MEMORY;
+        goto out;
+    }
     walk_job j = {s->t, s->pl, s->uniq + first * ndim, 0, g.nd,
                   s->results + first, NULL, NULL, NULL, NULL, NULL,
                   s->pl ? s->cycles + first : NULL, NULL, NULL, 0, 0, OK, 0};
@@ -633,52 +602,60 @@ static void scatter_and_fill(void *owners, int64_t i)
             return;
     if (!o->nd)   /* no misses */
         return;
-    o->fill_code = fc_commit(
-        s->c, s->uniq + f * s->c->ndim, s->sets + f, o->nd, s->results + f,
-        s->occupancy ? s->cycles + f : NULL, s->misses + f, s->rank + f,
-        o->m, s->match, s->occupancy, s->n, o->counts, o->tally);
+    commit(s->c, s->uniq + f * s->c->ndim, s->sets + f, o->nd, s->results + f,
+           s->occupancy ? s->cycles + f : NULL, s->misses + f, s->rank + f,
+           o->m, s->match, s->occupancy, o->counts, o->tally, o->fill);
 }
 
-/* Serve n headers through cache c and, for its misses, the walk of t
- * (under placement pl, its widths checked and cycles counted into
- * occupancy): match, occupancy and tally are written as fc_lookup, the
- * walk and fc_commit write them, and the tables and c->tick (+ n after
- * the probe) left where they leave them, an error included.  The batch
- * splits over k = split_count(expect, threads, least) owners: expect,
- * the distinct misses of the cache's last batch (the grouping's first
- * size), stands for the walks and fills this one brings, which only its
- * probe could count; a batch of hits splits nothing, since hashing it
- * first costs more than half its probe.  Every array an owner writes is
- * allocated before the first probe.  counts gets the
+/* Serve n headers through cache c.  misses gets the misses' positions;
+ * given rank (and uniq and sets, room for n each), rank[i] gets miss
+ * i's rank among the distinct missed headers, uniq those in the order
+ * of each one's last miss and sets their sets.  Without a walk t, one
+ * owner probes and groups and the call ends there (FlowCache.lookup, and
+ * without rank FlowCache.probe); given t (and rank), the distinct misses
+ * are walked under placement pl (widths checked, cycles counted into
+ * occupancy) and filled.  match, occupancy (hit_cycles for a hit) and
+ * tally are written as the probe, the walk and fc_commit write them, and
+ * the tables and c->tick (+ n after the probe) left where they leave
+ * them, an error included: one met once the probe began leaves every
+ * hit stamped and nothing filled.  A walk splits the batch over k = split_count(expect,
+ * threads, least) owners: expect, the distinct misses of the cache's
+ * last batch (the grouping's first size), stands for the walks and
+ * fills this one brings, which only its probe could count; a batch of
+ * hits splits nothing, since hashing it first costs more than half its
+ * probe.  Every array an owner writes but its grouping table and its
+ * fill's scratch is allocated before the first probe.  counts gets the
  * misses, the distinct misses, the evictions, the reclamations and k.
- * Returns ERR_RANGE if there are misses to walk and the walk refuses
- * its placement (as flat_walk does), else ERR_WIDTH if a miss is too
- * wide, else the walk code of the failing distinct miss last missed
- * first, or ERR_MEMORY. */
+ * Returns ERR_RANGE for a walk of another width or without ranks, for
+ * rank, uniq and sets not all given or all NULL, and if there are misses
+ * to walk and the walk refuses its placement (as flat_walk does), else
+ * ERR_WIDTH if a miss is too wide, else the walk code of the failing
+ * distinct miss last missed first, or ERR_MEMORY. */
 int fc_serve(flow_cache *c, const tables *t, const placement *pl,
              const uint32_t *headers, int64_t n, int64_t expect,
-             int64_t *match, int64_t *occupancy, int64_t hit_cycles,
+             int64_t *match, int64_t *misses, int64_t *rank, uint32_t *uniq,
+             int64_t *sets, int64_t *occupancy, int64_t hit_cycles,
              int64_t threads, int64_t least, int64_t *counts, int64_t *tally)
 {
-    if (t->ndim != c->ndim)
+    if ((t && (t->ndim != c->ndim || !rank)) || !rank != !uniq
+        || !rank != !sets)
         return ERR_RANGE;
     const int64_t ndim = c->ndim, nw = (ndim + 1) / 2;
-    const int64_t k = split_count(expect, threads, least);
+    const int64_t k = t ? split_count(expect, threads, least) : 1;
     const size_t rows = (size_t)n + 1;
-    int64_t *work = malloc(rows * 5 * sizeof *work);
-    uint64_t *ids = malloc(rows * (nw + 1) * sizeof *ids);
+    int64_t *walked = t ? malloc(rows * 2 * sizeof *walked) : NULL;
+    uint64_t *ids = rank ? malloc(rows * (nw + 1) * sizeof *ids) : NULL;
     uint64_t *scratch = malloc((size_t)k * BLOCK * (nw + 1) * sizeof *scratch);
-    uint32_t *uniq = malloc(rows * ndim * sizeof *uniq);
     uint64_t *xs = k > 1 ? malloc(rows * sizeof *xs) : NULL;
     uint8_t *own = k > 1 ? malloc(rows) : NULL;
     serve_call s = {c, t, pl, headers, n, k, expect / k, c->tick, hit_cycles,
-                    placement_refused(t, pl, occupancy), xs, own, work,
-                    work + rows, uniq, work + 2 * rows, work + 3 * rows,
-                    work + 4 * rows, ids, ids + rows, scratch, match,
-                    occupancy};
+                    t && placement_refused(t, pl, occupancy), xs, own, misses,
+                    rank, uniq, sets, walked, walked ? walked + rows : NULL,
+                    ids, ids ? ids + rows : NULL, scratch, match, occupancy};
     owner owners[MAX_THREADS] = {{0}};
     int code = ERR_MEMORY;
-    if (!work || !ids || !scratch || !uniq || (k > 1 && (!xs || !own)))
+    if (!scratch || (t && !walked) || (rank && !ids)
+        || (k > 1 && (!xs || !own)))
         goto out;
     if (k > 1 && ndim == 5)
         hash_batch(&s, owners, 5);
@@ -689,7 +666,7 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
     for (int64_t o = 0; o < k; o++)
         owners[o].call = &s;
     c->tick += n;   /* the fills' clock */
-    split_run(k, probe_group_walk, scatter_and_fill, owners);
+    split_run(k, probe_group_walk, t ? scatter_and_fill : NULL, owners);
     /* The one-owner error: memory, else the walk's refusal of its
      * placement, else width, else the code of the failing distinct miss
      * whose last miss comes first. */
@@ -697,7 +674,7 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
     int64_t first = INT64_MAX, sums[5] = {0};
     for (int64_t o = 0; o < k; o++) {
         const owner *w = &owners[o];
-        memory |= w->code == ERR_MEMORY || w->fill_code;
+        memory |= w->code == ERR_MEMORY;
         width |= w->code == ERR_WIDTH;
         if (w->code != OK && w->code != ERR_WIDTH && w->stop < first)
             first = w->stop, walk = w->code;
@@ -706,6 +683,7 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
         sums[2] += w->counts[0];
         sums[3] += w->counts[1];
         sums[4] += w->matched;
+        free(w->fill);
     }
     code = memory ? ERR_MEMORY : s.refused && sums[1] ? ERR_RANGE
          : width ? ERR_WIDTH : walk;
@@ -720,6 +698,6 @@ int fc_serve(flow_cache *c, const tables *t, const placement *pl,
         tally[1] += owners[o].tally[1];
     }
 out:
-    free(work), free(ids), free(scratch), free(uniq), free(xs), free(own);
+    free(walked), free(ids), free(scratch), free(xs), free(own);
     return code;
 }

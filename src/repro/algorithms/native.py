@@ -11,11 +11,13 @@ all six :class:`~repro.algorithms.base.BatchLookup` fields.  Handed an
 accelerator's leaf placement (:func:`place`), it also counts each
 packet's memory-port cycles as it finishes it, bit-identical to
 :class:`~repro.hw.Accelerator`'s NumPy formula over ``batch_lookup``.
-The cache kernels (:func:`lookup`, :func:`commit`) are the flow cache's
-two per-batch calls over its own tables (bound once), bit-identical to
-its NumPy path in every table, counter and returned array;
-:func:`serve` is both around the walk of the distinct misses, in one
-call, for a backend whose miss classification is that walk, and
+The cache kernels are the flow cache's per-batch calls over its own
+tables (bound once), bit-identical to its NumPy path in every table,
+counter and returned array: :func:`serve` probes a batch and groups its
+misses (``FlowCache.probe`` and ``lookup``) or, for a backend whose miss
+classification is one native walk, probes, walks the distinct misses
+and fills them in one call (``FlowCache.serve``); :func:`commit`
+scatters a backend's answers and fills (``FlowCache.commit``), and
 :func:`retire` is ``FlowCache.retire``'s pass over the tables after an
 update batch.  The walk and the cache calls write into the arrays they
 are handed (a slice of a run's outputs) and add what they wrote to a
@@ -299,13 +301,13 @@ def _open(path: str):
     fn.restype = ctypes.c_int
     ptr, i64, cache = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(_Cache)
     for name, args, res in (
-        ("fc_lookup", [cache, ptr, i64, i64, *[ptr] * 7, i64, ptr],
-         ctypes.c_int),
-        # (cache, tables, placement or NULL, headers, n, expect, match,
-        # occupancy or NULL, hit cycles, threads, least, counts, tally)
+        # (cache, tables or NULL, placement or NULL, headers, n, expect,
+        # match, misses, rank, uniq, sets (the last three NULL or not
+        # together), occupancy or NULL, hit cycles, threads, least,
+        # counts, tally or NULL)
         ("fc_serve", [cache, ctypes.POINTER(_Tables),
-                      ctypes.POINTER(_Placement), ptr, i64, i64, ptr, ptr,
-                      i64, i64, i64, ptr, ptr], ctypes.c_int),
+                      ctypes.POINTER(_Placement), ptr, i64, i64,
+                      *[ptr] * 6, i64, i64, i64, ptr, ptr], ctypes.c_int),
         ("fc_commit", [cache, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr,
                        ptr, i64, ptr, ptr], ctypes.c_int),
         ("pf_hash", [ptr, i64, i64, ptr], None),
@@ -428,11 +430,14 @@ def walk(
     return k.value
 
 
-def check(code: int, headers32, placement: _Placement | None) -> None:
-    """Raise the error a native call (the walk, :func:`serve`, the cache
-    calls) returned ``code`` for over ``headers32``: a too-wide header is the
+def check(code: int, headers32=None, placement: _Placement | None = None,
+          outside: str = "batch traversal left its tables (corrupt "
+          "FlatTree or placement buffers)") -> None:
+    """Raise the error a native call (the walk, the cache calls) returned
+    ``code`` for over ``headers32``: a too-wide header is the
     :class:`~repro.core.errors.PacketFormatError` ``PacketTrace`` raises,
-    naming the first field any header overflows."""
+    naming the first field any header overflows; an index outside its
+    table a :class:`~repro.core.errors.BuildError` saying ``outside``."""
     if code == 3:
         widths = placement.keep[2]
         field = int(np.flatnonzero((headers32 > widths).any(axis=0))[0])
@@ -441,9 +446,7 @@ def check(code: int, headers32, placement: _Placement | None) -> None:
         raise MemoryError("native flow cache: out of memory")
     if code:
         raise BuildError(
-            "batch traversal did not terminate" if code == 1 else
-            "batch traversal left its tables (corrupt FlatTree or "
-            "placement buffers)"
+            "batch traversal did not terminate" if code == 1 else outside
         )
 
 
@@ -475,68 +478,49 @@ def _bound(cache) -> _Cache:
     return bound
 
 
-def lookup(cache, headers32, group: bool = True, expect: int = 0,
-           match=None, occupancy=None, hit_cycles: int = 0, tally=None):
-    """``FlowCache.lookup``'s ``(match, misses, rank, uniq, sets)``,
-    grouping in a table first sized for ``expect`` distinct misses;
-    without ``group`` the probe alone (the last three ``None``).
-    ``match`` is written in place when given; ``occupancy``, when given,
-    gets ``hit_cycles`` in every cell in the same pass, and ``tally``
-    (two ``int64`` cells) the hits' matched count and cycles."""
-    lib = _load().lib
-    if lib is None:
-        return None
-    n, ndim = headers32.shape[0], cache._ndim
-    bound = _bound(cache)
-    headers = _pointer("headers", headers32, np.uint32, (n, ndim))
-    match = np.empty(n, np.int64) if match is None else match
-    misses = np.empty(n, np.int64)
-    rank, uniq, sets = (np.empty(n, np.int64), np.empty((n, ndim), np.uint32),
-                        np.empty(n, np.int64)) if group else (None,) * 3
-    counts = np.zeros(2, np.int64)
-    check(lib.fc_lookup(ctypes.byref(bound), headers, n, expect,
-                        _pointer("match", match, np.int64, (n,)),
-                        *(a if a is None else a.ctypes.data
-                          for a in (misses, rank, uniq, sets, counts)),
-                        _optional("occupancy", occupancy, n), hit_cycles,
-                        _optional("tally", tally, 2)), headers32, None)
-    m, distinct = counts
-    if group:
-        rank, uniq, sets = rank[:m], uniq[:distinct], sets[:distinct]
-    return match, misses[:m], rank, uniq, sets
-
-
 def _optional(name: str, arr, size: int):
     return None if arr is None else _pointer(name, arr, np.int64, (size,))
 
 
-def serve(cache, walk, headers32, counts, match, occupancy=None,
+def serve(cache, walk, headers32, counts, match, missed, occupancy=None,
           hit_cycles: int = 0, tally=None, threads: int | None = None):
-    """One cached batch in one call (``fc_serve``), for a backend whose
-    miss classification is one native walk, ``walk = (tables,
-    placement)``: the batch split by the one rule with :data:`MIN_OWNED`
-    over set owners, the work being the distinct misses of the cache's
-    last batch, each owner probing its packets in arrival order, then
-    grouping, walking and filling its own sets.  ``match``, ``occupancy`` and
-    ``tally`` are written as :func:`lookup`, the walk and :func:`commit`
-    write them; ``counts`` (five ``int64`` cells) gets the misses, the
-    distinct misses, the evictions, the reclamations and the owners.
-    Returns the call's code for :func:`check` (an error leaves every
-    table as the three calls leave it), or ``None`` (nothing written)
-    when the library did not load."""
+    """One batch through the cache in one call (``fc_serve``).
+
+    ``missed = (misses, rank, uniq, sets)`` (``(n,)`` ``int64``, ``(n,)``
+    ``int64``, ``(n, ndim)`` ``uint32``, ``(n,)`` ``int64``) gets the
+    misses' positions, each miss's rank among the distinct missed
+    headers, those in the order of each one's last miss and their sets
+    (the first ``counts[0]`` / ``counts[1]`` rows); without the last
+    three, the probe alone.  With ``walk = None`` one owner probes and
+    groups, and nothing is walked or filled.  Given ``walk = (tables,
+    placement)``, for a backend whose miss classification is that native
+    walk, the batch splits by the one rule with :data:`MIN_OWNED` over
+    set owners, the work being the distinct misses of the cache's last
+    batch, each owner probing its packets in arrival order, then
+    grouping, walking and filling its own sets (``missed`` is scratch
+    then).  ``match``, ``occupancy`` (``hit_cycles`` for a hit) and
+    ``tally`` (two ``int64`` cells) are written as the probe, the walk
+    and :func:`commit` write them; ``counts`` (five ``int64`` cells) gets
+    the misses, the distinct misses, the evictions, the reclamations and
+    the owners.  Returns the call's code for :func:`check` (after an
+    error every hit is stamped and nothing filled), or ``None`` (nothing
+    written) when the library did not load."""
     lib = _load().lib
     if lib is None:
         return None
-    tables, placement = walk
-    n = headers32.shape[0]
+    tables, placement = walk or (None, None)
+    n, ndim = headers32.shape[0], cache._ndim
+    misses, rank, uniq, sets = missed
     bound = _bound(cache)
     return lib.fc_serve(
-        ctypes.byref(bound), ctypes.byref(tables), placement,
-        _pointer("headers", headers32, np.uint32, (n, cache._ndim)), n,
+        ctypes.byref(bound), None if tables is None else ctypes.byref(tables),
+        placement, _pointer("headers", headers32, np.uint32, (n, ndim)), n,
         cache._distinct, _pointer("match", match, np.int64, (n,)),
-        _optional("occupancy", occupancy, n), hit_cycles,
-        *_split(MIN_OWNED, threads), _pointer("counts", counts, np.int64, (5,)),
-        _optional("tally", tally, 2),
+        _pointer("misses", misses, np.int64, (n,)), _optional("rank", rank, n),
+        None if uniq is None else _pointer("uniq", uniq, np.uint32, (n, ndim)),
+        _optional("sets", sets, n), _optional("occupancy", occupancy, n),
+        hit_cycles, *_split(MIN_OWNED, threads),
+        _pointer("counts", counts, np.int64, (5,)), _optional("tally", tally, 2),
     )
 
 
@@ -566,10 +550,8 @@ def commit(cache, uniq, sets, results, cycles=None, misses=None, rank=None,
         _optional("cycles", cycles, nd), *scatter[:2], m, *scatter[2:], n,
         counts.ctypes.data, _optional("tally", tally, 2),
     )
-    if code == 2:
-        raise BuildError("native flow cache: a set index, miss or rank "
-                         "outside its table")
-    check(code, None, None)
+    check(code, outside="native flow cache: a set index, miss or rank "
+          "outside its table")
     return int(counts[0]), int(counts[1])
 
 

@@ -10,19 +10,20 @@ misses — that split is where the energy argument lives.
   monotonic use stamp.  Headers are compared as *packed flow keys*
   (:func:`pack_flow_keys`: the ``uint32`` columns packed pairwise into
   ``ceil(ndim / 2)`` ``uint64`` words, column 0 most significant, so
-  word order is row order for any schema).  A batch is two calls:
-  :meth:`FlowCache.lookup` (probe, and group the misses) and
-  :meth:`FlowCache.commit` (scatter the backend's answers, fill).  Each
-  is one C loop over the batch where :mod:`~repro.algorithms.native`
-  loaded and NumPy otherwise (the oracle): bit-identical tables,
-  counters and results, no per-packet Python either way.  For a backend
-  whose miss classification is one native ``FlatTree`` walk the batch
-  is one native call instead, :meth:`FlowCache.serve`: the probe, then
-  the misses split over set-owning threads, each walking and filling
-  its own sets (the same tables and counters at any thread count).  The
-  C side is bound once: the cache's pointer table is built when its
-  tables are (re)allocated and kept, so a call hands over its batch and
-  the clock.
+  word order is row order for any schema).  A batch is
+  :meth:`FlowCache.lookup` (probe, and group the misses), the backend
+  and :meth:`FlowCache.commit` (scatter the backend's answers, fill);
+  for a backend whose miss classification is one native ``FlatTree``
+  walk it is one call, :meth:`FlowCache.serve`: the batch split over
+  set-owning threads, each probing, walking and filling its own sets
+  (the same tables and counters at any thread count).  Where
+  :mod:`~repro.algorithms.native` loaded, ``probe``, ``lookup`` and
+  ``serve`` are one C entry (``lookup`` and ``probe`` without the walk)
+  and ``commit`` another; NumPy serves otherwise (the oracle):
+  bit-identical tables, counters and results, no per-packet Python
+  either way.  The C side is bound once: the cache's pointer table is
+  built when its tables are (re)allocated and kept, so a call hands
+  over its batch and the clock.
 * :class:`CachedClassifier` — wraps any
   :class:`~repro.engine.protocol.Classifier` behind the same protocol,
   so it composes with the registry, the pipeline and the CLI like a bare
@@ -252,8 +253,9 @@ class FlowCache:
         #: Fill tick per slot; 0 = never filled (``_tick`` starts at 1),
         #: which tells a reclamation from a first fill.
         self._filled: np.ndarray | None = None  # (sets, ways) int64
-        #: Distinct misses of the last native lookup, the size the next
-        #: one's grouping table starts at (its result never depends on it).
+        #: Distinct misses of the last native lookup or serve, the size
+        #: the next one's grouping table starts at and the work a serve
+        #: splits by (its result never depends on it).
         self._distinct = 0
         #: The native calls' pointer table over these tables, bound on
         #: the first native call after they are (re)allocated and then
@@ -309,14 +311,14 @@ class FlowCache:
             n = headers.shape[0]
             return np.zeros(n, bool), np.full(n, -1, np.int64)
         headers = self._prepare(headers)
-        found = native.lookup(self, headers, group=False)
+        match = np.empty(headers.shape[0], np.int64)
+        found = self._native_serve(headers, None, match, group=False)
         if found is None:
             return self._probe(pack_flow_keys(headers),
                                self._set_index(flow_hash(headers)))
-        self._tick += np.int64(headers.shape[0])
-        hit = np.ones(headers.shape[0], bool)
+        hit = np.ones(len(match), bool)
         hit[found[1]] = False
-        return hit, found[0]
+        return hit, match
 
     def lookup(self, headers: np.ndarray, match=None, occupancy=None,
                tally=None):
@@ -334,13 +336,10 @@ class FlowCache:
         ``int64`` cells) gets the hits' matched count and cycles added.
         """
         headers = self._prepare(headers)
-        found = native.lookup(self, headers, expect=self._distinct,
-                              match=match, occupancy=occupancy,
-                              hit_cycles=HIT_OCCUPANCY_CYCLES, tally=tally)
+        out = np.empty(len(headers), np.int64) if match is None else match
+        found = self._native_serve(headers, None, out, occupancy, tally)
         if found is not None:
-            self._tick += np.int64(headers.shape[0])
-            self._distinct = found[3].shape[0]
-            return found
+            return out, *found[1:]
         words, x = pack_flow_keys(headers), flow_hash(headers)
         s = self._set_index(x)
         hit, result = self._probe(words, s)
@@ -373,22 +372,41 @@ class FlowCache:
         not load or the walk's header width is not the batch's (the
         three calls raise their own error)."""
         headers = self._prepare(headers)
-        n, ndim = headers.shape
-        tables, placement = walk
-        if tables.ndim != ndim:
+        if walk[0].ndim != headers.shape[1]:
             return None
+        found = self._native_serve(headers, walk, match, occupancy, tally)
+        if found is None:
+            return None
+        counts = found[0]
+        self.stats.evictions += int(counts[2])
+        self.stats.reclamations += int(counts[3])
+        self._tick += np.int64(counts[1] > 0)
+        return int(counts[1])
+
+    def _native_serve(self, headers, walk, match, occupancy=None, tally=None,
+                      group: bool = True):
+        """:func:`~repro.algorithms.native.serve` over this cache:
+        ``(counts, misses, rank, uniq, sets)``, the arrays cut to the
+        call's misses and distinct misses (without ``group`` the probe
+        alone, the last three ``None``).  The clock moves past the probe
+        and a grouping's size is kept, an error included (then raised);
+        ``None`` (nothing done) where the library did not load."""
+        n, ndim = headers.shape
         counts = np.zeros(5, np.int64)
-        code = native.serve(self, walk, headers, counts, match, occupancy,
-                            HIT_OCCUPANCY_CYCLES, tally)
+        missed = (np.empty(n, np.int64), *((
+            np.empty(n, np.int64), np.empty((n, ndim), np.uint32),
+            np.empty(n, np.int64)) if group else (None,) * 3))
+        code = native.serve(self, walk, headers, counts, match, missed,
+                            occupancy, HIT_OCCUPANCY_CYCLES, tally)
         if code is None:
             return None
         self._tick += np.int64(n)
-        self._distinct = distinct = int(counts[1])
-        native.check(code, headers, placement)
-        self.stats.evictions += int(counts[2])
-        self.stats.reclamations += int(counts[3])
-        self._tick += np.int64(distinct > 0)
-        return distinct
+        m, distinct = counts[:2]
+        if group:
+            self._distinct = int(distinct)
+        native.check(code, headers, walk and walk[1])
+        return counts, *(a if a is None else a[:size] for a, size in
+                         zip(missed, (m, m, distinct, distinct)))
 
     def _probe(self, words: np.ndarray, s: np.ndarray):
         """:meth:`probe` over the batch's packed keys and set indices."""

@@ -8,6 +8,7 @@ multiprocessing must never change classification results.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import multiprocessing
 import os
@@ -357,6 +358,53 @@ class TestHeldWorkers:
             c = pipeline.run(full)
         assert np.array_equal(a.match, c.match)
         assert np.array_equal(b.match, a.match[:901])
+
+
+class TestReportAtEveryCpuCount:
+    #: ``EngineReport`` fields that depend on the CPU count, and why
+    #: (docs/engine.md, "``EngineReport``"): a wall clock; the owners
+    #: that ran (one inline below two CPUs, two forked from two on); the
+    #: forked workers' CPU; each owner's own cache, which decides the
+    #: hit and miss counts, the chunks' shard ids and per-chunk cache
+    #: counters, a packet's cycles (a hit's one against its walk's) and
+    #: so the energy stamp.
+    CPU_DEPENDENT = {
+        "elapsed_s", "n_shards", "worker_cpu_s", "chunks", "cache_hits",
+        "cache_misses", "cache_evictions", "occupancy",
+        "device_throughput_pps", "energy_per_packet_j",
+    }
+
+    def test_every_other_field_is_the_same_at_1_2_4_and_8_cpus(
+        self, acl_medium, acl_medium_trace, monkeypatch
+    ):
+        """One cached trace through ``Engine.classify`` with two shards
+        in ``auto`` mode, forked from two CPUs on: every field outside
+        ``CPU_DEPENDENT`` reads the same, and so does each chunk's grid."""
+        trace = PacketTrace(np.resize(acl_medium_trace.headers, (20000, 5)),
+                            acl_medium.schema)
+        config = EngineConfig(
+            backend="accelerator", cache_entries=512, shards=2,
+            shard_mode="auto", chunk_size=2048, min_chunk_packets=4096,
+            energy_model="asic",
+        )
+        reports = {}
+        for cpus in (1, 2, 4, 8):
+            monkeypatch.setattr(native, "host_cpus", lambda: cpus)
+            with Engine.open(config, acl_medium) as engine:
+                reports[cpus] = engine.classify(trace)
+        assert [r.n_shards for r in reports.values()] == [1, 2, 2, 2]
+        want = reports[1]
+        for cpus, report in reports.items():
+            for f in dataclasses.fields(EngineReport):
+                if f.name not in self.CPU_DEPENDENT:
+                    a, b = getattr(want, f.name), getattr(report, f.name)
+                    same = (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                            else a == b)
+                    assert same, (cpus, f.name)
+            assert [(c.index, c.start, c.n_packets, c.matched)
+                    for c in report.chunks] == [
+                (c.index, c.start, c.n_packets, c.matched)
+                for c in want.chunks]
 
 
 class TestEdges:

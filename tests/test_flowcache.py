@@ -834,11 +834,12 @@ def _on_both_kernels(twins, act) -> list:
 
 
 class TestNativeCacheKernels:
-    """The native lookup and commit (``fc_lookup``, ``fc_commit``) return
-    what the NumPy path returns — every served ``BatchStats`` with its
-    tallies, every lookup's four arrays, the match, occupancy and tally
-    a lookup and its commit write — and leave every table, the clock
-    and every counter where it leaves them, step after step."""
+    """The native lookup and commit (``fc_serve`` without a walk,
+    ``fc_commit``) return what the NumPy path returns — every served
+    ``BatchStats`` with its tallies, every lookup's four arrays, the
+    match, occupancy and tally a lookup and its commit write — and leave
+    every table, the clock and every counter where it leaves them, step
+    after step."""
 
     @settings(max_examples=200, deadline=None)
     @given(_cache_runs())

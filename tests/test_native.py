@@ -99,7 +99,7 @@ class TestBuildAndLoad:
             found = resources.files("repro.algorithms").joinpath(name)
             assert found.is_file()
             assert b'#line 1 "%s"\n' % name.encode() + found.read_bytes() in code
-        assert b"int flat_walk(" in code and b" fc_lookup(" in code
+        assert b"int flat_walk(" in code and b" fc_serve(" in code
 
     def test_two_processes_building_at_once_both_load(
         self, native_kernel, fresh_load
@@ -406,7 +406,7 @@ class TestCacheGeometries:
         flows = random_headers(FIVE_TUPLE, 300, seed=3)
         cache.fill(flows[:200], np.arange(200, dtype=np.int64))
         headers = np.tile(flows[100:300], (2, 1))
-        return cache, headers, native.lookup(cache, headers)
+        return cache, headers, cache.lookup(headers)
 
     #: ``FlowCache`` tables a C loop must never see, each made from the
     #: valid one: wrong dtype, wrong shape, not C-contiguous.
@@ -425,7 +425,7 @@ class TestCacheGeometries:
         cache, headers, (_, _, _, uniq, sets) = warm
         setattr(cache, table, self.CORRUPT_TABLES[table](getattr(cache, table)))
         with pytest.raises(BuildError, match=f"{table} is not a C-contiguous"):
-            native.lookup(cache, headers)
+            cache.lookup(headers)
         with pytest.raises(BuildError, match=f"{table} is not a C-contiguous"):
             native.commit(cache, uniq, sets, np.zeros(len(uniq), np.int64))
 
@@ -439,7 +439,10 @@ class TestCacheGeometries:
         for bad in (headers.astype(np.int64), headers[:, :4].copy(),
                     headers[::2]):
             with pytest.raises(BuildError, match="headers is not"):
-                native.lookup(cache, bad)
+                n = len(bad)
+                native.serve(cache, None, bad, np.zeros(5, np.int64),
+                             np.empty(n, np.int64),
+                             (np.empty(n, np.int64), None, None, None))
         commits = {  # name in the message -> the commit's arguments
             "uniq": (uniq.astype(np.int64), sets, results),
             "uniq ": (uniq[:, :3].copy(), sets, results),

@@ -56,6 +56,13 @@ def _forced(monkeypatch, k: int) -> None:
     monkeypatch.setattr(native, "serve", functools.partial(native.serve, threads=k))
 
 
+def _missed(n: int) -> tuple:
+    """``native.serve``'s scratch for a five-column batch of ``n``: the
+    misses, their ranks, the distinct headers and their sets."""
+    return (np.empty(n, np.int64), np.empty(n, np.int64),
+            np.empty((n, 5), np.uint32), np.empty(n, np.int64))
+
+
 def _walk_all(acc: Accelerator, headers, k: int) -> tuple:
     """The six ``BatchLookup`` fields and the three cycle arrays of one
     native walk on ``k`` threads."""
@@ -207,8 +214,10 @@ def _on_path(path, fn):
     with pytest.MonkeyPatch.context() as patch:
         if path == "numpy":
             patch.setattr(native, "_kernel", native._Kernel(reason="oracle"))
-        elif path == "three":
-            patch.setattr(native, "serve", lambda *args, **kwargs: None)
+        elif path == "three":   # a walk refused: lookup, backend, commit
+            real = native.serve
+            patch.setattr(native, "serve", lambda cache, walk, *args, **kw:
+                          None if walk else real(cache, walk, *args, **kw))
         else:
             _forced(patch, path)
         return fn()
@@ -459,7 +468,7 @@ class TestCachedServe:
         match, occupancy, tally = batch_out(0, True)
         assert native.serve(cache, clf.classifier.miss_walk,
                             np.empty((0, 5), np.uint32), counts, match,
-                            occupancy, 1, tally, threads=k) == 0
+                            _missed(0), occupancy, 1, tally, threads=k) == 0
         assert counts.tolist() == [0, 0, 0, 0, k]
         assert _state(clf, k) == before
 
@@ -780,8 +789,8 @@ class TestThreadsEndWithTheCall:
             headers = clf.cache._prepare(acl_small_trace.headers)
             match, occupancy, tally = batch_out(len(headers), True)
             assert native.serve(clf.cache, clf.classifier.miss_walk, headers,
-                                counts, match, occupancy, 1, tally,
-                                threads=k) == 0
+                                counts, match, _missed(len(headers)),
+                                occupancy, 1, tally, threads=k) == 0
             assert counts[4] == k
             assert (threading.active_count(), _tasks()) == before
 
@@ -809,8 +818,8 @@ class TestThreadsEndWithTheCall:
             counts = np.zeros(5, np.int64)
             match, occupancy, tally = batch_out(len(headers), True)
             assert native.serve(cache, clf.miss_walk, cache._prepare(headers),
-                                counts, match, occupancy, 1, tally,
-                                threads=k) == 0
+                                counts, match, _missed(len(headers)),
+                                occupancy, 1, tally, threads=k) == 0
             return match.tolist(), occupancy.tolist(), counts.tolist()[:4]
 
         def answers(k):
@@ -895,22 +904,28 @@ int __wrap_pthread_create(pthread_t *id, const pthread_attr_t *attr,
 """
 
 
-@pytest.fixture(scope="module")
-def refusing_build(tmp_path_factory):
-    """``(fn, lib)`` of the library built with the refusing
-    ``pthread_create``, loaded through ``native._open``."""
+def wrapped_build(tmp_path_factory, name: str, wrap: str, source: bytes):
+    """``(fn, lib)`` of the library built with ``source`` appended and
+    linked with ``-Wl,--wrap=<wrap>``, loaded through ``native._open``."""
     status = native.status()
     if status["kernel"] != "native":
         pytest.skip(f"native kernel unavailable: {status['reason']}")
-    path = tmp_path_factory.mktemp("refusing") / "flat_walk-refusing.so"
+    path = tmp_path_factory.mktemp(name) / f"flat_walk-{name}.so"
     subprocess.run(
         [shutil.which("cc") or shutil.which("gcc"), *native.FLAGS,
-         "-Wl,--wrap=pthread_create", "-x", "c", "-o", str(path), "-"],
-        input=native.source() + _REFUSING, check=True, capture_output=True,
+         f"-Wl,--wrap={wrap}", "-x", "c", "-o", str(path), "-"],
+        input=native.source() + source, check=True, capture_output=True,
         timeout=native.BUILD_TIMEOUT_S,
     )
     os.chmod(path, 0o755)
     return native._open(str(path))
+
+
+@pytest.fixture(scope="module")
+def refusing_build(tmp_path_factory):
+    """The library built with the refusing ``pthread_create``."""
+    return wrapped_build(tmp_path_factory, "refusing", "pthread_create",
+                         _REFUSING)
 
 
 class _RefusedStarts:
